@@ -90,6 +90,59 @@ func BenchmarkT1aStaticSelectPrefix(b *testing.B) {
 	}
 }
 
+// --- Frozen: the §3 succinct form every store generation is served from ---
+//
+// One 16 384-value URL-log generation (the store's flush threshold), keys
+// drawn by position so hot values weigh as they do in a served workload —
+// the builder's working loop for the descent kernel.
+
+const frozenBenchN = 1 << 14
+
+func benchFrozen(b *testing.B) (*Frozen, []string, []int) {
+	seq := workload.URLLog(frozenBenchN, 1, workload.DefaultURLConfig())
+	f := NewStatic(seq).Frozen()
+	r := rand.New(rand.NewSource(2))
+	pos := make([]int, 1024)
+	for i := range pos {
+		pos[i] = r.Intn(frozenBenchN)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	return f, seq, pos
+}
+
+var benchSink int
+
+func BenchmarkFrozenAccess(b *testing.B) {
+	f, _, pos := benchFrozen(b)
+	for i := 0; i < b.N; i++ {
+		benchSink += len(f.Access(pos[i&1023]))
+	}
+}
+
+func BenchmarkFrozenRank(b *testing.B) {
+	f, seq, pos := benchFrozen(b)
+	for i := 0; i < b.N; i++ {
+		benchSink += f.Rank(seq[pos[i&1023]], pos[(i+1)&1023])
+	}
+}
+
+func BenchmarkFrozenSelect(b *testing.B) {
+	f, seq, pos := benchFrozen(b)
+	for i := 0; i < b.N; i++ {
+		p, _ := f.Select(seq[pos[i&1023]], 0)
+		benchSink += p
+	}
+}
+
+func BenchmarkFrozenRankPrefix(b *testing.B) {
+	f, seq, pos := benchFrozen(b)
+	for i := 0; i < b.N; i++ {
+		s := seq[pos[i&1023]]
+		benchSink += f.RankPrefix(s[:len(s)/2], pos[(i+1)&1023])
+	}
+}
+
 // --- T1b: static space ---------------------------------------------------
 
 func BenchmarkT1bStaticSpace(b *testing.B) {

@@ -22,6 +22,10 @@ type Frozen struct {
 	backing any
 }
 
+func init() {
+	succinct.Unwrap = func(frozen any) *succinct.Trie { return frozen.(*Frozen).t }
+}
+
 // Mapped reports whether this Frozen aliases an external memory region
 // (an mmap'd file) instead of owning heap copies of its components.
 func (f *Frozen) Mapped() bool { return f.backing != nil }
@@ -53,38 +57,58 @@ func (f *Frozen) SizeBits() int { return f.t.SizeBits() }
 
 // Access returns the string at position pos.
 func (f *Frozen) Access(pos int) string {
-	s, err := bitstr.DecodeString(f.t.AccessBits(pos))
+	var buf [bitstr.KeyWords]uint64
+	b := bitstr.BuilderOver(buf[:])
+	f.t.AccessInto(&b, pos)
+	s, err := bitstr.DecodeString(b.View())
 	if err != nil {
 		panic("wavelettrie: internal corruption: " + err.Error())
 	}
 	return s
 }
 
+// The keyed queries binarize their argument into a stack buffer: for keys
+// of up to 256 bytes they allocate nothing.
+
 // Rank counts occurrences of s in positions [0, pos).
 func (f *Frozen) Rank(s string, pos int) int {
-	return f.t.RankBits(bitstr.EncodeString(s), pos)
+	var buf [bitstr.KeyWords]uint64
+	return f.t.RankBits(bitstr.EncodeStringInto(buf[:], s), pos)
 }
 
 // Select returns the position of the idx-th (0-based) occurrence of s.
 func (f *Frozen) Select(s string, idx int) (int, bool) {
-	return f.t.SelectBits(bitstr.EncodeString(s), idx)
+	var buf [bitstr.KeyWords]uint64
+	return f.t.SelectBits(bitstr.EncodeStringInto(buf[:], s), idx)
 }
 
 // RankPrefix counts elements in [0, pos) having byte prefix p.
 func (f *Frozen) RankPrefix(p string, pos int) int {
-	return f.t.RankPrefixBits(bitstr.EncodePrefixString(p), pos)
+	var buf [bitstr.KeyWords]uint64
+	return f.t.RankPrefixBits(bitstr.EncodePrefixStringInto(buf[:], p), pos)
 }
 
 // SelectPrefix returns the position of the idx-th element with prefix p.
 func (f *Frozen) SelectPrefix(p string, idx int) (int, bool) {
-	return f.t.SelectPrefixBits(bitstr.EncodePrefixString(p), idx)
+	var buf [bitstr.KeyWords]uint64
+	return f.t.SelectPrefixBits(bitstr.EncodePrefixStringInto(buf[:], p), idx)
 }
 
-// Count returns the total occurrences of s.
+// Count returns the total occurrences of s. It reads labels and
+// directories only — no bitvector block is decoded.
 func (f *Frozen) Count(s string) int { return f.Rank(s, f.Len()) }
 
-// CountPrefix returns the total elements with byte prefix p.
+// CountPrefix returns the total elements with byte prefix p, at the
+// same cost as Count.
 func (f *Frozen) CountPrefix(p string) int { return f.RankPrefix(p, f.Len()) }
+
+// Contains reports whether s occurs at all — cheaper than Count(s) > 0:
+// a walk over the trie labels that touches no bitvector or directory
+// beyond them.
+func (f *Frozen) Contains(s string) bool {
+	var buf [bitstr.KeyWords]uint64
+	return f.t.ContainsBits(bitstr.EncodeStringInto(buf[:], s))
+}
 
 // Iterate streams the elements of positions [l, r) in order, stopping
 // early if fn returns false. It walks the trie once with streaming

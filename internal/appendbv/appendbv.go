@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/bitvec"
 	"repro/internal/rrr"
 )
 
@@ -269,7 +270,7 @@ func (v *Vector) tailSelect(b byte, idx int) int {
 		}
 		c := bits.OnesCount64(w)
 		if rem < c {
-			return wi*64 + select64(w, rem)
+			return wi*64 + bitvec.Select64(w, rem)
 		}
 		rem -= c
 	}
@@ -347,24 +348,4 @@ func (it *Iter) Next() byte {
 		it.sync()
 	}
 	return b
-}
-
-// select64 returns the position of the k-th (0-based) set bit of w.
-func select64(w uint64, k int) int {
-	for i := 0; i < 8; i++ {
-		bb := w >> (8 * i) & 0xff
-		c := bits.OnesCount8(uint8(bb))
-		if k < c {
-			for j := 0; j < 8; j++ {
-				if bb>>j&1 == 1 {
-					if k == 0 {
-						return 8*i + j
-					}
-					k--
-				}
-			}
-		}
-		k -= c
-	}
-	panic("appendbv: select64: k out of range")
 }

@@ -119,15 +119,6 @@ func (s BitString) Bit(i int) byte {
 // word are zero.
 func (s BitString) Words() []uint64 { return s.words }
 
-// word returns word i of the packed form, or 0 past the end. Internal
-// helper that lets LCP/Compare run without bounds branching.
-func (s BitString) word(i int) uint64 {
-	if i < len(s.words) {
-		return s.words[i]
-	}
-	return 0
-}
-
 // Sub returns the substring of bits [from, to). It panics if the range is
 // invalid. The result is an independent copy.
 func (s BitString) Sub(from, to int) BitString {
@@ -138,18 +129,9 @@ func (s BitString) Sub(from, to int) BitString {
 	if n == 0 {
 		return Empty
 	}
-	nw := wordsFor(n)
-	w := make([]uint64, nw)
-	sw := from >> 6
-	off := uint(from) & 63
-	if off == 0 {
-		copy(w, s.words[sw:sw+nw])
-	} else {
-		for i := 0; i < nw; i++ {
-			lo := s.word(sw+i) >> off
-			hi := s.word(sw+i+1) << (64 - off)
-			w[i] = lo | hi
-		}
+	w := make([]uint64, wordsFor(n))
+	for i := range w {
+		w[i] = read64(s.words, from+i*64)
 	}
 	maskTail(w, n)
 	return BitString{words: w, n: n}
@@ -162,22 +144,35 @@ func (s BitString) Prefix(k int) BitString { return s.Sub(0, k) }
 func (s BitString) Suffix(k int) BitString { return s.Sub(k, s.n) }
 
 // LCP returns the length in bits of the longest common prefix of s and t.
-func LCP(s, t BitString) int {
-	n := s.n
-	if t.n < n {
-		n = t.n
+func LCP(s, t BitString) int { return LCPAt(s.words, 0, t.words, 0, min(s.n, t.n)) }
+
+// read64 returns the 64 bits that start at bit position pos of the packed
+// words, zero-filled past their end. pos must lie inside the words.
+func read64(words []uint64, pos int) uint64 {
+	wi, off := pos>>6, uint(pos)&63
+	v := words[wi] >> off
+	if off != 0 && wi+1 < len(words) {
+		v |= words[wi+1] << (64 - off)
 	}
-	nw := wordsFor(n)
-	for i := 0; i < nw; i++ {
-		if d := s.word(i) ^ t.word(i); d != 0 {
-			p := i*64 + bits.TrailingZeros64(d)
-			if p > n {
-				return n
-			}
-			return p
+	return v
+}
+
+// LCPAt returns the length of the longest common prefix of two n-bit runs
+// inside packed word arrays: the one starting at bit aOff of a and the
+// one starting at bit bOff of b. It compares in place, a word at a time,
+// whatever the two alignments; both runs must lie inside their arrays.
+func LCPAt(a []uint64, aOff int, b []uint64, bOff int, n int) int {
+	for i := 0; i < n; i += 64 {
+		if d := read64(a, aOff+i) ^ read64(b, bOff+i); d != 0 {
+			return min(i+bits.TrailingZeros64(d), n)
 		}
 	}
 	return n
+}
+
+// EqualAt reports whether the two n-bit runs (see LCPAt) are equal.
+func EqualAt(a []uint64, aOff int, b []uint64, bOff int, n int) bool {
+	return LCPAt(a, aOff, b, bOff, n) == n
 }
 
 // HasPrefix reports whether p is a prefix of s.
@@ -264,6 +259,11 @@ func NewBuilder(sizeHint int) *Builder {
 	return &Builder{words: make([]uint64, 0, wordsFor(sizeHint))}
 }
 
+// BuilderOver returns an empty Builder that fills buf's backing array
+// before allocating — for assembling a short bit string in a caller's
+// stack buffer. buf's length is ignored; its capacity is what counts.
+func BuilderOver(buf []uint64) Builder { return Builder{words: buf[:0]} }
+
 // Len returns the number of bits appended so far.
 func (b *Builder) Len() int { return b.n }
 
@@ -284,53 +284,53 @@ func (b *Builder) AppendUint(v uint64, nbits int) {
 	if nbits < 0 || nbits > 64 {
 		panic(fmt.Sprintf("bitstr: AppendUint: nbits %d out of range", nbits))
 	}
-	for i := 0; i < nbits; i++ {
-		b.AppendBit(byte(v>>uint(i)) & 1)
-	}
-}
-
-// AppendWords appends the first nbits bits of the packed words (bit i of
-// the appended run is bit i%64 of words[i/64]), shifting as needed when the
-// builder is not word-aligned. Bits at positions >= nbits in the last
-// source word are ignored. This is the bulk path the streaming freeze
-// builder uses to concatenate per-node bitvectors without a per-bit loop.
-func (b *Builder) AppendWords(words []uint64, nbits int) {
-	if nbits < 0 || nbits > len(words)*64 {
-		panic(fmt.Sprintf("bitstr: AppendWords: length %d out of range for %d words", nbits, len(words)))
-	}
 	if nbits == 0 {
 		return
 	}
-	nw := wordsFor(nbits)
-	if off := uint(b.n) & 63; off != 0 {
-		last := len(b.words) - 1
-		for _, w := range words[:nw] {
-			b.words[last] |= w << off
-			b.words = append(b.words, w>>(64-off))
-			last++
-		}
+	if nbits < 64 {
+		v &= 1<<uint(nbits) - 1
+	}
+	off := uint(b.n) & 63
+	if off == 0 {
+		b.words = append(b.words, v)
 	} else {
-		b.words = append(b.words, words[:nw]...)
+		b.words[len(b.words)-1] |= v << off
+		if int(off)+nbits > 64 {
+			b.words = append(b.words, v>>(64-off))
+		}
 	}
 	b.n += nbits
-	b.words = b.words[:wordsFor(b.n)]
-	maskTail(b.words, b.n)
 }
 
-// Append appends all bits of s.
-func (b *Builder) Append(s BitString) {
-	// Fast path: word-aligned bulk copy.
-	if b.n&63 == 0 {
-		b.words = append(b.words, s.words...)
-		b.n += s.n
-		// The appended words may have capacity rounding; trim logical length.
-		b.words = b.words[:wordsFor(b.n)]
-		return
+// AppendRange appends the n bits that start at bit position from of the
+// packed words (bit i of a packed array is bit i%64 of words[i/64]),
+// a word at a time whatever the source and builder alignments. The range
+// must lie inside words. It is how label ranges are copied straight out
+// of a concatenated label stream.
+func (b *Builder) AppendRange(words []uint64, from, n int) {
+	if from < 0 || n < 0 || from+n > len(words)*64 {
+		panic(fmt.Sprintf("bitstr: AppendRange [%d,+%d) out of range for %d words", from, n, len(words)))
 	}
-	for i := 0; i < s.n; i++ {
-		b.AppendBit(s.Bit(i))
+	i := 0
+	if b.n&63 == 0 && from&63 == 0 {
+		// Both aligned: bulk-copy the whole words.
+		whole := n >> 6
+		b.words = append(b.words, words[from>>6:from>>6+whole]...)
+		b.n += whole << 6
+		i = whole << 6
+	}
+	for ; i < n; i += 64 {
+		b.AppendUint(read64(words, from+i), min(64, n-i))
 	}
 }
+
+// AppendWords appends the first nbits bits of the packed words. This is
+// the bulk path the streaming freeze builder uses to concatenate per-node
+// bitvectors.
+func (b *Builder) AppendWords(words []uint64, nbits int) { b.AppendRange(words, 0, nbits) }
+
+// Append appends all bits of s.
+func (b *Builder) Append(s BitString) { b.AppendRange(s.words, 0, s.n) }
 
 // BitString returns the accumulated bits. The Builder may continue to be
 // used afterwards; the returned value does not alias future appends.

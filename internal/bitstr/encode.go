@@ -1,6 +1,9 @@
 package bitstr
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Binarization of byte strings (paper §2, §3).
 //
@@ -27,68 +30,91 @@ import "fmt"
 // Encode binarizes a byte string into the prefix-free bit-string alphabet.
 // Every distinct byte string maps to a distinct bit string and the set of
 // all encodings is prefix-free.
-func Encode(s []byte) BitString {
-	b := NewBuilder(9*len(s) + 1)
-	appendEncoded(b, s)
-	b.AppendBit(0)
-	return b.BitString()
-}
+func Encode(s []byte) BitString { return encode(nil, string(s), true) }
 
 // EncodeString is Encode for Go strings.
-func EncodeString(s string) BitString { return Encode([]byte(s)) }
+func EncodeString(s string) BitString { return encode(nil, s, true) }
 
 // EncodePrefix binarizes a byte string *without* the terminator, producing
 // the bit string that is a prefix of Encode(s) for every s having p as a
 // byte prefix. Use it to form RankPrefix/SelectPrefix arguments.
-func EncodePrefix(p []byte) BitString {
-	b := NewBuilder(9 * len(p))
-	appendEncoded(b, p)
-	return b.BitString()
-}
+func EncodePrefix(p []byte) BitString { return encode(nil, string(p), false) }
 
 // EncodePrefixString is EncodePrefix for Go strings.
-func EncodePrefixString(p string) BitString { return EncodePrefix([]byte(p)) }
+func EncodePrefixString(p string) BitString { return encode(nil, p, false) }
 
-func appendEncoded(b *Builder, s []byte) {
-	for _, c := range s {
-		b.AppendBit(1)
-		for k := 7; k >= 0; k-- {
-			b.AppendBit(byte(c>>uint(k)) & 1)
+// KeyWords is the stack-buffer size, in words, that holds the encoding of
+// any key of up to 256 bytes (9 bits a byte plus the terminator).
+const KeyWords = (256*9 + 1 + 63) / 64
+
+// EncodeStringInto is EncodeString writing into buf's backing array when
+// the encoding fits its capacity (allocating otherwise): with a
+// [KeyWords]uint64 on the caller's stack, encoding a query key of up to
+// 256 bytes allocates nothing. The result aliases buf.
+func EncodeStringInto(buf []uint64, s string) BitString { return encode(buf[:0], s, true) }
+
+// EncodePrefixStringInto is EncodePrefixString in the EncodeStringInto form.
+func EncodePrefixStringInto(buf []uint64, p string) BitString { return encode(buf[:0], p, false) }
+
+// encode appends the binarization of s to dst (empty, any capacity): nine
+// bits per byte — the 1 flag, then the byte MSB-first, which LSB-first
+// packing makes its bit reversal — gathered in a 64-bit accumulator.
+func encode(dst []uint64, s string, terminate bool) BitString {
+	n := 9 * len(s)
+	if terminate {
+		n++
+	}
+	if cap(dst) < wordsFor(n) {
+		dst = make([]uint64, 0, wordsFor(n))
+	}
+	var acc uint64
+	fill := uint(0) // bits of acc in use, always < 64
+	for i := 0; i < len(s); i++ {
+		v := 1 | uint64(bits.Reverse8(s[i]))<<1
+		acc |= v << fill
+		if fill += 9; fill >= 64 {
+			dst = append(dst, acc)
+			fill -= 64
+			acc = v >> (9 - fill)
 		}
 	}
+	// The terminator is a 0 bit: it only lengthens the string.
+	if len(dst) < wordsFor(n) {
+		dst = append(dst, acc)
+	}
+	return BitString{words: dst, n: n}
 }
 
 // Decode inverts Encode. It returns an error if bs is not a complete,
 // well-formed encoding (wrong length, missing terminator, or trailing bits).
 func Decode(bs BitString) ([]byte, error) {
-	out := make([]byte, 0, bs.Len()/9)
-	i := 0
-	for {
-		if i >= bs.Len() {
-			return nil, fmt.Errorf("bitstr: Decode: missing terminator at bit %d", i)
-		}
-		flag := bs.Bit(i)
-		i++
-		if flag == 0 {
-			if i != bs.Len() {
-				return nil, fmt.Errorf("bitstr: Decode: %d trailing bits after terminator", bs.Len()-i)
-			}
-			return out, nil
-		}
-		if i+8 > bs.Len() {
-			return nil, fmt.Errorf("bitstr: Decode: truncated byte at bit %d", i)
-		}
-		var c byte
-		for k := 0; k < 8; k++ {
-			c = c<<1 | bs.Bit(i+k)
-		}
-		out = append(out, c)
-		i += 8
-	}
+	return appendDecoded(make([]byte, 0, bs.Len()/9), bs)
 }
 
 // DecodeString is Decode returning a Go string.
 func DecodeString(bs BitString) (string, error) {
-	b, err := Decode(bs)
+	var buf [128]byte // most values decode on the stack: one copy into the string
+	b, err := appendDecoded(buf[:0], bs)
 	return string(b), err
+}
+
+// appendDecoded appends the bytes bs encodes to out, nine bits at a time.
+func appendDecoded(out []byte, bs BitString) ([]byte, error) {
+	i := 0
+	for ; i+9 <= bs.n; i += 9 {
+		v := read64(bs.words, i)
+		if v&1 == 0 {
+			break
+		}
+		out = append(out, bits.Reverse8(byte(v>>1)))
+	}
+	switch {
+	case i >= bs.n:
+		return nil, fmt.Errorf("bitstr: Decode: missing terminator at bit %d", i)
+	case bs.Bit(i) == 1:
+		return nil, fmt.Errorf("bitstr: Decode: truncated byte at bit %d", i+1)
+	case i+1 != bs.n:
+		return nil, fmt.Errorf("bitstr: Decode: %d trailing bits after terminator", bs.n-i-1)
+	}
+	return out, nil
 }

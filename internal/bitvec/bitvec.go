@@ -10,8 +10,13 @@
 //     are differentially tested against.
 //
 // Rank uses one level of 512-bit superblock counters plus word popcounts;
-// Select binary-searches the superblock counters and finishes with an
-// in-word bit search. Space overhead is 64/512 = 12.5% over the raw bits.
+// Select binary-searches the superblock counters and finishes with a
+// broadword in-word search (Select64). Space overhead is 32/512 = 6.25%
+// over the raw bits. Vectors whose Select1 sits on a query path (the
+// Elias–Fano high halves) add a sampled hint table with IndexSelect1 —
+// the position of every selectSample-th one — so that a select starts at
+// the hinted word and walks forward, searching superblocks only where
+// the ones are sparse.
 package bitvec
 
 import (
@@ -33,7 +38,14 @@ type Vector struct {
 	ones  int
 	// super[i] = number of 1s in bits [0, i*superBits).
 	super []int32
+	// sel1, when built by IndexSelect1, samples Select1: sel1[j] is the
+	// position of the (j*selectSample)-th one, with n as a closing
+	// sentinel, so the idx-th one lies in [sel1[j], sel1[j+1]).
+	sel1 []int32
 }
+
+// selectSample is the number of ones between two Select1 hints.
+const selectSample = 128
 
 // FromWords builds a Vector over n bits taken LSB-first from words (bit i
 // is bit i%64 of words[i/64]). Bits at positions >= n are ignored. The
@@ -65,6 +77,26 @@ func (v *Vector) buildRank() {
 	}
 	v.super[ns] = int32(ones)
 	v.ones = ones
+}
+
+// IndexSelect1 builds the Select1 hint table (32/selectSample bits per
+// one). It is for vectors that serve Select1 on a hot path; call it once,
+// before the vector is shared. Answers never change — only where the
+// search starts.
+func (v *Vector) IndexSelect1() {
+	if v.sel1 != nil {
+		return
+	}
+	v.sel1 = make([]int32, 0, v.ones/selectSample+2)
+	seen := 0
+	for wi, w := range v.words {
+		c := bits.OnesCount64(w)
+		for next := len(v.sel1) * selectSample; next < seen+c; next += selectSample {
+			v.sel1 = append(v.sel1, int32(wi*64+Select64(w, next-seen)))
+		}
+		seen += c
+	}
+	v.sel1 = append(v.sel1, int32(v.n))
 }
 
 // Len returns the number of bits.
@@ -118,21 +150,34 @@ func (v *Vector) Select1(idx int) int {
 	if idx < 0 || idx >= v.ones {
 		panic(fmt.Sprintf("bitvec: Select1(%d) out of range [0,%d)", idx, v.ones))
 	}
-	// Binary search the superblock whose prefix count is <= idx.
-	lo, hi := 0, len(v.super)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int(v.super[mid]) <= idx {
-			lo = mid
-		} else {
-			hi = mid - 1
+	// The answer lies in [from, to), with `skipped` ones before from.
+	from, to, skipped := 0, v.n, 0
+	if v.sel1 != nil {
+		j := idx / selectSample
+		from, to, skipped = int(v.sel1[j]), int(v.sel1[j+1]), j*selectSample
+	}
+	wi := from >> 6
+	rem := idx - skipped + bits.OnesCount64(v.words[wi]&(1<<(uint(from)&63)-1))
+	if to-from > superBits {
+		// Sparse here: binary search the last superblock in range whose
+		// prefix count is <= idx, and walk from its start instead.
+		lo, hi := from/superBits, (to-1)/superBits
+		for lo < hi {
+			mid := int(uint(lo+hi+1) >> 1)
+			if int(v.super[mid]) <= idx {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		if lo > from/superBits {
+			wi, rem = lo*wordsPerSuper, idx-int(v.super[lo])
 		}
 	}
-	rem := idx - int(v.super[lo])
-	for wi := lo * wordsPerSuper; ; wi++ {
+	for ; ; wi++ {
 		c := bits.OnesCount64(v.words[wi])
 		if rem < c {
-			return wi*64 + select64(v.words[wi], rem)
+			return wi*64 + Select64(v.words[wi], rem)
 		}
 		rem -= c
 	}
@@ -144,35 +189,47 @@ func (v *Vector) Select0(idx int) int {
 	if idx < 0 || idx >= zeros {
 		panic(fmt.Sprintf("bitvec: Select0(%d) out of range [0,%d)", idx, zeros))
 	}
-	// Binary search on zero-prefix counts derived from super.
-	lo, hi := 0, len(v.super)-1
-	zeroPrefix := func(i int) int { return i*superBits - int(v.super[i]) }
+	// Binary search on zero-prefix counts derived from super. Every
+	// superblock but the last is full, so i*superBits never overshoots n
+	// for the candidates compared.
+	lo, hi := 0, len(v.super)-2
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		zp := zeroPrefix(mid)
-		// The last superblock may be partial; clamp.
-		if mid*superBits > v.n {
-			zp = v.n - v.ones // total zeros; forces search left
-		}
-		if zp <= idx {
+		if mid*superBits-int(v.super[mid]) <= idx {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	rem := idx - zeroPrefix(lo)
+	rem := idx - (lo*superBits - int(v.super[lo]))
+	// Bits past n in the final word read as 1 after the complement, but
+	// idx < zeros keeps the answer below them.
 	for wi := lo * wordsPerSuper; ; wi++ {
 		w := ^v.words[wi]
-		// Mask off bits beyond n in the final word so they don't count as 0s.
-		if (wi+1)*64 > v.n {
-			w &= (1 << (uint(v.n) & 63)) - 1
-		}
 		c := bits.OnesCount64(w)
 		if rem < c {
-			return wi*64 + select64(w, rem)
+			return wi*64 + Select64(w, rem)
 		}
 		rem -= c
 	}
+}
+
+// NextOne returns the position of the first 1 bit at or after pos, or
+// Len() when there is none.
+func (v *Vector) NextOne(pos int) int {
+	if pos >= v.n {
+		return v.n
+	}
+	wi := pos >> 6
+	w := v.words[wi] >> (uint(pos) & 63) << (uint(pos) & 63)
+	for w == 0 {
+		wi++
+		if wi == len(v.words) {
+			return v.n
+		}
+		w = v.words[wi]
+	}
+	return wi*64 + bits.TrailingZeros64(w)
 }
 
 // Select returns the position of the idx-th occurrence of bit b.
@@ -188,31 +245,9 @@ func (v *Vector) Select(b byte, idx int) int {
 func (v *Vector) Words() []uint64 { return v.words }
 
 // SizeBits returns the memory footprint in bits of the succinct encoding:
-// the raw bits plus the rank directory.
+// the raw bits plus the rank directory and, when built, the Select1 hints.
 func (v *Vector) SizeBits() int {
-	return len(v.words)*64 + len(v.super)*32
-}
-
-// select64 returns the position of the k-th (0-based) set bit of w.
-// Precondition: k < popcount(w).
-func select64(w uint64, k int) int {
-	for i := 0; i < 8; i++ {
-		b := w >> (8 * i) & 0xff
-		c := bits.OnesCount8(uint8(b))
-		if k < c {
-			// Scan the byte.
-			for j := 0; j < 8; j++ {
-				if b>>j&1 == 1 {
-					if k == 0 {
-						return 8*i + j
-					}
-					k--
-				}
-			}
-		}
-		k -= c
-	}
-	panic("bitvec: select64: k out of range")
+	return len(v.words)*64 + len(v.super)*32 + len(v.sel1)*32
 }
 
 // A Builder accumulates bits and produces an immutable Vector. The zero

@@ -235,6 +235,88 @@ func TestBinaryTrieShape(t *testing.T) {
 	}
 }
 
+// binaryDegrees returns the preorder degree sequence of a strictly
+// binary tree with the given number of internal nodes, whose shape is
+// chosen by pick: at an internal node with m internal nodes left to
+// place below it, pick(m) of them go into the 0-subtree.
+func binaryDegrees(internals int, pick func(m int) int) []int {
+	var degs []int
+	// Explicit stack: chains are thousands of nodes deep.
+	stack := []int{internals}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if m == 0 {
+			degs = append(degs, 0)
+			continue
+		}
+		degs = append(degs, 2)
+		left := pick(m - 1)
+		stack = append(stack, m-1-left, left) // 0-subtree pops first
+	}
+	return degs
+}
+
+// TestBinaryShortcutsAgainstGeneralNavigation walks strictly binary
+// trees with the general Degree/Child/Preorder navigation and checks the
+// position-arithmetic shortcuts land on the same node, preorder id and
+// internal index everywhere — on left- and right-deep chains whose
+// parentheses run well past one 4 096-bit superblock of the excess
+// index, and on random shapes.
+func TestBinaryShortcutsAgainstGeneralNavigation(t *testing.T) {
+	r := rand.New(rand.NewSource(153))
+	shapes := map[string]func(m int) int{
+		"left-deep":  func(m int) int { return m },
+		"right-deep": func(m int) int { return 0 },
+		"balanced":   func(m int) int { return m / 2 },
+		"random":     func(m int) int { return r.Intn(m + 1) },
+		"skewed":     func(m int) int { return min(m, r.Intn(4)) },
+	}
+	for name, pick := range shapes {
+		const internals = 3000 // 6001 nodes, 12 002 parens: three superblocks
+		tr := FromDegrees(binaryDegrees(internals, pick))
+		if tr.p.Len() < 2*superBits {
+			t.Fatalf("%s: only %d parens, want more than two superblocks", name, tr.p.Len())
+		}
+		seenInternal := 0
+		stack := []BinaryNode{tr.BinaryRoot()}
+		visited := 0
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			visited++
+			if got := tr.Preorder(n.Pos); got != n.ID {
+				t.Fatalf("%s: node at %d has preorder %d, shortcut says %d", name, n.Pos, got, n.ID)
+			}
+			if tr.NodePos(n.ID) != n.Pos {
+				t.Fatalf("%s: NodePos(%d) = %d, shortcut position %d", name, n.ID, tr.NodePos(n.ID), n.Pos)
+			}
+			if tr.IsLeaf(n.Pos) {
+				if tr.Degree(n.Pos) != 0 {
+					t.Fatalf("%s: leaf with degree %d", name, tr.Degree(n.Pos))
+				}
+				continue
+			}
+			// Preorder visits internal nodes in internal-index order.
+			if got := n.InternalIndex(); got != seenInternal {
+				t.Fatalf("%s: node %d internal index %d, want %d", name, n.ID, got, seenInternal)
+			}
+			seenInternal++
+			for bit := byte(0); bit < 2; bit++ {
+				c := tr.BinaryChild(n, bit)
+				if want := tr.Child(n.Pos, int(bit)); c.Pos != want {
+					t.Fatalf("%s: BinaryChild(node %d, %d) at %d, Child says %d", name, n.ID, bit, c.Pos, want)
+				}
+			}
+			// 1-child first so the 0-child pops first: preorder.
+			stack = append(stack, tr.BinaryChild(n, 1), tr.BinaryChild(n, 0))
+		}
+		if visited != tr.NumNodes() || seenInternal != internals {
+			t.Fatalf("%s: visited %d nodes (%d internal), want %d (%d)", name, visited, seenInternal, tr.NumNodes(), internals)
+		}
+	}
+}
+
 func BenchmarkFindClose(b *testing.B) {
 	r := rand.New(rand.NewSource(152))
 	bits := randBalanced(r, 1<<19)

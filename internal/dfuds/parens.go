@@ -8,11 +8,13 @@
 // excess search behind FindClose/FindOpen uses a two-level block index
 // (per-64-bit-word relative min/max excess, then per-64-word superblock),
 // giving skips at two scales — the practical stand-in for the
-// range-min-max tree, with o(n) space (≈ 25% of the paren bits).
+// range-min-max tree. Inside a word the search goes a byte at a time
+// through 256-entry excess tables, never a bit at a time.
 package dfuds
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 )
@@ -52,29 +54,28 @@ func NewParens(bv *bitvec.Vector) *Parens {
 	p.superExc = make([]int32, ns)
 	p.superMin = make([]int32, ns)
 	p.superMax = make([]int32, ns)
+	words := bv.Words()
 	for b := 0; b < nb; b++ {
-		exc, mn, mx := int16(0), int16(0), int16(0)
-		start := b * blockBits
-		end := start + blockBits
-		if end > n {
-			end = n
+		// Bits past n in the last word are 0; they must not count as
+		// closes, so only whole bytes go through the tables.
+		valid := min(n-b*blockBits, blockBits)
+		w := words[b]
+		exc, mn, mx := 0, 0, 0
+		i := 0
+		for ; i+8 <= valid; i += 8 {
+			t := &byteExc[byte(w>>uint(i))]
+			mn = min(mn, exc+int(t.min))
+			mx = max(mx, exc+int(t.max))
+			exc += int(t.total)
 		}
-		for i := start; i < end; i++ {
-			if bv.Access(i) == 1 {
-				exc++
-			} else {
-				exc--
-			}
-			if exc < mn {
-				mn = exc
-			}
-			if exc > mx {
-				mx = exc
-			}
+		for ; i < valid; i++ {
+			exc += int(w>>uint(i)&1)*2 - 1
+			mn = min(mn, exc)
+			mx = max(mx, exc)
 		}
-		p.blockExc[b] = exc
-		p.blockMin[b] = mn
-		p.blockMax[b] = mx
+		p.blockExc[b] = int16(exc)
+		p.blockMin[b] = int16(mn)
+		p.blockMax[b] = int16(mx)
 	}
 	for s := 0; s < ns; s++ {
 		exc, mn, mx := int32(0), int32(0), int32(0)
@@ -109,69 +110,96 @@ func (p *Parens) RankClose(i int) int { return p.bv.Rank0(i) }
 // SelectClose returns the position of the idx-th (0-based) ')'.
 func (p *Parens) SelectClose(idx int) int { return p.bv.Select0(idx) }
 
+// byteExc summarises one byte of parens read LSB first: its total excess
+// (opens minus closes), the min and max of the running excess over its
+// non-empty prefixes, and closeAt[d-1], the index of the first bit at
+// which the running excess reaches -d (8 when it never does).
+var byteExc [256]struct {
+	total, min, max int8
+	closeAt         [8]uint8
+}
+
+func init() {
+	for b := range byteExc {
+		t := &byteExc[b]
+		t.min, t.max = 8, -8
+		for d := range t.closeAt {
+			t.closeAt[d] = 8
+		}
+		exc := int8(0)
+		for j := 0; j < 8; j++ {
+			exc += int8(b>>j&1)*2 - 1
+			t.min = min(t.min, exc)
+			t.max = max(t.max, exc)
+			if exc < 0 && t.closeAt[-exc-1] == 8 {
+				t.closeAt[-exc-1] = uint8(j)
+			}
+		}
+		t.total = exc
+	}
+}
+
+// closeInWord returns the smallest q >= off such that bits [off, q] of w
+// hold depth more closes than opens, or -1 when the word ends first.
+// depth must be positive.
+func closeInWord(w uint64, off uint, depth int) int {
+	// Shift the start to bit 0 and pad the top with opens, which can
+	// never complete a match.
+	w = w>>off | ^(^uint64(0) >> off)
+	for s := uint(0); s < 64; s += 8 {
+		t := &byteExc[byte(w>>s)]
+		if depth+int(t.min) <= 0 {
+			return int(off+s) + int(t.closeAt[depth-1])
+		}
+		depth += int(t.total)
+	}
+	return -1
+}
+
 // FindClose returns the position of the ')' matching the '(' at i.
 func (p *Parens) FindClose(i int) int {
 	if !p.IsOpen(i) {
 		panic(fmt.Sprintf("dfuds: FindClose(%d): not an open paren", i))
 	}
-	// Want the smallest j > i with E(j+1) == E(i); equivalently, walking
-	// right from i with depth starting at +1 after consuming position i,
-	// the first position where depth returns to 0.
+	// The match is the first position right of i at which the closes
+	// outnumber the opens by one.
+	words := p.bv.Words()
 	n := p.bv.Len()
-	depth := 0
-	pos := i
-	// Scan the remainder of i's block.
-	blockEnd := (i/blockBits + 1) * blockBits
-	if blockEnd > n {
-		blockEnd = n
-	}
-	for ; pos < blockEnd; pos++ {
-		if p.bv.Access(pos) == 1 {
-			depth++
-		} else {
-			depth--
+	depth := 1
+	if start := i + 1; start < n {
+		b, off := start/blockBits, uint(start)%blockBits
+		if q := closeInWord(words[b], off, depth); q >= 0 {
+			return p.inRange(b*blockBits+q, i)
 		}
-		if depth == 0 {
-			return pos
-		}
-	}
-	// Skip blocks/superblocks that cannot bring the depth to 0.
-	b := blockEnd / blockBits
-	nb := len(p.blockExc)
-	for b < nb {
-		if b%blocksPerSuper == 0 {
-			s := b / blocksPerSuper
-			// If the whole superblock cannot reach depth 0, skip it.
-			if depth+int(p.superMin[s]) > 0 {
-				depth += int(p.superExc[s])
-				b += blocksPerSuper
+		depth += 2*bits.OnesCount64(words[b]>>off) - int(blockBits-off)
+		// Skip blocks and superblocks that cannot bring the depth to 0.
+		for b++; b < len(p.blockExc); {
+			if b%blocksPerSuper == 0 {
+				if s := b / blocksPerSuper; depth+int(p.superMin[s]) > 0 {
+					depth += int(p.superExc[s])
+					b += blocksPerSuper
+					continue
+				}
+			}
+			if depth+int(p.blockMin[b]) > 0 {
+				depth += int(p.blockExc[b])
+				b++
 				continue
 			}
+			return p.inRange(b*blockBits+closeInWord(words[b], 0, depth), i)
 		}
-		if depth+int(p.blockMin[b]) > 0 {
-			depth += int(p.blockExc[b])
-			b++
-			continue
-		}
-		// The answer is inside block b.
-		start := b * blockBits
-		end := start + blockBits
-		if end > n {
-			end = n
-		}
-		for pos = start; pos < end; pos++ {
-			if p.bv.Access(pos) == 1 {
-				depth++
-			} else {
-				depth--
-			}
-			if depth == 0 {
-				return pos
-			}
-		}
-		b++
 	}
 	panic(fmt.Sprintf("dfuds: FindClose(%d): unbalanced sequence", i))
+}
+
+// inRange guards a match position found in the last word, whose bits
+// past the sequence end read as closes: an unbalanced sequence must
+// panic (validation recovers it), not return a position outside it.
+func (p *Parens) inRange(q, i int) int {
+	if q >= p.bv.Len() {
+		panic(fmt.Sprintf("dfuds: no match for paren %d: unbalanced sequence", i))
+	}
+	return q
 }
 
 // FindOpen returns the position of the '(' matching the ')' at i.
@@ -179,54 +207,41 @@ func (p *Parens) FindOpen(i int) int {
 	if p.IsOpen(i) {
 		panic(fmt.Sprintf("dfuds: FindOpen(%d): not a close paren", i))
 	}
-	// Walking left from i with depth starting at -1 after consuming
-	// position i, the first position where depth returns to 0.
-	depth := 0
-	pos := i
-	blockStart := (i / blockBits) * blockBits
-	for ; pos >= blockStart; pos-- {
-		if p.bv.Access(pos) == 1 {
-			depth++
-		} else {
-			depth--
+	// The match is the first position left of i at which the opens
+	// outnumber the closes by one. Reversing and complementing a word
+	// turns that leftward search into closeInWord's rightward one.
+	words := p.bv.Words()
+	depth := 1
+	if start := i - 1; start >= 0 {
+		b, off := start/blockBits, uint(blockBits-1-start%blockBits)
+		if q := closeInWord(^bits.Reverse64(words[b]), off, depth); q >= 0 {
+			return b*blockBits + blockBits - 1 - q
 		}
-		if depth == 0 {
-			return pos
-		}
-	}
-	b := blockStart/blockBits - 1
-	for b >= 0 {
-		if (b+1)%blocksPerSuper == 0 {
-			s := b / blocksPerSuper
-			// The scan entering this superblock from the right with the
-			// current depth reaches 0 at some q inside iff the running
-			// excess relE(q) (relative to the superblock start, spanning
-			// [superMin, superMax]) hits depth + superExc.
-			g := depth + int(p.superExc[s])
-			if !(int(p.superMin[s]) <= g && g <= int(p.superMax[s])) {
-				depth += int(p.superExc[s])
-				b -= blocksPerSuper
+		depth -= 2*bits.OnesCount64(words[b]<<off) - int(blockBits-off)
+		for b--; b >= 0; {
+			if (b+1)%blocksPerSuper == 0 {
+				// Entering superblock s from its right end, the scan
+				// reaches depth 0 at some q inside iff the running excess
+				// relative to the superblock start (which spans
+				// [superMin, superMax]) takes the value superExc - depth.
+				s := b / blocksPerSuper
+				if g := int(p.superExc[s]) - depth; g < int(p.superMin[s]) || g > int(p.superMax[s]) {
+					depth -= int(p.superExc[s])
+					b -= blocksPerSuper
+					continue
+				}
+			}
+			if g := int(p.blockExc[b]) - depth; g < int(p.blockMin[b]) || g > int(p.blockMax[b]) {
+				depth -= int(p.blockExc[b])
+				b--
 				continue
 			}
-		}
-		g := depth + int(p.blockExc[b])
-		if !(int(p.blockMin[b]) <= g && g <= int(p.blockMax[b])) {
-			depth += int(p.blockExc[b])
+			if q := closeInWord(^bits.Reverse64(words[b]), 0, depth); q >= 0 {
+				return b*blockBits + blockBits - 1 - q
+			}
+			depth -= int(p.blockExc[b])
 			b--
-			continue
 		}
-		start := b * blockBits
-		for pos = start + blockBits - 1; pos >= start; pos-- {
-			if p.bv.Access(pos) == 1 {
-				depth++
-			} else {
-				depth--
-			}
-			if depth == 0 {
-				return pos
-			}
-		}
-		b--
 	}
 	panic(fmt.Sprintf("dfuds: FindOpen(%d): unbalanced sequence", i))
 }

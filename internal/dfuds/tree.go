@@ -100,5 +100,39 @@ func (t *Tree) NodePos(i int) int {
 	return t.p.SelectClose(i-1) + 1
 }
 
+// BinaryNode addresses a node of a strictly binary tree — every node has
+// degree 0 or 2, the shape of a Patricia trie — by its position and its
+// preorder number together. In such a tree an internal node is written
+// "110" and a leaf "0", so a subtree of k nodes spans exactly 2k-1
+// positions and navigation needs no Rank, no Select and no degree
+// lookup: the 0-child starts right after the parent's three parens, and
+// the 1-child right after the close matching the parent's first open.
+//
+// The shortcuts are only correct on a strictly binary tree; callers
+// establish that with the general Degree/Child/Parent walk (or trust a
+// checksum over an encoding that passed it) before using them.
+type BinaryNode struct {
+	Pos int // start of the node description
+	ID  int // preorder number
+}
+
+// BinaryRoot returns the root of a non-empty strictly binary tree.
+func (t *Tree) BinaryRoot() BinaryNode { return BinaryNode{Pos: t.Root()} }
+
+// BinaryChild returns child bit (0 or 1) of the internal node n.
+func (t *Tree) BinaryChild(n BinaryNode, bit byte) BinaryNode {
+	if bit == 0 {
+		return BinaryNode{Pos: n.Pos + 3, ID: n.ID + 1}
+	}
+	// The 0-subtree fills [n.Pos+3, c): (c-n.Pos-2)/2 nodes.
+	c := t.p.FindClose(n.Pos) + 1
+	return BinaryNode{Pos: c, ID: n.ID + 1 + (c-n.Pos-2)/2}
+}
+
+// InternalIndex returns how many internal nodes precede n in preorder —
+// its rank among the internal nodes. The ID nodes before n fill the
+// positions [1, Pos): three per internal node, one per leaf.
+func (n BinaryNode) InternalIndex() int { return (n.Pos - 1 - n.ID) / 2 }
+
 // SizeBits returns the footprint of the encoding.
 func (t *Tree) SizeBits() int { return t.p.SizeBits() }

@@ -6,7 +6,9 @@
 // A non-decreasing sequence of k values in [0,u) is stored in
 // k·⌈log₂(u/k)⌉ + 2k + o(k) bits: the low ⌊log₂(u/k)⌋ bits of each value
 // verbatim, the high bits as a unary-coded bitvector navigated by Select.
-// Random access is O(1) modulo the Select implementation.
+// Random access is one hinted Select1 (see bitvec.IndexSelect1); reading
+// two consecutive values — the delimiters of one item — costs that one
+// select plus a forward scan to the next set bit.
 package eliasfano
 
 import (
@@ -34,7 +36,7 @@ func FromSorted(vals []uint64, universe uint64) *Monotone {
 	k := len(vals)
 	m := &Monotone{k: k, universe: universe}
 	if k == 0 {
-		m.highs = bitvec.NewBuilder(0).Build()
+		m.setHighs(bitvec.NewBuilder(0).Build())
 		return m
 	}
 	// lowBits = floor(log2(u/k)), clamped to [0,63].
@@ -57,7 +59,7 @@ func FromSorted(vals []uint64, universe uint64) *Monotone {
 		}
 		prev = v
 		if l > 0 {
-			writePacked(m.lows, pos, v&(1<<uint(l)-1), l)
+			bitvec.WriteBits(m.lows, pos, v, l)
 			pos += l
 		}
 		high := v >> uint(l)
@@ -66,8 +68,15 @@ func FromSorted(vals []uint64, universe uint64) *Monotone {
 		}
 		hb.AppendBit(1)
 	}
-	m.highs = hb.Build()
+	m.setHighs(hb.Build())
 	return m
+}
+
+// setHighs installs the high-halves vector with its Select1 hints: Get
+// is a Select1 on it, and every trie level of a query pays several.
+func (m *Monotone) setHighs(h *bitvec.Vector) {
+	h.IndexSelect1()
+	m.highs = h
 }
 
 // Len returns the number of values.
@@ -81,11 +90,22 @@ func (m *Monotone) Get(i int) uint64 {
 	if i < 0 || i >= m.k {
 		panic(fmt.Sprintf("eliasfano: Get(%d) out of range [0,%d)", i, m.k))
 	}
-	high := uint64(m.highs.Select1(i) - i)
-	if m.lowBits == 0 {
-		return high
+	return m.value(i, m.highs.Select1(i))
+}
+
+// value assembles value i from the position p of its set bit in highs.
+func (m *Monotone) value(i, p int) uint64 {
+	return uint64(p-i)<<uint(m.lowBits) | bitvec.ReadBits(m.lows, i*m.lowBits, m.lowBits)
+}
+
+// Pair returns values i and i+1 — the two delimiters of item i — from one
+// Select1 and a forward scan to the next set bit.
+func (m *Monotone) Pair(i int) (uint64, uint64) {
+	if i < 0 || i+1 >= m.k {
+		panic(fmt.Sprintf("eliasfano: Pair(%d) out of range [0,%d)", i, m.k-1))
 	}
-	return high<<uint(m.lowBits) | readPacked(m.lows, i*m.lowBits, m.lowBits)
+	p := m.highs.Select1(i)
+	return m.value(i, p), m.value(i+1, m.highs.NextOne(p+1))
 }
 
 // Predecessor returns the largest index i with Get(i) <= x, or -1 if every
@@ -149,9 +169,13 @@ func (p *PartialSum) Offset(i int) uint64 {
 	return p.mono.Get(i)
 }
 
+// Range returns the [start, end) offsets of item i, i in [0, Count()).
+func (p *PartialSum) Range(i int) (start, end uint64) { return p.mono.Pair(i) }
+
 // Length returns the length of item i.
 func (p *PartialSum) Length(i int) int {
-	return int(p.Offset(i+1) - p.Offset(i))
+	start, end := p.Range(i)
+	return int(end - start)
 }
 
 // Find returns the index of the item containing absolute position x, i.e.
@@ -168,39 +192,3 @@ func (p *PartialSum) Find(x uint64) int {
 
 // SizeBits returns the size of the encoding in bits.
 func (p *PartialSum) SizeBits() int { return p.mono.SizeBits() }
-
-func writePacked(words []uint64, pos int, v uint64, nbits int) {
-	for nbits > 0 {
-		off := uint(pos) & 63
-		take := 64 - int(off)
-		if take > nbits {
-			take = nbits
-		}
-		var mask uint64
-		if take == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = 1<<uint(take) - 1
-		}
-		words[pos>>6] |= (v & mask) << off
-		v >>= uint(take)
-		pos += take
-		nbits -= take
-	}
-}
-
-func readPacked(words []uint64, pos, nbits int) uint64 {
-	if nbits == 0 {
-		return 0
-	}
-	wi := pos >> 6
-	off := uint(pos) & 63
-	v := words[wi] >> off
-	if int(off)+nbits > 64 {
-		v |= words[wi+1] << (64 - off)
-	}
-	if nbits < 64 {
-		v &= 1<<uint(nbits) - 1
-	}
-	return v
-}

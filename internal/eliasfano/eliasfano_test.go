@@ -39,6 +39,65 @@ func TestMonotoneDuplicatesAndEdges(t *testing.T) {
 	}
 }
 
+// TestPairAndRange checks the one-select pair access against Get on the
+// shapes the trie directories take: runs of duplicate offsets (empty
+// labels), lowBits == 0 (universe <= count), sparse values that put
+// many zeros between two set bits of the high half, and enough values to
+// cross several select hints.
+func TestPairAndRange(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	cases := map[string][]uint64{
+		"duplicates": {0, 0, 0, 5, 5, 5, 5, 99, 99, 100, 100},
+		"dense":      {0, 1, 2, 3, 3, 3, 4, 5, 6, 7},
+		"sparse":     {3, 1 << 30, 1<<30 + 1, 1 << 39, 1<<40 - 1},
+	}
+	long := make([]uint64, 3000)
+	for i := 1; i < len(long); i++ {
+		long[i] = long[i-1] + uint64(r.Intn(3)) // many duplicates, lowBits 0 or 1
+	}
+	cases["long"] = long
+	for name, vals := range cases {
+		m := FromSorted(vals, vals[len(vals)-1]+1)
+		if (name == "dense" || name == "long") && m.lowBits != 0 {
+			t.Fatalf("%s: lowBits=%d, want the lowBits == 0 shape", name, m.lowBits)
+		}
+		for i := 0; i+1 < len(vals); i++ {
+			if a, b := m.Pair(i); a != vals[i] || b != vals[i+1] {
+				t.Fatalf("%s: Pair(%d) = (%d,%d), want (%d,%d)", name, i, a, b, vals[i], vals[i+1])
+			}
+		}
+	}
+
+	// PartialSum.Range over lengths with empty items.
+	lens := make([]int, 2000)
+	for i := range lens {
+		if r.Intn(3) > 0 {
+			lens[i] = r.Intn(40)
+		}
+	}
+	p := NewPartialSum(lens)
+	off := uint64(0)
+	for i, l := range lens {
+		if a, b := p.Range(i); a != off || b != off+uint64(l) {
+			t.Fatalf("Range(%d) = [%d,%d), want [%d,%d)", i, a, b, off, off+uint64(l))
+		}
+		if p.Length(i) != l {
+			t.Fatalf("Length(%d) = %d, want %d", i, p.Length(i), l)
+		}
+		off += uint64(l)
+	}
+	for _, bad := range []int{-1, len(lens)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Range(%d) did not panic", bad)
+				}
+			}()
+			p.Range(bad)
+		}()
+	}
+}
+
 func TestPredecessor(t *testing.T) {
 	vals := []uint64{2, 2, 5, 9, 9, 40}
 	m := FromSorted(vals, 50)

@@ -23,7 +23,7 @@ func DecodeMonotone(r *wire.Reader) *Monotone {
 		lowBits:  r.Int(),
 	}
 	m.lows = r.Words()
-	m.highs = bitvec.DecodeFrom(r)
+	m.setHighs(bitvec.DecodeFrom(r))
 	if r.Err() == nil {
 		if m.lowBits < 0 || m.lowBits > 63 || len(m.lows) != (m.k*m.lowBits+63)/64 {
 			r.Fail("eliasfano: low-bit array shape inconsistent (k=%d lowBits=%d)", m.k, m.lowBits)

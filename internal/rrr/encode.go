@@ -14,8 +14,8 @@ func (v *Vector) EncodeTo(w *wire.Writer) {
 }
 
 // DecodeFrom reads a vector serialized by EncodeTo, rebuilding the
-// superblock directory from the class fields. Structural shape is fully
-// validated (errors are recorded on r): the class and offset streams must
+// superblock directory from the class fields (buildSuper). Structural
+// shape is fully validated (errors are recorded on r): the class and offset streams must
 // have exactly the lengths the class fields imply, and the last block's
 // class cannot exceed its valid bits — so Rank/Select on a decoded vector
 // always stay in range. Bit-level corruption inside a block offset still
@@ -31,30 +31,12 @@ func DecodeFrom(r *wire.Reader) *Vector {
 		return FromWords(nil, 0)
 	}
 	nb := v.numBlocks()
-	ns := (nb + blocksPerSuper - 1) / blocksPerSuper
 	if len(v.classes) != (nb*classBits+63)/64 {
 		r.Fail("rrr: %d class words for n=%d, want %d", len(v.classes), v.n, (nb*classBits+63)/64)
 		return FromWords(nil, 0)
 	}
-	// Rebuild the directory exactly as FromWords does, summing classes and
-	// offset widths per superblock.
-	v.rankSample = make([]uint64, ns+1)
-	v.posSample = make([]uint64, ns+1)
-	ones, offPos := 0, 0
-	for b := 0; b < nb; b++ {
-		if b%blocksPerSuper == 0 {
-			s := b / blocksPerSuper
-			v.rankSample[s] = uint64(ones)
-			v.posSample[s] = uint64(offPos)
-		}
-		c := v.class(b)
-		ones += c
-		offPos += offsetWidth[c]
-	}
-	v.rankSample[ns] = uint64(ones)
-	v.posSample[ns] = uint64(offPos)
-	v.ones = ones
-	if len(v.offsets) != (offPos+63)/64 {
+	v.buildSuper()
+	if offPos := v.OffsetStreamBits(); len(v.offsets) != (offPos+63)/64 {
 		r.Fail("rrr: %d offset words, classes imply %d", len(v.offsets), (offPos+63)/64)
 		return FromWords(nil, 0)
 	}

@@ -10,8 +10,12 @@
 // that class, ⌈log₂ C(63,c)⌉ bits). Low-entropy blocks therefore take few
 // bits: a run of zeros costs 6 bits per 63. Every 32 blocks a superblock
 // sample records the cumulative rank and the bit position of the block's
-// offset in the offset stream, so queries decode at most one superblock of
-// class fields plus one block body.
+// offset in the offset stream, so queries add up at most one superblock of
+// class fields (several per word read) and visit one block body. A point
+// query never materialises that block: Rank, Access and Select walk the
+// offset's combinatorial number system only as far as the queried bit
+// (rankInBlock, selectInBlock), on the sparser of the block and its
+// complement, and answer classes 0 and 63 without reading an offset.
 //
 // The Wavelet Trie uses RRR for every bitvector β of the static variant
 // (Theorem 3.7) and for the immutable segments of the append-only
@@ -32,52 +36,153 @@ const (
 	superBits      = blockBits * blocksPerSuper
 )
 
-// binom[n][k] = C(n,k) for n,k ≤ 63. C(63,31) < 2^63 so uint64 suffices.
-var binom [blockBits + 1][blockBits + 1]uint64
+// choose[k][n] = C(n,k) for n,k ≤ 63. C(63,31) < 2^63 so uint64 suffices.
+// Indexed class-first: a block walk holds k fixed between set bits while n
+// counts down, so its reads run along one row.
+var choose [blockBits + 1][blockBits + 1]uint64
 
 // offsetWidth[c] = number of bits used to store an offset of class c.
 var offsetWidth [blockBits + 1]int
 
 func init() {
 	for n := 0; n <= blockBits; n++ {
-		binom[n][0] = 1
+		choose[0][n] = 1
 		for k := 1; k <= n; k++ {
-			binom[n][k] = binom[n-1][k-1] + binom[n-1][k]
+			choose[k][n] = choose[k-1][n-1] + choose[k][n-1]
 		}
 	}
 	for c := 0; c <= blockBits; c++ {
 		// Width of the largest offset, C(63,c)-1. Class 0 and 63 need 0 bits.
-		offsetWidth[c] = bits.Len64(binom[blockBits][c] - 1)
+		offsetWidth[c] = bits.Len64(choose[c][blockBits] - 1)
 	}
 }
 
-// encodeBlock returns the class and offset of a 63-bit block.
+// encodeBlock returns the class and offset of a 63-bit block. The offset
+// is the block's rank among its class in the order that, at the first
+// differing position, puts the block with a 0 there first.
 func encodeBlock(w uint64) (class int, offset uint64) {
 	class = bits.OnesCount64(w)
 	k := class
 	for i := 0; i < blockBits && k > 0; i++ {
-		rem := blockBits - i // positions left including i
 		if w>>uint(i)&1 == 1 {
-			offset += binom[rem-1][k]
+			offset += choose[k][blockBits-1-i]
 			k--
 		}
 	}
 	return class, offset
 }
 
-// decodeBlock reconstructs the 63-bit block from its class and offset.
+// decodeBlock reconstructs the whole 63-bit block from its class and
+// offset — the sequential iterator's path; point queries use rankInBlock
+// and selectInBlock instead. All three walk the same sparser form, so
+// they agree on every bit even for an offset no encoder produces.
 func decodeBlock(class int, offset uint64) uint64 {
+	k, offset, flip := sparser(class, offset)
 	var w uint64
-	k := class
 	for i := 0; i < blockBits && k > 0; i++ {
-		rem := blockBits - i
-		if offset >= binom[rem-1][k] {
-			offset -= binom[rem-1][k]
+		if c := choose[k][blockBits-1-i]; offset >= c {
+			offset -= c
 			w |= 1 << uint(i)
 			k--
 		}
 	}
+	if flip == 1 {
+		return ^w & (1<<blockBits - 1)
+	}
 	return w
+}
+
+// sparser returns the walkable form of a block: itself when at most half
+// its bits are set, else its complement — the order on offsets reverses
+// under complement, so that is class 63-c at offset C(63,c)-1-offset —
+// with flip = 1. Walks then end after at most 31 set bits.
+func sparser(class int, offset uint64) (k int, off uint64, flip byte) {
+	if class > blockBits/2 {
+		return blockBits - class, choose[class][blockBits] - 1 - offset, 1
+	}
+	return class, offset, 0
+}
+
+// branchyClass is the popcount up to which a block walk takes its set
+// bits as branches: few enough that the predictor wins. Above it they are
+// coin flips, and the walk steps branch-free (denseStep) instead.
+const branchyClass = 16
+
+// denseStep advances a block walk past position i without branching on
+// the bit there. The suffix from i has k set bits left and rank offset
+// among its class; c = C(62-i, k), and the bit at i is 1 iff offset >= c.
+// m = 61-i selects the next position's thresholds, both candidates of
+// which load while the compare resolves. It returns k, offset and c for
+// position i+1, and the bit passed.
+func denseStep(k, m int, offset, c uint64) (int, uint64, uint64, uint64) {
+	c0, c1 := choose[k][m&63], choose[k-1][m&63]
+	d, borrow := bits.Sub64(offset, c, 0)
+	zero := -borrow // all ones iff the bit is 0
+	return k - int(1-borrow), offset&zero | d&^zero, c0&zero | c1&^zero, 1 - borrow
+}
+
+// rankInBlock returns the number of set bits before position r of the
+// block (class, offset) and the bit at r, for r in [0, 63). It stops at r
+// and never builds the block.
+func rankInBlock(class int, offset uint64, r int) (rank int, bit byte) {
+	k, offset, flip := sparser(class, offset)
+	ones := k
+	i := 0
+	if k > branchyClass {
+		c := choose[k][blockBits-1]
+		for ; i < r && k > 0; i++ {
+			k, offset, c, _ = denseStep(k, blockBits-2-i, offset, c)
+		}
+	}
+	for ; i < r && k > 0; i++ {
+		if c := choose[k][blockBits-1-i]; offset >= c {
+			offset -= c
+			k--
+		}
+	}
+	ones -= k
+	if k > 0 && offset >= choose[k][blockBits-1-r] {
+		bit = 1
+	}
+	if flip == 1 {
+		return r - ones, bit ^ 1
+	}
+	return ones, bit
+}
+
+// selectInBlock returns the position of the j-th (0-based) bit equal to b
+// in the block (class, offset), which must hold more than j of them.
+func selectInBlock(class int, offset uint64, b byte, j int) int {
+	k, offset, flip := sparser(class, offset)
+	want := uint64(b ^ flip) // the walked form's bit value being counted
+	i := 0
+	if k > branchyClass {
+		c := choose[k][blockBits-1]
+		for ; k > 0; i++ {
+			var d uint64
+			k, offset, c, d = denseStep(k, blockBits-2-i, offset, c)
+			hit := int(d ^ want ^ 1)
+			if hit > j {
+				return i
+			}
+			j -= hit
+		}
+	}
+	for ; k > 0; i++ {
+		d := uint64(0)
+		if c := choose[k][blockBits-1-i]; offset >= c {
+			offset -= c
+			k--
+			d = 1
+		}
+		if d == want {
+			if j == 0 {
+				return i
+			}
+			j--
+		}
+	}
+	return i + j // only zeros of the walked form remain
 }
 
 // Vector is an immutable RRR-compressed bitvector.
@@ -89,10 +194,34 @@ type Vector struct {
 	offsets []uint64 // packed variable-width offsets
 
 	// Superblock directory: for superblock s (covering blocks
-	// [s*32,(s+1)*32)), rankSample[s] is the number of ones before it and
-	// posSample[s] the bit position of its first offset in the stream.
-	rankSample []uint64
-	posSample  []uint64
+	// [s*32,(s+1)*32)), super[s].rank is the number of ones before it and
+	// super[s].pos the bit position of its first offset in the stream; a
+	// closing entry holds the totals. One entry is one cache line touch.
+	super []sample
+}
+
+type sample struct{ rank, pos uint64 }
+
+// buildSuper derives the superblock directory and the ones count from
+// the class fields — at construction and again on decode, so a loaded
+// vector can never carry a directory inconsistent with its payload.
+func (v *Vector) buildSuper() {
+	nb := v.numBlocks()
+	v.super = make([]sample, (nb+blocksPerSuper-1)/blocksPerSuper+1)
+	ones, offPos := 0, 0
+	if nb > 0 {
+		cr := v.classesFrom(0)
+		for b := 0; b < nb; b++ {
+			if b%blocksPerSuper == 0 {
+				v.super[b/blocksPerSuper] = sample{uint64(ones), uint64(offPos)}
+			}
+			c := cr.next()
+			ones += c
+			offPos += offsetWidth[c]
+		}
+	}
+	v.super[len(v.super)-1] = sample{uint64(ones), uint64(offPos)}
+	v.ones = ones
 }
 
 // FromWords compresses the first n bits of words (bit i at word i/64,
@@ -102,32 +231,17 @@ func FromWords(words []uint64, n int) *Vector {
 		panic(fmt.Sprintf("rrr: FromWords: n=%d out of range for %d words", n, len(words)))
 	}
 	nb := (n + blockBits - 1) / blockBits
-	ns := (nb + blocksPerSuper - 1) / blocksPerSuper
-	v := &Vector{
-		n:          n,
-		rankSample: make([]uint64, ns+1),
-		posSample:  make([]uint64, ns+1),
-	}
-	cw := packedWriter{width: classBits}
+	v := &Vector{n: n}
+	cw := packedWriter{}
 	ow := packedWriter{}
-	ones := 0
 	for b := 0; b < nb; b++ {
-		if b%blocksPerSuper == 0 {
-			s := b / blocksPerSuper
-			v.rankSample[s] = uint64(ones)
-			v.posSample[s] = uint64(ow.n)
-		}
-		w := extractBlock(words, n, b)
-		class, off := encodeBlock(w)
+		class, off := encodeBlock(extractBlock(words, n, b))
 		cw.append(uint64(class), classBits)
 		ow.append(off, offsetWidth[class])
-		ones += class
 	}
-	v.rankSample[ns] = uint64(ones)
-	v.posSample[ns] = uint64(ow.n)
-	v.ones = ones
 	v.classes = cw.words
 	v.offsets = ow.words
+	v.buildSuper()
 	return v
 }
 
@@ -159,28 +273,59 @@ func (v *Vector) numBlocks() int { return (v.n + blockBits - 1) / blockBits }
 
 // class returns the class of block b.
 func (v *Vector) class(b int) int {
-	return int(readPacked(v.classes, b*classBits, classBits))
+	return int(bitvec.ReadBits(v.classes, b*classBits, classBits))
 }
 
-// blockWord decodes block b given the bit position of its offset in the
-// offset stream.
-func (v *Vector) blockWord(b int, offPos int) uint64 {
-	c := v.class(b)
-	off := readPacked(v.offsets, offPos, offsetWidth[c])
-	return decodeBlock(c, off)
+// classReader streams consecutive 6-bit class fields, refilling from the
+// packed words once per ten fields instead of addressing each field.
+type classReader struct {
+	words []uint64
+	wi    int    // next word to load
+	buf   uint64 // unread bits, LSB first
+	have  int    // number of valid bits in buf
 }
 
-// seek returns the offset-stream bit position and the rank before block b.
-func (v *Vector) seek(b int) (offPos, rank int) {
+// classesFrom returns a reader positioned at block b's class.
+func (v *Vector) classesFrom(b int) classReader {
+	pos := b * classBits
+	wi, off := pos>>6, pos&63
+	return classReader{words: v.classes, wi: wi + 1, buf: v.classes[wi] >> uint(off), have: 64 - off}
+}
+
+func (cr *classReader) next() int {
+	if cr.have < classBits {
+		w := cr.words[cr.wi]
+		cr.wi++
+		c := int((cr.buf | w<<uint(cr.have)) & (1<<classBits - 1))
+		cr.buf = w >> uint(classBits-cr.have)
+		cr.have += 64 - classBits
+		return c
+	}
+	c := int(cr.buf & (1<<classBits - 1))
+	cr.buf >>= classBits
+	cr.have -= classBits
+	return c
+}
+
+// seek returns block b's class, the bit position of its offset in the
+// offset stream and the rank before it, summing the class fields from the
+// enclosing superblock's sample.
+func (v *Vector) seek(b int) (class, offPos, rank int) {
 	s := b / blocksPerSuper
-	offPos = int(v.posSample[s])
-	rank = int(v.rankSample[s])
+	offPos = int(v.super[s].pos)
+	rank = int(v.super[s].rank)
+	cr := v.classesFrom(s * blocksPerSuper)
 	for i := s * blocksPerSuper; i < b; i++ {
-		c := v.class(i)
+		c := cr.next()
 		offPos += offsetWidth[c]
 		rank += c
 	}
-	return offPos, rank
+	return cr.next(), offPos, rank
+}
+
+// offset reads the offset of a class-c block at offPos.
+func (v *Vector) offset(c, offPos int) uint64 {
+	return bitvec.ReadBits(v.offsets, offPos, offsetWidth[c])
 }
 
 // Len returns the number of bits.
@@ -194,13 +339,26 @@ func (v *Vector) Zeros() int { return v.n - v.ones }
 
 // Access returns bit pos.
 func (v *Vector) Access(pos int) byte {
+	bit, _ := v.AccessRank1(pos)
+	return bit
+}
+
+// AccessRank1 returns bit pos together with Rank1(pos), from one block
+// visit — the pair a wavelet-trie Access needs at every level.
+func (v *Vector) AccessRank1(pos int) (bit byte, rank int) {
 	if pos < 0 || pos >= v.n {
 		panic(fmt.Sprintf("rrr: Access(%d) out of range [0,%d)", pos, v.n))
 	}
 	b := pos / blockBits
-	offPos, _ := v.seek(b)
-	w := v.blockWord(b, offPos)
-	return byte(w>>uint(pos%blockBits)) & 1
+	c, offPos, rank := v.seek(b)
+	switch c {
+	case 0:
+		return 0, rank
+	case blockBits:
+		return 1, rank + pos - b*blockBits
+	}
+	in, bit := rankInBlock(c, v.offset(c, offPos), pos-b*blockBits)
+	return bit, rank + in
 }
 
 // Rank1 returns the number of 1 bits in [0, pos). pos may equal Len().
@@ -211,12 +369,7 @@ func (v *Vector) Rank1(pos int) int {
 	if pos == v.n {
 		return v.ones
 	}
-	b := pos / blockBits
-	offPos, rank := v.seek(b)
-	w := v.blockWord(b, offPos)
-	if r := uint(pos % blockBits); r != 0 {
-		rank += bits.OnesCount64(w & (1<<r - 1))
-	}
+	_, rank := v.AccessRank1(pos)
 	return rank
 }
 
@@ -232,72 +385,55 @@ func (v *Vector) Rank(b byte, pos int) int {
 }
 
 // Select1 returns the position of the idx-th (0-based) 1 bit.
-func (v *Vector) Select1(idx int) int {
-	if idx < 0 || idx >= v.ones {
-		panic(fmt.Sprintf("rrr: Select1(%d) out of range [0,%d)", idx, v.ones))
-	}
-	// Binary search superblocks by rank sample.
-	lo, hi := 0, len(v.rankSample)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int(v.rankSample[mid]) <= idx {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	rem := idx - int(v.rankSample[lo])
-	offPos := int(v.posSample[lo])
-	for b := lo * blocksPerSuper; ; b++ {
-		c := v.class(b)
-		if rem < c {
-			w := v.blockWord(b, offPos)
-			return b*blockBits + select64(w, rem)
-		}
-		rem -= c
-		offPos += offsetWidth[c]
-	}
-}
+func (v *Vector) Select1(idx int) int { return v.SelectIn(1, idx, 0, v.n) }
 
 // Select0 returns the position of the idx-th (0-based) 0 bit.
-func (v *Vector) Select0(idx int) int {
-	zeros := v.n - v.ones
-	if idx < 0 || idx >= zeros {
-		panic(fmt.Sprintf("rrr: Select0(%d) out of range [0,%d)", idx, zeros))
+func (v *Vector) Select0(idx int) int { return v.SelectIn(0, idx, 0, v.n) }
+
+// SelectIn returns the position of the idx-th (0-based) occurrence of bit
+// b, which the caller knows to lie in positions [from, to) — a wavelet
+// trie node knows its segment. The superblock search is confined to that
+// range: for a short segment there is nothing left to search.
+func (v *Vector) SelectIn(b byte, idx, from, to int) int {
+	total := v.ones
+	if b == 0 {
+		total = v.n - v.ones
 	}
-	// Zero-prefix before superblock s: bits covered minus ones, clamped to n.
-	zeroPrefix := func(s int) int {
-		covered := s * superBits
-		if covered > v.n {
-			covered = v.n
+	if idx < 0 || idx >= total || from < 0 || to > v.n || from >= to {
+		panic(fmt.Sprintf("rrr: Select%d(%d) in [%d,%d) out of range (%d such bits in [0,%d))", b, idx, from, to, total, v.n))
+	}
+	// before(s) = occurrences of b before superblock s.
+	before := func(s int) int {
+		if b == 1 {
+			return int(v.super[s].rank)
 		}
-		return covered - int(v.rankSample[s])
+		return min(s*superBits, v.n) - int(v.super[s].rank)
 	}
-	lo, hi := 0, len(v.rankSample)-1
+	// Last superblock in range whose prefix count is <= idx.
+	lo, hi := from/superBits, (to-1)/superBits
 	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if zeroPrefix(mid) <= idx {
+		mid := int(uint(lo+hi+1) >> 1)
+		if before(mid) <= idx {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	rem := idx - zeroPrefix(lo)
-	offPos := int(v.posSample[lo])
-	for b := lo * blocksPerSuper; ; b++ {
-		blockLen := blockBits
-		if (b+1)*blockBits > v.n {
-			blockLen = v.n - b*blockBits
+	rem := idx - before(lo)
+	offPos := int(v.super[lo].pos)
+	cr := v.classesFrom(lo * blocksPerSuper)
+	for blk := lo * blocksPerSuper; ; blk++ {
+		// The last block's padding counts as zeros here, but idx < total
+		// keeps the answer among the valid bits, which come first.
+		c := cr.next()
+		have := c
+		if b == 0 {
+			have = blockBits - c
 		}
-		c := v.class(b)
-		z := blockLen - c
-		if rem < z {
-			w := v.blockWord(b, offPos)
-			// Complement within the valid bits of the block.
-			inv := ^w & (1<<uint(blockLen) - 1)
-			return b*blockBits + select64(inv, rem)
+		if rem < have {
+			return blk*blockBits + selectInBlock(c, v.offset(c, offPos), b, rem)
 		}
-		rem -= z
+		rem -= have
 		offPos += offsetWidth[c]
 	}
 }
@@ -313,14 +449,13 @@ func (v *Vector) Select(b byte, idx int) int {
 // SizeBits returns the total size of the encoding in bits: packed classes,
 // packed offsets and the superblock directory.
 func (v *Vector) SizeBits() int {
-	return len(v.classes)*64 + len(v.offsets)*64 +
-		len(v.rankSample)*64 + len(v.posSample)*64
+	return len(v.classes)*64 + len(v.offsets)*64 + len(v.super)*128
 }
 
 // OffsetStreamBits returns the size of the offset stream alone — the part
 // that approaches the information-theoretic minimum B(m,n).
 func (v *Vector) OffsetStreamBits() int {
-	return int(v.posSample[len(v.posSample)-1])
+	return int(v.super[len(v.super)-1].pos)
 }
 
 // Iter returns an iterator positioned at bit pos. Iterators provide O(1)
@@ -332,10 +467,11 @@ func (v *Vector) Iter(pos int) *Iter {
 	it := &Iter{v: v, pos: pos}
 	if pos < v.n {
 		b := pos / blockBits
-		offPos, _ := v.seek(b)
+		c, offPos, _ := v.seek(b)
 		it.block = b
+		it.class = c
 		it.offPos = offPos
-		it.w = v.blockWord(b, offPos)
+		it.w = decodeBlock(c, v.offset(c, offPos))
 	}
 	return it
 }
@@ -345,6 +481,7 @@ type Iter struct {
 	v      *Vector
 	pos    int
 	block  int
+	class  int // class of the decoded block
 	offPos int
 	w      uint64
 }
@@ -363,80 +500,27 @@ func (it *Iter) Next() byte {
 	}
 	b := it.pos / blockBits
 	if b != it.block {
-		// Advance to the next block; the common case is b == it.block+1.
-		c := it.v.class(it.block)
-		it.offPos += offsetWidth[c]
+		// pos advances by one, so b is always it.block+1.
+		it.offPos += offsetWidth[it.class]
 		it.block = b
-		it.w = it.v.blockWord(b, it.offPos)
+		it.class = it.v.class(b)
+		it.w = decodeBlock(it.class, it.v.offset(it.class, it.offPos))
 	}
 	bit := byte(it.w>>uint(it.pos%blockBits)) & 1
 	it.pos++
 	return bit
 }
 
-// packedWriter appends fixed- or variable-width fields into packed words.
+// packedWriter appends variable-width fields into packed words.
 type packedWriter struct {
 	words []uint64
 	n     int
-	width int // informational only
 }
 
 func (p *packedWriter) append(v uint64, nbits int) {
-	for nbits > 0 {
-		if p.n&63 == 0 {
-			p.words = append(p.words, 0)
-		}
-		off := uint(p.n) & 63
-		take := 64 - int(off)
-		if take > nbits {
-			take = nbits
-		}
-		var mask uint64
-		if take == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = 1<<uint(take) - 1
-		}
-		p.words[p.n>>6] |= (v & mask) << off
-		v >>= uint(take)
-		p.n += take
-		nbits -= take
+	for len(p.words)*64 < p.n+nbits {
+		p.words = append(p.words, 0)
 	}
-}
-
-// readPacked reads nbits bits starting at bit position pos.
-func readPacked(words []uint64, pos, nbits int) uint64 {
-	if nbits == 0 {
-		return 0
-	}
-	wi := pos >> 6
-	off := uint(pos) & 63
-	v := words[wi] >> off
-	if int(off)+nbits > 64 {
-		v |= words[wi+1] << (64 - off)
-	}
-	if nbits < 64 {
-		v &= 1<<uint(nbits) - 1
-	}
-	return v
-}
-
-// select64 returns the position of the k-th (0-based) set bit of w.
-func select64(w uint64, k int) int {
-	for i := 0; i < 8; i++ {
-		b := w >> (8 * i) & 0xff
-		c := bits.OnesCount8(uint8(b))
-		if k < c {
-			for j := 0; j < 8; j++ {
-				if b>>j&1 == 1 {
-					if k == 0 {
-						return 8*i + j
-					}
-					k--
-				}
-			}
-		}
-		k -= c
-	}
-	panic("rrr: select64: k out of range")
+	bitvec.WriteBits(p.words, p.n, v, nbits)
+	p.n += nbits
 }

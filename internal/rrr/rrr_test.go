@@ -1,6 +1,7 @@
 package rrr
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -57,8 +58,8 @@ func TestBlockCodecRandom(t *testing.T) {
 		if c != bits.OnesCount64(w) {
 			t.Fatalf("class mismatch for %x", w)
 		}
-		if off >= binom[blockBits][c] {
-			t.Fatalf("offset %d out of range C(63,%d)=%d", off, c, binom[blockBits][c])
+		if off >= choose[c][blockBits] {
+			t.Fatalf("offset %d out of range C(63,%d)=%d", off, c, choose[c][blockBits])
 		}
 		if got := decodeBlock(c, off); got != w {
 			t.Fatalf("codec: %x -> (%d,%d) -> %x", w, c, off, got)
@@ -69,7 +70,7 @@ func TestBlockCodecRandom(t *testing.T) {
 func TestOffsetsAreDenseRanks(t *testing.T) {
 	// For class 2 the offsets must be a perfect bijection with
 	// {0, …, C(63,2)-1}: every offset in range, no collisions, all used.
-	total := int(binom[blockBits][2])
+	total := int(choose[2][blockBits])
 	seen := make([]bool, total)
 	for i := 0; i < blockBits; i++ {
 		for j := i + 1; j < blockBits; j++ {
@@ -90,6 +91,96 @@ func TestOffsetsAreDenseRanks(t *testing.T) {
 	for off, ok := range seen {
 		if !ok {
 			t.Fatalf("offset %d never produced", off)
+		}
+	}
+}
+
+// blocksOfEveryClass yields, for every class 0..63, the two extreme
+// offsets and a few random ones — as materialised 63-bit words.
+func blocksOfEveryClass(r *rand.Rand, fn func(w uint64)) {
+	for c := 0; c <= blockBits; c++ {
+		total := choose[c][blockBits]
+		offs := []uint64{0, total - 1, total / 2}
+		for i := 0; i < 6; i++ {
+			offs = append(offs, uint64(r.Int63n(int64(total))))
+		}
+		for _, off := range offs {
+			fn(decodeBlock(c, off))
+		}
+	}
+}
+
+// TestRankInBlockEveryClassEveryPosition checks the early-exit walk
+// against the materialised block: rank before r and the bit at r, for
+// every class and every r.
+func TestRankInBlockEveryClassEveryPosition(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	blocksOfEveryClass(r, func(w uint64) {
+		c, off := encodeBlock(w)
+		for pos := 0; pos < blockBits; pos++ {
+			rank, bit := rankInBlock(c, off, pos)
+			wantRank := bits.OnesCount64(w & (1<<uint(pos) - 1))
+			wantBit := byte(w >> uint(pos) & 1)
+			if rank != wantRank || bit != wantBit {
+				t.Fatalf("class %d block %#x: rankInBlock(%d) = (%d,%d), want (%d,%d)", c, w, pos, rank, bit, wantRank, wantBit)
+			}
+		}
+	})
+}
+
+// TestSelectInBlockEveryClass checks select of both bit values against
+// the materialised block, for every class and every valid index.
+func TestSelectInBlockEveryClass(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	blocksOfEveryClass(r, func(w uint64) {
+		c, off := encodeBlock(w)
+		for b := byte(0); b <= 1; b++ {
+			j := 0
+			for pos := 0; pos < blockBits; pos++ {
+				if byte(w>>uint(pos)&1) != b {
+					continue
+				}
+				if got := selectInBlock(c, off, b, j); got != pos {
+					t.Fatalf("class %d block %#x: selectInBlock(bit %d, %d) = %d, want %d", c, w, b, j, got, pos)
+				}
+				j++
+			}
+		}
+	})
+}
+
+// TestBlockKernelsAgreeOnForeignOffsets feeds the three block kernels
+// offsets no encoder produces (a corrupt file can: the field is wider
+// than C(63,c)). The answers are meaningless but must describe one
+// block of exactly `class` set bits, the same for all three — so ranks
+// stay consistent with the class sums and with the iterator, and a
+// query on corrupt data returns a wrong answer, never a panic.
+func TestBlockKernelsAgreeOnForeignOffsets(t *testing.T) {
+	for c := 1; c < blockBits; c++ {
+		widest := uint64(1)<<uint(offsetWidth[c]) - 1
+		for _, off := range []uint64{choose[c][blockBits], widest, (choose[c][blockBits] + widest) / 2} {
+			w := decodeBlock(c, off)
+			if bits.OnesCount64(w) != c || w>>blockBits != 0 {
+				t.Fatalf("class %d offset %d: decoded %#x has %d ones", c, off, w, bits.OnesCount64(w))
+			}
+			ones, zeros := 0, 0
+			for pos := 0; pos < blockBits; pos++ {
+				rank, bit := rankInBlock(c, off, pos)
+				if rank != ones || bit != byte(w>>uint(pos)&1) {
+					t.Fatalf("class %d offset %d: rankInBlock(%d) = (%d,%d), decoded block says (%d,%d)", c, off, pos, rank, bit, ones, w>>uint(pos)&1)
+				}
+				if bit == 1 {
+					if got := selectInBlock(c, off, 1, ones); got != pos {
+						t.Fatalf("class %d offset %d: select1(%d) = %d, want %d", c, off, ones, got, pos)
+					}
+					ones++
+				} else {
+					if got := selectInBlock(c, off, 0, zeros); got != pos {
+						t.Fatalf("class %d offset %d: select0(%d) = %d, want %d", c, off, zeros, got, pos)
+					}
+					zeros++
+				}
+			}
 		}
 	}
 }
@@ -116,6 +207,9 @@ func TestAgainstPlainBitvec(t *testing.T) {
 				t.Fatalf("n=%d p=%v: Len/Ones mismatch", n, p)
 			}
 			for i := 0; i < n; i++ {
+				if bit, rank := v.AccessRank1(i); bit != plain.Access(i) || rank != plain.Rank1(i) {
+					t.Fatalf("n=%d p=%v AccessRank1(%d) = (%d,%d)", n, p, i, bit, rank)
+				}
 				if v.Access(i) != plain.Access(i) {
 					t.Fatalf("n=%d p=%v Access(%d)", n, p, i)
 				}
@@ -227,30 +321,35 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-func BenchmarkRank1(b *testing.B) {
-	r := rand.New(rand.NewSource(34))
-	v, _ := buildBoth(r, 1<<20, 0.5)
-	pos := make([]int, 1024)
-	for i := range pos {
-		pos[i] = r.Intn(1 << 20)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Rank1(pos[i&1023])
+// benchPoint times one point query at the two densities the layer ladder
+// uses: 0.5 (every block is class ≈ 31, the longest walks) and 0.05.
+func benchPoint(b *testing.B, query func(v *Vector, arg int)) {
+	for _, p := range []float64{0.5, 0.05} {
+		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+			r := rand.New(rand.NewSource(34))
+			v, _ := buildBoth(r, 1<<20, p)
+			args := make([]int, 1024)
+			for i := range args {
+				args[i] = r.Intn(1 << 20)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(v, args[i&1023])
+			}
+		})
 	}
 }
 
+func BenchmarkRank1(b *testing.B) {
+	benchPoint(b, func(v *Vector, arg int) { v.Rank1(arg) })
+}
+
+func BenchmarkAccess(b *testing.B) {
+	benchPoint(b, func(v *Vector, arg int) { v.Access(arg) })
+}
+
 func BenchmarkSelect1(b *testing.B) {
-	r := rand.New(rand.NewSource(35))
-	v, _ := buildBoth(r, 1<<20, 0.5)
-	idxs := make([]int, 1024)
-	for i := range idxs {
-		idxs[i] = r.Intn(v.Ones())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Select1(idxs[i&1023])
-	}
+	benchPoint(b, func(v *Vector, arg int) { v.Select1(arg % v.Ones()) })
 }
 
 func BenchmarkIterSequential(b *testing.B) {

@@ -165,7 +165,7 @@ func (b *Builder) Build() (*Trie, error) {
 	t.tree = dfuds.FromDegrees(degs)
 	t.labels = labelCat.BitString()
 	t.labelDir = eliasfano.NewPartialSum(labelLens)
-	t.internalID = newInternalRank(kinds)
+	t.internal = internalMarks(kinds)
 	// Sentinel entries make segment ends addressable (as in Freeze).
 	bvLens = append(bvLens, totalBits)
 	bvOnes = append(bvOnes, totalOnes)

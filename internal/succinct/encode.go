@@ -61,7 +61,7 @@ func (t *Trie) EncodeTo(w *wire.Writer) {
 	w.Int(t.labels.Len())
 	w.Words(t.labels.Words())
 	t.labelDir.EncodeTo(w)
-	t.internalID.bv.EncodeTo(w)
+	t.internal.EncodeTo(w)
 	t.bits.EncodeTo(w)
 	t.bvOffsets.EncodeTo(w)
 	t.bvOnes.EncodeTo(w)
@@ -109,7 +109,7 @@ func decodeFrom(r *wire.Reader, deep bool) (*Trie, error) {
 		}
 	}
 	t.labelDir = eliasfano.DecodePartialSum(r)
-	t.internalID = &internalRank{bv: bitvec.DecodeFrom(r)}
+	t.internal = bitvec.DecodeFrom(r)
 	t.bits = rrr.DecodeFrom(r)
 	t.bvOffsets = eliasfano.DecodeMonotone(r)
 	t.bvOnes = eliasfano.DecodeMonotone(r)
@@ -156,16 +156,17 @@ func (t *Trie) validate(nodes int) (err error) {
 		}
 		prev = off
 	}
-	internals := t.internalID.bv.Ones()
-	if t.internalID.bv.Len() != nodes || internals != (nodes-1)/2 {
-		return fmt.Errorf("succinct: internal-rank map inconsistent (%d nodes, %d internals)", t.internalID.bv.Len(), internals)
+	internals := t.internal.Ones()
+	if t.internal.Len() != nodes || internals != (nodes-1)/2 {
+		return fmt.Errorf("succinct: internal-node marks inconsistent (%d nodes, %d internals)", t.internal.Len(), internals)
 	}
 	if t.bvOffsets.Len() != internals+1 || t.bvOnes.Len() != internals+1 {
 		return fmt.Errorf("succinct: bitvector directories cover %d segments, want %d", t.bvOffsets.Len()-1, internals)
 	}
 	// Segment offsets must be monotone within the concatenated bitvector,
 	// and the ones directory must agree with the actual stream ranks —
-	// then every segRank/segSelect stays within the RRR vector's bounds.
+	// then every rank and select on a segment stays within the RRR
+	// vector's bounds.
 	prev = 0
 	for i := 0; i <= internals; i++ {
 		off := t.bvOffsets.Get(i)
@@ -180,15 +181,22 @@ func (t *Trie) validate(nodes int) (err error) {
 	if int(t.bvOffsets.Get(internals)) != t.bits.Len() {
 		return fmt.Errorf("succinct: bitvector stream %d bits, directory says %d", t.bits.Len(), t.bvOffsets.Get(internals))
 	}
-	// Structural walk: the reachable tree must be binary (degree 0 or 2),
-	// have exactly the advertised node count, consistent up-links and
+	// Structural walk with the general DFUDS navigation (Degree, Child,
+	// Parent, ChildIndex): the reachable tree must be binary (degree 0 or
+	// 2), have exactly the advertised node count, consistent up-links and
 	// in-range preorder ids, every internal node's bitvector segment must
 	// be exactly as long as its subsequence (the Definition 3.1
-	// invariant), and no leaf may be empty — the properties query
-	// navigation relies on. The traversal stack lives on the heap so a
-	// crafted deep tree cannot exhaust the goroutine stack.
-	type entry struct{ v, want int }
-	stack := []entry{{t.tree.Root(), t.n}}
+	// invariant), and no leaf may be empty. At every node the walk also
+	// checks that the strictly-binary shortcuts the queries navigate with
+	// (dfuds.BinaryNode) land on the same child, preorder id and internal
+	// index — so the shortcuts only ever run on a trie where they are
+	// right. The traversal stack lives on the heap so a crafted deep tree
+	// cannot exhaust the goroutine stack.
+	type entry struct {
+		nd   dfuds.BinaryNode
+		want int
+	}
+	stack := []entry{{t.tree.BinaryRoot(), t.n}}
 	seen := 0
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
@@ -197,36 +205,37 @@ func (t *Trie) validate(nodes int) (err error) {
 		if seen > nodes {
 			return fmt.Errorf("succinct: tree walk exceeds %d nodes", nodes)
 		}
-		id := t.tree.Preorder(e.v)
-		if id < 0 || id >= nodes {
-			return fmt.Errorf("succinct: preorder id %d out of range", id)
+		v, id := e.nd.Pos, e.nd.ID
+		if id < 0 || id >= nodes || id != t.tree.Preorder(v) {
+			return fmt.Errorf("succinct: preorder id %d out of range or off the tree", id)
 		}
-		if t.tree.IsLeaf(e.v) {
+		if t.tree.IsLeaf(v) {
 			if e.want == 0 {
 				return fmt.Errorf("succinct: leaf %d with empty subsequence", id)
 			}
 			continue
 		}
-		if deg := t.tree.Degree(e.v); deg != 2 {
+		if deg := t.tree.Degree(v); deg != 2 {
 			return fmt.Errorf("succinct: internal node with degree %d", deg)
 		}
-		if t.internalID.bv.Access(id) != 1 {
+		if t.internal.Access(id) != 1 || t.internal.Rank1(id) != e.nd.InternalIndex() {
 			return fmt.Errorf("succinct: internal node %d not marked internal", id)
 		}
-		if got := t.segLen(id); got != e.want {
-			return fmt.Errorf("succinct: node %d segment %d bits, subsequence has %d", id, got, e.want)
+		length, ones := t.segCounts(e.nd.InternalIndex())
+		if length != e.want {
+			return fmt.Errorf("succinct: node %d segment %d bits, subsequence has %d", id, length, e.want)
 		}
-		ones := t.segOnes(id)
 		for i := 0; i < 2; i++ {
-			c := t.tree.Child(e.v, i)
-			if t.tree.Parent(c) != e.v || t.tree.ChildIndex(c) != i {
+			c := t.tree.Child(v, i)
+			short := t.tree.BinaryChild(e.nd, byte(i))
+			if t.tree.Parent(c) != v || t.tree.ChildIndex(c) != i || short.Pos != c {
 				return fmt.Errorf("succinct: child/parent links inconsistent at node %d", id)
 			}
-			childWant := e.want - ones
+			childWant := length - ones
 			if i == 1 {
 				childWant = ones
 			}
-			stack = append(stack, entry{c, childWant})
+			stack = append(stack, entry{short, childWant})
 		}
 	}
 	if seen != nodes {

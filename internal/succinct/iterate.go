@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitstr"
+	"repro/internal/dfuds"
 	"repro/internal/rrr"
 )
 
@@ -12,52 +13,59 @@ import (
 // components. Repeated Access costs O(|s| + h·C_rank) per element, each
 // step paying an RRR Rank1 (superblock seek + block decode) per trie
 // level. The enumerator instead walks the trie once: every traversed
-// node is entered with a single segRank to find its start and then
+// node is entered with a single RRR rank to find its start and then
 // advanced with O(1) amortized streaming rrr.Iter reads, so extracting
 // element i costs O(|sᵢ|) plus amortized shared-path work. Compaction,
 // Snapshot.Slice and MarshalBinary exports build on this layer.
 
-// iterNode is the enumeration state of one traversed trie node: a
+// iterNode is the enumeration state of one traversed trie node: where
+// its label sits in L, its segment's directory entry (fetched once), a
 // streaming bit iterator positioned at the next unread element of the
 // node's subsequence, plus lazily-opened children.
 type iterNode struct {
-	v     int // dfuds node handle
-	id    int // preorder id
-	leaf  bool
-	label bitstr.BitString
-	it    *rrr.Iter // nil for leaves
-	pos   int       // position in this node's subsequence of the next unread bit
-	kids  [2]*iterNode
+	nd            dfuds.BinaryNode
+	labLo, labLen int
+	// Segment start and the ones before it; it is nil for leaves.
+	start, onesBefore int
+	it                *rrr.Iter
+	pos               int // position in this node's subsequence of the next unread bit
+	kids              [2]*iterNode
 }
 
-func (t *Trie) newIterNode(v, pos int) *iterNode {
-	id := t.tree.Preorder(v)
-	nd := &iterNode{v: v, id: id, leaf: t.tree.IsLeaf(v), label: t.label(id), pos: pos}
-	if !nd.leaf {
-		start, _, _ := t.segment(id)
-		nd.it = t.bits.Iter(start + pos)
+func (t *Trie) newIterNode(nd dfuds.BinaryNode, pos int) *iterNode {
+	lo, hi := t.labelRange(nd)
+	in := &iterNode{nd: nd, labLo: lo, labLen: hi - lo, pos: pos}
+	if !t.tree.IsLeaf(nd.Pos) {
+		in.start, in.onesBefore = t.segStart(nd.InternalIndex())
+		in.it = t.bits.Iter(in.start + pos)
 	}
-	return nd
+	return in
 }
 
-// next appends the current element's remaining suffix (from nd down) to
+// next appends the current element's remaining suffix (from in down) to
 // b and advances the iterators along the taken path.
-func (t *Trie) next(nd *iterNode, b *bitstr.Builder) {
-	b.Append(nd.label)
-	if nd.leaf {
-		return
+func (t *Trie) next(in *iterNode, b *bitstr.Builder) {
+	for {
+		b.AppendRange(t.labels.Words(), in.labLo, in.labLen)
+		if in.it == nil {
+			return
+		}
+		bit := in.it.Next()
+		cur := in.pos
+		in.pos++
+		b.AppendBit(bit)
+		child := in.kids[bit]
+		if child == nil {
+			// First traversal through this child: one Rank to find its start.
+			at := t.bits.Rank1(in.start+cur) - in.onesBefore
+			if bit == 0 {
+				at = cur - at
+			}
+			child = t.newIterNode(t.tree.BinaryChild(in.nd, bit), at)
+			in.kids[bit] = child
+		}
+		in = child
 	}
-	bit := nd.it.Next()
-	cur := nd.pos
-	nd.pos++
-	b.AppendBit(bit)
-	child := nd.kids[bit]
-	if child == nil {
-		// First traversal through this child: one Rank to find its start.
-		child = t.newIterNode(t.tree.Child(nd.v, int(bit)), t.segRank(nd.id, bit, cur))
-		nd.kids[bit] = child
-	}
-	t.next(child, b)
 }
 
 // Iter is a pull-style in-order enumerator over a position range of the
@@ -76,7 +84,7 @@ func (t *Trie) Iter(l, r int) *Iter {
 	}
 	it := &Iter{t: t, pos: l, end: r}
 	if l < r {
-		it.root = t.newIterNode(t.tree.Root(), l)
+		it.root = t.newIterNode(t.tree.BinaryRoot(), l)
 	}
 	return it
 }

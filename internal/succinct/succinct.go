@@ -14,6 +14,14 @@
 // redundancy, with no per-node pointer words at all — unlike the
 // pointer-based core.Static it is built from (and differentially tested
 // against).
+//
+// Every keyed query (Rank, RankPrefix, Select, SelectPrefix, Contains) is
+// one call of descend, which per trie level fetches the node's label
+// range (one Elias-Fano pair), compares the key against L in place, and
+// — only when a position is being carried down — reads the node's
+// (start, onesBefore) and visits one RRR block. Navigation uses the
+// strictly-binary DFUDS shortcuts (dfuds.BinaryNode), so a level costs no
+// Rank or Select on the parentheses at all.
 package succinct
 
 import (
@@ -33,21 +41,25 @@ type Trie struct {
 	n    int
 	tree *dfuds.Tree
 
-	labels     bitstr.BitString      // L: concatenated labels, DFS order
-	labelDir   *eliasfano.PartialSum // delimits labels by preorder id
-	internalID *internalRank         // preorder id → internal index
-	bits       *rrr.Vector           // all β concatenated, internal DFS order
-	bvOffsets  *eliasfano.Monotone   // start of each internal node's segment
-	bvOnes     *eliasfano.Monotone   // ones before each segment (cum. rank)
+	labels    bitstr.BitString      // L: concatenated labels, DFS order
+	labelDir  *eliasfano.PartialSum // delimits labels by preorder id
+	internal  *bitvec.Vector        // preorder id → 1 if the node is internal
+	bits      *rrr.Vector           // all β concatenated, internal DFS order
+	bvOffsets *eliasfano.Monotone   // start of each internal node's segment
+	bvOnes    *eliasfano.Monotone   // ones before each segment (cum. rank)
 }
 
-// internalRank maps node preorder ids to internal-node indexes via a
-// rank-indexed bitvector (1 = internal), ~1.1 bits per node.
-type internalRank struct {
-	bv *bitvec.Vector
-}
+// Unwrap returns the Trie inside a *wavelettrie.Frozen. Package
+// wavelettrie — the only one that can see inside a Frozen — installs it
+// at init, so that repro/store can probe many generations with one
+// pre-encoded key without the public API growing a method for it.
+var Unwrap func(frozen any) *Trie
 
-func newInternalRank(kinds []bool) *internalRank {
+// The internal-node marks are part of the wire format and of validation
+// (they must agree with the tree), but no query reads them: an internal
+// node's index among the internal nodes follows from its DFUDS position
+// (dfuds.BinaryNode.InternalIndex).
+func internalMarks(kinds []bool) *bitvec.Vector {
 	b := bitvec.NewBuilder(len(kinds))
 	for _, k := range kinds {
 		if k {
@@ -56,11 +68,8 @@ func newInternalRank(kinds []bool) *internalRank {
 			b.AppendBit(0)
 		}
 	}
-	return &internalRank{bv: b.Build()}
+	return b.Build()
 }
-
-func (ir *internalRank) rank(id int) int { return ir.bv.Rank1(id) }
-func (ir *internalRank) sizeBits() int   { return ir.bv.SizeBits() }
 
 // Freeze converts a pointer-based static Wavelet Trie into the succinct
 // representation.
@@ -95,7 +104,7 @@ func Freeze(st *core.Static) *Trie {
 	t.tree = dfuds.FromDegrees(degs)
 	t.labels = labelCat.BitString()
 	t.labelDir = eliasfano.NewPartialSum(labelLens)
-	t.internalID = newInternalRank(kinds)
+	t.internal = internalMarks(kinds)
 	// Sentinel entries make segment ends addressable.
 	bvLens = append(bvLens, totalBits)
 	bvOnes = append(bvOnes, totalOnes)
@@ -133,21 +142,24 @@ func (t *Trie) Height() int {
 	if t.tree == nil {
 		return 0
 	}
-	type entry struct{ v, depth int }
-	stack := []entry{{t.tree.Root(), 0}}
+	type entry struct {
+		nd    dfuds.BinaryNode
+		depth int
+	}
+	stack := []entry{{t.tree.BinaryRoot(), 0}}
 	max := 0
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if t.tree.IsLeaf(e.v) {
+		if t.tree.IsLeaf(e.nd.Pos) {
 			if e.depth > max {
 				max = e.depth
 			}
 			continue
 		}
 		stack = append(stack,
-			entry{t.tree.Child(e.v, 0), e.depth + 1},
-			entry{t.tree.Child(e.v, 1), e.depth + 1})
+			entry{t.tree.BinaryChild(e.nd, 0), e.depth + 1},
+			entry{t.tree.BinaryChild(e.nd, 1), e.depth + 1})
 	}
 	return max
 }
@@ -159,273 +171,251 @@ func (t *Trie) StoredBits() []bitstr.BitString {
 		return nil
 	}
 	type entry struct {
-		v      int
+		nd     dfuds.BinaryNode
 		prefix bitstr.BitString
 	}
 	var out []bitstr.BitString
-	stack := []entry{{t.tree.Root(), bitstr.Empty}}
+	stack := []entry{{t.tree.BinaryRoot(), bitstr.Empty}}
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		path := bitstr.Concat(e.prefix, t.label(t.tree.Preorder(e.v)))
-		if t.tree.IsLeaf(e.v) {
-			out = append(out, path)
+		b := bitstr.NewBuilder(e.prefix.Len() + 64)
+		b.Append(e.prefix)
+		t.appendLabel(b, e.nd)
+		if t.tree.IsLeaf(e.nd.Pos) {
+			out = append(out, b.BitString())
 			continue
 		}
 		// Push the 1-child first so the 0-child pops first (lexicographic
 		// output order).
+		path := b.View()
 		stack = append(stack,
-			entry{t.tree.Child(e.v, 1), path.AppendBit(1)},
-			entry{t.tree.Child(e.v, 0), path.AppendBit(0)})
+			entry{t.tree.BinaryChild(e.nd, 1), path.AppendBit(1)},
+			entry{t.tree.BinaryChild(e.nd, 0), path.AppendBit(0)})
 	}
 	return out
 }
 
-// label returns the label of the node with the given preorder id.
-func (t *Trie) label(id int) bitstr.BitString {
-	off := int(t.labelDir.Offset(id))
-	return t.labels.Sub(off, off+t.labelDir.Length(id))
+// labelRange returns the bit range [lo, hi) of nd's label inside L.
+func (t *Trie) labelRange(nd dfuds.BinaryNode) (lo, hi int) {
+	a, b := t.labelDir.Range(nd.ID)
+	return int(a), int(b)
 }
 
-// segment returns the global [start, end) range and the number of ones
-// before start for internal node id.
-func (t *Trie) segment(id int) (start, end, onesBefore int) {
-	ii := t.internalID.rank(id)
-	return int(t.bvOffsets.Get(ii)), int(t.bvOffsets.Get(ii + 1)), int(t.bvOnes.Get(ii))
+// appendLabel appends nd's label to b, straight from L.
+func (t *Trie) appendLabel(b *bitstr.Builder, nd dfuds.BinaryNode) {
+	lo, hi := t.labelRange(nd)
+	b.AppendRange(t.labels.Words(), lo, hi-lo)
 }
 
-// segRank counts occurrences of bit b in the first pos bits of node id's
-// segment.
-func (t *Trie) segRank(id int, b byte, pos int) int {
-	start, _, onesBefore := t.segment(id)
-	ones := t.bits.Rank1(start+pos) - onesBefore
-	if b == 1 {
-		return ones
-	}
-	return pos - ones
+// segStart returns where the segment of the ii-th internal node starts in
+// the concatenated bitvector and the number of ones before that point.
+func (t *Trie) segStart(ii int) (start, onesBefore int) {
+	return int(t.bvOffsets.Get(ii)), int(t.bvOnes.Get(ii))
 }
 
-// segAccess returns bit pos of node id's segment.
-func (t *Trie) segAccess(id, pos int) byte {
-	start, _, _ := t.segment(id)
-	return t.bits.Access(start + pos)
-}
-
-// segSelect returns the position within node id's segment of the idx-th
-// occurrence of bit b.
-func (t *Trie) segSelect(id int, b byte, idx int) int {
-	start, _, onesBefore := t.segment(id)
-	if b == 1 {
-		return t.bits.Select1(onesBefore+idx) - start
-	}
-	zerosBefore := start - onesBefore
-	return t.bits.Select0(zerosBefore+idx) - start
-}
-
-// segLen returns the length of node id's segment; segOnes its popcount.
-func (t *Trie) segLen(id int) int {
-	start, end, _ := t.segment(id)
-	return end - start
-}
-
-func (t *Trie) segOnes(id int) int {
-	_, end, onesBefore := t.segment(id)
-	return t.bits.Rank1(end) - onesBefore
+// segCounts returns the length and the popcount of the ii-th internal
+// node's segment — directory arithmetic only, no RRR block is read.
+func (t *Trie) segCounts(ii int) (length, ones int) {
+	start, end := t.bvOffsets.Pair(ii)
+	before, after := t.bvOnes.Pair(ii)
+	return int(end - start), int(after - before)
 }
 
 // AccessBits returns the element at position pos as a bit string.
 func (t *Trie) AccessBits(pos int) bitstr.BitString {
+	b := bitstr.NewBuilder(0)
+	t.AccessInto(b, pos)
+	return b.BitString()
+}
+
+// AccessInto appends the element at position pos to b: per level, the
+// label range copied out of L and one RRR block visit that yields both
+// the branch bit and the position in the child.
+func (t *Trie) AccessInto(b *bitstr.Builder, pos int) {
 	if pos < 0 || pos >= t.n {
 		panic(fmt.Sprintf("succinct: Access(%d) out of range [0,%d)", pos, t.n))
 	}
-	b := bitstr.NewBuilder(0)
-	v := t.tree.Root()
-	for {
-		id := t.tree.Preorder(v)
-		b.Append(t.label(id))
-		if t.tree.IsLeaf(v) {
-			return b.BitString()
+	for nd := t.tree.BinaryRoot(); ; {
+		t.appendLabel(b, nd)
+		if t.tree.IsLeaf(nd.Pos) {
+			return
 		}
-		bit := t.segAccess(id, pos)
+		start, onesBefore := t.segStart(nd.InternalIndex())
+		bit, rank := t.bits.AccessRank1(start + pos)
+		if ones := rank - onesBefore; bit == 1 {
+			pos = ones
+		} else {
+			pos -= ones
+		}
 		b.AppendBit(bit)
-		pos = t.segRank(id, bit, pos)
-		v = t.tree.Child(v, int(bit))
+		nd = t.tree.BinaryChild(nd, bit)
 	}
 }
 
-// RankBits counts occurrences of s in positions [0, pos).
-func (t *Trie) RankBits(s bitstr.BitString, pos int) int {
+// step is one branch of a root-to-node walk: the internal node it left,
+// by internal index, and the bit it followed. ii < 0 marks "no branch"
+// (the walk ended at the root).
+type step struct {
+	ii  int
+	bit byte
+}
+
+// descend is the one root-to-node walk behind every keyed query. It
+// matches key against the labels in place: with exact, key must end
+// exactly at a leaf; otherwise it is a prefix, and the walk stops at the
+// highest node whose root path covers it.
+//
+// pos >= 0 is a position in the root's sequence, carried down: at every
+// branch it becomes the number of occurrences of the followed bit before
+// it in the node's segment (one RRR block visit), so that on arrival it is
+// the query's rank. The walk stops early, successfully, when the carried
+// position reaches 0. pos < 0 carries nothing, and the walk reads labels
+// only.
+//
+// It returns the node reached, the branch that led to it (up), the
+// carried position, and — when path is non-nil — path extended by every
+// branch taken, for Select to climb back.
+func (t *Trie) descend(key bitstr.BitString, exact bool, pos int, path []step) (nd dfuds.BinaryNode, up step, at int, taken []step, ok bool) {
+	if t.tree == nil {
+		return nd, up, 0, path, false
+	}
+	kw, kn := key.Words(), key.Len()
+	lw := t.labels.Words()
+	nd, up = t.tree.BinaryRoot(), step{ii: -1}
+	for off := 0; ; off++ {
+		lo, hi := t.labelRange(nd)
+		l := hi - lo
+		cmp := l
+		if rest := kn - off; rest < l {
+			if exact {
+				return nd, up, 0, path, false
+			}
+			cmp = rest
+		}
+		if !bitstr.EqualAt(kw, off, lw, lo, cmp) {
+			return nd, up, 0, path, false
+		}
+		off += l
+		if !exact && off >= kn {
+			return nd, up, pos, path, true
+		}
+		if t.tree.IsLeaf(nd.Pos) {
+			return nd, up, pos, path, exact && off == kn
+		}
+		if off >= kn {
+			return nd, up, 0, path, false // the key ends at an internal node
+		}
+		up = step{ii: nd.InternalIndex(), bit: key.Bit(off)}
+		if path != nil {
+			path = append(path, up)
+		}
+		if pos >= 0 {
+			start, onesBefore := t.segStart(up.ii)
+			ones := t.bits.Rank1(start+pos) - onesBefore
+			if up.bit == 1 {
+				pos = ones
+			} else {
+				pos -= ones
+			}
+			if pos == 0 {
+				return nd, up, 0, path, true
+			}
+		}
+		nd = t.tree.BinaryChild(nd, up.bit)
+	}
+}
+
+// count returns the length of the subsequence of nd, the node descend
+// reached through up: its own segment's length when internal, else the
+// occurrences of the followed bit in its parent's segment.
+func (t *Trie) count(nd dfuds.BinaryNode, up step) int {
+	if !t.tree.IsLeaf(nd.Pos) {
+		start, end := t.bvOffsets.Pair(nd.InternalIndex())
+		return int(end - start)
+	}
+	if up.ii < 0 {
+		return t.n
+	}
+	length, ones := t.segCounts(up.ii)
+	if up.bit == 1 {
+		return ones
+	}
+	return length - ones
+}
+
+// rank is RankBits and RankPrefixBits: position 0 needs no walk, and the
+// full count (pos == n) is a label-only walk plus directory arithmetic.
+func (t *Trie) rank(key bitstr.BitString, exact bool, pos int) int {
 	if pos < 0 || pos > t.n {
 		panic(fmt.Sprintf("succinct: Rank position %d out of range [0,%d]", pos, t.n))
 	}
-	if t.tree == nil {
+	if pos == 0 {
 		return 0
 	}
-	v := t.tree.Root()
-	off := 0
-	for {
-		id := t.tree.Preorder(v)
-		label := t.label(id)
-		l := label.Len()
-		if off+l > s.Len() || bitstr.LCP(s.Suffix(off), label) < l {
+	if pos == t.n {
+		nd, up, _, _, ok := t.descend(key, exact, -1, nil)
+		if !ok {
 			return 0
 		}
-		off += l
-		if t.tree.IsLeaf(v) {
-			if off == s.Len() {
-				return pos
-			}
-			return 0
-		}
-		if off >= s.Len() {
-			return 0
-		}
-		bit := s.Bit(off)
-		pos = t.segRank(id, bit, pos)
-		v = t.tree.Child(v, int(bit))
-		off++
+		return t.count(nd, up)
 	}
-}
-
-// RankPrefixBits counts elements in [0, pos) having bit prefix p.
-func (t *Trie) RankPrefixBits(p bitstr.BitString, pos int) int {
-	if pos < 0 || pos > t.n {
-		panic(fmt.Sprintf("succinct: RankPrefix position %d out of range [0,%d]", pos, t.n))
-	}
-	if t.tree == nil {
+	_, _, at, _, ok := t.descend(key, exact, pos, nil)
+	if !ok {
 		return 0
 	}
-	v := t.tree.Root()
-	off := 0
-	for {
-		id := t.tree.Preorder(v)
-		label := t.label(id)
-		l := label.Len()
-		take := l
-		if rem := p.Len() - off; rem < take {
-			take = rem
-		}
-		if bitstr.LCP(p.Suffix(off), label) < take {
-			return 0
-		}
-		off += l
-		if off >= p.Len() {
-			return pos
-		}
-		if t.tree.IsLeaf(v) {
-			return 0
-		}
-		bit := p.Bit(off)
-		pos = t.segRank(id, bit, pos)
-		v = t.tree.Child(v, int(bit))
-		off++
-	}
+	return at
 }
 
-// SelectBits returns the position of the idx-th occurrence of s.
-func (t *Trie) SelectBits(s bitstr.BitString, idx int) (int, bool) {
-	v, ok := t.findLeaf(s)
-	if !ok || idx < 0 || idx >= t.nodeSeqLen(v) {
+// sel is SelectBits and SelectPrefixBits: a label-only walk that records
+// its branches, the count check, then one RRR select per branch back up.
+func (t *Trie) sel(key bitstr.BitString, exact bool, idx int) (int, bool) {
+	var buf [48]step // deeper tries spill to the heap
+	nd, up, _, path, ok := t.descend(key, exact, -1, buf[:0])
+	if !ok || idx < 0 || idx >= t.count(nd, up) {
 		return 0, false
 	}
-	return t.climb(v, idx), true
+	pos := idx
+	for i := len(path) - 1; i >= 0; i-- {
+		// The answer lies inside the node's own segment, which confines
+		// the RRR superblock search — to nothing, for most nodes.
+		a, b := t.bvOffsets.Pair(path[i].ii)
+		start, end := int(a), int(b)
+		before := int(t.bvOnes.Get(path[i].ii)) // ones before the segment
+		if path[i].bit == 0 {
+			before = start - before // zeros before it
+		}
+		pos = t.bits.SelectIn(path[i].bit, before+pos, start, end) - start
+	}
+	return pos, true
 }
+
+// RankBits counts occurrences of s in positions [0, pos).
+func (t *Trie) RankBits(s bitstr.BitString, pos int) int { return t.rank(s, true, pos) }
+
+// RankPrefixBits counts elements in [0, pos) having bit prefix p.
+func (t *Trie) RankPrefixBits(p bitstr.BitString, pos int) int { return t.rank(p, false, pos) }
+
+// SelectBits returns the position of the idx-th occurrence of s.
+func (t *Trie) SelectBits(s bitstr.BitString, idx int) (int, bool) { return t.sel(s, true, idx) }
 
 // SelectPrefixBits returns the position of the idx-th element with bit
 // prefix p.
 func (t *Trie) SelectPrefixBits(p bitstr.BitString, idx int) (int, bool) {
-	v, ok := t.findPrefixNode(p)
-	if !ok || idx < 0 || idx >= t.nodeSeqLen(v) {
-		return 0, false
-	}
-	return t.climb(v, idx), true
+	return t.sel(p, false, idx)
 }
 
-// findLeaf locates the leaf storing exactly s.
-func (t *Trie) findLeaf(s bitstr.BitString) (int, bool) {
-	if t.tree == nil {
-		return 0, false
-	}
-	v := t.tree.Root()
-	off := 0
-	for {
-		label := t.label(t.tree.Preorder(v))
-		l := label.Len()
-		if off+l > s.Len() || bitstr.LCP(s.Suffix(off), label) < l {
-			return 0, false
-		}
-		off += l
-		if t.tree.IsLeaf(v) {
-			return v, off == s.Len()
-		}
-		if off >= s.Len() {
-			return 0, false
-		}
-		v = t.tree.Child(v, int(s.Bit(off)))
-		off++
-	}
+// ContainsBits reports whether s occurs at all. Every leaf of a frozen
+// trie has at least one occurrence, so this is a label-only walk: no
+// bitvector is touched.
+func (t *Trie) ContainsBits(s bitstr.BitString) bool {
+	_, _, _, _, ok := t.descend(s, true, -1, nil)
+	return ok
 }
 
-// findPrefixNode locates the highest node whose path covers prefix p.
-func (t *Trie) findPrefixNode(p bitstr.BitString) (int, bool) {
-	if t.tree == nil {
-		return 0, false
-	}
-	v := t.tree.Root()
-	off := 0
-	for {
-		label := t.label(t.tree.Preorder(v))
-		l := label.Len()
-		take := l
-		if rem := p.Len() - off; rem < take {
-			take = rem
-		}
-		if bitstr.LCP(p.Suffix(off), label) < take {
-			return 0, false
-		}
-		off += l
-		if off >= p.Len() {
-			return v, true
-		}
-		if t.tree.IsLeaf(v) {
-			return 0, false
-		}
-		v = t.tree.Child(v, int(p.Bit(off)))
-		off++
-	}
-}
-
-// nodeSeqLen returns the subsequence length of node v.
-func (t *Trie) nodeSeqLen(v int) int {
-	id := t.tree.Preorder(v)
-	if !t.tree.IsLeaf(v) {
-		return t.segLen(id)
-	}
-	if v == t.tree.Root() {
-		return t.n
-	}
-	parent := t.tree.Parent(v)
-	pid := t.tree.Preorder(parent)
-	if t.tree.ChildIndex(v) == 1 {
-		return t.segOnes(pid)
-	}
-	return t.segLen(pid) - t.segOnes(pid)
-}
-
-// climb maps a position in v's subsequence to a global position.
-func (t *Trie) climb(v, pos int) int {
-	for v != t.tree.Root() {
-		parent := t.tree.Parent(v)
-		bit := byte(t.tree.ChildIndex(v))
-		pos = t.segSelect(t.tree.Preorder(parent), bit, pos)
-		v = parent
-	}
-	return pos
-}
-
-// SizeBits returns the total footprint of the succinct encoding: DFUDS
-// tree, labels + directory, concatenated RRR + directories, and the
-// internal-rank map.
+// SizeBits returns the total footprint of the succinct encoding — every
+// structure held in memory, each with its derived directories (rank
+// samples, select hints, excess index); ComponentBits itemizes it.
 func (t *Trie) SizeBits() int {
 	if t.tree == nil {
 		return 64
@@ -433,10 +423,12 @@ func (t *Trie) SizeBits() int {
 	return t.tree.SizeBits() +
 		t.labels.Len() + t.labelDir.SizeBits() +
 		t.bits.SizeBits() + t.bvOffsets.SizeBits() + t.bvOnes.SizeBits() +
-		t.internalID.sizeBits()
+		t.internal.SizeBits()
 }
 
-// ComponentBits itemizes the encoding for the space experiments.
+// ComponentBits itemizes the encoding for the space experiments: DFUDS
+// tree, labels + directory, concatenated RRR + directories (each with
+// its select hints), and the internal-node marks.
 func (t *Trie) ComponentBits() map[string]int {
 	if t.tree == nil {
 		return map[string]int{}
@@ -447,6 +439,6 @@ func (t *Trie) ComponentBits() map[string]int {
 		"labelDir":     t.labelDir.SizeBits(),
 		"bitvectors":   t.bits.SizeBits(),
 		"bvDirs":       t.bvOffsets.SizeBits() + t.bvOnes.SizeBits(),
-		"internalRank": t.internalID.sizeBits(),
+		"internalRank": t.internal.SizeBits(),
 	}
 }

@@ -72,6 +72,89 @@ func TestMatchesPointerStatic(t *testing.T) {
 	}
 }
 
+// checkKeyAgainstStatic compares every keyed operation on one bit string
+// — as an exact key and as a prefix — with the pointer trie, at the two
+// boundary positions 0 and n (the paths that skip the bitvectors) and at
+// random ones.
+func checkKeyAgainstStatic(t *testing.T, r *rand.Rand, fz *Trie, st *core.Static, key bitstr.BitString, why string) {
+	t.Helper()
+	n := st.Len()
+	for _, pos := range []int{0, n, r.Intn(n + 1), r.Intn(n + 1)} {
+		if got, want := fz.RankBits(key, pos), st.RankBits(key, pos); got != want {
+			t.Fatalf("%s %v: Rank(%d) = %d, want %d", why, key, pos, got, want)
+		}
+		if got, want := fz.RankPrefixBits(key, pos), st.RankPrefixBits(key, pos); got != want {
+			t.Fatalf("%s %v: RankPrefix(%d) = %d, want %d", why, key, pos, got, want)
+		}
+	}
+	count, countP := st.RankBits(key, n), st.RankPrefixBits(key, n)
+	if got := fz.ContainsBits(key); got != (count > 0) {
+		t.Fatalf("%s %v: Contains = %v with count %d", why, key, got, count)
+	}
+	for _, idx := range []int{-1, 0, count / 2, count - 1, count} {
+		gp, gok := fz.SelectBits(key, idx)
+		wp, wok := st.SelectBits(key, idx)
+		if gok != wok || (gok && gp != wp) {
+			t.Fatalf("%s %v: Select(%d) = (%d,%v), want (%d,%v)", why, key, idx, gp, gok, wp, wok)
+		}
+	}
+	for _, idx := range []int{-1, 0, countP / 2, countP - 1, countP} {
+		gp, gok := fz.SelectPrefixBits(key, idx)
+		wp, wok := st.SelectPrefixBits(key, idx)
+		if gok != wok || (gok && gp != wp) {
+			t.Fatalf("%s %v: SelectPrefix(%d) = (%d,%v), want (%d,%v)", why, key, idx, gp, gok, wp, wok)
+		}
+	}
+}
+
+// TestAbsentKeyShapes drives the descent with keys that leave the trie in
+// every possible way: one flipped bit at every position of a stored key
+// (the flip lands inside a label, or on a branch bit — then the key
+// continues in the sibling subtree and fails or matches there), every
+// proper prefix of a stored key (ends inside a label or at an internal
+// node), and extensions of a stored key past its leaf.
+func TestAbsentKeyShapes(t *testing.T) {
+	r := rand.New(rand.NewSource(161))
+	for _, n := range []int{1, 3, 400} {
+		seq := encodeSeq(workload.URLLog(n, 13, workload.DefaultURLConfig()))
+		st := core.NewStaticFromBits(seq)
+		fz := Freeze(st)
+		for i := 0; i < len(seq); i += 1 + len(seq)/12 {
+			s := seq[i]
+			checkKeyAgainstStatic(t, r, fz, st, s, "stored")
+			for at := 0; at < s.Len(); at++ {
+				flipped := bitstr.Concat(s.Prefix(at).AppendBit(s.Bit(at)^1), s.Suffix(at+1))
+				checkKeyAgainstStatic(t, r, fz, st, flipped, "flipped bit")
+				checkKeyAgainstStatic(t, r, fz, st, s.Prefix(at), "proper prefix")
+			}
+			for _, tail := range []string{"0", "1", "0110", "111111111"} {
+				checkKeyAgainstStatic(t, r, fz, st, bitstr.Concat(s, bitstr.MustParse(tail)), "extension")
+			}
+		}
+		checkKeyAgainstStatic(t, r, fz, st, bitstr.Empty, "empty")
+	}
+	// The paper's Figure 2 trie, where each shape can be named: root
+	// label "0", then the branch bit, "0100" is a leaf reached by branch 1.
+	raw := []string{"0001", "0011", "0100", "00100", "0100", "00100", "0100"}
+	seq := make([]bitstr.BitString, len(raw))
+	for i, s := range raw {
+		seq[i] = bitstr.MustParse(s)
+	}
+	st := core.NewStaticFromBits(seq)
+	fz := Freeze(st)
+	for why, key := range map[string]string{
+		"diverges inside the root label":     "1",
+		"diverges at a branch bit to a leaf": "0101",
+		"diverges inside a leaf label":       "0110",
+		"proper prefix ending at a node":     "00",
+		"proper prefix ending in a label":    "010",
+		"extends a stored key":               "01000",
+		"stored":                             "00100",
+	} {
+		checkKeyAgainstStatic(t, r, fz, st, bitstr.MustParse(key), why)
+	}
+}
+
 func TestFigure2Frozen(t *testing.T) {
 	raw := []string{"0001", "0011", "0100", "00100", "0100", "00100", "0100"}
 	seq := make([]bitstr.BitString, len(raw))
@@ -126,6 +209,13 @@ func TestComponentBreakdown(t *testing.T) {
 	}
 	if sum != fz.SizeBits() {
 		t.Fatalf("components sum %d != SizeBits %d", sum, fz.SizeBits())
+	}
+	// Every structure held in memory is counted, each with its derived
+	// directories (rank samples, select hints, excess index).
+	parts := fz.tree.SizeBits() + fz.labels.Len() + fz.labelDir.SizeBits() + fz.internal.SizeBits() +
+		fz.bits.SizeBits() + fz.bvOffsets.SizeBits() + fz.bvOnes.SizeBits()
+	if parts != fz.SizeBits() {
+		t.Fatalf("SizeBits %d does not cover every part (%d)", fz.SizeBits(), parts)
 	}
 }
 

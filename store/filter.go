@@ -108,7 +108,7 @@ func buildFilter(values []string, genCRC uint32) *probeFilter {
 // filterHash returns the two independent hash values double hashing
 // derives the probe sequence from: FNV-1a inlined over the string bytes
 // (byte-identical to hash/fnv.New64a, but zero-alloc — this runs once
-// per generation on every filtered read).
+// per filtered read, when its probe is built).
 func filterHash(key string) (h1, h2 uint64) {
 	v := uint64(14695981039346656037) // FNV-64 offset basis
 	for i := 0; i < len(key); i++ {
@@ -126,8 +126,8 @@ func (f *probeFilter) insert(key string) {
 	}
 }
 
-func (f *probeFilter) test(key string) bool {
-	h1, h2 := filterHash(key)
+// test probes the Bloom filter with a key's hash pair.
+func (f *probeFilter) test(h1, h2 uint64) bool {
 	for i := 0; i < filterHashes; i++ {
 		bit := (h1 + uint64(i)*h2) % uint64(f.nbits)
 		if f.words[bit>>6]&(1<<(bit&63)) == 0 {
@@ -137,44 +137,32 @@ func (f *probeFilter) test(key string) bool {
 	return true
 }
 
-// mayContain reports whether the generation can hold an exact
-// occurrence of v. No false negatives: a false answer proves Count(v)
-// is zero in this generation.
-func (f *probeFilter) mayContain(v string) bool {
-	if f == nil {
+// mayContain reports whether the generation can hold a match for k: an
+// exact occurrence of k.key, or, for a prefix probe, any value with that
+// byte prefix. No false negatives: a false answer proves the count is
+// zero in this generation. The key was hashed once, when the probe was
+// built. A nil filter and the empty prefix admit everything.
+func (f *probeFilter) mayContain(k *probe) bool {
+	if f == nil || (k.prefix && len(k.key) == 0) {
 		return true
 	}
-	return filterVerdict(f.containsExact(v))
+	if len(k.key) == 0 {
+		// The empty string is stored iff it is the minimum; it has no
+		// prefix in the Bloom filter to test.
+		return filterVerdict(f.min == "")
+	}
+	return filterVerdict(f.inBounds(k) && f.test(k.h1, k.h2))
 }
 
-func (f *probeFilter) containsExact(v string) bool {
-	if len(v) == 0 {
-		return f.min == "" // the empty string is stored iff it is the minimum
+// inBounds checks k against the generation's min/max. Values with prefix
+// p occupy the lexicographic range [p, p·0xff…], hence the asymmetric
+// checks for prefix probes.
+func (f *probeFilter) inBounds(k *probe) bool {
+	v := k.key
+	if k.prefix {
+		return v <= f.max && (v >= f.min || strings.HasPrefix(f.min, v))
 	}
-	if v < f.min || v > f.max {
-		return false
-	}
-	return f.test(v[:min(len(v), filterMaxPrefix)])
-}
-
-// mayContainPrefix reports whether the generation can hold any value
-// with byte prefix p. Values with prefix p occupy the lexicographic
-// range [p, p·0xff…], hence the asymmetric bound checks.
-func (f *probeFilter) mayContainPrefix(p string) bool {
-	if f == nil || len(p) == 0 {
-		return true
-	}
-	return filterVerdict(f.containsPrefix(p))
-}
-
-func (f *probeFilter) containsPrefix(p string) bool {
-	if p > f.max {
-		return false
-	}
-	if p < f.min && !strings.HasPrefix(f.min, p) {
-		return false
-	}
-	return f.test(p[:min(len(p), filterMaxPrefix)])
+	return v >= f.min && v <= f.max
 }
 
 // filterVerdict counts a filter probe's answer: a false is a pruned

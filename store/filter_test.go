@@ -20,26 +20,26 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 	f := buildFilter(distinct, 123)
 
 	for _, v := range distinct {
-		if !f.mayContain(v) {
+		if !f.mayContain(newProbe(v, false)) {
 			t.Fatalf("false negative: mayContain(%q)", v)
 		}
 		for j := 0; j <= len(v); j++ {
-			if !f.mayContainPrefix(v[:j]) {
-				t.Fatalf("false negative: mayContainPrefix(%q)", v[:j])
+			if !f.mayContain(newProbe(v[:j], true)) {
+				t.Fatalf("false negative: mayContain(prefix %q)", v[:j])
 			}
 		}
 	}
 
 	// Out-of-bounds keys are proven absent regardless of Bloom bits.
-	if f.mayContain(f.max + "x") {
+	if f.mayContain(newProbe(f.max+"x", false)) {
 		t.Fatal("key above max accepted")
 	}
-	if f.min != "" && f.mayContain(f.min[:len(f.min)-1]) &&
+	if f.min != "" && f.mayContain(newProbe(f.min[:len(f.min)-1], false)) &&
 		f.min[:len(f.min)-1] < f.min {
 		// A strict prefix of min is below min: must be rejected by bounds.
 		t.Fatal("key below min accepted")
 	}
-	if f.mayContainPrefix(f.max + "x") {
+	if f.mayContain(newProbe(f.max+"x", true)) {
 		t.Fatal("prefix above max accepted")
 	}
 }
@@ -59,7 +59,7 @@ func TestFilterFalsePositiveRate(t *testing.T) {
 	const probes = 2000
 	for i := 0; i < probes; i++ {
 		// In-bounds but never stored (odd suffixes).
-		if f.mayContain(fmt.Sprintf("k%05d", r.Intn(2000)*2+1)) {
+		if f.mayContain(newProbe(fmt.Sprintf("k%05d", r.Intn(2000)*2+1), false)) {
 			hits++
 		}
 	}
@@ -81,7 +81,7 @@ func TestFilterRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: got %+v, want %+v", back, f)
 	}
 	for _, v := range distinct {
-		if !back.mayContain(v) {
+		if !back.mayContain(newProbe(v, false)) {
 			t.Fatalf("reloaded filter lost %q", v)
 		}
 	}

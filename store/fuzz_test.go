@@ -239,9 +239,9 @@ func FuzzParseFilter(f *testing.F) {
 		// Whatever the bits say, the bounds themselves must stay probeable
 		// through the range checks (min/max are stored values; inverted
 		// bounds are rejected by parseFilter before reaching here).
-		pf.mayContain(pf.min)
-		pf.mayContain(pf.max)
-		pf.mayContainPrefix(pf.min)
-		pf.mayContainPrefix(pf.max)
+		pf.mayContain(newProbe(pf.min, false))
+		pf.mayContain(newProbe(pf.max, false))
+		pf.mayContain(newProbe(pf.min, true))
+		pf.mayContain(newProbe(pf.max, true))
 	})
 }

@@ -19,6 +19,7 @@ type generation struct {
 	id     uint64
 	crc    uint32
 	ix     *wavelettrie.Frozen
+	seg    frozenSeg // ix as merged reads and isNew probe it
 	filter *probeFilter
 	// fileBytes is the on-disk size of the index file; region is the
 	// read-only mapping backing ix when it was mmap-loaded (nil for
@@ -94,7 +95,7 @@ func loadGenIndex(dir, name, path string, meta genMeta, useMmap bool) (*generati
 			if ix.Len() != meta.n {
 				return nil, fmt.Errorf("store: %s holds %d elements, manifest says %d", name, ix.Len(), meta.n)
 			}
-			g := &generation{id: meta.id, crc: crc, ix: ix, fileBytes: len(data), region: region}
+			g := &generation{id: meta.id, crc: crc, ix: ix, seg: newFrozenSeg(ix), fileBytes: len(data), region: region}
 			g.filter = loadFilter(dir, meta.id, crc, ix)
 			return g, nil
 		}
@@ -119,7 +120,7 @@ func loadGenIndex(dir, name, path string, meta genMeta, useMmap bool) (*generati
 	if ix.Len() != meta.n {
 		return nil, fmt.Errorf("store: %s holds %d elements, manifest says %d", name, ix.Len(), meta.n)
 	}
-	g := &generation{id: meta.id, crc: crc, ix: ix, fileBytes: len(data)}
+	g := &generation{id: meta.id, crc: crc, ix: ix, seg: newFrozenSeg(ix), fileBytes: len(data)}
 	g.filter = loadFilter(dir, meta.id, crc, ix)
 	return g, nil
 }
@@ -299,7 +300,7 @@ func writeGenerationFrom(dir string, id uint64, schema []ColumnSpec, feed colFee
 		return nil, err
 	}
 	crc := genCRC(data)
-	g := &generation{id: id, crc: crc, ix: ix, fileBytes: len(data)}
+	g := &generation{id: id, crc: crc, ix: ix, seg: newFrozenSeg(ix), fileBytes: len(data)}
 	if len(schema) > 0 {
 		g.cols = buildFrozenCols(schema, ix.Len(), feed)
 		g.colBytes, g.cdBytes, g.colCRC, g.cdCRC, err = writeColumnFiles(dir, id, g.cols)
@@ -349,7 +350,7 @@ func remapGeneration(dir string, g *generation) *generation {
 		return g
 	}
 	ng := *g
-	ng.ix, ng.fileBytes, ng.region = ix, len(region.data), region
+	ng.ix, ng.seg, ng.fileBytes, ng.region = ix, newFrozenSeg(ix), len(region.data), region
 	return &ng
 }
 

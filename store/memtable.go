@@ -219,37 +219,32 @@ func (v memView) Access(pos int) string {
 	return v.m.trie.Access(pos)
 }
 
-func (v memView) Rank(s string, pos int) int {
+func (v memView) rank(k *probe, pos int) int {
 	v.m.mu.RLock()
 	defer v.m.mu.RUnlock()
-	return v.m.trie.Rank(s, pos)
+	return v.rankLocked(k, pos)
 }
 
-func (v memView) Select(s string, idx int) (int, bool) {
+func (v memView) rankLocked(k *probe, pos int) int {
+	if k.prefix {
+		return v.m.trie.RankPrefix(k.key, pos)
+	}
+	return v.m.trie.Rank(k.key, pos)
+}
+
+func (v memView) sel(k *probe, idx int) (int, bool) {
 	v.m.mu.RLock()
 	defer v.m.mu.RUnlock()
-	// Occurrences at positions >= n are invisible to this view: idx is
-	// valid only below the clamped rank, and then the global Select
+	// Matches at positions >= n are invisible to this view: idx is
+	// valid only below the clamped rank, and then the global select
 	// necessarily lands inside the prefix.
-	if idx < 0 || idx >= v.m.trie.Rank(s, v.n) {
+	if idx < 0 || idx >= v.rankLocked(k, v.n) {
 		return 0, false
 	}
-	return v.m.trie.Select(s, idx)
-}
-
-func (v memView) RankPrefix(p string, pos int) int {
-	v.m.mu.RLock()
-	defer v.m.mu.RUnlock()
-	return v.m.trie.RankPrefix(p, pos)
-}
-
-func (v memView) SelectPrefix(p string, idx int) (int, bool) {
-	v.m.mu.RLock()
-	defer v.m.mu.RUnlock()
-	if idx < 0 || idx >= v.m.trie.RankPrefix(p, v.n) {
-		return 0, false
+	if k.prefix {
+		return v.m.trie.SelectPrefix(k.key, idx)
 	}
-	return v.m.trie.SelectPrefix(p, idx)
+	return v.m.trie.Select(k.key, idx)
 }
 
 // Iterate streams the elements of positions [l, r) of the view in

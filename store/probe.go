@@ -1,0 +1,62 @@
+package store
+
+import (
+	wavelettrie "repro"
+	"repro/internal/bitstr"
+	"repro/internal/succinct"
+)
+
+// probe is one request's key, prepared once and handed down the segment
+// seam: the binarized bits every frozen generation descends with and the
+// hash pair every generation's probe filter tests — one encode and one
+// hash per request, not one per generation. A probe must not be copied
+// once initialised (bits may alias buf).
+type probe struct {
+	key    string
+	prefix bool             // key is a byte prefix to match, not a whole value
+	bits   bitstr.BitString // Encode(key), or EncodePrefix(key) when prefix
+	h1, h2 uint64           // filterHash of key's filterMaxPrefix-byte prefix
+	buf    [bitstr.KeyWords]uint64
+}
+
+func (k *probe) init(key string, prefix bool) {
+	k.key, k.prefix = key, prefix
+	if prefix {
+		k.bits = bitstr.EncodePrefixStringInto(k.buf[:], key)
+	} else {
+		k.bits = bitstr.EncodeStringInto(k.buf[:], key)
+	}
+	k.h1, k.h2 = filterHash(key[:min(len(key), filterMaxPrefix)])
+}
+
+func newProbe(key string, prefix bool) *probe {
+	k := new(probe)
+	k.init(key, prefix)
+	return k
+}
+
+// frozenSeg serves a frozen generation as a segment: positional reads go
+// through the Frozen, keyed reads straight to its succinct trie with the
+// probe's pre-encoded bits.
+type frozenSeg struct {
+	*wavelettrie.Frozen
+	t *succinct.Trie
+}
+
+func newFrozenSeg(ix *wavelettrie.Frozen) frozenSeg {
+	return frozenSeg{Frozen: ix, t: succinct.Unwrap(ix)}
+}
+
+func (f frozenSeg) rank(k *probe, pos int) int {
+	if k.prefix {
+		return f.t.RankPrefixBits(k.bits, pos)
+	}
+	return f.t.RankBits(k.bits, pos)
+}
+
+func (f frozenSeg) sel(k *probe, idx int) (int, bool) {
+	if k.prefix {
+		return f.t.SelectPrefixBits(k.bits, idx)
+	}
+	return f.t.SelectBits(k.bits, idx)
+}

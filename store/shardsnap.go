@@ -113,7 +113,7 @@ func (sn *ShardedSnapshot) checkPos(op string, pos int) {
 func (sn *ShardedSnapshot) Rank(v string, pos int) int {
 	sn.checkPos("Rank", pos)
 	s := sn.pick(v)
-	return sn.shards[s].Rank(v, sn.r.rank(s, uint64(pos)))
+	return sn.shards[s].rank(newProbe(v, false), sn.r.rank(s, uint64(pos)))
 }
 
 // Count returns the total number of occurrences of v.
@@ -124,7 +124,7 @@ func (sn *ShardedSnapshot) Count(v string) int { return sn.Rank(v, sn.n) }
 // shard resolves the local position, the router maps it back to global.
 func (sn *ShardedSnapshot) Select(v string, idx int) (int, bool) {
 	s := sn.pick(v)
-	local, ok := sn.shards[s].Select(v, idx)
+	local, ok := sn.shards[s].sel(newProbe(v, false), idx)
 	if !ok {
 		return 0, false
 	}
@@ -135,9 +135,15 @@ func (sn *ShardedSnapshot) Select(v string, idx int) (int, bool) {
 // over all shards at their local cuts (a prefix's values hash apart).
 func (sn *ShardedSnapshot) RankPrefix(p string, pos int) int {
 	sn.checkPos("RankPrefix", pos)
+	return sn.rankPrefix(newProbe(p, true), pos)
+}
+
+// rankPrefix sums the shards' prefix ranks at their local cuts of the
+// global position pos; one probe serves every shard and generation.
+func (sn *ShardedSnapshot) rankPrefix(k *probe, pos int) int {
 	total := 0
 	for s, sh := range sn.shards {
-		total += sh.RankPrefix(p, sn.r.rank(s, uint64(pos)))
+		total += sh.rank(k, sn.r.rank(s, uint64(pos)))
 	}
 	return total
 }
@@ -155,7 +161,7 @@ func (sn *ShardedSnapshot) SelectPrefix(p string, idx int) (int, bool) {
 	if idx < 0 {
 		return 0, false
 	}
-	return sn.prefixLand(p, idx)
+	return sn.prefixLand(newProbe(p, true), idx)
 }
 
 // prefixLand finds the global position of the idx-th prefix match, with
@@ -167,7 +173,7 @@ func (sn *ShardedSnapshot) SelectPrefix(p string, idx int) (int, bool) {
 // region, a bounded slot scan in the tail. Total cost is
 // O(shards · log n) shard rank probes, confined to one chunk after the
 // boundary phase.
-func (sn *ShardedSnapshot) prefixLand(p string, idx int) (at int, found bool) {
+func (sn *ShardedSnapshot) prefixLand(k *probe, idx int) (at int, found bool) {
 	if sn.n == 0 {
 		return 0, false
 	}
@@ -176,19 +182,13 @@ func (sn *ShardedSnapshot) prefixLand(p string, idx int) (at int, found bool) {
 	countAt := func(b int) int {
 		total := 0
 		for s, sh := range sn.shards {
-			total += sh.RankPrefix(p, int(v.cum[b][s]))
+			total += sh.rank(k, int(v.cum[b][s]))
 		}
 		return total
 	}
 	b := sort.Search(bmax+1, func(b int) bool { return countAt(b) > idx }) - 1
 	lo, hi := b<<routerChunkShift, min(sn.n, (b+1)<<routerChunkShift)
-	countPos := func(pos int) int {
-		total := 0
-		for s, sh := range sn.shards {
-			total += sh.RankPrefix(p, sn.r.rank(s, uint64(pos)))
-		}
-		return total
-	}
+	countPos := func(pos int) int { return sn.rankPrefix(k, pos) }
 	// Smallest d with more than idx matches before lo+d, minus one, is
 	// the match itself; countAt(b) <= idx rules out d == 0. The match
 	// can also sit at hi-1 with every in-range probe false — one probe
@@ -209,14 +209,14 @@ func (sn *ShardedSnapshot) prefixLand(p string, idx int) (at int, found bool) {
 // (== idx whenever the match exists; when it does not, the cursors
 // exhaust every stream and the merge yields nothing). The merge resumes
 // with zero replay — no skipped matches are re-derived.
-func (sn *ShardedSnapshot) seekPrefix(p string, idx int) (j []int, before int) {
+func (sn *ShardedSnapshot) seekPrefix(k *probe, idx int) (j []int, before int) {
 	cut := sn.n
-	if at, found := sn.prefixLand(p, idx); found {
+	if at, found := sn.prefixLand(k, idx); found {
 		cut = at
 	}
 	j = make([]int, len(sn.shards))
 	for s, sh := range sn.shards {
-		j[s] = sh.RankPrefix(p, sn.r.rank(s, uint64(cut)))
+		j[s] = sh.rank(k, sn.r.rank(s, uint64(cut)))
 		before += j[s]
 	}
 	return j, before
@@ -224,8 +224,8 @@ func (sn *ShardedSnapshot) seekPrefix(p string, idx int) (j []int, before int) {
 
 // prefixHead returns the global position of shard s's j-th local prefix
 // match, or -1 when the shard has no more matches in this snapshot.
-func (sn *ShardedSnapshot) prefixHead(p string, s, j int) int {
-	local, ok := sn.shards[s].SelectPrefix(p, j)
+func (sn *ShardedSnapshot) prefixHead(k *probe, s, j int) int {
+	local, ok := sn.shards[s].sel(k, j)
 	if !ok {
 		return -1
 	}
@@ -246,10 +246,11 @@ func (sn *ShardedSnapshot) IteratePrefix(p string, from int, fn func(idx, pos in
 	if from < 0 {
 		panic(fmt.Sprintf("store: IteratePrefix from %d negative", from))
 	}
-	j, idx := sn.seekPrefix(p, from)
+	k := newProbe(p, true)
+	j, idx := sn.seekPrefix(k, from)
 	heads := make([]int, len(sn.shards))
 	for s := range heads {
-		heads[s] = sn.prefixHead(p, s, j[s])
+		heads[s] = sn.prefixHead(k, s, j[s])
 	}
 	for {
 		best := -1
@@ -266,7 +267,7 @@ func (sn *ShardedSnapshot) IteratePrefix(p string, from int, fn func(idx, pos in
 		}
 		idx++
 		j[best]++
-		heads[best] = sn.prefixHead(p, best, j[best])
+		heads[best] = sn.prefixHead(k, best, j[best])
 	}
 }
 

@@ -8,14 +8,16 @@ import (
 
 // segment is one contiguous slab of the logical sequence — a frozen
 // generation or a bounded memtable view. The merged-read planner below
-// stitches per-segment answers with offset and rank arithmetic.
+// stitches per-segment answers with offset and rank arithmetic. Keyed
+// reads take the request's probe: whether it matches whole values or a
+// byte prefix is the probe's own property.
 type segment interface {
 	Len() int
 	Access(pos int) string
-	Rank(s string, pos int) int
-	Select(s string, idx int) (int, bool)
-	RankPrefix(p string, pos int) int
-	SelectPrefix(p string, idx int) (int, bool)
+	// rank counts k's matches in positions [0, pos).
+	rank(k *probe, pos int) int
+	// sel returns the position of k's idx-th (0-based) match.
+	sel(k *probe, idx int) (int, bool)
 	Iterate(l, r int, fn func(pos int, s string) bool)
 	Height() int
 	SizeBits() int
@@ -203,20 +205,16 @@ func (sn *Snapshot) checkPos(op string, pos int) {
 // whose probe filter proves it cannot contain s.
 func (sn *Snapshot) Rank(s string, pos int) int {
 	sn.checkPos("Rank", pos)
-	return sn.rank(pos,
-		func(f *probeFilter) bool { return f.mayContain(s) },
-		func(seg segment, p int) int { return seg.Rank(s, p) })
+	return sn.rank(newProbe(s, false), pos)
 }
 
 // RankPrefix counts elements in [0, pos) having byte prefix p.
 func (sn *Snapshot) RankPrefix(p string, pos int) int {
 	sn.checkPos("RankPrefix", pos)
-	return sn.rank(pos,
-		func(f *probeFilter) bool { return f.mayContainPrefix(p) },
-		func(seg segment, q int) int { return seg.RankPrefix(p, q) })
+	return sn.rank(newProbe(p, true), pos)
 }
 
-func (sn *Snapshot) rank(pos int, mayHave func(*probeFilter) bool, segRank func(seg segment, pos int) int) int {
+func (sn *Snapshot) rank(k *probe, pos int) int {
 	total := 0
 	for i, seg := range sn.segs {
 		segPos := pos - sn.offs[i]
@@ -227,8 +225,8 @@ func (sn *Snapshot) rank(pos int, mayHave func(*probeFilter) bool, segRank func(
 			segPos = l
 		}
 		// A filtered-out generation contributes rank 0 — no probe needed.
-		if seg.filter == nil || mayHave(seg.filter) {
-			total += segRank(seg.segment, segPos)
+		if seg.filter.mayContain(k) {
+			total += seg.rank(k, segPos)
 		}
 	}
 	return total
@@ -245,33 +243,27 @@ func (sn *Snapshot) CountPrefix(p string) int { return sn.RankPrefix(p, sn.Len()
 // accumulating their counts until the one holding the idx-th occurrence,
 // skipping generations whose filters rule s out.
 func (sn *Snapshot) Select(s string, idx int) (int, bool) {
-	return sn.sel(idx,
-		func(f *probeFilter) bool { return f.mayContain(s) },
-		func(seg segment) int { return seg.Rank(s, seg.Len()) },
-		func(seg segment, i int) (int, bool) { return seg.Select(s, i) })
+	return sn.sel(newProbe(s, false), idx)
 }
 
 // SelectPrefix returns the position of the idx-th (0-based) element with
 // byte prefix p, with ok=false when there are not that many.
 func (sn *Snapshot) SelectPrefix(p string, idx int) (int, bool) {
-	return sn.sel(idx,
-		func(f *probeFilter) bool { return f.mayContainPrefix(p) },
-		func(seg segment) int { return seg.RankPrefix(p, seg.Len()) },
-		func(seg segment, i int) (int, bool) { return seg.SelectPrefix(p, i) })
+	return sn.sel(newProbe(p, true), idx)
 }
 
-func (sn *Snapshot) sel(idx int, mayHave func(*probeFilter) bool, segCount func(segment) int, segSelect func(segment, int) (int, bool)) (int, bool) {
+func (sn *Snapshot) sel(k *probe, idx int) (int, bool) {
 	if idx < 0 {
 		return 0, false
 	}
 	cum := 0
 	for i, seg := range sn.segs {
-		if seg.filter != nil && !mayHave(seg.filter) {
+		if !seg.filter.mayContain(k) {
 			continue // proven empty of the key: count 0, skip the probes
 		}
-		c := segCount(seg.segment)
+		c := seg.rank(k, seg.Len())
 		if idx < cum+c {
-			pos, ok := segSelect(seg.segment, idx-cum)
+			pos, ok := seg.sel(k, idx-cum)
 			if !ok {
 				return 0, false
 			}
@@ -293,18 +285,19 @@ func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool
 	if from < 0 {
 		panic(fmt.Sprintf("store: IteratePrefix from %d negative", from))
 	}
+	k := newProbe(p, true)
 	idx := 0
 	for i, seg := range sn.segs {
-		if seg.filter != nil && !seg.filter.mayContainPrefix(p) {
+		if !seg.filter.mayContain(k) {
 			continue
 		}
-		c := seg.RankPrefix(p, seg.Len())
+		c := seg.rank(k, seg.Len())
 		if from >= idx+c {
 			idx += c
 			continue
 		}
 		for j := max(0, from-idx); j < c; j++ {
-			pos, ok := seg.SelectPrefix(p, j)
+			pos, ok := seg.sel(k, j)
 			if !ok {
 				return
 			}
@@ -585,26 +578,15 @@ type clampSeg struct {
 // Len returns the clamped element count.
 func (c clampSeg) Len() int { return c.n }
 
-// Rank counts occurrences of s in [0, min(pos, n)).
-func (c clampSeg) Rank(s string, pos int) int { return c.segment.Rank(s, min(pos, c.n)) }
+// rank counts k's matches in [0, min(pos, n)).
+func (c clampSeg) rank(k *probe, pos int) int { return c.segment.rank(k, min(pos, c.n)) }
 
-// RankPrefix counts prefix matches in [0, min(pos, n)).
-func (c clampSeg) RankPrefix(p string, pos int) int { return c.segment.RankPrefix(p, min(pos, c.n)) }
-
-// Select resolves the idx-th occurrence of s within the clamped prefix.
-func (c clampSeg) Select(s string, idx int) (int, bool) {
-	if idx < 0 || idx >= c.segment.Rank(s, c.n) {
+// sel resolves k's idx-th match within the clamped prefix.
+func (c clampSeg) sel(k *probe, idx int) (int, bool) {
+	if idx < 0 || idx >= c.segment.rank(k, c.n) {
 		return 0, false
 	}
-	return c.segment.Select(s, idx)
-}
-
-// SelectPrefix resolves the idx-th prefix match within the clamped prefix.
-func (c clampSeg) SelectPrefix(p string, idx int) (int, bool) {
-	if idx < 0 || idx >= c.segment.RankPrefix(p, c.n) {
-		return 0, false
-	}
-	return c.segment.SelectPrefix(p, idx)
+	return c.segment.sel(k, idx)
 }
 
 // Iterate streams [l, r) within the clamped prefix.

@@ -431,18 +431,20 @@ func (s *Store) findWALs(from uint64) ([]uint64, error) {
 // bookkeeping on the append path. Probes run cheapest-first: on skewed
 // workloads a repeated value is usually already in the memtable, so the
 // per-generation probes are rarely reached.
-func (s *Store) isNew(st *storeState, v string) bool {
-	if n := int(st.mem.n.Load()); n > 0 && (memView{m: st.mem, n: n}).Rank(v, n) > 0 {
+func (s *Store) isNew(st *storeState, k *probe) bool {
+	if n := int(st.mem.n.Load()); n > 0 && (memView{m: st.mem, n: n}).rank(k, n) > 0 {
 		return false
 	}
 	if st.sealed != nil {
-		if n := int(st.sealed.n.Load()); n > 0 && (memView{m: st.sealed, n: n}).Rank(v, n) > 0 {
+		if n := int(st.sealed.n.Load()); n > 0 && (memView{m: st.sealed, n: n}).rank(k, n) > 0 {
 			return false
 		}
 	}
+	// Every leaf of a frozen trie has an occurrence, so membership is a
+	// walk over the trie labels: no rank, no bitvector.
 	for i := len(st.gens) - 1; i >= 0; i-- {
 		g := st.gens[i]
-		if g.filter.mayContain(v) && g.ix.Count(v) > 0 {
+		if g.filter.mayContain(k) && g.seg.t.ContainsBits(k.bits) {
 			return false
 		}
 	}
@@ -471,7 +473,9 @@ func (s *Store) AppendRow(v string, row Row) error {
 		return errClosed
 	}
 	st := s.state.Load()
-	isNew := s.isNew(st, v)
+	var k probe
+	k.init(v, false)
+	isNew := s.isNew(st, &k)
 	if err := st.mem.wal.append(walPayloadRow(v, isNew, 0, false, row)); err != nil {
 		s.appendMu.Unlock()
 		s.fail(err)
@@ -549,9 +553,14 @@ func (s *Store) appendBatchLocked(vs []string, rows []Row, seqs []uint64) (int64
 		}
 	}
 	buf := make([]byte, 0, size)
+	var k probe
 	for i, v := range vs {
 		_, dup := seen[v]
-		isNew := !dup && s.isNew(st, v)
+		isNew := false
+		if !dup {
+			k.init(v, false)
+			isNew = s.isNew(st, &k)
+		}
 		if isNew {
 			if seen == nil {
 				seen = make(map[string]struct{})
@@ -616,7 +625,9 @@ func (s *Store) appendSeq(v string, row Row) (uint64, error) {
 		return 0, errClosed
 	}
 	st := s.state.Load()
-	isNew := s.isNew(st, v)
+	var k probe
+	k.init(v, false)
+	isNew := s.isNew(st, &k)
 	seq := s.hooks.seq.Add(1) - 1
 	if err := st.mem.wal.append(walPayloadRow(v, isNew, seq, true, row)); err != nil {
 		s.appendMu.Unlock()
@@ -907,7 +918,7 @@ func (s *Store) snapshotOf(st *storeState) *Snapshot {
 		} else if len(s.schema) > 0 {
 			cols = allNullCols{} // frozen before the schema was pinned
 		}
-		segs = append(segs, snapSeg{segment: g.ix, filter: g.filter, cols: cols})
+		segs = append(segs, snapSeg{segment: g.seg, filter: g.filter, cols: cols})
 	}
 	if st.sealed != nil {
 		mv := memView{m: st.sealed, n: int(st.sealed.n.Load())}
