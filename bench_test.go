@@ -143,6 +143,42 @@ func BenchmarkFrozenRankPrefix(b *testing.B) {
 	}
 }
 
+// BenchmarkFrozenScanPrefix is one page of a served prefix scan: 64
+// matches, positions and values, from a scattered offset under a hot, a
+// mid and an 8-match prefix.
+func BenchmarkFrozenScanPrefix(b *testing.B) {
+	for _, p := range []string{"host00.example", "host05.example", "host02.example/a14"} {
+		b.Run(p, func(b *testing.B) {
+			f, _, pos := benchFrozen(b)
+			total, matches := f.CountPrefix(p), 0
+			for i := 0; i < b.N; i++ {
+				n := 0
+				f.EnumeratePrefix(p, pos[i&1023]%total, func(_, at int, val func() string) bool {
+					benchSink += at + len(val())
+					n++
+					return n < 64
+				})
+				matches += n
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
+		})
+	}
+}
+
+// BenchmarkFrozenIteratePage is one page of a served Scan: 256 consecutive
+// values from a scattered position.
+func BenchmarkFrozenIteratePage(b *testing.B) {
+	f, _, pos := benchFrozen(b)
+	for i := 0; i < b.N; i++ {
+		l := pos[i&1023] % (frozenBenchN - 256)
+		f.Iterate(l, l+256, func(_ int, s string) bool {
+			benchSink += len(s)
+			return true
+		})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*256), "ns/elem")
+}
+
 // --- T1b: static space ---------------------------------------------------
 
 func BenchmarkT1bStaticSpace(b *testing.B) {

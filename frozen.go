@@ -110,23 +110,72 @@ func (f *Frozen) Contains(s string) bool {
 	return f.t.ContainsBits(bitstr.EncodeStringInto(buf[:], s))
 }
 
+// decode turns a stored element's bits back into its string.
+func decode(bs bitstr.BitString) string {
+	s, err := bitstr.DecodeString(bs)
+	if err != nil {
+		panic("wavelettrie: internal corruption: " + err.Error())
+	}
+	return s
+}
+
 // Iterate streams the elements of positions [l, r) in order, stopping
 // early if fn returns false. It walks the trie once with streaming
-// bitvector iterators (one Rank per traversed node for the whole range
-// instead of one Rank per node per element), so a full sweep is far
+// bitvector iterators (one block visit per traversed node for the whole
+// range instead of one Rank per node per element), so a full sweep is far
 // cheaper than repeated Access — this is the enumeration layer that
-// compaction and snapshot exports are built on.
+// compaction and snapshot exports are built on. The only allocation per
+// element is the string handed to fn.
 func (f *Frozen) Iterate(l, r int, fn func(pos int, s string) bool) {
 	if l < 0 || r < l || r > f.Len() {
 		panic(fmt.Sprintf("wavelettrie: Iterate(%d,%d) out of range [0,%d]", l, r, f.Len()))
 	}
-	f.t.EnumerateBits(l, r, func(pos int, bs bitstr.BitString) bool {
-		s, err := bitstr.DecodeString(bs)
-		if err != nil {
-			panic("wavelettrie: internal corruption: " + err.Error())
+	var buf [bitstr.KeyWords]uint64
+	scratch := bitstr.BuilderOver(buf[:])
+	it := f.t.Iter(l, r)
+	defer it.Close()
+	for it.Valid() {
+		pos := it.Pos()
+		scratch.Reset()
+		it.NextInto(&scratch)
+		if !fn(pos, decode(scratch.View())) {
+			return
 		}
-		return fn(pos, s)
-	})
+	}
+}
+
+// EnumeratePrefix streams the elements with byte prefix p in position
+// order, starting from the from-th (0-based) match; fn receives the match
+// index, the position and val, which returns the match's value when
+// called — positions-only consumers never pay for it — and is valid only
+// during that call of fn. fn returns false to stop. The trie is descended
+// once, to the prefix's node; each match is then one monotone select per
+// level of the node's root path (a run of matches shares the decoded RRR
+// blocks) and each value a streaming walk below the node, so a page of
+// matches costs far less than SelectPrefix and Access per match. It
+// returns CountPrefix(p), which the descent found on the way, and panics
+// if from is negative.
+func (f *Frozen) EnumeratePrefix(p string, from int, fn func(idx, pos int, val func() string) bool) (count int) {
+	if from < 0 {
+		panic(fmt.Sprintf("wavelettrie: EnumeratePrefix from %d negative", from))
+	}
+	var key, buf [bitstr.KeyWords]uint64
+	c := f.t.PrefixCursor(bitstr.EncodePrefixStringInto(key[:], p))
+	count = c.Count()
+	defer c.Close()
+	c.Seek(from)
+	idx := from
+	val := func() string {
+		b := bitstr.BuilderOver(buf[:])
+		c.ValueInto(&b, idx)
+		return decode(b.View())
+	}
+	for ; ; idx++ {
+		pos, ok := c.Next()
+		if !ok || !fn(idx, pos, val) {
+			return count
+		}
+	}
 }
 
 // Slice returns the elements of positions [l, r) as a fresh slice,
@@ -160,6 +209,7 @@ func (f *Frozen) FeedValues(fb *FrozenBuilder) {
 // discarded, which the caller detects by re-checking its cancel signal.
 func (f *Frozen) FeedRange(fb *FrozenBuilder, l, r int, cont func() bool) error {
 	it := f.t.Iter(l, r)
+	defer it.Close()
 	scratch := bitstr.NewBuilder(0)
 	for i := 0; it.Valid(); i++ {
 		scratch.Reset()
@@ -180,11 +230,7 @@ func (f *Frozen) Values() []string {
 	stored := f.t.StoredBits()
 	out := make([]string, len(stored))
 	for i, bs := range stored {
-		s, err := bitstr.DecodeString(bs)
-		if err != nil {
-			panic("wavelettrie: internal corruption: " + err.Error())
-		}
-		out[i] = s
+		out[i] = decode(bs)
 	}
 	return out
 }

@@ -92,6 +92,35 @@ func checkFrozenAgainstFlat(t *testing.T, f *Frozen, seq []string, keys []string
 				t.Fatalf("SelectPrefix(%q,%d) = (%d,%v), want (%d,%v)", k, idx, gp, gok, wp, wok)
 			}
 		}
+		// Prefix enumeration, positions and values, from every kind of
+		// starting index; values are asked for on every other match, so the
+		// value walk both streams and re-seeks.
+		for _, from := range []int{0, countP / 2, countP - 1, countP, countP + 1} {
+			if from < 0 {
+				continue
+			}
+			next := from
+			f.EnumeratePrefix(k, from, func(idx, pos int, val func() string) bool {
+				if wp, _ := m.sel(prefixed, next); idx != next || pos != wp {
+					t.Fatalf("EnumeratePrefix(%q,%d) yields (%d,%d), want (%d,%d)", k, from, idx, pos, next, wp)
+				}
+				if idx%2 == 0 {
+					if got := val(); got != seq[pos] {
+						t.Fatalf("EnumeratePrefix(%q,%d) match %d has value %q, want %q", k, from, idx, got, seq[pos])
+					}
+				}
+				next++
+				return true
+			})
+			if want := max(from, countP); next != want {
+				t.Fatalf("EnumeratePrefix(%q,%d) ended at match %d, want %d", k, from, next, want)
+			}
+		}
+		stops := 0
+		total := f.EnumeratePrefix(k, 0, func(int, int, func() string) bool { stops++; return stops < 2 })
+		if want := min(2, countP); stops != want || total != countP {
+			t.Fatalf("EnumeratePrefix(%q) ran %d callbacks after being told to stop at 2 and returned %d, with %d matches", k, stops, total, countP)
+		}
 	}
 }
 
@@ -205,6 +234,30 @@ func TestFrozenQueryAllocations(t *testing.T) {
 				t.Errorf("%s(%d-byte key) allocates %.1f times per call, want 0", name, len(k), a)
 			}
 		}
+	}
+}
+
+// TestFrozenIterateAllocations guards the streaming read path: Iterate
+// decodes every element through one scratch buffer, so what it allocates
+// per element is the string it hands out — the walk's own state (slab
+// chunks, label list) is a few dozen allocations for the whole sweep.
+func TestFrozenIterateAllocations(t *testing.T) {
+	seq := goldenSeq()
+	f := NewStatic(seq).Frozen()
+	n := f.Len()
+	a := testing.AllocsPerRun(10, func() {
+		f.Iterate(0, n, func(int, string) bool { return true })
+	})
+	if a > float64(n)+48 {
+		t.Errorf("Iterate over %d elements allocates %.0f times, want at most one per element and 48 for the walk", n, a)
+	}
+	// A page of a prefix scan: positions alone allocate nothing per match.
+	p := seq[0][:6]
+	a = testing.AllocsPerRun(10, func() {
+		f.EnumeratePrefix(p, 0, func(int, int, func() string) bool { return true })
+	})
+	if a > 8 {
+		t.Errorf("EnumeratePrefix(%q), positions only, allocates %.0f times over %d matches, want a constant", p, a, f.CountPrefix(p))
 	}
 }
 

@@ -15,7 +15,9 @@
 // query never materialises that block: Rank, Access and Select walk the
 // offset's combinatorial number system only as far as the queried bit
 // (rankInBlock, selectInBlock), on the sparser of the block and its
-// complement, and answer classes 0 and 63 without reading an offset.
+// complement, and answer classes 0 and 63 without reading an offset. The
+// sequential forms (Iter, Selector) keep that walk's state between calls
+// (blockWalk), so they never walk a bit twice either.
 //
 // The Wavelet Trie uses RRR for every bitvector β of the static variant
 // (Theorem 3.7) and for the immutable segments of the append-only
@@ -70,26 +72,6 @@ func encodeBlock(w uint64) (class int, offset uint64) {
 		}
 	}
 	return class, offset
-}
-
-// decodeBlock reconstructs the whole 63-bit block from its class and
-// offset — the sequential iterator's path; point queries use rankInBlock
-// and selectInBlock instead. All three walk the same sparser form, so
-// they agree on every bit even for an offset no encoder produces.
-func decodeBlock(class int, offset uint64) uint64 {
-	k, offset, flip := sparser(class, offset)
-	var w uint64
-	for i := 0; i < blockBits && k > 0; i++ {
-		if c := choose[k][blockBits-1-i]; offset >= c {
-			offset -= c
-			w |= 1 << uint(i)
-			k--
-		}
-	}
-	if flip == 1 {
-		return ^w & (1<<blockBits - 1)
-	}
-	return w
 }
 
 // sparser returns the walkable form of a block: itself when at most half
@@ -458,57 +440,221 @@ func (v *Vector) OffsetStreamBits() int {
 	return int(v.super[len(v.super)-1].pos)
 }
 
+// blockWalk reads one block's bits in order without materialising the
+// block: the combinatorial-number-system walk of rankInBlock and
+// selectInBlock, with its state kept between calls. A cursor that stops
+// after a few bits has paid for a few bits, and one that goes on never
+// walks a bit twice.
+type blockWalk struct {
+	k    int    // set bits of the walked form not yet passed
+	off  uint64 // rank of the remaining suffix among its class
+	flip byte   // 1 when the walked form is the block's complement
+	i    int    // the next position, in [0, blockBits]
+}
+
+func startWalk(class int, offset uint64) blockWalk {
+	k, off, flip := sparser(class, offset)
+	return blockWalk{k: k, off: off, flip: flip}
+}
+
+// next returns the bit at position i and steps past it.
+func (w *blockWalk) next() byte {
+	bit := w.flip
+	if w.k > 0 {
+		if c := choose[w.k][(blockBits-1-w.i)&63]; w.off >= c {
+			w.off -= c
+			w.k--
+			bit ^= 1
+		}
+	}
+	w.i++
+	return bit
+}
+
+// run steps forward until it has passed need occurrences of bit b or
+// reached position limit, whichever comes first, and returns how many
+// occurrences it passed. The state stays in registers and the steps take
+// no branch on the bit (denseStep): near a trie's root the bits are coin
+// flips.
+func (w *blockWalk) run(b byte, need, limit int) (found int) {
+	k, off, i := w.k, w.off, w.i
+	same := uint64(b^w.flip) ^ 1 // what a walked 0 adds to found
+	if k > 0 {
+		c := choose[k][(blockBits-1-i)&63]
+		for ; i < limit && found < need && k > 0; i++ {
+			var bit uint64
+			k, off, c, bit = denseStep(k, blockBits-2-i, off, c)
+			found += int(bit ^ same)
+		}
+	}
+	if k == 0 && i < limit && found < need {
+		// Only zeros of the walked form remain.
+		n := limit - i
+		if same == 1 {
+			n = min(n, need-found)
+			found += n
+		}
+		i += n
+	}
+	w.k, w.off, w.i = k, off, i
+	return found
+}
+
 // Iter returns an iterator positioned at bit pos. Iterators provide O(1)
 // amortized Next, which §5's sequential-access algorithm relies on.
 func (v *Vector) Iter(pos int) *Iter {
-	if pos < 0 || pos > v.n {
-		panic(fmt.Sprintf("rrr: Iter(%d) out of range [0,%d]", pos, v.n))
-	}
-	it := &Iter{v: v, pos: pos}
-	if pos < v.n {
-		b := pos / blockBits
-		c, offPos, _ := v.seek(b)
-		it.block = b
-		it.class = c
-		it.offPos = offPos
-		it.w = decodeBlock(c, v.offset(c, offPos))
-	}
+	it := new(Iter)
+	it.Reset(v, pos)
 	return it
 }
 
-// Iter is a sequential bit cursor over a Vector.
+// Reset points the cursor at bit pos of v — Iter in place, for a caller
+// that embeds the cursor in its own state (a wavelet-trie walk holds one
+// per open node). It costs what AccessRank1 does: the class-sum seek and
+// a block walk as far as pos.
+func (it *Iter) Reset(v *Vector, pos int) {
+	if pos < 0 || pos > v.n {
+		panic(fmt.Sprintf("rrr: Iter(%d) out of range [0,%d]", pos, v.n))
+	}
+	*it = Iter{v: v, pos: pos, rank: v.ones}
+	if pos < v.n {
+		it.block = pos / blockBits
+		it.class, it.offPos, it.rank = v.seek(it.block)
+		it.w = startWalk(it.class, v.offset(it.class, it.offPos))
+		it.rank += it.w.run(1, blockBits+1, pos-it.block*blockBits)
+	}
+}
+
+// Iter is a sequential bit cursor over a Vector. Beside the bit it carries
+// Rank1 of its position, so a wavelet-trie walk reads a node's branch bit
+// and the position in the child from the one block visit.
 type Iter struct {
 	v      *Vector
 	pos    int
-	block  int
-	class  int // class of the decoded block
+	rank   int // Rank1(pos)
+	block  int // the block w walks
+	class  int
 	offPos int
-	w      uint64
+	w      blockWalk
 }
 
 // Pos returns the position of the bit that Next will return.
 func (it *Iter) Pos() int { return it.pos }
 
+// Rank1 returns the number of 1 bits before Pos.
+func (it *Iter) Rank1() int { return it.rank }
+
 // Valid reports whether Next may be called.
 func (it *Iter) Valid() bool { return it.pos < it.v.n }
 
-// Next returns the bit at the current position and advances. Decoding
-// work is one block per 63 calls.
+// Seek moves the cursor to bit pos: further on in the block it is
+// walking, by walking there; anywhere else, at the cost of a new cursor.
+func (it *Iter) Seek(pos int) {
+	if pos < it.pos || pos >= (it.block+1)*blockBits || pos >= it.v.n {
+		it.Reset(it.v, pos)
+		return
+	}
+	it.rank += it.w.run(1, blockBits+1, it.w.i+pos-it.pos)
+	it.pos = pos
+}
+
+// Next returns the bit at the current position and advances.
 func (it *Iter) Next() byte {
 	if it.pos >= it.v.n {
 		panic("rrr: Iter.Next past end")
 	}
-	b := it.pos / blockBits
-	if b != it.block {
-		// pos advances by one, so b is always it.block+1.
+	if it.w.i == blockBits {
 		it.offPos += offsetWidth[it.class]
-		it.block = b
-		it.class = it.v.class(b)
-		it.w = decodeBlock(it.class, it.v.offset(it.class, it.offPos))
+		it.block++
+		it.class = it.v.class(it.block)
+		it.w = startWalk(it.class, it.v.offset(it.class, it.offPos))
 	}
-	bit := byte(it.w>>uint(it.pos%blockBits)) & 1
+	bit := it.w.next()
 	it.pos++
+	it.rank += int(bit)
 	return bit
+}
+
+// selectorNear is how many blocks a Selector steps forward by summing
+// class fields before it gives the target up as far and re-seeks through
+// the superblock samples (DESIGN.md §9 records the measurement).
+const selectorNear = 32
+
+// Selector answers Select for one bit value over a non-decreasing series
+// of indices — what enumerating a wavelet-trie node's elements asks of
+// every bitvector on the node's root path. It remembers the block the last
+// answer fell in and how far into it: a target in the same block continues
+// the block walk from there, a target a few blocks on is reached by
+// summing class fields (no offset is read on the way), and only a far
+// target — or a smaller one; any index is answered — pays the sampled
+// SelectIn.
+type Selector struct {
+	v      *Vector
+	b      byte
+	blk    int         // the remembered block; valid iff cr.words != nil
+	class  int         // its class
+	offPos int         // bit position of its offset
+	before int         // occurrences of b before it
+	cr     classReader // at block blk+1's class
+	seen   int         // occurrences of b that w has passed
+	w      blockWalk   // over blk; started iff w.i > 0
+}
+
+// Selector returns a Selector for occurrences of bit b.
+func (v *Vector) Selector(b byte) Selector { return Selector{v: v, b: b} }
+
+// count returns how many occurrences of b a block of class c holds (the
+// last block's padding counts as zeros, past every valid answer).
+func (s *Selector) count(c int) int {
+	if s.b == 0 {
+		return blockBits - c
+	}
+	return c
+}
+
+// Select returns the position of the idx-th (0-based) occurrence of the
+// selector's bit, which the caller knows to lie in [from, to), like
+// SelectIn.
+func (s *Selector) Select(idx, from, to int) int {
+	if s.cr.words == nil || idx < s.before+s.seen {
+		return s.jump(idx, from, to)
+	}
+	rem := idx - s.before
+	have := s.count(s.class)
+	for steps := 0; rem >= have; steps++ {
+		if steps == selectorNear || (s.blk+1)*blockBits >= to {
+			return s.jump(idx, from, to)
+		}
+		rem -= have
+		s.before += have
+		s.offPos += offsetWidth[s.class]
+		s.blk++
+		s.class = s.cr.next()
+		s.seen, s.w.i = 0, 0
+		have = s.count(s.class)
+	}
+	if s.w.i == 0 {
+		s.w = startWalk(s.class, s.v.offset(s.class, s.offPos))
+	}
+	s.seen += s.w.run(s.b, rem+1-s.seen, blockBits)
+	return s.blk*blockBits + s.w.i - 1
+}
+
+// jump answers through SelectIn and remembers the block it landed in, not
+// yet walked: a later target there walks from the block's start.
+func (s *Selector) jump(idx, from, to int) int {
+	pos := s.v.SelectIn(s.b, idx, from, to)
+	s.blk = pos / blockBits
+	var rank int
+	s.class, s.offPos, rank = s.v.seek(s.blk)
+	s.before = rank
+	if s.b == 0 {
+		s.before = s.blk*blockBits - rank
+	}
+	s.cr = s.v.classesFrom(s.blk)
+	s.cr.next()
+	s.seen, s.w.i = 0, 0
+	return pos
 }
 
 // packedWriter appends variable-width fields into packed words.

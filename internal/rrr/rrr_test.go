@@ -11,6 +11,26 @@ import (
 	"repro/internal/bitvec"
 )
 
+// decodeBlock reconstructs the whole 63-bit block from its class and
+// offset: the reference the partial walks (rankInBlock, selectInBlock,
+// blockWalk) are checked against. All walk the same sparser form, so they
+// agree on every bit even for an offset no encoder produces.
+func decodeBlock(class int, offset uint64) uint64 {
+	k, offset, flip := sparser(class, offset)
+	var w uint64
+	for i := 0; i < blockBits && k > 0; i++ {
+		if c := choose[k][blockBits-1-i]; offset >= c {
+			offset -= c
+			w |= 1 << uint(i)
+			k--
+		}
+	}
+	if flip == 1 {
+		return ^w & (1<<blockBits - 1)
+	}
+	return w
+}
+
 func TestBlockCodecExhaustiveSmallClasses(t *testing.T) {
 	// Every block of class 0, 1, 2, 62 and 63 round-trips.
 	checks := 0
@@ -363,5 +383,156 @@ func BenchmarkIterSequential(b *testing.B) {
 			acc ^= it.Next()
 		}
 		_ = acc
+	}
+}
+
+// TestBlockWalkMatchesDecode checks the resumable block walk against the
+// materialised block for every class, stepped a bit at a time and run in
+// strides, counting either bit value — and on offsets no encoder
+// produces, where it must still describe the block decodeBlock does.
+func TestBlockWalkMatchesDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	check := func(c int, off uint64) {
+		w := decodeBlock(c, off)
+		bw := startWalk(c, off)
+		for pos := 0; pos < blockBits; pos++ {
+			if got, want := bw.next(), byte(w>>uint(pos)&1); got != want {
+				t.Fatalf("class %d offset %d: next at %d = %d, want %d", c, off, pos, got, want)
+			}
+		}
+		for b := byte(0); b <= 1; b++ {
+			word := w
+			if b == 0 {
+				word = ^w & (1<<blockBits - 1)
+			}
+			// Stop on position: counts of b in [from, limit).
+			for _, stride := range []int{1, 7, 31, blockBits} {
+				bw := startWalk(c, off)
+				for from := 0; from < blockBits; from += stride {
+					limit := min(from+stride, blockBits)
+					want := bits.OnesCount64(word >> uint(from) & (1<<uint(limit-from) - 1))
+					if got := bw.run(b, blockBits+1, limit); got != want || bw.i != limit {
+						t.Fatalf("class %d offset %d: run(bit %d, to %d) = %d at %d, want %d", c, off, b, limit, got, bw.i, want)
+					}
+				}
+			}
+			// Stop on count: the walk ends just past the need-th occurrence.
+			for _, need := range []int{1, 2, 5} {
+				bw := startWalk(c, off)
+				for seen := 0; seen+need <= bits.OnesCount64(word); seen += need {
+					if got := bw.run(b, need, blockBits); got != need {
+						t.Fatalf("class %d offset %d: run(bit %d, need %d) = %d", c, off, b, need, got)
+					}
+					if want := bitvec.Select64(word, seen+need-1) + 1; bw.i != want {
+						t.Fatalf("class %d offset %d: run(bit %d) stopped at %d, want %d", c, off, b, bw.i, want)
+					}
+				}
+			}
+		}
+	}
+	blocksOfEveryClass(r, func(w uint64) { check(encodeBlock(w)) })
+	for c := 1; c < blockBits; c++ {
+		widest := uint64(1)<<uint(offsetWidth[c]) - 1
+		check(c, choose[c][blockBits])
+		check(c, widest)
+	}
+}
+
+// TestIterRankAndSeek checks the cursor's running Rank1 and its Seek —
+// on in the walked block, across blocks and superblocks, backwards, and
+// to the end — against the plain vector.
+func TestIterRankAndSeek(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	for _, p := range []float64{0, 0.001, 0.5, 1} {
+		const n = 3*superBits + 100
+		v, plain := buildBoth(r, n, p)
+		it := v.Iter(0)
+		for pos := 0; pos < n; pos++ {
+			if it.Pos() != pos || it.Rank1() != plain.Rank1(pos) {
+				t.Fatalf("p=%v: at %d cursor says pos %d rank %d, want rank %d", p, pos, it.Pos(), it.Rank1(), plain.Rank1(pos))
+			}
+			it.Next()
+		}
+		if it.Rank1() != plain.Ones() {
+			t.Fatalf("p=%v: final rank %d, want %d", p, it.Rank1(), plain.Ones())
+		}
+		targets := []int{0, 5, 6, 62, 63, 64, 200, 199, superBits - 1, superBits, 2*superBits + 17, 3, n - 1, n, 0, n}
+		for i := 0; i < 200; i++ {
+			targets = append(targets, r.Intn(n+1))
+		}
+		for _, pos := range targets {
+			it.Seek(pos)
+			if it.Pos() != pos || it.Rank1() != plain.Rank1(pos) {
+				t.Fatalf("p=%v: Seek(%d) gives pos %d rank %d, want rank %d", p, pos, it.Pos(), it.Rank1(), plain.Rank1(pos))
+			}
+			if pos < n {
+				if got := it.Next(); got != plain.Access(pos) {
+					t.Fatalf("p=%v: bit %d after Seek = %d", p, pos, got)
+				}
+			} else if it.Valid() {
+				t.Fatalf("p=%v: cursor at the end is Valid", p)
+			}
+		}
+	}
+}
+
+// TestSelectorMatchesSelect drives the monotone selector against
+// Select1/Select0 at densities 0, 10⁻³, 0.5 and 1, with index series that
+// advance inside a block, across blocks, across superblocks (past
+// selectorNear, so through the sampled fallback) and finish on the last
+// valid bit — then steps backwards, which it must also answer.
+func TestSelectorMatchesSelect(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	const n = 120*superBits + 29
+	for _, p := range []float64{0, 0.001, 0.5, 1} {
+		v, plain := buildBoth(r, n, p)
+		for b := byte(0); b <= 1; b++ {
+			total := plain.Ones()
+			if b == 0 {
+				total = n - total
+			}
+			if total == 0 {
+				continue
+			}
+			per := float64(total) / float64(n) // occurrences per bit
+			strides := map[string]int{
+				"every":       1,
+				"in-block":    max(1, int(5*per)),
+				"next-block":  max(1, int(70*per)),
+				"near-blocks": max(1, int(10*blockBits*per)),
+				"superblocks": max(1, int(3*superBits*per)),
+			}
+			for name, stride := range strides {
+				s := v.Selector(b)
+				check := func(idx int) {
+					if got, want := s.Select(idx, 0, n), plain.Select(b, idx); got != want {
+						t.Fatalf("p=%v bit %d %s: Select(%d) = %d, want %d", p, b, name, idx, got, want)
+					}
+				}
+				for idx := 0; idx < total; idx += stride {
+					check(idx)
+					if tail := total - 4*blockBits; stride == 1 && idx == 4*superBits && idx < tail {
+						idx = tail // bit by bit, both ends are enough
+					}
+				}
+				check(total - 1)
+				check(total - 1)
+				check(total / 2)
+				check(0)
+			}
+			// Random increasing runs confined to a window, as a trie node's
+			// segment confines them.
+			for trial := 0; trial < 20; trial++ {
+				lo := r.Intn(total)
+				hi := min(total, lo+1+r.Intn(4*superBits))
+				from, to := plain.Select(b, lo), plain.Select(b, hi-1)+1
+				s := v.Selector(b)
+				for idx := lo; idx < hi; idx += 1 + r.Intn(1+(hi-lo)/8) {
+					if got, want := s.Select(idx, from, to), plain.Select(b, idx); got != want {
+						t.Fatalf("p=%v bit %d window [%d,%d): Select(%d) = %d, want %d", p, b, from, to, idx, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -21,7 +21,9 @@ type Snap interface {
 	CountPrefix(p string) int
 	SelectPrefix(p string, idx int) (int, bool)
 	Iterate(l, r int, fn func(pos int, s string) bool)
-	IteratePrefix(p string, from int, fn func(idx, pos int) bool)
+	// ScanPrefix streams the prefix's matches — index, position, value —
+	// from match offset from, off one cursor per generation.
+	ScanPrefix(p string, from int, fn func(idx, pos int, v string) bool)
 	Fingerprint() uint64
 	// ContentFingerprint hashes the visible values themselves — and, when
 	// a schema is pinned, every payload cell — so two different stores (a
@@ -38,9 +40,9 @@ type Snap interface {
 	Row(pos int) store.Row
 	// CountWhere counts positions matching prefix ∩ numeric predicates.
 	CountWhere(prefix string, preds ...store.Pred) (int, error)
-	// IterateWhere streams matching positions in position order starting
-	// at match offset from.
-	IterateWhere(prefix string, from int, preds []store.Pred, fn func(idx, pos int) bool) error
+	// ScanWhere streams the matches of prefix ∩ predicates — index,
+	// position, value — in position order from match offset from.
+	ScanWhere(prefix string, from int, preds []store.Pred, fn func(idx, pos int, v string) bool) error
 }
 
 // Backend is the store surface the server drives — satisfied by

@@ -195,22 +195,15 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		if n <= 0 || n > s.opts.MaxIterBatch {
-			n = s.opts.MaxIterBatch
-		}
 		sn := s.b.Snap()
-		positions := make([]int, 0, min(n, 64))
-		vals := make([]string, 0, min(n, 64))
-		done := true
-		sn.IteratePrefix(p, from, func(_, pos int) bool {
-			if len(vals) >= n {
-				done = false
-				return false
-			}
-			positions = append(positions, pos)
-			vals = append(vals, sn.Access(pos))
-			return true
+		page, done := s.scanPage(sn, n, false, func(fn func(idx, pos int, v string) bool) {
+			sn.ScanPrefix(p, from, fn)
 		})
+		positions := make([]int, len(page))
+		vals := make([]string, len(page))
+		for i, m := range page {
+			positions[i], vals[i] = m.pos, m.val
+		}
 		writeJSON(w, map[string]any{"from": from, "positions": positions, "values": vals, "done": done})
 	}))
 	mux.HandleFunc("/v1/row", s.guard(func(w http.ResponseWriter, r *http.Request) {

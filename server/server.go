@@ -540,11 +540,9 @@ func (s *Server) iterate(w *wire.Writer, req Request) error {
 	if n := cur.snap.Len(); end > n {
 		end = n
 	}
-	// Bound the batch by bytes as well as by count: large values could
-	// otherwise encode past MaxFrame and kill the connection instead of
-	// answering. At least one value is always sent, so progress holds
-	// (a single value is itself frame-capped on the append path).
-	const iterByteBudget = 4 << 20
+	// At least one value is always sent whatever the byte budget, so
+	// progress holds (a single value is itself frame-capped on the append
+	// path).
 	vals := make([]string, 0, end-cur.next)
 	bytes := 0
 	if cur.next < end {
@@ -581,99 +579,95 @@ func (s *Server) iterate(w *wire.Writer, req Request) error {
 	return nil
 }
 
-// iteratePrefix serves one OpIteratePrefix batch: positions (and
-// values) of elements with the requested prefix, starting at the Pos-th
-// match. Unlike OpIterate there is no cursor lease: the sequence is
-// append-only, so a match index permanently names the same element and
-// the client resumes statelessly by echoing the next index — the store
-// seeks to it through the router's frozen prefix sums rather than
-// replaying the stream.
-func (s *Server) iteratePrefix(w *wire.Writer, req Request) {
-	maxVals := req.Max
-	if maxVals <= 0 || maxVals > s.opts.MaxIterBatch {
-		maxVals = s.opts.MaxIterBatch
+// pageMatch is one element of a stateless scan page.
+type pageMatch struct {
+	pos int
+	val string
+	row store.Row
+}
+
+// iterByteBudget bounds a streamed batch by bytes as well as by count:
+// large values could otherwise encode past MaxFrame and kill the
+// connection instead of answering.
+const iterByteBudget = 4 << 20
+
+// scanPage collects one page of a value-carrying scan: up to max matches
+// (capped by MaxIterBatch) within the byte budget, and at least one when
+// any exists, so a resuming client always makes progress. With rows, each
+// match's payload row is fetched and counted against the budget. done
+// reports that the stream ended inside the page.
+func (s *Server) scanPage(sn Snap, max int, rows bool, scan func(fn func(idx, pos int, v string) bool)) (page []pageMatch, done bool) {
+	if max <= 0 || max > s.opts.MaxIterBatch {
+		max = s.opts.MaxIterBatch
 	}
-	sn := s.b.Snap()
-	// Same byte bound as iterate: stop before the frame could overflow.
-	const iterByteBudget = 4 << 20
-	type match struct {
-		pos int
-		val string
-	}
-	matches := make([]match, 0, min(maxVals, 64))
+	page = make([]pageMatch, 0, min(max, 64))
 	bytes, done := 0, true
-	sn.IteratePrefix(req.Value, req.Pos, func(_, pos int) bool {
-		if len(matches) >= maxVals || bytes >= iterByteBudget {
-			done = false // more matches exist past the batch
+	scan(func(_, pos int, v string) bool {
+		if len(page) >= max || bytes >= iterByteBudget {
+			done = false // more matches exist past the page
 			return false
 		}
-		v := sn.Access(pos)
-		matches = append(matches, match{pos, v})
-		bytes += len(v) + 18 // value plus worst-case position + prefix
+		m := pageMatch{pos: pos, val: v}
+		bytes += len(v) + 18 // value plus worst-case position + length prefix
+		if rows {
+			m.row = sn.Row(pos)
+			for _, c := range m.row {
+				bytes += len(c.Blob()) + 10
+			}
+		}
+		page = append(page, m)
 		return true
 	})
+	return page, done
+}
+
+// writePage encodes a scan page: done flag, the echoed match offset, then
+// each match's position, value and — with rows — payload row.
+func writePage(w *wire.Writer, from int, page []pageMatch, done, rows bool) {
 	if done {
 		w.Byte(1)
 	} else {
 		w.Byte(0)
 	}
-	w.Uvarint(uint64(req.Pos))
-	w.Uvarint(uint64(len(matches)))
-	for _, m := range matches {
+	w.Uvarint(uint64(from))
+	w.Uvarint(uint64(len(page)))
+	for _, m := range page {
 		w.Uvarint(uint64(m.pos))
 		w.Str(m.val)
+		if rows {
+			encodeRow(w, m.row)
+		}
 	}
+}
+
+// iteratePrefix serves one OpIteratePrefix batch: positions and values
+// of elements with the requested prefix, starting at the Pos-th match.
+// Unlike OpIterate there is no cursor lease: the sequence is
+// append-only, so a match index permanently names the same element and
+// the client resumes statelessly by echoing the next index — the store
+// seeks to it by rank arithmetic rather than replaying the stream.
+func (s *Server) iteratePrefix(w *wire.Writer, req Request) {
+	sn := s.b.Snap()
+	page, done := s.scanPage(sn, req.Max, false, func(fn func(idx, pos int, v string) bool) {
+		sn.ScanPrefix(req.Value, req.Pos, fn)
+	})
+	writePage(w, req.Pos, page, done, false)
 }
 
 // scanWhere serves one OpScanWhere batch: positions, values and
 // payload rows of elements matching the prefix and every numeric
 // predicate, starting at the Pos-th match. Pagination is stateless like
-// iteratePrefix — the sequence is append-only, so a match index
-// permanently names the same element and the client resumes by echoing
-// the next index.
+// iteratePrefix.
 func (s *Server) scanWhere(w *wire.Writer, req Request) error {
-	maxVals := req.Max
-	if maxVals <= 0 || maxVals > s.opts.MaxIterBatch {
-		maxVals = s.opts.MaxIterBatch
-	}
 	sn := s.b.Snap()
-	const iterByteBudget = 4 << 20
-	type match struct {
-		pos int
-		val string
-		row store.Row
-	}
-	matches := make([]match, 0, min(maxVals, 64))
-	bytes, done := 0, true
-	err := sn.IterateWhere(req.Value, req.Pos, req.Preds, func(_, pos int) bool {
-		if len(matches) >= maxVals || bytes >= iterByteBudget {
-			done = false // more matches exist past the batch
-			return false
-		}
-		v := sn.Access(pos)
-		row := sn.Row(pos)
-		matches = append(matches, match{pos, v, row})
-		bytes += len(v) + 18
-		for _, c := range row {
-			bytes += len(c.Blob()) + 10
-		}
-		return true
+	var err error
+	page, done := s.scanPage(sn, req.Max, true, func(fn func(idx, pos int, v string) bool) {
+		err = sn.ScanWhere(req.Value, req.Pos, req.Preds, fn)
 	})
 	if err != nil {
 		return err
 	}
-	if done {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
-	w.Uvarint(uint64(req.Pos))
-	w.Uvarint(uint64(len(matches)))
-	for _, m := range matches {
-		w.Uvarint(uint64(m.pos))
-		w.Str(m.val)
-		encodeRow(w, m.row)
-	}
+	writePage(w, req.Pos, page, done, true)
 	return nil
 }
 

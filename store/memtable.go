@@ -247,6 +247,37 @@ func (v memView) sel(k *probe, idx int) (int, bool) {
 	return v.m.trie.Select(k.key, idx)
 }
 
+// scan streams the view's matches of the prefix probe k from the from-th
+// on. Positions are extracted in batches, each under one read-lock
+// acquisition with the view's match count taken once; fn runs between
+// batches with no lock held, and val is a point read under its own. The
+// batch doubles from a few matches, so a consumer that stops early has
+// not paid for a long one. It returns the view's match count.
+func (v memView) scan(k *probe, from int, fn func(j, pos int, val func() string) bool) (count int) {
+	cur := 0
+	val := func() string { return v.Access(cur) }
+	var buf []int
+	for batch := 8; ; batch = min(2*batch, 512) {
+		buf = buf[:0]
+		v.m.mu.RLock()
+		count = v.rankLocked(k, v.n)
+		for j := from; j < min(from+batch, count); j++ {
+			pos, _ := v.m.trie.SelectPrefix(k.key, j)
+			buf = append(buf, pos)
+		}
+		v.m.mu.RUnlock()
+		for i, pos := range buf {
+			if cur = pos; !fn(from+i, pos, val) {
+				return count
+			}
+		}
+		if len(buf) < batch {
+			return count
+		}
+		from += batch
+	}
+}
+
 // Iterate streams the elements of positions [l, r) of the view in
 // order, through the trie's slice-free enumerator. The walk is chunked:
 // the read lock is held only while a bounded batch is extracted, never

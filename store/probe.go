@@ -60,3 +60,7 @@ func (f frozenSeg) sel(k *probe, idx int) (int, bool) {
 	}
 	return f.t.SelectBits(k.bits, idx)
 }
+
+func (f frozenSeg) scan(k *probe, from int, fn func(j, pos int, val func() string) bool) int {
+	return f.EnumeratePrefix(k.key, from, fn)
+}

@@ -222,53 +222,103 @@ func (sn *ShardedSnapshot) seekPrefix(k *probe, idx int) (j []int, before int) {
 	return j, before
 }
 
-// prefixHead returns the global position of shard s's j-th local prefix
-// match, or -1 when the shard has no more matches in this snapshot.
-func (sn *ShardedSnapshot) prefixHead(k *probe, s, j int) int {
-	local, ok := sn.shards[s].sel(k, j)
-	if !ok {
-		return -1
-	}
-	return sn.r.selectShard(s, local)
+// shardStream is one shard's side of the prefix merge: the shard's own
+// prefix cursor (Snapshot.scan), pulled a batch at a time into buf, with
+// local positions already mapped to global ones. keep, when non-nil,
+// drops a candidate before it is buffered; vals says whether values are
+// wanted at all. Batches double from a page's worth, so a merge that
+// stops after one page has not enumerated a shard far past it.
+type shardStream struct {
+	next  int // local match index the next refill starts at
+	batch int
+	buf   []shardMatch
+	i     int  // buf[i] is the stream's head
+	more  bool // the last refill stopped on a full batch
 }
 
-// IteratePrefix streams the global positions of elements with byte
-// prefix p, in ascending order, starting from the from-th (0-based)
-// match; fn receives the match index and global position and returns
-// false to stop. The walk is a k-way merge over per-shard prefix-match
-// position streams: each shard contributes its next local match through
-// SelectPrefix, the router's selectShard maps it to a global position,
-// and the smallest head wins each round — so a stream of m matches
-// costs O(m) shard selects instead of m global binary searches, and the
-// from offset is skipped by seekPrefix's exact seek rather than
-// replayed. It panics if from is negative.
-func (sn *ShardedSnapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	if from < 0 {
-		panic(fmt.Sprintf("store: IteratePrefix from %d negative", from))
-	}
-	k := newProbe(p, true)
-	j, idx := sn.seekPrefix(k, from)
-	heads := make([]int, len(sn.shards))
-	for s := range heads {
-		heads[s] = sn.prefixHead(k, s, j[s])
+type shardMatch struct {
+	pos int // global
+	val string
+}
+
+// refill pulls shard s's next batch of matches.
+func (sn *ShardedSnapshot) refill(st *shardStream, k *probe, s int, keep func(s, local int) bool, vals bool) {
+	st.buf, st.i, st.more = st.buf[:0], 0, false
+	st.batch = min(max(2*st.batch, 32), 1024)
+	sn.shards[s].scan(k, st.next, func(j, local int, val func() string) bool {
+		st.next = j + 1
+		if keep != nil && !keep(s, local) {
+			return true
+		}
+		m := shardMatch{pos: sn.r.selectShard(s, local)}
+		if vals {
+			m.val = val()
+		}
+		st.buf = append(st.buf, m)
+		st.more = len(st.buf) == st.batch
+		return !st.more
+	})
+}
+
+// merge is the k-way merge behind every sharded prefix enumeration: each
+// shard streams its local matches from index j[s] on, the router's
+// selectShard maps them to global positions, and the smallest head wins
+// each round. fn returns false to stop.
+func (sn *ShardedSnapshot) merge(k *probe, j []int, keep func(s, local int) bool, vals bool, fn func(pos int, val string) bool) {
+	streams := make([]shardStream, len(sn.shards))
+	for s := range streams {
+		streams[s].next = j[s]
+		sn.refill(&streams[s], k, s, keep, vals)
 	}
 	for {
 		best := -1
-		for s, h := range heads {
-			if h >= 0 && (best < 0 || h < heads[best]) {
+		for s := range streams {
+			if st := &streams[s]; st.i < len(st.buf) && (best < 0 || st.buf[st.i].pos < streams[best].buf[streams[best].i].pos) {
 				best = s
 			}
 		}
 		if best < 0 {
 			return
 		}
-		if idx >= from && !fn(idx, heads[best]) {
+		st := &streams[best]
+		if !fn(st.buf[st.i].pos, st.buf[st.i].val) {
 			return
 		}
-		idx++
-		j[best]++
-		heads[best] = sn.prefixHead(k, best, j[best])
+		if st.i++; st.i == len(st.buf) && st.more {
+			sn.refill(st, k, best, keep, vals)
+		}
 	}
+}
+
+// IteratePrefix streams the global positions of elements with byte
+// prefix p, in ascending order, starting from the from-th (0-based)
+// match; fn receives the match index and global position and returns
+// false to stop. The walk is a k-way merge over per-shard streams: each
+// shard runs its own prefix cursor from the local index seekPrefix
+// derived, in batches, so a stream of m matches costs m monotone cursor
+// steps and router selects — no shard select or descent per match — and
+// the from offset is skipped by the exact seek rather than replayed. It
+// panics if from is negative.
+func (sn *ShardedSnapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
+	sn.scanPrefix(p, from, false, func(idx, pos int, _ string) bool { return fn(idx, pos) })
+}
+
+// ScanPrefix is IteratePrefix that also hands fn each match's value,
+// streamed from the shards' cursors.
+func (sn *ShardedSnapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v string) bool) {
+	sn.scanPrefix(p, from, true, fn)
+}
+
+func (sn *ShardedSnapshot) scanPrefix(p string, from int, vals bool, fn func(idx, pos int, v string) bool) {
+	if from < 0 {
+		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
+	}
+	k := newProbe(p, true)
+	j, idx := sn.seekPrefix(k, from)
+	sn.merge(k, j, nil, vals, func(pos int, v string) bool {
+		idx++
+		return fn(idx-1, pos, v)
+	})
 }
 
 // Schema returns the shards' shared column schema (nil when the store
@@ -316,11 +366,21 @@ func (sn *ShardedSnapshot) CountWhere(prefix string, preds ...Pred) (int, error)
 
 // IterateWhere streams the global positions matching prefix AND preds
 // in ascending order from the from-th (0-based) match; fn receives the
-// match index and global position and returns false to stop. Prefix
-// candidates come from the k-way prefix merge; each is tested against
-// the predicates on its owning shard. See Snapshot.IterateWhere for the
-// from-resume cost caveat.
+// match index and global position and returns false to stop. With a
+// prefix, every shard tests its own prefix candidates against the
+// predicates and the k-way merge interleaves the survivors. See
+// Snapshot.IterateWhere for the from-resume cost caveat.
 func (sn *ShardedSnapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
+	return sn.where(prefix, from, preds, false, func(idx, pos int, _ string) bool { return fn(idx, pos) })
+}
+
+// ScanWhere is IterateWhere that also hands fn each match's value; see
+// Snapshot.ScanWhere.
+func (sn *ShardedSnapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v string) bool) error {
+	return sn.where(prefix, from, preds, true, fn)
+}
+
+func (sn *ShardedSnapshot) where(prefix string, from int, preds []Pred, vals bool, fn func(idx, pos int, v string) bool) error {
 	if from < 0 {
 		return fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
@@ -328,29 +388,39 @@ func (sn *ShardedSnapshot) IterateWhere(prefix string, from int, preds []Pred, f
 		return err
 	}
 	if len(preds) == 0 && prefix != "" {
-		sn.IteratePrefix(prefix, from, fn)
+		sn.scanPrefix(prefix, from, vals, fn)
 		return nil
 	}
+	keep := func(s, local int) bool { return sn.shards[s].matchAt(local, preds) }
 	idx := 0
-	emit := func(pos int) bool {
-		s, local := sn.r.locate(uint64(pos))
-		if sn.shards[s].matchAt(local, preds) {
-			if idx >= from && !fn(idx, pos) {
-				return false
+	if prefix == "" {
+		// No prefix node to stream from: a surviving position's value is
+		// a point read on its shard.
+		for pos := 0; pos < sn.n; pos++ {
+			s, local := sn.r.locate(uint64(pos))
+			if !keep(s, local) {
+				continue
+			}
+			if idx >= from {
+				v := ""
+				if vals {
+					v = sn.shards[s].Access(local)
+				}
+				if !fn(idx, pos, v) {
+					break
+				}
 			}
 			idx++
 		}
-		return true
-	}
-	if prefix == "" {
-		for pos := 0; pos < sn.n; pos++ {
-			if !emit(pos) {
-				break
-			}
-		}
 		return nil
 	}
-	sn.IteratePrefix(prefix, 0, func(_, pos int) bool { return emit(pos) })
+	// Survivors before from are merged past, not sought: their values
+	// are wanted only once idx reaches it, which the streams cannot know,
+	// so a deep from pays for them (the caveat IterateWhere documents).
+	sn.merge(newProbe(prefix, true), make([]int, len(sn.shards)), keep, vals, func(pos int, v string) bool {
+		idx++
+		return idx <= from || fn(idx-1, pos, v)
+	})
 	return nil
 }
 

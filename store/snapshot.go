@@ -18,6 +18,13 @@ type segment interface {
 	rank(k *probe, pos int) int
 	// sel returns the position of k's idx-th (0-based) match.
 	sel(k *probe, idx int) (int, bool)
+	// scan streams the matches of the prefix probe k in position order,
+	// from the from-th (0-based) on: fn receives the match index, its
+	// position and val, which returns the match's value when called and
+	// is valid only during that call; fn returns false to stop. fn and
+	// val run with no lock held. It returns k's match count in the
+	// segment, which finding the matches finds anyway.
+	scan(k *probe, from int, fn func(j, pos int, val func() string) bool) int
 	Iterate(l, r int, fn func(pos int, s string) bool)
 	Height() int
 	SizeBits() int
@@ -280,32 +287,50 @@ func (sn *Snapshot) sel(k *probe, idx int) (int, bool) {
 // Segments are concatenated in position order, so the walk visits each
 // segment's matches in turn, skipping generations whose filters rule
 // the prefix out and fast-forwarding whole segments below the from
-// offset by their match counts. It panics if from is negative.
+// offset by their match counts; inside a generation the matches come
+// from one streaming prefix cursor, not a descent per match. fn runs
+// with no lock held. It panics if from is negative.
 func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
+	sn.scan(newProbe(p, true), from, func(idx, pos int, _ func() string) bool { return fn(idx, pos) })
+}
+
+// ScanPrefix is IteratePrefix that also hands fn each match's value,
+// streamed from the same cursor — no Access per match.
+func (sn *Snapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v string) bool) {
+	sn.scan(newProbe(p, true), from, func(idx, pos int, val func() string) bool { return fn(idx, pos, val()) })
+}
+
+// scan is the one prefix enumeration: the matches of the prefix probe k
+// from the from-th on, as (global match index, position, value on
+// demand).
+func (sn *Snapshot) scan(k *probe, from int, fn func(idx, pos int, val func() string) bool) {
 	if from < 0 {
-		panic(fmt.Sprintf("store: IteratePrefix from %d negative", from))
+		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
 	}
-	k := newProbe(p, true)
-	idx := 0
+	// One closure serves every segment: base and off re-point it.
+	base, off, stopped := 0, 0, false
+	each := func(j, pos int, val func() string) bool {
+		stopped = !fn(base+j, off+pos, val)
+		return !stopped
+	}
 	for i, seg := range sn.segs {
 		if !seg.filter.mayContain(k) {
 			continue
 		}
-		c := seg.rank(k, seg.Len())
-		if from >= idx+c {
-			idx += c
-			continue
-		}
-		for j := max(0, from-idx); j < c; j++ {
-			pos, ok := seg.sel(k, j)
-			if !ok {
-				return
-			}
-			if !fn(idx+j, sn.offs[i]+pos) {
-				return
+		if from > base {
+			// Still seeking: a segment wholly below from is skipped by
+			// its count alone.
+			if c := seg.rank(k, seg.Len()); from >= base+c {
+				base += c
+				continue
 			}
 		}
-		idx += c
+		off = sn.offs[i]
+		c := seg.scan(k, max(0, from-base), each)
+		if stopped {
+			return
+		}
+		base += c
 	}
 }
 
@@ -466,7 +491,7 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 		}
 		return count, nil
 	}
-	sn.IteratePrefix(prefix, 0, func(_, pos int) bool {
+	sn.scan(newProbe(prefix, true), 0, func(_, pos int, _ func() string) bool {
 		if sn.matchAt(pos, preds) {
 			count++
 		}
@@ -504,6 +529,18 @@ func (sn *Snapshot) countPred(p Pred) int {
 // arithmetic (the predicate intersection has no precomputed counts), so
 // resuming at from costs a walk over the earlier matches' candidates.
 func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
+	return sn.where(prefix, from, preds, func(idx, pos int, _ func() string) bool { return fn(idx, pos) })
+}
+
+// ScanWhere is IterateWhere that also hands fn each match's value. With
+// a prefix, candidates come from the positions-only prefix cursor and a
+// value is materialized only for a candidate that passed every predicate
+// and lies at or past from.
+func (sn *Snapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v string) bool) error {
+	return sn.where(prefix, from, preds, func(idx, pos int, val func() string) bool { return fn(idx, pos, val()) })
+}
+
+func (sn *Snapshot) where(prefix string, from int, preds []Pred, fn func(idx, pos int, val func() string) bool) error {
 	if from < 0 {
 		return fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
@@ -511,13 +548,13 @@ func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(
 		return err
 	}
 	if len(preds) == 0 && prefix != "" {
-		sn.IteratePrefix(prefix, from, fn)
+		sn.scan(newProbe(prefix, true), from, fn)
 		return nil
 	}
 	idx := 0
-	emit := func(pos int) bool {
+	emit := func(pos int, val func() string) bool {
 		if sn.matchAt(pos, preds) {
-			if idx >= from && !fn(idx, pos) {
+			if idx >= from && !fn(idx, pos, val) {
 				return false
 			}
 			idx++
@@ -525,14 +562,15 @@ func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(
 		return true
 	}
 	if prefix == "" {
-		for pos := 0; pos < sn.Len(); pos++ {
-			if !emit(pos) {
-				break
-			}
+		// No prefix node to stream from: a surviving position's value is
+		// a point read.
+		pos := 0
+		val := func() string { return sn.Access(pos) }
+		for ; pos < sn.Len() && emit(pos, val); pos++ {
 		}
 		return nil
 	}
-	sn.IteratePrefix(prefix, 0, func(_, pos int) bool { return emit(pos) })
+	sn.scan(newProbe(prefix, true), 0, func(_, pos int, val func() string) bool { return emit(pos, val) })
 	return nil
 }
 
@@ -587,6 +625,15 @@ func (c clampSeg) sel(k *probe, idx int) (int, bool) {
 		return 0, false
 	}
 	return c.segment.sel(k, idx)
+}
+
+// scan streams k's matches within the clamped prefix: positions ascend,
+// so the first one at or past the bound ends the stream.
+func (c clampSeg) scan(k *probe, from int, fn func(j, pos int, val func() string) bool) int {
+	c.segment.scan(k, from, func(j, pos int, val func() string) bool {
+		return pos < c.n && fn(j, pos, val)
+	})
+	return c.rank(k, c.n)
 }
 
 // Iterate streams [l, r) within the clamped prefix.
