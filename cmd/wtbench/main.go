@@ -12,8 +12,9 @@
 //	wtbench -json               # machine-readable suite + config (BENCH_*.json)
 //
 // Experiments: figs, t1a, t1b, t2a, t2b, t2c, t3a, t3b, t4, t5, t6, q5,
-// cmp, abl, ser, store, compact, freeze, shard, serve, repl, obs, router,
-// column.
+// cmp, abl, ser, store, compact, freeze, shard, router, column. The
+// served stack (server, replication, observability overhead) is measured
+// by bench/ (go run -C bench . -workload all -trace 1).
 package main
 
 import (
@@ -50,9 +51,6 @@ var experiments = []experiment{
 	{"compact", "Two-phase compaction: streaming merge throughput, Flush latency under merge", runCOMPACT},
 	{"freeze", "Streaming freeze: builder vs materialize+NewStatic peak memory, mmap vs heap Open", runFREEZE},
 	{"shard", "Sharded store: multi-writer append scaling, busy-reader latency, recovery", runSHARD},
-	{"serve", "Network server: group-commit ingest vs naive, cached point reads", runSERVE},
-	{"repl", "Replication: follower catch-up, steady-state lag, follower read latency", runREPL},
-	{"obs", "Observability: serve-grid overhead of live metrics/tracing (target <= 3%)", runOBS},
 	{"router", "Frozen wavelet-tree router: succinct bits/elem, frozen vs tail reads, k-way SelectPrefix", runROUTER},
 	{"column", "Columnar attachments: payload ingest overhead, predicate pushdown vs scan-and-filter, row reads", runCOLUMN},
 }

@@ -155,9 +155,6 @@ type benchConfig struct {
 	GOMAXPROCS   int               `json:"gomaxprocs"`
 	NumCPU       int               `json:"num_cpu"`
 	Shard        shardBenchConfig  `json:"shard"`
-	Serve        serveBenchConfig  `json:"serve"`
-	Repl         replBenchConfig   `json:"repl"`
-	Obs          obsBenchConfig    `json:"obs"`
 	Router       routerBenchConfig `json:"router"`
 	Column       columnBenchConfig `json:"column"`
 }
@@ -166,15 +163,13 @@ type benchConfig struct {
 // config block, the per-variant build/query/serialize records, and the
 // log-structured store, compaction and sharding experiments.
 func emitJSON(quick bool) {
-	cfg := benchConfig{Quick: quick, SerVariants: serVariants, Shard: shardConfig(quick), Serve: serveConfig(quick),
-		Repl: replConfig(quick), Obs: obsConfig(quick), Router: routerConfig(quick),
-		Column:     columnConfig(quick),
+	cfg := benchConfig{Quick: quick, SerVariants: serVariants, Shard: shardConfig(quick),
+		Router: routerConfig(quick), Column: columnConfig(quick),
 		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 	cfg.SerSizes, cfg.SerIters = serConfig(quick)
 	cfg.StoreSizes, cfg.StoreIters = storeConfig(quick)
 	cfg.CompactSizes, cfg.CompactBatch = compactConfig(quick)
 	cfg.FreezeSizes, cfg.FreezeBatch = freezeConfig(quick)
-	obsRecs, obsSum := obsBenchRecords(quick)
 	out := struct {
 		Suite          string               `json:"suite"`
 		Quick          bool                 `json:"quick"`
@@ -184,18 +179,12 @@ func emitJSON(quick bool) {
 		CompactRecords []compactBenchRecord `json:"compact_records"`
 		FreezeRecords  []freezeBenchRecord  `json:"freeze_records"`
 		ShardRecords   []shardBenchRecord   `json:"shard_records"`
-		ServeRecords   []serveBenchRecord   `json:"serve_records"`
-		ReplRecords    []replBenchRecord    `json:"repl_records"`
-		ObsRecords     []obsBenchRecord     `json:"obs_records"`
-		ObsSummary     obsBenchSummary      `json:"obs_summary"`
 		RouterRecords  []routerBenchRecord  `json:"router_records"`
 		ColumnRecords  []columnBenchRecord  `json:"column_records"`
 	}{Suite: "wavelettrie-serialize", Quick: quick, Config: cfg,
 		Records: serRecords(quick), StoreRecords: storeBenchRecords(quick),
 		CompactRecords: compactBenchRecords(quick), FreezeRecords: freezeBenchRecords(quick),
-		ShardRecords: shardBenchRecords(quick), ServeRecords: serveBenchRecords(quick),
-		ReplRecords: replBenchRecords(quick),
-		ObsRecords:  obsRecs, ObsSummary: obsSum, RouterRecords: routerBenchRecords(quick),
+		ShardRecords: shardBenchRecords(quick), RouterRecords: routerBenchRecords(quick),
 		ColumnRecords: columnBenchRecords(quick)}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

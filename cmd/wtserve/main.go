@@ -1,9 +1,9 @@
 // Command wtserve serves a durable Wavelet Trie store (plain or
 // sharded) over the network: the compact binary protocol on -listen
 // and an HTTP/JSON gateway on -http. The gateway carries the
-// observability surface: /healthz, Prometheus text on /metrics,
-// legacy expvar JSON on /debug/vars, pprof profiles under
-// /debug/pprof/, and the event-tracer ring as JSON on /debug/trace.
+// observability surface: /healthz, Prometheus text on /metrics, pprof
+// profiles under /debug/pprof/, and the event-tracer ring as JSON on
+// /debug/trace.
 // Concurrent client appends are group-committed — coalesced into one
 // lock acquisition, one WAL write and at most one fsync per batch —
 // reads are served from pinned snapshots through a fingerprint-keyed
@@ -32,7 +32,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -58,13 +57,11 @@ func main() {
 	maxConns := flag.Int("max-conns", 256, "concurrent connection cap (backpressure beyond it)")
 	maxBatch := flag.Int("max-batch", 1024, "max values per group commit")
 	noGroupCommit := flag.Bool("no-group-commit", false, "commit every append individually (benchmark baseline)")
-	cursorTTL := flag.Duration("cursor-ttl", 30*time.Second, "idle lease on iterate cursors")
 	slowOp := flag.Duration("slow-op", 0, "log binary-protocol ops slower than this (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	follow := flag.String("follow", "", "run as a read-only replication follower of this primary address")
 	followerID := flag.String("follower-id", "", "follower identity in the primary's watermark book (default host-pid)")
 	replHeartbeat := flag.Duration("repl-heartbeat", 2*time.Second, "replication heartbeat cadence")
-	replRetain := flag.Int64("repl-retain", 64<<20, "WAL bytes retained for replication catch-up (negative disables retention)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -82,12 +79,9 @@ func main() {
 		CacheEntries:       *cacheEntries,
 		DisableGroupCommit: *noGroupCommit,
 		MaxBatch:           *maxBatch,
-		CursorTTL:          *cursorTTL,
 		SlowOp:             *slowOp,
 		ReplHeartbeat:      *replHeartbeat,
-		ReplRetainBytes:    *replRetain,
 	})
-	expvar.Publish("wtserve", expvar.Func(func() any { return srv.Metrics().Snapshot() }))
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {

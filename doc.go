@@ -87,7 +87,7 @@
 // either store on the network: a compact binary protocol and an
 // HTTP/JSON gateway, group-committed appends (concurrent clients
 // coalesce into one WAL write and at most one fsync per batch),
-// pinned-snapshot reads with leased iteration cursors, and a result
+// pinned-snapshot reads with scans that resume by position, and a result
 // cache keyed by snapshot fingerprint so invalidation is free. See
 // DESIGN.md §8 for the protocol and drain semantics.
 //

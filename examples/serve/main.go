@@ -2,7 +2,7 @@
 // server in-process over a fresh sharded store, then drives it like a
 // fleet of remote clients would: concurrent batched ingest through the
 // group-commit write path, point queries through the result cache, a
-// pinned-snapshot scan that concurrent appends cannot shift, and a
+// scan that concurrent appends cannot shift, and a
 // graceful drain. The same server is what `wtserve -dir` deploys as a
 // standalone binary (with the HTTP gateway for curl).
 package main
@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/server"
@@ -63,11 +65,11 @@ func main() {
 
 	st, err := c.Stats()
 	check(err)
-	m := srv.Metrics()
+	m := series(c)
 	fmt.Printf("ingested %d events from %d clients\n", st.Len, clients)
-	fmt.Printf("group commit: %d appends in %d commits (%.1f per WAL write)\n\n",
-		m.BatchedAppends.Load(), m.Batches.Load(),
-		float64(m.BatchedAppends.Load())/float64(max(1, m.Batches.Load())))
+	fmt.Printf("group commit: %.0f appends in %.0f commits (%.1f per WAL write)\n\n",
+		m["wt_batcher_commit_values_total"], m["wt_batcher_commits_total"],
+		m["wt_batcher_commit_values_total"]/max(1, m["wt_batcher_commits_total"]))
 
 	// Point queries: the first probe pays the trie walk, repeats hit the
 	// fingerprint-keyed cache until the next write invalidates for free.
@@ -78,14 +80,16 @@ func main() {
 		_, err = c.Count(probe)
 		check(err)
 	}
-	fmt.Printf("Count(%q) = %d  (cache: %d hits / %d misses)\n",
-		probe, n, m.CacheHits.Load(), m.CacheMisses.Load())
+	after := series(c)
+	fmt.Printf("Count(%q) = %d  (cache: %.0f hits / %.0f misses)\n", probe, n,
+		after["wt_cache_hits_total"]-m["wt_cache_hits_total"],
+		after["wt_cache_misses_total"]-m["wt_cache_misses_total"])
 	u2, err := c.CountPrefix("user2/")
 	check(err)
 	fmt.Printf("CountPrefix(\"user2/\") = %d\n\n", u2)
 
-	// A scan pins one snapshot across round trips: the append below is
-	// invisible to it, visible to the next one.
+	// A scan pins the sequence length at its first page: the append below
+	// is invisible to it, visible to the next one.
 	sawDuring := 0
 	check(c.Scan(0, -1, 512, func(pos int, v string) bool {
 		if sawDuring == 0 {
@@ -94,12 +98,28 @@ func main() {
 		sawDuring++
 		return true
 	}))
-	after, err := c.Stats()
+	st, err = c.Stats()
 	check(err)
-	fmt.Printf("scan saw %d events (pinned snapshot); store now holds %d\n", sawDuring, after.Len)
+	fmt.Printf("scan saw %d events (pinned length); store now holds %d\n", sawDuring, st.Len)
 
 	check(srv.Shutdown(context.Background()))
 	fmt.Println("drained cleanly")
+}
+
+// series reads the server's unlabelled counters and gauges over the
+// wire — the same Prometheus text /metrics serves.
+func series(c *server.Client) map[string]float64 {
+	text, err := c.MetricsText()
+	check(err)
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			if f, err := strconv.ParseFloat(val, 64); err == nil {
+				out[name] = f
+			}
+		}
+	}
+	return out
 }
 
 func check(err error) {

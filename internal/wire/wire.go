@@ -111,17 +111,6 @@ type Reader struct {
 	refs bool // zero-copy mode: Words may alias buf
 }
 
-// SniffVersion returns the header version of a serialized object whose
-// magic matches, without consuming anything — for callers that accept
-// several versions and must pick a decode path before NewReader's exact
-// check. ok is false when the buffer is too short or the magic differs.
-func SniffVersion(buf []byte, magic uint32) (version uint16, ok bool) {
-	if len(buf) < 6 || binary.LittleEndian.Uint32(buf) != magic {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint16(buf[4:]), true
-}
-
 // NewReader validates the magic/version header and returns a Reader.
 func NewReader(buf []byte, magic uint32, version uint16) (*Reader, error) {
 	r := &Reader{buf: buf}

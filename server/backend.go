@@ -5,9 +5,8 @@ import (
 )
 
 // Snap is the pinned, immutable read view a request is served from:
-// every read op of a request (and every batch of a cursor, across
-// requests) sees exactly one store state. Both store.Snapshot and
-// store.ShardedSnapshot satisfy it.
+// every read op of a request sees exactly one store state. Both
+// store.Snapshot and store.ShardedSnapshot satisfy it.
 type Snap interface {
 	Len() int
 	AlphabetSize() int
@@ -29,10 +28,6 @@ type Snap interface {
 	// a schema is pinned, every payload cell — so two different stores (a
 	// primary and its follower) can be compared.
 	ContentFingerprint() uint64
-	// MarshalBinary exports the pinned sequence as a loadable Frozen —
-	// the replication bootstrap payload. It carries values only, so the
-	// bootstrap path is gated off when a column schema is pinned.
-	MarshalBinary() ([]byte, error)
 	// Schema is the pinned column schema; nil when the store carries no
 	// columnar attachments.
 	Schema() []store.ColumnSpec
@@ -66,15 +61,6 @@ type Backend interface {
 	// split; the zero value for unsharded backends.
 	Router() store.RouterInfo
 	Snap() Snap
-	// SetWALRetention installs (or, with nil, removes) the WAL
-	// retention policy replication's catch-up floor rides on.
-	SetWALRetention(r *store.WALRetention)
-	// PruneRetainedWALs re-applies the retention policy; the hub calls
-	// it as follower acks advance the floor.
-	PruneRetainedWALs()
-	// RetainedWALs describes the segments currently held back — the
-	// /v1/repl surface.
-	RetainedWALs() []store.RetainedWALInfo
 }
 
 // ForStore adapts a plain store into a server Backend.

@@ -81,10 +81,7 @@ func (s *Server) committer() {
 		smet.groupCommits.Inc()
 		smet.commitValues.Add(int64(len(vals)))
 		smet.batchSize.Observe(int64(len(vals)))
-		s.metrics.Batches.Add(1)
-		s.metrics.BatchedAppends.Add(int64(len(vals)))
 		if len(waiters) > 1 {
-			s.metrics.CoalescedCommits.Add(int64(len(waiters) - 1))
 			smet.coalesced.Add(int64(len(waiters) - 1))
 		}
 		if sp.Active() {
@@ -123,7 +120,6 @@ func (s *Server) submitAppend(vals []string, rows []store.Row) (uint64, error) {
 			}
 		}
 	}
-	s.metrics.Appends.Add(int64(len(vals)))
 	smet.appendValues.Add(int64(len(vals)))
 	if s.opts.DisableGroupCommit {
 		// Still one commitPublish per request — sequence assignment and

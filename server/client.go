@@ -16,7 +16,8 @@ import (
 // connection. All methods are safe for concurrent use (requests are
 // serialized on the connection). Query methods mirror the store's
 // snapshot surface; each call is served from a snapshot the server pins
-// for that request, and Scan pins one snapshot across its whole walk.
+// for that request, and Scan pins one sequence length across its whole
+// walk.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -228,7 +229,7 @@ func (c *Client) WaitFor(seq uint64, timeout time.Duration) (uint64, bool, error
 	}
 	var wm uint64
 	var ok bool
-	err := c.roundTrip(Request{Op: OpReplWait, Cursor: seq, Max: ms}, func(r *wire.Reader) error {
+	err := c.roundTrip(Request{Op: OpReplWait, Seq: seq, Max: ms}, func(r *wire.Reader) error {
 		ok = r.Byte() == 1
 		wm = r.Uvarint()
 		return nil
@@ -351,11 +352,13 @@ func (c *Client) MetricsText() (string, error) {
 }
 
 // Scan streams the elements of positions [start, start+n) in order,
-// calling fn for each; n < 0 streams to the end. The whole walk is
-// served from one snapshot the server pins under a leased cursor, so
-// concurrent appends never shift the view. Returning false from fn
-// stops the scan (the cursor is closed server-side). batch sizes the
-// per-round-trip value count; 0 uses the server's default.
+// calling fn for each; n < 0 streams to the end. The walk covers the
+// sequence as it stood at the first page: that page pins the length,
+// every later one echoes it, and because positions never change under
+// an append-only sequence, concurrent appends, flushes and compactions
+// — even a server restart — never shift the view. The server holds
+// nothing between pages, so returning false from fn just stops. batch
+// sizes the per-round-trip value count; 0 uses the server's default.
 func (c *Client) Scan(start, n, batch int, fn func(pos int, v string) bool) error {
 	if n == 0 {
 		return nil
@@ -374,11 +377,10 @@ func (c *Client) Scan(start, n, batch int, fn func(pos int, v string) bool) erro
 		var done bool
 		var pos int
 		err := c.roundTrip(req, func(r *wire.Reader) error {
-			req.Cursor = r.Uvarint()
+			req.Seq = r.Uvarint()
 			done = r.Byte() == 1
 			pos = int(r.Uvarint())
 			k := r.Len()
-			vals = vals[:0]
 			for i := 0; i < k && r.Err() == nil; i++ {
 				vals = append(vals, r.Str())
 			}
@@ -389,24 +391,21 @@ func (c *Client) Scan(start, n, batch int, fn func(pos int, v string) bool) erro
 		}
 		for i, v := range vals {
 			if !fn(pos+i, v) {
-				if req.Cursor != 0 {
-					return c.roundTrip(Request{Op: OpCursorClose, Cursor: req.Cursor}, nil)
-				}
 				return nil
 			}
-		}
-		if remaining > 0 {
-			remaining -= len(vals)
 		}
 		if done {
 			return nil
 		}
-		if remaining == 0 {
-			if req.Cursor != 0 {
-				return c.roundTrip(Request{Op: OpCursorClose, Cursor: req.Cursor}, nil)
+		if remaining > 0 {
+			if remaining -= len(vals); remaining == 0 {
+				return nil
 			}
-			return nil
 		}
+		if len(vals) == 0 {
+			return nil // defensive: a non-done empty batch must not spin
+		}
+		req.Pos = pos + len(vals)
 	}
 }
 
@@ -417,7 +416,7 @@ func (c *Client) Scan(start, n, batch int, fn func(pos int, v string) bool) erro
 // to stop. Pagination is stateless — the sequence is append-only, so a
 // match index permanently names the same element and each round trip
 // just echoes the next index; the server seeks to it through the
-// router's frozen prefix sums instead of holding a cursor. batch sizes
+// router's frozen prefix sums. batch sizes
 // the per-round-trip match count; 0 uses the server's default.
 func (c *Client) ScanPrefix(p string, from, n, batch int, fn func(idx, pos int, v string) bool) error {
 	if n == 0 || from < 0 {

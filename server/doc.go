@@ -2,7 +2,7 @@
 // network service: a compact length-prefixed binary protocol (plus an
 // HTTP/JSON gateway) over the store's whole indexed-sequence surface —
 // Append/AppendBatch, Access, Rank, Count, Select, the prefix forms,
-// cursor-based iteration, Flush/Compact/Stats.
+// paged iteration, Flush/Compact/Stats.
 //
 // Three mechanisms carry the load:
 //
@@ -14,11 +14,16 @@
 //     amortizes toward zero; an idle server commits a lone append
 //     immediately.
 //
-//   - Pinned snapshots. Every read request is served from one
-//     immutable snapshot, and a cursor pins its snapshot across
-//     Iterate round trips (leased with a TTL so abandoned clients
-//     cannot hold state forever). Readers never block writers and
-//     never see a half-applied batch.
+//   - Pinned snapshots, and positions as the only resume token. Every
+//     read request is served from one immutable snapshot, so readers
+//     never block writers and never see a half-applied batch. Nothing
+//     is pinned across requests: the sequence is append-only, so a
+//     position names the same element forever, and every multi-request
+//     walk — an Iterate scan, a prefix or predicate scan, a replication
+//     subscription — resumes by echoing a position (or match index, or
+//     sequence number) that any later snapshot serves identically. The
+//     server holds no per-client state between requests other than
+//     live replication subscriptions.
 //
 //   - A fingerprint-keyed result cache. Point queries are cached under
 //     (snapshot fingerprint, op, argument): the fingerprint changes

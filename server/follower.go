@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	wavelettrie "repro"
 	"repro/internal/wire"
 )
 
@@ -73,9 +72,9 @@ func (fs *followSession) stopped() bool {
 }
 
 // Follow turns this server into a replication follower of the primary
-// at addr: it subscribes (bootstrapping from a snapshot when the local
-// store is empty), replays the WAL stream into its own backend, and
-// keeps reconnecting with backoff until Promote or Shutdown. While
+// at addr: it subscribes from its own watermark, replays the record
+// stream into its own backend, and keeps reconnecting with backoff
+// until Promote or Shutdown. While
 // following, the full read surface stays up but writes are refused
 // with a FollowerWriteError. id names the follower in the primary's
 // watermark book; empty picks a host-and-pid default.
@@ -163,8 +162,8 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // followOnce runs one connection's worth of following: dial,
-// handshake, optional snapshot bootstrap, then the record loop. A nil
-// return means the session stopped; any error means reconnect.
+// handshake, then the record loop. A nil return means the session
+// stopped; any error means reconnect.
 func (s *Server) followOnce(fs *followSession) error {
 	conn, err := net.DialTimeout("tcp", fs.addr, 10*time.Second)
 	if err != nil {
@@ -215,13 +214,11 @@ func (s *Server) followOnce(fs *followSession) error {
 		return fmt.Errorf("server: primary speaks protocol %d, want %d", v, ProtocolVersion)
 	}
 
-	from := s.repl.watermark()
-	r, err = roundTrip(EncodeSubscribe(SubscribeReq{FollowerID: fs.id, FromSeq: from, Boot: from == 0}))
+	r, err = roundTrip(EncodeSubscribe(SubscribeReq{FollowerID: fs.id, FromSeq: s.repl.watermark()}))
 	if err != nil {
 		return err
 	}
 	primaryLen := r.Uvarint()
-	boot := r.Byte() == 1
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -241,15 +238,6 @@ func (s *Server) followOnce(fs *followSession) error {
 			return WALFrame{}, err
 		}
 		return ParseWALFrame(payload)
-	}
-
-	if boot {
-		if err := s.receiveSnapshot(next); err != nil {
-			return err
-		}
-		if err := sendAck(); err != nil {
-			return err
-		}
 	}
 
 	for {
@@ -280,77 +268,6 @@ func (s *Server) followOnce(fs *followSession) error {
 			return fmt.Errorf("server: unexpected replication frame kind %d", f.Kind)
 		}
 	}
-}
-
-// receiveSnapshot consumes a snapshot bootstrap (begin, chunks, end),
-// loads it and replays it into the local backend as ordinary commits —
-// so a chained subscriber of THIS server sees the records too.
-func (s *Server) receiveSnapshot(next func() (WALFrame, error)) error {
-	if wm := s.repl.watermark(); wm != 0 {
-		return fmt.Errorf("server: snapshot bootstrap into a store with %d records", wm)
-	}
-	f, err := next()
-	if err != nil {
-		return err
-	}
-	if f.Kind != FrameSnapBegin {
-		return fmt.Errorf("server: expected snapshot begin, got frame kind %d", f.Kind)
-	}
-	want := f.Seq
-	var data []byte
-	for {
-		f, err := next()
-		if err != nil {
-			return err
-		}
-		if f.Kind == FrameSnapChunk {
-			data = append(data, f.Chunk...)
-			continue
-		}
-		if f.Kind == FrameSnapEnd {
-			break
-		}
-		return fmt.Errorf("server: unexpected frame kind %d inside snapshot", f.Kind)
-	}
-	frozen, err := wavelettrie.LoadFrozen(data)
-	if err != nil {
-		return fmt.Errorf("server: snapshot bootstrap: %w", err)
-	}
-	if got := uint64(frozen.Len()); got != want {
-		return fmt.Errorf("server: snapshot carries %d records, begin frame said %d", got, want)
-	}
-	const applyBatch = 4096
-	batch := make([]string, 0, applyBatch)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if _, err := s.commitPublish(batch, nil); err != nil {
-			return err
-		}
-		smet.replAppliedRecords.Add(int64(len(batch)))
-		batch = batch[:0]
-		return nil
-	}
-	var applyErr error
-	frozen.Iterate(0, frozen.Len(), func(_ int, v string) bool {
-		batch = append(batch, v)
-		if len(batch) >= applyBatch {
-			applyErr = flush()
-			return applyErr == nil
-		}
-		return true
-	})
-	if applyErr != nil {
-		return applyErr
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	if got := s.repl.watermark(); got != want {
-		return fmt.Errorf("server: snapshot bootstrap applied %d records, want %d", got, want)
-	}
-	return nil
 }
 
 // applyRecords replays one records frame into the local backend after

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -20,7 +19,6 @@ import (
 //
 //	GET  /healthz                       liveness (503 while draining)
 //	GET  /metrics                       Prometheus text exposition
-//	GET  /debug/vars                    expvar (legacy JSON counters)
 //	GET  /debug/pprof/...               net/http/pprof profiles
 //	GET  /debug/trace                   event tracer ring as JSON
 //	GET  /v1/stats                      store shape
@@ -53,14 +51,11 @@ func (s *Server) HTTPHandler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	// /metrics is Prometheus text exposition — scrapers expect exactly
-	// this under exactly this path. The legacy JSON counter dump lives
-	// wholly under /debug/vars (publish the server's Metrics through
-	// expvar, as cmd/wtserve does).
+	// this under exactly this path.
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		obs.Default().WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	// The pprof handlers hang off the gateway mux explicitly (the
 	// net/http/pprof side-effect registration only covers
 	// http.DefaultServeMux, which this gateway never uses).
@@ -291,20 +286,12 @@ func (s *Server) HTTPHandler() http.Handler {
 		if s.Following() != "" {
 			role = "follower"
 		}
-		var retainedSegs int
-		var retainedBytes int64
-		for _, seg := range s.b.RetainedWALs() {
-			retainedSegs++
-			retainedBytes += seg.Bytes
-		}
 		writeJSON(w, map[string]any{
-			"role":               role,
-			"following":          s.Following(),
-			"watermark":          s.repl.watermark(),
-			"lag_records":        s.replLagRecords(),
-			"followers":          s.repl.followerAcked(),
-			"retained_wal_segs":  retainedSegs,
-			"retained_wal_bytes": retainedBytes,
+			"role":        role,
+			"following":   s.Following(),
+			"watermark":   s.repl.watermark(),
+			"lag_records": s.replLagRecords(),
+			"followers":   s.repl.followerAcked(),
 		})
 	})
 	mux.HandleFunc("/v1/flush", s.admin((*Server).flushOp))
@@ -365,7 +352,6 @@ func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 		}
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.metrics.Errors.Add(1)
 				http.Error(w, fmt.Sprint(rec), http.StatusBadRequest)
 			}
 		}()

@@ -10,8 +10,6 @@ import (
 // smet is the server package's metric set, registered once in the
 // process-wide obs registry next to the store's (see store/metrics.go
 // for the rationale: idempotent registration, engine-wide series).
-// The legacy exported Metrics struct stays as the expvar/test surface;
-// smet is the Prometheus one.
 var smet = newServerMetrics(obs.Default())
 
 // serverMetrics holds the pre-resolved handles the serving paths
@@ -38,15 +36,10 @@ type serverMetrics struct {
 	cacheEvictions     *obs.Counter
 	cacheInvalidations *obs.Counter
 
-	cursorsOpened  *obs.Counter
-	cursorsExpired *obs.Counter
-	cursorSweeps   *obs.Counter
-
 	// Replication: the primary's shipping side, the follower's applying
 	// side, and the churn between them.
 	replShippedRecords *obs.Counter
 	replShippedBytes   *obs.Counter
-	replSnapBytes      *obs.Counter
 	replAcks           *obs.Counter
 	replEvictedSubs    *obs.Counter
 	replReconnects     *obs.Counter
@@ -86,19 +79,10 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		cacheInvalidations: r.NewCounter("wt_cache_invalidations_total",
 			"Evicted entries keyed to a superseded snapshot fingerprint."),
 
-		cursorsOpened: r.NewCounter("wt_cursors_opened_total",
-			"Iteration cursors opened."),
-		cursorsExpired: r.NewCounter("wt_cursors_expired_total",
-			"Cursors dropped by lease expiry."),
-		cursorSweeps: r.NewCounter("wt_cursor_sweeps_total",
-			"Janitor sweeps over the cursor table."),
-
 		replShippedRecords: r.NewCounter("wt_repl_shipped_records_total",
 			"Records shipped to replication subscribers (live and catch-up frames)."),
 		replShippedBytes: r.NewCounter("wt_repl_shipped_bytes_total",
 			"Framed bytes of record frames shipped to replication subscribers."),
-		replSnapBytes: r.NewCounter("wt_repl_snapshot_bytes_total",
-			"Snapshot bootstrap bytes shipped to replication subscribers."),
 		replAcks: r.NewCounter("wt_repl_acks_total",
 			"Watermark acknowledgements received from followers."),
 		replEvictedSubs: r.NewCounter("wt_repl_evicted_subscribers_total",
@@ -106,7 +90,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		replReconnects: r.NewCounter("wt_repl_reconnects_total",
 			"Follower reconnect attempts after a broken replication stream."),
 		replAppliedRecords: r.NewCounter("wt_repl_applied_records_total",
-			"Records applied from a replication stream (bootstrap and live)."),
+			"Records applied from a replication stream (catch-up and live)."),
 	}
 
 	ops := r.NewHistogramVec("wt_server_op_seconds",
@@ -120,7 +104,9 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		func() int64 {
 			var n int64
 			for _, s := range liveServers.all() {
-				n += s.metrics.ConnsActive.Load()
+				s.mu.Lock()
+				n += int64(len(s.conns))
+				s.mu.Unlock()
 			}
 			return n
 		})
@@ -130,15 +116,6 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			var n int64
 			for _, s := range liveServers.all() {
 				n += int64(len(s.appendCh))
-			}
-			return n
-		})
-	r.NewGaugeFunc("wt_cursors_live",
-		"Iteration cursors currently holding a lease (and pinning a snapshot).",
-		func() int64 {
-			var n int64
-			for _, s := range liveServers.all() {
-				n += int64(s.cursors.len())
 			}
 			return n
 		})
@@ -207,7 +184,6 @@ var opNames = [opLimit]string{
 	OpCountPrefix:   "count_prefix",
 	OpSelectPrefix:  "select_prefix",
 	OpIterate:       "iterate",
-	OpCursorClose:   "cursor_close",
 	OpFlush:         "flush",
 	OpCompact:       "compact",
 	OpStats:         "stats",
@@ -274,15 +250,13 @@ func keyShape(req Request) string {
 		}
 		return fmt.Sprintf("prefix=%q preds=%d from=%d max=%d", p, len(req.Preds), req.Pos, req.Max)
 	case OpIterate:
-		return fmt.Sprintf("cursor=%d start=%d max=%d", req.Cursor, req.Pos, req.Max)
+		return fmt.Sprintf("start=%d max=%d end=%d", req.Pos, req.Max, req.Seq)
 	case OpIteratePrefix:
 		p := req.Value
 		if len(p) > 32 {
 			p = p[:32] + "…"
 		}
 		return fmt.Sprintf("prefix=%q from=%d max=%d", p, req.Pos, req.Max)
-	case OpCursorClose:
-		return fmt.Sprintf("cursor=%d", req.Cursor)
 	default:
 		return "-"
 	}

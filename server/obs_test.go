@@ -114,7 +114,7 @@ func TestMetricNamesLint(t *testing.T) {
 		"wt_server_op_seconds",
 		"wt_batcher_batch_size",
 		"wt_cache_hits_total",
-		"wt_cursors_live",
+		"wt_repl_lag_records",
 	} {
 		if !seen[want] {
 			t.Errorf("registry missing keystone series %s", want)

@@ -27,8 +27,11 @@ const (
 	// sequence number on append responses and the Stats replication
 	// fields. Version 3 added columnar payloads: rows on the append ops
 	// and the replication record frames, OpRow and OpScanWhere, and the
-	// schema in Stats.
-	ProtocolVersion = 3
+	// schema in Stats. Version 4 made OpIterate stateless (it carries the
+	// echoed end position where a cursor id was; the cursor-close op is
+	// gone and the later opcodes renumbered) and dropped the snapshot-image
+	// bootstrap from the replication handshake and frame set.
+	ProtocolVersion = 4
 
 	// maxRowCells caps the cells one wire row may carry — mirrors the
 	// store's column limit, enforced here so a hostile frame cannot make
@@ -56,12 +59,11 @@ const (
 	OpCountPrefix
 	OpSelectPrefix
 	OpIterate
-	OpCursorClose
 	OpFlush
 	OpCompact
 	OpStats
 	OpMetrics
-	OpIteratePrefix // appended in later revisions: earlier opcodes stay wire-stable
+	OpIteratePrefix
 	// Replication (protocol version 2; see DESIGN.md §12): OpSubscribe
 	// switches the connection into a WAL-frame stream, OpReplWait blocks
 	// until the serving watermark covers a sequence number (read-your-
@@ -94,13 +96,12 @@ const (
 //	OpRank, OpRankPrefix         Value, Pos
 //	OpCount, OpCountPrefix       Value
 //	OpSelect, OpSelectPrefix     Value, Pos (the occurrence index)
-//	OpIterate                    Cursor (0 = open), Pos (start), Max
+//	OpIterate                    Seq (end; 0 = pin Len now), Pos (start), Max
 //	OpIteratePrefix              Value (prefix), Pos (match offset), Max
-//	OpCursorClose                Cursor
 //	OpFlush, OpCompact           —
 //	OpStats, OpMetrics           —
-//	OpSubscribe                  Value (follower id), Cursor (from seq), Max (1 = bootstrap ok)
-//	OpReplWait                   Cursor (seq to cover), Max (timeout ms)
+//	OpSubscribe                  Value (follower id), Seq (from seq)
+//	OpReplWait                   Seq (seq to cover), Max (timeout ms)
 //	OpPromote                    —
 //	OpScanWhere                  Value (prefix), Pos (match offset), Max, Preds
 type Request struct {
@@ -109,7 +110,9 @@ type Request struct {
 	Values []string
 	Pos    int
 	Max    int
-	Cursor uint64
+	// Seq is a position in the append-only sequence — equivalently a
+	// global sequence number, the only resume token the protocol has.
+	Seq uint64
 	// Rows carries payload rows on the append ops: nil for no payloads,
 	// otherwise one row per value (individual rows may still be nil).
 	Rows []store.Row
@@ -266,21 +269,18 @@ func EncodeRequest(req Request) []byte {
 	case OpCount, OpCountPrefix:
 		w.Str(req.Value)
 	case OpIterate:
-		w.Uvarint(req.Cursor)
+		w.Uvarint(req.Seq)
 		w.Uvarint(uint64(req.Pos))
 		w.Uvarint(uint64(req.Max))
 	case OpIteratePrefix:
 		w.Str(req.Value)
 		w.Uvarint(uint64(req.Pos))
 		w.Uvarint(uint64(req.Max))
-	case OpCursorClose:
-		w.Uvarint(req.Cursor)
 	case OpSubscribe:
 		w.Str(req.Value)
-		w.Uvarint(req.Cursor)
-		w.Uvarint(uint64(req.Max))
+		w.Uvarint(req.Seq)
 	case OpReplWait:
-		w.Uvarint(req.Cursor)
+		w.Uvarint(req.Seq)
 		w.Uvarint(uint64(req.Max))
 	case OpFlush, OpCompact, OpStats, OpMetrics, OpPromote:
 	default:
@@ -332,24 +332,18 @@ func ParseRequest(payload []byte) (Request, error) {
 	case OpCount, OpCountPrefix:
 		req.Value = r.Str()
 	case OpIterate:
-		req.Cursor = r.Uvarint()
+		req.Seq = r.Uvarint()
 		req.Pos = readPos()
 		req.Max = readPos()
 	case OpIteratePrefix:
 		req.Value = r.Str()
 		req.Pos = readPos()
 		req.Max = readPos()
-	case OpCursorClose:
-		req.Cursor = r.Uvarint()
 	case OpSubscribe:
 		req.Value = r.Str()
-		req.Cursor = r.Uvarint()
-		req.Max = readPos()
-		if req.Max > 1 {
-			r.Fail("subscribe bootstrap flag %d not 0 or 1", req.Max)
-		}
+		req.Seq = r.Uvarint()
 	case OpReplWait:
-		req.Cursor = r.Uvarint()
+		req.Seq = r.Uvarint()
 		req.Max = readPos()
 	case OpFlush, OpCompact, OpStats, OpMetrics, OpPromote:
 	}

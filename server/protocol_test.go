@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -25,17 +26,17 @@ func requestCases() []Request {
 		{Op: OpRankPrefix, Value: "/pre", Pos: 100},
 		{Op: OpCountPrefix, Value: ""},
 		{Op: OpSelectPrefix, Value: "p", Pos: 0},
-		{Op: OpIterate, Cursor: 0, Pos: 10, Max: 256},
-		{Op: OpIterate, Cursor: 99, Pos: 0, Max: 0},
+		{Op: OpIterate, Seq: 0, Pos: 10, Max: 256},
+		{Op: OpIterate, Seq: 99, Pos: 0, Max: 0},
+		{Op: OpIterate, Seq: math.MaxUint64, Pos: 7, Max: 1},
 		{Op: OpIteratePrefix, Value: "api/", Pos: 5, Max: 100},
 		{Op: OpIteratePrefix, Value: "", Pos: 0, Max: 0},
-		{Op: OpCursorClose, Cursor: 42},
 		{Op: OpFlush},
 		{Op: OpCompact},
 		{Op: OpStats},
-		{Op: OpSubscribe, Value: "follower-1", Cursor: 42, Max: 1},
-		{Op: OpSubscribe, Value: "", Cursor: 0, Max: 0},
-		{Op: OpReplWait, Cursor: 7777, Max: 500},
+		{Op: OpSubscribe, Value: "follower-1", Seq: 42},
+		{Op: OpSubscribe, Value: "", Seq: 0},
+		{Op: OpReplWait, Seq: 7777, Max: 500},
 		{Op: OpPromote},
 		{Op: OpAppend, Value: "v", Rows: []store.Row{{store.U64(7), store.Blob([]byte("meta")), store.Null()}}},
 		{Op: OpAppendBatch, Values: []string{"a", "b"}, Rows: []store.Row{nil, {store.U64(1)}}},
@@ -75,7 +76,8 @@ func TestParseRequestRejects(t *testing.T) {
 		{OpAccess},       // missing position
 		{OpRank, 1, 'v'}, // missing position after value
 		append(EncodeRequest(Request{Op: OpStats}), 0xFF), // trailing junk
-		{OpSubscribe, 1, 'f', 0, 2},                       // bootstrap flag must be 0 or 1
+		{OpSubscribe, 1, 'f', 0, 1},                       // protocol-3 subscribe: the boot flag is trailing junk now
+		{OpIterate, 0, 0},                                 // missing max
 	}
 	for i, payload := range cases {
 		if _, err := ParseRequest(payload); err == nil {

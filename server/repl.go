@@ -17,10 +17,7 @@ import (
 // advancement of the hub's head — the global sequence number one past
 // the last committed record. Because the store is append-only, the
 // head IS the log position: a subscriber needs no WAL bytes to catch
-// up, it reads [from, head) out of any snapshot. WAL retention (the
-// store-layer floor wired in New) is an optimization that lets a
-// briefly-lagging follower's history survive a flush; correctness
-// never depends on it.
+// up, it reads [from, head) out of any snapshot.
 //
 // The seam between catch-up and live streaming is closed by ordering:
 // a subscriber registers its channel BEFORE taking the catch-up
@@ -34,9 +31,10 @@ const (
 	// write path never blocks on a slow follower) and reconnects into a
 	// fresh catch-up.
 	replSendBuffer = 256
-	// replSnapChunk sizes snapshot bootstrap chunks and bounds catch-up
-	// record frames, comfortably under MaxFrame.
-	replSnapChunk = 4 << 20
+	// replCatchupFrameBytes caps the payload bytes of one catch-up record
+	// frame, comfortably under MaxFrame; a single value larger than it
+	// still ships alone.
+	replCatchupFrameBytes = 4 << 20
 	// replCatchupBatch caps values per catch-up record frame.
 	replCatchupBatch = 2048
 	// replWaitCap bounds one OpReplWait block; clients re-issue.
@@ -96,21 +94,6 @@ func (h *replHub) watermark() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.head
-}
-
-// floor is the WAL retention floor: the lowest watermark any connected
-// follower has acknowledged. With no followers it is MaxUint64 —
-// nothing is retained (catch-up is served from snapshots regardless).
-func (h *replHub) floor() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	low := uint64(math.MaxUint64)
-	for _, f := range h.followers {
-		if f.acked < low {
-			low = f.acked
-		}
-	}
-	return low
 }
 
 // followerCount returns the number of distinct connected follower ids.
@@ -224,12 +207,12 @@ func (s *Server) waitWatermark(seq uint64, timeout time.Duration) bool {
 }
 
 // serveSubscribe turns an accepted connection into a replication
-// stream: handshake response, snapshot bootstrap or snapshot-backed
-// catch-up, then live batches and heartbeats, with the follower's acks
-// read off the same connection. The connection never returns to the
-// request loop; serveConn closes it when this returns.
+// stream: handshake response, snapshot-backed catch-up, then live
+// batches and heartbeats, with the follower's acks read off the same
+// connection. The connection never returns to the request loop;
+// serveConn closes it when this returns.
 func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, req Request) {
-	sub := SubscribeReq{FollowerID: req.Value, FromSeq: req.Cursor, Boot: req.Max == 1}
+	sub := SubscribeReq{FollowerID: req.Value, FromSeq: req.Seq}
 	refuse := func(msg string) {
 		conn.SetWriteDeadline(time.Now().Add(time.Minute))
 		if writeFrame(bw, errPayload(msg)) == nil {
@@ -277,30 +260,17 @@ func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 		}
 		fo.conns--
 		if fo.conns == 0 {
-			// A disconnected follower stops pinning the retention floor;
-			// when it returns, snapshots cover whatever the WAL no longer
-			// does.
 			delete(h.followers, sub.FollowerID)
 		}
 		h.mu.Unlock()
-		s.b.PruneRetainedWALs()
 	}()
 
 	sn := s.b.Snap()
 	snapLen := uint64(sn.Len()) // >= registration head >= FromSeq
-	// Snapshot bootstrap ships a Frozen image, which carries values only
-	// — on a store with columnar attachments it would silently drop every
-	// payload row, so such stores always catch up via record frames.
-	boot := sub.Boot && sub.FromSeq == 0 && snapLen > 0 && len(sn.Schema()) == 0
 
 	w := wire.NewRawWriter()
 	w.Byte(statusOK)
 	w.Uvarint(snapLen)
-	if boot {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
 	conn.SetWriteDeadline(time.Now().Add(time.Minute))
 	if writeFrame(bw, w.Bytes()) != nil || bw.Flush() != nil {
 		return
@@ -319,39 +289,14 @@ func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 		return true
 	}
 
-	expected := sub.FromSeq
-	if boot {
-		data, err := sn.MarshalBinary()
-		if err != nil {
-			return
-		}
-		if !send(WALFrame{Kind: FrameSnapBegin, Seq: snapLen}) {
-			return
-		}
-		for off := 0; off < len(data); off += replSnapChunk {
-			end := off + replSnapChunk
-			if end > len(data) {
-				end = len(data)
-			}
-			if !send(WALFrame{Kind: FrameSnapChunk, Chunk: data[off:end]}) {
-				return
-			}
-			smet.replSnapBytes.Add(int64(end - off))
-		}
-		if !send(WALFrame{Kind: FrameSnapEnd}) {
-			return
-		}
-		expected = snapLen
-	} else if expected < snapLen {
-		// Catch-up straight out of the snapshot: the store is the log.
-		if !s.streamCatchup(sn, expected, snapLen, send) {
-			return
-		}
-		expected = snapLen
+	// Catch-up straight out of the snapshot: the store is the log.
+	if sub.FromSeq < snapLen && !s.streamCatchup(sn, sub.FromSeq, snapLen, send) {
+		return
 	}
+	expected := snapLen
 
 	// The ack reader owns the connection's read half: watermark
-	// bookkeeping and retention pruning ride the returning acks.
+	// bookkeeping rides the returning acks.
 	ackDone := make(chan struct{})
 	go s.replAckLoop(conn, br, fo, ackDone)
 
@@ -420,28 +365,34 @@ func (s *Server) streamCatchup(sn Snap, from, to uint64, send func(WALFrame) boo
 	}
 	ok := true
 	sn.Iterate(int(from), int(to), func(pos int, v string) bool {
-		if len(batch) > 0 && (len(batch) >= replCatchupBatch || bytes+len(v) >= replSnapChunk) {
+		// size bounds the element's encoded bytes from above, so a frame
+		// exceeds the cap only when one element alone does.
+		size := len(v) + 10
+		var row store.Row
+		if withRows {
+			row = sn.Row(pos)
+			size += 10
+			for _, c := range row {
+				size += len(c.Blob()) + 11
+			}
+		}
+		if len(batch) > 0 && (len(batch) >= replCatchupBatch || bytes+size > replCatchupFrameBytes) {
 			if ok = flush(); !ok {
 				return false
 			}
 		}
 		batch = append(batch, v)
 		if withRows {
-			row := sn.Row(pos)
 			rows = append(rows, row)
-			for _, c := range row {
-				bytes += len(c.Blob()) + 10
-			}
 		}
-		bytes += len(v) + 9
+		bytes += size
 		return true
 	})
 	return ok && flush()
 }
 
 // replAckLoop drains a subscriber connection's ack frames, advancing
-// the follower's watermark and letting retention release WAL segments
-// every follower has passed. Any read error or non-ack frame ends the
+// the follower's watermark. Any read error or non-ack frame ends the
 // subscription.
 func (s *Server) replAckLoop(conn net.Conn, br *bufio.Reader, fo *followerState, done chan struct{}) {
 	defer close(done)
@@ -463,7 +414,6 @@ func (s *Server) replAckLoop(conn net.Conn, br *bufio.Reader, fo *followerState,
 		fo.lastAck = time.Now()
 		h.mu.Unlock()
 		smet.replAcks.Inc()
-		s.b.PruneRetainedWALs()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,6 +24,7 @@ import (
 type replNode struct {
 	srv  *server.Server
 	addr string
+	dir  string
 	fp   func() uint64
 	len  func() int
 }
@@ -69,7 +71,7 @@ func startReplNode(t *testing.T, shards int, sopts *store.Options, opts *server.
 		shutdownServer(t, srv)
 		closeStore()
 	})
-	return &replNode{srv: srv, addr: l.Addr().String(), fp: fp, len: length}
+	return &replNode{srv: srv, addr: l.Addr().String(), dir: dir, fp: fp, len: length}
 }
 
 func shutdownServer(t *testing.T, srv *server.Server) {
@@ -160,53 +162,146 @@ func TestReplicationLiveStream(t *testing.T) {
 	}
 }
 
-// TestReplicationBootstrapSnapshot starts the follower after the
-// primary already holds data (partly frozen), forcing the snapshot
-// bootstrap path rather than catch-up from sequence zero.
+// TestReplicationBootstrapSnapshot is the late-joiner table: the
+// follower starts after the primary already holds frozen generations
+// and a live memtable (with a flush racing the join, so the catch-up
+// snapshot may also hold a sealed one), on plain and sharded stores,
+// with and without a pinned schema. Every joiner is served the same
+// way — record frames out of the primary's snapshot, none larger than
+// the catch-up byte cap — converges to the primary's content
+// fingerprint, and keeps streaming afterwards.
 func TestReplicationBootstrapSnapshot(t *testing.T) {
-	prim := startReplNode(t, 0, nil, nil)
-	pc := dial(t, prim.addr)
+	for _, tc := range []struct {
+		shards int
+		schema []store.ColumnSpec
+	}{
+		{0, nil}, {2, nil}, {0, crashSchema()}, {2, crashSchema()},
+	} {
+		t.Run(fmt.Sprintf("shards=%d/columns=%v", tc.shards, tc.schema != nil), func(t *testing.T) {
+			sopts := &store.Options{DisableAutoFlush: true, Columns: tc.schema}
+			prim := startReplNode(t, tc.shards, sopts, nil)
+			pc := dial(t, prim.addr)
 
-	vals := make([]string, 600)
-	for i := range vals {
-		vals[i] = fmt.Sprintf("boot/%04d", i*i%311)
-	}
-	if _, err := pc.AppendBatchSeq(vals[:400]); err != nil {
-		t.Fatal(err)
-	}
-	if err := pc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := pc.AppendBatchSeq(vals[400:])
-	if err != nil {
-		t.Fatal(err)
-	}
+			n := 0
+			appendN := func(vals ...string) uint64 {
+				t.Helper()
+				var rows []store.Row
+				if tc.schema != nil {
+					for j := range vals {
+						rows = append(rows, crashRowFor(0, n+j))
+					}
+				}
+				n += len(vals)
+				seq, err := pc.AppendBatchRowsSeq(vals, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return seq
+			}
+			small := func(k int) []string {
+				vals := make([]string, k)
+				for i := range vals {
+					vals[i] = fmt.Sprintf("boot/%04d", (n+i)*(n+i)%311)
+				}
+				return vals
+			}
+			appendN(small(400)...)
+			if err := pc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			appendN(small(300)...)
+			if err := pc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// Three values that cannot share one frame under the byte cap.
+			big := strings.Repeat("x", server.ReplCatchupFrameBytes*3/8)
+			appendN(big+"a", big+"b", big+"c")
+			seq := appendN(small(200)...)
 
-	fol := startReplNode(t, 0, nil, nil)
-	if err := fol.srv.Follow(prim.addr, "f-boot"); err != nil {
-		t.Fatal(err)
-	}
-	fc := dial(t, fol.addr)
-	if _, ok, err := fc.WaitFor(seq, 15*time.Second); err != nil || !ok {
-		t.Fatalf("bootstrap WaitFor(%d): ok=%v err=%v", seq, ok, err)
-	}
-	if fol.len() != len(vals) {
-		t.Fatalf("follower len = %d, want %d", fol.len(), len(vals))
-	}
-	if got, want := fol.fp(), prim.fp(); got != want {
-		t.Fatalf("fingerprints diverge after bootstrap: %x vs %x", got, want)
-	}
+			// A bare subscriber measures the catch-up frames themselves.
+			rc := dialRaw(t, prim.addr)
+			r, errText := rc.call(server.Request{Op: server.OpSubscribe, Value: "probe", Seq: 0})
+			if errText != "" {
+				t.Fatalf("subscribe: %s", errText)
+			}
+			if head := r.Uvarint(); r.Err() != nil || r.Done() != nil || head != seq {
+				t.Fatalf("subscribe handshake: head %d (err %v, trailing %v), want %d alone", head, r.Err(), r.Done(), seq)
+			}
+			frames := 0
+			for next := uint64(0); next < seq; {
+				payload := rc.recv()
+				// Frame overhead beyond the capped bytes: kind, CRC, three uvarints.
+				if len(payload) > server.ReplCatchupFrameBytes+64 {
+					t.Fatalf("catch-up frame of %d bytes exceeds the %d-byte cap", len(payload), server.ReplCatchupFrameBytes)
+				}
+				f, err := server.ParseWALFrame(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Kind == server.FrameHeartbeat {
+					continue
+				}
+				frames++
+				if f.Kind != server.FrameRecords || f.Seq != next || (tc.schema != nil) != (f.Rows != nil) {
+					t.Fatalf("catch-up frame kind %d at seq %d with rows=%v, want records at %d", f.Kind, f.Seq, f.Rows != nil, next)
+				}
+				next += uint64(len(f.Values))
+			}
+			if frames < 2 {
+				t.Fatalf("catch-up of %d records arrived in %d frames; the byte cap never split one", seq, frames)
+			}
+			rc.c.Close()
 
-	// The stream stays live after bootstrap: new appends keep flowing.
-	seq, err = pc.AppendSeq("boot/after")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := fc.WaitFor(seq, 10*time.Second); err != nil || !ok {
-		t.Fatalf("post-bootstrap WaitFor: ok=%v err=%v", ok, err)
-	}
-	if got, err := fc.Access(len(vals)); err != nil || got != "boot/after" {
-		t.Fatalf("follower Access(tail) = %q, %v", got, err)
+			fol := startReplNode(t, tc.shards, sopts, nil)
+			flushed := make(chan error, 1)
+			go func() { flushed <- pc.Flush() }()
+			if err := fol.srv.Follow(prim.addr, "f-boot"); err != nil {
+				t.Fatal(err)
+			}
+			fc := dial(t, fol.addr)
+			if _, ok, err := fc.WaitFor(seq, 30*time.Second); err != nil || !ok {
+				t.Fatalf("late-joiner WaitFor(%d): ok=%v err=%v", seq, ok, err)
+			}
+			if err := <-flushed; err != nil {
+				t.Fatal(err)
+			}
+			if fol.len() != n {
+				t.Fatalf("follower len = %d, want %d", fol.len(), n)
+			}
+			if got, want := fol.fp(), prim.fp(); got != want {
+				t.Fatalf("fingerprints diverge after catch-up: %x vs %x", got, want)
+			}
+
+			// The stream stays live after catch-up: new appends keep flowing.
+			seq = appendN("boot/after")
+			if _, ok, err := fc.WaitFor(seq, 10*time.Second); err != nil || !ok {
+				t.Fatalf("post-catch-up WaitFor: ok=%v err=%v", ok, err)
+			}
+			if got, err := fc.Access(n - 1); err != nil || got != "boot/after" {
+				t.Fatalf("follower Access(tail) = %q, %v", got, err)
+			}
+			if got, want := fol.fp(), prim.fp(); got != want {
+				t.Fatalf("fingerprints diverge on the live stream: %x vs %x", got, want)
+			}
+
+			// Nothing holds a log back for the attached follower: a flush
+			// leaves each store directory exactly its live WAL.
+			if err := pc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			dirs := []string{prim.dir}
+			if tc.shards > 0 {
+				var err error
+				if dirs, err = filepath.Glob(filepath.Join(prim.dir, "shard-*")); err != nil || len(dirs) != tc.shards {
+					t.Fatalf("shard dirs %v (%v), want %d", dirs, err, tc.shards)
+				}
+			}
+			for _, d := range dirs {
+				if wals, _ := filepath.Glob(filepath.Join(d, "wal-*.log")); len(wals) != 1 {
+					t.Fatalf("%s holds WALs %v after a flush, want exactly one", d, wals)
+				}
+			}
+		})
 	}
 }
 
@@ -630,15 +725,13 @@ func TestReplicationHTTPGateway(t *testing.T) {
 
 // TestReplicationChain streams through a middle hop: A -> B -> C. The
 // middle follower republishes every applied record to its own
-// subscribers, so the tail converges too.
+// subscribers, and serves a C that joins late out of its own snapshot,
+// so the tail converges on both the catch-up and the live stream.
 func TestReplicationChain(t *testing.T) {
 	a := startReplNode(t, 0, nil, nil)
 	b := startReplNode(t, 0, nil, nil)
 	c := startReplNode(t, 0, nil, nil)
 	if err := b.srv.Follow(a.addr, "chain-b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.srv.Follow(b.addr, "chain-c"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -651,12 +744,25 @@ func TestReplicationChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := dial(t, c.addr)
-	if _, ok, err := cc.WaitFor(seq, 15*time.Second); err != nil || !ok {
-		t.Fatalf("tail WaitFor(%d): ok=%v err=%v", seq, ok, err)
+	bc := dial(t, b.addr)
+	if _, ok, err := bc.WaitFor(seq, 15*time.Second); err != nil || !ok {
+		t.Fatalf("middle WaitFor(%d): ok=%v err=%v", seq, ok, err)
 	}
-	if got, want := c.fp(), a.fp(); got != want {
-		t.Fatalf("chain tail fingerprint %x, head %x", got, want)
+
+	if err := c.srv.Follow(b.addr, "chain-c"); err != nil {
+		t.Fatal(err)
+	}
+	cc := dial(t, c.addr)
+	for _, stage := range []string{"late join", "live stream"} {
+		if _, ok, err := cc.WaitFor(seq, 15*time.Second); err != nil || !ok {
+			t.Fatalf("%s: tail WaitFor(%d): ok=%v err=%v", stage, seq, ok, err)
+		}
+		if got, want := c.fp(), a.fp(); got != want {
+			t.Fatalf("%s: chain tail fingerprint %x, head %x", stage, got, want)
+		}
+		if seq, err = ac.AppendSeq("chain/live"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -11,39 +11,29 @@ import (
 
 // The replication stream (DESIGN.md §12): a follower sends an
 // OpSubscribe request, the primary answers it like any other request
-// (statusOK, its head sequence number, and whether a snapshot bootstrap
-// follows), and from then on the connection carries WAL frames instead
-// of request/response pairs — the same length-prefixed outer framing,
-// but each payload is a WALFrame. The primary pushes record, snapshot
-// and heartbeat frames; the follower pushes ack frames carrying its
-// applied watermark back on the same connection.
+// (statusOK and its head sequence number), and from then on the
+// connection carries WAL frames instead of request/response pairs — the
+// same length-prefixed outer framing, but each payload is a WALFrame.
+// The primary pushes record and heartbeat frames; the follower pushes
+// ack frames carrying its applied watermark back on the same connection.
 //
-// Frames that carry bulk data (records, snapshot chunks) embed a
-// CRC-32 over their body: TCP's checksum is weak at this scale and a
-// follower applying a corrupt record would diverge silently — better to
-// drop the connection and re-subscribe. Control frames are small enough
-// that the opcode-and-shape validation suffices.
+// Record frames embed a CRC-32 over their body: TCP's checksum is weak
+// at this scale and a follower applying a corrupt record would diverge
+// silently — better to drop the connection and re-subscribe. Control
+// frames are small enough that the opcode-and-shape validation suffices.
 
-// WAL frame kinds.
+// WAL frame kinds. Kinds 2–4 are unassigned (they were the snapshot
+// bootstrap of protocol version 3) and rejected as unknown.
 const (
 	// FrameRecords carries appended values: Seq is the first record's
 	// global sequence number, Values the records in sequence order.
 	FrameRecords byte = 1
-	// FrameSnapBegin opens a snapshot bootstrap: Seq is the number of
-	// records the snapshot covers (the follower's watermark once loaded).
-	FrameSnapBegin byte = 2
-	// FrameSnapChunk carries one chunk of the marshalled snapshot.
-	FrameSnapChunk byte = 3
-	// FrameSnapEnd closes the bootstrap; record frames follow.
-	FrameSnapEnd byte = 4
 	// FrameHeartbeat is the primary's liveness tick: Seq is its head, so
 	// an idle follower still measures lag.
 	FrameHeartbeat byte = 5
 	// FrameAck is the follower's progress report: Seq is its applied
 	// watermark (every record below it is durable on the follower).
 	FrameAck byte = 6
-
-	frameKindLimit = FrameAck + 1
 )
 
 // WALFrame is one decoded replication stream message. Which fields are
@@ -55,7 +45,6 @@ type WALFrame struct {
 	Seq    uint64
 	Values []string
 	Rows   []store.Row
-	Chunk  []byte
 }
 
 // EncodeWALFrame serializes a replication frame payload (without the
@@ -70,26 +59,18 @@ func EncodeWALFrame(f WALFrame) []byte {
 			w.Str(v)
 		}
 		encodeRows(w, f.Rows)
-	case FrameSnapChunk:
-		w.Blob(f.Chunk)
-	case FrameSnapBegin, FrameHeartbeat, FrameAck:
+	case FrameHeartbeat, FrameAck:
 		w.Uvarint(f.Seq)
-	case FrameSnapEnd:
 	default:
 		panic(fmt.Sprintf("server: encoding unknown frame kind %d", f.Kind))
 	}
 	body := w.Bytes()
 	out := make([]byte, 0, 5+len(body))
 	out = append(out, f.Kind)
-	if frameHasCRC(f.Kind) {
+	if f.Kind == FrameRecords {
 		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 	}
 	return append(out, body...)
-}
-
-// frameHasCRC reports whether a frame kind carries a body checksum.
-func frameHasCRC(kind byte) bool {
-	return kind == FrameRecords || kind == FrameSnapChunk
 }
 
 // ParseWALFrame decodes a replication frame payload. Arbitrary input —
@@ -102,11 +83,11 @@ func ParseWALFrame(payload []byte) (WALFrame, error) {
 		return f, fmt.Errorf("server: empty replication frame")
 	}
 	f.Kind = payload[0]
-	if f.Kind == 0 || f.Kind >= frameKindLimit {
+	if f.Kind != FrameRecords && f.Kind != FrameHeartbeat && f.Kind != FrameAck {
 		return f, fmt.Errorf("server: unknown replication frame kind %d", f.Kind)
 	}
 	body := payload[1:]
-	if frameHasCRC(f.Kind) {
+	if f.Kind == FrameRecords {
 		if len(body) < 4 {
 			return f, fmt.Errorf("server: replication frame truncated before checksum")
 		}
@@ -126,11 +107,8 @@ func ParseWALFrame(payload []byte) (WALFrame, error) {
 			f.Values = append(f.Values, r.Str())
 		}
 		f.Rows = parseRows(r, n)
-	case FrameSnapChunk:
-		f.Chunk = append([]byte(nil), r.Blob()...)
-	case FrameSnapBegin, FrameHeartbeat, FrameAck:
+	case FrameHeartbeat, FrameAck:
 		f.Seq = r.Uvarint()
-	case FrameSnapEnd:
 	}
 	if err := r.Err(); err != nil {
 		return f, err
@@ -142,22 +120,16 @@ func ParseWALFrame(payload []byte) (WALFrame, error) {
 }
 
 // SubscribeReq is a decoded OpSubscribe request: the follower's id (for
-// watermark bookkeeping and /v1/repl), the global sequence number it
-// wants the stream to start at, and whether it accepts a snapshot
-// bootstrap when starting from zero against a non-empty primary.
+// watermark bookkeeping and /v1/repl) and the global sequence number it
+// wants the stream to start at.
 type SubscribeReq struct {
 	FollowerID string
 	FromSeq    uint64
-	Boot       bool
 }
 
 // EncodeSubscribe serializes a subscribe request payload.
 func EncodeSubscribe(req SubscribeReq) []byte {
-	boot := 0
-	if req.Boot {
-		boot = 1
-	}
-	return EncodeRequest(Request{Op: OpSubscribe, Value: req.FollowerID, Cursor: req.FromSeq, Max: boot})
+	return EncodeRequest(Request{Op: OpSubscribe, Value: req.FollowerID, Seq: req.FromSeq})
 }
 
 // ParseSubscribe decodes a subscribe request payload (the same bytes
@@ -171,5 +143,5 @@ func ParseSubscribe(payload []byte) (SubscribeReq, error) {
 	if req.Op != OpSubscribe {
 		return SubscribeReq{}, fmt.Errorf("server: opcode %d is not a subscribe", req.Op)
 	}
-	return SubscribeReq{FollowerID: req.Value, FromSeq: req.Cursor, Boot: req.Max == 1}, nil
+	return SubscribeReq{FollowerID: req.Value, FromSeq: req.Seq}, nil
 }

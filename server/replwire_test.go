@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
@@ -19,10 +18,7 @@ func frameCases() []WALFrame {
 		{Kind: FrameRecords, Seq: 1 << 40, Values: []string{"", "x", strings.Repeat("v", 300)}},
 		{Kind: FrameRecords, Seq: 7, Values: []string{"a", "b"},
 			Rows: []store.Row{{store.U64(42), store.Blob([]byte("m")), store.Null()}, nil}},
-		{Kind: FrameSnapBegin, Seq: 12345},
-		{Kind: FrameSnapChunk, Chunk: []byte{0, 1, 2, 0xFF}},
-		{Kind: FrameSnapChunk, Chunk: []byte{}},
-		{Kind: FrameSnapEnd},
+		{Kind: FrameRecords, Seq: 3, Values: []string{"", ""}, Rows: []store.Row{nil, nil}},
 		{Kind: FrameHeartbeat, Seq: 99},
 		{Kind: FrameAck, Seq: 7},
 	}
@@ -39,12 +35,6 @@ func TestWALFrameRoundTrip(t *testing.T) {
 		}
 		if len(got.Values) == 0 {
 			got.Values = nil
-		}
-		if len(want.Chunk) == 0 {
-			want.Chunk = nil
-		}
-		if len(got.Chunk) == 0 {
-			got.Chunk = nil
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("kind %d: round trip %+v -> %+v", want.Kind, want, got)
@@ -65,13 +55,16 @@ func TestParseWALFrameRejects(t *testing.T) {
 		nil,
 		{},
 		{0},                      // kind zero is invalid
-		{frameKindLimit},         // one past the last kind
+		{FrameAck + 1},           // one past the last kind
+		{2, 0xB9, 0x60},          // protocol-3 snapshot begin
+		{3, 0, 0, 0, 0, 0},       // protocol-3 snapshot chunk (empty, CRC 0)
+		{4},                      // protocol-3 snapshot end
 		{FrameRecords},           // truncated before the CRC
 		{FrameRecords, 1, 2},     // still truncated
 		records[:len(records)-1], // torn tail: CRC over a shorter body mismatches
 		flipped,
 		badCRC,
-		append(append([]byte(nil), EncodeWALFrame(WALFrame{Kind: FrameSnapEnd})...), 0xAB), // trailing junk
+		append(append([]byte(nil), EncodeWALFrame(WALFrame{Kind: FrameAck, Seq: 1})...), 0xAB), // trailing junk
 		{FrameAck}, // missing sequence number
 		// A records frame claiming more values than the payload holds
 		// must error before allocating (CRC is over the lying body).
@@ -92,8 +85,8 @@ func TestParseWALFrameRejects(t *testing.T) {
 
 func TestSubscribeRoundTrip(t *testing.T) {
 	for _, want := range []SubscribeReq{
-		{FollowerID: "f1", FromSeq: 0, Boot: true},
-		{FollowerID: "host-123", FromSeq: 1 << 33, Boot: false},
+		{FollowerID: "f1", FromSeq: 0},
+		{FollowerID: "host-123", FromSeq: 1 << 33},
 	} {
 		got, err := ParseSubscribe(EncodeSubscribe(want))
 		if err != nil {
@@ -131,20 +124,4 @@ func TestWALFrameEncodePanicsOnUnknownKind(t *testing.T) {
 		}
 	}()
 	EncodeWALFrame(WALFrame{Kind: 0xEE})
-}
-
-func TestWALFrameChunkAliasing(t *testing.T) {
-	// The parsed chunk must not alias the input buffer: the frame reader
-	// reuses its payload slice across frames.
-	payload := EncodeWALFrame(WALFrame{Kind: FrameSnapChunk, Chunk: []byte{1, 2, 3}})
-	f, err := ParseWALFrame(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range payload {
-		payload[i] = 0xFF
-	}
-	if !bytes.Equal(f.Chunk, []byte{1, 2, 3}) {
-		t.Fatalf("chunk aliased the payload: % x", f.Chunk)
-	}
 }

@@ -34,9 +34,6 @@ type Options struct {
 	// MaxBatch caps the values in one group commit (and the pending
 	// append queue length). Default 1024.
 	MaxBatch int
-	// CursorTTL is the idle lease on an Iterate cursor; every use
-	// renews it. Default 30s.
-	CursorTTL time.Duration
 	// MaxIterBatch caps the values returned by one Iterate call (also
 	// the default when the client asks for 0). Default 4096.
 	MaxIterBatch int
@@ -50,12 +47,6 @@ type Options struct {
 	// ReplHeartbeat is the idle cadence of replication heartbeat frames
 	// (primary liveness and follower lag measurement). Default 2s.
 	ReplHeartbeat time.Duration
-	// ReplRetainBytes caps the WAL bytes retained for replication
-	// catch-up (per shard on a sharded backend), so a dead follower
-	// can never pin unbounded disk. Default 64 MiB; negative disables
-	// retention entirely — superseded logs are deleted at flush and
-	// catch-up is served from snapshots alone.
-	ReplRetainBytes int64
 }
 
 func (o *Options) withDefaults() Options {
@@ -72,55 +63,13 @@ func (o *Options) withDefaults() Options {
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 1024
 	}
-	if out.CursorTTL <= 0 {
-		out.CursorTTL = 30 * time.Second
-	}
 	if out.MaxIterBatch <= 0 {
 		out.MaxIterBatch = 4096
 	}
 	if out.ReplHeartbeat <= 0 {
 		out.ReplHeartbeat = 2 * time.Second
 	}
-	if out.ReplRetainBytes == 0 {
-		out.ReplRetainBytes = 64 << 20
-	}
 	return out
-}
-
-// Metrics is the server's operational counter set, updated with atomic
-// increments on the serving paths and exported by the HTTP gateway's
-// /metrics endpoint (and by expvar when the caller publishes it).
-type Metrics struct {
-	ConnsActive      atomic.Int64
-	ConnsTotal       atomic.Int64
-	Requests         atomic.Int64
-	Errors           atomic.Int64
-	Appends          atomic.Int64 // values accepted on the write path
-	Batches          atomic.Int64 // group commits issued
-	BatchedAppends   atomic.Int64 // values carried by those commits
-	CoalescedCommits atomic.Int64 // waiters who shared another's commit
-	CacheHits        atomic.Int64
-	CacheMisses      atomic.Int64
-	CursorsOpened    atomic.Int64
-	CursorsExpired   atomic.Int64
-}
-
-// Snapshot renders the counters as a plain map — the /metrics payload.
-func (m *Metrics) Snapshot() map[string]int64 {
-	return map[string]int64{
-		"conns_active":      m.ConnsActive.Load(),
-		"conns_total":       m.ConnsTotal.Load(),
-		"requests":          m.Requests.Load(),
-		"errors":            m.Errors.Load(),
-		"appends":           m.Appends.Load(),
-		"batches":           m.Batches.Load(),
-		"batched_appends":   m.BatchedAppends.Load(),
-		"coalesced_commits": m.CoalescedCommits.Load(),
-		"cache_hits":        m.CacheHits.Load(),
-		"cache_misses":      m.CacheMisses.Load(),
-		"cursors_opened":    m.CursorsOpened.Load(),
-		"cursors_expired":   m.CursorsExpired.Load(),
-	}
 }
 
 // errDraining reports a write refused because the server is shutting
@@ -138,8 +87,7 @@ type Server struct {
 	b    Backend
 	opts Options
 
-	cache   *resultCache
-	cursors *cursorTable
+	cache *resultCache
 
 	appendCh chan appendReq
 	sendMu   sync.RWMutex // gates appendCh against close during drain
@@ -157,13 +105,10 @@ type Server struct {
 
 	repl   *replHub
 	follow atomic.Pointer[followSession]
-
-	metrics Metrics
 }
 
 // New returns a Server over b and starts its background work (the
-// group-commit committer and the cursor janitor). Call Shutdown to
-// stop it.
+// group-commit committer). Call Shutdown to stop it.
 func New(b Backend, opts *Options) *Server {
 	s := &Server{
 		b:         b,
@@ -173,45 +118,18 @@ func New(b Backend, opts *Options) *Server {
 		conns:     make(map[net.Conn]struct{}),
 	}
 	s.cache = newResultCache(s.opts.CacheEntries)
-	s.cursors = newCursorTable(s.opts.CursorTTL)
 	// The hub's head adopts the store's current length: global sequence
 	// numbers ARE positions in the append-only sequence.
 	s.repl = newReplHub(uint64(b.Snap().Len()))
-	if s.opts.ReplRetainBytes >= 0 {
-		b.SetWALRetention(&store.WALRetention{MaxBytes: s.opts.ReplRetainBytes, Floor: s.repl.floor})
-	}
 	s.appendCh = make(chan appendReq, s.opts.MaxBatch)
-	s.wgCommit.Add(2)
+	s.wgCommit.Add(1)
 	go s.committer()
-	go s.janitor()
 	liveServers.add(s)
 	return s
 }
 
-// Metrics returns the server's live counters.
-func (s *Server) Metrics() *Metrics { return &s.metrics }
-
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// janitor sweeps expired cursors until Shutdown.
-func (s *Server) janitor() {
-	defer s.wgCommit.Done()
-	tick := time.NewTicker(s.opts.CursorTTL / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.drainCh:
-			return
-		case now := <-tick.C:
-			smet.cursorSweeps.Inc()
-			if n := s.cursors.sweep(now); n > 0 {
-				s.metrics.CursorsExpired.Add(int64(n))
-				smet.cursorsExpired.Add(int64(n))
-			}
-		}
-	}
-}
 
 // Serve accepts connections on l and serves the binary protocol until
 // Shutdown (which returns nil here) or an accept error. Connections
@@ -254,15 +172,12 @@ func (s *Server) Serve(l net.Listener) error {
 		s.conns[conn] = struct{}{}
 		s.wgConns.Add(1)
 		s.mu.Unlock()
-		s.metrics.ConnsActive.Add(1)
-		s.metrics.ConnsTotal.Add(1)
 		smet.conns.Inc()
 		go func() {
 			defer func() {
 				s.mu.Lock()
 				delete(s.conns, conn)
 				s.mu.Unlock()
-				s.metrics.ConnsActive.Add(-1)
 				conn.Close()
 				<-sem
 				s.wgConns.Done()
@@ -292,20 +207,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err == nil && req.Op == OpSubscribe {
 			// A subscription consumes the connection: it never returns to
 			// the request loop.
-			s.metrics.Requests.Add(1)
 			smet.requests.Inc()
 			s.serveSubscribe(conn, br, bw, req)
 			return
 		}
 		var resp []byte
 		if err != nil {
-			s.metrics.Errors.Add(1)
 			smet.errors.Inc()
 			resp = errPayload(err.Error())
 		} else {
 			resp = s.respond(req)
 		}
-		s.metrics.Requests.Add(1)
 		smet.requests.Inc()
 		elapsed := time.Since(t0)
 		// req.Op is 0 when the parse failed — the "invalid" series.
@@ -351,7 +263,6 @@ func errPayload(msg string) []byte {
 func (s *Server) respond(req Request) (out []byte) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.Errors.Add(1)
 			smet.errors.Inc()
 			out = errPayload(fmt.Sprint(r))
 		}
@@ -425,8 +336,6 @@ func (s *Server) respond(req Request) (out []byte) {
 		}
 	case OpIteratePrefix:
 		s.iteratePrefix(w, req)
-	case OpCursorClose:
-		s.cursors.close(req.Cursor)
 	case OpFlush:
 		if err := s.b.Flush(); err != nil {
 			return errPayload(err.Error())
@@ -436,7 +345,7 @@ func (s *Server) respond(req Request) (out []byte) {
 			return errPayload(err.Error())
 		}
 	case OpReplWait:
-		if s.waitWatermark(req.Cursor, time.Duration(req.Max)*time.Millisecond) {
+		if s.waitWatermark(req.Seq, time.Duration(req.Max)*time.Millisecond) {
 			w.Byte(1)
 		} else {
 			w.Byte(0)
@@ -481,11 +390,9 @@ func (s *Server) cachedNum(op byte, arg string, pos int, miss func(Snap) (int, b
 	}
 	key := cacheKey{fp: sn.Fingerprint(), op: op, arg: arg, pos: pos}
 	if v, hit := s.cache.get(key); hit {
-		s.metrics.CacheHits.Add(1)
 		smet.cacheHits.Inc()
 		return v.num, v.ok
 	}
-	s.metrics.CacheMisses.Add(1)
 	smet.cacheMisses.Inc()
 	n, ok := miss(sn)
 	s.cache.put(key, cacheVal{num: n, ok: ok})
@@ -501,80 +408,55 @@ func (s *Server) cachedStr(op byte, arg string, pos int, miss func(Snap) (string
 	}
 	key := cacheKey{fp: sn.Fingerprint(), op: op, arg: arg, pos: pos}
 	if v, hit := s.cache.get(key); hit {
-		s.metrics.CacheHits.Add(1)
 		smet.cacheHits.Inc()
 		return v.str, true
 	}
-	s.metrics.CacheMisses.Add(1)
 	smet.cacheMisses.Inc()
 	v, _, _ := miss(sn)
 	s.cache.put(key, cacheVal{str: v})
 	return v, true
 }
 
-// iterate serves one OpIterate batch: open or resume a cursor, stream
-// up to Max values from its pinned snapshot, and either retire the
-// cursor (done) or renew its lease.
+// iterate serves one OpIterate page: positions [Pos, end) of the
+// sequence, where end is the length the walk's first page pinned and
+// every later page echoes back in Seq. No state survives the request:
+// the sequence is append-only, so positions below end hold the same
+// values in every later snapshot and a fresh one serves exactly what
+// the first page's would have. An echoed end past the current length
+// names positions this server has never held — a client that switched
+// servers, or a hostile one — and is an error, never a clamp.
 func (s *Server) iterate(w *wire.Writer, req Request) error {
-	maxVals := req.Max
-	if maxVals <= 0 || maxVals > s.opts.MaxIterBatch {
-		maxVals = s.opts.MaxIterBatch
+	sn := s.b.Snap()
+	end := sn.Len()
+	if req.Seq > uint64(end) {
+		return fmt.Errorf("server: iterate end %d is past the sequence length %d", req.Seq, end)
 	}
-	var cur *cursor
-	id := req.Cursor
-	if id == 0 {
-		cur = &cursor{snap: s.b.Snap(), next: req.Pos}
-		if cur.next > cur.snap.Len() {
-			cur.next = cur.snap.Len()
+	if req.Seq != 0 {
+		end = int(req.Seq)
+	}
+	start := min(req.Pos, end)
+	max := req.Max
+	if max <= 0 || max > s.opts.MaxIterBatch {
+		max = s.opts.MaxIterBatch
+	}
+	// The walked range is bounded by the page, not by end: a sharded
+	// snapshot buffers a window of every shard's subrange per Iterate.
+	hi := min(end, start+max)
+	page, _ := s.scanPage(sn, max, false, func(fn func(idx, pos int, v string) bool) {
+		if start < hi {
+			sn.Iterate(start, hi, func(pos int, v string) bool { return fn(0, pos, v) })
 		}
-		s.metrics.CursorsOpened.Add(1)
-		smet.cursorsOpened.Inc()
-	} else {
-		var err error
-		cur, err = s.cursors.take(id)
-		if err != nil {
-			return err
-		}
-	}
-	end := cur.next + maxVals
-	if n := cur.snap.Len(); end > n {
-		end = n
-	}
-	// At least one value is always sent whatever the byte budget, so
-	// progress holds (a single value is itself frame-capped on the append
-	// path).
-	vals := make([]string, 0, end-cur.next)
-	bytes := 0
-	if cur.next < end {
-		cur.snap.Iterate(cur.next, end, func(_ int, v string) bool {
-			vals = append(vals, v)
-			bytes += len(v) + 9 // value plus worst-case length prefix
-			return bytes < iterByteBudget
-		})
-	}
-	start := cur.next
-	cur.next = start + len(vals)
-	done := cur.next >= cur.snap.Len()
-	if done {
-		if id != 0 {
-			s.cursors.close(id) // already taken; close is for safety
-		}
-		id = 0
-	} else if id == 0 {
-		id = s.cursors.open(cur.snap, cur.next)
-	} else {
-		s.cursors.put(id, cur)
-	}
-	w.Uvarint(id)
-	if done {
+	})
+	w.Uvarint(uint64(end))
+	if start+len(page) >= end {
 		w.Byte(1)
 	} else {
 		w.Byte(0)
 	}
 	w.Uvarint(uint64(start))
-	w.Uvarint(uint64(len(vals)))
-	for _, v := range vals {
-		w.Str(v)
+	w.Uvarint(uint64(len(page)))
+	for _, m := range page {
+		w.Str(m.val)
 	}
 	return nil
 }
@@ -642,10 +524,10 @@ func writePage(w *wire.Writer, from int, page []pageMatch, done, rows bool) {
 
 // iteratePrefix serves one OpIteratePrefix batch: positions and values
 // of elements with the requested prefix, starting at the Pos-th match.
-// Unlike OpIterate there is no cursor lease: the sequence is
-// append-only, so a match index permanently names the same element and
-// the client resumes statelessly by echoing the next index — the store
-// seeks to it by rank arithmetic rather than replaying the stream.
+// The sequence is append-only, so a match index permanently names the
+// same element and the client resumes statelessly by echoing the next
+// index — the store seeks to it by rank arithmetic rather than
+// replaying the stream.
 func (s *Server) iteratePrefix(w *wire.Writer, req Request) {
 	sn := s.b.Snap()
 	page, done := s.scanPage(sn, req.Max, false, func(fn func(idx, pos int, v string) bool) {
@@ -743,11 +625,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.sendMu.Unlock()
 	close(s.appendCh)
 	s.wgCommit.Wait()
-	// Drop the retention policy: with the hub gone nothing will advance
-	// the floor, and retained logs would not survive a reopen anyway.
-	if s.opts.ReplRetainBytes >= 0 {
-		s.b.SetWALRetention(nil)
-	}
 	return err
 }
 

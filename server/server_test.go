@@ -2,9 +2,11 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/wire"
 	"repro/server"
 	"repro/store"
 )
@@ -66,6 +70,86 @@ func dial(t *testing.T, addr string) *server.Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// counter reads one of the server's process-wide obs counters by name
+// (registration is idempotent, so this returns the live series). Tests
+// compare before/after deltas: the registry outlives any one server.
+func counter(name string) int64 { return obs.Default().NewCounter(name, "").Value() }
+
+// rawConn speaks the outer framing by hand — u32 little-endian length,
+// then the payload — for the tests that need wire shapes Client hides:
+// single OpIterate pages, hostile arguments, a replication subscription.
+type rawConn struct {
+	t *testing.T
+	c net.Conn
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return &rawConn{t: t, c: c}
+}
+
+func (rc *rawConn) send(payload []byte) {
+	rc.t.Helper()
+	hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	if _, err := rc.c.Write(append(hdr, payload...)); err != nil {
+		rc.t.Fatal(err)
+	}
+}
+
+func (rc *rawConn) recv() []byte {
+	rc.t.Helper()
+	rc.c.SetReadDeadline(time.Now().Add(20 * time.Second))
+	var hdr [4]byte
+	if _, err := io.ReadFull(rc.c, hdr[:]); err != nil {
+		rc.t.Fatal(err)
+	}
+	payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(rc.c, payload); err != nil {
+		rc.t.Fatal(err)
+	}
+	return payload
+}
+
+// call sends one request and returns a reader over the response body,
+// or the server's error text when it answered with an error status.
+func (rc *rawConn) call(req server.Request) (*wire.Reader, string) {
+	rc.t.Helper()
+	rc.send(server.EncodeRequest(req))
+	r := wire.NewRawReader(rc.recv())
+	if status := r.Byte(); status != 0 {
+		return nil, r.Str()
+	}
+	return r, ""
+}
+
+// iteratePage issues one OpIterate page: end is the echoed pin (0 on
+// the first page). It returns the pinned end, the done flag and the
+// page's values, or the server's error text.
+func (rc *rawConn) iteratePage(end uint64, pos, max int) (gotEnd uint64, done bool, vals []string, errText string) {
+	rc.t.Helper()
+	r, errText := rc.call(server.Request{Op: server.OpIterate, Seq: end, Pos: pos, Max: max})
+	if errText != "" {
+		return 0, false, nil, errText
+	}
+	gotEnd = r.Uvarint()
+	done = r.Byte() == 1
+	if start := int(r.Uvarint()); start != pos {
+		rc.t.Fatalf("page echoed start %d, want %d", start, pos)
+	}
+	for i, k := 0, r.Len(); i < k; i++ {
+		vals = append(vals, r.Str())
+	}
+	if err := r.Err(); err != nil {
+		rc.t.Fatal(err)
+	}
+	return gotEnd, done, vals, ""
 }
 
 // TestEndToEnd drives the whole op surface over a real connection, on
@@ -163,9 +247,11 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCursorPinsSnapshot opens a scan cursor, appends mid-walk, and
-// checks the walk stays on its pinned view while a fresh scan sees the
-// appended tail.
+// TestCursorPinsSnapshot starts a scan, appends mid-walk (and flushes
+// and compacts under it), and checks the walk stays on the view its
+// first page pinned while a fresh scan sees the appended tail. The
+// server keeps nothing between pages, so the same walk also survives a
+// server restart, and an echoed end the server never held is an error.
 func TestCursorPinsSnapshot(t *testing.T) {
 	_, addr := startServer(t, 0, nil, nil)
 	c := dial(t, addr)
@@ -183,6 +269,12 @@ func TestCursorPinsSnapshot(t *testing.T) {
 		if step == 5 {
 			// Mid-walk append: must not show up in this cursor.
 			if err := c.Append("intruder"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Compact(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -208,42 +300,88 @@ func TestCursorPinsSnapshot(t *testing.T) {
 	if all[100] != "intruder" {
 		t.Fatalf("fresh scan tail = %q, want intruder", all[100])
 	}
-}
 
-// TestCursorTTL expires an abandoned cursor and checks resuming it
-// errors.
-func TestCursorTTL(t *testing.T) {
-	srv, addr := startServer(t, 0, nil, &server.Options{CursorTTL: 50 * time.Millisecond})
-	c := dial(t, addr)
-	var vals []string
-	for i := 0; i < 50; i++ {
-		vals = append(vals, fmt.Sprintf("v/%02d", i))
-	}
-	if err := c.AppendBatch(vals); err != nil {
-		t.Fatal(err)
-	}
-	stop := 0
-	err := c.Scan(0, -1, 10, func(pos int, v string) bool {
-		stop++
-		if stop == 10 {
-			time.Sleep(300 * time.Millisecond) // outlive the lease
+	t.Run("restart", func(t *testing.T) {
+		dir := t.TempDir()
+		// serve opens the store in dir behind a fresh server; stop drains
+		// it and closes the store.
+		serve := func() (addr string, stop func()) {
+			st, err := store.Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := server.New(server.ForStore(st), nil)
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(l)
+			return l.Addr().String(), func() {
+				shutdownServer(t, srv)
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		return true
+		addr, stop := serve()
+		c := dial(t, addr)
+		if err := c.AppendBatch(first); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		end, done, walked, errText := dialRaw(t, addr).iteratePage(0, 0, 10)
+		if errText != "" || done || end != uint64(len(first)) || len(walked) != 10 {
+			t.Fatalf("first page: end=%d done=%v n=%d err=%q", end, done, len(walked), errText)
+		}
+		if err := c.Append("intruder"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Compact(); err != nil { // merges the walked generation away
+			t.Fatal(err)
+		}
+		stop()
+
+		addr, stop = serve()
+		defer stop()
+		rc := dialRaw(t, addr)
+		for !done {
+			var vals []string
+			var gotEnd uint64
+			gotEnd, done, vals, errText = rc.iteratePage(end, len(walked), 10)
+			if errText != "" || gotEnd != end || len(vals) == 0 {
+				t.Fatalf("page at %d after restart: end=%d n=%d err=%q", len(walked), gotEnd, len(vals), errText)
+			}
+			walked = append(walked, vals...)
+		}
+		if fmt.Sprint(walked) != fmt.Sprint(first) {
+			t.Fatalf("walk across a restart saw %d values %q, want the %d pinned ones", len(walked), walked, len(first))
+		}
+
+		// A hostile or misdirected end names positions this server never
+		// held: an error each time, never a clamp or a panic, and the
+		// connection keeps serving.
+		for _, bad := range []uint64{uint64(len(first)) + 2, math.MaxInt64, math.MaxUint64} {
+			if _, _, vals, errText := rc.iteratePage(bad, 0, 10); !strings.Contains(errText, "past the sequence length") {
+				t.Fatalf("end=%d: got %d values, err %q; want a past-the-length error", bad, len(vals), errText)
+			}
+		}
+		if end, done, vals, errText := rc.iteratePage(uint64(len(first))+1, len(first), 10); errText != "" || !done ||
+			end != uint64(len(first))+1 || len(vals) != 1 || vals[0] != "intruder" {
+			t.Fatalf("end=Len page: end=%d done=%v vals=%q err=%q", end, done, vals, errText)
+		}
 	})
-	if err == nil {
-		t.Fatal("resume after TTL: no error")
-	}
-	if !strings.Contains(err.Error(), "cursor") {
-		t.Fatalf("resume after TTL: %v", err)
-	}
-	_ = srv
 }
 
 // TestResultCache checks hot point queries hit the cache and that any
 // append makes the hot entries unreachable (fresh fingerprint) rather
 // than stale.
 func TestResultCache(t *testing.T) {
-	srv, addr := startServer(t, 0, nil, nil)
+	_, addr := startServer(t, 0, nil, nil)
 	c := dial(t, addr)
 	if err := c.AppendBatch([]string{"a", "b", "a", "c"}); err != nil {
 		t.Fatal(err)
@@ -251,17 +389,17 @@ func TestResultCache(t *testing.T) {
 	if n, err := c.Count("a"); err != nil || n != 2 {
 		t.Fatalf("Count = %d, %v", n, err)
 	}
-	misses := srv.Metrics().CacheMisses.Load()
-	hits := srv.Metrics().CacheHits.Load()
+	misses := counter("wt_cache_misses_total")
+	hits := counter("wt_cache_hits_total")
 	for i := 0; i < 10; i++ {
 		if n, err := c.Count("a"); err != nil || n != 2 {
 			t.Fatalf("Count = %d, %v", n, err)
 		}
 	}
-	if got := srv.Metrics().CacheHits.Load() - hits; got != 10 {
+	if got := counter("wt_cache_hits_total") - hits; got != 10 {
 		t.Fatalf("repeat Count produced %d cache hits, want 10", got)
 	}
-	if got := srv.Metrics().CacheMisses.Load() - misses; got != 0 {
+	if got := counter("wt_cache_misses_total") - misses; got != 0 {
 		t.Fatalf("repeat Count produced %d cache misses, want 0", got)
 	}
 	// An append invalidates by fingerprint: the same query misses once,
@@ -277,8 +415,10 @@ func TestResultCache(t *testing.T) {
 // TestGroupCommitCoalesces floods the write path from many goroutines
 // and checks the committer folded them into fewer batches.
 func TestGroupCommitCoalesces(t *testing.T) {
-	srv, addr := startServer(t, 0, nil, nil)
+	_, addr := startServer(t, 0, nil, nil)
 	const clients, per = 8, 50
+	values0, commits0 := counter("wt_batcher_commit_values_total"), counter("wt_batcher_commits_total")
+	coalesced0 := counter("wt_batcher_coalesced_waiters_total")
 	errc := make(chan error, clients)
 	for g := 0; g < clients; g++ {
 		go func(g int) {
@@ -302,9 +442,9 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := srv.Metrics()
-	if got := m.BatchedAppends.Load(); got != clients*per {
-		t.Fatalf("BatchedAppends = %d, want %d", got, clients*per)
+	values := counter("wt_batcher_commit_values_total") - values0
+	if values != clients*per {
+		t.Fatalf("group commits carried %d values, want %d", values, clients*per)
 	}
 	c := dial(t, addr)
 	st, err := c.Stats()
@@ -314,8 +454,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if st.Len != clients*per {
 		t.Fatalf("Len = %d, want %d", st.Len, clients*per)
 	}
-	t.Logf("%d appends committed in %d batches (%d coalesced)",
-		m.BatchedAppends.Load(), m.Batches.Load(), m.CoalescedCommits.Load())
+	t.Logf("%d appends committed in %d batches (%d coalesced)", values,
+		counter("wt_batcher_commits_total")-commits0, counter("wt_batcher_coalesced_waiters_total")-coalesced0)
 }
 
 // TestGracefulDrain checks Shutdown finishes in-flight work, refuses

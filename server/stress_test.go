@@ -20,7 +20,7 @@ import (
 func TestServerRaceStress(t *testing.T) {
 	_, addr := startServer(t, 2,
 		&store.Options{FlushThreshold: 1 << 7},
-		&server.Options{CacheEntries: 256, CursorTTL: 5 * time.Second})
+		&server.Options{CacheEntries: 256})
 
 	const clients = 6
 	deadline := time.Now().Add(1500 * time.Millisecond)
@@ -74,7 +74,7 @@ func TestServerRaceStress(t *testing.T) {
 					n := 0
 					err := c.Scan(0, 200, 64, func(pos int, v string) bool {
 						n++
-						return n < 120 // sometimes stop early (cursor close path)
+						return n < 120 // sometimes stop early
 					})
 					if err != nil {
 						errs[g] = err

@@ -297,3 +297,68 @@ func TestAccessScanMemoized(t *testing.T) {
 		}
 	}
 }
+
+// TestContentFingerprint pins the cross-store contract: stores holding
+// the same sequence agree regardless of layout (flushed vs memtable,
+// plain vs sharded), and any content difference shows.
+func TestContentFingerprint(t *testing.T) {
+	vals := []string{"alpha", "beta", "alpha", "gamma", "", "delta"}
+
+	open := func(t *testing.T) *Store {
+		st, err := Open(t.TempDir(), &Options{DisableAutoFlush: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+
+	a, b := open(t), open(t)
+	if err := a.AppendBatch(vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AppendBatch(vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Flush(); err != nil { // a: frozen generation; b: memtable only
+		t.Fatal(err)
+	}
+	fa, fb := a.Snapshot().ContentFingerprint(), b.Snapshot().ContentFingerprint()
+	if fa != fb {
+		t.Fatalf("same contents, different layout: %016x vs %016x", fa, fb)
+	}
+	if a.Snapshot().Fingerprint() == b.Snapshot().Fingerprint() {
+		t.Fatal("identity fingerprints agreed across stores — ContentFingerprint would be redundant")
+	}
+
+	ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: 2, Store: Options{DisableAutoFlush: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if err := ss.AppendBatch(vals); err != nil {
+		t.Fatal(err)
+	}
+	if got := ss.Snapshot().ContentFingerprint(); got != fa {
+		t.Fatalf("sharded store disagreed: %016x vs %016x", got, fa)
+	}
+
+	if err := b.Append("extra"); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Snapshot().ContentFingerprint(); got == fa {
+		t.Fatal("different contents, same fingerprint")
+	}
+
+	// Boundary ambiguity: ["ab","c"] must not collide with ["a","bc"].
+	c, d := open(t), open(t)
+	if err := c.AppendBatch([]string{"ab", "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendBatch([]string{"a", "bc"}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Snapshot().ContentFingerprint() == d.Snapshot().ContentFingerprint() {
+		t.Fatal("concatenation boundary collision")
+	}
+}

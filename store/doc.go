@@ -42,9 +42,13 @@
 // are truncated cleanly (never a panic), so a store killed mid-append
 // reopens with every acknowledged write intact and serves exactly the
 // answers a freshly built AppendOnly index over the same sequence would.
-// Generations whose checksum matches their manifest entry load through
-// the fast trusted path (no deep structural re-validation); missing or
-// corrupt probe filters are rebuilt from the loaded index.
+// Every generation file must match the checksum in its manifest entry
+// — a mismatch, or an entry carrying none, fails Open — and then loads
+// through the trusted path (no deep structural re-validation); missing
+// or corrupt probe filters are rebuilt from the loaded index. A flush
+// unlinks the logs its manifest supersedes: nothing but the live WAL
+// outlives it, and no reader — replication included — ever needs one,
+// because catch-up reads positions out of snapshots.
 //
 // # Sharding
 //

@@ -40,9 +40,8 @@ type generation struct {
 }
 
 // genCRC returns the manifest checksum of a generation image: CRC-32
-// with a computed 0 mapped to 1, because 0 is the manifest's "unknown,
-// validate deeply" sentinel (v1 entries) — a real zero checksum must
-// not silently opt its file out of corruption detection.
+// with a computed 0 mapped to 1, so a manifest entry with crc 0 matches
+// no file and fails Open.
 func genCRC(data []byte) uint32 {
 	if c := crc32.ChecksumIEEE(data); c != 0 {
 		return c
@@ -51,19 +50,17 @@ func genCRC(data []byte) uint32 {
 }
 
 // loadGeneration reopens a generation file and cross-checks it against
-// its manifest entry. When the manifest carries the file's checksum and
-// it matches, the deep structural re-validation is skipped (the bytes
-// are exactly what a validated marshal produced); unchecksummed entries
-// (a v1 manifest) take the slow fully-validating path.
+// its manifest entry. The file's checksum must match the manifest's;
+// the deep structural re-validation is then skipped (the bytes are
+// exactly what a validated marshal produced).
 //
-// With useMmap (and a checksummed entry — zero-copy decoding is gated on
-// integrity like trusted decoding is), the file is mapped read-only and
-// decoded zero-copy: the succinct components alias the mapping, so open
-// cost is the CRC pass plus O(metadata) directory rebuilds, the bits
-// page-fault in on demand, and the page cache is shared across
-// processes serving the same directory. A checksum mismatch is a hard
-// error either way; an mmap syscall failure just falls back to the heap
-// path (the mapping is an optimization, never a requirement).
+// With useMmap, the file is mapped read-only and decoded zero-copy: the
+// succinct components alias the mapping, so open cost is the CRC pass
+// plus O(metadata) directory rebuilds, the bits page-fault in on
+// demand, and the page cache is shared across processes serving the
+// same directory. A checksum mismatch is a hard error either way; an
+// mmap syscall failure just falls back to the heap path (the mapping is
+// an optimization, never a requirement).
 func loadGeneration(dir string, meta genMeta, schema []ColumnSpec, useMmap bool) (*generation, error) {
 	name := genFileName(meta.id)
 	path := filepath.Join(dir, name)
@@ -81,7 +78,7 @@ func loadGeneration(dir string, meta genMeta, schema []ColumnSpec, useMmap bool)
 // file) — the original loadGeneration body; column loading is layered
 // on top by loadGenColumns.
 func loadGenIndex(dir, name, path string, meta genMeta, useMmap bool) (*generation, error) {
-	if useMmap && mmapSupported && meta.crc != 0 {
+	if useMmap && mmapSupported {
 		if region, err := mapFile(path); err == nil {
 			data := region.data
 			crc := genCRC(data)
@@ -105,15 +102,10 @@ func loadGenIndex(dir, name, path string, meta genMeta, useMmap bool) (*generati
 		return nil, err
 	}
 	crc := genCRC(data)
-	var ix *wavelettrie.Frozen
-	if meta.crc != 0 {
-		if crc != meta.crc {
-			return nil, fmt.Errorf("store: %s checksum %#x, manifest says %#x", name, crc, meta.crc)
-		}
-		ix, err = wavelettrie.LoadFrozenTrusted(data)
-	} else {
-		ix, err = wavelettrie.LoadFrozen(data)
+	if crc != meta.crc {
+		return nil, fmt.Errorf("store: %s checksum %#x, manifest says %#x", name, crc, meta.crc)
 	}
+	ix, err := wavelettrie.LoadFrozenTrusted(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", name, err)
 	}

@@ -14,17 +14,14 @@ import (
 // rename over MANIFEST — so a crash leaves either the old or the new
 // manifest, never a partial one.
 //
-// Version 2 adds a CRC-32 (IEEE) of each generation file: a matching
-// checksum lets Open skip the deep structural re-validation of the
-// frozen index (the dominant recovery cost) while catching the bit
-// flips structure checks cannot. Version 1 manifests are still read —
-// their entries carry crc 0, which means "unknown, validate deeply".
-//
-// Version 3 pins the store's column schema (name + kind per column —
-// fixed for the store's lifetime, like the shard layout in SHARDS) and
-// records the CRC of each generation's column files; colCRC 0 means the
-// generation predates the schema and reads as all-NULL rows. v1/v2
-// manifests decode with an empty schema.
+// Each generation entry carries the CRC-32 (IEEE) of its files: a
+// matching checksum lets Open skip the deep structural re-validation of
+// the frozen index (the dominant recovery cost) while catching the bit
+// flips structure checks cannot. The manifest also pins the store's
+// column schema (name + kind per column — fixed for the store's
+// lifetime, like the shard layout in SHARDS); colCRC 0 means the
+// generation predates the schema and reads as all-NULL rows. Version 3
+// is the only version read or written.
 const (
 	manifestMagic   = 0x4E414D57 // "WMAN" little-endian
 	manifestVersion = 3
@@ -39,7 +36,7 @@ const (
 type genMeta struct {
 	id     uint64 // names the files gen-<id>.wt / gen-<id>.flt / gen-<id>.col
 	n      int    // element count, cross-checked against the loaded file
-	crc    uint32 // CRC-32 of gen-<id>.wt; 0 = unknown (v1 manifest)
+	crc    uint32 // CRC-32 of gen-<id>.wt (see genCRC; never 0)
 	colCRC uint32 // CRC-32 of gen-<id>.col; 0 = no column files (pre-schema)
 	cdCRC  uint32 // CRC-32 of gen-<id>.cd; 0 = no offset directory
 }
@@ -77,17 +74,11 @@ func encodeManifest(m manifest) []byte {
 	return w.Bytes()
 }
 
-// parseManifest decodes and validates a manifest image, accepting the
-// current version plus v1 (entries get crc 0 = unknown) and v2 (no
-// column CRCs, empty schema). Arbitrary input must error, never panic —
-// this function is fuzzed.
+// parseManifest decodes and validates a manifest image. Arbitrary input
+// must error, never panic — this function is fuzzed.
 func parseManifest(data []byte) (manifest, error) {
 	var m manifest
-	version := uint16(manifestVersion)
-	if v, ok := wire.SniffVersion(data, manifestMagic); ok && (v == 1 || v == 2) {
-		version = v
-	}
-	r, err := wire.NewReader(data, manifestMagic, version)
+	r, err := wire.NewReader(data, manifestMagic, manifestVersion)
 	if err != nil {
 		return m, err
 	}
@@ -104,14 +95,7 @@ func parseManifest(data []byte) (manifest, error) {
 	seen := make(map[uint64]bool, count)
 	var total int64
 	for i := 0; i < count; i++ {
-		g := genMeta{id: r.U64(), n: r.Int()}
-		if version >= 2 {
-			g.crc = r.U32()
-		}
-		if version >= 3 {
-			g.colCRC = r.U32()
-			g.cdCRC = r.U32()
-		}
+		g := genMeta{id: r.U64(), n: r.Int(), crc: r.U32(), colCRC: r.U32(), cdCRC: r.U32()}
 		if err := r.Err(); err != nil {
 			return m, err
 		}
@@ -133,24 +117,22 @@ func parseManifest(data []byte) (manifest, error) {
 	if int64(m.distinct) > total {
 		return m, fmt.Errorf("store: manifest distinct %d exceeds element count %d", m.distinct, total)
 	}
-	if version >= 3 {
-		ncols := r.Int()
+	ncols := r.Int()
+	if err := r.Err(); err != nil {
+		return m, err
+	}
+	if ncols < 0 || ncols > maxColumns {
+		return m, fmt.Errorf("store: manifest schema lists %d columns (limit %d)", ncols, maxColumns)
+	}
+	for i := 0; i < ncols; i++ {
+		c := ColumnSpec{Name: r.Str(), Kind: ColumnKind(r.Byte())}
 		if err := r.Err(); err != nil {
 			return m, err
 		}
-		if ncols < 0 || ncols > maxColumns {
-			return m, fmt.Errorf("store: manifest schema lists %d columns (limit %d)", ncols, maxColumns)
-		}
-		for i := 0; i < ncols; i++ {
-			c := ColumnSpec{Name: r.Str(), Kind: ColumnKind(r.Byte())}
-			if err := r.Err(); err != nil {
-				return m, err
-			}
-			m.schema = append(m.schema, c)
-		}
-		if err := validateSchema(m.schema); err != nil {
-			return m, err
-		}
+		m.schema = append(m.schema, c)
+	}
+	if err := validateSchema(m.schema); err != nil {
+		return m, err
 	}
 	if len(m.schema) == 0 {
 		for _, g := range m.gens {

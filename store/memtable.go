@@ -176,18 +176,6 @@ func (m *memtable) maxSeq() (uint64, bool) {
 	return m.seqs[len(m.seqs)-1], true
 }
 
-// seqBounds returns the half-open range [lo, hi) spanned by the
-// retained sequence numbers, with ok=false when no record carries one.
-// Like maxSeq, only valid on a sealed or otherwise quiescent memtable.
-func (m *memtable) seqBounds() (lo, hi uint64, ok bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.seqs) == 0 {
-		return 0, 0, false
-	}
-	return m.seqs[0], m.seqs[len(m.seqs)-1] + 1, true
-}
-
 // feedInto streams the sealed memtable's sequence into a streaming
 // freeze builder — both passes, without ever materializing it as a
 // []string: pass 1 registers the trie's distinct values (bit-level,

@@ -25,9 +25,6 @@ type storeMetrics struct {
 	walRecords      *obs.Counter
 	walTornTails    *obs.Counter
 
-	// WAL retention (replication): cap-forced evictions.
-	retentionEvictions *obs.Counter
-
 	// Flush path.
 	flushSeconds *obs.Histogram
 	flushes      *obs.Counter
@@ -60,8 +57,6 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 			"Records appended to write-ahead logs."),
 		walTornTails: r.NewCounter("wt_wal_torn_tail_recoveries_total",
 			"Log recoveries that truncated a torn or corrupt tail."),
-		retentionEvictions: r.NewCounter("wt_wal_retention_evictions_total",
-			"Retained WAL segments evicted by the byte cap before any floor released them."),
 
 		flushSeconds: r.NewHistogram("wt_flush_seconds",
 			"Duration of memtable flushes (seal, freeze, manifest commit).", 1e-9),
@@ -122,26 +117,6 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 				if d := len(s.state.Load().gens) - s.opts.MaxGenerations; d > 0 {
 					n += int64(d)
 				}
-			}
-			return n
-		})
-	r.NewGaugeFunc("wt_wal_retained_segments",
-		"WAL segments held back from deletion for replication catch-up.",
-		func() int64 {
-			var n int64
-			for _, s := range liveStores.all() {
-				segs, _ := s.retainedTotals()
-				n += int64(segs)
-			}
-			return n
-		})
-	r.NewGaugeFunc("wt_wal_retained_bytes",
-		"On-disk bytes of WAL files held back from deletion for replication catch-up.",
-		func() int64 {
-			var n int64
-			for _, s := range liveStores.all() {
-				_, b := s.retainedTotals()
-				n += b
 			}
 			return n
 		})

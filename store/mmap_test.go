@@ -70,12 +70,13 @@ func TestMmapHeapDifferential(t *testing.T) {
 }
 
 // TestTornGenerationFailsOpen simulates a torn write / partial page
-// loss in a generation file: a truncated or bit-flipped file must fail
-// Open with a checksum error, loudly, under both load paths — the
-// zero-copy decode skips deep validation, so the CRC gate is the only
-// thing standing between a torn file and silent corruption.
+// loss in a generation file: a truncated or bit-flipped file — or an
+// intact one whose manifest entry carries checksum 0 — must fail Open
+// with a checksum error, loudly, under both load paths — the decode
+// skips deep validation, so the CRC gate is the only thing standing
+// between a torn file and silent corruption.
 func TestTornGenerationFailsOpen(t *testing.T) {
-	for _, mode := range []string{"truncate", "bitflip"} {
+	for _, mode := range []string{"truncate", "bitflip", "zerocrc"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			seq := workload.URLLog(400, 9, workload.DefaultURLConfig())
@@ -96,6 +97,21 @@ func TestTornGenerationFailsOpen(t *testing.T) {
 				data = data[:len(data)/2]
 			case "bitflip":
 				data[len(data)/2] ^= 0x40
+			case "zerocrc":
+				// An intact file whose manifest entry carries no checksum:
+				// every generation is verified, so this is corruption too.
+				raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := parseManifest(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.gens[0].crc = 0
+				if err := writeManifest(dir, m); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := os.WriteFile(victim, data, 0o644); err != nil {
 				t.Fatal(err)

@@ -118,12 +118,6 @@ type Store struct {
 
 	failure atomic.Pointer[error] // sticky write-path failure
 
-	// WAL retention (see retention.go): the policy, and the retained
-	// segment set it governs.
-	retention atomic.Pointer[WALRetention]
-	retMu     sync.Mutex
-	retained  []retainedSeg
-
 	flushCh   chan struct{}
 	compactCh chan struct{}
 	stopCh    chan struct{}
@@ -772,19 +766,6 @@ func (s *Store) flushLocked(oldWALs []uint64) error {
 	distinctAtSeal := int(s.distinct.Load())
 	s.state.Store(&storeState{gens: st.gens, sealed: sealed, mem: newMemtable(w, s.schema)})
 	s.appendMu.Unlock()
-	// The sealed records' global sequence range, for WAL retention: a
-	// shard reads its records' sequence headers; a plain store's
-	// positions ARE its sequence numbers, so the range is the positions
-	// the sealed records occupy after the existing generations.
-	segStart, segEnd := uint64(0), uint64(0)
-	if s.hooks != nil {
-		segStart, segEnd, _ = sealed.seqBounds()
-	} else {
-		for _, g := range st.gens {
-			segStart += uint64(g.ix.Len())
-		}
-		segEnd = segStart + uint64(sealed.n.Load())
-	}
 	if sealed.wal != nil {
 		if err := sealed.wal.close(); err != nil {
 			return err
@@ -843,7 +824,11 @@ func (s *Store) flushLocked(oldWALs []uint64) error {
 
 	cur := s.state.Load()
 	s.state.Store(&storeState{gens: gens, mem: cur.mem})
-	s.retireWALs(oldWALs, newWALID, segStart, segEnd)
+	for _, id := range oldWALs {
+		if id != newWALID {
+			os.Remove(filepath.Join(s.dir, walFileName(id)))
+		}
+	}
 	met.flushes.Inc()
 	met.flushBytes.Add(int64(frozenBytes))
 	met.flushSeconds.ObserveSince(t0)
@@ -1074,8 +1059,7 @@ func (s *Store) MarshalBinary() ([]byte, error) { return s.Snapshot().MarshalBin
 
 // MarshalBinary exports the snapshot's sequence as a single Frozen
 // index — the pinned-view variant of Store.MarshalBinary, so callers
-// already holding a snapshot (replication bootstrap) marshal exactly
-// the state they registered against.
+// already holding a snapshot marshal exactly the state they pinned.
 func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	f, err := wavelettrie.FreezeIterate(func(yield func(s string) bool) {
 		sn.Iterate(0, sn.Len(), func(_ int, v string) bool { return yield(v) })

@@ -2,11 +2,11 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -499,26 +499,52 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestV1Compat: a version-1 manifest (no per-generation
-// checksums) still parses; its entries carry crc 0, which routes
-// loadGeneration through the deep-validation path.
-func TestManifestV1Compat(t *testing.T) {
-	w := wire.NewWriter(manifestMagic, 1)
-	w.U64(9)  // nextID
-	w.U64(7)  // walID
-	w.Int(4)  // distinct
-	w.Int(2)  // generations
-	w.U64(2)  // id
-	w.Int(10) // n
-	w.U64(5)
-	w.Int(3)
-	m, err := parseManifest(w.Bytes())
+// TestFlushLeavesOneWAL pins the log lifecycle: a flush unlinks every
+// log the new manifest supersedes, so each store directory (each shard
+// of a sharded store) holds exactly its live WAL afterwards.
+func TestFlushLeavesOneWAL(t *testing.T) {
+	wals := func(dir string) int {
+		t.Helper()
+		m, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(m)
+	}
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testOpts())
+	defer s.Close()
+	sdir := t.TempDir()
+	ss, err := OpenSharded(sdir, shardedCrashOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []genMeta{{id: 2, n: 10}, {id: 5, n: 3}}
-	if m.nextID != 9 || m.walID != 7 || m.distinct != 4 ||
-		len(m.gens) != 2 || m.gens[0] != want[0] || m.gens[1] != want[1] {
-		t.Fatalf("v1 parse: got %+v", m)
+	defer ss.Close()
+	for round := 0; round < 3; round++ {
+		batch := []string{fmt.Sprintf("a-%d", round), fmt.Sprintf("b-%d", round), "dup", fmt.Sprintf("c-%d", round)}
+		if err := s.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := wals(dir); n != 1 {
+			t.Fatalf("round %d: plain store holds %d WAL files, want 1", round, n)
+		}
+		shards, err := filepath.Glob(filepath.Join(sdir, "shard-*"))
+		if err != nil || len(shards) != ss.ShardCount() {
+			t.Fatalf("round %d: %d shard dirs (%v), want %d", round, len(shards), err, ss.ShardCount())
+		}
+		for _, sh := range shards {
+			if n := wals(sh); n != 1 {
+				t.Fatalf("round %d: %s holds %d WAL files, want 1", round, filepath.Base(sh), n)
+			}
+		}
 	}
 }

@@ -151,12 +151,6 @@ func walRecord(payload []byte) (v string, isNew bool) {
 	return v, isNew
 }
 
-// walRecordSeq decodes a payload into (value, isNew, seq, hasSeq).
-func walRecordSeq(payload []byte) (v string, isNew bool, seq uint64, hasSeq bool) {
-	v, isNew, seq, hasSeq, _ = walRecordRow(payload)
-	return v, isNew, seq, hasSeq
-}
-
 // walRecordRow fully decodes a payload, including any row. Records
 // without walFlagRow — all pre-column records — return a nil row, which
 // applies as all-NULL. The row's blob cells are copied (WAL read
