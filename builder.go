@@ -23,8 +23,10 @@ import (
 // NewStatic(seq).Frozen() for the same sequence: Patricia tries are
 // canonical, and the builder replays the exact preorder assembly of the
 // §3 encoder. FreezeIterate packages the two passes for callback-style
-// sources; the store's flush and compaction feed a builder directly via
-// the FeedValues/FeedRange methods, staying at the bit level end to end.
+// sources — the snapshot exports. A sequence that already is a trie does
+// not need a builder at all: AppendOnly.Frozen and ConcatFrozen, which
+// the store's flush and compaction run, copy the structure instead of
+// re-inserting the elements.
 //
 // A FrozenBuilder must not be used from multiple goroutines concurrently.
 type FrozenBuilder struct {
@@ -65,8 +67,8 @@ func (fb *FrozenBuilder) Build() (*Frozen, error) {
 // FreezeIterate builds a Frozen from a replayable iteration: iterate is
 // called exactly twice with a yield callback that must see the same
 // sequence both times (pass 1 registers values, pass 2 appends). It is
-// the bridge from callback-style sources — store snapshots, merged
-// generation walks — to the streaming builder, replacing the
+// the bridge from callback-style sources — a store snapshot stitched from
+// many segments — to the streaming builder, replacing the
 // NewStatic(Slice(0, n)) pattern and its O(n) string materialization.
 func FreezeIterate(iterate func(yield func(s string) bool)) (*Frozen, error) {
 	fb := NewFrozenBuilder()

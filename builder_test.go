@@ -164,23 +164,20 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
-// TestBuilderFedFromFrozen exercises the compaction-merge feed path:
-// two frozen halves streamed into one builder must reproduce the static
-// freeze of the concatenation exactly.
+// TestBuilderFedFromFrozen exercises the compaction merge: two frozen
+// halves concatenated structurally must reproduce the static freeze of
+// the concatenation exactly, and so must the append-only trie of the
+// whole sequence frozen in place (the flush).
 func TestBuilderFedFromFrozen(t *testing.T) {
 	seq := workload.URLLog(3000, 11, workload.DefaultURLConfig())
 	left := NewStatic(seq[:1200]).Frozen()
 	right := NewStatic(seq[1200:]).Frozen()
-
-	fb := NewFrozenBuilder()
-	left.FeedValues(fb)
-	right.FeedValues(fb)
-	for _, f := range []*Frozen{left, right} {
-		if err := f.FeedRange(fb, 0, f.Len(), nil); err != nil {
-			t.Fatal(err)
-		}
+	want, err := NewStatic(seq).Frozen().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	merged, err := fb.Build()
+
+	merged, err := ConcatFrozen(nil, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +185,61 @@ func TestBuilderFedFromFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewStatic(seq).Frozen().MarshalBinary()
+	if !bytes.Equal(got, want) {
+		t.Fatal("concatenated halves differ from static freeze of the concatenation")
+	}
+
+	frozen, err := NewAppendOnlyFrom(seq).Frozen()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, err = frozen.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("frozen-fed builder output differs from static freeze of the concatenation")
+		t.Fatal("append-only trie frozen in place differs from static freeze of its sequence")
+	}
+}
+
+// TestAppendOnlyFrozenBitIdentical holds AppendOnly.Frozen — the flush —
+// to the bytes of NewStatic(seq).Frozen() on every shape an append-only
+// node bitvector takes: empty and one-element tries, raw tails only, and a
+// sequence long enough that the top vectors carry sealed RRR segments and
+// a partial tail while a value first seen late gives its node an Init run
+// of thousands.
+func TestAppendOnlyFrozenBitIdentical(t *testing.T) {
+	long := workload.URLLog(40000, 5, workload.DefaultURLConfig())
+	long = append(long, "a-value-first-seen-after-40000") // splits near the root: Init(b, 40000)
+	long = append(long, workload.URLLog(3000, 6, workload.DefaultURLConfig())...)
+	for _, seq := range [][]string{
+		nil,
+		{"only"},
+		{"", "", ""},
+		{"a", "ab", "", "abc", "ab", "a"},
+		workload.URLLog(3000, 11, workload.DefaultURLConfig()),
+		long,
+	} {
+		a := NewAppendOnlyFrom(seq)
+		f, err := a.Frozen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewStatic(seq).Frozen().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: append-only trie frozen in place differs from the static freeze", len(seq))
+		}
+		// The trie is still live afterwards.
+		a.Append("appended-after-the-freeze")
+		if a.Len() != len(seq)+1 || a.Count("appended-after-the-freeze") != 1 {
+			t.Fatalf("n=%d: trie unusable after Frozen", len(seq))
+		}
 	}
 }
 

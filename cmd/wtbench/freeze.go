@@ -16,11 +16,13 @@ import (
 
 // freezeBenchRecord is one machine-readable row of the "freeze"
 // experiment: a compaction-sized merge frozen the old way (materialize
-// the victims as a []string, NewStatic, Frozen) vs streamed through the
-// FrozenBuilder (never holding the input), with wall time, total
-// allocations and sampled peak live heap for each; flush latency
-// percentiles through the streaming flush path; and Open wall time for
-// the same directory with the generations mmap'd vs heap-decoded.
+// the victims as a []string, NewStatic, Frozen) vs merged structurally
+// (ConcatFrozen, the store's compaction path; the builder_* fields keep
+// the names the BENCH files recorded when that path was the two-pass
+// FrozenBuilder), with wall time, total allocations and sampled peak live
+// heap for each; flush latency percentiles through the store's flush
+// path; and Open wall time for the same directory with the generations
+// mmap'd vs heap-decoded.
 type freezeBenchRecord struct {
 	N                int     `json:"n"` // merged element count
 	StaticMergeMS    float64 `json:"static_merge_ms"`
@@ -122,19 +124,12 @@ func measureFreeze(n, batch int) freezeBenchRecord {
 		staticData = d
 	})
 
-	// Streaming merge path: register both alphabets, replay both bit
-	// streams into the builder, build, marshal — the input is never held.
+	// Structural merge path, the one compaction runs: the two tries walked
+	// together, node bitvectors concatenated, marshal — no element is
+	// decoded and the input is never held.
 	var builderData []byte
 	rec.BuilderMergeMS, rec.BuilderAllocMB, rec.BuilderPeakMB = measureHeapOp(func() {
-		fb := wavelettrie.NewFrozenBuilder()
-		left.FeedValues(fb)
-		right.FeedValues(fb)
-		for _, f := range []*wavelettrie.Frozen{left, right} {
-			if err := f.FeedRange(fb, 0, f.Len(), nil); err != nil {
-				panic(err)
-			}
-		}
-		f, err := fb.Build()
+		f, err := wavelettrie.ConcatFrozen(nil, left, right)
 		if err != nil {
 			panic(err)
 		}
@@ -145,13 +140,13 @@ func measureFreeze(n, batch int) freezeBenchRecord {
 		builderData = d
 	})
 	if !bytes.Equal(staticData, builderData) {
-		panic("freeze bench: builder output differs from NewStatic freeze")
+		panic("freeze bench: merged output differs from NewStatic freeze")
 	}
 	if rec.BuilderPeakMB > 0 {
 		rec.PeakHeapRatio = rec.StaticPeakMB / rec.BuilderPeakMB
 	}
 
-	// Flush latency through the streaming flush path, plus a directory
+	// Flush latency through the store's flush path, plus a directory
 	// with a few large and many small generations for the Open contrast.
 	dir, err := os.MkdirTemp("", "wtbench-freeze-*")
 	if err != nil {
@@ -244,15 +239,15 @@ func freezeBenchRecords(quick bool) []freezeBenchRecord {
 	return recs
 }
 
-// runFREEZE prints the streaming-freeze experiment.
+// runFREEZE prints the freeze experiment.
 func runFREEZE(quick bool) {
-	fmt.Println("Expectation: the streaming builder freezes a compaction-sized merge with")
+	fmt.Println("Expectation: the structural merge freezes a compaction-sized merge with")
 	fmt.Println("substantially lower peak live heap than materialize+NewStatic (the input")
 	fmt.Println("is never held as a []string or pointer trie) while producing byte-identical")
 	fmt.Println("output; flush latency stays in single-digit milliseconds; opening the")
 	fmt.Println("directory with mmap is markedly faster than heap decode (CRC pass +")
 	fmt.Println("O(metadata) per generation vs copying every payload).")
-	t := newTable("n", "static merge ms/alloc MB/peak MB", "builder merge ms/alloc MB/peak MB",
+	t := newTable("n", "static merge ms/alloc MB/peak MB", "structural merge ms/alloc MB/peak MB",
 		"peak ratio", "flush p50/p99 ms", "gens", "open mmap ms", "open heap ms")
 	for _, r := range freezeBenchRecords(quick) {
 		t.row(r.N,

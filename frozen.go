@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitstr"
+	"repro/internal/core"
 	"repro/internal/succinct"
 )
 
@@ -24,6 +25,7 @@ type Frozen struct {
 
 func init() {
 	succinct.Unwrap = func(frozen any) *succinct.Trie { return frozen.(*Frozen).t }
+	core.UnwrapAppendOnly = func(appendOnly any) *core.AppendOnly { return appendOnly.(*AppendOnly).a }
 }
 
 // Mapped reports whether this Frozen aliases an external memory region
@@ -192,36 +194,26 @@ func (f *Frozen) Slice(l, r int) []string {
 	return out
 }
 
-// FeedValues registers this trie's distinct values into fb — one pass-1
-// contribution to a streaming merge. Cost is O(alphabet), independent of
-// the element count.
-func (f *Frozen) FeedValues(fb *FrozenBuilder) {
-	for _, bs := range f.t.StoredBits() {
-		fb.b.AddValueBits(bs)
+// ConcatFrozen returns the Frozen of the concatenation of the parts'
+// sequences, in argument order — the merge a compaction runs. It works on
+// the structure, not the elements: the parts' tries are walked together in
+// preorder, a node of the result takes its bitvector as the parts' node
+// bitvectors one after the other (a constant run for a part that does not
+// branch there), and no element is ever decoded. The result is
+// byte-identical to NewStatic(concatenation).Frozen(). cont, when non-nil,
+// is polled along the way; once it reports false ConcatFrozen gives up
+// with an error. Parts that disagree with themselves (a corrupt mapped
+// file) or whose values together are not prefix-free are an error too.
+func ConcatFrozen(cont func() bool, parts ...*Frozen) (*Frozen, error) {
+	tries := make([]*succinct.Trie, len(parts))
+	for i, f := range parts {
+		tries[i] = f.t
 	}
-}
-
-// FeedRange appends the elements of positions [l, r) into fb in order —
-// a pass-2 contribution to a streaming merge, staying at the bit level
-// (no string decode/encode round trip, one reused scratch buffer). Every
-// 4096 elements it polls cont (when non-nil) and returns nil early if
-// cont reports false; the builder is then incomplete and must be
-// discarded, which the caller detects by re-checking its cancel signal.
-func (f *Frozen) FeedRange(fb *FrozenBuilder, l, r int, cont func() bool) error {
-	it := f.t.Iter(l, r)
-	defer it.Close()
-	scratch := bitstr.NewBuilder(0)
-	for i := 0; it.Valid(); i++ {
-		scratch.Reset()
-		it.NextInto(scratch)
-		if err := fb.b.AppendBits(scratch.View()); err != nil {
-			return err
-		}
-		if i&4095 == 4095 && cont != nil && !cont() {
-			return nil
-		}
+	t, err := succinct.Merge(cont, tries...)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return &Frozen{t: t}, nil
 }
 
 // Values returns the distinct strings stored, in lexicographic order —

@@ -294,5 +294,21 @@ func FuzzFrozenQueries(f *testing.F) {
 			t.Fatalf("own marshalling rejected: %v", err)
 		}
 		checkFrozenAgainstFlat(t, back, seq, keys[:min(len(keys), 24)])
+		// So does the structural write path: the sequence cut in three, the
+		// parts frozen (the first in place from an append-only trie, as a
+		// flush does) and concatenated (as a compaction does).
+		a, b := len(seq)/3, len(seq)-len(seq)/3
+		head, err := NewAppendOnlyFrom(seq[:a]).Frozen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := ConcatFrozen(nil, head, NewStatic(seq[a:b]).Frozen(), NewStatic(seq[b:]).Frozen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mraw, err := merged.MarshalBinary(); err != nil || !bytes.Equal(mraw, raw) {
+			t.Fatalf("merged parts marshal differently from the whole (err %v)", err)
+		}
+		checkFrozenAgainstFlat(t, merged, seq, keys[:min(len(keys), 24)])
 	})
 }

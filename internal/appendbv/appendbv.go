@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/bitstr"
 	"repro/internal/bitvec"
 	"repro/internal/rrr"
 )
@@ -292,6 +293,24 @@ func (v *Vector) SizeBits() int {
 
 // InitRun returns the Init(b,n) run this vector was created with.
 func (v *Vector) InitRun() (bit byte, n int) { return v.initBit, v.initLen }
+
+// AppendTo appends every bit of the vector to dst and returns how many of
+// them are set: the Init run as one run, each sealed segment a decoded
+// block at a time, the tail as raw words. The count is of the bits copied,
+// not read off the directory — on a vector decoded from corrupt bytes the
+// two can differ, and a caller that copies the bits can tell.
+func (v *Vector) AppendTo(dst *bitstr.Builder) (ones int) {
+	dst.AppendRun(v.initBit, v.initLen)
+	if v.initBit == 1 {
+		ones = v.initLen
+	}
+	for _, seg := range v.segs {
+		rd := seg.Reader()
+		ones += rd.AppendTo(dst, SegmentBits)
+	}
+	dst.AppendWords(v.tail, v.tailLen)
+	return ones + v.tailOnes
+}
 
 // Iter returns a sequential bit cursor starting at pos, with O(1)
 // amortized Next (used by the §5 sequential-access algorithm).

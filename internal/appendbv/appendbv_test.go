@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitstr"
 	"repro/internal/entropy"
 )
 
@@ -303,5 +304,35 @@ func BenchmarkRank1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.Rank1(pos[i&1023])
+	}
+}
+
+// TestAppendToMatchesAccess copies whole vectors out — with and without an
+// Init run, with no, one and several sealed segments, with an empty and a
+// partial tail — onto an unaligned destination, and checks every bit and
+// the reported ones.
+func TestAppendToMatchesAccess(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, initN := range []int{0, 3, 1000} {
+		for _, n := range []int{0, 1, 100, SegmentBits, SegmentBits + 1, 3*SegmentBits + 777} {
+			v := NewInit(byte(initN&1), initN)
+			for i := 0; i < n; i++ {
+				v.Append(byte(r.Intn(4) / 3))
+			}
+			dst := bitstr.NewBuilder(0)
+			dst.AppendRun(0, 3)
+			if got := v.AppendTo(dst); got != v.Ones() {
+				t.Fatalf("init=%d n=%d: AppendTo counted %d ones, vector has %d", initN, n, got, v.Ones())
+			}
+			out := dst.BitString()
+			if out.Len() != 3+v.Len() {
+				t.Fatalf("init=%d n=%d: copied %d bits, want %d", initN, n, out.Len()-3, v.Len())
+			}
+			for i := 0; i < v.Len(); i++ {
+				if out.Bit(3+i) != v.Access(i) {
+					t.Fatalf("init=%d n=%d: bit %d differs", initN, n, i)
+				}
+			}
+		}
 	}
 }

@@ -302,6 +302,18 @@ func (b *Builder) AppendUint(v uint64, nbits int) {
 	b.n += nbits
 }
 
+// AppendRun appends n copies of bit, a word at a time.
+func (b *Builder) AppendRun(bit byte, n int) {
+	var fill uint64
+	if bit != 0 {
+		fill = ^uint64(0)
+	}
+	for ; n >= 64; n -= 64 {
+		b.AppendUint(fill, 64)
+	}
+	b.AppendUint(fill, n)
+}
+
 // AppendRange appends the n bits that start at bit position from of the
 // packed words (bit i of a packed array is bit i%64 of words[i/64]),
 // a word at a time whatever the source and builder alignments. The range

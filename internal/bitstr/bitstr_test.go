@@ -219,6 +219,19 @@ func TestBuilderMixedAlignment(t *testing.T) {
 	}
 }
 
+func TestBuilderAppendRun(t *testing.T) {
+	var b Builder
+	var want strings.Builder
+	for i, n := range []int{0, 1, 62, 64, 3, 130, 0, 191} {
+		bit := byte(i & 1)
+		b.AppendRun(bit, n)
+		want.WriteString(strings.Repeat(string('0'+bit), n))
+	}
+	if got := b.BitString().String(); got != want.String() {
+		t.Fatalf("runs = %q want %q", got, want.String())
+	}
+}
+
 func TestFromWords(t *testing.T) {
 	w := []uint64{0b1011, 0}
 	bs := FromWords(w, 70)

@@ -64,6 +64,44 @@ func (a *AppendOnly) AppendBits(s bitstr.BitString) {
 	a.n++
 }
 
+// UnwrapAppendOnly returns the AppendOnly inside a *wavelettrie.AppendOnly.
+// Package wavelettrie installs it at init — the succinct.Unwrap
+// arrangement — so that repro/store can ask its memtables a label-only
+// membership question with a key it has already encoded.
+var UnwrapAppendOnly func(appendOnly any) *AppendOnly
+
+// Preorder is a pull-style walk of the trie's nodes in depth-first
+// preorder (node, 0-child, 1-child) — the order the succinct encoding lays
+// nodes out in. The trie must not be appended to while one is in use.
+type Preorder struct {
+	stack []*node // heap stack: deep tries must not grow the goroutine's
+}
+
+// Preorder returns a walk positioned before the root.
+func (a *AppendOnly) Preorder() *Preorder {
+	p := &Preorder{}
+	if root := a.t.Root(); root != nil {
+		p.stack = append(p.stack, root)
+	}
+	return p
+}
+
+// Next returns the next node's label and, for an internal node, its
+// bitvector (nil for a leaf); ok is false once every node has been
+// returned.
+func (p *Preorder) Next() (label bitstr.BitString, bv *appendbv.Vector, ok bool) {
+	if len(p.stack) == 0 {
+		return bitstr.Empty, nil, false
+	}
+	nd := p.stack[len(p.stack)-1]
+	p.stack = p.stack[:len(p.stack)-1]
+	if nd.IsLeaf() {
+		return nd.Label(), nil, true
+	}
+	p.stack = append(p.stack, nd.Child(1), nd.Child(0))
+	return nd.Label(), nd.Payload.(*appendbv.Vector), true
+}
+
 // SizeBits returns the measured footprint: the Patricia trie (the PT term
 // of Theorem 4.3) plus the compressed append-only bitvectors
 // (nH₀(S) + o(h̃n)).

@@ -167,7 +167,7 @@ func (w *wtrie) RankBits(s bitstr.BitString, pos int) int {
 	off := 0
 	for nd != nil {
 		l := nd.Label().Len()
-		if off+l > s.Len() || bitstr.LCP(s.Suffix(off), nd.Label()) < l {
+		if off+l > s.Len() || !bitstr.EqualAt(s.Words(), off, nd.Label().Words(), 0, l) {
 			return 0
 		}
 		off += l
@@ -188,6 +188,12 @@ func (w *wtrie) RankBits(s bitstr.BitString, pos int) int {
 	return 0
 }
 
+// ContainsBits reports whether s occurs at all. A leaf exists only while
+// its string has an occurrence (Append creates it with one, Delete removes
+// it with the last), so this is a walk over the trie labels: no bitvector
+// is touched.
+func (w *wtrie) ContainsBits(s bitstr.BitString) bool { return w.t.Find(s) != nil }
+
 // CountBits returns the total number of occurrences of s.
 func (w *wtrie) CountBits(s bitstr.BitString) int { return w.RankBits(s, w.n) }
 
@@ -200,11 +206,7 @@ func (w *wtrie) RankPrefixBits(p bitstr.BitString, pos int) int {
 	off := 0
 	for nd != nil {
 		l := nd.Label().Len()
-		take := l
-		if rem := p.Len() - off; rem < take {
-			take = rem
-		}
-		if bitstr.LCP(p.Suffix(off), nd.Label()) < take {
+		if !bitstr.EqualAt(p.Words(), off, nd.Label().Words(), 0, min(l, p.Len()-off)) {
 			return 0
 		}
 		off += l

@@ -36,6 +36,10 @@ func FromDegrees(degs []int) *Tree {
 // NumNodes returns the number of nodes.
 func (t *Tree) NumNodes() int { return t.k }
 
+// Len returns the length of the encoding in parentheses; node positions
+// lie in [1, Len()).
+func (t *Tree) Len() int { return t.p.Len() }
+
 // Root returns the root's position. The tree must be non-empty.
 func (t *Tree) Root() int {
 	if t.k == 0 {

@@ -108,6 +108,27 @@ func (m *Monotone) Pair(i int) (uint64, uint64) {
 	return m.value(i, p), m.value(i+1, m.highs.NextOne(p+1))
 }
 
+// Iter reads the sequence front to back: each value costs a scan to the
+// next set bit of the high halves instead of Get's Select1.
+type Iter struct {
+	m    *Monotone
+	i, p int // the next index, and where the scan for its set bit starts
+}
+
+// Iter returns an Iter at index 0.
+func (m *Monotone) Iter() Iter { return Iter{m: m} }
+
+// Next returns the next value; ok is false past the end.
+func (it *Iter) Next() (v uint64, ok bool) {
+	if it.i >= it.m.k {
+		return 0, false
+	}
+	p := it.m.highs.NextOne(it.p)
+	v = it.m.value(it.i, p)
+	it.i, it.p = it.i+1, p+1
+	return v, true
+}
+
 // Predecessor returns the largest index i with Get(i) <= x, or -1 if every
 // value exceeds x.
 func (m *Monotone) Predecessor(x uint64) int {
@@ -189,6 +210,9 @@ func (p *PartialSum) Find(x uint64) int {
 	// result is always valid, and x < Total() keeps it below Count().
 	return p.mono.Predecessor(x)
 }
+
+// Offsets returns an Iter over Offset(0) … Offset(Count()).
+func (p *PartialSum) Offsets() Iter { return p.mono.Iter() }
 
 // SizeBits returns the size of the encoding in bits.
 func (p *PartialSum) SizeBits() int { return p.mono.SizeBits() }

@@ -20,10 +20,17 @@ func TestMonotoneRoundTrip(t *testing.T) {
 			if m.Len() != k {
 				t.Fatalf("Len=%d want %d", m.Len(), k)
 			}
+			it := m.Iter()
 			for i, v := range vals {
 				if got := m.Get(i); got != v {
 					t.Fatalf("k=%d u=%d Get(%d)=%d want %d", k, u, i, got, v)
 				}
+				if got, ok := it.Next(); !ok || got != v {
+					t.Fatalf("k=%d u=%d Iter value %d = %d (ok=%v) want %d", k, u, i, got, ok, v)
+				}
+			}
+			if _, ok := it.Next(); ok {
+				t.Fatalf("k=%d u=%d Iter runs past the end", k, u)
 			}
 		}
 	}

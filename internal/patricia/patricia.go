@@ -112,7 +112,7 @@ func (t *Trie[P]) Find(s bitstr.BitString) *Node[P] {
 	pos := 0
 	for n != nil {
 		l := n.label.Len()
-		if pos+l > s.Len() || bitstr.LCP(s.Suffix(pos), n.label) < l {
+		if pos+l > s.Len() || !bitstr.EqualAt(s.Words(), pos, n.label.Words(), 0, l) {
 			return nil
 		}
 		pos += l
@@ -140,8 +140,7 @@ func (t *Trie[P]) FindPrefix(p bitstr.BitString) (n *Node[P], labelConsumed int)
 	pos := 0
 	for n != nil {
 		l := n.label.Len()
-		rem := s1min(l, p.Len()-pos)
-		if bitstr.LCP(p.Suffix(pos), n.label) < rem {
+		if !bitstr.EqualAt(p.Words(), pos, n.label.Words(), 0, min(l, p.Len()-pos)) {
 			return nil, 0
 		}
 		if pos+l >= p.Len() {
@@ -155,13 +154,6 @@ func (t *Trie[P]) FindPrefix(p bitstr.BitString) (n *Node[P], labelConsumed int)
 		pos++
 	}
 	return nil, 0
-}
-
-func s1min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // InsertResult describes the structural outcome of an insertion.
@@ -188,11 +180,11 @@ func (t *Trie[P]) Insert(s bitstr.BitString) InsertResult[P] {
 	pos := 0
 	for {
 		l := n.label.Len()
-		suffix := s.Suffix(pos)
-		lcp := bitstr.LCP(suffix, n.label)
+		rest := s.Len() - pos
+		lcp := bitstr.LCPAt(s.Words(), pos, n.label.Words(), 0, min(l, rest))
 		if lcp < l {
 			// Mismatch inside n's label (or s exhausted within it).
-			if lcp == suffix.Len() {
+			if lcp == rest {
 				panic(fmt.Sprintf("patricia: Insert: %q is a proper prefix of a stored string", s.String()))
 			}
 			return t.split(n, pos, lcp, s)

@@ -1,6 +1,10 @@
 package rrr
 
-import "repro/internal/wire"
+import (
+	"fmt"
+
+	"repro/internal/wire"
+)
 
 // EncodeTo serializes the compressed vector into w. Only the payload is
 // written — the bit count, the packed class fields and the packed offset
@@ -15,12 +19,17 @@ func (v *Vector) EncodeTo(w *wire.Writer) {
 
 // DecodeFrom reads a vector serialized by EncodeTo, rebuilding the
 // superblock directory from the class fields (buildSuper). Structural
-// shape is fully validated (errors are recorded on r): the class and offset streams must
-// have exactly the lengths the class fields imply, and the last block's
-// class cannot exceed its valid bits — so Rank/Select on a decoded vector
-// always stay in range. Bit-level corruption inside a block offset still
-// surfaces as wrong query answers, not panics; callers wanting integrity
-// must checksum the enclosing container.
+// shape is fully validated (errors are recorded on r): the class and
+// offset streams must have exactly the lengths the class fields imply, and
+// the last block's class cannot exceed its valid bits. A copying reader
+// (the heap Load of bytes nobody has checksummed) also checks every block
+// body — each offset below C(63, class), and no set bit of the last block
+// past the vector's end — so that the ones a block decodes to are always
+// the ones its class field promised: a wavelet trie sizes a child by its
+// parent's class sums and positions into it by the parent's decoded bits,
+// and the two must not disagree. A zero-copy reader skips that pass (it
+// would fault in every page of a mapping whose enclosing file the caller
+// has checksummed).
 func DecodeFrom(r *wire.Reader) *Vector {
 	v := &Vector{
 		n:       r.Int(),
@@ -46,5 +55,36 @@ func DecodeFrom(r *wire.Reader) *Vector {
 			return FromWords(nil, 0)
 		}
 	}
+	if !r.Refs() {
+		if err := v.checkBlocks(); err != nil {
+			r.Fail("%v", err)
+			return FromWords(nil, 0)
+		}
+	}
 	return v
+}
+
+// checkBlocks verifies that every block's offset names a block of its
+// class and that the last block keeps its set bits among the valid ones.
+func (v *Vector) checkBlocks() error {
+	nb := v.numBlocks()
+	if nb == 0 {
+		return nil
+	}
+	cr := v.classesFrom(0)
+	offPos := 0
+	for b := 0; b < nb; b++ {
+		c := cr.next()
+		off := v.offset(c, offPos)
+		if off >= choose[c][blockBits] {
+			return fmt.Errorf("rrr: block %d offset %d out of range for class %d", b, off, c)
+		}
+		if valid := v.n - b*blockBits; valid < blockBits {
+			if in, _ := rankInBlock(c, off, valid); in != c {
+				return fmt.Errorf("rrr: last block sets bits past the vector's end")
+			}
+		}
+		offPos += offsetWidth[c]
+	}
+	return nil
 }

@@ -52,3 +52,51 @@ func TestDecodeRejectsShapeMismatch(t *testing.T) {
 		t.Fatal("truncated input accepted")
 	}
 }
+
+// TestDecodeRejectsInconsistentBlocks corrupts block bodies so that the
+// shape checks still pass: an offset past its class's range, and a last
+// block whose set bits moved into the padding (fewer ones among the valid
+// bits than the class field counts — the disagreement that let a wavelet
+// trie position past the end of a child bitvector). A copying reader must
+// refuse both; a zero-copy reader (checksummed input) skips the pass.
+func TestDecodeRejectsInconsistentBlocks(t *testing.T) {
+	encode := func(v *Vector) []byte {
+		w := wire.NewWriter(1, 1)
+		v.EncodeTo(w)
+		return w.Bytes()
+	}
+	decode := func(buf []byte, refs bool) error {
+		rd, _ := wire.NewReader(buf, 1, 1)
+		if refs {
+			rd.EnableRefs()
+		}
+		DecodeFrom(rd)
+		return rd.Done()
+	}
+	// One block of class 2 over 10 valid bits, ones at positions 0 and 1:
+	// the largest offset of the class. Clearing its top bit moves both ones
+	// past bit 10 (to 19 and 37).
+	v := FromWords([]uint64{0b11}, 10)
+	good := encode(v)
+	if err := decode(good, false); err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), good...)
+	offsets := len(bad) - 8 // the single offset word is the last field
+	top := offsetWidth[2] - 1
+	bad[offsets+top/8] ^= 1 << uint(top%8)
+	if err := decode(bad, false); err == nil {
+		t.Fatal("last block with set bits in its padding accepted")
+	}
+	if err := decode(bad, true); err != nil {
+		t.Fatalf("zero-copy decode ran the block pass: %v", err)
+	}
+	// A full block of class 1 whose 6-bit offset reads 63 = C(63,1).
+	v = FromWords([]uint64{1 << 62, 0}, 100)
+	bad = encode(v)
+	offsets = len(bad) - 8
+	bad[offsets] |= 0x3f
+	if err := decode(bad, false); err == nil {
+		t.Fatal("offset past its class's range accepted")
+	}
+}

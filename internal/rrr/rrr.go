@@ -17,7 +17,8 @@
 // (rankInBlock, selectInBlock), on the sparser of the block and its
 // complement, and answer classes 0 and 63 without reading an offset. The
 // sequential forms (Iter, Selector) keep that walk's state between calls
-// (blockWalk), so they never walk a bit twice either.
+// (blockWalk), so they never walk a bit twice either; a bulk copy (Reader)
+// decodes each block once into a word.
 //
 // The Wavelet Trie uses RRR for every bitvector β of the static variant
 // (Theorem 3.7) and for the immutable segments of the append-only
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/bitstr"
 	"repro/internal/bitvec"
 )
 
@@ -64,12 +66,9 @@ func init() {
 // differing position, puts the block with a 0 there first.
 func encodeBlock(w uint64) (class int, offset uint64) {
 	class = bits.OnesCount64(w)
-	k := class
-	for i := 0; i < blockBits && k > 0; i++ {
-		if w>>uint(i)&1 == 1 {
-			offset += choose[k][blockBits-1-i]
-			k--
-		}
+	for k := class; w != 0; k-- {
+		offset += choose[k][blockBits-1-bits.TrailingZeros64(w)]
+		w &= w - 1
 	}
 	return class, offset
 }
@@ -165,6 +164,34 @@ func selectInBlock(class int, offset uint64, b byte, j int) int {
 		}
 	}
 	return i + j // only zeros of the walked form remain
+}
+
+// decodeBlock rebuilds the 63-bit block (class, offset) as a word, bit i of
+// the block at bit i — the inverse of encodeBlock. It walks the sparser
+// form like rankInBlock and stops at its last set bit.
+func decodeBlock(class int, offset uint64) uint64 {
+	k, offset, flip := sparser(class, offset)
+	var w uint64
+	i := 0
+	if k > branchyClass {
+		c := choose[k][blockBits-1]
+		for ; i < blockBits && k > 0; i++ {
+			var bit uint64
+			k, offset, c, bit = denseStep(k, blockBits-2-i, offset, c)
+			w |= bit << uint(i)
+		}
+	}
+	for ; i < blockBits && k > 0; i++ {
+		if c := choose[k][blockBits-1-i]; offset >= c {
+			offset -= c
+			k--
+			w |= 1 << uint(i)
+		}
+	}
+	if flip == 1 {
+		return ^w & (1<<blockBits - 1)
+	}
+	return w
 }
 
 // Vector is an immutable RRR-compressed bitvector.
@@ -573,6 +600,57 @@ func (it *Iter) Next() byte {
 	it.pos++
 	it.rank += int(bit)
 	return bit
+}
+
+// Reader copies a Vector's bits out front to back, a whole block at a
+// time: every block is decoded once into a word (decodeBlock), the class
+// fields stream and no superblock sample is consulted — what a structural
+// freeze or merge asks of a source's bitvector, where Iter would walk each
+// bit on its own.
+type Reader struct {
+	v      *Vector
+	pos    int         // the next bit to deliver
+	cr     classReader // at the class of the next block to decode
+	offPos int         // bit position of that block's offset
+	buf    uint64      // decoded bits not yet delivered, LSB first
+	have   int         // how many
+}
+
+// Reader returns a Reader at bit 0.
+func (v *Vector) Reader() Reader {
+	r := Reader{v: v}
+	if v.n > 0 {
+		r.cr = v.classesFrom(0)
+	}
+	return r
+}
+
+// Pos returns the position of the next bit AppendTo delivers.
+func (r *Reader) Pos() int { return r.pos }
+
+// AppendTo appends the next n bits to dst and returns how many of them
+// are set; n must not exceed Len() - Pos().
+func (r *Reader) AppendTo(dst *bitstr.Builder, n int) (ones int) {
+	if n < 0 || n > r.v.n-r.pos {
+		panic(fmt.Sprintf("rrr: Reader: %d bits requested at %d of %d", n, r.pos, r.v.n))
+	}
+	for n > 0 {
+		if r.have == 0 {
+			c := r.cr.next()
+			r.buf = decodeBlock(c, r.v.offset(c, r.offPos))
+			r.offPos += offsetWidth[c]
+			r.have = min(blockBits, r.v.n-r.pos)
+		}
+		m := min(r.have, n)
+		w := r.buf & (1<<uint(m) - 1)
+		dst.AppendUint(w, m)
+		ones += bits.OnesCount64(w)
+		r.buf >>= uint(m)
+		r.have -= m
+		r.pos += m
+		n -= m
+	}
+	return ones
 }
 
 // selectorNear is how many blocks a Selector steps forward by summing

@@ -8,14 +8,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitstr"
 	"repro/internal/bitvec"
 )
 
-// decodeBlock reconstructs the whole 63-bit block from its class and
+// referenceBlock reconstructs the whole 63-bit block from its class and
 // offset: the reference the partial walks (rankInBlock, selectInBlock,
 // blockWalk) are checked against. All walk the same sparser form, so they
 // agree on every bit even for an offset no encoder produces.
-func decodeBlock(class int, offset uint64) uint64 {
+func referenceBlock(class int, offset uint64) uint64 {
 	k, offset, flip := sparser(class, offset)
 	var w uint64
 	for i := 0; i < blockBits && k > 0; i++ {
@@ -36,7 +37,7 @@ func TestBlockCodecExhaustiveSmallClasses(t *testing.T) {
 	checks := 0
 	for _, w := range []uint64{0, 1<<63 - 1} {
 		c, off := encodeBlock(w & (1<<blockBits - 1))
-		if got := decodeBlock(c, off); got != w&(1<<blockBits-1) {
+		if got := referenceBlock(c, off); got != w&(1<<blockBits-1) {
 			t.Fatalf("codec broken for %x", w)
 		}
 		checks++
@@ -47,13 +48,13 @@ func TestBlockCodecExhaustiveSmallClasses(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("class of single bit = %d", c)
 		}
-		if got := decodeBlock(c, off); got != w {
+		if got := referenceBlock(c, off); got != w {
 			t.Fatalf("single-bit codec broken for bit %d", i)
 		}
 		for j := i + 1; j < blockBits; j++ {
 			w2 := w | 1<<uint(j)
 			c2, off2 := encodeBlock(w2)
-			if c2 != 2 || decodeBlock(c2, off2) != w2 {
+			if c2 != 2 || referenceBlock(c2, off2) != w2 {
 				t.Fatalf("two-bit codec broken for bits %d,%d", i, j)
 			}
 			checks++
@@ -61,7 +62,7 @@ func TestBlockCodecExhaustiveSmallClasses(t *testing.T) {
 		// Complement: class 62.
 		w62 := ^w & (1<<blockBits - 1)
 		c62, off62 := encodeBlock(w62)
-		if c62 != 62 || decodeBlock(c62, off62) != w62 {
+		if c62 != 62 || referenceBlock(c62, off62) != w62 {
 			t.Fatalf("class-62 codec broken for hole %d", i)
 		}
 	}
@@ -81,7 +82,7 @@ func TestBlockCodecRandom(t *testing.T) {
 		if off >= choose[c][blockBits] {
 			t.Fatalf("offset %d out of range C(63,%d)=%d", off, c, choose[c][blockBits])
 		}
-		if got := decodeBlock(c, off); got != w {
+		if got := referenceBlock(c, off); got != w {
 			t.Fatalf("codec: %x -> (%d,%d) -> %x", w, c, off, got)
 		}
 	}
@@ -125,7 +126,7 @@ func blocksOfEveryClass(r *rand.Rand, fn func(w uint64)) {
 			offs = append(offs, uint64(r.Int63n(int64(total))))
 		}
 		for _, off := range offs {
-			fn(decodeBlock(c, off))
+			fn(referenceBlock(c, off))
 		}
 	}
 }
@@ -179,9 +180,12 @@ func TestBlockKernelsAgreeOnForeignOffsets(t *testing.T) {
 	for c := 1; c < blockBits; c++ {
 		widest := uint64(1)<<uint(offsetWidth[c]) - 1
 		for _, off := range []uint64{choose[c][blockBits], widest, (choose[c][blockBits] + widest) / 2} {
-			w := decodeBlock(c, off)
+			w := referenceBlock(c, off)
 			if bits.OnesCount64(w) != c || w>>blockBits != 0 {
 				t.Fatalf("class %d offset %d: decoded %#x has %d ones", c, off, w, bits.OnesCount64(w))
+			}
+			if got := decodeBlock(c, off); got != w {
+				t.Fatalf("class %d offset %d: decodeBlock = %#x, reference %#x", c, off, got, w)
 			}
 			ones, zeros := 0, 0
 			for pos := 0; pos < blockBits; pos++ {
@@ -329,6 +333,7 @@ func TestPanics(t *testing.T) {
 		func() { v.Select1(1) },
 		func() { v.Select0(1) },
 		func() { v.Iter(3) },
+		func() { rd := v.Reader(); rd.AppendTo(bitstr.NewBuilder(0), 3) },
 	} {
 		func() {
 			defer func() {
@@ -389,11 +394,14 @@ func BenchmarkIterSequential(b *testing.B) {
 // TestBlockWalkMatchesDecode checks the resumable block walk against the
 // materialised block for every class, stepped a bit at a time and run in
 // strides, counting either bit value — and on offsets no encoder
-// produces, where it must still describe the block decodeBlock does.
+// produces, where it must still describe the block referenceBlock does.
 func TestBlockWalkMatchesDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(39))
 	check := func(c int, off uint64) {
-		w := decodeBlock(c, off)
+		w := referenceBlock(c, off)
+		if got := decodeBlock(c, off); got != w {
+			t.Fatalf("class %d offset %d: decodeBlock = %#x, reference %#x", c, off, got, w)
+		}
 		bw := startWalk(c, off)
 		for pos := 0; pos < blockBits; pos++ {
 			if got, want := bw.next(), byte(w>>uint(pos)&1); got != want {
@@ -531,6 +539,44 @@ func TestSelectorMatchesSelect(t *testing.T) {
 					if got, want := s.Select(idx, from, to), plain.Select(b, idx); got != want {
 						t.Fatalf("p=%v bit %d window [%d,%d): Select(%d) = %d, want %d", p, b, from, to, idx, got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestReaderMatchesAccess copies vectors out through a Reader in uneven
+// pieces — across block and word boundaries, onto a destination that is
+// itself unaligned — and checks bits, reported ones and Pos against the
+// plain vector.
+func TestReaderMatchesAccess(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, n := range []int{0, 1, 62, 63, 64, 126, 127, 2016, 2017, 10000} {
+		for _, p := range []float64{0, 0.02, 0.5, 0.98, 1} {
+			v, plain := buildBoth(r, n, p)
+			rd := v.Reader()
+			dst := bitstr.NewBuilder(0)
+			dst.AppendRun(1, 5)
+			for pos := 0; pos < n; {
+				m := min(1+r.Intn(150), n-pos)
+				if rd.Pos() != pos {
+					t.Fatalf("n=%d p=%v: Pos = %d, want %d", n, p, rd.Pos(), pos)
+				}
+				if got, want := rd.AppendTo(dst, m), plain.Rank1(pos+m)-plain.Rank1(pos); got != want {
+					t.Fatalf("n=%d p=%v: %d ones in [%d,%d), want %d", n, p, got, pos, pos+m, want)
+				}
+				pos += m
+			}
+			if rd.Pos() != n || rd.AppendTo(dst, 0) != 0 {
+				t.Fatalf("n=%d p=%v: reader not at the end", n, p)
+			}
+			out := dst.BitString()
+			if out.Len() != n+5 {
+				t.Fatalf("n=%d p=%v: copied %d bits", n, p, out.Len()-5)
+			}
+			for i := 0; i < n; i++ {
+				if out.Bit(i+5) != plain.Access(i) {
+					t.Fatalf("n=%d p=%v: bit %d differs", n, p, i)
 				}
 			}
 		}

@@ -5,10 +5,7 @@ import (
 
 	"repro/internal/bitstr"
 	"repro/internal/bitvec"
-	"repro/internal/dfuds"
-	"repro/internal/eliasfano"
 	"repro/internal/patricia"
-	"repro/internal/rrr"
 )
 
 // Builder assembles the §3 succinct representation directly from a stream
@@ -105,9 +102,8 @@ func (b *Builder) Build() (*Trie, error) {
 		panic("succinct: Builder: Build called twice")
 	}
 	b.done = true
-	t := &Trie{n: b.n}
 	if b.t.Root() == nil {
-		return t, nil
+		return &Trie{}, nil
 	}
 	if b.n == 0 {
 		return nil, fmt.Errorf("succinct: Builder: values registered but none appended")
@@ -116,14 +112,7 @@ func (b *Builder) Build() (*Trie, error) {
 		nd   *patricia.Node[*bitvec.Builder]
 		want int // elements that must have been routed through this node
 	}
-	var degs []int
-	var kinds []bool
-	var labelLens []int
-	labelCat := bitstr.NewBuilder(0)
-	var bvLens []uint64
-	var bvOnes []uint64
-	totalBits, totalOnes := uint64(0), uint64(0)
-	all := bitstr.NewBuilder(0)
+	a := newAssembler(0)
 	// Heap stack, 1-child pushed first so the 0-child pops first — the
 	// preorder of patricia.Walk and core.Static.WalkPreorder.
 	stack := []entry{{b.t.Root(), b.n}}
@@ -131,18 +120,14 @@ func (b *Builder) Build() (*Trie, error) {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		label := e.nd.Label()
-		labelCat.Append(label)
-		labelLens = append(labelLens, label.Len())
 		if e.nd.IsLeaf() {
-			kinds = append(kinds, false)
-			degs = append(degs, 0)
+			a.leaf(label.Words(), 0, label.Len())
 			if e.want == 0 {
 				return nil, fmt.Errorf("succinct: Builder: value registered in pass 1 but never appended in pass 2")
 			}
 			continue
 		}
-		kinds = append(kinds, true)
-		degs = append(degs, 2)
+		a.internal(label.Words(), 0, label.Len())
 		bd := e.nd.Payload
 		if bd == nil {
 			bd = bitvec.NewBuilder(0)
@@ -156,22 +141,8 @@ func (b *Builder) Build() (*Trie, error) {
 		stack = append(stack,
 			entry{e.nd.Child(1), ones},
 			entry{e.nd.Child(0), bv.Len() - ones})
-		bvLens = append(bvLens, totalBits)
-		bvOnes = append(bvOnes, totalOnes)
-		totalBits += uint64(bv.Len())
-		totalOnes += uint64(ones)
-		all.AppendWords(bv.Words(), bv.Len())
+		a.bits.AppendWords(bv.Words(), bv.Len())
+		a.ones += uint64(ones)
 	}
-	t.tree = dfuds.FromDegrees(degs)
-	t.labels = labelCat.BitString()
-	t.labelDir = eliasfano.NewPartialSum(labelLens)
-	t.internal = internalMarks(kinds)
-	// Sentinel entries make segment ends addressable (as in Freeze).
-	bvLens = append(bvLens, totalBits)
-	bvOnes = append(bvOnes, totalOnes)
-	t.bvOffsets = eliasfano.FromSorted(bvLens, totalBits+1)
-	t.bvOnes = eliasfano.FromSorted(bvOnes, totalOnes+1)
-	cat := all.View()
-	t.bits = rrr.FromWords(cat.Words(), cat.Len())
-	return t, nil
+	return a.finish(b.n), nil
 }

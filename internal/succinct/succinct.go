@@ -55,72 +55,84 @@ type Trie struct {
 // pre-encoded key without the public API growing a method for it.
 var Unwrap func(frozen any) *Trie
 
-// The internal-node marks are part of the wire format and of validation
-// (they must agree with the tree), but no query reads them: an internal
-// node's index among the internal nodes follows from its DFUDS position
-// (dfuds.BinaryNode.InternalIndex).
-func internalMarks(kinds []bool) *bitvec.Vector {
-	b := bitvec.NewBuilder(len(kinds))
-	for _, k := range kinds {
-		if k {
-			b.AppendBit(1)
-		} else {
-			b.AppendBit(0)
-		}
+// assembler lays a trie out as the §3 components from its nodes handed
+// over in preorder (node, 0-child, 1-child): one degree and one label per
+// node, and per internal node where its β segment starts in the
+// concatenation and how many ones precede it. Freeze, Builder.Build and
+// Merge differ only in where the nodes and the β bits come from.
+type assembler struct {
+	degs      []int
+	labelLens []int
+	labels    *bitstr.Builder
+	bvStarts  []uint64
+	bvOnes    []uint64
+	bits      *bitstr.Builder // every β so far, concatenated
+	ones      uint64          // set bits in bits; whoever appends β keeps it current
+}
+
+// newAssembler returns an empty assembler with room for bitsHint β bits.
+func newAssembler(bitsHint int) *assembler {
+	return &assembler{labels: bitstr.NewBuilder(0), bits: bitstr.NewBuilder(bitsHint)}
+}
+
+// leaf emits a leaf labeled with the n bits at bit offset off of words.
+func (a *assembler) leaf(words []uint64, off, n int) {
+	a.degs = append(a.degs, 0)
+	a.labelLens = append(a.labelLens, n)
+	a.labels.AppendRange(words, off, n)
+}
+
+// internal emits an internal node labeled like leaf; the caller then
+// appends the node's β to a.bits and adds its ones to a.ones.
+func (a *assembler) internal(words []uint64, off, n int) {
+	a.degs = append(a.degs, 2)
+	a.labelLens = append(a.labelLens, n)
+	a.labels.AppendRange(words, off, n)
+	a.bvStarts = append(a.bvStarts, uint64(a.bits.Len()))
+	a.bvOnes = append(a.bvOnes, a.ones)
+}
+
+// finish builds the trie of n elements over the emitted nodes.
+func (a *assembler) finish(n int) *Trie {
+	t := &Trie{n: n}
+	if len(a.degs) == 0 {
+		return t
 	}
-	return b.Build()
+	t.tree = dfuds.FromDegrees(a.degs)
+	t.labels = a.labels.BitString()
+	t.labelDir = eliasfano.NewPartialSum(a.labelLens)
+	// The internal-node marks are part of the wire format and of validation
+	// (they must agree with the tree), but no query reads them: an internal
+	// node's index among the internal nodes follows from its DFUDS position
+	// (dfuds.BinaryNode.InternalIndex).
+	marks := bitvec.NewBuilder(len(a.degs))
+	for _, d := range a.degs {
+		marks.AppendBit(byte(d >> 1))
+	}
+	t.internal = marks.Build()
+	// Sentinel entries make segment ends addressable.
+	total := uint64(a.bits.Len())
+	t.bvOffsets = eliasfano.FromSorted(append(a.bvStarts, total), total+1)
+	t.bvOnes = eliasfano.FromSorted(append(a.bvOnes, a.ones), a.ones+1)
+	cat := a.bits.View()
+	t.bits = rrr.FromWords(cat.Words(), cat.Len())
+	return t
 }
 
 // Freeze converts a pointer-based static Wavelet Trie into the succinct
 // representation.
 func Freeze(st *core.Static) *Trie {
-	t := &Trie{n: st.Len()}
-	var degs []int
-	var kinds []bool
-	var labelLens []int
-	labelCat := bitstr.NewBuilder(0)
-	var bvLens []uint64
-	var bvOnes []uint64
-	var segs []*rrr.Vector
-	totalBits, totalOnes := uint64(0), uint64(0)
+	a := newAssembler(st.TotalBitvectorBits())
 	st.WalkPreorder(func(label bitstr.BitString, isLeaf bool, bv *rrr.Vector) {
-		labelCat.Append(label)
-		labelLens = append(labelLens, label.Len())
-		kinds = append(kinds, !isLeaf)
 		if isLeaf {
-			degs = append(degs, 0)
+			a.leaf(label.Words(), 0, label.Len())
 			return
 		}
-		degs = append(degs, 2)
-		bvLens = append(bvLens, totalBits)
-		bvOnes = append(bvOnes, totalOnes)
-		totalBits += uint64(bv.Len())
-		totalOnes += uint64(bv.Ones())
-		segs = append(segs, bv)
+		a.internal(label.Words(), 0, label.Len())
+		rd := bv.Reader()
+		a.ones += uint64(rd.AppendTo(a.bits, bv.Len()))
 	})
-	if len(degs) == 0 {
-		return t
-	}
-	t.tree = dfuds.FromDegrees(degs)
-	t.labels = labelCat.BitString()
-	t.labelDir = eliasfano.NewPartialSum(labelLens)
-	t.internal = internalMarks(kinds)
-	// Sentinel entries make segment ends addressable.
-	bvLens = append(bvLens, totalBits)
-	bvOnes = append(bvOnes, totalOnes)
-	t.bvOffsets = eliasfano.FromSorted(bvLens, totalBits+1)
-	t.bvOnes = eliasfano.FromSorted(bvOnes, totalOnes+1)
-	// Concatenate the bitvector contents into one RRR dictionary.
-	cat := bitstr.NewBuilder(int(totalBits))
-	for _, seg := range segs {
-		it := seg.Iter(0)
-		for it.Valid() {
-			cat.AppendBit(it.Next())
-		}
-	}
-	all := cat.BitString()
-	t.bits = rrr.FromWords(all.Words(), all.Len())
-	return t
+	return a.finish(st.Len())
 }
 
 // Len returns the number of elements.

@@ -331,6 +331,53 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestLoadSurvivesEveryBitFlip flips every bit of a small snapshot of each
+// string kind in turn: Load must refuse the result or return an index
+// whose every position can be read. It is the exhaustive form of the
+// random flips above, and the regression test for the flip they missed —
+// an RRR block offset that moved set bits past a node bitvector's end, so
+// that the vector held fewer ones than its class fields promised its
+// children (rrr.DecodeFrom now checks block bodies). The same corruption
+// in an append-only trie needs a sealed 16 384-bit segment; it is kept as
+// a FuzzLoad seed under testdata/fuzz instead.
+func TestLoadSurvivesEveryBitFlip(t *testing.T) {
+	var seq []string
+	for i := 0; i < 40; i++ {
+		seq = append(seq, []string{"a", "b", "r"}[(i*i+i/3)%3])
+	}
+	for name, ix := range map[string]wavelettrie.Index{
+		"static":     wavelettrie.NewStatic(seq),
+		"appendonly": wavelettrie.NewAppendOnlyFrom(seq),
+		"dynamic":    wavelettrie.NewDynamicFrom(seq),
+		"frozen":     wavelettrie.NewStatic(seq).Frozen(),
+	} {
+		data, err := ix.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bit := 0; bit < 8*len(data); bit++ {
+			mut := bytes.Clone(data)
+			mut[bit/8] ^= 1 << uint(bit%8)
+			loaded, err := wavelettrie.Load(mut)
+			if err != nil || loaded.Len() > 1<<16 {
+				continue
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("%s: flipping bit %d of byte %d loads an index that panics: %v", name, bit%8, bit/8, p)
+					}
+				}()
+				si := loaded.(wavelettrie.StringIndex)
+				for pos := 0; pos < si.Len(); pos++ {
+					si.Access(pos)
+				}
+				exerciseLoaded(loaded)
+			}()
+		}
+	}
+}
+
 // exerciseLoaded drives the query surface of a successfully loaded
 // index; a Load that accepted corrupt input must still never panic.
 func exerciseLoaded(ix wavelettrie.Index) {

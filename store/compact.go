@@ -21,11 +21,11 @@ import (
 //
 // Compaction is two-phase so it never blocks the write path:
 //
-//   - Prepare (outside adminMu, serialized by compactMu): stream-merge
-//     the victim pair through the frozen tries' enumerators, freeze the
+//   - Prepare (outside adminMu, serialized by compactMu): merge the
+//     victim run's frozen tries structurally into the trie of their
 //     concatenation, write the new generation and filter files. Flushes
 //     run concurrently — they only append generations, so the victim
-//     pair stays adjacent and present.
+//     run stays adjacent and present.
 //   - Commit (under adminMu): splice the merged generation into the
 //     current list, rewrite the manifest, publish the new state. Only
 //     this pointer-swap-sized step contends with Flush.
@@ -146,31 +146,30 @@ func (s *Store) mergeRun(st *storeState) error {
 	s.nextID++
 	s.adminMu.Unlock()
 
-	// Phase 1 — prepare. Stream the victims in order through the freeze
-	// builder — the merged sequence is never materialized as a []string,
-	// so peak memory for a merge of any size is the merged index itself
-	// (pass 1 registers each victim's alphabet; pass 2 replays each
-	// victim's bit stream into the builder's per-node accumulators).
-	// Flush latency is unaffected however large the merge is. Close
-	// waits on compactMu, so the replay polls closed and bails early —
-	// the commit would only abort anyway; the freeze/write stage is not
-	// interruptible, so shutdown latency is bounded by that stage, not
-	// by the whole merge.
-	fill := func(fb *wavelettrie.FrozenBuilder) error {
-		for _, g := range victims {
-			g.ix.FeedValues(fb)
-		}
-		for _, g := range victims {
-			if err := g.ix.FeedRange(fb, 0, g.ix.Len(), func() bool { return !s.closed.Load() }); err != nil {
-				return err
-			}
-		}
+	// Phase 1 — prepare. Merge the victims' tries structurally (§9): their
+	// shapes walked together in preorder, node bitvectors concatenated, no
+	// element decoded — peak memory for a merge of any size is the merged
+	// index's raw bits. Flush latency is unaffected however large the
+	// merge is. Close waits on compactMu, so the merge polls closed (per
+	// node and per 64 Ki copied bits) and bails early — the commit would
+	// only abort anyway; the marshal/write stage is not interruptible, so
+	// shutdown latency is bounded by that stage, not by the whole merge.
+	// A victim that disagrees with itself fails the merge here, before any
+	// file is written: the victims' files and the manifest stay as they
+	// are.
+	parts := make([]*wavelettrie.Frozen, len(victims))
+	for i, g := range victims {
+		parts[i] = g.ix
+	}
+	ix, err := wavelettrie.ConcatFrozen(func() bool { return !s.closed.Load() }, parts...)
+	if err != nil {
+		met.compactAborts.Inc()
 		if s.closed.Load() {
 			return errClosed
 		}
-		return nil
+		return err
 	}
-	merged, err := writeGenerationFrom(s.dir, gid, s.schema, genColFeeder{gens: victims}, fill)
+	merged, err := writeGenerationFrom(s.dir, gid, s.schema, genColFeeder{gens: victims}, ix)
 	if err != nil {
 		met.compactAborts.Inc()
 		return err

@@ -16,12 +16,15 @@
 // adjacent runs of small generations so the generation count stays
 // bounded.
 //
+// Flush and compaction work on structure, not on elements: a sealed
+// memtable's trie is frozen in place and the victims' tries are merged
+// node by node, their bitvectors concatenated — no value is decoded
+// back out of a trie to be inserted into another (DESIGN.md §9).
 // Compaction is two-phase and never blocks the write path: the merge
-// itself — materializing the victims through the frozen tries'
-// streaming enumerators, freezing, writing the files — runs outside the
-// admin lock while appends and flushes proceed (flushes only append
-// generations, so the victim run stays adjacent), and only the final
-// manifest swap commits under it.
+// itself and the writing of the files run outside the admin lock while
+// appends and flushes proceed (flushes only append generations, so the
+// victim run stays adjacent), and only the final manifest swap commits
+// under it.
 //
 // Reads never block writes and writes never block reads across
 // generations: a Snapshot is an atomic pointer load of an immutable

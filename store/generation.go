@@ -258,35 +258,24 @@ func writeFileAtomic(dir, name string, data []byte) error {
 	return nil
 }
 
-// writeGenerationFrom persists a streamed sequence as generation id:
-// fill feeds a streaming FrozenBuilder (both passes), the resulting
-// Frozen encoding is written to the index file (temp file + fsync +
-// rename) and then its probe filter (rename only — see
-// writeFilterFile). The renames are atomic, so a crash leaves no
-// partial file — and neither file becomes reachable before a manifest
-// references the generation; until then both are orphans the next Open
-// reclaims. The filter write is best-effort: filters are derived data
-// (the next Open rebuilds a missing one), so they must never fail a
-// flush or compaction — nor add fsyncs to its critical path.
+// writeGenerationFrom persists ix as generation id: the Frozen encoding
+// is written to the index file (temp file + fsync + rename) and then its
+// probe filter (rename only — see writeFilterFile). The renames are
+// atomic, so a crash leaves no partial file — and neither file becomes
+// reachable before a manifest references the generation; until then both
+// are orphans the next Open reclaims. The filter write is best-effort:
+// filters are derived data (the next Open rebuilds a missing one), so
+// they must never fail a flush or compaction — nor add fsyncs to its
+// critical path.
 //
-// The input is never materialized as a []string: flush streams the
-// sealed memtable and compaction streams the victim generations straight
-// into the builder's per-node bit accumulators, so peak memory is the
-// output's size, not input + output.
+// ix comes from a structural freeze (flush: the sealed memtable's trie)
+// or merge (compaction: the victims' tries) — §9; either way no element
+// was decoded to make it and the input was never held as a []string.
 // schema and feed carry the column side: when the store has a schema,
-// the same streamed pass also lays the rows out as column files (see
-// colwrite.go) written before the index file — all three become
-// reachable together once the manifest commits. feed may be nil (a
-// generation of all-NULL rows).
-func writeGenerationFrom(dir string, id uint64, schema []ColumnSpec, feed colFeeder, fill func(fb *wavelettrie.FrozenBuilder) error) (*generation, error) {
-	fb := wavelettrie.NewFrozenBuilder()
-	if err := fill(fb); err != nil {
-		return nil, err
-	}
-	ix, err := fb.Build()
-	if err != nil {
-		return nil, err
-	}
+// the rows are laid out as column files (see colwrite.go) written before
+// the index file — all three become reachable together once the manifest
+// commits. feed may be nil (a generation of all-NULL rows).
+func writeGenerationFrom(dir string, id uint64, schema []ColumnSpec, feed colFeeder, ix *wavelettrie.Frozen) (*generation, error) {
 	data, err := ix.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -311,17 +300,17 @@ func writeGenerationFrom(dir string, id uint64, schema []ColumnSpec, feed colFee
 // writeGeneration is writeGenerationFrom for an in-memory slice —
 // convenience for tests and callers that already hold the sequence.
 func writeGeneration(dir string, id uint64, seq []string) (*generation, error) {
-	return writeGenerationFrom(dir, id, nil, nil, func(fb *wavelettrie.FrozenBuilder) error {
+	ix, err := wavelettrie.FreezeIterate(func(yield func(s string) bool) {
 		for _, v := range seq {
-			fb.AddValue(v)
-		}
-		for _, v := range seq {
-			if err := fb.Append(v); err != nil {
-				return err
+			if !yield(v) {
+				return
 			}
 		}
-		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return writeGenerationFrom(dir, id, nil, nil, ix)
 }
 
 // remapGeneration swaps a freshly written, heap-backed generation onto

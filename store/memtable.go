@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 
 	wavelettrie "repro"
+	"repro/internal/bitstr"
+	"repro/internal/core"
 )
 
 // memtable is the mutable head of the sequence: an append-only Wavelet
@@ -18,6 +20,7 @@ import (
 type memtable struct {
 	mu   sync.RWMutex
 	trie *wavelettrie.AppendOnly
+	keys *core.AppendOnly // trie, as membership probes with pre-encoded keys reach it
 	n    atomic.Int64
 	wal  *wal
 	// seqs holds the global sequence numbers of the applied records, in
@@ -35,6 +38,7 @@ type memtable struct {
 
 func newMemtable(w *wal, schema []ColumnSpec) *memtable {
 	m := &memtable{trie: wavelettrie.NewAppendOnly(), wal: w}
+	m.keys = core.UnwrapAppendOnly(m.trie)
 	if len(schema) > 0 {
 		m.cols = newMemCols(schema)
 	}
@@ -176,18 +180,24 @@ func (m *memtable) maxSeq() (uint64, bool) {
 	return m.seqs[len(m.seqs)-1], true
 }
 
-// feedInto streams the sealed memtable's sequence into a streaming
-// freeze builder — both passes, without ever materializing it as a
-// []string: pass 1 registers the trie's distinct values (bit-level,
-// one per alphabet entry), pass 2 replays the sequence through the
-// trie's slice-free bit enumerator. Only valid once no writer can touch
-// the trie again; the single RLock is then uncontended, and the builder
-// callbacks take no store locks.
-func (m *memtable) feedInto(fb *wavelettrie.FrozenBuilder) error {
+// frozen returns the sealed memtable's sequence in the succinct form a
+// generation file holds: the append-only trie's shape, labels and node
+// bitvectors copied as they stand (wavelettrie.AppendOnly.Frozen), no
+// element decoded. Only valid once no writer can touch the trie again;
+// the single RLock is then uncontended.
+func (m *memtable) frozen() (*wavelettrie.Frozen, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	m.trie.FeedValues(fb)
-	return m.trie.FeedRange(fb, 0, int(m.n.Load()), nil)
+	return m.trie.Frozen()
+}
+
+// contains reports whether s — a whole value, already binarized — has
+// been applied: a walk over the trie's labels, no bitvector read (every
+// leaf of an append-only trie has an occurrence).
+func (m *memtable) contains(s bitstr.BitString) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.keys.ContainsBits(s)
 }
 
 // memView is a snapshot-bounded read view of a memtable: every

@@ -29,7 +29,6 @@ type storeMetrics struct {
 	flushSeconds *obs.Histogram
 	flushes      *obs.Counter
 	flushBytes   *obs.Counter
-	flushMallocs *obs.Counter
 
 	// Compaction.
 	compactSeconds      *obs.Histogram
@@ -64,8 +63,6 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 			"Completed memtable flushes."),
 		flushBytes: r.NewCounter("wt_flush_frozen_bytes_total",
 			"On-disk bytes of generations written by flushes."),
-		flushMallocs: r.NewCounter("wt_flush_builder_mallocs_total",
-			"Heap allocations performed by the freeze builder during flushes."),
 
 		compactSeconds: r.NewHistogram("wt_compact_seconds",
 			"Duration of generation merges (prepare and commit).", 1e-9),

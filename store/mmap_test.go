@@ -161,13 +161,13 @@ func TestSnapshotSurvivesCompactionOfMappedGens(t *testing.T) {
 }
 
 // TestFlushAllocations is the allocation-regression guard for the
-// streaming flush: sealing and freezing a memtable of n elements must
-// not allocate anything proportional to n — in particular no []string
-// materialization (n string headers plus backing copies, ~n mallocs at
-// minimum). The bound is n/4 mallocs: comfortably above the streaming
-// path's real cost (~n/9 at this size, dominated by the succinct
-// components) but far below what any per-element materialization would
-// spend.
+// structural flush: sealing and freezing a memtable of n elements copies
+// the trie's node bitvectors and labels and allocates nothing
+// proportional to n — no element is decoded, no string is made, no
+// per-node accumulator is kept. The bound is n/16 mallocs: the flush's
+// real cost at this size is ≈ n/36 (the succinct components' builders
+// growing, the filter's value list, the file writes), and the
+// per-element feed it replaced spent n/9.5.
 func TestFlushAllocations(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, testOpts())
@@ -190,8 +190,76 @@ func TestFlushAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs := after.Mallocs - before.Mallocs
 	t.Logf("flush of %d elements: %d mallocs", n, allocs)
-	if allocs > n/4 {
-		t.Fatalf("flush of %d elements made %d allocations — smells like O(n) materialization (bound %d)",
-			n, allocs, n/4)
+	if allocs > n/16 {
+		t.Fatalf("flush of %d elements made %d allocations — smells like per-element work (bound %d)",
+			n, allocs, n/16)
+	}
+}
+
+// allocStore opens a store holding three flushed generations of URL-log
+// values and an unflushed tail — the shape the append path probes on a
+// serving store — and returns it with a pool of values, some stored and
+// some never seen.
+func allocStore(t *testing.T) (*Store, []string) {
+	t.Helper()
+	s := mustOpen(t, t.TempDir(), testOpts())
+	t.Cleanup(func() { s.Close() })
+	seq := workload.URLLog(4*2048, 98, workload.DefaultURLConfig())
+	for g := 0; g < 4; g++ {
+		if err := s.AppendBatch(seq[g*2048 : (g+1)*2048]); err != nil {
+			t.Fatal(err)
+		}
+		if g < 3 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(s.Generations()) != 3 || s.MemLen() != 2048 {
+		t.Fatalf("store shape: %d generations, %d in the memtable", len(s.Generations()), s.MemLen())
+	}
+	return s, append(seq[:512:512], workload.URLLog(512, 97, workload.DefaultURLConfig())...)
+}
+
+// TestAppendAllocations guards the append path: a group commit of 64
+// values on a three-generation store — isNew probes in both tries and
+// every generation, WAL framing, the memtable's Patricia insert and bit
+// appends — stays within 8 allocations per value (the path compares
+// labels in place; copying the key's suffix at every trie level cost 32).
+func TestAppendAllocations(t *testing.T) {
+	s, pool := allocStore(t)
+	batch := make([]string, 64)
+	next := 0
+	perRun := testing.AllocsPerRun(40, func() {
+		for i := range batch {
+			batch[i] = pool[next%len(pool)]
+			next++
+		}
+		if err := s.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("AppendBatch of 64: %.1f allocations per value", perRun/64)
+	if perRun > 8*64 {
+		t.Fatalf("AppendBatch of 64 values allocates %.1f times per value, want at most 8", perRun/64)
+	}
+}
+
+// TestIsNewAllocations guards the membership probe every appended value
+// pays: for a key of up to 256 bytes — binarized once into the probe's own
+// buffer — a label-only walk of both memtables and every generation
+// allocates nothing, whether the value is stored or not.
+func TestIsNewAllocations(t *testing.T) {
+	s, pool := allocStore(t)
+	st := s.state.Load()
+	keys := append(pool[500:520:520], "", "absent", strings.Repeat("k", 256))
+	for _, key := range keys {
+		var k probe
+		if a := testing.AllocsPerRun(50, func() {
+			k.init(key, false)
+			s.isNew(st, &k)
+		}); a != 0 {
+			t.Errorf("isNew(%d-byte key) allocates %.1f times per call, want 0", len(key), a)
+		}
 	}
 }

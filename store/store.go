@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -426,16 +425,13 @@ func (s *Store) findWALs(from uint64) ([]uint64, error) {
 // workloads a repeated value is usually already in the memtable, so the
 // per-generation probes are rarely reached.
 func (s *Store) isNew(st *storeState, k *probe) bool {
-	if n := int(st.mem.n.Load()); n > 0 && (memView{m: st.mem, n: n}).rank(k, n) > 0 {
+	// Every leaf of a trie, append-only or frozen, has an occurrence, so
+	// membership is a walk over the trie labels with the key's bits: no
+	// rank, no bitvector. (The caller holds appendMu, so both memtables
+	// are exactly their applied prefix.)
+	if st.mem.contains(k.bits) || (st.sealed != nil && st.sealed.contains(k.bits)) {
 		return false
 	}
-	if st.sealed != nil {
-		if n := int(st.sealed.n.Load()); n > 0 && (memView{m: st.sealed, n: n}).rank(k, n) > 0 {
-			return false
-		}
-	}
-	// Every leaf of a frozen trie has an occurrence, so membership is a
-	// walk over the trie labels: no rank, no bitvector.
 	for i := len(st.gens) - 1; i >= 0; i-- {
 		g := st.gens[i]
 		if g.filter.mayContain(k) && g.seg.t.ContainsBits(k.bits) {
@@ -791,22 +787,13 @@ func (s *Store) flushLocked(oldWALs []uint64) error {
 	if sealed.n.Load() > 0 {
 		gid := s.nextID
 		s.nextID++
-		// The builder-malloc delta needs two ReadMemStats (stop-the-world
-		// each); capture it only while metrics are live. Flushes are rare
-		// enough that the cost never shows on the append path.
-		var m0 runtime.MemStats
-		capture := met.reg.Enabled()
-		if capture {
-			runtime.ReadMemStats(&m0)
-		}
-		g, err := writeGenerationFrom(s.dir, gid, s.schema, sealed, sealed.feedInto)
+		ix, err := sealed.frozen()
 		if err != nil {
 			return err
 		}
-		if capture {
-			var m1 runtime.MemStats
-			runtime.ReadMemStats(&m1)
-			met.flushMallocs.Add(int64(m1.Mallocs - m0.Mallocs))
+		g, err := writeGenerationFrom(s.dir, gid, s.schema, sealed, ix)
+		if err != nil {
+			return err
 		}
 		frozenBytes = g.fileBytes
 		g = s.maybeRemap(g)

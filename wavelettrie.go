@@ -294,6 +294,21 @@ func (a *AppendOnly) Append(s string) { a.a.AppendBits(bitstr.EncodeString(s)) }
 // SizeBits returns the measured in-memory footprint in bits.
 func (a *AppendOnly) SizeBits() int { return a.a.SizeBits() }
 
+// Frozen returns the succinct encoding of the sequence appended so far,
+// byte-identical to NewStatic(sequence).Frozen(). It copies the trie's
+// shape, labels and node bitvectors as they stand — no element is decoded
+// and nothing is re-inserted — so it costs time in the size of the
+// structure, not of the sequence. It reports an error only for a trie
+// that disagrees with itself (loaded from a corrupt snapshot). The trie
+// must not be appended to meanwhile.
+func (a *AppendOnly) Frozen() (*Frozen, error) {
+	t, err := succinct.FreezeAppendOnly(a.a)
+	if err != nil {
+		return nil, err
+	}
+	return &Frozen{t: t}, nil
+}
+
 // FeedValues registers this trie's distinct values into fb — one pass-1
 // contribution to a streaming freeze. Cost is O(alphabet).
 func (a *AppendOnly) FeedValues(fb *FrozenBuilder) {
