@@ -167,7 +167,7 @@ func runSHARD(quick bool) {
 	if procs := runtime.GOMAXPROCS(0); procs < 4 {
 		fmt.Printf("NOTE: GOMAXPROCS=%d — wall-clock writer scaling is capped at %dx on this\n", procs, procs)
 		fmt.Println("host regardless of shard count; shard gains then show up mainly as smaller")
-		fmt.Println("per-shard memtables (cheaper distinct-probing), not as parallel speedup.")
+		fmt.Println("per-shard memtables (shallower tries to insert into), not as parallel speedup.")
 	}
 	t := newTable("shards", "writers", "n", "append ns", "appends/ms",
 		"access busy ns", "rank busy ns", "recover ms")

@@ -502,9 +502,8 @@ func execute(st wavelettrie.StringIndex, args []string) (cur wavelettrie.StringI
 							100*float64(g.ResidentBytes)/float64(max(1, g.FileBytes)))
 					}
 				}
-				fmt.Printf("gen %4d  n=%-8d %.1f bits/elem  filter %.1f b/elem  %7.1f KiB %-18s [%s .. %s]\n",
+				fmt.Printf("gen %4d  n=%-8d %.1f bits/elem  %7.1f KiB %-18s [%s .. %s]\n",
 					g.ID, g.Len, float64(g.SizeBits)/float64(max(1, g.Len)),
-					float64(g.FilterBits)/float64(max(1, g.Len)),
 					float64(g.FileBytes)/1024, backing,
 					trimValue(g.MinValue), trimValue(g.MaxValue))
 				if g.ColFileBytes > 0 {

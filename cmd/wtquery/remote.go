@@ -142,7 +142,7 @@ func (r *remoteIndex) Generations() []store.GenInfo {
 	out := make([]store.GenInfo, len(st.Gens))
 	for i, g := range st.Gens {
 		out[i] = store.GenInfo{ID: g.ID, Len: g.Len, SizeBits: g.SizeBits,
-			FilterBits: g.FilterBits, MinValue: g.MinValue, MaxValue: g.MaxValue}
+			MinValue: g.MinValue, MaxValue: g.MaxValue}
 	}
 	return out
 }

@@ -25,7 +25,6 @@ type Frozen struct {
 
 func init() {
 	succinct.Unwrap = func(frozen any) *succinct.Trie { return frozen.(*Frozen).t }
-	core.UnwrapAppendOnly = func(appendOnly any) *core.AppendOnly { return appendOnly.(*AppendOnly).a }
 }
 
 // Mapped reports whether this Frozen aliases an external memory region
@@ -216,13 +215,40 @@ func ConcatFrozen(cont func() bool, parts ...*Frozen) (*Frozen, error) {
 	return &Frozen{t: t}, nil
 }
 
-// Values returns the distinct strings stored, in lexicographic order —
-// the alphabet Sset of the frozen sequence.
-func (f *Frozen) Values() []string {
-	stored := f.t.StoredBits()
-	out := make([]string, len(stored))
-	for i, bs := range stored {
-		out[i] = decode(bs)
+// Bounds returns the smallest and the largest stored string in
+// lexicographic order (both "" for an empty index): two root-to-leaf walks
+// over the labels, O(height) each.
+func (f *Frozen) Bounds() (lo, hi string) {
+	if f.Len() == 0 {
+		return "", ""
 	}
-	return out
+	return f.edge(0), f.edge(1)
+}
+
+// edge decodes the leftmost (bit 0) or rightmost (bit 1) leaf's string.
+func (f *Frozen) edge(bit byte) string {
+	var buf [bitstr.KeyWords]uint64
+	b := bitstr.BuilderOver(buf[:])
+	f.t.EdgeInto(&b, bit)
+	return decode(b.View())
+}
+
+// UnionAlphabetSize returns the number of distinct strings the indexes
+// hold between them — the AlphabetSize of the concatenation of their
+// sequences — by walking their trie shapes together: labels are compared,
+// no bitvector is read and no element decoded, so the cost is
+// proportional to the tries' node counts, not to their lengths. Indexes
+// whose values together are not prefix-free, or a Frozen that disagrees
+// with itself (a corrupt mapped file), are an error. The append-only
+// indexes must not be appended to meanwhile.
+func UnionAlphabetSize(frozen []*Frozen, appendOnly []*AppendOnly) (int, error) {
+	tries := make([]*succinct.Trie, len(frozen))
+	for i, f := range frozen {
+		tries[i] = f.t
+	}
+	live := make([]*core.AppendOnly, len(appendOnly))
+	for i, a := range appendOnly {
+		live[i] = a.a
+	}
+	return succinct.UnionAlphabetSize(tries, live)
 }

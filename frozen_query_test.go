@@ -53,6 +53,18 @@ func checkFrozenAgainstFlat(t *testing.T, f *Frozen, seq []string, keys []string
 			t.Fatalf("Access(%d) = %q, want %q", i, got, want)
 		}
 	}
+	var lo, hi string
+	for i, v := range seq {
+		if i == 0 || v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	if gl, gh := f.Bounds(); gl != lo || gh != hi {
+		t.Fatalf("Bounds = [%q, %q], want [%q, %q]", gl, gh, lo, hi)
+	}
 	positions := []int{0, n, n / 2, n / 3, n - 1}
 	for _, k := range keys {
 		exact := func(v string) bool { return v == k }
@@ -298,13 +310,19 @@ func FuzzFrozenQueries(f *testing.F) {
 		// parts frozen (the first in place from an append-only trie, as a
 		// flush does) and concatenated (as a compaction does).
 		a, b := len(seq)/3, len(seq)-len(seq)/3
-		head, err := NewAppendOnlyFrom(seq[:a]).Frozen()
+		live := NewAppendOnlyFrom(seq[:a])
+		head, err := live.Frozen()
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, err := ConcatFrozen(nil, head, NewStatic(seq[a:b]).Frozen(), NewStatic(seq[b:]).Frozen())
+		mid, tail := NewStatic(seq[a:b]).Frozen(), NewStatic(seq[b:]).Frozen()
+		merged, err := ConcatFrozen(nil, head, mid, tail)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The parts' alphabets, counted together without merging anything.
+		if got, err := UnionAlphabetSize([]*Frozen{mid, tail}, []*AppendOnly{live}); err != nil || got != merged.AlphabetSize() {
+			t.Fatalf("UnionAlphabetSize of the parts = %d, %v; the whole holds %d distinct strings", got, err, merged.AlphabetSize())
 		}
 		if mraw, err := merged.MarshalBinary(); err != nil || !bytes.Equal(mraw, raw) {
 			t.Fatalf("merged parts marshal differently from the whole (err %v)", err)

@@ -76,6 +76,16 @@ func TestFrozenEmptyAndSingleton(t *testing.T) {
 		if len(seq) > 0 && got.Access(0) != seq[0] {
 			t.Fatal("content")
 		}
+		want := ""
+		if len(seq) > 0 {
+			want = seq[0]
+		}
+		if lo, hi := got.Bounds(); lo != want || hi != want {
+			t.Fatalf("seq %v: Bounds = [%q, %q]", seq, lo, hi)
+		}
+		if n, err := UnionAlphabetSize([]*Frozen{fz, got}, []*AppendOnly{NewAppendOnlyFrom(seq)}); err != nil || n != got.AlphabetSize() {
+			t.Fatalf("seq %v: UnionAlphabetSize of three copies = %d, %v; each holds %d", seq, n, err, got.AlphabetSize())
+		}
 	}
 }
 

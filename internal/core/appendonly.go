@@ -64,12 +64,6 @@ func (a *AppendOnly) AppendBits(s bitstr.BitString) {
 	a.n++
 }
 
-// UnwrapAppendOnly returns the AppendOnly inside a *wavelettrie.AppendOnly.
-// Package wavelettrie installs it at init — the succinct.Unwrap
-// arrangement — so that repro/store can ask its memtables a label-only
-// membership question with a key it has already encoded.
-var UnwrapAppendOnly func(appendOnly any) *AppendOnly
-
 // Preorder is a pull-style walk of the trie's nodes in depth-first
 // preorder (node, 0-child, 1-child) — the order the succinct encoding lays
 // nodes out in. The trie must not be appended to while one is in use.

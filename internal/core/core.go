@@ -188,12 +188,6 @@ func (w *wtrie) RankBits(s bitstr.BitString, pos int) int {
 	return 0
 }
 
-// ContainsBits reports whether s occurs at all. A leaf exists only while
-// its string has an occurrence (Append creates it with one, Delete removes
-// it with the last), so this is a walk over the trie labels: no bitvector
-// is touched.
-func (w *wtrie) ContainsBits(s bitstr.BitString) bool { return w.t.Find(s) != nil }
-
 // CountBits returns the total number of occurrences of s.
 func (w *wtrie) CountBits(s bitstr.BitString) int { return w.RankBits(s, w.n) }
 

@@ -175,11 +175,12 @@ func (s *appendOnlySource) segment(dst *bitstr.Builder, count int, _ func() bool
 
 // mergeInput is a source with the label of its current node.
 type mergeInput struct {
-	src   source
-	count int // elements in the source
-	words []uint64
-	lo, n int
-	leaf  bool
+	src    source
+	count  int // elements in the source
+	leaves int // distinct strings in the source
+	words  []uint64
+	lo, n  int
+	leaf   bool
 }
 
 // mergeRef places one source at a merged node still to be emitted.
@@ -196,15 +197,7 @@ type mergeRef struct {
 // and bits disagree, or sources whose union is not prefix-free, are an
 // error too.
 func Merge(cont func() bool, tries ...*Trie) (*Trie, error) {
-	ins := make([]mergeInput, 0, len(tries))
-	bitsHint := 0
-	for _, t := range tries {
-		if t.tree == nil {
-			continue
-		}
-		ins = append(ins, mergeInput{src: newTrieSource(t), count: t.n})
-		bitsHint += t.bits.Len()
-	}
+	ins, bitsHint := trieInputs(tries)
 	return merge(cont, ins, bitsHint)
 }
 
@@ -212,27 +205,80 @@ func Merge(cont func() bool, tries ...*Trie) (*Trie, error) {
 // one source, so every node comes out with its own label and its own bits.
 // a must not be appended to meanwhile.
 func FreezeAppendOnly(a *core.AppendOnly) (*Trie, error) {
-	if a.Len() == 0 {
-		return &Trie{}, nil
-	}
-	in := mergeInput{src: &appendOnlySource{walk: a.Preorder()}, count: a.Len()}
-	return merge(nil, []mergeInput{in}, a.TotalBitvectorBits())
+	return merge(nil, appendOnlyInputs(nil, []*core.AppendOnly{a}), a.TotalBitvectorBits())
 }
 
+// UnionAlphabetSize returns how many distinct strings the tries hold
+// between them — the leaves of the Patricia merge of their shapes, which
+// is the AlphabetSize of their Merge in any order. It is the merge walk
+// with nothing assembled: labels are compared, no β is read and no element
+// decoded, so the cost is the sources' nodes, not their elements. Sources
+// whose union is not prefix-free, or one whose directories disagree, are
+// an error. The append-only tries must not be appended to meanwhile.
+func UnionAlphabetSize(tries []*Trie, live []*core.AppendOnly) (int, error) {
+	ins, _ := trieInputs(tries)
+	ins = appendOnlyInputs(ins, live)
+	if len(ins) == 1 {
+		return ins[0].leaves, nil // one source's leaves are already counted
+	}
+	return mergeWalk(nil, ins, nil)
+}
+
+// trieInputs returns the non-empty tries as merge inputs, and the β bits
+// they hold in all.
+func trieInputs(tries []*Trie) (ins []mergeInput, bits int) {
+	ins = make([]mergeInput, 0, len(tries))
+	for _, t := range tries {
+		if t.tree == nil {
+			continue
+		}
+		ins = append(ins, mergeInput{src: newTrieSource(t), count: t.n, leaves: t.AlphabetSize()})
+		bits += t.bits.Len()
+	}
+	return ins, bits
+}
+
+// appendOnlyInputs appends the non-empty append-only tries to ins as merge
+// inputs.
+func appendOnlyInputs(ins []mergeInput, live []*core.AppendOnly) []mergeInput {
+	for _, a := range live {
+		if a.Len() > 0 {
+			ins = append(ins, mergeInput{src: &appendOnlySource{walk: a.Preorder()}, count: a.Len(), leaves: a.AlphabetSize()})
+		}
+	}
+	return ins
+}
+
+// merge assembles the trie of the inputs' concatenation.
 func merge(cont func() bool, ins []mergeInput, bitsHint int) (*Trie, error) {
 	a := newAssembler(bitsHint)
+	if _, err := mergeWalk(cont, ins, a); err != nil {
+		return nil, err
+	}
+	total := 0
+	for i := range ins {
+		total += ins[i].count
+	}
+	return a.finish(total), nil
+}
+
+// mergeWalk steps the inputs through the merged preorder by rules 1–4 and
+// returns the merged trie's leaf count. Every merged node goes to a — its
+// label, and for an internal node its β — unless a is nil: then the walk
+// only counts, calls no segment and reads labels alone, and the element
+// counts below the root (which only a segment's ones can tell) are not
+// kept.
+func mergeWalk(cont func() bool, ins []mergeInput, a *assembler) (leaves int, err error) {
 	// The merged nodes still to be emitted, as a stack (the 0-child is
 	// pushed last): frame i is refs[frames[i]:frames[i+1]], the sources
 	// present at that node in argument order.
 	var refs []mergeRef
 	var frames []int
-	total := 0
 	for i := range ins {
 		if ins[i].count < 1 {
-			return nil, fmt.Errorf("succinct: merge: source %d has nodes but %d elements", i, ins[i].count)
+			return 0, fmt.Errorf("succinct: merge: source %d has nodes but %d elements", i, ins[i].count)
 		}
 		refs = append(refs, mergeRef{in: i, off: -1, count: ins[i].count})
-		total += ins[i].count
 	}
 	if len(refs) > 0 {
 		frames = append(frames, 0)
@@ -240,7 +286,7 @@ func merge(cont func() bool, ins []mergeInput, bitsHint int) (*Trie, error) {
 	var cur, zero, one []mergeRef
 	for len(frames) > 0 {
 		if cont != nil && !cont() {
-			return nil, errCanceled
+			return 0, errCanceled
 		}
 		lo := frames[len(frames)-1]
 		frames = frames[:len(frames)-1]
@@ -250,9 +296,8 @@ func merge(cont func() bool, ins []mergeInput, bitsHint int) (*Trie, error) {
 		for i := range cur {
 			if r := &cur[i]; r.off < 0 {
 				in := &ins[r.in]
-				var err error
 				if in.words, in.lo, in.n, in.leaf, err = in.src.next(); err != nil {
-					return nil, err
+					return 0, err
 				}
 				r.off = 0
 			}
@@ -265,45 +310,54 @@ func merge(cont func() bool, ins []mergeInput, bitsHint int) (*Trie, error) {
 			in := &ins[r.in]
 			l = bitstr.LCPAt(first.words, at, in.words, in.lo+r.off, min(l, in.n-r.off))
 		}
-		leaves := 0
+		ends := 0
 		for _, r := range cur {
 			if in := &ins[r.in]; in.leaf && in.n-r.off == l {
-				leaves++
+				ends++
 			}
 		}
-		if leaves > 0 { // rule 4
-			if leaves != len(cur) {
-				return nil, fmt.Errorf("succinct: merge: a stored string is a proper prefix of another — the union of the sources is not prefix-free")
+		if ends > 0 { // rule 4
+			if ends != len(cur) {
+				return 0, fmt.Errorf("succinct: merge: a stored string is a proper prefix of another — the union of the sources is not prefix-free")
 			}
-			a.leaf(first.words, at, l)
+			leaves++
+			if a != nil {
+				a.leaf(first.words, at, l)
+			}
 			continue
 		}
-		a.internal(first.words, at, l)
+		if a != nil {
+			a.internal(first.words, at, l)
+		}
 		zero, one = zero[:0], one[:0]
 		for _, r := range cur {
 			in := &ins[r.in]
 			if in.n-r.off == l { // rule 2
-				ones, err := in.src.segment(a.bits, r.count, cont)
-				if err != nil {
-					return nil, err
+				ones := 0
+				if a != nil {
+					if ones, err = in.src.segment(a.bits, r.count, cont); err != nil {
+						return 0, err
+					}
+					if ones == 0 || ones == r.count {
+						return 0, fmt.Errorf("succinct: merge: source %d has a node with an empty child", r.in)
+					}
+					a.ones += uint64(ones)
 				}
-				if ones == 0 || ones == r.count {
-					return nil, fmt.Errorf("succinct: merge: source %d has a node with an empty child", r.in)
-				}
-				a.ones += uint64(ones)
 				zero = append(zero, mergeRef{in: r.in, off: -1, count: r.count - ones})
 				one = append(one, mergeRef{in: r.in, off: -1, count: ones})
 				continue
 			}
 			// Rule 3.
 			p := in.lo + r.off + l
+			bit := byte(in.words[p>>6] >> (uint(p) & 63) & 1)
+			if a != nil {
+				a.bits.AppendRun(bit, r.count)
+				a.ones += uint64(bit) * uint64(r.count)
+			}
 			down := mergeRef{in: r.in, off: r.off + l + 1, count: r.count}
-			if in.words[p>>6]>>(uint(p)&63)&1 == 1 {
-				a.bits.AppendRun(1, r.count)
-				a.ones += uint64(r.count)
+			if bit == 1 {
 				one = append(one, down)
 			} else {
-				a.bits.AppendRun(0, r.count)
 				zero = append(zero, down)
 			}
 		}
@@ -314,5 +368,5 @@ func merge(cont func() bool, ins []mergeInput, bitsHint int) (*Trie, error) {
 		frames = append(frames, len(refs))
 		refs = append(refs, zero...)
 	}
-	return a.finish(total), nil
+	return leaves, nil
 }

@@ -44,16 +44,24 @@ func marshalOf(t testing.TB, tr *Trie) []byte {
 // checkMerge cuts seq at cuts (ascending positions), freezes every part —
 // the two-pass way, and again through an append-only trie — merges them
 // and requires the marshalled bytes of the two-pass Builder over all of
-// seq.
+// seq. The union count over the same parts — frozen, append-only, and the
+// two kinds mixed — must be the merged trie's leaf count and the size of
+// seq as a set.
 func checkMerge(t testing.TB, seq []bitstr.BitString, cuts []int, why string) {
 	t.Helper()
 	want := marshalOf(t, buildTwoPass(t, seq))
+	set := map[string]bool{}
+	for _, s := range seq {
+		set[s.String()] = true
+	}
 	var parts, frozenInPlace []*Trie
+	var live []*core.AppendOnly
 	bounds := append(append([]int{0}, cuts...), len(seq))
 	for i := 0; i+1 < len(bounds); i++ {
 		part := seq[bounds[i]:bounds[i+1]]
 		parts = append(parts, buildTwoPass(t, part))
-		fz, err := FreezeAppendOnly(core.NewAppendOnlyFromBits(part))
+		live = append(live, core.NewAppendOnlyFromBits(part))
+		fz, err := FreezeAppendOnly(live[i])
 		if err != nil {
 			t.Fatalf("%s: freezing part %d in place: %v", why, i, err)
 		}
@@ -69,6 +77,36 @@ func checkMerge(t testing.TB, seq []bitstr.BitString, cuts []int, why string) {
 		}
 		if !bytes.Equal(marshalOf(t, got), want) {
 			t.Fatalf("%s: merge of %d parts (cuts %v) differs from the two-pass build", why, len(ps), cuts)
+		}
+		if got.AlphabetSize() != len(set) {
+			t.Fatalf("%s: merged trie has %d leaves, the sequence %d distinct strings", why, got.AlphabetSize(), len(set))
+		}
+	}
+	var evenFrozen []*Trie
+	var oddLive []*core.AppendOnly
+	for i := range parts {
+		if i%2 == 0 {
+			evenFrozen = append(evenFrozen, parts[i])
+		} else {
+			oddLive = append(oddLive, live[i])
+		}
+	}
+	for _, u := range []struct {
+		how    string
+		frozen []*Trie
+		live   []*core.AppendOnly
+	}{
+		{"frozen", parts, nil},
+		{"append-only", nil, live},
+		{"mixed", evenFrozen, oddLive},
+		{"every part twice", parts, live},
+	} {
+		got, err := UnionAlphabetSize(u.frozen, u.live)
+		if err != nil {
+			t.Fatalf("%s: union count over %s parts (cuts %v): %v", why, u.how, cuts, err)
+		}
+		if got != len(set) {
+			t.Fatalf("%s: union count over %s parts (cuts %v) = %d, want %d", why, u.how, cuts, got, len(set))
 		}
 	}
 }
@@ -192,12 +230,28 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	}
 	one := func(patterns ...string) *Trie { return buildTwoPass(t, bitsOf(patterns...)) }
 
-	// Each part is prefix-free on its own; the union is not.
-	mustFail("a leaf ends inside another part's leaf label", one("0"), one("01"))
-	mustFail("the same, in the other order", one("01"), one("0"))
-	mustFail("a leaf ends where another part branches", one("0"), one("00", "01"))
-	mustFail("a leaf ends inside another part's internal label", one("1"), one("110", "111"))
-	mustFail("a leaf ends below a branch of another part", one("10", "11"), one("101"))
+	// Each part is prefix-free on its own; the union is not — which the
+	// label-only count meets exactly where the merge does, whichever kind
+	// of source holds the parts.
+	notPrefixFree := func(why string, a, b []string) {
+		t.Helper()
+		mustFail(why, one(a...), one(b...))
+		la, lb := core.NewAppendOnlyFromBits(bitsOf(a...)), core.NewAppendOnlyFromBits(bitsOf(b...))
+		for how, count := range map[string]func() (int, error){
+			"frozen":      func() (int, error) { return UnionAlphabetSize([]*Trie{one(a...), one(b...)}, nil) },
+			"append-only": func() (int, error) { return UnionAlphabetSize(nil, []*core.AppendOnly{la, lb}) },
+			"mixed":       func() (int, error) { return UnionAlphabetSize([]*Trie{one(b...)}, []*core.AppendOnly{la}) },
+		} {
+			if n, err := count(); err == nil {
+				t.Fatalf("%s: union count over %s sources = %d, want an error", why, how, n)
+			}
+		}
+	}
+	notPrefixFree("a leaf ends inside another part's leaf label", []string{"0"}, []string{"01"})
+	notPrefixFree("the same, in the other order", []string{"01"}, []string{"0"})
+	notPrefixFree("a leaf ends where another part branches", []string{"0"}, []string{"00", "01"})
+	notPrefixFree("a leaf ends inside another part's internal label", []string{"1"}, []string{"110", "111"})
+	notPrefixFree("a leaf ends below a branch of another part", []string{"10", "11"}, []string{"101"})
 
 	good := func() *Trie { return one("00", "01", "1", "01", "00", "1", "1") }
 	if _, err := Merge(nil, good()); err != nil {
@@ -244,7 +298,13 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	a.bits.AppendRun(1, 1)
 	a.ones = 1
 	a.leaf(nil, 0, 0) // the 1-child is missing
-	mustFail("fewer nodes than the shape needs", a.finish(2))
+	short := a.finish(2)
+	mustFail("fewer nodes than the shape needs", short)
+	// The one damage a label-only walk can meet: the count needs two
+	// sources to walk at all, and then runs out of nodes like the merge.
+	if n, err := UnionAlphabetSize([]*Trie{short, one("0", "1")}, nil); err == nil || !strings.Contains(err.Error(), "runs past") {
+		t.Fatalf("union count over a trie missing a node = %d, %v; want it to run past the nodes", n, err)
+	}
 }
 
 // FuzzMerge derives a sequence and its cut points from the input and holds

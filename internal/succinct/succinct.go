@@ -265,6 +265,20 @@ func (t *Trie) AccessInto(b *bitstr.Builder, pos int) {
 	}
 }
 
+// EdgeInto appends to b the smallest stored string in lexicographic order
+// (bit 0) or the largest (bit 1): the labels along the root-to-leaf path
+// that takes the bit-child at every branch — O(height), no β read. The
+// trie must not be empty.
+func (t *Trie) EdgeInto(b *bitstr.Builder, bit byte) {
+	for nd := t.tree.BinaryRoot(); ; nd = t.tree.BinaryChild(nd, bit) {
+		t.appendLabel(b, nd)
+		if t.tree.IsLeaf(nd.Pos) {
+			return
+		}
+		b.AppendBit(bit)
+	}
+}
+
 // step is one branch of a root-to-node walk: the internal node it left,
 // by internal index, and the bit it followed. ii < 0 marks "no branch"
 // (the walk ended at the root).

@@ -233,6 +233,9 @@ func TestServerKill9Recovery(t *testing.T) {
 	for _, v := range seq {
 		counts[v]++
 	}
+	if got := sn.AlphabetSize(); got != len(counts) {
+		t.Fatalf("AlphabetSize = %d, the recovered sequence holds %d distinct values", got, len(counts))
+	}
 	for g := 0; g < clients; g++ {
 		probe := fmt.Sprintf("c%d/%06d", g, 0)
 		if got := sn.Count(probe); got != counts[probe] {

@@ -124,6 +124,13 @@ func diffReads(t *testing.T, c *server.Client, seq []string) {
 	t.Helper()
 	r := rand.New(rand.NewSource(99))
 	n := len(seq)
+	distinct := map[string]bool{}
+	for _, v := range seq {
+		distinct[v] = true
+	}
+	if st, err := c.Stats(); err != nil || st.Len != n || st.Distinct != len(distinct) {
+		t.Fatalf("Stats = %d elements, %d distinct, %v; want %d, %d", st.Len, st.Distinct, err, n, len(distinct))
+	}
 	for trial := 0; trial < 200; trial++ {
 		pos := r.Intn(n)
 		v := seq[r.Intn(n)]

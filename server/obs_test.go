@@ -109,7 +109,7 @@ func TestMetricNamesLint(t *testing.T) {
 		"wt_wal_fsync_seconds",
 		"wt_flush_seconds",
 		"wt_compact_seconds",
-		"wt_filter_negative_total",
+		"wt_locate_memo_hits_total",
 		"wt_mmap_mapped_bytes",
 		"wt_server_op_seconds",
 		"wt_batcher_batch_size",

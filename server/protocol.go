@@ -359,9 +359,12 @@ func ParseRequest(payload []byte) (Request, error) {
 // GenStat describes one frozen generation in a Stats reply — the remote
 // rendering of store.GenInfo.
 type GenStat struct {
-	ID         uint64
-	Len        int
-	SizeBits   int
+	ID       uint64
+	Len      int
+	SizeBits int
+	// FilterBits is always 0: generations carry no probe filter any more.
+	// The field and its wire slot stay only because bench/ still reads
+	// them; the next benchmark PR drops both.
 	FilterBits int
 	MinValue   string
 	MaxValue   string

@@ -154,6 +154,9 @@ func TestReplicationLiveStream(t *testing.T) {
 			if fst.Watermark != seq {
 				t.Fatalf("follower Stats.Watermark = %d, want %d", fst.Watermark, seq)
 			}
+			if pst, err := pc.Stats(); err != nil || pst.Distinct != 18 || fst.Distinct != 18 {
+				t.Fatalf("Stats.Distinct = %d on the primary (%v), %d on the follower; want 18 on both", pst.Distinct, err, fst.Distinct)
+			}
 			waitUntil(t, 5*time.Second, "primary to see one follower", func() bool {
 				pst, err := pc.Stats()
 				return err == nil && pst.Followers == 1

@@ -553,7 +553,10 @@ func (s *Server) scanWhere(w *wire.Writer, req Request) error {
 	return nil
 }
 
-// stats builds the OpStats reply.
+// stats builds the OpStats reply. It is the one request that asks for the
+// distinct count, which the snapshot derives by walking its tries' shapes
+// (store.Snapshot.AlphabetSize) — milliseconds, so a reply for an
+// operator, not for a hot loop.
 func (s *Server) stats() Stats {
 	sn := s.b.Snap()
 	st := Stats{
@@ -576,7 +579,7 @@ func (s *Server) stats() Stats {
 	for _, g := range s.b.Generations() {
 		st.Gens = append(st.Gens, GenStat{
 			ID: g.ID, Len: g.Len, SizeBits: g.SizeBits,
-			FilterBits: g.FilterBits, MinValue: g.MinValue, MaxValue: g.MaxValue,
+			MinValue: g.MinValue, MaxValue: g.MaxValue,
 		})
 	}
 	st.Schema = s.b.Schema()

@@ -23,7 +23,7 @@ import (
 //
 //   - Prepare (outside adminMu, serialized by compactMu): merge the
 //     victim run's frozen tries structurally into the trie of their
-//     concatenation, write the new generation and filter files. Flushes
+//     concatenation, write the new generation's files. Flushes
 //     run concurrently — they only append generations, so the victim
 //     run stays adjacent and present.
 //   - Commit (under adminMu): splice the merged generation into the
@@ -220,7 +220,7 @@ func (s *Store) mergeRun(st *storeState) error {
 	if len(s.recoveredWALs) > 0 {
 		walID = s.recoveredWALs[0]
 	}
-	m := manifest{nextID: s.nextID, walID: walID, distinct: s.genDistinct, gens: genMetas(gens), schema: s.schema}
+	m := manifest{nextID: s.nextID, walID: walID, gens: genMetas(gens), schema: s.schema}
 	if err := writeManifest(s.dir, m); err != nil {
 		s.adminMu.Unlock()
 		met.compactAborts.Inc()

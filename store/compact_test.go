@@ -94,7 +94,7 @@ func TestCloseDuringCompaction(t *testing.T) {
 	}
 	named := map[string]bool{}
 	for _, g := range s2.Generations() {
-		named[genFileName(g.ID)], named[filterFileName(g.ID)] = true, true
+		named[genFileName(g.ID)] = true
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

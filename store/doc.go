@@ -9,8 +9,7 @@
 // in-memory append-only Wavelet Trie (the memtable). When the memtable
 // crosses Options.FlushThreshold it is sealed and persisted as an
 // immutable frozen generation — the §3 fully-succinct encoding written
-// through the unified persistence container, with a probe filter
-// (prefix Bloom + min/max bounds) beside it — and recorded in an
+// through the unified persistence container — and recorded in an
 // atomically-rewritten manifest carrying the file's checksum; the WAL
 // that covered it is then deleted. A background compactor merges
 // adjacent runs of small generations so the generation count stays
@@ -19,27 +18,30 @@
 // Flush and compaction work on structure, not on elements: a sealed
 // memtable's trie is frozen in place and the victims' tries are merged
 // node by node, their bitvectors concatenated — no value is decoded
-// back out of a trie to be inserted into another (DESIGN.md §9).
-// Compaction is two-phase and never blocks the write path: the merge
-// itself and the writing of the files run outside the admin lock while
-// appends and flushes proceed (flushes only append generations, so the
-// victim run stays adjacent), and only the final manifest swap commits
-// under it.
+// back out of a trie to be inserted into another (DESIGN.md §9). An
+// append is the paper's O(|s| + h_s) and nothing more: it frames a WAL
+// record and inserts into the memtable's trie, and reads nothing else of
+// the store — a new string is just a new leaf. In particular nothing
+// counts distinct values as they arrive: AlphabetSize is derived when
+// asked for, by walking the shapes of the snapshot's tries together (the
+// leaves of their union; labels only, no element decoded). Compaction
+// is two-phase and never blocks the write path: the merge itself and the
+// writing of the files run outside the admin lock while appends and
+// flushes proceed (flushes only append generations, so the victim run
+// stays adjacent), and only the final manifest swap commits under it.
 //
 // Reads never block writes and writes never block reads across
 // generations: a Snapshot is an atomic pointer load of an immutable
 // generation list plus a bounded view of the live memtable, and the five
 // primitive operations (Access, Rank, Select, RankPrefix, SelectPrefix
 // and the Count forms) are answered by stitching per-generation answers
-// together with offset and rank arithmetic — consulting each
-// generation's probe filter first, so generations that cannot contain
-// the key are skipped and point reads cost O(matching generations)
-// rather than O(generations). Snapshot.Iterate/Slice stream ranges
-// through the per-segment sequential enumerators. A snapshot observes a
-// fixed prefix of the logical sequence no matter how many appends,
-// flushes or compactions happen after it was taken. Only the memtable
-// tail is guarded by a read-write mutex — and the WAL fsync happens
-// outside it, so even synchronous appends do not stall readers.
+// together with offset and rank arithmetic, one label-only descent per
+// generation for a key it does not hold. Snapshot.Iterate/Slice stream
+// ranges through the per-segment sequential enumerators. A snapshot
+// observes a fixed prefix of the logical sequence no matter how many
+// appends, flushes or compactions happen after it was taken. Only the
+// memtable tail is guarded by a read-write mutex — and the WAL fsync
+// happens outside it, so even synchronous appends do not stall readers.
 //
 // Open replays the WAL tail on boot: torn or corrupt trailing records
 // are truncated cleanly (never a panic), so a store killed mid-append
@@ -47,8 +49,7 @@
 // answers a freshly built AppendOnly index over the same sequence would.
 // Every generation file must match the checksum in its manifest entry
 // — a mismatch, or an entry carrying none, fails Open — and then loads
-// through the trusted path (no deep structural re-validation); missing
-// or corrupt probe filters are rebuilt from the loaded index. A flush
+// through the trusted path (no deep structural re-validation). A flush
 // unlinks the logs its manifest supersedes: nothing but the live WAL
 // outlives it, and no reader — replication included — ever needs one,
 // because catch-up reads positions out of snapshots.
@@ -56,8 +57,8 @@
 // # Sharding
 //
 // ShardedStore scales the write path across hash partitions: each
-// shard is a full Store — its own WAL, memtable, generations, filters
-// and compactor — in a subdirectory, so appends from many writers fan
+// shard is a full Store — its own WAL, memtable, generations and
+// compactor — in a subdirectory, so appends from many writers fan
 // out across per-shard locks and flush/compaction proceed per shard.
 // A Partitioner (FNV-1a by default, pluggable, pinned in the SHARDS
 // manifest) routes every value by its bytes alone, so whole-value
@@ -74,8 +75,7 @@
 // interface, so everything programmed against wavelettrie.StringIndex
 // — including the wtquery REPL — can serve from a durable store
 // unchanged. See DESIGN.md §5 for the on-disk formats and the crash
-// matrix, §6 for the iterator contract, the two-phase compaction
-// protocol and the filter format, and §7 for the sharding design
-// (partitioner contract, global-offset arithmetic, SHARDS/ROUTER
-// formats, sharded crash matrix).
+// matrix, §6 for the iterator contract and the two-phase compaction
+// protocol, and §7 for the sharding design (partitioner contract,
+// global-offset arithmetic, SHARDS/ROUTER formats, sharded crash matrix).
 package store

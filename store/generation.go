@@ -11,16 +11,14 @@ import (
 
 // generation is one immutable slab of the sequence: a Frozen Wavelet
 // Trie (the §3 fully-succinct encoding) persisted through the unified
-// container, the CRC-32 of its file as recorded in the manifest, and
-// the probe filter merged reads consult before touching the index.
+// container, and the CRC-32 of its file as recorded in the manifest.
 // Generations are read lock-free by any number of goroutines; they are
 // replaced, never mutated.
 type generation struct {
-	id     uint64
-	crc    uint32
-	ix     *wavelettrie.Frozen
-	seg    frozenSeg // ix as merged reads and isNew probe it
-	filter *probeFilter
+	id  uint64
+	crc uint32
+	ix  *wavelettrie.Frozen
+	seg frozenSeg // ix as merged reads probe it
 	// fileBytes is the on-disk size of the index file; region is the
 	// read-only mapping backing ix when it was mmap-loaded (nil for
 	// heap-decoded generations). The region is also pinned by ix itself,
@@ -64,7 +62,7 @@ func genCRC(data []byte) uint32 {
 func loadGeneration(dir string, meta genMeta, schema []ColumnSpec, useMmap bool) (*generation, error) {
 	name := genFileName(meta.id)
 	path := filepath.Join(dir, name)
-	g, err := loadGenIndex(dir, name, path, meta, useMmap)
+	g, err := loadGenIndex(name, path, meta, useMmap)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +75,7 @@ func loadGeneration(dir string, meta genMeta, schema []ColumnSpec, useMmap bool)
 // loadGenIndex loads the generation's frozen string index (the .wt
 // file) — the original loadGeneration body; column loading is layered
 // on top by loadGenColumns.
-func loadGenIndex(dir, name, path string, meta genMeta, useMmap bool) (*generation, error) {
+func loadGenIndex(name, path string, meta genMeta, useMmap bool) (*generation, error) {
 	if useMmap && mmapSupported {
 		if region, err := mapFile(path); err == nil {
 			data := region.data
@@ -92,9 +90,7 @@ func loadGenIndex(dir, name, path string, meta genMeta, useMmap bool) (*generati
 			if ix.Len() != meta.n {
 				return nil, fmt.Errorf("store: %s holds %d elements, manifest says %d", name, ix.Len(), meta.n)
 			}
-			g := &generation{id: meta.id, crc: crc, ix: ix, seg: newFrozenSeg(ix), fileBytes: len(data), region: region}
-			g.filter = loadFilter(dir, meta.id, crc, ix)
-			return g, nil
+			return &generation{id: meta.id, crc: crc, ix: ix, seg: newFrozenSeg(ix), fileBytes: len(data), region: region}, nil
 		}
 	}
 	data, err := os.ReadFile(path)
@@ -112,16 +108,13 @@ func loadGenIndex(dir, name, path string, meta genMeta, useMmap bool) (*generati
 	if ix.Len() != meta.n {
 		return nil, fmt.Errorf("store: %s holds %d elements, manifest says %d", name, ix.Len(), meta.n)
 	}
-	g := &generation{id: meta.id, crc: crc, ix: ix, seg: newFrozenSeg(ix), fileBytes: len(data)}
-	g.filter = loadFilter(dir, meta.id, crc, ix)
-	return g, nil
+	return &generation{id: meta.id, crc: crc, ix: ix, seg: newFrozenSeg(ix), fileBytes: len(data)}, nil
 }
 
 // readColFile reads one column-side file, mmap'd zero-copy when
-// enabled, and verifies its checksum against the manifest. Unlike probe
-// filters, column files are authoritative — predicate counts come
-// straight off their bits — so any mismatch is a hard Open error, never
-// a silent rebuild-or-ignore.
+// enabled, and verifies its checksum against the manifest. Column files
+// are authoritative — predicate counts come straight off their bits — so
+// any mismatch is a hard Open error, never a silent rebuild-or-ignore.
 func readColFile(dir, name string, wantCRC uint32, useMmap bool) (data []byte, region *mmapRegion, err error) {
 	path := filepath.Join(dir, name)
 	if useMmap && mmapSupported {
@@ -203,34 +196,6 @@ func loadGenColumns(dir string, g *generation, meta genMeta, schema []ColumnSpec
 	return nil
 }
 
-// loadFilter reads the generation's probe filter, rebuilding (and
-// rewriting, best effort) it when the file is missing, corrupt, or was
-// built for different generation bytes. Filters are derived data: no
-// outcome here can fail recovery or change answers — only probe cost.
-func loadFilter(dir string, id uint64, crc uint32, ix *wavelettrie.Frozen) *probeFilter {
-	name := filterFileName(id)
-	if data, err := os.ReadFile(filepath.Join(dir, name)); err == nil {
-		if f, err := parseFilter(data); err == nil && f.genCRC == crc {
-			return f
-		}
-	}
-	f := buildFilter(ix.Values(), crc)
-	writeFilterFile(dir, name, f) // best effort: next Open rebuilds again
-	return f
-}
-
-// writeFilterFile persists a probe filter without any fsync: filters
-// are derived data whose torn or lost writes the self-checksum detects
-// and loadFilter repairs, so they never earn a place on an fsync path.
-// The rename still keeps concurrent readers off a partial file.
-func writeFilterFile(dir, name string, f *probeFilter) {
-	tmp := filepath.Join(dir, name+".tmp")
-	if err := os.WriteFile(tmp, encodeFilter(f), 0o644); err != nil {
-		return
-	}
-	os.Rename(tmp, filepath.Join(dir, name))
-}
-
 // writeFileAtomic writes data to dir/name via a temp file, fsync and
 // rename, then syncs the directory: a crash leaves either no file or a
 // complete one.
@@ -259,14 +224,10 @@ func writeFileAtomic(dir, name string, data []byte) error {
 }
 
 // writeGenerationFrom persists ix as generation id: the Frozen encoding
-// is written to the index file (temp file + fsync + rename) and then its
-// probe filter (rename only — see writeFilterFile). The renames are
-// atomic, so a crash leaves no partial file — and neither file becomes
-// reachable before a manifest references the generation; until then both
-// are orphans the next Open reclaims. The filter write is best-effort:
-// filters are derived data (the next Open rebuilds a missing one), so
-// they must never fail a flush or compaction — nor add fsyncs to its
-// critical path.
+// is written to the index file (temp file + fsync + rename). The rename is
+// atomic, so a crash leaves no partial file — and the file is not
+// reachable before a manifest references the generation; until then it is
+// an orphan the next Open reclaims.
 //
 // ix comes from a structural freeze (flush: the sealed memtable's trie)
 // or merge (compaction: the victims' tries) — §9; either way no element
@@ -292,8 +253,6 @@ func writeGenerationFrom(dir string, id uint64, schema []ColumnSpec, feed colFee
 	if err := writeFileAtomic(dir, genFileName(id), data); err != nil {
 		return nil, err
 	}
-	g.filter = buildFilter(ix.Values(), crc)
-	writeFilterFile(dir, filterFileName(id), g.filter)
 	return g, nil
 }
 
@@ -335,10 +294,9 @@ func remapGeneration(dir string, g *generation) *generation {
 	return &ng
 }
 
-// removeGenFiles deletes a generation's index, filter and column files
-// (after a compaction commit supersedes them, or for orphans).
+// removeGenFiles deletes a generation's index and column files (after a
+// compaction commit supersedes them, or for orphans).
 func removeGenFiles(dir string, id uint64) {
 	os.Remove(filepath.Join(dir, genFileName(id)))
-	os.Remove(filepath.Join(dir, filterFileName(id)))
 	removeColumnFiles(dir, id)
 }

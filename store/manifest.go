@@ -8,9 +8,8 @@ import (
 )
 
 // The manifest is the store's root pointer: which generation files make
-// up the sequence (in order), which WAL is current, and the bookkeeping
-// needed to resume (next file id, distinct count of the generation
-// contents). It is rewritten atomically — encode to MANIFEST.tmp, fsync,
+// up the sequence (in order), which WAL is current, and the next file id
+// to allocate. It is rewritten atomically — encode to MANIFEST.tmp, fsync,
 // rename over MANIFEST — so a crash leaves either the old or the new
 // manifest, never a partial one.
 //
@@ -20,11 +19,12 @@ import (
 // flips structure checks cannot. The manifest also pins the store's
 // column schema (name + kind per column — fixed for the store's
 // lifetime, like the shard layout in SHARDS); colCRC 0 means the
-// generation predates the schema and reads as all-NULL rows. Version 3
-// is the only version read or written.
+// generation predates the schema and reads as all-NULL rows. Version 4
+// is the only version read or written (version 3 also carried a distinct
+// count; the count is now derived — Snapshot.AlphabetSize).
 const (
 	manifestMagic   = 0x4E414D57 // "WMAN" little-endian
-	manifestVersion = 3
+	manifestVersion = 4
 
 	manifestName    = "MANIFEST"
 	manifestTmpName = "MANIFEST.tmp"
@@ -34,7 +34,7 @@ const (
 
 // genMeta is one generation as recorded in the manifest.
 type genMeta struct {
-	id     uint64 // names the files gen-<id>.wt / gen-<id>.flt / gen-<id>.col
+	id     uint64 // names the files gen-<id>.wt / gen-<id>.col / gen-<id>.cd
 	n      int    // element count, cross-checked against the loaded file
 	crc    uint32 // CRC-32 of gen-<id>.wt (see genCRC; never 0)
 	colCRC uint32 // CRC-32 of gen-<id>.col; 0 = no column files (pre-schema)
@@ -43,11 +43,10 @@ type genMeta struct {
 
 // manifest is the decoded root pointer.
 type manifest struct {
-	nextID   uint64 // next unallocated file id (> every gen and WAL id)
-	walID    uint64 // the current WAL; ids >= walID may hold live records
-	distinct int    // distinct strings across the generation contents
-	gens     []genMeta
-	schema   []ColumnSpec // pinned column schema; empty = no columns
+	nextID uint64 // next unallocated file id (> every gen and WAL id)
+	walID  uint64 // the current WAL; ids >= walID may hold live records
+	gens   []genMeta
+	schema []ColumnSpec // pinned column schema; empty = no columns
 }
 
 func genFileName(id uint64) string { return fmt.Sprintf("gen-%08d.wt", id) }
@@ -57,7 +56,6 @@ func encodeManifest(m manifest) []byte {
 	w := wire.NewWriter(manifestMagic, manifestVersion)
 	w.U64(m.nextID)
 	w.U64(m.walID)
-	w.Int(m.distinct)
 	w.Int(len(m.gens))
 	for _, g := range m.gens {
 		w.U64(g.id)
@@ -84,7 +82,6 @@ func parseManifest(data []byte) (manifest, error) {
 	}
 	m.nextID = r.U64()
 	m.walID = r.U64()
-	m.distinct = r.Int()
 	count := r.Int()
 	if err := r.Err(); err != nil {
 		return m, err
@@ -113,9 +110,6 @@ func parseManifest(data []byte) (manifest, error) {
 	}
 	if m.walID == 0 || m.walID >= m.nextID {
 		return m, fmt.Errorf("store: manifest WAL id %d outside (0, nextID=%d)", m.walID, m.nextID)
-	}
-	if int64(m.distinct) > total {
-		return m, fmt.Errorf("store: manifest distinct %d exceeds element count %d", m.distinct, total)
 	}
 	ncols := r.Int()
 	if err := r.Err(); err != nil {

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 
 	wavelettrie "repro"
-	"repro/internal/bitstr"
-	"repro/internal/core"
 )
 
 // memtable is the mutable head of the sequence: an append-only Wavelet
@@ -20,7 +18,6 @@ import (
 type memtable struct {
 	mu   sync.RWMutex
 	trie *wavelettrie.AppendOnly
-	keys *core.AppendOnly // trie, as membership probes with pre-encoded keys reach it
 	n    atomic.Int64
 	wal  *wal
 	// seqs holds the global sequence numbers of the applied records, in
@@ -38,7 +35,6 @@ type memtable struct {
 
 func newMemtable(w *wal, schema []ColumnSpec) *memtable {
 	m := &memtable{trie: wavelettrie.NewAppendOnly(), wal: w}
-	m.keys = core.UnwrapAppendOnly(m.trie)
 	if len(schema) > 0 {
 		m.cols = newMemCols(schema)
 	}
@@ -191,15 +187,6 @@ func (m *memtable) frozen() (*wavelettrie.Frozen, error) {
 	return m.trie.Frozen()
 }
 
-// contains reports whether s — a whole value, already binarized — has
-// been applied: a walk over the trie's labels, no bitvector read (every
-// leaf of an append-only trie has an occurrence).
-func (m *memtable) contains(s bitstr.BitString) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.keys.ContainsBits(s)
-}
-
 // memView is a snapshot-bounded read view of a memtable: every
 // operation takes the read lock and clamps to the captured length, so
 // answers are those of the first n elements regardless of concurrent
@@ -210,6 +197,8 @@ type memView struct {
 }
 
 func (v memView) Len() int { return v.n }
+
+func (v memView) alphabet(u *alphabetUnion) { u.mems = append(u.mems, v.m) }
 
 func (v memView) Access(pos int) string {
 	v.m.mu.RLock()

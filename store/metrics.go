@@ -37,9 +37,7 @@ type storeMetrics struct {
 	compactBytesWritten *obs.Counter
 	compactAborts       *obs.Counter
 
-	// Read-path pruning.
-	filterNegatives  *obs.Counter
-	filterPasses     *obs.Counter
+	// Read path.
 	locateMemoHits   *obs.Counter
 	locateMemoMisses *obs.Counter
 }
@@ -75,10 +73,6 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 		compactAborts: r.NewCounter("wt_compact_aborts_total",
 			"Merges abandoned before commit (close, write failure, moved run)."),
 
-		filterNegatives: r.NewCounter("wt_filter_negative_total",
-			"Probe-filter answers proving a generation cannot match (probe skipped)."),
-		filterPasses: r.NewCounter("wt_filter_pass_total",
-			"Probe-filter answers that could not rule the generation out."),
 		locateMemoHits: r.NewCounter("wt_locate_memo_hits_total",
 			"Snapshot position lookups served by the memoized last segment."),
 		locateMemoMisses: r.NewCounter("wt_locate_memo_misses_total",

@@ -60,7 +60,7 @@ func TestInstrumentationIsInert(t *testing.T) {
 
 // TestStoreMetricsRecorded drives flush/compact/query traffic and
 // checks the engine-wide series actually moved — the wiring test for
-// the wal/flush/compact/filter instrumentation.
+// the wal/flush/compact/read instrumentation.
 func TestStoreMetricsRecorded(t *testing.T) {
 	obs.SetEnabled(true)
 	before := obs.Default().TextSnapshot()
@@ -79,7 +79,7 @@ func TestStoreMetricsRecorded(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s.Count("definitely-absent-value") // a filter negative on the generation
+	s.Access(0) // a position lookup the memoized segment serves
 	after := obs.Default().TextSnapshot()
 	if before == after {
 		t.Fatal("metrics snapshot unchanged by store activity")
@@ -88,7 +88,7 @@ func TestStoreMetricsRecorded(t *testing.T) {
 		"wt_wal_appended_records_total",
 		"wt_flushes_total",
 		"wt_flush_seconds_count",
-		"wt_filter_negative_total",
+		"wt_locate_memo_hits_total",
 	} {
 		if !strings.Contains(after, name) {
 			t.Errorf("metrics snapshot missing %s", name)

@@ -7,31 +7,23 @@ import (
 )
 
 // probe is one request's key, prepared once and handed down the segment
-// seam: the binarized bits every frozen generation descends with and the
-// hash pair every generation's probe filter tests — one encode and one
-// hash per request, not one per generation. A probe must not be copied
-// once initialised (bits may alias buf).
+// seam: the binarized bits every frozen generation descends with — one
+// encode per request, not one per generation. A probe must not be copied
+// (bits may alias buf).
 type probe struct {
 	key    string
 	prefix bool             // key is a byte prefix to match, not a whole value
 	bits   bitstr.BitString // Encode(key), or EncodePrefix(key) when prefix
-	h1, h2 uint64           // filterHash of key's filterMaxPrefix-byte prefix
 	buf    [bitstr.KeyWords]uint64
 }
 
-func (k *probe) init(key string, prefix bool) {
-	k.key, k.prefix = key, prefix
+func newProbe(key string, prefix bool) *probe {
+	k := &probe{key: key, prefix: prefix}
 	if prefix {
 		k.bits = bitstr.EncodePrefixStringInto(k.buf[:], key)
 	} else {
 		k.bits = bitstr.EncodeStringInto(k.buf[:], key)
 	}
-	k.h1, k.h2 = filterHash(key[:min(len(key), filterMaxPrefix)])
-}
-
-func newProbe(key string, prefix bool) *probe {
-	k := new(probe)
-	k.init(key, prefix)
 	return k
 }
 
@@ -46,6 +38,8 @@ type frozenSeg struct {
 func newFrozenSeg(ix *wavelettrie.Frozen) frozenSeg {
 	return frozenSeg{Frozen: ix, t: succinct.Unwrap(ix)}
 }
+
+func (f frozenSeg) alphabet(u *alphabetUnion) { u.frozen = append(u.frozen, f.Frozen) }
 
 func (f frozenSeg) rank(k *probe, pos int) int {
 	if k.prefix {

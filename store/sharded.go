@@ -59,8 +59,8 @@ func (o *ShardedOptions) withDefaults() ShardedOptions {
 }
 
 // ShardedStore scales the write path of Store across hash partitions:
-// every shard is a full Store — its own WAL, memtable, generations,
-// filters and compactor — in a subdirectory, so appends from many
+// every shard is a full Store — its own WAL, memtable, generations and
+// compactor — in a subdirectory, so appends from many
 // writers fan out across per-shard locks and flush/compaction proceed
 // per shard, while reads see one logical sequence in global append
 // order. A shared router records which shard owns each global position
@@ -463,8 +463,8 @@ func (ss *ShardedStore) AppendBatchRows(vs []string, rows []Row) error {
 		if err := validateRow(ss.schema, row); err != nil {
 			return err
 		}
-		if 1+walSeqMaxLen+len(v)+rowWireSize(row) > walMaxRecord {
-			return fmt.Errorf("store: WAL record of %d bytes exceeds limit", 1+walSeqMaxLen+len(v)+rowWireSize(row))
+		if n := walRecordBound(v, row); n > walMaxRecord {
+			return fmt.Errorf("store: WAL record of %d bytes exceeds limit", n)
 		}
 		sh, err := pickShard(ss.part, v, len(ss.shards))
 		if err != nil {
@@ -710,16 +710,14 @@ func (ss *ShardedStore) Close() error {
 func (ss *ShardedStore) Snapshot() *ShardedSnapshot {
 	w := ss.router.watermark.Load()
 	shards := make([]*Snapshot, len(ss.shards))
-	distinct := 0
 	fp := uint64(fnvOffset64)
 	for i, sh := range ss.shards {
 		sn := sh.Snapshot()
-		distinct += sn.AlphabetSize()
 		fp = fpMix(fp, sn.Fingerprint())
 		shards[i] = sn.prefixed(ss.router.rank(i, w))
 	}
 	fp = fpMix(fp, w)
-	return &ShardedSnapshot{r: ss.router, n: int(w), part: ss.part, shards: shards, schema: ss.schema, distinct: distinct, fp: fp}
+	return &ShardedSnapshot{r: ss.router, n: int(w), part: ss.part, shards: shards, schema: ss.schema, fp: fp}
 }
 
 // ShardCount returns the partition count.
@@ -765,14 +763,10 @@ func (ss *ShardedStore) Len() int { return int(ss.router.watermark.Load()) }
 
 // AlphabetSize returns the number of distinct strings stored — the sum
 // of per-shard counts, exact because the partitioner keeps per-shard
-// alphabets disjoint.
-func (ss *ShardedStore) AlphabetSize() int {
-	total := 0
-	for _, sh := range ss.shards {
-		total += sh.AlphabetSize()
-	}
-	return total
-}
+// alphabets disjoint. Each shard's count is a walk of its tries' shapes
+// (Snapshot.AlphabetSize has the cost): ask when the figure is wanted,
+// not per request.
+func (ss *ShardedStore) AlphabetSize() int { return ss.Snapshot().AlphabetSize() }
 
 // Height returns the maximum trie height over all shards' segments.
 func (ss *ShardedStore) Height() int {

@@ -44,8 +44,8 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// checkShardedSeq verifies the whole visible sequence and per-value
-// counts against want.
+// checkShardedSeq verifies the whole visible sequence, per-value counts
+// and the distinct count against want.
 func checkShardedSeq(t *testing.T, ss *ShardedStore, want []string) {
 	t.Helper()
 	if ss.Len() != len(want) {
@@ -65,6 +65,9 @@ func checkShardedSeq(t *testing.T, ss *ShardedStore, want []string) {
 		if g := snap.Count(v); g != c {
 			t.Fatalf("Count(%q) = %d, want %d", v, g, c)
 		}
+	}
+	if g := snap.AlphabetSize(); g != len(counts) {
+		t.Fatalf("AlphabetSize = %d, want %d", g, len(counts))
 	}
 }
 
@@ -390,9 +393,7 @@ func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
 		}
 	}
 	for i, v := range post {
-		if err := w.append(walPayloadSeq(v, true, uint64(n+i))); err != nil {
-			t.Fatal(err)
-		}
+		logValue(t, w, v, uint64(n+i), true)
 	}
 	w.close()
 	want := append(append([]string(nil), seq...), post...)

@@ -25,13 +25,12 @@ import (
 // keep answering the same way during later appends, flushes and
 // compactions on any shard.
 type ShardedSnapshot struct {
-	r        *router
-	n        int // pinned watermark
-	part     Partitioner
-	shards   []*Snapshot
-	schema   []ColumnSpec // the shards' shared column schema
-	distinct int
-	fp       uint64 // combined per-shard fingerprints + watermark
+	r      *router
+	n      int // pinned watermark
+	part   Partitioner
+	shards []*Snapshot
+	schema []ColumnSpec // the shards' shared column schema
+	fp     uint64       // combined per-shard fingerprints + watermark
 }
 
 // ShardedSnapshot serves the same query surface as Snapshot.
@@ -40,11 +39,17 @@ var _ wavelettrie.StringIndex = (*ShardedSnapshot)(nil)
 // Len returns the number of elements visible in this snapshot.
 func (sn *ShardedSnapshot) Len() int { return sn.n }
 
-// AlphabetSize returns the number of distinct strings when the snapshot
-// was taken — the sum of per-shard counts (disjoint by the partitioner
-// contract). Like Snapshot.AlphabetSize it may lead the visible
-// sequence by in-flight appends; it is exact when quiescent.
-func (sn *ShardedSnapshot) AlphabetSize() int { return sn.distinct }
+// AlphabetSize returns the number of distinct strings — the sum of the
+// per-shard counts (disjoint by the partitioner contract), each derived
+// and remembered by its shard's view; see Snapshot.AlphabetSize for the
+// cost and for how the count may lead the visible sequence.
+func (sn *ShardedSnapshot) AlphabetSize() int {
+	total := 0
+	for _, sh := range sn.shards {
+		total += sh.AlphabetSize()
+	}
+	return total
+}
 
 // Fingerprint returns a 64-bit identity of the snapshot's visible
 // global state — the per-shard fingerprints mixed with the pinned

@@ -101,8 +101,7 @@ type Store struct {
 	adminMu   sync.Mutex // serializes flush, compaction commits, close
 	compactMu sync.Mutex // serializes whole compactions; taken before adminMu, never while holding it
 
-	state    atomic.Pointer[storeState]
-	distinct atomic.Int64 // distinct strings across the whole store
+	state atomic.Pointer[storeState]
 
 	// schema is the pinned column schema (possibly empty), fixed at Open.
 	schema []ColumnSpec
@@ -112,7 +111,6 @@ type Store struct {
 	// Guarded by adminMu.
 	nextID        uint64   // next unallocated file id
 	walID         uint64   // id of the live memtable's WAL
-	genDistinct   int      // distinct count of the generation contents only
 	recoveredWALs []uint64 // superseded logs kept past a deferred recovery checkpoint
 
 	failure atomic.Pointer[error] // sticky write-path failure
@@ -226,8 +224,7 @@ func openStore(dir string, opts *Options, hooks *shardHooks) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.nextID, s.walID, s.genDistinct = m.nextID, m.walID, m.distinct
-	s.distinct.Store(int64(m.distinct))
+	s.nextID, s.walID = m.nextID, m.walID
 	s.removeOrphanGens(m.gens)
 
 	walIDs, err := s.findWALs(m.walID)
@@ -250,10 +247,7 @@ func openStore(dir string, opts *Options, hooks *shardHooks) (*Store, error) {
 			return nil, err
 		}
 		for _, rec := range records {
-			v, isNew, seq, hasSeq, row := walRecordRow(rec)
-			if isNew {
-				s.distinct.Add(1)
-			}
+			v, seq, hasSeq, row := walRecord(rec)
 			if row != nil && validateRow(s.schema, row) != nil {
 				// A row the pinned schema cannot hold (a schema can only be
 				// pinned before any row is written, so this is corruption
@@ -368,10 +362,9 @@ func (s *Store) loadManifest() (manifest, bool, error) {
 // the manifest is the sole root: an unreferenced file can never become
 // reachable again.
 func (s *Store) removeOrphanGens(metas []genMeta) {
-	live := make(map[string]bool, 4*len(metas))
+	live := make(map[string]bool, 3*len(metas))
 	for _, meta := range metas {
 		live[genFileName(meta.id)] = true
-		live[filterFileName(meta.id)] = true
 		live[colFileName(meta.id)] = true
 		live[colDirFileName(meta.id)] = true
 	}
@@ -384,7 +377,7 @@ func (s *Store) removeOrphanGens(metas []genMeta) {
 		if !strings.HasPrefix(name, "gen-") || live[name] {
 			continue
 		}
-		for _, suffix := range []string{".wt", ".wt.tmp", ".flt", ".flt.tmp", ".col", ".col.tmp", ".cd", ".cd.tmp"} {
+		for _, suffix := range []string{".wt", ".wt.tmp", ".col", ".col.tmp", ".cd", ".cd.tmp"} {
 			if strings.HasSuffix(name, suffix) {
 				os.Remove(filepath.Join(s.dir, name))
 				break
@@ -420,27 +413,6 @@ func (s *Store) findWALs(from uint64) ([]uint64, error) {
 	return ids, nil
 }
 
-// isNew reports whether v has never been stored — the AlphabetSize
-// bookkeeping on the append path. Probes run cheapest-first: on skewed
-// workloads a repeated value is usually already in the memtable, so the
-// per-generation probes are rarely reached.
-func (s *Store) isNew(st *storeState, k *probe) bool {
-	// Every leaf of a trie, append-only or frozen, has an occurrence, so
-	// membership is a walk over the trie labels with the key's bits: no
-	// rank, no bitvector. (The caller holds appendMu, so both memtables
-	// are exactly their applied prefix.)
-	if st.mem.contains(k.bits) || (st.sealed != nil && st.sealed.contains(k.bits)) {
-		return false
-	}
-	for i := len(st.gens) - 1; i >= 0; i-- {
-		g := st.gens[i]
-		if g.filter.mayContain(k) && g.seg.t.ContainsBits(k.bits) {
-			return false
-		}
-	}
-	return true
-}
-
 // Append adds v at the end of the sequence: WAL first (fsynced when
 // Options.Sync is set), then the memtable. It returns only after the
 // write is visible to new snapshots.
@@ -457,24 +429,22 @@ func (s *Store) AppendRow(v string, row Row) error {
 	if err := validateRow(s.schema, row); err != nil {
 		return err
 	}
+	rec, err := appendWALRecord(make([]byte, 0, walRecordBound(v, row)), v, 0, false, row)
+	if err != nil {
+		return err
+	}
 	s.appendMu.Lock()
 	if s.closed.Load() {
 		s.appendMu.Unlock()
 		return errClosed
 	}
 	st := s.state.Load()
-	var k probe
-	k.init(v, false)
-	isNew := s.isNew(st, &k)
-	if err := st.mem.wal.append(walPayloadRow(v, isNew, 0, false, row)); err != nil {
+	if err := st.mem.wal.appendFramed(rec, 1); err != nil {
 		s.appendMu.Unlock()
 		s.fail(err)
 		return err
 	}
 	st.mem.apply(v, row)
-	if isNew {
-		s.distinct.Add(1)
-	}
 	n := st.mem.n.Load()
 	s.appendMu.Unlock()
 
@@ -523,64 +493,42 @@ func (s *Store) AppendBatchRows(vs []string, rows []Row) error {
 	return nil
 }
 
-// appendBatchLocked is the shared group-commit body: probe isNew for
-// every value (a batch-local set catches duplicates within the batch,
-// invisible to the probes until applied), frame all WAL records into one
-// buffer, write it with a single write+fsync, then apply the whole batch
-// to the memtable under one lock. rows and seqs, when non-nil, carry
-// the records' payload rows and global sequence numbers (sharded
-// shards), parallel to vs; rows must be pre-validated.
-// Returns the memtable length after the batch. Caller holds appendMu.
+// appendBatchLocked is the shared group-commit body: frame every WAL
+// record straight into one buffer, write it with a single write+fsync,
+// then apply the whole batch to the memtable under one lock — O(|v|) and
+// a trie insert per value, nothing that reads the rest of the store.
+// rows and seqs, when non-nil, carry the records' payload rows and global
+// sequence numbers (sharded shards), parallel to vs; rows must be
+// pre-validated. Returns the memtable length after the batch. Caller
+// holds appendMu.
 func (s *Store) appendBatchLocked(vs []string, rows []Row, seqs []uint64) (int64, error) {
 	st := s.state.Load()
-	var seen map[string]struct{}
-	newCount := 0
+	rowAt := func(i int) Row {
+		if rows == nil {
+			return nil
+		}
+		return rows[i]
+	}
 	size := 0
 	for i, v := range vs {
-		size += walRecHeaderLen + 1 + walSeqMaxLen + len(v)
-		if rows != nil {
-			size += walSeqMaxLen + rowWireSize(rows[i])
-		}
+		size += walRecordBound(v, rowAt(i))
 	}
 	buf := make([]byte, 0, size)
-	var k probe
 	for i, v := range vs {
-		_, dup := seen[v]
-		isNew := false
-		if !dup {
-			k.init(v, false)
-			isNew = s.isNew(st, &k)
-		}
-		if isNew {
-			if seen == nil {
-				seen = make(map[string]struct{})
-			}
-			seen[v] = struct{}{}
-			newCount++
-		}
-		var row Row
-		if rows != nil {
-			row = rows[i]
-		}
 		var seq uint64
-		hasSeq := seqs != nil
-		if hasSeq {
+		if seqs != nil {
 			seq = seqs[i]
 		}
-		payload := walPayloadRow(v, isNew, seq, hasSeq, row)
-		if len(payload) > walMaxRecord {
-			return 0, fmt.Errorf("store: WAL record of %d bytes exceeds limit", len(payload))
+		var err error
+		if buf, err = appendWALRecord(buf, v, seq, seqs != nil, rowAt(i)); err != nil {
+			return 0, err
 		}
-		buf = appendLogRecord(buf, payload)
 	}
 	if err := st.mem.wal.appendFramed(buf, len(vs)); err != nil {
 		s.fail(err)
 		return 0, err
 	}
 	st.mem.applyBatch(vs, rows, seqs)
-	if newCount > 0 {
-		s.distinct.Add(int64(newCount))
-	}
 	return st.mem.n.Load(), nil
 }
 
@@ -615,19 +563,17 @@ func (s *Store) appendSeq(v string, row Row) (uint64, error) {
 		return 0, errClosed
 	}
 	st := s.state.Load()
-	var k probe
-	k.init(v, false)
-	isNew := s.isNew(st, &k)
 	seq := s.hooks.seq.Add(1) - 1
-	if err := st.mem.wal.append(walPayloadRow(v, isNew, seq, true, row)); err != nil {
+	rec, err := appendWALRecord(make([]byte, 0, walRecordBound(v, row)), v, seq, true, row)
+	if err == nil {
+		err = st.mem.wal.appendFramed(rec, 1)
+	}
+	if err != nil {
 		s.appendMu.Unlock()
 		s.fail(err)
 		return 0, err
 	}
 	st.mem.applySeq(v, seq, row)
-	if isNew {
-		s.distinct.Add(1)
-	}
 	n := st.mem.n.Load()
 	s.appendMu.Unlock()
 
@@ -759,7 +705,6 @@ func (s *Store) flushLocked(oldWALs []uint64) error {
 	s.appendMu.Lock()
 	st := s.state.Load()
 	sealed := st.mem
-	distinctAtSeal := int(s.distinct.Load())
 	s.state.Store(&storeState{gens: st.gens, sealed: sealed, mem: newMemtable(w, s.schema)})
 	s.appendMu.Unlock()
 	if sealed.wal != nil {
@@ -802,11 +747,10 @@ func (s *Store) flushLocked(oldWALs []uint64) error {
 
 	// Commit: the manifest now covers the sealed contents, so the old
 	// WALs are dead.
-	m := manifest{nextID: s.nextID, walID: newWALID, distinct: distinctAtSeal, gens: genMetas(gens), schema: s.schema}
+	m := manifest{nextID: s.nextID, walID: newWALID, gens: genMetas(gens), schema: s.schema}
 	if err := writeManifest(s.dir, m); err != nil {
 		return err
 	}
-	s.genDistinct = distinctAtSeal
 	s.recoveredWALs = nil
 
 	cur := s.state.Load()
@@ -890,7 +834,7 @@ func (s *Store) snapshotOf(st *storeState) *Snapshot {
 		} else if len(s.schema) > 0 {
 			cols = allNullCols{} // frozen before the schema was pinned
 		}
-		segs = append(segs, snapSeg{segment: g.seg, filter: g.filter, cols: cols})
+		segs = append(segs, snapSeg{segment: g.seg, cols: cols})
 	}
 	if st.sealed != nil {
 		mv := memView{m: st.sealed, n: int(st.sealed.n.Load())}
@@ -898,7 +842,7 @@ func (s *Store) snapshotOf(st *storeState) *Snapshot {
 	}
 	mv := memView{m: st.mem, n: int(st.mem.n.Load())}
 	segs = append(segs, snapSeg{segment: mv, cols: mv})
-	sn := newSnapshot(segs, int(s.distinct.Load()))
+	sn := newSnapshot(segs)
 	sn.schema = s.schema
 	h := uint64(fnvOffset64)
 	for _, g := range st.gens {
@@ -911,12 +855,13 @@ func (s *Store) snapshotOf(st *storeState) *Snapshot {
 
 // GenInfo describes one frozen generation of the store.
 type GenInfo struct {
-	ID         uint64 // names the files gen-<id>.wt / gen-<id>.flt
-	Len        int    // element count
-	SizeBits   int    // in-memory footprint of the loaded generation
-	FilterBits int    // in-memory footprint of the probe filter
-	MinValue   string // lexicographic bounds the filter prunes by
-	MaxValue   string
+	ID       uint64 // names the files gen-<id>.wt / .col / .cd
+	Len      int    // element count
+	SizeBits int    // in-memory footprint of the loaded generation
+	// MinValue and MaxValue are the lexicographic bounds of the stored
+	// values: the leftmost and the rightmost leaf of the generation's trie.
+	MinValue string
+	MaxValue string
 	// Mmapped reports whether the generation's index aliases a read-only
 	// file mapping (zero-copy decode) rather than heap memory.
 	Mmapped bool
@@ -940,7 +885,6 @@ type GenInfo struct {
 func (s *Store) Generations() []GenInfo {
 	st := s.state.Load()
 	out := make([]GenInfo, len(st.gens))
-	// Filters are always non-nil on loaded or written generations.
 	for i, g := range st.gens {
 		resident := -1
 		if g.region != nil {
@@ -955,9 +899,9 @@ func (s *Store) Generations() []GenInfo {
 				}
 			}
 		}
+		lo, hi := g.ix.Bounds()
 		out[i] = GenInfo{ID: g.id, Len: g.ix.Len(), SizeBits: g.ix.SizeBits(),
-			FilterBits: g.filter.sizeBits(),
-			MinValue:   g.filter.min, MaxValue: g.filter.max,
+			MinValue: lo, MaxValue: hi,
 			Mmapped: g.region != nil, FileBytes: g.fileBytes, ResidentBytes: resident,
 			ColFileBytes: g.colBytes, ColDirFileBytes: g.cdBytes,
 			ColMmapped: g.colRegion != nil, ColResidentBytes: colResident}
@@ -978,7 +922,10 @@ func (s *Store) Dir() string { return s.dir }
 // Len returns the number of elements in the sequence.
 func (s *Store) Len() int { return s.Snapshot().Len() }
 
-// AlphabetSize returns the number of distinct strings stored.
+// AlphabetSize returns the number of distinct strings stored. The count
+// is derived when asked for — a walk of the store's tries' shapes; see
+// Snapshot.AlphabetSize for the cost — so ask when the figure is wanted,
+// not per request.
 func (s *Store) AlphabetSize() int { return s.Snapshot().AlphabetSize() }
 
 // Height returns the maximum trie height over the store's segments.

@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -37,10 +40,15 @@ func checkSeq(t *testing.T, s *Store, want []string) {
 	if s.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
 	}
+	distinct := map[string]bool{}
 	for i, w := range want {
 		if g := s.Access(i); g != w {
 			t.Fatalf("Access(%d) = %q, want %q", i, g, w)
 		}
+		distinct[w] = true
+	}
+	if g := s.AlphabetSize(); g != len(distinct) {
+		t.Fatalf("AlphabetSize = %d, want %d", g, len(distinct))
 	}
 }
 
@@ -191,7 +199,7 @@ func TestCrashTruncatedWAL(t *testing.T) {
 		}
 		want := make([]string, len(wantRecs))
 		for i, r := range wantRecs {
-			want[i], _ = walRecord(r)
+			want[i], _, _, _ = walRecord(r)
 		}
 		checkSeq(t, s2, want)
 		// The torn tail must be gone: appends after recovery land on a
@@ -271,9 +279,7 @@ func TestCrashInterruptedFlush(t *testing.T) {
 	}
 	post := []string{"post/1", "post/2"}
 	for _, v := range post {
-		if err := w.append(walPayload(v, true)); err != nil {
-			t.Fatal(err)
-		}
+		logValue(t, w, v, 0, false)
 	}
 	w.close()
 
@@ -444,13 +450,11 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	values := []string{"", "a", "hello world", string(make([]byte, 10000))}
 	for i, v := range values {
-		if err := w.append(walPayload(v, i%2 == 0)); err != nil {
-			t.Fatal(err)
-		}
+		logValue(t, w, v, uint64(i), i%2 == 0)
 	}
-	// A checksummed record that is not writer-shaped (flag byte > 1) must
-	// read as corruption, not as a value.
-	if err := w.append([]byte{7, 'x'}); err != nil {
+	// A checksummed record that is not writer-shaped (a flag bit the writer
+	// never sets) must read as corruption, not as a value.
+	if err := w.append([]byte{walFlagLimit + 1, 'x'}); err != nil {
 		t.Fatal(err)
 	}
 	w.close()
@@ -469,33 +473,198 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("records = %d, want %d", len(recs), len(values))
 	}
 	for i, want := range values {
-		v, isNew := walRecord(recs[i])
-		if v != want || isNew != (i%2 == 0) {
-			t.Fatalf("record %d = %q,%v want %q,%v", i, v, isNew, want, i%2 == 0)
+		v, seq, hasSeq, row := walRecord(recs[i])
+		if v != want || hasSeq != (i%2 == 0) || (hasSeq && seq != uint64(i)) || row != nil {
+			t.Fatalf("record %d = %q, seq %d (%v), row %v; want %q, seq %d (%v), no row", i, v, seq, hasSeq, row, want, i, i%2 == 0)
 		}
+	}
+}
+
+// logValue appends v to w as the store's append path frames it.
+func logValue(t *testing.T, w *wal, v string, seq uint64, hasSeq bool) {
+	t.Helper()
+	rec, err := appendWALRecord(nil, v, seq, hasSeq, nil)
+	if err == nil {
+		err = w.appendFramed(rec, 1)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
 	m := manifest{
-		nextID:   9,
-		walID:    7,
-		distinct: 42,
-		gens:     []genMeta{{id: 2, n: 100, crc: 0xdeadbeef}, {id: 5, n: 30, crc: 7}},
+		nextID: 9,
+		walID:  7,
+		gens:   []genMeta{{id: 2, n: 100, crc: 0xdeadbeef}, {id: 5, n: 30, crc: 7}},
 	}
 	back, err := parseManifest(encodeManifest(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.nextID != m.nextID || back.walID != m.walID || back.distinct != m.distinct ||
+	if back.nextID != m.nextID || back.walID != m.walID ||
 		len(back.gens) != len(m.gens) || back.gens[0] != m.gens[0] || back.gens[1] != m.gens[1] {
 		t.Fatalf("round trip: got %+v, want %+v", back, m)
 	}
-	// distinct must not exceed the recorded element count.
-	bad := m
-	bad.distinct = 1000
-	if _, err := parseManifest(encodeManifest(bad)); err == nil {
-		t.Fatal("implausible distinct accepted")
+}
+
+// TestCrashGenerationBeforeManifest simulates a crash after a compaction
+// wrote the merged generation but before the manifest commit: the file is
+// a well-formed, unreferenced orphan and must be reclaimed by the next
+// Open without its contents ever being served.
+func TestCrashGenerationBeforeManifest(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testOpts())
+	seq := workload.URLLog(80, 23, workload.DefaultURLConfig())
+	mustAppend(t, s, seq...)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Fabricate the prepared-but-uncommitted merge output: a generation
+	// file under an id no manifest references.
+	orphanID := uint64(9999)
+	if _, err := writeGeneration(dir, orphanID, []string{"orphaned", "content"}); err != nil {
+		t.Fatal(err)
+	}
+	// Plus a torn temp from a crash mid-write of the next one.
+	tmp := genFileName(orphanID+1) + ".tmp"
+	if err := os.WriteFile(filepath.Join(dir, tmp), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s = mustOpen(t, dir, testOpts())
+	checkSeq(t, s, seq)
+	if c := s.Count("orphaned"); c != 0 {
+		t.Fatalf("orphan content leaked into answers: Count = %d", c)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{genFileName(orphanID), tmp} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("orphan %s not reclaimed", name)
+		}
+	}
+}
+
+// TestChecksumMismatchFails: a generation file whose bytes do not match
+// the manifest checksum must fail Open loudly (silent bit flips are the
+// whole point of carrying the CRC).
+func TestChecksumMismatchFails(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testOpts())
+	mustAppend(t, s, workload.URLLog(60, 29, workload.DefaultURLConfig())...)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	id := s.Generations()[0].ID
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gpath := filepath.Join(dir, genFileName(id))
+	data, err := os.ReadFile(gpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(gpath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, testOpts()); err == nil {
+		t.Fatal("Open accepted a generation with a checksum mismatch")
+	}
+}
+
+// TestOlderFormatsRefused: a directory written before the distinct count
+// became derived — manifest version 3, log version 1 with its "new to the
+// alphabet" flag bit — must be refused by name of the version and left
+// byte for byte as it was. Read as today's format, flag 0x01 would be a
+// sequence header (or, checksummed but ill-shaped, a "corrupt tail" to
+// truncate): acknowledged data reinterpreted or cut off.
+func TestOlderFormatsRefused(t *testing.T) {
+	oldLog := func(magic uint32, payloads ...[]byte) []byte {
+		img := binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(nil, magic), 1)
+		for _, p := range payloads {
+			img = appendLogRecord(img, p)
+		}
+		return img
+	}
+	oldWAL := oldLog(walMagic, []byte("\x01a"), []byte("\x00a"), []byte("\x01b"), []byte("\x03\x07c"))
+	oldManifest := func() []byte {
+		w := wire.NewWriter(manifestMagic, 3)
+		w.U64(2) // nextID
+		w.U64(1) // walID
+		w.Int(0) // distinct
+		w.Int(0) // generations
+		w.Int(0) // schema columns
+		return w.Bytes()
+	}()
+	current := func(t *testing.T, dir string) { // today's empty store
+		t.Helper()
+		if err := mustOpen(t, dir, testOpts()).Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, dir string) map[string][]byte // the older files, by path under dir
+		open  func(dir string) error
+		want  string
+	}{
+		{"plain store", func(t *testing.T, dir string) map[string][]byte {
+			return map[string][]byte{manifestName: oldManifest, walFileName(1): oldWAL}
+		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "unsupported version 3"},
+		{"log under today's manifest", func(t *testing.T, dir string) map[string][]byte {
+			current(t, dir)
+			return map[string][]byte{walFileName(1): oldWAL}
+		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "unsupported log version 1"},
+		{"sharded store", func(t *testing.T, dir string) map[string][]byte {
+			return map[string][]byte{
+				shardsName: encodeShards(shardsManifest{shards: 1, partitioner: FNV1a.Name()}),
+				routerName: oldLog(routerMagic, []byte{0, 0, 0}),
+				filepath.Join(shardDirName(0), manifestName):   oldManifest,
+				filepath.Join(shardDirName(0), walFileName(1)): oldLog(walMagic, []byte("\x03\x00a"), []byte("\x02\x01a"), []byte("\x03\x02b")),
+			}
+		}, func(dir string) error { _, err := OpenSharded(dir, nil); return err }, "unsupported log version 1"},
+		{"shard under today's router log", func(t *testing.T, dir string) map[string][]byte {
+			ss, err := OpenSharded(dir, &ShardedOptions{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return map[string][]byte{filepath.Join(shardDirName(0), manifestName): oldManifest}
+		}, func(dir string) error { _, err := OpenSharded(dir, nil); return err }, "unsupported version 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			files := tc.setup(t, dir)
+			for name, data := range files {
+				path := filepath.Join(dir, name)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for attempt := 0; attempt < 2; attempt++ {
+				err := tc.open(dir)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("open %d = %v, want a refusal naming %q", attempt, err, tc.want)
+				}
+				for name, data := range files {
+					if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("open %d: %s no longer holds its %d bytes (%d now, %v)", attempt, name, len(data), len(got), err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -12,35 +12,32 @@ import (
 // The write-ahead log is the only mutable file in the store: a 6-byte
 // header (magic + version) followed by self-delimiting records, each a
 // u32 payload length, a u32 CRC-32 (IEEE) of the payload, then the
-// payload bytes — one appended string per record (see walPayload for the
-// payload layout). Appends are a single contiguous write, so a crash
+// payload bytes — one appended string per record (see appendWALRecord for
+// the payload layout). Appends are a single contiguous write, so a crash
 // leaves at most one torn record at the tail; replay truncates at the
 // first invalid record and never guesses past it.
 //
 // The same framing (header + checksummed records) backs the sharded
 // store's ROUTER log under a different magic — see router.go.
+//
+// Version 2 is the only version read or written: version-1 payloads
+// carried a flag bit (0x01, "new to the alphabet") that no longer exists,
+// and a reader that took such a record for a corrupt tail would truncate
+// acknowledged data — so an older log is refused whole, untouched.
 const (
 	walMagic   = 0x4C415757 // "WWAL" little-endian
-	walVersion = 1
+	walVersion = 2
 
 	walHeaderLen    = 6
 	walRecHeaderLen = 8
 	walMaxRecord    = 1 << 30 // sanity cap on a single payload
 )
 
-// WAL payload flag bits. A record is (flag byte, optional uvarint
-// sequence number, value bytes); plain stores write flags 0/1, shards
-// add the sequence header the sharded recovery interleaves by. Records
-// carrying a payload row (walFlagRow) switch the tail to a
-// self-delimiting layout: uvarint value length, value bytes, then the
-// row cells (see appendRowWire). Records without the flag — including
-// every record written before the column subsystem existed — replay
-// with an all-NULL row.
+// WAL payload flag bits; see appendWALRecord.
 const (
-	walFlagNew   = 1 << 0 // value was new to the store's alphabet
-	walFlagSeq   = 1 << 1 // a global sequence number follows the flag
-	walFlagRow   = 1 << 2 // a payload row follows the value
-	walFlagLimit = walFlagNew | walFlagSeq | walFlagRow
+	walFlagSeq   = 1 << 0 // a global sequence number follows the flag
+	walFlagRow   = 1 << 1 // the value is length-prefixed and a payload row follows it
+	walFlagLimit = walFlagSeq | walFlagRow
 	walSeqMaxLen = binary.MaxVarintLen64
 )
 
@@ -59,66 +56,54 @@ type wal struct {
 	sync bool
 }
 
-// walPayload encodes one append: a flag byte (walFlagNew when v was new
-// to the store's alphabet at append time) followed by the value bytes.
-// The flag lets replay restore the distinct count without re-probing
-// every generation per record — the increments are deterministic because
-// replay reapplies the same prefix in the same order.
-func walPayload(v string, isNew bool) []byte {
-	p := make([]byte, 1, 1+len(v))
-	if isNew {
-		p[0] = walFlagNew
-	}
-	return append(p, v...)
-}
-
-// walPayloadSeq encodes one sharded append: the flag byte (with
-// walFlagSeq set), the record's global sequence number as a uvarint, and
-// the value bytes. The sequence number is what lets a sharded recovery
-// interleave the unflushed tails of all shards back into global append
-// order.
-func walPayloadSeq(v string, isNew bool, seq uint64) []byte {
-	p := make([]byte, 1, 1+walSeqMaxLen+len(v))
-	p[0] = walFlagSeq
-	if isNew {
-		p[0] |= walFlagNew
-	}
-	p = binary.AppendUvarint(p, seq)
-	return append(p, v...)
-}
-
-// walPayloadRow encodes one append carrying a payload row. A nil row
-// falls back to walPayload/walPayloadSeq's legacy shape — stores with
-// no schema keep writing records byte-identical to every prior version.
-func walPayloadRow(v string, isNew bool, seq uint64, hasSeq bool, row Row) []byte {
-	if row == nil {
-		if hasSeq {
-			return walPayloadSeq(v, isNew, seq)
+// walRecordBound returns an upper bound on the framed size of the record
+// appendWALRecord writes for (v, row), for buffer sizing and record caps.
+func walRecordBound(v string, row Row) int {
+	size := walRecHeaderLen + 1 + walSeqMaxLen + len(v)
+	if row != nil {
+		size += 2 * walSeqMaxLen // value length, cell count
+		for _, c := range row {
+			size += 1 + walSeqMaxLen + len(c.b)
 		}
-		return walPayload(v, isNew)
-	}
-	p := make([]byte, 1, 1+2*walSeqMaxLen+len(v)+rowWireSize(row))
-	p[0] = walFlagRow
-	if isNew {
-		p[0] |= walFlagNew
-	}
-	if hasSeq {
-		p[0] |= walFlagSeq
-		p = binary.AppendUvarint(p, seq)
-	}
-	p = binary.AppendUvarint(p, uint64(len(v)))
-	p = append(p, v...)
-	return appendRowWire(p, row)
-}
-
-// rowWireSize returns the encoded size of a row's wire form, for WAL
-// buffer sizing and record caps.
-func rowWireSize(row Row) int {
-	size := walSeqMaxLen // cell count
-	for _, c := range row {
-		size += 1 + walSeqMaxLen + len(c.b)
 	}
 	return size
+}
+
+// appendWALRecord frames one append onto buf, the payload encoded in
+// place behind its record header: a flag byte; with hasSeq (a shard's
+// record) the global sequence number as a uvarint, which is what lets a
+// sharded recovery interleave the shards' unflushed tails back into global
+// append order; then the value — its bytes to the end of the record, or,
+// when the append carries a payload row, its uvarint length, its bytes and
+// the row cells (see appendRowWire). A record without a row replays with
+// an all-NULL one.
+func appendWALRecord(buf []byte, v string, seq uint64, hasSeq bool, row Row) ([]byte, error) {
+	start := len(buf)
+	var flag byte
+	if hasSeq {
+		flag |= walFlagSeq
+	}
+	if row != nil {
+		flag |= walFlagRow
+	}
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, flag)
+	if hasSeq {
+		buf = binary.AppendUvarint(buf, seq)
+	}
+	if row == nil {
+		buf = append(buf, v...)
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+		buf = appendRowWire(buf, row)
+	}
+	payload := buf[start+walRecHeaderLen:]
+	if len(payload) > walMaxRecord {
+		return nil, fmt.Errorf("store: WAL record of %d bytes exceeds limit", len(payload))
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf, nil
 }
 
 // appendRowWire encodes a row: uvarint cell count, then per cell a tag
@@ -143,19 +128,12 @@ func appendRowWire(p []byte, row Row) []byte {
 	return p
 }
 
-// walRecord decodes a payload back into (value, isNew), dropping any
-// sequence header. parseWAL only yields payloads in writer shape, so
-// decoding cannot fail.
-func walRecord(payload []byte) (v string, isNew bool) {
-	v, isNew, _, _, _ = walRecordRow(payload)
-	return v, isNew
-}
-
-// walRecordRow fully decodes a payload, including any row. Records
-// without walFlagRow — all pre-column records — return a nil row, which
-// applies as all-NULL. The row's blob cells are copied (WAL read
-// buffers are transient).
-func walRecordRow(payload []byte) (v string, isNew bool, seq uint64, hasSeq bool, row Row) {
+// walRecord decodes a payload: the value, the sequence number when the
+// record carries one, and the row (nil when it carries none, which applies
+// as all-NULL). parseWAL only yields payloads validWALPayload passed, so
+// decoding cannot fail. The row's blob cells are copied (WAL read buffers
+// are transient).
+func walRecord(payload []byte) (v string, seq uint64, hasSeq bool, row Row) {
 	flag := payload[0]
 	body := payload[1:]
 	if flag&walFlagSeq != 0 {
@@ -164,9 +142,8 @@ func walRecordRow(payload []byte) (v string, isNew bool, seq uint64, hasSeq bool
 		body = body[n:]
 		hasSeq = true
 	}
-	isNew = flag&walFlagNew != 0
 	if flag&walFlagRow == 0 {
-		return string(body), isNew, seq, hasSeq, nil
+		return string(body), seq, hasSeq, nil
 	}
 	vlen, n := binary.Uvarint(body)
 	body = body[n:]
@@ -190,15 +167,14 @@ func walRecordRow(payload []byte) (v string, isNew bool, seq uint64, hasSeq bool
 			body = body[blen:]
 		}
 	}
-	return v, isNew, seq, hasSeq, row
+	return v, seq, hasSeq, row
 }
 
 // validWALPayload reports whether a checksummed payload has the shape
-// walPayload/walPayloadSeq/walPayloadRow produce. A record our writer
-// cannot have written is corruption all the same, and the replay
-// truncation point must stop before it. Row records are structurally
-// parsed end to end — walRecordRow relies on this to decode without
-// bounds checks.
+// appendWALRecord produces. A record our writer cannot have written is
+// corruption all the same, and the replay truncation point must stop
+// before it. Row records are structurally parsed end to end — walRecord
+// relies on this to decode without bounds checks.
 func validWALPayload(payload []byte) bool {
 	if len(payload) == 0 || payload[0] > walFlagLimit {
 		return false
@@ -323,11 +299,11 @@ func (w *wal) timedSync() error {
 }
 
 // appendFramed writes a buffer of pre-framed records (built with
-// appendLogRecord) as one contiguous write and at most one fsync — the
+// appendWALRecord or appendLogRecord) as one contiguous write and at most one fsync — the
 // group-commit write: a batch of appends costs the log exactly what a
 // single append costs, regardless of batch size. nrec is the record
 // count inside buf (the frames are already built, so the log cannot
-// count them itself); per-payload size caps are also the caller's job.
+// count them itself); per-payload size caps are also the framer's job.
 func (w *wal) appendFramed(buf []byte, nrec int) error {
 	if len(buf) == 0 {
 		return nil
