@@ -6,9 +6,10 @@
 // /debug/trace.
 // Concurrent client appends are group-committed — coalesced into one
 // lock acquisition, one WAL write and at most one fsync per batch —
-// reads are served from pinned snapshots through a fingerprint-keyed
-// result cache, and SIGTERM/SIGINT drain gracefully: in-flight
-// requests finish, queued appends commit, then the store closes.
+// reads are served from the store's pinned view (one per store state,
+// shared by every request until the state changes), and SIGTERM/SIGINT
+// drain gracefully: in-flight requests finish, queued appends commit,
+// then the store closes.
 //
 // Usage:
 //
@@ -53,7 +54,8 @@ func main() {
 	sync := flag.Bool("sync", false, "fsync the WAL on every commit (one fsync per group commit, not per append)")
 	listen := flag.String("listen", "127.0.0.1:7070", "binary protocol listen address")
 	httpAddr := flag.String("http", "127.0.0.1:7071", "HTTP/JSON gateway listen address ('' disables)")
-	cacheEntries := flag.Int("cache", 4096, "result cache entries (negative disables)")
+	// -cache stays only because bench/ still passes it; the next benchmark PR drops it.
+	flag.Int("cache", 0, "accepted and ignored (the result cache is gone)")
 	maxConns := flag.Int("max-conns", 256, "concurrent connection cap (backpressure beyond it)")
 	maxBatch := flag.Int("max-batch", 1024, "max values per group commit")
 	noGroupCommit := flag.Bool("no-group-commit", false, "commit every append individually (benchmark baseline)")
@@ -76,7 +78,6 @@ func main() {
 
 	srv := server.New(db.backend, &server.Options{
 		MaxConns:           *maxConns,
-		CacheEntries:       *cacheEntries,
 		DisableGroupCommit: *noGroupCommit,
 		MaxBatch:           *maxBatch,
 		SlowOp:             *slowOp,

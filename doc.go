@@ -87,9 +87,10 @@
 // either store on the network: a compact binary protocol and an
 // HTTP/JSON gateway, group-committed appends (concurrent clients
 // coalesce into one WAL write and at most one fsync per batch),
-// pinned-snapshot reads with scans that resume by position, and a result
-// cache keyed by snapshot fingerprint so invalidation is free. See
-// DESIGN.md §8 for the protocol and drain semantics.
+// and reads served from the store's pinned view (one immutable view per
+// store state, shared by every request until the state changes) with
+// scans that resume by position. See DESIGN.md §8 for the protocol and
+// drain semantics.
 //
 // # Example
 //

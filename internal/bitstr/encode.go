@@ -88,18 +88,19 @@ func encode(dst []uint64, s string, terminate bool) BitString {
 // Decode inverts Encode. It returns an error if bs is not a complete,
 // well-formed encoding (wrong length, missing terminator, or trailing bits).
 func Decode(bs BitString) ([]byte, error) {
-	return appendDecoded(make([]byte, 0, bs.Len()/9), bs)
+	return AppendDecoded(make([]byte, 0, bs.Len()/9), bs)
 }
 
 // DecodeString is Decode returning a Go string.
 func DecodeString(bs BitString) (string, error) {
 	var buf [128]byte // most values decode on the stack: one copy into the string
-	b, err := appendDecoded(buf[:0], bs)
+	b, err := AppendDecoded(buf[:0], bs)
 	return string(b), err
 }
 
-// appendDecoded appends the bytes bs encodes to out, nine bits at a time.
-func appendDecoded(out []byte, bs BitString) ([]byte, error) {
+// AppendDecoded is Decode appending the bytes bs encodes to out, nine bits
+// at a time. On error it returns nil.
+func AppendDecoded(out []byte, bs BitString) ([]byte, error) {
 	i := 0
 	for ; i+9 <= bs.n; i += 9 {
 		v := read64(bs.words, i)

@@ -117,3 +117,34 @@ func (c *PrefixCursor) ValueInto(b *bitstr.Builder, j int) {
 	b.AppendRange(c.key.Words(), 0, c.head)
 	c.w.next(j, b)
 }
+
+// EnumeratePrefixBits drives a PrefixCursor over the elements with bit
+// prefix p, in position order from the from-th (0-based) match: fn receives
+// the match index, its position and val, which appends the match's value —
+// decoded to its bytes — to dst when called (a positions-only consumer
+// never pays for it) and is valid only during that call of fn. fn returns
+// false to stop. It returns the prefix's match count, which the descent
+// found on the way. from must not be negative.
+func (t *Trie) EnumeratePrefixBits(p bitstr.BitString, from int, fn func(idx, pos int, val func(dst []byte) []byte) bool) (count int) {
+	c := t.PrefixCursor(p)
+	count = c.Count()
+	defer c.Close()
+	c.Seek(from)
+	idx := from
+	var buf [bitstr.KeyWords]uint64
+	val := func(dst []byte) []byte {
+		b := bitstr.BuilderOver(buf[:])
+		c.ValueInto(&b, idx)
+		out, err := bitstr.AppendDecoded(dst, b.View())
+		if err != nil {
+			panic("succinct: internal corruption: " + err.Error())
+		}
+		return out
+	}
+	for ; ; idx++ {
+		pos, ok := c.Next()
+		if !ok || !fn(idx, pos, val) {
+			return count
+		}
+	}
+}

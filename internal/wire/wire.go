@@ -40,6 +40,15 @@ func NewRawWriter() *Writer { return &Writer{} }
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Reset empties the Writer and keeps its buffer, so one Writer can encode
+// message after message without allocating. Slices Bytes returned earlier
+// are overwritten by what is written next.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// Raw appends b as it is, with no length prefix — for splicing in bytes
+// another Writer already encoded.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
 // Byte appends a single byte (kind tags, bit values).
 func (w *Writer) Byte(v byte) { w.buf = append(w.buf, v) }
 

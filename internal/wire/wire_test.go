@@ -154,3 +154,33 @@ func TestRawReaderTruncation(t *testing.T) {
 		t.Error("huge claimed length: no error")
 	}
 }
+
+// TestWriterReuse: a Reset Writer encodes the next message into the same
+// buffer and Raw splices another Writer's bytes in unprefixed.
+func TestWriterReuse(t *testing.T) {
+	w, body := NewRawWriter(), NewRawWriter()
+	for round, vals := range [][]string{{"alpha", "", "beta"}, {"g"}, {}} {
+		w.Reset()
+		body.Reset()
+		for _, v := range vals {
+			body.Str(v)
+		}
+		w.Uvarint(uint64(len(vals)))
+		w.Raw(body.Bytes())
+		if round > 0 && cap(w.Bytes()) < 8 {
+			t.Fatalf("round %d: Reset dropped the buffer", round)
+		}
+		r := NewRawReader(w.Bytes())
+		if n := r.Len(); n != len(vals) {
+			t.Fatalf("round %d: count %d, want %d", round, n, len(vals))
+		}
+		for _, want := range vals {
+			if got := r.Str(); got != want {
+				t.Fatalf("round %d: Str = %q, want %q", round, got, want)
+			}
+		}
+		if err := r.Done(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}

@@ -5,8 +5,9 @@ import (
 )
 
 // Snap is the pinned, immutable read view a request is served from:
-// every read op of a request sees exactly one store state. Both
-// store.Snapshot and store.ShardedSnapshot satisfy it.
+// every read op of a request sees exactly one store state, and every
+// request on an unchanged store sees the same view (the stores pin one
+// per state). Both store.Snapshot and store.ShardedSnapshot satisfy it.
 type Snap interface {
 	Len() int
 	AlphabetSize() int
@@ -21,9 +22,9 @@ type Snap interface {
 	SelectPrefix(p string, idx int) (int, bool)
 	Iterate(l, r int, fn func(pos int, s string) bool)
 	// ScanPrefix streams the prefix's matches — index, position, value —
-	// from match offset from, off one cursor per generation.
-	ScanPrefix(p string, from int, fn func(idx, pos int, v string) bool)
-	Fingerprint() uint64
+	// from match offset from, off one cursor per generation. v is valid
+	// only during that call of fn.
+	ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool)
 	// ContentFingerprint hashes the visible values themselves — and, when
 	// a schema is pinned, every payload cell — so two different stores (a
 	// primary and its follower) can be compared.
@@ -36,8 +37,9 @@ type Snap interface {
 	// CountWhere counts positions matching prefix ∩ numeric predicates.
 	CountWhere(prefix string, preds ...store.Pred) (int, error)
 	// ScanWhere streams the matches of prefix ∩ predicates — index,
-	// position, value — in position order from match offset from.
-	ScanWhere(prefix string, from int, preds []store.Pred, fn func(idx, pos int, v string) bool) error
+	// position, value — in position order from match offset from. v is
+	// valid only during that call of fn.
+	ScanWhere(prefix string, from int, preds []store.Pred, fn func(idx, pos int, v []byte) bool) error
 }
 
 // Backend is the store surface the server drives — satisfied by

@@ -23,6 +23,11 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	// Reused from round trip to round trip, under mu: the request's
+	// encoding and the response's frame (decode callbacks copy what they
+	// keep).
+	enc   wire.Writer
+	frame []byte
 
 	// lastAck is the highest append ack sequence number this client has
 	// seen — its read-your-writes session token. See LastAcked.
@@ -59,15 +64,25 @@ func (e *ServerError) Error() string { return e.Msg }
 func (c *Client) roundTrip(req Request, decode func(r *wire.Reader) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := writeFrame(c.bw, EncodeRequest(req)); err != nil {
+	c.enc.Reset()
+	encodeRequest(&c.enc, &req)
+	if err := writeFrame(c.bw, c.enc.Bytes()); err != nil {
 		return err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	payload, err := readFrame(c.br)
+	// Like the server's request loop, keep at most connIdleBuf of either
+	// buffer past the round trip that grew it.
+	if cap(c.enc.Bytes()) > connIdleBuf {
+		c.enc = wire.Writer{}
+	}
+	payload, err := readFrame(c.br, c.frame)
 	if err != nil {
 		return err
+	}
+	if c.frame = payload; cap(payload) > connIdleBuf {
+		c.frame = nil
 	}
 	r := wire.NewRawReader(payload)
 	switch status := r.Byte(); status {

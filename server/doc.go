@@ -14,22 +14,24 @@
 //     amortizes toward zero; an idle server commits a lone append
 //     immediately.
 //
-//   - Pinned snapshots, and positions as the only resume token. Every
-//     read request is served from one immutable snapshot, so readers
-//     never block writers and never see a half-applied batch. Nothing
-//     is pinned across requests: the sequence is append-only, so a
-//     position names the same element forever, and every multi-request
-//     walk — an Iterate scan, a prefix or predicate scan, a replication
-//     subscription — resumes by echoing a position (or match index, or
-//     sequence number) that any later snapshot serves identically. The
-//     server holds no per-client state between requests other than
-//     live replication subscriptions.
+//   - Pinned views, and positions as the only resume token. Every
+//     read request is served from one immutable view of the store, so
+//     readers never block writers and never see a half-applied batch.
+//     The store keeps one view per visible state: while nothing is
+//     appended, flushed or compacted every request pins the same one
+//     with a pointer load, and the first request after a change builds
+//     the next. Nothing is pinned for a client across requests: the
+//     sequence is append-only, so a position names the same element
+//     forever, and every multi-request walk — an Iterate scan, a prefix
+//     or predicate scan, a replication subscription — resumes by
+//     echoing a position (or match index, or sequence number) that any
+//     later view serves identically. The server holds no per-client
+//     state between requests other than live replication subscriptions.
 //
-//   - A fingerprint-keyed result cache. Point queries are cached under
-//     (snapshot fingerprint, op, argument): the fingerprint changes
-//     whenever the store's visible state changes, so invalidation is
-//     free — entries for old states simply stop being looked up and
-//     age out of the sharded LRU.
+//   - A request loop that allocates for the key and the answer only. A
+//     connection owns one frame buffer, one response buffer and one
+//     scan-page buffer, and a scan page is encoded as the cursor yields
+//     its matches.
 //
 // The server enforces a connection cap (excess accepts wait —
 // backpressure at the door), bounds frame sizes, and drains gracefully

@@ -187,7 +187,7 @@ func (s *Server) followOnce(fs *followSession) error {
 			return nil, err
 		}
 		conn.SetReadDeadline(time.Now().Add(time.Minute))
-		resp, err := readFrame(br)
+		resp, err := readFrame(br, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +233,7 @@ func (s *Server) followOnce(fs *followSession) error {
 	}
 	next := func() (WALFrame, error) {
 		conn.SetReadDeadline(time.Now().Add(idle))
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, nil)
 		if err != nil {
 			return WALFrame{}, err
 		}

@@ -15,7 +15,7 @@ import (
 
 // HTTPHandler returns the HTTP/JSON gateway over the same serving
 // paths as the binary protocol — appends go through the group
-// committer, reads through the pinned snapshot and result cache:
+// committer, reads through the store's pinned view:
 //
 //	GET  /healthz                       liveness (503 while draining)
 //	GET  /metrics                       Prometheus text exposition
@@ -90,10 +90,7 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		v, _ := s.cachedStr(OpAccess, "", pos, func(sn Snap) (string, int, bool) {
-			return sn.Access(pos), 0, false
-		})
-		writeJSON(w, map[string]any{"pos": pos, "value": v})
+		writeJSON(w, map[string]any{"pos": pos, "value": s.b.Snap().Access(pos)})
 	}))
 	mux.HandleFunc("/v1/rank", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		v := r.URL.Query().Get("v")
@@ -102,13 +99,11 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		n, _ := s.cachedNum(OpRank, v, pos, func(sn Snap) (int, bool) { return sn.Rank(v, pos), false })
-		writeJSON(w, map[string]any{"rank": n})
+		writeJSON(w, map[string]any{"rank": s.b.Snap().Rank(v, pos)})
 	}))
 	mux.HandleFunc("/v1/count", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		v := r.URL.Query().Get("v")
-		n, _ := s.cachedNum(OpCount, v, 0, func(sn Snap) (int, bool) { return sn.Count(v), false })
-		writeJSON(w, map[string]any{"count": n})
+		writeJSON(w, map[string]any{"count": s.b.Snap().Count(v)})
 	}))
 	mux.HandleFunc("/v1/select", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		v := r.URL.Query().Get("v")
@@ -117,7 +112,7 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		pos, ok := s.cachedNum(OpSelect, v, idx, func(sn Snap) (int, bool) { return sn.Select(v, idx) })
+		pos, ok := s.b.Snap().Select(v, idx)
 		writeJSON(w, map[string]any{"pos": pos, "ok": ok})
 	}))
 	mux.HandleFunc("/v1/rankprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
@@ -127,13 +122,11 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		n, _ := s.cachedNum(OpRankPrefix, p, pos, func(sn Snap) (int, bool) { return sn.RankPrefix(p, pos), false })
-		writeJSON(w, map[string]any{"rank": n})
+		writeJSON(w, map[string]any{"rank": s.b.Snap().RankPrefix(p, pos)})
 	}))
 	mux.HandleFunc("/v1/countprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		p := r.URL.Query().Get("p")
-		n, _ := s.cachedNum(OpCountPrefix, p, 0, func(sn Snap) (int, bool) { return sn.CountPrefix(p), false })
-		writeJSON(w, map[string]any{"count": n})
+		writeJSON(w, map[string]any{"count": s.b.Snap().CountPrefix(p)})
 	}))
 	mux.HandleFunc("/v1/selectprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		p := r.URL.Query().Get("p")
@@ -142,7 +135,7 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		pos, ok := s.cachedNum(OpSelectPrefix, p, idx, func(sn Snap) (int, bool) { return sn.SelectPrefix(p, idx) })
+		pos, ok := s.b.Snap().SelectPrefix(p, idx)
 		writeJSON(w, map[string]any{"pos": pos, "ok": ok})
 	}))
 	mux.HandleFunc("/v1/scan", s.guard(func(w http.ResponseWriter, r *http.Request) {
@@ -191,14 +184,12 @@ func (s *Server) HTTPHandler() http.Handler {
 			return
 		}
 		sn := s.b.Snap()
-		page, done := s.scanPage(sn, n, false, func(fn func(idx, pos int, v string) bool) {
+		positions, vals := []int{}, []string{}
+		_, done := s.scanPage(sn, n, false, func(fn func(idx, pos int, v []byte) bool) {
 			sn.ScanPrefix(p, from, fn)
+		}, func(pos int, v []byte, _ store.Row) {
+			positions, vals = append(positions, pos), append(vals, string(v))
 		})
-		positions := make([]int, len(page))
-		vals := make([]string, len(page))
-		for i, m := range page {
-			positions[i], vals[i] = m.pos, m.val
-		}
 		writeJSON(w, map[string]any{"from": from, "positions": positions, "values": vals, "done": done})
 	}))
 	mux.HandleFunc("/v1/row", s.guard(func(w http.ResponseWriter, r *http.Request) {

@@ -31,11 +31,6 @@ type serverMetrics struct {
 	batchSize     *obs.Histogram
 	commitSeconds *obs.Histogram
 
-	cacheHits          *obs.Counter
-	cacheMisses        *obs.Counter
-	cacheEvictions     *obs.Counter
-	cacheInvalidations *obs.Counter
-
 	// Replication: the primary's shipping side, the follower's applying
 	// side, and the churn between them.
 	replShippedRecords *obs.Counter
@@ -69,15 +64,6 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			"Values per group commit.", 1),
 		commitSeconds: r.NewHistogram("wt_batcher_commit_seconds",
 			"Latency of the backend AppendBatch call under each group commit.", 1e-9),
-
-		cacheHits: r.NewCounter("wt_cache_hits_total",
-			"Result-cache lookups answered without touching a snapshot."),
-		cacheMisses: r.NewCounter("wt_cache_misses_total",
-			"Result-cache lookups that fell through to the snapshot."),
-		cacheEvictions: r.NewCounter("wt_cache_evictions_total",
-			"Result-cache entries dropped by LRU capacity."),
-		cacheInvalidations: r.NewCounter("wt_cache_invalidations_total",
-			"Evicted entries keyed to a superseded snapshot fingerprint."),
 
 		replShippedRecords: r.NewCounter("wt_repl_shipped_records_total",
 			"Records shipped to replication subscribers (live and catch-up frames)."),
@@ -143,17 +129,6 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			var n int64
 			for _, s := range liveServers.all() {
 				n += int64(s.repl.watermark())
-			}
-			return n
-		})
-	r.NewGaugeFunc("wt_cache_entries",
-		"Entries resident in the result cache.",
-		func() int64 {
-			var n int64
-			for _, s := range liveServers.all() {
-				if s.cache != nil {
-					n += int64(s.cache.len())
-				}
 			}
 			return n
 		})
@@ -231,7 +206,7 @@ func (ss *serverSet) all() []*Server {
 // keyShape renders a request's argument shape for the slow-op log:
 // enough to find the offending key class without dumping whole values
 // into logs.
-func keyShape(req Request) string {
+func keyShape(req *Request) string {
 	switch req.Op {
 	case OpAppend, OpRank, OpCount, OpSelect, OpRankPrefix, OpCountPrefix, OpSelectPrefix:
 		v := req.Value

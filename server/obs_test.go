@@ -60,7 +60,8 @@ func TestStatsRuntimeInfo(t *testing.T) {
 }
 
 // TestSlowOpLog sets a threshold every op clears and checks the log
-// line names the op, its key shape and the snapshot fingerprint.
+// line names the op, its key shape and the visible length of the view
+// that served the request (none for an op that pins no view).
 func TestSlowOpLog(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
@@ -82,7 +83,7 @@ func TestSlowOpLog(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"slow op", "rank", `"slow/key"`, "snapshot fp"} {
+	for _, want := range []string{"slow op", `append "slow/key"`, "view len=-", `rank "slow/key"`, "view len=1"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("slow-op log missing %q in:\n%s", want, joined)
 		}
@@ -109,11 +110,9 @@ func TestMetricNamesLint(t *testing.T) {
 		"wt_wal_fsync_seconds",
 		"wt_flush_seconds",
 		"wt_compact_seconds",
-		"wt_locate_memo_hits_total",
 		"wt_mmap_mapped_bytes",
 		"wt_server_op_seconds",
 		"wt_batcher_batch_size",
-		"wt_cache_hits_total",
 		"wt_repl_lag_records",
 	} {
 		if !seen[want] {

@@ -243,6 +243,12 @@ func parsePreds(r *wire.Reader) []store.Pred {
 // guarantees ParseRequest never panics on anything else.
 func EncodeRequest(req Request) []byte {
 	w := wire.NewRawWriter()
+	encodeRequest(w, &req)
+	return w.Bytes()
+}
+
+// encodeRequest appends req's payload to w.
+func encodeRequest(w *wire.Writer, req *Request) {
 	w.Byte(req.Op)
 	switch req.Op {
 	case OpPing:
@@ -286,7 +292,6 @@ func EncodeRequest(req Request) []byte {
 	default:
 		panic(fmt.Sprintf("server: encoding unknown opcode %d", req.Op))
 	}
-	return w.Bytes()
 }
 
 // ParseRequest decodes a request payload. Arbitrary input must error,
@@ -485,17 +490,28 @@ func writeFrame(w io.Writer, payload []byte) error {
 }
 
 // readFrame reads one length-prefixed frame, rejecting implausible
-// lengths before allocating.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// lengths before allocating. The payload is read into buf's backing array
+// when it fits (buf's length is ignored; nil is fine), so a caller that
+// passes the previous frame back in reads frame after frame without
+// allocating.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	// The header is read through buf too: a local array would escape
+	// through the io.Reader and cost an allocation per frame.
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen, 512)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}

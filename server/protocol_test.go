@@ -133,23 +133,26 @@ func TestStatsRoundTrip(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xAB}, 1000)}
+	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xAB}, 1000), {2, 3}, {}}
 	for _, p := range payloads {
 		if err := writeFrame(&buf, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Each frame is read into the one before's buffer, as the request loop
+	// does: small after large, empty after small.
+	var frame []byte
 	for _, want := range payloads {
-		got, err := readFrame(&buf)
-		if err != nil {
+		var err error
+		if frame, err = readFrame(&buf, frame); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame round trip: got % x, want % x", got, want)
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("frame round trip: got % x, want % x", frame, want)
 		}
 	}
 	// An implausible frame length is rejected before allocation.
-	if _, err := readFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
+	if _, err := readFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), nil); err == nil {
 		t.Error("oversized frame length: no error")
 	}
 }

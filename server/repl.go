@@ -399,7 +399,7 @@ func (s *Server) replAckLoop(conn net.Conn, br *bufio.Reader, fo *followerState,
 	h := s.repl
 	for {
 		conn.SetReadDeadline(time.Now().Add(replIdleTimeout(s.opts.ReplHeartbeat)))
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, nil)
 		if err != nil {
 			return
 		}

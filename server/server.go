@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +25,9 @@ type Options struct {
 	// accepts wait for a slot — backpressure at the door instead of an
 	// unbounded goroutine pile. Default 256.
 	MaxConns int
-	// CacheEntries sizes the result cache (total entries across its
-	// shards). 0 selects the default 4096; negative disables caching.
+	// CacheEntries is accepted and ignored: the result cache is gone. The
+	// field stays only because bench/ still sets it; the next benchmark PR
+	// drops it.
 	CacheEntries int
 	// DisableGroupCommit routes every append straight to the store
 	// instead of through the coalescing committer — one lock and WAL
@@ -38,8 +40,8 @@ type Options struct {
 	// the default when the client asks for 0). Default 4096.
 	MaxIterBatch int
 	// SlowOp is the latency threshold above which a binary-protocol
-	// request is logged, naming the op, its key shape and the pinned
-	// snapshot's fingerprint. 0 disables the slow-op log.
+	// request is logged, naming the op, its key shape and the visible
+	// length of the view that served it. 0 disables the slow-op log.
 	SlowOp time.Duration
 	// SlowOpLog receives the slow-op lines; nil selects log.Printf.
 	// Mostly for tests and callers with structured logging.
@@ -56,9 +58,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxConns <= 0 {
 		out.MaxConns = 256
-	}
-	if out.CacheEntries == 0 {
-		out.CacheEntries = 4096
 	}
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 1024
@@ -78,16 +77,14 @@ var errDraining = errors.New("server: draining")
 
 // Server serves a store.Store or store.ShardedStore over the binary
 // protocol (Serve) and the HTTP/JSON gateway (HTTPHandler). The write
-// path is group-committed, reads are served from per-request pinned
-// snapshots with a fingerprint-keyed result cache in front, and
-// Shutdown drains gracefully: in-flight requests finish, queued appends
-// commit, then connections close. Construct with New; the Server does
-// not own the store — closing it after Shutdown is the caller's job.
+// path is group-committed, every read request pins the store's current
+// view once (a pointer load while the store is unchanged) and queries it,
+// and Shutdown drains gracefully: in-flight requests finish, queued
+// appends commit, then connections close. Construct with New; the Server
+// does not own the store — closing it after Shutdown is the caller's job.
 type Server struct {
 	b    Backend
 	opts Options
-
-	cache *resultCache
 
 	appendCh chan appendReq
 	sendMu   sync.RWMutex // gates appendCh against close during drain
@@ -117,7 +114,6 @@ func New(b Backend, opts *Options) *Server {
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
-	s.cache = newResultCache(s.opts.CacheEntries)
 	// The hub's head adopts the store's current length: global sequence
 	// numbers ARE positions in the append-only sequence.
 	s.repl = newReplHub(uint64(b.Snap().Len()))
@@ -187,6 +183,34 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
+// connState is what one connection's request loop reuses from request to
+// request, so a point read allocates for its answer and nothing else.
+type connState struct {
+	frame []byte      // the request frame
+	resp  wire.Writer // the response payload
+	page  wire.Writer // a scan page's matches, encoded as the cursor yields them
+	// viewLen is the visible length of the view the request pinned, -1 for
+	// a request that pinned none — what the slow-op line reports.
+	viewLen int
+}
+
+// connIdleBuf is the most a connection keeps of each buffer between
+// requests: one large frame or page grows a buffer for that request only.
+const connIdleBuf = 64 << 10
+
+// release drops the buffers the last request grew past connIdleBuf.
+func (c *connState) release() {
+	if cap(c.frame) > connIdleBuf {
+		c.frame = nil
+	}
+	if cap(c.resp.Bytes()) > connIdleBuf {
+		c.resp = wire.Writer{}
+	}
+	if cap(c.page.Bytes()) > connIdleBuf {
+		c.page = wire.Writer{}
+	}
+}
+
 // serveConn runs one connection's request loop: read a frame, decode,
 // dispatch, respond. A malformed frame or decode error closes the
 // connection (the stream cannot be trusted past it); an op-level error
@@ -194,155 +218,167 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
+	var c connState
 	for {
 		if s.draining.Load() {
 			return
 		}
-		payload, err := readFrame(br)
-		if err != nil {
+		var err error
+		if c.frame, err = readFrame(br, c.frame); err != nil {
 			return
 		}
-		t0 := time.Now()
-		req, err := ParseRequest(payload)
-		if err == nil && req.Op == OpSubscribe {
+		resp, ready, sub := s.step(&c, c.frame)
+		if sub.Op == OpSubscribe {
 			// A subscription consumes the connection: it never returns to
 			// the request loop.
-			smet.requests.Inc()
-			s.serveSubscribe(conn, br, bw, req)
+			s.serveSubscribe(conn, br, bw, sub)
 			return
 		}
-		var resp []byte
-		if err != nil {
-			smet.errors.Inc()
-			resp = errPayload(err.Error())
-		} else {
-			resp = s.respond(req)
-		}
-		smet.requests.Inc()
-		elapsed := time.Since(t0)
-		// req.Op is 0 when the parse failed — the "invalid" series.
-		smet.observeOp(req.Op, elapsed.Nanoseconds())
-		s.logSlowOp(req, elapsed)
-		conn.SetWriteDeadline(time.Now().Add(time.Minute))
+		conn.SetWriteDeadline(ready.Add(time.Minute))
 		if err := writeFrame(bw, resp); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
 			return
 		}
+		c.release()
 	}
 }
 
-// logSlowOp emits the configured slow-op log line when a request's
-// service time crossed Options.SlowOp: the op, its key shape, the
-// latency, and the fingerprint of the snapshot state that served it —
-// enough to correlate with /metrics series and replay the query.
-func (s *Server) logSlowOp(req Request, elapsed time.Duration) {
-	if s.opts.SlowOp <= 0 || elapsed < s.opts.SlowOp {
-		return
+// step is the request loop's per-request work: parse the frame, answer it
+// out of c's buffers, record the op's latency. resp is valid until the next
+// step on c; ready is when it was ready, which also dates the write
+// deadline. A well-formed OpSubscribe is not answered here: it comes back
+// as sub for the loop to hand the connection over.
+func (s *Server) step(c *connState, frame []byte) (resp []byte, ready time.Time, sub Request) {
+	t0 := time.Now()
+	smet.requests.Inc()
+	req, err := ParseRequest(frame)
+	if err == nil && req.Op == OpSubscribe {
+		return nil, t0, req
 	}
+	c.viewLen = -1
+	if err != nil {
+		smet.errors.Inc()
+		resp = c.fail(err.Error())
+	} else {
+		resp = s.respond(c, &req)
+	}
+	ready = time.Now()
+	elapsed := ready.Sub(t0)
+	// req.Op is 0 when the parse failed — the "invalid" series.
+	smet.observeOp(req.Op, elapsed.Nanoseconds())
+	if s.opts.SlowOp > 0 && elapsed >= s.opts.SlowOp {
+		s.logSlowOp(&req, elapsed, c.viewLen)
+	}
+	return resp, ready, Request{}
+}
+
+// logSlowOp emits the slow-op log line for a request whose service time
+// crossed Options.SlowOp: the op, its key shape, the latency, and the
+// visible length of the view that served it (- when the op pinned none) —
+// enough to correlate with /metrics series and replay the query.
+func (s *Server) logSlowOp(req *Request, elapsed time.Duration, viewLen int) {
 	logf := s.opts.SlowOpLog
 	if logf == nil {
 		logf = log.Printf
 	}
-	logf("server: slow op %s %s took %s (snapshot fp %016x, threshold %s)",
-		opName(req.Op), keyShape(req), elapsed, s.b.Snap().Fingerprint(), s.opts.SlowOp)
+	view := "-"
+	if viewLen >= 0 {
+		view = strconv.Itoa(viewLen)
+	}
+	logf("server: slow op %s %s took %s (view len=%s, threshold %s)",
+		opName(req.Op), keyShape(req), elapsed, view, s.opts.SlowOp)
 }
 
-// errPayload builds a statusErr response payload.
-func errPayload(msg string) []byte {
-	w := wire.NewRawWriter()
-	w.Byte(statusErr)
-	w.Str(msg)
-	return w.Bytes()
+// fail answers the request with a statusErr response in the connection's
+// buffer, discarding whatever the op had encoded so far.
+func (c *connState) fail(msg string) []byte {
+	c.resp.Reset()
+	c.resp.Byte(statusErr)
+	c.resp.Str(msg)
+	return c.resp.Bytes()
 }
 
-// respond executes one request and encodes its response payload. Query
-// panics (out-of-range positions, a broken partitioner) surface as
-// error responses, never as a dead server.
-func (s *Server) respond(req Request) (out []byte) {
+// errPayload builds a statusErr response payload outside a request loop.
+func errPayload(msg string) []byte { return new(connState).fail(msg) }
+
+// pin returns the store's current view for a read request — the one view
+// every query of the request sees — and notes its length for the slow-op
+// line.
+func (s *Server) pin(c *connState) Snap {
+	sn := s.b.Snap()
+	c.viewLen = sn.Len()
+	return sn
+}
+
+// respond executes one request and encodes its response payload into
+// c.resp. Query panics (out-of-range positions, a broken partitioner)
+// surface as error responses, never as a dead server.
+func (s *Server) respond(c *connState, req *Request) (out []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			smet.errors.Inc()
-			out = errPayload(fmt.Sprint(r))
+			out = c.fail(fmt.Sprint(r))
 		}
 	}()
-	w := wire.NewRawWriter()
+	w := &c.resp
+	w.Reset()
 	w.Byte(statusOK)
 	switch req.Op {
 	case OpPing:
 		if req.Pos != ProtocolVersion {
-			return errPayload(fmt.Sprintf("server: protocol version %d not supported, want %d", req.Pos, ProtocolVersion))
+			return c.fail(fmt.Sprintf("server: protocol version %d not supported, want %d", req.Pos, ProtocolVersion))
 		}
 		w.Uvarint(ProtocolVersion)
 	case OpAppend:
 		seq, err := s.submitAppend([]string{req.Value}, req.Rows)
 		if err != nil {
-			return errPayload(err.Error())
+			return c.fail(err.Error())
 		}
 		w.Uvarint(seq)
 	case OpAppendBatch:
 		seq, err := s.submitAppend(req.Values, req.Rows)
 		if err != nil {
-			return errPayload(err.Error())
+			return c.fail(err.Error())
 		}
 		w.Uvarint(uint64(len(req.Values)))
 		w.Uvarint(seq)
 	case OpRow:
-		row := s.b.Snap().Row(req.Pos)
-		encodeRow(w, row)
+		encodeRow(w, s.pin(c).Row(req.Pos))
 	case OpScanWhere:
-		if err := s.scanWhere(w, req); err != nil {
-			return errPayload(err.Error())
+		if err := s.scanWhere(c, req); err != nil {
+			return c.fail(err.Error())
 		}
 	case OpAccess:
-		v, _ := s.cachedStr(OpAccess, "", req.Pos, func(sn Snap) (string, int, bool) {
-			return sn.Access(req.Pos), 0, false
-		})
-		w.Str(v)
+		w.Str(s.pin(c).Access(req.Pos))
 	case OpRank:
-		n, _ := s.cachedNum(OpRank, req.Value, req.Pos, func(sn Snap) (int, bool) {
-			return sn.Rank(req.Value, req.Pos), false
-		})
-		w.Uvarint(uint64(n))
+		w.Uvarint(uint64(s.pin(c).Rank(req.Value, req.Pos)))
 	case OpCount:
-		n, _ := s.cachedNum(OpCount, req.Value, 0, func(sn Snap) (int, bool) {
-			return sn.Count(req.Value), false
-		})
-		w.Uvarint(uint64(n))
+		w.Uvarint(uint64(s.pin(c).Count(req.Value)))
 	case OpSelect:
-		pos, ok := s.cachedNum(OpSelect, req.Value, req.Pos, func(sn Snap) (int, bool) {
-			return sn.Select(req.Value, req.Pos)
-		})
+		pos, ok := s.pin(c).Select(req.Value, req.Pos)
 		writeOptPos(w, pos, ok)
 	case OpRankPrefix:
-		n, _ := s.cachedNum(OpRankPrefix, req.Value, req.Pos, func(sn Snap) (int, bool) {
-			return sn.RankPrefix(req.Value, req.Pos), false
-		})
-		w.Uvarint(uint64(n))
+		w.Uvarint(uint64(s.pin(c).RankPrefix(req.Value, req.Pos)))
 	case OpCountPrefix:
-		n, _ := s.cachedNum(OpCountPrefix, req.Value, 0, func(sn Snap) (int, bool) {
-			return sn.CountPrefix(req.Value), false
-		})
-		w.Uvarint(uint64(n))
+		w.Uvarint(uint64(s.pin(c).CountPrefix(req.Value)))
 	case OpSelectPrefix:
-		pos, ok := s.cachedNum(OpSelectPrefix, req.Value, req.Pos, func(sn Snap) (int, bool) {
-			return sn.SelectPrefix(req.Value, req.Pos)
-		})
+		pos, ok := s.pin(c).SelectPrefix(req.Value, req.Pos)
 		writeOptPos(w, pos, ok)
 	case OpIterate:
-		if err := s.iterate(w, req); err != nil {
-			return errPayload(err.Error())
+		if err := s.iterate(c, req); err != nil {
+			return c.fail(err.Error())
 		}
 	case OpIteratePrefix:
-		s.iteratePrefix(w, req)
+		s.iteratePrefix(c, req)
 	case OpFlush:
 		if err := s.b.Flush(); err != nil {
-			return errPayload(err.Error())
+			return c.fail(err.Error())
 		}
 	case OpCompact:
 		if err := s.b.Compact(); err != nil {
-			return errPayload(err.Error())
+			return c.fail(err.Error())
 		}
 	case OpReplWait:
 		if s.waitWatermark(req.Seq, time.Duration(req.Max)*time.Millisecond) {
@@ -358,13 +394,15 @@ func (s *Server) respond(req Request) (out []byte) {
 			w.Byte(0)
 		}
 	case OpStats:
-		encodeStats(w, s.stats())
+		st := s.stats()
+		c.viewLen = st.Len
+		encodeStats(w, st)
 	case OpMetrics:
 		// The reply is the same Prometheus text the gateway's /metrics
 		// serves — one snapshot format across every surface.
 		w.Str(obs.Default().TextSnapshot())
 	default:
-		return errPayload(fmt.Sprintf("server: unknown opcode %d", req.Op))
+		return c.fail(fmt.Sprintf("server: unknown opcode %d", req.Op))
 	}
 	return w.Bytes()
 }
@@ -379,54 +417,16 @@ func writeOptPos(w *wire.Writer, pos int, ok bool) {
 	}
 }
 
-// cachedNum serves an integer-shaped point query through the result
-// cache: the key is the current snapshot's fingerprint plus the query,
-// so any store mutation makes every cached answer unreachable rather
-// than stale.
-func (s *Server) cachedNum(op byte, arg string, pos int, miss func(Snap) (int, bool)) (int, bool) {
-	sn := s.b.Snap()
-	if s.cache == nil {
-		return miss(sn)
-	}
-	key := cacheKey{fp: sn.Fingerprint(), op: op, arg: arg, pos: pos}
-	if v, hit := s.cache.get(key); hit {
-		smet.cacheHits.Inc()
-		return v.num, v.ok
-	}
-	smet.cacheMisses.Inc()
-	n, ok := miss(sn)
-	s.cache.put(key, cacheVal{num: n, ok: ok})
-	return n, ok
-}
-
-// cachedStr is cachedNum for string-shaped results (Access).
-func (s *Server) cachedStr(op byte, arg string, pos int, miss func(Snap) (string, int, bool)) (string, bool) {
-	sn := s.b.Snap()
-	if s.cache == nil {
-		v, _, _ := miss(sn)
-		return v, true
-	}
-	key := cacheKey{fp: sn.Fingerprint(), op: op, arg: arg, pos: pos}
-	if v, hit := s.cache.get(key); hit {
-		smet.cacheHits.Inc()
-		return v.str, true
-	}
-	smet.cacheMisses.Inc()
-	v, _, _ := miss(sn)
-	s.cache.put(key, cacheVal{str: v})
-	return v, true
-}
-
 // iterate serves one OpIterate page: positions [Pos, end) of the
 // sequence, where end is the length the walk's first page pinned and
 // every later page echoes back in Seq. No state survives the request:
 // the sequence is append-only, so positions below end hold the same
-// values in every later snapshot and a fresh one serves exactly what
-// the first page's would have. An echoed end past the current length
-// names positions this server has never held — a client that switched
+// values in every later view and today's serves exactly what the first
+// page's would have. An echoed end past the current length names
+// positions this server has never held — a client that switched
 // servers, or a hostile one — and is an error, never a clamp.
-func (s *Server) iterate(w *wire.Writer, req Request) error {
-	sn := s.b.Snap()
+func (s *Server) iterate(c *connState, req *Request) error {
+	sn := s.pin(c)
 	end := sn.Len()
 	if req.Seq > uint64(end) {
 		return fmt.Errorf("server: iterate end %d is past the sequence length %d", req.Seq, end)
@@ -441,85 +441,97 @@ func (s *Server) iterate(w *wire.Writer, req Request) error {
 	}
 	// The walked range is bounded by the page, not by end: a sharded
 	// snapshot buffers a window of every shard's subrange per Iterate.
-	hi := min(end, start+max)
-	page, _ := s.scanPage(sn, max, false, func(fn func(idx, pos int, v string) bool) {
-		if start < hi {
-			sn.Iterate(start, hi, func(pos int, v string) bool { return fn(0, pos, v) })
-		}
-	})
+	// The values are encoded as the walk yields them, within the byte
+	// budget and at least one, like a scan page's.
+	body := &c.page
+	body.Reset()
+	n, bytes := 0, 0
+	if hi := min(end, start+max); start < hi {
+		sn.Iterate(start, hi, func(_ int, v string) bool {
+			if bytes >= iterByteBudget {
+				return false
+			}
+			n++
+			bytes += len(v) + 18
+			body.Str(v)
+			return true
+		})
+	}
+	w := &c.resp
 	w.Uvarint(uint64(end))
-	if start+len(page) >= end {
+	if start+n >= end {
 		w.Byte(1)
 	} else {
 		w.Byte(0)
 	}
 	w.Uvarint(uint64(start))
-	w.Uvarint(uint64(len(page)))
-	for _, m := range page {
-		w.Str(m.val)
-	}
+	w.Uvarint(uint64(n))
+	w.Raw(body.Bytes())
 	return nil
-}
-
-// pageMatch is one element of a stateless scan page.
-type pageMatch struct {
-	pos int
-	val string
-	row store.Row
 }
 
 // iterByteBudget bounds a streamed batch by bytes as well as by count:
 // large values could otherwise encode past MaxFrame and kill the
-// connection instead of answering.
+// connection instead of answering. A value counts as its length plus a
+// worst-case position and length prefix.
 const iterByteBudget = 4 << 20
 
-// scanPage collects one page of a value-carrying scan: up to max matches
-// (capped by MaxIterBatch) within the byte budget, and at least one when
-// any exists, so a resuming client always makes progress. With rows, each
-// match's payload row is fetched and counted against the budget. done
-// reports that the stream ended inside the page.
-func (s *Server) scanPage(sn Snap, max int, rows bool, scan func(fn func(idx, pos int, v string) bool)) (page []pageMatch, done bool) {
+// scanPage bounds one page of a position-and-value scan: emit is handed up
+// to max matches (capped by MaxIterBatch) within the byte budget, and at
+// least one when any exists, so a resuming client always makes progress.
+// With rows, each match's payload row is fetched and counted against the
+// budget. v is valid only during emit. It returns the match count and
+// whether the stream ended inside the page.
+func (s *Server) scanPage(sn Snap, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool), emit func(pos int, v []byte, row store.Row)) (n int, done bool) {
 	if max <= 0 || max > s.opts.MaxIterBatch {
 		max = s.opts.MaxIterBatch
 	}
-	page = make([]pageMatch, 0, min(max, 64))
 	bytes, done := 0, true
-	scan(func(_, pos int, v string) bool {
-		if len(page) >= max || bytes >= iterByteBudget {
+	scan(func(_, pos int, v []byte) bool {
+		if n >= max || bytes >= iterByteBudget {
 			done = false // more matches exist past the page
 			return false
 		}
-		m := pageMatch{pos: pos, val: v}
-		bytes += len(v) + 18 // value plus worst-case position + length prefix
+		n++
+		bytes += len(v) + 18
+		var row store.Row
 		if rows {
-			m.row = sn.Row(pos)
-			for _, c := range m.row {
+			row = sn.Row(pos)
+			for _, c := range row {
 				bytes += len(c.Blob()) + 10
 			}
 		}
-		page = append(page, m)
+		emit(pos, v, row)
 		return true
 	})
-	return page, done
+	return n, done
 }
 
-// writePage encodes a scan page: done flag, the echoed match offset, then
-// each match's position, value and — with rows — payload row.
-func writePage(w *wire.Writer, from int, page []pageMatch, done, rows bool) {
+// writePage answers one scan request. The page's matches are encoded into
+// c.page as the cursor yields them — position, value and, with rows,
+// payload row — so no match is held as a string or in a list; the header
+// (done flag, the echoed match offset, the count, known only at the end)
+// and the matches then go into the response.
+func (s *Server) writePage(c *connState, sn Snap, from, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool)) {
+	body := &c.page
+	body.Reset()
+	n, done := s.scanPage(sn, max, rows, scan, func(pos int, v []byte, row store.Row) {
+		body.Uvarint(uint64(pos))
+		body.Uvarint(uint64(len(v)))
+		body.Raw(v)
+		if rows {
+			encodeRow(body, row)
+		}
+	})
+	w := &c.resp
 	if done {
 		w.Byte(1)
 	} else {
 		w.Byte(0)
 	}
 	w.Uvarint(uint64(from))
-	w.Uvarint(uint64(len(page)))
-	for _, m := range page {
-		w.Uvarint(uint64(m.pos))
-		w.Str(m.val)
-		if rows {
-			encodeRow(w, m.row)
-		}
-	}
+	w.Uvarint(uint64(n))
+	w.Raw(body.Bytes())
 }
 
 // iteratePrefix serves one OpIteratePrefix batch: positions and values
@@ -528,29 +540,24 @@ func writePage(w *wire.Writer, from int, page []pageMatch, done, rows bool) {
 // same element and the client resumes statelessly by echoing the next
 // index — the store seeks to it by rank arithmetic rather than
 // replaying the stream.
-func (s *Server) iteratePrefix(w *wire.Writer, req Request) {
-	sn := s.b.Snap()
-	page, done := s.scanPage(sn, req.Max, false, func(fn func(idx, pos int, v string) bool) {
+func (s *Server) iteratePrefix(c *connState, req *Request) {
+	sn := s.pin(c)
+	s.writePage(c, sn, req.Pos, req.Max, false, func(fn func(idx, pos int, v []byte) bool) {
 		sn.ScanPrefix(req.Value, req.Pos, fn)
 	})
-	writePage(w, req.Pos, page, done, false)
 }
 
 // scanWhere serves one OpScanWhere batch: positions, values and
 // payload rows of elements matching the prefix and every numeric
 // predicate, starting at the Pos-th match. Pagination is stateless like
 // iteratePrefix.
-func (s *Server) scanWhere(w *wire.Writer, req Request) error {
-	sn := s.b.Snap()
+func (s *Server) scanWhere(c *connState, req *Request) error {
+	sn := s.pin(c)
 	var err error
-	page, done := s.scanPage(sn, req.Max, true, func(fn func(idx, pos int, v string) bool) {
+	s.writePage(c, sn, req.Pos, req.Max, true, func(fn func(idx, pos int, v []byte) bool) {
 		err = sn.ScanWhere(req.Value, req.Pos, req.Preds, fn)
 	})
-	if err != nil {
-		return err
-	}
-	writePage(w, req.Pos, page, done, true)
-	return nil
+	return err
 }
 
 // stats builds the OpStats reply. It is the one request that asks for the

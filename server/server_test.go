@@ -377,41 +377,6 @@ func TestCursorPinsSnapshot(t *testing.T) {
 	})
 }
 
-// TestResultCache checks hot point queries hit the cache and that any
-// append makes the hot entries unreachable (fresh fingerprint) rather
-// than stale.
-func TestResultCache(t *testing.T) {
-	_, addr := startServer(t, 0, nil, nil)
-	c := dial(t, addr)
-	if err := c.AppendBatch([]string{"a", "b", "a", "c"}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c.Count("a"); err != nil || n != 2 {
-		t.Fatalf("Count = %d, %v", n, err)
-	}
-	misses := counter("wt_cache_misses_total")
-	hits := counter("wt_cache_hits_total")
-	for i := 0; i < 10; i++ {
-		if n, err := c.Count("a"); err != nil || n != 2 {
-			t.Fatalf("Count = %d, %v", n, err)
-		}
-	}
-	if got := counter("wt_cache_hits_total") - hits; got != 10 {
-		t.Fatalf("repeat Count produced %d cache hits, want 10", got)
-	}
-	if got := counter("wt_cache_misses_total") - misses; got != 0 {
-		t.Fatalf("repeat Count produced %d cache misses, want 0", got)
-	}
-	// An append invalidates by fingerprint: the same query misses once,
-	// and its answer reflects the new state.
-	if err := c.Append("a"); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c.Count("a"); err != nil || n != 3 {
-		t.Fatalf("Count after append = %d, %v, want 3", n, err)
-	}
-}
-
 // TestGroupCommitCoalesces floods the write path from many goroutines
 // and checks the committer folded them into fewer batches.
 func TestGroupCommitCoalesces(t *testing.T) {
@@ -624,7 +589,6 @@ func TestHTTPGateway(t *testing.T) {
 		"# TYPE wt_server_requests_total counter",
 		"wt_server_op_seconds_bucket",
 		"wt_batcher_batch_size",
-		"wt_cache_hits_total",
 		"wt_wal_fsync_seconds",
 	} {
 		if !strings.Contains(string(mbody), want) {

@@ -19,8 +19,7 @@ import (
 
 func TestServerRaceStress(t *testing.T) {
 	_, addr := startServer(t, 2,
-		&store.Options{FlushThreshold: 1 << 7},
-		&server.Options{CacheEntries: 256})
+		&store.Options{FlushThreshold: 1 << 7}, nil)
 
 	const clients = 6
 	deadline := time.Now().Add(1500 * time.Millisecond)

@@ -115,7 +115,7 @@ func TestAlphabetSizeSealedMemtable(t *testing.T) {
 	st := s.state.Load()
 	live := newMemtable(nil, nil)
 	live.applyBatch(pool[600:], nil, nil)
-	sn := s.snapshotOf(&storeState{gens: st.gens, sealed: st.mem, mem: live})
+	sn := s.snapshotOf(&storeState{gens: st.gens, sealed: st.mem, mem: live}, live.n.Load())
 	if got, want := sn.AlphabetSize(), len(workload.Distinct(pool)); got != want {
 		t.Fatalf("AlphabetSize with a sealed memtable = %d, want %d", got, want)
 	}
@@ -203,7 +203,7 @@ func TestAlphabetSizeConcurrent(t *testing.T) {
 // alphabetLayout opens a store of three overlapping generations and a
 // memtable over a fixed alphabet, every value reps times over: the tries'
 // shapes do not depend on reps, their lengths do.
-func alphabetLayout(t *testing.T, sharded bool, reps int) (snapshot func() interface{ AlphabetSize() int }, distinct int) {
+func alphabetLayout(t *testing.T, sharded bool, reps int) (touch func(), snapshot func() interface{ AlphabetSize() int }, distinct int) {
 	t.Helper()
 	var s alphabetStore
 	if sharded {
@@ -230,59 +230,72 @@ func alphabetLayout(t *testing.T, sharded bool, reps int) (snapshot func() inter
 			}
 		}
 	}
-	return snapshot, len(workload.Distinct(vals))
+	// touch appends a value the layout already holds: the store's state
+	// changes, its alphabet does not, and the next Snapshot() has a view to
+	// build (on an unchanged state it returns the pinned one, whose count is
+	// remembered).
+	touch = func() {
+		if err := s.AppendBatch(vals[699:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return touch, snapshot, len(workload.Distinct(vals))
 }
 
 // TestAlphabetSizeAllocations guards the walk's cost model: what it
 // allocates follows the tries' shapes (a source and a few stacks per
 // trie), not their lengths — sixteen times the elements over the same
-// alphabet allocate exactly as often.
+// alphabet allocate exactly as often. Each run appends first, so each run
+// counts on a view built for it.
 func TestAlphabetSizeAllocations(t *testing.T) {
 	measure := func(reps int) float64 {
-		snapshot, distinct := alphabetLayout(t, false, reps)
+		touch, snapshot, distinct := alphabetLayout(t, false, reps)
 		return testing.AllocsPerRun(20, func() {
+			touch()
 			if got := snapshot().AlphabetSize(); got != distinct {
 				t.Fatalf("AlphabetSize = %d, want %d", got, distinct)
 			}
 		})
 	}
 	small, large := measure(1), measure(16)
-	t.Logf("Snapshot().AlphabetSize(): %.0f allocations at n, %.0f at 16n", small, large)
+	t.Logf("append + Snapshot().AlphabetSize(): %.0f allocations at n, %.0f at 16n", small, large)
 	if large != small {
 		t.Fatalf("AlphabetSize allocates %.0f times at n and %.0f at 16n — something grows with the elements", small, large)
 	}
 	if small > 60 {
-		t.Fatalf("AlphabetSize over three generations and a memtable allocates %.0f times, want at most 60", small)
+		t.Fatalf("an append, a view and AlphabetSize over three generations and a memtable allocate %.0f times, want at most 60", small)
 	}
 }
 
-// TestSnapshotNeverCountsAlphabet guards the request path: taking a
-// snapshot — what every served request does — must not run the alphabet
-// walk. The walk allocates a source per trie and its stacks; pinning a
-// snapshot allocates the view alone — the snapshot, its offsets and a
-// boxed segment per trie, whatever the tries hold — and asking for the
-// count afterwards is what pays.
+// TestSnapshotNeverCountsAlphabet guards the request path: building a
+// view — what the first request after a state change does — must not run
+// the alphabet walk. The walk allocates a source per trie and its stacks;
+// building a view allocates the view alone — the snapshot, its offsets and
+// a boxed segment per trie, whatever the tries hold — and asking for the
+// count afterwards is what pays. Every run appends first: on an unchanged
+// state Snapshot() builds nothing (TestSnapshotPinned) and there would be
+// no walk for the guard to see.
 func TestSnapshotNeverCountsAlphabet(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		sharded bool
 		bound   float64
 	}{
-		{"plain", false, 10},
-		{"sharded", true, 24},
+		{"plain", false, 14},
+		{"sharded", true, 28},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var allocs [2]float64
 			for i, reps := range []int{1, 16} {
-				snapshot, _ := alphabetLayout(t, tc.sharded, reps)
-				allocs[i] = testing.AllocsPerRun(50, func() { snapshot() })
-				if walk := testing.AllocsPerRun(5, func() { snapshot().AlphabetSize() }); walk < allocs[i]+10 {
-					t.Fatalf("the walk allocates only %.0f times beside Snapshot()'s %.0f: this guard cannot see it", walk, allocs[i])
+				touch, snapshot, _ := alphabetLayout(t, tc.sharded, reps)
+				allocs[i] = testing.AllocsPerRun(50, func() { touch(); snapshot() })
+				if walk := testing.AllocsPerRun(5, func() { touch(); snapshot().AlphabetSize() }); walk < allocs[i]+10 {
+					t.Fatalf("the walk allocates only %.0f times beside the append's and Snapshot()'s %.0f: this guard cannot see it", walk, allocs[i])
 				}
 			}
-			t.Logf("Snapshot(): %.0f allocations at n, %.0f at 16n", allocs[0], allocs[1])
+			t.Logf("append + Snapshot(): %.0f allocations at n, %.0f at 16n", allocs[0], allocs[1])
 			if allocs[0] != allocs[1] || allocs[0] > tc.bound {
-				t.Fatalf("Snapshot() allocates %.0f times at n and %.0f at 16n, want the same and at most %.0f", allocs[0], allocs[1], tc.bound)
+				t.Fatalf("append + Snapshot() allocates %.0f times at n and %.0f at 16n, want the same and at most %.0f", allocs[0], allocs[1], tc.bound)
 			}
 		})
 	}
@@ -383,7 +396,9 @@ func BenchmarkAlphabetSize(b *testing.B) {
 	run := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := s.Snapshot().AlphabetSize(); got != want {
+			// A view built for the iteration: the pinned one remembers its count.
+			st := s.state.Load()
+			if got := s.snapshotOf(st, st.mem.n.Load()).AlphabetSize(); got != want {
 				b.Fatalf("AlphabetSize = %d, want %d", got, want)
 			}
 		}

@@ -229,7 +229,7 @@ func (s *Store) mergeRun(st *storeState) error {
 	// The memtable pointers are stable while adminMu is held (only a
 	// flush swaps them), so republishing around them is safe under
 	// concurrent appends.
-	s.state.Store(&storeState{gens: gens, sealed: cur.sealed, mem: cur.mem})
+	s.publish(&storeState{gens: gens, sealed: cur.sealed, mem: cur.mem})
 	s.adminMu.Unlock()
 
 	var readBytes int

@@ -240,9 +240,9 @@ func (v memView) sel(k *probe, idx int) (int, bool) {
 // batches with no lock held, and val is a point read under its own. The
 // batch doubles from a few matches, so a consumer that stops early has
 // not paid for a long one. It returns the view's match count.
-func (v memView) scan(k *probe, from int, fn func(j, pos int, val func() string) bool) (count int) {
+func (v memView) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) (count int) {
 	cur := 0
-	val := func() string { return v.Access(cur) }
+	val := func(dst []byte) []byte { return append(dst, v.Access(cur)...) }
 	var buf []int
 	for batch := 8; ; batch = min(2*batch, 512) {
 		buf = buf[:0]

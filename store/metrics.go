@@ -36,10 +36,6 @@ type storeMetrics struct {
 	compactBytesRead    *obs.Counter
 	compactBytesWritten *obs.Counter
 	compactAborts       *obs.Counter
-
-	// Read path.
-	locateMemoHits   *obs.Counter
-	locateMemoMisses *obs.Counter
 }
 
 func newStoreMetrics(r *obs.Registry) *storeMetrics {
@@ -72,11 +68,6 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 			"On-disk bytes of merged generations written by compaction."),
 		compactAborts: r.NewCounter("wt_compact_aborts_total",
 			"Merges abandoned before commit (close, write failure, moved run)."),
-
-		locateMemoHits: r.NewCounter("wt_locate_memo_hits_total",
-			"Snapshot position lookups served by the memoized last segment."),
-		locateMemoMisses: r.NewCounter("wt_locate_memo_misses_total",
-			"Snapshot position lookups that fell back to binary search."),
 	}
 
 	r.NewGaugeFunc("wt_store_open",

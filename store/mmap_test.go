@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -158,6 +159,44 @@ func TestSnapshotSurvivesCompactionOfMappedGens(t *testing.T) {
 		}
 	}
 	checkSeq(t, s, seq)
+}
+
+// TestQueryInFlightHoldsMappedGen: a query that is still running when the
+// last reference to its generation is dropped keeps the generation mapped
+// until it returns. The iteration's callback — the caller's reference was
+// spent on starting the call — lets the collector finalize whatever is
+// unreachable; without the segment's hold on its Frozen the next element
+// is read from unmapped memory and the process faults.
+func TestQueryInFlightHoldsMappedGen(t *testing.T) {
+	if !mmapSupported {
+		t.Skip("mmap unsupported on this platform")
+	}
+	dir := t.TempDir()
+	seq := workload.URLLog(500, 13, workload.DefaultURLConfig())
+	prepGenerations(t, dir, seq)
+
+	s := mustOpen(t, dir, testOpts())
+	defer s.Close()
+	seg := s.state.Load().gens[0].seg
+	if !seg.Mapped() {
+		t.Fatal("generation not mmap-loaded")
+	}
+	n := seg.Len()
+	if err := s.Compact(); err != nil { // the store lets go of the generation
+		t.Fatal(err)
+	}
+	seg.Iterate(0, n, func(pos int, v string) bool {
+		if pos == 0 {
+			for i := 0; i < 2; i++ {
+				runtime.GC()
+				time.Sleep(10 * time.Millisecond) // the finalizer goroutine's turn
+			}
+		}
+		if v != seq[pos] {
+			t.Fatalf("element %d = %q, want %q", pos, v, seq[pos])
+		}
+		return true
+	})
 }
 
 // TestFlushAllocations is the allocation-regression guard for the

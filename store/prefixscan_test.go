@@ -18,10 +18,10 @@ type scanSnap interface {
 	CountPrefix(p string) int
 	SelectPrefix(p string, idx int) (int, bool)
 	IteratePrefix(p string, from int, fn func(idx, pos int) bool)
-	ScanPrefix(p string, from int, fn func(idx, pos int, v string) bool)
+	ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool)
 	CountWhere(prefix string, preds ...Pred) (int, error)
 	IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error
-	ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v string) bool) error
+	ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error
 }
 
 // prefixPool derives the prefixes a URL log is scanned by: every host,
@@ -64,7 +64,8 @@ func checkPrefixScan(t *testing.T, sn scanSnap, seq []string, rows []Row) {
 				continue
 			}
 			next := from
-			sn.ScanPrefix(p, from, func(idx, pos int, v string) bool {
+			sn.ScanPrefix(p, from, func(idx, pos int, b []byte) bool {
+				v := string(b)
 				if idx != next || v != seq[pos] || !strings.HasPrefix(v, p) {
 					t.Fatalf("ScanPrefix(%q,%d) yields (%d,%d,%q) as match %d; the sequence has %q there", p, from, idx, pos, v, next, seq[pos])
 				}
@@ -101,7 +102,8 @@ func checkPrefixScan(t *testing.T, sn scanSnap, seq []string, rows []Row) {
 			}
 			for from := 0; from <= count; {
 				got := 0
-				sn.ScanPrefix(p, from, func(idx, pos int, v string) bool {
+				sn.ScanPrefix(p, from, func(idx, pos int, b []byte) bool {
+					v := string(b)
 					if idx != from+got || v != seq[pos] || !strings.HasPrefix(v, p) {
 						t.Fatalf("ScanPrefix(%q,%d) page of %d: match %d at %d is %q", p, from, page, idx, pos, v)
 					}
@@ -129,7 +131,8 @@ func checkPrefixScan(t *testing.T, sn scanSnap, seq []string, rows []Row) {
 		}
 		for _, from := range []int{0, len(want) / 2, len(want), len(want) + 1} {
 			next := from
-			err := sn.ScanWhere(p, from, preds, func(idx, pos int, v string) bool {
+			err := sn.ScanWhere(p, from, preds, func(idx, pos int, b []byte) bool {
+				v := string(b)
 				if idx != next || pos != want[idx] || v != seq[pos] {
 					t.Fatalf("ScanWhere(%q,%d) yields (%d,%d,%q), want (%d,%d,%q)", p, from, idx, pos, v, next, want[next], seq[want[next]])
 				}
@@ -263,7 +266,8 @@ func TestPrefixScanCallbackMayRead(t *testing.T) {
 		}
 	}()
 	count := 0
-	sn.ScanPrefix("v/", 0, func(idx, pos int, v string) bool {
+	sn.ScanPrefix("v/", 0, func(idx, pos int, b []byte) bool {
+		v := string(b)
 		if got := sn.Access(pos); got != v || idx != pos {
 			t.Errorf("match %d at %d is %q, Access says %q", idx, pos, v, got)
 			return false

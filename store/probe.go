@@ -1,6 +1,8 @@
 package store
 
 import (
+	"runtime"
+
 	wavelettrie "repro"
 	"repro/internal/bitstr"
 	"repro/internal/succinct"
@@ -41,20 +43,48 @@ func newFrozenSeg(ix *wavelettrie.Frozen) frozenSeg {
 
 func (f frozenSeg) alphabet(u *alphabetUnion) { u.frozen = append(u.frozen, f.Frozen) }
 
-func (f frozenSeg) rank(k *probe, pos int) int {
-	if k.prefix {
-		return f.t.RankPrefixBits(k.bits, pos)
-	}
-	return f.t.RankBits(k.bits, pos)
+// Every method that reads the trie holds the Frozen until it returns. A
+// mapped generation is unmapped by finalizer once nothing reaches its
+// Frozen, and to the collector a value is dead after its last use, not when
+// the call made on it returns: without the hold, a reader whose view a
+// compaction retired mid-query — its own reference already spent on
+// starting the query — would fault on unmapped memory.
+
+func (f frozenSeg) Access(pos int) string {
+	s := f.Frozen.Access(pos)
+	runtime.KeepAlive(f.Frozen)
+	return s
 }
 
-func (f frozenSeg) sel(k *probe, idx int) (int, bool) {
-	if k.prefix {
-		return f.t.SelectPrefixBits(k.bits, idx)
-	}
-	return f.t.SelectBits(k.bits, idx)
+func (f frozenSeg) Iterate(l, r int, fn func(pos int, s string) bool) {
+	f.Frozen.Iterate(l, r, fn)
+	runtime.KeepAlive(f.Frozen)
 }
 
-func (f frozenSeg) scan(k *probe, from int, fn func(j, pos int, val func() string) bool) int {
-	return f.EnumeratePrefix(k.key, from, fn)
+func (f frozenSeg) rank(k *probe, pos int) (n int) {
+	if k.prefix {
+		n = f.t.RankPrefixBits(k.bits, pos)
+	} else {
+		n = f.t.RankBits(k.bits, pos)
+	}
+	runtime.KeepAlive(f.Frozen)
+	return n
+}
+
+func (f frozenSeg) sel(k *probe, idx int) (pos int, ok bool) {
+	if k.prefix {
+		pos, ok = f.t.SelectPrefixBits(k.bits, idx)
+	} else {
+		pos, ok = f.t.SelectBits(k.bits, idx)
+	}
+	runtime.KeepAlive(f.Frozen)
+	return pos, ok
+}
+
+// scan is the trie's prefix enumeration with the probe's bits; a value
+// that is asked for is decoded straight into the caller's bytes.
+func (f frozenSeg) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int {
+	count := f.t.EnumeratePrefixBits(k.bits, from, fn)
+	runtime.KeepAlive(f.Frozen)
+	return count
 }

@@ -69,7 +69,8 @@ func (o *ShardedOptions) withDefaults() ShardedOptions {
 // DESIGN.md §7.
 //
 // All methods are safe for concurrent use. The query methods satisfy
-// wavelettrie.StringIndex by delegating to a fresh Snapshot per call.
+// wavelettrie.StringIndex, each call served by the current pinned view
+// (see Snapshot).
 //
 // Visibility: an Append is visible to new snapshots once it and every
 // append sequenced before it have returned — a straggling concurrent
@@ -81,7 +82,8 @@ type ShardedStore struct {
 	shards []*Store
 	schema []ColumnSpec // the shards' shared column schema
 	router *router
-	seq    atomic.Uint64 // next global sequence number
+	seq    atomic.Uint64                   // next global sequence number
+	view   atomic.Pointer[ShardedSnapshot] // the pinned view of the current state, if a reader has built it
 
 	logMu     sync.Mutex // guards the ROUTER log, persisted and logErr
 	log       *wal
@@ -194,7 +196,7 @@ func OpenSharded(dir string, opts *ShardedOptions) (*ShardedStore, error) {
 
 	ss := &ShardedStore{dir: dir, opts: o, part: o.Partitioner, unlock: unlock}
 	ss.router = newRouter(count)
-	hooks := &shardHooks{seq: &ss.seq, barrier: ss.sealBarrier}
+	hooks := &shardHooks{seq: &ss.seq, barrier: ss.sealBarrier, retire: func() { ss.view.Store(nil) }}
 
 	ss.shards = make([]*Store, count)
 	errs := make([]error, count)
@@ -706,18 +708,40 @@ func (ss *ShardedStore) Close() error {
 // at the current watermark: one pinned snapshot per shard, each clamped
 // to the shard's element count at the watermark, stitched by the router.
 // It stays valid for the life of the process regardless of concurrent
-// appends, flushes and compactions on any shard.
+// appends, flushes and compactions on any shard. Like Store.Snapshot, the
+// store pins one view per visible state — here the watermark and every
+// shard's own pinned view — and returns it until one of them changes.
 func (ss *ShardedStore) Snapshot() *ShardedSnapshot {
 	w := ss.router.watermark.Load()
-	shards := make([]*Snapshot, len(ss.shards))
-	fp := uint64(fnvOffset64)
-	for i, sh := range ss.shards {
-		sn := sh.Snapshot()
-		fp = fpMix(fp, sn.Fingerprint())
-		shards[i] = sn.prefixed(ss.router.rank(i, w))
+	if v := ss.view.Load(); v != nil && v.n == int(w) && ss.pins(v) {
+		return v
 	}
-	fp = fpMix(fp, w)
-	return &ShardedSnapshot{r: ss.router, n: int(w), part: ss.part, shards: shards, schema: ss.schema, fp: fp}
+	v := &ShardedSnapshot{r: ss.router, n: int(w), part: ss.part, schema: ss.schema,
+		base: make([]*Snapshot, len(ss.shards)), shards: make([]*Snapshot, len(ss.shards))}
+	for i, sh := range ss.shards {
+		v.base[i] = sh.Snapshot()
+		v.shards[i] = v.base[i].prefixed(ss.router.rank(i, w))
+	}
+	ss.view.Store(v)
+	for i, sh := range ss.shards {
+		if sh.state.Load() != v.base[i].state {
+			// A shard published meanwhile and its retire call may have
+			// come before the store above; see Store.Snapshot.
+			ss.view.CompareAndSwap(v, nil)
+			break
+		}
+	}
+	return v
+}
+
+// pins reports whether v was cut from the shards' current pinned views.
+func (ss *ShardedStore) pins(v *ShardedSnapshot) bool {
+	for i, sh := range ss.shards {
+		if sh.Snapshot() != v.base[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ShardCount returns the partition count.
@@ -755,8 +779,8 @@ func (ss *ShardedStore) MemLen() int {
 // Dir returns the sharded store's root directory.
 func (ss *ShardedStore) Dir() string { return ss.dir }
 
-// The wavelettrie.StringIndex surface, each call served by a fresh
-// cross-shard snapshot.
+// The wavelettrie.StringIndex surface, each call served by the current
+// pinned cross-shard view.
 
 // Len returns the number of visible elements in the global sequence.
 func (ss *ShardedStore) Len() int { return int(ss.router.watermark.Load()) }

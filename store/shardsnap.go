@@ -28,9 +28,9 @@ type ShardedSnapshot struct {
 	r      *router
 	n      int // pinned watermark
 	part   Partitioner
-	shards []*Snapshot
+	shards []*Snapshot  // each shard's view, cut at the watermark
+	base   []*Snapshot  // the shard views the cuts were made from
 	schema []ColumnSpec // the shards' shared column schema
-	fp     uint64       // combined per-shard fingerprints + watermark
 }
 
 // ShardedSnapshot serves the same query surface as Snapshot.
@@ -50,11 +50,6 @@ func (sn *ShardedSnapshot) AlphabetSize() int {
 	}
 	return total
 }
-
-// Fingerprint returns a 64-bit identity of the snapshot's visible
-// global state — the per-shard fingerprints mixed with the pinned
-// watermark; see Snapshot.Fingerprint for the contract.
-func (sn *ShardedSnapshot) Fingerprint() uint64 { return sn.fp }
 
 // ContentFingerprint returns the 64-bit content hash of the snapshot's
 // visible global sequence; see Snapshot.ContentFingerprint. It compares
@@ -229,37 +224,47 @@ func (sn *ShardedSnapshot) seekPrefix(k *probe, idx int) (j []int, before int) {
 
 // shardStream is one shard's side of the prefix merge: the shard's own
 // prefix cursor (Snapshot.scan), pulled a batch at a time into buf, with
-// local positions already mapped to global ones. keep, when non-nil,
-// drops a candidate before it is buffered; vals says whether values are
-// wanted at all. Batches double from a page's worth, so a merge that
-// stops after one page has not enumerated a shard far past it.
+// local positions already mapped to global ones and the values' bytes
+// laid end to end in vals. keep, when non-nil, drops a candidate before it
+// is buffered; wantVals says whether values are wanted at all. Batches
+// double from a page's worth, so a merge that stops after one page has not
+// enumerated a shard far past it.
 type shardStream struct {
 	next  int // local match index the next refill starts at
 	batch int
 	buf   []shardMatch
+	vals  []byte
 	i     int  // buf[i] is the stream's head
 	more  bool // the last refill stopped on a full batch
 }
 
 type shardMatch struct {
 	pos int // global
-	val string
+	end int // the value is vals[previous match's end : end]
+}
+
+// head returns the stream's current match: its global position and value.
+func (st *shardStream) head() (pos int, val []byte) {
+	lo := 0
+	if st.i > 0 {
+		lo = st.buf[st.i-1].end
+	}
+	return st.buf[st.i].pos, st.vals[lo:st.buf[st.i].end]
 }
 
 // refill pulls shard s's next batch of matches.
-func (sn *ShardedSnapshot) refill(st *shardStream, k *probe, s int, keep func(s, local int) bool, vals bool) {
-	st.buf, st.i, st.more = st.buf[:0], 0, false
+func (sn *ShardedSnapshot) refill(st *shardStream, k *probe, s int, keep func(s, local int) bool, wantVals bool) {
+	st.buf, st.vals, st.i, st.more = st.buf[:0], st.vals[:0], 0, false
 	st.batch = min(max(2*st.batch, 32), 1024)
-	sn.shards[s].scan(k, st.next, func(j, local int, val func() string) bool {
+	sn.shards[s].scan(k, st.next, func(j, local int, val valFn) bool {
 		st.next = j + 1
 		if keep != nil && !keep(s, local) {
 			return true
 		}
-		m := shardMatch{pos: sn.r.selectShard(s, local)}
-		if vals {
-			m.val = val()
+		if wantVals {
+			st.vals = val(st.vals)
 		}
-		st.buf = append(st.buf, m)
+		st.buf = append(st.buf, shardMatch{pos: sn.r.selectShard(s, local), end: len(st.vals)})
 		st.more = len(st.buf) == st.batch
 		return !st.more
 	})
@@ -268,12 +273,13 @@ func (sn *ShardedSnapshot) refill(st *shardStream, k *probe, s int, keep func(s,
 // merge is the k-way merge behind every sharded prefix enumeration: each
 // shard streams its local matches from index j[s] on, the router's
 // selectShard maps them to global positions, and the smallest head wins
-// each round. fn returns false to stop.
-func (sn *ShardedSnapshot) merge(k *probe, j []int, keep func(s, local int) bool, vals bool, fn func(pos int, val string) bool) {
+// each round. fn returns false to stop; the value it is handed is valid
+// only during that call.
+func (sn *ShardedSnapshot) merge(k *probe, j []int, keep func(s, local int) bool, wantVals bool, fn func(pos int, val []byte) bool) {
 	streams := make([]shardStream, len(sn.shards))
 	for s := range streams {
 		streams[s].next = j[s]
-		sn.refill(&streams[s], k, s, keep, vals)
+		sn.refill(&streams[s], k, s, keep, wantVals)
 	}
 	for {
 		best := -1
@@ -286,11 +292,11 @@ func (sn *ShardedSnapshot) merge(k *probe, j []int, keep func(s, local int) bool
 			return
 		}
 		st := &streams[best]
-		if !fn(st.buf[st.i].pos, st.buf[st.i].val) {
+		if !fn(st.head()) {
 			return
 		}
 		if st.i++; st.i == len(st.buf) && st.more {
-			sn.refill(st, k, best, keep, vals)
+			sn.refill(st, k, best, keep, wantVals)
 		}
 	}
 }
@@ -305,22 +311,23 @@ func (sn *ShardedSnapshot) merge(k *probe, j []int, keep func(s, local int) bool
 // the from offset is skipped by the exact seek rather than replayed. It
 // panics if from is negative.
 func (sn *ShardedSnapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	sn.scanPrefix(p, from, false, func(idx, pos int, _ string) bool { return fn(idx, pos) })
+	sn.scanPrefix(p, from, false, func(idx, pos int, _ []byte) bool { return fn(idx, pos) })
 }
 
 // ScanPrefix is IteratePrefix that also hands fn each match's value,
-// streamed from the shards' cursors.
-func (sn *ShardedSnapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v string) bool) {
+// streamed from the shards' cursors: v is the value's bytes, valid only
+// during that call of fn (see Snapshot.ScanPrefix).
+func (sn *ShardedSnapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool) {
 	sn.scanPrefix(p, from, true, fn)
 }
 
-func (sn *ShardedSnapshot) scanPrefix(p string, from int, vals bool, fn func(idx, pos int, v string) bool) {
+func (sn *ShardedSnapshot) scanPrefix(p string, from int, vals bool, fn func(idx, pos int, v []byte) bool) {
 	if from < 0 {
 		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
 	}
 	k := newProbe(p, true)
 	j, idx := sn.seekPrefix(k, from)
-	sn.merge(k, j, nil, vals, func(pos int, v string) bool {
+	sn.merge(k, j, nil, vals, func(pos int, v []byte) bool {
 		idx++
 		return fn(idx-1, pos, v)
 	})
@@ -376,16 +383,16 @@ func (sn *ShardedSnapshot) CountWhere(prefix string, preds ...Pred) (int, error)
 // predicates and the k-way merge interleaves the survivors. See
 // Snapshot.IterateWhere for the from-resume cost caveat.
 func (sn *ShardedSnapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	return sn.where(prefix, from, preds, false, func(idx, pos int, _ string) bool { return fn(idx, pos) })
+	return sn.where(prefix, from, preds, false, func(idx, pos int, _ []byte) bool { return fn(idx, pos) })
 }
 
 // ScanWhere is IterateWhere that also hands fn each match's value; see
 // Snapshot.ScanWhere.
-func (sn *ShardedSnapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v string) bool) error {
+func (sn *ShardedSnapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error {
 	return sn.where(prefix, from, preds, true, fn)
 }
 
-func (sn *ShardedSnapshot) where(prefix string, from int, preds []Pred, vals bool, fn func(idx, pos int, v string) bool) error {
+func (sn *ShardedSnapshot) where(prefix string, from int, preds []Pred, vals bool, fn func(idx, pos int, v []byte) bool) error {
 	if from < 0 {
 		return fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
@@ -401,15 +408,15 @@ func (sn *ShardedSnapshot) where(prefix string, from int, preds []Pred, vals boo
 	if prefix == "" {
 		// No prefix node to stream from: a surviving position's value is
 		// a point read on its shard.
+		var v []byte
 		for pos := 0; pos < sn.n; pos++ {
 			s, local := sn.r.locate(uint64(pos))
 			if !keep(s, local) {
 				continue
 			}
 			if idx >= from {
-				v := ""
 				if vals {
-					v = sn.shards[s].Access(local)
+					v = append(v[:0], sn.shards[s].Access(local)...)
 				}
 				if !fn(idx, pos, v) {
 					break
@@ -422,7 +429,7 @@ func (sn *ShardedSnapshot) where(prefix string, from int, preds []Pred, vals boo
 	// Survivors before from are merged past, not sought: their values
 	// are wanted only once idx reaches it, which the streams cannot know,
 	// so a deep from pays for them (the caveat IterateWhere documents).
-	sn.merge(newProbe(prefix, true), make([]int, len(sn.shards)), keep, vals, func(pos int, v string) bool {
+	sn.merge(newProbe(prefix, true), make([]int, len(sn.shards)), keep, vals, func(pos int, v []byte) bool {
 		idx++
 		return idx <= from || fn(idx-1, pos, v)
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	wavelettrie "repro"
 )
@@ -23,11 +22,11 @@ type segment interface {
 	sel(k *probe, idx int) (int, bool)
 	// scan streams the matches of the prefix probe k in position order,
 	// from the from-th (0-based) on: fn receives the match index, its
-	// position and val, which returns the match's value when called and
+	// position and val, which reads the match's value when called and
 	// is valid only during that call; fn returns false to stop. fn and
 	// val run with no lock held. It returns k's match count in the
 	// segment, which finding the matches finds anyway.
-	scan(k *probe, from int, fn func(j, pos int, val func() string) bool) int
+	scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int
 	Iterate(l, r int, fn func(pos int, s string) bool)
 	// alphabet adds the trie behind the segment to the union
 	// Snapshot.AlphabetSize walks — the whole trie, whatever a view's clamp.
@@ -35,6 +34,11 @@ type segment interface {
 	Height() int
 	SizeBits() int
 }
+
+// valFn appends a scan match's value to dst and returns the extended
+// slice, so a consumer that only copies the bytes on never makes a string
+// of them.
+type valFn = func(dst []byte) []byte
 
 // snapSeg pairs a segment with, when the store has a column schema, the
 // segment's column reader.
@@ -48,24 +52,24 @@ type snapSeg struct {
 // sealed but not yet persisted) plus the live memtable clamped to its
 // length at capture time. All operations are safe for concurrent use and
 // keep answering the same way during later appends, flushes and
-// compactions — readers are isolated from writers.
+// compactions — readers are isolated from writers. One Snapshot is shared
+// by every reader of the same store state (see Store.Snapshot), so nothing
+// a query does may write to it; the AlphabetSize memo is the one exception.
 type Snapshot struct {
 	segs   []snapSeg
 	offs   []int        // offs[i] = start of segs[i]; offs[len(segs)] = Len
-	fp     uint64       // state fingerprint; see Fingerprint
 	schema []ColumnSpec // the store's pinned column schema (possibly empty)
+
+	// What Store.Snapshot recognises its current view by: the state it was
+	// built from and the live memtable length it clamps to. Nil and zero on
+	// a prefixed cut.
+	state  *storeState
+	memLen int64
 
 	// AlphabetSize's answer, derived by the first call.
 	distinctOnce sync.Once
 	distinct     int
 	distinctErr  error
-
-	// lastSeg memoizes the most recent locate hit: scan-heavy Access
-	// callers walk positions in runs, so the next position is almost
-	// always in the same segment and the offset-table binary search is
-	// skipped. Purely a hint — any stale value just falls back to the
-	// search — so a plain atomic is enough for concurrent readers.
-	lastSeg atomic.Int32
 }
 
 func newSnapshot(segs []snapSeg) *Snapshot {
@@ -151,41 +155,21 @@ func (sn *Snapshot) SizeBits() int {
 func (sn *Snapshot) Generations() int { return len(sn.segs) }
 
 // locate returns the segment containing position pos and pos relative to
-// its start, trying the memoized last hit before the binary search.
+// its start: a binary search over the (few) segment offsets.
 func (sn *Snapshot) locate(pos int) (int, int) {
-	if i := int(sn.lastSeg.Load()); i < len(sn.segs) && sn.offs[i] <= pos && pos < sn.offs[i+1] {
-		met.locateMemoHits.Inc()
-		return i, pos - sn.offs[i]
-	}
-	met.locateMemoMisses.Inc()
 	i := sort.SearchInts(sn.offs, pos+1) - 1
-	sn.lastSeg.Store(int32(i))
 	return i, pos - sn.offs[i]
 }
-
-// Fingerprint returns a 64-bit identity of the snapshot's visible state:
-// equal fingerprints imply the snapshots answer every query identically.
-// It hashes the generation-id set and the visible length — generation
-// files are immutable and ids are never reused, and given the same
-// generation set the remaining suffix is determined by its length (the
-// sequence is append-only) — so any append, flush or compaction yields a
-// fresh fingerprint. The contract holds across snapshots of one Open
-// (a crash that truncates the WAL tail can re-grow a lost length with
-// different contents, so fingerprints must not be persisted or compared
-// across reopens). The server's result cache keys on it, which makes
-// invalidation free: stale entries are simply never looked up again.
-func (sn *Snapshot) Fingerprint() uint64 { return sn.fp }
 
 // ContentFingerprint returns a 64-bit hash of the snapshot's visible
 // sequence contents — FNV-1a over every value, length-delimited, and,
 // when the store has a column schema, over every position's payload row
-// (each cell mixed as its kind tag then its value). Unlike Fingerprint
-// (an identity of this store's state, mixed from generation ids) it
-// depends only on the values, rows and their order, so it compares
-// across stores: a replication follower and its primary agree on it
-// exactly when they hold the same sequence and payloads, whatever their
-// flush and compaction histories. Cost is O(n) — a full iteration — so
-// it is a verification tool, not a serving-path key.
+// (each cell mixed as its kind tag then its value). It depends only on
+// the values, rows and their order, so it compares across stores: a
+// replication follower and its primary agree on it exactly when they
+// hold the same sequence and payloads, whatever their flush and
+// compaction histories. Cost is O(n) — a full iteration — so it is a
+// verification tool, not a serving-path key.
 func (sn *Snapshot) ContentFingerprint() uint64 {
 	return contentFP(sn.Len(), len(sn.schema), sn.Iterate, sn.cellAt)
 }
@@ -328,25 +312,37 @@ func (sn *Snapshot) sel(k *probe, idx int) (int, bool) {
 // from one streaming prefix cursor, not a descent per match. fn runs
 // with no lock held. It panics if from is negative.
 func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	sn.scan(newProbe(p, true), from, func(idx, pos int, _ func() string) bool { return fn(idx, pos) })
+	sn.scan(newProbe(p, true), from, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
 // ScanPrefix is IteratePrefix that also hands fn each match's value,
-// streamed from the same cursor — no Access per match.
-func (sn *Snapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v string) bool) {
-	sn.scan(newProbe(p, true), from, func(idx, pos int, val func() string) bool { return fn(idx, pos, val()) })
+// streamed from the same cursor — no Access per match, and no string: v
+// is the value's bytes in a buffer the next match overwrites, valid only
+// during that call of fn.
+func (sn *Snapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool) {
+	sn.scan(newProbe(p, true), from, withValue(fn))
+}
+
+// withValue adapts a value-taking scan callback to the scan seam: every
+// match's value is read into one buffer, reused from match to match.
+func withValue(fn func(idx, pos int, v []byte) bool) func(idx, pos int, val valFn) bool {
+	var buf []byte
+	return func(idx, pos int, val valFn) bool {
+		buf = val(buf[:0])
+		return fn(idx, pos, buf)
+	}
 }
 
 // scan is the one prefix enumeration: the matches of the prefix probe k
 // from the from-th on, as (global match index, position, value on
 // demand).
-func (sn *Snapshot) scan(k *probe, from int, fn func(idx, pos int, val func() string) bool) {
+func (sn *Snapshot) scan(k *probe, from int, fn func(idx, pos int, val valFn) bool) {
 	if from < 0 {
 		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
 	}
 	// One closure serves every segment: base and off re-point it.
 	base, off, stopped := 0, 0, false
-	each := func(j, pos int, val func() string) bool {
+	each := func(j, pos int, val valFn) bool {
 		stopped = !fn(base+j, off+pos, val)
 		return !stopped
 	}
@@ -525,7 +521,7 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 		}
 		return count, nil
 	}
-	sn.scan(newProbe(prefix, true), 0, func(_, pos int, _ func() string) bool {
+	sn.scan(newProbe(prefix, true), 0, func(_, pos int, _ valFn) bool {
 		if sn.matchAt(pos, preds) {
 			count++
 		}
@@ -563,18 +559,19 @@ func (sn *Snapshot) countPred(p Pred) int {
 // arithmetic (the predicate intersection has no precomputed counts), so
 // resuming at from costs a walk over the earlier matches' candidates.
 func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	return sn.where(prefix, from, preds, func(idx, pos int, _ func() string) bool { return fn(idx, pos) })
+	return sn.where(prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
-// ScanWhere is IterateWhere that also hands fn each match's value. With
-// a prefix, candidates come from the positions-only prefix cursor and a
-// value is materialized only for a candidate that passed every predicate
-// and lies at or past from.
-func (sn *Snapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v string) bool) error {
-	return sn.where(prefix, from, preds, func(idx, pos int, val func() string) bool { return fn(idx, pos, val()) })
+// ScanWhere is IterateWhere that also hands fn each match's value, as
+// ScanPrefix does: v is valid only during that call of fn. With a prefix,
+// candidates come from the positions-only prefix cursor and a value is
+// read only for a candidate that passed every predicate and lies at or
+// past from.
+func (sn *Snapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error {
+	return sn.where(prefix, from, preds, withValue(fn))
 }
 
-func (sn *Snapshot) where(prefix string, from int, preds []Pred, fn func(idx, pos int, val func() string) bool) error {
+func (sn *Snapshot) where(prefix string, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) error {
 	if from < 0 {
 		return fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
@@ -586,7 +583,7 @@ func (sn *Snapshot) where(prefix string, from int, preds []Pred, fn func(idx, po
 		return nil
 	}
 	idx := 0
-	emit := func(pos int, val func() string) bool {
+	emit := func(pos int, val valFn) bool {
 		if sn.matchAt(pos, preds) {
 			if idx >= from && !fn(idx, pos, val) {
 				return false
@@ -599,12 +596,12 @@ func (sn *Snapshot) where(prefix string, from int, preds []Pred, fn func(idx, po
 		// No prefix node to stream from: a surviving position's value is
 		// a point read.
 		pos := 0
-		val := func() string { return sn.Access(pos) }
+		val := func(dst []byte) []byte { return append(dst, sn.Access(pos)...) }
 		for ; pos < sn.Len() && emit(pos, val); pos++ {
 		}
 		return nil
 	}
-	sn.scan(newProbe(prefix, true), 0, func(_, pos int, val func() string) bool { return emit(pos, val) })
+	sn.scan(newProbe(prefix, true), 0, func(_, pos int, val valFn) bool { return emit(pos, val) })
 	return nil
 }
 
@@ -661,8 +658,8 @@ func (c clampSeg) sel(k *probe, idx int) (int, bool) {
 
 // scan streams k's matches within the clamped prefix: positions ascend,
 // so the first one at or past the bound ends the stream.
-func (c clampSeg) scan(k *probe, from int, fn func(j, pos int, val func() string) bool) int {
-	c.segment.scan(k, from, func(j, pos int, val func() string) bool {
+func (c clampSeg) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int {
+	c.segment.scan(k, from, func(j, pos int, val valFn) bool {
 		return pos < c.n && fn(j, pos, val)
 	})
 	return c.rank(k, c.n)

@@ -90,9 +90,9 @@ type storeState struct {
 // Store is a durable, concurrently readable string sequence: WAL +
 // memtable in front, frozen Wavelet Trie generations behind, stitched
 // together by Snapshot. All methods are safe for concurrent use. The
-// query methods satisfy wavelettrie.StringIndex by delegating to a fresh
-// Snapshot per call; take an explicit Snapshot to hold a stable view
-// across several queries.
+// query methods satisfy wavelettrie.StringIndex, each call served by the
+// current pinned view (see Snapshot); take an explicit Snapshot to hold
+// one view across several queries.
 type Store struct {
 	dir  string
 	opts Options
@@ -101,7 +101,8 @@ type Store struct {
 	adminMu   sync.Mutex // serializes flush, compaction commits, close
 	compactMu sync.Mutex // serializes whole compactions; taken before adminMu, never while holding it
 
-	state atomic.Pointer[storeState]
+	state atomic.Pointer[storeState] // replaced only through publish
+	view  atomic.Pointer[Snapshot]   // the pinned view of the current state, if a reader has built it
 
 	// schema is the pinned column schema (possibly empty), fixed at Open.
 	schema []ColumnSpec
@@ -132,9 +133,12 @@ type Store struct {
 // with hooks also defers the interrupted-flush recovery checkpoint (the
 // sharded reconciliation must read the WAL tails' sequence numbers
 // first); the superseded logs are cleaned up by the next flush instead.
+// retire is called whenever the shard publishes a new state, so the
+// sharded store can drop its own pinned view of the old one.
 type shardHooks struct {
 	seq     *atomic.Uint64
 	barrier func(maxSeq uint64) error
+	retire  func()
 }
 
 // Store serves the whole read surface of the root package's string
@@ -239,7 +243,7 @@ func openStore(dir string, opts *Options, hooks *shardHooks) (*Store, error) {
 	// only when a crash interrupted a flush between the WAL rotation and
 	// the old log's deletion.
 	mem := newMemtable(nil, s.schema)
-	s.state.Store(&storeState{gens: gens, mem: mem})
+	s.publish(&storeState{gens: gens, mem: mem})
 	var lastWAL *wal
 	for i, id := range walIDs {
 		records, w, err := recoverWAL(filepath.Join(dir, walFileName(id)), s.opts.Sync)
@@ -705,7 +709,7 @@ func (s *Store) flushLocked(oldWALs []uint64) error {
 	s.appendMu.Lock()
 	st := s.state.Load()
 	sealed := st.mem
-	s.state.Store(&storeState{gens: st.gens, sealed: sealed, mem: newMemtable(w, s.schema)})
+	s.publish(&storeState{gens: st.gens, sealed: sealed, mem: newMemtable(w, s.schema)})
 	s.appendMu.Unlock()
 	if sealed.wal != nil {
 		if err := sealed.wal.close(); err != nil {
@@ -754,7 +758,7 @@ func (s *Store) flushLocked(oldWALs []uint64) error {
 	s.recoveredWALs = nil
 
 	cur := s.state.Load()
-	s.state.Store(&storeState{gens: gens, mem: cur.mem})
+	s.publish(&storeState{gens: gens, mem: cur.mem})
 	for _, id := range oldWALs {
 		if id != newWALID {
 			os.Remove(filepath.Join(s.dir, walFileName(id)))
@@ -820,12 +824,45 @@ func (s *Store) Close() error {
 	return err
 }
 
+// publish installs st as the store's state and drops the pinned view of
+// the state it replaces: a view nobody holds must not keep a retired
+// generation's file mapped (mappings go with their last reference).
+func (s *Store) publish(st *storeState) {
+	s.state.Store(st)
+	s.view.Store(nil)
+	if s.hooks != nil {
+		s.hooks.retire()
+	}
+}
+
 // Snapshot returns an immutable, consistent view of the current
 // sequence; it stays valid (and unchanged) for the life of the process,
-// regardless of concurrent appends, flushes and compactions.
-func (s *Store) Snapshot() *Snapshot { return s.snapshotOf(s.state.Load()) }
+// regardless of concurrent appends, flushes and compactions. The store
+// pins one view per visible state: while nothing is appended, sealed,
+// flushed or compacted every call returns the same *Snapshot — a pointer
+// load — and the first call after a change builds the next one. Every
+// append acknowledged before the call is visible in the view it returns.
+func (s *Store) Snapshot() *Snapshot {
+	st := s.state.Load()
+	n := st.mem.n.Load()
+	if v := s.view.Load(); v != nil && v.state == st && v.memLen == n {
+		return v
+	}
+	v := s.snapshotOf(st, n)
+	s.view.Store(v)
+	if s.state.Load() != st {
+		// A flush or compaction published meanwhile, and its clearing of
+		// the view may have come before the store above: v is still a
+		// correct view for this caller, but it must not stay pinned.
+		s.view.CompareAndSwap(v, nil)
+	}
+	return v
+}
 
-func (s *Store) snapshotOf(st *storeState) *Snapshot {
+// snapshotOf builds the view of state st with the live memtable clamped
+// to its first n elements. (A sealed memtable's length is final by the
+// time a state names it: appends and the seal exclude each other.)
+func (s *Store) snapshotOf(st *storeState, n int64) *Snapshot {
 	segs := make([]snapSeg, 0, len(st.gens)+2)
 	for _, g := range st.gens {
 		var cols colReader
@@ -840,16 +877,10 @@ func (s *Store) snapshotOf(st *storeState) *Snapshot {
 		mv := memView{m: st.sealed, n: int(st.sealed.n.Load())}
 		segs = append(segs, snapSeg{segment: mv, cols: mv})
 	}
-	mv := memView{m: st.mem, n: int(st.mem.n.Load())}
+	mv := memView{m: st.mem, n: int(n)}
 	segs = append(segs, snapSeg{segment: mv, cols: mv})
 	sn := newSnapshot(segs)
-	sn.schema = s.schema
-	h := uint64(fnvOffset64)
-	for _, g := range st.gens {
-		h = fpMix(h, g.id)
-	}
-	h = fpMix(h, uint64(sn.Len()))
-	sn.fp = h
+	sn.schema, sn.state, sn.memLen = s.schema, st, n
 	return sn
 }
 
@@ -916,8 +947,8 @@ func (s *Store) MemLen() int { return int(s.state.Load().mem.n.Load()) }
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// The wavelettrie.StringIndex surface, each call served by a fresh
-// snapshot.
+// The wavelettrie.StringIndex surface, each call served by the current
+// pinned view.
 
 // Len returns the number of elements in the sequence.
 func (s *Store) Len() int { return s.Snapshot().Len() }
