@@ -65,6 +65,21 @@ func FromWords(words []uint64, n int) *Vector {
 	return v
 }
 
+// FromWordsShared is FromWords without the copy: the Vector aliases
+// words, which must hold exactly the ⌈n/64⌉ words of the n bits, must not
+// be modified afterwards and must outlive the Vector (a slice of a
+// read-only mapping qualifies, so the tail is not masked: bits past n
+// must already be zero for Ones, Select and NextOne to be right; Access
+// and Rank at positions ≤ n never read them).
+func FromWordsShared(words []uint64, n int) *Vector {
+	if n < 0 || len(words) != (n+63)/64 {
+		panic(fmt.Sprintf("bitvec: FromWordsShared: %d words for n=%d", len(words), n))
+	}
+	v := &Vector{words: words, n: n}
+	v.buildRank()
+	return v
+}
+
 func (v *Vector) buildRank() {
 	ns := (len(v.words) + wordsPerSuper - 1) / wordsPerSuper
 	v.super = make([]int32, ns+1)

@@ -155,9 +155,25 @@ func TestFromWords(t *testing.T) {
 	}
 }
 
+// TestFromWordsShared: the aliasing constructor neither copies nor masks,
+// and Access and Rank up to n are right whatever the words hold past n.
+func TestFromWordsShared(t *testing.T) {
+	words := []uint64{0xF0F0F0F0F0F0F0F0, ^uint64(0)}
+	v, want := FromWordsShared(words, 70), FromWords(words, 70)
+	if &v.Words()[0] != &words[0] {
+		t.Fatal("FromWordsShared copied its words")
+	}
+	for pos := 0; pos <= 70; pos++ {
+		if v.Rank1(pos) != want.Rank1(pos) || pos < 70 && v.Access(pos) != want.Access(pos) {
+			t.Fatalf("position %d: rank %d, want %d", pos, v.Rank1(pos), want.Rank1(pos))
+		}
+	}
+}
+
 func TestPanics(t *testing.T) {
 	v := FromWords([]uint64{0b101}, 3)
 	for _, f := range []func(){
+		func() { FromWordsShared([]uint64{0, 0}, 3) },
 		func() { v.Access(-1) },
 		func() { v.Access(3) },
 		func() { v.Rank1(4) },

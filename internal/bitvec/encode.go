@@ -26,9 +26,7 @@ func DecodeFrom(r *wire.Reader) *Vector {
 		// masking — the words may alias a read-only mapping, and every
 		// encoder writes masked tails anyway (EncodeTo serializes Vector
 		// words, which Build/FromWords masked at construction).
-		v := &Vector{words: words[:(n+63)/64], n: n}
-		v.buildRank()
-		return v
+		return FromWordsShared(words[:(n+63)/64], n)
 	}
 	return FromWords(words, n)
 }

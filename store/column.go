@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -18,7 +21,9 @@ import (
 // rows beside each generation as two immutable files —
 //
 //	gen-<id>.col  presence bitvectors + bit-plane wavelet trees over the
-//	              present values of every fixed-width numeric column
+//	              present values of every fixed-width numeric column — or
+//	              over their ranks in the generation's sorted dictionary,
+//	              whichever of the two is smaller
 //	gen-<id>.cd   the offset directory: per blob column, the offsets and
 //	              concatenated bytes of its present values
 //
@@ -129,8 +134,9 @@ func (v Value) Kind() ColumnKind { return v.kind }
 func (v Value) U64() uint64 { return v.num }
 
 // Blob returns the blob cell bytes (nil for NULL or numeric cells). The
-// returned slice must not be modified: it may alias store-internal,
-// possibly memory-mapped, data.
+// returned slice must not be modified: a cell read from the memtable
+// aliases store-internal data (one read from a frozen generation is a
+// copy, valid for as long as the caller keeps it).
 func (v Value) Blob() []byte { return v.b }
 
 // String renders the cell for tools and tests.
@@ -411,10 +417,12 @@ func (c clampCols) colPresent(col, l, r int) int {
 // Column file containers. Both files carry their CRC-32 in the manifest
 // (like generation index files); a mismatch fails Open loudly — column
 // data feeds predicate answers, where a silent bit flip would be a
-// wrong result, not a degraded one.
+// wrong result, not a degraded one. Version 2 is the only .col version
+// read or written: version 1 stored every presence vector and raw planes
+// only, and a directory holding one is refused as it stands.
 const (
 	colMagic   = 0x4D4C4357 // "WCLM" little-endian
-	colVersion = 1
+	colVersion = 2
 
 	colDirMagic   = 0x52444357 // "WCDR" little-endian
 	colDirVersion = 1
@@ -425,22 +433,36 @@ const (
 	maxColRows = 1 << 40
 )
 
+// How a .col file states a column's presence: a vector that would be all
+// zeros or all ones is a flag.
+const (
+	presNone = iota // every cell NULL
+	presAll         // every cell present
+	presBits        // the vector follows
+)
+
 func colFileName(id uint64) string    { return fmt.Sprintf("gen-%08d.col", id) }
 func colDirFileName(id uint64) string { return fmt.Sprintf("gen-%08d.cd", id) }
 
-// frozenCol is one decoded column of a generation: the presence
-// bitvector over all n positions, plus — for numeric columns — the
-// bit-plane wavelet tree over the m present values, or — for blob
-// columns — the offset directory into the payload bytes (bound from the
-// .cd file).
+// frozenCol is one decoded column of a generation: which of the n
+// positions hold a cell, plus — for numeric columns — the bit-plane
+// wavelet tree over the m present values, or — for blob columns — the
+// offset directory into the payload bytes (bound from the .cd file).
 type frozenCol struct {
-	kind     ColumnKind
-	presence *bitvec.Vector // length n; 1 = cell present
+	kind ColumnKind
+	// presence is nil when every cell is present (m == n) or none is
+	// (m == 0).
+	presence *bitvec.Vector
+	m        int // present cells
 
-	// Numeric: width bit planes, MSB first. levels[d] holds, for every
-	// present value in the stable order of plane d, that value's bit
-	// width-1-d; zeros[d] is the total zero count of the plane — the
-	// left-subtree offset of the pointerless wavelet-tree layout.
+	// Numeric: width bit planes, MSB first, over the present values — or,
+	// when dict is set, over their ranks in dict, the generation's sorted
+	// distinct values (width is then ⌈log₂ len(dict)⌉; the freeze keeps
+	// whichever layout is smaller, see buildDict). levels[d] holds, for
+	// every present value in the stable order of plane d, bit width-1-d;
+	// zeros[d] is the total zero count of the plane — the left-subtree
+	// offset of the pointerless wavelet-tree layout.
+	dict   []uint64
 	width  int
 	levels []*bitvec.Vector
 	zeros  []int
@@ -450,53 +472,55 @@ type frozenCol struct {
 	payload []byte
 }
 
-// frozenCols is a generation's decoded column set.
+// frozenCols is a generation's decoded column set. colRegion and cdRegion
+// are the mappings its vectors, dictionaries and payloads alias when it
+// was mmap-loaded (nil on the heap path): whoever reaches the set — a
+// pinned view outliving the generation's compaction included — reaches
+// them, and every read holds the set until it returns (see probe.go).
 type frozenCols struct {
-	n    int
-	cols []frozenCol
+	n                   int
+	cols                []frozenCol
+	colRegion, cdRegion *mmapRegion
 }
 
-// kinds returns the per-column kinds, for schema cross-checks.
-func (fc *frozenCols) kinds() []ColumnKind {
-	out := make([]ColumnKind, len(fc.cols))
-	for i := range fc.cols {
-		out[i] = fc.cols[i].kind
+// setPresence records which positions hold a cell; a vector that is all
+// zeros or all ones is dropped (m says which).
+func (c *frozenCol) setPresence(p *bitvec.Vector) {
+	if c.m = p.Rank1(p.Len()); 0 < c.m && c.m < p.Len() {
+		c.presence = p
 	}
-	return out
 }
 
-// sizeBits returns the decoded in-memory footprint, for GenInfo.
-func (fc *frozenCols) sizeBits() int {
-	if fc == nil {
-		return 0
+// top is the largest value width planes can spell (0 with no plane).
+func (c *frozenCol) top() uint64 { return ^uint64(0) >> (64 - uint(c.width)) }
+
+// rank counts the present cells before position pos.
+func (c *frozenCol) rank(pos int) int {
+	if c.presence != nil {
+		return c.presence.Rank1(pos)
 	}
-	total := 0
-	for i := range fc.cols {
-		c := &fc.cols[i]
-		total += c.presence.SizeBits()
-		for _, lv := range c.levels {
-			total += lv.SizeBits()
-		}
-		total += 64*len(c.offs) + 8*len(c.payload)
-	}
-	return total
+	return min(pos, c.m) // all present or none
 }
 
-// colValue returns the cell at position pos: NULL unless the presence
-// bit is set, else the pos-th present value reconstructed from the
-// wavelet planes (numeric, O(width) ranks) or sliced from the payload
-// (blob, O(1)).
-func (fc *frozenCols) colValue(col, pos int) Value {
+// colValue returns the cell at position pos: NULL unless present, else
+// the value reconstructed from the wavelet planes (numeric, O(width)
+// ranks and, dictionary-coded, one table entry) or copied out of the
+// payload (blob) — a cell handed out must not alias a mapping that only
+// the column set keeps alive.
+func (fc *frozenCols) colValue(col, pos int) (v Value) {
 	c := &fc.cols[col]
-	if c.presence.Access(pos) == 0 {
-		return Value{}
+	if c.m > 0 && (c.presence == nil || c.presence.Access(pos) == 1) {
+		v = fc.presentValue(col, c.rank(pos))
+		v.b = bytes.Clone(v.b)
 	}
-	return fc.presentValue(col, c.presence.Rank1(pos))
+	runtime.KeepAlive(fc)
+	return v
 }
 
 // presentValue returns the pi-th present value of a column (pi in
-// [0, presence.Ones())) without re-ranking the position — the freeze
-// and iteration paths already know the present index.
+// [0, m)) without re-ranking the position — the freeze path already
+// knows the present index. A blob aliases the payload; the caller holds
+// the set.
 func (fc *frozenCols) presentValue(col, pi int) Value {
 	c := &fc.cols[col]
 	if c.kind == ColBytes {
@@ -514,45 +538,59 @@ func (fc *frozenCols) presentValue(col, pi int) Value {
 			p = c.zeros[d] + lv.Rank1(p)
 		}
 	}
+	if c.dict != nil {
+		v = c.dict[v] // parseColumn checked every rank against the table
+	}
 	return Value{kind: ColUint64, num: v}
 }
 
-// colPresent counts present cells in [l, r) via the presence rank
-// directory.
+// colPresent counts present cells in [l, r).
 func (fc *frozenCols) colPresent(col, l, r int) int {
 	c := &fc.cols[col]
-	return c.presence.Rank1(r) - c.presence.Rank1(l)
+	n := c.rank(r) - c.rank(l)
+	runtime.KeepAlive(fc)
+	return n
 }
 
 // colRange counts positions in [l, r) whose cell is present with value
 // in [lo, hi] — the predicate pushdown primitive. The positions map to
-// a present-index interval through the presence rank, then the
-// pointerless wavelet tree answers the value-range count with O(width)
-// bitvector ranks per boundary node. No value is ever materialized.
-func (fc *frozenCols) colRange(col, l, r int, lo, hi uint64) int {
+// a present-index interval through the presence rank, a dictionary maps
+// the values to the ranks they cover, then the pointerless wavelet tree
+// answers the range count with O(width) bitvector ranks per boundary
+// node. No value is ever materialized.
+func (fc *frozenCols) colRange(col, l, r int, lo, hi uint64) (count int) {
 	c := &fc.cols[col]
-	if lo > hi {
-		return 0
+	pl, pr := c.rank(l), c.rank(r)
+	if c.dict != nil {
+		lo, hi = c.rankRange(lo, hi)
 	}
-	pl := c.presence.Rank1(l)
-	pr := c.presence.Rank1(r)
-	if pl >= pr {
-		return 0
-	}
-	if c.width == 0 {
-		// Every present value is 0.
+	switch {
+	case lo > hi || pl >= pr:
+	case c.width == 0: // one distinct value: a raw 0, or rank 0
 		if lo == 0 {
-			return pr - pl
+			count = pr - pl
 		}
-		return 0
+	default:
+		count = c.rangeCount(0, pl, pr, 0, c.top(), lo, hi)
 	}
-	var nodeHi uint64
-	if c.width >= 64 {
-		nodeHi = ^uint64(0)
-	} else {
-		nodeHi = 1<<uint(c.width) - 1
+	runtime.KeepAlive(fc)
+	return count
+}
+
+// rankRange maps a closed value interval to the closed interval of
+// dictionary ranks it covers (lo > hi when it covers none). The
+// dictionary is sorted, so the order of values is the order of ranks and
+// two binary searches do it.
+func (c *frozenCol) rankRange(lo, hi uint64) (uint64, uint64) {
+	rl, _ := slices.BinarySearch(c.dict, lo)
+	rh, found := slices.BinarySearch(c.dict, hi)
+	if !found {
+		rh-- // dict[rh] > hi: the last rank covered is the one before
 	}
-	return c.rangeCount(0, pl, pr, 0, nodeHi, lo, hi)
+	if lo > hi || rl > rh {
+		return 1, 0
+	}
+	return uint64(rl), uint64(rh)
 }
 
 // rangeCount is the standard wavelet-tree range-count recursion over
@@ -578,7 +616,10 @@ func (c *frozenCol) rangeCount(d, a, b int, nodeLo, nodeHi, lo, hi uint64) int {
 
 // encodeColumns serializes a generation's columns into the .col image
 // and (when any blob columns exist) the .cd offset-directory image.
-// cols must be fully built (see colwrite.go).
+// cols must be fully built (see colwrite.go). Per column: kind, presence
+// mode (and the vector, unless elided); numeric columns add the
+// dictionary (empty = raw planes), the plane count, and the planes as
+// one word array, ⌈m/64⌉ words each.
 func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 	w := wire.NewWriter(colMagic, colVersion)
 	w.Int(len(fc.cols))
@@ -587,12 +628,23 @@ func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 	for i := range fc.cols {
 		c := &fc.cols[i]
 		w.Byte(byte(c.kind))
-		c.presence.EncodeTo(w)
+		switch {
+		case c.presence != nil:
+			w.Byte(presBits)
+			c.presence.EncodeTo(w)
+		case c.m > 0:
+			w.Byte(presAll)
+		default:
+			w.Byte(presNone)
+		}
 		if c.kind == ColUint64 {
+			w.Words(c.dict)
 			w.Byte(byte(c.width))
+			planes := make([]uint64, 0, c.width*((c.m+63)/64))
 			for _, lv := range c.levels {
-				lv.EncodeTo(w)
+				planes = append(planes, lv.Words()...)
 			}
+			w.Words(planes)
 		} else {
 			blobCols++
 		}
@@ -615,12 +667,12 @@ func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 	return colData, dw.Bytes()
 }
 
-// parseColumn decodes a .col image: per-column kinds, presence
-// bitvectors, and numeric wavelet planes. Blob columns come back with
+// parseColumn decodes a .col image: per-column kinds, presence, and the
+// numeric dictionaries and wavelet planes. Blob columns come back with
 // their offset directory unbound (bindColDir attaches the .cd data).
-// Arbitrary input must error, never panic — this function is fuzzed.
-// refs enables zero-copy word decoding (mmap'd, checksum-verified
-// input only).
+// Arbitrary input must error, never panic, and nothing it accepts may
+// make a later read panic — this function is fuzzed. refs enables
+// zero-copy word decoding (mmap'd, checksum-verified input only).
 func parseColumn(data []byte, refs bool) (*frozenCols, error) {
 	r, err := wire.NewReader(data, colMagic, colVersion)
 	if err != nil {
@@ -644,41 +696,67 @@ func parseColumn(data []byte, refs bool) (*frozenCols, error) {
 	for i := 0; i < ncols; i++ {
 		c := &fc.cols[i]
 		c.kind = ColumnKind(r.Byte())
+		mode := r.Byte()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		if c.kind != ColUint64 && c.kind != ColBytes {
 			return nil, fmt.Errorf("store: column %d has invalid kind %d", i, c.kind)
 		}
-		c.presence = bitvec.DecodeFrom(r)
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if c.presence.Len() != n {
-			return nil, fmt.Errorf("store: column %d presence covers %d rows, file claims %d", i, c.presence.Len(), n)
+		switch mode {
+		case presNone:
+		case presAll:
+			c.m = n
+		case presBits:
+			p := bitvec.DecodeFrom(r)
+			if err := r.Err(); err != nil {
+				return nil, err
+			}
+			if p.Len() != n {
+				return nil, fmt.Errorf("store: column %d presence covers %d rows, file claims %d", i, p.Len(), n)
+			}
+			c.setPresence(p)
+		default:
+			return nil, fmt.Errorf("store: column %d has invalid presence mode %d", i, mode)
 		}
 		if c.kind != ColUint64 {
 			continue
 		}
+		dict := r.Words()
 		c.width = int(r.Byte())
+		planes := r.Words()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if c.width > 64 {
-			return nil, fmt.Errorf("store: column %d has %d bit planes (max 64)", i, c.width)
+		if len(dict) == 0 {
+			if c.width > 64 {
+				return nil, fmt.Errorf("store: column %d has %d bit planes (max 64)", i, c.width)
+			}
+		} else {
+			for j := 1; j < len(dict); j++ {
+				if dict[j] <= dict[j-1] {
+					return nil, fmt.Errorf("store: column %d dictionary not strictly increasing", i)
+				}
+			}
+			if want := bits.Len(uint(len(dict) - 1)); c.width != want {
+				return nil, fmt.Errorf("store: column %d has %d bit planes over a dictionary of %d, want %d", i, c.width, len(dict), want)
+			}
+			c.dict = dict
 		}
-		m := c.presence.Ones()
+		wpp := (c.m + 63) / 64 // words per plane
+		if len(planes) != c.width*wpp {
+			return nil, fmt.Errorf("store: column %d has %d plane words, want %d × %d", i, len(planes), c.width, wpp)
+		}
 		c.levels = make([]*bitvec.Vector, c.width)
 		c.zeros = make([]int, c.width)
-		for d := 0; d < c.width; d++ {
-			c.levels[d] = bitvec.DecodeFrom(r)
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			if c.levels[d].Len() != m {
-				return nil, fmt.Errorf("store: column %d plane %d has %d bits, want %d", i, d, c.levels[d].Len(), m)
-			}
-			c.zeros[d] = c.levels[d].Zeros()
+		for d := range c.levels {
+			c.levels[d] = bitvec.FromWordsShared(planes[d*wpp:(d+1)*wpp], c.m)
+			c.zeros[d] = c.levels[d].Rank0(c.m)
+		}
+		// Any bit content is the plane set of some m values below 2^width;
+		// under a dictionary they must also be ranks it has.
+		if c.dict != nil && c.rangeCount(0, 0, c.m, 0, c.top(), uint64(len(dict)), c.top()) != 0 {
+			return nil, fmt.Errorf("store: column %d holds a rank outside its dictionary of %d", i, len(dict))
 		}
 	}
 	if err := r.Done(); err != nil {
@@ -759,9 +837,9 @@ func bindColDir(fc *frozenCols, dirs []colDirEntry) error {
 		}
 		d := dirs[bi]
 		bi++
-		if len(d.offs) != c.presence.Ones()+1 {
+		if len(d.offs) != c.m+1 {
 			return fmt.Errorf("store: blob column %d has %d present values, offset directory has %d offsets",
-				i, c.presence.Ones(), len(d.offs))
+				i, c.m, len(d.offs))
 		}
 		c.offs, c.payload = d.offs, d.payload
 	}
@@ -815,16 +893,4 @@ func unpackBytes(words []uint64, n int) []byte {
 		out[i] = byte(words[i>>3] >> (uint(i&7) * 8))
 	}
 	return out
-}
-
-// numBitWidth returns the bit-plane count a value set needs: the bit
-// length of the maximum (0 for an all-zero or empty set).
-func numBitWidth(vals []uint64) int {
-	var mx uint64
-	for _, v := range vals {
-		if v > mx {
-			mx = v
-		}
-	}
-	return bits.Len64(mx)
 }

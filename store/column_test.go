@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -580,10 +581,52 @@ func TestCountWhereAllocations(t *testing.T) {
 	}
 }
 
+// TestColumnBitsPerRow is the space guard for the frozen columns: 16 384
+// rows of the benchmark's schema and distribution (status 500 for one row
+// in twenty and 200 otherwise, bytes uniform below 2¹⁶) beside a constant
+// column must cost one plane for status, sixteen for bytes, none for the
+// constant and no presence vector — 17 bits a row and under 0.1 of framing.
+func TestColumnBitsPerRow(t *testing.T) {
+	const n = 1 << 14
+	opts := testOpts()
+	opts.Columns = []ColumnSpec{{Name: "status", Kind: ColUint64}, {Name: "bytes", Kind: ColUint64}, {Name: "dc", Kind: ColUint64}}
+	s := mustOpen(t, t.TempDir(), opts)
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	vals, rows := make([]string, n), make([]Row, n)
+	for i := range vals {
+		status := uint64(200)
+		if rng.Intn(20) == 0 {
+			status = 500
+		}
+		vals[i] = fmt.Sprintf("api/v%03d", rng.Intn(512))
+		rows[i] = Row{U64(status), U64(uint64(rng.Intn(1 << 16))), U64(7)}
+	}
+	if err := s.AppendBatchRows(vals, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := float64(8*s.Generations()[0].ColFileBytes) / n
+	t.Logf("%.3f bits/row", got)
+	if got > 17.1 {
+		t.Errorf("column file costs %.3f bits/row, want ≤ 17.1", got)
+	}
+	for j, planes := range []int{1, 16, 0} {
+		c := &s.state.Load().gens[0].cols.cols[j]
+		if len(c.levels) != planes || c.presence != nil {
+			t.Errorf("column %s: %d planes (want %d), presence vector kept = %v (want elided)",
+				opts.Columns[j].Name, len(c.levels), planes, c.presence != nil)
+		}
+	}
+}
+
 // TestColumnDifferential: randomized appends with payloads against the
 // flat (vals, rows) oracle, plain and sharded, across flush, compact,
 // a mid-life crash image, close and reopen. Mirrors the value-only
-// differential suite with the column surface added.
+// differential suite with the column surface added; its "encodings"
+// subtests hold both frozen layouts to the same oracle.
 func TestColumnDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	plainDir, shardDir := t.TempDir(), t.TempDir()
@@ -686,6 +729,202 @@ func TestColumnDifferential(t *testing.T) {
 	checkColumns(t, ss2.Snapshot(), vals, rows)
 	if p, q := s2.Snapshot().ContentFingerprint(), ss2.Snapshot().ContentFingerprint(); p != q {
 		t.Fatalf("reopened ContentFingerprint diverged: plain %#x, sharded %#x", p, q)
+	}
+	t.Run("encodings", testColumnEncodings)
+}
+
+// allPredOps is every comparison a predicate can make.
+var allPredOps = []PredOp{PredEQ, PredNE, PredLT, PredLE, PredGT, PredGE}
+
+// checkPreds holds sn's numeric column col to the flat oracle: every cell,
+// and for every operator against every bound the rank-arithmetic count
+// (no prefix) and the per-candidate count (under a prefix), and for the
+// middle bound the matching positions.
+func checkPreds(t *testing.T, sn colSnap, vals []string, rows []Row, col int, prefix string, bounds []uint64) {
+	t.Helper()
+	if sn.Len() != len(vals) {
+		t.Fatalf("Len = %d, want %d", sn.Len(), len(vals))
+	}
+	for pos := range vals {
+		if got, want := sn.Row(pos)[col], rowCell(rows, pos, col); !cellEq(got, want) {
+			t.Fatalf("Row(%d)[%d] = %v, want %v", pos, col, got, want)
+		}
+	}
+	for _, op := range allPredOps {
+		for _, b := range bounds {
+			p := Pred{Col: col, Op: op, Val: b}
+			var want []int
+			under := 0
+			for pos := range vals {
+				if matchValue(rowCell(rows, pos, col), p) {
+					want = append(want, pos)
+					if strings.HasPrefix(vals[pos], prefix) {
+						under++
+					}
+				}
+			}
+			if got, err := sn.CountWhere("", p); err != nil || got != len(want) {
+				t.Fatalf("CountWhere(%s %d) = %d, %v, want %d", op, b, got, err, len(want))
+			}
+			if got, err := sn.CountWhere(prefix, p); err != nil || got != under {
+				t.Fatalf("CountWhere(%q, %s %d) = %d, %v, want %d", prefix, op, b, got, err, under)
+			}
+			if b != bounds[len(bounds)/2] {
+				continue // positions: one bound an operator is enough
+			}
+			var got []int
+			if err := sn.IterateWhere("", 0, []Pred{p}, func(_, pos int) bool {
+				got = append(got, pos)
+				return true
+			}); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("IterateWhere(%s %d) = %d positions, %v, want %d", op, b, len(got), err, len(want))
+			}
+		}
+	}
+}
+
+// testColumnEncodings drives one numeric column through both frozen
+// layouts — raw planes and planes over dictionary ranks — and both
+// presence forms, against the one flat oracle: per case a plain and a
+// two-shard store take three flushes (the middle one always raw-coded,
+// so compaction merges victims of different layouts and different
+// dictionaries), a compaction and a reopen under each load path, every
+// stage answering every operator against bounds below, inside, between
+// and above the stored values.
+func testColumnEncodings(t *testing.T) {
+	const seg = 128 // rows per flush
+	const maxU64 = ^uint64(0)
+	// wide spreads d values from 3 to 2⁶⁴−1; narrow uses 0..d−1, whose
+	// ⌈log₂ d⌉ raw planes no dictionary can undercut.
+	wide := func(d int) []uint64 {
+		out := []uint64{maxU64}
+		for k := 1; k < d; k++ {
+			out = append(out, 3+uint64(k-1)*((maxU64-3)/uint64(d)))
+		}
+		return out
+	}
+	narrow := func(d int) []uint64 {
+		out := make([]uint64, d)
+		for k := range out {
+			out[k] = uint64(k)
+		}
+		return out
+	}
+	type encCase struct {
+		name     string
+		set      []uint64 // the distinct values of the first and last flush
+		nullEach int      // every nullEach-th row is NULL (0 = none, 1 = all)
+		dict     bool     // whether the first flush must come out dictionary-coded
+	}
+	cases := []encCase{{"allnull", wide(2), 1, false}}
+	for _, d := range []int{1, 2, 3, 255, 256, 257, seg/2 + 9} {
+		// 255 and up exceed a 128-row flush; the dictionary then holds
+		// the ≤ 128 values drawn, still far below 64 raw planes.
+		cases = append(cases, encCase{fmt.Sprintf("wide%d", d), wide(d), 0, true})
+		if d <= 2 || d >= 257 {
+			cases = append(cases, encCase{fmt.Sprintf("wide%d/sparse", d), wide(d), 7, true})
+		}
+	}
+	for _, d := range []int{2, 256, 257} {
+		cases = append(cases, encCase{fmt.Sprintf("narrow%d", d), narrow(d), 0, false})
+	}
+	schema := []ColumnSpec{{Name: "v", Kind: ColUint64}}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(tc.set))))
+			opts := testOpts()
+			opts.Columns = schema
+			dir, sdir := t.TempDir(), t.TempDir()
+			s := mustOpen(t, dir, opts)
+			ss, err := OpenSharded(sdir, &ShardedOptions{Shards: 2, Store: *opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var vals []string
+			var rows []Row
+			for i := 0; i < 3*seg; i++ {
+				v := tc.set[rng.Intn(len(tc.set))]
+				if i/seg == 1 {
+					v = uint64(rng.Intn(1 << 10)) // ≈ 120 distinct 10-bit values: raw
+				}
+				row := Row{U64(v)}
+				if tc.nullEach > 0 && i%tc.nullEach == 0 {
+					row = nil
+				}
+				vals = append(vals, fmt.Sprintf("k/%02d", rng.Intn(40)))
+				rows = append(rows, row)
+				if err := s.AppendRow(vals[i], row); err != nil {
+					t.Fatal(err)
+				}
+				if err := ss.AppendRow(vals[i], row); err != nil {
+					t.Fatal(err)
+				}
+				if i%seg == seg-1 {
+					if err := s.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					if err := ss.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			gens := s.state.Load().gens
+			if len(gens) != 3 {
+				t.Fatalf("%d generations, want 3", len(gens))
+			}
+			if got := gens[0].cols.cols[0].dict != nil; got != tc.dict {
+				t.Fatalf("first flush dictionary-coded = %v, want %v", got, tc.dict)
+			}
+			if tc.nullEach != 1 && gens[1].cols.cols[0].dict != nil {
+				t.Fatal("the 10-bit flush came out dictionary-coded")
+			}
+			if c := &gens[0].cols.cols[0]; (c.presence == nil) != (tc.nullEach < 2) {
+				t.Fatalf("presence vector kept = %v with every %d-th row NULL", c.presence != nil, tc.nullEach)
+			}
+
+			lo, hi := slices.Min(tc.set), slices.Max(tc.set)
+			mid := tc.set[len(tc.set)/2]
+			bounds := []uint64{0, lo - 1, lo, lo + 1, mid - 1, mid, mid + 1, 512, hi - 1, hi, hi + 1, maxU64}
+			check := func(stage string, sn colSnap) {
+				t.Helper()
+				defer func() {
+					if t.Failed() {
+						t.Logf("at stage %s", stage)
+					}
+				}()
+				checkPreds(t, sn, vals, rows, 0, "k/1", bounds)
+			}
+			check("flushed", s.Snapshot())
+			check("sharded flushed", ss.Snapshot())
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			check("compacted", s.Snapshot())
+			check("sharded compacted", ss.Snapshot())
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, noMmap := range []bool{false, true} {
+				ropts := testOpts()
+				ropts.NoMmap = noMmap
+				s2 := mustOpen(t, dir, ropts)
+				check(fmt.Sprintf("reopened NoMmap=%v", noMmap), s2.Snapshot())
+				s2.Close()
+				ss2, err := OpenSharded(sdir, &ShardedOptions{Store: *ropts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("sharded reopened NoMmap=%v", noMmap), ss2.Snapshot())
+				ss2.Close()
+			}
+		})
 	}
 }
 

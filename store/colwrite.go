@@ -1,8 +1,10 @@
 package store
 
 import (
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/bitvec"
 )
@@ -10,7 +12,8 @@ import (
 // Column freeze path: at flush the sealed memtable's row arrays — and
 // at compaction the victim generations' frozen columns — stream through
 // a colFeeder into buildFrozenCols, which lays out each column's
-// presence bitvector plus its numeric bit planes or blob payload, and
+// presence plus its numeric bit planes (over the values or over their
+// ranks in a dictionary, whichever is smaller) or blob payload, and
 // writeColumnFiles persists the images beside the generation's .wt
 // file. Like the streaming value freeze, no per-row materialization
 // happens: the builder sees one (position, cell) pair at a time.
@@ -22,46 +25,80 @@ type colFeeder interface {
 }
 
 // buildFrozenCols builds the frozen column set for n rows of schema
-// from feed. A nil feed produces all-NULL columns (every presence bit
-// zero) — the shape written when a generation predates any payloads.
+// from feed. A nil feed produces all-NULL columns — the shape written
+// when a generation predates any payloads.
 func buildFrozenCols(schema []ColumnSpec, n int, feed colFeeder) *frozenCols {
 	fc := &frozenCols{n: n, cols: make([]frozenCol, len(schema))}
 	for j := range schema {
 		c := &fc.cols[j]
 		c.kind = schema[j].Kind
 		pb := bitvec.NewBuilder(n)
-		if c.kind == ColUint64 {
-			var vals []uint64
-			if feed != nil {
-				feed.feedColumn(j, func(pos int, v Value) bool {
-					pb.AppendRun(0, pos-pb.Len())
-					pb.AppendBit(1)
-					vals = append(vals, v.num)
-					return true
-				})
-			}
-			pb.AppendRun(0, n-pb.Len())
-			c.presence = pb.Build()
-			c.width = numBitWidth(vals)
-			c.levels, c.zeros = buildPlanes(vals, c.width)
-		} else {
-			offs := []uint64{0}
-			var payload []byte
-			if feed != nil {
-				feed.feedColumn(j, func(pos int, v Value) bool {
-					pb.AppendRun(0, pos-pb.Len())
-					pb.AppendBit(1)
-					payload = append(payload, v.b...)
-					offs = append(offs, uint64(len(payload)))
-					return true
-				})
-			}
-			pb.AppendRun(0, n-pb.Len())
-			c.presence = pb.Build()
-			c.offs, c.payload = offs, payload
+		var vals []uint64
+		var top uint64 // the largest value
+		if c.kind == ColBytes {
+			c.offs = []uint64{0}
 		}
+		if feed != nil {
+			feed.feedColumn(j, func(pos int, v Value) bool {
+				pb.AppendRun(0, pos-pb.Len())
+				pb.AppendBit(1)
+				if c.kind == ColBytes {
+					c.payload = append(c.payload, v.b...)
+					c.offs = append(c.offs, uint64(len(c.payload)))
+				} else {
+					vals = append(vals, v.num)
+					top = max(top, v.num)
+				}
+				return true
+			})
+		}
+		pb.AppendRun(0, n-pb.Len())
+		c.setPresence(pb.Build())
+		if c.kind == ColBytes {
+			continue
+		}
+		c.width = bits.Len64(top)
+		if c.dict = buildDict(vals, c.width); c.dict != nil {
+			for i, v := range vals {
+				rank, _ := slices.BinarySearch(c.dict, v)
+				vals[i] = uint64(rank)
+			}
+			c.width = bits.Len(uint(len(c.dict) - 1))
+		}
+		c.levels, c.zeros = buildPlanes(vals, c.width)
 	}
 	return fc
+}
+
+// buildDict returns the sorted distinct values of vals when a dictionary
+// of them plus planes over their ranks is smaller than width raw planes,
+// else nil: D table entries of 64 bits and ⌈log₂ D⌉ bits per value
+// against width bits per value. The sum only grows with D, so the count
+// stops at the first value that takes it to the raw cost — a column
+// whose values hardly repeat costs a prefix of the pass, not a table.
+func buildDict(vals []uint64, width int) []uint64 {
+	raw := width * len(vals)
+	if raw == 0 {
+		return nil
+	}
+	seen := make(map[uint64]struct{})
+	for i, v := range vals {
+		if i > 0 && v == vals[i-1] {
+			continue
+		}
+		if _, ok := seen[v]; !ok {
+			seen[v] = struct{}{}
+			if d := len(seen); 64*d+bits.Len(uint(d-1))*len(vals) >= raw {
+				return nil
+			}
+		}
+	}
+	dict := make([]uint64, 0, len(seen))
+	for v := range seen {
+		dict = append(dict, v)
+	}
+	slices.Sort(dict)
+	return dict
 }
 
 // buildPlanes lays out the level-wise wavelet tree of a value set:
@@ -143,9 +180,12 @@ func (f genColFeeder) feedColumn(col int, fn func(pos int, v Value) bool) {
 	for _, g := range f.gens {
 		if g.cols != nil {
 			c := &g.cols.cols[col]
-			m := c.presence.Ones()
-			for i := 0; i < m; i++ {
-				pos := c.presence.Select1(i)
+			pos := -1
+			for i := 0; i < c.m; i++ {
+				pos++ // the next position, present itself when the vector is elided
+				if c.presence != nil {
+					pos = c.presence.NextOne(pos)
+				}
 				if !fn(base+pos, g.cols.presentValue(col, i)) {
 					return
 				}

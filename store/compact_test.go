@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -165,5 +167,68 @@ func TestCompactionRejectsCorruptVictim(t *testing.T) {
 	defer s2.Close()
 	if got := strings.Join(s2.Snapshot().Slice(0, s2.Len()), ","); got != "a,b,a,c,b,d" {
 		t.Fatalf("after the failed compaction the store holds %q", got)
+	}
+}
+
+// genBenchSink keeps the measured reads from being optimized away.
+var genBenchSink int
+
+// BenchmarkSnapshotGenerations prices the generation count for point
+// reads — the curve a MaxGenerations policy should be argued from: the
+// served point_read mix (40 % Access, 30 % Rank, 30 % Select, uniform
+// positions, keys drawn by position) against one pinned view of the same
+// 8 × 16 384 + 1 024 URL-log values, their frozen part cut into 1, 2, 4
+// and 8 generations and the tail left in the memtable.
+func BenchmarkSnapshotGenerations(b *testing.B) {
+	const frozen, tail = 8 * 16384, 1024
+	seq := workload.URLLog(frozen+tail, 1, workload.DefaultURLConfig())
+	count := make(map[string]int, 1<<15)
+	for _, v := range seq {
+		count[v]++
+	}
+	type op struct {
+		kind, n int
+		key     string
+	}
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]op, 1<<12)
+	for i := range ops {
+		o := op{kind: rng.Intn(10), n: rng.Intn(len(seq)), key: seq[rng.Intn(len(seq))]}
+		if o.kind >= 7 { // Select: n is an occurrence index
+			o.n = rng.Intn(count[o.key])
+		}
+		ops[i] = o
+	}
+	for _, gens := range []int{1, 2, 4, 8} {
+		s, err := Open(b.TempDir(), testOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for g := 0; g < gens; g++ {
+			if err := s.AppendBatch(seq[g*frozen/gens : (g+1)*frozen/gens]); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.AppendBatch(seq[frozen:]); err != nil {
+			b.Fatal(err)
+		}
+		sn := s.Snapshot()
+		b.Run(fmt.Sprintf("gens=%d", gens), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				switch o := ops[i%len(ops)]; {
+				case o.kind < 4:
+					genBenchSink += len(sn.Access(o.n))
+				case o.kind < 7:
+					genBenchSink += sn.Rank(o.key, o.n)
+				default:
+					pos, _ := sn.Select(o.key, o.n)
+					genBenchSink += pos
+				}
+			}
+		})
+		s.Close()
 	}
 }

@@ -71,6 +71,26 @@
 // over it. OpenSharded recovers all shards in parallel and reconciles
 // the interleave from the ROUTER log plus the WAL sequence headers.
 //
+// # Columns
+//
+// A store may pin a schema of typed columns (Options.Columns): every
+// append can then carry a row of cells beside its value, addressed by the
+// value's position. Rows ride the value's WAL record and sit in
+// per-column arrays beside the memtable; at flush and compaction they are
+// frozen into gen-<id>.col (and gen-<id>.cd for blob payloads), checksummed
+// in the manifest and mapped like the index file. A numeric column is a
+// pointerless wavelet tree — bit planes, MSB first — over its present
+// values, or over their ranks in the generation's own sorted dictionary,
+// whichever is smaller: a frozen generation is static, so the
+// fixed-alphabet layout the paper sets the wavelet trie against applies
+// to it, one alphabet per generation, and a two-valued column costs one
+// bit a row, a constant one nothing. A presence vector that would be all
+// ones or all zeros is a flag. The dictionary keeps order, so a range
+// predicate is still rank arithmetic alone — CountWhere with one
+// predicate decodes no value — and a cell read walks ⌈log₂ D⌉ planes.
+// Version 2 of the .col file is the only one read; a version 1 file is
+// refused by name and the directory left as it was. See DESIGN.md §13.
+//
 // The Store and ShardedStore satisfy the root package's StringIndex
 // interface, so everything programmed against wavelettrie.StringIndex
 // — including the wtquery REPL — can serve from a durable store

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -97,11 +98,64 @@ func (f fuzzColFeeder) feedColumn(col int, fn func(pos int, v Value) bool) {
 	}
 }
 
+// colImage hand-encodes a .col image of one numeric, all-present column
+// of m rows — the shapes the freeze never writes.
+func colImage(m int, dict []uint64, width int, planes ...uint64) []byte {
+	w := wire.NewWriter(colMagic, colVersion)
+	w.Int(1)
+	w.Int(m)
+	w.Byte(byte(ColUint64))
+	w.Byte(presAll)
+	w.Words(dict)
+	w.Byte(byte(width))
+	w.Words(planes)
+	return w.Bytes()
+}
+
+// badColImages are well-framed version 2 images parseColumn must refuse
+// (each would read outside a table or misread every value if loaded),
+// by the text its error must carry. Four rows over the dictionary
+// {5, 9, 12}: plane 0 sends row 3 right, plane 1 then reads rows 0 1 2 3.
+var badColImages = []struct {
+	want string
+	img  []byte
+}{
+	{"dictionary not strictly increasing", colImage(4, []uint64{5, 12, 12}, 2, 0b1000, 0b0010)},
+	{"1 bit planes over a dictionary of 3", colImage(4, []uint64{5, 9, 12}, 1, 0b1000)},
+	{"rank outside its dictionary of 3", colImage(4, []uint64{5, 9, 12}, 2, 0b1000, 0b1000)},
+	{"3 plane words, want 2", colImage(4, []uint64{5, 9, 12}, 2, 0b1000, 0b0010, 0)},
+	{"65 bit planes", colImage(4, nil, 65)},
+}
+
+// TestParseColumnRefuses: the images above are refused by name, and the
+// same frame with ranks inside the table reads back its values.
+func TestParseColumnRefuses(t *testing.T) {
+	for _, bad := range badColImages {
+		if _, err := parseColumn(bad.img, false); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("parseColumn = %v, want a refusal naming %q", err, bad.want)
+		}
+	}
+	fc, err := parseColumn(colImage(4, []uint64{5, 9, 12}, 2, 0b1000, 0b0010), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos, want := range []uint64{5, 9, 5, 12} {
+		if got := fc.colValue(0, pos); got.U64() != want {
+			t.Fatalf("cell %d = %v, want %d", pos, got, want)
+		}
+	}
+	if got := fc.colRange(0, 0, 4, 6, 12); got != 2 {
+		t.Fatalf("colRange [6,12] = %d, want 2", got)
+	}
+}
+
 // FuzzParseColumn: arbitrary bytes must error or decode — never panic —
 // and an accepted .col image must be encode-stable: re-encoding the
 // decoded columns and decoding again yields the same shape and the same
 // numeric values (byte identity is too strong: word-alignment padding
-// admits nonzero garbage the reader skips).
+// admits nonzero garbage the reader skips). Whatever decodes must also
+// answer cell reads and range counts without panicking, the same from
+// both decodings.
 func FuzzParseColumn(f *testing.F) {
 	schema := []ColumnSpec{{Name: "score", Kind: ColUint64}, {Name: "meta", Kind: ColBytes}}
 	rows := []Row{
@@ -118,6 +172,12 @@ func FuzzParseColumn(f *testing.F) {
 	f.Add(allNull)
 	f.Add(empty)
 	f.Add(colSeed[:len(colSeed)-2]) // torn tail
+	for _, bad := range badColImages {
+		f.Add(bad.img)
+	}
+	wideRows := []Row{{U64(1 << 60)}, {U64(3)}, nil, {U64(1 << 60)}, {U64(3)}, {U64(77)}}
+	dictSeed, _ := encodeColumns(buildFrozenCols(schema[:1], len(wideRows), fuzzColFeeder{wideRows}))
+	f.Add(dictSeed) // dictionary-coded, presence kept
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc, err := parseColumn(data, false)
@@ -134,7 +194,7 @@ func FuzzParseColumn(f *testing.F) {
 		}
 		for i := range fc.cols {
 			a, b := &fc.cols[i], &fc2.cols[i]
-			if a.kind != b.kind || a.width != b.width || a.presence.Ones() != b.presence.Ones() {
+			if a.kind != b.kind || a.width != b.width || a.m != b.m || len(a.dict) != len(b.dict) {
 				t.Fatalf("column %d changed across re-parse", i)
 			}
 			if a.kind != ColUint64 {
@@ -150,6 +210,13 @@ func FuzzParseColumn(f *testing.F) {
 				if va.IsNull() != vb.IsNull() || (!va.IsNull() && va.U64() != vb.U64()) {
 					t.Fatalf("column %d pos %d: %v != %v", i, pos, va, vb)
 				}
+				lo, hi := va.U64()/2, va.U64()+uint64(pos)
+				if ra, rb := fc.colRange(i, pos/2, fc.n, lo, hi), fc2.colRange(i, pos/2, fc.n, lo, hi); ra != rb {
+					t.Fatalf("column %d colRange(%d, %d, %d, %d): %d != %d", i, pos/2, fc.n, lo, hi, ra, rb)
+				}
+			}
+			if pa, pb := fc.colPresent(i, 0, fc.n), fc2.colPresent(i, 0, fc.n); pa != pb || pa != a.m {
+				t.Fatalf("column %d colPresent: %d, %d, m %d", i, pa, pb, a.m)
 			}
 		}
 	})

@@ -29,12 +29,11 @@ type generation struct {
 	region    *mmapRegion
 	// cols is the generation's frozen column set (nil when the store has
 	// no schema or the generation predates it — all cells NULL), with
-	// its files' checksums, on-disk sizes and, when mmap-loaded, the
-	// regions pinning the aliased bytes.
-	cols                *frozenCols
-	colCRC, cdCRC       uint32
-	colBytes, cdBytes   int
-	colRegion, cdRegion *mmapRegion
+	// its files' checksums and on-disk sizes. The set itself holds the
+	// mappings it aliases.
+	cols              *frozenCols
+	colCRC, cdCRC     uint32
+	colBytes, cdBytes int
 }
 
 // genCRC returns the manifest checksum of a generation image: CRC-32
@@ -165,12 +164,13 @@ func loadGenColumns(dir string, g *generation, meta genMeta, schema []ColumnSpec
 	if len(fc.cols) != len(schema) {
 		return fmt.Errorf("store: %s has %d columns, schema has %d", name, len(fc.cols), len(schema))
 	}
-	for i, k := range fc.kinds() {
-		if k != schema[i].Kind {
+	for i := range fc.cols {
+		if k := fc.cols[i].kind; k != schema[i].Kind {
 			return fmt.Errorf("store: %s column %d is %s, schema says %s", name, i, k, schema[i].Kind)
 		}
 	}
-	g.cols, g.colCRC, g.colBytes, g.colRegion = fc, meta.colCRC, len(data), region
+	fc.colRegion = region
+	g.cols, g.colCRC, g.colBytes = fc, meta.colCRC, len(data)
 	if !fc.needsColDir() {
 		if meta.cdCRC != 0 {
 			return fmt.Errorf("store: %s has an offset directory but no blob columns", name)
@@ -192,7 +192,8 @@ func loadGenColumns(dir string, g *generation, meta genMeta, schema []ColumnSpec
 	if err := bindColDir(fc, dirs); err != nil {
 		return fmt.Errorf("store: %s: %w", cdName, err)
 	}
-	g.cdCRC, g.cdBytes, g.cdRegion = meta.cdCRC, len(cdData), cdRegion
+	fc.cdRegion = cdRegion
+	g.cdCRC, g.cdBytes = meta.cdCRC, len(cdData)
 	return nil
 }
 

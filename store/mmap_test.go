@@ -197,6 +197,85 @@ func TestQueryInFlightHoldsMappedGen(t *testing.T) {
 		}
 		return true
 	})
+	t.Run("columns", testQueryHoldsMappedCols)
+}
+
+// testQueryHoldsMappedCols is the same for the column files: once a compaction retires the generations, a view pinned before
+// it is all that reaches their .col/.cd mappings, and only through the
+// column sets — so the sets must hold the mappings, every read must hold
+// its set, and a row handed out must not point into a mapping at all.
+func testQueryHoldsMappedCols(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, colTestOpts())
+	vals, rows := colTestData(400)
+	for _, half := range [][2]int{{0, 200}, {200, 400}} {
+		if err := s.AppendBatchRows(vals[half[0]:half[1]], rows[half[0]:half[1]]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = mustOpen(t, dir, testOpts())
+	defer s.Close()
+	if g := s.Generations()[0]; !g.ColMmapped {
+		t.Fatal("column files not mmap-loaded")
+	}
+	// Cut the way a ShardedSnapshot cuts its shards' views: such a view
+	// holds segments and column sets, not the store state they came from.
+	vals, rows = vals[:len(vals)-1], rows[:len(rows)-1]
+	sn := s.Snapshot().prefixed(len(vals))
+	if err := s.Compact(); err != nil { // the store lets go of both generations
+		t.Fatal(err)
+	}
+	collect := func() {
+		for i := 0; i < 2; i++ {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond) // the finalizer goroutine's turn
+		}
+	}
+	collect()
+
+	preds := []Pred{{Col: 0, Op: PredGE, Val: 50}}
+	want := 0
+	for pos := range vals {
+		if matchValue(rowCell(rows, pos, 0), preds[0]) {
+			want++
+		}
+	}
+	if got, err := sn.CountWhere("", preds...); err != nil || got != want {
+		t.Fatalf("CountWhere on the retired view = %d, %v, want %d", got, err, want)
+	}
+	seen := 0
+	if err := sn.ScanWhere("api/", 0, preds, func(idx, pos int, v []byte) bool {
+		if idx == 0 {
+			collect()
+		}
+		if string(v) != vals[pos] || !matchValue(rowCell(rows, pos, 0), preds[0]) {
+			t.Fatalf("ScanWhere match %d: position %d holds %q %v", idx, pos, v, rowCell(rows, pos, 0))
+		}
+		seen++
+		return true
+	}); err != nil || seen == 0 {
+		t.Fatalf("ScanWhere on the retired view: %d matches, %v", seen, err)
+	}
+	got := make([]Row, len(vals))
+	for pos := range got {
+		got[pos] = sn.Row(pos)
+	}
+	sn = nil
+	collect() // nothing reaches the mappings now; the rows must not need them
+	for pos := range got {
+		for c := range got[pos] {
+			if !cellEq(got[pos][c], rowCell(rows, pos, c)) {
+				t.Fatalf("Row(%d)[%d] = %v after the view was dropped, want %v", pos, c, got[pos][c], rowCell(rows, pos, c))
+			}
+		}
+	}
 }
 
 // TestFlushAllocations is the allocation-regression guard for the

@@ -921,11 +921,11 @@ func (s *Store) Generations() []GenInfo {
 		if g.region != nil {
 			resident = residentBytes(g.region.data)
 		}
-		colResident := -1
-		if g.colRegion != nil {
-			colResident = residentBytes(g.colRegion.data)
-			if g.cdRegion != nil {
-				if r := residentBytes(g.cdRegion.data); r >= 0 {
+		colResident, colMapped := -1, g.cols != nil && g.cols.colRegion != nil
+		if colMapped {
+			colResident = residentBytes(g.cols.colRegion.data)
+			if g.cols.cdRegion != nil {
+				if r := residentBytes(g.cols.cdRegion.data); r >= 0 {
 					colResident += r
 				}
 			}
@@ -935,7 +935,7 @@ func (s *Store) Generations() []GenInfo {
 			MinValue: lo, MaxValue: hi,
 			Mmapped: g.region != nil, FileBytes: g.fileBytes, ResidentBytes: resident,
 			ColFileBytes: g.colBytes, ColDirFileBytes: g.cdBytes,
-			ColMmapped: g.colRegion != nil, ColResidentBytes: colResident}
+			ColMmapped: colMapped, ColResidentBytes: colResident}
 	}
 	return out
 }

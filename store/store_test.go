@@ -581,7 +581,8 @@ func TestChecksumMismatchFails(t *testing.T) {
 
 // TestOlderFormatsRefused: a directory written before the distinct count
 // became derived — manifest version 3, log version 1 with its "new to the
-// alphabet" flag bit — must be refused by name of the version and left
+// alphabet" flag bit — or before columns were laid out at their entropy —
+// .col version 1 — must be refused by name of the version and left
 // byte for byte as it was. Read as today's format, flag 0x01 would be a
 // sequence header (or, checksummed but ill-shaped, a "corrupt tail" to
 // truncate): acknowledged data reinterpreted or cut off.
@@ -640,6 +641,59 @@ func TestOlderFormatsRefused(t *testing.T) {
 			}
 			return map[string][]byte{filepath.Join(shardDirName(0), manifestName): oldManifest}
 		}, func(dir string) error { _, err := OpenSharded(dir, nil); return err }, "unsupported version 3"},
+		{"version 1 column file", func(t *testing.T, dir string) map[string][]byte {
+			// Today's store with a flushed columnar generation, its .col
+			// rewritten the way version 1 laid it out (every presence vector,
+			// raw planes, a length per vector) and the manifest's checksum
+			// moved with it: the directory the parent commit left behind.
+			s := mustOpen(t, dir, colTestOpts())
+			vals, rows := colTestData(40)
+			if err := s.AppendBatchRows(vals, rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			fc := s.state.Load().gens[0].cols
+			w := wire.NewWriter(colMagic, 1)
+			w.Int(len(fc.cols))
+			w.Int(fc.n)
+			for j := range fc.cols {
+				c := &fc.cols[j]
+				w.Byte(byte(c.kind))
+				c.presence.EncodeTo(w) // colTestData leaves NULLs in both columns
+				if c.kind == ColUint64 {
+					nums := make([]uint64, c.m)
+					for i := range nums {
+						nums[i] = fc.presentValue(j, i).U64()
+					}
+					levels, _ := buildPlanes(nums, 7) // values below 100
+					w.Byte(byte(len(levels)))
+					for _, lv := range levels {
+						lv.EncodeTo(w)
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, manifestName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := parseManifest(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.gens[0].colCRC = genCRC(w.Bytes())
+			files := map[string][]byte{manifestName: encodeManifest(m), colFileName(m.gens[0].id): w.Bytes()}
+			for _, name := range []string{genFileName(m.gens[0].id), colDirFileName(m.gens[0].id), walFileName(m.walID)} {
+				if files[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return files
+		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, ".col: wire: unsupported version 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
