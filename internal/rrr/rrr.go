@@ -241,8 +241,14 @@ func FromWords(words []uint64, n int) *Vector {
 	}
 	nb := (n + blockBits - 1) / blockBits
 	v := &Vector{n: n}
-	cw := packedWriter{}
-	ow := packedWriter{}
+	// Both streams at their final size: the classes are a fixed width a
+	// block, and a popcount pass prices the offsets before they are encoded.
+	offBits := 0
+	for b := 0; b < nb; b++ {
+		offBits += offsetWidth[bits.OnesCount64(extractBlock(words, n, b))]
+	}
+	cw := packedWriter{words: make([]uint64, 0, (nb*classBits+63)/64)}
+	ow := packedWriter{words: make([]uint64, 0, (offBits+63)/64)}
 	for b := 0; b < nb; b++ {
 		class, off := encodeBlock(extractBlock(words, n, b))
 		cw.append(uint64(class), classBits)

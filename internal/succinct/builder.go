@@ -112,7 +112,7 @@ func (b *Builder) Build() (*Trie, error) {
 		nd   *patricia.Node[*bitvec.Builder]
 		want int // elements that must have been routed through this node
 	}
-	a := newAssembler(0)
+	a := newAssembler(0, 0, 0)
 	// Heap stack, 1-child pushed first so the 0-child pops first — the
 	// preorder of patricia.Walk and core.Static.WalkPreorder.
 	stack := []entry{{b.t.Root(), b.n}}

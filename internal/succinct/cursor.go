@@ -96,6 +96,28 @@ func (c *PrefixCursor) Next() (pos int, ok bool) {
 	return pos, true
 }
 
+// RankAt counts the matches at positions before pos — RankPrefixBits
+// without its descent: pos is carried down the remembered root path, one
+// RRR rank per level, with no label compared and no directory read. It
+// leaves Next where it was.
+func (c *PrefixCursor) RankAt(pos int) int {
+	if c.count == 0 {
+		return 0
+	}
+	for i := range c.levels {
+		if pos == 0 {
+			return 0
+		}
+		lv := &c.levels[i]
+		if ones := c.t.bits.Rank1(lv.start + pos); lv.bit == 1 {
+			pos = ones - lv.before
+		} else {
+			pos = lv.start + pos - ones - lv.before
+		}
+	}
+	return pos
+}
+
 // ValueInto appends to b the element that is match j. Consecutive j's
 // stream through the walk's open cursors; any j is answered.
 func (c *PrefixCursor) ValueInto(b *bitstr.Builder, j int) {

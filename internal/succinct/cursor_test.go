@@ -29,6 +29,21 @@ func TestPrefixCursorMatchesSelectAccess(t *testing.T) {
 		for _, key := range keys {
 			count := fz.RankPrefixBits(key, n)
 			c := fz.PrefixCursor(key)
+			// The rank along the remembered path, at every position when the
+			// trie is small and at a sample otherwise, between two Nexts.
+			c.Seek(count / 2)
+			first, _ := c.Next()
+			for pos := 0; pos <= n; pos += 1 + n/200 {
+				if got, want := c.RankAt(pos), fz.RankPrefixBits(key, pos); got != want {
+					t.Fatalf("n=%d key %v: RankAt(%d) = %d, RankPrefixBits says %d", n, key, pos, got, want)
+				}
+			}
+			if c.RankAt(n) != count {
+				t.Fatalf("n=%d key %v: RankAt(n) = %d, want the count %d", n, key, c.RankAt(n), count)
+			}
+			if next, ok := c.Next(); ok && next <= first {
+				t.Fatalf("n=%d key %v: RankAt moved the cursor: %d then %d", n, key, first, next)
+			}
 			for _, from := range []int{0, count / 2, count - 1, count, count + 1, -1} {
 				c.Seek(from)
 				for j := from; ; j++ {

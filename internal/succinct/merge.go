@@ -175,12 +175,13 @@ func (s *appendOnlySource) segment(dst *bitstr.Builder, count int, _ func() bool
 
 // mergeInput is a source with the label of its current node.
 type mergeInput struct {
-	src    source
-	count  int // elements in the source
-	leaves int // distinct strings in the source
-	words  []uint64
-	lo, n  int
-	leaf   bool
+	src             source
+	count           int // elements in the source
+	leaves          int // distinct strings in the source
+	labelBits, bits int // label and β bits in the source: what merge sizes its output by
+	words           []uint64
+	lo, n           int
+	leaf            bool
 }
 
 // mergeRef places one source at a merged node still to be emitted.
@@ -197,15 +198,18 @@ type mergeRef struct {
 // and bits disagree, or sources whose union is not prefix-free, are an
 // error too.
 func Merge(cont func() bool, tries ...*Trie) (*Trie, error) {
-	ins, bitsHint := trieInputs(tries)
-	return merge(cont, ins, bitsHint)
+	return merge(cont, trieInputs(tries))
 }
 
 // FreezeAppendOnly returns the succinct form of a's sequence: the merge of
 // one source, so every node comes out with its own label and its own bits.
 // a must not be appended to meanwhile.
 func FreezeAppendOnly(a *core.AppendOnly) (*Trie, error) {
-	return merge(nil, appendOnlyInputs(nil, []*core.AppendOnly{a}), a.TotalBitvectorBits())
+	ins := appendOnlyInputs(nil, []*core.AppendOnly{a})
+	for i := range ins {
+		ins[i].labelBits, ins[i].bits = a.LabelBits(), a.TotalBitvectorBits()
+	}
+	return merge(nil, ins)
 }
 
 // UnionAlphabetSize returns how many distinct strings the tries hold
@@ -216,26 +220,23 @@ func FreezeAppendOnly(a *core.AppendOnly) (*Trie, error) {
 // whose union is not prefix-free, or one whose directories disagree, are
 // an error. The append-only tries must not be appended to meanwhile.
 func UnionAlphabetSize(tries []*Trie, live []*core.AppendOnly) (int, error) {
-	ins, _ := trieInputs(tries)
-	ins = appendOnlyInputs(ins, live)
+	ins := appendOnlyInputs(trieInputs(tries), live)
 	if len(ins) == 1 {
 		return ins[0].leaves, nil // one source's leaves are already counted
 	}
 	return mergeWalk(nil, ins, nil)
 }
 
-// trieInputs returns the non-empty tries as merge inputs, and the β bits
-// they hold in all.
-func trieInputs(tries []*Trie) (ins []mergeInput, bits int) {
-	ins = make([]mergeInput, 0, len(tries))
+// trieInputs returns the non-empty tries as merge inputs.
+func trieInputs(tries []*Trie) []mergeInput {
+	ins := make([]mergeInput, 0, len(tries))
 	for _, t := range tries {
-		if t.tree == nil {
-			continue
+		if t.tree != nil {
+			ins = append(ins, mergeInput{src: newTrieSource(t), count: t.n, leaves: t.AlphabetSize(),
+				labelBits: t.labels.Len(), bits: t.bits.Len()})
 		}
-		ins = append(ins, mergeInput{src: newTrieSource(t), count: t.n, leaves: t.AlphabetSize()})
-		bits += t.bits.Len()
 	}
-	return ins, bits
+	return ins
 }
 
 // appendOnlyInputs appends the non-empty append-only tries to ins as merge
@@ -249,15 +250,22 @@ func appendOnlyInputs(ins []mergeInput, live []*core.AppendOnly) []mergeInput {
 	return ins
 }
 
-// merge assembles the trie of the inputs' concatenation.
-func merge(cont func() bool, ins []mergeInput, bitsHint int) (*Trie, error) {
-	a := newAssembler(bitsHint)
-	if _, err := mergeWalk(cont, ins, a); err != nil {
-		return nil, err
-	}
-	total := 0
+// merge assembles the trie of the inputs' concatenation. The output holds
+// exactly the inputs' β bits, and at least the nodes and label bits of its
+// largest input — all of them when there is one input, a flush; little
+// more when the inputs share most of their strings, as a log's generations
+// do — so that is what the assembler starts with room for.
+func merge(cont func() bool, ins []mergeInput) (*Trie, error) {
+	total, nodes, labelBits, bits := 0, 0, 0, 0
 	for i := range ins {
 		total += ins[i].count
+		nodes = max(nodes, 2*ins[i].leaves-1)
+		labelBits = max(labelBits, ins[i].labelBits)
+		bits += ins[i].bits
+	}
+	a := newAssembler(nodes, labelBits, bits)
+	if _, err := mergeWalk(cont, ins, a); err != nil {
+		return nil, err
 	}
 	return a.finish(total), nil
 }

@@ -271,14 +271,14 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	mustFail("segments do not start where the stream does", tr)
 
 	// Hand-assembled: shapes the Builder refuses to make.
-	a := newAssembler(0)
+	a := newAssembler(0, 0, 0)
 	a.internal(nil, 0, 0)
 	a.bits.AppendRun(0, 3) // every element goes left: the 1-child is empty
 	a.leaf(nil, 0, 0)
 	a.leaf(nil, 0, 0)
 	mustFail("a leaf with no occurrence", a.finish(3))
 
-	a = newAssembler(0)
+	a = newAssembler(0, 0, 0)
 	a.internal(nil, 0, 0)
 	a.bits.AppendRun(0, 1)
 	a.bits.AppendRun(1, 1)
@@ -292,7 +292,7 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	a.leaf(nil, 0, 0)
 	mustFail("a child segment longer than its subsequence", a.finish(2))
 
-	a = newAssembler(0)
+	a = newAssembler(0, 0, 0)
 	a.internal(nil, 0, 0)
 	a.bits.AppendRun(0, 1)
 	a.bits.AppendRun(1, 1)

@@ -70,9 +70,17 @@ type assembler struct {
 	ones      uint64          // set bits in bits; whoever appends β keeps it current
 }
 
-// newAssembler returns an empty assembler with room for bitsHint β bits.
-func newAssembler(bitsHint int) *assembler {
-	return &assembler{labels: bitstr.NewBuilder(0), bits: bitstr.NewBuilder(bitsHint)}
+// newAssembler returns an empty assembler with room for a trie of so many
+// nodes, label bits and β bits; a trie that outgrows a hint grows past it.
+func newAssembler(nodes, labelBits, bits int) *assembler {
+	return &assembler{
+		degs:      make([]int, 0, nodes),
+		labelLens: make([]int, 0, nodes),
+		labels:    bitstr.NewBuilder(labelBits),
+		bvStarts:  make([]uint64, 0, nodes/2+1), // the internal nodes, and finish's sentinel
+		bvOnes:    make([]uint64, 0, nodes/2+1),
+		bits:      bitstr.NewBuilder(bits),
+	}
 }
 
 // leaf emits a leaf labeled with the n bits at bit offset off of words.
@@ -122,7 +130,7 @@ func (a *assembler) finish(n int) *Trie {
 // Freeze converts a pointer-based static Wavelet Trie into the succinct
 // representation.
 func Freeze(st *core.Static) *Trie {
-	a := newAssembler(st.TotalBitvectorBits())
+	a := newAssembler(0, 0, st.TotalBitvectorBits())
 	st.WalkPreorder(func(label bitstr.BitString, isLeaf bool, bv *rrr.Vector) {
 		if isLeaf {
 			a.leaf(label.Words(), 0, label.Len())

@@ -68,8 +68,16 @@
 // sequence header in the shard WALs and persisted in the ROUTER log
 // ahead of every flush — and cross-shard snapshots stitch per-shard
 // answers back into the single logical sequence by offset arithmetic
-// over it. OpenSharded recovers all shards in parallel and reconciles
-// the interleave from the ROUTER log plus the WAL sequence headers.
+// over it. A prefix's values hash apart, so a prefix enumeration is a
+// merge of the shards' streams: a seek finds, by interpolating over the
+// shards' summed prefix ranks, a cut of the global sequence with exactly
+// the wanted number of matches before it; from there one head per shard
+// is held, the smallest emitted and only its shard advanced, a value
+// decoded only for a match that is handed out — so a page of m matches
+// costs m + shards cursor steps whatever the shard count, and
+// SelectPrefix is that merge stopped at its first match (DESIGN.md §11).
+// OpenSharded recovers all shards in parallel and reconciles the
+// interleave from the ROUTER log plus the WAL sequence headers.
 //
 // # Columns
 //

@@ -235,35 +235,67 @@ func (v memView) sel(k *probe, idx int) (int, bool) {
 }
 
 // scan streams the view's matches of the prefix probe k from the from-th
-// on. Positions are extracted in batches, each under one read-lock
-// acquisition with the view's match count taken once; fn runs between
-// batches with no lock held, and val is a point read under its own. The
-// batch doubles from a few matches, so a consumer that stops early has
-// not paid for a long one. It returns the view's match count.
-func (v memView) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) (count int) {
-	cur := 0
-	val := func(dst []byte) []byte { return append(dst, v.Access(cur)...) }
-	var buf []int
-	for batch := 8; ; batch = min(2*batch, 512) {
-		buf = buf[:0]
-		v.m.mu.RLock()
-		count = v.rankLocked(k, v.n)
-		for j := from; j < min(from+batch, count); j++ {
-			pos, _ := v.m.trie.SelectPrefix(k.key, j)
-			buf = append(buf, pos)
+// on, off the view's cursor: fn runs between the cursor's batches, with no
+// lock held. It returns the view's match count.
+func (v memView) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int {
+	c := &memCursor{v: v, k: k}
+	c.seek(from)
+	val := c.value
+	for j := from; ; j++ {
+		pos, ok := c.next()
+		if !ok || !fn(j, pos, val) {
+			return c.n
 		}
-		v.m.mu.RUnlock()
-		for i, pos := range buf {
-			if cur = pos; !fn(from+i, pos, val) {
-				return count
-			}
-		}
-		if len(buf) < batch {
-			return count
-		}
-		from += batch
 	}
 }
+
+func (v memView) cursor(k *probe) matchCursor { return &memCursor{v: v, k: k} }
+
+// memCursor is the view's matches of a prefix probe behind a pull cursor.
+// Positions are extracted in batches, each under one read-lock acquisition
+// with the view's match count taken once; between batches no lock is held,
+// and value is a point read under its own. The batch doubles from a few
+// matches, so a consumer that stops early has not paid for a long one.
+type memCursor struct {
+	v     memView
+	k     *probe
+	n     int   // the view's match count, taken with the last batch
+	j     int   // index of the match next returns
+	buf   []int // the extracted positions, buf[i] being match j's
+	i     int
+	batch int
+	cur   int // position of the match next last returned
+}
+
+func (c *memCursor) rankAt(pos int) int { return c.v.rank(c.k, pos) }
+
+func (c *memCursor) seek(j int) { c.j, c.buf, c.i = j, c.buf[:0], 0 }
+
+func (c *memCursor) next() (int, bool) {
+	if c.i == len(c.buf) {
+		c.batch = min(max(2*c.batch, 8), 512)
+		c.buf, c.i = c.buf[:0], 0
+		m := c.v.m
+		m.mu.RLock()
+		c.n = c.v.rankLocked(c.k, c.v.n)
+		for j := c.j; j < min(c.j+c.batch, c.n); j++ {
+			pos, _ := m.trie.SelectPrefix(c.k.key, j)
+			c.buf = append(c.buf, pos)
+		}
+		m.mu.RUnlock()
+		if len(c.buf) == 0 {
+			return 0, false
+		}
+	}
+	c.cur = c.buf[c.i]
+	c.i++
+	c.j++
+	return c.cur, true
+}
+
+func (c *memCursor) value(dst []byte) []byte { return append(dst, c.v.Access(c.cur)...) }
+
+func (c *memCursor) close() {}
 
 // Iterate streams the elements of positions [l, r) of the view in
 // order, through the trie's slice-free enumerator. The walk is chunked:

@@ -238,6 +238,181 @@ func TestPrefixScanDifferential(t *testing.T) {
 	})
 }
 
+// TestShardedPrefixScanDifferential holds the sharded seek and merge to the
+// plain store and to the flat sequence, match for match, where the seek's
+// arithmetic has edges: views cut one short of, at and one past a router
+// chunk boundary and past a second one, each over generations and a live
+// unflushed tail, on 2 shards (all four views) and on 3 and 5 (two each). For a pool of prefixes — all
+// values, hot and cold hosts, a path, a whole value, an absent one — and
+// from every match index up to the count (a stride through the long
+// streams, dense around the chunk boundaries), SelectPrefix, ScanPrefix
+// and IteratePrefix pages of 1, 16 and 64 and ScanWhere pages must name
+// the oracle's positions and values; from two indexes of the longest view
+// the stream is also stopped at every length up to 70 and once run to its
+// end. An appender writes to the sharded store throughout: the views are
+// pinned.
+func TestShardedPrefixScanDifferential(t *testing.T) {
+	cuts := []int{routerChunkLen - 1, routerChunkLen, routerChunkLen + 1, 2*routerChunkLen + 1}
+	seq, rows := scanTestData(cuts[len(cuts)-1] + 4000)
+	schema := []ColumnSpec{{Name: "status", Kind: ColUint64}}
+	opts := Options{FlushThreshold: 1 << 20, DisableAutoFlush: true, Columns: schema}
+	preds := []Pred{{Col: 0, Op: PredGE, Val: 500}}
+	pool := []string{"", "host01", "host03.example/a1", "host2", "host40", seq[5], seq[7][:len(seq[7])-1], "nosuch.example"}
+	pages := []int{1, 16, 64}
+
+	plain := mustOpen(t, t.TempDir(), &opts)
+	defer plain.Close()
+	for _, shards := range []int{2, 3, 5} {
+		ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards, Store: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Grow both stores to each cut and pin a view there: a flush every
+		// 1 500 values, so each view ends in an unflushed tail.
+		var plainViews []*Snapshot
+		var views []*ShardedSnapshot
+		at := 0
+		for _, cut := range cuts {
+			for at < cut {
+				hi := min(at+1500, cut)
+				if shards == 2 {
+					if err := plain.AppendBatchRows(seq[at:hi], rows[at:hi]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := ss.AppendBatchRows(seq[at:hi], rows[at:hi]); err != nil {
+					t.Fatal(err)
+				}
+				if at = hi; at < cut {
+					if err := ss.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					if shards == 2 {
+						if err := plain.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if shards == 2 {
+				plainViews = append(plainViews, plain.Snapshot())
+			}
+			views = append(views, ss.Snapshot())
+		}
+		// The appender writes a batch each time a check below starts, and
+		// flushes now and then: concurrent with the scans, and no faster.
+		tick, done := make(chan struct{}, 1), make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; ; i++ {
+				if _, more := <-tick; !more {
+					return
+				}
+				lo := (at + 16*i) % (len(seq) - 16)
+				err := ss.AppendBatchRows(seq[lo:lo+16], rows[lo:lo+16])
+				if err == nil && i%64 == 63 {
+					err = ss.Flush()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for v, sn := range views {
+			if shards > 2 && v%2 == 0 {
+				continue // the other two views are enough of the same edges
+			}
+			n := cuts[v]
+			snaps := []scanSnap{sn}
+			if shards == 2 {
+				snaps = append(snaps, plainViews[v])
+			}
+			for _, p := range pool {
+				var want, wantErr []int
+				for pos, val := range seq[:n] {
+					if strings.HasPrefix(val, p) {
+						want = append(want, pos)
+						if rows[pos][0].U64() >= 500 {
+							wantErr = append(wantErr, pos)
+						}
+					}
+				}
+				// Every from when the stream is short; else a stride, the froms
+				// around each chunk boundary's first match and some whose page
+				// of 64 straddles it.
+				stride := 1 + len(want)/50
+				nearBoundary := func(from int) bool {
+					for b := routerChunkLen; b <= n; b += routerChunkLen {
+						if i := sort.SearchInts(want, b); from >= i-64 && from <= i+2 && (from >= i-2 || from%9 == 2) {
+							return true
+						}
+					}
+					return false
+				}
+				for _, sn := range snaps {
+					if sn.Len() != n || sn.CountPrefix(p) != len(want) {
+						t.Fatalf("%d shards, view of %d: Len %d, CountPrefix(%q) = %d, want %d", shards, n, sn.Len(), p, sn.CountPrefix(p), len(want))
+					}
+					page := func(what string, want []int, from, stop int, scan func(fn func(idx, pos int, v []byte) bool)) {
+						t.Helper()
+						got := 0
+						scan(func(idx, pos int, v []byte) bool {
+							if idx != from+got || idx >= len(want) || pos != want[idx] || (v != nil && string(v) != seq[pos]) {
+								t.Fatalf("%d shards, view of %d: %s(%q, %d) match %d is (%d, %d, %q); the sequence has %q", shards, n, what, p, from, got, idx, pos, v, seq[pos])
+							}
+							got++
+							return got != stop
+						})
+						if end := max(0, len(want)-from); got != min(end, stop) && !(stop <= 0 && got == end) {
+							t.Fatalf("%d shards, view of %d: %s(%q, %d) stopped after %d matches, want %d of %d", shards, n, what, p, from, got, stop, end)
+						}
+					}
+					scanPrefix := func(from int) func(fn func(idx, pos int, v []byte) bool) {
+						return func(fn func(idx, pos int, v []byte) bool) { sn.ScanPrefix(p, from, fn) }
+					}
+					for from := 0; from <= len(want)+1; from++ {
+						if from%stride != 0 && from < len(want)-1 && !nearBoundary(from) {
+							continue
+						}
+						select {
+						case tick <- struct{}{}:
+						default:
+						}
+						if pos, ok := sn.SelectPrefix(p, from); ok != (from < len(want)) || (ok && pos != want[from]) {
+							t.Fatalf("%d shards, view of %d: SelectPrefix(%q, %d) = %d, %v", shards, n, p, from, pos, ok)
+						}
+						stop := pages[from%len(pages)]
+						page("ScanPrefix", want, from, stop, scanPrefix(from))
+						page("IteratePrefix", want, from, stop, func(fn func(idx, pos int, v []byte) bool) {
+							sn.IteratePrefix(p, from, func(idx, pos int) bool { return fn(idx, pos, nil) })
+						})
+						if from <= len(wantErr)+1 {
+							page("ScanWhere", wantErr, from, stop, func(fn func(idx, pos int, v []byte) bool) {
+								if err := sn.ScanWhere(p, from, preds, fn); err != nil {
+									t.Fatal(err)
+								}
+							})
+						}
+					}
+					if v < len(views)-1 {
+						continue
+					}
+					for _, from := range []int{len(want) / 3, max(0, len(want)-40)} {
+						for stop := 1; stop <= 70; stop++ {
+							page("ScanPrefix", want, from, stop, scanPrefix(from))
+						}
+						page("ScanPrefix", want, from, -1, scanPrefix(from))
+					}
+				}
+			}
+		}
+		close(tick)
+		<-done
+		ss.Close()
+	}
+}
+
 // TestPrefixScanCallbackMayRead: scan callbacks and the value they call
 // run with no lock held, so reading the snapshot from inside one while an
 // appender hammers the live memtable must make progress (a nested RLock

@@ -88,3 +88,80 @@ func (f frozenSeg) scan(k *probe, from int, fn func(j, pos int, val valFn) bool)
 	runtime.KeepAlive(f.Frozen)
 	return count
 }
+
+// matchCursor is scan turned inside out: a segment's matches of one prefix
+// probe behind a pull cursor, which is what a merge of several streams
+// needs — it advances whichever one it emitted from, a match at a time.
+// Making one is the probe's descent into the segment; every method after
+// that works from what the descent remembered. A cursor is not safe for
+// concurrent use and holds no lock between calls.
+type matchCursor interface {
+	// rankAt counts the matches at positions before pos; it does not move
+	// the cursor.
+	rankAt(pos int) int
+	// seek makes match j (0-based) the one the following next returns.
+	seek(j int)
+	// next returns the position of the next match, ok=false past the last.
+	next() (pos int, ok bool)
+	// value appends to dst the value of the match next last returned.
+	value(dst []byte) []byte
+	// close ends the enumeration; the cursor must not be used after it.
+	close()
+}
+
+// frozenCursor is the trie's own PrefixCursor, holding the generation's
+// Frozen the way frozenSeg's methods do.
+type frozenCursor struct {
+	f *wavelettrie.Frozen
+	c *succinct.PrefixCursor
+	j int // index of the match next returns
+	// Where value assembles a match's bits; made by the first call (the
+	// cursor's walk keeps a builder's words reachable, so a buffer local to
+	// value would be allocated per match).
+	buf *[bitstr.KeyWords]uint64
+}
+
+func (f frozenSeg) cursor(k *probe) matchCursor {
+	fc := &frozenCursor{f: f.Frozen, c: f.t.PrefixCursor(k.bits)}
+	runtime.KeepAlive(f.Frozen)
+	return fc
+}
+
+func (fc *frozenCursor) rankAt(pos int) int {
+	n := fc.c.RankAt(pos)
+	runtime.KeepAlive(fc.f)
+	return n
+}
+
+func (fc *frozenCursor) seek(j int) {
+	fc.j = j
+	fc.c.Seek(j)
+}
+
+func (fc *frozenCursor) next() (int, bool) {
+	pos, ok := fc.c.Next()
+	runtime.KeepAlive(fc.f)
+	if ok {
+		fc.j++
+	}
+	return pos, ok
+}
+
+func (fc *frozenCursor) value(dst []byte) []byte {
+	if fc.buf == nil {
+		fc.buf = new([bitstr.KeyWords]uint64)
+	}
+	b := bitstr.BuilderOver(fc.buf[:])
+	fc.c.ValueInto(&b, fc.j-1)
+	out, err := bitstr.AppendDecoded(dst, b.View())
+	runtime.KeepAlive(fc.f)
+	if err != nil {
+		panic("store: internal corruption: " + err.Error())
+	}
+	return out
+}
+
+func (fc *frozenCursor) close() {
+	fc.c.Close()
+	runtime.KeepAlive(fc.f)
+}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	wavelettrie "repro"
 )
@@ -153,184 +152,161 @@ func (sn *ShardedSnapshot) CountPrefix(p string) int { return sn.RankPrefix(p, s
 
 // SelectPrefix returns the global position of the idx-th (0-based)
 // element with byte prefix p, with ok=false when there are not that
-// many. It is the prefix merge's seek run to completion: prefixLand
-// terminates exactly on the idx-th match, so the lookup needs no
-// per-shard select and no global binary search over the full sequence
-// — the degenerate k-way merge whose streams never produce a head.
-func (sn *ShardedSnapshot) SelectPrefix(p string, idx int) (int, bool) {
+// many: the prefix merge sought to idx and stopped at its first match.
+func (sn *ShardedSnapshot) SelectPrefix(p string, idx int) (at int, ok bool) {
 	if idx < 0 {
 		return 0, false
 	}
-	return sn.prefixLand(newProbe(p, true), idx)
-}
-
-// prefixLand finds the global position of the idx-th prefix match, with
-// found=false when there are fewer than idx+1 matches: a chunk-level
-// binary search over the router's sealed boundaries (the frozen prefix
-// sums hand every shard its local cut at a boundary for free), then a
-// position-level binary search inside the landing chunk, where router
-// rank maps any global position to per-shard cuts — O(1) in the frozen
-// region, a bounded slot scan in the tail. Total cost is
-// O(shards · log n) shard rank probes, confined to one chunk after the
-// boundary phase.
-func (sn *ShardedSnapshot) prefixLand(k *probe, idx int) (at int, found bool) {
-	if sn.n == 0 {
-		return 0, false
-	}
-	v := sn.r.view.Load()
-	bmax := min(len(v.cum)-1, sn.n>>routerChunkShift)
-	countAt := func(b int) int {
-		total := 0
-		for s, sh := range sn.shards {
-			total += sh.rank(k, int(v.cum[b][s]))
-		}
-		return total
-	}
-	b := sort.Search(bmax+1, func(b int) bool { return countAt(b) > idx }) - 1
-	lo, hi := b<<routerChunkShift, min(sn.n, (b+1)<<routerChunkShift)
-	countPos := func(pos int) int { return sn.rankPrefix(k, pos) }
-	// Smallest d with more than idx matches before lo+d, minus one, is
-	// the match itself; countAt(b) <= idx rules out d == 0. The match
-	// can also sit at hi-1 with every in-range probe false — one probe
-	// at hi distinguishes that from idx being past the last match.
-	d := sort.Search(hi-lo, func(d int) bool { return countPos(lo+d) > idx })
-	if d == hi-lo {
-		if countPos(hi) <= idx {
-			return 0, false
-		}
-		return hi - 1, true
-	}
-	return lo + d - 1, true
-}
-
-// seekPrefix positions a prefix merge exactly at the idx-th match: it
-// lands there with prefixLand, then derives each shard's local match
-// cursor at the landing position and the number of matches before it
-// (== idx whenever the match exists; when it does not, the cursors
-// exhaust every stream and the merge yields nothing). The merge resumes
-// with zero replay — no skipped matches are re-derived.
-func (sn *ShardedSnapshot) seekPrefix(k *probe, idx int) (j []int, before int) {
-	cut := sn.n
-	if at, found := sn.prefixLand(k, idx); found {
-		cut = at
-	}
-	j = make([]int, len(sn.shards))
-	for s, sh := range sn.shards {
-		j[s] = sh.rank(k, sn.r.rank(s, uint64(cut)))
-		before += j[s]
-	}
-	return j, before
-}
-
-// shardStream is one shard's side of the prefix merge: the shard's own
-// prefix cursor (Snapshot.scan), pulled a batch at a time into buf, with
-// local positions already mapped to global ones and the values' bytes
-// laid end to end in vals. keep, when non-nil, drops a candidate before it
-// is buffered; wantVals says whether values are wanted at all. Batches
-// double from a page's worth, so a merge that stops after one page has not
-// enumerated a shard far past it.
-type shardStream struct {
-	next  int // local match index the next refill starts at
-	batch int
-	buf   []shardMatch
-	vals  []byte
-	i     int  // buf[i] is the stream's head
-	more  bool // the last refill stopped on a full batch
-}
-
-type shardMatch struct {
-	pos int // global
-	end int // the value is vals[previous match's end : end]
-}
-
-// head returns the stream's current match: its global position and value.
-func (st *shardStream) head() (pos int, val []byte) {
-	lo := 0
-	if st.i > 0 {
-		lo = st.buf[st.i-1].end
-	}
-	return st.buf[st.i].pos, st.vals[lo:st.buf[st.i].end]
-}
-
-// refill pulls shard s's next batch of matches.
-func (sn *ShardedSnapshot) refill(st *shardStream, k *probe, s int, keep func(s, local int) bool, wantVals bool) {
-	st.buf, st.vals, st.i, st.more = st.buf[:0], st.vals[:0], 0, false
-	st.batch = min(max(2*st.batch, 32), 1024)
-	sn.shards[s].scan(k, st.next, func(j, local int, val valFn) bool {
-		st.next = j + 1
-		if keep != nil && !keep(s, local) {
-			return true
-		}
-		if wantVals {
-			st.vals = val(st.vals)
-		}
-		st.buf = append(st.buf, shardMatch{pos: sn.r.selectShard(s, local), end: len(st.vals)})
-		st.more = len(st.buf) == st.batch
-		return !st.more
+	sn.scan(newProbe(p, true), idx, nil, func(_, pos int, _ valFn) bool {
+		at, ok = pos, true
+		return false
 	})
+	return at, ok
 }
 
-// merge is the k-way merge behind every sharded prefix enumeration: each
-// shard streams its local matches from index j[s] on, the router's
-// selectShard maps them to global positions, and the smallest head wins
-// each round. fn returns false to stop; the value it is handed is valid
-// only during that call.
-func (sn *ShardedSnapshot) merge(k *probe, j []int, keep func(s, local int) bool, wantVals bool, fn func(pos int, val []byte) bool) {
-	streams := make([]shardStream, len(sn.shards))
-	for s := range streams {
-		streams[s].next = j[s]
-		sn.refill(&streams[s], k, s, keep, wantVals)
+// seekCut returns a position with exactly from matches before it, given
+// countAt, the matches before a position: 0 at 0, total (more than from)
+// at n, stepping by at most one a position — so the cut exists, just past
+// match from-1. A probe is aimed at the middle of the gap match from ends,
+// were the bracket's matches evenly spread: four probes on average then. A
+// probe that neither halves the bracket nor takes a match out of it is
+// followed by a bisection, and every eighth probe bisects regardless, so
+// no layout of matches costs more than 8·log₂ n.
+func seekCut(n, total, from int, countAt func(pos int) int) int {
+	lo, clo, hi, chi := 0, 0, n, total // countAt(lo) == clo <= from < chi == countAt(hi)
+	for step, bisect := 1, false; clo < from; step++ {
+		w, m := hi-lo, chi-clo
+		mid := lo + int(float64(w)*float64(2*(from-clo)+1)/float64(2*(m+1))) // no overflow, and any rounding is a valid probe
+		if bisect || step%8 == 0 {
+			mid = lo + w/2
+		}
+		mid = min(max(mid, lo+1), hi-1)
+		if c := countAt(mid); c <= from {
+			lo, clo = mid, c
+		} else {
+			hi, chi = mid, c
+		}
+		bisect = !bisect && 2*(hi-lo) > w && chi-clo == m
 	}
+	return lo
+}
+
+// scan is the one sharded prefix enumeration, seek then k-way merge: the
+// matches of the prefix probe k that keep admits (nil admits all), from
+// the from-th on, as (match index, global position, value on demand).
+//
+// The seek cuts the global sequence where exactly from matches lie before
+// (seekCut; the count before a position is a sum of snapCursor.rankAt) and
+// points every shard's cursor at the cut's local image, so nothing is
+// replayed. With a keep nothing is sought — the intersection has no counts
+// — and survivors before from are merged past, their values never read.
+//
+// The merge holds one head per shard — local position from the shard's
+// cursor, global from the router's selectShard — emits the smallest and
+// advances only the shard it came from. keep runs before a candidate
+// becomes a head and a value is decoded, through the emitting cursor, only
+// when fn asks: a page of m matches pulls at most m + shards and decodes m.
+func (sn *ShardedSnapshot) scan(k *probe, from int, keep func(s, local int) bool, fn func(idx, pos int, val valFn) bool) {
+	cur := make([]snapCursor, len(sn.shards))
+	nsegs := 0
+	for _, sh := range sn.shards {
+		nsegs += len(sh.segs)
+	}
+	segs := make([]segCursor, nsegs)
+	for s, sh := range sn.shards {
+		cur[s] = snapCursor{sn: sh, k: k, segs: segs[:len(sh.segs):len(sh.segs)]}
+		segs = segs[len(sh.segs):]
+	}
+	defer func() {
+		for s := range cur {
+			cur[s].close()
+		}
+	}()
+	idx := 0
+	if keep == nil && from > 0 {
+		total := 0
+		for s := range cur {
+			total += cur[s].rankAt(cur[s].sn.Len())
+		}
+		if from >= total {
+			return
+		}
+		// Every probe at or below from is the lowest cut so far; the shards'
+		// ranks at the last of them are where their streams start.
+		ranks := make([]int, 2*len(cur))
+		at, last := ranks[:len(cur)], ranks[len(cur):]
+		seekCut(sn.n, total, from, func(pos int) (c int) {
+			for s := range cur {
+				last[s] = cur[s].rankAt(sn.r.rank(s, uint64(pos)))
+				c += last[s]
+			}
+			if c <= from {
+				copy(at, last)
+			}
+			return c
+		})
+		for s := range cur {
+			cur[s].seek(at[s])
+		}
+		idx = from
+	}
+	// heads[s] is the global position of shard s's current match, negative
+	// when it has none left.
+	heads := make([]int, len(cur))
+	pull := func(s int) {
+		for heads[s] = -1; heads[s] < 0; {
+			local, ok := cur[s].next()
+			if !ok {
+				return
+			}
+			if keep == nil || keep(s, local) {
+				heads[s] = sn.r.selectShard(s, local)
+			}
+		}
+	}
+	for s := range cur {
+		pull(s)
+	}
+	best := 0
+	val := func(dst []byte) []byte { return cur[best].value(dst) }
 	for {
-		best := -1
-		for s := range streams {
-			if st := &streams[s]; st.i < len(st.buf) && (best < 0 || st.buf[st.i].pos < streams[best].buf[streams[best].i].pos) {
+		best = -1
+		for s, h := range heads {
+			if h >= 0 && (best < 0 || h < heads[best]) {
 				best = s
 			}
 		}
-		if best < 0 {
+		if idx++; best < 0 || idx > from && !fn(idx-1, heads[best], val) {
 			return
 		}
-		st := &streams[best]
-		if !fn(st.head()) {
-			return
-		}
-		if st.i++; st.i == len(st.buf) && st.more {
-			sn.refill(st, k, best, keep, wantVals)
-		}
+		pull(best)
 	}
 }
 
 // IteratePrefix streams the global positions of elements with byte
 // prefix p, in ascending order, starting from the from-th (0-based)
 // match; fn receives the match index and global position and returns
-// false to stop. The walk is a k-way merge over per-shard streams: each
-// shard runs its own prefix cursor from the local index seekPrefix
-// derived, in batches, so a stream of m matches costs m monotone cursor
-// steps and router selects — no shard select or descent per match — and
-// the from offset is skipped by the exact seek rather than replayed. It
-// panics if from is negative.
+// false to stop. The walk is the seek and k-way merge of scan: the from
+// offset is skipped by the seek rather than replayed, and a stream of m
+// matches costs m monotone cursor steps and router selects — no shard
+// select or descent per match. It panics if from is negative.
 func (sn *ShardedSnapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	sn.scanPrefix(p, from, false, func(idx, pos int, _ []byte) bool { return fn(idx, pos) })
+	sn.scanPrefix(p, from, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
 // ScanPrefix is IteratePrefix that also hands fn each match's value,
-// streamed from the shards' cursors: v is the value's bytes, valid only
-// during that call of fn (see Snapshot.ScanPrefix).
+// decoded through the cursor of the shard it was emitted from: v is the
+// value's bytes, valid only during that call of fn (see
+// Snapshot.ScanPrefix).
 func (sn *ShardedSnapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool) {
-	sn.scanPrefix(p, from, true, fn)
+	sn.scanPrefix(p, from, withValue(fn))
 }
 
-func (sn *ShardedSnapshot) scanPrefix(p string, from int, vals bool, fn func(idx, pos int, v []byte) bool) {
+func (sn *ShardedSnapshot) scanPrefix(p string, from int, fn func(idx, pos int, val valFn) bool) {
 	if from < 0 {
 		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
 	}
-	k := newProbe(p, true)
-	j, idx := sn.seekPrefix(k, from)
-	sn.merge(k, j, nil, vals, func(pos int, v []byte) bool {
-		idx++
-		return fn(idx-1, pos, v)
-	})
+	sn.scan(newProbe(p, true), from, nil, fn)
 }
 
 // Schema returns the shards' shared column schema (nil when the store
@@ -383,56 +359,43 @@ func (sn *ShardedSnapshot) CountWhere(prefix string, preds ...Pred) (int, error)
 // predicates and the k-way merge interleaves the survivors. See
 // Snapshot.IterateWhere for the from-resume cost caveat.
 func (sn *ShardedSnapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	return sn.where(prefix, from, preds, false, func(idx, pos int, _ []byte) bool { return fn(idx, pos) })
+	return sn.where(prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
 // ScanWhere is IterateWhere that also hands fn each match's value; see
 // Snapshot.ScanWhere.
 func (sn *ShardedSnapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error {
-	return sn.where(prefix, from, preds, true, fn)
+	return sn.where(prefix, from, preds, withValue(fn))
 }
 
-func (sn *ShardedSnapshot) where(prefix string, from int, preds []Pred, vals bool, fn func(idx, pos int, v []byte) bool) error {
+func (sn *ShardedSnapshot) where(prefix string, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) error {
 	if from < 0 {
 		return fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
 	if err := validatePreds(sn.schema, preds); err != nil {
 		return err
 	}
-	if len(preds) == 0 && prefix != "" {
-		sn.scanPrefix(prefix, from, vals, fn)
-		return nil
-	}
 	keep := func(s, local int) bool { return sn.shards[s].matchAt(local, preds) }
-	idx := 0
-	if prefix == "" {
-		// No prefix node to stream from: a surviving position's value is
-		// a point read on its shard.
-		var v []byte
-		for pos := 0; pos < sn.n; pos++ {
-			s, local := sn.r.locate(uint64(pos))
-			if !keep(s, local) {
-				continue
-			}
-			if idx >= from {
-				if vals {
-					v = append(v[:0], sn.shards[s].Access(local)...)
-				}
-				if !fn(idx, pos, v) {
-					break
-				}
-			}
-			idx++
+	if prefix != "" {
+		if len(preds) == 0 {
+			keep = nil // a plain prefix scan, which seeks
 		}
+		sn.scan(newProbe(prefix, true), from, keep, fn)
 		return nil
 	}
-	// Survivors before from are merged past, not sought: their values
-	// are wanted only once idx reaches it, which the streams cannot know,
-	// so a deep from pays for them (the caveat IterateWhere documents).
-	sn.merge(newProbe(prefix, true), make([]int, len(sn.shards)), keep, vals, func(pos int, v []byte) bool {
+	// No prefix node to stream from: a surviving position's value is a
+	// point read on its shard.
+	s, local := 0, 0
+	val := func(dst []byte) []byte { return append(dst, sn.shards[s].Access(local)...) }
+	for idx, pos := 0, 0; pos < sn.n; pos++ {
+		if s, local = sn.r.locate(uint64(pos)); !keep(s, local) {
+			continue
+		}
+		if idx >= from && !fn(idx, pos, val) {
+			break
+		}
 		idx++
-		return idx <= from || fn(idx-1, pos, v)
-	})
+	}
 	return nil
 }
 

@@ -27,6 +27,8 @@ type segment interface {
 	// val run with no lock held. It returns k's match count in the
 	// segment, which finding the matches finds anyway.
 	scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int
+	// cursor opens the same matches as a pull cursor; see matchCursor.
+	cursor(k *probe) matchCursor
 	Iterate(l, r int, fn func(pos int, s string) bool)
 	// alphabet adds the trie behind the segment to the union
 	// Snapshot.AlphabetSize walks — the whole trie, whatever a view's clamp.
@@ -364,6 +366,91 @@ func (sn *Snapshot) scan(k *probe, from int, fn func(idx, pos int, val valFn) bo
 	}
 }
 
+// snapCursor is scan as a pull cursor: the snapshot's matches of a prefix
+// probe in position order, one at a time, from a matchCursor per segment —
+// what the sharded merge drives, one per shard. A segment is descended when
+// first needed: for its match count, label-only, when a rank only passes
+// over it; for its cursor when a rank falls inside it or the stream
+// reaches it — so at most twice. Not safe for concurrent use.
+type snapCursor struct {
+	sn   *Snapshot
+	k    *probe
+	segs []segCursor // one per segment
+	i    int         // the segment the stream is in
+}
+
+type segCursor struct {
+	matchCursor     // nil until made
+	n           int // the segment's match count plus one; 0 until asked for
+}
+
+func (c *snapCursor) seg(i int) matchCursor {
+	if c.segs[i].matchCursor == nil {
+		c.segs[i].matchCursor = c.sn.segs[i].cursor(c.k)
+	}
+	return c.segs[i].matchCursor
+}
+
+// count returns segment i's match count, remembered from one probe of a
+// seek to the next.
+func (c *snapCursor) count(i int) int {
+	if c.segs[i].n == 0 {
+		seg := c.sn.segs[i]
+		c.segs[i].n = 1 + seg.rank(c.k, seg.Len())
+	}
+	return c.segs[i].n - 1
+}
+
+// rankAt counts the matches at positions before pos: the counts of the
+// segments wholly before it and a rank along the remembered path in the
+// one that holds it.
+func (c *snapCursor) rankAt(pos int) int {
+	total := 0
+	for i, off := range c.sn.offs[:len(c.segs)] {
+		switch {
+		case pos <= off:
+			return total
+		case pos < c.sn.offs[i+1]:
+			return total + c.seg(i).rankAt(pos-off)
+		}
+		total += c.count(i)
+	}
+	return total
+}
+
+// seek makes match j (0-based) the one next returns.
+func (c *snapCursor) seek(j int) {
+	for c.i = 0; c.i < len(c.segs); c.i++ {
+		n := c.count(c.i)
+		if j < n {
+			c.seg(c.i).seek(j)
+			return
+		}
+		j -= n
+	}
+}
+
+// next returns the position of the next match, ok=false past the last.
+func (c *snapCursor) next() (pos int, ok bool) {
+	for ; c.i < len(c.segs); c.i++ {
+		if pos, ok := c.seg(c.i).next(); ok {
+			return c.sn.offs[c.i] + pos, true
+		}
+	}
+	return 0, false
+}
+
+// value appends to dst the value of the match next last returned.
+func (c *snapCursor) value(dst []byte) []byte { return c.segs[c.i].value(dst) }
+
+func (c *snapCursor) close() {
+	for _, sc := range c.segs {
+		if sc.matchCursor != nil {
+			sc.close()
+		}
+	}
+}
+
 // Iterate streams the elements of positions [l, r) in order, stopping
 // early if fn returns false. Frozen generations are walked with their
 // streaming enumerator (one trie walk per generation instead of one
@@ -663,6 +750,21 @@ func (c clampSeg) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) 
 		return pos < c.n && fn(j, pos, val)
 	})
 	return c.rank(k, c.n)
+}
+
+// cursor bounds the segment's cursor the way scan bounds its stream.
+func (c clampSeg) cursor(k *probe) matchCursor { return clampCursor{c.segment.cursor(k), c.n} }
+
+type clampCursor struct {
+	matchCursor
+	n int
+}
+
+func (c clampCursor) rankAt(pos int) int { return c.matchCursor.rankAt(min(pos, c.n)) }
+
+func (c clampCursor) next() (int, bool) {
+	pos, ok := c.matchCursor.next()
+	return pos, ok && pos < c.n
 }
 
 // Iterate streams [l, r) within the clamped prefix.
