@@ -109,7 +109,10 @@
 // The implementation is stdlib-only. Internal packages implement every
 // substrate from scratch: RRR bitvectors, the §4.1 append-only bitvector,
 // the §4.2 dynamic RLE+γ bitvector, dynamic Patricia tries, Elias-Fano
-// partial sums, Elias γ/δ codes, and DFUDS succinct trees. See DESIGN.md
+// partial sums, Elias γ/δ codes, and balanced-parentheses succinct trees
+// (the strictly binary trie's shape is one bit a node). A snapshot written
+// by an older format version is refused by version, never converted. See
+// DESIGN.md
 // for the substrate inventory, the substitution table, the wire-format
 // reference, and the index of the cmd/wtbench experiments that reproduce
 // every bound in the paper's Table 1.

@@ -9,8 +9,9 @@ import (
 )
 
 // Frozen is a static Wavelet Trie in the paper's §3 fully-succinct
-// encoding: a DFUDS tree, delimited concatenated labels and one
-// concatenated RRR bitvector — no pointers at all. It supports the five
+// encoding: the trie's shape at one bit a node, delimited concatenated
+// labels and one concatenated RRR bitvector whose ranks count from each
+// node's own segment — no pointers at all. It supports the five
 // primitive operations at the same O(|s|+h_s) cost as Static, can be
 // serialized byte-for-byte (MarshalBinary) and reloaded (LoadFrozen), and
 // is the smallest representation in the repository.

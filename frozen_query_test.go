@@ -153,10 +153,10 @@ func probeKeys(vals []string) []string {
 	return keys
 }
 
-// goldenSeq is the sequence testdata/frozen_v3.golden was marshalled
-// from, by the commit before the descent kernel was rewritten: a URL log
-// plus the edge shapes — the empty string, a chain of proper prefixes,
-// and a key longer than the 256-byte stack buffer.
+// goldenSeq is the sequence testdata/frozen_v4.golden was marshalled
+// from, by the commit that introduced trie format v4: a URL log plus the
+// edge shapes — the empty string, a chain of proper prefixes, and a key
+// longer than the 256-byte stack buffer.
 func goldenSeq() []string {
 	seq := workload.URLLog(3000, 7, workload.DefaultURLConfig())
 	long := make([]byte, 300)
@@ -166,13 +166,13 @@ func goldenSeq() []string {
 	return append(seq, "", "a", "ab", "abc", string(long), "", "ab")
 }
 
-// TestFrozenGoldenV3 pins the on-disk format: a file written by the
-// previous implementation's MarshalBinary must load (validating, trusted
-// and zero-copy), answer every query like the flat model, re-marshal to
-// the same bytes, and equal what today's encoders produce for the same
-// sequence.
-func TestFrozenGoldenV3(t *testing.T) {
-	golden, err := os.ReadFile("testdata/frozen_v3.golden")
+// TestFrozenGoldenV4 pins the on-disk format (container version 3, trie
+// wire version 4): a file written when the format was introduced must
+// load (validating, trusted and zero-copy), answer every query like the
+// flat model, re-marshal to the same bytes, and equal what today's
+// encoders produce for the same sequence.
+func TestFrozenGoldenV4(t *testing.T) {
+	golden, err := os.ReadFile("testdata/frozen_v4.golden")
 	if err != nil {
 		t.Fatal(err)
 	}

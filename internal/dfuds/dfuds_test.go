@@ -1,6 +1,7 @@
 package dfuds
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -129,140 +130,124 @@ func TestPanicsOnWrongParen(t *testing.T) {
 	}
 }
 
-// refTree is a pointer tree used to verify DFUDS navigation.
-type refTree struct {
-	kids [][]int // children of node i (preorder ids)
-}
-
-// randomTree generates a random tree with k nodes in preorder.
-func randomTree(r *rand.Rand, k int, maxDeg int) *refTree {
-	rt := &refTree{kids: make([][]int, k)}
-	// Assign children by a preorder construction: node i's children are
-	// the next nodes in sequence, recursively.
-	next := 1
-	var build func(v int)
-	build = func(v int) {
-		if next >= k {
-			return
-		}
-		deg := r.Intn(maxDeg + 1)
-		for c := 0; c < deg && next < k; c++ {
-			child := next
-			next++
-			rt.kids[v] = append(rt.kids[v], child)
-			build(child)
-		}
-	}
-	build(0)
-	// Attach any unplaced nodes under the root to keep k nodes total.
-	for next < k {
-		rt.kids[0] = append(rt.kids[0], next)
-		next++
-	}
-	return rt
-}
-
-func (rt *refTree) degrees() []int {
-	out := make([]int, len(rt.kids))
-	for i, k := range rt.kids {
-		out[i] = len(k)
-	}
-	return out
-}
-
-func TestTreeNavigationAgainstReference(t *testing.T) {
-	r := rand.New(rand.NewSource(151))
-	for _, k := range []int{1, 2, 3, 10, 100, 2000} {
-		for _, maxDeg := range []int{1, 2, 3, 8} {
-			rt := randomTree(r, k, maxDeg)
-			tr := FromDegrees(rt.degrees())
-			if tr.NumNodes() != k {
-				t.Fatalf("NumNodes=%d want %d", tr.NumNodes(), k)
-			}
-			// Round trip preorder <-> position, degrees, children, parents.
-			parentOf := make([]int, k)
-			parentOf[0] = -1
-			for v, kids := range rt.kids {
-				for _, c := range kids {
-					parentOf[c] = v
-				}
-			}
-			for i := 0; i < k; i++ {
-				v := tr.NodePos(i)
-				if tr.Preorder(v) != i {
-					t.Fatalf("Preorder(NodePos(%d)) = %d", i, tr.Preorder(v))
-				}
-				if got, want := tr.Degree(v), len(rt.kids[i]); got != want {
-					t.Fatalf("Degree(node %d) = %d want %d", i, got, want)
-				}
-				if tr.IsLeaf(v) != (len(rt.kids[i]) == 0) {
-					t.Fatalf("IsLeaf(node %d)", i)
-				}
-				for ci, c := range rt.kids[i] {
-					cp := tr.Child(v, ci)
-					if tr.Preorder(cp) != c {
-						t.Fatalf("Child(node %d, %d) = node %d want %d", i, ci, tr.Preorder(cp), c)
-					}
-					if tr.Parent(cp) != v {
-						t.Fatalf("Parent(node %d) wrong", c)
-					}
-					if tr.ChildIndex(cp) != ci {
-						t.Fatalf("ChildIndex(node %d) = %d want %d", c, tr.ChildIndex(cp), ci)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestBinaryTrieShape(t *testing.T) {
-	// The shape the Wavelet Trie uses: every internal node has exactly 2
-	// children. k = 2m-1 nodes for m leaves → 2k+1 paren bits.
-	degs := []int{2, 2, 0, 0, 2, 0, 0} // root(A,B): A(l,l), B(l,l) in preorder
-	tr := FromDegrees(degs)
-	root := tr.Root()
-	a := tr.Child(root, 0)
-	b := tr.Child(root, 1)
-	if tr.Preorder(a) != 1 || tr.Preorder(b) != 4 {
-		t.Fatalf("children preorders %d %d", tr.Preorder(a), tr.Preorder(b))
-	}
-	if !tr.IsLeaf(tr.Child(a, 0)) || !tr.IsLeaf(tr.Child(b, 1)) {
-		t.Fatal("leaves expected")
-	}
-	// 2k parens total: k closes, k-1 unary-degree opens, 1 leading open.
-	if tr.p.Len() != 2*len(degs) {
-		t.Fatalf("paren length %d want %d", tr.p.Len(), 2*len(degs))
-	}
-}
-
-// binaryDegrees returns the preorder degree sequence of a strictly
-// binary tree with the given number of internal nodes, whose shape is
-// chosen by pick: at an internal node with m internal nodes left to
-// place below it, pick(m) of them go into the 0-subtree.
-func binaryDegrees(internals int, pick func(m int) int) []int {
-	var degs []int
+// binaryShape returns the preorder internal(1)/leaf(0) sequence of a
+// strictly binary tree with the given number of internal nodes, whose
+// shape is chosen by pick: at an internal node with m internal nodes left
+// to place below it, pick(m) of them go into the 0-subtree.
+func binaryShape(internals int, pick func(m int) int) []byte {
+	var shape []byte
 	// Explicit stack: chains are thousands of nodes deep.
 	stack := []int{internals}
 	for len(stack) > 0 {
 		m := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if m == 0 {
-			degs = append(degs, 0)
+			shape = append(shape, 0)
 			continue
 		}
-		degs = append(degs, 2)
+		shape = append(shape, 1)
 		left := pick(m - 1)
 		stack = append(stack, m-1-left, left) // 0-subtree pops first
 	}
-	return degs
+	return shape
 }
 
-// TestBinaryShortcutsAgainstGeneralNavigation walks strictly binary
-// trees with the general Degree/Child/Preorder navigation and checks the
-// position-arithmetic shortcuts land on the same node, preorder id and
-// internal index everywhere — on left- and right-deep chains whose
-// parentheses run well past one 4 096-bit superblock of the excess
-// index, and on random shapes.
+// treeOf builds the Tree of a preorder shape.
+func treeOf(shape []byte) *Tree {
+	b := bitvec.NewBuilder(len(shape) + 1)
+	b.AppendBit(1)
+	for _, x := range shape {
+		b.AppendBit(x)
+	}
+	return NewTree(b.Build())
+}
+
+// checkNavigation walks tr from the root with BinaryChild and checks every
+// node against the shape read naively: the children of the internal node
+// with preorder number i are node i+1 and the node right after i's
+// 0-subtree, found by counting leaves against internal nodes; a node's
+// Internal is the number of 1s before it.
+func checkNavigation(t *testing.T, name string, tr *Tree, shape []byte) {
+	t.Helper()
+	k := len(shape)
+	if tr.NumNodes() != k || !tr.WellFormed() {
+		t.Fatalf("%s: NumNodes = %d (want %d), WellFormed = %v", name, tr.NumNodes(), k, tr.WellFormed())
+	}
+	// end[i] = preorder number one past node i's subtree, right to left.
+	end := make([]int, k)
+	for i := k - 1; i >= 0; i-- {
+		end[i] = i + 1
+		if shape[i] == 1 {
+			end[i] = end[end[i+1]]
+		}
+	}
+	internalsBefore := make([]int, k+1)
+	for i, x := range shape {
+		internalsBefore[i+1] = internalsBefore[i] + int(x)
+	}
+	stack := []BinaryNode{tr.BinaryRoot()}
+	visited := 0
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n.ID() != visited || n.Pos != visited+1 {
+			t.Fatalf("%s: visit %d reached node %d at %d", name, visited, n.ID(), n.Pos)
+		}
+		visited++
+		if n.Internal != internalsBefore[n.ID()] {
+			t.Fatalf("%s: node %d internal index %d, want %d", name, n.ID(), n.Internal, internalsBefore[n.ID()])
+		}
+		if tr.IsLeaf(n.Pos) != (shape[n.ID()] == 0) {
+			t.Fatalf("%s: IsLeaf(node %d) = %v", name, n.ID(), tr.IsLeaf(n.Pos))
+		}
+		if tr.IsLeaf(n.Pos) {
+			continue
+		}
+		c0, c1 := tr.BinaryChild(n, 0), tr.BinaryChild(n, 1)
+		if c0.ID() != n.ID()+1 || c1.ID() != end[n.ID()+1] {
+			t.Fatalf("%s: children of node %d are nodes %d and %d, want %d and %d", name, n.ID(), c0.ID(), c1.ID(), n.ID()+1, end[n.ID()+1])
+		}
+		stack = append(stack, c1, c0) // the 0-child pops first: preorder
+	}
+	if visited != k {
+		t.Fatalf("%s: visited %d nodes, want %d", name, visited, k)
+	}
+}
+
+func TestTreeNavigationAgainstReference(t *testing.T) {
+	r := rand.New(rand.NewSource(151))
+	for _, internals := range []int{0, 1, 2, 5, 31, 32, 33, 100, 2000} {
+		for trial := 0; trial < 4; trial++ {
+			shape := binaryShape(internals, func(m int) int { return r.Intn(m + 1) })
+			checkNavigation(t, fmt.Sprintf("%d internal nodes", internals), treeOf(shape), shape)
+		}
+	}
+}
+
+func TestBinaryTrieShape(t *testing.T) {
+	// The shape the Wavelet Trie uses: every internal node has exactly 2
+	// children. k = 2m-1 nodes for m leaves → k+1 bitmap bits.
+	shape := []byte{1, 1, 0, 0, 1, 0, 0} // root(A,B): A(l,l), B(l,l) in preorder
+	tr := treeOf(shape)
+	root := tr.BinaryRoot()
+	a := tr.BinaryChild(root, 0)
+	b := tr.BinaryChild(root, 1)
+	if a.ID() != 1 || b.ID() != 4 || a.Internal != 1 || b.Internal != 2 {
+		t.Fatalf("children %+v %+v", a, b)
+	}
+	if !tr.IsLeaf(tr.BinaryChild(a, 0).Pos) || !tr.IsLeaf(tr.BinaryChild(b, 1).Pos) {
+		t.Fatal("leaves expected")
+	}
+	if tr.p.Len() != len(shape)+1 {
+		t.Fatalf("bitmap length %d want %d", tr.p.Len(), len(shape)+1)
+	}
+}
+
+// TestBinaryShortcutsAgainstGeneralNavigation walks strictly binary trees
+// by position arithmetic and checks every node, child and internal index
+// against the shape read naively — on left- and right-deep chains whose
+// bitmaps run well past one 4 096-bit superblock of the excess index, and
+// on random shapes.
 func TestBinaryShortcutsAgainstGeneralNavigation(t *testing.T) {
 	r := rand.New(rand.NewSource(153))
 	shapes := map[string]func(m int) int{
@@ -273,47 +258,48 @@ func TestBinaryShortcutsAgainstGeneralNavigation(t *testing.T) {
 		"skewed":     func(m int) int { return min(m, r.Intn(4)) },
 	}
 	for name, pick := range shapes {
-		const internals = 3000 // 6001 nodes, 12 002 parens: three superblocks
-		tr := FromDegrees(binaryDegrees(internals, pick))
+		const internals = 6000 // 12 001 nodes, 12 002 bits: three superblocks
+		shape := binaryShape(internals, pick)
+		tr := treeOf(shape)
 		if tr.p.Len() < 2*superBits {
-			t.Fatalf("%s: only %d parens, want more than two superblocks", name, tr.p.Len())
+			t.Fatalf("%s: only %d bits, want more than two superblocks", name, tr.p.Len())
 		}
-		seenInternal := 0
-		stack := []BinaryNode{tr.BinaryRoot()}
-		visited := 0
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			visited++
-			if got := tr.Preorder(n.Pos); got != n.ID {
-				t.Fatalf("%s: node at %d has preorder %d, shortcut says %d", name, n.Pos, got, n.ID)
-			}
-			if tr.NodePos(n.ID) != n.Pos {
-				t.Fatalf("%s: NodePos(%d) = %d, shortcut position %d", name, n.ID, tr.NodePos(n.ID), n.Pos)
-			}
-			if tr.IsLeaf(n.Pos) {
-				if tr.Degree(n.Pos) != 0 {
-					t.Fatalf("%s: leaf with degree %d", name, tr.Degree(n.Pos))
-				}
-				continue
-			}
-			// Preorder visits internal nodes in internal-index order.
-			if got := n.InternalIndex(); got != seenInternal {
-				t.Fatalf("%s: node %d internal index %d, want %d", name, n.ID, got, seenInternal)
-			}
-			seenInternal++
-			for bit := byte(0); bit < 2; bit++ {
-				c := tr.BinaryChild(n, bit)
-				if want := tr.Child(n.Pos, int(bit)); c.Pos != want {
-					t.Fatalf("%s: BinaryChild(node %d, %d) at %d, Child says %d", name, n.ID, bit, c.Pos, want)
-				}
-			}
-			// 1-child first so the 0-child pops first: preorder.
-			stack = append(stack, tr.BinaryChild(n, 1), tr.BinaryChild(n, 0))
+		checkNavigation(t, name, tr, shape)
+	}
+}
+
+// TestWellFormed: exactly the preorder bitmaps of one strictly binary
+// tree behind a leading 1 pass.
+func TestWellFormed(t *testing.T) {
+	for _, tc := range []struct {
+		bits []byte
+		want bool
+	}{
+		{[]byte{1, 0}, true},
+		{[]byte{1, 1, 0, 0}, true},
+		{[]byte{0, 0}, false},                   // no leading open
+		{[]byte{1, 1}, false},                   // never closed
+		{[]byte{1, 1, 0}, false},                // a child missing
+		{[]byte{1, 0, 0}, false},                // a forest: closed before the end
+		{[]byte{1, 0, 1, 0, 0}, false},          // the same, with a tree behind
+		{[]byte{1, 1, 1, 0, 0, 0, 0, 0}, false}, // a leaf too many
+	} {
+		b := bitvec.NewBuilder(len(tc.bits))
+		for _, x := range tc.bits {
+			b.AppendBit(x)
 		}
-		if visited != tr.NumNodes() || seenInternal != internals {
-			t.Fatalf("%s: visited %d nodes (%d internal), want %d (%d)", name, visited, seenInternal, tr.NumNodes(), internals)
+		if got := NewTree(b.Build()).WellFormed(); got != tc.want {
+			t.Errorf("WellFormed(%v) = %v, want %v", tc.bits, got, tc.want)
 		}
+	}
+	// A long chain cut one leaf short, and one with a stray leaf at the
+	// front of the last word.
+	shape := binaryShape(5000, func(m int) int { return m })
+	if treeOf(shape[:len(shape)-1]).WellFormed() {
+		t.Error("a chain missing its last leaf is well-formed")
+	}
+	if treeOf(append(shape, 0)).WellFormed() {
+		t.Error("a chain with a leaf too many is well-formed")
 	}
 }
 

@@ -5,26 +5,20 @@ import (
 	"repro/internal/wire"
 )
 
-// EncodeTo serializes the tree into w: node count plus raw parentheses;
-// the excess index is rebuilt on decode.
-func (t *Tree) EncodeTo(w *wire.Writer) {
-	w.Int(t.k)
-	t.p.bv.EncodeTo(w)
-}
+// EncodeTo serializes the tree into w: the bitmap alone; the excess index
+// is rebuilt on decode.
+func (t *Tree) EncodeTo(w *wire.Writer) { t.p.bv.EncodeTo(w) }
 
-// DecodeTree reads a tree serialized by EncodeTo; errors are recorded on r.
+// DecodeTree reads a tree serialized by EncodeTo; errors are recorded on
+// r. Only the bitmap's length is checked: whether it is a tree is
+// WellFormed's to say.
 func DecodeTree(r *wire.Reader) *Tree {
-	k := r.Int()
 	bv := bitvec.DecodeFrom(r)
-	want := 2 * k // k closes + k-1 degree opens + 1 leading open
-	if k == 0 {
-		want = 1 // just the leading open
-	}
-	if r.Err() == nil && bv.Len() != want {
-		r.Fail("dfuds: %d paren bits for %d nodes, want %d", bv.Len(), k, want)
+	if r.Err() == nil && bv.Len() < 2 {
+		r.Fail("dfuds: a tree bitmap of %d bits holds no node", bv.Len())
 	}
 	if r.Err() != nil {
-		return FromDegrees(nil)
+		return NewTree(bitvec.FromWords([]uint64{0b01}, 2)) // one leaf
 	}
-	return &Tree{p: NewParens(bv), k: k}
+	return &Tree{p: NewParens(bv)}
 }

@@ -4,64 +4,50 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/wire"
 )
 
 func TestTreeEncodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(220))
-	for _, k := range []int{0, 1, 5, 500} {
-		rt := randomTree(r, k, 3)
-		var tr *Tree
-		if k == 0 {
-			tr = FromDegrees(nil)
-		} else {
-			tr = FromDegrees(rt.degrees())
-		}
+	for _, internals := range []int{0, 2, 250} {
+		shape := binaryShape(internals, func(m int) int { return r.Intn(m + 1) })
 		w := wire.NewWriter(1, 1)
-		tr.EncodeTo(w)
+		treeOf(shape).EncodeTo(w)
 		rd, _ := wire.NewReader(w.Bytes(), 1, 1)
 		got := DecodeTree(rd)
 		if err := rd.Done(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+			t.Fatalf("%d internal nodes: %v", internals, err)
 		}
-		if got.NumNodes() != k {
-			t.Fatalf("k=%d: NumNodes=%d", k, got.NumNodes())
-		}
-		if k > 0 {
-			// Navigation identical on a sample of nodes.
-			for i := 0; i < k; i += 1 + k/17 {
-				a, b := tr.NodePos(i), got.NodePos(i)
-				if a != b || tr.Degree(a) != got.Degree(b) {
-					t.Fatalf("k=%d node %d differs after round trip", k, i)
-				}
-			}
-		}
+		checkNavigation(t, "decoded", got, shape)
 	}
 }
 
 func TestDecodeTreeRejectsShapeMismatch(t *testing.T) {
-	tr := FromDegrees([]int{2, 0, 0})
+	// A bitmap too short to hold the leading open and a node.
 	w := wire.NewWriter(1, 1)
-	tr.EncodeTo(w)
-	buf := w.Bytes()
-	// Bump the node count header (bytes 6..14).
-	buf[6] = 9
-	rd, _ := wire.NewReader(buf, 1, 1)
+	bitvec.FromWords([]uint64{1}, 1).EncodeTo(w)
+	rd, _ := wire.NewReader(w.Bytes(), 1, 1)
 	DecodeTree(rd)
 	if rd.Err() == nil {
-		t.Fatal("node-count/paren mismatch accepted")
+		t.Fatal("a one-bit bitmap accepted")
+	}
+	// Truncation.
+	w = wire.NewWriter(1, 1)
+	treeOf([]byte{1, 0, 0}).EncodeTo(w)
+	rd, _ = wire.NewReader(w.Bytes()[:len(w.Bytes())-3], 1, 1)
+	DecodeTree(rd)
+	if rd.Err() == nil {
+		t.Fatal("truncated input accepted")
 	}
 }
 
 func TestTreePanics(t *testing.T) {
-	tr := FromDegrees([]int{2, 0, 0})
-	empty := FromDegrees(nil)
+	tr := treeOf([]byte{1, 0, 0})
 	for _, f := range []func(){
-		func() { empty.Root() },
-		func() { tr.Parent(tr.Root()) },
-		func() { tr.Child(tr.Root(), 2) },
-		func() { tr.NodePos(3) },
-		func() { FromDegrees([]int{-1}) },
+		func() { NewTree(bitvec.FromWords([]uint64{1}, 1)) },
+		func() { tr.BinaryChild(tr.BinaryChild(tr.BinaryRoot(), 0), 1) },             // a leaf has no child
+		func() { tr := treeOf([]byte{1, 1, 0}); tr.BinaryChild(tr.BinaryRoot(), 1) }, // never closed
 	} {
 		func() {
 			defer func() {

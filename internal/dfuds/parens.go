@@ -1,8 +1,11 @@
 // Package dfuds implements succinct trees: a balanced-parentheses
-// sequence with FindClose/FindOpen navigation, and on top of it the DFUDS
-// (Depth-First Unary Degree Sequence) tree encoding of Benoit et al. [2
-// in the paper], which §3 uses to store the Patricia trie structure of
-// the static Wavelet Trie in 2k + o(k) bits.
+// sequence with FindClose/FindOpen navigation, and on top of it the shape
+// of the static Wavelet Trie's Patricia trie. §3 stores that shape as a
+// DFUDS string (Benoit et al. [2 in the paper]), 2k + o(k) bits for k
+// nodes of any degree; a Patricia trie is strictly binary, for which the
+// preorder internal/leaf bitmap — k + o(k) bits, read as parentheses —
+// answers the same navigation (Tree). The package keeps the name of what
+// it replaced.
 //
 // The parentheses sequence is stored as a plain bitvector (1 = open); the
 // excess search behind FindClose/FindOpen uses a two-level block index
@@ -104,12 +107,6 @@ func (p *Parens) IsOpen(i int) bool { return p.bv.Access(i) == 1 }
 // Excess returns E(i) = #opens - #closes in positions [0, i).
 func (p *Parens) Excess(i int) int { return 2*p.bv.Rank1(i) - i }
 
-// RankClose returns the number of ')' in [0, i).
-func (p *Parens) RankClose(i int) int { return p.bv.Rank0(i) }
-
-// SelectClose returns the position of the idx-th (0-based) ')'.
-func (p *Parens) SelectClose(idx int) int { return p.bv.Select0(idx) }
-
 // byteExc summarises one byte of parens read LSB first: its total excess
 // (opens minus closes), the min and max of the running excess over its
 // non-empty prefixes, and closeAt[d-1], the index of the first bit at
@@ -161,6 +158,16 @@ func (p *Parens) FindClose(i int) int {
 	if !p.IsOpen(i) {
 		panic(fmt.Sprintf("dfuds: FindClose(%d): not an open paren", i))
 	}
+	q, ok := p.findClose(i)
+	if !ok {
+		panic(fmt.Sprintf("dfuds: FindClose(%d): unbalanced sequence", i))
+	}
+	return q
+}
+
+// findClose is FindClose for the open paren at i; ok is false when the
+// sequence ends before the paren is closed.
+func (p *Parens) findClose(i int) (q int, ok bool) {
 	// The match is the first position right of i at which the closes
 	// outnumber the opens by one.
 	words := p.bv.Words()
@@ -168,8 +175,10 @@ func (p *Parens) FindClose(i int) int {
 	depth := 1
 	if start := i + 1; start < n {
 		b, off := start/blockBits, uint(start)%blockBits
+		// In the last word the bits past the sequence's end read as
+		// closes: a match there is no match.
 		if q := closeInWord(words[b], off, depth); q >= 0 {
-			return p.inRange(b*blockBits+q, i)
+			return b*blockBits + q, b*blockBits+q < n
 		}
 		depth += 2*bits.OnesCount64(words[b]>>off) - int(blockBits-off)
 		// Skip blocks and superblocks that cannot bring the depth to 0.
@@ -186,20 +195,11 @@ func (p *Parens) FindClose(i int) int {
 				b++
 				continue
 			}
-			return p.inRange(b*blockBits+closeInWord(words[b], 0, depth), i)
+			q := b*blockBits + closeInWord(words[b], 0, depth)
+			return q, q < n
 		}
 	}
-	panic(fmt.Sprintf("dfuds: FindClose(%d): unbalanced sequence", i))
-}
-
-// inRange guards a match position found in the last word, whose bits
-// past the sequence end read as closes: an unbalanced sequence must
-// panic (validation recovers it), not return a position outside it.
-func (p *Parens) inRange(q, i int) int {
-	if q >= p.bv.Len() {
-		panic(fmt.Sprintf("dfuds: no match for paren %d: unbalanced sequence", i))
-	}
-	return q
+	return 0, false
 }
 
 // FindOpen returns the position of the '(' matching the ')' at i.

@@ -3,6 +3,7 @@ package rrr
 import (
 	"fmt"
 
+	"repro/internal/eliasfano"
 	"repro/internal/wire"
 )
 
@@ -30,7 +31,13 @@ func (v *Vector) EncodeTo(w *wire.Writer) {
 // and the two must not disagree. A zero-copy reader skips that pass (it
 // would fault in every page of a mapping whose enclosing file the caller
 // has checksummed).
-func DecodeFrom(r *wire.Reader) *Vector {
+func DecodeFrom(r *wire.Reader) *Vector { return DecodeSegments(r, nil) }
+
+// DecodeSegments is DecodeFrom for a vector made by FromSegments over the
+// same starts, which the caller stores: the samples are rebuilt against
+// them, whatever they are, and it is the caller's validation of starts —
+// non-decreasing, none past Len() — that makes the In queries safe.
+func DecodeSegments(r *wire.Reader, starts *eliasfano.Monotone) *Vector {
 	v := &Vector{
 		n:       r.Int(),
 		classes: r.Words(),
@@ -44,7 +51,7 @@ func DecodeFrom(r *wire.Reader) *Vector {
 		r.Fail("rrr: %d class words for n=%d, want %d", len(v.classes), v.n, (nb*classBits+63)/64)
 		return FromWords(nil, 0)
 	}
-	v.buildSuper()
+	v.buildSuper(starts)
 	if offPos := v.OffsetStreamBits(); len(v.offsets) != (offPos+63)/64 {
 		r.Fail("rrr: %d offset words, classes imply %d", len(v.offsets), (offPos+63)/64)
 		return FromWords(nil, 0)
@@ -80,7 +87,7 @@ func (v *Vector) checkBlocks() error {
 			return fmt.Errorf("rrr: block %d offset %d out of range for class %d", b, off, c)
 		}
 		if valid := v.n - b*blockBits; valid < blockBits {
-			if in, _ := rankInBlock(c, off, valid); in != c {
+			if in, _ := rankInBlock(c, off, 0, valid); in != c {
 				return fmt.Errorf("rrr: last block sets bits past the vector's end")
 			}
 		}

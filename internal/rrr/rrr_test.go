@@ -139,7 +139,7 @@ func TestRankInBlockEveryClassEveryPosition(t *testing.T) {
 	blocksOfEveryClass(r, func(w uint64) {
 		c, off := encodeBlock(w)
 		for pos := 0; pos < blockBits; pos++ {
-			rank, bit := rankInBlock(c, off, pos)
+			rank, bit := rankInBlock(c, off, 0, pos)
 			wantRank := bits.OnesCount64(w & (1<<uint(pos) - 1))
 			wantBit := byte(w >> uint(pos) & 1)
 			if rank != wantRank || bit != wantBit {
@@ -161,7 +161,7 @@ func TestSelectInBlockEveryClass(t *testing.T) {
 				if byte(w>>uint(pos)&1) != b {
 					continue
 				}
-				if got := selectInBlock(c, off, b, j); got != pos {
+				if got := selectInBlock(c, off, b, j, 0); got != pos {
 					t.Fatalf("class %d block %#x: selectInBlock(bit %d, %d) = %d, want %d", c, w, b, j, got, pos)
 				}
 				j++
@@ -189,17 +189,17 @@ func TestBlockKernelsAgreeOnForeignOffsets(t *testing.T) {
 			}
 			ones, zeros := 0, 0
 			for pos := 0; pos < blockBits; pos++ {
-				rank, bit := rankInBlock(c, off, pos)
+				rank, bit := rankInBlock(c, off, 0, pos)
 				if rank != ones || bit != byte(w>>uint(pos)&1) {
 					t.Fatalf("class %d offset %d: rankInBlock(%d) = (%d,%d), decoded block says (%d,%d)", c, off, pos, rank, bit, ones, w>>uint(pos)&1)
 				}
 				if bit == 1 {
-					if got := selectInBlock(c, off, 1, ones); got != pos {
+					if got := selectInBlock(c, off, 1, ones, 0); got != pos {
 						t.Fatalf("class %d offset %d: select1(%d) = %d, want %d", c, off, ones, got, pos)
 					}
 					ones++
 				} else {
-					if got := selectInBlock(c, off, 0, zeros); got != pos {
+					if got := selectInBlock(c, off, 0, zeros, 0); got != pos {
 						t.Fatalf("class %d offset %d: select0(%d) = %d, want %d", c, off, zeros, got, pos)
 					}
 					zeros++
@@ -488,7 +488,8 @@ func TestIterRankAndSeek(t *testing.T) {
 // Select1/Select0 at densities 0, 10⁻³, 0.5 and 1, with index series that
 // advance inside a block, across blocks, across superblocks (past
 // selectorNear, so through the sampled fallback) and finish on the last
-// valid bit — then steps backwards, which it must also answer.
+// valid bit — then steps backwards, which it must also answer. Selectors
+// over the segments of a cut vector are TestSegmentedDifferential's.
 func TestSelectorMatchesSelect(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	const n = 120*superBits + 29
@@ -511,9 +512,9 @@ func TestSelectorMatchesSelect(t *testing.T) {
 				"superblocks": max(1, int(3*superBits*per)),
 			}
 			for name, stride := range strides {
-				s := v.Selector(b)
+				s := v.Selector(b, 0, n)
 				check := func(idx int) {
-					if got, want := s.Select(idx, 0, n), plain.Select(b, idx); got != want {
+					if got, want := s.Select(idx), plain.Select(b, idx); got != want {
 						t.Fatalf("p=%v bit %d %s: Select(%d) = %d, want %d", p, b, name, idx, got, want)
 					}
 				}
@@ -527,19 +528,6 @@ func TestSelectorMatchesSelect(t *testing.T) {
 				check(total - 1)
 				check(total / 2)
 				check(0)
-			}
-			// Random increasing runs confined to a window, as a trie node's
-			// segment confines them.
-			for trial := 0; trial < 20; trial++ {
-				lo := r.Intn(total)
-				hi := min(total, lo+1+r.Intn(4*superBits))
-				from, to := plain.Select(b, lo), plain.Select(b, hi-1)+1
-				s := v.Selector(b)
-				for idx := lo; idx < hi; idx += 1 + r.Intn(1+(hi-lo)/8) {
-					if got, want := s.Select(idx, from, to), plain.Select(b, idx); got != want {
-						t.Fatalf("p=%v bit %d window [%d,%d): Select(%d) = %d, want %d", p, b, from, to, idx, got, want)
-					}
-				}
 			}
 		}
 	}

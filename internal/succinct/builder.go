@@ -142,7 +142,6 @@ func (b *Builder) Build() (*Trie, error) {
 			entry{e.nd.Child(1), ones},
 			entry{e.nd.Child(0), bv.Len() - ones})
 		a.bits.AppendWords(bv.Words(), bv.Len())
-		a.ones += uint64(ones)
 	}
 	return a.finish(b.n), nil
 }

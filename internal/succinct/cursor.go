@@ -35,12 +35,12 @@ type PrefixCursor struct {
 }
 
 // cursorLevel is one branch of the prefix node's root path: the bit
-// followed, the parent's segment [start, end), the occurrences of that bit
-// before the segment, and the monotone selector for it.
+// followed, where the parent's segment starts, and the monotone selector
+// for that bit in it.
 type cursorLevel struct {
-	bit                byte
-	start, end, before int
-	sel                rrr.Selector
+	bit   byte
+	start int
+	sel   rrr.Selector
 }
 
 // PrefixCursor returns a cursor over the elements with bit prefix p,
@@ -55,12 +55,8 @@ func (t *Trie) PrefixCursor(p bitstr.BitString) *PrefixCursor {
 	c.nd, c.count = nd, t.count(nd, up)
 	c.levels = make([]cursorLevel, len(path))
 	for i, st := range path {
-		a, b := t.bvOffsets.Pair(st.ii)
-		lv := &c.levels[i]
-		*lv = cursorLevel{bit: st.bit, start: int(a), end: int(b), before: int(t.bvOnes.Get(st.ii)), sel: t.bits.Selector(st.bit)}
-		if st.bit == 0 {
-			lv.before = lv.start - lv.before
-		}
+		start, end := t.seg(st.ii)
+		c.levels[i] = cursorLevel{bit: st.bit, start: start, sel: t.bits.Selector(st.bit, start, end)}
 	}
 	return c
 }
@@ -90,8 +86,7 @@ func (c *PrefixCursor) Next() (pos int, ok bool) {
 	pos = c.next
 	c.next++
 	for i := len(c.levels) - 1; i >= 0; i-- {
-		lv := &c.levels[i]
-		pos = lv.sel.Select(lv.before+pos, lv.start, lv.end) - lv.start
+		pos = c.levels[i].sel.Select(pos)
 	}
 	return pos, true
 }
@@ -109,10 +104,10 @@ func (c *PrefixCursor) RankAt(pos int) int {
 			return 0
 		}
 		lv := &c.levels[i]
-		if ones := c.t.bits.Rank1(lv.start + pos); lv.bit == 1 {
-			pos = ones - lv.before
+		if ones := c.t.bits.RankIn(lv.start, pos); lv.bit == 1 {
+			pos = ones
 		} else {
-			pos = lv.start + pos - ones - lv.before
+			pos -= ones
 		}
 	}
 	return pos

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitstr"
-	"repro/internal/bitvec"
 	"repro/internal/dfuds"
 	"repro/internal/eliasfano"
 	"repro/internal/rrr"
@@ -13,18 +12,22 @@ import (
 
 const (
 	wireMagic = 0x57545249 // "WTRI"
-	// wireVersion 2: the embedded RRR vectors serialize payload-only (the
-	// superblock directory is rebuilt on decode).
-	// wireVersion 3: word payloads are 8-byte aligned within the buffer
-	// (wire.Writer.Words padding) so mmap'd files decode zero-copy.
-	wireVersion = 3
+	// wireVersion 4: the shape is one bit a node, and the β ranks count
+	// from their own segment's start, so neither the internal-node marks
+	// nor the cumulative-ones directory of versions up to 3 is stored.
+	// Older versions are refused, not converted.
+	wireVersion = 4
 )
 
 // MarshalBinary serializes the frozen Wavelet Trie into a self-contained
 // byte buffer (little-endian, versioned). The encoding is the succinct
-// representation itself — labels, parens, RRR streams and directories —
-// minus the derived rank samples, which are rebuilt on decode, so the
-// on-disk size lands slightly below SizeBits.
+// representation itself — shape bitmap, labels and their directory, the
+// segment directory and the RRR class and offset streams — minus
+// everything derived: the excess index, the Elias-Fano select hints and
+// the RRR superblock samples are rebuilt on decode (the samples against
+// the segment directory, which is why it is written first), so the
+// on-disk size lands below SizeBits and a loaded trie cannot carry a
+// sample that disagrees with its payload.
 func (t *Trie) MarshalBinary() ([]byte, error) {
 	w := wire.NewWriter(wireMagic, wireVersion)
 	t.EncodeTo(w)
@@ -61,17 +64,15 @@ func (t *Trie) EncodeTo(w *wire.Writer) {
 	w.Int(t.labels.Len())
 	w.Words(t.labels.Words())
 	t.labelDir.EncodeTo(w)
-	t.internal.EncodeTo(w)
-	t.bits.EncodeTo(w)
 	t.bvOffsets.EncodeTo(w)
-	t.bvOnes.EncodeTo(w)
+	t.bits.EncodeTo(w)
 }
 
 // DecodeFrom reads a trie body written by EncodeTo and validates it
 // deeply enough that every query on the result stays in range: component
-// shapes, directory monotonicity against the concatenated streams, and a
-// full structural walk of the DFUDS tree. Corrupt input yields an error,
-// never a panic — here or later at query time.
+// shapes, directory monotonicity against the concatenated streams, the
+// shape bitmap's balance and a full structural walk of the tree. Corrupt
+// input yields an error, never a panic — here or later at query time.
 func DecodeFrom(r *wire.Reader) (*Trie, error) { return decodeFrom(r, true) }
 
 // DecodeFromTrusted reads a trie body like DecodeFrom but skips the
@@ -109,10 +110,8 @@ func decodeFrom(r *wire.Reader, deep bool) (*Trie, error) {
 		}
 	}
 	t.labelDir = eliasfano.DecodePartialSum(r)
-	t.internal = bitvec.DecodeFrom(r)
-	t.bits = rrr.DecodeFrom(r)
 	t.bvOffsets = eliasfano.DecodeMonotone(r)
-	t.bvOnes = eliasfano.DecodeMonotone(r)
+	t.bits = rrr.DecodeSegments(r, t.bvOffsets)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -124,9 +123,9 @@ func decodeFrom(r *wire.Reader, deep bool) (*Trie, error) {
 	return t, nil
 }
 
-// validate cross-checks every component of a decoded trie. Navigation
-// over a malformed DFUDS encoding can panic deep inside the parentheses
-// index; the recover converts any such panic into a decode error.
+// validate cross-checks every component of a decoded trie. Every check
+// is meant to fail by returning; the recover turns a panic one of them
+// missed into a decode error all the same.
 func (t *Trie) validate(nodes int) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -138,6 +137,12 @@ func (t *Trie) validate(nodes int) (err error) {
 	}
 	if t.n < 1 {
 		return fmt.Errorf("succinct: non-empty trie with %d elements", t.n)
+	}
+	// Behind its leading 1 the bitmap must be the preorder of one strictly
+	// binary tree: then the walk below, and every query after it, reaches
+	// each of the nodes once and counts the internal ones right.
+	if !t.tree.WellFormed() {
+		return fmt.Errorf("succinct: shape bitmap of %d nodes is not balanced", nodes)
 	}
 	if t.labelDir.Count() != nodes {
 		return fmt.Errorf("succinct: label directory covers %d nodes, want %d", t.labelDir.Count(), nodes)
@@ -156,17 +161,14 @@ func (t *Trie) validate(nodes int) (err error) {
 		}
 		prev = off
 	}
-	internals := t.internal.Ones()
-	if t.internal.Len() != nodes || internals != (nodes-1)/2 {
-		return fmt.Errorf("succinct: internal-node marks inconsistent (%d nodes, %d internals)", t.internal.Len(), internals)
+	internals := (nodes - 1) / 2
+	if t.bvOffsets.Len() != internals+1 {
+		return fmt.Errorf("succinct: bitvector directory covers %d segments, want %d", t.bvOffsets.Len()-1, internals)
 	}
-	if t.bvOffsets.Len() != internals+1 || t.bvOnes.Len() != internals+1 {
-		return fmt.Errorf("succinct: bitvector directories cover %d segments, want %d", t.bvOffsets.Len()-1, internals)
-	}
-	// Segment offsets must be monotone within the concatenated bitvector,
-	// and the ones directory must agree with the actual stream ranks —
-	// then every rank and select on a segment stays within the RRR
-	// vector's bounds.
+	// Segment starts must be monotone within the concatenated bitvector:
+	// then the rank samples, rebuilt against them, count from the start of
+	// the segment they fall in, and every rank and select on a segment
+	// stays within the RRR vector's bounds.
 	prev = 0
 	for i := 0; i <= internals; i++ {
 		off := t.bvOffsets.Get(i)
@@ -174,72 +176,37 @@ func (t *Trie) validate(nodes int) (err error) {
 			return fmt.Errorf("succinct: bitvector directory not monotone at %d", i)
 		}
 		prev = off
-		if got := t.bits.Rank1(int(off)); got != int(t.bvOnes.Get(i)) {
-			return fmt.Errorf("succinct: segment %d claims %d preceding ones, stream has %d", i, t.bvOnes.Get(i), got)
-		}
 	}
 	if int(t.bvOffsets.Get(internals)) != t.bits.Len() {
 		return fmt.Errorf("succinct: bitvector stream %d bits, directory says %d", t.bits.Len(), t.bvOffsets.Get(internals))
 	}
-	// Structural walk with the general DFUDS navigation (Degree, Child,
-	// Parent, ChildIndex): the reachable tree must be binary (degree 0 or
-	// 2), have exactly the advertised node count, consistent up-links and
-	// in-range preorder ids, every internal node's bitvector segment must
-	// be exactly as long as its subsequence (the Definition 3.1
-	// invariant), and no leaf may be empty. At every node the walk also
-	// checks that the strictly-binary shortcuts the queries navigate with
-	// (dfuds.BinaryNode) land on the same child, preorder id and internal
-	// index — so the shortcuts only ever run on a trie where they are
-	// right. The traversal stack lives on the heap so a crafted deep tree
+	// Structural walk: every internal node's bitvector segment must be
+	// exactly as long as its subsequence (the Definition 3.1 invariant),
+	// its zeros and ones the lengths of its children's, and no leaf may be
+	// empty. The traversal stack lives on the heap so a crafted deep tree
 	// cannot exhaust the goroutine stack.
 	type entry struct {
 		nd   dfuds.BinaryNode
 		want int
 	}
 	stack := []entry{{t.tree.BinaryRoot(), t.n}}
-	seen := 0
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		seen++
-		if seen > nodes {
-			return fmt.Errorf("succinct: tree walk exceeds %d nodes", nodes)
-		}
-		v, id := e.nd.Pos, e.nd.ID
-		if id < 0 || id >= nodes || id != t.tree.Preorder(v) {
-			return fmt.Errorf("succinct: preorder id %d out of range or off the tree", id)
-		}
-		if t.tree.IsLeaf(v) {
+		if t.tree.IsLeaf(e.nd.Pos) {
 			if e.want == 0 {
-				return fmt.Errorf("succinct: leaf %d with empty subsequence", id)
+				return fmt.Errorf("succinct: leaf %d with empty subsequence", e.nd.ID())
 			}
 			continue
 		}
-		if deg := t.tree.Degree(v); deg != 2 {
-			return fmt.Errorf("succinct: internal node with degree %d", deg)
+		start, end := t.seg(e.nd.Internal)
+		if end-start != e.want {
+			return fmt.Errorf("succinct: node %d segment %d bits, subsequence has %d", e.nd.ID(), end-start, e.want)
 		}
-		if t.internal.Access(id) != 1 || t.internal.Rank1(id) != e.nd.InternalIndex() {
-			return fmt.Errorf("succinct: internal node %d not marked internal", id)
-		}
-		length, ones := t.segCounts(e.nd.InternalIndex())
-		if length != e.want {
-			return fmt.Errorf("succinct: node %d segment %d bits, subsequence has %d", id, length, e.want)
-		}
-		for i := 0; i < 2; i++ {
-			c := t.tree.Child(v, i)
-			short := t.tree.BinaryChild(e.nd, byte(i))
-			if t.tree.Parent(c) != v || t.tree.ChildIndex(c) != i || short.Pos != c {
-				return fmt.Errorf("succinct: child/parent links inconsistent at node %d", id)
-			}
-			childWant := length - ones
-			if i == 1 {
-				childWant = ones
-			}
-			stack = append(stack, entry{short, childWant})
-		}
-	}
-	if seen != nodes {
-		return fmt.Errorf("succinct: %d reachable nodes, header says %d", seen, nodes)
+		ones := t.bits.RankIn(start, e.want)
+		stack = append(stack,
+			entry{t.tree.BinaryChild(e.nd, 1), ones},
+			entry{t.tree.BinaryChild(e.nd, 0), e.want - ones})
 	}
 	return nil
 }

@@ -21,15 +21,14 @@ import (
 // layer.
 
 // iterNode is the enumeration state of one traversed internal node: where
-// its label sits in L, its segment's directory entry (fetched once), a
-// streaming bit cursor over the segment, and its opened children — see
-// walk.open for how a child is named.
+// its label sits in L, a streaming bit cursor over its segment (whose
+// directory entry is fetched once, to open it), and its opened children —
+// see walk.open for how a child is named.
 type iterNode struct {
-	nd                dfuds.BinaryNode
-	label             labelRef
-	start, onesBefore int // segment start and the ones before it
-	it                rrr.Iter
-	kids              [2]int32
+	nd    dfuds.BinaryNode
+	label labelRef
+	it    rrr.Iter
+	kids  [2]int32
 }
 
 // labelRef is a node's label range in L — all a traversed leaf keeps.
@@ -86,8 +85,7 @@ func (w *walk) open(nd dfuds.BinaryNode, q int) int32 {
 	in := w.node(w.nodes)
 	w.nodes++
 	in.nd, in.label, in.kids = nd, labelRef{lo, hi - lo}, [2]int32{}
-	in.start, in.onesBefore = t.segStart(nd.InternalIndex())
-	in.it.Reset(t.bits, in.start+q)
+	in.it.Reset(t.bits, t.segStart(nd.Internal), q)
 	return w.nodes
 }
 
@@ -105,10 +103,10 @@ func (w *walk) next(q int, b *bitstr.Builder) {
 		}
 		in := w.node(at - 1)
 		b.AppendRange(labels, in.label.lo, in.label.n)
-		if in.it.Pos() != in.start+q {
-			in.it.Seek(in.start + q)
+		if in.it.Pos() != q {
+			in.it.Seek(q)
 		}
-		ones := in.it.Rank1() - in.onesBefore
+		ones := in.it.Rank1()
 		bit := in.it.Next()
 		b.AppendBit(bit)
 		if bit == 1 {

@@ -39,8 +39,8 @@ import (
 // preorder: the merged 0-subtree holds all of a branching source's
 // 0-subtree, and a source that runs on into one child is simply not
 // touched under the other. So every source is read strictly front to back
-// — a frozen trie by stepping its DFUDS string, label directory, segment
-// directories and RRR blocks forward (no FindClose, no select, no rank),
+// — a frozen trie by stepping its shape bitmap, label directory, segment
+// directory and RRR blocks forward (no FindClose, no select, no rank),
 // an append-only trie by a pointer walk — and nothing is kept per node:
 // the output's own raw bits are the only memory that grows.
 
@@ -83,50 +83,41 @@ func (s *spans) next() (lo, hi int, ok bool) {
 }
 
 // trieSource reads a frozen trie. Every component advances in step with
-// the preorder: the DFUDS position by a node description ("110" or "0"),
-// the three directories by one entry, the RRR reader by one segment.
+// the preorder: the shape bitmap by one bit, the two directories by one
+// entry, the RRR reader by one segment.
 type trieSource struct {
-	t       *Trie
-	pos, id int // DFUDS position and preorder number of the next node
+	t  *Trie
+	id int // preorder number of the next node
 
-	labels     spans // the next node's label in L
-	segs, ones spans // the next internal node's segment, and the ones before its two ends
-	bits       rrr.Reader
+	labels spans // the next node's label in L
+	segs   spans // the next internal node's segment
+	bits   rrr.Reader
 }
 
 func newTrieSource(t *Trie) *trieSource {
 	return &trieSource{
 		t:      t,
-		pos:    t.tree.Root(),
 		labels: newSpans(t.labelDir.Offsets()),
 		segs:   newSpans(t.bvOffsets.Iter()),
-		ones:   newSpans(t.bvOnes.Iter()),
 		bits:   t.bits.Reader(),
 	}
 }
 
 func (s *trieSource) next() ([]uint64, int, int, bool, error) {
 	t := s.t
-	if s.id >= t.tree.NumNodes() || s.pos >= t.tree.Len() {
+	if s.id >= t.tree.NumNodes() {
 		return nil, 0, 0, false, fmt.Errorf("succinct: merge: source walk runs past its %d nodes", t.tree.NumNodes())
 	}
 	lo, hi, ok := s.labels.next()
 	if !ok || hi < lo || hi > t.labels.Len() {
 		return nil, 0, 0, false, fmt.Errorf("succinct: merge: source label directory broken at node %d", s.id)
 	}
-	leaf := t.tree.IsLeaf(s.pos)
-	if leaf {
-		s.pos++
-	} else {
-		s.pos += 3
-	}
-	s.id++
-	return t.labels.Words(), lo, hi - lo, leaf, nil
+	s.id++ // node id sits at bitmap position id+1
+	return t.labels.Words(), lo, hi - lo, t.tree.IsLeaf(s.id), nil
 }
 
 func (s *trieSource) segment(dst *bitstr.Builder, count int, cont func() bool) (int, error) {
 	lo, hi, ok := s.segs.next()
-	onesLo, onesHi, _ := s.ones.next()
 	if !ok || hi-lo != count {
 		return 0, fmt.Errorf("succinct: merge: source segment at bit %d is %d bits, its subsequence has %d", lo, hi-lo, count)
 	}
@@ -140,9 +131,6 @@ func (s *trieSource) segment(dst *bitstr.Builder, count int, cont func() bool) (
 		if left -= m; left > 0 && cont != nil && !cont() {
 			return 0, errCanceled
 		}
-	}
-	if ones != onesHi-onesLo {
-		return 0, fmt.Errorf("succinct: merge: source segment at bit %d holds %d ones, its directory says %d", lo, ones, onesHi-onesLo)
 	}
 	return ones, nil
 }
@@ -349,7 +337,6 @@ func mergeWalk(cont func() bool, ins []mergeInput, a *assembler) (leaves int, er
 					if ones == 0 || ones == r.count {
 						return 0, fmt.Errorf("succinct: merge: source %d has a node with an empty child", r.in)
 					}
-					a.ones += uint64(ones)
 				}
 				zero = append(zero, mergeRef{in: r.in, off: -1, count: r.count - ones})
 				one = append(one, mergeRef{in: r.in, off: -1, count: ones})
@@ -360,7 +347,6 @@ func mergeWalk(cont func() bool, ins []mergeInput, a *assembler) (leaves int, er
 			bit := byte(in.words[p>>6] >> (uint(p) & 63) & 1)
 			if a != nil {
 				a.bits.AppendRun(bit, r.count)
-				a.ones += uint64(bit) * uint64(r.count)
 			}
 			down := mergeRef{in: r.in, off: r.off + l + 1, count: r.count}
 			if bit == 1 {

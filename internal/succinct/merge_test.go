@@ -264,9 +264,6 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	tr.n--
 	mustFail("root segment longer than the element count", tr)
 	tr = good()
-	tr.bvOnes = eliasfano.FromSorted([]uint64{0, 2, 3}, 4) // the root segment holds 3 ones
-	mustFail("ones directory disagrees with the bits", tr)
-	tr = good()
 	tr.bvOffsets = eliasfano.FromSorted([]uint64{1, 7, 11}, 12)
 	mustFail("segments do not start where the stream does", tr)
 
@@ -282,11 +279,9 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	a.internal(nil, 0, 0)
 	a.bits.AppendRun(0, 1)
 	a.bits.AppendRun(1, 1)
-	a.ones = 1
 	a.internal(nil, 0, 0) // the 0-child claims 4 bits for its 1 element
 	a.bits.AppendRun(0, 2)
 	a.bits.AppendRun(1, 2)
-	a.ones = 3
 	a.leaf(nil, 0, 0)
 	a.leaf(nil, 0, 0)
 	a.leaf(nil, 0, 0)
@@ -296,7 +291,6 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	a.internal(nil, 0, 0)
 	a.bits.AppendRun(0, 1)
 	a.bits.AppendRun(1, 1)
-	a.ones = 1
 	a.leaf(nil, 0, 0) // the 1-child is missing
 	short := a.finish(2)
 	mustFail("fewer nodes than the shape needs", short)

@@ -2,13 +2,17 @@
 // paper §3 (Theorem 3.7): the static Wavelet Trie frozen into flat
 // succinct components —
 //
-//   - the trie structure as a DFUDS tree (2k + o(k) bits);
+//   - the trie structure as the preorder internal/leaf bitmap of its k
+//     nodes (k + o(k) bits: a Patricia trie is strictly binary, so one bit
+//     a node says what DFUDS takes two for — dfuds.Tree);
 //   - the node labels α concatenated in depth-first order into the
 //     bitvector L of Theorem 3.6, delimited by an Elias-Fano partial-sum
 //     directory;
 //   - all node bitvectors β concatenated into a single RRR dictionary,
-//     delimited by a second Elias-Fano directory (offsets and cumulative
-//     ones), so per-node query state is two O(1) directory lookups.
+//     delimited by a second Elias-Fano directory of segment starts. The
+//     dictionary's rank samples count from the start of the segment they
+//     fall in (rrr.FromSegments), so a node's ranks and selects need its
+//     start and nothing else: no cumulative-ones directory is kept.
 //
 // The total is LT(Sset) + nH₀(S) + o(h̃n) bits up to the practical-RRR
 // redundancy, with no per-node pointer words at all — unlike the
@@ -18,10 +22,10 @@
 // Every keyed query (Rank, RankPrefix, Select, SelectPrefix, Contains) is
 // one call of descend, which per trie level fetches the node's label
 // range (one Elias-Fano pair), compares the key against L in place, and
-// — only when a position is being carried down — reads the node's
-// (start, onesBefore) and visits one RRR block. Navigation uses the
-// strictly-binary DFUDS shortcuts (dfuds.BinaryNode), so a level costs no
-// Rank or Select on the parentheses at all.
+// — only when a position is being carried down — reads the node's segment
+// start (a second Elias-Fano lookup) and visits one RRR block. Navigation
+// is position arithmetic on the bitmap (dfuds.BinaryNode), so a level costs
+// no Rank or Select on it at all.
 package succinct
 
 import (
@@ -43,10 +47,8 @@ type Trie struct {
 
 	labels    bitstr.BitString      // L: concatenated labels, DFS order
 	labelDir  *eliasfano.PartialSum // delimits labels by preorder id
-	internal  *bitvec.Vector        // preorder id → 1 if the node is internal
-	bits      *rrr.Vector           // all β concatenated, internal DFS order
-	bvOffsets *eliasfano.Monotone   // start of each internal node's segment
-	bvOnes    *eliasfano.Monotone   // ones before each segment (cum. rank)
+	bits      *rrr.Vector           // all β concatenated, internal DFS order, ranked per segment
+	bvOffsets *eliasfano.Monotone   // start of each internal node's segment, and the total
 }
 
 // Unwrap returns the Trie inside a *wavelettrie.Frozen. Package
@@ -56,74 +58,62 @@ type Trie struct {
 var Unwrap func(frozen any) *Trie
 
 // assembler lays a trie out as the §3 components from its nodes handed
-// over in preorder (node, 0-child, 1-child): one degree and one label per
-// node, and per internal node where its β segment starts in the
-// concatenation and how many ones precede it. Freeze, Builder.Build and
-// Merge differ only in where the nodes and the β bits come from.
+// over in preorder (node, 0-child, 1-child): one shape bit and one label
+// per node, and per internal node where its β segment starts in the
+// concatenation. Freeze, Builder.Build and Merge differ only in where the
+// nodes and the β bits come from.
 type assembler struct {
-	degs      []int
+	shape     *bitvec.Builder // the leading 1, then 1 per internal node and 0 per leaf
 	labelLens []int
 	labels    *bitstr.Builder
 	bvStarts  []uint64
-	bvOnes    []uint64
 	bits      *bitstr.Builder // every β so far, concatenated
-	ones      uint64          // set bits in bits; whoever appends β keeps it current
 }
 
 // newAssembler returns an empty assembler with room for a trie of so many
 // nodes, label bits and β bits; a trie that outgrows a hint grows past it.
 func newAssembler(nodes, labelBits, bits int) *assembler {
-	return &assembler{
-		degs:      make([]int, 0, nodes),
+	a := &assembler{
+		shape:     bitvec.NewBuilder(nodes + 1),
 		labelLens: make([]int, 0, nodes),
 		labels:    bitstr.NewBuilder(labelBits),
 		bvStarts:  make([]uint64, 0, nodes/2+1), // the internal nodes, and finish's sentinel
-		bvOnes:    make([]uint64, 0, nodes/2+1),
 		bits:      bitstr.NewBuilder(bits),
 	}
+	a.shape.AppendBit(1)
+	return a
 }
 
 // leaf emits a leaf labeled with the n bits at bit offset off of words.
 func (a *assembler) leaf(words []uint64, off, n int) {
-	a.degs = append(a.degs, 0)
+	a.shape.AppendBit(0)
 	a.labelLens = append(a.labelLens, n)
 	a.labels.AppendRange(words, off, n)
 }
 
 // internal emits an internal node labeled like leaf; the caller then
-// appends the node's β to a.bits and adds its ones to a.ones.
+// appends the node's β to a.bits.
 func (a *assembler) internal(words []uint64, off, n int) {
-	a.degs = append(a.degs, 2)
+	a.shape.AppendBit(1)
 	a.labelLens = append(a.labelLens, n)
 	a.labels.AppendRange(words, off, n)
 	a.bvStarts = append(a.bvStarts, uint64(a.bits.Len()))
-	a.bvOnes = append(a.bvOnes, a.ones)
 }
 
 // finish builds the trie of n elements over the emitted nodes.
 func (a *assembler) finish(n int) *Trie {
 	t := &Trie{n: n}
-	if len(a.degs) == 0 {
+	if len(a.labelLens) == 0 {
 		return t
 	}
-	t.tree = dfuds.FromDegrees(a.degs)
+	t.tree = dfuds.NewTree(a.shape.Build())
 	t.labels = a.labels.BitString()
 	t.labelDir = eliasfano.NewPartialSum(a.labelLens)
-	// The internal-node marks are part of the wire format and of validation
-	// (they must agree with the tree), but no query reads them: an internal
-	// node's index among the internal nodes follows from its DFUDS position
-	// (dfuds.BinaryNode.InternalIndex).
-	marks := bitvec.NewBuilder(len(a.degs))
-	for _, d := range a.degs {
-		marks.AppendBit(byte(d >> 1))
-	}
-	t.internal = marks.Build()
-	// Sentinel entries make segment ends addressable.
+	// A sentinel entry makes the last segment's end addressable.
 	total := uint64(a.bits.Len())
 	t.bvOffsets = eliasfano.FromSorted(append(a.bvStarts, total), total+1)
-	t.bvOnes = eliasfano.FromSorted(append(a.bvOnes, a.ones), a.ones+1)
 	cat := a.bits.View()
-	t.bits = rrr.FromWords(cat.Words(), cat.Len())
+	t.bits = rrr.FromSegments(cat.Words(), cat.Len(), t.bvOffsets)
 	return t
 }
 
@@ -138,7 +128,7 @@ func Freeze(st *core.Static) *Trie {
 		}
 		a.internal(label.Words(), 0, label.Len())
 		rd := bv.Reader()
-		a.ones += uint64(rd.AppendTo(a.bits, bv.Len()))
+		rd.AppendTo(a.bits, bv.Len())
 	})
 	return a.finish(st.Len())
 }
@@ -218,7 +208,7 @@ func (t *Trie) StoredBits() []bitstr.BitString {
 
 // labelRange returns the bit range [lo, hi) of nd's label inside L.
 func (t *Trie) labelRange(nd dfuds.BinaryNode) (lo, hi int) {
-	a, b := t.labelDir.Range(nd.ID)
+	a, b := t.labelDir.Range(nd.ID())
 	return int(a), int(b)
 }
 
@@ -229,17 +219,13 @@ func (t *Trie) appendLabel(b *bitstr.Builder, nd dfuds.BinaryNode) {
 }
 
 // segStart returns where the segment of the ii-th internal node starts in
-// the concatenated bitvector and the number of ones before that point.
-func (t *Trie) segStart(ii int) (start, onesBefore int) {
-	return int(t.bvOffsets.Get(ii)), int(t.bvOnes.Get(ii))
-}
+// the concatenated bitvector.
+func (t *Trie) segStart(ii int) int { return int(t.bvOffsets.Get(ii)) }
 
-// segCounts returns the length and the popcount of the ii-th internal
-// node's segment — directory arithmetic only, no RRR block is read.
-func (t *Trie) segCounts(ii int) (length, ones int) {
-	start, end := t.bvOffsets.Pair(ii)
-	before, after := t.bvOnes.Pair(ii)
-	return int(end - start), int(after - before)
+// seg returns the segment [start, end) of the ii-th internal node.
+func (t *Trie) seg(ii int) (start, end int) {
+	a, b := t.bvOffsets.Pair(ii)
+	return int(a), int(b)
 }
 
 // AccessBits returns the element at position pos as a bit string.
@@ -261,9 +247,8 @@ func (t *Trie) AccessInto(b *bitstr.Builder, pos int) {
 		if t.tree.IsLeaf(nd.Pos) {
 			return
 		}
-		start, onesBefore := t.segStart(nd.InternalIndex())
-		bit, rank := t.bits.AccessRank1(start + pos)
-		if ones := rank - onesBefore; bit == 1 {
+		bit, ones := t.bits.AccessRankIn(t.segStart(nd.Internal), pos)
+		if bit == 1 {
 			pos = ones
 		} else {
 			pos -= ones
@@ -340,13 +325,12 @@ func (t *Trie) descend(key bitstr.BitString, exact bool, pos int, path []step) (
 		if off >= kn {
 			return nd, up, 0, path, false // the key ends at an internal node
 		}
-		up = step{ii: nd.InternalIndex(), bit: key.Bit(off)}
+		up = step{ii: nd.Internal, bit: key.Bit(off)}
 		if path != nil {
 			path = append(path, up)
 		}
 		if pos >= 0 {
-			start, onesBefore := t.segStart(up.ii)
-			ones := t.bits.Rank1(start+pos) - onesBefore
+			ones := t.bits.RankIn(t.segStart(up.ii), pos)
 			if up.bit == 1 {
 				pos = ones
 			} else {
@@ -362,24 +346,40 @@ func (t *Trie) descend(key bitstr.BitString, exact bool, pos int, path []step) (
 
 // count returns the length of the subsequence of nd, the node descend
 // reached through up: its own segment's length when internal, else the
-// occurrences of the followed bit in its parent's segment.
+// occurrences of the followed bit in its parent's segment — directory
+// arithmetic unless nd and its sibling are both leaves.
 func (t *Trie) count(nd dfuds.BinaryNode, up step) int {
 	if !t.tree.IsLeaf(nd.Pos) {
-		start, end := t.bvOffsets.Pair(nd.InternalIndex())
-		return int(end - start)
+		start, end := t.seg(nd.Internal)
+		return end - start
 	}
 	if up.ii < 0 {
 		return t.n
 	}
-	length, ones := t.segCounts(up.ii)
+	start, end := t.seg(up.ii)
+	// The leaf's sibling holds the rest of the parent's subsequence. An
+	// internal sibling is the next internal node in preorder after the
+	// parent (the leaf counts for none), so its segment's length says how
+	// much that is and no bit is read. The 0-child's subtree fills the
+	// bitmap between the parent and the 1-child; the 1-child follows a
+	// leaf 0-child directly.
+	sibling := nd.Internal > up.ii+1
+	if up.bit == 0 {
+		sibling = !t.tree.IsLeaf(nd.Pos + 1)
+	}
+	if sibling {
+		from, to := t.seg(up.ii + 1)
+		return end - start - (to - from)
+	}
+	ones := t.bits.RankIn(start, end-start)
 	if up.bit == 1 {
 		return ones
 	}
-	return length - ones
+	return end - start - ones
 }
 
 // rank is RankBits and RankPrefixBits: position 0 needs no walk, and the
-// full count (pos == n) is a label-only walk plus directory arithmetic.
+// full count (pos == n) is a label-only walk plus count's arithmetic.
 func (t *Trie) rank(key bitstr.BitString, exact bool, pos int) int {
 	if pos < 0 || pos > t.n {
 		panic(fmt.Sprintf("succinct: Rank position %d out of range [0,%d]", pos, t.n))
@@ -402,24 +402,29 @@ func (t *Trie) rank(key bitstr.BitString, exact bool, pos int) int {
 }
 
 // sel is SelectBits and SelectPrefixBits: a label-only walk that records
-// its branches, the count check, then one RRR select per branch back up.
+// its branches, then one RRR select per branch back up. Whether the node
+// holds idx+1 elements at all is its segment's length to say for an
+// internal node; for a leaf it is the first select's finding, in the
+// parent's segment.
 func (t *Trie) sel(key bitstr.BitString, exact bool, idx int) (int, bool) {
 	var buf [48]step // deeper tries spill to the heap
-	nd, up, _, path, ok := t.descend(key, exact, -1, buf[:0])
-	if !ok || idx < 0 || idx >= t.count(nd, up) {
+	nd, _, _, path, ok := t.descend(key, exact, -1, buf[:0])
+	if !ok || idx < 0 || idx >= t.n {
 		return 0, false
+	}
+	if !t.tree.IsLeaf(nd.Pos) {
+		if start, end := t.seg(nd.Internal); idx >= end-start {
+			return 0, false
+		}
 	}
 	pos := idx
 	for i := len(path) - 1; i >= 0; i-- {
 		// The answer lies inside the node's own segment, which confines
 		// the RRR superblock search — to nothing, for most nodes.
-		a, b := t.bvOffsets.Pair(path[i].ii)
-		start, end := int(a), int(b)
-		before := int(t.bvOnes.Get(path[i].ii)) // ones before the segment
-		if path[i].bit == 0 {
-			before = start - before // zeros before it
+		start, end := t.seg(path[i].ii)
+		if pos, ok = t.bits.SelectIn(path[i].bit, pos, start, end); !ok {
+			return 0, false
 		}
-		pos = t.bits.SelectIn(path[i].bit, before+pos, start, end) - start
 	}
 	return pos, true
 }
@@ -456,23 +461,22 @@ func (t *Trie) SizeBits() int {
 	}
 	return t.tree.SizeBits() +
 		t.labels.Len() + t.labelDir.SizeBits() +
-		t.bits.SizeBits() + t.bvOffsets.SizeBits() + t.bvOnes.SizeBits() +
-		t.internal.SizeBits()
+		t.bits.SizeBits() + t.bvOffsets.SizeBits()
 }
 
-// ComponentBits itemizes the encoding for the space experiments: DFUDS
-// tree, labels + directory, concatenated RRR + directories (each with
-// its select hints), and the internal-node marks.
+// ComponentBits itemizes the encoding for the space experiments: the
+// shape bitmap (under the key it had as a DFUDS string), labels +
+// directory, and the concatenated RRR + its segment directory (with its
+// select hints).
 func (t *Trie) ComponentBits() map[string]int {
 	if t.tree == nil {
 		return map[string]int{}
 	}
 	return map[string]int{
-		"dfuds":        t.tree.SizeBits(),
-		"labels":       t.labels.Len(),
-		"labelDir":     t.labelDir.SizeBits(),
-		"bitvectors":   t.bits.SizeBits(),
-		"bvDirs":       t.bvOffsets.SizeBits() + t.bvOnes.SizeBits(),
-		"internalRank": t.internal.SizeBits(),
+		"dfuds":      t.tree.SizeBits(),
+		"labels":     t.labels.Len(),
+		"labelDir":   t.labelDir.SizeBits(),
+		"bitvectors": t.bits.SizeBits(),
+		"bvDirs":     t.bvOffsets.SizeBits(),
 	}
 }

@@ -85,8 +85,11 @@ var (
 // naming the variant, then the variant's own encoding. See DESIGN.md for
 // the full format inventory.
 const (
-	persistMagic   = 0x57564C54 // "WVLT"
-	persistVersion = 2          // v2: word payloads 8-byte aligned for mmap
+	persistMagic = 0x57564C54 // "WVLT"
+	// v3: a Frozen body is succinct's wire version 4 (one shape bit a node,
+	// no internal-node marks, no cumulative-ones directory). Older files
+	// are refused by version and left as they are.
+	persistVersion = 3
 )
 
 const (

@@ -581,9 +581,10 @@ func TestChecksumMismatchFails(t *testing.T) {
 
 // TestOlderFormatsRefused: a directory written before the distinct count
 // became derived — manifest version 3, log version 1 with its "new to the
-// alphabet" flag bit — or before columns were laid out at their entropy —
-// .col version 1 — must be refused by name of the version and left
-// byte for byte as it was. Read as today's format, flag 0x01 would be a
+// alphabet" flag bit — before columns were laid out at their entropy —
+// .col version 1 — or before the trie lost its redundant directories —
+// .wt container version 2 — must be refused by name of the version and
+// left byte for byte as it was. Read as today's format, flag 0x01 would be a
 // sequence header (or, checksummed but ill-shaped, a "corrupt tail" to
 // truncate): acknowledged data reinterpreted or cut off.
 func TestOlderFormatsRefused(t *testing.T) {
@@ -694,6 +695,39 @@ func TestOlderFormatsRefused(t *testing.T) {
 			}
 			return files
 		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, ".col: wire: unsupported version 1"},
+		{"container version 2 generation", func(t *testing.T, dir string) map[string][]byte {
+			// Today's store with one flushed generation, its .wt replaced by
+			// the file the commit before trie format v4 wrote for the same
+			// values (testdata/gen_persist_v2.wt: DFUDS shape, internal-node
+			// marks, cumulative-ones directory) and the manifest's checksum
+			// moved with it.
+			old, err := os.ReadFile(filepath.Join("testdata", "gen_persist_v2.wt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := mustOpen(t, dir, testOpts())
+			mustAppend(t, s, workload.URLLog(60, 29, workload.DefaultURLConfig())...)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, manifestName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := parseManifest(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.gens[0].crc = genCRC(old)
+			files := map[string][]byte{manifestName: encodeManifest(m), genFileName(m.gens[0].id): old}
+			if files[walFileName(m.walID)], err = os.ReadFile(filepath.Join(dir, walFileName(m.walID))); err != nil {
+				t.Fatal(err)
+			}
+			return files
+		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "wire: unsupported version 2, want 3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
