@@ -9,12 +9,11 @@
 //	wtbench -exp all            # run everything
 //	wtbench -exp t1a            # one experiment
 //	wtbench -exp t3a -quick     # smaller sizes for a fast smoke run
-//	wtbench -json               # machine-readable suite + config (BENCH_*.json)
 //
 // Experiments: figs, t1a, t1b, t2a, t2b, t2c, t3a, t3b, t4, t5, t6, q5,
-// cmp, abl, ser, store, compact, freeze, shard, router, column. The
-// served stack (server, replication, observability overhead) is measured
-// by bench/ (go run -C bench . -workload all -trace 1).
+// cmp, abl. The engine around the structure (store, shards, columns,
+// server, replication) is measured by bench/, end to end and rung by rung
+// (go run -C bench . -workload all -trace 1).
 package main
 
 import (
@@ -46,29 +45,12 @@ var experiments = []experiment{
 	{"q5", "Sec. 5 range algorithms: iterator vs Access, distinct, majority", runQ5},
 	{"cmp", "Sec. 1 comparison: wavelet trie vs wavelet tree vs B-tree index", runCMP},
 	{"abl", "Ablation: RRR-compressed vs plain node bitvectors", runABL},
-	{"ser", "Persistence: marshal/load round trip, on-disk size, load vs rebuild", runSER},
-	{"store", "Log-structured store: WAL append, concurrent reads, recovery vs rebuild", runSTORE},
-	{"compact", "Two-phase compaction: streaming merge throughput, Flush latency under merge", runCOMPACT},
-	{"freeze", "Streaming freeze: builder vs materialize+NewStatic peak memory, mmap vs heap Open", runFREEZE},
-	{"shard", "Sharded store: multi-writer append scaling, busy-reader latency, recovery", runSHARD},
-	{"router", "Frozen wavelet-tree router: succinct bits/elem, frozen vs tail reads, k-way SelectPrefix", runROUTER},
-	{"column", "Columnar attachments: payload ingest overhead, predicate pushdown vs scan-and-filter, row reads", runCOLUMN},
 }
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
 	quick := flag.Bool("quick", false, "smaller sizes for a fast run")
-	jsonOut := flag.Bool("json", false, "emit the benchmark suite (build/query/serialize + store/compact/shard experiments) with its config block as JSON (for BENCH_*.json trajectories); not combinable with -exp")
 	flag.Parse()
-
-	if *jsonOut {
-		if *exp != "all" {
-			fmt.Fprintln(os.Stderr, "wtbench: -json runs its own build/query/serialize suite and cannot be combined with -exp")
-			os.Exit(2)
-		}
-		emitJSON(*quick)
-		return
-	}
 
 	ids := map[string]experiment{}
 	var order []string

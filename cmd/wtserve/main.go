@@ -58,7 +58,6 @@ func main() {
 	flag.Int("cache", 0, "accepted and ignored (the result cache is gone)")
 	maxConns := flag.Int("max-conns", 256, "concurrent connection cap (backpressure beyond it)")
 	maxBatch := flag.Int("max-batch", 1024, "max values per group commit")
-	noGroupCommit := flag.Bool("no-group-commit", false, "commit every append individually (benchmark baseline)")
 	slowOp := flag.Duration("slow-op", 0, "log binary-protocol ops slower than this (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	follow := flag.String("follow", "", "run as a read-only replication follower of this primary address")
@@ -77,11 +76,10 @@ func main() {
 	}
 
 	srv := server.New(db.backend, &server.Options{
-		MaxConns:           *maxConns,
-		DisableGroupCommit: *noGroupCommit,
-		MaxBatch:           *maxBatch,
-		SlowOp:             *slowOp,
-		ReplHeartbeat:      *replHeartbeat,
+		MaxConns:      *maxConns,
+		MaxBatch:      *maxBatch,
+		SlowOp:        *slowOp,
+		ReplHeartbeat: *replHeartbeat,
 	})
 
 	l, err := net.Listen("tcp", *listen)

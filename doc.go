@@ -115,5 +115,6 @@
 // DESIGN.md
 // for the substrate inventory, the substitution table, the wire-format
 // reference, and the index of the cmd/wtbench experiments that reproduce
-// every bound in the paper's Table 1.
+// every bound in the paper's Table 1; the engine around the structure
+// (store, shards, columns, server) is measured by bench/.
 package wavelettrie

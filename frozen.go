@@ -161,17 +161,14 @@ func (f *Frozen) EnumeratePrefix(p string, from int, fn func(idx, pos int, val f
 	if from < 0 {
 		panic(fmt.Sprintf("wavelettrie: EnumeratePrefix from %d negative", from))
 	}
-	var key, buf [bitstr.KeyWords]uint64
+	var key [bitstr.KeyWords]uint64
 	c := f.t.PrefixCursor(bitstr.EncodePrefixStringInto(key[:], p))
 	count = c.Count()
 	defer c.Close()
 	c.Seek(from)
 	idx := from
-	val := func() string {
-		b := bitstr.BuilderOver(buf[:])
-		c.ValueInto(&b, idx)
-		return decode(b.View())
-	}
+	var buf [128]byte // most values decode here: one copy into the string
+	val := func() string { return string(c.AppendValue(buf[:0], idx)) }
 	for ; ; idx++ {
 		pos, ok := c.Next()
 		if !ok || !fn(idx, pos, val) {

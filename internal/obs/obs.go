@@ -11,8 +11,8 @@
 //     them forever.
 //   - Toggleable to a no-op. Every handle carries its registry's
 //     enabled flag; SetEnabled(false) turns the whole instrumentation
-//     surface into dead branches, which is what the wtbench "obs"
-//     experiment measures the live surface against.
+//     surface into dead branches — the baseline the live surface is
+//     measured against.
 //   - One exposition format. Registries render Prometheus text
 //     exposition (WritePrometheus / TextSnapshot); the gateway's
 //     /metrics endpoint, the binary protocol's OpMetrics reply and the

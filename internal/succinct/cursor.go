@@ -32,6 +32,10 @@ type PrefixCursor struct {
 
 	head int  // length of nd's root path in bits, a prefix of key; valid iff w.t != nil
 	w    walk // the value walk, rooted at nd; opened by the first ValueInto
+	// Where AppendValue assembles a match's bits (the walk keeps a builder's
+	// words reachable, so a buffer local to AppendValue would be allocated
+	// per match).
+	buf [bitstr.KeyWords]uint64
 }
 
 // cursorLevel is one branch of the prefix node's root path: the bit
@@ -135,33 +139,14 @@ func (c *PrefixCursor) ValueInto(b *bitstr.Builder, j int) {
 	c.w.next(j, b)
 }
 
-// EnumeratePrefixBits drives a PrefixCursor over the elements with bit
-// prefix p, in position order from the from-th (0-based) match: fn receives
-// the match index, its position and val, which appends the match's value —
-// decoded to its bytes — to dst when called (a positions-only consumer
-// never pays for it) and is valid only during that call of fn. fn returns
-// false to stop. It returns the prefix's match count, which the descent
-// found on the way. from must not be negative.
-func (t *Trie) EnumeratePrefixBits(p bitstr.BitString, from int, fn func(idx, pos int, val func(dst []byte) []byte) bool) (count int) {
-	c := t.PrefixCursor(p)
-	count = c.Count()
-	defer c.Close()
-	c.Seek(from)
-	idx := from
-	var buf [bitstr.KeyWords]uint64
-	val := func(dst []byte) []byte {
-		b := bitstr.BuilderOver(buf[:])
-		c.ValueInto(&b, idx)
-		out, err := bitstr.AppendDecoded(dst, b.View())
-		if err != nil {
-			panic("succinct: internal corruption: " + err.Error())
-		}
-		return out
+// AppendValue appends to dst the bytes of the element that is match j:
+// ValueInto, decoded.
+func (c *PrefixCursor) AppendValue(dst []byte, j int) []byte {
+	b := bitstr.BuilderOver(c.buf[:])
+	c.ValueInto(&b, j)
+	out, err := bitstr.AppendDecoded(dst, b.View())
+	if err != nil {
+		panic("succinct: internal corruption: " + err.Error())
 	}
-	for ; ; idx++ {
-		pos, ok := c.Next()
-		if !ok || !fn(idx, pos, val) {
-			return count
-		}
-	}
+	return out
 }

@@ -44,13 +44,11 @@ type Snap interface {
 
 // Backend is the store surface the server drives — satisfied by
 // adapters over store.Store (ForStore) and store.ShardedStore
-// (ForSharded). AppendBatch is the group-commit entry point: one call
-// per coalesced batch, one WAL write and at most one fsync inside.
+// (ForSharded).
 type Backend interface {
-	Append(v string) error
-	AppendBatch(vs []string) error
-	// AppendBatchRows is AppendBatch with optional payload rows (rows is
-	// nil or one entry per value); the row-carrying group-commit path.
+	// AppendBatchRows is the one write call, made once per coalesced group
+	// commit: one WAL write and at most one fsync inside. rows is nil or
+	// one payload row per value.
 	AppendBatchRows(vs []string, rows []store.Row) error
 	// Schema is the pinned column schema (nil when none).
 	Schema() []store.ColumnSpec

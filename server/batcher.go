@@ -12,7 +12,7 @@ import (
 // store's append lock themselves. They enqueue their values on a
 // channel and wait; a single committer goroutine drains whatever has
 // accumulated — across any number of connections — into one
-// Backend.AppendBatch call, which is one lock acquisition, one WAL
+// Backend.AppendBatchRows call, which is one lock acquisition, one WAL
 // write and at most one fsync no matter how many clients are inside
 // the batch. Under load the batch grows and the per-append cost of
 // the log falls toward zero; when idle a lone append commits
@@ -94,9 +94,8 @@ func (s *Server) committer() {
 }
 
 // submitAppend routes values (and optional payload rows — nil, or one
-// per value) through the group-commit path (or straight to
-// commitPublish when group commit is disabled) and waits for the
-// commit. Returns the global sequence number the write is covered by —
+// per value) through the group-commit path and waits for the commit.
+// Returns the global sequence number the write is covered by —
 // the client's read-your-writes token. Writes are refused on a
 // replication follower; the primary owns sequence assignment. Rows are
 // validated against the schema here, before enqueueing — one client's
@@ -121,11 +120,6 @@ func (s *Server) submitAppend(vals []string, rows []store.Row) (uint64, error) {
 		}
 	}
 	smet.appendValues.Add(int64(len(vals)))
-	if s.opts.DisableGroupCommit {
-		// Still one commitPublish per request — sequence assignment and
-		// fan-out need the hub even without coalescing.
-		return s.commitPublish(vals, rows)
-	}
 	req := appendReq{vals: vals, rows: rows, resc: make(chan commitResult, 1)}
 	// The read-locked gate pairs with Shutdown: once every connection
 	// handler has exited, Shutdown flips sendOff under the write lock

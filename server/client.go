@@ -125,17 +125,7 @@ func (c *Client) Append(v string) error {
 // is covered by: once any server's watermark reaches it (WaitFor),
 // reads there see this write. The client also remembers it as its
 // session token (LastAcked).
-func (c *Client) AppendSeq(v string) (uint64, error) {
-	var seq uint64
-	err := c.roundTrip(Request{Op: OpAppend, Value: v}, func(r *wire.Reader) error {
-		seq = r.Uvarint()
-		return nil
-	})
-	if err == nil {
-		c.noteAck(seq)
-	}
-	return seq, err
-}
+func (c *Client) AppendSeq(v string) (uint64, error) { return c.AppendRowSeq(v, nil) }
 
 // AppendBatch adds vs at the end of the sequence as one atomic,
 // order-preserving batch — the efficient ingest path: one round trip
@@ -148,19 +138,7 @@ func (c *Client) AppendBatch(vs []string) error {
 // AppendBatchSeq is AppendBatch returning the covering sequence
 // number; see AppendSeq.
 func (c *Client) AppendBatchSeq(vs []string) (uint64, error) {
-	if len(vs) == 0 {
-		return c.lastAck.Load(), nil
-	}
-	var seq uint64
-	err := c.roundTrip(Request{Op: OpAppendBatch, Values: vs}, func(r *wire.Reader) error {
-		r.Uvarint() // accepted count, fixed by the request itself
-		seq = r.Uvarint()
-		return nil
-	})
-	if err == nil {
-		c.noteAck(seq)
-	}
-	return seq, err
+	return c.AppendBatchRowsSeq(vs, nil)
 }
 
 // AppendRow is Append with a columnar payload row attached (nil row =
@@ -366,6 +344,61 @@ func (c *Client) MetricsText() (string, error) {
 	return out, err
 }
 
+// pages is the one paging loop behind Scan, ScanPrefix and ScanWhere: it
+// asks for at most batch items a round trip (0 selects 1024), from item
+// req.Pos on, until the server reports the last page, n items have been
+// visited (n < 0 = to the end) or the consumer stops. decode reads one
+// reply — the page's done flag, the index of its first item and its items,
+// which it keeps, returning how many — and runs under the round trip, so it
+// must not call the consumer; emit hands over item i of that page, whose
+// index in the whole walk is idx, once the round trip is done, and returns
+// false to stop.
+func (c *Client) pages(req *Request, n, batch int, decode func(r *wire.Reader) (done bool, start, k int), emit func(idx, i int) bool) error {
+	if n == 0 {
+		return nil
+	}
+	if batch <= 0 {
+		batch = 1024
+	}
+	for {
+		req.Max = batch
+		if n >= 0 && n < batch {
+			req.Max = n
+		}
+		var done bool
+		var start, k int
+		err := c.roundTrip(*req, func(r *wire.Reader) error {
+			done, start, k = decode(r)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for i := 0; i < k; i++ {
+			if !emit(start+i, i) {
+				return nil
+			}
+		}
+		if done {
+			return nil
+		}
+		if n > 0 {
+			if n -= k; n == 0 {
+				return nil
+			}
+		}
+		if k == 0 {
+			return nil // defensive: a non-done empty batch must not spin
+		}
+		req.Pos = start + k
+	}
+}
+
+// pageHeader reads what every scan page starts with.
+func pageHeader(r *wire.Reader) (done bool, start, k int) {
+	return r.Byte() == 1, int(r.Uvarint()), r.Len()
+}
+
 // Scan streams the elements of positions [start, start+n) in order,
 // calling fn for each; n < 0 streams to the end. The walk covers the
 // sequence as it stood at the first page: that page pins the length,
@@ -375,53 +408,24 @@ func (c *Client) MetricsText() (string, error) {
 // nothing between pages, so returning false from fn just stops. batch
 // sizes the per-round-trip value count; 0 uses the server's default.
 func (c *Client) Scan(start, n, batch int, fn func(pos int, v string) bool) error {
-	if n == 0 {
-		return nil
-	}
-	if batch <= 0 {
-		batch = 1024
-	}
-	remaining := n // negative = to the end
 	req := Request{Op: OpIterate, Pos: start}
-	for {
-		req.Max = batch
-		if remaining >= 0 && remaining < batch {
-			req.Max = remaining
+	var vals []string
+	return c.pages(&req, n, batch, func(r *wire.Reader) (bool, int, int) {
+		req.Seq = r.Uvarint()
+		done, pos, k := pageHeader(r)
+		vals = vals[:0]
+		for i := 0; i < k && r.Err() == nil; i++ {
+			vals = append(vals, r.Str())
 		}
-		var vals []string
-		var done bool
-		var pos int
-		err := c.roundTrip(req, func(r *wire.Reader) error {
-			req.Seq = r.Uvarint()
-			done = r.Byte() == 1
-			pos = int(r.Uvarint())
-			k := r.Len()
-			for i := 0; i < k && r.Err() == nil; i++ {
-				vals = append(vals, r.Str())
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for i, v := range vals {
-			if !fn(pos+i, v) {
-				return nil
-			}
-		}
-		if done {
-			return nil
-		}
-		if remaining > 0 {
-			if remaining -= len(vals); remaining == 0 {
-				return nil
-			}
-		}
-		if len(vals) == 0 {
-			return nil // defensive: a non-done empty batch must not spin
-		}
-		req.Pos = pos + len(vals)
-	}
+		return done, pos, len(vals)
+	}, func(pos, i int) bool { return fn(pos, vals[i]) })
+}
+
+// scanMatch is one item of a ScanPrefix or ScanWhere page.
+type scanMatch struct {
+	pos int
+	val string
+	row store.Row // ScanWhere only
 }
 
 // ScanPrefix streams the elements with byte prefix p in ascending
@@ -434,56 +438,9 @@ func (c *Client) Scan(start, n, batch int, fn func(pos int, v string) bool) erro
 // router's frozen prefix sums. batch sizes
 // the per-round-trip match count; 0 uses the server's default.
 func (c *Client) ScanPrefix(p string, from, n, batch int, fn func(idx, pos int, v string) bool) error {
-	if n == 0 || from < 0 {
-		return nil
-	}
-	if batch <= 0 {
-		batch = 1024
-	}
-	remaining := n // negative = to the end
-	req := Request{Op: OpIteratePrefix, Value: p, Pos: from}
-	for {
-		req.Max = batch
-		if remaining >= 0 && remaining < batch {
-			req.Max = remaining
-		}
-		type match struct {
-			pos int
-			val string
-		}
-		var matches []match
-		var done bool
-		var start int
-		err := c.roundTrip(req, func(r *wire.Reader) error {
-			done = r.Byte() == 1
-			start = int(r.Uvarint())
-			k := r.Len()
-			for i := 0; i < k && r.Err() == nil; i++ {
-				matches = append(matches, match{pos: int(r.Uvarint()), val: r.Str()})
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for i, m := range matches {
-			if !fn(start+i, m.pos, m.val) {
-				return nil
-			}
-		}
-		if done {
-			return nil
-		}
-		if remaining > 0 {
-			if remaining -= len(matches); remaining == 0 {
-				return nil
-			}
-		}
-		if len(matches) == 0 {
-			return nil // defensive: a non-done empty batch must not spin
-		}
-		req.Pos = start + len(matches)
-	}
+	return c.scanMatches(Request{Op: OpIteratePrefix, Value: p, Pos: from}, n, batch, func(idx int, m scanMatch) bool {
+		return fn(idx, m.pos, m.val)
+	})
 }
 
 // ScanWhere streams the elements matching byte prefix p AND every
@@ -494,58 +451,30 @@ func (c *Client) ScanPrefix(p string, from, n, batch int, fn func(idx, pos int, 
 // to stop. Pagination is stateless like ScanPrefix. batch sizes the
 // per-round-trip match count; 0 uses the server's default.
 func (c *Client) ScanWhere(p string, preds []store.Pred, from, n, batch int, fn func(idx, pos int, v string, row store.Row) bool) error {
-	if n == 0 || from < 0 {
+	return c.scanMatches(Request{Op: OpScanWhere, Value: p, Pos: from, Preds: preds}, n, batch, func(idx int, m scanMatch) bool {
+		return fn(idx, m.pos, m.val, m.row)
+	})
+}
+
+// scanMatches pages through a match scan from match req.Pos on; an
+// OpScanWhere page carries a row behind every value.
+func (c *Client) scanMatches(req Request, n, batch int, fn func(idx int, m scanMatch) bool) error {
+	if req.Pos < 0 {
 		return nil
 	}
-	if batch <= 0 {
-		batch = 1024
-	}
-	remaining := n // negative = to the end
-	req := Request{Op: OpScanWhere, Value: p, Pos: from, Preds: preds}
-	for {
-		req.Max = batch
-		if remaining >= 0 && remaining < batch {
-			req.Max = remaining
-		}
-		type match struct {
-			pos int
-			val string
-			row store.Row
-		}
-		var matches []match
-		var done bool
-		var start int
-		err := c.roundTrip(req, func(r *wire.Reader) error {
-			done = r.Byte() == 1
-			start = int(r.Uvarint())
-			k := r.Len()
-			matches = matches[:0]
-			for i := 0; i < k && r.Err() == nil; i++ {
-				matches = append(matches, match{pos: int(r.Uvarint()), val: r.Str(), row: parseRow(r)})
+	var matches []scanMatch
+	return c.pages(&req, n, batch, func(r *wire.Reader) (bool, int, int) {
+		done, start, k := pageHeader(r)
+		matches = matches[:0]
+		for i := 0; i < k && r.Err() == nil; i++ {
+			m := scanMatch{pos: int(r.Uvarint()), val: r.Str()}
+			if req.Op == OpScanWhere {
+				m.row = parseRow(r)
 			}
-			return nil
-		})
-		if err != nil {
-			return err
+			matches = append(matches, m)
 		}
-		for i, m := range matches {
-			if !fn(start+i, m.pos, m.val, m.row) {
-				return nil
-			}
-		}
-		if done {
-			return nil
-		}
-		if remaining > 0 {
-			if remaining -= len(matches); remaining == 0 {
-				return nil
-			}
-		}
-		if len(matches) == 0 {
-			return nil // defensive: a non-done empty batch must not spin
-		}
-		req.Pos = start + len(matches)
-	}
+		return done, start, len(matches)
+	}, func(idx, i int) bool { return fn(idx, matches[i]) })
 }
 
 // Slice returns the elements of positions [l, r) as a fresh slice.

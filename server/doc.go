@@ -8,11 +8,11 @@
 //
 //   - Group commit. Connection handlers never append directly; they
 //     enqueue values and a single committer coalesces everything
-//     pending — across all connections — into one Store.AppendBatch
-//     call: one append-lock acquisition, one WAL write, at most one
-//     fsync per batch. Under concurrency the per-append log cost
-//     amortizes toward zero; an idle server commits a lone append
-//     immediately.
+//     pending — across all connections — into one AppendBatchRows
+//     call, the only write the server makes on a store: one
+//     append-lock acquisition, one WAL write, at most one fsync per
+//     batch. Under concurrency the per-append log cost amortizes toward
+//     zero; an idle server commits a lone append immediately.
 //
 //   - Pinned views, and positions as the only resume token. Every
 //     read request is served from one immutable view of the store, so

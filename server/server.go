@@ -29,10 +29,6 @@ type Options struct {
 	// field stays only because bench/ still sets it; the next benchmark PR
 	// drops it.
 	CacheEntries int
-	// DisableGroupCommit routes every append straight to the store
-	// instead of through the coalescing committer — one lock and WAL
-	// write per request. For benchmarks and comparison; leave it off.
-	DisableGroupCommit bool
 	// MaxBatch caps the values in one group commit (and the pending
 	// append queue length). Default 1024.
 	MaxBatch int

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -156,6 +158,91 @@ func TestAppendBatchMixedWithAppends(t *testing.T) {
 		want = append(want, v)
 	}
 	checkShardedSeq(t, ss, want)
+}
+
+// TestAppendIsBatchOfOne pins what lets a single append be a batch of one:
+// n values appended one AppendRow at a time and the same n as one-value
+// AppendBatchRows calls leave byte-identical WAL files — on a plain store
+// and on every shard of a 2-shard one, sequence headers included — and the
+// two directories reopen to the same content.
+func TestAppendIsBatchOfOne(t *testing.T) {
+	type appender interface {
+		AppendRow(v string, row Row) error
+		AppendBatchRows(vs []string, rows []Row) error
+		Close() error
+	}
+	rowFor := func(i int) Row {
+		switch i % 3 {
+		case 0:
+			return nil
+		case 1:
+			return Row{U64(uint64(i)), Null()}
+		}
+		return Row{Null(), Blob([]byte(fmt.Sprintf("m%d", i)))}
+	}
+	for _, arm := range []struct {
+		name string
+		open func(dir string) (appender, func() uint64)
+		wals []string
+	}{
+		{"plain", func(dir string) (appender, func() uint64) {
+			s := mustOpen(t, dir, colTestOpts())
+			return s, func() uint64 { return s.Snapshot().ContentFingerprint() }
+		}, []string{walFileName(1)}},
+		{"sharded", func(dir string) (appender, func() uint64) {
+			opts := shardedCrashOpts()
+			opts.Store.Columns = colTestSchema()
+			ss, err := OpenSharded(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ss, func() uint64 { return ss.Snapshot().ContentFingerprint() }
+		}, []string{filepath.Join(shardDirName(0), walFileName(1)), filepath.Join(shardDirName(1), walFileName(1))}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			dirs := [2]string{t.TempDir(), t.TempDir()}
+			for form, dir := range dirs {
+				st, _ := arm.open(dir)
+				for i := 0; i < 200; i++ {
+					v, row := fmt.Sprintf("val/%03d", i%37), rowFor(i)
+					var err error
+					if form == 0 {
+						err = st.AppendRow(v, row)
+					} else {
+						err = st.AppendBatchRows([]string{v}, []Row{row})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range arm.wals {
+				one, err := os.ReadFile(filepath.Join(dirs[0], name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := os.ReadFile(filepath.Join(dirs[1], name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(one) <= walHeaderLen || !bytes.Equal(one, batch) {
+					t.Fatalf("%s: %d bytes from AppendRow, %d from one-value batches, want identical and non-empty", name, len(one), len(batch))
+				}
+			}
+			var fps [2]uint64
+			for form, dir := range dirs {
+				st, fp := arm.open(dir)
+				fps[form] = fp()
+				st.Close()
+			}
+			if fps[0] != fps[1] {
+				t.Fatalf("reopened content differs: %016x from AppendRow, %016x from one-value batches", fps[0], fps[1])
+			}
+		})
+	}
 }
 
 // TestAppendBatchDurability crashes (directory copy) right after a

@@ -21,11 +21,14 @@
 // back out of a trie to be inserted into another (DESIGN.md §9). An
 // append is the paper's O(|s| + h_s) and nothing more: it frames a WAL
 // record and inserts into the memtable's trie, and reads nothing else of
-// the store — a new string is just a new leaf. In particular nothing
-// counts distinct values as they arrive: AlphabetSize is derived when
-// asked for, by walking the shapes of the snapshot's tries together (the
-// leaves of their union; labels only, no element decoded). Compaction
-// is two-phase and never blocks the write path: the merge itself and the
+// the store — a new string is just a new leaf. There is one append path:
+// a batch is framed into one buffer, written with one write and at most
+// one fsync, and applied under one memtable lock; Append and AppendRow are
+// batches of one, and the replay at Open applies each log as a batch
+// through the same body. In particular nothing counts distinct values as
+// they arrive: AlphabetSize is derived when asked for, by walking the
+// shapes of the snapshot's tries together (the leaves of their union;
+// labels only, no element decoded). Compaction is two-phase and never blocks the write path: the merge itself and the
 // writing of the files run outside the admin lock while appends and
 // flushes proceed (flushes only append generations, so the victim run
 // stays adjacent), and only the final manifest swap commits under it.
@@ -37,7 +40,12 @@
 // and the Count forms) are answered by stitching per-generation answers
 // together with offset and rank arithmetic, one label-only descent per
 // generation for a key it does not hold. Snapshot.Iterate/Slice stream
-// ranges through the per-segment sequential enumerators. A snapshot
+// ranges through the per-segment sequential enumerators. A prefix's
+// matches leave a segment one way only, behind a pull cursor (the trie's
+// PrefixCursor for a generation, batched selects for the memtable): a
+// plain view's scan reads its segments' cursors one after the other, a
+// sharded view's merges one such stream per shard, and the prefix and
+// predicate scans of both are the same code over that stream. A snapshot
 // observes a fixed prefix of the logical sequence no matter how many
 // appends, flushes or compactions happen after it was taken. Only the
 // memtable tail is guarded by a read-write mutex — and the WAL fsync

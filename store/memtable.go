@@ -41,37 +41,14 @@ func newMemtable(w *wal, schema []ColumnSpec) *memtable {
 	return m
 }
 
-// apply inserts s (and its payload row, which may be nil) into the trie
-// and publishes the new length. The WAL write happens in the caller,
-// outside the trie lock, so fsync latency never stalls readers.
-func (m *memtable) apply(s string, row Row) {
-	m.mu.Lock()
-	if m.cols != nil {
-		m.cols.appendRow(m.trie.Len(), row)
-	}
-	m.trie.Append(s)
-	m.mu.Unlock()
-	m.n.Add(1)
-}
-
-// applySeq is apply for a sharded record: the global sequence number is
-// retained alongside the trie insert.
-func (m *memtable) applySeq(s string, seq uint64, row Row) {
-	m.mu.Lock()
-	if m.cols != nil {
-		m.cols.appendRow(m.trie.Len(), row)
-	}
-	m.trie.Append(s)
-	m.seqs = append(m.seqs, seq)
-	m.mu.Unlock()
-	m.n.Add(1)
-}
-
 // applyBatch inserts vs into the trie under one lock acquisition and
-// publishes the new length once — the memtable half of a group commit.
-// seqs, when non-nil, carries the records' global sequence numbers
-// (sharded stores); rows, when non-nil, the payload rows (entries may
-// individually be nil = all-NULL). Both are parallel to vs.
+// publishes the new length once — the memtable half of a group commit, and
+// the one way a value enters a memtable (a single append is a batch of one;
+// replay at Open is a batch per log). The WAL write happens in the caller,
+// outside the trie lock, so fsync latency never stalls readers. seqs, when
+// non-nil, carries the records' global sequence numbers (sharded stores);
+// rows, when non-nil, the payload rows (entries may individually be nil =
+// all-NULL). Both are parallel to vs.
 func (m *memtable) applyBatch(vs []string, rows []Row, seqs []uint64) {
 	m.mu.Lock()
 	for i, s := range vs {
@@ -234,24 +211,10 @@ func (v memView) sel(k *probe, idx int) (int, bool) {
 	return v.m.trie.Select(k.key, idx)
 }
 
-// scan streams the view's matches of the prefix probe k from the from-th
-// on, off the view's cursor: fn runs between the cursor's batches, with no
-// lock held. It returns the view's match count.
-func (v memView) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int {
-	c := &memCursor{v: v, k: k}
-	c.seek(from)
-	val := c.value
-	for j := from; ; j++ {
-		pos, ok := c.next()
-		if !ok || !fn(j, pos, val) {
-			return c.n
-		}
-	}
-}
-
 func (v memView) cursor(k *probe) matchCursor { return &memCursor{v: v, k: k} }
 
-// memCursor is the view's matches of a prefix probe behind a pull cursor.
+// memCursor is the view's matches of a prefix probe behind a pull cursor:
+// the consumer runs between the cursor's batches, with no lock held.
 // Positions are extracted in batches, each under one read-lock acquisition
 // with the view's match count taken once; between batches no lock is held,
 // and value is a point read under its own. The batch doubles from a few

@@ -81,20 +81,13 @@ func (f frozenSeg) sel(k *probe, idx int) (pos int, ok bool) {
 	return pos, ok
 }
 
-// scan is the trie's prefix enumeration with the probe's bits; a value
-// that is asked for is decoded straight into the caller's bytes.
-func (f frozenSeg) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int {
-	count := f.t.EnumeratePrefixBits(k.bits, from, fn)
-	runtime.KeepAlive(f.Frozen)
-	return count
-}
-
-// matchCursor is scan turned inside out: a segment's matches of one prefix
-// probe behind a pull cursor, which is what a merge of several streams
-// needs — it advances whichever one it emitted from, a match at a time.
-// Making one is the probe's descent into the segment; every method after
-// that works from what the descent remembered. A cursor is not safe for
-// concurrent use and holds no lock between calls.
+// matchCursor is a segment's matches of one prefix probe behind a pull
+// cursor — the one form prefix matches cross the segment seam in. A plain
+// view reads its segments' cursors one after the other; a merge of several
+// shards' streams needs the pull form, advancing whichever stream it emitted
+// from, a match at a time. Making one is the probe's descent into the
+// segment; every method after that works from what the descent remembered.
+// A cursor is not safe for concurrent use and holds no lock between calls.
 type matchCursor interface {
 	// rankAt counts the matches at positions before pos; it does not move
 	// the cursor.
@@ -115,10 +108,6 @@ type frozenCursor struct {
 	f *wavelettrie.Frozen
 	c *succinct.PrefixCursor
 	j int // index of the match next returns
-	// Where value assembles a match's bits; made by the first call (the
-	// cursor's walk keeps a builder's words reachable, so a buffer local to
-	// value would be allocated per match).
-	buf *[bitstr.KeyWords]uint64
 }
 
 func (f frozenSeg) cursor(k *probe) matchCursor {
@@ -147,17 +136,10 @@ func (fc *frozenCursor) next() (int, bool) {
 	return pos, ok
 }
 
+// value decodes the match straight into the caller's bytes.
 func (fc *frozenCursor) value(dst []byte) []byte {
-	if fc.buf == nil {
-		fc.buf = new([bitstr.KeyWords]uint64)
-	}
-	b := bitstr.BuilderOver(fc.buf[:])
-	fc.c.ValueInto(&b, fc.j-1)
-	out, err := bitstr.AppendDecoded(dst, b.View())
+	out := fc.c.AppendValue(dst, fc.j-1)
 	runtime.KeepAlive(fc.f)
-	if err != nil {
-		panic("store: internal corruption: " + err.Error())
-	}
 	return out
 }
 

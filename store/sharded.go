@@ -196,7 +196,7 @@ func OpenSharded(dir string, opts *ShardedOptions) (*ShardedStore, error) {
 
 	ss := &ShardedStore{dir: dir, opts: o, part: o.Partitioner, unlock: unlock}
 	ss.router = newRouter(count)
-	hooks := &shardHooks{seq: &ss.seq, barrier: ss.sealBarrier, retire: func() { ss.view.Store(nil) }}
+	hooks := &shardHooks{barrier: ss.sealBarrier, retire: func() { ss.view.Store(nil) }}
 
 	ss.shards = make([]*Store, count)
 	errs := make([]error, count)
@@ -393,35 +393,11 @@ func (ss *ShardedStore) Append(v string) error { return ss.AppendRow(v, nil) }
 
 // AppendRow appends v with a payload row; the row rides to the same
 // shard as the value, so stitched reads find it by the same locate
-// arithmetic. See Store.AppendRow for row semantics.
+// arithmetic. It is AppendBatchRows of one value — pre-validated like any
+// batch, so a record the log would refuse fails before a sequence number is
+// allocated. See Store.AppendRow for row semantics.
 func (ss *ShardedStore) AppendRow(v string, row Row) error {
-	if err := validateRow(ss.schema, row); err != nil {
-		return err
-	}
-	if err := ss.err(); err != nil {
-		return err
-	}
-	if ss.closed.Load() {
-		return errClosed
-	}
-	shard, err := pickShard(ss.part, v, len(ss.shards))
-	if err != nil {
-		ss.fail(err)
-		return err
-	}
-	seq, err := ss.shards[shard].appendSeq(v, row)
-	if err != nil {
-		// The allocated sequence number is burned: the watermark can
-		// never pass it, so visibility freezes at the last consistent
-		// point until the store is reopened. Record the failure so
-		// waiters (the seal barrier) unblock.
-		if err != errClosed {
-			ss.fail(err)
-		}
-		return err
-	}
-	ss.router.fill(seq, shard)
-	return nil
+	return ss.AppendBatchRows([]string{v}, []Row{row})
 }
 
 // AppendBatch adds vs at the end of the global sequence, atomically and
@@ -528,10 +504,11 @@ func (ss *ShardedStore) AppendBatchRows(vs []string, rows []Row) error {
 	}
 
 	// One group commit per involved shard. A mid-batch failure burns the
-	// batch's sequence numbers: the watermark freezes at the last
-	// consistent point (records already durable on other shards are
-	// reconciled or dropped at the next open), matching the single-append
-	// failure contract.
+	// batch's sequence numbers: the watermark can never pass them, so
+	// visibility freezes at the last consistent point (records already
+	// durable on other shards are reconciled or dropped at the next open)
+	// until the store is reopened. Recording the failure unblocks waiters
+	// (the seal barrier).
 	ns := make([]int64, len(ss.shards))
 	for _, sh := range involved {
 		n, err := ss.shards[sh].appendBatchLocked(perVals[sh], perRows[sh], perSeqs[sh])
@@ -871,11 +848,10 @@ func (ss *ShardedStore) RouterInfo() RouterInfo { return ss.router.info() }
 // RouterProbe round-trips global position pos through the router's
 // primitive operations — locate (access + rank fused) followed by
 // selectShard — and returns the routed shard, the shard-local index,
-// and the recovered global position (always pos again). It exists so
-// wtbench's router experiment can time the succinct frozen
-// representation against the scanned tail in isolation, without the
-// per-shard trie work that dominates a full snapshot read. pos must be
-// below Len, like Access.
+// and the recovered global position (always pos again). It exists so the
+// benchmark ladder's sharded.router_probe_ns rung can time the router in
+// isolation, without the per-shard trie work that dominates a full
+// snapshot read. pos must be below Len, like Access.
 func (ss *ShardedStore) RouterProbe(pos int) (shard, local, roundTrip int) {
 	shard, local = ss.router.locate(uint64(pos))
 	return shard, local, ss.router.selectShard(shard, local)

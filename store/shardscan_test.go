@@ -37,11 +37,6 @@ func (c *countingSeg) sel(k *probe, idx int) (int, bool) {
 	return c.segment.sel(k, idx)
 }
 
-func (c *countingSeg) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int {
-	c.descents++
-	return c.segment.scan(k, from, fn)
-}
-
 func (c *countingSeg) cursor(k *probe) matchCursor {
 	c.descents++
 	return &countingCursor{c.segment.cursor(k), c}
@@ -68,80 +63,124 @@ func (c *countingCursor) value(dst []byte) []byte {
 	return c.matchCursor.value(dst)
 }
 
-// countSeam returns a copy of sn whose every segment counts, the wrappers
-// and the totals they report into. With errorsOnly the wrappers admit the
-// positions whose status cell (column 0) is at least 500.
+// countSegs returns a copy of sn whose every segment counts into tot, and
+// the wrappers. With errorsOnly the wrappers admit the positions whose
+// status cell (column 0) is at least 500.
+func countSegs(sn *Snapshot, errorsOnly bool, tot *seamCounts) (*Snapshot, []*countingSeg) {
+	wrapped := make([]snapSeg, len(sn.segs))
+	segs := make([]*countingSeg, len(sn.segs))
+	for i, seg := range sn.segs {
+		cs := &countingSeg{segment: seg.segment, tot: tot}
+		if cols := seg.cols; errorsOnly {
+			cs.admit = func(pos int) bool { return cols.colValue(0, pos).U64() >= 500 }
+		}
+		wrapped[i] = snapSeg{segment: cs, cols: seg.cols}
+		segs[i] = cs
+	}
+	out := newSnapshot(wrapped)
+	out.schema = sn.schema
+	return out, segs
+}
+
+// countSeam is countSegs over every shard of sn.
 func countSeam(sn *ShardedSnapshot, errorsOnly bool) (*ShardedSnapshot, []*countingSeg, *seamCounts) {
 	out, tot := *sn, &seamCounts{}
 	out.shards = make([]*Snapshot, len(sn.shards))
 	var segs []*countingSeg
 	for s, sh := range sn.shards {
-		wrapped := make([]snapSeg, len(sh.segs))
-		for i, seg := range sh.segs {
-			cs := &countingSeg{segment: seg.segment, tot: tot}
-			if cols := seg.cols; errorsOnly {
-				cs.admit = func(pos int) bool { return cols.colValue(0, pos).U64() >= 500 }
-			}
-			wrapped[i] = snapSeg{segment: cs, cols: seg.cols}
-			segs = append(segs, cs)
-		}
-		out.shards[s] = newSnapshot(wrapped)
-		out.shards[s].schema = sh.schema
+		var counted []*countingSeg
+		out.shards[s], counted = countSegs(sh, errorsOnly, tot)
+		segs = append(segs, counted...)
 	}
 	return &out, segs, tot
 }
 
-// TestShardedScanPullsOnlyWhatItEmits holds the sharded prefix merge to
-// what a page is worth: over 1, 2, 3 and 5 shards, for pages of 1, 16 and
-// 64 matches from the first, a middle and a late match, with and without a
-// predicate, the cursors hand over at most one match per match merged and
-// one head per shard, a value is decoded exactly when fn is handed one,
-// and no (shard, generation) is descended more than twice — once,
-// label-only, for its count when the seek passes over it, once for its
-// cursor.
+// scanView is the prefix surface the plain and the sharded views share.
+type scanView interface {
+	CountPrefix(p string) int
+	CountWhere(prefix string, preds ...Pred) (int, error)
+	SelectPrefix(p string, idx int) (int, bool)
+	IteratePrefix(p string, from int, fn func(idx, pos int) bool)
+	ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool)
+	ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error
+}
+
+// TestShardedScanPullsOnlyWhatItEmits holds the prefix scans to what a page
+// is worth: on a plain store and over 1, 2, 3 and 5 shards, for pages of 1,
+// 16 and 64 matches from the first, a middle and a late match, with and
+// without a predicate, the cursors hand over at most one match per match
+// emitted or merged past — and, sharded, one head per shard — a value is
+// decoded exactly when fn is handed one, and no (shard, generation) is
+// descended more than twice — once, label-only, for its count when the seek
+// passes over it, once for its cursor.
 func TestShardedScanPullsOnlyWhatItEmits(t *testing.T) {
 	const maxDescents = 2
 	seq, rows := scanTestData(3*routerChunkLen + 700)
 	preds := []Pred{{Col: 0, Op: PredGE, Val: 500}}
 	prefix := "host01"
-	for _, shards := range []int{1, 2, 3, 5} {
-		ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards,
-			Store: Options{FlushThreshold: 1 << 20, DisableAutoFlush: true, Columns: []ColumnSpec{{Name: "status", Kind: ColUint64}}}})
-		if err != nil {
-			t.Fatal(err)
+	opts := Options{FlushThreshold: 1 << 20, DisableAutoFlush: true, Columns: []ColumnSpec{{Name: "status", Kind: ColUint64}}}
+	for _, shards := range []int{0, 1, 2, 3, 5} { // 0: a plain store
+		arm := fmt.Sprintf("%d shards", shards)
+		var st interface {
+			AppendBatchRows(vs []string, rows []Row) error
+			Flush() error
+			Close() error
+		}
+		var counted func(errorsOnly bool) (scanView, []*countingSeg, *seamCounts)
+		if shards == 0 {
+			arm = "plain"
+			s, err := Open(t.TempDir(), &opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = s
+			counted = func(errorsOnly bool) (scanView, []*countingSeg, *seamCounts) {
+				tot := &seamCounts{}
+				sn, segs := countSegs(s.Snapshot(), errorsOnly, tot)
+				return sn, segs, tot
+			}
+		} else {
+			ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards, Store: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = ss
+			counted = func(errorsOnly bool) (scanView, []*countingSeg, *seamCounts) {
+				return countSeam(ss.Snapshot(), errorsOnly)
+			}
 		}
 		// Three generations a shard and a live tail.
 		for lo := 0; lo < len(seq); lo += 4000 {
 			hi := min(lo+4000, len(seq))
-			if err := ss.AppendBatchRows(seq[lo:hi], rows[lo:hi]); err != nil {
+			if err := st.AppendBatchRows(seq[lo:hi], rows[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 			if hi < len(seq) {
-				if err := ss.Flush(); err != nil {
+				if err := st.Flush(); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		base := ss.Snapshot()
+		base, _, _ := counted(false)
 		count := base.CountPrefix(prefix)
 		errs, err := base.CountWhere(prefix, preds...)
 		if err != nil || errs < 40 || count < 400 {
-			t.Fatalf("%d shards: %d matches of %q, %d of them errors (%v): too few to page through", shards, count, prefix, errs, err)
+			t.Fatalf("%s: %d matches of %q, %d of them errors (%v): too few to page through", arm, count, prefix, errs, err)
 		}
 		check := func(name string, merged, emitted int, wantDecoded bool, segs []*countingSeg, tot *seamCounts) {
 			t.Helper()
 			if tot.admitted > merged+shards {
-				t.Errorf("%d shards, %s: %d matches pulled past the filter for %d merged, want at most %d more", shards, name, tot.admitted, merged, shards)
+				t.Errorf("%s, %s: %d matches pulled past the filter for %d merged, want at most %d more", arm, name, tot.admitted, merged, shards)
 			}
 			if !wantDecoded {
 				emitted = 0
 			}
 			if tot.decoded != emitted {
-				t.Errorf("%d shards, %s: %d values decoded, want %d", shards, name, tot.decoded, emitted)
+				t.Errorf("%s, %s: %d values decoded, want %d", arm, name, tot.decoded, emitted)
 			}
 			for i, seg := range segs {
 				if seg.descents > maxDescents {
-					t.Errorf("%d shards, %s: segment %d descended %d times, want at most %d", shards, name, i, seg.descents, maxDescents)
+					t.Errorf("%s, %s: segment %d descended %d times, want at most %d", arm, name, i, seg.descents, maxDescents)
 				}
 			}
 		}
@@ -150,7 +189,7 @@ func TestShardedScanPullsOnlyWhatItEmits(t *testing.T) {
 				name := fmt.Sprintf("page %d from %d", page, from)
 				want := min(page, count-from)
 				for _, vals := range []bool{true, false} {
-					sn, segs, tot := countSeam(base, false)
+					sn, segs, tot := counted(false)
 					got := 0
 					each := func() bool { got++; return got < page }
 					if vals {
@@ -159,13 +198,13 @@ func TestShardedScanPullsOnlyWhatItEmits(t *testing.T) {
 						sn.IteratePrefix(prefix, from, func(_, _ int) bool { return each() })
 					}
 					if got != want || tot.pulled != tot.admitted {
-						t.Fatalf("%d shards, %s: %d matches emitted, want %d; %d pulled, %d admitted", shards, name, got, want, tot.pulled, tot.admitted)
+						t.Fatalf("%s, %s: %d matches emitted, want %d; %d pulled, %d admitted", arm, name, got, want, tot.pulled, tot.admitted)
 					}
 					check(name, got, got, vals, segs, tot)
 				}
-				sn, segs, tot := countSeam(base, false)
+				sn, segs, tot := counted(false)
 				if pos, ok := sn.SelectPrefix(prefix, from); !ok || seq[pos][:len(prefix)] != prefix {
-					t.Fatalf("%d shards: SelectPrefix(%q, %d) = %d, %v", shards, prefix, from, pos, ok)
+					t.Fatalf("%s: SelectPrefix(%q, %d) = %d, %v", arm, prefix, from, pos, ok)
 				}
 				check("select "+name, 1, 0, true, segs, tot)
 
@@ -173,18 +212,18 @@ func TestShardedScanPullsOnlyWhatItEmits(t *testing.T) {
 				// from are merged past, undecoded.
 				from := from * errs / count
 				want = min(page, errs-from)
-				sn, segs, tot = countSeam(base, true)
+				sn, segs, tot = counted(true)
 				got := 0
 				if err := sn.ScanWhere(prefix, from, preds, func(_, _ int, _ []byte) bool { got++; return got < page }); err != nil || got != want {
-					t.Fatalf("%d shards, where %s: %d matches emitted, %v; want %d", shards, name, got, err, want)
+					t.Fatalf("%s, where %s: %d matches emitted, %v; want %d", arm, name, got, err, want)
 				}
 				if tot.pulled < 5*tot.admitted {
-					t.Fatalf("%d shards, where %s: %d pulled, %d admitted: the filter is not filtering", shards, name, tot.pulled, tot.admitted)
+					t.Fatalf("%s, where %s: %d pulled, %d admitted: the filter is not filtering", arm, name, tot.pulled, tot.admitted)
 				}
 				check("where "+name, from+got, got, true, segs, tot)
 			}
 		}
-		ss.Close()
+		st.Close()
 	}
 }
 

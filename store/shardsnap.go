@@ -191,22 +191,24 @@ func seekCut(n, total, from int, countAt func(pos int) int) int {
 	return lo
 }
 
-// scan is the one sharded prefix enumeration, seek then k-way merge: the
-// matches of the prefix probe k that keep admits (nil admits all), from
-// the from-th on, as (match index, global position, value on demand).
+// scan is the sharded view's match stream (see matchView), seek then k-way
+// merge: the matches of the prefix probe k whose rows pass preds, from the
+// from-th on, as (match index, global position, value on demand).
 //
 // The seek cuts the global sequence where exactly from matches lie before
 // (seekCut; the count before a position is a sum of snapCursor.rankAt) and
 // points every shard's cursor at the cut's local image, so nothing is
-// replayed. With a keep nothing is sought — the intersection has no counts
+// replayed. With preds nothing is sought — the intersection has no counts
 // — and survivors before from are merged past, their values never read.
 //
 // The merge holds one head per shard — local position from the shard's
 // cursor, global from the router's selectShard — emits the smallest and
-// advances only the shard it came from. keep runs before a candidate
-// becomes a head and a value is decoded, through the emitting cursor, only
-// when fn asks: a page of m matches pulls at most m + shards and decodes m.
-func (sn *ShardedSnapshot) scan(k *probe, from int, keep func(s, local int) bool, fn func(idx, pos int, val valFn) bool) {
+// advances only the shard it came from. The row test runs on the shard,
+// before a candidate becomes a head, and a value is decoded, through the
+// emitting cursor, only when fn asks: a page of m matches pulls at most
+// m + shards and decodes m.
+func (sn *ShardedSnapshot) scan(k *probe, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) {
+	filter := len(preds) > 0
 	cur := make([]snapCursor, len(sn.shards))
 	nsegs := 0
 	for _, sh := range sn.shards {
@@ -223,7 +225,7 @@ func (sn *ShardedSnapshot) scan(k *probe, from int, keep func(s, local int) bool
 		}
 	}()
 	idx := 0
-	if keep == nil && from > 0 {
+	if !filter && from > 0 {
 		total := 0
 		for s := range cur {
 			total += cur[s].rankAt(cur[s].sn.Len())
@@ -259,7 +261,7 @@ func (sn *ShardedSnapshot) scan(k *probe, from int, keep func(s, local int) bool
 			if !ok {
 				return
 			}
-			if keep == nil || keep(s, local) {
+			if !filter || sn.shards[s].matchAt(local, preds) {
 				heads[s] = sn.r.selectShard(s, local)
 			}
 		}
@@ -291,7 +293,7 @@ func (sn *ShardedSnapshot) scan(k *probe, from int, keep func(s, local int) bool
 // matches costs m monotone cursor steps and router selects — no shard
 // select or descent per match. It panics if from is negative.
 func (sn *ShardedSnapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	sn.scanPrefix(p, from, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
+	sn.scan(prefixProbe(p, from), from, nil, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
 // ScanPrefix is IteratePrefix that also hands fn each match's value,
@@ -299,14 +301,7 @@ func (sn *ShardedSnapshot) IteratePrefix(p string, from int, fn func(idx, pos in
 // value's bytes, valid only during that call of fn (see
 // Snapshot.ScanPrefix).
 func (sn *ShardedSnapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool) {
-	sn.scanPrefix(p, from, withValue(fn))
-}
-
-func (sn *ShardedSnapshot) scanPrefix(p string, from int, fn func(idx, pos int, val valFn) bool) {
-	if from < 0 {
-		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
-	}
-	sn.scan(newProbe(p, true), from, nil, fn)
+	sn.scan(prefixProbe(p, from), from, nil, withValue(fn))
 }
 
 // Schema returns the shards' shared column schema (nil when the store
@@ -318,6 +313,12 @@ func (sn *ShardedSnapshot) Schema() []ColumnSpec { return sn.schema }
 func (sn *ShardedSnapshot) cellAt(pos, col int) Value {
 	s, local := sn.r.locate(uint64(pos))
 	return sn.shards[s].cellAt(local, col)
+}
+
+// matchAt tests the row at a global position on the shard that holds it.
+func (sn *ShardedSnapshot) matchAt(pos int, preds []Pred) bool {
+	s, local := sn.r.locate(uint64(pos))
+	return sn.shards[s].matchAt(local, preds)
 }
 
 // Row returns the payload row at global position pos, served by the
@@ -359,44 +360,13 @@ func (sn *ShardedSnapshot) CountWhere(prefix string, preds ...Pred) (int, error)
 // predicates and the k-way merge interleaves the survivors. See
 // Snapshot.IterateWhere for the from-resume cost caveat.
 func (sn *ShardedSnapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	return sn.where(prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
+	return where(sn, prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
 // ScanWhere is IterateWhere that also hands fn each match's value; see
 // Snapshot.ScanWhere.
 func (sn *ShardedSnapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error {
-	return sn.where(prefix, from, preds, withValue(fn))
-}
-
-func (sn *ShardedSnapshot) where(prefix string, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) error {
-	if from < 0 {
-		return fmt.Errorf("store: IterateWhere from %d negative", from)
-	}
-	if err := validatePreds(sn.schema, preds); err != nil {
-		return err
-	}
-	keep := func(s, local int) bool { return sn.shards[s].matchAt(local, preds) }
-	if prefix != "" {
-		if len(preds) == 0 {
-			keep = nil // a plain prefix scan, which seeks
-		}
-		sn.scan(newProbe(prefix, true), from, keep, fn)
-		return nil
-	}
-	// No prefix node to stream from: a surviving position's value is a
-	// point read on its shard.
-	s, local := 0, 0
-	val := func(dst []byte) []byte { return append(dst, sn.shards[s].Access(local)...) }
-	for idx, pos := 0, 0; pos < sn.n; pos++ {
-		if s, local = sn.r.locate(uint64(pos)); !keep(s, local) {
-			continue
-		}
-		if idx >= from && !fn(idx, pos, val) {
-			break
-		}
-		idx++
-	}
-	return nil
+	return where(sn, prefix, from, preds, withValue(fn))
 }
 
 // Iterate streams the elements of global positions [l, r) in order,

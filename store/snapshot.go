@@ -20,14 +20,10 @@ type segment interface {
 	rank(k *probe, pos int) int
 	// sel returns the position of k's idx-th (0-based) match.
 	sel(k *probe, idx int) (int, bool)
-	// scan streams the matches of the prefix probe k in position order,
-	// from the from-th (0-based) on: fn receives the match index, its
-	// position and val, which reads the match's value when called and
-	// is valid only during that call; fn returns false to stop. fn and
-	// val run with no lock held. It returns k's match count in the
-	// segment, which finding the matches finds anyway.
-	scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int
-	// cursor opens the same matches as a pull cursor; see matchCursor.
+	// cursor opens the matches of the prefix probe k, in position order,
+	// behind a pull cursor — the only way a prefix's matches leave a
+	// segment; see matchCursor. The consumer runs between the cursor's
+	// calls, with no lock held.
 	cursor(k *probe) matchCursor
 	Iterate(l, r int, fn func(pos int, s string) bool)
 	// alphabet adds the trie behind the segment to the union
@@ -39,7 +35,8 @@ type segment interface {
 
 // valFn appends a scan match's value to dst and returns the extended
 // slice, so a consumer that only copies the bytes on never makes a string
-// of them.
+// of them. It reads the value when called — a positions-only consumer never
+// pays for it — and is valid only during the call of fn it was handed to.
 type valFn = func(dst []byte) []byte
 
 // snapSeg pairs a segment with, when the store has a column schema, the
@@ -314,7 +311,7 @@ func (sn *Snapshot) sel(k *probe, idx int) (int, bool) {
 // from one streaming prefix cursor, not a descent per match. fn runs
 // with no lock held. It panics if from is negative.
 func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	sn.scan(newProbe(p, true), from, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
+	sn.scan(prefixProbe(p, from), from, nil, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
 // ScanPrefix is IteratePrefix that also hands fn each match's value,
@@ -322,7 +319,16 @@ func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool
 // is the value's bytes in a buffer the next match overwrites, valid only
 // during that call of fn.
 func (sn *Snapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool) {
-	sn.scan(newProbe(p, true), from, withValue(fn))
+	sn.scan(prefixProbe(p, from), from, nil, withValue(fn))
+}
+
+// prefixProbe is the probe of an IteratePrefix or ScanPrefix from the
+// from-th match on, on either view.
+func prefixProbe(p string, from int) *probe {
+	if from < 0 {
+		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
+	}
+	return newProbe(p, true)
 }
 
 // withValue adapts a value-taking scan callback to the scan seam: every
@@ -335,43 +341,86 @@ func withValue(fn func(idx, pos int, v []byte) bool) func(idx, pos int, val valF
 	}
 }
 
-// scan is the one prefix enumeration: the matches of the prefix probe k
-// from the from-th on, as (global match index, position, value on
-// demand).
-func (sn *Snapshot) scan(k *probe, from int, fn func(idx, pos int, val valFn) bool) {
+// matchView is what a predicate scan needs of a view, plain or sharded:
+// its match stream and its row test.
+type matchView interface {
+	Len() int
+	Access(pos int) string
+	Schema() []ColumnSpec
+	// scan streams, in position order, the matches of the prefix probe k
+	// whose rows pass preds, from the from-th (0-based) of them on: fn
+	// receives the match index, the position and the value on demand, and
+	// returns false to stop. Without preds the from offset is sought; with
+	// them nothing is — the intersection has no counts — and the survivors
+	// before from are walked past, their values never read.
+	scan(k *probe, from int, preds []Pred, fn func(idx, pos int, val valFn) bool)
+	// matchAt tests the row at position pos against pre-validated preds.
+	matchAt(pos int, preds []Pred) bool
+}
+
+// where is IterateWhere and ScanWhere on either view: the view's match
+// stream filtered by its row test, or — with no prefix to stream from —
+// every position put to the test.
+func where(v matchView, prefix string, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) error {
 	if from < 0 {
-		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
+		return fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
-	// One closure serves every segment: base and off re-point it.
-	base, off, stopped := 0, 0, false
-	each := func(j, pos int, val valFn) bool {
-		stopped = !fn(base+j, off+pos, val)
-		return !stopped
+	if err := validatePreds(v.Schema(), preds); err != nil {
+		return err
 	}
-	for i, seg := range sn.segs {
-		if from > base {
-			// Still seeking: a segment wholly below from is skipped by
-			// its count alone.
-			if c := seg.rank(k, seg.Len()); from >= base+c {
-				base += c
-				continue
-			}
+	if prefix != "" {
+		v.scan(newProbe(prefix, true), from, preds, fn)
+		return nil
+	}
+	// No prefix node to stream from: a surviving position's value is a
+	// point read.
+	pos := 0
+	val := func(dst []byte) []byte { return append(dst, v.Access(pos)...) }
+	for idx := 0; pos < v.Len(); pos++ {
+		if !v.matchAt(pos, preds) {
+			continue
 		}
-		off = sn.offs[i]
-		c := seg.scan(k, max(0, from-base), each)
-		if stopped {
+		if idx >= from && !fn(idx, pos, val) {
+			break
+		}
+		idx++
+	}
+	return nil
+}
+
+// scan is the plain view's match stream (see matchView): a loop over the
+// snapCursor the sharded merge drives one of per shard.
+func (sn *Snapshot) scan(k *probe, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) {
+	c := snapCursor{sn: sn, k: k, segs: make([]segCursor, len(sn.segs))}
+	defer c.close()
+	idx := 0
+	if len(preds) == 0 && from > 0 {
+		c.seek(from)
+		idx = from
+	}
+	val := c.value
+	for {
+		pos, ok := c.next()
+		if !ok {
 			return
 		}
-		base += c
+		if len(preds) > 0 && !sn.matchAt(pos, preds) {
+			continue
+		}
+		if idx >= from && !fn(idx, pos, val) {
+			return
+		}
+		idx++
 	}
 }
 
-// snapCursor is scan as a pull cursor: the snapshot's matches of a prefix
-// probe in position order, one at a time, from a matchCursor per segment —
-// what the sharded merge drives, one per shard. A segment is descended when
-// first needed: for its match count, label-only, when a rank only passes
-// over it; for its cursor when a rank falls inside it or the stream
-// reaches it — so at most twice. Not safe for concurrent use.
+// snapCursor is the snapshot's matches of a prefix probe in position
+// order, one at a time, from a matchCursor per segment — what a plain scan
+// loops over and the sharded merge drives one of per shard. A segment is
+// descended when first needed: for its match count, label-only, when a
+// rank or a seek only passes over it; for its cursor when a rank falls
+// inside it or the stream reaches it — so at most twice. Not safe for
+// concurrent use.
 type snapCursor struct {
 	sn   *Snapshot
 	k    *probe
@@ -608,10 +657,8 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 		}
 		return count, nil
 	}
-	sn.scan(newProbe(prefix, true), 0, func(_, pos int, _ valFn) bool {
-		if sn.matchAt(pos, preds) {
-			count++
-		}
+	sn.scan(newProbe(prefix, true), 0, preds, func(int, int, valFn) bool {
+		count++
 		return true
 	})
 	return count, nil
@@ -646,7 +693,7 @@ func (sn *Snapshot) countPred(p Pred) int {
 // arithmetic (the predicate intersection has no precomputed counts), so
 // resuming at from costs a walk over the earlier matches' candidates.
 func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	return sn.where(prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
+	return where(sn, prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
 // ScanWhere is IterateWhere that also hands fn each match's value, as
@@ -655,41 +702,7 @@ func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(
 // read only for a candidate that passed every predicate and lies at or
 // past from.
 func (sn *Snapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error {
-	return sn.where(prefix, from, preds, withValue(fn))
-}
-
-func (sn *Snapshot) where(prefix string, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) error {
-	if from < 0 {
-		return fmt.Errorf("store: IterateWhere from %d negative", from)
-	}
-	if err := validatePreds(sn.schema, preds); err != nil {
-		return err
-	}
-	if len(preds) == 0 && prefix != "" {
-		sn.scan(newProbe(prefix, true), from, fn)
-		return nil
-	}
-	idx := 0
-	emit := func(pos int, val valFn) bool {
-		if sn.matchAt(pos, preds) {
-			if idx >= from && !fn(idx, pos, val) {
-				return false
-			}
-			idx++
-		}
-		return true
-	}
-	if prefix == "" {
-		// No prefix node to stream from: a surviving position's value is
-		// a point read.
-		pos := 0
-		val := func(dst []byte) []byte { return append(dst, sn.Access(pos)...) }
-		for ; pos < sn.Len() && emit(pos, val); pos++ {
-		}
-		return nil
-	}
-	sn.scan(newProbe(prefix, true), 0, func(_, pos int, val valFn) bool { return emit(pos, val) })
-	return nil
+	return where(sn, prefix, from, preds, withValue(fn))
 }
 
 // prefixed returns a view of the snapshot's first n elements — the
@@ -743,16 +756,8 @@ func (c clampSeg) sel(k *probe, idx int) (int, bool) {
 	return c.segment.sel(k, idx)
 }
 
-// scan streams k's matches within the clamped prefix: positions ascend,
-// so the first one at or past the bound ends the stream.
-func (c clampSeg) scan(k *probe, from int, fn func(j, pos int, val valFn) bool) int {
-	c.segment.scan(k, from, func(j, pos int, val valFn) bool {
-		return pos < c.n && fn(j, pos, val)
-	})
-	return c.rank(k, c.n)
-}
-
-// cursor bounds the segment's cursor the way scan bounds its stream.
+// cursor bounds the segment's cursor: positions ascend, so the first one
+// at or past the bound ends the stream.
 func (c clampSeg) cursor(k *probe) matchCursor { return clampCursor{c.segment.cursor(k), c.n} }
 
 type clampCursor struct {

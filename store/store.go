@@ -124,19 +124,19 @@ type Store struct {
 	unlock    func() // releases the directory lock
 }
 
-// shardHooks wires a Store into a ShardedStore: seq is the shared
-// global sequence counter (allocated under the shard's append lock, so
-// per-shard WAL order always agrees with sequence order), and barrier is
-// invoked before a flush persists sealed records — the sharded layer
-// uses it to make the ROUTER log durable through the sealed records'
-// sequence numbers before their WAL becomes deletable. A store opened
-// with hooks also defers the interrupted-flush recovery checkpoint (the
-// sharded reconciliation must read the WAL tails' sequence numbers
-// first); the superseded logs are cleaned up by the next flush instead.
-// retire is called whenever the shard publishes a new state, so the
-// sharded store can drop its own pinned view of the old one.
+// shardHooks wires a Store into a ShardedStore. The sharded layer
+// allocates the global sequence numbers itself, with the shard's append
+// lock held (so per-shard WAL order always agrees with sequence order), and
+// hands them to appendBatchLocked. barrier is invoked before a flush
+// persists sealed records — the sharded layer uses it to make the ROUTER
+// log durable through the sealed records' sequence numbers before their WAL
+// becomes deletable. A store opened with hooks also defers the
+// interrupted-flush recovery checkpoint (the sharded reconciliation must
+// read the WAL tails' sequence numbers first); the superseded logs are
+// cleaned up by the next flush instead. retire is called whenever the shard
+// publishes a new state, so the sharded store can drop its own pinned view
+// of the old one.
 type shardHooks struct {
-	seq     *atomic.Uint64
 	barrier func(maxSeq uint64) error
 	retire  func()
 }
@@ -250,7 +250,12 @@ func openStore(dir string, opts *Options, hooks *shardHooks) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, rec := range records {
+		// One batch per log, through the body every append takes. seqs
+		// collects the sequence headers found; the check below refuses a
+		// log that carries them on some records only.
+		vs, rows := make([]string, len(records)), make([]Row, len(records))
+		var seqs []uint64
+		for j, rec := range records {
 			v, seq, hasSeq, row := walRecord(rec)
 			if row != nil && validateRow(s.schema, row) != nil {
 				// A row the pinned schema cannot hold (a schema can only be
@@ -259,12 +264,12 @@ func openStore(dir string, opts *Options, hooks *shardHooks) (*Store, error) {
 				// acknowledged value.
 				row = nil
 			}
+			vs[j], rows[j] = v, row
 			if hasSeq {
-				mem.applySeq(v, seq, row)
-			} else {
-				mem.apply(v, row)
+				seqs = append(seqs, seq)
 			}
 		}
+		mem.applyBatch(vs, rows, seqs)
 		if i == len(walIDs)-1 {
 			lastWAL = w
 		} else {
@@ -425,35 +430,10 @@ func (s *Store) Append(v string) error { return s.AppendRow(v, nil) }
 // AppendRow is Append carrying a payload row: row[i] is the cell of
 // schema column i (nil row = all NULL). The row rides in the same WAL
 // record as the value, so its durability and crash-recovery guarantees
-// are exactly Append's.
+// are exactly Append's — it is AppendBatchRows of one value, the same
+// bytes in the log and the same path through the store.
 func (s *Store) AppendRow(v string, row Row) error {
-	if err := s.err(); err != nil {
-		return err
-	}
-	if err := validateRow(s.schema, row); err != nil {
-		return err
-	}
-	rec, err := appendWALRecord(make([]byte, 0, walRecordBound(v, row)), v, 0, false, row)
-	if err != nil {
-		return err
-	}
-	s.appendMu.Lock()
-	if s.closed.Load() {
-		s.appendMu.Unlock()
-		return errClosed
-	}
-	st := s.state.Load()
-	if err := st.mem.wal.appendFramed(rec, 1); err != nil {
-		s.appendMu.Unlock()
-		s.fail(err)
-		return err
-	}
-	st.mem.apply(v, row)
-	n := st.mem.n.Load()
-	s.appendMu.Unlock()
-
-	s.nudgeFlush(n)
-	return nil
+	return s.AppendBatchRows([]string{v}, []Row{row})
 }
 
 // AppendBatch adds vs at the end of the sequence, atomically with
@@ -497,7 +477,8 @@ func (s *Store) AppendBatchRows(vs []string, rows []Row) error {
 	return nil
 }
 
-// appendBatchLocked is the shared group-commit body: frame every WAL
+// appendBatchLocked is the one append body, a plain store's and a shard's,
+// for one value or many: frame every WAL
 // record straight into one buffer, write it with a single write+fsync,
 // then apply the whole batch to the memtable under one lock — O(|v|) and
 // a trie insert per value, nothing that reads the rest of the store.
@@ -545,44 +526,6 @@ func (s *Store) nudgeFlush(n int64) {
 		default:
 		}
 	}
-}
-
-// appendSeq is Append for a shard of a ShardedStore: the global
-// sequence number is allocated from the shared counter while the append
-// lock is held — so within a shard, WAL order, memtable order and
-// sequence order are always the same — and written into the record's
-// sequence header. Returns the allocated number; on error the number
-// (if any was allocated) is burned and the sharded layer fails the
-// store, so a half-written slot can never become visible.
-func (s *Store) appendSeq(v string, row Row) (uint64, error) {
-	if err := s.err(); err != nil {
-		return 0, err
-	}
-	if err := validateRow(s.schema, row); err != nil {
-		return 0, err
-	}
-	s.appendMu.Lock()
-	if s.closed.Load() {
-		s.appendMu.Unlock()
-		return 0, errClosed
-	}
-	st := s.state.Load()
-	seq := s.hooks.seq.Add(1) - 1
-	rec, err := appendWALRecord(make([]byte, 0, walRecordBound(v, row)), v, seq, true, row)
-	if err == nil {
-		err = st.mem.wal.appendFramed(rec, 1)
-	}
-	if err != nil {
-		s.appendMu.Unlock()
-		s.fail(err)
-		return 0, err
-	}
-	st.mem.applySeq(v, seq, row)
-	n := st.mem.n.Load()
-	s.appendMu.Unlock()
-
-	s.nudgeFlush(n)
-	return seq, nil
 }
 
 // recoveredTail returns the sequence numbers of the unflushed records
