@@ -1,9 +1,15 @@
-// Package wavelettree implements the classical balanced Wavelet Tree of
-// Grossi, Gupta and Vitter [13 in the paper] over an integer alphabet,
-// together with the dictionary mapping that turns a string sequence into
-// an integer sequence — the paper's related-work approach (1) (§1).
+// Package wavelettree holds the repository's two wavelet structures over
+// integers. Matrix, the wavelet matrix over fixed-width values, is the
+// store's one integer rank/select substrate: a frozen generation's numeric
+// columns (its planes are the .col file's plane section, decoded in place)
+// and the sharded router's sealed chunks.
 //
-// It is the baseline the Wavelet Trie is compared against. It supports
+// Tree is the classical balanced Wavelet Tree of Grossi, Gupta and
+// Vitter [13 in the paper] over an integer alphabet, together with the
+// dictionary mapping that turns a string sequence into an integer
+// sequence — the paper's related-work approach (1) (§1).
+//
+// Tree is the baseline the Wavelet Trie is compared against. It supports
 // Access/Rank/Select in O(log σ) with RRR-compressed bitvectors in
 // nH₀(S) + o(n log σ) bits, and — when the dictionary mapping preserves
 // lexicographic order, as here — RankPrefix via the RangeCount reduction

@@ -309,8 +309,8 @@ func (s *Server) pin(c *connState) Snap {
 }
 
 // respond executes one request and encodes its response payload into
-// c.resp. Query panics (out-of-range positions, a broken partitioner)
-// surface as error responses, never as a dead server.
+// c.resp. Query panics (out-of-range positions, say) surface as error
+// responses, never as a dead server.
 func (s *Server) respond(c *connState, req *Request) (out []byte) {
 	defer func() {
 		if r := recover(); r != nil {

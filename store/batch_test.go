@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestAppendBatchPlain checks the group-commit append against per-value
@@ -479,5 +482,54 @@ func TestContentFingerprint(t *testing.T) {
 	}
 	if c.Snapshot().ContentFingerprint() == d.Snapshot().ContentFingerprint() {
 		t.Fatal("concatenation boundary collision")
+	}
+}
+
+// BenchmarkAppend times single appends — each a group commit of one — on a
+// plain store and on a 2-shard one: an op is 10 000 URL-log values
+// appended one Append at a time to a fresh store, reported per value with
+// the allocations they make.
+func BenchmarkAppend(b *testing.B) {
+	type appender interface {
+		Append(v string) error
+		Close() error
+	}
+	vals := workload.URLLog(10000, 1, workload.DefaultURLConfig())
+	for _, arm := range []struct {
+		name string
+		open func(dir string) (appender, error)
+	}{
+		{"plain", func(dir string) (appender, error) { return Open(dir, testOpts()) }},
+		{"sharded", func(dir string) (appender, error) { return OpenSharded(dir, shardedCrashOpts()) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			var mallocs uint64
+			var before, after runtime.MemStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := arm.open(b.TempDir())
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				for _, v := range vals {
+					if err := st.Append(v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			perOp := float64(b.N * len(vals))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perOp, "ns/value")
+			b.ReportMetric(float64(mallocs)/perOp, "allocs/value")
+		})
 	}
 }

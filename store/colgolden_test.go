@@ -1,0 +1,165 @@
+package store
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// The column files in testdata/cols_v2.col and testdata/cols_v2.cd were
+// written by the commit before the plane layout moved into
+// internal/wavelettree, from goldenColSchema and goldenColRows. They pin
+// .col version 2 and .cd version 1 byte for byte across that move.
+const (
+	goldenColFile = "cols_v2.col"
+	goldenCdFile  = "cols_v2.cd"
+)
+
+// goldenColSchema covers every shape a frozen column takes.
+func goldenColSchema() []ColumnSpec {
+	return []ColumnSpec{
+		{Name: "raw16", Kind: ColUint64}, // 16 raw planes, every cell present: presence elided
+		{Name: "raw64", Kind: ColUint64}, // 64 raw planes, presence vector kept
+		{Name: "dict", Kind: ColUint64},  // 2 planes over a 4-value dictionary, presence vector kept
+		{Name: "const", Kind: ColUint64}, // one distinct value: a dictionary of one and no planes
+		{Name: "null", Kind: ColUint64},  // every cell NULL
+		{Name: "blob", Kind: ColBytes},   // offsets and payload in the .cd file, presence vector kept
+	}
+}
+
+// goldenColRows is the fixed-seed payload the golden files hold: 3 001
+// rows, so the planes straddle word and rank-superblock boundaries.
+func goldenColRows() []Row {
+	rng := rand.New(rand.NewSource(25))
+	wide := []uint64{3, 77, 1 << 40, math.MaxUint64}
+	rows := make([]Row, 3001)
+	for i := range rows {
+		row := Row{U64(uint64(rng.Intn(1 << 16))), Null(), Null(), U64(7), Null(), Null()}
+		if rng.Intn(5) != 0 {
+			row[1] = U64(rng.Uint64())
+		}
+		if rng.Intn(4) != 0 {
+			row[2] = U64(wide[rng.Intn(len(wide))])
+		}
+		if rng.Intn(3) != 0 {
+			b := make([]byte, rng.Intn(9))
+			rng.Read(b)
+			row[5] = Blob(b)
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// TestColumnGolden: today's freeze encodes the golden rows to the golden
+// bytes, and both files decode — onto the heap and zero-copy from a
+// mapping — to columns that answer colValue, colRange and colPresent like
+// the flat rows.
+func TestColumnGolden(t *testing.T) {
+	schema, rows := goldenColSchema(), goldenColRows()
+	colData, err := os.ReadFile(filepath.Join("testdata", goldenColFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdData, err := os.ReadFile(filepath.Join("testdata", goldenCdFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, cd := encodeColumns(buildFrozenCols(schema, len(rows), fuzzColFeeder{rows}))
+	if !bytes.Equal(col, colData) || !bytes.Equal(cd, cdData) {
+		t.Fatalf("encoded images (%d, %d bytes) differ from the golden files (%d, %d bytes)", len(col), len(cd), len(colData), len(cdData))
+	}
+
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{goldenColFile: colData, goldenCdFile: cdData} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mapped := range []bool{false, true} {
+		colImg, colRegion, err := readColFile(dir, goldenColFile, genCRC(colData), mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdImg, cdRegion, err := readColFile(dir, goldenCdFile, genCRC(cdData), mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mapped && mmapSupported && (colRegion == nil || cdRegion == nil) {
+			t.Fatal("golden files were not mapped")
+		}
+		fc, err := parseColumn(colImg, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs, err := parseColDir(cdImg, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bindColDir(fc, dirs); err != nil {
+			t.Fatal(err)
+		}
+		fc.colRegion, fc.cdRegion = colRegion, cdRegion
+		checkColsAgainstRows(t, fc, schema, rows)
+	}
+}
+
+// checkColsAgainstRows diffs a decoded column set against flat rows: every
+// cell, present counts over sampled intervals, and — on numeric columns —
+// range counts over intervals that include the extremes, single values,
+// empty ranges and power-of-two node boundaries.
+func checkColsAgainstRows(t *testing.T, fc *frozenCols, schema []ColumnSpec, rows []Row) {
+	t.Helper()
+	n := len(rows)
+	rng := rand.New(rand.NewSource(1))
+	spans := [][2]int{{0, n}, {0, 0}, {0, 1}, {63, 65}, {511, 1025}, {n - 1, n}, {n / 3, 2 * n / 3}}
+	for i := 0; i < 8; i++ {
+		l := rng.Intn(n + 1)
+		spans = append(spans, [2]int{l, l + rng.Intn(n+1-l)})
+	}
+	for col := range schema {
+		for pos, row := range rows {
+			if got := fc.colValue(col, pos); !cellEq(got, row[col]) {
+				t.Fatalf("column %s: colValue(%d) = %v, want %v", schema[col].Name, pos, got, row[col])
+			}
+		}
+		for _, sp := range spans {
+			want := 0
+			for _, row := range rows[sp[0]:sp[1]] {
+				if !row[col].IsNull() {
+					want++
+				}
+			}
+			if got := fc.colPresent(col, sp[0], sp[1]); got != want {
+				t.Fatalf("column %s: colPresent(%d, %d) = %d, want %d", schema[col].Name, sp[0], sp[1], got, want)
+			}
+		}
+		if schema[col].Kind != ColUint64 {
+			continue
+		}
+		bounds := [][2]uint64{
+			{0, math.MaxUint64}, {0, 0}, {7, 7}, {3, 77}, {78, 1<<40 - 1}, {1 << 40, math.MaxUint64},
+			{math.MaxUint64, math.MaxUint64}, {1 << 15, 1<<16 - 1}, {0, 1<<15 - 1}, {1 << 63, math.MaxUint64}, {9, 8},
+		}
+		for i := 0; i < 6; i++ {
+			lo := rows[rng.Intn(n)][col].U64()
+			bounds = append(bounds, [2]uint64{lo, lo + rng.Uint64()>>uint(rng.Intn(64))})
+		}
+		for _, sp := range spans {
+			for _, b := range bounds {
+				want := 0
+				for _, row := range rows[sp[0]:sp[1]] {
+					if v := row[col]; !v.IsNull() && b[0] <= v.U64() && v.U64() <= b[1] {
+						want++
+					}
+				}
+				if got := fc.colRange(col, sp[0], sp[1], b[0], b[1]); got != want {
+					t.Fatalf("column %s: colRange(%d, %d, %d, %d) = %d, want %d", schema[col].Name, sp[0], sp[1], b[0], b[1], got, want)
+				}
+			}
+		}
+	}
+}

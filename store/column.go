@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"repro/internal/bitvec"
+	"repro/internal/wavelettree"
 	"repro/internal/wire"
 )
 
@@ -20,19 +21,20 @@ import (
 // carry one value per column (or NULL), and flush/compaction persist the
 // rows beside each generation as two immutable files —
 //
-//	gen-<id>.col  presence bitvectors + bit-plane wavelet trees over the
+//	gen-<id>.col  presence bitvectors + bit-plane wavelet matrices over the
 //	              present values of every fixed-width numeric column — or
 //	              over their ranks in the generation's sorted dictionary,
 //	              whichever of the two is smaller
 //	gen-<id>.cd   the offset directory: per blob column, the offsets and
 //	              concatenated bytes of its present values
 //
-// The numeric encoding is a pointerless, level-wise wavelet tree over
-// the values' bit planes (MSB first), so a range predicate col∈[lo,hi]
-// is answered by rank arithmetic alone — CountWhere never touches the
-// values themselves. §6's hashed Numeric trie is NOT usable here:
-// hashing the keys destroys their order, and order is exactly what a
-// range filter needs (see DESIGN.md §13 for the substitution rationale).
+// The numeric encoding is a wavelet matrix over the values' bit planes
+// (wavelettree.Matrix: a pointerless, level-wise wavelet tree, MSB
+// first), so a range predicate col∈[lo,hi] is answered by rank
+// arithmetic alone — CountWhere never touches the values themselves.
+// §6's hashed Numeric trie is NOT usable here: hashing the keys destroys
+// their order, and order is exactly what a range filter needs (see
+// DESIGN.md §13 for the substitution rationale).
 //
 // NULL semantics: a NULL matches no predicate, not even !=. Predicates
 // therefore count present values only, via the presence bitvector.
@@ -93,17 +95,7 @@ func validateSchema(cols []ColumnSpec) error {
 
 // schemaEqual reports whether two schemas are identical (same names and
 // kinds in the same order).
-func schemaEqual(a, b []ColumnSpec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func schemaEqual(a, b []ColumnSpec) bool { return slices.Equal(a, b) }
 
 // Value is one cell of a payload row: NULL (the zero value), a uint64,
 // or a byte blob. Construct with Null, U64 or Blob.
@@ -389,13 +381,6 @@ type clampCols struct {
 	n    int
 }
 
-func (c clampCols) clamp(r int) int {
-	if r > c.n {
-		return c.n
-	}
-	return r
-}
-
 func (c clampCols) colValue(col, pos int) Value {
 	if pos >= c.n {
 		return Value{}
@@ -404,11 +389,11 @@ func (c clampCols) colValue(col, pos int) Value {
 }
 
 func (c clampCols) colRange(col, l, r int, lo, hi uint64) int {
-	return c.cols.colRange(col, l, c.clamp(r), lo, hi)
+	return c.cols.colRange(col, l, min(r, c.n), lo, hi)
 }
 
 func (c clampCols) colPresent(col, l, r int) int {
-	return c.cols.colPresent(col, l, c.clamp(r))
+	return c.cols.colPresent(col, l, min(r, c.n))
 }
 
 // ---------------------------------------------------------------------------
@@ -445,9 +430,9 @@ func colFileName(id uint64) string    { return fmt.Sprintf("gen-%08d.col", id) }
 func colDirFileName(id uint64) string { return fmt.Sprintf("gen-%08d.cd", id) }
 
 // frozenCol is one decoded column of a generation: which of the n
-// positions hold a cell, plus — for numeric columns — the bit-plane
-// wavelet tree over the m present values, or — for blob columns — the
-// offset directory into the payload bytes (bound from the .cd file).
+// positions hold a cell, plus — for numeric columns — the wavelet matrix
+// over the m present values, or — for blob columns — the offset directory
+// into the payload bytes (bound from the .cd file).
 type frozenCol struct {
 	kind ColumnKind
 	// presence is nil when every cell is present (m == n) or none is
@@ -455,17 +440,12 @@ type frozenCol struct {
 	presence *bitvec.Vector
 	m        int // present cells
 
-	// Numeric: width bit planes, MSB first, over the present values — or,
-	// when dict is set, over their ranks in dict, the generation's sorted
-	// distinct values (width is then ⌈log₂ len(dict)⌉; the freeze keeps
-	// whichever layout is smaller, see buildDict). levels[d] holds, for
-	// every present value in the stable order of plane d, bit width-1-d;
-	// zeros[d] is the total zero count of the plane — the left-subtree
-	// offset of the pointerless wavelet-tree layout.
-	dict   []uint64
-	width  int
-	levels []*bitvec.Vector
-	zeros  []int
+	// Numeric: the matrix over the present values — or, when dict is set,
+	// over their ranks in dict, the generation's sorted distinct values
+	// (the matrix is then ⌈log₂ len(dict)⌉ planes wide; the freeze keeps
+	// whichever layout is smaller, see buildDict).
+	dict []uint64
+	num  *wavelettree.Matrix
 
 	// Blob: offs[i] .. offs[i+1] delimit present value i in payload.
 	offs    []uint64
@@ -491,9 +471,6 @@ func (c *frozenCol) setPresence(p *bitvec.Vector) {
 	}
 }
 
-// top is the largest value width planes can spell (0 with no plane).
-func (c *frozenCol) top() uint64 { return ^uint64(0) >> (64 - uint(c.width)) }
-
 // rank counts the present cells before position pos.
 func (c *frozenCol) rank(pos int) int {
 	if c.presence != nil {
@@ -503,8 +480,8 @@ func (c *frozenCol) rank(pos int) int {
 }
 
 // colValue returns the cell at position pos: NULL unless present, else
-// the value reconstructed from the wavelet planes (numeric, O(width)
-// ranks and, dictionary-coded, one table entry) or copied out of the
+// the value reconstructed from the matrix (numeric, O(width) ranks and,
+// dictionary-coded, one table entry) or copied out of the
 // payload (blob) — a cell handed out must not alias a mapping that only
 // the column set keeps alive.
 func (fc *frozenCols) colValue(col, pos int) (v Value) {
@@ -526,18 +503,7 @@ func (fc *frozenCols) presentValue(col, pi int) Value {
 	if c.kind == ColBytes {
 		return Value{kind: ColBytes, b: c.payload[c.offs[pi]:c.offs[pi+1]]}
 	}
-	var v uint64
-	p := pi
-	for d := 0; d < c.width; d++ {
-		lv := c.levels[d]
-		if lv.Access(p) == 0 {
-			v <<= 1
-			p = lv.Rank0(p)
-		} else {
-			v = v<<1 | 1
-			p = c.zeros[d] + lv.Rank1(p)
-		}
-	}
+	v := c.num.Access(pi)
 	if c.dict != nil {
 		v = c.dict[v] // parseColumn checked every rank against the table
 	}
@@ -555,24 +521,15 @@ func (fc *frozenCols) colPresent(col, l, r int) int {
 // colRange counts positions in [l, r) whose cell is present with value
 // in [lo, hi] — the predicate pushdown primitive. The positions map to
 // a present-index interval through the presence rank, a dictionary maps
-// the values to the ranks they cover, then the pointerless wavelet tree
-// answers the range count with O(width) bitvector ranks per boundary
-// node. No value is ever materialized.
-func (fc *frozenCols) colRange(col, l, r int, lo, hi uint64) (count int) {
+// the values to the ranks they cover, then the matrix answers the range
+// count with O(width) bitvector ranks per boundary node. No value is
+// ever materialized.
+func (fc *frozenCols) colRange(col, l, r int, lo, hi uint64) int {
 	c := &fc.cols[col]
-	pl, pr := c.rank(l), c.rank(r)
 	if c.dict != nil {
 		lo, hi = c.rankRange(lo, hi)
 	}
-	switch {
-	case lo > hi || pl >= pr:
-	case c.width == 0: // one distinct value: a raw 0, or rank 0
-		if lo == 0 {
-			count = pr - pl
-		}
-	default:
-		count = c.rangeCount(0, pl, pr, 0, c.top(), lo, hi)
-	}
+	count := c.num.RangeCount(c.rank(l), c.rank(r), lo, hi)
 	runtime.KeepAlive(fc)
 	return count
 }
@@ -593,33 +550,12 @@ func (c *frozenCol) rankRange(lo, hi uint64) (uint64, uint64) {
 	return uint64(rl), uint64(rh)
 }
 
-// rangeCount is the standard wavelet-tree range-count recursion over
-// the level-wise layout: the node at depth d covering present indices
-// [a, b) holds values in [nodeLo, nodeHi]; disjoint query intervals
-// contribute 0, contained ones contribute b−a, straddling ones split
-// into the children through plane-d rank (left child starts at 0 within
-// level d+1, right child after the plane's zeros[d] left-descendants).
-func (c *frozenCol) rangeCount(d, a, b int, nodeLo, nodeHi, lo, hi uint64) int {
-	if b <= a || hi < nodeLo || lo > nodeHi {
-		return 0
-	}
-	if lo <= nodeLo && nodeHi <= hi {
-		return b - a
-	}
-	lv := c.levels[d]
-	z0a, z0b := lv.Rank0(a), lv.Rank0(b)
-	mid := nodeLo + (nodeHi-nodeLo)>>1
-	count := c.rangeCount(d+1, z0a, z0b, nodeLo, mid, lo, hi)
-	z := c.zeros[d]
-	return count + c.rangeCount(d+1, z+(a-z0a), z+(b-z0b), mid+1, nodeHi, lo, hi)
-}
-
 // encodeColumns serializes a generation's columns into the .col image
 // and (when any blob columns exist) the .cd offset-directory image.
 // cols must be fully built (see colwrite.go). Per column: kind, presence
 // mode (and the vector, unless elided); numeric columns add the
 // dictionary (empty = raw planes), the plane count, and the planes as
-// one word array, ⌈m/64⌉ words each.
+// one word array, ⌈m/64⌉ words each (the matrix's own words).
 func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 	w := wire.NewWriter(colMagic, colVersion)
 	w.Int(len(fc.cols))
@@ -639,12 +575,8 @@ func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 		}
 		if c.kind == ColUint64 {
 			w.Words(c.dict)
-			w.Byte(byte(c.width))
-			planes := make([]uint64, 0, c.width*((c.m+63)/64))
-			for _, lv := range c.levels {
-				planes = append(planes, lv.Words()...)
-			}
-			w.Words(planes)
+			w.Byte(byte(c.num.Width()))
+			w.Words(c.num.Words())
 		} else {
 			blobCols++
 		}
@@ -668,7 +600,7 @@ func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 }
 
 // parseColumn decodes a .col image: per-column kinds, presence, and the
-// numeric dictionaries and wavelet planes. Blob columns come back with
+// numeric dictionaries and wavelet matrices. Blob columns come back with
 // their offset directory unbound (bindColDir attaches the .cd data).
 // Arbitrary input must error, never panic, and nothing it accepts may
 // make a later read panic — this function is fuzzed. refs enables
@@ -723,39 +655,28 @@ func parseColumn(data []byte, refs bool) (*frozenCols, error) {
 			continue
 		}
 		dict := r.Words()
-		c.width = int(r.Byte())
+		width := int(r.Byte())
 		planes := r.Words()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if len(dict) == 0 {
-			if c.width > 64 {
-				return nil, fmt.Errorf("store: column %d has %d bit planes (max 64)", i, c.width)
-			}
-		} else {
+		if len(dict) > 0 {
 			for j := 1; j < len(dict); j++ {
 				if dict[j] <= dict[j-1] {
 					return nil, fmt.Errorf("store: column %d dictionary not strictly increasing", i)
 				}
 			}
-			if want := bits.Len(uint(len(dict) - 1)); c.width != want {
-				return nil, fmt.Errorf("store: column %d has %d bit planes over a dictionary of %d, want %d", i, c.width, len(dict), want)
+			if want := bits.Len(uint(len(dict) - 1)); width != want {
+				return nil, fmt.Errorf("store: column %d has %d bit planes over a dictionary of %d, want %d", i, width, len(dict), want)
 			}
 			c.dict = dict
 		}
-		wpp := (c.m + 63) / 64 // words per plane
-		if len(planes) != c.width*wpp {
-			return nil, fmt.Errorf("store: column %d has %d plane words, want %d × %d", i, len(planes), c.width, wpp)
+		if c.num, err = wavelettree.DecodeMatrix(planes, c.m, width); err != nil {
+			return nil, fmt.Errorf("store: column %d: %w", i, err)
 		}
-		c.levels = make([]*bitvec.Vector, c.width)
-		c.zeros = make([]int, c.width)
-		for d := range c.levels {
-			c.levels[d] = bitvec.FromWordsShared(planes[d*wpp:(d+1)*wpp], c.m)
-			c.zeros[d] = c.levels[d].Rank0(c.m)
-		}
-		// Any bit content is the plane set of some m values below 2^width;
+		// Any bit content is the planes of some m values below 2^width;
 		// under a dictionary they must also be ranks it has.
-		if c.dict != nil && c.rangeCount(0, 0, c.m, 0, c.top(), uint64(len(dict)), c.top()) != 0 {
+		if c.dict != nil && c.num.RangeCount(0, c.m, uint64(len(dict)), ^uint64(0)) != 0 {
 			return nil, fmt.Errorf("store: column %d holds a rank outside its dictionary of %d", i, len(dict))
 		}
 	}

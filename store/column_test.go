@@ -615,9 +615,9 @@ func TestColumnBitsPerRow(t *testing.T) {
 	}
 	for j, planes := range []int{1, 16, 0} {
 		c := &s.state.Load().gens[0].cols.cols[j]
-		if len(c.levels) != planes || c.presence != nil {
+		if c.num.Width() != planes || c.presence != nil {
 			t.Errorf("column %s: %d planes (want %d), presence vector kept = %v (want elided)",
-				opts.Columns[j].Name, len(c.levels), planes, c.presence != nil)
+				opts.Columns[j].Name, c.num.Width(), planes, c.presence != nil)
 		}
 	}
 }

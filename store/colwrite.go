@@ -7,12 +7,13 @@ import (
 	"slices"
 
 	"repro/internal/bitvec"
+	"repro/internal/wavelettree"
 )
 
 // Column freeze path: at flush the sealed memtable's row arrays — and
 // at compaction the victim generations' frozen columns — stream through
 // a colFeeder into buildFrozenCols, which lays out each column's
-// presence plus its numeric bit planes (over the values or over their
+// presence plus its numeric wavelet matrix (over the values or over their
 // ranks in a dictionary, whichever is smaller) or blob payload, and
 // writeColumnFiles persists the images beside the generation's .wt
 // file. Like the streaming value freeze, no per-row materialization
@@ -57,15 +58,15 @@ func buildFrozenCols(schema []ColumnSpec, n int, feed colFeeder) *frozenCols {
 		if c.kind == ColBytes {
 			continue
 		}
-		c.width = bits.Len64(top)
-		if c.dict = buildDict(vals, c.width); c.dict != nil {
+		width := bits.Len64(top)
+		if c.dict = buildDict(vals, width); c.dict != nil {
 			for i, v := range vals {
 				rank, _ := slices.BinarySearch(c.dict, v)
 				vals[i] = uint64(rank)
 			}
-			c.width = bits.Len(uint(len(c.dict) - 1))
+			width = bits.Len(uint(len(c.dict) - 1))
 		}
-		c.levels, c.zeros = buildPlanes(vals, c.width)
+		c.num = wavelettree.NewMatrix(vals, width)
 	}
 	return fc
 }
@@ -99,47 +100,6 @@ func buildDict(vals []uint64, width int) []uint64 {
 	}
 	slices.Sort(dict)
 	return dict
-}
-
-// buildPlanes lays out the level-wise wavelet tree of a value set:
-// plane d records bit width−1−d of every value in the order reached by
-// stably partitioning the previous plane's order on its bit (zeros
-// first). That global stable partition is exactly the pointerless
-// layout rangeCount and colValue descend with rank arithmetic: the
-// children of node [a, b) at depth d sit at [Rank0(a), Rank0(b)) and
-// [zeros[d]+Rank1(a), zeros[d]+Rank1(b)) of depth d+1. vals is
-// permuted in place.
-func buildPlanes(vals []uint64, width int) ([]*bitvec.Vector, []int) {
-	levels := make([]*bitvec.Vector, width)
-	zeros := make([]int, width)
-	cur := vals
-	next := make([]uint64, len(vals))
-	for d := 0; d < width; d++ {
-		shift := uint(width - 1 - d)
-		lb := bitvec.NewBuilder(len(cur))
-		nz := 0
-		for _, v := range cur {
-			if v>>shift&1 == 0 {
-				nz++
-			}
-		}
-		zeroI, oneI := 0, nz
-		for _, v := range cur {
-			if v>>shift&1 == 0 {
-				lb.AppendBit(0)
-				next[zeroI] = v
-				zeroI++
-			} else {
-				lb.AppendBit(1)
-				next[oneI] = v
-				oneI++
-			}
-		}
-		levels[d] = lb.Build()
-		zeros[d] = nz
-		cur, next = next, cur
-	}
-	return levels, zeros
 }
 
 // writeColumnFiles atomically persists a generation's column images and

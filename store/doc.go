@@ -68,15 +68,16 @@
 // shard is a full Store — its own WAL, memtable, generations and
 // compactor — in a subdirectory, so appends from many writers fan
 // out across per-shard locks and flush/compaction proceed per shard.
-// A Partitioner (FNV-1a by default, pluggable, pinned in the SHARDS
-// manifest) routes every value by its bytes alone, so whole-value
+// The FNV-1a hash of a value's bytes, modulo the shard count, routes it
+// (the routing is pinned by name in the SHARDS manifest), so whole-value
 // point queries touch exactly one shard and per-shard alphabets stay
 // disjoint. A shared router records which shard owns each global
 // position — the interleaved append order, carried by a per-record
 // sequence header in the shard WALs and persisted in the ROUTER log
-// ahead of every flush — and cross-shard snapshots stitch per-shard
-// answers back into the single logical sequence by offset arithmetic
-// over it. A prefix's values hash apart, so a prefix enumeration is a
+// ahead of every flush; in memory its sealed chunks are wavelet
+// matrices over the shard ids — and cross-shard snapshots stitch
+// per-shard answers back into the single logical sequence by offset
+// arithmetic over it. A prefix's values hash apart, so a prefix enumeration is a
 // merge of the shards' streams: a seek finds, by interpolating over the
 // shards' summed prefix ranks, a cut of the global sequence with exactly
 // the wanted number of matches before it; from there one head per shard
@@ -95,8 +96,8 @@
 // per-column arrays beside the memtable; at flush and compaction they are
 // frozen into gen-<id>.col (and gen-<id>.cd for blob payloads), checksummed
 // in the manifest and mapped like the index file. A numeric column is a
-// pointerless wavelet tree — bit planes, MSB first — over its present
-// values, or over their ranks in the generation's own sorted dictionary,
+// wavelet matrix (internal/wavelettree's Matrix, the router's type too) —
+// bit planes, MSB first — over its present values, or over their ranks in the generation's own sorted dictionary,
 // whichever is smaller: a frozen generation is static, so the
 // fixed-alphabet layout the paper sets the wavelet trie against applies
 // to it, one alphabet per generation, and a two-valued column costs one
@@ -112,6 +113,6 @@
 // — including the wtquery REPL — can serve from a durable store
 // unchanged. See DESIGN.md §5 for the on-disk formats and the crash
 // matrix, §6 for the iterator contract and the two-phase compaction
-// protocol, and §7 for the sharding design (partitioner contract,
+// protocol, and §7 for the sharding design (FNV-1a routing,
 // global-offset arithmetic, SHARDS/ROUTER formats, sharded crash matrix).
 package store

@@ -194,7 +194,7 @@ func FuzzParseColumn(f *testing.F) {
 		}
 		for i := range fc.cols {
 			a, b := &fc.cols[i], &fc2.cols[i]
-			if a.kind != b.kind || a.width != b.width || a.m != b.m || len(a.dict) != len(b.dict) {
+			if a.kind != b.kind || a.m != b.m || len(a.dict) != len(b.dict) || (a.kind == ColUint64 && a.num.Width() != b.num.Width()) {
 				t.Fatalf("column %d changed across re-parse", i)
 			}
 			if a.kind != ColUint64 {

@@ -25,12 +25,13 @@ import (
 // lock-free (the slot index is the record's global sequence number),
 // and a watermark publishes the longest contiguous filled prefix — the
 // only part snapshots may read. Behind the tail, every chunk the
-// watermark has fully passed is frozen into a succinct bit-packed
-// rank/select structure (wavelettree.NumSeq, ~log₂(shards) bits per
-// element instead of 32) and its uint32 slab is released — the router
-// is itself the small-alphabet access/rank/select problem this repo
-// reproduces, so sealed regions use the repo's own machinery. See
-// routerfrozen.go for the freeze step.
+// watermark has fully passed is frozen into a wavelet matrix over its
+// shard ids (wavelettree.Matrix, ⌈log₂ shards⌉ bit planes: that many bits
+// per element plus the planes' rank directories, instead of 32) and its
+// uint32 slab is released — the router is itself the small-alphabet
+// access/rank/select problem this repo reproduces, so sealed regions use
+// the same structure as the columns' planes. See routerfrozen.go for the
+// freeze step.
 //
 // On disk it is the ROUTER log — the same checksummed record framing as
 // the WAL under its own magic, carrying batches of shard-id bytes —
@@ -64,8 +65,8 @@ type routerChunk struct {
 type routerView struct {
 	// chunks[i] is chunk i's live uint32 slab, nil once frozen.
 	chunks []*routerChunk
-	// frozen[i] is the succinct encoding of sealed chunk i.
-	frozen []*wavelettree.NumSeq
+	// frozen[i] is the wavelet matrix of sealed chunk i.
+	frozen []*wavelettree.Matrix
 	// cum[i][s] = occurrences of shard s in chunks [0, i); one row per
 	// frozen chunk boundary plus the leading zero row.
 	cum [][]int32
@@ -149,13 +150,13 @@ func (r *router) advance() {
 }
 
 // at returns the shard owning global position g (g below a loaded
-// watermark): O(1) field extraction on the frozen prefix, a slot load
-// on the tail.
+// watermark): a matrix access — one bit and a rank per plane but the
+// last — on the frozen prefix, a slot load on the tail.
 func (r *router) at(g uint64) int {
 	v := r.view.Load()
 	ci := int(g >> routerChunkShift)
 	if ci < len(v.frozen) {
-		return v.frozen[ci].Access(int(g & routerChunkMask))
+		return int(v.frozen[ci].Access(int(g & routerChunkMask)))
 	}
 	return int(v.chunks[ci].ids[g&routerChunkMask].Load()) - 1
 }
@@ -169,8 +170,8 @@ func (r *router) locate(g uint64) (shard, local int) {
 	if ci < len(v.frozen) {
 		f := v.frozen[ci]
 		off := int(g & routerChunkMask)
-		shard = f.Access(off)
-		return shard, int(v.cum[ci][shard]) + f.Rank(shard, off)
+		shard = int(f.Access(off))
+		return shard, int(v.cum[ci][shard]) + f.Rank(uint64(shard), off)
 	}
 	shard = int(v.chunks[ci].ids[g&routerChunkMask].Load()) - 1
 	return shard, v.tailRank(shard, g)
@@ -191,14 +192,13 @@ func (v *routerView) tailRank(shard int, pos uint64) int {
 	return total
 }
 
-// rank counts positions of shard in [0, pos): sampled prefix sums plus
-// an O(1)+popcount block rank on the frozen prefix, a bounded scan on
-// the tail.
+// rank counts positions of shard in [0, pos): the chunk's prefix sum
+// plus a matrix rank on the frozen prefix, a bounded scan on the tail.
 func (r *router) rank(shard int, pos uint64) int {
 	v := r.view.Load()
 	ci := int(pos >> routerChunkShift)
 	if ci < len(v.frozen) {
-		return int(v.cum[ci][shard]) + v.frozen[ci].Rank(shard, int(pos&routerChunkMask))
+		return int(v.cum[ci][shard]) + v.frozen[ci].Rank(uint64(shard), int(pos&routerChunkMask))
 	}
 	return v.tailRank(shard, pos)
 }
@@ -213,7 +213,8 @@ func (r *router) selectShard(shard, idx int) int {
 	// has more than idx — within one chunk when that chunk is frozen.
 	i := sort.Search(len(v.cum), func(i int) bool { return int(v.cum[i][shard]) > idx }) - 1
 	if i < len(v.frozen) {
-		return i<<routerChunkShift + v.frozen[i].Select(shard, idx-int(v.cum[i][shard]))
+		off, _ := v.frozen[i].Select(uint64(shard), idx-int(v.cum[i][shard]))
+		return i<<routerChunkShift + off
 	}
 	seen := int(v.cum[i][shard])
 	want := uint32(shard) + 1

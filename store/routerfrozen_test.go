@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,27 +16,21 @@ import (
 // global position.
 type routerModel []int
 
-func (m routerModel) rank(shard, pos int) int {
-	c := 0
-	for _, s := range m[:pos] {
-		if s == shard {
-			c++
-		}
+// routerIndex is a routerModel's per-shard position lists, ascending:
+// rank is a binary search in one, select an index into it.
+type routerIndex [][]int
+
+func (m routerModel) index(shards int) routerIndex {
+	x := make(routerIndex, shards)
+	for g, s := range m {
+		x[s] = append(x[s], g)
 	}
-	return c
+	return x
 }
 
-func (m routerModel) selectShard(shard, idx int) int {
-	for g, s := range m {
-		if s == shard {
-			if idx == 0 {
-				return g
-			}
-			idx--
-		}
-	}
-	return -1
-}
+func (x routerIndex) rank(shard, pos int) int { return sort.SearchInts(x[shard], pos) }
+
+func (x routerIndex) selectShard(shard, idx int) int { return x[shard][idx] }
 
 // checkRouter diffs every router read primitive against the model at
 // sampled positions, always including the frozen/tail boundary.
@@ -44,6 +40,7 @@ func checkRouter(t *testing.T, r *router, m routerModel, rng *rand.Rand) {
 	if w == 0 {
 		return
 	}
+	x := m.index(r.shards)
 	boundary := len(r.view.Load().frozen) << routerChunkShift
 	probes := []int{0, w - 1, boundary - 1, boundary, boundary + 1, w / 2}
 	for i := 0; i < 8; i++ {
@@ -57,7 +54,7 @@ func checkRouter(t *testing.T, r *router, m routerModel, rng *rand.Rand) {
 			t.Fatalf("w=%d: at(%d) = %d, want %d", w, g, got, want)
 		}
 		s, local := r.locate(uint64(g))
-		if wantLocal := m.rank(m[g], g); s != m[g] || local != wantLocal {
+		if wantLocal := x.rank(m[g], g); s != m[g] || local != wantLocal {
 			t.Fatalf("w=%d: locate(%d) = (%d,%d), want (%d,%d)", w, g, s, local, m[g], wantLocal)
 		}
 	}
@@ -67,18 +64,18 @@ func checkRouter(t *testing.T, r *router, m routerModel, rng *rand.Rand) {
 			continue
 		}
 		for shard := 0; shard < r.shards; shard++ {
-			if got, want := r.rank(shard, uint64(pos)), m.rank(shard, pos); got != want {
+			if got, want := r.rank(shard, uint64(pos)), x.rank(shard, pos); got != want {
 				t.Fatalf("w=%d: rank(%d,%d) = %d, want %d", w, shard, pos, got, want)
 			}
 		}
 	}
 	for shard := 0; shard < r.shards; shard++ {
-		total := m.rank(shard, w)
+		total := x.rank(shard, w)
 		for _, idx := range []int{0, 1, total / 2, total - 1, rng.Intn(total + 1)} {
 			if idx < 0 || idx >= total {
 				continue
 			}
-			if got, want := r.selectShard(shard, idx), m.selectShard(shard, idx); got != want {
+			if got, want := r.selectShard(shard, idx), x.selectShard(shard, idx); got != want {
 				t.Fatalf("w=%d: selectShard(%d,%d) = %d, want %d", w, shard, idx, got, want)
 			}
 		}
@@ -90,9 +87,10 @@ func checkRouter(t *testing.T, r *router, m routerModel, rng *rand.Rand) {
 // fills arrive out of order inside a sliding window (stalling the
 // watermark like in-flight appends do), chunks freeze as the watermark
 // passes their boundary, and every primitive is probed at boundary
-// straddles after each window.
+// straddles after each window. 256 shards is the widest matrix a chunk
+// takes: 8 planes.
 func TestRouterFrozenDifferential(t *testing.T) {
-	for _, shards := range []int{1, 2, 3, 5, 8} {
+	for _, shards := range []int{1, 2, 3, 5, 8, 256} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(shards)))
 			const n = 3*routerChunkLen + 1500
@@ -137,9 +135,11 @@ func TestRouterFrozenDifferential(t *testing.T) {
 			}
 			// The frozen region itself must be far below 32 bits/element —
 			// that is the point of freezing (the live tail chunk still pays
-			// full slab price until it seals).
-			if perElem := float64(ri.FrozenBits) / float64(ri.FrozenChunks*routerChunkLen); perElem > 8 {
-				t.Fatalf("frozen region at %.2f bits/elem, want <= 8", perElem)
+			// full slab price until it seals): ⌈log₂ shards⌉ planes and
+			// their rank directories.
+			width := bits.Len(uint(shards - 1))
+			if perElem := float64(ri.FrozenBits) / float64(ri.FrozenChunks*routerChunkLen); perElem > float64(width)+1 {
+				t.Fatalf("frozen region at %.2f bits/elem, want <= %d", perElem, width+1)
 			}
 
 			// A reopened router (bulkLoad) answers identically too.

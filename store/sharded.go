@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,6 +22,10 @@ const (
 
 	shardsName = "SHARDS"
 
+	// partitionerName names pickShard in the SHARDS manifest — the only
+	// routing a store is created with or opens.
+	partitionerName = "fnv1a"
+
 	// MaxShards caps the partition count of a ShardedStore (shard ids
 	// are stored as single bytes in the ROUTER log).
 	MaxShards = 256
@@ -38,24 +41,24 @@ type ShardedOptions struct {
 	// was created with") or the exact recorded count. Default 4, max
 	// MaxShards.
 	Shards int
-	// Partitioner routes values to shards; it must be deterministic in
-	// the value alone (see Partitioner). Default FNV1a. Reopening with a
-	// partitioner whose Name differs from the recorded one fails.
-	Partitioner Partitioner
 	// Store tunes every shard (flush threshold, compaction fan-in, WAL
 	// fsync). Each shard applies these independently.
 	Store Options
 }
 
-func (o *ShardedOptions) withDefaults() ShardedOptions {
-	var out ShardedOptions
-	if o != nil {
-		out = *o
+// pickShard routes v to its shard: the 32-bit FNV-1a hash of its bytes,
+// modulo the shard count. Its contract is to be a function of the value
+// alone, which the planner leans on twice: every occurrence of v lives on
+// one shard, so whole-value Rank/Select/Count touch only it, and per-shard
+// alphabets are disjoint, so the distinct count is a sum. SHARDS pins it
+// by name (partitionerName): re-routing would scramble data already laid.
+func pickShard(v string, shards int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(v); i++ {
+		h ^= uint32(v[i])
+		h *= 16777619
 	}
-	if out.Partitioner == nil {
-		out.Partitioner = FNV1a
-	}
-	return out
+	return int(h % uint32(shards))
 }
 
 // ShardedStore scales the write path of Store across hash partitions:
@@ -77,8 +80,6 @@ func (o *ShardedOptions) withDefaults() ShardedOptions {
 // appender briefly holds back the watermark, never the data.
 type ShardedStore struct {
 	dir    string
-	opts   ShardedOptions
-	part   Partitioner
 	shards []*Store
 	schema []ColumnSpec // the shards' shared column schema
 	router *router
@@ -133,8 +134,8 @@ func parseShards(data []byte) (shardsManifest, error) {
 	if m.shards < 1 || m.shards > MaxShards {
 		return m, fmt.Errorf("store: SHARDS names %d partitions, want 1..%d", m.shards, MaxShards)
 	}
-	if m.partitioner == "" {
-		return m, errors.New("store: SHARDS names no partitioner")
+	if m.partitioner != partitionerName {
+		return m, fmt.Errorf("store: SHARDS names partitioner %q, stores route with %q", m.partitioner, partitionerName)
 	}
 	return m, nil
 }
@@ -158,11 +159,14 @@ func isShardDirName(name string) bool {
 // OpenSharded opens the sharded store in dir, creating it if empty. All
 // shards recover in parallel; the global interleave is rebuilt from the
 // ROUTER log plus the sequence headers in each shard's WAL tail, then
-// rewritten fresh. Opening validates the shard count and partitioner
-// against the SHARDS manifest — a sharded store must always be opened
-// with the partitioner it was created with.
+// rewritten fresh. Opening validates the shard count against the SHARDS
+// manifest, and refuses a manifest that names a partitioner other than
+// the FNV-1a routing every sharded store uses.
 func OpenSharded(dir string, opts *ShardedOptions) (*ShardedStore, error) {
-	o := opts.withDefaults()
+	var o ShardedOptions
+	if opts != nil {
+		o = *opts
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -180,7 +184,7 @@ func OpenSharded(dir string, opts *ShardedOptions) (*ShardedStore, error) {
 		}
 	}()
 
-	count, err := loadShardsManifest(dir, &o)
+	count, err := loadShardsManifest(dir, o.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +198,7 @@ func OpenSharded(dir string, opts *ShardedOptions) (*ShardedStore, error) {
 		}
 	}
 
-	ss := &ShardedStore{dir: dir, opts: o, part: o.Partitioner, unlock: unlock}
+	ss := &ShardedStore{dir: dir, unlock: unlock}
 	ss.router = newRouter(count)
 	hooks := &shardHooks{barrier: ss.sealBarrier, retire: func() { ss.view.Store(nil) }}
 
@@ -267,19 +271,19 @@ func OpenSharded(dir string, opts *ShardedOptions) (*ShardedStore, error) {
 }
 
 // loadShardsManifest reads or creates dir/SHARDS and returns the shard
-// count, validating it and the partitioner against the options.
-func loadShardsManifest(dir string, o *ShardedOptions) (int, error) {
+// count, validating it against the requested one (0: any).
+func loadShardsManifest(dir string, shards int) (int, error) {
 	path := filepath.Join(dir, shardsName)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		count := o.Shards
+		count := shards
 		if count == 0 {
 			count = defaultShards
 		}
 		if count < 1 || count > MaxShards {
 			return 0, fmt.Errorf("store: %d shards outside 1..%d", count, MaxShards)
 		}
-		m := shardsManifest{shards: count, partitioner: o.Partitioner.Name()}
+		m := shardsManifest{shards: count, partitioner: partitionerName}
 		if err := writeFileAtomic(dir, shardsName, encodeShards(m)); err != nil {
 			return 0, err
 		}
@@ -292,11 +296,8 @@ func loadShardsManifest(dir string, o *ShardedOptions) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: %s: %w", path, err)
 	}
-	if o.Shards != 0 && o.Shards != m.shards {
-		return 0, fmt.Errorf("store: store has %d shards, options ask for %d (the count is fixed at creation)", m.shards, o.Shards)
-	}
-	if name := o.Partitioner.Name(); name != m.partitioner {
-		return 0, fmt.Errorf("store: store was created with partitioner %q, options carry %q", m.partitioner, name)
+	if shards != 0 && shards != m.shards {
+		return 0, fmt.Errorf("store: store has %d shards, options ask for %d (the count is fixed at creation)", m.shards, shards)
 	}
 	return m.shards, nil
 }
@@ -404,10 +405,10 @@ func (ss *ShardedStore) AppendRow(v string, row Row) error {
 // in argument order: no append from any other caller lands inside the
 // batch. The batch is routed per shard, every involved shard's append
 // lock is taken once (in shard order, so concurrent batches cannot
-// deadlock), sequence numbers are allocated in argument order while the
-// locks are held, and each shard gets one WAL write and at most one
-// fsync for its whole sub-batch — the cross-shard group commit. An
-// empty batch is a no-op.
+// deadlock), sequence numbers are allocated as one block in argument
+// order while the locks are held, and each shard gets one WAL write and
+// at most one fsync for its whole sub-batch — the cross-shard group
+// commit. An empty batch is a no-op.
 func (ss *ShardedStore) AppendBatch(vs []string) error { return ss.AppendBatchRows(vs, nil) }
 
 // AppendBatchRows is AppendBatch with one payload row per value; rows
@@ -426,13 +427,11 @@ func (ss *ShardedStore) AppendBatchRows(vs []string, rows []Row) error {
 	if ss.closed.Load() {
 		return errClosed
 	}
-	// Route and validate every value first; a broken partitioner, an
-	// oversized record or a schema-mismatched row fails the whole batch
-	// before any lock is taken or sequence number allocated — nothing is
-	// burned, nothing poisons the store.
-	shardOf := make([]int, len(vs))
-	counts := make([]int, len(ss.shards))
-	var involved []int
+	// Route and validate every value first; an oversized record or a
+	// schema-mismatched row fails the whole batch before any lock is taken
+	// or sequence number allocated — nothing is burned, nothing poisons the
+	// store.
+	var counts [MaxShards]int
 	for i, v := range vs {
 		var row Row
 		if rows != nil {
@@ -444,63 +443,61 @@ func (ss *ShardedStore) AppendBatchRows(vs []string, rows []Row) error {
 		if n := walRecordBound(v, row); n > walMaxRecord {
 			return fmt.Errorf("store: WAL record of %d bytes exceeds limit", n)
 		}
-		sh, err := pickShard(ss.part, v, len(ss.shards))
+		counts[pickShard(v, len(ss.shards))]++
+	}
+	// One entry per involved shard, in shard order (the lock order), each a
+	// span of the batch regrouped by shard with argument order kept inside
+	// it; counts turns into each shard's next offset. A batch on one shard
+	// is its own regrouping.
+	var few [2]shardBatch
+	batches, off := few[:0], 0
+	for sh, c := range counts[:len(ss.shards)] {
+		if c > 0 {
+			batches = append(batches, shardBatch{shard: sh, off: off, n: c})
+			counts[sh], off = off, off+c
+		}
+	}
+	gvs, grows := vs, rows
+	if len(batches) > 1 {
+		gvs = make([]string, len(vs))
+		if rows != nil {
+			grows = make([]Row, len(vs))
+		}
+	}
+	var seqBuf [8]uint64
+	seqs := seqBuf[:]
+	if len(vs) > len(seqBuf) {
+		seqs = make([]uint64, len(vs))
+	}
+
+	// Take the involved shards' append locks in shard order.
+	for k, b := range batches {
+		sh := ss.shards[b.shard]
+		sh.appendMu.Lock()
+		err := sh.err()
+		if sh.closed.Load() {
+			err = errClosed
+		}
 		if err != nil {
-			ss.fail(err)
-			return err
-		}
-		if counts[sh] == 0 {
-			involved = append(involved, sh)
-		}
-		counts[sh]++
-		shardOf[i] = sh
-	}
-	sort.Ints(involved)
-
-	// Take the involved shards' append locks in shard order; unlock is
-	// deferred through one function so every early error path releases.
-	locked := 0
-	unlock := func() {
-		for i := locked - 1; i >= 0; i-- {
-			ss.shards[involved[i]].appendMu.Unlock()
-		}
-	}
-	for _, sh := range involved {
-		ss.shards[sh].appendMu.Lock()
-		locked++
-		if ss.shards[sh].closed.Load() {
-			unlock()
-			return errClosed
-		}
-		if err := ss.shards[sh].err(); err != nil {
-			unlock()
+			ss.unlockShards(batches[:k+1])
 			return err
 		}
 	}
-
-	// Allocate sequence numbers in argument order. No other appender can
-	// slip into the involved shards (their locks are held), so per-shard
-	// WAL order stays sequence order; appenders to other shards may
-	// interleave numbers freely, exactly as with single appends.
-	seqs := make([]uint64, len(vs))
-	perVals := make([][]string, len(ss.shards))
-	perRows := make([][]Row, len(ss.shards))
-	perSeqs := make([][]uint64, len(ss.shards))
-	for _, sh := range involved {
-		perVals[sh] = make([]string, 0, counts[sh])
-		perSeqs[sh] = make([]uint64, 0, counts[sh])
-		if rows != nil {
-			perRows[sh] = make([]Row, 0, counts[sh])
-		}
-	}
+	// The batch's sequence numbers are one block in argument order: no
+	// appender slips inside the batch, and none into the involved shards
+	// (their locks are held), so per-shard WAL order stays sequence order.
+	base := ss.seq.Add(uint64(len(vs))) - uint64(len(vs))
 	for i, v := range vs {
-		sh := shardOf[i]
-		seqs[i] = ss.seq.Add(1) - 1
-		perVals[sh] = append(perVals[sh], v)
-		perSeqs[sh] = append(perSeqs[sh], seqs[i])
-		if rows != nil {
-			perRows[sh] = append(perRows[sh], rows[i])
+		j := i
+		if len(batches) > 1 {
+			sh := pickShard(v, len(ss.shards))
+			j, counts[sh] = counts[sh], counts[sh]+1
+			gvs[j] = v
+			if rows != nil {
+				grows[j] = rows[i]
+			}
 		}
+		seqs[j] = base + uint64(i)
 	}
 
 	// One group commit per involved shard. A mid-batch failure burns the
@@ -509,27 +506,47 @@ func (ss *ShardedStore) AppendBatchRows(vs []string, rows []Row) error {
 	// durable on other shards are reconciled or dropped at the next open)
 	// until the store is reopened. Recording the failure unblocks waiters
 	// (the seal barrier).
-	ns := make([]int64, len(ss.shards))
-	for _, sh := range involved {
-		n, err := ss.shards[sh].appendBatchLocked(perVals[sh], perRows[sh], perSeqs[sh])
+	for k := range batches {
+		b := &batches[k]
+		var bRows []Row
+		if rows != nil {
+			bRows = grows[b.off : b.off+b.n]
+		}
+		n, err := ss.shards[b.shard].appendBatchLocked(gvs[b.off:b.off+b.n], bRows, seqs[b.off:b.off+b.n])
 		if err != nil {
-			unlock()
+			ss.unlockShards(batches)
 			if err != errClosed {
 				ss.fail(err)
 			}
 			return err
 		}
-		ns[sh] = n
+		b.memLen = n
 	}
-	unlock()
+	ss.unlockShards(batches)
 
-	for i := range vs {
-		ss.router.fill(seqs[i], shardOf[i])
+	for _, b := range batches {
+		for _, seq := range seqs[b.off : b.off+b.n] {
+			ss.router.fill(seq, b.shard)
+		}
 	}
-	for _, sh := range involved {
-		ss.shards[sh].nudgeFlush(ns[sh])
+	for _, b := range batches {
+		ss.shards[b.shard].nudgeFlush(b.memLen)
 	}
 	return nil
+}
+
+// shardBatch is one involved shard's span [off, off+n) of a sharded batch
+// regrouped by shard, and the memtable length its group commit left.
+type shardBatch struct {
+	shard, off, n int
+	memLen        int64
+}
+
+// unlockShards releases the append locks of bs's shards, last first.
+func (ss *ShardedStore) unlockShards(bs []shardBatch) {
+	for k := len(bs) - 1; k >= 0; k-- {
+		ss.shards[bs[k].shard].appendMu.Unlock()
+	}
 }
 
 // sealBarrier is the shardHooks barrier: before a shard flush may
@@ -693,7 +710,7 @@ func (ss *ShardedStore) Snapshot() *ShardedSnapshot {
 	if v := ss.view.Load(); v != nil && v.n == int(w) && ss.pins(v) {
 		return v
 	}
-	v := &ShardedSnapshot{r: ss.router, n: int(w), part: ss.part, schema: ss.schema,
+	v := &ShardedSnapshot{r: ss.router, n: int(w), schema: ss.schema,
 		base: make([]*Snapshot, len(ss.shards)), shards: make([]*Snapshot, len(ss.shards))}
 	for i, sh := range ss.shards {
 		v.base[i] = sh.Snapshot()
@@ -763,8 +780,8 @@ func (ss *ShardedStore) Dir() string { return ss.dir }
 func (ss *ShardedStore) Len() int { return int(ss.router.watermark.Load()) }
 
 // AlphabetSize returns the number of distinct strings stored — the sum
-// of per-shard counts, exact because the partitioner keeps per-shard
-// alphabets disjoint. Each shard's count is a walk of its tries' shapes
+// of per-shard counts, exact because pickShard keeps per-shard alphabets
+// disjoint. Each shard's count is a walk of its tries' shapes
 // (Snapshot.AlphabetSize has the cost): ask when the figure is wanted,
 // not per request.
 func (ss *ShardedStore) AlphabetSize() int { return ss.Snapshot().AlphabetSize() }
@@ -783,7 +800,7 @@ func (ss *ShardedStore) Height() int {
 // SizeBits returns the summed in-memory footprint of all shards plus
 // the router.
 func (ss *ShardedStore) SizeBits() int {
-	total := ss.router.sizeBits()
+	total := ss.router.info().Bits
 	for _, sh := range ss.shards {
 		total += sh.SizeBits()
 	}

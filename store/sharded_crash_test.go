@@ -72,13 +72,13 @@ func checkShardedSeq(t *testing.T, ss *ShardedStore, want []string) {
 }
 
 // crashSeq builds an append sequence whose values provably land on both
-// shards of a 2-shard FNV1a store.
+// shards of a 2-shard FNV-1a store.
 func crashSeq(n int) []string {
 	seq := make([]string, n)
 	hit := [2]int{}
 	for i := range seq {
 		seq[i] = fmt.Sprintf("val/%04d", i)
-		hit[FNV1a.Pick(seq[i], 2)]++
+		hit[pickShard(seq[i], 2)]++
 	}
 	if hit[0] == 0 || hit[1] == 0 {
 		panic("crashSeq: degenerate routing")
@@ -180,7 +180,7 @@ func TestShardedCrashTornShardWAL(t *testing.T) {
 	var want []string
 	k1 := 0
 	for _, v := range seq {
-		if FNV1a.Pick(v, 2) == 0 {
+		if pickShard(v, 2) == 0 {
 			want = append(want, v)
 		} else if k1 < survive1 {
 			want = append(want, v)
@@ -274,7 +274,7 @@ func TestShardedCrashRouterStates(t *testing.T) {
 	rp := filepath.Join(tornDir, routerName)
 	var extra []byte
 	for _, v := range seq[80:] {
-		extra = append(extra, byte(FNV1a.Pick(v, 2)))
+		extra = append(extra, byte(pickShard(v, 2)))
 	}
 	rec := appendLogRecord(nil, extra)
 	f, err := os.OpenFile(rp, os.O_APPEND|os.O_WRONLY, 0o644)
@@ -360,7 +360,7 @@ func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
 		if err := ss.Append(v); err != nil {
 			t.Fatal(err)
 		}
-		if FNV1a.Pick(v, 2) == 0 {
+		if pickShard(v, 2) == 0 {
 			tail0++
 		}
 	}
@@ -388,7 +388,7 @@ func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
 	}
 	var post []string
 	for i := 0; len(post) < 2; i++ {
-		if v := fmt.Sprintf("post/%d", i); FNV1a.Pick(v, 2) == 0 {
+		if v := fmt.Sprintf("post/%d", i); pickShard(v, 2) == 0 {
 			post = append(post, v)
 		}
 	}

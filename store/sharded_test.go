@@ -5,12 +5,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	wavelettrie "repro"
 	"repro/internal/seqstore"
 	"repro/internal/seqstore/flat"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/store"
 )
@@ -330,7 +333,8 @@ func TestShardedSnapshotIsolation(t *testing.T) {
 }
 
 // TestShardedOpenValidation: the SHARDS manifest pins shard count and
-// partitioner; directory kinds must not cross.
+// partitioner — one naming any routing but FNV-1a is refused, the
+// directory left as it was; directory kinds must not cross.
 func TestShardedOpenValidation(t *testing.T) {
 	dir := t.TempDir()
 	ss := mustOpenSharded(t, dir, &store.ShardedOptions{Shards: 2})
@@ -344,8 +348,27 @@ func TestShardedOpenValidation(t *testing.T) {
 	if _, err := store.OpenSharded(dir, &store.ShardedOptions{Shards: 3}); err == nil {
 		t.Fatal("shard-count mismatch not rejected")
 	}
-	if _, err := store.OpenSharded(dir, &store.ShardedOptions{Partitioner: constPartitioner{}}); err == nil {
-		t.Fatal("partitioner mismatch not rejected")
+	// SHARDS is magic, version, shard count, then the partitioner's name.
+	shardsPath := filepath.Join(dir, "SHARDS")
+	shards, err := os.ReadFile(shardsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wire.NewRawWriter()
+	w.Raw(shards[:14])
+	w.Blob([]byte("const0"))
+	if err := os.WriteFile(shardsPath, w.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := treeFiles(t, dir)
+	if _, err := store.OpenSharded(dir, nil); err == nil || !strings.Contains(err.Error(), `"const0"`) {
+		t.Fatalf("OpenSharded of a store naming partitioner const0 = %v, want a refusal naming it", err)
+	}
+	if after := treeFiles(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("a refused OpenSharded changed the directory")
+	}
+	if err := os.WriteFile(shardsPath, shards, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := store.Open(dir, nil); err == nil {
 		t.Fatal("plain Open of a sharded root not rejected")
@@ -377,7 +400,7 @@ func TestShardedOpenValidation(t *testing.T) {
 	s2.Close()
 
 	// The store still opens fine with matching options.
-	ss = mustOpenSharded(t, dir, &store.ShardedOptions{Shards: 2, Partitioner: store.FNV1a})
+	ss = mustOpenSharded(t, dir, &store.ShardedOptions{Shards: 2})
 	if got := ss.Len(); got != 1 {
 		t.Fatalf("Len = %d, want 1", got)
 	}
@@ -410,11 +433,21 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// constPartitioner routes everything to shard 0 under a distinct name.
-type constPartitioner struct{}
-
-// Name identifies the test partitioner.
-func (constPartitioner) Name() string { return "const0" }
-
-// Pick always returns shard 0.
-func (constPartitioner) Pick(string, int) int { return 0 }
+// treeFiles reads every file under dir, by path relative to it.
+func treeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}

@@ -17,16 +17,15 @@ import (
 //	Select(v, i)     = selectShard(pick(v), shard[pick(v)].Select(v, i))
 //	RankPrefix(p, ·) = Σ_s shard[s].RankPrefix(p, rank(s, ·))
 //
-// Point lookups on whole values touch exactly one shard — the
-// partitioner contract guarantees every occurrence of v lives on
+// Point lookups on whole values touch exactly one shard — pickShard is a
+// function of the value alone, so every occurrence of v lives on
 // pick(v). Prefix queries fan out to all shards, since values sharing a
 // prefix hash apart. All operations are safe for concurrent use and
 // keep answering the same way during later appends, flushes and
 // compactions on any shard.
 type ShardedSnapshot struct {
 	r      *router
-	n      int // pinned watermark
-	part   Partitioner
+	n      int          // pinned watermark
 	shards []*Snapshot  // each shard's view, cut at the watermark
 	base   []*Snapshot  // the shard views the cuts were made from
 	schema []ColumnSpec // the shards' shared column schema
@@ -39,7 +38,7 @@ var _ wavelettrie.StringIndex = (*ShardedSnapshot)(nil)
 func (sn *ShardedSnapshot) Len() int { return sn.n }
 
 // AlphabetSize returns the number of distinct strings — the sum of the
-// per-shard counts (disjoint by the partitioner contract), each derived
+// per-shard counts (disjoint: pickShard routes by value), each derived
 // and remembered by its shard's view; see Snapshot.AlphabetSize for the
 // cost and for how the count may lead the visible sequence.
 func (sn *ShardedSnapshot) AlphabetSize() int {
@@ -72,21 +71,11 @@ func (sn *ShardedSnapshot) Height() int {
 // SizeBits returns the summed in-memory footprint of the per-shard
 // views plus the router.
 func (sn *ShardedSnapshot) SizeBits() int {
-	total := sn.r.sizeBits()
+	total := sn.r.info().Bits
 	for _, sh := range sn.shards {
 		total += sh.SizeBits()
 	}
 	return total
-}
-
-// pick routes v to its shard, panicking on a broken custom partitioner
-// (reads have no error channel; the same breakage fails Append loudly).
-func (sn *ShardedSnapshot) pick(v string) int {
-	s, err := pickShard(sn.part, v, len(sn.shards))
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Access returns the string at global position pos. It panics if pos is
@@ -111,7 +100,7 @@ func (sn *ShardedSnapshot) checkPos(op string, pos int) {
 // global cut to that shard's local cut.
 func (sn *ShardedSnapshot) Rank(v string, pos int) int {
 	sn.checkPos("Rank", pos)
-	s := sn.pick(v)
+	s := pickShard(v, len(sn.shards))
 	return sn.shards[s].rank(newProbe(v, false), sn.r.rank(s, uint64(pos)))
 }
 
@@ -122,7 +111,7 @@ func (sn *ShardedSnapshot) Count(v string) int { return sn.Rank(v, sn.n) }
 // of v, with ok=false when v occurs fewer than idx+1 times: the owning
 // shard resolves the local position, the router maps it back to global.
 func (sn *ShardedSnapshot) Select(v string, idx int) (int, bool) {
-	s := sn.pick(v)
+	s := pickShard(v, len(sn.shards))
 	local, ok := sn.shards[s].sel(newProbe(v, false), idx)
 	if !ok {
 		return 0, false

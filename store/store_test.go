@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitvec"
+	"repro/internal/wavelettree"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -626,7 +628,7 @@ func TestOlderFormatsRefused(t *testing.T) {
 		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "unsupported log version 1"},
 		{"sharded store", func(t *testing.T, dir string) map[string][]byte {
 			return map[string][]byte{
-				shardsName: encodeShards(shardsManifest{shards: 1, partitioner: FNV1a.Name()}),
+				shardsName: encodeShards(shardsManifest{shards: 1, partitioner: partitionerName}),
 				routerName: oldLog(routerMagic, []byte{0, 0, 0}),
 				filepath.Join(shardDirName(0), manifestName):   oldManifest,
 				filepath.Join(shardDirName(0), walFileName(1)): oldLog(walMagic, []byte("\x03\x00a"), []byte("\x02\x01a"), []byte("\x03\x02b")),
@@ -668,10 +670,10 @@ func TestOlderFormatsRefused(t *testing.T) {
 					for i := range nums {
 						nums[i] = fc.presentValue(j, i).U64()
 					}
-					levels, _ := buildPlanes(nums, 7) // values below 100
-					w.Byte(byte(len(levels)))
-					for _, lv := range levels {
-						lv.EncodeTo(w)
+					planes, wpp := wavelettree.NewMatrix(nums, 7).Words(), (c.m+63)/64 // values below 100
+					w.Byte(7)
+					for d := 0; d < 7; d++ {
+						bitvec.FromWords(planes[d*wpp:(d+1)*wpp], c.m).EncodeTo(w)
 					}
 				}
 			}
