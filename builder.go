@@ -51,9 +51,6 @@ func (fb *FrozenBuilder) Append(s string) error {
 	return fb.b.AppendBits(bitstr.EncodeString(s))
 }
 
-// Len returns the number of elements appended so far (pass 2).
-func (fb *FrozenBuilder) Len() int { return fb.b.Len() }
-
 // Build emits the Frozen. The builder must not be used afterwards. It
 // returns an error when some registered value was never appended.
 func (fb *FrozenBuilder) Build() (*Frozen, error) {

@@ -109,7 +109,7 @@
 // The implementation is stdlib-only. Internal packages implement every
 // substrate from scratch: RRR bitvectors, the §4.1 append-only bitvector,
 // the §4.2 dynamic RLE+γ bitvector, dynamic Patricia tries, Elias-Fano
-// partial sums, Elias γ/δ codes, and balanced-parentheses succinct trees
+// partial sums, Elias γ codes, and balanced-parentheses succinct trees
 // (the strictly binary trie's shape is one bit a node). A snapshot written
 // by an older format version is refused by version, never converted. See
 // DESIGN.md

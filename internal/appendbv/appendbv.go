@@ -104,13 +104,6 @@ func (v *Vector) Append(bit byte) {
 	}
 }
 
-// AppendRun appends cnt copies of bit.
-func (v *Vector) AppendRun(bit byte, cnt int) {
-	for i := 0; i < cnt; i++ {
-		v.Append(bit)
-	}
-}
-
 // seal compresses the full tail into an RRR segment.
 func (v *Vector) seal() {
 	seg := rrr.FromWords(v.tail, SegmentBits)
@@ -291,9 +284,6 @@ func (v *Vector) SizeBits() int {
 	return s
 }
 
-// InitRun returns the Init(b,n) run this vector was created with.
-func (v *Vector) InitRun() (bit byte, n int) { return v.initBit, v.initLen }
-
 // AppendTo appends every bit of the vector to dst and returns how many of
 // them are set: the Init run as one run, each sealed segment a decoded
 // block at a time, the tail as raw words. The count is of the bits copied,
@@ -338,9 +328,6 @@ func (it *Iter) sync() {
 		it.seg = it.v.segs[p/SegmentBits].Iter(p % SegmentBits)
 	}
 }
-
-// Pos returns the position of the bit Next will return.
-func (it *Iter) Pos() int { return it.pos }
 
 // Valid reports whether Next may be called.
 func (it *Iter) Valid() bool { return it.pos < it.v.Len() }

@@ -23,8 +23,8 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 	cases = append(cases, big)
 	mixed := NewInit(1, 999)
-	mixed.AppendRun(0, SegmentBits)
-	mixed.AppendRun(1, 63)
+	appendRun(mixed, 0, SegmentBits)
+	appendRun(mixed, 1, 63)
 	cases = append(cases, mixed)
 
 	for ci, v := range cases {
@@ -64,7 +64,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	v := NewInit(1, 100)
-	v.AppendRun(0, SegmentBits+100)
+	appendRun(v, 0, SegmentBits+100)
 	w := wire.NewWriter(1, 1)
 	v.EncodeTo(w)
 	data := w.Bytes()
@@ -77,5 +77,12 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 		if rd.Done() == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
+	}
+}
+
+// appendRun appends cnt copies of bit to v.
+func appendRun(v *Vector, bit byte, cnt int) {
+	for i := 0; i < cnt; i++ {
+		v.Append(bit)
 	}
 }

@@ -28,24 +28,6 @@ type BitString struct {
 // Empty is the bit string of length zero.
 var Empty = BitString{}
 
-// New constructs a BitString from individual bits, where each byte must be
-// 0 or 1. It panics on any other value: callers control their inputs here,
-// and a silent coercion would hide logic bugs in trie construction.
-func New(bitvals ...byte) BitString {
-	b := NewBuilder(len(bitvals))
-	for _, v := range bitvals {
-		switch v {
-		case 0:
-			b.AppendBit(0)
-		case 1:
-			b.AppendBit(1)
-		default:
-			panic(fmt.Sprintf("bitstr: New: bit value %d out of range", v))
-		}
-	}
-	return b.BitString()
-}
-
 // Parse converts a textual bit pattern such as "0100" into a BitString.
 // Characters other than '0' and '1' yield an error. Parse("") is Empty.
 func Parse(s string) (BitString, error) {
@@ -102,9 +84,6 @@ func FromWordsShared(words []uint64, n int) BitString {
 
 // Len returns the number of bits.
 func (s BitString) Len() int { return s.n }
-
-// IsEmpty reports whether the string has length zero.
-func (s BitString) IsEmpty() bool { return s.n == 0 }
 
 // Bit returns bit i (0 or 1). It panics if i is out of range.
 func (s BitString) Bit(i int) byte {
@@ -173,16 +152,6 @@ func LCPAt(a []uint64, aOff int, b []uint64, bOff int, n int) int {
 // EqualAt reports whether the two n-bit runs (see LCPAt) are equal.
 func EqualAt(a []uint64, aOff int, b []uint64, bOff int, n int) bool {
 	return LCPAt(a, aOff, b, bOff, n) == n
-}
-
-// HasPrefix reports whether p is a prefix of s.
-func (s BitString) HasPrefix(p BitString) bool {
-	return p.n <= s.n && LCP(s, p) == p.n
-}
-
-// Equal reports whether s and t are the same bit string.
-func Equal(s, t BitString) bool {
-	return s.n == t.n && LCP(s, t) == s.n
 }
 
 // Compare orders bit strings lexicographically with 0 < 1, and a proper

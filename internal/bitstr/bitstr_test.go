@@ -37,15 +37,6 @@ func TestParseInvalid(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnBadBit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bit value 2")
-		}
-	}()
-	New(0, 1, 2)
-}
-
 func TestBitAndIndexing(t *testing.T) {
 	bs := MustParse("0100010")
 	want := []byte{0, 1, 0, 0, 0, 1, 0}
@@ -106,7 +97,7 @@ func TestPrefixSuffix(t *testing.T) {
 	if got := bs.Suffix(3).String(); got != "010" {
 		t.Errorf("Suffix(3) = %q", got)
 	}
-	if !bs.Prefix(0).IsEmpty() || !bs.Suffix(6).IsEmpty() {
+	if bs.Prefix(0).Len() != 0 || bs.Suffix(6).Len() != 0 {
 		t.Error("empty prefix/suffix expected")
 	}
 }
@@ -153,24 +144,6 @@ func TestCompareAgainstStringCompare(t *testing.T) {
 		if got != want {
 			t.Fatalf("Compare(%q,%q) = %d, want %d", a, b, got, want)
 		}
-	}
-}
-
-func TestEqualAndHasPrefix(t *testing.T) {
-	a := MustParse("010011")
-	if !Equal(a, MustParse("010011")) || Equal(a, MustParse("010010")) || Equal(a, MustParse("01001")) {
-		t.Error("Equal misbehaves")
-	}
-	for k := 0; k <= a.Len(); k++ {
-		if !a.HasPrefix(a.Prefix(k)) {
-			t.Errorf("HasPrefix of own prefix length %d failed", k)
-		}
-	}
-	if a.HasPrefix(MustParse("011")) {
-		t.Error("HasPrefix false positive")
-	}
-	if a.HasPrefix(MustParse("0100110")) {
-		t.Error("longer string cannot be a prefix")
 	}
 }
 
@@ -268,7 +241,7 @@ func TestQuickSubConcatIdentity(t *testing.T) {
 			return true
 		}
 		k := int(k8) % (s.Len() + 1)
-		return Equal(Concat(s.Prefix(k), s.Suffix(k)), s)
+		return Compare(Concat(s.Prefix(k), s.Suffix(k)), s) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -277,8 +250,8 @@ func TestQuickSubConcatIdentity(t *testing.T) {
 
 func TestQuickLCPSymmetricAndBounded(t *testing.T) {
 	f := func(a, b []byte) bool {
-		x := Encode(a)
-		y := Encode(b)
+		x := encodeBytes(a)
+		y := encodeBytes(b)
 		l := LCP(x, y)
 		if l != LCP(y, x) {
 			return false

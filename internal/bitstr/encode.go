@@ -27,20 +27,15 @@ import (
 //     bytes do, and a shorter string's 0 terminator sorts before any
 //     continuation's 1 flag).
 
-// Encode binarizes a byte string into the prefix-free bit-string alphabet.
-// Every distinct byte string maps to a distinct bit string and the set of
-// all encodings is prefix-free.
-func Encode(s []byte) BitString { return encode(nil, string(s), true) }
-
-// EncodeString is Encode for Go strings.
+// EncodeString binarizes a byte string into the prefix-free bit-string
+// alphabet. Every distinct byte string maps to a distinct bit string and
+// the set of all encodings is prefix-free.
 func EncodeString(s string) BitString { return encode(nil, s, true) }
 
-// EncodePrefix binarizes a byte string *without* the terminator, producing
-// the bit string that is a prefix of Encode(s) for every s having p as a
-// byte prefix. Use it to form RankPrefix/SelectPrefix arguments.
-func EncodePrefix(p []byte) BitString { return encode(nil, string(p), false) }
-
-// EncodePrefixString is EncodePrefix for Go strings.
+// EncodePrefixString binarizes a byte string *without* the terminator,
+// producing the bit string that is a prefix of EncodeString(s) for every
+// s having p as a byte prefix. Use it to form RankPrefix/SelectPrefix
+// arguments.
 func EncodePrefixString(p string) BitString { return encode(nil, p, false) }
 
 // KeyWords is the stack-buffer size, in words, that holds the encoding of

@@ -11,13 +11,13 @@ import (
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cases := [][]byte{nil, {}, []byte("a"), []byte("abc"), {0}, {0, 0, 255}, []byte("http://a/b")}
 	for _, c := range cases {
-		bs := Encode(c)
+		bs := encodeBytes(c)
 		if bs.Len() != 9*len(c)+1 {
-			t.Errorf("Encode(%q) length %d, want %d", c, bs.Len(), 9*len(c)+1)
+			t.Errorf("EncodeString(%q) length %d, want %d", c, bs.Len(), 9*len(c)+1)
 		}
 		got, err := Decode(bs)
 		if err != nil {
-			t.Fatalf("Decode(Encode(%q)): %v", c, err)
+			t.Fatalf("Decode(EncodeString(%q)): %v", c, err)
 		}
 		if !bytes.Equal(got, c) && !(len(got) == 0 && len(c) == 0) {
 			t.Errorf("round trip %q -> %q", c, got)
@@ -28,13 +28,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeKnownPattern(t *testing.T) {
 	// 'a' = 0x61 = 01100001; expect 1 01100001 0.
 	if got := EncodeString("a").String(); got != "1011000010" {
-		t.Errorf("Encode(a) = %q", got)
+		t.Errorf("EncodeString(a) = %q", got)
 	}
 	if got := EncodePrefixString("a").String(); got != "101100001" {
-		t.Errorf("EncodePrefix(a) = %q", got)
+		t.Errorf("EncodePrefixString(a) = %q", got)
 	}
 	if got := EncodeString("").String(); got != "0" {
-		t.Errorf("Encode(empty) = %q", got)
+		t.Errorf("EncodeString(empty) = %q", got)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestPrefixTransparency(t *testing.T) {
-	// p byte-prefix of s  <=>  EncodePrefix(p) bit-prefix of Encode(s).
+	// p byte-prefix of s  <=>  EncodePrefixString(p) bit-prefix of EncodeString(s).
 	r := rand.New(rand.NewSource(7))
 	alpha := []byte("ab")
 	randStr := func(n int) []byte {
@@ -63,7 +63,7 @@ func TestPrefixTransparency(t *testing.T) {
 		s := randStr(r.Intn(8))
 		p := randStr(r.Intn(8))
 		want := bytes.HasPrefix(s, p)
-		got := Encode(s).HasPrefix(EncodePrefix(p))
+		got := hasPrefix(encodeBytes(s), encodePrefixBytes(p))
 		if got != want {
 			t.Fatalf("prefix transparency broken: s=%q p=%q got=%v want=%v", s, p, got, want)
 		}
@@ -76,8 +76,8 @@ func TestPrefixFreeProperty(t *testing.T) {
 		if bytes.Equal(a, b) {
 			return true
 		}
-		ea, eb := Encode(a), Encode(b)
-		return !ea.HasPrefix(eb) && !eb.HasPrefix(ea)
+		ea, eb := encodeBytes(a), encodeBytes(b)
+		return !hasPrefix(ea, eb) && !hasPrefix(eb, ea)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -100,7 +100,7 @@ func TestEncodePreservesOrder(t *testing.T) {
 	sort.Slice(byBytes, func(i, j int) bool { return bytes.Compare(byBytes[i], byBytes[j]) < 0 })
 	byBits := make([][]byte, len(words))
 	copy(byBits, words)
-	sort.Slice(byBits, func(i, j int) bool { return Compare(Encode(byBits[i]), Encode(byBits[j])) < 0 })
+	sort.Slice(byBits, func(i, j int) bool { return Compare(encodeBytes(byBits[i]), encodeBytes(byBits[j])) < 0 })
 	for i := range byBytes {
 		if !bytes.Equal(byBytes[i], byBits[i]) {
 			t.Fatalf("order not preserved at %d: bytes=%q bits=%q", i, byBytes[i], byBits[i])
@@ -110,7 +110,7 @@ func TestEncodePreservesOrder(t *testing.T) {
 
 func TestQuickEncodeDecode(t *testing.T) {
 	f := func(s []byte) bool {
-		got, err := Decode(Encode(s))
+		got, err := Decode(encodeBytes(s))
 		if err != nil {
 			return false
 		}
@@ -120,3 +120,9 @@ func TestQuickEncodeDecode(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func encodeBytes(s []byte) BitString       { return EncodeString(string(s)) }
+func encodePrefixBytes(p []byte) BitString { return EncodePrefixString(string(p)) }
+
+// hasPrefix reports whether p is a prefix of s.
+func hasPrefix(s, p BitString) bool { return p.Len() <= s.Len() && LCP(s, p) == p.Len() }

@@ -74,10 +74,10 @@ func TestAppendAllAlignments(t *testing.T) {
 			if got.String() != want {
 				t.Fatalf("dst=%d src=%d n=%d:\n got %s\nwant %s", dst, src, n, got.String(), want)
 			}
-			if !Equal(got, MustParse(want)) {
+			if Compare(got, MustParse(want)) != 0 {
 				t.Fatalf("dst=%d src=%d n=%d: tail not clean (Equal fails on equal text)", dst, src, n)
 			}
-			if v := b.View(); !Equal(v, got) {
+			if v := b.View(); Compare(v, got) != 0 {
 				t.Fatalf("dst=%d src=%d: View differs from BitString", dst, src)
 			}
 		}
@@ -143,7 +143,6 @@ func TestEncodeAgainstDefinition(t *testing.T) {
 		want, wantP := naiveEncode(s, true), naiveEncode(s, false)
 		for name, got := range map[string]BitString{
 			"EncodeString":           EncodeString(s),
-			"Encode":                 Encode([]byte(s)),
 			"EncodeStringInto":       EncodeStringInto(buf[:], s),
 			"EncodeStringInto(nil)":  EncodeStringInto(nil, s),
 			"EncodePrefixStringInto": EncodePrefixStringInto(make([]uint64, 3), s),
@@ -152,7 +151,7 @@ func TestEncodeAgainstDefinition(t *testing.T) {
 			if name == "EncodePrefixStringInto" {
 				w = wantP
 			}
-			if got.String() != w || !Equal(got, MustParse(w)) {
+			if got.String() != w || Compare(got, MustParse(w)) != 0 {
 				t.Fatalf("%s(%d bytes) differs from the definition", name, len(s))
 			}
 		}

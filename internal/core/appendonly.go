@@ -23,15 +23,6 @@ func NewAppendOnly() *AppendOnly {
 	return &AppendOnly{wtrie: newWtrie()}
 }
 
-// NewAppendOnlyFromBits builds an AppendOnly over the given sequence.
-func NewAppendOnlyFromBits(seq []bitstr.BitString) *AppendOnly {
-	a := NewAppendOnly()
-	for _, s := range seq {
-		a.AppendBits(s)
-	}
-	return a
-}
-
 // AppendBits appends s at the end of the sequence in O(|s| + h_s).
 // Previously unseen strings extend the alphabet; the stored set must
 // remain prefix-free.
@@ -101,18 +92,6 @@ func (p *Preorder) Next() (label bitstr.BitString, bv *appendbv.Vector, ok bool)
 // (nH₀(S) + o(h̃n)).
 func (a *AppendOnly) SizeBits() int {
 	s := a.t.SizeBits()
-	a.t.Walk(func(nd *node, _ int) {
-		if !nd.IsLeaf() {
-			s += nd.Payload.(*appendbv.Vector).SizeBits()
-		}
-	})
-	return s
-}
-
-// BitvectorBits returns Σ over internal nodes of the compressed bitvector
-// sizes alone (excluding the trie pointers).
-func (a *AppendOnly) BitvectorBits() int {
-	s := 0
 	a.t.Walk(func(nd *node, _ int) {
 		if !nd.IsLeaf() {
 			s += nd.Payload.(*appendbv.Vector).SizeBits()

@@ -98,7 +98,7 @@ func TestFigure2Queries(t *testing.T) {
 	}
 	for name, w := range variants {
 		for i, s := range seq {
-			if got := w.AccessBits(i); !bitstr.Equal(got, s) {
+			if got := w.AccessBits(i); bitstr.Compare(got, s) != 0 {
 				t.Fatalf("%s: Access(%d) = %s want %s", name, i, got.String(), s.String())
 			}
 		}
@@ -492,4 +492,23 @@ func TestAvgHeightAndTotals(t *testing.T) {
 	if st.AlphabetSize() != 4 {
 		t.Fatalf("AlphabetSize=%d", st.AlphabetSize())
 	}
+}
+
+// NewAppendOnlyFromBits builds an AppendOnly over the given sequence.
+func NewAppendOnlyFromBits(seq []bitstr.BitString) *AppendOnly {
+	a := NewAppendOnly()
+	for _, s := range seq {
+		a.AppendBits(s)
+	}
+	return a
+}
+
+// NewDynamicFromBits builds a Dynamic holding the given sequence by
+// repeated appends.
+func NewDynamicFromBits(seq []bitstr.BitString) *Dynamic {
+	d := NewDynamic()
+	for _, s := range seq {
+		d.AppendBits(s)
+	}
+	return d
 }

@@ -28,16 +28,6 @@ func NewDynamic() *Dynamic {
 	return &Dynamic{wtrie: newWtrie()}
 }
 
-// NewDynamicFromBits builds a Dynamic holding the given sequence by
-// repeated appends.
-func NewDynamicFromBits(seq []bitstr.BitString) *Dynamic {
-	d := NewDynamic()
-	for _, s := range seq {
-		d.AppendBits(s)
-	}
-	return d
-}
-
 // AppendBits appends s at the end of the sequence.
 func (d *Dynamic) AppendBits(s bitstr.BitString) { d.InsertBits(s, d.n) }
 

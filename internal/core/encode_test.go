@@ -31,7 +31,7 @@ func checkSame(t *testing.T, name string, a, b interface {
 	}
 	for pos := 0; pos < a.Len(); pos++ {
 		sa, sb := a.AccessBits(pos), b.AccessBits(pos)
-		if !bitstr.Equal(sa, sb) {
+		if bitstr.Compare(sa, sb) != 0 {
 			t.Fatalf("%s: AccessBits(%d) differs", name, pos)
 		}
 		if ra, rb := a.RankBits(sa, a.Len()), b.RankBits(sa, b.Len()); ra != rb {
@@ -99,7 +99,7 @@ func TestEncodeDynamic(t *testing.T) {
 	got.InsertBits(s, 2)
 	da := d.DeleteAt(4)
 	db := got.DeleteAt(4)
-	if !bitstr.Equal(da, db) {
+	if bitstr.Compare(da, db) != 0 {
 		t.Fatal("DeleteAt differs after decode")
 	}
 	checkSame(t, "dynamic+mutate", d, got)

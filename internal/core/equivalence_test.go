@@ -93,7 +93,7 @@ func TestStaticPlainMatchesStaticQueries(t *testing.T) {
 	st := NewStaticFromBits(seq)
 	pl := NewStaticPlainFromBits(seq)
 	for i := 0; i < 500; i += 3 {
-		if !bitstr.Equal(st.AccessBits(i), pl.AccessBits(i)) {
+		if bitstr.Compare(st.AccessBits(i), pl.AccessBits(i)) != 0 {
 			t.Fatalf("Access(%d)", i)
 		}
 	}
@@ -115,7 +115,7 @@ func TestStaticPlainMatchesStaticQueries(t *testing.T) {
 	// Enumerate via the plain iterator path.
 	count := 0
 	pl.EnumerateBits(100, 200, func(pos int, s bitstr.BitString) bool {
-		if !bitstr.Equal(s, st.AccessBits(pos)) {
+		if bitstr.Compare(s, st.AccessBits(pos)) != 0 {
 			t.Fatalf("plain enumerate at %d", pos)
 		}
 		count++
@@ -145,7 +145,7 @@ func TestConcurrentReaders(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				pos := rr.Intn(2000)
 				got := st.AccessBits(pos)
-				if got.IsEmpty() {
+				if got.Len() == 0 {
 					errs <- "empty access result"
 					return
 				}

@@ -203,29 +203,6 @@ func (w *wtrie) RangeThreshold(l, r, t int) []DistinctResult {
 	return out
 }
 
-// RankPrefixRange counts elements with bit prefix p in positions [l, r).
-func (w *wtrie) RankPrefixRange(p bitstr.BitString, l, r int) int {
-	if l > r {
-		panic("core: RankPrefixRange: l > r")
-	}
-	return w.RankPrefixBits(p, r) - w.RankPrefixBits(p, l)
-}
-
-// DistinctPrefixesInRange enumerates, for the subtree rooted at prefix p,
-// the distinct values in [l, r) having that prefix — the §5 observation
-// that all range algorithms restrict to a prefix by starting the
-// traversal at n_p. Results are lexicographic.
-func (w *wtrie) DistinctPrefixesInRange(p bitstr.BitString, l, r int) []DistinctResult {
-	all := w.DistinctInRange(l, r)
-	out := all[:0:0]
-	for _, d := range all {
-		if d.Value.HasPrefix(p) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // VisitBranches walks the trie restricted to positions [l, r) in
 // lexicographic order, calling visit at every node whose subsequence is
 // non-empty with the accumulated path prefix (labels and branch bits up to

@@ -183,30 +183,6 @@ func TestTopKAndPrefixRange(t *testing.T) {
 				t.Fatalf("%s: top-k not sorted", name)
 			}
 		}
-		// RankPrefixRange consistency.
-		p := bitstr.EncodePrefixString("a.com")
-		got := w.RankPrefixRange(p, 100, 300)
-		want := o.RankPrefix("a.com", 300) - o.RankPrefix("a.com", 100)
-		if got != want {
-			t.Fatalf("%s: RankPrefixRange = %d want %d", name, got, want)
-		}
-		// DistinctPrefixesInRange only returns values with the prefix.
-		dp := w.DistinctPrefixesInRange(p, 0, len(seq))
-		for _, d := range dp {
-			s, _ := bitstr.DecodeString(d.Value)
-			if len(s) < 5 || s[:5] != "a.com" {
-				t.Fatalf("%s: prefix-restricted distinct returned %q", name, s)
-			}
-		}
-		wantDP := 0
-		for s := range o.DistinctInRange(0, len(seq)) {
-			if len(s) >= 5 && s[:5] == "a.com" {
-				wantDP++
-			}
-		}
-		if len(dp) != wantDP {
-			t.Fatalf("%s: distinct-with-prefix %d want %d", name, len(dp), wantDP)
-		}
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 	"repro/internal/bitvec"
 )
 
-// naiveMatch computes matching parens by stack scan.
-func naiveMatch(bits []byte) (closeOf, openOf map[int]int) {
-	closeOf = map[int]int{}
-	openOf = map[int]int{}
+// naiveMatch maps each open paren to its close by stack scan.
+func naiveMatch(bits []byte) map[int]int {
+	closeOf := map[int]int{}
 	var stack []int
 	for i, b := range bits {
 		if b == 1 {
@@ -20,10 +19,9 @@ func naiveMatch(bits []byte) (closeOf, openOf map[int]int) {
 			j := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			closeOf[j] = i
-			openOf[i] = j
 		}
 	}
-	return
+	return closeOf
 }
 
 // randBalanced produces a random balanced sequence of n pairs.
@@ -55,15 +53,9 @@ func TestFindCloseOpenAgainstNaive(t *testing.T) {
 	for _, pairs := range []int{1, 5, 60, 63, 64, 65, 1000, 5000} {
 		bits := randBalanced(r, pairs)
 		p := buildParens(bits)
-		closeOf, openOf := naiveMatch(bits)
-		for i, j := range closeOf {
+		for i, j := range naiveMatch(bits) {
 			if got := p.FindClose(i); got != j {
 				t.Fatalf("pairs=%d: FindClose(%d)=%d want %d", pairs, i, got, j)
-			}
-		}
-		for i, j := range openOf {
-			if got := p.FindOpen(i); got != j {
-				t.Fatalf("pairs=%d: FindOpen(%d)=%d want %d", pairs, i, got, j)
 			}
 		}
 	}
@@ -81,9 +73,6 @@ func TestDeepNesting(t *testing.T) {
 		if got := p.FindClose(i); got != 2*n-1-i {
 			t.Fatalf("FindClose(%d)=%d want %d", i, got, 2*n-1-i)
 		}
-		if got := p.FindOpen(2*n - 1 - i); got != i {
-			t.Fatalf("FindOpen(%d)", 2*n-1-i)
-		}
 	}
 }
 
@@ -96,19 +85,8 @@ func TestFlatSequence(t *testing.T) {
 	}
 	p := buildParens(bits)
 	for i := 0; i < n; i += 61 {
-		if p.FindClose(2*i) != 2*i+1 || p.FindOpen(2*i+1) != 2*i {
+		if p.FindClose(2*i) != 2*i+1 {
 			t.Fatalf("flat match at %d", i)
-		}
-	}
-}
-
-func TestExcess(t *testing.T) {
-	bits := []byte{1, 1, 0, 1, 0, 0}
-	p := buildParens(bits)
-	want := []int{0, 1, 2, 1, 2, 1, 0}
-	for i, w := range want {
-		if got := p.Excess(i); got != w {
-			t.Fatalf("Excess(%d)=%d want %d", i, got, w)
 		}
 	}
 }
@@ -117,7 +95,6 @@ func TestPanicsOnWrongParen(t *testing.T) {
 	p := buildParens([]byte{1, 0})
 	for _, f := range []func(){
 		func() { p.FindClose(1) },
-		func() { p.FindOpen(0) },
 	} {
 		func() {
 			defer func() {
@@ -261,7 +238,7 @@ func TestBinaryShortcutsAgainstGeneralNavigation(t *testing.T) {
 		const internals = 6000 // 12 001 nodes, 12 002 bits: three superblocks
 		shape := binaryShape(internals, pick)
 		tr := treeOf(shape)
-		if tr.p.Len() < 2*superBits {
+		if tr.p.Len() < 2*blockBits*blocksPerSuper {
 			t.Fatalf("%s: only %d bits, want more than two superblocks", name, tr.p.Len())
 		}
 		checkNavigation(t, name, tr, shape)

@@ -1,5 +1,5 @@
 // Package dfuds implements succinct trees: a balanced-parentheses
-// sequence with FindClose/FindOpen navigation, and on top of it the shape
+// sequence with FindClose navigation, and on top of it the shape
 // of the static Wavelet Trie's Patricia trie. §3 stores that shape as a
 // DFUDS string (Benoit et al. [2 in the paper]), 2k + o(k) bits for k
 // nodes of any degree; a Patricia trie is strictly binary, for which the
@@ -8,7 +8,7 @@
 // it replaced.
 //
 // The parentheses sequence is stored as a plain bitvector (1 = open); the
-// excess search behind FindClose/FindOpen uses a two-level block index
+// excess search behind FindClose uses a two-level block index
 // (per-64-bit-word relative min/max excess, then per-64-word superblock),
 // giving skips at two scales — the practical stand-in for the
 // range-min-max tree. Inside a word the search goes a byte at a time
@@ -25,11 +25,10 @@ import (
 const (
 	blockBits      = 64
 	blocksPerSuper = 64
-	superBits      = blockBits * blocksPerSuper
 )
 
 // Parens is an immutable balanced-parentheses sequence supporting
-// Rank/Select over parens plus FindClose, FindOpen and Excess.
+// FindClose.
 type Parens struct {
 	bv *bitvec.Vector
 	// Per-block (64-bit word) summaries, relative to the block start:
@@ -103,9 +102,6 @@ func (p *Parens) Len() int { return p.bv.Len() }
 
 // IsOpen reports whether position i holds '('.
 func (p *Parens) IsOpen(i int) bool { return p.bv.Access(i) == 1 }
-
-// Excess returns E(i) = #opens - #closes in positions [0, i).
-func (p *Parens) Excess(i int) int { return 2*p.bv.Rank1(i) - i }
 
 // byteExc summarises one byte of parens read LSB first: its total excess
 // (opens minus closes), the min and max of the running excess over its
@@ -200,50 +196,6 @@ func (p *Parens) findClose(i int) (q int, ok bool) {
 		}
 	}
 	return 0, false
-}
-
-// FindOpen returns the position of the '(' matching the ')' at i.
-func (p *Parens) FindOpen(i int) int {
-	if p.IsOpen(i) {
-		panic(fmt.Sprintf("dfuds: FindOpen(%d): not a close paren", i))
-	}
-	// The match is the first position left of i at which the opens
-	// outnumber the closes by one. Reversing and complementing a word
-	// turns that leftward search into closeInWord's rightward one.
-	words := p.bv.Words()
-	depth := 1
-	if start := i - 1; start >= 0 {
-		b, off := start/blockBits, uint(blockBits-1-start%blockBits)
-		if q := closeInWord(^bits.Reverse64(words[b]), off, depth); q >= 0 {
-			return b*blockBits + blockBits - 1 - q
-		}
-		depth -= 2*bits.OnesCount64(words[b]<<off) - int(blockBits-off)
-		for b--; b >= 0; {
-			if (b+1)%blocksPerSuper == 0 {
-				// Entering superblock s from its right end, the scan
-				// reaches depth 0 at some q inside iff the running excess
-				// relative to the superblock start (which spans
-				// [superMin, superMax]) takes the value superExc - depth.
-				s := b / blocksPerSuper
-				if g := int(p.superExc[s]) - depth; g < int(p.superMin[s]) || g > int(p.superMax[s]) {
-					depth -= int(p.superExc[s])
-					b -= blocksPerSuper
-					continue
-				}
-			}
-			if g := int(p.blockExc[b]) - depth; g < int(p.blockMin[b]) || g > int(p.blockMax[b]) {
-				depth -= int(p.blockExc[b])
-				b--
-				continue
-			}
-			if q := closeInWord(^bits.Reverse64(words[b]), 0, depth); q >= 0 {
-				return b*blockBits + blockBits - 1 - q
-			}
-			depth -= int(p.blockExc[b])
-			b--
-		}
-	}
-	panic(fmt.Sprintf("dfuds: FindOpen(%d): unbalanced sequence", i))
 }
 
 // SizeBits returns the footprint: parens plus the excess index.

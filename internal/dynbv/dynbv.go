@@ -234,9 +234,6 @@ func (v *Vector) Insert(pos int, bit byte) {
 	}
 }
 
-// Append appends bit at the end.
-func (v *Vector) Append(bit byte) { v.Insert(v.Len(), bit) }
-
 // AppendRun appends cnt copies of bit in O(log n) total (it extends or
 // adds a single run).
 func (v *Vector) AppendRun(bit byte, cnt int) {

@@ -173,7 +173,7 @@ func TestDeleteToEmptyAndRebuild(t *testing.T) {
 	o := &oracle{}
 	for i := 0; i < 2000; i++ {
 		b := byte(r.Intn(2))
-		v.Append(b)
+		v.Insert(v.Len(), b)
 		o.insert(len(o.bits), b)
 	}
 	for len(o.bits) > 0 {
@@ -243,7 +243,7 @@ func TestInitThenEdit(t *testing.T) {
 			}
 		case 2:
 			b := byte(r.Intn(2))
-			v.Append(b)
+			v.Insert(v.Len(), b)
 			o.insert(len(o.bits), b)
 		}
 	}

@@ -220,9 +220,6 @@ func (it *Iter) descend(nd *node, rel int) {
 	it.off = rel
 }
 
-// Pos returns the position of the bit Next will return.
-func (it *Iter) Pos() int { return it.pos }
-
 // Valid reports whether Next may be called.
 func (it *Iter) Valid() bool { return it.pos < it.v.Len() }
 

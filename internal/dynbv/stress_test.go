@@ -12,7 +12,7 @@ func TestAlternatingBitsWorstCase(t *testing.T) {
 	v := New()
 	n := 50000
 	for i := 0; i < n; i++ {
-		v.Append(byte(i & 1))
+		v.Insert(v.Len(), byte(i&1))
 	}
 	if v.RunCount() != n {
 		t.Fatalf("RunCount=%d want %d", v.RunCount(), n)

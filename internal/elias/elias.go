@@ -1,15 +1,13 @@
-// Package elias implements the Elias universal codes γ (gamma) and δ
-// (delta) over a packed bit stream [5 in the paper].
+// Package elias implements the Elias γ (gamma) universal code over a
+// packed bit stream [5 in the paper].
 //
 // The fully-dynamic bitvector of §4.2 run-length-encodes its bits and
-// stores the run lengths as γ codes; the dynamic-text-collection bitvector
-// it derives from used gap encoding with δ codes. Both codes are provided,
-// together with exact code-length functions used for space accounting.
+// stores the run lengths as γ codes; GammaLen gives the exact code length
+// used for space accounting.
 //
 // Code layout inside the stream (bit 0 written first):
 //
 //	γ(v), v ≥ 1:  ⌊log₂ v⌋ zeros · 1 · the low ⌊log₂ v⌋ bits of v (LSB first)
-//	δ(v), v ≥ 1:  γ(bitlen(v)) · the low bitlen(v)-1 bits of v (LSB first)
 package elias
 
 import (
@@ -25,15 +23,6 @@ func GammaLen(v uint64) int {
 	return 2*bits.Len64(v) - 1
 }
 
-// DeltaLen returns the length in bits of δ(v). v must be ≥ 1.
-func DeltaLen(v uint64) int {
-	if v == 0 {
-		panic("elias: DeltaLen(0): delta codes start at 1")
-	}
-	l := bits.Len64(v)
-	return GammaLen(uint64(l)) + l - 1
-}
-
 // Writer appends bits and Elias codes to a growable packed stream. The
 // zero value is an empty stream ready for use.
 type Writer struct {
@@ -47,12 +36,6 @@ func (w *Writer) Len() int { return w.n }
 // Words returns the packed stream (bit i at word i/64, offset i%64). The
 // slice aliases the writer's storage.
 func (w *Writer) Words() []uint64 { return w.words }
-
-// Reset truncates the stream to empty, retaining capacity.
-func (w *Writer) Reset() {
-	w.words = w.words[:0]
-	w.n = 0
-}
 
 // WriteBit appends a single bit.
 func (w *Writer) WriteBit(b byte) {
@@ -103,16 +86,6 @@ func (w *Writer) WriteGamma(v uint64) {
 	w.WriteBits(v&^(1<<uint(nb-1)), nb-1) // v without its leading 1, LSB first
 }
 
-// WriteDelta appends δ(v). v must be ≥ 1.
-func (w *Writer) WriteDelta(v uint64) {
-	if v == 0 {
-		panic("elias: WriteDelta(0)")
-	}
-	nb := bits.Len64(v)
-	w.WriteGamma(uint64(nb))
-	w.WriteBits(v&^(1<<uint(nb-1)), nb-1)
-}
-
 // Reader decodes a packed stream produced by Writer.
 type Reader struct {
 	words []uint64
@@ -123,20 +96,6 @@ type Reader struct {
 // NewReader returns a Reader over the first n bits of words.
 func NewReader(words []uint64, n int) *Reader {
 	return &Reader{words: words, n: n}
-}
-
-// Pos returns the current bit position.
-func (r *Reader) Pos() int { return r.pos }
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.n - r.pos }
-
-// Seek positions the reader at bit position pos.
-func (r *Reader) Seek(pos int) {
-	if pos < 0 || pos > r.n {
-		panic(fmt.Sprintf("elias: Seek(%d) out of range [0,%d]", pos, r.n))
-	}
-	r.pos = pos
 }
 
 // ReadBit consumes and returns one bit.
@@ -188,13 +147,4 @@ func (r *Reader) ReadGamma() uint64 {
 		}
 	}
 	return 1<<uint(zeros) | r.ReadBits(zeros)
-}
-
-// ReadDelta decodes one δ code.
-func (r *Reader) ReadDelta() uint64 {
-	nb := r.ReadGamma()
-	if nb == 0 || nb > 64 {
-		panic("elias: ReadDelta: malformed length")
-	}
-	return 1<<(nb-1) | r.ReadBits(int(nb-1))
 }

@@ -19,25 +19,8 @@ func TestGammaRoundTrip(t *testing.T) {
 			t.Fatalf("gamma round trip: got %d want %d", got, v)
 		}
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("%d bits left over", r.Remaining())
-	}
-}
-
-func TestDeltaRoundTrip(t *testing.T) {
-	vals := []uint64{1, 2, 3, 15, 16, 17, 1000, 1 << 40, math.MaxUint64}
-	var w Writer
-	for _, v := range vals {
-		w.WriteDelta(v)
-	}
-	r := NewReader(w.Words(), w.Len())
-	for _, v := range vals {
-		if got := r.ReadDelta(); got != v {
-			t.Fatalf("delta round trip: got %d want %d", got, v)
-		}
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("%d bits left over", r.Remaining())
+	if r.pos != r.n {
+		t.Fatalf("%d bits left over", r.n-r.pos)
 	}
 }
 
@@ -51,10 +34,6 @@ func TestCodeLengths(t *testing.T) {
 		if got := GammaLen(c.v); got != c.glen {
 			t.Errorf("GammaLen(%d)=%d want %d", c.v, got, c.glen)
 		}
-	}
-	// δ(1) = γ(1) = 1 bit. δ(2): bitlen 2, γ(2)=3 bits + 1 bit = 4.
-	if DeltaLen(1) != 1 || DeltaLen(2) != 4 {
-		t.Errorf("DeltaLen(1)=%d DeltaLen(2)=%d", DeltaLen(1), DeltaLen(2))
 	}
 }
 
@@ -70,25 +49,20 @@ func TestLenMatchesWritten(t *testing.T) {
 		if w.Len() != GammaLen(v) {
 			t.Fatalf("γ(%d): wrote %d bits, GammaLen says %d", v, w.Len(), GammaLen(v))
 		}
-		w.Reset()
-		w.WriteDelta(v)
-		if w.Len() != DeltaLen(v) {
-			t.Fatalf("δ(%d): wrote %d bits, DeltaLen says %d", v, w.Len(), DeltaLen(v))
-		}
 	}
 }
 
 func TestMixedStream(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	type item struct {
-		kind int // 0 bit, 1 bits, 2 gamma, 3 delta
+		kind int // 0 bit, 1 bits, 2 gamma
 		v    uint64
 		nb   int
 	}
 	var items []item
 	var w Writer
 	for i := 0; i < 2000; i++ {
-		it := item{kind: r.Intn(4)}
+		it := item{kind: r.Intn(3)}
 		switch it.kind {
 		case 0:
 			it.v = uint64(r.Intn(2))
@@ -103,9 +77,6 @@ func TestMixedStream(t *testing.T) {
 		case 2:
 			it.v = uint64(r.Int63n(1<<30)) + 1
 			w.WriteGamma(it.v)
-		case 3:
-			it.v = uint64(r.Int63n(1<<30)) + 1
-			w.WriteDelta(it.v)
 		}
 		items = append(items, it)
 	}
@@ -119,8 +90,6 @@ func TestMixedStream(t *testing.T) {
 			got = rd.ReadBits(it.nb)
 		case 2:
 			got = rd.ReadGamma()
-		case 3:
-			got = rd.ReadDelta()
 		}
 		if got != it.v {
 			t.Fatalf("item %d kind %d: got %d want %d", i, it.kind, got, it.v)
@@ -128,29 +97,11 @@ func TestMixedStream(t *testing.T) {
 	}
 }
 
-func TestSeek(t *testing.T) {
-	var w Writer
-	w.WriteGamma(5)
-	first := w.Len()
-	w.WriteGamma(9)
-	r := NewReader(w.Words(), w.Len())
-	r.Seek(first)
-	if got := r.ReadGamma(); got != 9 {
-		t.Fatalf("after Seek: got %d want 9", got)
-	}
-	r.Seek(0)
-	if got := r.ReadGamma(); got != 5 {
-		t.Fatalf("after Seek(0): got %d want 5", got)
-	}
-}
-
 func TestPanics(t *testing.T) {
 	var w Writer
 	for _, f := range []func(){
 		func() { w.WriteGamma(0) },
-		func() { w.WriteDelta(0) },
 		func() { GammaLen(0) },
-		func() { DeltaLen(0) },
 		func() { w.WriteBits(0, 65) },
 		func() { NewReader(nil, 0).ReadBit() },
 	} {
@@ -171,15 +122,14 @@ func TestQuickGammaDelta(t *testing.T) {
 		for i := range vs {
 			vs[i] = vs[i]%(1<<62) + 1
 			w.WriteGamma(vs[i])
-			w.WriteDelta(vs[i])
 		}
 		r := NewReader(w.Words(), w.Len())
 		for _, v := range vs {
-			if r.ReadGamma() != v || r.ReadDelta() != v {
+			if r.ReadGamma() != v {
 				return false
 			}
 		}
-		return r.Remaining() == 0
+		return r.pos == r.n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

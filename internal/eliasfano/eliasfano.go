@@ -82,9 +82,6 @@ func (m *Monotone) setHighs(h *bitvec.Vector) {
 // Len returns the number of values.
 func (m *Monotone) Len() int { return m.k }
 
-// Universe returns the exclusive upper bound the sequence was encoded with.
-func (m *Monotone) Universe() uint64 { return m.universe }
-
 // Get returns value i.
 func (m *Monotone) Get(i int) uint64 {
 	if i < 0 || i >= m.k {
@@ -192,12 +189,6 @@ func (p *PartialSum) Offset(i int) uint64 {
 
 // Range returns the [start, end) offsets of item i, i in [0, Count()).
 func (p *PartialSum) Range(i int) (start, end uint64) { return p.mono.Pair(i) }
-
-// Length returns the length of item i.
-func (p *PartialSum) Length(i int) int {
-	start, end := p.Range(i)
-	return int(end - start)
-}
 
 // Find returns the index of the item containing absolute position x, i.e.
 // the largest i with Offset(i) <= x. x must be < Total().

@@ -88,9 +88,6 @@ func TestPairAndRange(t *testing.T) {
 		if a, b := p.Range(i); a != off || b != off+uint64(l) {
 			t.Fatalf("Range(%d) = [%d,%d), want [%d,%d)", i, a, b, off, off+uint64(l))
 		}
-		if p.Length(i) != l {
-			t.Fatalf("Length(%d) = %d, want %d", i, p.Length(i), l)
-		}
 		off += uint64(l)
 	}
 	for _, bad := range []int{-1, len(lens)} {
@@ -153,8 +150,8 @@ func TestPartialSum(t *testing.T) {
 		}
 	}
 	for i, l := range lengths {
-		if got := p.Length(i); got != l {
-			t.Errorf("Length(%d)=%d want %d", i, got, l)
+		if a, b := p.Range(i); int(b-a) != l {
+			t.Errorf("Range(%d) spans %d, want %d", i, b-a, l)
 		}
 	}
 	// Find: position -> containing item (zero-length items never contain).

@@ -47,7 +47,7 @@ func TestPartialSumEncodeRoundTrip(t *testing.T) {
 	if err := rd.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Count() != 4 || got.Total() != 13 || got.Length(2) != 9 {
+	if start, end := got.Range(2); got.Count() != 4 || got.Total() != 13 || end-start != 9 {
 		t.Fatalf("round trip: count=%d total=%d", got.Count(), got.Total())
 	}
 }
@@ -76,11 +76,11 @@ func TestDecodeMonotoneRejectsCorruption(t *testing.T) {
 
 func TestMonotoneUniverseAccessor(t *testing.T) {
 	m := FromSorted([]uint64{0, 3}, 10)
-	if m.Universe() != 10 {
-		t.Fatalf("Universe=%d", m.Universe())
+	if m.universe != 10 {
+		t.Fatalf("universe=%d", m.universe)
 	}
 	// Zero universe is clamped to 1.
-	if FromSorted(nil, 0).Universe() != 1 {
+	if FromSorted(nil, 0).universe != 1 {
 		t.Fatal("zero universe clamp")
 	}
 }

@@ -139,7 +139,7 @@ func TestShapeLabelInvariant(t *testing.T) {
 				continue
 			}
 			seen[string(b)] = struct{}{}
-			e := bitstr.Encode(b)
+			e := bitstr.EncodeString(string(b))
 			set = append(set, e)
 			total += e.Len()
 		}

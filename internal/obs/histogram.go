@@ -13,7 +13,7 @@ import (
 const histBuckets = 65
 
 // Histogram is a log₂-bucketed latency/size histogram. Observe is
-// lock-free: one branch, one bits.Len64, two atomic adds. There is no
+// lock-free: one bits.Len64, two atomic adds. There is no
 // separate count word — the count is the sum of the buckets, so a
 // snapshot's count/bucket consistency holds by construction rather
 // than by synchronization.
@@ -23,7 +23,6 @@ type Histogram struct {
 	// 1e-9 turns nanosecond observations into Prometheus-conventional
 	// seconds without touching the hot path.
 	scale   float64
-	on      *atomic.Bool
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
@@ -32,14 +31,11 @@ type Histogram struct {
 // name. scale converts raw observed units to exposition units (use
 // 1e-9 for nanosecond timings, 1 for counts/bytes).
 func (r *Registry) NewHistogram(name, help string, scale float64) *Histogram {
-	return r.register(name, &Histogram{name: name, help: help, scale: scale, on: &r.on}).(*Histogram)
+	return r.register(name, &Histogram{name: name, help: help, scale: scale}).(*Histogram)
 }
 
 // Observe records one value. Negative values clamp to zero.
 func (h *Histogram) Observe(v int64) {
-	if !h.on.Load() {
-		return
-	}
 	if v < 0 {
 		v = 0
 	}
@@ -90,39 +86,6 @@ func bucketBound(i int) uint64 {
 		return math.MaxUint64 >> (64 - 63) // 2^63-1, the int64 ceiling
 	}
 	return 1<<uint(i) - 1
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) in scaled units. The
-// answer is the upper bound of the bucket holding the q-th observation
-// — a ≤2× overestimate by construction, which is the resolution a
-// log₂ histogram buys. Returns 0 for an empty histogram.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(s.Count-1))
-	var seen int64
-	for i, b := range s.Buckets {
-		seen += b
-		if seen > rank {
-			return float64(bucketBound(i)) * s.scaleOrOne()
-		}
-	}
-	return float64(bucketBound(histBuckets-1)) * s.scaleOrOne()
-}
-
-// Mean returns the mean observation in scaled units (0 if empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count) * s.scaleOrOne()
 }
 
 // scaleOrOne treats a zero Scale (zero-value snapshot) as 1.

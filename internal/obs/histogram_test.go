@@ -46,58 +46,3 @@ func TestBucketBound(t *testing.T) {
 		t.Errorf("bucketBound(64) = %d, want MaxInt64", bucketBound(64))
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("wt_quant_hist", "", 1)
-	if got := h.Snapshot().Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-	// 90 observations of 3 (bucket 2, bound 3), 10 of 1000 (bucket 10,
-	// bound 1023): p50 is the small bucket's bound, p99 the big one's.
-	for i := 0; i < 90; i++ {
-		h.Observe(3)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1000)
-	}
-	s := h.Snapshot()
-	if got := s.Quantile(0.5); got != 3 {
-		t.Errorf("p50 = %v, want 3", got)
-	}
-	if got := s.Quantile(0.99); got != 1023 {
-		t.Errorf("p99 = %v, want 1023", got)
-	}
-	if got := s.Quantile(0); got != 3 {
-		t.Errorf("p0 = %v, want 3", got)
-	}
-	if got := s.Quantile(1); got != 1023 {
-		t.Errorf("p100 = %v, want 1023", got)
-	}
-	// Out-of-range q clamps rather than misbehaving.
-	if s.Quantile(-1) != s.Quantile(0) || s.Quantile(2) != s.Quantile(1) {
-		t.Error("out-of-range q did not clamp")
-	}
-}
-
-func TestQuantileAndMeanScale(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("wt_scale_seconds", "", 1e-9)
-	h.Observe(1_000_000) // 1ms in ns: bucket 20, bound 2^20-1
-	s := h.Snapshot()
-	wantQ := float64(1<<20-1) * 1e-9
-	if got := s.Quantile(0.5); math.Abs(got-wantQ) > 1e-15 {
-		t.Errorf("scaled quantile = %v, want %v", got, wantQ)
-	}
-	if got := s.Mean(); math.Abs(got-1e-3) > 1e-12 {
-		t.Errorf("scaled mean = %v, want 1e-3", got)
-	}
-}
-
-func TestMeanEmpty(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("wt_mean_hist", "", 1)
-	if h.Snapshot().Mean() != 0 {
-		t.Fatal("empty mean != 0")
-	}
-}

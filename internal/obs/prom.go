@@ -30,22 +30,9 @@ func (r *Registry) TextSnapshot() string {
 func writeMetric(w io.Writer, m metric) error {
 	switch v := m.(type) {
 	case *Counter:
-		return writeSimple(w, v.name, v.help, "counter", "", "", float64(v.Value()))
-	case *Gauge:
-		return writeSimple(w, v.name, v.help, "gauge", "", "", float64(v.Value()))
+		return writeSimple(w, v.name, v.help, "counter", float64(v.Value()))
 	case *gaugeFunc:
-		return writeSimple(w, v.name, v.help, "gauge", "", "", float64(v.fn()))
-	case *CounterVec:
-		if err := writeHeader(w, v.name, v.help, "counter"); err != nil {
-			return err
-		}
-		for _, lv := range v.labelValues() {
-			c := v.With(lv)
-			if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, lv, c.Value()); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeSimple(w, v.name, v.help, "gauge", float64(v.fn()))
 	case *Histogram:
 		if err := writeHeader(w, v.name, v.help, "histogram"); err != nil {
 			return err
@@ -76,12 +63,8 @@ func writeHeader(w io.Writer, name, help, kind string) error {
 	return err
 }
 
-func writeSimple(w io.Writer, name, help, kind, label, lv string, val float64) error {
+func writeSimple(w io.Writer, name, help, kind string, val float64) error {
 	if err := writeHeader(w, name, help, kind); err != nil {
-		return err
-	}
-	if label != "" {
-		_, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", name, label, lv, formatFloat(val))
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s %s\n", name, formatFloat(val))

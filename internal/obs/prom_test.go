@@ -8,7 +8,7 @@ import (
 func TestPrometheusCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("wt_reqs_total", "Requests served.").Add(3)
-	r.NewGauge("wt_depth", "Queue depth.").Set(2)
+	r.NewGaugeFunc("wt_depth", "Queue depth.", func() int64 { return 2 })
 	out := r.TextSnapshot()
 	for _, want := range []string{
 		"# HELP wt_reqs_total Requests served.\n",

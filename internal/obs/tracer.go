@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -31,10 +30,8 @@ type SpanRecord struct {
 }
 
 // Tracer keeps the most recent completed spans in a fixed-size ring.
-// Start/End are cheap (a clock read; End adds one short mutex hold);
-// when disabled both are branch-and-return.
+// Start/End are cheap (a clock read; End adds one short mutex hold).
 type Tracer struct {
-	on  atomic.Bool
 	mu  sync.Mutex
 	seq uint64
 	// ring holds the last len(ring) completed spans; next is the slot
@@ -44,20 +41,14 @@ type Tracer struct {
 	count int
 }
 
-// NewTracer returns an enabled tracer retaining the last capacity
-// completed spans (minimum 1).
+// NewTracer returns a tracer retaining the last capacity completed
+// spans (minimum 1).
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	t := &Tracer{ring: make([]SpanRecord, capacity)}
-	t.on.Store(true)
-	return t
+	return &Tracer{ring: make([]SpanRecord, capacity)}
 }
-
-// SetEnabled turns span recording on or off. Spans started while
-// enabled but ended after disabling are dropped.
-func (t *Tracer) SetEnabled(on bool) { t.on.Store(on) }
 
 // Span is an in-flight event; call End (or Endf) exactly once.
 type Span struct {
@@ -66,25 +57,12 @@ type Span struct {
 	start time.Time
 }
 
-// Active reports whether the span will be recorded — callers use it to
-// skip building detail strings when tracing is off.
-func (sp Span) Active() bool { return sp.t != nil && sp.t.on.Load() }
-
-// Start opens a span. If the tracer is disabled the returned span is
-// inert and End is free.
-func (t *Tracer) Start(name string) Span {
-	if !t.on.Load() {
-		return Span{}
-	}
-	return Span{t: t, name: name, start: now()}
-}
+// Start opens a span.
+func (t *Tracer) Start(name string) Span { return Span{t: t, name: name, start: now()} }
 
 // End completes the span with an optional detail annotation and pushes
 // it into the ring.
 func (sp Span) End(detail string) {
-	if !sp.Active() {
-		return
-	}
 	end := now()
 	t := sp.t
 	t.mu.Lock()
@@ -120,12 +98,4 @@ func (t *Tracer) Dump() []SpanRecord {
 // the payload behind the gateway's /debug/trace.
 func (t *Tracer) DumpJSON() ([]byte, error) {
 	return json.MarshalIndent(t.Dump(), "", "  ")
-}
-
-// Total returns how many spans have ever been recorded (not just
-// retained).
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
 }

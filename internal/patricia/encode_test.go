@@ -56,14 +56,14 @@ func TestEncodeRoundTrip(t *testing.T) {
 		want := tr.Strings()
 		have := got.Strings()
 		for i := range want {
-			if !bitstr.Equal(want[i], have[i]) {
+			if bitstr.Compare(want[i], have[i]) != 0 {
 				t.Fatalf("%v: string %d = %v, want %v", strs, i, have[i], want[i])
 			}
 		}
 		// Payloads and parent links must survive.
 		var checkNode func(a, b *Node[int])
 		checkNode = func(a, b *Node[int]) {
-			if a.IsLeaf() != b.IsLeaf() || !bitstr.Equal(a.Label(), b.Label()) {
+			if a.IsLeaf() != b.IsLeaf() || bitstr.Compare(a.Label(), b.Label()) != 0 {
 				t.Fatalf("%v: node mismatch", strs)
 			}
 			if a.IsLeaf() {

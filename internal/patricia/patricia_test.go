@@ -71,7 +71,7 @@ func TestInsertFindBasic(t *testing.T) {
 		if leaf.Payload != i {
 			t.Fatalf("Find(%q) payload %d want %d", w, leaf.Payload, i)
 		}
-		if !bitstr.Equal(leaf.String(), bitstr.EncodeString(w)) {
+		if bitstr.Compare(leaf.String(), bitstr.EncodeString(w)) != 0 {
 			t.Fatalf("leaf.String() does not reconstruct %q", w)
 		}
 	}
@@ -136,7 +136,7 @@ func TestStringsSortedAndComplete(t *testing.T) {
 		}
 		seen[string(b)] = true
 		words = append(words, string(b))
-		tr.Insert(bitstr.Encode(b))
+		tr.Insert(bitstr.EncodeString(string(b)))
 	}
 	checkInvariants(t, tr)
 	got := tr.Strings()
@@ -276,7 +276,7 @@ func TestLabelBitsMatchesEntropyShape(t *testing.T) {
 				continue
 			}
 			seen[string(b)] = true
-			e := bitstr.Encode(b)
+			e := bitstr.EncodeString(string(b))
 			set = append(set, e)
 			tr.Insert(e)
 		}
@@ -347,7 +347,7 @@ func BenchmarkInsert(b *testing.B) {
 		for j := range buf {
 			buf[j] = byte('a' + r.Intn(26))
 		}
-		words[i] = bitstr.Encode(buf)
+		words[i] = bitstr.EncodeString(string(buf))
 	}
 	b.ResetTimer()
 	tr := New[int]()
@@ -365,7 +365,7 @@ func BenchmarkFind(b *testing.B) {
 		for j := range buf {
 			buf[j] = byte('a' + r.Intn(26))
 		}
-		words[i] = bitstr.Encode(buf)
+		words[i] = bitstr.EncodeString(string(buf))
 		tr.Insert(words[i])
 	}
 	b.ResetTimer()

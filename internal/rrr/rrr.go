@@ -482,9 +482,6 @@ func (v *Vector) Len() int { return v.n }
 // Ones returns the number of 1 bits.
 func (v *Vector) Ones() int { return v.ones }
 
-// Zeros returns the number of 0 bits.
-func (v *Vector) Zeros() int { return v.n - v.ones }
-
 // Access returns bit pos.
 func (v *Vector) Access(pos int) byte {
 	bit, _ := v.AccessRank1(pos)

@@ -252,7 +252,7 @@ func TestAgainstPlainBitvec(t *testing.T) {
 					t.Fatalf("n=%d p=%v Select1(%d)", n, p, idx)
 				}
 			}
-			for idx := 0; idx < v.Zeros(); idx += step {
+			for idx := 0; idx < v.Len()-v.Ones(); idx += step {
 				if v.Select0(idx) != plain.Select0(idx) {
 					t.Fatalf("n=%d p=%v Select0(%d)=%d want %d", n, p, idx, v.Select0(idx), plain.Select0(idx))
 				}
@@ -312,7 +312,7 @@ func TestRankSelectInverses(t *testing.T) {
 				return false
 			}
 		}
-		for idx := 0; idx < v.Zeros(); idx += 11 {
+		for idx := 0; idx < v.Len()-v.Ones(); idx += 11 {
 			p := v.Select0(idx)
 			if v.Access(p) != 0 || v.Rank0(p) != idx {
 				return false

@@ -54,9 +54,6 @@ func (b *Builder) AddValueBits(s bitstr.BitString) {
 	b.t.Insert(s)
 }
 
-// Len returns the number of elements appended so far (pass 2).
-func (b *Builder) Len() int { return b.n }
-
 // AppendBits routes one element of the stream during pass 2, appending its
 // branch bits to the internal nodes along its root-to-leaf path. The first
 // call seals the shape. It returns an error if s does not resolve to a

@@ -60,7 +60,7 @@ func TestPrefixCursorMatchesSelectAccess(t *testing.T) {
 					}
 					var b bitstr.Builder
 					c.ValueInto(&b, j)
-					if !bitstr.Equal(b.View(), fz.AccessBits(pos)) {
+					if bitstr.Compare(b.View(), fz.AccessBits(pos)) != 0 {
 						t.Fatalf("n=%d key %v: value of match %d differs from Access(%d)", n, key, j, pos)
 					}
 				}
@@ -72,7 +72,7 @@ func TestPrefixCursorMatchesSelectAccess(t *testing.T) {
 				for rep := 0; rep < 2; rep++ {
 					var b bitstr.Builder
 					c.ValueInto(&b, j)
-					if !bitstr.Equal(b.View(), fz.AccessBits(pos)) {
+					if bitstr.Compare(b.View(), fz.AccessBits(pos)) != 0 {
 						t.Fatalf("n=%d key %v: random value of match %d differs from Access(%d)", n, key, j, pos)
 					}
 				}
@@ -103,7 +103,7 @@ func TestIterReuseAfterClose(t *testing.T) {
 		l := round * 300
 		it := fz.Iter(l, l+700)
 		for pos := l; it.Valid(); pos++ {
-			if !bitstr.Equal(it.Next(), fz.AccessBits(pos)) {
+			if bitstr.Compare(it.Next(), fz.AccessBits(pos)) != 0 {
 				t.Fatalf("round %d: element %d differs from Access", round, pos)
 			}
 		}

@@ -34,23 +34,6 @@ func (t *Trie) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary reconstructs a frozen Wavelet Trie serialized by
-// MarshalBinary.
-func UnmarshalBinary(data []byte) (*Trie, error) {
-	r, err := wire.NewReader(data, wireMagic, wireVersion)
-	if err != nil {
-		return nil, err
-	}
-	t, err := DecodeFrom(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // EncodeTo serializes the trie body (no magic header) into w, so it can
 // be embedded in an enclosing container.
 func (t *Trie) EncodeTo(w *wire.Writer) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfuds"
 	"repro/internal/eliasfano"
+	"repro/internal/wire"
 )
 
 func freezeOf(seq []string) *Trie {
@@ -34,7 +35,7 @@ func TestMarshalRoundTripInternal(t *testing.T) {
 			t.Fatalf("seq %v: totals differ", seq)
 		}
 		for i := range seq {
-			if !bitstr.Equal(got.AccessBits(i), fz.AccessBits(i)) {
+			if bitstr.Compare(got.AccessBits(i), fz.AccessBits(i)) != 0 {
 				t.Fatalf("seq %v: Access(%d)", seq, i)
 			}
 		}
@@ -148,4 +149,21 @@ func TestFrozenPanicsOnBadPositions(t *testing.T) {
 	if _, ok := fz.SelectPrefixBits(bitstr.EncodePrefixString("zz"), 0); ok {
 		t.Error("SelectPrefix of absent prefix should fail")
 	}
+}
+
+// UnmarshalBinary reconstructs a frozen Wavelet Trie serialized by
+// MarshalBinary.
+func UnmarshalBinary(data []byte) (*Trie, error) {
+	r, err := wire.NewReader(data, wireMagic, wireVersion)
+	if err != nil {
+		return nil, err
+	}
+	t, err := DecodeFrom(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }

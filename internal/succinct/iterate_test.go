@@ -23,7 +23,7 @@ func TestEnumerateMatchesAccess(t *testing.T) {
 			if pos != count {
 				t.Fatalf("n=%d: positions out of order: got %d, want %d", n, pos, count)
 			}
-			if !bitstr.Equal(s, fz.AccessBits(pos)) {
+			if bitstr.Compare(s, fz.AccessBits(pos)) != 0 {
 				t.Fatalf("n=%d: Enumerate(%d) differs from Access", n, pos)
 			}
 			count++
@@ -45,7 +45,7 @@ func TestEnumerateMatchesAccess(t *testing.T) {
 				if got := it.Pos(); got != pos {
 					t.Fatalf("n=%d: Pos = %d, want %d", n, got, pos)
 				}
-				if !bitstr.Equal(it.Next(), fz.AccessBits(pos)) {
+				if bitstr.Compare(it.Next(), fz.AccessBits(pos)) != 0 {
 					t.Fatalf("n=%d: Iter(%d,%d) differs from Access at %d", n, l, rr, pos)
 				}
 			}

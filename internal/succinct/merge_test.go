@@ -60,7 +60,7 @@ func checkMerge(t testing.TB, seq []bitstr.BitString, cuts []int, why string) {
 	for i := 0; i+1 < len(bounds); i++ {
 		part := seq[bounds[i]:bounds[i+1]]
 		parts = append(parts, buildTwoPass(t, part))
-		live = append(live, core.NewAppendOnlyFromBits(part))
+		live = append(live, appendOnlyOf(part))
 		fz, err := FreezeAppendOnly(live[i])
 		if err != nil {
 			t.Fatalf("%s: freezing part %d in place: %v", why, i, err)
@@ -109,6 +109,15 @@ func checkMerge(t testing.TB, seq []bitstr.BitString, cuts []int, why string) {
 			t.Fatalf("%s: union count over %s parts (cuts %v) = %d, want %d", why, u.how, cuts, got, len(set))
 		}
 	}
+}
+
+// appendOnlyOf builds a live append-only trie over seq.
+func appendOnlyOf(seq []bitstr.BitString) *core.AppendOnly {
+	a := core.NewAppendOnly()
+	for _, s := range seq {
+		a.AppendBits(s)
+	}
+	return a
 }
 
 func bitsOf(patterns ...string) []bitstr.BitString {
@@ -236,7 +245,7 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	notPrefixFree := func(why string, a, b []string) {
 		t.Helper()
 		mustFail(why, one(a...), one(b...))
-		la, lb := core.NewAppendOnlyFromBits(bitsOf(a...)), core.NewAppendOnlyFromBits(bitsOf(b...))
+		la, lb := appendOnlyOf(bitsOf(a...)), appendOnlyOf(bitsOf(b...))
 		for how, count := range map[string]func() (int, error){
 			"frozen":      func() (int, error) { return UnionAlphabetSize([]*Trie{one(a...), one(b...)}, nil) },
 			"append-only": func() (int, error) { return UnionAlphabetSize(nil, []*core.AppendOnly{la, lb}) },

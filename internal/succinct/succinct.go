@@ -454,7 +454,7 @@ func (t *Trie) ContainsBits(s bitstr.BitString) bool {
 
 // SizeBits returns the total footprint of the succinct encoding — every
 // structure held in memory, each with its derived directories (rank
-// samples, select hints, excess index); ComponentBits itemizes it.
+// samples, select hints, excess index).
 func (t *Trie) SizeBits() int {
 	if t.tree == nil {
 		return 64
@@ -462,21 +462,4 @@ func (t *Trie) SizeBits() int {
 	return t.tree.SizeBits() +
 		t.labels.Len() + t.labelDir.SizeBits() +
 		t.bits.SizeBits() + t.bvOffsets.SizeBits()
-}
-
-// ComponentBits itemizes the encoding for the space experiments: the
-// shape bitmap (under the key it had as a DFUDS string), labels +
-// directory, and the concatenated RRR + its segment directory (with its
-// select hints).
-func (t *Trie) ComponentBits() map[string]int {
-	if t.tree == nil {
-		return map[string]int{}
-	}
-	return map[string]int{
-		"dfuds":      t.tree.SizeBits(),
-		"labels":     t.labels.Len(),
-		"labelDir":   t.labelDir.SizeBits(),
-		"bitvectors": t.bits.SizeBits(),
-		"bvDirs":     t.bvOffsets.SizeBits(),
-	}
 }

@@ -40,7 +40,7 @@ func TestMatchesPointerStatic(t *testing.T) {
 				if fz.tree.IsLeaf(nd.Pos) != isLeaf {
 					t.Fatalf("n=%d: node %d: shape bit disagrees with the pointer trie", n, nd.ID())
 				}
-				if lo, hi := fz.labelRange(nd); !bitstr.Equal(fz.labels.Sub(lo, hi), label) {
+				if lo, hi := fz.labelRange(nd); bitstr.Compare(fz.labels.Sub(lo, hi), label) != 0 {
 					t.Fatalf("n=%d: node %d: label differs", n, nd.ID())
 				}
 				if isLeaf {
@@ -64,7 +64,7 @@ func TestMatchesPointerStatic(t *testing.T) {
 			})
 		}
 		for i := 0; i < n; i++ {
-			if !bitstr.Equal(fz.AccessBits(i), st.AccessBits(i)) {
+			if bitstr.Compare(fz.AccessBits(i), st.AccessBits(i)) != 0 {
 				t.Fatalf("n=%d: Access(%d) differs", n, i)
 			}
 		}
@@ -310,5 +310,22 @@ func BenchmarkFrozenAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fz.AccessBits(i & (1<<16 - 1))
+	}
+}
+
+// ComponentBits itemizes the encoding for the space experiments: the
+// shape bitmap (under the key it had as a DFUDS string), labels +
+// directory, and the concatenated RRR + its segment directory (with its
+// select hints).
+func (t *Trie) ComponentBits() map[string]int {
+	if t.tree == nil {
+		return map[string]int{}
+	}
+	return map[string]int{
+		"dfuds":      t.tree.SizeBits(),
+		"labels":     t.labels.Len(),
+		"labelDir":   t.labelDir.SizeBits(),
+		"bitvectors": t.bits.SizeBits(),
+		"bvDirs":     t.bvOffsets.SizeBits(),
 	}
 }

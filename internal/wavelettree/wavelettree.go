@@ -97,12 +97,6 @@ func build(sym []int, lo, hi int) *node {
 	return nd
 }
 
-// Len returns the sequence length.
-func (t *Tree) Len() int { return t.n }
-
-// AlphabetSize returns σ, the number of distinct values.
-func (t *Tree) AlphabetSize() int { return len(t.dict) }
-
 // Contains reports whether s is in the (frozen) alphabet.
 func (t *Tree) Contains(s string) bool { _, ok := t.ids[s]; return ok }
 

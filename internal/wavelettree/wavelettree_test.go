@@ -76,8 +76,8 @@ func TestAgainstOracle(t *testing.T) {
 	}
 	tr := New(seq)
 	o := flat.FromSlice(seq)
-	if tr.Len() != 600 || tr.AlphabetSize() != len(pool) {
-		t.Fatalf("Len=%d sigma=%d", tr.Len(), tr.AlphabetSize())
+	if tr.n != 600 || len(tr.dict) != len(pool) {
+		t.Fatalf("Len=%d sigma=%d", tr.n, len(tr.dict))
 	}
 	for i := 0; i < 600; i++ {
 		if tr.Access(i) != o.Access(i) {
@@ -164,21 +164,21 @@ func TestRebuildOnUnseenValue(t *testing.T) {
 		t.Fatal("z should be unseen")
 	}
 	tr2 := tr.Rebuild([]string{"z", "x"})
-	if tr2.Len() != 5 || tr2.AlphabetSize() != 3 {
-		t.Fatalf("rebuilt Len=%d sigma=%d", tr2.Len(), tr2.AlphabetSize())
+	if tr2.n != 5 || len(tr2.dict) != 3 {
+		t.Fatalf("rebuilt Len=%d sigma=%d", tr2.n, len(tr2.dict))
 	}
 	if tr2.Access(3) != "z" || tr2.Access(0) != "x" {
 		t.Fatal("rebuilt content wrong")
 	}
 	// Original unchanged.
-	if tr.Len() != 3 {
+	if tr.n != 3 {
 		t.Fatal("original mutated")
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
 	e := New(nil)
-	if e.Len() != 0 || e.AlphabetSize() != 0 {
+	if e.n != 0 || len(e.dict) != 0 {
 		t.Fatal("empty")
 	}
 	if e.Rank("x", 0) != 0 || e.RankPrefix("x", 0) != 0 {

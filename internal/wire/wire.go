@@ -101,17 +101,6 @@ func (w *Writer) Str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Int32s appends a length-prefixed []int32 (values must be non-negative).
-func (w *Writer) Int32s(vs []int32) {
-	w.Int(len(vs))
-	for _, x := range vs {
-		if x < 0 {
-			panic("wire: negative int32")
-		}
-		w.U32(uint32(x))
-	}
-}
-
 // Reader decodes a serialized object.
 type Reader struct {
 	buf  []byte
@@ -326,21 +315,4 @@ func (r *Reader) Str() string {
 		return ""
 	}
 	return string(b)
-}
-
-// Int32s reads a length-prefixed []int32.
-func (r *Reader) Int32s() []int32 {
-	n := r.Int()
-	if r.err != nil {
-		return nil
-	}
-	if n > (len(r.buf)-r.pos)/4 {
-		r.err = fmt.Errorf("wire: int32 slice of %d exceeds input", n)
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.U32())
-	}
-	return out
 }

@@ -12,7 +12,6 @@ func TestRoundTrip(t *testing.T) {
 	w.Int(42)
 	w.Words([]uint64{1, 2, 3})
 	w.Words(nil)
-	w.Int32s([]int32{9, 8})
 	r, err := NewReader(w.Bytes(), 0xABCD1234, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -26,10 +25,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if len(r.Words()) != 0 {
 		t.Fatal("empty words")
-	}
-	is := r.Int32s()
-	if len(is) != 2 || is[0] != 9 {
-		t.Fatal("int32s round trip")
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
@@ -89,7 +84,6 @@ func TestNegativePanics(t *testing.T) {
 	w := NewWriter(1, 1)
 	for _, f := range []func(){
 		func() { w.Int(-1) },
-		func() { w.Int32s([]int32{-5}) },
 	} {
 		func() {
 			defer func() {

@@ -70,36 +70,6 @@ func ZipfStrings(n, sigma int, skew float64, seed int64) []string {
 	return out
 }
 
-// UniformStrings returns n values drawn uniformly from sigma distinct
-// strings — the high-entropy worst case for H₀ compression.
-func UniformStrings(n, sigma int, seed int64) []string {
-	if sigma < 1 {
-		panic("workload: sigma must be >= 1")
-	}
-	r := rand.New(rand.NewSource(seed))
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("v%d", r.Intn(sigma))
-	}
-	return out
-}
-
-// RandomKeys returns n distinct-ish random alphanumeric keys of the given
-// byte length — no shared structure, the worst case for path compression.
-func RandomKeys(n, length int, seed int64) []string {
-	r := rand.New(rand.NewSource(seed))
-	const alpha = "abcdefghijklmnopqrstuvwxyz0123456789"
-	out := make([]string, n)
-	buf := make([]byte, length)
-	for i := range out {
-		for j := range buf {
-			buf[j] = alpha[r.Intn(len(alpha))]
-		}
-		out[i] = string(buf)
-	}
-	return out
-}
-
 // EdgeStream returns n directed edges "u->v" over a preferential-
 // attachment-ish node distribution, modelling the social-network edge
 // sequences of §1 ("how did friendship links change during winter

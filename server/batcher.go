@@ -84,9 +84,7 @@ func (s *Server) committer() {
 		if len(waiters) > 1 {
 			smet.coalesced.Add(int64(len(waiters) - 1))
 		}
-		if sp.Active() {
-			sp.End(fmt.Sprintf("values=%d waiters=%d", len(vals), len(waiters)))
-		}
+		sp.End(fmt.Sprintf("values=%d waiters=%d", len(vals), len(waiters)))
 		for _, c := range waiters {
 			c <- commitResult{seq: seq, err: err}
 		}

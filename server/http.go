@@ -27,7 +27,7 @@ import (
 //	GET  /v1/select?v=V&idx=I
 //	GET  /v1/rankprefix?p=V&pos=P       also /v1/countprefix?p=V
 //	GET  /v1/selectprefix?p=V&idx=I
-//	GET  /v1/scan?start=P&n=N           at most the server's batch cap
+//	GET  /v1/scan?start=P&n=N           at most the batch cap and 4 MiB
 //	GET  /v1/scanprefix?p=V&from=I&n=N  prefix matches from the I-th on
 //	GET  /v1/row?pos=P                  columnar payload row at P
 //	GET  /v1/countwhere?p=V&pred=E      count prefix ∩ predicate matches
@@ -149,24 +149,11 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		if n > s.opts.MaxIterBatch {
-			n = s.opts.MaxIterBatch
-		}
 		sn := s.b.Snap()
-		if start > sn.Len() {
-			start = sn.Len()
-		}
-		end := start + n
-		if end > sn.Len() {
-			end = sn.Len()
-		}
-		vals := make([]string, 0, end-start)
-		if start < end {
-			sn.Iterate(start, end, func(_ int, v string) bool {
-				vals = append(vals, v)
-				return true
-			})
-		}
+		start = min(start, sn.Len())
+		hi := min(sn.Len(), start+min(n, s.opts.MaxIterBatch))
+		vals := []string{}
+		iteratePage(sn, start, hi, func(v string) { vals = append(vals, v) })
 		writeJSON(w, map[string]any{"start": start, "values": vals})
 	}))
 	mux.HandleFunc("/v1/scanprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {

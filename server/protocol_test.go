@@ -67,6 +67,20 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSubscribeRoundTrip: the follower's subscribe encoder speaks the
+// request format ParseRequest reads.
+func TestSubscribeRoundTrip(t *testing.T) {
+	for _, sub := range []SubscribeReq{
+		{FollowerID: "f1", FromSeq: 0},
+		{FollowerID: "host-123", FromSeq: 1 << 33},
+	} {
+		want := Request{Op: OpSubscribe, Value: sub.FollowerID, Seq: sub.FromSeq}
+		if got, err := ParseRequest(EncodeSubscribe(sub)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("subscribe %+v: parsed %+v, %v; want %+v", sub, got, err, want)
+		}
+	}
+}
+
 func TestParseRequestRejects(t *testing.T) {
 	cases := [][]byte{
 		nil,

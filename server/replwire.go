@@ -131,17 +131,3 @@ type SubscribeReq struct {
 func EncodeSubscribe(req SubscribeReq) []byte {
 	return EncodeRequest(Request{Op: OpSubscribe, Value: req.FollowerID, Seq: req.FromSeq})
 }
-
-// ParseSubscribe decodes a subscribe request payload (the same bytes
-// ParseRequest accepts for OpSubscribe, as a typed struct). Arbitrary
-// input must error, never panic — fuzzed alongside ParseRequest.
-func ParseSubscribe(payload []byte) (SubscribeReq, error) {
-	req, err := ParseRequest(payload)
-	if err != nil {
-		return SubscribeReq{}, err
-	}
-	if req.Op != OpSubscribe {
-		return SubscribeReq{}, fmt.Errorf("server: opcode %d is not a subscribe", req.Op)
-	}
-	return SubscribeReq{FollowerID: req.Value, FromSeq: req.Seq}, nil
-}

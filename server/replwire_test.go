@@ -83,25 +83,6 @@ func TestParseWALFrameRejects(t *testing.T) {
 	}
 }
 
-func TestSubscribeRoundTrip(t *testing.T) {
-	for _, want := range []SubscribeReq{
-		{FollowerID: "f1", FromSeq: 0},
-		{FollowerID: "host-123", FromSeq: 1 << 33},
-	} {
-		got, err := ParseSubscribe(EncodeSubscribe(want))
-		if err != nil {
-			t.Fatalf("%+v: %v", want, err)
-		}
-		if got != want {
-			t.Fatalf("round trip %+v -> %+v", want, got)
-		}
-	}
-	// A non-subscribe request is refused by ParseSubscribe.
-	if _, err := ParseSubscribe(EncodeRequest(Request{Op: OpStats})); err == nil {
-		t.Error("ParseSubscribe accepted a stats request")
-	}
-}
-
 func TestCheckStreamSeq(t *testing.T) {
 	if err := checkStreamSeq(10, 10, 3); err != nil {
 		t.Fatalf("contiguous frame rejected: %v", err)

@@ -435,24 +435,9 @@ func (s *Server) iterate(c *connState, req *Request) error {
 	if max <= 0 || max > s.opts.MaxIterBatch {
 		max = s.opts.MaxIterBatch
 	}
-	// The walked range is bounded by the page, not by end: a sharded
-	// snapshot buffers a window of every shard's subrange per Iterate.
-	// The values are encoded as the walk yields them, within the byte
-	// budget and at least one, like a scan page's.
 	body := &c.page
 	body.Reset()
-	n, bytes := 0, 0
-	if hi := min(end, start+max); start < hi {
-		sn.Iterate(start, hi, func(_ int, v string) bool {
-			if bytes >= iterByteBudget {
-				return false
-			}
-			n++
-			bytes += len(v) + 18
-			body.Str(v)
-			return true
-		})
-	}
+	n := iteratePage(sn, start, min(end, start+max), body.Str)
 	w := &c.resp
 	w.Uvarint(uint64(end))
 	if start+n >= end {
@@ -464,6 +449,28 @@ func (s *Server) iterate(c *connState, req *Request) error {
 	w.Uvarint(uint64(n))
 	w.Raw(body.Bytes())
 	return nil
+}
+
+// iteratePage hands emit the values of positions [start, hi) in order
+// and returns how many it handed: all of them, or fewer once the page
+// holds iterByteBudget bytes, but at least one. The walked range is
+// bounded by the page, not by the sequence's end: a sharded snapshot
+// buffers a window of every shard's subrange per Iterate.
+func iteratePage(sn Snap, start, hi int, emit func(v string)) (n int) {
+	if start >= hi {
+		return 0
+	}
+	bytes := 0
+	sn.Iterate(start, hi, func(_ int, v string) bool {
+		if bytes >= iterByteBudget {
+			return false
+		}
+		n++
+		bytes += len(v) + 18
+		emit(v)
+		return true
+	})
+	return n
 }
 
 // iterByteBudget bounds a streamed batch by bytes as well as by count:

@@ -647,6 +647,51 @@ func TestScanLargeValues(t *testing.T) {
 	}
 }
 
+// TestHTTPScanByteBudget pages /v1/scan by the byte budget a binary
+// iterate page keeps: of 8 values of 1 MiB one request returns 4, and
+// resuming at start+len(values) reassembles all 8 in order.
+func TestHTTPScanByteBudget(t *testing.T) {
+	srv, addr := startServer(t, 0, nil, nil)
+	ts := httptest.NewServer(srv.HTTPHandler())
+	defer ts.Close()
+	big := strings.Repeat("x", 1<<20)
+	vals := make([]string, 8)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("%d/%s", i, big)
+	}
+	if err := dial(t, addr).AppendBatch(vals); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for len(got) < len(vals) {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/scan?start=%d&n=8", ts.URL, len(got)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page struct {
+			Start  int      `json:"start"`
+			Values []string `json:"values"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if err != nil || page.Start != len(got) || len(page.Values) == 0 {
+			t.Fatalf("page at %d: start %d, %d values, %v", len(got), page.Start, len(page.Values), err)
+		}
+		if len(got) == 0 && len(page.Values) != 4 {
+			t.Fatalf("first page holds %d values of 1 MiB, want 4", len(page.Values))
+		}
+		got = append(got, page.Values...)
+	}
+	if len(got) != len(vals) {
+		t.Fatalf("paging returned %d values, want %d", len(got), len(vals))
+	}
+	for i := range vals {
+		if got[i] != vals[i] {
+			t.Fatalf("value %d differs after paging", i)
+		}
+	}
+}
+
 // TestScanPrefix drives the stateless prefix iteration end to end on
 // both backends: paginated resume by match index, early stop, bounded
 // n, and absent prefixes. The sharded run also checks that Stats

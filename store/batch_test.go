@@ -533,3 +533,17 @@ func BenchmarkAppend(b *testing.B) {
 		})
 	}
 }
+
+// Slice returns the elements of global positions [l, r) as a fresh
+// slice, streamed through Iterate.
+func (sn *ShardedSnapshot) Slice(l, r int) []string {
+	if l < 0 || r < l || r > sn.n {
+		panic(fmt.Sprintf("store: Slice(%d,%d) out of range [0,%d]", l, r, sn.n))
+	}
+	out := make([]string, 0, r-l)
+	sn.Iterate(l, r, func(_ int, s string) bool {
+		out = append(out, s)
+		return true
+	})
+	return out
+}

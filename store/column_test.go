@@ -211,27 +211,6 @@ func TestColumnEndToEnd(t *testing.T) {
 	}
 	checkColumns(t, s.Snapshot(), vals, rows)
 
-	// ColumnView over the compacted store.
-	sn := s.Snapshot()
-	for c := range colTestSchema() {
-		cv := sn.Column(c)
-		if cv.Spec() != colTestSchema()[c] {
-			t.Fatalf("Column(%d).Spec = %+v", c, cv.Spec())
-		}
-		present := 0
-		for pos := range vals {
-			want := rowCell(rows, pos, c)
-			if !want.IsNull() {
-				present++
-			}
-			if g := cv.Value(pos); !cellEq(g, want) {
-				t.Fatalf("Column(%d).Value(%d) = %v, want %v", c, pos, g, want)
-			}
-		}
-		if g := cv.Present(); g != present {
-			t.Fatalf("Column(%d).Present = %d, want %d", c, g, present)
-		}
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -241,9 +241,7 @@ func (s *Store) mergeRun(st *storeState) error {
 	met.compactBytesRead.Add(int64(readBytes))
 	met.compactBytesWritten.Add(int64(mergedBytes))
 	met.compactSeconds.ObserveSince(t0)
-	if sp.Active() {
-		sp.End(fmt.Sprintf("victims=%d read_bytes=%d written_bytes=%d", len(victims), readBytes, mergedBytes))
-	}
+	sp.End(fmt.Sprintf("victims=%d read_bytes=%d written_bytes=%d", len(victims), readBytes, mergedBytes))
 	return nil
 }
 

@@ -1,83 +1,11 @@
-package store
+package store_test
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"strings"
 	"testing"
+
+	"repro/internal/doccheck"
 )
 
-// TestExportedSymbolsDocumented enforces the package's godoc bar: every
-// exported type, function, constant, variable — and every exported
-// method on an exported type — carries a doc comment. CI runs this as
-// part of the docs-health step, so the bar cannot silently erode.
-func TestExportedSymbolsDocumented(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var missing []string
-	report := func(pos token.Pos, what string) {
-		missing = append(missing, fset.Position(pos).String()+": "+what)
-	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if !d.Name.IsExported() {
-						continue
-					}
-					if recv := receiverTypeName(d); recv != "" && !ast.IsExported(recv) {
-						continue // surfaced only through interfaces, if at all
-					}
-					if d.Doc.Text() == "" {
-						report(d.Pos(), "func "+d.Name.Name)
-					}
-				case *ast.GenDecl:
-					if d.Tok == token.IMPORT {
-						continue
-					}
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							if s.Name.IsExported() && d.Doc.Text() == "" && s.Doc.Text() == "" {
-								report(s.Pos(), "type "+s.Name.Name)
-							}
-						case *ast.ValueSpec:
-							for _, name := range s.Names {
-								if name.IsExported() && d.Doc.Text() == "" && s.Doc.Text() == "" {
-									report(name.Pos(), "value "+name.Name)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	for _, m := range missing {
-		t.Error("undocumented exported symbol: " + m)
-	}
-}
-
-// receiverTypeName returns the receiver's type name, or "" for plain
-// functions.
-func receiverTypeName(d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return ""
-	}
-	typ := d.Recv.List[0].Type
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
-	}
-	if id, ok := typ.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
+// TestExportedSymbolsDocumented holds the package to the godoc bar:
+// every exported symbol carries a doc comment.
+func TestExportedSymbolsDocumented(t *testing.T) { doccheck.Check(t, ".") }

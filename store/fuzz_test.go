@@ -266,3 +266,8 @@ func FuzzParseColDir(f *testing.F) {
 		}
 	})
 }
+
+// parseWAL decodes a write-ahead-log image; see parseLog.
+func parseWAL(data []byte) (records [][]byte, good int, err error) {
+	return parseLog(data, walMagic, validWALPayload)
+}

@@ -257,22 +257,6 @@ func writeGenerationFrom(dir string, id uint64, schema []ColumnSpec, feed colFee
 	return g, nil
 }
 
-// writeGeneration is writeGenerationFrom for an in-memory slice —
-// convenience for tests and callers that already hold the sequence.
-func writeGeneration(dir string, id uint64, seq []string) (*generation, error) {
-	ix, err := wavelettrie.FreezeIterate(func(yield func(s string) bool) {
-		for _, v := range seq {
-			if !yield(v) {
-				return
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return writeGenerationFrom(dir, id, nil, nil, ix)
-}
-
 // remapGeneration swaps a freshly written, heap-backed generation onto
 // an mmap of its own file, releasing the heap copy: the generation then
 // behaves exactly like one loaded at Open with mmap on (page-cache

@@ -27,8 +27,8 @@ func TestSnapshotIterateMatchesAccess(t *testing.T) {
 	}
 	defer s.Close()
 	sn := s.Snapshot()
-	if sn.Generations() != 4 { // 3 gens + live memtable view
-		t.Fatalf("segments = %d, want 4", sn.Generations())
+	if len(sn.segs) != 4 { // 3 gens + live memtable view
+		t.Fatalf("segments = %d, want 4", len(sn.segs))
 	}
 
 	count := 0

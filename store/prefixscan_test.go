@@ -206,8 +206,8 @@ func TestPrefixScanDifferential(t *testing.T) {
 				}
 			}
 			sn := s.Snapshot()
-			if sn.Generations() != gens+1 {
-				t.Fatalf("snapshot has %d segments, want %d generations and a tail", sn.Generations(), gens)
+			if len(sn.segs) != gens+1 {
+				t.Fatalf("snapshot has %d segments, want %d generations and a tail", len(sn.segs), gens)
 			}
 			checkPrefixScan(t, sn, seq, rs)
 		})

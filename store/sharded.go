@@ -770,9 +770,6 @@ func (ss *ShardedStore) MemLen() int {
 	return total
 }
 
-// Dir returns the sharded store's root directory.
-func (ss *ShardedStore) Dir() string { return ss.dir }
-
 // The wavelettrie.StringIndex surface, each call served by the current
 // pinned cross-shard view.
 

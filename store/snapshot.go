@@ -149,10 +149,6 @@ func (sn *Snapshot) SizeBits() int {
 	return total
 }
 
-// Generations returns how many segments (frozen generations plus the
-// memtable view) serve this snapshot.
-func (sn *Snapshot) Generations() int { return len(sn.segs) }
-
 // locate returns the segment containing position pos and pos relative to
 // its start: a binary search over the (few) segment offsets.
 func (sn *Snapshot) locate(pos int) (int, int) {
@@ -571,45 +567,6 @@ func (sn *Snapshot) Row(pos int) Row {
 		}
 	}
 	return row
-}
-
-// ColumnView is positional access to one column of a snapshot.
-type ColumnView struct {
-	sn  *Snapshot
-	col int
-}
-
-// Column returns a view of schema column i. It panics when i is outside
-// the schema, like a slice access.
-func (sn *Snapshot) Column(i int) ColumnView {
-	if i < 0 || i >= len(sn.schema) {
-		panic(fmt.Sprintf("store: Column(%d) outside schema of %d columns", i, len(sn.schema)))
-	}
-	return ColumnView{sn: sn, col: i}
-}
-
-// Spec returns the column's declaration.
-func (cv ColumnView) Spec() ColumnSpec { return cv.sn.schema[cv.col] }
-
-// Value returns the column's cell at position pos (NULL when never
-// filled). Panics if pos is out of range.
-func (cv ColumnView) Value(pos int) Value {
-	if pos < 0 || pos >= cv.sn.Len() {
-		panic(fmt.Sprintf("store: column Value(%d) out of range [0,%d)", pos, cv.sn.Len()))
-	}
-	return cv.sn.cellAt(pos, cv.col)
-}
-
-// Present counts the column's non-NULL cells across the snapshot, by
-// presence rank per segment.
-func (cv ColumnView) Present() int {
-	total := 0
-	for _, seg := range cv.sn.segs {
-		if seg.cols != nil {
-			total += seg.cols.colPresent(cv.col, 0, seg.Len())
-		}
-	}
-	return total
 }
 
 // matchAt evaluates pre-validated predicates against the row at global

@@ -710,9 +710,7 @@ func (s *Store) flushLocked(oldWALs []uint64) error {
 	met.flushes.Inc()
 	met.flushBytes.Add(int64(frozenBytes))
 	met.flushSeconds.ObserveSince(t0)
-	if sp.Active() {
-		sp.End(fmt.Sprintf("sealed=%d frozen_bytes=%d wal=%d", sealed.n.Load(), frozenBytes, newWALID))
-	}
+	sp.End(fmt.Sprintf("sealed=%d frozen_bytes=%d wal=%d", sealed.n.Load(), frozenBytes, newWALID))
 	return nil
 }
 
@@ -886,9 +884,6 @@ func (s *Store) Generations() []GenInfo {
 // MemLen returns the element count currently in the memtable (appended
 // but not yet flushed into a generation).
 func (s *Store) MemLen() int { return int(s.state.Load().mem.n.Load()) }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // The wavelettrie.StringIndex surface, each call served by the current
 // pinned view.

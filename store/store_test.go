@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	wavelettrie "repro"
 	"repro/internal/bitvec"
 	"repro/internal/wavelettree"
 	"repro/internal/wire"
@@ -806,4 +807,20 @@ func TestFlushLeavesOneWAL(t *testing.T) {
 			}
 		}
 	}
+}
+
+// writeGeneration is writeGenerationFrom for an in-memory slice —
+// convenience for tests and callers that already hold the sequence.
+func writeGeneration(dir string, id uint64, seq []string) (*generation, error) {
+	ix, err := wavelettrie.FreezeIterate(func(yield func(s string) bool) {
+		for _, v := range seq {
+			if !yield(v) {
+				return
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return writeGenerationFrom(dir, id, nil, nil, ix)
 }

@@ -388,11 +388,6 @@ func parseLog(data []byte, magic uint32, valid func([]byte) bool) (records [][]b
 	}
 }
 
-// parseWAL decodes a write-ahead-log image; see parseLog.
-func parseWAL(data []byte) (records [][]byte, good int, err error) {
-	return parseLog(data, walMagic, validWALPayload)
-}
-
 // recoverLog reads the log at path, truncates any torn tail, and returns
 // the surviving record payloads plus the log reopened for appending at
 // the recovered offset. A missing file is recovered as a fresh empty log.

@@ -255,9 +255,6 @@ func (s *Static) SizeBits() int { return s.st.SizeBits() }
 // concatenated RRR bitvector — built on first call and cached.
 func (s *Static) SuccinctSizeBits() int { return s.freeze().SizeBits() }
 
-// SuccinctComponentBits itemizes the succinct encoding by component.
-func (s *Static) SuccinctComponentBits() map[string]int { return s.freeze().ComponentBits() }
-
 func (s *Static) freeze() *succinct.Trie {
 	if s.frozen == nil {
 		s.frozen = succinct.Freeze(s.st)
