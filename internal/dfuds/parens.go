@@ -9,7 +9,7 @@
 //
 // The parentheses sequence is stored as a plain bitvector (1 = open); the
 // excess search behind FindClose uses a two-level block index
-// (per-64-bit-word relative min/max excess, then per-64-word superblock),
+// (per-64-bit-word relative min excess, then per-64-word superblock),
 // giving skips at two scales — the practical stand-in for the
 // range-min-max tree. Inside a word the search goes a byte at a time
 // through 256-entry excess tables, never a bit at a time.
@@ -32,15 +32,14 @@ const (
 type Parens struct {
 	bv *bitvec.Vector
 	// Per-block (64-bit word) summaries, relative to the block start:
-	// total excess delta, and min/max of the running excess within the
-	// block (over prefix lengths 0..64, hence including the endpoints).
+	// total excess delta, and min of the running excess within the block
+	// (over prefix lengths 0..64, hence including the endpoints) — all a
+	// forward search for a close needs.
 	blockExc []int16
 	blockMin []int16
-	blockMax []int16
 	// Superblock (64 blocks) summaries, relative to superblock start.
 	superExc []int32
 	superMin []int32
-	superMax []int32
 }
 
 // NewParens indexes a parentheses sequence given as a bitvector where bit
@@ -52,47 +51,36 @@ func NewParens(bv *bitvec.Vector) *Parens {
 	ns := (nb + blocksPerSuper - 1) / blocksPerSuper
 	p.blockExc = make([]int16, nb)
 	p.blockMin = make([]int16, nb)
-	p.blockMax = make([]int16, nb)
 	p.superExc = make([]int32, ns)
 	p.superMin = make([]int32, ns)
-	p.superMax = make([]int32, ns)
 	words := bv.Words()
 	for b := 0; b < nb; b++ {
 		// Bits past n in the last word are 0; they must not count as
 		// closes, so only whole bytes go through the tables.
 		valid := min(n-b*blockBits, blockBits)
 		w := words[b]
-		exc, mn, mx := 0, 0, 0
+		exc, mn := 0, 0
 		i := 0
 		for ; i+8 <= valid; i += 8 {
 			t := &byteExc[byte(w>>uint(i))]
 			mn = min(mn, exc+int(t.min))
-			mx = max(mx, exc+int(t.max))
 			exc += int(t.total)
 		}
 		for ; i < valid; i++ {
 			exc += int(w>>uint(i)&1)*2 - 1
 			mn = min(mn, exc)
-			mx = max(mx, exc)
 		}
 		p.blockExc[b] = int16(exc)
 		p.blockMin[b] = int16(mn)
-		p.blockMax[b] = int16(mx)
 	}
 	for s := 0; s < ns; s++ {
-		exc, mn, mx := int32(0), int32(0), int32(0)
+		exc, mn := int32(0), int32(0)
 		for b := s * blocksPerSuper; b < (s+1)*blocksPerSuper && b < nb; b++ {
-			if v := exc + int32(p.blockMin[b]); v < mn {
-				mn = v
-			}
-			if v := exc + int32(p.blockMax[b]); v > mx {
-				mx = v
-			}
+			mn = min(mn, exc+int32(p.blockMin[b]))
 			exc += int32(p.blockExc[b])
 		}
 		p.superExc[s] = exc
 		p.superMin[s] = mn
-		p.superMax[s] = mx
 	}
 	return p
 }
@@ -104,18 +92,18 @@ func (p *Parens) Len() int { return p.bv.Len() }
 func (p *Parens) IsOpen(i int) bool { return p.bv.Access(i) == 1 }
 
 // byteExc summarises one byte of parens read LSB first: its total excess
-// (opens minus closes), the min and max of the running excess over its
-// non-empty prefixes, and closeAt[d-1], the index of the first bit at
-// which the running excess reaches -d (8 when it never does).
+// (opens minus closes), the min of the running excess over its non-empty
+// prefixes, and closeAt[d-1], the index of the first bit at which the
+// running excess reaches -d (8 when it never does).
 var byteExc [256]struct {
-	total, min, max int8
-	closeAt         [8]uint8
+	total, min int8
+	closeAt    [8]uint8
 }
 
 func init() {
 	for b := range byteExc {
 		t := &byteExc[b]
-		t.min, t.max = 8, -8
+		t.min = 8
 		for d := range t.closeAt {
 			t.closeAt[d] = 8
 		}
@@ -123,7 +111,6 @@ func init() {
 		for j := 0; j < 8; j++ {
 			exc += int8(b>>j&1)*2 - 1
 			t.min = min(t.min, exc)
-			t.max = max(t.max, exc)
 			if exc < 0 && t.closeAt[-exc-1] == 8 {
 				t.closeAt[-exc-1] = uint8(j)
 			}
@@ -201,5 +188,5 @@ func (p *Parens) findClose(i int) (q int, ok bool) {
 // SizeBits returns the footprint: parens plus the excess index.
 func (p *Parens) SizeBits() int {
 	return p.bv.SizeBits() +
-		len(p.blockExc)*3*16 + len(p.superExc)*3*32
+		len(p.blockExc)*2*16 + len(p.superExc)*2*32
 }

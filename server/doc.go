@@ -15,7 +15,8 @@
 //     zero; an idle server commits a lone append immediately.
 //
 //   - Pinned views, and positions as the only resume token. Every
-//     read request is served from one immutable view of the store, so
+//     read request is served from one immutable view of the store — a
+//     *store.Snapshot, the one view type both store kinds serve — so
 //     readers never block writers and never see a half-applied batch.
 //     The store keeps one view per visible state: while nothing is
 //     appended, flushed or compacted every request pins the same one

@@ -342,7 +342,7 @@ func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 // batched by count and bytes to stay under the frame cap. On a store
 // with a pinned schema every frame also carries the payload rows, so a
 // follower rebuilds the columns byte-identically.
-func (s *Server) streamCatchup(sn Snap, from, to uint64, send func(WALFrame) bool) bool {
+func (s *Server) streamCatchup(sn *store.Snapshot, from, to uint64, send func(WALFrame) bool) bool {
 	withRows := len(sn.Schema()) > 0
 	runStart := from
 	batch := make([]string, 0, replCatchupBatch)

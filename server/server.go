@@ -302,7 +302,7 @@ func errPayload(msg string) []byte { return new(connState).fail(msg) }
 // pin returns the store's current view for a read request — the one view
 // every query of the request sees — and notes its length for the slow-op
 // line.
-func (s *Server) pin(c *connState) Snap {
+func (s *Server) pin(c *connState) *store.Snapshot {
 	sn := s.b.Snap()
 	c.viewLen = sn.Len()
 	return sn
@@ -456,7 +456,7 @@ func (s *Server) iterate(c *connState, req *Request) error {
 // holds iterByteBudget bytes, but at least one. The walked range is
 // bounded by the page, not by the sequence's end: a sharded snapshot
 // buffers a window of every shard's subrange per Iterate.
-func iteratePage(sn Snap, start, hi int, emit func(v string)) (n int) {
+func iteratePage(sn *store.Snapshot, start, hi int, emit func(v string)) (n int) {
 	if start >= hi {
 		return 0
 	}
@@ -485,7 +485,7 @@ const iterByteBudget = 4 << 20
 // With rows, each match's payload row is fetched and counted against the
 // budget. v is valid only during emit. It returns the match count and
 // whether the stream ended inside the page.
-func (s *Server) scanPage(sn Snap, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool), emit func(pos int, v []byte, row store.Row)) (n int, done bool) {
+func (s *Server) scanPage(sn *store.Snapshot, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool), emit func(pos int, v []byte, row store.Row)) (n int, done bool) {
 	if max <= 0 || max > s.opts.MaxIterBatch {
 		max = s.opts.MaxIterBatch
 	}
@@ -515,7 +515,7 @@ func (s *Server) scanPage(sn Snap, max int, rows bool, scan func(fn func(idx, po
 // payload row — so no match is held as a string or in a list; the header
 // (done flag, the echoed match offset, the count, known only at the end)
 // and the matches then go into the response.
-func (s *Server) writePage(c *connState, sn Snap, from, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool)) {
+func (s *Server) writePage(c *connState, sn *store.Snapshot, from, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool)) {
 	body := &c.page
 	body.Reset()
 	n, done := s.scanPage(sn, max, rows, scan, func(pos int, v []byte, row store.Row) {

@@ -486,7 +486,7 @@ func TestContentFingerprint(t *testing.T) {
 }
 
 // BenchmarkAppend times single appends — each a group commit of one — on a
-// plain store and on a 2-shard one: an op is 10 000 URL-log values
+// plain store, a 1-shard and a 2-shard one: an op is 10 000 URL-log values
 // appended one Append at a time to a fresh store, reported per value with
 // the allocations they make.
 func BenchmarkAppend(b *testing.B) {
@@ -501,6 +501,9 @@ func BenchmarkAppend(b *testing.B) {
 	}{
 		{"plain", func(dir string) (appender, error) { return Open(dir, testOpts()) }},
 		{"sharded", func(dir string) (appender, error) { return OpenSharded(dir, shardedCrashOpts()) }},
+		{"sharded1", func(dir string) (appender, error) {
+			return OpenSharded(dir, &ShardedOptions{Shards: 1, Store: shardedCrashOpts().Store})
+		}},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			var mallocs uint64
@@ -532,18 +535,4 @@ func BenchmarkAppend(b *testing.B) {
 			b.ReportMetric(float64(mallocs)/perOp, "allocs/value")
 		})
 	}
-}
-
-// Slice returns the elements of global positions [l, r) as a fresh
-// slice, streamed through Iterate.
-func (sn *ShardedSnapshot) Slice(l, r int) []string {
-	if l < 0 || r < l || r > sn.n {
-		panic(fmt.Sprintf("store: Slice(%d,%d) out of range [0,%d]", l, r, sn.n))
-	}
-	out := make([]string, 0, r-l)
-	sn.Iterate(l, r, func(_ int, s string) bool {
-		out = append(out, s)
-		return true
-	})
-	return out
 }

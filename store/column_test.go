@@ -52,20 +52,10 @@ func rowCell(rows []Row, pos, col int) Value {
 	return rows[pos][col]
 }
 
-// colSnap is the column read surface shared by Snapshot and
-// ShardedSnapshot, for oracle checks that cover both.
-type colSnap interface {
-	Len() int
-	Access(pos int) string
-	Row(pos int) Row
-	CountWhere(prefix string, preds ...Pred) (int, error)
-	IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error
-}
-
 // checkColumns verifies the snapshot's whole column read surface
 // against the flat (vals, rows) oracle: every row cell, and
 // CountWhere/IterateWhere over a battery of prefix × predicate shapes.
-func checkColumns(t *testing.T, sn colSnap, vals []string, rows []Row) {
+func checkColumns(t *testing.T, sn *Snapshot, vals []string, rows []Row) {
 	t.Helper()
 	if sn.Len() != len(vals) {
 		t.Fatalf("Len = %d, want %d", sn.Len(), len(vals))
@@ -719,7 +709,7 @@ var allPredOps = []PredOp{PredEQ, PredNE, PredLT, PredLE, PredGT, PredGE}
 // and for every operator against every bound the rank-arithmetic count
 // (no prefix) and the per-candidate count (under a prefix), and for the
 // middle bound the matching positions.
-func checkPreds(t *testing.T, sn colSnap, vals []string, rows []Row, col int, prefix string, bounds []uint64) {
+func checkPreds(t *testing.T, sn *Snapshot, vals []string, rows []Row, col int, prefix string, bounds []uint64) {
 	t.Helper()
 	if sn.Len() != len(vals) {
 		t.Fatalf("Len = %d, want %d", sn.Len(), len(vals))
@@ -865,7 +855,7 @@ func testColumnEncodings(t *testing.T) {
 			lo, hi := slices.Min(tc.set), slices.Max(tc.set)
 			mid := tc.set[len(tc.set)/2]
 			bounds := []uint64{0, lo - 1, lo, lo + 1, mid - 1, mid, mid + 1, 512, hi - 1, hi, hi + 1, maxU64}
-			check := func(stage string, sn colSnap) {
+			check := func(stage string, sn *Snapshot) {
 				t.Helper()
 				defer func() {
 					if t.Failed() {

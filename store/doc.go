@@ -42,10 +42,12 @@
 // generation for a key it does not hold. Snapshot.Iterate/Slice stream
 // ranges through the per-segment sequential enumerators. A prefix's
 // matches leave a segment one way only, behind a pull cursor (the trie's
-// PrefixCursor for a generation, batched selects for the memtable): a
-// plain view's scan reads its segments' cursors one after the other, a
-// sharded view's merges one such stream per shard, and the prefix and
-// predicate scans of both are the same code over that stream. A snapshot
+// PrefixCursor for a generation, batched selects for the memtable), and a
+// shard's stream reads its segments' cursors one after the other. Both
+// stores serve one view type, Snapshot: a plain store's is the one-shard
+// view, whose stream is its shard's, and a sharded store's merges one
+// stream per shard; the prefix and predicate scans are one function over
+// either. A snapshot
 // observes a fixed prefix of the logical sequence no matter how many
 // appends, flushes or compactions happen after it was taken. Only the
 // memtable tail is guarded by a read-write mutex — and the WAL fsync
@@ -75,9 +77,10 @@
 // position — the interleaved append order, carried by a per-record
 // sequence header in the shard WALs and persisted in the ROUTER log
 // ahead of every flush; in memory its sealed chunks are wavelet
-// matrices over the shard ids — and cross-shard snapshots stitch
+// matrices over the shard ids — and the store's Snapshot stitches
 // per-shard answers back into the single logical sequence by offset
-// arithmetic over it. A prefix's values hash apart, so a prefix enumeration is a
+// arithmetic over it; with one shard there is no router arithmetic, and
+// the view is a plain store's. A prefix's values hash apart, so a prefix enumeration is a
 // merge of the shards' streams: a seek finds, by interpolating over the
 // shards' summed prefix ranks, a cut of the global sequence with exactly
 // the wanted number of matches before it; from there one head per shard

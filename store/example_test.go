@@ -67,3 +67,45 @@ func ExampleShardedStore() {
 	// recovered: 400
 	// worker1/event05 count: 1
 }
+
+// Every store serves the same view type, whatever its layout: a plain
+// store and sharded ones holding the same sequence answer alike, down to
+// the content fingerprint — a hash of the values and rows alone, which is
+// how a replication follower is checked against its primary.
+func ExampleSnapshot_ContentFingerprint() {
+	dir, err := os.MkdirTemp("", "wtfingerprint-example-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+
+	plain, err := store.Open(dir+"/plain", nil)
+	if err != nil {
+		panic(err)
+	}
+	defer plain.Close()
+	values := []string{"a/1", "b/2", "a/3", "c/4", "a/1"}
+	for _, v := range values {
+		if err := plain.Append(v); err != nil {
+			panic(err)
+		}
+	}
+	want := plain.Snapshot().ContentFingerprint()
+	for _, shards := range []int{1, 3} {
+		db, err := store.OpenSharded(fmt.Sprintf("%s/sharded%d", dir, shards), &store.ShardedOptions{Shards: shards})
+		if err != nil {
+			panic(err)
+		}
+		for _, v := range values {
+			if err := db.Append(v); err != nil {
+				panic(err)
+			}
+		}
+		snap := db.Snapshot()
+		fmt.Printf("%d shard(s): %d under a/, same contents: %v\n", shards, snap.CountPrefix("a/"), snap.ContentFingerprint() == want)
+		db.Close()
+	}
+	// Output:
+	// 1 shard(s): 3 under a/, same contents: true
+	// 3 shard(s): 3 under a/, same contents: true
+}

@@ -27,8 +27,8 @@ func TestSnapshotIterateMatchesAccess(t *testing.T) {
 	}
 	defer s.Close()
 	sn := s.Snapshot()
-	if len(sn.segs) != 4 { // 3 gens + live memtable view
-		t.Fatalf("segments = %d, want 4", len(sn.segs))
+	if segs := len(sn.shards[0].segs); segs != 4 { // 3 gens + live memtable view
+		t.Fatalf("segments = %d, want 4", segs)
 	}
 
 	count := 0

@@ -225,10 +225,11 @@ func testQueryHoldsMappedCols(t *testing.T) {
 	if g := s.Generations()[0]; !g.ColMmapped {
 		t.Fatal("column files not mmap-loaded")
 	}
-	// Cut the way a ShardedSnapshot cuts its shards' views: such a view
+	// Cut the way a sharded Snapshot cuts its shards' views: such a view
 	// holds segments and column sets, not the store state they came from.
 	vals, rows = vals[:len(vals)-1], rows[:len(rows)-1]
-	sn := s.Snapshot().prefixed(len(vals))
+	sn := s.Snapshot()
+	sn = &Snapshot{n: len(vals), shards: []*shardView{sn.shards[0].prefixed(len(vals))}, schema: sn.schema}
 	if err := s.Compact(); err != nil { // the store lets go of both generations
 		t.Fatal(err)
 	}

@@ -3,26 +3,13 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/workload"
 )
-
-// scanSnap is the prefix-enumeration surface Snapshot and ShardedSnapshot
-// share, together with the per-match operations it is checked against.
-type scanSnap interface {
-	Len() int
-	Access(pos int) string
-	CountPrefix(p string) int
-	SelectPrefix(p string, idx int) (int, bool)
-	IteratePrefix(p string, from int, fn func(idx, pos int) bool)
-	ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool)
-	CountWhere(prefix string, preds ...Pred) (int, error)
-	IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error
-	ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error
-}
 
 // prefixPool derives the prefixes a URL log is scanned by: every host,
 // every host/segment path, the empty prefix, an absent one, a whole
@@ -51,7 +38,7 @@ func prefixPool(seq []string) []string {
 // a middle, the last, the one-past-the-last and a later match index; then
 // pages through each stream with early stops and stateless resumes, whose
 // page boundaries fall inside and between segments and shards.
-func checkPrefixScan(t *testing.T, sn scanSnap, seq []string, rows []Row) {
+func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 	t.Helper()
 	if sn.Len() != len(seq) {
 		t.Fatalf("Len = %d, want %d", sn.Len(), len(seq))
@@ -157,6 +144,46 @@ func checkPrefixScan(t *testing.T, sn scanSnap, seq []string, rows []Row) {
 	}
 }
 
+// sameAnswers holds got to want's answer on every op: the summary figures
+// and the content fingerprint, Access, Rank, Select and Row at every
+// position, and RankPrefix of every prefix at a few cuts.
+func sameAnswers(t *testing.T, want, got *Snapshot, prefixes []string) {
+	t.Helper()
+	type summary struct {
+		n, distinct, height, bits int
+		fp                        uint64
+	}
+	sum := func(sn *Snapshot) summary {
+		return summary{sn.Len(), sn.AlphabetSize(), sn.Height(), sn.SizeBits(), sn.ContentFingerprint()}
+	}
+	if w, g := sum(want), sum(got); g != w {
+		t.Fatalf("Len, AlphabetSize, Height, SizeBits, ContentFingerprint = %v, want %v", g, w)
+	}
+	for pos := 0; pos < want.Len(); pos++ {
+		v := want.Access(pos)
+		r := want.Rank(v, pos)
+		if g := got.Access(pos); g != v {
+			t.Fatalf("Access(%d) = %q, want %q", pos, g, v)
+		}
+		if g := got.Rank(v, pos); g != r {
+			t.Fatalf("Rank(%q, %d) = %d, want %d", v, pos, g, r)
+		}
+		if g, ok := got.Select(v, r); !ok || g != pos {
+			t.Fatalf("Select(%q, %d) = %d, %v, want %d", v, r, g, ok, pos)
+		}
+		if g, w := got.Row(pos), want.Row(pos); !reflect.DeepEqual(g, w) {
+			t.Fatalf("Row(%d) = %v, want %v", pos, g, w)
+		}
+	}
+	for _, p := range prefixes {
+		for _, pos := range []int{0, want.Len() / 3, want.Len()} {
+			if g, w := got.RankPrefix(p, pos), want.RankPrefix(p, pos); g != w {
+				t.Fatalf("RankPrefix(%q, %d) = %d, want %d", p, pos, g, w)
+			}
+		}
+	}
+}
+
 // scanTestData is a URL log with one status cell per row, a twentieth of
 // them errors — the shape the benchmark's ScanWhere pages filter.
 func scanTestData(n int) ([]string, []Row) {
@@ -174,8 +201,10 @@ func scanTestData(n int) ([]string, []Row) {
 }
 
 // TestPrefixScanDifferential runs the comparison on a plain store of
-// eight generations and an unflushed tail, with and without columns, and
-// on a three-shard store whose shards each hold generations and a tail.
+// eight generations and an unflushed tail, with and without columns —
+// beside a one-shard store given the same appends and flushes, whose view
+// must answer every op as the plain one does — and on a three-shard store
+// whose shards each hold generations and a tail.
 func TestPrefixScanDifferential(t *testing.T) {
 	const gens, genLen, tail = 8, 420, 130
 	seq, rows := scanTestData(gens*genLen + tail)
@@ -190,26 +219,38 @@ func TestPrefixScanDifferential(t *testing.T) {
 			}
 			s := mustOpen(t, t.TempDir(), opts)
 			defer s.Close()
+			one, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: 1, Store: *opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer one.Close()
 			for g := 0; g <= gens; g++ {
 				lo, hi := g*genLen, min((g+1)*genLen, len(seq))
 				var batch []Row
 				if rs != nil {
 					batch = rs[lo:hi]
 				}
-				if err := s.AppendBatchRows(seq[lo:hi], batch); err != nil {
-					t.Fatal(err)
-				}
-				if g < gens {
-					if err := s.Flush(); err != nil {
+				for _, st := range []interface {
+					AppendBatchRows(vs []string, rows []Row) error
+					Flush() error
+				}{s, one} {
+					if err := st.AppendBatchRows(seq[lo:hi], batch); err != nil {
 						t.Fatal(err)
+					}
+					if g < gens {
+						if err := st.Flush(); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			}
 			sn := s.Snapshot()
-			if len(sn.segs) != gens+1 {
-				t.Fatalf("snapshot has %d segments, want %d generations and a tail", len(sn.segs), gens)
+			if segs := len(sn.shards[0].segs); segs != gens+1 {
+				t.Fatalf("snapshot has %d segments, want %d generations and a tail", segs, gens)
 			}
 			checkPrefixScan(t, sn, seq, rs)
+			checkPrefixScan(t, one.Snapshot(), seq, rs)
+			sameAnswers(t, sn, one.Snapshot(), prefixPool(seq))
 		})
 	}
 	t.Run("sharded", func(t *testing.T) {
@@ -270,7 +311,7 @@ func TestShardedPrefixScanDifferential(t *testing.T) {
 		// Grow both stores to each cut and pin a view there: a flush every
 		// 1 500 values, so each view ends in an unflushed tail.
 		var plainViews []*Snapshot
-		var views []*ShardedSnapshot
+		var views []*Snapshot
 		at := 0
 		for _, cut := range cuts {
 			for at < cut {
@@ -324,7 +365,7 @@ func TestShardedPrefixScanDifferential(t *testing.T) {
 				continue // the other two views are enough of the same edges
 			}
 			n := cuts[v]
-			snaps := []scanSnap{sn}
+			snaps := []*Snapshot{sn}
 			if shards == 2 {
 				snaps = append(snaps, plainViews[v])
 			}

@@ -83,8 +83,8 @@ type ShardedStore struct {
 	shards []*Store
 	schema []ColumnSpec // the shards' shared column schema
 	router *router
-	seq    atomic.Uint64                   // next global sequence number
-	view   atomic.Pointer[ShardedSnapshot] // the pinned view of the current state, if a reader has built it
+	seq    atomic.Uint64            // next global sequence number
+	view   atomic.Pointer[Snapshot] // the pinned view of the current state, if a reader has built it
 
 	logMu     sync.Mutex // guards the ROUTER log, persisted and logErr
 	log       *wal
@@ -699,22 +699,26 @@ func (ss *ShardedStore) Close() error {
 }
 
 // Snapshot returns an immutable, consistent view of the global sequence
-// at the current watermark: one pinned snapshot per shard, each clamped
-// to the shard's element count at the watermark, stitched by the router.
-// It stays valid for the life of the process regardless of concurrent
+// at the current watermark: every shard's pinned view, cut at the shard's
+// element count at the watermark, stitched by the router — or, with one
+// shard, that shard's view cut at the watermark, with no router at all. It
+// stays valid for the life of the process regardless of concurrent
 // appends, flushes and compactions on any shard. Like Store.Snapshot, the
 // store pins one view per visible state — here the watermark and every
 // shard's own pinned view — and returns it until one of them changes.
-func (ss *ShardedStore) Snapshot() *ShardedSnapshot {
+func (ss *ShardedStore) Snapshot() *Snapshot {
 	w := ss.router.watermark.Load()
 	if v := ss.view.Load(); v != nil && v.n == int(w) && ss.pins(v) {
 		return v
 	}
-	v := &ShardedSnapshot{r: ss.router, n: int(w), schema: ss.schema,
-		base: make([]*Snapshot, len(ss.shards)), shards: make([]*Snapshot, len(ss.shards))}
+	v := &Snapshot{n: int(w), schema: ss.schema,
+		base: make([]*shardView, len(ss.shards)), shards: make([]*shardView, len(ss.shards))}
+	if len(ss.shards) > 1 {
+		v.r = ss.router
+	}
 	for i, sh := range ss.shards {
-		v.base[i] = sh.Snapshot()
-		v.shards[i] = v.base[i].prefixed(ss.router.rank(i, w))
+		v.base[i] = sh.Snapshot().shards[0]
+		v.shards[i] = v.base[i].prefixed(v.cut(i, v.n))
 	}
 	ss.view.Store(v)
 	for i, sh := range ss.shards {
@@ -729,9 +733,9 @@ func (ss *ShardedStore) Snapshot() *ShardedSnapshot {
 }
 
 // pins reports whether v was cut from the shards' current pinned views.
-func (ss *ShardedStore) pins(v *ShardedSnapshot) bool {
+func (ss *ShardedStore) pins(v *Snapshot) bool {
 	for i, sh := range ss.shards {
-		if sh.Snapshot() != v.base[i] {
+		if sh.Snapshot().shards[0] != v.base[i] {
 			return false
 		}
 	}
@@ -830,7 +834,7 @@ func (ss *ShardedStore) SelectPrefix(p string, idx int) (int, bool) {
 
 // IteratePrefix streams the global positions of elements with byte
 // prefix p in ascending order starting from the from-th match — a k-way
-// merge over per-shard prefix streams; see ShardedSnapshot.IteratePrefix.
+// merge over per-shard prefix streams; see Snapshot.IteratePrefix.
 func (ss *ShardedStore) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
 	ss.Snapshot().IteratePrefix(p, from, fn)
 }

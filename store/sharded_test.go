@@ -19,11 +19,8 @@ import (
 )
 
 // The sharded store serves the same shared query surface as everything
-// else in the repo.
-var (
-	_ seqstore.Sequence = (*store.ShardedStore)(nil)
-	_ seqstore.Sequence = (*store.ShardedSnapshot)(nil)
-)
+// else in the repo (its view is the one store.Snapshot).
+var _ seqstore.Sequence = (*store.ShardedStore)(nil)
 
 func mustOpenSharded(t *testing.T, dir string, opts *store.ShardedOptions) *store.ShardedStore {
 	t.Helper()
@@ -283,10 +280,10 @@ func TestShardedConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotIsolation: a cross-shard snapshot keeps answering
+// TestShardedViewIsolation: a cross-shard snapshot keeps answering
 // for its pinned watermark while appends, flushes and compactions
 // rewrite every shard underneath it.
-func TestShardedSnapshotIsolation(t *testing.T) {
+func TestShardedViewIsolation(t *testing.T) {
 	dir := t.TempDir()
 	seq := workload.URLLog(900, 31, workload.DefaultURLConfig())
 	ss := mustOpenSharded(t, dir, &store.ShardedOptions{

@@ -63,39 +63,36 @@ func (c *countingCursor) value(dst []byte) []byte {
 	return c.matchCursor.value(dst)
 }
 
-// countSegs returns a copy of sn whose every segment counts into tot, and
-// the wrappers. With errorsOnly the wrappers admit the positions whose
-// status cell (column 0) is at least 500.
+// countSegs returns a copy of sn whose every segment, on every shard,
+// counts into tot, and the wrappers. With errorsOnly the wrappers admit
+// the positions whose status cell (column 0) is at least 500.
 func countSegs(sn *Snapshot, errorsOnly bool, tot *seamCounts) (*Snapshot, []*countingSeg) {
-	wrapped := make([]snapSeg, len(sn.segs))
-	segs := make([]*countingSeg, len(sn.segs))
-	for i, seg := range sn.segs {
-		cs := &countingSeg{segment: seg.segment, tot: tot}
-		if cols := seg.cols; errorsOnly {
-			cs.admit = func(pos int) bool { return cols.colValue(0, pos).U64() >= 500 }
-		}
-		wrapped[i] = snapSeg{segment: cs, cols: seg.cols}
-		segs[i] = cs
-	}
-	out := newSnapshot(wrapped)
-	out.schema = sn.schema
-	return out, segs
-}
-
-// countSeam is countSegs over every shard of sn.
-func countSeam(sn *ShardedSnapshot, errorsOnly bool) (*ShardedSnapshot, []*countingSeg, *seamCounts) {
-	out, tot := *sn, &seamCounts{}
-	out.shards = make([]*Snapshot, len(sn.shards))
+	out := *sn
+	out.shards = make([]*shardView, len(sn.shards))
 	var segs []*countingSeg
 	for s, sh := range sn.shards {
-		var counted []*countingSeg
-		out.shards[s], counted = countSegs(sh, errorsOnly, tot)
-		segs = append(segs, counted...)
+		wrapped := make([]snapSeg, len(sh.segs))
+		for i, seg := range sh.segs {
+			cs := &countingSeg{segment: seg.segment, tot: tot}
+			if cols := seg.cols; errorsOnly {
+				cs.admit = func(pos int) bool { return cols.colValue(0, pos).U64() >= 500 }
+			}
+			wrapped[i] = snapSeg{segment: cs, cols: seg.cols}
+			segs = append(segs, cs)
+		}
+		out.shards[s] = newShardView(wrapped)
 	}
-	return &out, segs, tot
+	return &out, segs
 }
 
-// scanView is the prefix surface the plain and the sharded views share.
+// countSeam is countSegs into a fresh tally.
+func countSeam(sn *Snapshot, errorsOnly bool) (*Snapshot, []*countingSeg, *seamCounts) {
+	tot := &seamCounts{}
+	out, segs := countSegs(sn, errorsOnly, tot)
+	return out, segs, tot
+}
+
+// scanView is the prefix surface of a view the tests count.
 type scanView interface {
 	CountPrefix(p string) int
 	CountWhere(prefix string, preds ...Pred) (int, error)
@@ -275,7 +272,8 @@ func TestSeekCutProbes(t *testing.T) {
 // The working loop for the sharded prefix merge: one served ScanPrefix page
 // and one SelectPrefix, on 2 shards × 4 generations, each beside the same
 // requests on a plain store of 4 generations — the cost the sharded form
-// adds is the ratio of the two arms.
+// adds is the ratio of the two arms — and on 1 shard × 4 generations, whose
+// view is a plain store's: that arm must read as the plain one.
 
 const shardScanLen, shardScanGens, shardScanPage = 1 << 16, 4, 64
 
@@ -284,29 +282,33 @@ type prefixReq struct {
 	from int
 }
 
-// shardScanStores loads the same 65 536 URL-log values into a plain store
-// and a 2-shard store, flushed in four equal parts, and draws requests the
-// way the benchmark's scanprefix class does: one of the 64 hottest host
-// prefixes, from a uniform match index.
-func shardScanStores(b *testing.B) (*Snapshot, *ShardedSnapshot, []prefixReq) {
+// shardScanStores loads the same 65 536 URL-log values into a plain store,
+// a 2-shard store and a 1-shard store, flushed in four equal parts, and
+// draws requests the way the benchmark's scanprefix class does: one of the
+// 64 hottest host prefixes, from a uniform match index.
+func shardScanStores(b *testing.B) (plain, sharded, sharded1 *Snapshot, reqs []prefixReq) {
 	seq := workload.URLLog(shardScanLen, 1, workload.DefaultURLConfig())
 	opts := Options{FlushThreshold: 1 << 20, DisableAutoFlush: true}
-	plain, err := Open(b.TempDir(), &opts)
+	ps, err := Open(b.TempDir(), &opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { plain.Close() })
-	sharded, err := OpenSharded(b.TempDir(), &ShardedOptions{Shards: 2, Store: opts})
-	if err != nil {
-		b.Fatal(err)
+	b.Cleanup(func() { ps.Close() })
+	openSharded := func(shards int) *ShardedStore {
+		ss, err := OpenSharded(b.TempDir(), &ShardedOptions{Shards: shards, Store: opts})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { ss.Close() })
+		return ss
 	}
-	b.Cleanup(func() { sharded.Close() })
+	ss2, ss1 := openSharded(2), openSharded(1)
 	for g := 0; g < shardScanGens; g++ {
 		part := seq[g*shardScanLen/shardScanGens : (g+1)*shardScanLen/shardScanGens]
 		for _, st := range []interface {
 			AppendBatch([]string) error
 			Flush() error
-		}{plain, sharded} {
+		}{ps, ss2, ss1} {
 			if err := st.AppendBatch(part); err != nil {
 				b.Fatal(err)
 			}
@@ -332,22 +334,22 @@ func shardScanStores(b *testing.B) (*Snapshot, *ShardedSnapshot, []prefixReq) {
 	})
 	hosts = hosts[:min(64, len(hosts))]
 	rng := rand.New(rand.NewSource(1))
-	reqs := make([]prefixReq, 1<<10)
+	reqs = make([]prefixReq, 1<<10)
 	for i := range reqs {
 		p := hosts[rng.Intn(len(hosts))]
 		reqs[i] = prefixReq{p, rng.Intn(count[p])}
 	}
-	return plain.Snapshot(), sharded.Snapshot(), reqs
+	return ps.Snapshot(), ss2.Snapshot(), ss1.Snapshot(), reqs
 }
 
 var shardScanSink int
 
 func BenchmarkShardedScanPrefixPage(b *testing.B) {
-	plain, sharded, reqs := shardScanStores(b)
+	plain, sharded, sharded1, reqs := shardScanStores(b)
 	for _, arm := range []struct {
 		name string
 		scan func(p string, from int, fn func(idx, pos int, v []byte) bool)
-	}{{"sharded", sharded.ScanPrefix}, {"plain", plain.ScanPrefix}} {
+	}{{"sharded", sharded.ScanPrefix}, {"sharded1", sharded1.ScanPrefix}, {"plain", plain.ScanPrefix}} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -363,11 +365,11 @@ func BenchmarkShardedScanPrefixPage(b *testing.B) {
 }
 
 func BenchmarkShardedSelectPrefix(b *testing.B) {
-	plain, sharded, reqs := shardScanStores(b)
+	plain, sharded, sharded1, reqs := shardScanStores(b)
 	for _, arm := range []struct {
 		name string
 		sel  func(p string, idx int) (int, bool)
-	}{{"sharded", sharded.SelectPrefix}, {"plain", plain.SelectPrefix}} {
+	}{{"sharded", sharded.SelectPrefix}, {"sharded1", sharded1.SelectPrefix}, {"plain", plain.SelectPrefix}} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

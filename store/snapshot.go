@@ -2,187 +2,151 @@ package store
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	wavelettrie "repro"
 )
 
-// segment is one contiguous slab of the logical sequence — a frozen
-// generation or a bounded memtable view. The merged-read planner below
-// stitches per-segment answers with offset and rank arithmetic. Keyed
-// reads take the request's probe: whether it matches whole values or a
-// byte prefix is the probe's own property.
-type segment interface {
-	Len() int
-	Access(pos int) string
-	// rank counts k's matches in positions [0, pos).
-	rank(k *probe, pos int) int
-	// sel returns the position of k's idx-th (0-based) match.
-	sel(k *probe, idx int) (int, bool)
-	// cursor opens the matches of the prefix probe k, in position order,
-	// behind a pull cursor — the only way a prefix's matches leave a
-	// segment; see matchCursor. The consumer runs between the cursor's
-	// calls, with no lock held.
-	cursor(k *probe) matchCursor
-	Iterate(l, r int, fn func(pos int, s string) bool)
-	// alphabet adds the trie behind the segment to the union
-	// Snapshot.AlphabetSize walks — the whole trie, whatever a view's clamp.
-	alphabet(u *alphabetUnion)
-	Height() int
-	SizeBits() int
-}
-
-// valFn appends a scan match's value to dst and returns the extended
-// slice, so a consumer that only copies the bytes on never makes a string
-// of them. It reads the value when called — a positions-only consumer never
-// pays for it — and is valid only during the call of fn it was handed to.
-type valFn = func(dst []byte) []byte
-
-// snapSeg pairs a segment with, when the store has a column schema, the
-// segment's column reader.
-type snapSeg struct {
-	segment
-	cols colReader
-}
-
-// Snapshot is an immutable, consistent view of the store at the moment
-// Snapshot() was called: the generation list (including any memtable
-// sealed but not yet persisted) plus the live memtable clamped to its
-// length at capture time. All operations are safe for concurrent use and
-// keep answering the same way during later appends, flushes and
-// compactions — readers are isolated from writers. One Snapshot is shared
-// by every reader of the same store state (see Store.Snapshot), so nothing
-// a query does may write to it; the AlphabetSize memo is the one exception.
+// Snapshot is an immutable, consistent view of a store's sequence at the
+// moment Snapshot() was called, for a Store and a ShardedStore alike: one
+// view per shard — the shard's generations (including any memtable sealed
+// but not yet persisted) and its live memtable clamped to its length at
+// capture time — cut at the view's length and stitched into global append
+// order by the router. Every operation reduces to per-shard operations
+// plus router arithmetic:
+//
+//	Access(g)        = shard[at(g)].access(rank(at(g), g))
+//	Rank(v, pos)     = shard[pick(v)].rank(v, rank(pick(v), pos))
+//	Select(v, i)     = selectShard(pick(v), shard[pick(v)].sel(v, i))
+//	RankPrefix(p, ·) = Σ_s shard[s].rank(p, rank(s, ·))
+//
+// A plain store's view, and a one-shard ShardedStore's, has one shard and
+// no router, and every router term above is the identity (see locate): such
+// a view does no router work. Point lookups on whole values touch exactly
+// one shard — pickShard is a function of the value alone, so every
+// occurrence of v lives on pick(v). Prefix queries fan out to all shards,
+// since values sharing a prefix hash apart.
+//
+// All operations are safe for concurrent use and keep answering the same
+// way during later appends, flushes and compactions — readers are isolated
+// from writers. One Snapshot is shared by every reader of the same store
+// state (see Store.Snapshot), so nothing a query does may write to it; the
+// per-shard AlphabetSize memo is the one exception.
 type Snapshot struct {
-	segs   []snapSeg
-	offs   []int        // offs[i] = start of segs[i]; offs[len(segs)] = Len
+	r      *router      // the interleave; nil with one shard
+	n      int          // the visible length
+	shards []*shardView // each shard's view, cut at n
+	base   []*shardView // a ShardedStore's: the shards' pinned views the cuts were made from
 	schema []ColumnSpec // the store's pinned column schema (possibly empty)
-
-	// What Store.Snapshot recognises its current view by: the state it was
-	// built from and the live memtable length it clamps to. Nil and zero on
-	// a prefixed cut.
-	state  *storeState
-	memLen int64
-
-	// AlphabetSize's answer, derived by the first call.
-	distinctOnce sync.Once
-	distinct     int
-	distinctErr  error
 }
 
-func newSnapshot(segs []snapSeg) *Snapshot {
-	offs := make([]int, len(segs)+1)
-	for i, seg := range segs {
-		offs[i+1] = offs[i] + seg.Len()
+// Snapshot serves the query surface the stores forward to it.
+var _ wavelettrie.StringIndex = (*Snapshot)(nil)
+
+// The router arithmetic every method below is written in. With one shard
+// r is nil and each is the identity: a position is the shard's own.
+
+// locate returns the shard holding global position pos and pos's position
+// in that shard, in one router pass.
+func (sn *Snapshot) locate(pos int) (shard, local int) {
+	if sn.r == nil {
+		return 0, pos
 	}
-	return &Snapshot{segs: segs, offs: offs}
+	return sn.r.locate(uint64(pos))
+}
+
+// cut returns shard s's image of the global cut pos: its element count
+// before pos.
+func (sn *Snapshot) cut(s, pos int) int {
+	if sn.r == nil {
+		return pos
+	}
+	return sn.r.rank(s, uint64(pos))
+}
+
+// global returns the global position of shard s's local position local.
+func (sn *Snapshot) global(s, local int) int {
+	if sn.r == nil {
+		return local
+	}
+	return sn.r.selectShard(s, local)
+}
+
+// owner returns the shard every occurrence of v lives on.
+func (sn *Snapshot) owner(v string) int {
+	if sn.r == nil {
+		return 0
+	}
+	return pickShard(v, len(sn.shards))
 }
 
 // Len returns the number of elements visible in this snapshot.
-func (sn *Snapshot) Len() int { return sn.offs[len(sn.segs)] }
+func (sn *Snapshot) Len() int { return sn.n }
 
-// AlphabetSize returns the number of distinct strings in the snapshot's
-// segments. Nothing maintains the count: the first call derives it — the
-// leaves of the union of the segments' tries, a walk over their shapes
+// AlphabetSize returns the number of distinct strings in the snapshot —
+// the sum of the shards' counts (disjoint: pickShard routes by value).
+// Nothing maintains a count: the first call derives each shard's — the
+// leaves of the union of its segments' tries, a walk over their shapes
 // that compares labels and reads no bitvector and no element, so it costs
 // the tries' node counts (5.5 ms for eight 16 Ki-value generations and a
-// memtable; O(1) when one segment holds everything) — and the snapshot
-// remembers it. A memtable is walked under its read lock, whole:
-// under concurrent appends the count takes the live memtable as it stands
-// at that first call, not clamped to the snapshot's prefix, so it may lead
+// memtable; O(1) when one segment holds everything) — and the view
+// remembers it. A memtable is walked under its read lock, whole: under
+// concurrent appends the count takes the live memtable as it stands at
+// that first call, not clamped to the snapshot's prefix, so it may lead
 // the visible sequence by later appends; it is exact when quiescent. Like
 // any keyed read, it panics on a generation damaged since its checksum
 // was verified.
 func (sn *Snapshot) AlphabetSize() int {
-	sn.distinctOnce.Do(func() {
-		var u alphabetUnion
-		for _, seg := range sn.segs {
-			seg.alphabet(&u)
-		}
-		sn.distinct, sn.distinctErr = u.size()
-	})
-	if sn.distinctErr != nil {
-		panic("store: AlphabetSize: " + sn.distinctErr.Error())
+	total := 0
+	for _, sh := range sn.shards {
+		total += sh.alphabetSize()
 	}
-	return sn.distinct
-}
-
-// alphabetUnion collects the tries behind a snapshot's segments.
-type alphabetUnion struct {
-	frozen []*wavelettrie.Frozen
-	mems   []*memtable
-}
-
-// size counts the union's distinct strings, holding every memtable's read
-// lock for the walk (sealed before live, the one order they are ever
-// taken together in).
-func (u *alphabetUnion) size() (int, error) {
-	live := make([]*wavelettrie.AppendOnly, len(u.mems))
-	for i, m := range u.mems {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		live[i] = m.trie
-	}
-	return wavelettrie.UnionAlphabetSize(u.frozen, live)
+	return total
 }
 
 // Height returns the maximum trie height over the snapshot's segments —
 // a lower bound on the height of a single trie over the merged sequence.
 func (sn *Snapshot) Height() int {
 	h := 0
-	for _, seg := range sn.segs {
-		if sh := seg.Height(); sh > h {
-			h = sh
-		}
+	for _, sh := range sn.shards {
+		h = max(h, sh.height())
 	}
 	return h
 }
 
 // SizeBits returns the summed in-memory footprint of the snapshot's
-// segments.
+// segments, plus the router's when it has one.
 func (sn *Snapshot) SizeBits() int {
 	total := 0
-	for _, seg := range sn.segs {
-		total += seg.SizeBits()
+	if sn.r != nil {
+		total = sn.r.info().Bits
+	}
+	for _, sh := range sn.shards {
+		total += sh.sizeBits()
 	}
 	return total
-}
-
-// locate returns the segment containing position pos and pos relative to
-// its start: a binary search over the (few) segment offsets.
-func (sn *Snapshot) locate(pos int) (int, int) {
-	i := sort.SearchInts(sn.offs, pos+1) - 1
-	return i, pos - sn.offs[i]
 }
 
 // ContentFingerprint returns a 64-bit hash of the snapshot's visible
 // sequence contents — FNV-1a over every value, length-delimited, and,
 // when the store has a column schema, over every position's payload row
 // (each cell mixed as its kind tag then its value). It depends only on
-// the values, rows and their order, so it compares across stores: a
-// replication follower and its primary agree on it exactly when they
-// hold the same sequence and payloads, whatever their flush and
-// compaction histories. Cost is O(n) — a full iteration — so it is a
-// verification tool, not a serving-path key.
-func (sn *Snapshot) ContentFingerprint() uint64 {
-	return contentFP(sn.Len(), len(sn.schema), sn.Iterate, sn.cellAt)
-}
-
-// contentFP streams a sequence through the content hash: each value is
+// the values, rows and their order, so it compares across stores and
+// layouts: a replication follower and its primary, or a plain and a
+// sharded store, agree on it exactly when they hold the same sequence and
+// payloads, whatever their flush and compaction histories. Each value is
 // mixed as its length then its bytes, so concatenation boundaries are
-// unambiguous ("ab","c" never collides with "a","bc"). With ncols > 0,
-// each position's row cells follow its value, read through cellAt.
-func contentFP(n, ncols int, iterate func(l, r int, fn func(pos int, s string) bool), cellAt func(pos, col int) Value) uint64 {
+// unambiguous ("ab","c" never collides with "a","bc"). Cost is O(n) — a
+// full iteration — so it is a verification tool, not a serving-path key.
+func (sn *Snapshot) ContentFingerprint() uint64 {
 	h := uint64(fnvOffset64)
-	iterate(0, n, func(pos int, v string) bool {
+	sn.Iterate(0, sn.n, func(pos int, v string) bool {
 		h = fpMix(h, uint64(len(v)))
 		for i := 0; i < len(v); i++ {
 			h ^= uint64(v[i])
 			h *= fnvPrime64
 		}
-		for c := 0; c < ncols; c++ {
-			cell := cellAt(pos, c)
+		for c := range sn.schema {
+			cell := sn.cellAt(pos, c)
 			h = fpMix(h, uint64(cell.kind))
 			switch cell.kind {
 			case ColUint64:
@@ -200,7 +164,7 @@ func contentFP(n, ncols int, iterate func(l, r int, fn func(pos int, s string) b
 	return h
 }
 
-// FNV-1a, the same mixing partition.go uses for routing.
+// 64-bit FNV-1a: pickShard routes by the same mixing at 32 bits.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -218,94 +182,85 @@ func fpMix(h, v uint64) uint64 {
 // Access returns the string at position pos. It panics if pos is out of
 // range, like a slice access.
 func (sn *Snapshot) Access(pos int) string {
-	if pos < 0 || pos >= sn.Len() {
-		panic(fmt.Sprintf("store: Access(%d) out of range [0,%d)", pos, sn.Len()))
+	if pos < 0 || pos >= sn.n {
+		panic(fmt.Sprintf("store: Access(%d) out of range [0,%d)", pos, sn.n))
 	}
-	i, rel := sn.locate(pos)
-	return sn.segs[i].Access(rel)
+	s, local := sn.locate(pos)
+	return sn.shards[s].access(local)
 }
 
 func (sn *Snapshot) checkPos(op string, pos int) {
-	if pos < 0 || pos > sn.Len() {
-		panic(fmt.Sprintf("store: %s position %d out of range [0,%d]", op, pos, sn.Len()))
+	if pos < 0 || pos > sn.n {
+		panic(fmt.Sprintf("store: %s position %d out of range [0,%d]", op, pos, sn.n))
 	}
 }
 
-// Rank counts occurrences of s in positions [0, pos); pos may equal
-// Len(). The answer is the sum of full-segment ranks before pos plus a
-// partial rank in the segment containing it.
-func (sn *Snapshot) Rank(s string, pos int) int {
+// Rank counts occurrences of v in positions [0, pos); pos may equal
+// Len(). Exactly one shard is probed, at its local cut of pos: the sum of
+// its full-segment ranks before the cut plus a partial rank in the
+// segment containing it.
+func (sn *Snapshot) Rank(v string, pos int) int {
 	sn.checkPos("Rank", pos)
-	return sn.rank(newProbe(s, false), pos)
+	s := sn.owner(v)
+	return sn.shards[s].rank(newProbe(v, false), sn.cut(s, pos))
 }
 
-// RankPrefix counts elements in [0, pos) having byte prefix p.
+// Count returns the total number of occurrences of v.
+func (sn *Snapshot) Count(v string) int { return sn.Rank(v, sn.n) }
+
+// Select returns the position of the idx-th (0-based) occurrence of v,
+// with ok=false when v occurs fewer than idx+1 times: the owning shard
+// walks its segments accumulating their counts until the one holding the
+// idx-th occurrence, and the router maps the local position back.
+func (sn *Snapshot) Select(v string, idx int) (int, bool) {
+	s := sn.owner(v)
+	local, ok := sn.shards[s].sel(newProbe(v, false), idx)
+	if !ok {
+		return 0, false
+	}
+	return sn.global(s, local), true
+}
+
+// RankPrefix counts elements in [0, pos) having byte prefix p — the sum
+// over all shards at their local cuts; one probe serves every shard and
+// generation.
 func (sn *Snapshot) RankPrefix(p string, pos int) int {
 	sn.checkPos("RankPrefix", pos)
-	return sn.rank(newProbe(p, true), pos)
-}
-
-func (sn *Snapshot) rank(k *probe, pos int) int {
-	total := 0
-	for i, seg := range sn.segs {
-		segPos := pos - sn.offs[i]
-		if segPos <= 0 {
-			break
-		}
-		if l := seg.Len(); segPos > l {
-			segPos = l
-		}
-		total += seg.rank(k, segPos)
+	k, total := newProbe(p, true), 0
+	for s, sh := range sn.shards {
+		total += sh.rank(k, sn.cut(s, pos))
 	}
 	return total
 }
 
-// Count returns the total number of occurrences of s.
-func (sn *Snapshot) Count(s string) int { return sn.Rank(s, sn.Len()) }
-
 // CountPrefix returns the total number of elements with byte prefix p.
-func (sn *Snapshot) CountPrefix(p string) int { return sn.RankPrefix(p, sn.Len()) }
-
-// Select returns the position of the idx-th (0-based) occurrence of s,
-// with ok=false when s occurs fewer than idx+1 times: walk the segments
-// accumulating their counts until the one holding the idx-th occurrence.
-func (sn *Snapshot) Select(s string, idx int) (int, bool) {
-	return sn.sel(newProbe(s, false), idx)
-}
+func (sn *Snapshot) CountPrefix(p string) int { return sn.RankPrefix(p, sn.n) }
 
 // SelectPrefix returns the position of the idx-th (0-based) element with
-// byte prefix p, with ok=false when there are not that many.
-func (sn *Snapshot) SelectPrefix(p string, idx int) (int, bool) {
-	return sn.sel(newProbe(p, true), idx)
-}
-
-func (sn *Snapshot) sel(k *probe, idx int) (int, bool) {
+// byte prefix p, with ok=false when there are not that many. One shard
+// answers as Select does; over several, the prefix merge is sought to idx
+// and stopped at its first match.
+func (sn *Snapshot) SelectPrefix(p string, idx int) (at int, ok bool) {
 	if idx < 0 {
 		return 0, false
 	}
-	cum := 0
-	for i, seg := range sn.segs {
-		c := seg.rank(k, seg.Len())
-		if idx < cum+c {
-			pos, ok := seg.sel(k, idx-cum)
-			if !ok {
-				return 0, false
-			}
-			return sn.offs[i] + pos, true
-		}
-		cum += c
+	if len(sn.shards) == 1 {
+		return sn.shards[0].sel(newProbe(p, true), idx)
 	}
-	return 0, false
+	sn.scan(newProbe(p, true), idx, nil, func(_, pos int, _ valFn) bool {
+		at, ok = pos, true
+		return false
+	})
+	return at, ok
 }
 
 // IteratePrefix streams the positions of elements with byte prefix p in
 // ascending order, starting from the from-th (0-based) match; fn
-// receives the match index and position and returns false to stop.
-// Segments are concatenated in position order, so the walk visits each
-// segment's matches in turn, fast-forwarding whole segments below the
-// from offset by their match counts; inside a generation the matches come
-// from one streaming prefix cursor, not a descent per match. fn runs
-// with no lock held. It panics if from is negative.
+// receives the match index and position and returns false to stop. The
+// from offset is skipped by rank arithmetic (see scan), not replayed, and
+// the matches come from one streaming prefix cursor per generation, not a
+// descent per match. fn runs with no lock held. It panics if from is
+// negative.
 func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
 	sn.scan(prefixProbe(p, from), from, nil, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
@@ -319,7 +274,7 @@ func (sn *Snapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v []byt
 }
 
 // prefixProbe is the probe of an IteratePrefix or ScanPrefix from the
-// from-th match on, on either view.
+// from-th match on.
 func prefixProbe(p string, from int) *probe {
 	if from < 0 {
 		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
@@ -337,250 +292,256 @@ func withValue(fn func(idx, pos int, v []byte) bool) func(idx, pos int, val valF
 	}
 }
 
-// matchView is what a predicate scan needs of a view, plain or sharded:
-// its match stream and its row test.
-type matchView interface {
-	Len() int
-	Access(pos int) string
-	Schema() []ColumnSpec
-	// scan streams, in position order, the matches of the prefix probe k
-	// whose rows pass preds, from the from-th (0-based) of them on: fn
-	// receives the match index, the position and the value on demand, and
-	// returns false to stop. Without preds the from offset is sought; with
-	// them nothing is — the intersection has no counts — and the survivors
-	// before from are walked past, their values never read.
-	scan(k *probe, from int, preds []Pred, fn func(idx, pos int, val valFn) bool)
-	// matchAt tests the row at position pos against pre-validated preds.
-	matchAt(pos int, preds []Pred) bool
+// seekCut returns a position with exactly from matches before it, given
+// countAt, the matches before a position: 0 at 0, total (more than from)
+// at n, stepping by at most one a position — so the cut exists, just past
+// match from-1. A probe is aimed at the middle of the gap match from ends,
+// were the bracket's matches evenly spread: four probes on average then. A
+// probe that neither halves the bracket nor takes a match out of it is
+// followed by a bisection, and every eighth probe bisects regardless, so
+// no layout of matches costs more than 8·log₂ n.
+func seekCut(n, total, from int, countAt func(pos int) int) int {
+	lo, clo, hi, chi := 0, 0, n, total // countAt(lo) == clo <= from < chi == countAt(hi)
+	for step, bisect := 1, false; clo < from; step++ {
+		w, m := hi-lo, chi-clo
+		mid := lo + int(float64(w)*float64(2*(from-clo)+1)/float64(2*(m+1))) // no overflow, and any rounding is a valid probe
+		if bisect || step%8 == 0 {
+			mid = lo + w/2
+		}
+		mid = min(max(mid, lo+1), hi-1)
+		if c := countAt(mid); c <= from {
+			lo, clo = mid, c
+		} else {
+			hi, chi = mid, c
+		}
+		bisect = !bisect && 2*(hi-lo) > w && chi-clo == m
+	}
+	return lo
 }
 
-// where is IterateWhere and ScanWhere on either view: the view's match
-// stream filtered by its row test, or — with no prefix to stream from —
-// every position put to the test.
-func where(v matchView, prefix string, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) error {
-	if from < 0 {
-		return fmt.Errorf("store: IterateWhere from %d negative", from)
-	}
-	if err := validatePreds(v.Schema(), preds); err != nil {
-		return err
-	}
-	if prefix != "" {
-		v.scan(newProbe(prefix, true), from, preds, fn)
-		return nil
-	}
-	// No prefix node to stream from: a surviving position's value is a
-	// point read.
-	pos := 0
-	val := func(dst []byte) []byte { return append(dst, v.Access(pos)...) }
-	for idx := 0; pos < v.Len(); pos++ {
-		if !v.matchAt(pos, preds) {
-			continue
-		}
-		if idx >= from && !fn(idx, pos, val) {
-			break
-		}
-		idx++
-	}
-	return nil
-}
-
-// scan is the plain view's match stream (see matchView): a loop over the
-// snapCursor the sharded merge drives one of per shard.
+// scan is the view's match stream: the matches of the prefix probe k
+// whose rows pass preds, from the from-th (0-based) on, as (match index,
+// global position, value on demand); fn returns false to stop. Without
+// preds the from offset is sought (seek), so nothing before it is
+// replayed; with them nothing is — the intersection has no counts — and
+// the survivors before from are walked past, their values never read.
+//
+// Each shard's matches come from one snapCursor. With one shard that
+// stream is the view's. Over several, a k-way merge holds one head per
+// shard — local position from the shard's cursor, global from the
+// router's selectShard — emits the smallest and advances only the shard
+// it came from. Either way the row test runs on the shard, before a
+// candidate is emitted or becomes a head, and a value is decoded, through
+// the emitting cursor, only when fn asks: a page of m matches pulls at
+// most m + shards and decodes m.
 func (sn *Snapshot) scan(k *probe, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) {
-	c := snapCursor{sn: sn, k: k, segs: make([]segCursor, len(sn.segs))}
-	defer c.close()
+	filter := len(preds) > 0
+	cur := make([]snapCursor, len(sn.shards))
+	nsegs := 0
+	for _, sh := range sn.shards {
+		nsegs += len(sh.segs)
+	}
+	segs := make([]segCursor, nsegs)
+	for s, sh := range sn.shards {
+		cur[s] = snapCursor{v: sh, k: k, segs: segs[:len(sh.segs):len(sh.segs)]}
+		segs = segs[len(sh.segs):]
+	}
+	defer func() {
+		for s := range cur {
+			cur[s].close()
+		}
+	}()
 	idx := 0
-	if len(preds) == 0 && from > 0 {
-		c.seek(from)
+	if !filter && from > 0 {
+		if !sn.seek(cur, from) {
+			return
+		}
 		idx = from
 	}
-	val := c.value
+	if len(cur) == 1 {
+		c, sh := &cur[0], sn.shards[0]
+		val := c.value
+		for {
+			pos, ok := c.next()
+			if !ok {
+				return
+			}
+			if filter && !sh.matchAt(pos, preds) {
+				continue
+			}
+			if idx >= from && !fn(idx, pos, val) {
+				return
+			}
+			idx++
+		}
+	}
+	// heads[s] is the global position of shard s's current match, negative
+	// when it has none left.
+	heads := make([]int, len(cur))
+	pull := func(s int) {
+		for heads[s] = -1; heads[s] < 0; {
+			local, ok := cur[s].next()
+			if !ok {
+				return
+			}
+			if !filter || sn.shards[s].matchAt(local, preds) {
+				heads[s] = sn.global(s, local)
+			}
+		}
+	}
+	for s := range cur {
+		pull(s)
+	}
+	best := 0
+	val := func(dst []byte) []byte { return cur[best].value(dst) }
 	for {
-		pos, ok := c.next()
-		if !ok {
+		best = -1
+		for s, h := range heads {
+			if h >= 0 && (best < 0 || h < heads[best]) {
+				best = s
+			}
+		}
+		if idx++; best < 0 || idx > from && !fn(idx-1, heads[best], val) {
 			return
 		}
-		if len(preds) > 0 && !sn.matchAt(pos, preds) {
-			continue
-		}
-		if idx >= from && !fn(idx, pos, val) {
-			return
-		}
-		idx++
+		pull(best)
 	}
 }
 
-// snapCursor is the snapshot's matches of a prefix probe in position
-// order, one at a time, from a matchCursor per segment — what a plain scan
-// loops over and the sharded merge drives one of per shard. A segment is
-// descended when first needed: for its match count, label-only, when a
-// rank or a seek only passes over it; for its cursor when a rank falls
-// inside it or the stream reaches it — so at most twice. Not safe for
-// concurrent use.
-type snapCursor struct {
-	sn   *Snapshot
-	k    *probe
-	segs []segCursor // one per segment
-	i    int         // the segment the stream is in
-}
-
-type segCursor struct {
-	matchCursor     // nil until made
-	n           int // the segment's match count plus one; 0 until asked for
-}
-
-func (c *snapCursor) seg(i int) matchCursor {
-	if c.segs[i].matchCursor == nil {
-		c.segs[i].matchCursor = c.sn.segs[i].cursor(c.k)
+// seek points the cursors at match from of the merged stream, reporting
+// false when there are no more than from matches. One shard's cursor
+// seeks there itself. Over several, seekCut cuts the global sequence
+// where exactly from matches lie before (the count before a position is a
+// sum of snapCursor.rankAt at the shards' local cuts), and every cursor
+// starts at its shard's image of that cut, so nothing is replayed.
+func (sn *Snapshot) seek(cur []snapCursor, from int) bool {
+	if len(cur) == 1 {
+		cur[0].seek(from)
+		return true
 	}
-	return c.segs[i].matchCursor
-}
-
-// count returns segment i's match count, remembered from one probe of a
-// seek to the next.
-func (c *snapCursor) count(i int) int {
-	if c.segs[i].n == 0 {
-		seg := c.sn.segs[i]
-		c.segs[i].n = 1 + seg.rank(c.k, seg.Len())
-	}
-	return c.segs[i].n - 1
-}
-
-// rankAt counts the matches at positions before pos: the counts of the
-// segments wholly before it and a rank along the remembered path in the
-// one that holds it.
-func (c *snapCursor) rankAt(pos int) int {
 	total := 0
-	for i, off := range c.sn.offs[:len(c.segs)] {
-		switch {
-		case pos <= off:
-			return total
-		case pos < c.sn.offs[i+1]:
-			return total + c.seg(i).rankAt(pos-off)
-		}
-		total += c.count(i)
+	for s := range cur {
+		total += cur[s].rankAt(cur[s].v.len())
 	}
-	return total
-}
-
-// seek makes match j (0-based) the one next returns.
-func (c *snapCursor) seek(j int) {
-	for c.i = 0; c.i < len(c.segs); c.i++ {
-		n := c.count(c.i)
-		if j < n {
-			c.seg(c.i).seek(j)
-			return
-		}
-		j -= n
+	if from >= total {
+		return false
 	}
-}
-
-// next returns the position of the next match, ok=false past the last.
-func (c *snapCursor) next() (pos int, ok bool) {
-	for ; c.i < len(c.segs); c.i++ {
-		if pos, ok := c.seg(c.i).next(); ok {
-			return c.sn.offs[c.i] + pos, true
+	// Every probe at or below from is the lowest cut so far; the shards'
+	// ranks at the last of them are where their streams start.
+	ranks := make([]int, 2*len(cur))
+	at, last := ranks[:len(cur)], ranks[len(cur):]
+	seekCut(sn.n, total, from, func(pos int) (c int) {
+		for s := range cur {
+			last[s] = cur[s].rankAt(sn.cut(s, pos))
+			c += last[s]
 		}
-	}
-	return 0, false
-}
-
-// value appends to dst the value of the match next last returned.
-func (c *snapCursor) value(dst []byte) []byte { return c.segs[c.i].value(dst) }
-
-func (c *snapCursor) close() {
-	for _, sc := range c.segs {
-		if sc.matchCursor != nil {
-			sc.close()
+		if c <= from {
+			copy(at, last)
 		}
+		return c
+	})
+	for s := range cur {
+		cur[s].seek(at[s])
 	}
+	return true
 }
 
 // Iterate streams the elements of positions [l, r) in order, stopping
-// early if fn returns false. Frozen generations are walked with their
-// streaming enumerator (one trie walk per generation instead of one
-// root descent per element); memtable views are extracted in bounded
-// batches under their read lock, with fn always called lock-free.
+// early if fn returns false. One shard's walk is the view's: its frozen
+// generations through their streaming enumerator, its memtables in
+// bounded batches under their read lock, fn always called lock-free.
+// Over several shards the walk is batched: for each bounded global
+// window, every shard's local subrange is streamed once, then the router
+// interleaves the buffers — so per-element cost stays near the per-shard
+// streaming cost instead of one root descent per element.
 func (sn *Snapshot) Iterate(l, r int, fn func(pos int, s string) bool) {
-	if l < 0 || r < l || r > sn.Len() {
-		panic(fmt.Sprintf("store: Iterate(%d,%d) out of range [0,%d]", l, r, sn.Len()))
+	if l < 0 || r < l || r > sn.n {
+		panic(fmt.Sprintf("store: Iterate(%d,%d) out of range [0,%d]", l, r, sn.n))
 	}
-	for i, seg := range sn.segs {
-		if sn.offs[i] >= r {
-			return
+	if len(sn.shards) == 1 {
+		sn.shards[0].iterate(l, r, fn)
+		return
+	}
+	const batch = 1 << 12
+	bufs := make([][]string, len(sn.shards))
+	cur := make([]int, len(sn.shards))
+	for a := l; a < r; a += batch {
+		b := min(a+batch, r)
+		for s, sh := range sn.shards {
+			lo, hi := sn.cut(s, a), sn.cut(s, b)
+			bufs[s] = bufs[s][:0]
+			sh.iterate(lo, hi, func(_ int, v string) bool {
+				bufs[s] = append(bufs[s], v)
+				return true
+			})
+			cur[s] = 0
 		}
-		lo, hi := l-sn.offs[i], r-sn.offs[i]
-		if lo < 0 {
-			lo = 0
-		}
-		if n := seg.Len(); hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		stopped := false
-		off := sn.offs[i]
-		seg.Iterate(lo, hi, func(p int, s string) bool {
-			if !fn(off+p, s) {
-				stopped = true
-				return false
+		for g := a; g < b; g++ {
+			s := sn.r.at(uint64(g))
+			if !fn(g, bufs[s][cur[s]]) {
+				return
 			}
-			return true
-		})
-		if stopped {
-			return
+			cur[s]++
 		}
 	}
+}
+
+// Slice returns the elements of positions [l, r) as a fresh slice,
+// streamed through Iterate.
+func (sn *Snapshot) Slice(l, r int) []string {
+	if l < 0 || r < l || r > sn.n {
+		panic(fmt.Sprintf("store: Slice(%d,%d) out of range [0,%d]", l, r, sn.n))
+	}
+	out := make([]string, 0, r-l)
+	sn.Iterate(l, r, func(_ int, s string) bool {
+		out = append(out, s)
+		return true
+	})
+	return out
 }
 
 // Schema returns the snapshot's column schema (nil when the store has
 // no columns). The returned slice must not be modified.
 func (sn *Snapshot) Schema() []ColumnSpec { return sn.schema }
 
-// cellAt reads the cell of column col at global position pos, routing
-// through the segment's column reader.
+// cellAt reads the cell of column col at global position pos through the
+// column reader of the segment holding it.
 func (sn *Snapshot) cellAt(pos, col int) Value {
-	i, rel := sn.locate(pos)
-	if c := sn.segs[i].cols; c != nil {
+	s, local := sn.locate(pos)
+	if c, rel := sn.shards[s].cols(local); c != nil {
 		return c.colValue(col, rel)
 	}
 	return Value{}
 }
 
+// matchAt tests the row at global position pos against pre-validated
+// preds, on the shard that holds it.
+func (sn *Snapshot) matchAt(pos int, preds []Pred) bool {
+	s, local := sn.locate(pos)
+	return sn.shards[s].matchAt(local, preds)
+}
+
 // Row returns the payload row at position pos (one cell per schema
-// column; nil when the store has no schema). Cells written before the
-// schema was pinned, or never filled, are NULL. Panics if pos is out of
-// range, like Access.
+// column; nil when the store has no schema). Payloads ride to the same
+// shard as their value, so one locate resolves the whole row. Cells
+// written before the schema was pinned, or never filled, are NULL. Panics
+// if pos is out of range, like Access.
 func (sn *Snapshot) Row(pos int) Row {
-	if pos < 0 || pos >= sn.Len() {
-		panic(fmt.Sprintf("store: Row(%d) out of range [0,%d)", pos, sn.Len()))
+	if pos < 0 || pos >= sn.n {
+		panic(fmt.Sprintf("store: Row(%d) out of range [0,%d)", pos, sn.n))
 	}
 	if len(sn.schema) == 0 {
 		return nil
 	}
-	i, rel := sn.locate(pos)
+	s, local := sn.locate(pos)
+	c, rel := sn.shards[s].cols(local)
 	row := make(Row, len(sn.schema))
-	if c := sn.segs[i].cols; c != nil {
+	if c != nil {
 		for j := range row {
 			row[j] = c.colValue(j, rel)
 		}
 	}
 	return row
-}
-
-// matchAt evaluates pre-validated predicates against the row at global
-// position pos, reading each tested cell through the wavelet planes —
-// no row is materialized.
-func (sn *Snapshot) matchAt(pos int, preds []Pred) bool {
-	i, rel := sn.locate(pos)
-	c := sn.segs[i].cols
-	for _, p := range preds {
-		if c == nil || !matchValue(c.colValue(p.Col, rel), p) {
-			return false
-		}
-	}
-	return true
 }
 
 // CountWhere counts positions whose value has byte prefix prefix (""
@@ -590,57 +551,46 @@ func (sn *Snapshot) matchAt(pos int, preds []Pred) bool {
 // segment, the presence bitvector maps the span onto present indices
 // and the column's wavelet planes count values in the predicate's
 // range — no value is ever materialized or even decoded. Other shapes
-// walk the narrower side (prefix matches, or all positions) and test
-// cells individually. NULL cells match no predicate.
+// walk the narrower side (each shard's prefix match stream, or every
+// position of every shard) and test cells individually. NULL cells match
+// no predicate.
 func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 	if err := validatePreds(sn.schema, preds); err != nil {
 		return 0, err
 	}
 	if len(preds) == 0 {
 		if prefix == "" {
-			return sn.Len(), nil
+			return sn.n, nil
 		}
 		return sn.CountPrefix(prefix), nil
 	}
-	if prefix == "" && len(preds) == 1 {
-		return sn.countPred(preds[0]), nil
-	}
 	count := 0
-	if prefix == "" {
-		for pos := 0; pos < sn.Len(); pos++ {
-			if sn.matchAt(pos, preds) {
+	switch {
+	case prefix != "":
+		// Counts add up across shards, so each shard is counted as a
+		// one-shard view: its own stream, with no router work.
+		k := newProbe(prefix, true)
+		for s, sh := range sn.shards {
+			one := Snapshot{n: sh.len(), shards: sn.shards[s : s+1]}
+			one.scan(k, 0, preds, func(int, int, valFn) bool {
 				count++
+				return true
+			})
+		}
+	case len(preds) == 1:
+		for _, sh := range sn.shards {
+			count += sh.countPred(preds[0])
+		}
+	default:
+		for _, sh := range sn.shards {
+			for pos := 0; pos < sh.len(); pos++ {
+				if sh.matchAt(pos, preds) {
+					count++
+				}
 			}
 		}
-		return count, nil
 	}
-	sn.scan(newProbe(prefix, true), 0, preds, func(int, int, valFn) bool {
-		count++
-		return true
-	})
 	return count, nil
-}
-
-// countPred sums one predicate's rank-arithmetic count over the
-// segments. Allocation-free — the CountWhere fast path.
-func (sn *Snapshot) countPred(p Pred) int {
-	lo, hi, negate, empty := predRange(p.Op, p.Val)
-	if empty {
-		return 0
-	}
-	count := 0
-	for _, seg := range sn.segs {
-		if seg.cols == nil {
-			continue
-		}
-		n := seg.Len()
-		if negate {
-			count += seg.cols.colPresent(p.Col, 0, n) - seg.cols.colRange(p.Col, 0, n, lo, hi)
-		} else {
-			count += seg.cols.colRange(p.Col, 0, n, lo, hi)
-		}
-	}
-	return count
 }
 
 // IterateWhere streams the positions matching prefix AND preds in
@@ -650,103 +600,44 @@ func (sn *Snapshot) countPred(p Pred) int {
 // arithmetic (the predicate intersection has no precomputed counts), so
 // resuming at from costs a walk over the earlier matches' candidates.
 func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	return where(sn, prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
+	return sn.where(prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
 }
 
 // ScanWhere is IterateWhere that also hands fn each match's value, as
 // ScanPrefix does: v is valid only during that call of fn. With a prefix,
-// candidates come from the positions-only prefix cursor and a value is
+// candidates come from the positions-only prefix cursors and a value is
 // read only for a candidate that passed every predicate and lies at or
 // past from.
 func (sn *Snapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error {
-	return where(sn, prefix, from, preds, withValue(fn))
+	return sn.where(prefix, from, preds, withValue(fn))
 }
 
-// prefixed returns a view of the snapshot's first n elements — the
-// per-shard cut a ShardedSnapshot pins so every shard view ends exactly
-// at the cross-shard watermark. n must not exceed Len.
-func (sn *Snapshot) prefixed(n int) *Snapshot {
-	if n >= sn.Len() {
-		return sn
+// where is IterateWhere and ScanWhere: the prefix's match stream filtered
+// by the row test, or — with no prefix to stream from — every position put
+// to the test.
+func (sn *Snapshot) where(prefix string, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) error {
+	if from < 0 {
+		return fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
-	var segs []snapSeg
-	for i, seg := range sn.segs {
-		if sn.offs[i] >= n {
-			break
-		}
-		if sn.offs[i+1] <= n {
-			segs = append(segs, seg)
+	if err := validatePreds(sn.schema, preds); err != nil {
+		return err
+	}
+	if prefix != "" {
+		sn.scan(newProbe(prefix, true), from, preds, fn)
+		return nil
+	}
+	// No prefix node to stream from: a surviving position's value is a
+	// point read.
+	pos := 0
+	val := func(dst []byte) []byte { return append(dst, sn.Access(pos)...) }
+	for idx := 0; pos < sn.n; pos++ {
+		if !sn.matchAt(pos, preds) {
 			continue
 		}
-		keep := n - sn.offs[i]
-		cols := seg.cols
-		if cols != nil {
-			cols = clampCols{cols: cols, n: keep}
+		if idx >= from && !fn(idx, pos, val) {
+			break
 		}
-		segs = append(segs, snapSeg{segment: clampSeg{seg.segment, keep}, cols: cols})
+		idx++
 	}
-	out := newSnapshot(segs)
-	out.schema = sn.schema
-	return out
-}
-
-// clampSeg bounds a segment to its first n elements, the same way
-// memView clamps a live memtable: positional arguments are capped, and
-// Select is guarded by the clamped rank so an occurrence beyond the
-// bound is invisible rather than out of range.
-type clampSeg struct {
-	segment
-	n int
-}
-
-// Len returns the clamped element count.
-func (c clampSeg) Len() int { return c.n }
-
-// rank counts k's matches in [0, min(pos, n)).
-func (c clampSeg) rank(k *probe, pos int) int { return c.segment.rank(k, min(pos, c.n)) }
-
-// sel resolves k's idx-th match within the clamped prefix.
-func (c clampSeg) sel(k *probe, idx int) (int, bool) {
-	if idx < 0 || idx >= c.segment.rank(k, c.n) {
-		return 0, false
-	}
-	return c.segment.sel(k, idx)
-}
-
-// cursor bounds the segment's cursor: positions ascend, so the first one
-// at or past the bound ends the stream.
-func (c clampSeg) cursor(k *probe) matchCursor { return clampCursor{c.segment.cursor(k), c.n} }
-
-type clampCursor struct {
-	matchCursor
-	n int
-}
-
-func (c clampCursor) rankAt(pos int) int { return c.matchCursor.rankAt(min(pos, c.n)) }
-
-func (c clampCursor) next() (int, bool) {
-	pos, ok := c.matchCursor.next()
-	return pos, ok && pos < c.n
-}
-
-// Iterate streams [l, r) within the clamped prefix.
-func (c clampSeg) Iterate(l, r int, fn func(pos int, s string) bool) {
-	if r > c.n {
-		r = c.n
-	}
-	c.segment.Iterate(l, r, fn)
-}
-
-// Slice returns the elements of positions [l, r) as a fresh slice,
-// streamed through Iterate.
-func (sn *Snapshot) Slice(l, r int) []string {
-	if l < 0 || r < l || r > sn.Len() {
-		panic(fmt.Sprintf("store: Slice(%d,%d) out of range [0,%d]", l, r, sn.Len()))
-	}
-	out := make([]string, 0, r-l)
-	sn.Iterate(l, r, func(_ int, s string) bool {
-		out = append(out, s)
-		return true
-	})
-	return out
+	return nil
 }

@@ -786,7 +786,7 @@ func (s *Store) publish(st *storeState) {
 func (s *Store) Snapshot() *Snapshot {
 	st := s.state.Load()
 	n := st.mem.n.Load()
-	if v := s.view.Load(); v != nil && v.state == st && v.memLen == n {
+	if v := s.view.Load(); v != nil && v.shards[0].state == st && v.shards[0].memLen == n {
 		return v
 	}
 	v := s.snapshotOf(st, n)
@@ -800,9 +800,10 @@ func (s *Store) Snapshot() *Snapshot {
 	return v
 }
 
-// snapshotOf builds the view of state st with the live memtable clamped
-// to its first n elements. (A sealed memtable's length is final by the
-// time a state names it: appends and the seal exclude each other.)
+// snapshotOf builds the one-shard view of state st with the live
+// memtable clamped to its first n elements. (A sealed memtable's length is
+// final by the time a state names it: appends and the seal exclude each
+// other.)
 func (s *Store) snapshotOf(st *storeState, n int64) *Snapshot {
 	segs := make([]snapSeg, 0, len(st.gens)+2)
 	for _, g := range st.gens {
@@ -820,9 +821,9 @@ func (s *Store) snapshotOf(st *storeState, n int64) *Snapshot {
 	}
 	mv := memView{m: st.mem, n: int(n)}
 	segs = append(segs, snapSeg{segment: mv, cols: mv})
-	sn := newSnapshot(segs)
-	sn.schema, sn.state, sn.memLen = s.schema, st, n
-	return sn
+	sh := newShardView(segs)
+	sh.state, sh.memLen = st, n
+	return &Snapshot{n: sh.len(), shards: []*shardView{sh}, schema: s.schema}
 }
 
 // GenInfo describes one frozen generation of the store.

@@ -199,7 +199,7 @@ func TestSnapshotSeesAcknowledgedAppends(t *testing.T) {
 func TestCompactionRetiresPinnedView(t *testing.T) {
 	s, ss := viewStores(t)
 	// live maps the tries of the store's current generations.
-	check := func(stage string, shards []*Store, views ...*Snapshot) {
+	check := func(stage string, shards []*Store, v *Snapshot) {
 		t.Helper()
 		live := map[any]bool{}
 		for _, sh := range shards {
@@ -213,11 +213,11 @@ func TestCompactionRetiresPinnedView(t *testing.T) {
 				}
 			}
 		}
-		for _, v := range views {
-			if v == nil {
-				continue
-			}
-			for _, seg := range v.segs {
+		if v == nil {
+			return
+		}
+		for _, sh := range append(append([]*shardView(nil), v.base...), v.shards...) {
+			for _, seg := range sh.segs {
 				inner := seg.segment
 				if c, ok := inner.(clampSeg); ok {
 					inner = c.segment
@@ -227,13 +227,6 @@ func TestCompactionRetiresPinnedView(t *testing.T) {
 				}
 			}
 		}
-	}
-	shardedViews := func() []*Snapshot {
-		v := ss.view.Load()
-		if v == nil {
-			return nil
-		}
-		return append(append([]*Snapshot(nil), v.base...), v.shards...)
 	}
 
 	held, sheld := s.Snapshot(), ss.Snapshot()
@@ -248,12 +241,12 @@ func TestCompactionRetiresPinnedView(t *testing.T) {
 		t.Fatalf("plain store has %d generations after Compact, want 1", got)
 	}
 	check("after Compact", []*Store{s}, s.view.Load())
-	check("after sharded Compact", ss.shards, shardedViews()...)
+	check("after sharded Compact", ss.shards, ss.view.Load())
 	if s.Snapshot() == held || ss.Snapshot() == sheld {
 		t.Fatal("Snapshot() after a compaction returned the view from before it")
 	}
 	check("after Compact and Snapshot", []*Store{s}, s.view.Load())
-	check("after sharded Compact and Snapshot", ss.shards, shardedViews()...)
+	check("after sharded Compact and Snapshot", ss.shards, ss.view.Load())
 	for i, v := range want {
 		if got, sgot := held.Access(i), sheld.Access(i); got != v || sgot != v {
 			t.Fatalf("views held across the compaction read %q / %q at %d, want %q", got, sgot, i, v)
