@@ -153,8 +153,8 @@ func probeKeys(vals []string) []string {
 	return keys
 }
 
-// goldenSeq is the sequence testdata/frozen_v4.golden was marshalled
-// from, by the commit that introduced trie format v4: a URL log plus the
+// goldenSeq is the sequence testdata/frozen_v5.golden was marshalled
+// from, by the commit that introduced trie format v5: a URL log plus the
 // edge shapes — the empty string, a chain of proper prefixes, and a key
 // longer than the 256-byte stack buffer.
 func goldenSeq() []string {
@@ -166,13 +166,13 @@ func goldenSeq() []string {
 	return append(seq, "", "a", "ab", "abc", string(long), "", "ab")
 }
 
-// TestFrozenGoldenV4 pins the on-disk format (container version 3, trie
-// wire version 4): a file written when the format was introduced must
+// TestFrozenGoldenV5 pins the on-disk format (container version 4, trie
+// format v5): a file written when the format was introduced must
 // load (validating, trusted and zero-copy), answer every query like the
 // flat model, re-marshal to the same bytes, and equal what today's
 // encoders produce for the same sequence.
-func TestFrozenGoldenV4(t *testing.T) {
-	golden, err := os.ReadFile("testdata/frozen_v4.golden")
+func TestFrozenGoldenV5(t *testing.T) {
+	golden, err := os.ReadFile("testdata/frozen_v5.golden")
 	if err != nil {
 		t.Fatal(err)
 	}

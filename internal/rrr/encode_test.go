@@ -74,8 +74,8 @@ func TestDecodeRejectsInconsistentBlocks(t *testing.T) {
 		return rd.Done()
 	}
 	// One block of class 2 over 10 valid bits, ones at positions 0 and 1:
-	// the largest offset of the class. Clearing its top bit moves both ones
-	// past bit 10 (to 19 and 37).
+	// offset 1833, whose top bit is set. Clearing it moves both ones past
+	// bit 10 (to 27 and 51).
 	v := FromWords([]uint64{0b11}, 10)
 	good := encode(v)
 	if err := decode(good, false); err != nil {

@@ -6,21 +6,24 @@
 //
 // Encoding. The bits are split into blocks of 63 bits. Each block is
 // represented by its class c (its popcount, 6 bits) and its offset (the
-// lexicographic index of the block among the C(63,c) possible blocks of
-// that class, ⌈log₂ C(63,c)⌉ bits). Low-entropy blocks therefore take few
-// bits: a run of zeros costs 6 bits per 63. Every 16 blocks a superblock
-// sample records the rank and the bit position of the block's offset in
-// the offset stream — two samples packed into one 16-byte entry, the
-// second as what it adds to the first — so queries add up at most one
-// superblock of class fields (several per word read) and visit one block
-// body. A point
-// query never materialises that block: Rank, Access and Select walk the
-// offset's combinatorial number system only as far as the queried bit
-// (rankInBlock, selectInBlock), on the sparser of the block and its
-// complement, and answer classes 0 and 63 without reading an offset. The
-// sequential forms (Iter, Selector) keep that walk's state between calls
-// (blockWalk), so they never walk a bit twice either; a bulk copy (Reader)
-// decodes each block once into a word.
+// index of the block among the C(63,c) possible blocks of that class,
+// ⌈log₂ C(63,c)⌉ bits). Low-entropy blocks therefore take few bits: a run
+// of zeros costs 6 bits per 63. Every 16 blocks a superblock sample
+// records the rank and the bit position of the block's offset in the
+// offset stream — two samples packed into one 16-byte entry, the second as
+// what it adds to the first — so queries add up at most one superblock of
+// class fields (several per word read) and visit one block body.
+//
+// Blocks are indexed in split order (encodeBlock): by the ones in the low
+// half, then the low half's rank, then the high half's, each half split
+// the same way at its bit 16. Decoding a block (decodeBlock) is then
+// three searches of small cumulative-count rows, three divisions and four
+// lookups in one 16-bit unrank table — the paper's universal table at a
+// quarter block, two 128 KiB tables built at init. Every in-block query
+// is that decode and a popcount or Select64 on the word: Rank and Access
+// (rankInBlock), Select (selectInBlock), the sequential forms (Iter and
+// Selector, which keep the decoded block between calls) and the bulk copy
+// (Reader). Classes 0 and 63 are answered without reading an offset.
 //
 // The Wavelet Trie uses RRR for every bitvector β of the static variant
 // (Theorem 3.7) and for the immutable segments of the append-only
@@ -56,12 +59,33 @@ const (
 )
 
 // choose[k][n] = C(n,k) for n,k ≤ 63. C(63,31) < 2^63 so uint64 suffices.
-// Indexed class-first: a block walk holds k fixed between set bits while n
-// counts down, so its reads run along one row.
 var choose [blockBits + 1][blockBits + 1]uint64
 
 // offsetWidth[c] = number of bits used to store an offset of class c.
 var offsetWidth [blockBits + 1]int
+
+// The split order. A block's offset is its rank among the C(63,c) blocks
+// of its class c, ordered first by j, the ones among its low 32 bits, then
+// by those 32 bits' rank among the C(32,j) halves with j ones, then by the
+// high 31 bits' rank among the C(31,c-j). A half is ranked the same way,
+// split at its bit 16, and a 16-bit quarter by colex rank (rank16), in
+// which the words that leave bit 15 clear come first — so a 15-bit quarter
+// has the same rank as a 16-bit one.
+var (
+	// blockStart[c][j] is the offset of the first class-c block with j ones
+	// in its low half. Past the last possible j every entry is C(63,c), so
+	// the last start at or below an offset of the class is at a possible j.
+	blockStart [blockBits + 1][64]uint64
+	// halfStart[h][k][j] is the same for a half with k ones: h = 0 is the
+	// low half (16 + 16 bits), h = 1 the high half (16 + 15).
+	halfStart [2][33][32]uint32
+	// rank16[x] is x's colex rank among the 16-bit words of its popcount
+	// k, and unrank16[first16[k]+r] the word of popcount k at rank r: the
+	// paper's universal table, at a quarter block.
+	rank16   [1 << 16]uint16
+	unrank16 [1 << 16]uint16
+	first16  [17]uint32
+)
 
 func init() {
 	for n := 0; n <= blockBits; n++ {
@@ -73,159 +97,116 @@ func init() {
 	for c := 0; c <= blockBits; c++ {
 		// Width of the largest offset, C(63,c)-1. Class 0 and 63 need 0 bits.
 		offsetWidth[c] = bits.Len64(choose[c][blockBits] - 1)
+		fillStarts(blockStart[c][:], c, 32, 31)
+	}
+	for k := 0; k <= 32; k++ {
+		fillStarts(halfStart[0][k][:], k, 16, 16)
+		fillStarts(halfStart[1][k][:], k, 16, 15)
+	}
+	for k := 1; k <= 16; k++ {
+		first16[k] = first16[k-1] + uint32(choose[k-1][16])
+	}
+	for x := 0; x < 1<<16; x++ {
+		r, i := 0, 0
+		for w := uint(x); w != 0; w &= w - 1 {
+			i++
+			r += int(choose[i][bits.TrailingZeros(w)])
+		}
+		rank16[x] = uint16(r)
+		unrank16[first16[i]+uint32(r)] = uint16(x)
 	}
 }
 
-// encodeBlock returns the class and offset of a 63-bit block. The offset
-// is the block's rank among its class in the order that, at the first
-// differing position, puts the block with a 0 there first.
+// fillStarts fills row with the split order's starts for fields of
+// lo+hi bits holding k ones: row[j] is the rank of the first field with j
+// ones in its low lo bits.
+func fillStarts[T uint32 | uint64](row []T, k, lo, hi int) {
+	var sum uint64
+	for j := range row {
+		row[j] = T(sum)
+		if j <= lo && k-j >= 0 && k-j <= hi {
+			sum += choose[j][lo] * choose[k-j][hi]
+		}
+	}
+}
+
+// encodeBlock returns the class and offset of a 63-bit block: its rank in
+// the split order.
 func encodeBlock(w uint64) (class int, offset uint64) {
 	class = bits.OnesCount64(w)
-	for k := class; w != 0; k-- {
-		offset += choose[k][blockBits-1-bits.TrailingZeros64(w)]
-		w &= w - 1
-	}
-	return class, offset
+	lo := w & (1<<32 - 1)
+	j := bits.OnesCount64(lo)
+	return class, blockStart[class][j] + uint64(encodeHalf(0, lo))*choose[class-j][31] + uint64(encodeHalf(1, w>>32))
 }
 
-// sparser returns the walkable form of a block: itself when at most half
-// its bits are set, else its complement — the order on offsets reverses
-// under complement, so that is class 63-c at offset C(63,c)-1-offset —
-// with flip = 1. Walks then end after at most 31 set bits.
-func sparser(class int, offset uint64) (k int, off uint64, flip byte) {
-	if class > blockBits/2 {
-		return blockBits - class, choose[class][blockBits] - 1 - offset, 1
-	}
-	return class, offset, 0
+// encodeHalf returns the rank of the half x (h as in halfStart) among the
+// halves of its popcount.
+func encodeHalf(h int, x uint64) uint32 {
+	k := bits.OnesCount64(x)
+	lo := x & (1<<16 - 1)
+	j := bits.OnesCount64(lo)
+	return halfStart[h][k][j] + uint32(rank16[lo])*uint32(choose[k-j][16-h]) + uint32(rank16[x>>16])
 }
 
-// branchyClass is the popcount up to which a block walk takes its set
-// bits as branches: few enough that the predictor wins. Above it they are
-// coin flips, and the walk steps branch-free (denseStep) instead.
-const branchyClass = 16
-
-// denseStep advances a block walk past position i without branching on
-// the bit there. The suffix from i has k set bits left and rank offset
-// among its class; c = C(62-i, k), and the bit at i is 1 iff offset >= c.
-// m = 61-i selects the next position's thresholds, both candidates of
-// which load while the compare resolves. It returns k, offset and c for
-// position i+1, and the bit passed.
-func denseStep(k, m int, offset, c uint64) (int, uint64, uint64, uint64) {
-	c0, c1 := choose[k][m&63], choose[k-1][m&63]
-	d, borrow := bits.Sub64(offset, c, 0)
-	zero := -borrow // all ones iff the bit is 0
-	return k - int(1-borrow), offset&zero | d&^zero, c0&zero | c1&^zero, 1 - borrow
-}
-
-// walkTo steps a walked form — k set bits left from position i on, offset
-// their rank among its class — on to position r, and returns what is left
-// there.
-func walkTo(k int, offset uint64, i, r int) (int, uint64) {
-	if k > branchyClass {
-		c := choose[k][blockBits-1-i]
-		for ; i < r && k > 0; i++ {
-			k, offset, c, _ = denseStep(k, blockBits-2-i, offset, c)
-		}
-		return k, offset
-	}
-	for ; i < r && k > 0; i++ {
-		if c := choose[k][blockBits-1-i]; offset >= c {
-			offset -= c
-			k--
+// decodeBlock rebuilds the 63-bit block (class, offset) as a word, bit i of
+// the block at bit i — the inverse of encodeBlock: three searches of a
+// start row, three divisions and four lookups in unrank16. An offset no
+// encoder produces (a corrupt field is wider than C(63,c)) decodes as the
+// class's last block, so every table index stays in range and the word
+// has exactly class ones.
+func decodeBlock(class int, offset uint64) uint64 {
+	row := &blockStart[class]
+	offset = min(offset, row[63]-1)
+	j := 0
+	for step := 32; step > 0; step >>= 1 {
+		if row[j+step] <= offset {
+			j += step
 		}
 	}
-	return k, offset
+	offset -= row[j]
+	m := choose[class-j][31]
+	return decodeHalf(0, j, uint32(offset/m)) | decodeHalf(1, class-j, uint32(offset%m))<<32
+}
+
+// decodeHalf returns the half (h as in halfStart) with k ones at rank r.
+func decodeHalf(h, k int, r uint32) uint64 {
+	row := &halfStart[h][k]
+	j := 0
+	for step := 16; step > 0; step >>= 1 {
+		if row[j+step] <= r {
+			j += step
+		}
+	}
+	r -= row[j]
+	m := uint32(choose[k-j][16-h])
+	return uint64(unrank16[first16[j]+r/m]) | uint64(unrank16[first16[k-j]+r%m])<<16
+}
+
+// occurrences returns the positions of bit b in the 63-bit block w as the
+// set bits of a word.
+func occurrences(w uint64, b byte) uint64 {
+	if b == 0 {
+		return ^w & (1<<blockBits - 1)
+	}
+	return w
 }
 
 // rankInBlock returns the number of set bits in positions [r0, r) of the
-// block (class, offset) and the bit at r, for r0 <= r in [0, 63). It is
-// one walk, which stops at r and never builds the block.
+// block (class, offset) and the bit at r, for r0 <= r in [0, 63).
 func rankInBlock(class int, offset uint64, r0, r int) (rank int, bit byte) {
-	k, offset, flip := sparser(class, offset)
-	k, offset = walkTo(k, offset, 0, r0)
-	ones := k
-	k, offset = walkTo(k, offset, r0, r)
-	ones -= k
-	if k > 0 && offset >= choose[k][blockBits-1-r] {
-		bit = 1
-	}
-	if flip == 1 {
-		return r - r0 - ones, bit ^ 1
-	}
-	return ones, bit
+	w := decodeBlock(class, offset)
+	return bits.OnesCount64(w & (1<<uint(r) - 1) >> uint(r0)), byte(w >> uint(r) & 1)
 }
 
 // selectInBlock returns the position of the j-th (0-based) bit equal to b
 // at or after position r0 of the block (class, offset) — or, when the block
-// holds only m <= j of them there, blockBits+m: the one walk that looks for
-// the bit has then counted what there is instead.
+// holds only m <= j of them there, blockBits+m.
 func selectInBlock(class int, offset uint64, b byte, j, r0 int) int {
-	k, offset, flip := sparser(class, offset)
-	want := uint64(b ^ flip) // the walked form's bit value being counted
-	k, offset = walkTo(k, offset, 0, r0)
-	i, asked := r0, j
-	if k > branchyClass {
-		c := choose[k][blockBits-1-i]
-		for ; k > 0; i++ {
-			var d uint64
-			k, offset, c, d = denseStep(k, blockBits-2-i, offset, c)
-			hit := int(d ^ want ^ 1)
-			if hit > j {
-				return i
-			}
-			j -= hit
-		}
+	occ := occurrences(decodeBlock(class, offset), b) >> uint(r0) << uint(r0)
+	if m := bits.OnesCount64(occ); j >= m {
+		return blockBits + m
 	}
-	for ; k > 0; i++ {
-		d := uint64(0)
-		if c := choose[k][blockBits-1-i]; offset >= c {
-			offset -= c
-			k--
-			d = 1
-		}
-		if d == want {
-			if j == 0 {
-				return i
-			}
-			j--
-		}
-	}
-	// Only zeros of the walked form remain, from i to the block's end.
-	if want == 1 {
-		return blockBits + asked - j
-	}
-	if i+j < blockBits {
-		return i + j
-	}
-	return blockBits + asked - j + blockBits - i
-}
-
-// decodeBlock rebuilds the 63-bit block (class, offset) as a word, bit i of
-// the block at bit i — the inverse of encodeBlock. It walks the sparser
-// form like rankInBlock and stops at its last set bit.
-func decodeBlock(class int, offset uint64) uint64 {
-	k, offset, flip := sparser(class, offset)
-	var w uint64
-	i := 0
-	if k > branchyClass {
-		c := choose[k][blockBits-1]
-		for ; i < blockBits && k > 0; i++ {
-			var bit uint64
-			k, offset, c, bit = denseStep(k, blockBits-2-i, offset, c)
-			w |= bit << uint(i)
-		}
-	}
-	for ; i < blockBits && k > 0; i++ {
-		if c := choose[k][blockBits-1-i]; offset >= c {
-			offset -= c
-			k--
-			w |= 1 << uint(i)
-		}
-	}
-	if flip == 1 {
-		return ^w & (1<<blockBits - 1)
-	}
-	return w
+	return bitvec.Select64(occ, j)
 }
 
 // Vector is an immutable RRR-compressed bitvector.
@@ -591,25 +572,15 @@ func (v *Vector) SelectIn(b byte, idx, from, to int) (pos int, ok bool) {
 	}
 	blk, offPos, before, r0 := v.locate(b, idx, from, to)
 	if r0 > 0 {
-		// The segment's first block, from r0 on. Where the answer can be
-		// there, one walk finds it or counts what there is of b; where it
-		// cannot, a walk as far as r0 counts the same.
+		// The segment's first block, from r0 on: one decode finds the
+		// answer there or counts what there is of b.
 		c := v.class(blk)
-		have := holds(c, b)
-		if idx < min(have, blockBits-r0) {
-			at := selectInBlock(c, v.offset(c, offPos), b, idx, r0)
-			if at < blockBits {
-				pos = blk*blockBits + at - from
-				return pos, pos < to-from
-			}
-			before = at - blockBits
-		} else {
-			in, _ := rankInBlock(c, v.offset(c, offPos), 0, r0)
-			if b == 0 {
-				in = r0 - in
-			}
-			before = have - in
+		at := selectInBlock(c, v.offset(c, offPos), b, idx, r0)
+		if at < blockBits {
+			pos = blk*blockBits + at - from
+			return pos, pos < to-from
 		}
+		before = at - blockBits
 		blk, offPos = blk+1, offPos+offsetWidth[c]
 	}
 	blk, c, offPos, before, ok := v.scan(b, idx, to, blk, offPos, before)
@@ -695,66 +666,6 @@ func (v *Vector) OffsetStreamBits() int {
 	return int(v.super[len(v.super)-1].pos)
 }
 
-// blockWalk reads one block's bits in order without materialising the
-// block: the combinatorial-number-system walk of rankInBlock and
-// selectInBlock, with its state kept between calls. A cursor that stops
-// after a few bits has paid for a few bits, and one that goes on never
-// walks a bit twice.
-type blockWalk struct {
-	k    int    // set bits of the walked form not yet passed
-	off  uint64 // rank of the remaining suffix among its class
-	flip byte   // 1 when the walked form is the block's complement
-	i    int    // the next position, in [0, blockBits]
-}
-
-func startWalk(class int, offset uint64) blockWalk {
-	k, off, flip := sparser(class, offset)
-	return blockWalk{k: k, off: off, flip: flip}
-}
-
-// next returns the bit at position i and steps past it.
-func (w *blockWalk) next() byte {
-	bit := w.flip
-	if w.k > 0 {
-		if c := choose[w.k][(blockBits-1-w.i)&63]; w.off >= c {
-			w.off -= c
-			w.k--
-			bit ^= 1
-		}
-	}
-	w.i++
-	return bit
-}
-
-// run steps forward until it has passed need occurrences of bit b or
-// reached position limit, whichever comes first, and returns how many
-// occurrences it passed. The state stays in registers and the steps take
-// no branch on the bit (denseStep): near a trie's root the bits are coin
-// flips.
-func (w *blockWalk) run(b byte, need, limit int) (found int) {
-	k, off, i := w.k, w.off, w.i
-	same := uint64(b^w.flip) ^ 1 // what a walked 0 adds to found
-	if k > 0 {
-		c := choose[k][(blockBits-1-i)&63]
-		for ; i < limit && found < need && k > 0; i++ {
-			var bit uint64
-			k, off, c, bit = denseStep(k, blockBits-2-i, off, c)
-			found += int(bit ^ same)
-		}
-	}
-	if k == 0 && i < limit && found < need {
-		// Only zeros of the walked form remain.
-		n := limit - i
-		if same == 1 {
-			n = min(n, need-found)
-			found += n
-		}
-		i += n
-	}
-	w.k, w.off, w.i = k, off, i
-	return found
-}
-
 // Iter returns an iterator positioned at bit pos. Iterators provide O(1)
 // amortized Next, which §5's sequential-access algorithm relies on.
 func (v *Vector) Iter(pos int) *Iter {
@@ -766,7 +677,7 @@ func (v *Vector) Iter(pos int) *Iter {
 // Reset points the cursor at bit pos of the segment of v that starts at
 // start — Iter in place, for a caller that embeds the cursor in its own
 // state (a wavelet-trie walk holds one per open node). It costs what
-// AccessRankIn does: the class-sum seek and a block walk as far as pos.
+// AccessRankIn does: the class-sum seek and one block decode.
 func (it *Iter) Reset(v *Vector, start, pos int) {
 	p := start + pos
 	if start < 0 || pos < 0 || p > v.n {
@@ -780,9 +691,10 @@ func (it *Iter) Reset(v *Vector, start, pos int) {
 	it.block = p / blockBits
 	var r0 int
 	it.class, it.offPos, it.rank, r0 = v.seek(start, it.block)
-	it.w = startWalk(it.class, v.offset(it.class, it.offPos))
-	it.w.run(1, blockBits+1, r0) // the bits before the segment count for nothing
-	it.rank += it.w.run(1, blockBits+1, p-it.block*blockBits)
+	w := decodeBlock(it.class, v.offset(it.class, it.offPos))
+	in := p - it.block*blockBits
+	it.rank += bits.OnesCount64(w & (1<<uint(in) - 1) >> uint(r0)) // the bits before the segment count for nothing
+	it.rest, it.left = w>>uint(in), blockBits-in
 }
 
 // Iter is a sequential bit cursor over a segment of a Vector; positions
@@ -794,10 +706,11 @@ type Iter struct {
 	start  int // of the segment
 	pos    int // in v
 	rank   int // ones in [start, pos)
-	block  int // the block w walks
+	block  int // the block rest was decoded from
 	class  int
 	offPos int
-	w      blockWalk
+	rest   uint64 // the block's bits from pos on, pos's at bit 0
+	left   int    // how many of them: the block's end is pos+left
 }
 
 // Pos returns the position of the bit that Next will return.
@@ -809,15 +722,18 @@ func (it *Iter) Rank1() int { return it.rank }
 // Valid reports whether Next may be called.
 func (it *Iter) Valid() bool { return it.pos < it.v.n }
 
-// Seek moves the cursor to bit pos: further on in the block it is
-// walking, by walking there; anywhere else, at the cost of a new cursor.
+// Seek moves the cursor to bit pos: further on in the block it has
+// decoded, by a popcount; anywhere else, at the cost of a new cursor.
 func (it *Iter) Seek(pos int) {
 	p := it.start + pos
-	if p < it.pos || p >= (it.block+1)*blockBits || p >= it.v.n {
+	if p < it.pos || p-it.pos >= it.left || p >= it.v.n {
 		it.Reset(it.v, it.start, pos)
 		return
 	}
-	it.rank += it.w.run(1, blockBits+1, it.w.i+p-it.pos)
+	d := uint(p - it.pos)
+	it.rank += bits.OnesCount64(it.rest & (1<<d - 1))
+	it.rest >>= d
+	it.left -= int(d)
 	it.pos = p
 }
 
@@ -826,13 +742,15 @@ func (it *Iter) Next() byte {
 	if it.pos >= it.v.n {
 		panic("rrr: Iter.Next past end")
 	}
-	if it.w.i == blockBits {
+	if it.left == 0 {
 		it.offPos += offsetWidth[it.class]
 		it.block++
 		it.class = it.v.class(it.block)
-		it.w = startWalk(it.class, it.v.offset(it.class, it.offPos))
+		it.rest, it.left = decodeBlock(it.class, it.v.offset(it.class, it.offPos)), blockBits
 	}
-	bit := it.w.next()
+	bit := byte(it.rest & 1)
+	it.rest >>= 1
+	it.left--
 	it.pos++
 	it.rank += int(bit)
 	return bit
@@ -841,8 +759,8 @@ func (it *Iter) Next() byte {
 // Reader copies a Vector's bits out front to back, a whole block at a
 // time: every block is decoded once into a word (decodeBlock), the class
 // fields stream and no superblock sample is consulted — what a structural
-// freeze or merge asks of a source's bitvector, where Iter would walk each
-// bit on its own.
+// freeze or merge asks of a source's bitvector, where Iter would hand out
+// each bit on its own.
 type Reader struct {
 	v      *Vector
 	pos    int         // the next bit to deliver
@@ -897,12 +815,11 @@ const selectorNear = 32
 // Selector answers SelectIn for one bit value and one segment over a
 // non-decreasing series of indices — what enumerating a wavelet-trie
 // node's elements asks of every bitvector on the node's root path. It
-// remembers the block the last answer fell in and how far into it: a
-// target in the same block continues the block walk from there, a target a
-// few blocks on is reached by summing class fields (no offset is read on
-// the way), and only a far target — or a smaller one; any index is
-// answered — pays the sampled search (jump), once: the block that finds is
-// where the walk resumes.
+// remembers the block the last answer fell in, decoded: a target in the
+// same block is one Select64 on it, a target a few blocks on is reached by
+// summing class fields (no offset is read on the way) and one decode, and
+// only a far target — or a smaller one; any index is answered — pays the
+// sampled search (jump), once.
 type Selector struct {
 	v        *Vector
 	b        byte
@@ -912,8 +829,8 @@ type Selector struct {
 	offPos   int         // bit position of its offset
 	before   int         // occurrences of b in [from, blk*blockBits); in the segment's first block, minus those it holds before from
 	cr       classReader // at block blk+1's class
-	seen     int         // occurrences of b that w has passed
-	w        blockWalk   // over blk; started iff w.i > 0
+	occ      uint64      // blk's occurrences of b as set bits, once decoded
+	decoded  bool
 }
 
 // Selector returns a Selector for occurrences of bit b in the segment
@@ -926,7 +843,7 @@ func (v *Vector) Selector(b byte, from, to int) Selector {
 // idx-th (0-based) occurrence of the selector's bit in the segment, which
 // the caller knows to hold that many.
 func (s *Selector) Select(idx int) int {
-	near := s.cr.words != nil && idx >= s.before+s.seen
+	near := s.cr.words != nil && idx >= s.before
 	for steps := 0; near && idx-s.before >= holds(s.class, s.b); steps++ {
 		if steps == selectorNear || (s.blk+1)*blockBits >= s.to {
 			near = false
@@ -936,31 +853,31 @@ func (s *Selector) Select(idx int) int {
 		s.offPos += offsetWidth[s.class]
 		s.blk++
 		s.class = s.cr.next()
-		s.seen, s.w.i = 0, 0
+		s.decoded = false
 	}
 	if !near {
 		s.jump(idx)
 	}
-	if s.w.i == 0 {
-		s.w = startWalk(s.class, s.v.offset(s.class, s.offPos))
+	if !s.decoded {
+		s.occ = occurrences(decodeBlock(s.class, s.v.offset(s.class, s.offPos)), s.b)
+		s.decoded = true
 	}
-	s.seen += s.w.run(s.b, idx-s.before+1-s.seen, blockBits)
-	return s.blk*blockBits + s.w.i - 1 - s.from
+	return s.blk*blockBits + bitvec.Select64(s.occ, idx-s.before) - s.from
 }
 
 // jump makes the block that holds occurrence idx the remembered one, not
-// yet walked — but for the segment's first block, which is walked as far
-// as the segment's start to learn what it holds of b from there on.
+// yet decoded — but for the segment's first block, which is decoded to
+// learn what it holds of b from the segment's start on.
 func (s *Selector) jump(idx int) {
 	v := s.v
 	blk, offPos, before, r0 := v.locate(s.b, idx, s.from, s.to)
-	s.seen, s.w.i = 0, 0
+	s.decoded = false
 	if r0 > 0 {
 		c := v.class(blk)
-		w := startWalk(c, v.offset(c, offPos))
-		skipped := w.run(s.b, blockBits+1, r0)
+		occ := occurrences(decodeBlock(c, v.offset(c, offPos)), s.b)
+		skipped := bits.OnesCount64(occ & (1<<uint(r0) - 1))
 		if idx < holds(c, s.b)-skipped {
-			before, s.seen, s.w = -skipped, skipped, w
+			before, s.occ, s.decoded = -skipped, occ, true
 		} else {
 			blk, offPos, before = blk+1, offPos+offsetWidth[c], holds(c, s.b)-skipped
 		}

@@ -12,79 +12,170 @@ import (
 	"repro/internal/bitvec"
 )
 
-// referenceBlock reconstructs the whole 63-bit block from its class and
-// offset: the reference the partial walks (rankInBlock, selectInBlock,
-// blockWalk) are checked against. All walk the same sparser form, so they
-// agree on every bit even for an offset no encoder produces.
-func referenceBlock(class int, offset uint64) uint64 {
-	k, offset, flip := sparser(class, offset)
-	var w uint64
-	for i := 0; i < blockBits && k > 0; i++ {
-		if c := choose[k][blockBits-1-i]; offset >= c {
-			offset -= c
-			w |= 1 << uint(i)
-			k--
-		}
+// binom is C(n,k), 0 outside 0 <= k <= n.
+func binom(n, k int) uint64 {
+	if k < 0 || k > n {
+		return 0
 	}
-	if flip == 1 {
-		return ^w & (1<<blockBits - 1)
-	}
-	return w
+	return choose[k][n]
 }
 
+// referenceRank ranks the n-bit field x among the n-bit fields of its
+// popcount, read off the definition of the split order: a field of 63
+// bits splits into its low 32 and high 31, one of 32 or 31 bits into its
+// low 16 and the rest, and fields with fewer low ones come first, then
+// those with a smaller low part, then those with a smaller high part; a
+// field of at most 16 bits is ordered as a number. It is slow and shares
+// no table with the codec: the reference encodeBlock and decodeBlock are
+// checked against.
+func referenceRank(x uint64, n int) uint64 {
+	k := bits.OnesCount64(x)
+	if n == 0 {
+		return 0
+	}
+	if n <= 16 {
+		top := uint64(1) << uint(n-1)
+		if x&top == 0 {
+			return referenceRank(x, n-1)
+		}
+		return binom(n-1, k) + referenceRank(x&^top, n-1) // past every field with the top bit clear
+	}
+	lo := 16
+	if n == blockBits {
+		lo = 32
+	}
+	low, high := x&(1<<uint(lo)-1), x>>uint(lo)
+	j := bits.OnesCount64(low)
+	var before uint64
+	for i := 0; i < j; i++ {
+		before += binom(lo, i) * binom(n-lo, k-i)
+	}
+	return before + referenceRank(low, lo)*binom(n-lo, k-j) + referenceRank(high, n-lo)
+}
+
+// checkCodec holds one block to the reference — its class, its offset in
+// range and equal to the reference rank, and the decode of that offset
+// the block again — and returns the offset.
+func checkCodec(t *testing.T, w uint64) uint64 {
+	t.Helper()
+	c, off := encodeBlock(w)
+	if c != bits.OnesCount64(w) {
+		t.Fatalf("block %#x: class %d", w, c)
+	}
+	if want := referenceRank(w, blockBits); off != want || off >= choose[c][blockBits] {
+		t.Fatalf("block %#x: offset %d, reference %d, class size %d", w, off, want, choose[c][blockBits])
+	}
+	if got := decodeBlock(c, off); got != w {
+		t.Fatalf("block %#x -> (%d, %d) -> %#x", w, c, off, got)
+	}
+	return off
+}
+
+// TestBlockCodecExhaustiveSmallClasses checks every block of classes 0,
+// 1, 2, 61, 62 and 63 against the reference, and that each class's
+// offsets are exactly [0, C(63,c)).
 func TestBlockCodecExhaustiveSmallClasses(t *testing.T) {
-	// Every block of class 0, 1, 2, 62 and 63 round-trips.
-	checks := 0
-	for _, w := range []uint64{0, 1<<63 - 1} {
-		c, off := encodeBlock(w & (1<<blockBits - 1))
-		if got := referenceBlock(c, off); got != w&(1<<blockBits-1) {
-			t.Fatalf("codec broken for %x", w)
-		}
-		checks++
-	}
-	for i := 0; i < blockBits; i++ {
-		w := uint64(1) << uint(i)
-		c, off := encodeBlock(w)
-		if c != 1 {
-			t.Fatalf("class of single bit = %d", c)
-		}
-		if got := referenceBlock(c, off); got != w {
-			t.Fatalf("single-bit codec broken for bit %d", i)
-		}
-		for j := i + 1; j < blockBits; j++ {
-			w2 := w | 1<<uint(j)
-			c2, off2 := encodeBlock(w2)
-			if c2 != 2 || referenceBlock(c2, off2) != w2 {
-				t.Fatalf("two-bit codec broken for bits %d,%d", i, j)
+	const full = 1<<blockBits - 1
+	for _, k := range []int{0, 1, 2} {
+		for _, flip := range []bool{false, true} {
+			seen := make([]bool, choose[k][blockBits])
+			var each func(w uint64, from, left int)
+			each = func(w uint64, from, left int) {
+				if left == 0 {
+					if flip {
+						w = ^w & full
+					}
+					off := checkCodec(t, w)
+					if seen[off] {
+						t.Fatalf("class %d: offset %d twice", bits.OnesCount64(w), off)
+					}
+					seen[off] = true
+					return
+				}
+				for i := from; i < blockBits; i++ {
+					each(w|1<<uint(i), i+1, left-1)
+				}
 			}
-			checks++
+			each(0, 0, k)
+			for off, ok := range seen {
+				if !ok {
+					t.Fatalf("class %d (complemented %v): offset %d never produced", k, flip, off)
+				}
+			}
 		}
-		// Complement: class 62.
-		w62 := ^w & (1<<blockBits - 1)
-		c62, off62 := encodeBlock(w62)
-		if c62 != 62 || referenceBlock(c62, off62) != w62 {
-			t.Fatalf("class-62 codec broken for hole %d", i)
-		}
-	}
-	if checks == 0 {
-		t.Fatal("no checks ran")
 	}
 }
 
+// TestBlockCodecRandom checks random blocks of every class from 3 to 60
+// against the reference.
 func TestBlockCodecRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
-	for i := 0; i < 20000; i++ {
-		w := r.Uint64() & (1<<blockBits - 1)
-		c, off := encodeBlock(w)
-		if c != bits.OnesCount64(w) {
-			t.Fatalf("class mismatch for %x", w)
+	for c := 3; c <= blockBits-3; c++ {
+		for i := 0; i < 400; i++ {
+			var w uint64
+			for _, p := range r.Perm(blockBits)[:c] {
+				w |= 1 << uint(p)
+			}
+			checkCodec(t, w)
 		}
-		if off >= choose[c][blockBits] {
-			t.Fatalf("offset %d out of range C(63,%d)=%d", off, c, choose[c][blockBits])
+	}
+}
+
+// FuzzBlockCodec decodes any class and any offset its field can hold: the
+// word must have exactly class ones below bit 63 — a zero-copy reader
+// skips checkBlocks, so a foreign offset must still decode, in range, to
+// some block of its class — and an offset below C(63,c) must round-trip
+// and be the reference rank of its block.
+func FuzzBlockCodec(f *testing.F) {
+	f.Add(uint8(0), uint64(0))
+	f.Add(uint8(1), uint64(62))
+	f.Add(uint8(2), uint64(1833))
+	f.Add(uint8(31), uint64(1)<<59)
+	f.Add(uint8(31), ^uint64(0))
+	f.Add(uint8(40), uint64(12345678901))
+	f.Add(uint8(63), uint64(0))
+	f.Fuzz(func(t *testing.T, class uint8, offset uint64) {
+		c := int(class) % (blockBits + 1)
+		x := offset & (1<<uint(offsetWidth[c]) - 1)
+		w := decodeBlock(c, x)
+		if w>>blockBits != 0 || bits.OnesCount64(w) != c {
+			t.Fatalf("decodeBlock(%d, %d) = %#x: %d ones", c, x, w, bits.OnesCount64(w))
 		}
-		if got := referenceBlock(c, off); got != w {
-			t.Fatalf("codec: %x -> (%d,%d) -> %x", w, c, off, got)
+		if x >= choose[c][blockBits] {
+			return
 		}
+		if gc, gx := encodeBlock(w); gc != c || gx != x {
+			t.Fatalf("decodeBlock(%d, %d) = %#x, which encodes as (%d, %d)", c, x, w, gc, gx)
+		}
+		if ref := referenceRank(w, blockBits); ref != x {
+			t.Fatalf("decodeBlock(%d, %d) = %#x, whose reference rank is %d", c, x, w, ref)
+		}
+	})
+}
+
+var sink uint64
+
+// BenchmarkBlockDecode times decodeBlock on random offsets of random
+// classes, the sparse and the dense ones apart.
+func BenchmarkBlockDecode(b *testing.B) {
+	for _, arm := range []struct {
+		name   string
+		lo, hi int
+	}{{"class<=16", 0, 16}, {"class>16", 17, blockBits}} {
+		b.Run(arm.name, func(b *testing.B) {
+			r := rand.New(rand.NewSource(42))
+			classes, offsets := make([]int, 1024), make([]uint64, 1024)
+			for i := range classes {
+				classes[i] = arm.lo + r.Intn(arm.hi-arm.lo+1)
+				offsets[i] = uint64(r.Int63n(int64(choose[classes[i]][blockBits])))
+			}
+			b.ResetTimer()
+			var acc uint64
+			for i := 0; i < b.N; i++ {
+				acc ^= decodeBlock(classes[i&1023], offsets[i&1023])
+			}
+			sink = acc
+		})
 	}
 }
 
@@ -117,7 +208,8 @@ func TestOffsetsAreDenseRanks(t *testing.T) {
 }
 
 // blocksOfEveryClass yields, for every class 0..63, the two extreme
-// offsets and a few random ones — as materialised 63-bit words.
+// offsets and a few random ones — as decoded 63-bit words (the codec
+// tests hold decodeBlock to the reference).
 func blocksOfEveryClass(r *rand.Rand, fn func(w uint64)) {
 	for c := 0; c <= blockBits; c++ {
 		total := choose[c][blockBits]
@@ -126,14 +218,14 @@ func blocksOfEveryClass(r *rand.Rand, fn func(w uint64)) {
 			offs = append(offs, uint64(r.Int63n(int64(total))))
 		}
 		for _, off := range offs {
-			fn(referenceBlock(c, off))
+			fn(decodeBlock(c, off))
 		}
 	}
 }
 
-// TestRankInBlockEveryClassEveryPosition checks the early-exit walk
-// against the materialised block: rank before r and the bit at r, for
-// every class and every r.
+// TestRankInBlockEveryClassEveryPosition checks rankInBlock against the
+// block's word: rank before r and the bit at r, for every class and every
+// r.
 func TestRankInBlockEveryClassEveryPosition(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	blocksOfEveryClass(r, func(w uint64) {
@@ -170,22 +262,19 @@ func TestSelectInBlockEveryClass(t *testing.T) {
 	})
 }
 
-// TestBlockKernelsAgreeOnForeignOffsets feeds the three block kernels
-// offsets no encoder produces (a corrupt file can: the field is wider
-// than C(63,c)). The answers are meaningless but must describe one
-// block of exactly `class` set bits, the same for all three — so ranks
-// stay consistent with the class sums and with the iterator, and a
-// query on corrupt data returns a wrong answer, never a panic.
+// TestBlockKernelsAgreeOnForeignOffsets feeds the block kernels offsets
+// no encoder produces (a corrupt file can: the field is wider than
+// C(63,c)). The answers are meaningless but must describe one block of
+// exactly `class` set bits, the one decodeBlock returns — so ranks stay
+// consistent with the class sums and with the iterator, and a query on
+// corrupt data returns a wrong answer, never a panic.
 func TestBlockKernelsAgreeOnForeignOffsets(t *testing.T) {
 	for c := 1; c < blockBits; c++ {
 		widest := uint64(1)<<uint(offsetWidth[c]) - 1
 		for _, off := range []uint64{choose[c][blockBits], widest, (choose[c][blockBits] + widest) / 2} {
-			w := referenceBlock(c, off)
+			w := decodeBlock(c, off)
 			if bits.OnesCount64(w) != c || w>>blockBits != 0 {
 				t.Fatalf("class %d offset %d: decoded %#x has %d ones", c, off, w, bits.OnesCount64(w))
-			}
-			if got := decodeBlock(c, off); got != w {
-				t.Fatalf("class %d offset %d: decodeBlock = %#x, reference %#x", c, off, got, w)
 			}
 			ones, zeros := 0, 0
 			for pos := 0; pos < blockBits; pos++ {
@@ -347,7 +436,7 @@ func TestPanics(t *testing.T) {
 }
 
 // benchPoint times one point query at the two densities the layer ladder
-// uses: 0.5 (every block is class ≈ 31, the longest walks) and 0.05.
+// uses: 0.5 (every block is class ≈ 31) and 0.05.
 func benchPoint(b *testing.B, query func(v *Vector, arg int)) {
 	for _, p := range []float64{0.5, 0.05} {
 		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
@@ -388,61 +477,6 @@ func BenchmarkIterSequential(b *testing.B) {
 			acc ^= it.Next()
 		}
 		_ = acc
-	}
-}
-
-// TestBlockWalkMatchesDecode checks the resumable block walk against the
-// materialised block for every class, stepped a bit at a time and run in
-// strides, counting either bit value — and on offsets no encoder
-// produces, where it must still describe the block referenceBlock does.
-func TestBlockWalkMatchesDecode(t *testing.T) {
-	r := rand.New(rand.NewSource(39))
-	check := func(c int, off uint64) {
-		w := referenceBlock(c, off)
-		if got := decodeBlock(c, off); got != w {
-			t.Fatalf("class %d offset %d: decodeBlock = %#x, reference %#x", c, off, got, w)
-		}
-		bw := startWalk(c, off)
-		for pos := 0; pos < blockBits; pos++ {
-			if got, want := bw.next(), byte(w>>uint(pos)&1); got != want {
-				t.Fatalf("class %d offset %d: next at %d = %d, want %d", c, off, pos, got, want)
-			}
-		}
-		for b := byte(0); b <= 1; b++ {
-			word := w
-			if b == 0 {
-				word = ^w & (1<<blockBits - 1)
-			}
-			// Stop on position: counts of b in [from, limit).
-			for _, stride := range []int{1, 7, 31, blockBits} {
-				bw := startWalk(c, off)
-				for from := 0; from < blockBits; from += stride {
-					limit := min(from+stride, blockBits)
-					want := bits.OnesCount64(word >> uint(from) & (1<<uint(limit-from) - 1))
-					if got := bw.run(b, blockBits+1, limit); got != want || bw.i != limit {
-						t.Fatalf("class %d offset %d: run(bit %d, to %d) = %d at %d, want %d", c, off, b, limit, got, bw.i, want)
-					}
-				}
-			}
-			// Stop on count: the walk ends just past the need-th occurrence.
-			for _, need := range []int{1, 2, 5} {
-				bw := startWalk(c, off)
-				for seen := 0; seen+need <= bits.OnesCount64(word); seen += need {
-					if got := bw.run(b, need, blockBits); got != need {
-						t.Fatalf("class %d offset %d: run(bit %d, need %d) = %d", c, off, b, need, got)
-					}
-					if want := bitvec.Select64(word, seen+need-1) + 1; bw.i != want {
-						t.Fatalf("class %d offset %d: run(bit %d) stopped at %d, want %d", c, off, b, bw.i, want)
-					}
-				}
-			}
-		}
-	}
-	blocksOfEveryClass(r, func(w uint64) { check(encodeBlock(w)) })
-	for c := 1; c < blockBits; c++ {
-		widest := uint64(1)<<uint(offsetWidth[c]) - 1
-		check(c, choose[c][blockBits])
-		check(c, widest)
 	}
 }
 

@@ -10,17 +10,8 @@ import (
 	"repro/internal/wire"
 )
 
-const (
-	wireMagic = 0x57545249 // "WTRI"
-	// wireVersion 4: the shape is one bit a node, and the β ranks count
-	// from their own segment's start, so neither the internal-node marks
-	// nor the cumulative-ones directory of versions up to 3 is stored.
-	// Older versions are refused, not converted.
-	wireVersion = 4
-)
-
-// MarshalBinary serializes the frozen Wavelet Trie into a self-contained
-// byte buffer (little-endian, versioned). The encoding is the succinct
+// EncodeTo serializes the trie body (no magic header) into w; the
+// enclosing container carries the version. The encoding is the succinct
 // representation itself — shape bitmap, labels and their directory, the
 // segment directory and the RRR class and offset streams — minus
 // everything derived: the excess index, the Elias-Fano select hints and
@@ -28,14 +19,6 @@ const (
 // the segment directory, which is why it is written first), so the
 // on-disk size lands below SizeBits and a loaded trie cannot carry a
 // sample that disagrees with its payload.
-func (t *Trie) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(wireMagic, wireVersion)
-	t.EncodeTo(w)
-	return w.Bytes(), nil
-}
-
-// EncodeTo serializes the trie body (no magic header) into w, so it can
-// be embedded in an enclosing container.
 func (t *Trie) EncodeTo(w *wire.Writer) {
 	w.Int(t.n)
 	if t.tree == nil {

@@ -23,11 +23,7 @@ func TestMarshalRoundTripInternal(t *testing.T) {
 		{"a", "b", "a", "ab", "b", "b"},
 	} {
 		fz := freezeOf(seq)
-		data, err := fz.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := UnmarshalBinary(data)
+		got, err := unmarshal(marshalOf(t, fz))
 		if err != nil {
 			t.Fatalf("seq %v: %v", seq, err)
 		}
@@ -48,11 +44,8 @@ func TestMarshalRoundTripInternal(t *testing.T) {
 // rather than returning a structure that fails later.
 func TestUnmarshalCrossComponentValidation(t *testing.T) {
 	seq := []string{"aa", "ab", "aa", "ba", "bb"}
-	good, err := freezeOf(seq).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalBinary(good); err != nil {
+	good := marshalOf(t, freezeOf(seq))
+	if _, err := unmarshal(good); err != nil {
 		t.Fatalf("control: %v", err)
 	}
 	mutate := func(off int, xor byte) []byte {
@@ -64,11 +57,7 @@ func TestUnmarshalCrossComponentValidation(t *testing.T) {
 	with := func(damage func(tr *Trie)) []byte {
 		tr := freezeOf(seq)
 		damage(tr)
-		data, err := tr.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return marshalOf(t, tr)
 	}
 	shape := func(bits ...byte) *dfuds.Tree {
 		b := bitvec.NewBuilder(len(bits))
@@ -119,7 +108,7 @@ func TestUnmarshalCrossComponentValidation(t *testing.T) {
 			tr.tree = shape(1, 1, 1, 0, 0, 0)
 		}), "label directory covers 7 nodes, want 5"},
 	} {
-		if _, err := UnmarshalBinary(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := unmarshal(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want a refusal saying %q", c.name, err, c.want)
 		}
 	}
@@ -151,10 +140,25 @@ func TestFrozenPanicsOnBadPositions(t *testing.T) {
 	}
 }
 
-// UnmarshalBinary reconstructs a frozen Wavelet Trie serialized by
-// MarshalBinary.
-func UnmarshalBinary(data []byte) (*Trie, error) {
-	r, err := wire.NewReader(data, wireMagic, wireVersion)
+// The tests frame a trie body behind a header of the size an enclosing
+// container writes (magic and version), so byte offsets into the body and
+// its word alignment are those of a real file.
+const (
+	testMagic   = 0x54534554 // "TEST"
+	testVersion = 1
+)
+
+// marshalOf encodes tr into a framed buffer.
+func marshalOf(t testing.TB, tr *Trie) []byte {
+	t.Helper()
+	w := wire.NewWriter(testMagic, testVersion)
+	tr.EncodeTo(w)
+	return w.Bytes()
+}
+
+// unmarshal decodes a buffer made by marshalOf, validating.
+func unmarshal(data []byte) (*Trie, error) {
+	r, err := wire.NewReader(data, testMagic, testVersion)
 	if err != nil {
 		return nil, err
 	}

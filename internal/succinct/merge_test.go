@@ -32,15 +32,6 @@ func buildTwoPass(t testing.TB, seq []bitstr.BitString) *Trie {
 	return tr
 }
 
-func marshalOf(t testing.TB, tr *Trie) []byte {
-	t.Helper()
-	data, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // checkMerge cuts seq at cuts (ascending positions), freezes every part —
 // the two-pass way, and again through an append-only trie — merges them
 // and requires the marshalled bytes of the two-pass Builder over all of

@@ -86,10 +86,12 @@ var (
 // the full format inventory.
 const (
 	persistMagic = 0x57564C54 // "WVLT"
-	// v3: a Frozen body is succinct's wire version 4 (one shape bit a node,
-	// no internal-node marks, no cumulative-ones directory). Older files
-	// are refused by version and left as they are.
-	persistVersion = 3
+	// v4: trie format v5 — every RRR offset (in a Frozen body and in the
+	// other variants' bitvectors) is a block's rank in split order, not in
+	// lexicographic order, at the same width. v3 was trie format v4 (one
+	// shape bit a node, no internal-node marks, no cumulative-ones
+	// directory). Older files are refused by version and left as they are.
+	persistVersion = 4
 )
 
 const (

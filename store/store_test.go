@@ -585,8 +585,9 @@ func TestChecksumMismatchFails(t *testing.T) {
 // TestOlderFormatsRefused: a directory written before the distinct count
 // became derived — manifest version 3, log version 1 with its "new to the
 // alphabet" flag bit — before columns were laid out at their entropy —
-// .col version 1 — or before the trie lost its redundant directories —
-// .wt container version 2 — must be refused by name of the version and
+// .col version 1 — before the trie lost its redundant directories —
+// .wt container version 2 — or before RRR offsets took the split order —
+// container version 3 — must be refused by name of the version and
 // left byte for byte as it was. Read as today's format, flag 0x01 would be a
 // sequence header (or, checksummed but ill-shaped, a "corrupt tail" to
 // truncate): acknowledged data reinterpreted or cut off.
@@ -698,39 +699,16 @@ func TestOlderFormatsRefused(t *testing.T) {
 			}
 			return files
 		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, ".col: wire: unsupported version 1"},
-		{"container version 2 generation", func(t *testing.T, dir string) map[string][]byte {
-			// Today's store with one flushed generation, its .wt replaced by
-			// the file the commit before trie format v4 wrote for the same
-			// values (testdata/gen_persist_v2.wt: DFUDS shape, internal-node
-			// marks, cumulative-ones directory) and the manifest's checksum
-			// moved with it.
-			old, err := os.ReadFile(filepath.Join("testdata", "gen_persist_v2.wt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := mustOpen(t, dir, testOpts())
-			mustAppend(t, s, workload.URLLog(60, 29, workload.DefaultURLConfig())...)
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(filepath.Join(dir, manifestName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := parseManifest(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.gens[0].crc = genCRC(old)
-			files := map[string][]byte{manifestName: encodeManifest(m), genFileName(m.gens[0].id): old}
-			if files[walFileName(m.walID)], err = os.ReadFile(filepath.Join(dir, walFileName(m.walID))); err != nil {
-				t.Fatal(err)
-			}
-			return files
-		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "wire: unsupported version 2, want 3"},
+		// The generation cases: today's store with one flushed generation, its .wt replaced
+		// by the file an older build wrote for the same values and the
+		// manifest's checksum moved with it. gen_persist_v2.wt is the commit
+		// before trie format v4 (DFUDS shape, internal-node marks,
+		// cumulative-ones directory); gen_persist_v3.wt is trie format v4,
+		// the bytes its golden file pinned (lexicographic RRR offsets).
+		{"container version 2 generation", oldGeneration("gen_persist_v2.wt", workload.URLLog(60, 29, workload.DefaultURLConfig())),
+			func(dir string) error { _, err := Open(dir, testOpts()); return err }, "wire: unsupported version 2, want 4"},
+		{"container version 3 generation", oldGeneration("gen_persist_v3.wt", v4GoldenSeq()),
+			func(dir string) error { _, err := Open(dir, testOpts()); return err }, "wire: unsupported version 3, want 4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -757,6 +735,50 @@ func TestOlderFormatsRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oldGeneration sets up TestOlderFormatsRefused's case of a store whose
+// one generation, of vals, an older build wrote: file under testdata.
+func oldGeneration(file string, vals []string) func(t *testing.T, dir string) map[string][]byte {
+	return func(t *testing.T, dir string) map[string][]byte {
+		old, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mustOpen(t, dir, testOpts())
+		mustAppend(t, s, vals...)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := parseManifest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.gens[0].crc = genCRC(old)
+		files := map[string][]byte{manifestName: encodeManifest(m), genFileName(m.gens[0].id): old}
+		if files[walFileName(m.walID)], err = os.ReadFile(filepath.Join(dir, walFileName(m.walID))); err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+}
+
+// v4GoldenSeq is the sequence testdata/gen_persist_v3.wt holds: a URL log
+// plus the empty string, a chain of proper prefixes and a 300-byte key.
+func v4GoldenSeq() []string {
+	seq := workload.URLLog(3000, 7, workload.DefaultURLConfig())
+	long := make([]byte, 300)
+	for i := range long {
+		long[i] = byte('a' + i%26)
+	}
+	return append(seq, "", "a", "ab", "abc", string(long), "", "ab")
 }
 
 // TestFlushLeavesOneWAL pins the log lifecycle: a flush unlinks every
