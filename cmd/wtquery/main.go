@@ -12,8 +12,8 @@
 //	wtquery -load index.wt            # reopen a snapshot saved with 'save'
 //	wtquery -store dir/               # open a durable log-structured store
 //	wtquery -store dir/ -file a.log   # ...bulk-loading the file into it
-//	wtquery -store dir/ -shards 4     # hash-partitioned multi-writer store
-//	                                  # (sharded dirs are also auto-detected)
+//	wtquery -store dir/ -shards 4     # create a hash-partitioned multi-writer
+//	                                  # store (any dir's layout is adopted)
 //	wtquery -store dir/ -columns score:u64,meta:bytes   # pin a payload schema
 //	wtquery -connect localhost:7070   # drive a running wtserve server
 //
@@ -32,7 +32,7 @@
 //	append STR            | insert POS STR | delete POS   (dynamic/append)
 //	save FILE             | load FILE
 //	flush                 | compact | gens                 (-store only)
-//	shards                                                 (sharded store only)
+//	shards                                                 (-store only)
 //	stats                 | metrics | help | quit
 package main
 
@@ -57,23 +57,17 @@ type dynamicIndex interface {
 }
 
 // storeIndex is the durable-store capability: appends can fail (I/O),
-// and the generation lifecycle is steerable from the REPL. Both Store
-// and ShardedStore satisfy it.
+// the generation lifecycle is steerable from the REPL, and the router's
+// representation split — the frozen succinct prefix vs the live uint32
+// tail, zero without a router — is observable. A local *store.Store and
+// a remote connection satisfy it.
 type storeIndex interface {
 	Append(s string) error
 	Flush() error
 	Compact() error
 	Generations() []store.GenInfo
 	MemLen() int
-}
-
-// shardedIndex is the extra surface of a hash-partitioned store: the
-// 'shards' command renders the per-shard layout through it.
-type shardedIndex interface {
-	ShardCount() int
-	ShardLen(i int) int
-	ShardMemLen(i int) int
-	ShardGenerations(i int) []store.GenInfo
+	RouterInfo() store.RouterInfo
 }
 
 // prefixIterator is the streamed prefix-match capability, served by
@@ -110,13 +104,6 @@ func rowLine(schema []store.ColumnSpec, row store.Row) string {
 	return strings.Join(parts, "  ")
 }
 
-// routerReporter exposes the sharded router's representation split —
-// the frozen succinct prefix vs the live uint32 tail — so the memory
-// win of freezing is observable from the REPL.
-type routerReporter interface {
-	RouterInfo() store.RouterInfo
-}
-
 // routerLine renders a RouterInfo for the shards/stats commands.
 func routerLine(ri store.RouterInfo) string {
 	return fmt.Sprintf("router     %.2f bits/elem (%d bits; %d frozen + %d tail chunks)",
@@ -131,7 +118,7 @@ func main() {
 	load := flag.String("load", "", "reopen a snapshot file instead of indexing")
 	storeDir := flag.String("store", "", "open a durable log-structured store in this directory")
 	sync := flag.Bool("sync", false, "with -store: fsync the WAL on every append")
-	shards := flag.Int("shards", 0, "with -store: open a hash-partitioned sharded store with this many shards (0 = plain store, or adopt an existing sharded layout)")
+	shards := flag.Int("shards", 0, "with -store: create a hash-partitioned store with this many shards (0 = adopt the directory's layout; a flat store if empty)")
 	columns := flag.String("columns", "", "with -store: pin a payload column schema at creation, e.g. 'score:u64,meta:bytes' (an existing store's schema is adopted automatically)")
 	connect := flag.String("connect", "", "connect to a running wtserve server (host:port) instead of opening anything locally")
 	flag.Parse()
@@ -163,7 +150,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "wtquery: -store cannot be combined with -load or -dynamic")
 			os.Exit(2)
 		}
-		db, err := openStore(*storeDir, *shards, *sync, *columns)
+		cols, err := store.ParseColumns(*columns)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wtquery:", err)
+			os.Exit(1)
+		}
+		db, err := store.OpenSharded(*storeDir, &store.ShardedOptions{Shards: *shards,
+			Store: store.Options{Sync: *sync, Columns: cols}})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wtquery:", err)
 			os.Exit(1)
@@ -212,28 +205,6 @@ func main() {
 		st.Len(), st.AlphabetSize(), float64(st.SizeBits())/float64(max(1, st.Len())))
 
 	repl(st)
-}
-
-// storeHandle is the shared face of the two durable store kinds.
-type storeHandle interface {
-	wavelettrie.StringIndex
-	Append(s string) error
-	Close() error
-}
-
-// openStore opens dir as a plain or sharded store: -shards forces a
-// sharded layout, and a directory already holding one (a SHARDS
-// manifest) is detected automatically.
-func openStore(dir string, shards int, sync bool, columns string) (storeHandle, error) {
-	cols, err := store.ParseColumns(columns)
-	if err != nil {
-		return nil, err
-	}
-	opts := store.Options{Sync: sync, Columns: cols}
-	if shards > 0 || store.IsSharded(dir) {
-		return store.OpenSharded(dir, &store.ShardedOptions{Shards: shards, Store: opts})
-	}
-	return store.Open(dir, &opts)
 }
 
 // seedLines returns the optional bulk-load sequence for a store: the
@@ -342,7 +313,7 @@ func execute(st wavelettrie.StringIndex, args []string) (cur wavelettrie.StringI
 		fmt.Println("distinct L R | majority L R | topk L R K | threshold L R T | slice L R")
 		fmt.Println("append STR | insert POS STR | delete POS")
 		fmt.Println("flush | compact | gens   (durable store only)")
-		fmt.Println("shards                   (sharded store only)")
+		fmt.Println("shards                   (local store only)")
 		fmt.Println("save FILE | load FILE | stats | metrics | quit")
 	case "access":
 		need(1)
@@ -522,17 +493,17 @@ func execute(st wavelettrie.StringIndex, args []string) (cur wavelettrie.StringI
 			fmt.Printf("memtable  n=%d\n", db.MemLen())
 		}
 	case "shards":
-		sh, ok := st.(shardedIndex)
+		db, ok := st.(*store.Store)
 		if !ok {
-			panic(fmt.Sprintf("shards requires a sharded -store (not supported by %T)", st))
+			panic(fmt.Sprintf("shards requires -store (not supported by %T)", st))
 		}
-		for i := 0; i < sh.ShardCount(); i++ {
+		for i := 0; i < db.ShardCount(); i++ {
 			fmt.Printf("shard %3d  n=%-8d gens=%-3d memtable=%d\n",
-				i, sh.ShardLen(i), len(sh.ShardGenerations(i)), sh.ShardMemLen(i))
+				i, db.ShardLen(i), len(db.ShardGenerations(i)), db.ShardMemLen(i))
 		}
-		fmt.Printf("total      n=%d across %d shards\n", st.Len(), sh.ShardCount())
-		if rr, ok := st.(routerReporter); ok {
-			fmt.Println(routerLine(rr.RouterInfo()))
+		fmt.Printf("total      n=%d across %d shards\n", st.Len(), db.ShardCount())
+		if ri := db.RouterInfo(); ri.Bits > 0 {
+			fmt.Println(routerLine(ri))
 		}
 	case "insert":
 		need(2)
@@ -575,8 +546,8 @@ func execute(st wavelettrie.StringIndex, args []string) (cur wavelettrie.StringI
 		}
 		fmt.Printf("%s  %.1f bits/elem (%d total)\n", line,
 			float64(st.SizeBits())/float64(max(1, st.Len())), st.SizeBits())
-		if rr, ok := st.(routerReporter); ok {
-			if ri := rr.RouterInfo(); ri.Bits > 0 {
+		if db, ok := st.(storeIndex); ok {
+			if ri := db.RouterInfo(); ri.Bits > 0 {
 				fmt.Println(routerLine(ri))
 			}
 		}

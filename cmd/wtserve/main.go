@@ -1,4 +1,4 @@
-// Command wtserve serves a durable Wavelet Trie store (plain or
+// Command wtserve serves a durable Wavelet Trie store (flat or
 // sharded) over the network: the compact binary protocol on -listen
 // and an HTTP/JSON gateway on -http. The gateway carries the
 // observability surface: /healthz, Prometheus text on /metrics, pprof
@@ -13,9 +13,10 @@
 //
 // Usage:
 //
-//	wtserve -dir data/                      # serve a plain store
-//	wtserve -dir data/ -shards 4            # ...or a sharded one (auto-
-//	                                        #  detected on reopen)
+//	wtserve -dir data/                      # serve whatever dir holds
+//	                                        #  (a flat store if empty)
+//	wtserve -dir data/ -shards 4            # create a sharded one; a count
+//	                                        #  that disagrees is refused
 //	wtserve -dir data/ -sync                # fsync per group commit
 //	wtserve -dir data/ -columns score:u64,ua:bytes   # pin a payload schema
 //	wtserve -dir data/ -listen :7070 -http :7071
@@ -49,7 +50,7 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "store directory (created if empty)")
-	shards := flag.Int("shards", 0, "open a sharded store with this many partitions (0 = plain store, or adopt an existing sharded layout)")
+	shards := flag.Int("shards", 0, "create the store with this many partitions (0 = adopt the directory's layout; a flat store if empty)")
 	columns := flag.String("columns", "", "pin a payload column schema at creation, e.g. 'score:u64,meta:bytes' (an existing store's schema is adopted automatically)")
 	sync := flag.Bool("sync", false, "fsync the WAL on every commit (one fsync per group commit, not per append)")
 	listen := flag.String("listen", "127.0.0.1:7070", "binary protocol listen address")
@@ -70,12 +71,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	db, err := openStore(*dir, *shards, *sync, *columns)
+	cols, err := store.ParseColumns(*columns)
+	if err != nil {
+		log.Fatalf("wtserve: %v", err)
+	}
+	db, err := store.OpenSharded(*dir, &store.ShardedOptions{Shards: *shards,
+		Store: store.Options{Sync: *sync, Columns: cols}})
 	if err != nil {
 		log.Fatalf("wtserve: %v", err)
 	}
 
-	srv := server.New(db.backend, &server.Options{
+	srv := server.New(db, &server.Options{
 		MaxConns:      *maxConns,
 		MaxBatch:      *maxBatch,
 		SlowOp:        *slowOp,
@@ -93,7 +99,7 @@ func main() {
 		}
 		role = fmt.Sprintf("follower of %s", *follow)
 	}
-	log.Printf("wtserve: serving %s (%s, %s) on %s", *dir, db.kind, role, l.Addr())
+	log.Printf("wtserve: serving %s (%d shard(s), %s) on %s", *dir, db.ShardCount(), role, l.Addr())
 
 	var hs *http.Server
 	if *httpAddr != "" {
@@ -131,39 +137,8 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("wtserve: drain: %v", err)
 	}
-	if err := db.close(); err != nil {
+	if err := db.Close(); err != nil {
 		log.Fatalf("wtserve: close: %v", err)
 	}
 	log.Printf("wtserve: store closed cleanly")
-}
-
-// openedStore pairs a backend with its closer and a display name.
-type openedStore struct {
-	backend server.Backend
-	close   func() error
-	kind    string
-}
-
-// openStore opens dir as a plain or sharded store: -shards forces a
-// sharded layout, and a directory already holding one is detected
-// automatically, mirroring cmd/wtquery.
-func openStore(dir string, shards int, sync bool, columns string) (*openedStore, error) {
-	cols, err := store.ParseColumns(columns)
-	if err != nil {
-		return nil, err
-	}
-	opts := store.Options{Sync: sync, Columns: cols}
-	if shards > 0 || store.IsSharded(dir) {
-		ss, err := store.OpenSharded(dir, &store.ShardedOptions{Shards: shards, Store: opts})
-		if err != nil {
-			return nil, err
-		}
-		return &openedStore{backend: server.ForSharded(ss), close: ss.Close,
-			kind: fmt.Sprintf("sharded ×%d", ss.ShardCount())}, nil
-	}
-	st, err := store.Open(dir, &opts)
-	if err != nil {
-		return nil, err
-	}
-	return &openedStore{backend: server.ForStore(st), close: st.Close, kind: "plain"}, nil
 }

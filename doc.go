@@ -76,15 +76,16 @@
 // memtable, whose flushed runs are Frozen generations recorded in an
 // atomically-rewritten manifest, and whose reads are snapshot-isolated —
 // lock-free across generations, concurrent with appends and compaction.
-// For multi-writer scaling, store.ShardedStore hash-partitions the
-// sequence over N such stores and serves it back in global append order
-// through cross-shard snapshots. Both satisfy StringIndex, so they drop
-// into anything programmed against the interface family (wtquery serves
-// them with -store and -shards). See DESIGN.md §5 for the on-disk
+// For multi-writer scaling, a store created with a shard count
+// hash-partitions the sequence over N such engines and serves it back in
+// global append order through cross-shard snapshots. store.Store
+// satisfies StringIndex, whatever its layout, so it drops into anything
+// programmed against the interface family (wtquery serves it with
+// -store, and creates a sharded one with -shards). See DESIGN.md §5 for the on-disk
 // formats and crash matrix, and §7 for the sharding design.
 //
 // The server subpackage (repro/server) and the cmd/wtserve binary put
-// either store on the network: a compact binary protocol and an
+// the store on the network: a compact binary protocol and an
 // HTTP/JSON gateway, group-committed appends (concurrent clients
 // coalesce into one WAL write and at most one fsync per batch),
 // and reads served from the store's pinned view (one immutable view per

@@ -29,7 +29,7 @@ func main() {
 	check(err)
 	defer ss.Close()
 
-	srv := server.New(server.ForSharded(ss), nil)
+	srv := server.New(ss, nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)
 	go srv.Serve(l)

@@ -1,6 +1,7 @@
 // Sharded store lifecycle: multi-writer scaling with cross-shard
-// snapshots. Four concurrent writers append into a hash-partitioned
-// store (each shard a full WAL + memtable + generations engine), a
+// snapshots. Four concurrent writers append into a store created with
+// four hash partitions (each shard a full WAL + memtable + generations
+// engine in its own subdirectory, behind a SHARDS manifest), a
 // cross-shard snapshot pins one consistent view of the interleaved
 // sequence, then the process "crashes" mid-append — a torn record is
 // forged at one shard's WAL tail — and the store is reopened: the
@@ -74,15 +75,16 @@ func main() {
 	// prefix promising bytes that never reached the disk.
 	tearShardWAL(filepath.Join(dir, "shard-001"))
 
-	// Reopen: every shard recovers in parallel; the torn record is
-	// truncated, every complete record survives, and the global
-	// interleave is rebuilt exactly.
-	db2, err := store.OpenSharded(dir, nil) // shard count adopted from SHARDS
+	// Reopen: Open adopts whatever layout the directory holds, so the
+	// shard count comes from SHARDS. Every shard recovers in parallel; the
+	// torn record is truncated, every complete record survives, and the
+	// global interleave is rebuilt exactly.
+	db2, err := store.Open(dir, nil)
 	if err != nil {
 		panic(err)
 	}
 	defer db2.Close()
-	fmt.Printf("after recovery: n=%d\n", db2.Len())
+	fmt.Printf("after recovery: n=%d over %d shards\n", db2.Len(), db2.ShardCount())
 	fmt.Printf("CountPrefix(host01.example/) = %d\n", db2.CountPrefix("host01.example/"))
 	fmt.Printf("Count(host03.example/tail)   = %d\n", db2.Count("host03.example/tail"))
 

@@ -4,7 +4,9 @@
 // behind — then the process "crashes" mid-append (a torn record is
 // forged at the WAL tail) and the store is reopened: every acknowledged
 // write survives, the torn tail is truncated cleanly, and a snapshot
-// taken before more writes keeps serving its consistent view.
+// taken before more writes keeps serving its consistent view. A store
+// opened on an empty directory is flat: one shard, which is the
+// directory itself, with no router in front of it.
 package main
 
 import (
@@ -52,8 +54,8 @@ func main() {
 			panic(err)
 		}
 	}
-	fmt.Printf("before crash: n=%d, generations=%d, memtable=%d\n",
-		db.Len(), len(db.Generations()), db.MemLen())
+	fmt.Printf("before crash: n=%d, shards=%d, generations=%d, memtable=%d\n",
+		db.Len(), db.ShardCount(), len(db.Generations()), db.MemLen())
 	if err := db.Close(); err != nil {
 		panic(err)
 	}

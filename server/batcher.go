@@ -12,9 +12,9 @@ import (
 // store's append lock themselves. They enqueue their values on a
 // channel and wait; a single committer goroutine drains whatever has
 // accumulated — across any number of connections — into one
-// Backend.AppendBatchRows call, which is one lock acquisition, one WAL
-// write and at most one fsync no matter how many clients are inside
-// the batch. Under load the batch grows and the per-append cost of
+// store.Store.AppendBatchRows call, which is one lock acquisition, one
+// WAL write and at most one fsync per involved shard no matter how many
+// clients are inside the batch. Under load the batch grows and the per-append cost of
 // the log falls toward zero; when idle a lone append commits
 // immediately (the committer never waits for company).
 //
@@ -110,7 +110,7 @@ func (s *Server) submitAppend(vals []string, rows []store.Row) (uint64, error) {
 		if len(rows) != len(vals) {
 			return 0, fmt.Errorf("server: %d rows for %d values", len(rows), len(vals))
 		}
-		schema := s.b.Schema()
+		schema := s.db.Schema()
 		for _, row := range rows {
 			if err := store.ValidateRow(schema, row); err != nil {
 				return 0, err

@@ -94,7 +94,7 @@ func TestWTServeCrashChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.ForStore(st), nil)
+	srv := server.New(st, nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestWTServeFollowerChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.ForStore(st), &server.Options{ReplHeartbeat: 100 * time.Millisecond})
+	srv := server.New(st, &server.Options{ReplHeartbeat: 100 * time.Millisecond})
 	if err := srv.Follow(os.Getenv("WTSERVE_FOLLOW_PRIMARY"), "failover-follower"); err != nil {
 		t.Fatal(err)
 	}

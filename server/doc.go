@@ -1,4 +1,4 @@
-// Package server turns a store.Store or store.ShardedStore into a
+// Package server turns a store.Store — flat or sharded — into a
 // network service: a compact length-prefixed binary protocol (plus an
 // HTTP/JSON gateway) over the store's whole indexed-sequence surface —
 // Append/AppendBatch, Access, Rank, Count, Select, the prefix forms,
@@ -11,12 +11,12 @@
 //     pending — across all connections — into one AppendBatchRows
 //     call, the only write the server makes on a store: one
 //     append-lock acquisition, one WAL write, at most one fsync per
-//     batch. Under concurrency the per-append log cost amortizes toward
+//     involved shard per batch. Under concurrency the per-append log cost amortizes toward
 //     zero; an idle server commits a lone append immediately.
 //
 //   - Pinned views, and positions as the only resume token. Every
 //     read request is served from one immutable view of the store — a
-//     *store.Snapshot, the one view type both store kinds serve — so
+//     *store.Snapshot, the one view type every store layout serves — so
 //     readers never block writers and never see a half-applied batch.
 //     The store keeps one view per visible state: while nothing is
 //     appended, flushed or compacted every request pins the same one

@@ -23,7 +23,7 @@ func ExampleServer() {
 	}
 	defer st.Close()
 
-	srv := server.New(server.ForStore(st), nil)
+	srv := server.New(st, nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)

@@ -90,7 +90,7 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"pos": pos, "value": s.b.Snap().Access(pos)})
+		writeJSON(w, map[string]any{"pos": pos, "value": s.db.Snapshot().Access(pos)})
 	}))
 	mux.HandleFunc("/v1/rank", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		v := r.URL.Query().Get("v")
@@ -99,11 +99,11 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"rank": s.b.Snap().Rank(v, pos)})
+		writeJSON(w, map[string]any{"rank": s.db.Snapshot().Rank(v, pos)})
 	}))
 	mux.HandleFunc("/v1/count", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		v := r.URL.Query().Get("v")
-		writeJSON(w, map[string]any{"count": s.b.Snap().Count(v)})
+		writeJSON(w, map[string]any{"count": s.db.Snapshot().Count(v)})
 	}))
 	mux.HandleFunc("/v1/select", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		v := r.URL.Query().Get("v")
@@ -112,7 +112,7 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		pos, ok := s.b.Snap().Select(v, idx)
+		pos, ok := s.db.Snapshot().Select(v, idx)
 		writeJSON(w, map[string]any{"pos": pos, "ok": ok})
 	}))
 	mux.HandleFunc("/v1/rankprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
@@ -122,11 +122,11 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"rank": s.b.Snap().RankPrefix(p, pos)})
+		writeJSON(w, map[string]any{"rank": s.db.Snapshot().RankPrefix(p, pos)})
 	}))
 	mux.HandleFunc("/v1/countprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		p := r.URL.Query().Get("p")
-		writeJSON(w, map[string]any{"count": s.b.Snap().CountPrefix(p)})
+		writeJSON(w, map[string]any{"count": s.db.Snapshot().CountPrefix(p)})
 	}))
 	mux.HandleFunc("/v1/selectprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		p := r.URL.Query().Get("p")
@@ -135,7 +135,7 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		pos, ok := s.b.Snap().SelectPrefix(p, idx)
+		pos, ok := s.db.Snapshot().SelectPrefix(p, idx)
 		writeJSON(w, map[string]any{"pos": pos, "ok": ok})
 	}))
 	mux.HandleFunc("/v1/scan", s.guard(func(w http.ResponseWriter, r *http.Request) {
@@ -149,7 +149,7 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		sn := s.b.Snap()
+		sn := s.db.Snapshot()
 		start = min(start, sn.Len())
 		hi := min(sn.Len(), start+min(n, s.opts.MaxIterBatch))
 		vals := []string{}
@@ -170,7 +170,7 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		sn := s.b.Snap()
+		sn := s.db.Snapshot()
 		positions, vals := []int{}, []string{}
 		_, done := s.scanPage(sn, n, false, func(fn func(idx, pos int, v []byte) bool) {
 			sn.ScanPrefix(p, from, fn)
@@ -185,17 +185,17 @@ func (s *Server) HTTPHandler() http.Handler {
 			httpErr(w, err)
 			return
 		}
-		row := s.b.Snap().Row(pos) // panics out of range; guard turns it into a 400
+		row := s.db.Snapshot().Row(pos) // panics out of range; guard turns it into a 400
 		writeJSON(w, map[string]any{"pos": pos, "row": rowToJSON(row)})
 	}))
 	mux.HandleFunc("/v1/countwhere", s.guard(func(w http.ResponseWriter, r *http.Request) {
 		p := r.URL.Query().Get("p")
-		preds, err := parsePredParams(r, s.b.Schema())
+		preds, err := parsePredParams(r, s.db.Schema())
 		if err != nil {
 			httpErr(w, err)
 			return
 		}
-		n, err := s.b.Snap().CountWhere(p, preds...)
+		n, err := s.db.Snapshot().CountWhere(p, preds...)
 		if err != nil {
 			httpErr(w, err)
 			return
@@ -277,8 +277,8 @@ func (s *Server) HTTPHandler() http.Handler {
 	return mux
 }
 
-func (s *Server) flushOp() error   { return s.b.Flush() }
-func (s *Server) compactOp() error { return s.b.Compact() }
+func (s *Server) flushOp() error   { return s.db.Flush() }
+func (s *Server) compactOp() error { return s.db.Compact() }
 
 // admin wraps a POST-only maintenance op.
 func (s *Server) admin(op func(*Server) error) http.HandlerFunc {

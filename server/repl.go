@@ -122,7 +122,7 @@ func (s *Server) commitPublish(vals []string, rows []store.Row) (uint64, error) 
 	h := s.repl
 	h.appendMu.Lock()
 	defer h.appendMu.Unlock()
-	if err := s.b.AppendBatchRows(vals, rows); err != nil {
+	if err := s.db.AppendBatchRows(vals, rows); err != nil {
 		return 0, err
 	}
 	h.mu.Lock()
@@ -265,7 +265,7 @@ func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 		h.mu.Unlock()
 	}()
 
-	sn := s.b.Snap()
+	sn := s.db.Snapshot()
 	snapLen := uint64(sn.Len()) // >= registration head >= FromSeq
 
 	w := wire.NewRawWriter()

@@ -40,28 +40,11 @@ func startReplNode(t *testing.T, shards int, sopts *store.Options, opts *server.
 	if opts.ReplHeartbeat == 0 {
 		opts.ReplHeartbeat = 50 * time.Millisecond
 	}
-	var b server.Backend
-	var closeStore func() error
-	var fp func() uint64
-	var length func() int
-	if shards > 0 {
-		ss, err := store.OpenSharded(dir, &store.ShardedOptions{Shards: shards, Store: derefOpts(sopts)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, closeStore = server.ForSharded(ss), ss.Close
-		fp = func() uint64 { return ss.Snapshot().ContentFingerprint() }
-		length = ss.Len
-	} else {
-		st, err := store.Open(dir, sopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, closeStore = server.ForStore(st), st.Close
-		fp = func() uint64 { return st.Snapshot().ContentFingerprint() }
-		length = st.Len
+	db, err := store.OpenSharded(dir, &store.ShardedOptions{Shards: shards, Store: derefOpts(sopts)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := server.New(b, opts)
+	srv := server.New(db, opts)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +52,10 @@ func startReplNode(t *testing.T, shards int, sopts *store.Options, opts *server.
 	go srv.Serve(l)
 	t.Cleanup(func() {
 		shutdownServer(t, srv)
-		closeStore()
+		db.Close()
 	})
-	return &replNode{srv: srv, addr: l.Addr().String(), dir: dir, fp: fp, len: length}
+	fp := func() uint64 { return db.Snapshot().ContentFingerprint() }
+	return &replNode{srv: srv, addr: l.Addr().String(), dir: dir, fp: fp, len: db.Len}
 }
 
 func shutdownServer(t *testing.T, srv *server.Server) {

@@ -71,7 +71,7 @@ func (o *Options) withDefaults() Options {
 // down.
 var errDraining = errors.New("server: draining")
 
-// Server serves a store.Store or store.ShardedStore over the binary
+// Server serves a store.Store over the binary
 // protocol (Serve) and the HTTP/JSON gateway (HTTPHandler). The write
 // path is group-committed, every read request pins the store's current
 // view once (a pointer load while the store is unchanged) and queries it,
@@ -79,7 +79,7 @@ var errDraining = errors.New("server: draining")
 // appends commit, then connections close. Construct with New; the Server
 // does not own the store — closing it after Shutdown is the caller's job.
 type Server struct {
-	b    Backend
+	db   *store.Store
 	opts Options
 
 	appendCh chan appendReq
@@ -100,11 +100,11 @@ type Server struct {
 	follow atomic.Pointer[followSession]
 }
 
-// New returns a Server over b and starts its background work (the
+// New returns a Server over db and starts its background work (the
 // group-commit committer). Call Shutdown to stop it.
-func New(b Backend, opts *Options) *Server {
+func New(db *store.Store, opts *Options) *Server {
 	s := &Server{
-		b:         b,
+		db:        db,
 		opts:      opts.withDefaults(),
 		drainCh:   make(chan struct{}),
 		listeners: make(map[net.Listener]struct{}),
@@ -112,7 +112,7 @@ func New(b Backend, opts *Options) *Server {
 	}
 	// The hub's head adopts the store's current length: global sequence
 	// numbers ARE positions in the append-only sequence.
-	s.repl = newReplHub(uint64(b.Snap().Len()))
+	s.repl = newReplHub(uint64(db.Snapshot().Len()))
 	s.appendCh = make(chan appendReq, s.opts.MaxBatch)
 	s.wgCommit.Add(1)
 	go s.committer()
@@ -303,7 +303,7 @@ func errPayload(msg string) []byte { return new(connState).fail(msg) }
 // every query of the request sees — and notes its length for the slow-op
 // line.
 func (s *Server) pin(c *connState) *store.Snapshot {
-	sn := s.b.Snap()
+	sn := s.db.Snapshot()
 	c.viewLen = sn.Len()
 	return sn
 }
@@ -369,11 +369,11 @@ func (s *Server) respond(c *connState, req *Request) (out []byte) {
 	case OpIteratePrefix:
 		s.iteratePrefix(c, req)
 	case OpFlush:
-		if err := s.b.Flush(); err != nil {
+		if err := s.db.Flush(); err != nil {
 			return c.fail(err.Error())
 		}
 	case OpCompact:
-		if err := s.b.Compact(); err != nil {
+		if err := s.db.Compact(); err != nil {
 			return c.fail(err.Error())
 		}
 	case OpReplWait:
@@ -568,31 +568,31 @@ func (s *Server) scanWhere(c *connState, req *Request) error {
 // (store.Snapshot.AlphabetSize) — milliseconds, so a reply for an
 // operator, not for a hot loop.
 func (s *Server) stats() Stats {
-	sn := s.b.Snap()
+	sn := s.db.Snapshot()
 	st := Stats{
 		Len:        sn.Len(),
 		Distinct:   sn.AlphabetSize(),
 		Height:     sn.Height(),
 		SizeBits:   sn.SizeBits(),
-		MemLen:     s.b.MemLen(),
-		Shards:     s.b.Shards(),
+		MemLen:     s.db.MemLen(),
+		Shards:     s.db.ShardCount(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Watermark:  s.repl.watermark(),
 		Following:  s.Following(),
 		Followers:  s.repl.followerCount(),
 	}
-	ri := s.b.Router()
+	ri := s.db.RouterInfo()
 	st.RouterBits = ri.Bits
 	st.RouterFrozenChunks = ri.FrozenChunks
 	st.RouterTailChunks = ri.TailChunks
-	for _, g := range s.b.Generations() {
+	for _, g := range s.db.Generations() {
 		st.Gens = append(st.Gens, GenStat{
 			ID: g.ID, Len: g.Len, SizeBits: g.SizeBits,
 			MinValue: g.MinValue, MaxValue: g.MaxValue,
 		})
 	}
-	st.Schema = s.b.Schema()
+	st.Schema = s.db.Schema()
 	return st
 }
 

@@ -25,22 +25,11 @@ import (
 func startServer(t *testing.T, shards int, sopts *store.Options, opts *server.Options) (*server.Server, string) {
 	t.Helper()
 	dir := t.TempDir()
-	var b server.Backend
-	var closeStore func() error
-	if shards > 0 {
-		ss, err := store.OpenSharded(dir, &store.ShardedOptions{Shards: shards, Store: derefOpts(sopts)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, closeStore = server.ForSharded(ss), ss.Close
-	} else {
-		st, err := store.Open(dir, sopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, closeStore = server.ForStore(st), st.Close
+	db, err := store.OpenSharded(dir, &store.ShardedOptions{Shards: shards, Store: derefOpts(sopts)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := server.New(b, opts)
+	srv := server.New(db, opts)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +39,7 @@ func startServer(t *testing.T, shards int, sopts *store.Options, opts *server.Op
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
-		closeStore()
+		db.Close()
 	})
 	return srv, l.Addr().String()
 }
@@ -310,7 +299,7 @@ func TestCursorPinsSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := server.New(server.ForStore(st), nil)
+			srv := server.New(st, nil)
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -431,7 +420,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.ForStore(st), nil)
+	srv := server.New(st, nil)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

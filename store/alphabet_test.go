@@ -26,14 +26,14 @@ func TestAlphabetSizeDerived(t *testing.T) {
 	for name, open := range map[string]func(dir string) (alphabetStore, func(int) error){
 		"plain": func(dir string) (alphabetStore, func(int) error) {
 			s := mustOpen(t, dir, testOpts())
-			return s, s.CompactTo
+			return s, func(target int) error { return compactEach(s, target) }
 		},
 		"sharded": func(dir string) (alphabetStore, func(int) error) {
 			ss, err := OpenSharded(dir, &ShardedOptions{Shards: 3, Store: *testOpts()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return ss, func(target int) error { return ss.each(func(s *Store) error { return s.CompactTo(target) }) }
+			return ss, func(target int) error { return compactEach(ss, target) }
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -112,10 +112,11 @@ func TestAlphabetSizeSealedMemtable(t *testing.T) {
 	if err := s.AppendBatch(pool[400:700]); err != nil {
 		t.Fatal(err)
 	}
-	st := s.state.Load()
+	sh := s.shards[0]
+	st := sh.state.Load()
 	live := newMemtable(nil, nil)
 	live.applyBatch(pool[600:], nil, nil)
-	sn := s.snapshotOf(&storeState{gens: st.gens, sealed: st.mem, mem: live}, live.n.Load())
+	sn := sh.snapshotOf(&storeState{gens: st.gens, sealed: st.mem, mem: live}, live.n.Load())
 	if got, want := sn.AlphabetSize(), len(workload.Distinct(pool)); got != want {
 		t.Fatalf("AlphabetSize with a sealed memtable = %d, want %d", got, want)
 	}
@@ -397,8 +398,8 @@ func BenchmarkAlphabetSize(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// A view built for the iteration: the pinned one remembers its count.
-			st := s.state.Load()
-			if got := s.snapshotOf(st, st.mem.n.Load()).AlphabetSize(); got != want {
+			st := s.shards[0].state.Load()
+			if got := s.shards[0].snapshotOf(st, st.mem.n.Load()).AlphabetSize(); got != want {
 				b.Fatalf("AlphabetSize = %d, want %d", got, want)
 			}
 		}

@@ -583,7 +583,7 @@ func TestColumnBitsPerRow(t *testing.T) {
 		t.Errorf("column file costs %.3f bits/row, want ≤ 17.1", got)
 	}
 	for j, planes := range []int{1, 16, 0} {
-		c := &s.state.Load().gens[0].cols.cols[j]
+		c := &s.shards[0].state.Load().gens[0].cols.cols[j]
 		if c.num.Width() != planes || c.presence != nil {
 			t.Errorf("column %s: %d planes (want %d), presence vector kept = %v (want elided)",
 				opts.Columns[j].Name, c.num.Width(), planes, c.presence != nil)
@@ -838,7 +838,7 @@ func testColumnEncodings(t *testing.T) {
 					}
 				}
 			}
-			gens := s.state.Load().gens
+			gens := s.shards[0].state.Load().gens
 			if len(gens) != 3 {
 				t.Fatalf("%d generations, want 3", len(gens))
 			}
@@ -897,7 +897,7 @@ func testColumnEncodings(t *testing.T) {
 	}
 }
 
-func mustOpenShardedCols(t *testing.T, dir string) *ShardedStore {
+func mustOpenShardedCols(t *testing.T, dir string) *Store {
 	t.Helper()
 	opts := &ShardedOptions{Shards: 3, Store: *colTestOpts()}
 	ss, err := OpenSharded(dir, opts)

@@ -34,20 +34,17 @@ import (
 // files as orphans for the next Open to reclaim — they were never
 // referenced by a manifest, so they can never become reachable.
 
-// Compact merges all frozen generations into a single one. Readers
-// holding snapshots keep their old generation list (the loaded tries
-// stay in memory even after their files are deleted); new snapshots see
-// the merged generation.
-func (s *Store) Compact() error { return s.CompactTo(1) }
-
-// CompactTo merges adjacent generations until at most target remain —
+// compact merges adjacent generations until at most target remain —
 // the same policy the background compactor applies with
-// Options.MaxGenerations as the target. Appends and Flushes proceed
+// Options.MaxGenerations as the target (Store.Compact asks for one).
+// Readers holding snapshots keep their old generation list (the loaded
+// tries stay in memory even after their files are deleted); new
+// snapshots see the merged generations. Appends and flushes proceed
 // concurrently; only the final manifest swap of each merge briefly
 // excludes them. Quiescent, the call always reaches the target;
 // generations flushed while it runs may leave more (the work is bounded
 // rather than chasing a sustained writer forever — see compactTo).
-func (s *Store) CompactTo(target int) error {
+func (s *shard) compact(target int) error {
 	if err := s.err(); err != nil {
 		return err
 	}
@@ -71,7 +68,7 @@ func (s *Store) CompactTo(target int) error {
 // everything present when the call began even with no interference; if
 // concurrent flushes leave more than target afterwards, the next
 // compaction (the background one triggers after every flush) resumes.
-func (s *Store) compactTo(target int) error {
+func (s *shard) compactTo(target int) error {
 	if target < 1 {
 		target = 1
 	}
@@ -128,7 +125,7 @@ func pickRun(gens []*generation) (lo, hi, total int) {
 // mergeRun replaces the victim run with one merged generation. The
 // caller holds compactMu (never adminMu). Every pre-commit exit is an
 // abort in the metrics: the prepared files (if any) become orphans.
-func (s *Store) mergeRun(st *storeState) error {
+func (s *shard) mergeRun(st *storeState) error {
 	t0 := time.Now()
 	sp := obs.DefaultTracer.Start("compact")
 	lo, hi, _ := pickRun(st.gens)

@@ -39,7 +39,7 @@ func TestCloseDuringCompaction(t *testing.T) {
 
 	// What the merge costs when nobody interrupts it.
 	var parts []*wavelettrie.Frozen
-	for _, g := range s.state.Load().gens {
+	for _, g := range s.shards[0].state.Load().gens {
 		parts = append(parts, g.ix)
 	}
 	t0 := time.Now()
@@ -53,16 +53,16 @@ func TestCloseDuringCompaction(t *testing.T) {
 	// until the id is gone therefore stops the compaction right where the
 	// merge begins, and from the moment it is released the merge is in
 	// flight for about `full`.
-	s.adminMu.Lock()
-	gid := s.nextID
+	s.shards[0].adminMu.Lock()
+	gid := s.shards[0].nextID
 	compacted := make(chan error, 1)
 	go func() { compacted <- s.Compact() }()
-	for s.nextID == gid {
-		s.adminMu.Unlock()
+	for s.shards[0].nextID == gid {
+		s.shards[0].adminMu.Unlock()
 		runtime.Gosched()
-		s.adminMu.Lock()
+		s.shards[0].adminMu.Lock()
 	}
-	s.adminMu.Unlock()
+	s.shards[0].adminMu.Unlock()
 
 	t0 = time.Now()
 	if err := s.Close(); err != nil {
@@ -140,7 +140,7 @@ func TestCompactionRejectsCorruptVictim(t *testing.T) {
 	// (the first field of the body, after the 7-byte container header)
 	// raised by one, the way a mapped file is loaded: unvalidated. Its root
 	// segment is now a bit short of the count the merge hands it.
-	st := s.state.Load()
+	st := s.shards[0].state.Load()
 	data, err := st.gens[0].ix.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestCompactionRejectsCorruptVictim(t *testing.T) {
 	if bad.ix, err = wavelettrie.LoadFrozenMapped(data, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.state.Store(&storeState{gens: []*generation{&bad, st.gens[1]}, mem: st.mem})
+	s.shards[0].state.Store(&storeState{gens: []*generation{&bad, st.gens[1]}, mem: st.mem})
 
 	if err := s.Compact(); err == nil {
 		t.Fatal("compaction of a corrupt victim succeeded")

@@ -4,6 +4,12 @@
 //
 // # Architecture
 //
+// There is one store type, Store, holding N ≥ 1 shards; each shard is
+// the whole engine described here, over one directory. A directory
+// without a SHARDS file is a flat store: its one shard is the directory
+// itself, and nothing of the sharding below is in its way — no router,
+// no hashing, no sequence numbers.
+//
 // Writes are acknowledged only after they are appended to a
 // length-prefixed, CRC-checksummed write-ahead log and applied to an
 // in-memory append-only Wavelet Trie (the memtable). When the memtable
@@ -43,10 +49,10 @@
 // ranges through the per-segment sequential enumerators. A prefix's
 // matches leave a segment one way only, behind a pull cursor (the trie's
 // PrefixCursor for a generation, batched selects for the memtable), and a
-// shard's stream reads its segments' cursors one after the other. Both
-// stores serve one view type, Snapshot: a plain store's is the one-shard
-// view, whose stream is its shard's, and a sharded store's merges one
-// stream per shard; the prefix and predicate scans are one function over
+// shard's stream reads its segments' cursors one after the other. Every
+// layout is served by one view type, Snapshot: a flat store's is its
+// shard's own view, whose stream is its shard's, and a sharded store's
+// merges one stream per shard; the prefix and predicate scans are one function over
 // either. A snapshot
 // observes a fixed prefix of the logical sequence no matter how many
 // appends, flushes or compactions happen after it was taken. Only the
@@ -66,10 +72,11 @@
 //
 // # Sharding
 //
-// ShardedStore scales the write path across hash partitions: each
-// shard is a full Store — its own WAL, memtable, generations and
-// compactor — in a subdirectory, so appends from many writers fan
-// out across per-shard locks and flush/compaction proceed per shard.
+// A store created with a shard count (OpenSharded) scales the write
+// path across hash partitions: each shard — its own WAL, memtable,
+// generations and compactor — lives in a shard-NNN subdirectory behind
+// a SHARDS manifest, so appends from many writers fan out across
+// per-shard locks and flush/compaction proceed per shard.
 // The FNV-1a hash of a value's bytes, modulo the shard count, routes it
 // (the routing is pinned by name in the SHARDS manifest), so whole-value
 // point queries touch exactly one shard and per-shard alphabets stay
@@ -80,7 +87,7 @@
 // matrices over the shard ids — and the store's Snapshot stitches
 // per-shard answers back into the single logical sequence by offset
 // arithmetic over it; with one shard there is no router arithmetic, and
-// the view is a plain store's. A prefix's values hash apart, so a prefix enumeration is a
+// the view reads like a flat store's. A prefix's values hash apart, so a prefix enumeration is a
 // merge of the shards' streams: a seek finds, by interpolating over the
 // shards' summed prefix ranks, a cut of the global sequence with exactly
 // the wanted number of matches before it; from there one head per shard
@@ -88,7 +95,9 @@
 // decoded only for a match that is handed out — so a page of m matches
 // costs m + shards cursor steps whatever the shard count, and
 // SelectPrefix is that merge stopped at its first match (DESIGN.md §11).
-// OpenSharded recovers all shards in parallel and reconciles the
+// Open and OpenSharded are one body: either opens whatever layout a
+// directory holds (a shard count that disagrees is refused), recovers
+// all shards in parallel and, with a SHARDS manifest, reconciles the
 // interleave from the ROUTER log plus the WAL sequence headers.
 //
 // # Columns
@@ -111,7 +120,7 @@
 // Version 2 of the .col file is the only one read; a version 1 file is
 // refused by name and the directory left as it was. See DESIGN.md §13.
 //
-// The Store and ShardedStore satisfy the root package's StringIndex
+// Store satisfies the root package's StringIndex
 // interface, so everything programmed against wavelettrie.StringIndex
 // — including the wtquery REPL — can serve from a durable store
 // unchanged. See DESIGN.md §5 for the on-disk formats and the crash

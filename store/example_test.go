@@ -8,13 +8,13 @@ import (
 	"repro/store"
 )
 
-// A sharded store fans appends out from concurrent writers across hash
-// partitions — each shard a full Store with its own WAL, memtable and
-// generations — while snapshots serve the single logical sequence in
+// A store created with several shards fans appends out from concurrent
+// writers across hash partitions — each shard with its own WAL, memtable
+// and generations — while snapshots serve the single logical sequence in
 // global append order. After a restart, the shards recover in parallel
 // and the ROUTER log plus the WAL sequence headers restore the
 // interleave.
-func ExampleShardedStore() {
+func ExampleOpenSharded() {
 	dir, err := os.MkdirTemp("", "wtsharded-example-*")
 	if err != nil {
 		panic(err)
@@ -68,7 +68,7 @@ func ExampleShardedStore() {
 	// worker1/event05 count: 1
 }
 
-// Every store serves the same view type, whatever its layout: a plain
+// Every store serves the same view type, whatever its layout: a flat
 // store and sharded ones holding the same sequence answer alike, down to
 // the content fingerprint — a hash of the values and rows alone, which is
 // how a replication follower is checked against its primary.

@@ -223,7 +223,7 @@ func TestAppendFlushDuringForcedCompaction(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 12; i++ {
-			if err := s.CompactTo(1 + i%3); err != nil && err != errClosed {
+			if err := compactEach(s, 1+i%3); err != nil && err != errClosed {
 				t.Error(err)
 				return
 			}

@@ -21,8 +21,8 @@ type memtable struct {
 	n    atomic.Int64
 	wal  *wal
 	// seqs holds the global sequence numbers of the applied records, in
-	// local order — populated only when the store is a shard of a
-	// ShardedStore (strictly increasing there, because allocation and
+	// local order — populated only when the shard is routed (a SHARDS
+	// store's; strictly increasing there, because allocation and
 	// apply both happen under the shard's append lock). The sharded flush
 	// barrier reads the sealed tail; sharded recovery reads the replayed
 	// tail.

@@ -8,8 +8,8 @@ import (
 
 // met is the store package's metric set, registered once in the
 // process-wide obs registry. Handles are package-level rather than
-// per-Store: registration is idempotent and every store (including
-// each shard of a ShardedStore) records into the same engine-wide
+// per-shard: registration is idempotent and every shard of every store
+// records into the same engine-wide
 // series, which is what an operator scraping one process wants.
 // Per-instance breakdowns stay available through Generations/MemLen.
 var met = newStoreMetrics(obs.Default())
@@ -72,12 +72,12 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 
 	r.NewGaugeFunc("wt_store_open",
 		"Stores (including shards) currently open in this process.",
-		func() int64 { return int64(len(liveStores.all())) })
+		func() int64 { return int64(len(liveShards.all())) })
 	r.NewGaugeFunc("wt_store_generations",
 		"Frozen generations across all open stores.",
 		func() int64 {
 			var n int64
-			for _, s := range liveStores.all() {
+			for _, s := range liveShards.all() {
 				n += int64(len(s.state.Load().gens))
 			}
 			return n
@@ -86,7 +86,7 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 		"Unflushed memtable records across all open stores.",
 		func() int64 {
 			var n int64
-			for _, s := range liveStores.all() {
+			for _, s := range liveShards.all() {
 				n += s.state.Load().mem.n.Load()
 			}
 			return n
@@ -95,7 +95,7 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 		"Generations above each store's MaxGenerations target (pending merge work).",
 		func() int64 {
 			var n int64
-			for _, s := range liveStores.all() {
+			for _, s := range liveShards.all() {
 				if d := len(s.state.Load().gens) - s.opts.MaxGenerations; d > 0 {
 					n += int64(d)
 				}
@@ -106,7 +106,7 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 		"Bytes of generation files currently memory-mapped.",
 		func() int64 {
 			var n int64
-			for _, s := range liveStores.all() {
+			for _, s := range liveShards.all() {
 				for _, g := range s.state.Load().gens {
 					if g.region != nil {
 						n += int64(len(g.region.data))
@@ -119,7 +119,7 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 		"Bytes of mapped generation files resident in physical memory (mincore).",
 		func() int64 {
 			var n int64
-			for _, s := range liveStores.all() {
+			for _, s := range liveShards.all() {
 				for _, g := range s.state.Load().gens {
 					if g.region == nil {
 						continue
@@ -135,26 +135,26 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 	return m
 }
 
-// liveStores tracks every open Store so the gauge funcs above can sum
+// liveShards tracks every open shard so the gauge funcs above can sum
 // over live instances at scrape time instead of keeping write-through
-// copies in sync. Stores register at the end of openStore and
-// deregister in Close.
-var liveStores = &storeSet{m: make(map[*Store]struct{})}
+// copies in sync. Shards register at the end of openShard and
+// deregister in close.
+var liveShards = &shardSet{m: make(map[*shard]struct{})}
 
-type storeSet struct {
+type shardSet struct {
 	mu sync.Mutex
-	m  map[*Store]struct{}
+	m  map[*shard]struct{}
 }
 
-func (ss *storeSet) add(s *Store)    { ss.mu.Lock(); ss.m[s] = struct{}{}; ss.mu.Unlock() }
-func (ss *storeSet) remove(s *Store) { ss.mu.Lock(); delete(ss.m, s); ss.mu.Unlock() }
+func (ss *shardSet) add(s *shard)    { ss.mu.Lock(); ss.m[s] = struct{}{}; ss.mu.Unlock() }
+func (ss *shardSet) remove(s *shard) { ss.mu.Lock(); delete(ss.m, s); ss.mu.Unlock() }
 
-// all returns the live stores; a copy, so gauge funcs never hold the
-// set's lock while touching store state.
-func (ss *storeSet) all() []*Store {
+// all returns the live shards; a copy, so gauge funcs never hold the
+// set's lock while touching shard state.
+func (ss *shardSet) all() []*shard {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	out := make([]*Store, 0, len(ss.m))
+	out := make([]*shard, 0, len(ss.m))
 	for s := range ss.m {
 		out = append(out, s)
 	}

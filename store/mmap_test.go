@@ -177,7 +177,7 @@ func TestQueryInFlightHoldsMappedGen(t *testing.T) {
 
 	s := mustOpen(t, dir, testOpts())
 	defer s.Close()
-	seg := s.state.Load().gens[0].seg
+	seg := s.shards[0].state.Load().gens[0].seg
 	if !seg.Mapped() {
 		t.Fatal("generation not mmap-loaded")
 	}

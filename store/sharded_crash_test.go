@@ -46,7 +46,7 @@ func copyTree(t *testing.T, src, dst string) {
 
 // checkShardedSeq verifies the whole visible sequence, per-value counts
 // and the distinct count against want.
-func checkShardedSeq(t *testing.T, ss *ShardedStore, want []string) {
+func checkShardedSeq(t *testing.T, ss *Store, want []string) {
 	t.Helper()
 	if ss.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", ss.Len(), len(want))
@@ -107,13 +107,13 @@ func TestShardedCrashPartialFlush(t *testing.T) {
 	// Only shard 0 flushes: its records move to a frozen generation and
 	// its WAL is deleted; shard 1 keeps everything in its WAL. The seal
 	// barrier has persisted the ROUTER log through the watermark.
-	if err := ss.shards[0].Flush(); err != nil {
+	if err := ss.shards[0].flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ss.shards[0].Generations()); got != 1 {
+	if got := len(ss.shards[0].generations()); got != 1 {
 		t.Fatalf("shard 0 generations = %d, want 1", got)
 	}
-	if got := ss.shards[1].MemLen(); got == 0 {
+	if got := ss.shards[1].memLen(); got == 0 {
 		t.Fatal("shard 1 unexpectedly flushed")
 	}
 	copyTree(t, live, crash) // CRASH
@@ -154,7 +154,7 @@ func TestShardedCrashTornShardWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ss.shards[0].Flush(); err != nil {
+	if err := ss.shards[0].flush(); err != nil {
 		t.Fatal(err)
 	}
 	copyTree(t, live, crash) // CRASH
@@ -241,7 +241,7 @@ func TestShardedCrashRouterStates(t *testing.T) {
 	unflushed := filepath.Join(base, "unflushed")
 	copyTree(t, live, unflushed)
 
-	if err := ss.shards[0].Flush(); err != nil {
+	if err := ss.shards[0].flush(); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range seq[80:] {
@@ -344,7 +344,7 @@ func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ss.shards[0].Flush(); err != nil {
+	if err := ss.shards[0].flush(); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range seq[40:80] {
@@ -352,7 +352,7 @@ func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ss.shards[0].Flush(); err != nil {
+	if err := ss.shards[0].flush(); err != nil {
 		t.Fatal(err)
 	}
 	tail0 := 0
@@ -408,7 +408,7 @@ func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
 	if err := ss.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ss.shards[0].Generations()); got != 1 {
+	if got := len(ss.shards[0].generations()); got != 1 {
 		t.Fatalf("shard 0 generations after Compact = %d, want 1", got)
 	}
 	checkShardedSeq(t, ss, want)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +21,9 @@ import (
 
 // The sharded store serves the same shared query surface as everything
 // else in the repo (its view is the one store.Snapshot).
-var _ seqstore.Sequence = (*store.ShardedStore)(nil)
+var _ seqstore.Sequence = (*store.Store)(nil)
 
-func mustOpenSharded(t *testing.T, dir string, opts *store.ShardedOptions) *store.ShardedStore {
+func mustOpenSharded(t *testing.T, dir string, opts *store.ShardedOptions) *store.Store {
 	t.Helper()
 	ss, err := store.OpenSharded(dir, opts)
 	if err != nil {
@@ -331,11 +332,14 @@ func TestShardedViewIsolation(t *testing.T) {
 
 // TestShardedOpenValidation: the SHARDS manifest pins shard count and
 // partitioner — one naming any routing but FNV-1a is refused, the
-// directory left as it was; directory kinds must not cross.
+// directory left as it was. Open and OpenSharded are one body: either
+// adopts whatever layout a directory holds, a count that disagrees with
+// it is refused with nothing written, and a shard subdirectory of a
+// SHARDS root is never opened on its own.
 func TestShardedOpenValidation(t *testing.T) {
 	dir := t.TempDir()
 	ss := mustOpenSharded(t, dir, &store.ShardedOptions{Shards: 2})
-	if err := ss.Append("x"); err != nil {
+	if err := ss.AppendBatch([]string{"x", "y", "z", "x"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.Close(); err != nil {
@@ -367,24 +371,59 @@ func TestShardedOpenValidation(t *testing.T) {
 	if err := os.WriteFile(shardsPath, shards, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open(dir, nil); err == nil {
-		t.Fatal("plain Open of a sharded root not rejected")
+
+	// Open of a 2-shard root adopts it: the same sequence as OpenSharded.
+	ss = mustOpenSharded(t, dir, nil)
+	wantLen, wantFP := ss.Len(), ss.Snapshot().ContentFingerprint()
+	ss.Close()
+	opened, err := store.Open(dir, nil)
+	if err != nil {
+		t.Fatalf("Open of a sharded root: %v", err)
 	}
-	if !store.IsSharded(dir) {
-		t.Fatal("IsSharded(dir) = false")
+	if n, fp := opened.Len(), opened.Snapshot().ContentFingerprint(); n != wantLen || fp != wantFP || opened.ShardCount() != 2 {
+		t.Fatalf("Open of a 2-shard root: Len %d, fingerprint %x over %d shards, want %d, %x over 2",
+			n, fp, opened.ShardCount(), wantLen, wantFP)
+	}
+	opened.Close()
+
+	// A shard subdirectory is refused on its own, with nothing written.
+	shard0 := filepath.Join(dir, "shard-000")
+	before = treeFiles(t, dir)
+	if _, err := store.Open(shard0, nil); err == nil {
+		t.Fatal("Open of a shard subdirectory not rejected")
+	}
+	if _, err := store.OpenSharded(shard0, nil); err == nil {
+		t.Fatal("OpenSharded of a shard subdirectory not rejected")
+	}
+	if after := treeFiles(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("a refused open of shard-000 changed the directory")
 	}
 
-	plain := t.TempDir()
-	s, err := store.Open(plain, nil)
+	// OpenSharded of a flat store adopts it; a count other than its 1 is
+	// refused, with nothing written.
+	flatDir := t.TempDir()
+	s, err := store.Open(flatDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if _, err := store.OpenSharded(plain, nil); err == nil {
-		t.Fatal("OpenSharded of a plain store not rejected")
+	if err := s.AppendBatch([]string{"a", "b"}); err != nil {
+		t.Fatal(err)
 	}
-	if store.IsSharded(plain) {
-		t.Fatal("IsSharded(plain) = true")
+	s.Close()
+	adopted, err := store.OpenSharded(flatDir, nil)
+	if err != nil {
+		t.Fatalf("OpenSharded of a flat store: %v", err)
+	}
+	if adopted.Len() != 2 || adopted.ShardCount() != 1 || adopted.Access(1) != "b" {
+		t.Fatalf("OpenSharded of a flat store: Len %d over %d shards", adopted.Len(), adopted.ShardCount())
+	}
+	adopted.Close()
+	before = treeFiles(t, flatDir)
+	if _, err := store.OpenSharded(flatDir, &store.ShardedOptions{Shards: 3}); err == nil {
+		t.Fatal("OpenSharded of a flat store with 3 shards not rejected")
+	}
+	if after := treeFiles(t, flatDir); !reflect.DeepEqual(before, after) {
+		t.Fatal("a refused OpenSharded changed the flat directory")
 	}
 
 	// An unrelated plain store that merely lives next to a SHARDS file
@@ -398,10 +437,48 @@ func TestShardedOpenValidation(t *testing.T) {
 
 	// The store still opens fine with matching options.
 	ss = mustOpenSharded(t, dir, &store.ShardedOptions{Shards: 2})
-	if got := ss.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1", got)
+	if got := ss.Len(); got != 4 {
+		t.Fatalf("Len = %d, want 4", got)
 	}
 	ss.Close()
+}
+
+// TestFreshOpenIsFlat: an empty directory opened with no shard count —
+// by Open or by OpenSharded — becomes the same flat store, with no
+// SHARDS, ROUTER or shard subdirectory.
+func TestFreshOpenIsFlat(t *testing.T) {
+	names := func(open func(dir string) (*store.Store, error)) []string {
+		dir := t.TempDir()
+		s, err := open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatch([]string{"a", "b", "a"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for name := range treeFiles(t, dir) {
+			out = append(out, name)
+		}
+		sort.Strings(out)
+		return out
+	}
+	viaOpen := names(func(dir string) (*store.Store, error) { return store.Open(dir, nil) })
+	viaSharded := names(func(dir string) (*store.Store, error) { return store.OpenSharded(dir, nil) })
+	if !reflect.DeepEqual(viaOpen, viaSharded) {
+		t.Fatalf("fresh Open wrote %v, fresh OpenSharded %v", viaOpen, viaSharded)
+	}
+	for _, name := range viaOpen {
+		if name == "SHARDS" || name == "ROUTER" || strings.HasPrefix(name, "shard-") {
+			t.Fatalf("a fresh flat store wrote %s (files %v)", name, viaOpen)
+		}
+	}
 }
 
 // copyDir snapshots a live store tree — the crash image.

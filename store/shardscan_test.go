@@ -294,7 +294,7 @@ func shardScanStores(b *testing.B) (plain, sharded, sharded1 *Snapshot, reqs []p
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { ps.Close() })
-	openSharded := func(shards int) *ShardedStore {
+	openSharded := func(shards int) *Store {
 		ss, err := OpenSharded(b.TempDir(), &ShardedOptions{Shards: shards, Store: opts})
 		if err != nil {
 			b.Fatal(err)

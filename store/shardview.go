@@ -48,15 +48,15 @@ type snapSeg struct {
 // shardView is one shard's part of a Snapshot, in the shard's own
 // positions: its generation list (including any memtable sealed but not
 // yet persisted) plus its live memtable clamped to the length at capture
-// time, each a segment, stitched by offset arithmetic. A plain store's
-// Snapshot is one of these; a ShardedStore's cuts one per shard at the
+// time, each a segment, stitched by offset arithmetic. A flat store's
+// Snapshot is one of these; a SHARDS store's cuts one per shard at the
 // watermark (prefixed). Nothing a query does writes to it but the
 // AlphabetSize memo.
 type shardView struct {
 	segs []snapSeg
 	offs []int // offs[i] = start of segs[i]; offs[len(segs)] = len
 
-	// What Store.Snapshot recognises its current view by: the state it was
+	// What shard.snapshot recognises its current view by: the state it was
 	// built from and the live memtable length it clamps to. Nil and zero on
 	// a prefixed cut.
 	state  *storeState

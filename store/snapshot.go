@@ -7,7 +7,7 @@ import (
 )
 
 // Snapshot is an immutable, consistent view of a store's sequence at the
-// moment Snapshot() was called, for a Store and a ShardedStore alike: one
+// moment Snapshot() was called, whatever the store's layout: one
 // view per shard — the shard's generations (including any memtable sealed
 // but not yet persisted) and its live memtable clamped to its length at
 // capture time — cut at the view's length and stitched into global append
@@ -19,7 +19,7 @@ import (
 //	Select(v, i)     = selectShard(pick(v), shard[pick(v)].sel(v, i))
 //	RankPrefix(p, ·) = Σ_s shard[s].rank(p, rank(s, ·))
 //
-// A plain store's view, and a one-shard ShardedStore's, has one shard and
+// A flat store's view, and a one-shard SHARDS store's, has one shard and
 // no router, and every router term above is the identity (see locate): such
 // a view does no router work. Point lookups on whole values touch exactly
 // one shard — pickShard is a function of the value alone, so every
@@ -35,7 +35,7 @@ type Snapshot struct {
 	r      *router      // the interleave; nil with one shard
 	n      int          // the visible length
 	shards []*shardView // each shard's view, cut at n
-	base   []*shardView // a ShardedStore's: the shards' pinned views the cuts were made from
+	base   []*shardView // with a router: the shards' pinned views the cuts were made from
 	schema []ColumnSpec // the store's pinned column schema (possibly empty)
 }
 

@@ -6,139 +6,109 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	wavelettrie "repro"
-	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
-// Options tune a Store. The zero value (or a nil pointer) selects the
-// defaults below.
-type Options struct {
-	// FlushThreshold is the memtable element count that triggers an
-	// automatic flush into a frozen generation. Default 1 << 14.
-	FlushThreshold int
-	// MaxGenerations is the generation count above which the background
-	// compactor merges adjacent generations. Default 8.
-	MaxGenerations int
-	// Sync makes every Append fsync the WAL record before acknowledging;
-	// with it off, durability of the last few appends is up to the OS
-	// (Close and Flush always sync). Default off.
-	Sync bool
-	// DisableAutoFlush turns the background flusher/compactor off; the
-	// memtable then grows until Flush or Compact is called explicitly.
-	// Mostly for tests and benchmarks.
-	DisableAutoFlush bool
-	// NoMmap disables memory-mapping generation files. By default (on
-	// platforms that support it) checksummed generations are mapped
-	// read-only and decoded zero-copy, so Open does O(metadata) work per
-	// generation beyond the CRC pass and the page cache backs — and
-	// shares across processes — the index bits. With NoMmap set every
-	// generation is read and decoded onto the heap.
-	NoMmap bool
-	// Columns declares the store's payload column schema. The schema is
-	// pinned in the manifest on first use and fixed for the store's
-	// lifetime (like the shard layout): reopening with a different
-	// schema fails; reopening with nil adopts the pinned one. Declaring
-	// columns on an existing schema-less store pins them — data written
-	// before then reads as all-NULL rows.
-	Columns []ColumnSpec
+// The SHARDS manifest pins the two parameters that must never drift
+// from the data they routed: the partition count and the partitioner
+// name. It is written once at creation and validated on every open.
+const (
+	shardsMagic   = 0x52485357 // "WSHR" little-endian
+	shardsVersion = 1
+
+	shardsName = "SHARDS"
+
+	// partitionerName names pickShard in the SHARDS manifest — the only
+	// routing a store is created with or opens.
+	partitionerName = "fnv1a"
+
+	// MaxShards caps the partition count of a Store (shard ids are
+	// stored as single bytes in the ROUTER log).
+	MaxShards = 256
+)
+
+// ShardedOptions tune a Store opened with OpenSharded. The zero value
+// (or a nil pointer) adopts whatever layout the directory holds.
+type ShardedOptions struct {
+	// Shards is the partition count, fixed at creation. 0 adopts the
+	// directory's count — a SHARDS manifest's, 1 for a flat store, and a
+	// flat store for an empty directory. A count ≥ 1 on an empty
+	// directory creates a SHARDS layout of that many shards; a count
+	// that disagrees with an existing directory is refused. Max
+	// MaxShards.
+	Shards int
+	// Store tunes every shard (flush threshold, compaction fan-in, WAL
+	// fsync). Each shard applies these independently.
+	Store Options
 }
 
-func (o *Options) withDefaults() Options {
-	var out Options
-	if o != nil {
-		out = *o
+// pickShard routes v to its shard: the 32-bit FNV-1a hash of its bytes,
+// modulo the shard count. Its contract is to be a function of the value
+// alone, which the planner leans on twice: every occurrence of v lives on
+// one shard, so whole-value Rank/Select/Count touch only it, and per-shard
+// alphabets are disjoint, so the distinct count is a sum. SHARDS pins it
+// by name (partitionerName): re-routing would scramble data already laid.
+func pickShard(v string, shards int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(v); i++ {
+		h ^= uint32(v[i])
+		h *= 16777619
 	}
-	if out.FlushThreshold <= 0 {
-		out.FlushThreshold = 1 << 14
-	}
-	if out.MaxGenerations <= 0 {
-		out.MaxGenerations = 8
-	}
-	return out
+	return int(h % uint32(shards))
 }
 
-// useMmap reports whether this store maps generation files.
-func (s *Store) useMmap() bool { return mmapSupported && !s.opts.NoMmap }
-
-// maybeRemap swaps a freshly written heap-backed generation onto a
-// mapping of its own file when mmap is enabled — so flush and
-// compaction output immediately gains the page-cache backing that
-// reopened generations have. Best effort; on failure the heap-backed
-// generation is kept.
-func (s *Store) maybeRemap(g *generation) *generation {
-	if !s.useMmap() {
-		return g
-	}
-	return remapGeneration(s.dir, g)
-}
-
-// storeState is the immutable root the readers load atomically: the
-// persisted generations, at most one sealed-but-not-yet-persisted
-// memtable (mid-flush), and the live memtable. State values are replaced
-// wholesale, never mutated.
-type storeState struct {
-	gens   []*generation
-	sealed *memtable
-	mem    *memtable
-}
-
-// Store is a durable, concurrently readable string sequence: WAL +
-// memtable in front, frozen Wavelet Trie generations behind, stitched
-// together by Snapshot. All methods are safe for concurrent use. The
-// query methods satisfy wavelettrie.StringIndex, each call served by the
-// current pinned view (see Snapshot); take an explicit Snapshot to hold
-// one view across several queries.
+// Store is a durable, concurrently readable string sequence held in
+// N ≥ 1 shards, each a full engine — its own WAL, memtable, frozen
+// Wavelet Trie generations, flusher and compactor (see shard) — stitched
+// together by Snapshot.
+//
+// A directory without a SHARDS file is a flat store: one shard, which is
+// the directory itself, and no router — no value is hashed, no sequence
+// number taken, and Snapshot is the shard's own pinned view. A SHARDS
+// directory hash-partitions the sequence across shard-NNN
+// subdirectories, so appends from many writers fan out across per-shard
+// locks and flush/compaction proceed per shard, while reads see one
+// logical sequence in global append order: a shared router records which
+// shard owns each global position (the interleave), and snapshots stitch
+// per-shard answers back together by offset arithmetic over it — see
+// Snapshot and DESIGN.md §7.
+//
+// All methods are safe for concurrent use. The query methods satisfy
+// wavelettrie.StringIndex, each call served by the current pinned view
+// (see Snapshot); take an explicit Snapshot to hold one view across
+// several queries.
+//
+// Visibility: an Append is visible to new snapshots once it (and, with
+// a router, every append sequenced before it) has returned — a
+// straggling concurrent appender briefly holds back the watermark, never
+// the data.
 type Store struct {
-	dir  string
-	opts Options
+	dir    string
+	shards []*shard
+	schema []ColumnSpec // the shards' shared column schema
+	unlock func()       // releases the root directory lock
 
-	appendMu  sync.Mutex // serializes appenders and the memtable swap
-	adminMu   sync.Mutex // serializes flush, compaction commits, close
-	compactMu sync.Mutex // serializes whole compactions; taken before adminMu, never while holding it
+	// The interleave and what serves it; router is nil exactly when the
+	// directory has no SHARDS file.
+	router *router
+	seq    atomic.Uint64            // next global sequence number
+	view   atomic.Pointer[Snapshot] // the pinned cross-shard view, if a reader has built it
 
-	state atomic.Pointer[storeState] // replaced only through publish
-	view  atomic.Pointer[Snapshot]   // the pinned view of the current state, if a reader has built it
+	logMu     sync.Mutex // guards the ROUTER log, persisted and logErr
+	log       *wal
+	persisted uint64 // router entries durably in the ROUTER log
+	logErr    error  // sticky ROUTER append/commit failure: the file may
+	// hold a partially acknowledged suffix, so retrying would duplicate
+	// claims and scramble the recovered order — once broken, never
+	// append again (recovery re-derives the tail from WAL headers)
 
-	// schema is the pinned column schema (possibly empty), fixed at Open.
-	schema []ColumnSpec
-
-	hooks *shardHooks // non-nil when this store is a shard (see shardHooks)
-
-	// Guarded by adminMu.
-	nextID        uint64   // next unallocated file id
-	walID         uint64   // id of the live memtable's WAL
-	recoveredWALs []uint64 // superseded logs kept past a deferred recovery checkpoint
-
-	failure atomic.Pointer[error] // sticky write-path failure
-
-	flushCh   chan struct{}
-	compactCh chan struct{}
-	stopCh    chan struct{}
-	bg        sync.WaitGroup
-	closed    atomic.Bool
-	unlock    func() // releases the directory lock
-}
-
-// shardHooks wires a Store into a ShardedStore. The sharded layer
-// allocates the global sequence numbers itself, with the shard's append
-// lock held (so per-shard WAL order always agrees with sequence order), and
-// hands them to appendBatchLocked. barrier is invoked before a flush
-// persists sealed records — the sharded layer uses it to make the ROUTER
-// log durable through the sealed records' sequence numbers before their WAL
-// becomes deletable. A store opened with hooks also defers the
-// interrupted-flush recovery checkpoint (the sharded reconciliation must
-// read the WAL tails' sequence numbers first); the superseded logs are
-// cleaned up by the next flush instead. retire is called whenever the shard
-// publishes a new state, so the sharded store can drop its own pinned view
-// of the old one.
-type shardHooks struct {
-	barrier func(maxSeq uint64) error
-	retire  func()
+	failure atomic.Pointer[error]
+	closed  atomic.Bool
 }
 
 // Store serves the whole read surface of the root package's string
@@ -150,40 +120,99 @@ var _ wavelettrie.StringIndex = (*Store)(nil)
 // the store failed.
 var errClosed = errors.New("store: closed")
 
-// Open opens the store in dir, creating it if empty, and replays the WAL
-// tail: torn or corrupt trailing records are truncated, every complete
-// acknowledged record is reapplied. If a crash interrupted a flush,
-// recovery folds the affected WALs into a fresh generation before
-// returning, so the on-disk layout is always the steady-state one.
-func Open(dir string, opts *Options) (*Store, error) {
-	if _, err := os.Stat(filepath.Join(dir, shardsName)); err == nil {
-		return nil, fmt.Errorf("store: %s holds a sharded store; use OpenSharded", dir)
-	}
-	// A shard subdirectory must not be opened standalone either: its
-	// flushed records' interleave lives in the parent's ROUTER log, and
-	// header-less appends through a plain handle would poison the next
-	// sharded open. (A fully-flushed shard has no header-carrying WAL
-	// records left, so the replay-time check below cannot catch it.)
-	// Only shard-named subdirectories are refused — an unrelated plain
-	// store merely sitting next to a SHARDS file is none of our business.
-	if parent := filepath.Dir(filepath.Clean(dir)); parent != dir && isShardDirName(filepath.Base(filepath.Clean(dir))) {
-		if _, err := os.Stat(filepath.Join(parent, shardsName)); err == nil {
-			return nil, fmt.Errorf("store: %s is a shard of the sharded store in %s; use OpenSharded on the parent", dir, parent)
-		}
-	}
-	return openStore(dir, opts, nil)
+// shardsManifest is the decoded SHARDS file.
+type shardsManifest struct {
+	shards      int
+	partitioner string
 }
 
-// openStore is Open plus the sharded wiring: with non-nil hooks the
-// store runs as one shard of a ShardedStore (see shardHooks).
-func openStore(dir string, opts *Options, hooks *shardHooks) (*Store, error) {
-	s := &Store{
-		dir:       dir,
-		opts:      opts.withDefaults(),
-		hooks:     hooks,
-		flushCh:   make(chan struct{}, 1),
-		compactCh: make(chan struct{}, 1),
-		stopCh:    make(chan struct{}),
+func encodeShards(m shardsManifest) []byte {
+	w := wire.NewWriter(shardsMagic, shardsVersion)
+	w.Int(m.shards)
+	w.Blob([]byte(m.partitioner))
+	return w.Bytes()
+}
+
+// parseShards decodes and validates a SHARDS image. Arbitrary input
+// must error, never panic.
+func parseShards(data []byte) (shardsManifest, error) {
+	var m shardsManifest
+	r, err := wire.NewReader(data, shardsMagic, shardsVersion)
+	if err != nil {
+		return m, err
+	}
+	m.shards = r.Int()
+	m.partitioner = string(r.Blob())
+	if err := r.Err(); err != nil {
+		return m, err
+	}
+	if err := r.Done(); err != nil {
+		return m, err
+	}
+	if m.shards < 1 || m.shards > MaxShards {
+		return m, fmt.Errorf("store: SHARDS names %d partitions, want 1..%d", m.shards, MaxShards)
+	}
+	if m.partitioner != partitionerName {
+		return m, fmt.Errorf("store: SHARDS names partitioner %q, stores route with %q", m.partitioner, partitionerName)
+	}
+	return m, nil
+}
+
+func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
+
+// isShardDirName reports whether name has the shard-subdirectory shape
+// (shard ids are at most 3 digits — MaxShards is 256).
+func isShardDirName(name string) bool {
+	if len(name) != 9 || name[:6] != "shard-" {
+		return false
+	}
+	for i := 6; i < 9; i++ {
+		if name[i] < '0' || name[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// Open opens the store in dir, creating a flat one if dir is empty,
+// whatever layout dir holds: it is OpenSharded with Shards 0.
+func Open(dir string, opts *Options) (*Store, error) {
+	o := &ShardedOptions{}
+	if opts != nil {
+		o.Store = *opts
+	}
+	return OpenSharded(dir, o)
+}
+
+// OpenSharded opens the store in dir, creating it if empty (see
+// ShardedOptions.Shards for the layout created). Every shard replays its
+// WAL tail: torn or corrupt trailing records are truncated, every
+// complete acknowledged record is reapplied. With a SHARDS manifest the
+// shards recover in parallel and the global interleave is rebuilt from
+// the ROUTER log plus the sequence headers in each shard's WAL tail,
+// then rewritten fresh; a manifest naming a partitioner other than the
+// FNV-1a routing every store uses is refused. A refused open leaves the
+// directory as it was.
+func OpenSharded(dir string, opts *ShardedOptions) (*Store, error) {
+	var o ShardedOptions
+	if opts != nil {
+		o = *opts
+	}
+	if o.Shards < 0 || o.Shards > MaxShards {
+		return nil, fmt.Errorf("store: %d shards outside 1..%d", o.Shards, MaxShards)
+	}
+	// A shard subdirectory must not be opened on its own: its flushed
+	// records' interleave lives in the parent's ROUTER log, and
+	// header-less appends through a flat handle would poison the next
+	// open of the parent. (A fully-flushed shard has no header-carrying
+	// WAL records left, so the replay-time check in openShard cannot
+	// catch it.) Only shard-named subdirectories are refused — an
+	// unrelated store merely sitting next to a SHARDS file is none of our
+	// business.
+	if parent := filepath.Dir(filepath.Clean(dir)); parent != dir && isShardDirName(filepath.Base(filepath.Clean(dir))) {
+		if _, err := os.Stat(filepath.Join(parent, shardsName)); err == nil {
+			return nil, fmt.Errorf("store: %s is a shard of the store in %s; open the parent", dir, parent)
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -192,246 +221,239 @@ func openStore(dir string, opts *Options, hooks *shardHooks) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.unlock = unlock
 	ok := false
 	defer func() {
-		if ok {
-			return
+		if !ok {
+			unlock()
 		}
-		if st := s.state.Load(); st != nil && st.mem.wal != nil {
-			st.mem.wal.close()
-		}
-		unlock()
 	}()
-	os.Remove(filepath.Join(dir, manifestTmpName)) // stray from a crashed rewrite
 
-	m, fresh, err := s.loadManifest()
+	count, routed, err := loadShardsManifest(dir, o.Shards)
 	if err != nil {
 		return nil, err
 	}
-	s.schema = m.schema
-	// Generations are independent files; load them in parallel (recovery
-	// time is dominated by snapshot validation, which is CPU-bound).
-	gens := make([]*generation, len(m.gens))
-	errs := make([]error, len(m.gens))
+	s := &Store{dir: dir, unlock: unlock}
+	if !routed {
+		sh, err := openShard(dir, &o.Store, s)
+		if err != nil {
+			return nil, err
+		}
+		s.shards, s.schema = []*shard{sh}, sh.schema
+		ok = true
+		return s, nil
+	}
+
+	claimed, err := readRouterLog(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range claimed {
+		if int(id) >= count {
+			return nil, fmt.Errorf("store: ROUTER references shard %d of %d — SHARDS/ROUTER mismatch", id, count)
+		}
+	}
+	s.router = newRouter(count)
+	s.shards = make([]*shard, count)
+	errs := make([]error, count)
 	var wg sync.WaitGroup
-	for i, meta := range m.gens {
+	for i := 0; i < count; i++ {
 		wg.Add(1)
-		go func(i int, meta genMeta) {
+		go func(i int) {
 			defer wg.Done()
-			gens[i], errs[i] = loadGeneration(dir, meta, s.schema, s.useMmap())
-		}(i, meta)
+			s.shards[i], errs[i] = openShard(filepath.Join(dir, shardDirName(i)), &o.Store, s)
+		}(i)
 	}
 	wg.Wait()
+	closeOpened := func() {
+		for _, sh := range s.shards {
+			if sh != nil {
+				sh.close()
+			}
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
+			closeOpened()
 			return nil, err
 		}
 	}
-	s.nextID, s.walID = m.nextID, m.walID
-	s.removeOrphanGens(m.gens)
 
-	walIDs, err := s.findWALs(m.walID)
+	// Every shard was created with the same Options, so their pinned
+	// column schemas must agree; divergence means the directory was
+	// tampered with, and serving it would scramble rows across shards.
+	s.schema = s.shards[0].schema
+	for i, sh := range s.shards {
+		if !schemaEqual(sh.schema, s.schema) {
+			closeOpened()
+			return nil, fmt.Errorf("store: shard %d pins a different column schema than shard 0", i)
+		}
+	}
+
+	order, newTails, err := reconcile(claimed, s.shards)
 	if err != nil {
+		closeOpened()
 		return nil, err
 	}
-	if fresh || len(walIDs) == 0 {
-		walIDs = []uint64{m.walID}
+	s.router.bulkLoad(order)
+	s.seq.Store(uint64(len(order)))
+	// The recovered order is renumbered compactly (lost records close
+	// up), so the sequence numbers retained in each shard's replayed
+	// memtable must be renumbered too — otherwise a pre-crash number
+	// beyond the new length would make the flush barrier wait for a
+	// watermark that can never come, and fresh appends would break
+	// per-shard monotonicity. The on-disk WAL headers keep their old
+	// values; the next recovery drops them by count (they are covered
+	// by the rewritten ROUTER log), never by value.
+	for i, sh := range s.shards {
+		sh.renumberTail(newTails[i])
 	}
-
-	// Replay every WAL at or after the manifest's: more than one exists
-	// only when a crash interrupted a flush between the WAL rotation and
-	// the old log's deletion.
-	mem := newMemtable(nil, s.schema)
-	s.publish(&storeState{gens: gens, mem: mem})
-	var lastWAL *wal
-	for i, id := range walIDs {
-		records, w, err := recoverWAL(filepath.Join(dir, walFileName(id)), s.opts.Sync)
-		if err != nil {
-			return nil, err
-		}
-		// One batch per log, through the body every append takes. seqs
-		// collects the sequence headers found; the check below refuses a
-		// log that carries them on some records only.
-		vs, rows := make([]string, len(records)), make([]Row, len(records))
-		var seqs []uint64
-		for j, rec := range records {
-			v, seq, hasSeq, row := walRecord(rec)
-			if row != nil && validateRow(s.schema, row) != nil {
-				// A row the pinned schema cannot hold (a schema can only be
-				// pinned before any row is written, so this is corruption
-				// that happened to checksum): drop the cells, keep the
-				// acknowledged value.
-				row = nil
-			}
-			vs[j], rows[j] = v, row
-			if hasSeq {
-				seqs = append(seqs, seq)
-			}
-		}
-		mem.applyBatch(vs, rows, seqs)
-		if i == len(walIDs)-1 {
-			lastWAL = w
-		} else {
-			w.close()
-		}
+	// Rewrite the ROUTER log fresh: the recovered order is renumbered
+	// compactly, so live sequence numbers equal global positions again
+	// and every current record is durably covered before any new flush.
+	log, err := writeRouterLog(dir, order)
+	if err != nil {
+		closeOpened()
+		return nil, err
 	}
-	mem.wal = lastWAL
-	if id := walIDs[len(walIDs)-1]; id != s.walID {
-		s.walID = id
-	}
-	if s.nextID <= s.walID {
-		s.nextID = s.walID + 1
-	}
-
-	// A standalone store must never see sharded records (a shard
-	// directory opened directly would lose its sequence headers at the
-	// first checkpoint), and a shard must carry a header on every
-	// unflushed record or recovery cannot interleave them.
-	if hooks == nil && len(mem.seqs) > 0 {
-		return nil, fmt.Errorf("store: %s is a shard of a sharded store; open the parent with OpenSharded", dir)
-	}
-	if hooks != nil && len(mem.seqs) != int(mem.n.Load()) {
-		return nil, fmt.Errorf("store: shard %s: %d of %d unflushed records lack sequence headers",
-			dir, int(mem.n.Load())-len(mem.seqs), mem.n.Load())
-	}
-
-	if len(walIDs) > 1 {
-		if hooks != nil {
-			// Sharded recovery needs the replayed tail's sequence numbers;
-			// defer the checkpoint and let the next flush delete the
-			// superseded logs instead.
-			s.recoveredWALs = append([]uint64(nil), walIDs[:len(walIDs)-1]...)
-		} else {
-			// Interrupted flush: checkpoint the combined replay into a
-			// generation so the stale WALs can go away.
-			if err := s.flushLocked(walIDs); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if !s.opts.DisableAutoFlush {
-		// Flusher and compactor are separate goroutines: a long merge in
-		// the compactor must not starve flush servicing, or the memtable
-		// would grow unboundedly for the merge's duration — the stall the
-		// two-phase design exists to remove.
-		s.bg.Add(2)
-		go s.background()
-		go s.compactor()
-	}
-	liveStores.add(s)
+	s.log = log
+	s.persisted = uint64(len(order))
 	ok = true
 	return s, nil
 }
 
-// loadManifest reads dir/MANIFEST, writing a fresh one for a new store,
-// and settles the column schema: a fresh store pins Options.Columns; an
-// existing schema-less store opened with columns pins them (rewriting
-// the manifest — prior generations keep colCRC 0 and read all-NULL); an
-// existing schema must match Options.Columns exactly, or be adopted
-// when the options carry none.
-func (s *Store) loadManifest() (manifest, bool, error) {
-	if err := validateSchema(s.opts.Columns); err != nil {
-		return manifest{}, false, err
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
+// loadShardsManifest settles dir's layout against the requested shard
+// count (0: adopt) and returns the count and whether the store is routed
+// (has a SHARDS manifest). A directory without SHARDS is flat — one
+// shard, the directory itself — unless it is empty and a count was
+// asked for, in which case SHARDS is created. A count that disagrees
+// with the directory is refused before anything is written.
+func loadShardsManifest(dir string, shards int) (int, bool, error) {
+	path := filepath.Join(dir, shardsName)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		m := manifest{nextID: 2, walID: 1, schema: s.opts.Columns}
-		if err := writeManifest(s.dir, m); err != nil {
-			return m, false, err
-		}
-		return m, true, nil
-	}
-	if err != nil {
-		return manifest{}, false, err
-	}
-	m, err := parseManifest(data)
-	if err != nil {
-		return m, false, err
-	}
-	switch {
-	case len(s.opts.Columns) == 0:
-		// Adopt whatever is pinned.
-	case len(m.schema) == 0:
-		m.schema = s.opts.Columns
-		if err := writeManifest(s.dir, m); err != nil {
-			return m, false, err
-		}
-	case !schemaEqual(m.schema, s.opts.Columns):
-		return m, false, fmt.Errorf("store: %s pins a different column schema than Options.Columns (schemas are fixed at creation)", s.dir)
-	}
-	return m, false, nil
-}
-
-// removeOrphanGens deletes generation files the manifest does not
-// reference — leftovers of a crash between a generation write and its
-// manifest commit (or between a compaction commit and the old files'
-// deletion) — so repeated crashes cannot leak disk space. Safe because
-// the manifest is the sole root: an unreferenced file can never become
-// reachable again.
-func (s *Store) removeOrphanGens(metas []genMeta) {
-	live := make(map[string]bool, 3*len(metas))
-	for _, meta := range metas {
-		live[genFileName(meta.id)] = true
-		live[colFileName(meta.id)] = true
-		live[colDirFileName(meta.id)] = true
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "gen-") || live[name] {
-			continue
-		}
-		for _, suffix := range []string{".wt", ".wt.tmp", ".col", ".col.tmp", ".cd", ".cd.tmp"} {
-			if strings.HasSuffix(name, suffix) {
-				os.Remove(filepath.Join(s.dir, name))
-				break
+		if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil || shards == 0 {
+			if shards > 1 {
+				return 0, false, fmt.Errorf("store: %s holds a flat store of 1 shard, options ask for %d (the count is fixed at creation)", dir, shards)
 			}
+			return 1, false, nil
 		}
+		m := shardsManifest{shards: shards, partitioner: partitionerName}
+		if err := writeFileAtomic(dir, shardsName, encodeShards(m)); err != nil {
+			return 0, false, err
+		}
+		return shards, true, nil
 	}
+	if err != nil {
+		return 0, false, err
+	}
+	m, err := parseShards(data)
+	if err != nil {
+		return 0, false, fmt.Errorf("store: %s: %w", path, err)
+	}
+	if shards != 0 && shards != m.shards {
+		return 0, false, fmt.Errorf("store: store has %d shards, options ask for %d (the count is fixed at creation)", m.shards, shards)
+	}
+	return m.shards, true, nil
 }
 
-// findWALs lists the WAL ids present in dir that are at or after from,
-// ascending, and deletes stale ones from before it.
-func (s *Store) findWALs(from uint64) ([]uint64, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
+// reconcile rebuilds the global interleave after an open: the ROUTER
+// log claims a prefix of it; each claimed entry is kept if its shard
+// still holds the record (a shard surviving a crash always holds a
+// prefix of its local sequence, so the j-th claimed entry of a shard is
+// its j-th local record), and the per-shard WAL tails — ordered by
+// their sequence headers — supply everything the log had not yet
+// covered. The result is the surviving subsequence in original append
+// order: a crash without Sync may lose a per-shard suffix of
+// acknowledged appends (exactly a flat store's contract, per shard),
+// never reorder, and with Sync every acknowledged append survives.
+// It also returns, per shard, the renumbered sequence list of the
+// shard's unflushed records (their positions in the returned order) —
+// the positions-equal-sequence-numbers invariant every open restores.
+func reconcile(claimed []byte, shards []*shard) (order []byte, newTails [][]uint64, err error) {
+	n := len(shards)
+	c := make([]int, n)          // surviving local counts
+	tails := make([][]uint64, n) // unflushed on-disk sequence numbers, local order
+	flushed := make([]int, n)
+	for s, st := range shards {
+		c[s] = st.snapshot().Len()
+		tails[s] = st.recoveredTail()
+		flushed[s] = c[s] - len(tails[s])
 	}
-	var ids []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		var id uint64
-		if _, err := fmt.Sscanf(name, "wal-%d.log", &id); err != nil {
-			continue
-		}
-		if id < from {
-			os.Remove(filepath.Join(s.dir, name)) // superseded by the manifest
-			continue
-		}
-		ids = append(ids, id)
+
+	total := 0
+	for _, cs := range c {
+		total += cs
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
+	order = make([]byte, 0, total)
+	k := make([]int, n)
+	for _, id := range claimed {
+		if k[id] < c[id] {
+			order = append(order, id)
+			k[id]++
+		}
+		// Else: the claimed record was lost with the shard's WAL tail;
+		// the prefix property means every later claim on this shard is
+		// lost too, and each is skipped here the same way.
+	}
+
+	type tailRec struct {
+		seq   uint64
+		shard int
+	}
+	var pend []tailRec
+	for s := range shards {
+		if k[s] < flushed[s] {
+			return nil, nil, fmt.Errorf("store: ROUTER log covers %d records of shard %d but %d are flushed — interleave lost", k[s], s, flushed[s])
+		}
+		// Only the uncovered suffix orders by its headers; covered
+		// records may carry stale pre-renumbering values (dropped by
+		// count), so monotonicity is only meaningful past the coverage
+		// point.
+		uncovered := tails[s][k[s]-flushed[s]:]
+		for i, seq := range uncovered {
+			if i > 0 && seq <= uncovered[i-1] {
+				return nil, nil, fmt.Errorf("store: shard %d WAL sequence numbers not increasing", s)
+			}
+			pend = append(pend, tailRec{seq, s})
+		}
+	}
+	sort.Slice(pend, func(i, j int) bool { return pend[i].seq < pend[j].seq })
+	for i := 1; i < len(pend); i++ {
+		if pend[i].seq == pend[i-1].seq {
+			return nil, nil, fmt.Errorf("store: shards %d and %d both claim sequence number %d", pend[i-1].shard, pend[i].shard, pend[i].seq)
+		}
+	}
+	for _, t := range pend {
+		order = append(order, byte(t.shard))
+	}
+
+	// Renumber: position g of the final order is sequence number g; the
+	// unflushed records of shard s are its last len(tails[s]) locals.
+	newTails = make([][]uint64, n)
+	pos := make([]int, n)
+	for g, id := range order {
+		if pos[id] >= flushed[id] {
+			newTails[id] = append(newTails[id], uint64(g))
+		}
+		pos[id]++
+	}
+	return order, newTails, nil
 }
 
 // Append adds v at the end of the sequence: WAL first (fsynced when
 // Options.Sync is set), then the memtable. It returns only after the
-// write is visible to new snapshots.
+// write is visible to new snapshots. With a router, v goes to its
+// shard: appends to different shards contend only on the shared
+// sequence counter (one atomic add); appends to the same shard serialize
+// on that shard's lock.
 func (s *Store) Append(v string) error { return s.AppendRow(v, nil) }
 
 // AppendRow is Append carrying a payload row: row[i] is the cell of
 // schema column i (nil row = all NULL). The row rides in the same WAL
-// record as the value, so its durability and crash-recovery guarantees
-// are exactly Append's — it is AppendBatchRows of one value, the same
-// bytes in the log and the same path through the store.
+// record as the value, to the same shard, so its durability and
+// crash-recovery guarantees are exactly Append's — it is AppendBatchRows
+// of one value, the same bytes in the log and the same path through the
+// store.
 func (s *Store) AppendRow(v string, row Row) error {
 	return s.AppendBatchRows([]string{v}, []Row{row})
 }
@@ -439,10 +461,13 @@ func (s *Store) AppendRow(v string, row Row) error {
 // AppendBatch adds vs at the end of the sequence, atomically with
 // respect to snapshots and flushes: the whole batch becomes visible at
 // once, in argument order, with no other append interleaved inside it.
-// The batch costs one lock acquisition, one WAL write and (with
-// Options.Sync) one fsync regardless of its size — the group-commit
-// amortization the network server's write path batches into. An empty
-// batch is a no-op.
+// Each involved shard gets one lock acquisition, one WAL write and (with
+// Options.Sync) one fsync for its whole part of the batch, regardless of
+// its size — the group-commit amortization the network server's write
+// path batches into. With a router the involved shards' locks are taken
+// in shard order (so concurrent batches cannot deadlock) and sequence
+// numbers are allocated as one block in argument order while they are
+// held. An empty batch is a no-op.
 func (s *Store) AppendBatch(vs []string) error { return s.AppendBatchRows(vs, nil) }
 
 // AppendBatchRows is AppendBatch carrying payload rows: rows, when
@@ -458,322 +483,283 @@ func (s *Store) AppendBatchRows(vs []string, rows []Row) error {
 	if err := s.err(); err != nil {
 		return err
 	}
-	for _, row := range rows {
+	if s.closed.Load() {
+		return errClosed
+	}
+	if s.router == nil {
+		return s.shards[0].appendBatch(vs, rows)
+	}
+	// Route and validate every value first; an oversized record or a
+	// schema-mismatched row fails the whole batch before any lock is taken
+	// or sequence number allocated — nothing is burned, nothing poisons the
+	// store.
+	var counts [MaxShards]int
+	for i, v := range vs {
+		var row Row
+		if rows != nil {
+			row = rows[i]
+		}
 		if err := validateRow(s.schema, row); err != nil {
 			return err
 		}
+		if n := walRecordBound(v, row); n > walMaxRecord {
+			return fmt.Errorf("store: WAL record of %d bytes exceeds limit", n)
+		}
+		counts[pickShard(v, len(s.shards))]++
 	}
-	s.appendMu.Lock()
-	if s.closed.Load() {
-		s.appendMu.Unlock()
-		return errClosed
+	// One entry per involved shard, in shard order (the lock order), each a
+	// span of the batch regrouped by shard with argument order kept inside
+	// it; counts turns into each shard's next offset. A batch on one shard
+	// is its own regrouping.
+	var few [2]shardBatch
+	batches, off := few[:0], 0
+	for sh, c := range counts[:len(s.shards)] {
+		if c > 0 {
+			batches = append(batches, shardBatch{shard: sh, off: off, n: c})
+			counts[sh], off = off, off+c
+		}
 	}
-	n, err := s.appendBatchLocked(vs, rows, nil)
-	s.appendMu.Unlock()
-	if err != nil {
-		return err
+	gvs, grows := vs, rows
+	if len(batches) > 1 {
+		gvs = make([]string, len(vs))
+		if rows != nil {
+			grows = make([]Row, len(vs))
+		}
 	}
-	s.nudgeFlush(n)
+	var seqBuf [8]uint64
+	seqs := seqBuf[:]
+	if len(vs) > len(seqBuf) {
+		seqs = make([]uint64, len(vs))
+	}
+
+	// Take the involved shards' append locks in shard order.
+	for k, b := range batches {
+		sh := s.shards[b.shard]
+		sh.appendMu.Lock()
+		err := sh.err()
+		if sh.closed.Load() {
+			err = errClosed
+		}
+		if err != nil {
+			s.unlockShards(batches[:k+1])
+			return err
+		}
+	}
+	// The batch's sequence numbers are one block in argument order: no
+	// appender slips inside the batch, and none into the involved shards
+	// (their locks are held), so per-shard WAL order stays sequence order.
+	base := s.seq.Add(uint64(len(vs))) - uint64(len(vs))
+	for i, v := range vs {
+		j := i
+		if len(batches) > 1 {
+			sh := pickShard(v, len(s.shards))
+			j, counts[sh] = counts[sh], counts[sh]+1
+			gvs[j] = v
+			if rows != nil {
+				grows[j] = rows[i]
+			}
+		}
+		seqs[j] = base + uint64(i)
+	}
+
+	// One group commit per involved shard. A mid-batch failure burns the
+	// batch's sequence numbers: the watermark can never pass them, so
+	// visibility freezes at the last consistent point (records already
+	// durable on other shards are reconciled or dropped at the next open)
+	// until the store is reopened. Recording the failure unblocks waiters
+	// (the seal barrier).
+	for k := range batches {
+		b := &batches[k]
+		var bRows []Row
+		if rows != nil {
+			bRows = grows[b.off : b.off+b.n]
+		}
+		n, err := s.shards[b.shard].appendBatchLocked(gvs[b.off:b.off+b.n], bRows, seqs[b.off:b.off+b.n])
+		if err != nil {
+			s.unlockShards(batches)
+			if err != errClosed {
+				s.fail(err)
+			}
+			return err
+		}
+		b.memLen = n
+	}
+	s.unlockShards(batches)
+
+	for _, b := range batches {
+		for _, seq := range seqs[b.off : b.off+b.n] {
+			s.router.fill(seq, b.shard)
+		}
+	}
+	for _, b := range batches {
+		s.shards[b.shard].nudgeFlush(b.memLen)
+	}
 	return nil
 }
 
-// appendBatchLocked is the one append body, a plain store's and a shard's,
-// for one value or many: frame every WAL
-// record straight into one buffer, write it with a single write+fsync,
-// then apply the whole batch to the memtable under one lock — O(|v|) and
-// a trie insert per value, nothing that reads the rest of the store.
-// rows and seqs, when non-nil, carry the records' payload rows and global
-// sequence numbers (sharded shards), parallel to vs; rows must be
-// pre-validated. Returns the memtable length after the batch. Caller
-// holds appendMu.
-func (s *Store) appendBatchLocked(vs []string, rows []Row, seqs []uint64) (int64, error) {
-	st := s.state.Load()
-	rowAt := func(i int) Row {
-		if rows == nil {
-			return nil
-		}
-		return rows[i]
-	}
-	size := 0
-	for i, v := range vs {
-		size += walRecordBound(v, rowAt(i))
-	}
-	buf := make([]byte, 0, size)
-	for i, v := range vs {
-		var seq uint64
-		if seqs != nil {
-			seq = seqs[i]
-		}
-		var err error
-		if buf, err = appendWALRecord(buf, v, seq, seqs != nil, rowAt(i)); err != nil {
-			return 0, err
-		}
-	}
-	if err := st.mem.wal.appendFramed(buf, len(vs)); err != nil {
-		s.fail(err)
-		return 0, err
-	}
-	st.mem.applyBatch(vs, rows, seqs)
-	return st.mem.n.Load(), nil
+// shardBatch is one involved shard's span [off, off+n) of a routed batch
+// regrouped by shard, and the memtable length its group commit left.
+type shardBatch struct {
+	shard, off, n int
+	memLen        int64
 }
 
-// nudgeFlush wakes the background flusher once the memtable length n
-// crosses the threshold.
-func (s *Store) nudgeFlush(n int64) {
-	if int(n) >= s.opts.FlushThreshold && !s.opts.DisableAutoFlush {
-		select {
-		case s.flushCh <- struct{}{}:
-		default:
-		}
+// unlockShards releases the append locks of bs's shards, last first.
+func (s *Store) unlockShards(bs []shardBatch) {
+	for k := len(bs) - 1; k >= 0; k-- {
+		s.shards[bs[k].shard].appendMu.Unlock()
 	}
 }
 
-// recoveredTail returns the sequence numbers of the unflushed records
-// replayed at Open, in local order — consumed once by the sharded
-// reconciliation before any new appends.
-func (s *Store) recoveredTail() []uint64 {
-	mem := s.state.Load().mem
-	mem.mu.RLock()
-	defer mem.mu.RUnlock()
-	return append([]uint64(nil), mem.seqs...)
-}
-
-// renumberTail replaces the retained sequence numbers of the replayed
-// memtable records with their post-reconciliation values (positions in
-// the compacted global order) — open-time only, before any concurrent
-// use. The on-disk WAL headers keep their old values; the rewritten
-// ROUTER log covers those records, so recovery drops them by count and
-// never reads the stale numbers.
-func (s *Store) renumberTail(seqs []uint64) {
-	mem := s.state.Load().mem
-	mem.mu.Lock()
-	defer mem.mu.Unlock()
-	if len(seqs) != len(mem.seqs) {
-		panic(fmt.Sprintf("store: renumberTail got %d numbers for %d records (internal error)", len(seqs), len(mem.seqs)))
-	}
-	copy(mem.seqs, seqs)
-}
-
-// background runs the flusher until Close, nudging the compactor after
-// every flush. Never compact after a failed flush — a manifest written
-// then would carry the advanced walID while the sealed memtable's
-// records are in no generation, and the next Open would delete the WAL
-// that still holds them; the compactor re-checks err() itself.
-func (s *Store) background() {
-	defer s.bg.Done()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-s.flushCh:
-			s.adminMu.Lock()
-			if !s.closed.Load() && s.err() == nil {
-				st := s.state.Load()
-				if int(st.mem.n.Load()) >= s.opts.FlushThreshold {
-					if err := s.flushLocked([]uint64{s.walID}); err != nil {
-						s.fail(err)
-					}
-				}
-			}
-			s.adminMu.Unlock()
-			select {
-			case s.compactCh <- struct{}{}:
-			default:
-			}
+// sealBarrier runs before a routed shard's flush may persist (and
+// eventually delete the WAL of) records up to maxSeq: the ROUTER log
+// must durably cover every global position through maxSeq. It waits out
+// in-flight appends still below maxSeq, then appends and syncs the
+// missing router suffix.
+func (s *Store) sealBarrier(maxSeq uint64) error {
+	need := maxSeq + 1
+	for s.router.watermark.Load() < need {
+		if err := s.err(); err != nil {
+			return err
 		}
-	}
-}
-
-// compactor applies the Options.MaxGenerations policy whenever nudged.
-// It runs in its own goroutine so a long merge never stops the flusher
-// from servicing flushCh — appends stay bounded by FlushThreshold even
-// while a large compaction is in flight.
-func (s *Store) compactor() {
-	defer s.bg.Done()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-s.compactCh:
-			if s.err() == nil && !s.closed.Load() {
-				if err := s.compactTo(s.opts.MaxGenerations); err != nil && err != errClosed {
-					s.fail(err)
-				}
-			}
+		if s.closed.Load() {
+			return errClosed
 		}
+		time.Sleep(20 * time.Microsecond)
 	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if s.persisted >= need {
+		return nil
+	}
+	return s.persistRouterLocked()
 }
 
-// Flush seals the current memtable into a frozen generation, rotates the
-// WAL, rewrites the manifest and deletes the superseded log. A reader
-// holding a snapshot from before the flush keeps its view; new snapshots
-// see the same sequence served from the new generation. Flushing an
-// empty memtable is a no-op.
+// persistRouterLocked appends router entries [persisted, watermark) to
+// the ROUTER log and syncs. Caller holds logMu. A failure poisons the
+// log: part of the range may already be in the file, so a retry would
+// append duplicate claims and silently scramble the recovered order —
+// instead the store stays on WAL-header recovery for the tail.
+func (s *Store) persistRouterLocked() error {
+	if s.logErr != nil {
+		return s.logErr
+	}
+	w := s.router.watermark.Load()
+	if w <= s.persisted {
+		return nil
+	}
+	buf := make([]byte, 0, w-s.persisted)
+	for g := s.persisted; g < w; g++ {
+		buf = append(buf, byte(s.router.at(g)))
+	}
+	if err := appendRouterIDs(s.log, buf); err != nil {
+		s.logErr = err
+		return err
+	}
+	if err := s.log.commit(); err != nil {
+		s.logErr = err
+		return err
+	}
+	s.persisted = w
+	return nil
+}
+
+// Flush seals every shard's memtable into a frozen generation (shards in
+// parallel), rotates its WAL, rewrites its manifest and deletes the
+// superseded log. A reader holding a snapshot from before the flush
+// keeps its view; new snapshots see the same sequence served from the
+// new generations. Flushing an empty memtable is a no-op.
 func (s *Store) Flush() error {
 	if err := s.err(); err != nil {
 		return err
 	}
-	s.adminMu.Lock()
-	defer s.adminMu.Unlock()
-	if s.closed.Load() {
-		return errClosed
-	}
-	if s.state.Load().mem.n.Load() == 0 {
-		return nil
-	}
-	if err := s.flushLocked([]uint64{s.walID}); err != nil {
-		s.fail(err)
+	return s.each((*shard).flush)
+}
+
+// Compact merges each shard's generations down to one, shards in
+// parallel. Readers holding snapshots keep their old generation list
+// (the loaded tries stay in memory even after their files are deleted);
+// new snapshots see the merged generations.
+func (s *Store) Compact() error {
+	if err := s.err(); err != nil {
 		return err
+	}
+	return s.each(func(sh *shard) error { return sh.compact(1) })
+}
+
+// each runs fn over all shards — in parallel when there are several —
+// and returns the first error.
+func (s *Store) each(fn func(*shard) error) error {
+	if len(s.shards) == 1 {
+		return fn(s.shards[0])
+	}
+	errs := make([]error, len(s.shards))
+	var wg sync.WaitGroup
+	for i, sh := range s.shards {
+		wg.Add(1)
+		go func(i int, sh *shard) {
+			defer wg.Done()
+			errs[i] = fn(sh)
+		}(i, sh)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// flushLocked does the real flush work; the caller holds adminMu.
-// oldWALs are the log files whose contents end up covered by the new
-// generation and manifest, deleted last.
-func (s *Store) flushLocked(oldWALs []uint64) error {
-	t0 := time.Now()
-	sp := obs.DefaultTracer.Start("flush")
-	if len(s.recoveredWALs) > 0 {
-		// Logs superseded by a deferred recovery checkpoint (sharded
-		// open): their records are in the memtable being sealed, so this
-		// flush's manifest covers them too.
-		oldWALs = append(append([]uint64(nil), s.recoveredWALs...), oldWALs...)
-	}
-	newWALID := s.nextID
-	s.nextID++
-	w, err := createWAL(filepath.Join(s.dir, walFileName(newWALID)), s.opts.Sync)
-	if err != nil {
-		return err
-	}
-
-	// Rotate: seal the current memtable, install a fresh one bound to the
-	// new WAL. Appenders are held off only for this pointer swap.
-	s.appendMu.Lock()
-	st := s.state.Load()
-	sealed := st.mem
-	s.publish(&storeState{gens: st.gens, sealed: sealed, mem: newMemtable(w, s.schema)})
-	s.appendMu.Unlock()
-	if sealed.wal != nil {
-		if err := sealed.wal.close(); err != nil {
-			return err
-		}
-	}
-	s.walID = newWALID
-
-	// Sharded barrier: before the sealed records' WAL becomes deletable,
-	// the ROUTER log must durably record their global interleave — the
-	// sequence headers about to be dropped are its only other source.
-	if s.hooks != nil {
-		if maxSeq, ok := sealed.maxSeq(); ok {
-			if err := s.hooks.barrier(maxSeq); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Persist the sealed memtable as a frozen generation (skipped when it
-	// is empty — recovery checkpoints can be).
-	gens := st.gens
-	var frozenBytes int
-	if sealed.n.Load() > 0 {
-		gid := s.nextID
-		s.nextID++
-		ix, err := sealed.frozen()
-		if err != nil {
-			return err
-		}
-		g, err := writeGenerationFrom(s.dir, gid, s.schema, sealed, ix)
-		if err != nil {
-			return err
-		}
-		frozenBytes = g.fileBytes
-		g = s.maybeRemap(g)
-		gens = append(append([]*generation(nil), st.gens...), g)
-	}
-
-	// Commit: the manifest now covers the sealed contents, so the old
-	// WALs are dead.
-	m := manifest{nextID: s.nextID, walID: newWALID, gens: genMetas(gens), schema: s.schema}
-	if err := writeManifest(s.dir, m); err != nil {
-		return err
-	}
-	s.recoveredWALs = nil
-
-	cur := s.state.Load()
-	s.publish(&storeState{gens: gens, mem: cur.mem})
-	for _, id := range oldWALs {
-		if id != newWALID {
-			os.Remove(filepath.Join(s.dir, walFileName(id)))
-		}
-	}
-	met.flushes.Inc()
-	met.flushBytes.Add(int64(frozenBytes))
-	met.flushSeconds.ObserveSince(t0)
-	sp.End(fmt.Sprintf("sealed=%d frozen_bytes=%d wal=%d", sealed.n.Load(), frozenBytes, newWALID))
-	return nil
-}
-
-// err returns the sticky write-path failure, if any.
+// err returns the sticky write-path failure, if any — the store's own
+// (a failed routed batch) or the first failed shard's.
 func (s *Store) err() error {
 	if p := s.failure.Load(); p != nil {
 		return *p
 	}
+	for _, sh := range s.shards {
+		if err := sh.err(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// fail records the first write-path failure. Reads keep serving the last
-// consistent state; writes keep returning the error. On-disk state stays
-// crash-consistent, so reopening the store recovers.
+// fail records the first routed write-path failure. Reads keep serving
+// the last consistent watermark; writes keep returning the error;
+// reopening recovers.
 func (s *Store) fail(err error) {
-	wrapped := fmt.Errorf("store: write path failed: %w", err)
+	wrapped := fmt.Errorf("store: sharded write path failed: %w", err)
 	s.failure.CompareAndSwap(nil, &wrapped)
 }
 
-// Close stops the background work, syncs and closes the WAL, and
-// releases the directory lock. The memtable is not flushed — its
-// contents are already durable in the WAL and replay on the next Open.
-// Appends concurrent with Close either complete first or fail closed.
+// Close closes every shard (in parallel), persists the router tail, and
+// releases the directory lock. Memtables are not flushed — their
+// contents are durable in the shards' WALs (and the interleave of
+// anything the ROUTER log misses in their sequence headers) and replay
+// on the next open. Appends concurrent with Close either complete first
+// or fail closed.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	liveStores.remove(s)
-	if !s.opts.DisableAutoFlush {
-		close(s.stopCh)
-		s.bg.Wait()
+	// Close every shard unconditionally — unlike Flush/Compact, Close
+	// must release goroutines, WAL handles and directory locks even
+	// after a sticky write-path failure, or the directory could never
+	// be reopened in this process.
+	err := s.each((*shard).close)
+	if s.router != nil {
+		s.logMu.Lock()
+		if perr := s.persistRouterLocked(); err == nil {
+			err = perr
+		}
+		if cerr := s.log.close(); err == nil {
+			err = cerr
+		}
+		s.logMu.Unlock()
 	}
-	// Wait out any in-flight compaction (its commit sees closed and
-	// aborts; a compaction started after this point aborts at id
-	// allocation), then take the locks in flush order (adminMu then
-	// appendMu) so the WAL handle is closed with no appender mid-write
-	// and no rotation in flight. After Close returns, no goroutine of
-	// this store writes to the directory again.
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	s.adminMu.Lock()
-	defer s.adminMu.Unlock()
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
-	var err error
-	if st := s.state.Load(); st.mem.wal != nil {
-		err = st.mem.wal.close()
-	}
-	if s.unlock != nil {
-		s.unlock()
-	}
+	s.unlock()
 	return err
-}
-
-// publish installs st as the store's state and drops the pinned view of
-// the state it replaces: a view nobody holds must not keep a retired
-// generation's file mapped (mappings go with their last reference).
-func (s *Store) publish(st *storeState) {
-	s.state.Store(st)
-	s.view.Store(nil)
-	if s.hooks != nil {
-		s.hooks.retire()
-	}
 }
 
 // Snapshot returns an immutable, consistent view of the current
@@ -783,108 +769,83 @@ func (s *Store) publish(st *storeState) {
 // flushed or compacted every call returns the same *Snapshot — a pointer
 // load — and the first call after a change builds the next one. Every
 // append acknowledged before the call is visible in the view it returns.
+//
+// A flat store's view is its shard's own. With a router the view is
+// every shard's pinned view, cut at the shard's element count at the
+// watermark and stitched by the router (with one shard, that shard's
+// view cut at the watermark, with no router at all), pinned for as long
+// as the watermark and every shard's own pinned view stay unchanged.
 func (s *Store) Snapshot() *Snapshot {
-	st := s.state.Load()
-	n := st.mem.n.Load()
-	if v := s.view.Load(); v != nil && v.shards[0].state == st && v.shards[0].memLen == n {
+	if s.router == nil {
+		return s.shards[0].snapshot()
+	}
+	w := s.router.watermark.Load()
+	if v := s.view.Load(); v != nil && v.n == int(w) && s.pins(v) {
 		return v
 	}
-	v := s.snapshotOf(st, n)
+	v := &Snapshot{n: int(w), schema: s.schema,
+		base: make([]*shardView, len(s.shards)), shards: make([]*shardView, len(s.shards))}
+	if len(s.shards) > 1 {
+		v.r = s.router
+	}
+	for i, sh := range s.shards {
+		v.base[i] = sh.snapshot().shards[0]
+		v.shards[i] = v.base[i].prefixed(v.cut(i, v.n))
+	}
 	s.view.Store(v)
-	if s.state.Load() != st {
-		// A flush or compaction published meanwhile, and its clearing of
-		// the view may have come before the store above: v is still a
-		// correct view for this caller, but it must not stay pinned.
-		s.view.CompareAndSwap(v, nil)
+	for i, sh := range s.shards {
+		if sh.state.Load() != v.base[i].state {
+			// A shard published meanwhile and its clearing of the view may
+			// have come before the store above; see shard.snapshot.
+			s.view.CompareAndSwap(v, nil)
+			break
+		}
 	}
 	return v
 }
 
-// snapshotOf builds the one-shard view of state st with the live
-// memtable clamped to its first n elements. (A sealed memtable's length is
-// final by the time a state names it: appends and the seal exclude each
-// other.)
-func (s *Store) snapshotOf(st *storeState, n int64) *Snapshot {
-	segs := make([]snapSeg, 0, len(st.gens)+2)
-	for _, g := range st.gens {
-		var cols colReader
-		if g.cols != nil {
-			cols = g.cols
-		} else if len(s.schema) > 0 {
-			cols = allNullCols{} // frozen before the schema was pinned
+// pins reports whether v was cut from the shards' current pinned views.
+func (s *Store) pins(v *Snapshot) bool {
+	for i, sh := range s.shards {
+		if sh.snapshot().shards[0] != v.base[i] {
+			return false
 		}
-		segs = append(segs, snapSeg{segment: g.seg, cols: cols})
 	}
-	if st.sealed != nil {
-		mv := memView{m: st.sealed, n: int(st.sealed.n.Load())}
-		segs = append(segs, snapSeg{segment: mv, cols: mv})
-	}
-	mv := memView{m: st.mem, n: int(n)}
-	segs = append(segs, snapSeg{segment: mv, cols: mv})
-	sh := newShardView(segs)
-	sh.state, sh.memLen = st, n
-	return &Snapshot{n: sh.len(), shards: []*shardView{sh}, schema: s.schema}
+	return true
 }
 
-// GenInfo describes one frozen generation of the store.
-type GenInfo struct {
-	ID       uint64 // names the files gen-<id>.wt / .col / .cd
-	Len      int    // element count
-	SizeBits int    // in-memory footprint of the loaded generation
-	// MinValue and MaxValue are the lexicographic bounds of the stored
-	// values: the leftmost and the rightmost leaf of the generation's trie.
-	MinValue string
-	MaxValue string
-	// Mmapped reports whether the generation's index aliases a read-only
-	// file mapping (zero-copy decode) rather than heap memory.
-	Mmapped bool
-	// FileBytes is the on-disk size of the index file.
-	FileBytes int
-	// ResidentBytes is how much of the mapping currently sits in physical
-	// memory (mincore), or -1 when the generation is heap-backed or the
-	// platform cannot tell.
-	ResidentBytes int
-	// ColFileBytes / ColDirFileBytes are the on-disk sizes of the
-	// generation's column file and offset directory (0 when absent), and
-	// ColMmapped / ColResidentBytes mirror Mmapped / ResidentBytes for
-	// the column mappings (resident is summed across .col and .cd).
-	ColFileBytes     int
-	ColDirFileBytes  int
-	ColMmapped       bool
-	ColResidentBytes int
-}
+// ShardCount returns the partition count (1 for a flat store).
+func (s *Store) ShardCount() int { return len(s.shards) }
 
-// Generations lists the persisted generations in sequence order.
+// ShardLen returns the element count of shard i (flushed + memtable).
+func (s *Store) ShardLen(i int) int { return s.shards[i].snapshot().Len() }
+
+// ShardMemLen returns the memtable element count of shard i.
+func (s *Store) ShardMemLen(i int) int { return s.shards[i].memLen() }
+
+// ShardGenerations lists the persisted generations of shard i.
+func (s *Store) ShardGenerations(i int) []GenInfo { return s.shards[i].generations() }
+
+// Generations lists the persisted generations of all shards, each
+// shard's in sequence order, in shard order. GenInfo IDs name files
+// within each shard's own directory, so ids can repeat across shards.
 func (s *Store) Generations() []GenInfo {
-	st := s.state.Load()
-	out := make([]GenInfo, len(st.gens))
-	for i, g := range st.gens {
-		resident := -1
-		if g.region != nil {
-			resident = residentBytes(g.region.data)
-		}
-		colResident, colMapped := -1, g.cols != nil && g.cols.colRegion != nil
-		if colMapped {
-			colResident = residentBytes(g.cols.colRegion.data)
-			if g.cols.cdRegion != nil {
-				if r := residentBytes(g.cols.cdRegion.data); r >= 0 {
-					colResident += r
-				}
-			}
-		}
-		lo, hi := g.ix.Bounds()
-		out[i] = GenInfo{ID: g.id, Len: g.ix.Len(), SizeBits: g.ix.SizeBits(),
-			MinValue: lo, MaxValue: hi,
-			Mmapped: g.region != nil, FileBytes: g.fileBytes, ResidentBytes: resident,
-			ColFileBytes: g.colBytes, ColDirFileBytes: g.cdBytes,
-			ColMmapped: colMapped, ColResidentBytes: colResident}
+	var out []GenInfo
+	for _, sh := range s.shards {
+		out = append(out, sh.generations()...)
 	}
 	return out
 }
 
-// MemLen returns the element count currently in the memtable (appended
-// but not yet flushed into a generation).
-func (s *Store) MemLen() int { return int(s.state.Load().mem.n.Load()) }
+// MemLen returns the element count currently in the memtables (appended
+// but not yet flushed into a generation), summed across shards.
+func (s *Store) MemLen() int {
+	total := 0
+	for _, sh := range s.shards {
+		total += sh.memLen()
+	}
+	return total
+}
 
 // The wavelettrie.StringIndex surface, each call served by the current
 // pinned view.
@@ -902,7 +863,7 @@ func (s *Store) AlphabetSize() int { return s.Snapshot().AlphabetSize() }
 func (s *Store) Height() int { return s.Snapshot().Height() }
 
 // SizeBits returns the summed in-memory footprint of the store's
-// segments in bits.
+// segments in bits, plus the router's when the view has one.
 func (s *Store) SizeBits() int { return s.Snapshot().SizeBits() }
 
 // Access returns the string at position pos.
@@ -961,15 +922,27 @@ func (s *Store) IterateWhere(prefix string, from int, preds []Pred, fn func(idx,
 // the output index, not input + output.
 func (s *Store) MarshalBinary() ([]byte, error) { return s.Snapshot().MarshalBinary() }
 
-// MarshalBinary exports the snapshot's sequence as a single Frozen
-// index — the pinned-view variant of Store.MarshalBinary, so callers
-// already holding a snapshot marshal exactly the state they pinned.
-func (sn *Snapshot) MarshalBinary() ([]byte, error) {
-	f, err := wavelettrie.FreezeIterate(func(yield func(s string) bool) {
-		sn.Iterate(0, sn.Len(), func(_ int, v string) bool { return yield(v) })
-	})
-	if err != nil {
-		return nil, err
+// RouterInfo reports how the interleave router is represented right
+// now: the frozen-vs-tail chunk split and the footprint of each part.
+// It is zero for a flat store, which has no router.
+func (s *Store) RouterInfo() RouterInfo {
+	if s.router == nil {
+		return RouterInfo{}
 	}
-	return f.MarshalBinary()
+	return s.router.info()
+}
+
+// RouterProbe round-trips position pos through the router's primitive
+// operations — locate (access + rank fused) followed by selectShard —
+// and returns the routed shard, the shard-local index, and the recovered
+// position (always pos again; a flat store answers 0, pos, pos). It
+// exists so the benchmark ladder's sharded.router_probe_ns rung can time
+// the router in isolation, without the per-shard trie work that
+// dominates a full snapshot read. pos must be below Len, like Access.
+func (s *Store) RouterProbe(pos int) (shard, local, roundTrip int) {
+	if s.router == nil {
+		return 0, pos, pos
+	}
+	shard, local = s.router.locate(uint64(pos))
+	return shard, local, s.router.selectShard(shard, local)
 }

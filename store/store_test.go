@@ -55,6 +55,12 @@ func checkSeq(t *testing.T, s *Store, want []string) {
 	}
 }
 
+// compactEach merges every shard of s down to at most target
+// generations.
+func compactEach(s *Store, target int) error {
+	return s.each(func(sh *shard) error { return sh.compact(target) })
+}
+
 func TestLifecycleFlushCompactReopen(t *testing.T) {
 	dir := t.TempDir()
 	seq := workload.URLLog(300, 3, workload.DefaultURLConfig())
@@ -659,7 +665,7 @@ func TestOlderFormatsRefused(t *testing.T) {
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			fc := s.state.Load().gens[0].cols
+			fc := s.shards[0].state.Load().gens[0].cols
 			w := wire.NewWriter(colMagic, 1)
 			w.Int(len(fc.cols))
 			w.Int(fc.n)

@@ -9,7 +9,7 @@ import (
 
 // viewStores opens the two store kinds the pinned-view tests drive, each
 // with three generations and a live memtable.
-func viewStores(t *testing.T) (*Store, *ShardedStore) {
+func viewStores(t *testing.T) (*Store, *Store) {
 	t.Helper()
 	s := mustOpen(t, t.TempDir(), testOpts())
 	ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: 3, Store: *testOpts()})
@@ -199,12 +199,12 @@ func TestSnapshotSeesAcknowledgedAppends(t *testing.T) {
 func TestCompactionRetiresPinnedView(t *testing.T) {
 	s, ss := viewStores(t)
 	// live maps the tries of the store's current generations.
-	check := func(stage string, shards []*Store, v *Snapshot) {
+	check := func(stage string, shards []*shard, v *Snapshot) {
 		t.Helper()
 		live := map[any]bool{}
 		for _, sh := range shards {
 			ids := map[uint64]bool{}
-			for _, gi := range sh.Generations() {
+			for _, gi := range sh.generations() {
 				ids[gi.ID] = true
 			}
 			for _, g := range sh.state.Load().gens {
@@ -240,12 +240,12 @@ func TestCompactionRetiresPinnedView(t *testing.T) {
 	if got := len(s.Generations()); got != 1 {
 		t.Fatalf("plain store has %d generations after Compact, want 1", got)
 	}
-	check("after Compact", []*Store{s}, s.view.Load())
+	check("after Compact", s.shards, s.shards[0].view.Load())
 	check("after sharded Compact", ss.shards, ss.view.Load())
 	if s.Snapshot() == held || ss.Snapshot() == sheld {
 		t.Fatal("Snapshot() after a compaction returned the view from before it")
 	}
-	check("after Compact and Snapshot", []*Store{s}, s.view.Load())
+	check("after Compact and Snapshot", s.shards, s.shards[0].view.Load())
 	check("after sharded Compact and Snapshot", ss.shards, ss.view.Load())
 	for i, v := range want {
 		if got, sgot := held.Access(i), sheld.Access(i); got != v || sgot != v {
