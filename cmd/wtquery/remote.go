@@ -11,11 +11,13 @@ import (
 // remoteIndex adapts a wtserve connection to the REPL's interfaces:
 // the StringIndex query surface plus the storeIndex lifecycle commands
 // (append/flush/compact/gens), all forwarded over the binary protocol.
-// Transport or server errors surface as panics, which the REPL already
+// The client's methods that already have the REPL's signatures (Append,
+// Flush, Compact, MetricsText) serve as they are; the others
+// surface transport or server errors as panics, which the REPL already
 // converts to printed errors — the same convention the local variants
 // use for out-of-range arguments.
 type remoteIndex struct {
-	c *server.Client
+	*server.Client
 }
 
 func must[T any](v T, err error) T {
@@ -25,7 +27,7 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-func (r *remoteIndex) stats() server.Stats { return must(r.c.Stats()) }
+func (r *remoteIndex) stats() server.Stats { return must(r.Client.Stats()) }
 
 // Len returns the number of elements in the remote sequence.
 func (r *remoteIndex) Len() int { return r.stats().Len }
@@ -46,17 +48,17 @@ func (r *remoteIndex) MarshalBinary() ([]byte, error) {
 }
 
 // Access returns the string at position pos.
-func (r *remoteIndex) Access(pos int) string { return must(r.c.Access(pos)) }
+func (r *remoteIndex) Access(pos int) string { return must(r.Client.Access(pos)) }
 
 // Rank counts occurrences of v in positions [0, pos).
-func (r *remoteIndex) Rank(v string, pos int) int { return must(r.c.Rank(v, pos)) }
+func (r *remoteIndex) Rank(v string, pos int) int { return must(r.Client.Rank(v, pos)) }
 
 // Count returns the total number of occurrences of v.
-func (r *remoteIndex) Count(v string) int { return must(r.c.Count(v)) }
+func (r *remoteIndex) Count(v string) int { return must(r.Client.Count(v)) }
 
 // Select returns the position of the idx-th occurrence of v.
 func (r *remoteIndex) Select(v string, idx int) (int, bool) {
-	pos, ok, err := r.c.Select(v, idx)
+	pos, ok, err := r.Client.Select(v, idx)
 	if err != nil {
 		panic(err)
 	}
@@ -64,15 +66,15 @@ func (r *remoteIndex) Select(v string, idx int) (int, bool) {
 }
 
 // RankPrefix counts elements in [0, pos) having byte prefix p.
-func (r *remoteIndex) RankPrefix(p string, pos int) int { return must(r.c.RankPrefix(p, pos)) }
+func (r *remoteIndex) RankPrefix(p string, pos int) int { return must(r.Client.RankPrefix(p, pos)) }
 
 // CountPrefix returns the total number of elements with byte prefix p.
-func (r *remoteIndex) CountPrefix(p string) int { return must(r.c.CountPrefix(p)) }
+func (r *remoteIndex) CountPrefix(p string) int { return must(r.Client.CountPrefix(p)) }
 
 // SelectPrefix returns the position of the idx-th element with byte
 // prefix p.
 func (r *remoteIndex) SelectPrefix(p string, idx int) (int, bool) {
-	pos, ok, err := r.c.SelectPrefix(p, idx)
+	pos, ok, err := r.Client.SelectPrefix(p, idx)
 	if err != nil {
 		panic(err)
 	}
@@ -82,32 +84,27 @@ func (r *remoteIndex) SelectPrefix(p string, idx int) (int, bool) {
 // IteratePrefix streams prefix-match positions from the from-th match,
 // paginated statelessly over the binary protocol.
 func (r *remoteIndex) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	err := r.c.ScanPrefix(p, from, -1, 0, func(idx, pos int, _ string) bool { return fn(idx, pos) })
+	err := r.Client.ScanPrefix(p, from, -1, 0, func(idx, pos int, _ string) bool { return fn(idx, pos) })
 	if err != nil {
 		panic(err)
 	}
 }
 
 // Schema returns the remote store's column schema from Stats.
-func (r *remoteIndex) Schema() []store.ColumnSpec { return must(r.c.Schema()) }
+func (r *remoteIndex) Schema() []store.ColumnSpec { return r.stats().Schema }
 
 // Row fetches the payload row at position pos over the protocol.
-func (r *remoteIndex) Row(pos int) store.Row { return must(r.c.Row(pos)) }
+func (r *remoteIndex) Row(pos int) store.Row { return must(r.Client.Row(pos)) }
 
-// CountWhere counts predicate matches by streaming the scan — the
-// protocol has no dedicated count opcode, and REPL-scale counts don't
-// need one.
+// CountWhere counts predicate matches in one round trip.
 func (r *remoteIndex) CountWhere(prefix string, preds ...store.Pred) (int, error) {
-	n := 0
-	err := r.c.ScanWhere(prefix, preds, 0, -1, 0,
-		func(int, int, string, store.Row) bool { n++; return true })
-	return n, err
+	return r.Client.CountWhere(prefix, preds...)
 }
 
 // IterateWhere streams predicate-scan matches from the from-th match,
 // paginated statelessly over the binary protocol.
 func (r *remoteIndex) IterateWhere(prefix string, from int, preds []store.Pred, fn func(idx, pos int) bool) error {
-	return r.c.ScanWhere(prefix, preds, from, -1, 0,
+	return r.Client.ScanWhere(prefix, preds, from, -1, 0,
 		func(idx, pos int, _ string, _ store.Row) bool { return fn(idx, pos) })
 }
 
@@ -123,16 +120,6 @@ func (r *remoteIndex) RouterInfo() store.RouterInfo {
 	}
 }
 
-// Append adds v at the end of the remote sequence (group-committed
-// server-side).
-func (r *remoteIndex) Append(v string) error { return r.c.Append(v) }
-
-// Flush seals the remote memtable into a frozen generation.
-func (r *remoteIndex) Flush() error { return r.c.Flush() }
-
-// Compact merges the remote store's generations.
-func (r *remoteIndex) Compact() error { return r.c.Compact() }
-
 // MemLen returns the remote memtable length.
 func (r *remoteIndex) MemLen() int { return r.stats().MemLen }
 
@@ -147,16 +134,11 @@ func (r *remoteIndex) Generations() []store.GenInfo {
 	return out
 }
 
-// MetricsText returns the server's engine-wide metrics as Prometheus
-// text — the same snapshot its HTTP gateway serves on /metrics, so the
-// REPL's 'metrics' command works without gateway access.
-func (r *remoteIndex) MetricsText() (string, error) { return r.c.MetricsText() }
-
 // connectRemote dials a wtserve server and wraps it for the REPL.
 func connectRemote(addr string) (*remoteIndex, error) {
 	c, err := server.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("connect %s: %w", addr, err)
 	}
-	return &remoteIndex{c: c}, nil
+	return &remoteIndex{c}, nil
 }

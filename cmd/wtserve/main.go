@@ -59,7 +59,7 @@ func main() {
 	flag.Int("cache", 0, "accepted and ignored (the result cache is gone)")
 	maxConns := flag.Int("max-conns", 256, "concurrent connection cap (backpressure beyond it)")
 	maxBatch := flag.Int("max-batch", 1024, "max values per group commit")
-	slowOp := flag.Duration("slow-op", 0, "log binary-protocol ops slower than this (0 disables)")
+	slowOp := flag.Duration("slow-op", 0, "log requests, binary-protocol or gateway, slower than this (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown bound")
 	follow := flag.String("follow", "", "run as a read-only replication follower of this primary address")
 	followerID := flag.String("follower-id", "", "follower identity in the primary's watermark book (default host-pid)")

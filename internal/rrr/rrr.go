@@ -17,7 +17,8 @@
 // Blocks are indexed in split order (encodeBlock): by the ones in the low
 // half, then the low half's rank, then the high half's, each half split
 // the same way at its bit 16. Decoding a block (decodeBlock) is then
-// three searches of small cumulative-count rows, three divisions and four
+// three searches of small cumulative-count rows, three divisions — each a
+// multiply-high by a precomputed reciprocal and one correction — and four
 // lookups in one 16-bit unrank table — the paper's universal table at a
 // quarter block, two 128 KiB tables built at init. Every in-block query
 // is that decode and a popcount or Select64 on the word: Rank and Access
@@ -85,7 +86,30 @@ var (
 	rank16   [1 << 16]uint16
 	unrank16 [1 << 16]uint16
 	first16  [17]uint32
+
+	// The divisors decoding divides by, with their reciprocals: divBlock[k]
+	// is C(31,k), the count of high halves with k ones, and divHalf[h][k]
+	// is C(16-h,k), the count of a half's high quarters with k ones.
+	divBlock [32]divisor
+	divHalf  [2][17]divisor
 )
+
+// divisor is a divisor d with rcp = ⌊(2⁶⁴−1)/d⌋: for x < 2⁶³ the high word
+// of x·rcp is x/d or one less (x·rcp/2⁶⁴ > x/d − x/(d·2⁶⁴) − x/2⁶⁴ >
+// x/d − 1), so divmod needs one multiplication and at most one
+// correction, never a hardware division.
+type divisor struct{ d, rcp uint64 }
+
+func newDivisor(d uint64) divisor { return divisor{d, ^uint64(0) / d} }
+
+// divmod returns x/d and x%d for x < 2⁶³.
+func (v divisor) divmod(x uint64) (q, r uint64) {
+	q, _ = bits.Mul64(x, v.rcp)
+	if r = x - q*v.d; r >= v.d {
+		q, r = q+1, r-v.d
+	}
+	return q, r
+}
 
 func init() {
 	for n := 0; n <= blockBits; n++ {
@@ -102,6 +126,14 @@ func init() {
 	for k := 0; k <= 32; k++ {
 		fillStarts(halfStart[0][k][:], k, 16, 16)
 		fillStarts(halfStart[1][k][:], k, 16, 15)
+	}
+	for k := range divBlock {
+		divBlock[k] = newDivisor(choose[k][31])
+	}
+	for h := range divHalf {
+		for k := 0; k <= 16-h; k++ {
+			divHalf[h][k] = newDivisor(choose[k][16-h])
+		}
 	}
 	for k := 1; k <= 16; k++ {
 		first16[k] = first16[k-1] + uint32(choose[k-1][16])
@@ -149,8 +181,8 @@ func encodeHalf(h int, x uint64) uint32 {
 }
 
 // decodeBlock rebuilds the 63-bit block (class, offset) as a word, bit i of
-// the block at bit i — the inverse of encodeBlock: three searches of a
-// start row, three divisions and four lookups in unrank16. An offset no
+// the block at bit i — the inverse of encodeBlock: three unrolled searches
+// of a start row, three divmods and four lookups in unrank16. An offset no
 // encoder produces (a corrupt field is wider than C(63,c)) decodes as the
 // class's last block, so every table index stays in range and the word
 // has exactly class ones.
@@ -158,28 +190,49 @@ func decodeBlock(class int, offset uint64) uint64 {
 	row := &blockStart[class]
 	offset = min(offset, row[63]-1)
 	j := 0
-	for step := 32; step > 0; step >>= 1 {
-		if row[j+step] <= offset {
-			j += step
-		}
+	if row[32] <= offset {
+		j = 32
 	}
-	offset -= row[j]
-	m := choose[class-j][31]
-	return decodeHalf(0, j, uint32(offset/m)) | decodeHalf(1, class-j, uint32(offset%m))<<32
+	if row[j+16] <= offset {
+		j += 16
+	}
+	if row[j+8] <= offset {
+		j += 8
+	}
+	if row[j+4] <= offset {
+		j += 4
+	}
+	if row[j+2] <= offset {
+		j += 2
+	}
+	if row[j+1] <= offset {
+		j++
+	}
+	lo, hi := divBlock[class-j].divmod(offset - row[j])
+	return decodeHalf(0, j, uint32(lo)) | decodeHalf(1, class-j, uint32(hi))<<32
 }
 
 // decodeHalf returns the half (h as in halfStart) with k ones at rank r.
 func decodeHalf(h, k int, r uint32) uint64 {
 	row := &halfStart[h][k]
 	j := 0
-	for step := 16; step > 0; step >>= 1 {
-		if row[j+step] <= r {
-			j += step
-		}
+	if row[16] <= r {
+		j = 16
 	}
-	r -= row[j]
-	m := uint32(choose[k-j][16-h])
-	return uint64(unrank16[first16[j]+r/m]) | uint64(unrank16[first16[k-j]+r%m])<<16
+	if row[j+8] <= r {
+		j += 8
+	}
+	if row[j+4] <= r {
+		j += 4
+	}
+	if row[j+2] <= r {
+		j += 2
+	}
+	if row[j+1] <= r {
+		j++
+	}
+	lo, hi := divHalf[h][k-j].divmod(uint64(r - row[j]))
+	return uint64(unrank16[first16[j]+uint32(lo)]) | uint64(unrank16[first16[k-j]+uint32(hi)])<<16
 }
 
 // occurrences returns the positions of bit b in the 63-bit block w as the

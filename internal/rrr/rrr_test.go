@@ -121,6 +121,46 @@ func TestBlockCodecRandom(t *testing.T) {
 	}
 }
 
+// TestBlockCodecRandomOffsets round-trips 2²⁰ random offsets, spread over
+// every class, through decodeBlock and encodeBlock; checks that every
+// offset a corrupt field can hold past a class's last decodes as the
+// class's last block; and checks each reciprocal divisor against the
+// hardware division on the quotient's edges and on random numerators.
+func TestBlockCodecRandomOffsets(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	for i := 0; i < 1<<20; i++ {
+		c := i % (blockBits + 1)
+		x := r.Uint64() % choose[c][blockBits]
+		if gc, gx := encodeBlock(decodeBlock(c, x)); gc != c || gx != x {
+			t.Fatalf("decodeBlock(%d, %d) encodes as (%d, %d)", c, x, gc, gx)
+		}
+	}
+	for c := 0; c <= blockBits; c++ {
+		n, field := choose[c][blockBits], uint64(1)<<uint(offsetWidth[c])
+		last := decodeBlock(c, n-1)
+		for _, x := range []uint64{n, n + 1, field - 1, n + r.Uint64()%(field-n+1)} {
+			if x < field && x >= n && decodeBlock(c, x) != last {
+				t.Fatalf("corrupt offset %d of class %d decodes as %#x, not the last block %#x", x, c, decodeBlock(c, x), last)
+			}
+		}
+	}
+	var divs []divisor
+	divs = append(divs, divBlock[:]...)
+	divs = append(divs, divHalf[0][:]...)
+	divs = append(divs, divHalf[1][:16]...)
+	for _, v := range divs {
+		xs := []uint64{0, 1, v.d - 1, v.d, v.d + 1, 7*v.d - 1, 7 * v.d, 1<<63 - 1, 1<<63 - 1 - (1<<63-1)%v.d}
+		for i := 0; i < 1000; i++ {
+			xs = append(xs, r.Uint64()>>1, r.Uint64()>>uint(1+r.Intn(63)))
+		}
+		for _, x := range xs {
+			if q, rem := v.divmod(x); q != x/v.d || rem != x%v.d {
+				t.Fatalf("divmod(%d) by %d = (%d, %d), want (%d, %d)", x, v.d, q, rem, x/v.d, x%v.d)
+			}
+		}
+	}
+}
+
 // FuzzBlockCodec decodes any class and any offset its field can hold: the
 // word must have exactly class ones below bit 63 — a zero-copy reader
 // skips checkBlocks, so a foreign offset must still decode, in range, to

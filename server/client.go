@@ -125,7 +125,9 @@ func (c *Client) Append(v string) error {
 // is covered by: once any server's watermark reaches it (WaitFor),
 // reads there see this write. The client also remembers it as its
 // session token (LastAcked).
-func (c *Client) AppendSeq(v string) (uint64, error) { return c.AppendRowSeq(v, nil) }
+func (c *Client) AppendSeq(v string) (uint64, error) {
+	return c.appendAck(Request{Op: OpAppend, Value: v})
+}
 
 // AppendBatch adds vs at the end of the sequence as one atomic,
 // order-preserving batch — the efficient ingest path: one round trip
@@ -141,34 +143,10 @@ func (c *Client) AppendBatchSeq(vs []string) (uint64, error) {
 	return c.AppendBatchRowsSeq(vs, nil)
 }
 
-// AppendRow is Append with a columnar payload row attached (nil row =
-// all-NULL). The server validates the row against the store's pinned
-// schema before committing.
-func (c *Client) AppendRow(v string, row store.Row) error {
-	_, err := c.AppendRowSeq(v, row)
-	return err
-}
-
-// AppendRowSeq is AppendRow returning the covering sequence number;
-// see AppendSeq.
-func (c *Client) AppendRowSeq(v string, row store.Row) (uint64, error) {
-	var rows []store.Row
-	if row != nil {
-		rows = []store.Row{row}
-	}
-	var seq uint64
-	err := c.roundTrip(Request{Op: OpAppend, Value: v, Rows: rows}, func(r *wire.Reader) error {
-		seq = r.Uvarint()
-		return nil
-	})
-	if err == nil {
-		c.noteAck(seq)
-	}
-	return seq, err
-}
-
 // AppendBatchRows is AppendBatch with payload rows attached — rows is
-// nil or exactly one (possibly nil) row per value.
+// nil or exactly one (possibly nil, all-NULL) row per value. The server
+// validates the rows against the store's pinned schema before
+// committing.
 func (c *Client) AppendBatchRows(vs []string, rows []store.Row) error {
 	_, err := c.AppendBatchRowsSeq(vs, rows)
 	return err
@@ -183,26 +161,27 @@ func (c *Client) AppendBatchRowsSeq(vs []string, rows []store.Row) (uint64, erro
 	if rows != nil && len(rows) != len(vs) {
 		return 0, fmt.Errorf("server: %d rows for %d values", len(rows), len(vs))
 	}
+	return c.appendAck(Request{Op: OpAppendBatch, Values: vs, Rows: rows})
+}
+
+// appendAck sends an append op and returns its ack, the covering sequence
+// number, advancing the session token to it if it is newer.
+func (c *Client) appendAck(req Request) (uint64, error) {
 	var seq uint64
-	err := c.roundTrip(Request{Op: OpAppendBatch, Values: vs, Rows: rows}, func(r *wire.Reader) error {
-		r.Uvarint() // accepted count, fixed by the request itself
+	err := c.roundTrip(req, func(r *wire.Reader) error {
+		if req.Op == OpAppendBatch {
+			r.Uvarint() // accepted count, fixed by the request itself
+		}
 		seq = r.Uvarint()
 		return nil
 	})
-	if err == nil {
-		c.noteAck(seq)
-	}
-	return seq, err
-}
-
-// noteAck advances the session token to seq if it is newer.
-func (c *Client) noteAck(seq uint64) {
-	for {
+	for err == nil { // unless a newer ack got there first
 		cur := c.lastAck.Load()
 		if seq <= cur || c.lastAck.CompareAndSwap(cur, seq) {
-			return
+			break
 		}
 	}
+	return seq, err
 }
 
 // LastAcked returns the client's read-your-writes session token: the
@@ -216,12 +195,9 @@ func (c *Client) LastAcked() uint64 { return c.lastAck.Load() }
 // timeout lapses, returning the watermark and whether seq is covered.
 // The server bounds one wait at 30s; callers needing more re-issue.
 func (c *Client) WaitFor(seq uint64, timeout time.Duration) (uint64, bool, error) {
-	ms := int(timeout / time.Millisecond)
-	if ms < 0 {
-		ms = 0
-	}
 	var wm uint64
 	var ok bool
+	ms := max(int(timeout/time.Millisecond), 0)
 	err := c.roundTrip(Request{Op: OpReplWait, Seq: seq, Max: ms}, func(r *wire.Reader) error {
 		ok = r.Byte() == 1
 		wm = r.Uvarint()
@@ -263,19 +239,10 @@ func (c *Client) Row(pos int) (store.Row, error) {
 	return row, err
 }
 
-// Schema returns the server store's pinned column schema (nil when the
-// store carries no columnar attachments).
-func (c *Client) Schema() ([]store.ColumnSpec, error) {
-	st, err := c.Stats()
-	if err != nil {
-		return nil, err
-	}
-	return st.Schema, nil
-}
-
-func (c *Client) num(op byte, v string, pos int) (int, error) {
+// num answers a request whose reply is one count.
+func (c *Client) num(req Request) (int, error) {
 	var out int
-	err := c.roundTrip(Request{Op: op, Value: v, Pos: pos}, func(r *wire.Reader) error {
+	err := c.roundTrip(req, func(r *wire.Reader) error {
 		out = int(r.Uvarint())
 		return nil
 	})
@@ -286,33 +253,51 @@ func (c *Client) optPos(op byte, v string, idx int) (int, bool, error) {
 	var pos int
 	var ok bool
 	err := c.roundTrip(Request{Op: op, Value: v, Pos: idx}, func(r *wire.Reader) error {
-		if r.Byte() == 1 {
-			pos, ok = int(r.Uvarint()), true
-		}
+		pos, ok = parseOptPos(r)
 		return nil
 	})
 	return pos, ok, err
 }
 
+// parseOptPos reads a (pos, ok) reply; pos is 0 when ok is false.
+func parseOptPos(r *wire.Reader) (pos int, ok bool) {
+	if r.Byte() == 1 {
+		return int(r.Uvarint()), true
+	}
+	return 0, false
+}
+
 // Rank counts occurrences of v in positions [0, pos).
-func (c *Client) Rank(v string, pos int) (int, error) { return c.num(OpRank, v, pos) }
+func (c *Client) Rank(v string, pos int) (int, error) {
+	return c.num(Request{Op: OpRank, Value: v, Pos: pos})
+}
 
 // Count returns the total number of occurrences of v.
-func (c *Client) Count(v string) (int, error) { return c.num(OpCount, v, 0) }
+func (c *Client) Count(v string) (int, error) { return c.num(Request{Op: OpCount, Value: v}) }
 
 // Select returns the position of the idx-th (0-based) occurrence of v.
 func (c *Client) Select(v string, idx int) (int, bool, error) { return c.optPos(OpSelect, v, idx) }
 
 // RankPrefix counts elements in [0, pos) having byte prefix p.
-func (c *Client) RankPrefix(p string, pos int) (int, error) { return c.num(OpRankPrefix, p, pos) }
+func (c *Client) RankPrefix(p string, pos int) (int, error) {
+	return c.num(Request{Op: OpRankPrefix, Value: p, Pos: pos})
+}
 
 // CountPrefix returns the total number of elements with byte prefix p.
-func (c *Client) CountPrefix(p string) (int, error) { return c.num(OpCountPrefix, p, 0) }
+func (c *Client) CountPrefix(p string) (int, error) {
+	return c.num(Request{Op: OpCountPrefix, Value: p})
+}
 
 // SelectPrefix returns the position of the idx-th element with byte
 // prefix p.
 func (c *Client) SelectPrefix(p string, idx int) (int, bool, error) {
 	return c.optPos(OpSelectPrefix, p, idx)
+}
+
+// CountWhere counts the elements with byte prefix p whose payload rows
+// satisfy every predicate, in one round trip.
+func (c *Client) CountWhere(p string, preds ...store.Pred) (int, error) {
+	return c.num(Request{Op: OpCountWhere, Value: p, Preds: preds})
 }
 
 // Flush seals the server store's memtable into a frozen generation.
@@ -399,6 +384,17 @@ func pageHeader(r *wire.Reader) (done bool, start, k int) {
 	return r.Byte() == 1, int(r.Uvarint()), r.Len()
 }
 
+// parseIteratePage reads an OpIterate page, appending its values to vals:
+// the walk's end, whether the page is the last, and its first position.
+func parseIteratePage(r *wire.Reader, vals []string) (end uint64, done bool, start int, _ []string) {
+	end = r.Uvarint()
+	done, start, k := pageHeader(r)
+	for i := 0; i < k && r.Err() == nil; i++ {
+		vals = append(vals, r.Str())
+	}
+	return end, done, start, vals
+}
+
 // Scan streams the elements of positions [start, start+n) in order,
 // calling fn for each; n < 0 streams to the end. The walk covers the
 // sequence as it stood at the first page: that page pins the length,
@@ -410,13 +406,8 @@ func pageHeader(r *wire.Reader) (done bool, start, k int) {
 func (c *Client) Scan(start, n, batch int, fn func(pos int, v string) bool) error {
 	req := Request{Op: OpIterate, Pos: start}
 	var vals []string
-	return c.pages(&req, n, batch, func(r *wire.Reader) (bool, int, int) {
-		req.Seq = r.Uvarint()
-		done, pos, k := pageHeader(r)
-		vals = vals[:0]
-		for i := 0; i < k && r.Err() == nil; i++ {
-			vals = append(vals, r.Str())
-		}
+	return c.pages(&req, n, batch, func(r *wire.Reader) (done bool, pos int, _ int) {
+		req.Seq, done, pos, vals = parseIteratePage(r, vals[:0])
 		return done, pos, len(vals)
 	}, func(pos, i int) bool { return fn(pos, vals[i]) })
 }
@@ -463,16 +454,23 @@ func (c *Client) scanMatches(req Request, n, batch int, fn func(idx int, m scanM
 		return nil
 	}
 	var matches []scanMatch
-	return c.pages(&req, n, batch, func(r *wire.Reader) (bool, int, int) {
-		done, start, k := pageHeader(r)
-		matches = matches[:0]
-		for i := 0; i < k && r.Err() == nil; i++ {
-			m := scanMatch{pos: int(r.Uvarint()), val: r.Str()}
-			if req.Op == OpScanWhere {
-				m.row = parseRow(r)
-			}
-			matches = append(matches, m)
-		}
+	return c.pages(&req, n, batch, func(r *wire.Reader) (done bool, start int, _ int) {
+		done, start, matches = parseMatchPage(r, req.Op == OpScanWhere, matches[:0])
 		return done, start, len(matches)
 	}, func(idx, i int) bool { return fn(idx, matches[i]) })
+}
+
+// parseMatchPage reads an OpIteratePrefix page, or with rows an
+// OpScanWhere one, appending its matches to ms: whether the page is the
+// last, and the match index of its first match.
+func parseMatchPage(r *wire.Reader, rows bool, ms []scanMatch) (done bool, start int, _ []scanMatch) {
+	done, start, k := pageHeader(r)
+	for i := 0; i < k && r.Err() == nil; i++ {
+		m := scanMatch{pos: int(r.Uvarint()), val: r.Str()}
+		if rows {
+			m.row = parseRow(r)
+		}
+		ms = append(ms, m)
+	}
+	return done, start, ms
 }

@@ -1,8 +1,10 @@
 // Package server turns a store.Store — flat or sharded — into a
-// network service: a compact length-prefixed binary protocol (plus an
-// HTTP/JSON gateway) over the store's whole indexed-sequence surface —
-// Append/AppendBatch, Access, Rank, Count, Select, the prefix forms,
-// paged iteration, Flush/Compact/Stats.
+// network service: a compact length-prefixed binary protocol over the
+// store's whole indexed-sequence surface — Append/AppendBatch, Access,
+// Rank, Count, Select, the prefix and column forms, paged iteration,
+// Flush/Compact/Stats — and an HTTP/JSON gateway that is a codec onto
+// the same request handler, so both surfaces share one set of op metrics,
+// one slow-op log and one panic guard.
 //
 // Three mechanisms carry the load:
 //

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"os"
 	"sync"
@@ -151,16 +150,6 @@ func (s *Server) followLoop(fs *followSession) {
 	}
 }
 
-// logf routes follower-loop messages through the slow-op logger so
-// tests can capture them; nil falls back to the standard logger.
-func (s *Server) logf(format string, args ...any) {
-	logf := s.opts.SlowOpLog
-	if logf == nil {
-		logf = log.Printf
-	}
-	logf(format, args...)
-}
-
 // followOnce runs one connection's worth of following: dial,
 // handshake, then the record loop. A nil return means the session
 // stopped; any error means reconnect.
@@ -174,54 +163,22 @@ func (s *Server) followOnce(fs *followSession) error {
 		return nil
 	}
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	idle := replIdleTimeout(s.opts.ReplHeartbeat)
-
-	roundTrip := func(payload []byte) (*wire.Reader, error) {
-		conn.SetWriteDeadline(time.Now().Add(time.Minute))
-		if err := writeFrame(bw, payload); err != nil {
-			return nil, err
-		}
-		if err := bw.Flush(); err != nil {
-			return nil, err
-		}
-		conn.SetReadDeadline(time.Now().Add(time.Minute))
-		resp, err := readFrame(br, nil)
-		if err != nil {
-			return nil, err
-		}
-		r := wire.NewRawReader(resp)
-		switch status := r.Byte(); status {
-		case statusOK:
-			return r, nil
-		case statusErr:
-			msg := r.Str()
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("server: primary refused: %s", msg)
-		default:
-			return nil, fmt.Errorf("server: bad response status %d", status)
-		}
+	// The handshake is two round trips of the binary protocol, a minute
+	// at most; the frame loop below then sets its own deadlines.
+	conn.SetDeadline(time.Now().Add(time.Minute))
+	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	if err := c.Ping(); err != nil {
+		return err
 	}
-
-	r, err := roundTrip(EncodeRequest(Request{Op: OpPing, Pos: ProtocolVersion}))
+	var primaryLen uint64
+	err = c.roundTrip(Request{Op: OpSubscribe, Value: fs.id, Seq: s.repl.watermark()}, func(r *wire.Reader) error {
+		primaryLen = r.Uvarint()
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	if v := r.Uvarint(); r.Err() == nil && v != ProtocolVersion {
-		return fmt.Errorf("server: primary speaks protocol %d, want %d", v, ProtocolVersion)
-	}
-
-	r, err = roundTrip(EncodeSubscribe(SubscribeReq{FollowerID: fs.id, FromSeq: s.repl.watermark()}))
-	if err != nil {
-		return err
-	}
-	primaryLen := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
+	br, bw, idle := c.br, c.bw, replIdleTimeout(s.opts.ReplHeartbeat)
 	fs.primaryHead.Store(primaryLen)
 
 	sendAck := func() error {

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/wire"
+	"repro/store"
 )
 
 // FuzzParseRequest hammers the server's trust boundary: arbitrary
@@ -76,5 +81,73 @@ func FuzzParseWALFrame(f *testing.F) {
 		if !reflect.DeepEqual(again, fr) {
 			t.Fatalf("re-parse of %+v gave %+v", fr, again)
 		}
+	})
+}
+
+// FuzzStep sends arbitrary frames through the request handler — the one
+// path every binary request and every gateway call takes — on a small
+// columnar store: step must return without panicking, and its reply must
+// parse as a statusOK or a statusErr response. A frame that parses as
+// OpSubscribe is skipped (it hands the connection over instead of
+// answering), and OpReplWait waits at most a millisecond.
+func FuzzStep(f *testing.F) {
+	db, err := store.Open(f.TempDir(), &store.Options{
+		DisableAutoFlush: true,
+		Columns:          []store.ColumnSpec{{Name: "score", Kind: store.ColUint64}, {Name: "meta", Kind: store.ColBytes}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for g := 0; g < 2; g++ {
+		vals, rows := make([]string, 64), make([]store.Row, 64)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("api/%d/%d", i%5, g*64+i)
+			rows[i] = store.Row{store.U64(uint64(i)), store.Blob([]byte(vals[i][:5]))}
+		}
+		if err := db.AppendBatchRows(vals, rows); err != nil {
+			f.Fatal(err)
+		}
+		if g == 0 {
+			if err := db.Flush(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	s := New(db, nil)
+	f.Cleanup(func() {
+		s.Shutdown(context.Background())
+		db.Close()
+	})
+	for _, req := range requestCases() {
+		f.Add(EncodeRequest(req))
+	}
+	f.Add(EncodeRequest(Request{Op: OpAccess, Pos: 1 << 20}))
+	f.Add(EncodeRequest(Request{Op: OpIterate, Seq: 1 << 20}))
+	f.Add(EncodeRequest(Request{Op: OpCountWhere, Value: "api/1", Preds: []store.Pred{{Col: 1, Op: store.PredGE, Val: 3}}}))
+	f.Add([]byte{})
+	f.Add([]byte{0xFF})
+	var c connState
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		req, err := ParseRequest(frame)
+		if err == nil && req.Op == OpSubscribe {
+			return
+		}
+		if err == nil && req.Op == OpReplWait && req.Max > 1 {
+			req.Max = 1
+			frame = EncodeRequest(req)
+		}
+		resp, _, _ := s.step(&c, frame)
+		r := wire.NewRawReader(resp)
+		switch status := r.Byte(); status {
+		case statusOK:
+		case statusErr:
+			r.Str()
+			if err := r.Done(); err != nil {
+				t.Fatalf("frame % x: malformed error reply % x: %v", frame, resp, err)
+			}
+		default:
+			t.Fatalf("frame % x: reply % x has status %d", frame, resp, status)
+		}
+		c.release()
 	})
 }

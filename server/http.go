@@ -6,41 +6,49 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 	"repro/store"
 )
 
-// HTTPHandler returns the HTTP/JSON gateway over the same serving
-// paths as the binary protocol — appends go through the group
-// committer, reads through the store's pinned view:
+// HTTPHandler returns the HTTP/JSON gateway. Every /v1/* route but
+// /v1/repl is a codec over the binary protocol's request handler: the
+// route table turns the URL (or /v1/append's JSON body) into a Request,
+// which is served exactly as a frame is — the same op latency series,
+// request and error counters, slow-op log and panic guard — and the reply
+// is decoded with the client's decoders and rendered as JSON:
 //
 //	GET  /healthz                       liveness (503 while draining)
 //	GET  /metrics                       Prometheus text exposition
 //	GET  /debug/pprof/...               net/http/pprof profiles
 //	GET  /debug/trace                   event tracer ring as JSON
-//	GET  /v1/stats                      store shape
-//	GET  /v1/access?pos=P
-//	GET  /v1/rank?v=V&pos=P             also /v1/count?v=V
-//	GET  /v1/select?v=V&idx=I
-//	GET  /v1/rankprefix?p=V&pos=P       also /v1/countprefix?p=V
-//	GET  /v1/selectprefix?p=V&idx=I
-//	GET  /v1/scan?start=P&n=N           at most the batch cap and 4 MiB
-//	GET  /v1/scanprefix?p=V&from=I&n=N  prefix matches from the I-th on
-//	GET  /v1/row?pos=P                  columnar payload row at P
-//	GET  /v1/countwhere?p=V&pred=E      count prefix ∩ predicate matches
-//	POST /v1/append                     {"values": ["..."], "rows": [[...]]}
-//	POST /v1/flush | /v1/compact
+//	GET  /v1/repl                       replication role, watermark and lag
+//	GET  /v1/stats                      OpStats: store shape
+//	GET  /v1/access?pos=P               OpAccess
+//	GET  /v1/row?pos=P                  OpRow: columnar payload row at P
+//	GET  /v1/rank?v=V&pos=P             OpRank; /v1/count?v=V is OpCount
+//	GET  /v1/select?v=V&idx=I           OpSelect
+//	GET  /v1/rankprefix?p=V&pos=P       OpRankPrefix; /v1/countprefix?p=V
+//	GET  /v1/selectprefix?p=V&idx=I     OpSelectPrefix
+//	GET  /v1/scan?start=P&n=N           OpIterate: n ≤ 0 is an empty page
+//	GET  /v1/scanprefix?p=V&from=I&n=N  OpIteratePrefix: matches from the I-th
+//	GET  /v1/countwhere?p=V&pred=E      OpCountWhere
+//	POST /v1/append                     OpAppendBatch: {"values": ["..."], "rows": [[...]]}
+//	POST /v1/flush | /v1/compact        OpFlush, OpCompact
 //
-// Payload rows render as JSON arrays, one cell per schema column:
-// null, a non-negative integer (uint64 column) or a string (bytes
-// column). /v1/countwhere takes one ?pred= per predicate, each an
-// expression like score>=10 against a uint64 column's name.
-//
-// The gateway exists for curl-ability and dashboards; bulk traffic
-// belongs on the binary protocol.
+// Pages are bounded like the binary protocol's: the batch cap and 4 MiB.
+// Payload rows render as JSON arrays, one cell per schema column: null, a
+// non-negative integer (uint64 column) or a string (bytes column).
+// /v1/countwhere takes one ?pred= per predicate, like score>=10. An error
+// is answered with its text: 503 while draining, 421 with X-WT-Primary
+// for a write to a follower, 400 otherwise. A read (a route that is not
+// POST-only) carrying X-WT-Consistency-Token waits for it first. The
+// gateway exists for curl-ability and dashboards; bulk traffic belongs on
+// the binary protocol.
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -73,198 +81,12 @@ func (s *Server) HTTPHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		st := s.stats()
-		writeJSON(w, map[string]any{
-			"len": st.Len, "distinct": st.Distinct, "height": st.Height,
-			"size_bits": st.SizeBits, "memtable_len": st.MemLen,
-			"shards": st.Shards, "generations": len(st.Gens),
-			"router_bits":          st.RouterBits,
-			"router_frozen_chunks": st.RouterFrozenChunks,
-			"router_tail_chunks":   st.RouterTailChunks,
-		})
-	})
-	mux.HandleFunc("/v1/access", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		pos, err := intParam(r, "pos")
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"pos": pos, "value": s.db.Snapshot().Access(pos)})
-	}))
-	mux.HandleFunc("/v1/rank", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		v := r.URL.Query().Get("v")
-		pos, err := intParam(r, "pos")
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"rank": s.db.Snapshot().Rank(v, pos)})
-	}))
-	mux.HandleFunc("/v1/count", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		v := r.URL.Query().Get("v")
-		writeJSON(w, map[string]any{"count": s.db.Snapshot().Count(v)})
-	}))
-	mux.HandleFunc("/v1/select", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		v := r.URL.Query().Get("v")
-		idx, err := intParam(r, "idx")
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		pos, ok := s.db.Snapshot().Select(v, idx)
-		writeJSON(w, map[string]any{"pos": pos, "ok": ok})
-	}))
-	mux.HandleFunc("/v1/rankprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		p := r.URL.Query().Get("p")
-		pos, err := intParam(r, "pos")
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"rank": s.db.Snapshot().RankPrefix(p, pos)})
-	}))
-	mux.HandleFunc("/v1/countprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		p := r.URL.Query().Get("p")
-		writeJSON(w, map[string]any{"count": s.db.Snapshot().CountPrefix(p)})
-	}))
-	mux.HandleFunc("/v1/selectprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		p := r.URL.Query().Get("p")
-		idx, err := intParam(r, "idx")
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		pos, ok := s.db.Snapshot().SelectPrefix(p, idx)
-		writeJSON(w, map[string]any{"pos": pos, "ok": ok})
-	}))
-	mux.HandleFunc("/v1/scan", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		start, err := intParam(r, "start")
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		n, err := intParam(r, "n")
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		sn := s.db.Snapshot()
-		start = min(start, sn.Len())
-		hi := min(sn.Len(), start+min(n, s.opts.MaxIterBatch))
-		vals := []string{}
-		iteratePage(sn, start, hi, func(v string) { vals = append(vals, v) })
-		writeJSON(w, map[string]any{"start": start, "values": vals})
-	}))
-	mux.HandleFunc("/v1/scanprefix", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		p := r.URL.Query().Get("p")
-		// from defaults to 0 (start of the match stream) and n to the
-		// iteration batch cap — ?p= alone is a valid first page.
-		from, err := optIntParam(r, "from", 0)
-		if err != nil || from < 0 {
-			httpErr(w, fmt.Errorf("bad ?from="))
-			return
-		}
-		n, err := optIntParam(r, "n", s.opts.MaxIterBatch)
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		sn := s.db.Snapshot()
-		positions, vals := []int{}, []string{}
-		_, done := s.scanPage(sn, n, false, func(fn func(idx, pos int, v []byte) bool) {
-			sn.ScanPrefix(p, from, fn)
-		}, func(pos int, v []byte, _ store.Row) {
-			positions, vals = append(positions, pos), append(vals, string(v))
-		})
-		writeJSON(w, map[string]any{"from": from, "positions": positions, "values": vals, "done": done})
-	}))
-	mux.HandleFunc("/v1/row", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		pos, err := intParam(r, "pos")
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		row := s.db.Snapshot().Row(pos) // panics out of range; guard turns it into a 400
-		writeJSON(w, map[string]any{"pos": pos, "row": rowToJSON(row)})
-	}))
-	mux.HandleFunc("/v1/countwhere", s.guard(func(w http.ResponseWriter, r *http.Request) {
-		p := r.URL.Query().Get("p")
-		preds, err := parsePredParams(r, s.db.Schema())
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		n, err := s.db.Snapshot().CountWhere(p, preds...)
-		if err != nil {
-			httpErr(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"count": n})
-	}))
-	mux.HandleFunc("/v1/append", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var body struct {
-			Values []string `json:"values"`
-			Rows   [][]any  `json:"rows"`
-		}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxFrame))
-		dec.UseNumber() // uint64 cells would lose precision as float64
-		if err := dec.Decode(&body); err != nil {
-			httpErr(w, err)
-			return
-		}
-		var rows []store.Row
-		if body.Rows != nil {
-			if len(body.Rows) != len(body.Values) {
-				httpErr(w, fmt.Errorf("%d rows for %d values", len(body.Rows), len(body.Values)))
-				return
-			}
-			rows = make([]store.Row, len(body.Rows))
-			for i, jr := range body.Rows {
-				row, err := jsonToRow(jr)
-				if err != nil {
-					httpErr(w, fmt.Errorf("rows[%d]: %w", i, err))
-					return
-				}
-				rows[i] = row
-			}
-		}
-		seq, err := s.submitAppend(body.Values, rows)
-		if err != nil {
-			// A drain refusal is the server's state, not the client's
-			// mistake: 503 tells balancers and clients to retry
-			// elsewhere, matching /healthz.
-			if errors.Is(err, errDraining) {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			// A follower answers writes with 421 and the primary's
-			// address, so a client (or proxy) can re-aim the request.
-			var fwe *FollowerWriteError
-			if errors.As(err, &fwe) {
-				w.Header().Set("X-WT-Primary", fwe.Primary)
-				http.Error(w, err.Error(), http.StatusMisdirectedRequest)
-				return
-			}
-			httpErr(w, err)
-			return
-		}
-		// The covering sequence number doubles as the session's
-		// consistency token: echo it back to X-WT-Consistency-Token on a
-		// follower's gateway to read your own writes there.
-		w.Header().Set("X-WT-Seq", strconv.FormatUint(seq, 10))
-		writeJSON(w, map[string]any{"appended": len(body.Values), "seq": seq})
-	})
 	mux.HandleFunc("/v1/repl", func(w http.ResponseWriter, r *http.Request) {
 		role := "primary"
 		if s.Following() != "" {
 			role = "follower"
 		}
-		writeJSON(w, map[string]any{
+		writeJSON(w, obj{
 			"role":        role,
 			"following":   s.Following(),
 			"watermark":   s.repl.watermark(),
@@ -272,89 +94,249 @@ func (s *Server) HTTPHandler() http.Handler {
 			"followers":   s.repl.followerAcked(),
 		})
 	})
-	mux.HandleFunc("/v1/flush", s.admin((*Server).flushOp))
-	mux.HandleFunc("/v1/compact", s.admin((*Server).compactOp))
+	for name, rt := range routes {
+		mux.HandleFunc("/v1/"+name, s.gateway(rt))
+	}
 	return mux
 }
 
-func (s *Server) flushOp() error   { return s.db.Flush() }
-func (s *Server) compactOp() error { return s.db.Compact() }
+// route is one /v1/* path's translation: the op it serves, how the call
+// fills the op's Request (nil: no arguments) and how the op's reply, past
+// its status byte, renders as a JSON object. A reply with a "seq" — an
+// append's ack — carries it in X-WT-Seq too.
+type route struct {
+	op     byte
+	post   bool // a write or maintenance op: POST only
+	parse  func(a *args, req *Request)
+	render func(r *wire.Reader, req *Request) obj
+}
 
-// admin wraps a POST-only maintenance op.
-func (s *Server) admin(op func(*Server) error) http.HandlerFunc {
+// obj is a JSON object.
+type obj = map[string]any
+
+var routes = map[string]route{
+	"stats": {op: OpStats, render: func(r *wire.Reader, _ *Request) obj {
+		st := parseStats(r)
+		return obj{"len": st.Len, "distinct": st.Distinct, "height": st.Height,
+			"size_bits": st.SizeBits, "memtable_len": st.MemLen, "shards": st.Shards,
+			"generations": len(st.Gens), "router_bits": st.RouterBits,
+			"router_frozen_chunks": st.RouterFrozenChunks, "router_tail_chunks": st.RouterTailChunks}
+	}},
+	"access": {op: OpAccess, parse: keyed("", "pos"), render: func(r *wire.Reader, req *Request) obj {
+		return obj{"pos": req.Pos, "value": r.Str()}
+	}},
+	"row": {op: OpRow, parse: keyed("", "pos"), render: func(r *wire.Reader, req *Request) obj {
+		return obj{"pos": req.Pos, "row": rowToJSON(parseRow(r))}
+	}},
+	"rank":         {op: OpRank, parse: keyed("v", "pos"), render: numberJSON("rank")},
+	"count":        {op: OpCount, parse: keyed("v", ""), render: numberJSON("count")},
+	"select":       {op: OpSelect, parse: keyed("v", "idx"), render: optPosJSON},
+	"rankprefix":   {op: OpRankPrefix, parse: keyed("p", "pos"), render: numberJSON("rank")},
+	"countprefix":  {op: OpCountPrefix, parse: keyed("p", ""), render: numberJSON("count")},
+	"selectprefix": {op: OpSelectPrefix, parse: keyed("p", "idx"), render: optPosJSON},
+	"scan": {op: OpIterate, parse: func(a *args, req *Request) {
+		req.Pos = a.int("start")
+		// ?n=0 is an empty page, but a Max of 0 asks for a full one.
+		if req.Max = a.int("n"); req.Max == 0 {
+			req.Max = -1
+		}
+	}, render: func(r *wire.Reader, _ *Request) obj {
+		_, _, start, vals := parseIteratePage(r, []string{})
+		return obj{"start": start, "values": vals}
+	}},
+	"scanprefix": {op: OpIteratePrefix, parse: func(a *args, req *Request) {
+		req.Value = a.Get("p")
+		if req.Pos = a.int("from", 0); a.err != nil || req.Pos < 0 {
+			a.err = errors.New("bad ?from=")
+		}
+		req.Max = a.int("n", 0) // 0 asks for the batch cap
+	}, render: func(r *wire.Reader, _ *Request) obj {
+		done, from, ms := parseMatchPage(r, false, nil)
+		positions, vals := []int{}, []string{}
+		for _, m := range ms {
+			positions, vals = append(positions, m.pos), append(vals, m.val)
+		}
+		return obj{"from": from, "positions": positions, "values": vals, "done": done}
+	}},
+	"countwhere": {op: OpCountWhere, parse: func(a *args, req *Request) {
+		req.Value = a.Get("p")
+		for _, e := range a.Values["pred"] {
+			p, err := store.ParsePredicate(e, a.s.db.Schema())
+			if err != nil {
+				a.err = err
+				return
+			}
+			req.Preds = append(req.Preds, p)
+		}
+	}, render: numberJSON("count")},
+	"append": {op: OpAppendBatch, post: true, parse: (*args).appendBody, render: func(r *wire.Reader, _ *Request) obj {
+		return obj{"appended": r.Uvarint(), "seq": r.Uvarint()}
+	}},
+	"flush":   {op: OpFlush, post: true, render: okJSON},
+	"compact": {op: OpCompact, post: true, render: okJSON},
+}
+
+// keyed parses a keyed query: Value from ?key= and Pos from ?pos=, each
+// when named.
+func keyed(key, pos string) func(a *args, req *Request) {
+	return func(a *args, req *Request) {
+		if key != "" {
+			req.Value = a.Get(key)
+		}
+		if pos != "" {
+			req.Pos = a.int(pos)
+		}
+	}
+}
+
+// numberJSON renders a one-count reply as {name: count}.
+func numberJSON(name string) func(r *wire.Reader, _ *Request) obj {
+	return func(r *wire.Reader, _ *Request) obj { return obj{name: int(r.Uvarint())} }
+}
+
+func optPosJSON(r *wire.Reader, _ *Request) obj {
+	pos, ok := parseOptPos(r)
+	return obj{"pos": pos, "ok": ok}
+}
+
+func okJSON(*wire.Reader, *Request) obj { return obj{"ok": true} }
+
+// gateway serves one route: it checks the method, honors the consistency
+// token, builds the Request, has serve answer it on a connState of its
+// own and renders the reply.
+func (s *Server) gateway(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
+		if rt.post && r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		if err := op(s); err != nil {
-			httpErr(w, err)
+		if !rt.post && !s.awaitToken(w, r) {
 			return
 		}
-		writeJSON(w, map[string]any{"ok": true})
+		t0 := time.Now()
+		req := Request{Op: rt.op}
+		a := args{Values: r.URL.Query(), s: s, w: w, r: r}
+		if rt.parse != nil {
+			rt.parse(&a, &req)
+		}
+		var c connState
+		resp, _ := s.serve(&c, t0, &req, a.err)
+		if c.err != nil {
+			writeError(w, c.err)
+			return
+		}
+		body := rt.render(wire.NewRawReader(resp[1:]), &req)
+		if seq, ok := body["seq"]; ok {
+			// The covering sequence number doubles as the session's
+			// consistency token: echo it back to X-WT-Consistency-Token on
+			// a follower's gateway to read your own writes there.
+			w.Header().Set("X-WT-Seq", fmt.Sprint(seq))
+		}
+		writeJSON(w, body)
 	}
+}
+
+// writeError answers a failed call with the error's text: 503 for a
+// draining server (retry elsewhere, as /healthz says), 421 with the
+// primary's address in X-WT-Primary for a write to a follower (so a
+// client or proxy can re-aim it), 400 for anything else.
+func writeError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var fwe *FollowerWriteError
+	switch {
+	case errors.Is(err, errDraining):
+		code = http.StatusServiceUnavailable
+	case errors.As(err, &fwe):
+		w.Header().Set("X-WT-Primary", fwe.Primary)
+		code = http.StatusMisdirectedRequest
+	}
+	http.Error(w, err.Error(), code)
 }
 
 // httpTokenWait bounds how long a gateway read blocks on a
 // consistency token before telling the client to retry.
 const httpTokenWait = 5 * time.Second
 
-// guard wraps every gateway read handler: it honors the
-// read-your-writes consistency token, and turns a handler's panic
-// (out-of-range position) into a 400, mirroring the binary protocol's
-// error responses.
-//
-// A request carrying X-WT-Consistency-Token: <seq> (the seq from an
-// append response, on any server of the group) blocks until this
-// server's watermark covers it — on a lagging follower the read waits
-// for replication to catch up rather than serving a view missing the
-// session's own writes. If the token is not covered within
-// httpTokenWait, the reply is 503 with Retry-After and the current
-// watermark in X-WT-Seq, so the client can retry or fall back to the
-// primary.
-func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if tok := r.Header.Get("X-WT-Consistency-Token"); tok != "" {
-			seq, err := strconv.ParseUint(tok, 10, 64)
-			if err != nil {
-				http.Error(w, "bad X-WT-Consistency-Token", http.StatusBadRequest)
-				return
-			}
-			if !s.waitWatermark(seq, httpTokenWait) {
-				w.Header().Set("X-WT-Seq", strconv.FormatUint(s.repl.watermark(), 10))
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, fmt.Sprintf("watermark %d not yet caught up to token %d", s.repl.watermark(), seq),
-					http.StatusServiceUnavailable)
-				return
-			}
-		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				http.Error(w, fmt.Sprint(rec), http.StatusBadRequest)
-			}
-		}()
-		h(w, r)
+// awaitToken is the gateway's one step before a read reaches the store,
+// and reports whether to go on. A request carrying
+// X-WT-Consistency-Token: <seq> (the seq from an append response, on any
+// server of the group) blocks until this server's watermark covers it —
+// on a lagging follower the read waits for replication to catch up rather
+// than serving a view missing the session's own writes. If the token is
+// not covered within httpTokenWait, the reply is 503 with Retry-After and
+// the current watermark in X-WT-Seq, so the client can retry or fall back
+// to the primary.
+func (s *Server) awaitToken(w http.ResponseWriter, r *http.Request) bool {
+	tok := r.Header.Get("X-WT-Consistency-Token")
+	if tok == "" {
+		return true
 	}
-}
-
-func intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing ?%s=", name)
-	}
-	v, err := strconv.Atoi(raw)
+	seq, err := strconv.ParseUint(tok, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad ?%s=%q", name, raw)
+		http.Error(w, "bad X-WT-Consistency-Token", http.StatusBadRequest)
+		return false
 	}
-	return v, nil
+	if s.waitWatermark(seq, httpTokenWait) {
+		return true
+	}
+	w.Header().Set("X-WT-Seq", strconv.FormatUint(s.repl.watermark(), 10))
+	w.Header().Set("Retry-After", "1")
+	http.Error(w, fmt.Sprintf("watermark %d not yet caught up to token %d", s.repl.watermark(), seq),
+		http.StatusServiceUnavailable)
+	return false
 }
 
-// optIntParam is intParam with a default for an absent parameter.
-func optIntParam(r *http.Request, name string, def int) (int, error) {
-	if r.URL.Query().Get(name) == "" {
-		return def, nil
+// args is one gateway call's parameters, read into a Request; err keeps
+// the first bad one.
+type args struct {
+	url.Values
+	s   *Server
+	w   http.ResponseWriter
+	r   *http.Request
+	err error
+}
+
+// int returns the integer parameter name. An absent one is def when
+// given and an error otherwise.
+func (a *args) int(name string, def ...int) int {
+	raw := a.Get(name)
+	switch {
+	case a.err != nil:
+	case raw == "" && len(def) > 0:
+		return def[0]
+	case raw == "":
+		a.err = fmt.Errorf("missing ?%s=", name)
+	default:
+		v, err := strconv.Atoi(raw)
+		if err == nil {
+			return v
+		}
+		a.err = fmt.Errorf("bad ?%s=%q", name, raw)
 	}
-	return intParam(r, name)
+	return 0
+}
+
+// appendBody reads /v1/append's JSON body into an OpAppendBatch.
+func (a *args) appendBody(req *Request) {
+	var body struct {
+		Values []string `json:"values"`
+		Rows   [][]any  `json:"rows"`
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(a.w, a.r.Body, MaxFrame))
+	dec.UseNumber() // uint64 cells would lose precision as float64
+	if a.err = dec.Decode(&body); a.err != nil {
+		return
+	}
+	req.Values = body.Values
+	if body.Rows != nil {
+		req.Rows = make([]store.Row, len(body.Rows))
+	}
+	for i, jr := range body.Rows {
+		if req.Rows[i], a.err = jsonToRow(jr); a.err != nil {
+			a.err = fmt.Errorf("rows[%d]: %w", i, a.err)
+			return
+		}
+	}
 }
 
 // rowToJSON renders a payload row for the gateway: null, uint64 as a
@@ -370,8 +352,6 @@ func rowToJSON(row store.Row) []any {
 			out[i] = c.U64()
 		case store.ColBytes:
 			out[i] = string(c.Blob())
-		default:
-			out[i] = nil
 		}
 	}
 	return out
@@ -402,28 +382,6 @@ func jsonToRow(cells []any) (store.Row, error) {
 		}
 	}
 	return row, nil
-}
-
-// parsePredParams parses the repeated ?pred= expressions of a
-// countwhere request against the store's schema.
-func parsePredParams(r *http.Request, schema []store.ColumnSpec) ([]store.Pred, error) {
-	exprs := r.URL.Query()["pred"]
-	if len(exprs) == 0 {
-		return nil, nil
-	}
-	preds := make([]store.Pred, 0, len(exprs))
-	for _, e := range exprs {
-		p, err := store.ParsePredicate(e, schema)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, p)
-	}
-	return preds, nil
-}
-
-func httpErr(w http.ResponseWriter, err error) {
-	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

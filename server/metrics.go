@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -44,7 +45,7 @@ type serverMetrics struct {
 func newServerMetrics(r *obs.Registry) *serverMetrics {
 	m := &serverMetrics{
 		requests: r.NewCounter("wt_server_requests_total",
-			"Binary-protocol requests served (including failed ones)."),
+			"Requests served, binary-protocol and gateway (including failed ones)."),
 		errors: r.NewCounter("wt_server_errors_total",
 			"Requests answered with an error status (decode failures and panics)."),
 		conns: r.NewCounter("wt_server_conns_total",
@@ -80,58 +81,40 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 	}
 
 	ops := r.NewHistogramVec("wt_server_op_seconds",
-		"Binary-protocol request latency by op (parse to response encode).", "op", 1e-9)
+		"Request latency by op, binary-protocol and gateway (parse to response encode).", "op", 1e-9)
 	for op := 0; op < int(opLimit); op++ {
 		m.opSeconds[op] = ops.With(opName(byte(op)))
 	}
 
+	// Each gauge sums one reading over the live servers.
+	sum := func(read func(s *Server) int64) func() int64 {
+		return func() int64 {
+			var n int64
+			for _, s := range liveServers.all() {
+				n += read(s)
+			}
+			return n
+		}
+	}
 	r.NewGaugeFunc("wt_server_conns_active",
 		"Binary-protocol connections currently being served.",
-		func() int64 {
-			var n int64
-			for _, s := range liveServers.all() {
-				s.mu.Lock()
-				n += int64(len(s.conns))
-				s.mu.Unlock()
-			}
-			return n
-		})
+		sum(func(s *Server) int64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return int64(len(s.conns))
+		}))
 	r.NewGaugeFunc("wt_batcher_queue_depth",
 		"Append submissions waiting for the committer.",
-		func() int64 {
-			var n int64
-			for _, s := range liveServers.all() {
-				n += int64(len(s.appendCh))
-			}
-			return n
-		})
+		sum(func(s *Server) int64 { return int64(len(s.appendCh)) }))
 	r.NewGaugeFunc("wt_repl_followers",
 		"Distinct follower ids currently subscribed across live servers.",
-		func() int64 {
-			var n int64
-			for _, s := range liveServers.all() {
-				n += int64(s.repl.followerCount())
-			}
-			return n
-		})
+		sum(func(s *Server) int64 { return int64(s.repl.followerCount()) }))
 	r.NewGaugeFunc("wt_repl_lag_records",
 		"Replication lag in records: watermark behind the primary head (followers), slowest acked watermark behind the head (primaries).",
-		func() int64 {
-			var n int64
-			for _, s := range liveServers.all() {
-				n += s.replLagRecords()
-			}
-			return n
-		})
+		sum((*Server).replLagRecords))
 	r.NewGaugeFunc("wt_repl_watermark",
 		"Committed replication watermark (head sequence number) summed across live servers.",
-		func() int64 {
-			var n int64
-			for _, s := range liveServers.all() {
-				n += int64(s.repl.watermark())
-			}
-			return n
-		})
+		sum(func(s *Server) int64 { return int64(s.repl.watermark()) }))
 
 	return m
 }
@@ -169,6 +152,7 @@ var opNames = [opLimit]string{
 	OpPromote:       "promote",
 	OpRow:           "row",
 	OpScanWhere:     "scan_where",
+	OpCountWhere:    "count_where",
 }
 
 // opName returns the label value for an opcode ("invalid" for anything
@@ -207,31 +191,25 @@ func (ss *serverSet) all() []*Server {
 // enough to find the offending key class without dumping whole values
 // into logs.
 func keyShape(req *Request) string {
+	v := strconv.Quote(req.Value)
+	if len(req.Value) > 32 {
+		v = fmt.Sprintf("%q…(len=%d)", req.Value[:32], len(req.Value))
+	}
 	switch req.Op {
 	case OpAppend, OpRank, OpCount, OpSelect, OpRankPrefix, OpCountPrefix, OpSelectPrefix:
-		v := req.Value
-		if len(v) > 32 {
-			return fmt.Sprintf("%q…(len=%d)", v[:32], len(v))
-		}
-		return fmt.Sprintf("%q", v)
+		return v
 	case OpAppendBatch:
 		return fmt.Sprintf("batch(n=%d)", len(req.Values))
 	case OpAccess, OpRow:
 		return fmt.Sprintf("pos=%d", req.Pos)
+	case OpCountWhere:
+		return fmt.Sprintf("prefix=%s preds=%d", v, len(req.Preds))
 	case OpScanWhere:
-		p := req.Value
-		if len(p) > 32 {
-			p = p[:32] + "…"
-		}
-		return fmt.Sprintf("prefix=%q preds=%d from=%d max=%d", p, len(req.Preds), req.Pos, req.Max)
+		return fmt.Sprintf("prefix=%s preds=%d from=%d max=%d", v, len(req.Preds), req.Pos, req.Max)
 	case OpIterate:
 		return fmt.Sprintf("start=%d max=%d end=%d", req.Pos, req.Max, req.Seq)
 	case OpIteratePrefix:
-		p := req.Value
-		if len(p) > 32 {
-			p = p[:32] + "…"
-		}
-		return fmt.Sprintf("prefix=%q from=%d max=%d", p, req.Pos, req.Max)
+		return fmt.Sprintf("prefix=%s from=%d max=%d", v, req.Pos, req.Max)
 	default:
 		return "-"
 	}

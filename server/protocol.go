@@ -30,8 +30,9 @@ const (
 	// schema in Stats. Version 4 made OpIterate stateless (it carries the
 	// echoed end position where a cursor id was; the cursor-close op is
 	// gone and the later opcodes renumbered) and dropped the snapshot-image
-	// bootstrap from the replication handshake and frame set.
-	ProtocolVersion = 4
+	// bootstrap from the replication handshake and frame set. Version 5
+	// added OpCountWhere.
+	ProtocolVersion = 5
 
 	// maxRowCells caps the cells one wire row may carry — mirrors the
 	// store's column limit, enforced here so a hostile frame cannot make
@@ -73,9 +74,11 @@ const (
 	OpPromote
 	// Columns (protocol version 3; see DESIGN.md §13): OpRow reads the
 	// payload row at a position, OpScanWhere streams positions matching a
-	// value prefix intersected with numeric column predicates.
+	// value prefix intersected with numeric column predicates, and
+	// OpCountWhere (version 5) counts them.
 	OpRow
 	OpScanWhere
+	OpCountWhere
 
 	opLimit // one past the last valid opcode
 )
@@ -104,6 +107,7 @@ const (
 //	OpReplWait                   Seq (seq to cover), Max (timeout ms)
 //	OpPromote                    —
 //	OpScanWhere                  Value (prefix), Pos (match offset), Max, Preds
+//	OpCountWhere                 Value (prefix), Preds
 type Request struct {
 	Op     byte
 	Value  string
@@ -116,7 +120,7 @@ type Request struct {
 	// Rows carries payload rows on the append ops: nil for no payloads,
 	// otherwise one row per value (individual rows may still be nil).
 	Rows []store.Row
-	// Preds carries OpScanWhere's numeric column predicates.
+	// Preds carries the column predicates of OpScanWhere and OpCountWhere.
 	Preds []store.Pred
 }
 
@@ -201,7 +205,7 @@ func parseRows(r *wire.Reader, want int) []store.Row {
 	return rows
 }
 
-// encodePreds writes OpScanWhere's predicate list.
+// encodePreds writes a predicate list.
 func encodePreds(w *wire.Writer, preds []store.Pred) {
 	w.Uvarint(uint64(len(preds)))
 	for _, p := range preds {
@@ -220,7 +224,7 @@ func parsePreds(r *wire.Reader) []store.Pred {
 		return nil
 	}
 	if n > maxRowCells {
-		r.Fail("scan carries %d predicates (limit %d)", n, maxRowCells)
+		r.Fail("request carries %d predicates (limit %d)", n, maxRowCells)
 		return nil
 	}
 	preds := make([]store.Pred, 0, n)
@@ -237,17 +241,10 @@ func parsePreds(r *wire.Reader) []store.Pred {
 	return preds
 }
 
-// EncodeRequest serializes a request payload (without the frame
-// header). EncodeRequest and ParseRequest are exact inverses for every
-// valid request — the protocol round-trip test pins it, and the fuzzer
-// guarantees ParseRequest never panics on anything else.
-func EncodeRequest(req Request) []byte {
-	w := wire.NewRawWriter()
-	encodeRequest(w, &req)
-	return w.Bytes()
-}
-
-// encodeRequest appends req's payload to w.
+// encodeRequest appends req's payload to w. encodeRequest and
+// ParseRequest are exact inverses for every valid request — the protocol
+// round-trip test pins it, and the fuzzer guarantees ParseRequest never
+// panics on anything else.
 func encodeRequest(w *wire.Writer, req *Request) {
 	w.Byte(req.Op)
 	switch req.Op {
@@ -268,6 +265,9 @@ func encodeRequest(w *wire.Writer, req *Request) {
 		w.Str(req.Value)
 		w.Uvarint(uint64(req.Pos))
 		w.Uvarint(uint64(req.Max))
+		encodePreds(w, req.Preds)
+	case OpCountWhere:
+		w.Str(req.Value)
 		encodePreds(w, req.Preds)
 	case OpRank, OpRankPrefix, OpSelect, OpSelectPrefix:
 		w.Str(req.Value)
@@ -330,6 +330,9 @@ func ParseRequest(payload []byte) (Request, error) {
 		req.Value = r.Str()
 		req.Pos = readPos()
 		req.Max = readPos()
+		req.Preds = parsePreds(r)
+	case OpCountWhere:
+		req.Value = r.Str()
 		req.Preds = parsePreds(r)
 	case OpRank, OpRankPrefix, OpSelect, OpSelectPrefix:
 		req.Value = r.Str()

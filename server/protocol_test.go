@@ -44,6 +44,9 @@ func requestCases() []Request {
 		{Op: OpScanWhere, Value: "api/", Pos: 3, Max: 50, Preds: []store.Pred{
 			{Col: 0, Op: store.PredGE, Val: 10}, {Col: 2, Op: store.PredNE, Val: 0}}},
 		{Op: OpScanWhere, Value: "", Pos: 0, Max: 0},
+		{Op: OpCountWhere, Value: "api/", Preds: []store.Pred{{Col: 1, Op: store.PredLT, Val: 500}}},
+		{Op: OpCountWhere, Value: ""},
+		{Op: OpMetrics},
 	}
 }
 

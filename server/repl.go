@@ -212,14 +212,14 @@ func (s *Server) waitWatermark(seq uint64, timeout time.Duration) bool {
 // connection. The connection never returns to the request loop;
 // serveConn closes it when this returns.
 func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, req Request) {
-	sub := SubscribeReq{FollowerID: req.Value, FromSeq: req.Seq}
+	id, from := req.Value, req.Seq // the follower's id and first sequence number
 	refuse := func(msg string) {
 		conn.SetWriteDeadline(time.Now().Add(time.Minute))
 		if writeFrame(bw, errPayload(msg)) == nil {
 			bw.Flush()
 		}
 	}
-	if sub.FollowerID == "" {
+	if id == "" {
 		refuse("server: subscribe needs a follower id")
 		return
 	}
@@ -234,21 +234,21 @@ func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 		refuse(errDraining.Error())
 		return
 	}
-	if sub.FromSeq > h.head {
+	if from > h.head {
 		head := h.head
 		h.mu.Unlock()
-		refuse(fmt.Sprintf("server: subscribe from %d is past head %d (divergent follower?)", sub.FromSeq, head))
+		refuse(fmt.Sprintf("server: subscribe from %d is past head %d (divergent follower?)", from, head))
 		return
 	}
 	h.subs[rs] = struct{}{}
-	fo := h.followers[sub.FollowerID]
+	fo := h.followers[id]
 	if fo == nil {
 		fo = &followerState{}
-		h.followers[sub.FollowerID] = fo
+		h.followers[id] = fo
 	}
 	fo.conns++
-	if sub.FromSeq > fo.acked {
-		fo.acked = sub.FromSeq
+	if from > fo.acked {
+		fo.acked = from
 	}
 	fo.lastAck = time.Now()
 	h.mu.Unlock()
@@ -260,7 +260,7 @@ func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 		}
 		fo.conns--
 		if fo.conns == 0 {
-			delete(h.followers, sub.FollowerID)
+			delete(h.followers, id)
 		}
 		h.mu.Unlock()
 	}()
@@ -290,7 +290,7 @@ func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 	}
 
 	// Catch-up straight out of the snapshot: the store is the log.
-	if sub.FromSeq < snapLen && !s.streamCatchup(sn, sub.FromSeq, snapLen, send) {
+	if from < snapLen && !s.streamCatchup(sn, from, snapLen, send) {
 		return
 	}
 	expected := snapLen

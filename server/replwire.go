@@ -118,16 +118,3 @@ func ParseWALFrame(payload []byte) (WALFrame, error) {
 	}
 	return f, nil
 }
-
-// SubscribeReq is a decoded OpSubscribe request: the follower's id (for
-// watermark bookkeeping and /v1/repl) and the global sequence number it
-// wants the stream to start at.
-type SubscribeReq struct {
-	FollowerID string
-	FromSeq    uint64
-}
-
-// EncodeSubscribe serializes a subscribe request payload.
-func EncodeSubscribe(req SubscribeReq) []byte {
-	return EncodeRequest(Request{Op: OpSubscribe, Value: req.FollowerID, Seq: req.FromSeq})
-}

@@ -35,9 +35,10 @@ type Options struct {
 	// MaxIterBatch caps the values returned by one Iterate call (also
 	// the default when the client asks for 0). Default 4096.
 	MaxIterBatch int
-	// SlowOp is the latency threshold above which a binary-protocol
-	// request is logged, naming the op, its key shape and the visible
-	// length of the view that served it. 0 disables the slow-op log.
+	// SlowOp is the latency threshold above which a request — a frame or
+	// a gateway call — is logged, naming the op, its key shape and the
+	// visible length of the view that served it. 0 disables the slow-op
+	// log.
 	SlowOp time.Duration
 	// SlowOpLog receives the slow-op lines; nil selects log.Printf.
 	// Mostly for tests and callers with structured logging.
@@ -188,6 +189,9 @@ type connState struct {
 	// viewLen is the visible length of the view the request pinned, -1 for
 	// a request that pinned none — what the slow-op line reports.
 	viewLen int
+	// err is the error the request was answered with, nil for statusOK:
+	// the gateway maps it to an HTTP status.
+	err error
 }
 
 // connIdleBuf is the most a connection keeps of each buffer between
@@ -241,33 +245,44 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// step is the request loop's per-request work: parse the frame, answer it
-// out of c's buffers, record the op's latency. resp is valid until the next
-// step on c; ready is when it was ready, which also dates the write
-// deadline. A well-formed OpSubscribe is not answered here: it comes back
-// as sub for the loop to hand the connection over.
+// step is the request loop's per-request work: parse the frame and serve
+// it. resp is valid until the next step on c; ready is when it was ready,
+// which also dates the write deadline. A well-formed OpSubscribe is not
+// answered here: it comes back as sub for the loop to hand the connection
+// over.
 func (s *Server) step(c *connState, frame []byte) (resp []byte, ready time.Time, sub Request) {
 	t0 := time.Now()
-	smet.requests.Inc()
 	req, err := ParseRequest(frame)
 	if err == nil && req.Op == OpSubscribe {
+		smet.requests.Inc()
 		return nil, t0, req
 	}
-	c.viewLen = -1
+	resp, ready = s.serve(c, t0, &req, err)
+	return resp, ready, Request{}
+}
+
+// serve answers one request that arrived at t0 — parsed from a frame by
+// step, or built from a URL by the gateway — out of c's buffers, and
+// records it: the requests and errors counters, the op's latency series
+// and the slow-op log. A non-nil err is the request's decode failure,
+// answered as such.
+func (s *Server) serve(c *connState, t0 time.Time, req *Request, err error) (resp []byte, ready time.Time) {
+	smet.requests.Inc()
+	c.viewLen, c.err = -1, nil
 	if err != nil {
 		smet.errors.Inc()
-		resp = c.fail(err.Error())
+		resp = c.fail(err)
 	} else {
-		resp = s.respond(c, &req)
+		resp = s.respond(c, req)
 	}
 	ready = time.Now()
 	elapsed := ready.Sub(t0)
-	// req.Op is 0 when the parse failed — the "invalid" series.
+	// req.Op is 0 when the opcode did not parse — the "invalid" series.
 	smet.observeOp(req.Op, elapsed.Nanoseconds())
 	if s.opts.SlowOp > 0 && elapsed >= s.opts.SlowOp {
-		s.logSlowOp(&req, elapsed, c.viewLen)
+		s.logSlowOp(req, elapsed, c.viewLen)
 	}
-	return resp, ready, Request{}
+	return resp, ready
 }
 
 // logSlowOp emits the slow-op log line for a request whose service time
@@ -275,29 +290,38 @@ func (s *Server) step(c *connState, frame []byte) (resp []byte, ready time.Time,
 // visible length of the view that served it (- when the op pinned none) —
 // enough to correlate with /metrics series and replay the query.
 func (s *Server) logSlowOp(req *Request, elapsed time.Duration, viewLen int) {
-	logf := s.opts.SlowOpLog
-	if logf == nil {
-		logf = log.Printf
-	}
 	view := "-"
 	if viewLen >= 0 {
 		view = strconv.Itoa(viewLen)
 	}
-	logf("server: slow op %s %s took %s (view len=%s, threshold %s)",
+	s.logf("server: slow op %s %s took %s (view len=%s, threshold %s)",
 		opName(req.Op), keyShape(req), elapsed, view, s.opts.SlowOp)
 }
 
-// fail answers the request with a statusErr response in the connection's
-// buffer, discarding whatever the op had encoded so far.
-func (c *connState) fail(msg string) []byte {
+// logf writes the server's log lines — slow ops, follower reconnects —
+// through Options.SlowOpLog, so tests can capture them; nil falls back
+// to the standard logger.
+func (s *Server) logf(format string, args ...any) {
+	logf := s.opts.SlowOpLog
+	if logf == nil {
+		logf = log.Printf
+	}
+	logf(format, args...)
+}
+
+// fail answers the request with a statusErr response carrying err's text in
+// the connection's buffer, discarding whatever the op had encoded so far,
+// and keeps err for the gateway.
+func (c *connState) fail(err error) []byte {
+	c.err = err
 	c.resp.Reset()
 	c.resp.Byte(statusErr)
-	c.resp.Str(msg)
+	c.resp.Str(err.Error())
 	return c.resp.Bytes()
 }
 
 // errPayload builds a statusErr response payload outside a request loop.
-func errPayload(msg string) []byte { return new(connState).fail(msg) }
+func errPayload(msg string) []byte { return new(connState).fail(errors.New(msg)) }
 
 // pin returns the store's current view for a read request — the one view
 // every query of the request sees — and notes its length for the slow-op
@@ -315,7 +339,7 @@ func (s *Server) respond(c *connState, req *Request) (out []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			smet.errors.Inc()
-			out = c.fail(fmt.Sprint(r))
+			out = c.fail(errors.New(fmt.Sprint(r)))
 		}
 	}()
 	w := &c.resp
@@ -324,19 +348,19 @@ func (s *Server) respond(c *connState, req *Request) (out []byte) {
 	switch req.Op {
 	case OpPing:
 		if req.Pos != ProtocolVersion {
-			return c.fail(fmt.Sprintf("server: protocol version %d not supported, want %d", req.Pos, ProtocolVersion))
+			return c.fail(fmt.Errorf("server: protocol version %d not supported, want %d", req.Pos, ProtocolVersion))
 		}
 		w.Uvarint(ProtocolVersion)
 	case OpAppend:
 		seq, err := s.submitAppend([]string{req.Value}, req.Rows)
 		if err != nil {
-			return c.fail(err.Error())
+			return c.fail(err)
 		}
 		w.Uvarint(seq)
 	case OpAppendBatch:
 		seq, err := s.submitAppend(req.Values, req.Rows)
 		if err != nil {
-			return c.fail(err.Error())
+			return c.fail(err)
 		}
 		w.Uvarint(uint64(len(req.Values)))
 		w.Uvarint(seq)
@@ -344,8 +368,14 @@ func (s *Server) respond(c *connState, req *Request) (out []byte) {
 		encodeRow(w, s.pin(c).Row(req.Pos))
 	case OpScanWhere:
 		if err := s.scanWhere(c, req); err != nil {
-			return c.fail(err.Error())
+			return c.fail(err)
 		}
+	case OpCountWhere:
+		n, err := s.pin(c).CountWhere(req.Value, req.Preds...)
+		if err != nil {
+			return c.fail(err)
+		}
+		w.Uvarint(uint64(n))
 	case OpAccess:
 		w.Str(s.pin(c).Access(req.Pos))
 	case OpRank:
@@ -364,17 +394,17 @@ func (s *Server) respond(c *connState, req *Request) (out []byte) {
 		writeOptPos(w, pos, ok)
 	case OpIterate:
 		if err := s.iterate(c, req); err != nil {
-			return c.fail(err.Error())
+			return c.fail(err)
 		}
 	case OpIteratePrefix:
 		s.iteratePrefix(c, req)
 	case OpFlush:
 		if err := s.db.Flush(); err != nil {
-			return c.fail(err.Error())
+			return c.fail(err)
 		}
 	case OpCompact:
 		if err := s.db.Compact(); err != nil {
-			return c.fail(err.Error())
+			return c.fail(err)
 		}
 	case OpReplWait:
 		if s.waitWatermark(req.Seq, time.Duration(req.Max)*time.Millisecond) {
@@ -398,7 +428,7 @@ func (s *Server) respond(c *connState, req *Request) (out []byte) {
 		// serves — one snapshot format across every surface.
 		w.Str(obs.Default().TextSnapshot())
 	default:
-		return c.fail(fmt.Sprintf("server: unknown opcode %d", req.Op))
+		return c.fail(fmt.Errorf("server: unknown opcode %d", req.Op))
 	}
 	return w.Bytes()
 }
@@ -421,6 +451,13 @@ func writeOptPos(w *wire.Writer, pos int, ok bool) {
 // page's would have. An echoed end past the current length names
 // positions this server has never held — a client that switched
 // servers, or a hostile one — and is an error, never a clamp.
+//
+// The page holds at most Max values (MaxIterBatch when Max is 0 or above
+// it; none when it is negative, which only the gateway asks for) and
+// stops once it holds iterByteBudget bytes, but holds at least one value
+// when any is left. The walked range is bounded by the page, not by the
+// sequence's end: a sharded snapshot buffers a window of every shard's
+// subrange per Iterate.
 func (s *Server) iterate(c *connState, req *Request) error {
 	sn := s.pin(c)
 	end := sn.Len()
@@ -432,12 +469,23 @@ func (s *Server) iterate(c *connState, req *Request) error {
 	}
 	start := min(req.Pos, end)
 	max := req.Max
-	if max <= 0 || max > s.opts.MaxIterBatch {
+	if max == 0 || max > s.opts.MaxIterBatch {
 		max = s.opts.MaxIterBatch
 	}
 	body := &c.page
 	body.Reset()
-	n := iteratePage(sn, start, min(end, start+max), body.Str)
+	n, bytes := 0, 0
+	if hi := min(end, start+max); start < hi {
+		sn.Iterate(start, hi, func(_ int, v string) bool {
+			if bytes >= iterByteBudget {
+				return false
+			}
+			n++
+			bytes += len(v) + 18
+			body.Str(v)
+			return true
+		})
+	}
 	w := &c.resp
 	w.Uvarint(uint64(end))
 	if start+n >= end {
@@ -451,45 +499,27 @@ func (s *Server) iterate(c *connState, req *Request) error {
 	return nil
 }
 
-// iteratePage hands emit the values of positions [start, hi) in order
-// and returns how many it handed: all of them, or fewer once the page
-// holds iterByteBudget bytes, but at least one. The walked range is
-// bounded by the page, not by the sequence's end: a sharded snapshot
-// buffers a window of every shard's subrange per Iterate.
-func iteratePage(sn *store.Snapshot, start, hi int, emit func(v string)) (n int) {
-	if start >= hi {
-		return 0
-	}
-	bytes := 0
-	sn.Iterate(start, hi, func(_ int, v string) bool {
-		if bytes >= iterByteBudget {
-			return false
-		}
-		n++
-		bytes += len(v) + 18
-		emit(v)
-		return true
-	})
-	return n
-}
-
 // iterByteBudget bounds a streamed batch by bytes as well as by count:
 // large values could otherwise encode past MaxFrame and kill the
 // connection instead of answering. A value counts as its length plus a
 // worst-case position and length prefix.
 const iterByteBudget = 4 << 20
 
-// scanPage bounds one page of a position-and-value scan: emit is handed up
-// to max matches (capped by MaxIterBatch) within the byte budget, and at
-// least one when any exists, so a resuming client always makes progress.
-// With rows, each match's payload row is fetched and counted against the
-// budget. v is valid only during emit. It returns the match count and
-// whether the stream ended inside the page.
-func (s *Server) scanPage(sn *store.Snapshot, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool), emit func(pos int, v []byte, row store.Row)) (n int, done bool) {
+// writePage answers one scan request: up to max matches (MaxIterBatch when
+// max is not positive or above it) within the byte budget, and at least
+// one when any exists, so a resuming client always makes progress. The
+// page's matches are encoded into c.page as the cursor yields them —
+// position, value and, with rows, the payload row, counted against the
+// budget too — so no match is held as a string or in a list; the header
+// (done flag, the echoed match offset, the count, known only at the end)
+// and the matches then go into the response.
+func (s *Server) writePage(c *connState, sn *store.Snapshot, from, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool)) {
 	if max <= 0 || max > s.opts.MaxIterBatch {
 		max = s.opts.MaxIterBatch
 	}
-	bytes, done := 0, true
+	body := &c.page
+	body.Reset()
+	n, bytes, done := 0, 0, true
 	scan(func(_, pos int, v []byte) bool {
 		if n >= max || bytes >= iterByteBudget {
 			done = false // more matches exist past the page
@@ -497,34 +527,17 @@ func (s *Server) scanPage(sn *store.Snapshot, max int, rows bool, scan func(fn f
 		}
 		n++
 		bytes += len(v) + 18
-		var row store.Row
-		if rows {
-			row = sn.Row(pos)
-			for _, c := range row {
-				bytes += len(c.Blob()) + 10
-			}
-		}
-		emit(pos, v, row)
-		return true
-	})
-	return n, done
-}
-
-// writePage answers one scan request. The page's matches are encoded into
-// c.page as the cursor yields them — position, value and, with rows,
-// payload row — so no match is held as a string or in a list; the header
-// (done flag, the echoed match offset, the count, known only at the end)
-// and the matches then go into the response.
-func (s *Server) writePage(c *connState, sn *store.Snapshot, from, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool)) {
-	body := &c.page
-	body.Reset()
-	n, done := s.scanPage(sn, max, rows, scan, func(pos int, v []byte, row store.Row) {
 		body.Uvarint(uint64(pos))
 		body.Uvarint(uint64(len(v)))
 		body.Raw(v)
 		if rows {
+			row := sn.Row(pos)
+			for _, cell := range row {
+				bytes += len(cell.Blob()) + 10
+			}
 			encodeRow(body, row)
 		}
+		return true
 	})
 	w := &c.resp
 	if done {
@@ -568,7 +581,7 @@ func (s *Server) scanWhere(c *connState, req *Request) error {
 // (store.Snapshot.AlphabetSize) — milliseconds, so a reply for an
 // operator, not for a hot loop.
 func (s *Server) stats() Stats {
-	sn := s.db.Snapshot()
+	sn, ri := s.db.Snapshot(), s.db.RouterInfo()
 	st := Stats{
 		Len:        sn.Len(),
 		Distinct:   sn.AlphabetSize(),
@@ -581,18 +594,16 @@ func (s *Server) stats() Stats {
 		Watermark:  s.repl.watermark(),
 		Following:  s.Following(),
 		Followers:  s.repl.followerCount(),
+		Schema:     s.db.Schema(),
+
+		RouterBits: ri.Bits, RouterFrozenChunks: ri.FrozenChunks, RouterTailChunks: ri.TailChunks,
 	}
-	ri := s.db.RouterInfo()
-	st.RouterBits = ri.Bits
-	st.RouterFrozenChunks = ri.FrozenChunks
-	st.RouterTailChunks = ri.TailChunks
 	for _, g := range s.db.Generations() {
 		st.Gens = append(st.Gens, GenStat{
 			ID: g.ID, Len: g.Len, SizeBits: g.SizeBits,
 			MinValue: g.MinValue, MaxValue: g.MaxValue,
 		})
 	}
-	st.Schema = s.db.Schema()
 	return st
 }
 
