@@ -478,16 +478,8 @@ func execute(st wavelettrie.StringIndex, args []string) (cur wavelettrie.StringI
 					float64(g.FileBytes)/1024, backing,
 					trimValue(g.MinValue), trimValue(g.MaxValue))
 				if g.ColFileBytes > 0 {
-					colBacking := "heap"
-					if g.ColMmapped {
-						colBacking = "mmap"
-						if g.ColResidentBytes >= 0 {
-							colBacking = fmt.Sprintf("mmap %3.0f%% resident",
-								100*float64(g.ColResidentBytes)/float64(max(1, g.ColFileBytes+g.ColDirFileBytes)))
-						}
-					}
-					fmt.Printf("          cols %7.1f KiB (.col) + %7.1f KiB (.cd)  %s\n",
-						float64(g.ColFileBytes)/1024, float64(g.ColDirFileBytes)/1024, colBacking)
+					fmt.Printf("          sections: columns %.1f KiB, blob directory %.1f KiB\n",
+						float64(g.ColFileBytes)/1024, float64(g.ColDirFileBytes)/1024)
 				}
 			}
 			fmt.Printf("memtable  n=%d\n", db.MemLen())

@@ -17,8 +17,8 @@ import (
 // bitvec planes: O(width) of them for Access, Rank and Select, O(width) per
 // boundary node for RangeCount. Width 0 — every value 0 — has no plane.
 //
-// The planes are one word array, ⌈n/64⌉ words each — the .col file's plane
-// section byte for byte, which DecodeMatrix aliases. A Matrix is safe for
+// The planes are one word array, ⌈n/64⌉ words each — the column image's plane
+// array byte for byte, which DecodeMatrix aliases. A Matrix is safe for
 // concurrent readers.
 type Matrix struct {
 	n, width int

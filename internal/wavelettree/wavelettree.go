@@ -1,7 +1,7 @@
 // Package wavelettree holds the repository's two wavelet structures over
 // integers. Matrix, the wavelet matrix over fixed-width values, is the
 // store's one integer rank/select substrate: a frozen generation's numeric
-// columns (its planes are the .col file's plane section, decoded in place)
+// columns (its planes are the column image's plane array, decoded in place)
 // and the sharded router's sealed chunks.
 //
 // Tree is the classical balanced Wavelet Tree of Grossi, Gupta and

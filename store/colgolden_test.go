@@ -11,8 +11,10 @@ import (
 
 // The column files in testdata/cols_v2.col and testdata/cols_v2.cd were
 // written by the commit before the plane layout moved into
-// internal/wavelettree, from goldenColSchema and goldenColRows. They pin
-// .col version 2 and .cd version 1 byte for byte across that move.
+// internal/wavelettree, from goldenColSchema and goldenColRows, as two
+// files of their own. They pin the column image (WCLM version 2) and the
+// blob directory (WCDR version 1) byte for byte — today the column and
+// blob directory sections of a generation file.
 const (
 	goldenColFile = "cols_v2.col"
 	goldenCdFile  = "cols_v2.cd"
@@ -55,9 +57,9 @@ func goldenColRows() []Row {
 }
 
 // TestColumnGolden: today's freeze encodes the golden rows to the golden
-// bytes, and both files decode — onto the heap and zero-copy from a
-// mapping — to columns that answer colValue, colRange and colPresent like
-// the flat rows.
+// bytes, and both images, as the sections of a generation file, decode —
+// onto the heap and zero-copy from a mapping — to columns that answer
+// colValue, colRange and colPresent like the flat rows.
 func TestColumnGolden(t *testing.T) {
 	schema, rows := goldenColSchema(), goldenColRows()
 	colData, err := os.ReadFile(filepath.Join("testdata", goldenColFile))
@@ -73,37 +75,31 @@ func TestColumnGolden(t *testing.T) {
 		t.Fatalf("encoded images (%d, %d bytes) differ from the golden files (%d, %d bytes)", len(col), len(cd), len(colData), len(cdData))
 	}
 
+	// The golden images as the column sections of a generation file, decoded
+	// through the loader onto the heap and zero-copy from a mapping.
+	ix, err := freezeSeq(make([]string, len(rows)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trie, err := ix.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	for name, data := range map[string][]byte{goldenColFile: colData, goldenCdFile: cdData} {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	parts, _ := genFileParts([numSections][]byte{trie, colData, cdData})
+	meta := genMeta{id: 2, n: len(rows), crc: genCRC(parts...)}
+	if err := writeFileAtomic(dir, genFileName(meta.id), parts...); err != nil {
+		t.Fatal(err)
 	}
 	for _, mapped := range []bool{false, true} {
-		colImg, colRegion, err := readColFile(dir, goldenColFile, genCRC(colData), mapped)
+		g, err := loadGeneration(dir, meta, schema, mapped)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cdImg, cdRegion, err := readColFile(dir, goldenCdFile, genCRC(cdData), mapped)
-		if err != nil {
-			t.Fatal(err)
+		if mapped && mmapSupported && g.cols.region == nil {
+			t.Fatal("golden sections were not mapped")
 		}
-		if mapped && mmapSupported && (colRegion == nil || cdRegion == nil) {
-			t.Fatal("golden files were not mapped")
-		}
-		fc, err := parseColumn(colImg, mapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirs, err := parseColDir(cdImg, mapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bindColDir(fc, dirs); err != nil {
-			t.Fatal(err)
-		}
-		fc.colRegion, fc.cdRegion = colRegion, cdRegion
-		checkColsAgainstRows(t, fc, schema, rows)
+		checkColsAgainstRows(t, g.cols, schema, rows)
 	}
 }
 

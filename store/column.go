@@ -19,14 +19,14 @@ import (
 // element of the sequence (DESIGN.md §13): a fixed schema of named,
 // typed columns is pinned in the manifest at creation, each append may
 // carry one value per column (or NULL), and flush/compaction persist the
-// rows beside each generation as two immutable files —
+// rows as two sections of each generation's file (generation.go) —
 //
-//	gen-<id>.col  presence bitvectors + bit-plane wavelet matrices over the
-//	              present values of every fixed-width numeric column — or
-//	              over their ranks in the generation's sorted dictionary,
-//	              whichever of the two is smaller
-//	gen-<id>.cd   the offset directory: per blob column, the offsets and
-//	              concatenated bytes of its present values
+//	columns  presence bitvectors + bit-plane wavelet matrices over the
+//	         present values of every fixed-width numeric column — or over
+//	         their ranks in the generation's sorted dictionary, whichever
+//	         of the two is smaller
+//	blobs    the offset directory: per blob column, the offsets and
+//	         concatenated bytes of its present values
 //
 // The numeric encoding is a wavelet matrix over the values' bit planes
 // (wavelettree.Matrix: a pointerless, level-wise wavelet tree, MSB
@@ -61,7 +61,7 @@ func (k ColumnKind) String() string {
 }
 
 // maxColumns caps a schema; column counts also ride in WAL records and
-// column files, where an absurd count must read as corruption.
+// column sections, where an absurd count must read as corruption.
 const maxColumns = 64
 
 // ColumnSpec declares one column of a store's schema: a non-empty name
@@ -399,12 +399,12 @@ func (c clampCols) colPresent(col, l, r int) int {
 // ---------------------------------------------------------------------------
 // Frozen per-generation columns
 
-// Column file containers. Both files carry their CRC-32 in the manifest
-// (like generation index files); a mismatch fails Open loudly — column
-// data feeds predicate answers, where a silent bit flip would be a
-// wrong result, not a degraded one. Version 2 is the only .col version
-// read or written: version 1 stored every presence vector and raw planes
-// only, and a directory holding one is refused as it stands.
+// Column section containers. Both sections sit in the generation file
+// under its manifest CRC; a mismatch fails Open loudly — column data
+// feeds predicate answers, where a silent bit flip would be a wrong
+// result, not a degraded one. Version 2 is the only WCLM version read or
+// written: version 1 stored every presence vector and raw planes only,
+// and a directory holding one is refused as it stands.
 const (
 	colMagic   = 0x4D4C4357 // "WCLM" little-endian
 	colVersion = 2
@@ -412,13 +412,13 @@ const (
 	colDirMagic   = 0x52444357 // "WCDR" little-endian
 	colDirVersion = 1
 
-	// maxColRows bounds the row count a parsed column file may claim —
+	// maxColRows bounds the row count a parsed column image may claim —
 	// foreign-input hardening for the fuzzers, far above any real
 	// generation.
 	maxColRows = 1 << 40
 )
 
-// How a .col file states a column's presence: a vector that would be all
+// How a column image states a column's presence: a vector that would be all
 // zeros or all ones is a flag.
 const (
 	presNone = iota // every cell NULL
@@ -426,13 +426,10 @@ const (
 	presBits        // the vector follows
 )
 
-func colFileName(id uint64) string    { return fmt.Sprintf("gen-%08d.col", id) }
-func colDirFileName(id uint64) string { return fmt.Sprintf("gen-%08d.cd", id) }
-
 // frozenCol is one decoded column of a generation: which of the n
 // positions hold a cell, plus — for numeric columns — the wavelet matrix
 // over the m present values, or — for blob columns — the offset directory
-// into the payload bytes (bound from the .cd file).
+// into the payload bytes (bound from the blob directory section).
 type frozenCol struct {
 	kind ColumnKind
 	// presence is nil when every cell is present (m == n) or none is
@@ -452,15 +449,16 @@ type frozenCol struct {
 	payload []byte
 }
 
-// frozenCols is a generation's decoded column set. colRegion and cdRegion
-// are the mappings its vectors, dictionaries and payloads alias when it
-// was mmap-loaded (nil on the heap path): whoever reaches the set — a
-// pinned view outliving the generation's compaction included — reaches
-// them, and every read holds the set until it returns (see probe.go).
+// frozenCols is a generation's decoded column set. region is the
+// mapping of the generation file its vectors, dictionaries and payloads
+// alias when it was mmap-loaded (nil on the heap path): whoever reaches
+// the set — a pinned view outliving the generation's compaction
+// included — reaches it, and every read holds the set until it returns
+// (see probe.go).
 type frozenCols struct {
-	n                   int
-	cols                []frozenCol
-	colRegion, cdRegion *mmapRegion
+	n      int
+	cols   []frozenCol
+	region *mmapRegion
 }
 
 // setPresence records which positions hold a cell; a vector that is all
@@ -550,8 +548,8 @@ func (c *frozenCol) rankRange(lo, hi uint64) (uint64, uint64) {
 	return uint64(rl), uint64(rh)
 }
 
-// encodeColumns serializes a generation's columns into the .col image
-// and (when any blob columns exist) the .cd offset-directory image.
+// encodeColumns serializes a generation's columns into the column image
+// and (when any blob columns exist) the blob offset-directory image.
 // cols must be fully built (see colwrite.go). Per column: kind, presence
 // mode (and the vector, unless elided); numeric columns add the
 // dictionary (empty = raw planes), the plane count, and the planes as
@@ -599,9 +597,9 @@ func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 	return colData, dw.Bytes()
 }
 
-// parseColumn decodes a .col image: per-column kinds, presence, and the
+// parseColumn decodes a column image: per-column kinds, presence, and the
 // numeric dictionaries and wavelet matrices. Blob columns come back with
-// their offset directory unbound (bindColDir attaches the .cd data).
+// their offset directory unbound (bindColDir attaches it).
 // Arbitrary input must error, never panic, and nothing it accepts may
 // make a later read panic — this function is fuzzed. refs enables
 // zero-copy word decoding (mmap'd, checksum-verified input only).
@@ -619,10 +617,10 @@ func parseColumn(data []byte, refs bool) (*frozenCols, error) {
 		return nil, err
 	}
 	if ncols < 0 || ncols > maxColumns {
-		return nil, fmt.Errorf("store: column file lists %d columns (limit %d)", ncols, maxColumns)
+		return nil, fmt.Errorf("store: column image lists %d columns (limit %d)", ncols, maxColumns)
 	}
 	if n < 0 || n > maxColRows {
-		return nil, fmt.Errorf("store: column file claims %d rows", n)
+		return nil, fmt.Errorf("store: column image claims %d rows", n)
 	}
 	fc := &frozenCols{n: n, cols: make([]frozenCol, ncols)}
 	for i := 0; i < ncols; i++ {
@@ -645,7 +643,7 @@ func parseColumn(data []byte, refs bool) (*frozenCols, error) {
 				return nil, err
 			}
 			if p.Len() != n {
-				return nil, fmt.Errorf("store: column %d presence covers %d rows, file claims %d", i, p.Len(), n)
+				return nil, fmt.Errorf("store: column %d presence covers %d rows, image claims %d", i, p.Len(), n)
 			}
 			c.setPresence(p)
 		default:
@@ -692,7 +690,7 @@ type colDirEntry struct {
 	payload []byte
 }
 
-// parseColDir decodes a .cd offset-directory image: per blob column,
+// parseColDir decodes a blob offset-directory image: per blob column,
 // the monotone offsets and the packed payload bytes they index.
 // Arbitrary input must error, never panic — this function is fuzzed.
 // refs enables zero-copy word decoding.
@@ -743,7 +741,7 @@ func parseColDir(data []byte, refs bool) ([]colDirEntry, error) {
 }
 
 // bindColDir attaches a parsed offset directory to the blob columns of
-// a parsed .col image, cross-checking counts: entry i belongs to the
+// a parsed column image, cross-checking counts: entry i belongs to the
 // i-th blob column, and its offset count must be that column's present
 // count plus one.
 func bindColDir(fc *frozenCols, dirs []colDirEntry) error {
@@ -754,7 +752,7 @@ func bindColDir(fc *frozenCols, dirs []colDirEntry) error {
 			continue
 		}
 		if bi >= len(dirs) {
-			return fmt.Errorf("store: offset directory has %d entries, column file has more blob columns", len(dirs))
+			return fmt.Errorf("store: offset directory has %d entries, column image has more blob columns", len(dirs))
 		}
 		d := dirs[bi]
 		bi++
@@ -765,13 +763,13 @@ func bindColDir(fc *frozenCols, dirs []colDirEntry) error {
 		c.offs, c.payload = d.offs, d.payload
 	}
 	if bi != len(dirs) {
-		return fmt.Errorf("store: offset directory has %d entries, column file has %d blob columns", len(dirs), bi)
+		return fmt.Errorf("store: offset directory has %d entries, column image has %d blob columns", len(dirs), bi)
 	}
 	return nil
 }
 
-// needsColDir reports whether the column set has blob columns (and so a
-// .cd file must exist beside the .col file).
+// needsColDir reports whether the column set has blob columns (and so
+// the generation file must hold a blob directory section).
 func (fc *frozenCols) needsColDir() bool {
 	for i := range fc.cols {
 		if fc.cols[i].kind == ColBytes {

@@ -324,12 +324,14 @@ func TestColumnPreSchemaCompat(t *testing.T) {
 	checkColumns(t, s3.Snapshot(), vals, rows)
 }
 
-// TestTornColumnFileFailsOpen tears each column-side file in turn: the
-// manifest CRC must catch truncation and bit flips under both load
-// paths — column bits answer predicates directly, so a silently torn
-// file would be a wrong answer, not a degraded one.
+// TestTornColumnFileFailsOpen tears each column-side section of a
+// generation file in turn — ".col" the column section, ".cd" the blob
+// directory section — cutting the file inside it or flipping a bit in
+// it: the manifest CRC must catch both under both load paths — column
+// bits answer predicates directly, so a silently torn section would be
+// a wrong answer, not a degraded one.
 func TestTornColumnFileFailsOpen(t *testing.T) {
-	for _, ext := range []string{".col", ".cd"} {
+	for ext, sec := range map[string]int{".col": secCols, ".cd": secBlobs} {
 		for _, mode := range []string{"truncate", "bitflip"} {
 			t.Run(ext+"/"+mode, func(t *testing.T) {
 				dir := t.TempDir()
@@ -341,22 +343,16 @@ func TestTornColumnFileFailsOpen(t *testing.T) {
 				if err := s.Flush(); err != nil {
 					t.Fatal(err)
 				}
+				victim := filepath.Join(dir, genFileName(s.Generations()[0].ID))
 				s.Close()
 
-				matches, err := filepath.Glob(filepath.Join(dir, "gen-*"+ext))
-				if err != nil || len(matches) == 0 {
-					t.Fatalf("no %s files: %v", ext, err)
-				}
-				victim := matches[0]
-				data, err := os.ReadFile(victim)
-				if err != nil {
-					t.Fatal(err)
-				}
+				data, foot, _ := genFileSections(t, victim)
+				mid := foot[sec].off + foot[sec].n/2
 				switch mode {
 				case "truncate":
-					data = data[:len(data)/2]
+					data = data[:mid]
 				case "bitflip":
-					data[len(data)/2] ^= 0x40
+					data[mid] ^= 0x40
 				}
 				if err := os.WriteFile(victim, data, 0o644); err != nil {
 					t.Fatal(err)
@@ -368,7 +364,7 @@ func TestTornColumnFileFailsOpen(t *testing.T) {
 					s2, err := Open(dir, opts)
 					if err == nil {
 						s2.Close()
-						t.Fatalf("Open(NoMmap=%v) of torn %s succeeded", noMmap, ext)
+						t.Fatalf("Open(NoMmap=%v) of torn %s section succeeded", noMmap, ext)
 					}
 					if !strings.Contains(err.Error(), "checksum") {
 						t.Fatalf("Open(NoMmap=%v) error %q does not name the checksum", noMmap, err)
@@ -379,9 +375,11 @@ func TestTornColumnFileFailsOpen(t *testing.T) {
 	}
 }
 
-// TestOrphanColumnFileCleanup: column files no manifest references — a
-// crash between writeColumnFiles and the manifest commit — are
-// reclaimed on Open, and the live generation's column files survive.
+// TestOrphanColumnFileCleanup: columnar generation files no manifest
+// references — a crash between a flush's or compaction's generation
+// write and the manifest commit, or in the middle of that write — are
+// reclaimed on Open, and the live generation's file survives with its
+// column sections.
 func TestOrphanColumnFileCleanup(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, colTestOpts())
@@ -395,30 +393,35 @@ func TestOrphanColumnFileCleanup(t *testing.T) {
 	live := s.Generations()[0].ID
 	s.Close()
 
-	orphans := []string{
-		filepath.Join(dir, colFileName(live+40)),
-		filepath.Join(dir, colDirFileName(live+40)),
-		filepath.Join(dir, colFileName(live+41)+".tmp"),
-		filepath.Join(dir, colDirFileName(live+41)+".tmp"),
+	ix, err := freezeSeq(vals)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range orphans {
-		if err := os.WriteFile(path, []byte("dead column file"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := writeGenerationFrom(dir, live+40, colTestSchema(), fuzzColFeeder{rows}, ix); err != nil {
+		t.Fatal(err)
+	}
+	orphan, tmp := filepath.Join(dir, genFileName(live+40)), filepath.Join(dir, genFileName(live+41)+".tmp")
+	data, err := os.ReadFile(orphan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	s2 := mustOpen(t, dir, testOpts())
 	defer s2.Close()
 	checkColumns(t, s2.Snapshot(), vals, rows)
-	for _, path := range orphans {
+	for _, path := range []string{orphan, tmp} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("orphan %s survived Open", path)
 		}
 	}
-	for _, path := range []string{colFileName(live), colDirFileName(live)} {
-		if _, err := os.Stat(filepath.Join(dir, path)); err != nil {
-			t.Fatalf("live column file removed: %v", err)
-		}
+	if g := s2.Generations(); len(g) != 1 || g[0].ID != live || g[0].ColFileBytes == 0 || g[0].ColDirFileBytes == 0 {
+		t.Fatalf("live generation lost its column sections: %+v", g)
+	}
+	if _, err := os.Stat(filepath.Join(dir, genFileName(live))); err != nil {
+		t.Fatalf("live generation file removed: %v", err)
 	}
 }
 

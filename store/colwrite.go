@@ -2,8 +2,6 @@ package store
 
 import (
 	"math/bits"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"repro/internal/bitvec"
@@ -15,9 +13,10 @@ import (
 // a colFeeder into buildFrozenCols, which lays out each column's
 // presence plus its numeric wavelet matrix (over the values or over their
 // ranks in a dictionary, whichever is smaller) or blob payload, and
-// writeColumnFiles persists the images beside the generation's .wt
-// file. Like the streaming value freeze, no per-row materialization
-// happens: the builder sees one (position, cell) pair at a time.
+// writeGenerationFrom persists the images as sections of the
+// generation's file. Like the streaming value freeze, no per-row
+// materialization happens: the builder sees one (position, cell) pair at
+// a time.
 
 // colFeeder streams a generation's column cells at freeze time, one
 // column at a time, present cells only, in ascending position order.
@@ -100,31 +99,6 @@ func buildDict(vals []uint64, width int) []uint64 {
 	}
 	slices.Sort(dict)
 	return dict
-}
-
-// writeColumnFiles atomically persists a generation's column images and
-// returns their sizes and CRCs for the manifest entry (cdCRC 0 when the
-// schema has no blob columns and no .cd file exists).
-func writeColumnFiles(dir string, id uint64, fc *frozenCols) (colBytes, cdBytes int, colCRC, cdCRC uint32, err error) {
-	colData, cdData := encodeColumns(fc)
-	if err = writeFileAtomic(dir, colFileName(id), colData); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	colCRC = genCRC(colData)
-	if cdData != nil {
-		if err = writeFileAtomic(dir, colDirFileName(id), cdData); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		cdCRC = genCRC(cdData)
-	}
-	return len(colData), len(cdData), colCRC, cdCRC, nil
-}
-
-// removeColumnFiles drops a generation's column images, ignoring
-// not-exist (a schema-less store never wrote them).
-func removeColumnFiles(dir string, id uint64) {
-	os.Remove(filepath.Join(dir, colFileName(id)))
-	os.Remove(filepath.Join(dir, colDirFileName(id)))
 }
 
 // genColFeeder streams the concatenated columns of a run of victim

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	wavelettrie "repro"
@@ -232,7 +234,7 @@ func (s *shard) mergeRun(st *storeState) error {
 	var readBytes int
 	for _, g := range victims {
 		readBytes += g.fileBytes
-		removeGenFiles(s.dir, g.id)
+		os.Remove(filepath.Join(s.dir, genFileName(g.id)))
 	}
 	met.compactions.Inc()
 	met.compactBytesRead.Add(int64(readBytes))
@@ -246,7 +248,7 @@ func (s *shard) mergeRun(st *storeState) error {
 func genMetas(gens []*generation) []genMeta {
 	metas := make([]genMeta, len(gens))
 	for i, g := range gens {
-		metas[i] = genMeta{id: g.id, n: g.ix.Len(), crc: g.crc, colCRC: g.colCRC, cdCRC: g.cdCRC}
+		metas[i] = genMeta{id: g.id, n: g.ix.Len(), crc: g.crc}
 	}
 	return metas
 }

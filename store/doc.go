@@ -106,8 +106,9 @@
 // append can then carry a row of cells beside its value, addressed by the
 // value's position. Rows ride the value's WAL record and sit in
 // per-column arrays beside the memtable; at flush and compaction they are
-// frozen into gen-<id>.col (and gen-<id>.cd for blob payloads), checksummed
-// in the manifest and mapped like the index file. A numeric column is a
+// frozen into the column section (and a blob directory section for blob
+// payloads) of the generation's one file, gen-<id>.wt, after its trie,
+// under the file's one manifest checksum and its one mapping. A numeric column is a
 // wavelet matrix (internal/wavelettree's Matrix, the router's type too) —
 // bit planes, MSB first — over its present values, or over their ranks in the generation's own sorted dictionary,
 // whichever is smaller: a frozen generation is static, so the
@@ -117,8 +118,8 @@
 // ones or all zeros is a flag. The dictionary keeps order, so a range
 // predicate is still rank arithmetic alone — CountWhere with one
 // predicate decodes no value — and a cell read walks ⌈log₂ D⌉ planes.
-// Version 2 of the .col file is the only one read; a version 1 file is
-// refused by name and the directory left as it was. See DESIGN.md §13.
+// Version 2 of the column image is the only one read; a version 1 image
+// is refused by name and the directory left as it was. See DESIGN.md §13.
 //
 // Store satisfies the root package's StringIndex
 // interface, so everything programmed against wavelettrie.StringIndex

@@ -150,7 +150,7 @@ func TestParseColumnRefuses(t *testing.T) {
 }
 
 // FuzzParseColumn: arbitrary bytes must error or decode — never panic —
-// and an accepted .col image must be encode-stable: re-encoding the
+// and an accepted column image must be encode-stable: re-encoding the
 // decoded columns and decoding again yields the same shape and the same
 // numeric values (byte identity is too strong: word-alignment padding
 // admits nonzero garbage the reader skips). Whatever decodes must also
@@ -198,7 +198,7 @@ func FuzzParseColumn(f *testing.F) {
 				t.Fatalf("column %d changed across re-parse", i)
 			}
 			if a.kind != ColUint64 {
-				continue // blob values live in the .cd file, unbound here
+				continue // blob values live in the blob directory, unbound here
 			}
 			// Spot-check numeric values over a bounded prefix of positions.
 			limit := fc.n
@@ -223,7 +223,7 @@ func FuzzParseColumn(f *testing.F) {
 }
 
 // FuzzParseColDir: arbitrary bytes must error or decode — never panic —
-// and an accepted .cd image must round-trip structurally: re-encoding
+// and an accepted blob directory image must round-trip structurally: re-encoding
 // the decoded directories and decoding again yields identical offsets
 // and payloads.
 func FuzzParseColDir(f *testing.F) {
@@ -263,6 +263,38 @@ func FuzzParseColDir(f *testing.F) {
 			if !reflect.DeepEqual(dirs[i].offs, dirs2[i].offs) || !bytes.Equal(dirs[i].payload, dirs2[i].payload) {
 				t.Fatalf("entry %d changed across re-parse", i)
 			}
+		}
+	})
+}
+
+// FuzzParseGenFooter: arbitrary bytes must error or yield a footer —
+// never panic — and an accepted footer must re-encode to the file's last
+// genFooterSize bytes, byte for byte.
+func FuzzParseGenFooter(f *testing.F) {
+	ix, err := freezeSeq([]string{"api/a", "api/b", "", "api/a"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	trie, err := ix.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	rows := []Row{{U64(7), Blob([]byte("alpha"))}, nil, {Null(), Blob(nil)}, {U64(1 << 40), Null()}}
+	col, cd := encodeColumns(buildFrozenCols(colTestSchema(), len(rows), fuzzColFeeder{rows}))
+	f.Add([]byte{})
+	for _, img := range [][]byte{genImage([numSections][]byte{trie}), genImage([numSections][]byte{trie, col, cd})} {
+		f.Add(img)
+		f.Add(img[len(img)-genFooterSize:]) // the tail alone: sections out of bounds
+		f.Add(img[:len(img)-1])             // torn
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		foot, err := parseGenFooter(data)
+		if err != nil {
+			return
+		}
+		if enc := encodeGenFooter(foot); !bytes.Equal(enc, data[len(data)-genFooterSize:]) {
+			t.Fatalf("footer re-encodes to %x, file ends %x", enc, data[len(data)-genFooterSize:])
 		}
 	})
 }

@@ -13,18 +13,18 @@ import (
 // rename over MANIFEST — so a crash leaves either the old or the new
 // manifest, never a partial one.
 //
-// Each generation entry carries the CRC-32 (IEEE) of its files: a
-// matching checksum lets Open skip the deep structural re-validation of
-// the frozen index (the dominant recovery cost) while catching the bit
-// flips structure checks cannot. The manifest also pins the store's
-// column schema (name + kind per column — fixed for the store's
-// lifetime, like the shard layout in SHARDS); colCRC 0 means the
-// generation predates the schema and reads as all-NULL rows. Version 4
-// is the only version read or written (version 3 also carried a distinct
-// count; the count is now derived — Snapshot.AlphabetSize).
+// Each generation entry carries the CRC-32 (IEEE) of its file, footer
+// included: a matching checksum lets Open skip the deep structural
+// re-validation of the frozen index (the dominant recovery cost) while
+// catching the bit flips structure checks cannot. The manifest also pins
+// the store's column schema (name + kind per column — fixed for the
+// store's lifetime, like the shard layout in SHARDS); a generation file
+// with no column section predates the schema and reads as all-NULL rows.
+// Version 5 is the only version read or written (version 4 kept a
+// generation's columns in two files of their own, with a CRC each).
 const (
 	manifestMagic   = 0x4E414D57 // "WMAN" little-endian
-	manifestVersion = 4
+	manifestVersion = 5
 
 	manifestName    = "MANIFEST"
 	manifestTmpName = "MANIFEST.tmp"
@@ -34,11 +34,9 @@ const (
 
 // genMeta is one generation as recorded in the manifest.
 type genMeta struct {
-	id     uint64 // names the files gen-<id>.wt / gen-<id>.col / gen-<id>.cd
-	n      int    // element count, cross-checked against the loaded file
-	crc    uint32 // CRC-32 of gen-<id>.wt (see genCRC; never 0)
-	colCRC uint32 // CRC-32 of gen-<id>.col; 0 = no column files (pre-schema)
-	cdCRC  uint32 // CRC-32 of gen-<id>.cd; 0 = no offset directory
+	id  uint64 // names the file gen-<id>.wt
+	n   int    // element count, cross-checked against the loaded file
+	crc uint32 // CRC-32 of gen-<id>.wt (see genCRC; never 0)
 }
 
 // manifest is the decoded root pointer.
@@ -61,8 +59,6 @@ func encodeManifest(m manifest) []byte {
 		w.U64(g.id)
 		w.Int(g.n)
 		w.U32(g.crc)
-		w.U32(g.colCRC)
-		w.U32(g.cdCRC)
 	}
 	w.Int(len(m.schema))
 	for _, c := range m.schema {
@@ -92,7 +88,7 @@ func parseManifest(data []byte) (manifest, error) {
 	seen := make(map[uint64]bool, count)
 	var total int64
 	for i := 0; i < count; i++ {
-		g := genMeta{id: r.U64(), n: r.Int(), crc: r.U32(), colCRC: r.U32(), cdCRC: r.U32()}
+		g := genMeta{id: r.U64(), n: r.Int(), crc: r.U32()}
 		if err := r.Err(); err != nil {
 			return m, err
 		}
@@ -127,13 +123,6 @@ func parseManifest(data []byte) (manifest, error) {
 	}
 	if err := validateSchema(m.schema); err != nil {
 		return m, err
-	}
-	if len(m.schema) == 0 {
-		for _, g := range m.gens {
-			if g.colCRC != 0 || g.cdCRC != 0 {
-				return m, fmt.Errorf("store: manifest generation %d has column files but no schema", g.id)
-			}
-		}
 	}
 	if err := r.Done(); err != nil {
 		return m, err

@@ -200,10 +200,11 @@ func TestQueryInFlightHoldsMappedGen(t *testing.T) {
 	t.Run("columns", testQueryHoldsMappedCols)
 }
 
-// testQueryHoldsMappedCols is the same for the column files: once a compaction retires the generations, a view pinned before
-// it is all that reaches their .col/.cd mappings, and only through the
-// column sets — so the sets must hold the mappings, every read must hold
-// its set, and a row handed out must not point into a mapping at all.
+// testQueryHoldsMappedCols is the same for the column sections: once a
+// compaction retires the generations, a view pinned before it is all
+// that reaches their mappings, through its segments and column sets —
+// so the sets must hold the mappings, every read must hold its set, and
+// a row handed out must not point into a mapping at all.
 func testQueryHoldsMappedCols(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, colTestOpts())
@@ -222,8 +223,8 @@ func testQueryHoldsMappedCols(t *testing.T) {
 
 	s = mustOpen(t, dir, testOpts())
 	defer s.Close()
-	if g := s.Generations()[0]; !g.ColMmapped {
-		t.Fatal("column files not mmap-loaded")
+	if g := s.shards[0].state.Load().gens[0]; g.region == nil || g.cols.region != g.region {
+		t.Fatal("column sections not mmap-loaded")
 	}
 	// Cut the way a sharded Snapshot cuts its shards' views: such a view
 	// holds segments and column sets, not the store state they came from.

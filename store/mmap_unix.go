@@ -13,14 +13,14 @@ import (
 // without it every generation decodes onto the heap.
 const mmapSupported = true
 
-// mmapRegion is a read-only file mapping backing one generation's
-// Frozen index. The Frozen keeps the region reachable (via its backing
-// handle), so the mapping outlives compaction's unlink of the file —
-// POSIX keeps mapped pages valid after unlink — and snapshots pinning a
-// superseded generation keep reading it safely. The finalizer unmaps
-// once the last Frozen referencing the region is collected; there is no
-// eager unmap, because proving no snapshot still aliases the bits is
-// exactly the problem the GC already solves.
+// mmapRegion is a read-only mapping of one generation file, backing its
+// Frozen index and its column set. Both keep the region reachable (the
+// Frozen via its backing handle), so the mapping outlives compaction's
+// unlink of the file — POSIX keeps mapped pages valid after unlink — and
+// snapshots pinning a superseded generation keep reading it safely. The
+// finalizer unmaps once the last reference to the region is collected;
+// there is no eager unmap, because proving no snapshot still aliases the
+// bits is exactly the problem the GC already solves.
 type mmapRegion struct {
 	data []byte
 }

@@ -64,16 +64,20 @@ func (o *Options) withDefaults() Options {
 // useMmap reports whether this shard maps generation files.
 func (s *shard) useMmap() bool { return mmapSupported && !s.opts.NoMmap }
 
-// maybeRemap swaps a freshly written heap-backed generation onto a
-// mapping of its own file when mmap is enabled — so flush and
-// compaction output immediately gains the page-cache backing that
-// reopened generations have. Best effort; on failure the heap-backed
-// generation is kept.
+// maybeRemap reloads a freshly written heap-backed generation from its
+// own file as Open would when mmap is enabled — mapped, releasing the
+// heap copies of its trie and columns — so flush and compaction output
+// immediately gains the page-cache backing that reopened generations
+// have. Best effort; on any failure the heap-backed generation is kept.
 func (s *shard) maybeRemap(g *generation) *generation {
 	if !s.useMmap() {
 		return g
 	}
-	return remapGeneration(s.dir, g)
+	ng, err := loadGeneration(s.dir, genMeta{id: g.id, n: g.ix.Len(), crc: g.crc}, s.schema, true)
+	if err != nil {
+		return g // foreign bytes? never trust them zero-copy
+	}
+	return ng
 }
 
 // storeState is the immutable root the readers load atomically: the
@@ -298,9 +302,9 @@ func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
 // loadManifest reads dir/MANIFEST, writing a fresh one for a new shard,
 // and settles the column schema: a fresh shard pins Options.Columns; an
 // existing schema-less shard opened with columns pins them (rewriting
-// the manifest — prior generations keep colCRC 0 and read all-NULL); an
-// existing schema must match Options.Columns exactly, or be adopted
-// when the options carry none.
+// the manifest — prior generations have no column section and read
+// all-NULL); an existing schema must match Options.Columns exactly, or
+// be adopted when the options carry none.
 func (s *shard) loadManifest() (manifest, bool, error) {
 	if err := validateSchema(s.opts.Columns); err != nil {
 		return manifest{}, false, err
@@ -341,11 +345,9 @@ func (s *shard) loadManifest() (manifest, bool, error) {
 // the manifest is the sole root: an unreferenced file can never become
 // reachable again.
 func (s *shard) removeOrphanGens(metas []genMeta) {
-	live := make(map[string]bool, 3*len(metas))
+	live := make(map[string]bool, len(metas))
 	for _, meta := range metas {
 		live[genFileName(meta.id)] = true
-		live[colFileName(meta.id)] = true
-		live[colDirFileName(meta.id)] = true
 	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -353,14 +355,9 @@ func (s *shard) removeOrphanGens(metas []genMeta) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "gen-") || live[name] {
-			continue
-		}
-		for _, suffix := range []string{".wt", ".wt.tmp", ".col", ".col.tmp", ".cd", ".cd.tmp"} {
-			if strings.HasSuffix(name, suffix) {
-				os.Remove(filepath.Join(s.dir, name))
-				break
-			}
+		if strings.HasPrefix(name, "gen-") && !live[name] &&
+			(strings.HasSuffix(name, ".wt") || strings.HasSuffix(name, ".wt.tmp")) {
+			os.Remove(filepath.Join(s.dir, name))
 		}
 	}
 }
@@ -765,30 +762,27 @@ func (s *shard) snapshotOf(st *storeState, n int64) *Snapshot {
 
 // GenInfo describes one frozen generation of the store.
 type GenInfo struct {
-	ID       uint64 // names the files gen-<id>.wt / .col / .cd
+	ID       uint64 // names the file gen-<id>.wt
 	Len      int    // element count
 	SizeBits int    // in-memory footprint of the loaded generation
 	// MinValue and MaxValue are the lexicographic bounds of the stored
 	// values: the leftmost and the rightmost leaf of the generation's trie.
 	MinValue string
 	MaxValue string
-	// Mmapped reports whether the generation's index aliases a read-only
-	// file mapping (zero-copy decode) rather than heap memory.
+	// Mmapped reports whether the generation's index and columns alias a
+	// read-only mapping of its file (zero-copy decode) rather than heap
+	// memory.
 	Mmapped bool
-	// FileBytes is the on-disk size of the index file.
+	// FileBytes is the on-disk size of the generation file.
 	FileBytes int
 	// ResidentBytes is how much of the mapping currently sits in physical
 	// memory (mincore), or -1 when the generation is heap-backed or the
 	// platform cannot tell.
 	ResidentBytes int
-	// ColFileBytes / ColDirFileBytes are the on-disk sizes of the
-	// generation's column file and offset directory (0 when absent), and
-	// ColMmapped / ColResidentBytes mirror Mmapped / ResidentBytes for
-	// the column mappings (resident is summed across .col and .cd).
-	ColFileBytes     int
-	ColDirFileBytes  int
-	ColMmapped       bool
-	ColResidentBytes int
+	// ColFileBytes / ColDirFileBytes are the sizes of the file's column
+	// section and blob directory section (0 when absent).
+	ColFileBytes    int
+	ColDirFileBytes int
 }
 
 // generations lists the shard's persisted generations in sequence order.
@@ -800,21 +794,11 @@ func (s *shard) generations() []GenInfo {
 		if g.region != nil {
 			resident = residentBytes(g.region.data)
 		}
-		colResident, colMapped := -1, g.cols != nil && g.cols.colRegion != nil
-		if colMapped {
-			colResident = residentBytes(g.cols.colRegion.data)
-			if g.cols.cdRegion != nil {
-				if r := residentBytes(g.cols.cdRegion.data); r >= 0 {
-					colResident += r
-				}
-			}
-		}
 		lo, hi := g.ix.Bounds()
 		out[i] = GenInfo{ID: g.id, Len: g.ix.Len(), SizeBits: g.ix.SizeBits(),
 			MinValue: lo, MaxValue: hi,
 			Mmapped: g.region != nil, FileBytes: g.fileBytes, ResidentBytes: resident,
-			ColFileBytes: g.colBytes, ColDirFileBytes: g.cdBytes,
-			ColMmapped: colMapped, ColResidentBytes: colResident}
+			ColFileBytes: g.sections[secCols].n, ColDirFileBytes: g.sections[secBlobs].n}
 	}
 	return out
 }

@@ -591,9 +591,10 @@ func TestChecksumMismatchFails(t *testing.T) {
 // TestOlderFormatsRefused: a directory written before the distinct count
 // became derived — manifest version 3, log version 1 with its "new to the
 // alphabet" flag bit — before columns were laid out at their entropy —
-// .col version 1 — before the trie lost its redundant directories —
-// .wt container version 2 — or before RRR offsets took the split order —
-// container version 3 — must be refused by name of the version and
+// column image version 1 — before the trie lost its redundant directories —
+// trie container version 2 — before RRR offsets took the split order —
+// container version 3 — or before a generation became one file —
+// manifest version 4 — must be refused by name of the version and
 // left byte for byte as it was. Read as today's format, flag 0x01 would be a
 // sequence header (or, checksummed but ill-shaped, a "corrupt tail" to
 // truncate): acknowledged data reinterpreted or cut off.
@@ -653,10 +654,10 @@ func TestOlderFormatsRefused(t *testing.T) {
 			return map[string][]byte{filepath.Join(shardDirName(0), manifestName): oldManifest}
 		}, func(dir string) error { _, err := OpenSharded(dir, nil); return err }, "unsupported version 3"},
 		{"version 1 column file", func(t *testing.T, dir string) map[string][]byte {
-			// Today's store with a flushed columnar generation, its .col
-			// rewritten the way version 1 laid it out (every presence vector,
-			// raw planes, a length per vector) and the manifest's checksum
-			// moved with it: the directory the parent commit left behind.
+			// Today's store with a flushed columnar generation, its column
+			// section rewritten the way version 1 laid it out (every presence
+			// vector, raw planes, a length per vector) and the manifest's
+			// checksum moved with it.
 			s := mustOpen(t, dir, colTestOpts())
 			vals, rows := colTestData(40)
 			if err := s.AppendBatchRows(vals, rows); err != nil {
@@ -685,9 +686,20 @@ func TestOlderFormatsRefused(t *testing.T) {
 					}
 				}
 			}
+			id := s.Generations()[0].ID
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
+			_, _, secs := genFileSections(t, filepath.Join(dir, genFileName(id)))
+			secs[secCols] = w.Bytes()
+			return currentGen(t, dir, genImage(secs))
+		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "column section: wire: unsupported version 1"},
+		{"manifest version 4 (three files a generation)", func(t *testing.T, dir string) map[string][]byte {
+			// Today's columnar generation split the way version 4 kept it: the
+			// trie container in gen-<id>.wt, the column image in .col and the
+			// blob directory in .cd, each with its CRC in the manifest entry.
+			path := flushedColumnGen(t, dir)
+			_, _, secs := genFileSections(t, path)
 			data, err := os.ReadFile(filepath.Join(dir, manifestName))
 			if err != nil {
 				t.Fatal(err)
@@ -696,18 +708,32 @@ func TestOlderFormatsRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.gens[0].colCRC = genCRC(w.Bytes())
-			files := map[string][]byte{manifestName: encodeManifest(m), colFileName(m.gens[0].id): w.Bytes()}
-			for _, name := range []string{genFileName(m.gens[0].id), colDirFileName(m.gens[0].id), walFileName(m.walID)} {
-				if files[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
-					t.Fatal(err)
-				}
+			g := m.gens[0]
+			w := wire.NewWriter(manifestMagic, 4)
+			w.U64(m.nextID)
+			w.U64(m.walID)
+			w.Int(1)
+			w.U64(g.id)
+			w.Int(g.n)
+			for _, sec := range secs {
+				w.U32(genCRC(sec))
+			}
+			w.Int(len(m.schema))
+			for _, c := range m.schema {
+				w.Str(c.Name)
+				w.Byte(byte(c.Kind))
+			}
+			stem := strings.TrimSuffix(genFileName(g.id), ".wt")
+			files := map[string][]byte{manifestName: w.Bytes(),
+				stem + ".wt": secs[secTrie], stem + ".col": secs[secCols], stem + ".cd": secs[secBlobs]}
+			if files[walFileName(m.walID)], err = os.ReadFile(filepath.Join(dir, walFileName(m.walID))); err != nil {
+				t.Fatal(err)
 			}
 			return files
-		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, ".col: wire: unsupported version 1"},
-		// The generation cases: today's store with one flushed generation, its .wt replaced
-		// by the file an older build wrote for the same values and the
-		// manifest's checksum moved with it. gen_persist_v2.wt is the commit
+		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "unsupported version 4"},
+		// The generation cases: today's store with one flushed generation,
+		// its trie section replaced by the file an older build wrote for the
+		// same values and the manifest's checksum moved with it. gen_persist_v2.wt is the commit
 		// before trie format v4 (DFUDS shape, internal-node marks,
 		// cumulative-ones directory); gen_persist_v3.wt is trie format v4,
 		// the bytes its golden file pinned (lexicographic RRR offsets).
@@ -759,21 +785,29 @@ func oldGeneration(file string, vals []string) func(t *testing.T, dir string) ma
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, manifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := parseManifest(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.gens[0].crc = genCRC(old)
-		files := map[string][]byte{manifestName: encodeManifest(m), genFileName(m.gens[0].id): old}
-		if files[walFileName(m.walID)], err = os.ReadFile(filepath.Join(dir, walFileName(m.walID))); err != nil {
-			t.Fatal(err)
-		}
-		return files
+		return currentGen(t, dir, genImage([numSections][]byte{old}))
 	}
+}
+
+// currentGen returns the files of TestOlderFormatsRefused's case of a
+// closed store in dir whose one generation file is img: the file, the
+// manifest with its checksum moved to match, and the WAL.
+func currentGen(t *testing.T, dir string, img []byte) map[string][]byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := parseManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.gens[0].crc = genCRC(img)
+	files := map[string][]byte{manifestName: encodeManifest(m), genFileName(m.gens[0].id): img}
+	if files[walFileName(m.walID)], err = os.ReadFile(filepath.Join(dir, walFileName(m.walID))); err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // v4GoldenSeq is the sequence testdata/gen_persist_v3.wt holds: a URL log
@@ -840,15 +874,20 @@ func TestFlushLeavesOneWAL(t *testing.T) {
 // writeGeneration is writeGenerationFrom for an in-memory slice —
 // convenience for tests and callers that already hold the sequence.
 func writeGeneration(dir string, id uint64, seq []string) (*generation, error) {
-	ix, err := wavelettrie.FreezeIterate(func(yield func(s string) bool) {
+	ix, err := freezeSeq(seq)
+	if err != nil {
+		return nil, err
+	}
+	return writeGenerationFrom(dir, id, nil, nil, ix)
+}
+
+// freezeSeq freezes an in-memory slice.
+func freezeSeq(seq []string) (*wavelettrie.Frozen, error) {
+	return wavelettrie.FreezeIterate(func(yield func(s string) bool) {
 		for _, v := range seq {
 			if !yield(v) {
 				return
 			}
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return writeGenerationFrom(dir, id, nil, nil, ix)
 }
