@@ -40,7 +40,6 @@ func runCMP(quick bool) {
 		bits int
 	}{
 		{"wavelet trie (succinct)", wtrie.SuccinctSizeBits()},
-		{"wavelet trie (pointer)", wtrie.SizeBits()},
 		{"wavelet tree + dict", wtree.SizeBits()},
 		{"b-tree index + seq", bt.SizeBits()},
 		{"text index (SA) + seq", ti.SizeBits()},

@@ -16,12 +16,11 @@ func runFigures(bool) {
 	printWTDump(wt.Dump(), "  ")
 
 	fmt.Println("\nFigure 2: Wavelet Trie of <0001,0011,0100,00100,0100,00100,0100>")
-	seq := make([]bitstr.BitString, 0, 7)
+	a := core.NewAppendOnly()
 	for _, s := range []string{"0001", "0011", "0100", "00100", "0100", "00100", "0100"} {
-		seq = append(seq, bitstr.MustParse(s))
+		a.AppendBits(bitstr.MustParse(s))
 	}
-	st := core.NewStaticFromBits(seq)
-	printTrieDump(st.Dump(), "  ")
+	printTrieDump(a.Dump(), "  ")
 
 	fmt.Println("\nFigure 3: node split on inserting an unseen string")
 	d := core.NewDynamic()

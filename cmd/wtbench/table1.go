@@ -82,7 +82,7 @@ func runT1a(quick bool) {
 
 func runT1b(quick bool) {
 	fmt.Println("Expectation: total bits ≈ LB = LT(Sset)+nH0(S); redundancy/(h~n) shrinking in n.")
-	t := newTable("n", "succinct b/elem", "pointer b/elem", "LB b/elem", "nH0 b/elem", "redundancy/(h~n)")
+	t := newTable("n", "succinct b/elem", "LB b/elem", "nH0 b/elem", "redundancy/(h~n)")
 	for _, n := range sizesFor(quick) {
 		seq := workload.URLLog(n, 1, workload.DefaultURLConfig())
 		w := wavelettrie.NewStatic(seq)
@@ -90,8 +90,7 @@ func runT1b(quick bool) {
 		nh0 := entropy.NH0Strings(seq)
 		succ := w.SuccinctSizeBits()
 		red := (float64(succ) - lb) / (w.AvgHeight() * float64(n))
-		t.row(n, perElem(succ, n), perElem(w.SizeBits(), n), lb/float64(n), nh0/float64(n),
-			fmt.Sprintf("%.3f", red))
+		t.row(n, perElem(succ, n), lb/float64(n), nh0/float64(n), fmt.Sprintf("%.3f", red))
 	}
 	t.flush()
 }

@@ -173,9 +173,10 @@ func newSourceProgram() (*sourceProgram, error) {
 
 func newInfo() *types.Info {
 	return &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Instances: map[*ast.Ident]types.Instance{},
 	}
 }
 
@@ -358,9 +359,12 @@ func refs(n ast.Node, info *types.Info) []token.Pos {
 	return out
 }
 
-// addInterfaces records every interface type the checked files name.
-// It sees no test's files but the harness's: an interface only a test
-// names calls nothing.
+// addInterfaces records every interface type the checked files name,
+// and every constraint a generic function or type is instantiated
+// against, with the type arguments in place of its type parameters: a
+// generic body calls its type arguments' methods through their
+// constraint. It sees no test's files but the harness's: an interface
+// only a test names calls nothing.
 func (p *sourceProgram) addInterfaces(info *types.Info) {
 	for _, tv := range info.Types {
 		if tv.Type == nil {
@@ -370,6 +374,49 @@ func (p *sourceProgram) addInterfaces(info *types.Info) {
 			p.addInterface(iface)
 		}
 	}
+	for id, inst := range info.Instances {
+		var tparams *types.TypeParamList
+		switch obj := info.Uses[id].(type) {
+		case *types.Func:
+			tparams = obj.Origin().Type().(*types.Signature).TypeParams()
+		case *types.TypeName:
+			if named, ok := obj.Type().(*types.Named); ok {
+				tparams = named.Origin().TypeParams()
+			}
+		}
+		for i := 0; tparams != nil && i < tparams.Len(); i++ {
+			if iface := instantiated(tparams.At(i).Constraint(), tparams, inst.TypeArgs); iface != nil {
+				p.addInterface(iface)
+			}
+		}
+	}
+}
+
+// instantiated returns constraint c with the type arguments args in place
+// of the type parameters tparams, when c is a named interface or an
+// instance of a generic one over them; nil when it is neither.
+func instantiated(c types.Type, tparams *types.TypeParamList, args *types.TypeList) *types.Interface {
+	named, ok := c.(*types.Named)
+	if !ok {
+		return nil
+	}
+	if named.TypeArgs().Len() == 0 {
+		iface, _ := named.Underlying().(*types.Interface)
+		return iface
+	}
+	subst := make([]types.Type, named.TypeArgs().Len())
+	for i := range subst {
+		subst[i] = named.TypeArgs().At(i)
+		if tp, ok := subst[i].(*types.TypeParam); ok && tp.Index() < tparams.Len() && tparams.At(tp.Index()) == tp {
+			subst[i] = args.At(tp.Index())
+		}
+	}
+	inst, err := types.Instantiate(nil, named.Origin(), subst, false)
+	if err != nil {
+		return nil
+	}
+	iface, _ := inst.Underlying().(*types.Interface)
+	return iface
 }
 
 func (p *sourceProgram) addInterface(iface *types.Interface) {

@@ -21,7 +21,8 @@
 //
 // # The three variants
 //
-//   - Static: immutable, queries in O(|s|+h_s), space LB + o(h̃n).
+//   - Static: immutable, queries in O(|s|+h_s), space LB + o(h̃n) — the
+//     §3 fully-succinct encoding, built by freezing an AppendOnly.
 //   - AppendOnly: additionally Append in O(|s|+h_s) — index a log on the
 //     fly; space LB + PT + o(h̃n).
 //   - Dynamic: arbitrary Insert and Delete in O(|s|+h_s·log n), with a
@@ -34,9 +35,11 @@
 //
 // Numeric sequences over a bounded universe are served by Numeric, the §6
 // randomized Wavelet Tree, whose height depends only on the working
-// alphabet (w.h.p.), not the universe. The Frozen type is the §3
-// fully-succinct encoding of a Static — the smallest representation,
-// serving the five primitive operations with no pointers at all.
+// alphabet (w.h.p.), not the universe. The Frozen type is the same §3
+// encoding as a Static — the smallest representation, serving the five
+// primitive operations with no pointers at all; a Static adds the §5
+// range analytics, which one kernel runs on the succinct trie and on the
+// pointer tries of AppendOnly and Dynamic alike.
 //
 // # The Index interface and persistence
 //
@@ -52,10 +55,11 @@
 // MarshalBinary produces a self-contained, versioned binary snapshot
 // (see DESIGN.md §4 for the wire formats); Load reopens any snapshot,
 // and LoadStatic/LoadAppendOnly/LoadDynamic/LoadNumeric/LoadFrozen
-// enforce a concrete variant. Loading performs no O(n·|s|) rebuild —
-// only rank-directory reconstruction — so a process restart costs
-// milliseconds instead of a full re-index, and mutations resume on the
-// loaded index:
+// enforce a concrete variant. A Static and a Frozen write the same
+// bytes: LoadStatic reopens them as a Static, Load as a Frozen. Loading
+// performs no O(n·|s|) rebuild — only rank-directory reconstruction — so
+// a process restart costs milliseconds instead of a full re-index, and
+// mutations resume on the loaded index:
 //
 //	data, _ := wt.MarshalBinary()          // checkpoint a live index
 //	os.WriteFile("index.wt", data, 0o644)  // ship it to disk or peers

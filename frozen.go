@@ -12,9 +12,10 @@ import (
 // encoding: the trie's shape at one bit a node, delimited concatenated
 // labels and one concatenated RRR bitvector whose ranks count from each
 // node's own segment — no pointers at all. It supports the five
-// primitive operations at the same O(|s|+h_s) cost as Static, can be
-// serialized byte-for-byte (MarshalBinary) and reloaded (LoadFrozen), and
-// is the smallest representation in the repository.
+// primitive operations in O(|s|+h_s), can be serialized byte-for-byte
+// (MarshalBinary) and reloaded (LoadFrozen), and is the smallest
+// representation in the repository. A Static is the same encoding with
+// the §5 range analytics on top.
 type Frozen struct {
 	t *succinct.Trie
 	// backing, when non-nil, pins the memory region the trie's bit
@@ -32,9 +33,9 @@ func init() {
 // (an mmap'd file) instead of owning heap copies of its components.
 func (f *Frozen) Mapped() bool { return f.backing != nil }
 
-// Frozen returns the succinct encoding of this static trie (built on
-// first use and cached).
-func (s *Static) Frozen() *Frozen { return &Frozen{t: s.freeze()} }
+// Frozen returns this static trie as a Frozen; the two share one
+// encoding, so nothing is built or copied.
+func (s *Static) Frozen() *Frozen { return &Frozen{t: s.t} }
 
 // LoadFrozen reconstructs a Frozen from MarshalBinary output.
 func LoadFrozen(data []byte) (*Frozen, error) { return loadAs[*Frozen](data, kindFrozen) }

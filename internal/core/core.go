@@ -1,19 +1,23 @@
-// Package core implements the Wavelet Trie of Grossi & Ottaviano (PODS
-// 2012) — a compressed indexed sequence of binary strings — in its three
-// variants:
+// Package core implements the pointer-based Wavelet Trie of Grossi &
+// Ottaviano (PODS 2012) — a compressed indexed sequence of binary
+// strings — in its two mutable variants, and §5's range algorithms once
+// for every representation of the trie:
 //
-//   - Static (§3, Theorem 3.7): immutable, RRR-compressed bitvectors;
 //   - AppendOnly (§4, Theorem 4.3): Append at the end in O(|s|+h_s) using
 //     the §4.1 append-only bitvectors;
 //   - Dynamic (§4, Theorem 4.4): Insert and Delete at arbitrary positions
-//     in O(|s|+h_s·log n) using the §4.2 RLE+γ dynamic bitvectors.
+//     in O(|s|+h_s·log n) using the §4.2 RLE+γ dynamic bitvectors;
+//   - the §5 kernel (range.go): distinct values, majority, threshold,
+//     top-k and branch visits, generic over a Cursor, which these pointer
+//     nodes and package succinct's static §3 trie both implement.
 //
 // A Wavelet Trie is the Patricia trie of the distinct strings Sset, where
 // every internal node additionally stores a bitvector β with one bit per
 // element of the node's subsequence telling which child subtree the
-// element continues in (Definition 3.1). All variants share the same trie
+// element continues in (Definition 3.1). Both variants share the same trie
 // and the same query algorithms (this file); they differ only in the
-// bitvector engine and in which mutations they admit.
+// bitvector engine and in which mutations they admit. The static trie of
+// Theorem 3.7 is package succinct's, frozen from an AppendOnly.
 //
 // Strings are arbitrary bit strings from a prefix-free set; byte strings
 // enter through the bitstr.Encode binarization. The element type
@@ -25,15 +29,12 @@ import (
 
 	"repro/internal/appendbv"
 	"repro/internal/bitstr"
-	"repro/internal/bitvec"
 	"repro/internal/dynbv"
 	"repro/internal/patricia"
-	"repro/internal/rrr"
 )
 
 // vector is the bitvector interface internal trie nodes require for
-// queries. The three engines (*rrr.Vector, *appendbv.Vector,
-// *dynbv.Vector) all satisfy it.
+// queries. Both engines (*appendbv.Vector, *dynbv.Vector) satisfy it.
 type vector interface {
 	Len() int
 	Ones() int
@@ -52,32 +53,13 @@ type bitIter interface {
 // iterAt opens a cursor on any supported vector implementation.
 func iterAt(v vector, pos int) bitIter {
 	switch x := v.(type) {
-	case *rrr.Vector:
-		return x.Iter(pos)
 	case *appendbv.Vector:
 		return x.Iter(pos)
 	case *dynbv.Vector:
 		return x.Iter(pos)
-	case *bitvec.Vector:
-		return &plainIter{v: x, pos: pos}
 	default:
 		panic(fmt.Sprintf("core: no iterator for vector type %T", v))
 	}
-}
-
-// plainIter adapts the uncompressed bitvector (whose Access is already
-// O(1)) to the cursor interface for the StaticPlain ablation.
-type plainIter struct {
-	v   *bitvec.Vector
-	pos int
-}
-
-func (it *plainIter) Valid() bool { return it.pos < it.v.Len() }
-
-func (it *plainIter) Next() byte {
-	b := it.v.Access(it.pos)
-	it.pos++
-	return b
 }
 
 // node abbreviates the trie node type: payload is the node's bitvector β
@@ -188,9 +170,6 @@ func (w *wtrie) RankBits(s bitstr.BitString, pos int) int {
 	return 0
 }
 
-// CountBits returns the total number of occurrences of s.
-func (w *wtrie) CountBits(s bitstr.BitString) int { return w.RankBits(s, w.n) }
-
 // RankPrefixBits counts elements in [0, pos) having p as a bit prefix.
 func (w *wtrie) RankPrefixBits(p bitstr.BitString, pos int) int {
 	if pos < 0 || pos > w.n {
@@ -217,9 +196,6 @@ func (w *wtrie) RankPrefixBits(p bitstr.BitString, pos int) int {
 	}
 	return 0
 }
-
-// CountPrefixBits returns the number of elements with bit prefix p.
-func (w *wtrie) CountPrefixBits(p bitstr.BitString) int { return w.RankPrefixBits(p, w.n) }
 
 // SelectBits returns the position of the idx-th (0-based) occurrence of s,
 // or ok=false if s occurs fewer than idx+1 times.

@@ -61,13 +61,6 @@ func dumpEqual(a, b *DumpNode) bool {
 	return true
 }
 
-func TestFigure2Static(t *testing.T) {
-	st := NewStaticFromBits(figure2Sequence())
-	if got, want := st.Dump(), wantFigure2(); !dumpEqual(got, want) {
-		t.Fatalf("static Wavelet Trie does not match Figure 2:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
 func TestFigure2AppendOnly(t *testing.T) {
 	a := NewAppendOnlyFromBits(figure2Sequence())
 	if got, want := a.Dump(), wantFigure2(); !dumpEqual(got, want) {
@@ -92,7 +85,6 @@ func TestFigure2Queries(t *testing.T) {
 		RankPrefixBits(bitstr.BitString, int) int
 		SelectPrefixBits(bitstr.BitString, int) (int, bool)
 	}{
-		"static":     NewStaticFromBits(seq),
 		"appendonly": NewAppendOnlyFromBits(seq),
 		"dynamic":    NewDynamicFromBits(seq),
 	}
@@ -274,18 +266,6 @@ func workloadProbes(seq []string) []string {
 	return probes
 }
 
-func TestStaticAgainstOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(90))
-	for _, n := range []int{1, 2, 10, 300} {
-		seq := randomWorkload(r, n)
-		st := NewStaticFromBits(encodeSeq(seq))
-		compareWithOracle(t, st, flat.FromSlice(seq), workloadProbes(seq), r, "static")
-		if err := st.checkConsistency(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestAppendOnlyAgainstOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	seq := randomWorkload(r, 500)
@@ -378,7 +358,7 @@ func TestDynamicAlphabetShrinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// gamma must now be unknown.
-	if c := d.CountBits(bitstr.EncodeString("gamma")); c != 0 {
+	if c := d.RankBits(bitstr.EncodeString("gamma"), d.Len()); c != 0 {
 		t.Fatalf("gamma count %d", c)
 	}
 	// Delete one beta (still one left): alphabet unchanged.
@@ -412,7 +392,6 @@ func TestSingleStringSequence(t *testing.T) {
 	// A constant sequence: the trie is a single leaf, no bitvectors.
 	seq := []string{"only", "only", "only"}
 	for _, w := range []queryAPI{
-		NewStaticFromBits(encodeSeq(seq)),
 		NewAppendOnlyFromBits(encodeSeq(seq)),
 		NewDynamicFromBits(encodeSeq(seq)),
 	} {
@@ -476,7 +455,7 @@ func TestEmptyStringElement(t *testing.T) {
 
 func TestAvgHeightAndTotals(t *testing.T) {
 	seq := figure2Sequence()
-	st := NewStaticFromBits(seq)
+	st := NewAppendOnlyFromBits(seq)
 	// Per-element internal-node path lengths: 0001→2(root,ε)... derived
 	// from Figure 2: h(0001)=2, h(0011)=3, h(0100)=1, h(00100)=3.
 	// Σ over sequence = 2+3+1+3+1+3+1 = 14; h̃ = 14/7 = 2.

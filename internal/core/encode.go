@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitstr"
 	"repro/internal/dynbv"
 	"repro/internal/patricia"
-	"repro/internal/rrr"
 	"repro/internal/wire"
 )
 
@@ -41,20 +40,6 @@ func decodeWtrie(r *wire.Reader, payload func(r *wire.Reader) vector) (wtrie, er
 		return w, fmt.Errorf("core: decode: %v", err)
 	}
 	return w, nil
-}
-
-// EncodeTo serializes the static Wavelet Trie (RRR node bitvectors).
-func (st *Static) EncodeTo(w *wire.Writer) {
-	st.encodeTo(w, func(nd *node, w *wire.Writer) { nd.Payload.(*rrr.Vector).EncodeTo(w) })
-}
-
-// DecodeStatic reads a Static serialized by EncodeTo.
-func DecodeStatic(r *wire.Reader) (*Static, error) {
-	w, err := decodeWtrie(r, func(r *wire.Reader) vector { return rrr.DecodeFrom(r) })
-	if err != nil {
-		return nil, err
-	}
-	return &Static{wtrie: w}, nil
 }
 
 // EncodeTo serializes the append-only Wavelet Trie (§4.1 bitvectors).

@@ -45,21 +45,6 @@ func checkSame(t *testing.T, name string, a, b interface {
 	}
 }
 
-func TestEncodeStatic(t *testing.T) {
-	st := NewStaticFromBits(encSeq())
-	w := wire.NewWriter(1, 1)
-	st.EncodeTo(w)
-	r, _ := wire.NewReader(w.Bytes(), 1, 1)
-	got, err := DecodeStatic(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
-	}
-	checkSame(t, "static", st, got)
-}
-
 func TestEncodeAppendOnly(t *testing.T) {
 	a := NewAppendOnlyFromBits(encSeq())
 	w := wire.NewWriter(1, 1)
@@ -106,15 +91,15 @@ func TestEncodeDynamic(t *testing.T) {
 }
 
 func TestDecodeRejectsLengthMismatch(t *testing.T) {
-	// Serialize a Static, then corrupt the element count so the root
-	// bitvector length no longer matches n.
-	st := NewStaticFromBits(encSeq())
+	// Serialize an AppendOnly, then corrupt the element count so the
+	// root bitvector length no longer matches n.
+	a := NewAppendOnlyFromBits(encSeq())
 	w := wire.NewWriter(1, 1)
-	st.EncodeTo(w)
+	a.EncodeTo(w)
 	data := append([]byte(nil), w.Bytes()...)
 	data[6] ^= 0x01 // low byte of n
 	r, _ := wire.NewReader(data, 1, 1)
-	if _, err := DecodeStatic(r); err == nil {
+	if _, err := DecodeAppendOnly(r); err == nil {
 		t.Fatal("corrupted element count accepted")
 	}
 }

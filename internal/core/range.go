@@ -7,9 +7,43 @@ import (
 	"repro/internal/bitstr"
 )
 
-// This file implements the §5 range-query algorithms, shared by all three
-// variants. C_op below refers to the per-operation bitvector cost: O(1)
-// for Static and AppendOnly, O(log n) for Dynamic.
+// This file implements the §5 range-query algorithms once, for every
+// representation of the trie: they are generic over a Cursor, the four
+// things they need to know of a node. The pointer tries (AppendOnly,
+// Dynamic) walk their nodes through ptr below; the succinct trie of
+// package succinct walks its shape bitmap through a cursor of its own.
+// C_op below refers to the per-operation bitvector cost: O(1) for the
+// succinct trie and AppendOnly, O(log n) for Dynamic.
+
+// Cursor is a Wavelet Trie node as §5's range algorithms see it. C is the
+// implementing type itself, so that the algorithms are instantiated per
+// representation and no node is ever boxed.
+type Cursor[C any] interface {
+	// AppendLabel appends the node's label α to b.
+	AppendLabel(b *bitstr.Builder)
+	// IsLeaf reports whether the node is a leaf.
+	IsLeaf() bool
+	// Zeros returns the number of 0 bits before position pos of the
+	// node's β (pos may be |β|); only internal nodes are asked.
+	Zeros(pos int) int
+	// Child returns the internal node's bit-child.
+	Child(bit byte) C
+}
+
+// ptr is a pointer-trie node as a Cursor.
+type ptr struct{ nd *node }
+
+func (p ptr) AppendLabel(b *bitstr.Builder) { b.Append(p.nd.Label()) }
+func (p ptr) IsLeaf() bool                  { return p.nd.IsLeaf() }
+func (p ptr) Zeros(pos int) int             { return p.nd.Payload.Rank(0, pos) }
+func (p ptr) Child(bit byte) ptr            { return ptr{p.nd.Child(bit)} }
+
+// checkRange panics unless [l, r) is a window of a sequence of n.
+func checkRange(op string, l, r, n int) {
+	if l < 0 || r > n || l > r {
+		panic(fmt.Sprintf("core: %s [%d,%d) out of range [0,%d)", op, l, r, n))
+	}
+}
 
 // EnumerateBits calls fn with each element of positions [l, r) in order,
 // stopping early if fn returns false. It is the "sequential access"
@@ -18,9 +52,7 @@ import (
 // O(|sᵢ|) plus amortized shared-path work instead of O(|sᵢ| + h·C_op)
 // per element for repeated Access.
 func (w *wtrie) EnumerateBits(l, r int, fn func(pos int, s bitstr.BitString) bool) {
-	if l < 0 || r > w.n || l > r {
-		panic(fmt.Sprintf("core: Enumerate range [%d,%d) out of range [0,%d)", l, r, w.n))
-	}
+	checkRange("Enumerate", l, r, w.n)
 	if l == r {
 		return
 	}
@@ -40,9 +72,7 @@ func (w *wtrie) EnumerateBits(l, r int, fn func(pos int, s bitstr.BitString) boo
 // into their own accumulator (e.g. the succinct freeze builder) use it to
 // enumerate without a per-element allocation.
 func (w *wtrie) FeedBits(l, r int, fn func(s bitstr.BitString) bool) {
-	if l < 0 || r > w.n || l > r {
-		panic(fmt.Sprintf("core: FeedBits range [%d,%d) out of range [0,%d)", l, r, w.n))
-	}
+	checkRange("FeedBits", l, r, w.n)
 	if l == r {
 		return
 	}
@@ -101,66 +131,44 @@ type DistinctResult struct {
 }
 
 // DistinctInRange enumerates the distinct values occurring in positions
-// [l, r) together with their in-range counts (§5 "distinct values in
-// range"), in lexicographic order. The cost is O(Σ(|s| + h_s·C_op)) over
-// the distinct values only — independent of r-l.
-func (w *wtrie) DistinctInRange(l, r int) []DistinctResult {
-	if l < 0 || r > w.n || l > r {
-		panic(fmt.Sprintf("core: DistinctInRange [%d,%d) out of range [0,%d)", l, r, w.n))
-	}
+// [l, r) of the n-element trie under root, with their in-range counts
+// (§5 "distinct values in range"), in lexicographic order. The cost is
+// O(Σ(|s| + h_s·C_op)) over the distinct values only — independent of
+// r-l.
+func DistinctInRange[C Cursor[C]](root C, n, l, r int) []DistinctResult {
+	checkRange("DistinctInRange", l, r, n)
 	var out []DistinctResult
-	if l == r {
-		return out
-	}
-	var rec func(nd *node, prefix bitstr.BitString, lo, hi int)
-	rec = func(nd *node, prefix bitstr.BitString, lo, hi int) {
-		path := bitstr.Concat(prefix, nd.Label())
-		if nd.IsLeaf() {
-			out = append(out, DistinctResult{Value: path, Count: hi - lo})
-			return
+	VisitBranches(root, n, l, r, func(path bitstr.BitString, count int, isLeaf bool) bool {
+		if isLeaf {
+			out = append(out, DistinctResult{Value: path, Count: count})
 		}
-		bv := nd.Payload
-		z0, z1 := bv.Rank(0, lo), bv.Rank(0, hi)
-		if z1 > z0 {
-			rec(nd.Child(0), path.AppendBit(0), z0, z1)
-		}
-		o0, o1 := lo-z0, hi-z1
-		if o1 > o0 {
-			rec(nd.Child(1), path.AppendBit(1), o0, o1)
-		}
-	}
-	rec(w.t.Root(), bitstr.Empty, l, r)
+		return true
+	})
 	return out
 }
 
 // RangeMajority returns the element occurring more than (r-l)/2 times in
 // positions [l, r), if any (§5 "range majority element"). The cost is
 // O(h_s·C_op) on success and O(h·C_op) on failure.
-func (w *wtrie) RangeMajority(l, r int) (bitstr.BitString, bool) {
-	if l < 0 || r > w.n || l > r {
-		panic(fmt.Sprintf("core: RangeMajority [%d,%d) out of range [0,%d)", l, r, w.n))
-	}
-	if l >= r {
+func RangeMajority[C Cursor[C]](root C, n, l, r int) (bitstr.BitString, bool) {
+	checkRange("RangeMajority", l, r, n)
+	if l == r {
 		return bitstr.Empty, false
 	}
 	need := (r - l) / 2 // must occur strictly more than this
 	b := bitstr.NewBuilder(0)
-	nd := w.t.Root()
-	lo, hi := l, r
+	nd, lo, hi := root, l, r
 	for {
-		b.Append(nd.Label())
+		nd.AppendLabel(b)
 		if nd.IsLeaf() {
 			return b.BitString(), true
 		}
-		bv := nd.Payload
-		z0, z1 := bv.Rank(0, lo), bv.Rank(0, hi)
-		zeros := z1 - z0
-		ones := (hi - lo) - zeros
+		z0, z1 := nd.Zeros(lo), nd.Zeros(hi)
 		switch {
-		case zeros > need:
+		case z1-z0 > need:
 			b.AppendBit(0)
 			nd, lo, hi = nd.Child(0), z0, z1
-		case ones > need:
+		case (hi-z1)-(lo-z0) > need:
 			b.AppendBit(1)
 			nd, lo, hi = nd.Child(1), lo-z0, hi-z1
 		default:
@@ -173,33 +181,21 @@ func (w *wtrie) RangeMajority(l, r int) (bitstr.BitString, bool) {
 // positions [l, r), with counts, pruning every branch whose subsequence
 // already falls below t (§5's heuristic; exact because a value's count
 // never exceeds its branch count). t must be ≥ 1.
-func (w *wtrie) RangeThreshold(l, r, t int) []DistinctResult {
-	if l < 0 || r > w.n || l > r {
-		panic(fmt.Sprintf("core: RangeThreshold [%d,%d) out of range [0,%d)", l, r, w.n))
-	}
+func RangeThreshold[C Cursor[C]](root C, n, l, r, t int) []DistinctResult {
+	checkRange("RangeThreshold", l, r, n)
 	if t < 1 {
 		panic("core: RangeThreshold: t must be >= 1")
 	}
 	var out []DistinctResult
-	if r-l < t {
-		return out
-	}
-	var rec func(nd *node, prefix bitstr.BitString, lo, hi int)
-	rec = func(nd *node, prefix bitstr.BitString, lo, hi int) {
-		if hi-lo < t {
-			return
+	VisitBranches(root, n, l, r, func(path bitstr.BitString, count int, isLeaf bool) bool {
+		if count < t {
+			return false
 		}
-		path := bitstr.Concat(prefix, nd.Label())
-		if nd.IsLeaf() {
-			out = append(out, DistinctResult{Value: path, Count: hi - lo})
-			return
+		if isLeaf {
+			out = append(out, DistinctResult{Value: path, Count: count})
 		}
-		bv := nd.Payload
-		z0, z1 := bv.Rank(0, lo), bv.Rank(0, hi)
-		rec(nd.Child(0), path.AppendBit(0), z0, z1)
-		rec(nd.Child(1), path.AppendBit(1), lo-z0, hi-z1)
-	}
-	rec(w.t.Root(), bitstr.Empty, l, r)
+		return true
+	})
 	return out
 }
 
@@ -210,49 +206,78 @@ func (w *wtrie) RangeThreshold(l, r, t int) []DistinctResult {
 // node is a leaf. Returning false prunes the subtree — the §5 mechanism
 // for "stopping early in the traversal, enumerating the distinct prefixes
 // that satisfy some property" (e.g. distinct hostnames in a time range).
-func (w *wtrie) VisitBranches(l, r int, visit func(prefix bitstr.BitString, count int, isLeaf bool) bool) {
-	if l < 0 || r > w.n || l > r {
-		panic(fmt.Sprintf("core: VisitBranches [%d,%d) out of range [0,%d)", l, r, w.n))
+func VisitBranches[C Cursor[C]](root C, n, l, r int, visit func(prefix bitstr.BitString, count int, isLeaf bool) bool) {
+	checkRange("VisitBranches", l, r, n)
+	if l < r {
+		visitBranches(root, bitstr.Empty, l, r, visit)
 	}
-	if l == r || w.t.Root() == nil {
+}
+
+func visitBranches[C Cursor[C]](nd C, prefix bitstr.BitString, lo, hi int, visit func(bitstr.BitString, int, bool) bool) {
+	b := bitstr.NewBuilder(prefix.Len() + 64)
+	b.Append(prefix)
+	nd.AppendLabel(b)
+	path := b.BitString()
+	if leaf := nd.IsLeaf(); !visit(path, hi-lo, leaf) || leaf {
 		return
 	}
-	var rec func(nd *node, prefix bitstr.BitString, lo, hi int)
-	rec = func(nd *node, prefix bitstr.BitString, lo, hi int) {
-		path := bitstr.Concat(prefix, nd.Label())
-		if !visit(path, hi-lo, nd.IsLeaf()) || nd.IsLeaf() {
-			return
-		}
-		bv := nd.Payload
-		z0, z1 := bv.Rank(0, lo), bv.Rank(0, hi)
-		if z1 > z0 {
-			rec(nd.Child(0), path.AppendBit(0), z0, z1)
-		}
-		if o0, o1 := lo-z0, hi-z1; o1 > o0 {
-			rec(nd.Child(1), path.AppendBit(1), o0, o1)
-		}
+	z0, z1 := nd.Zeros(lo), nd.Zeros(hi)
+	if z1 > z0 {
+		visitBranches(nd.Child(0), path.AppendBit(0), z0, z1, visit)
 	}
-	rec(w.t.Root(), bitstr.Empty, l, r)
+	if o0, o1 := lo-z0, hi-z1; o1 > o0 {
+		visitBranches(nd.Child(1), path.AppendBit(1), o0, o1, visit)
+	}
 }
 
 // TopKInRange returns the k most frequent values in [l, r) (ties broken
-// lexicographically), computed by traversing the trie best-first — the
-// "power-law friendly" analytics query the §5 heuristic motivates.
-func (w *wtrie) TopKInRange(l, r, k int) []DistinctResult {
+// lexicographically) — the "power-law friendly" analytics query the §5
+// heuristic motivates. k ≤ 0 asks for nothing, but the window is checked
+// all the same.
+func TopKInRange[C Cursor[C]](root C, n, l, r, k int) []DistinctResult {
+	checkRange("TopKInRange", l, r, n)
 	if k <= 0 {
 		return nil
 	}
-	all := w.DistinctInRange(l, r)
+	all := DistinctInRange(root, n, l, r)
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Count != all[j].Count {
 			return all[i].Count > all[j].Count
 		}
 		return bitstr.Compare(all[i].Value, all[j].Value) < 0
 	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
+	return all[:min(k, len(all))]
+}
+
+// The pointer tries' §5 methods: the kernel, run from the root.
+
+// DistinctInRange returns the distinct values of positions [l, r) with
+// their in-range counts, in lexicographic order.
+func (w *wtrie) DistinctInRange(l, r int) []DistinctResult {
+	return DistinctInRange(ptr{w.t.Root()}, w.n, l, r)
+}
+
+// RangeMajority returns the value occurring more than (r-l)/2 times in
+// [l, r), if any.
+func (w *wtrie) RangeMajority(l, r int) (bitstr.BitString, bool) {
+	return RangeMajority(ptr{w.t.Root()}, w.n, l, r)
+}
+
+// RangeThreshold returns the values occurring at least t times in
+// [l, r), with counts.
+func (w *wtrie) RangeThreshold(l, r, t int) []DistinctResult {
+	return RangeThreshold(ptr{w.t.Root()}, w.n, l, r, t)
+}
+
+// VisitBranches walks the trie restricted to [l, r) in lexicographic
+// order, pruning where visit says so.
+func (w *wtrie) VisitBranches(l, r int, visit func(prefix bitstr.BitString, count int, isLeaf bool) bool) {
+	VisitBranches(ptr{w.t.Root()}, w.n, l, r, visit)
+}
+
+// TopKInRange returns the k most frequent values in [l, r).
+func (w *wtrie) TopKInRange(l, r, k int) []DistinctResult {
+	return TopKInRange(ptr{w.t.Root()}, w.n, l, r, k)
 }
 
 // DumpNode is a neutral structural description of a Wavelet Trie node,

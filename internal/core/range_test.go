@@ -11,11 +11,11 @@ import (
 	"repro/internal/seqstore/flat"
 )
 
-// buildAll constructs the three variants over the same byte-string sequence.
+// buildAll constructs both pointer variants over the same byte-string
+// sequence.
 func buildAll(seq []string) map[string]*wtrie {
 	enc := encodeSeq(seq)
 	return map[string]*wtrie{
-		"static":     &NewStaticFromBits(enc).wtrie,
 		"appendonly": &NewAppendOnlyFromBits(enc).wtrie,
 		"dynamic":    &NewDynamicFromBits(enc).wtrie,
 	}
@@ -194,8 +194,7 @@ func TestLemma35EntropySandwich(t *testing.T) {
 			return true
 		}
 		enc := encodeSeq(seq)
-		st := NewStaticFromBits(enc)
-		h := st.AvgHeight()
+		h := NewAppendOnlyFromBits(enc).AvgHeight()
 		nh0 := entropy.NH0Strings(seq)
 		avgLen := 0.0
 		for _, s := range enc {

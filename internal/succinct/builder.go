@@ -10,10 +10,10 @@ import (
 
 // Builder assembles the §3 succinct representation directly from a stream
 // of binarized elements, without ever holding the input as a slice of
-// strings or building the pointer-based core.Static intermediate. It is
-// the write-side mirror of the streaming iterators: construction memory is
-// bounded by the output size (trie shape + per-node bit accumulators), not
-// by the input sequence.
+// strings or building a pointer-based trie first. It is the write-side
+// mirror of the streaming iterators: construction memory is bounded by
+// the output size (trie shape + per-node bit accumulators), not by the
+// input sequence.
 //
 // The protocol is two passes over a replayable stream:
 //
@@ -23,14 +23,15 @@ import (
 //     trie's leaf enumeration) can feed each value once.
 //  2. AppendBits(s) once per element in sequence order — routes the
 //     element root-to-leaf, appending one bit to every internal node's
-//     accumulator, exactly the replay loop of core.NewStaticFromBits.
+//     accumulator.
 //  3. Build() — emits the Trie.
 //
 // Because Patricia tries are canonical (shape depends only on the stored
-// set, not insertion order) and Build walks the same preorder as Freeze,
-// the result is bit-identical to Freeze(core.NewStaticFromBits(seq)) for
-// the same sequence; the differential tests assert this on the marshalled
-// bytes. A Builder must not be used from multiple goroutines concurrently.
+// set, not insertion order) and Build walks the same preorder as Merge,
+// the result is bit-identical to FreezeAppendOnly of an AppendOnly over
+// the same sequence — the structural freeze; the differential tests
+// assert this on the marshalled bytes. A Builder must not be used from
+// multiple goroutines concurrently.
 type Builder struct {
 	t      *patricia.Trie[*bitvec.Builder]
 	n      int  // elements appended in pass 2
@@ -89,11 +90,11 @@ func (b *Builder) AppendBits(s bitstr.BitString) error {
 }
 
 // Build emits the succinct Trie. The walk is the same preorder (node,
-// 0-child, 1-child) and component assembly as Freeze, so the output is
-// bit-identical to freezing the equivalent core.Static. The Builder must
-// not be used afterwards. It returns an error when some registered value
-// was never appended — the per-node bit accumulators would be short and
-// the encoding inconsistent.
+// 0-child, 1-child) and component assembly as Merge, so the output is
+// bit-identical to the structural freeze of the same sequence. The
+// Builder must not be used afterwards. It returns an error when some
+// registered value was never appended — the per-node bit accumulators
+// would be short and the encoding inconsistent.
 func (b *Builder) Build() (*Trie, error) {
 	if b.done {
 		panic("succinct: Builder: Build called twice")
@@ -111,7 +112,7 @@ func (b *Builder) Build() (*Trie, error) {
 	}
 	a := newAssembler(0, 0, 0)
 	// Heap stack, 1-child pushed first so the 0-child pops first — the
-	// preorder of patricia.Walk and core.Static.WalkPreorder.
+	// preorder of patricia.Walk and core.AppendOnly.Preorder.
 	stack := []entry{{b.t.Root(), b.n}}
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]

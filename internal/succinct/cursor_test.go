@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bitstr"
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -19,7 +18,7 @@ func TestPrefixCursorMatchesSelectAccess(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for _, n := range []int{1, 2, 60, 3000} {
 		seq := workload.URLLog(n, 5, workload.DefaultURLConfig())
-		fz := Freeze(core.NewStaticFromBits(encodeSeq(seq)))
+		fz := freezeOf(seq)
 		keys := []bitstr.BitString{bitstr.Empty, bitstr.EncodePrefixString("zzz"), bitstr.EncodePrefixString("host")}
 		for i := 0; i < 12; i++ {
 			v := seq[r.Intn(n)]
@@ -87,7 +86,7 @@ func TestPrefixCursorMatchesSelectAccess(t *testing.T) {
 
 // TestPrefixCursorEmptyTrie: no element, no match, no panic.
 func TestPrefixCursorEmptyTrie(t *testing.T) {
-	c := Freeze(core.NewStaticFromBits(nil)).PrefixCursor(bitstr.Empty)
+	c := freezeOf(nil).PrefixCursor(bitstr.Empty)
 	if _, ok := c.Next(); ok {
 		t.Fatal("the empty trie has a prefix match")
 	}
@@ -98,7 +97,7 @@ func TestPrefixCursorEmptyTrie(t *testing.T) {
 // dirty to the next walk, which must not see their old contents.
 func TestIterReuseAfterClose(t *testing.T) {
 	seq := workload.URLLog(2000, 9, workload.DefaultURLConfig())
-	fz := Freeze(core.NewStaticFromBits(encodeSeq(seq)))
+	fz := freezeOf(seq)
 	for round := 0; round < 4; round++ {
 		l := round * 300
 		it := fz.Iter(l, l+700)

@@ -6,14 +6,21 @@ import (
 
 	"repro/internal/bitstr"
 	"repro/internal/bitvec"
-	"repro/internal/core"
 	"repro/internal/dfuds"
 	"repro/internal/eliasfano"
 	"repro/internal/wire"
 )
 
-func freezeOf(seq []string) *Trie {
-	return Freeze(core.NewStaticFromBits(encodeSeq(seq)))
+// freezeOf is the structural freeze of seq — an append-only trie over it,
+// frozen as a flush freezes one.
+func freezeOf(seq []string) *Trie { return freezeBits(encodeSeq(seq)) }
+
+func freezeBits(seq []bitstr.BitString) *Trie {
+	t, err := FreezeAppendOnly(appendOnlyOf(seq))
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 func TestMarshalRoundTripInternal(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bitstr"
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -15,7 +14,7 @@ func TestEnumerateMatchesAccess(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, n := range []int{1, 2, 3, 50, 2000} {
 		seq := workload.URLLog(n, 5, workload.DefaultURLConfig())
-		fz := Freeze(core.NewStaticFromBits(encodeSeq(seq)))
+		fz := freezeOf(seq)
 
 		// Full sweep.
 		count := 0
@@ -68,7 +67,7 @@ func TestEnumerateMatchesAccess(t *testing.T) {
 
 // TestEnumerateEmpty covers the empty trie and empty ranges.
 func TestEnumerateEmpty(t *testing.T) {
-	fz := Freeze(core.NewStaticFromBits(nil))
+	fz := freezeOf(nil)
 	fz.EnumerateBits(0, 0, func(int, bitstr.BitString) bool {
 		t.Fatal("enumerated an element of the empty trie")
 		return false
@@ -78,7 +77,7 @@ func TestEnumerateEmpty(t *testing.T) {
 	}
 
 	seq := workload.URLLog(10, 3, workload.DefaultURLConfig())
-	nz := Freeze(core.NewStaticFromBits(encodeSeq(seq)))
+	nz := freezeOf(seq)
 	nz.EnumerateBits(4, 4, func(int, bitstr.BitString) bool {
 		t.Fatal("enumerated an element of an empty range")
 		return false

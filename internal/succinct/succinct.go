@@ -16,8 +16,8 @@
 //
 // The total is LT(Sset) + nH₀(S) + o(h̃n) bits up to the practical-RRR
 // redundancy, with no per-node pointer words at all — unlike the
-// pointer-based core.Static it is built from (and differentially tested
-// against).
+// pointer-based core.AppendOnly it is frozen from (FreezeAppendOnly, the
+// structural copy a flush runs) and differentially tested against.
 //
 // Every keyed query (Rank, RankPrefix, Select, SelectPrefix, Contains) is
 // one call of descend, which per trie level fetches the node's label
@@ -33,14 +33,14 @@ import (
 
 	"repro/internal/bitstr"
 	"repro/internal/bitvec"
-	"repro/internal/core"
 	"repro/internal/dfuds"
 	"repro/internal/eliasfano"
 	"repro/internal/rrr"
 )
 
-// Trie is a frozen static Wavelet Trie. All query operations mirror
-// core.Static at the same asymptotic cost; mutation is impossible.
+// Trie is a frozen static Wavelet Trie — Theorem 3.7's static trie. Its
+// queries mirror core.AppendOnly's at the same asymptotic cost, §5's
+// range algorithms included (range.go); mutation is impossible.
 type Trie struct {
 	n    int
 	tree *dfuds.Tree
@@ -60,8 +60,8 @@ var Unwrap func(frozen any) *Trie
 // assembler lays a trie out as the §3 components from its nodes handed
 // over in preorder (node, 0-child, 1-child): one shape bit and one label
 // per node, and per internal node where its β segment starts in the
-// concatenation. Freeze, Builder.Build and Merge differ only in where the
-// nodes and the β bits come from.
+// concatenation. Builder.Build and Merge differ only in where the nodes
+// and the β bits come from.
 type assembler struct {
 	shape     *bitvec.Builder // the leading 1, then 1 per internal node and 0 per leaf
 	labelLens []int
@@ -115,22 +115,6 @@ func (a *assembler) finish(n int) *Trie {
 	cat := a.bits.View()
 	t.bits = rrr.FromSegments(cat.Words(), cat.Len(), t.bvOffsets)
 	return t
-}
-
-// Freeze converts a pointer-based static Wavelet Trie into the succinct
-// representation.
-func Freeze(st *core.Static) *Trie {
-	a := newAssembler(0, 0, st.TotalBitvectorBits())
-	st.WalkPreorder(func(label bitstr.BitString, isLeaf bool, bv *rrr.Vector) {
-		if isLeaf {
-			a.leaf(label.Words(), 0, label.Len())
-			return
-		}
-		a.internal(label.Words(), 0, label.Len())
-		rd := bv.Reader()
-		rd.AppendTo(a.bits, bv.Len())
-	})
-	return a.finish(st.Len())
 }
 
 // Len returns the number of elements.

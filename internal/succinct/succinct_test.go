@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfuds"
 	"repro/internal/entropy"
-	"repro/internal/rrr"
 	"repro/internal/workload"
 )
 
@@ -20,14 +19,14 @@ func encodeSeq(seq []string) []bitstr.BitString {
 	return out
 }
 
-// TestMatchesPointerStatic drives the frozen trie against the pointer
-// implementation over the full query surface.
-func TestMatchesPointerStatic(t *testing.T) {
+// TestMatchesPointerTrie drives the frozen trie against the pointer trie
+// it was frozen from over the full query surface.
+func TestMatchesPointerTrie(t *testing.T) {
 	r := rand.New(rand.NewSource(160))
 	for _, n := range []int{1, 2, 50, 2000} {
 		seq := workload.URLLog(n, 9, workload.DefaultURLConfig())
-		st := core.NewStaticFromBits(encodeSeq(seq))
-		fz := Freeze(st)
+		st := appendOnlyOf(encodeSeq(seq))
+		fz := freezeBits(encodeSeq(seq))
 		if fz.Len() != st.Len() || fz.AlphabetSize() != st.AlphabetSize() {
 			t.Fatalf("n=%d: totals differ", n)
 		}
@@ -36,7 +35,12 @@ func TestMatchesPointerStatic(t *testing.T) {
 		// and the ranks inside it count from the segment's own start.
 		if fz.tree != nil {
 			nd, pending := fz.tree.BinaryRoot(), []dfuds.BinaryNode(nil)
-			st.WalkPreorder(func(label bitstr.BitString, isLeaf bool, bv *rrr.Vector) {
+			for walk := st.Preorder(); ; {
+				label, bv, ok := walk.Next()
+				if !ok {
+					break
+				}
+				isLeaf := bv == nil
 				if fz.tree.IsLeaf(nd.Pos) != isLeaf {
 					t.Fatalf("n=%d: node %d: shape bit disagrees with the pointer trie", n, nd.ID())
 				}
@@ -47,7 +51,7 @@ func TestMatchesPointerStatic(t *testing.T) {
 					if len(pending) > 0 {
 						nd, pending = pending[len(pending)-1], pending[:len(pending)-1]
 					}
-					return
+					continue
 				}
 				start, end := fz.seg(nd.Internal)
 				if end-start != bv.Len() || fz.bits.RankIn(start, end-start) != bv.Ones() {
@@ -55,13 +59,13 @@ func TestMatchesPointerStatic(t *testing.T) {
 				}
 				for _, pos := range []int{0, bv.Len() / 3, bv.Len() - 1} {
 					bit, rank := fz.bits.AccessRankIn(start, pos)
-					if wb, wr := bv.AccessRank1(pos); bit != wb || rank != wr {
+					if wb, wr := bv.Access(pos), bv.Rank1(pos); bit != wb || rank != wr {
 						t.Fatalf("n=%d: node %d: bit %d of its segment = (%d,%d), want (%d,%d)", n, nd.ID(), pos, bit, rank, wb, wr)
 					}
 				}
 				pending = append(pending, fz.tree.BinaryChild(nd, 1))
 				nd = fz.tree.BinaryChild(nd, 0)
-			})
+			}
 		}
 		for i := 0; i < n; i++ {
 			if bitstr.Compare(fz.AccessBits(i), st.AccessBits(i)) != 0 {
@@ -106,11 +110,11 @@ func TestMatchesPointerStatic(t *testing.T) {
 	}
 }
 
-// checkKeyAgainstStatic compares every keyed operation on one bit string
+// checkKeyAgainstPointer compares every keyed operation on one bit string
 // — as an exact key and as a prefix — with the pointer trie, at the two
 // boundary positions 0 and n (the paths that skip the bitvectors) and at
 // random ones.
-func checkKeyAgainstStatic(t *testing.T, r *rand.Rand, fz *Trie, st *core.Static, key bitstr.BitString, why string) {
+func checkKeyAgainstPointer(t *testing.T, r *rand.Rand, fz *Trie, st *core.AppendOnly, key bitstr.BitString, why string) {
 	t.Helper()
 	n := st.Len()
 	for _, pos := range []int{0, n, r.Intn(n + 1), r.Intn(n + 1)} {
@@ -151,21 +155,20 @@ func TestAbsentKeyShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(161))
 	for _, n := range []int{1, 3, 400} {
 		seq := encodeSeq(workload.URLLog(n, 13, workload.DefaultURLConfig()))
-		st := core.NewStaticFromBits(seq)
-		fz := Freeze(st)
+		st, fz := appendOnlyOf(seq), freezeBits(seq)
 		for i := 0; i < len(seq); i += 1 + len(seq)/12 {
 			s := seq[i]
-			checkKeyAgainstStatic(t, r, fz, st, s, "stored")
+			checkKeyAgainstPointer(t, r, fz, st, s, "stored")
 			for at := 0; at < s.Len(); at++ {
 				flipped := bitstr.Concat(s.Prefix(at).AppendBit(s.Bit(at)^1), s.Suffix(at+1))
-				checkKeyAgainstStatic(t, r, fz, st, flipped, "flipped bit")
-				checkKeyAgainstStatic(t, r, fz, st, s.Prefix(at), "proper prefix")
+				checkKeyAgainstPointer(t, r, fz, st, flipped, "flipped bit")
+				checkKeyAgainstPointer(t, r, fz, st, s.Prefix(at), "proper prefix")
 			}
 			for _, tail := range []string{"0", "1", "0110", "111111111"} {
-				checkKeyAgainstStatic(t, r, fz, st, bitstr.Concat(s, bitstr.MustParse(tail)), "extension")
+				checkKeyAgainstPointer(t, r, fz, st, bitstr.Concat(s, bitstr.MustParse(tail)), "extension")
 			}
 		}
-		checkKeyAgainstStatic(t, r, fz, st, bitstr.Empty, "empty")
+		checkKeyAgainstPointer(t, r, fz, st, bitstr.Empty, "empty")
 	}
 	// The paper's Figure 2 trie, where each shape can be named: root
 	// label "0", then the branch bit, "0100" is a leaf reached by branch 1.
@@ -174,8 +177,7 @@ func TestAbsentKeyShapes(t *testing.T) {
 	for i, s := range raw {
 		seq[i] = bitstr.MustParse(s)
 	}
-	st := core.NewStaticFromBits(seq)
-	fz := Freeze(st)
+	st, fz := appendOnlyOf(seq), freezeBits(seq)
 	for why, key := range map[string]string{
 		"diverges inside the root label":     "1",
 		"diverges at a branch bit to a leaf": "0101",
@@ -185,7 +187,7 @@ func TestAbsentKeyShapes(t *testing.T) {
 		"extends a stored key":               "01000",
 		"stored":                             "00100",
 	} {
-		checkKeyAgainstStatic(t, r, fz, st, bitstr.MustParse(key), why)
+		checkKeyAgainstPointer(t, r, fz, st, bitstr.MustParse(key), why)
 	}
 }
 
@@ -195,7 +197,7 @@ func TestFigure2Frozen(t *testing.T) {
 	for i, s := range raw {
 		seq[i] = bitstr.MustParse(s)
 	}
-	fz := Freeze(core.NewStaticFromBits(seq))
+	fz := freezeBits(seq)
 	for i, s := range raw {
 		if got := fz.AccessBits(i).String(); got != s {
 			t.Fatalf("Access(%d) = %q want %q", i, got, s)
@@ -215,8 +217,7 @@ func TestNoPointerOverhead(t *testing.T) {
 	// margin on alphabets with many distinct strings, where per-node
 	// pointers dominate.
 	seq := workload.URLLog(1<<14, 10, workload.DefaultURLConfig())
-	st := core.NewStaticFromBits(encodeSeq(seq))
-	fz := Freeze(st)
+	st, fz := appendOnlyOf(encodeSeq(seq)), freezeOf(seq)
 	if fz.SizeBits() >= st.SizeBits()/2 {
 		t.Fatalf("succinct %d bits vs pointer %d bits: expected >2x saving",
 			fz.SizeBits(), st.SizeBits())
@@ -263,7 +264,7 @@ func TestTrieBitsPerElem(t *testing.T) {
 
 func TestComponentBreakdown(t *testing.T) {
 	seq := workload.URLLog(4096, 11, workload.DefaultURLConfig())
-	fz := Freeze(core.NewStaticFromBits(encodeSeq(seq)))
+	fz := freezeOf(seq)
 	comp := fz.ComponentBits()
 	sum := 0
 	for _, v := range comp {
@@ -285,14 +286,14 @@ func TestComponentBreakdown(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	empty := Freeze(core.NewStaticFromBits(nil))
+	empty := freezeOf(nil)
 	if empty.Len() != 0 || empty.AlphabetSize() != 0 {
 		t.Fatal("empty freeze")
 	}
 	if empty.RankBits(bitstr.EncodeString("x"), 0) != 0 {
 		t.Fatal("rank on empty")
 	}
-	one := Freeze(core.NewStaticFromBits(encodeSeq([]string{"solo", "solo"})))
+	one := freezeOf([]string{"solo", "solo"})
 	if one.Len() != 2 || one.AlphabetSize() != 1 {
 		t.Fatal("singleton freeze")
 	}
@@ -306,7 +307,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 
 func BenchmarkFrozenAccess(b *testing.B) {
 	seq := workload.URLLog(1<<16, 12, workload.DefaultURLConfig())
-	fz := Freeze(core.NewStaticFromBits(encodeSeq(seq)))
+	fz := freezeOf(seq)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fz.AccessBits(i & (1<<16 - 1))

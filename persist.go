@@ -44,8 +44,10 @@ type StringIndex interface {
 }
 
 // RangeIndex is the full query surface of the shared queries struct —
-// StringIndex plus the §5 range analytics — satisfied by Static,
-// AppendOnly and Dynamic. (Frozen supports only the primitives.)
+// StringIndex plus the §5 range analytics — satisfied by Static (the
+// succinct trie) and by AppendOnly and Dynamic (the pointer tries): one
+// §5 kernel serves all three. Frozen, the same encoding as Static, keeps
+// to the primitives.
 type RangeIndex interface {
 	StringIndex
 	AvgHeight() float64
@@ -95,6 +97,8 @@ const (
 )
 
 const (
+	// kindStatic was the pointer Static's own format. It is retired: a
+	// Static marshals as a Frozen, and Load refuses kind 1 by name.
 	kindStatic byte = iota + 1
 	kindAppendOnly
 	kindDynamic
@@ -105,7 +109,7 @@ const (
 func kindName(kind byte) string {
 	switch kind {
 	case kindStatic:
-		return "Static"
+		return "retired pointer Static"
 	case kindAppendOnly:
 		return "AppendOnly"
 	case kindDynamic:
@@ -125,12 +129,10 @@ func marshal(kind byte, body func(w *wire.Writer)) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// MarshalBinary serializes the static Wavelet Trie. The lazily-built
-// succinct encoding is not included; use Frozen().MarshalBinary for the
-// smallest on-disk form.
-func (s *Static) MarshalBinary() ([]byte, error) {
-	return marshal(kindStatic, s.st.EncodeTo)
-}
+// MarshalBinary serializes the static Wavelet Trie: the bytes of
+// Frozen().MarshalBinary, which LoadStatic reopens as a Static and Load
+// as a Frozen.
+func (s *Static) MarshalBinary() ([]byte, error) { return s.Frozen().MarshalBinary() }
 
 // MarshalBinary serializes the append-only Wavelet Trie.
 func (a *AppendOnly) MarshalBinary() ([]byte, error) {
@@ -163,14 +165,7 @@ func Load(data []byte) (Index, error) {
 	var ix Index
 	switch kind {
 	case kindStatic:
-		st, err := core.DecodeStatic(r)
-		if err != nil {
-			return nil, err
-		}
-		if err := validateStored(st.StoredBits()); err != nil {
-			return nil, err
-		}
-		ix = &Static{queries: queries{w: st}, st: st}
+		return nil, fmt.Errorf("wavelettrie: index kind 1, the pointer Static format, is retired: rebuild with NewStatic and save again")
 	case kindAppendOnly:
 		a, err := core.DecodeAppendOnly(r)
 		if err != nil {
@@ -301,8 +296,15 @@ func LoadFrozenMapped(data []byte, backing any) (*Frozen, error) {
 	return &Frozen{t: t, backing: backing}, nil
 }
 
-// LoadStatic reconstructs a Static from Static.MarshalBinary output.
-func LoadStatic(data []byte) (*Static, error) { return loadAs[*Static](data, kindStatic) }
+// LoadStatic reconstructs a Static from Static.MarshalBinary output — a
+// Frozen container, the only one a Static has.
+func LoadStatic(data []byte) (*Static, error) {
+	f, err := LoadFrozen(data)
+	if err != nil {
+		return nil, err
+	}
+	return newStatic(f.t), nil
+}
 
 // LoadAppendOnly reconstructs an AppendOnly from AppendOnly.MarshalBinary
 // output. Appending may resume immediately.

@@ -2,9 +2,11 @@ package wavelettrie_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	wavelettrie "repro"
@@ -120,6 +122,51 @@ func TestRoundTripStatic(t *testing.T) {
 	}
 	checkStringEquiv(t, orig, loaded, probesFor(seq))
 	checkRangeEquiv(t, orig, loaded)
+	// A Static is its Frozen: the same bytes, which Load reopens as one.
+	frozen, err := orig.Frozen().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, frozen) {
+		t.Fatal("Static.MarshalBinary differs from Static.Frozen().MarshalBinary")
+	}
+	if ix, err := wavelettrie.Load(data); err != nil {
+		t.Fatal(err)
+	} else if _, ok := ix.(*wavelettrie.Frozen); !ok {
+		t.Fatalf("Load of a Static's bytes returned %T, want *Frozen", ix)
+	}
+}
+
+// retiredStatic is NewStatic([]string{"get", "put", "get"}).MarshalBinary()
+// as the pointer Static format wrote it: a kind-1 container of the current
+// WVLT version, whose body is that pointer trie with one RRR vector a
+// node.
+const retiredStatic = "544c56570400010300000000000000020000000000000004000000000000000001000000000000000d0000000000000001030000000000000000000000000000010000000000000001000000000000000100000000000000300000000000000017000000000000000100000000000000deb40b0000000000001700000000000000000000000000000100000000000000d0b50b000000000000"
+
+// TestRetiredStaticRefused: the pointer Static format is a named break
+// with no reader. Load and LoadStatic refuse a kind-1 container with an
+// error that names it, and leave its bytes as they were.
+func TestRetiredStaticRefused(t *testing.T) {
+	data, err := hex.DecodeString(retiredStatic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := bytes.Clone(data)
+	for name, load := range map[string]func([]byte) (wavelettrie.Index, error){
+		"Load":       wavelettrie.Load,
+		"LoadStatic": func(b []byte) (wavelettrie.Index, error) { return wavelettrie.LoadStatic(b) },
+	} {
+		ix, err := load(data)
+		if err == nil {
+			t.Fatalf("%s accepted a kind-1 container: %T", name, ix)
+		}
+		if !strings.Contains(err.Error(), "pointer Static") {
+			t.Fatalf("%s: error %q does not name the retired format", name, err)
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("%s changed its input", name)
+		}
+	}
 }
 
 func TestRoundTripAppendOnly(t *testing.T) {
@@ -399,6 +446,7 @@ func exerciseLoaded(ix wavelettrie.Index) {
 		si.SelectPrefix("p", 0)
 	}
 	if ri, ok := ix.(wavelettrie.RangeIndex); ok && n > 0 {
+		ri.Enumerate(n/2, n, func(pos int, _ string) bool { return pos < n/2+16 })
 		ri.DistinctInRange(0, n)
 		ri.RangeMajority(0, n)
 		ri.RangeThreshold(0, n, 2)
@@ -469,11 +517,24 @@ func FuzzLoad(f *testing.F) {
 	addSeed(num)
 	f.Add([]byte{})
 	f.Add([]byte{0x54, 0x4c, 0x56, 0x57, 1, 0, 3})
+	retired, err := hex.DecodeString(retiredStatic)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// A Static is reopened from a Frozen container, and every
+		// RangeIndex method runs the §5 kernel on the succinct trie.
+		if st, err := wavelettrie.LoadStatic(data); err == nil && st.Len() <= 1<<30 {
+			exerciseLoaded(st)
+		}
 		ix, err := wavelettrie.Load(data)
 		if err != nil {
 			return
+		}
+		if bytes.Equal(data[:7], retired[:7]) {
+			t.Fatal("Load accepted a kind-1 container")
 		}
 		if ix.Len() > 1<<30 {
 			// A snapshot can legitimately describe a huge virtual run;

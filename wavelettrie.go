@@ -14,7 +14,8 @@ type Distinct struct {
 }
 
 // queries is the shared byte-string query surface; it adapts the
-// bit-level core API through the prefix-free binarization of
+// bit-level API of the pointer tries (internal/core) and of the succinct
+// one (internal/succinct) through the prefix-free binarization of
 // internal/bitstr, so user strings may contain arbitrary bytes.
 type queries struct {
 	w interface {
@@ -22,15 +23,11 @@ type queries struct {
 		AlphabetSize() int
 		Height() int
 		AvgHeight() float64
-		TotalBitvectorBits() int
-		LabelBits() int
 		AccessBits(int) bitstr.BitString
 		RankBits(bitstr.BitString, int) int
 		SelectBits(bitstr.BitString, int) (int, bool)
 		RankPrefixBits(bitstr.BitString, int) int
 		SelectPrefixBits(bitstr.BitString, int) (int, bool)
-		CountBits(bitstr.BitString) int
-		CountPrefixBits(bitstr.BitString) int
 		EnumerateBits(int, int, func(int, bitstr.BitString) bool)
 		DistinctInRange(int, int) []core.DistinctResult
 		RangeMajority(int, int) (bitstr.BitString, bool)
@@ -72,7 +69,7 @@ func (q *queries) Rank(s string, pos int) int {
 }
 
 // Count returns the total number of occurrences of s.
-func (q *queries) Count(s string) int { return q.w.CountBits(bitstr.EncodeString(s)) }
+func (q *queries) Count(s string) int { return q.w.RankBits(bitstr.EncodeString(s), q.w.Len()) }
 
 // Select returns the position of the idx-th (0-based) occurrence of s,
 // with ok=false when s occurs fewer than idx+1 times.
@@ -87,7 +84,7 @@ func (q *queries) RankPrefix(p string, pos int) int {
 
 // CountPrefix returns the total number of elements with byte prefix p.
 func (q *queries) CountPrefix(p string) int {
-	return q.w.CountPrefixBits(bitstr.EncodePrefixString(p))
+	return q.w.RankPrefixBits(bitstr.EncodePrefixString(p), q.w.Len())
 }
 
 // SelectPrefix returns the position of the idx-th (0-based) element with
@@ -228,39 +225,35 @@ func decodeDistinct(in []core.DistinctResult) []Distinct {
 	return out
 }
 
-// Static is the immutable Wavelet Trie (paper §3, Theorem 3.7): queries
-// in O(|s|+h_s) time, space LT(Sset) + nH₀(S) + o(h̃n) bits.
+// Static is the immutable Wavelet Trie (paper §3, Theorem 3.7) in its
+// fully-succinct encoding: queries in O(|s|+h_s) time, space
+// LT(Sset) + nH₀(S) + o(h̃n) bits. It is the Frozen trie with the §5
+// range analytics on top (RangeIndex); Frozen shares its encoding.
 type Static struct {
 	queries
-	st     *core.Static
-	frozen *succinct.Trie // lazily built §3 succinct encoding
+	t *succinct.Trie
 }
 
-// NewStatic builds a Static Wavelet Trie over seq.
+// NewStatic builds a Static Wavelet Trie over seq: an AppendOnly over seq
+// frozen structurally, as a store's flush freezes its memtable.
 func NewStatic(seq []string) *Static {
-	enc := make([]bitstr.BitString, len(seq))
-	for i, s := range seq {
-		enc[i] = bitstr.EncodeString(s)
+	f, err := NewAppendOnlyFrom(seq).Frozen()
+	if err != nil {
+		panic("wavelettrie: NewStatic: " + err.Error())
 	}
-	st := core.NewStaticFromBits(enc)
-	return &Static{queries: queries{w: st}, st: st}
+	return newStatic(f.t)
 }
 
-// SizeBits returns the measured in-memory footprint in bits of the
-// pointer-based (fast-navigation) representation.
-func (s *Static) SizeBits() int { return s.st.SizeBits() }
+func newStatic(t *succinct.Trie) *Static { return &Static{queries: queries{w: t}, t: t} }
 
-// SuccinctSizeBits returns the measured size of the §3 fully-succinct
-// encoding — DFUDS tree, concatenated delimited labels and one
-// concatenated RRR bitvector — built on first call and cached.
-func (s *Static) SuccinctSizeBits() int { return s.freeze().SizeBits() }
+// SizeBits returns the measured in-memory footprint in bits of the §3
+// encoding — DFUDS-style shape, concatenated delimited labels and one
+// concatenated RRR bitvector, with their directories.
+func (s *Static) SizeBits() int { return s.t.SizeBits() }
 
-func (s *Static) freeze() *succinct.Trie {
-	if s.frozen == nil {
-		s.frozen = succinct.Freeze(s.st)
-	}
-	return s.frozen
-}
+// SuccinctSizeBits returns the size of the §3 encoding: SizeBits, since
+// that encoding is the only one a Static has.
+func (s *Static) SuccinctSizeBits() int { return s.t.SizeBits() }
 
 // AppendOnly is the append-only Wavelet Trie (Theorem 4.3): Append and
 // all queries in O(|s|+h_s), space LB + PT + o(h̃n) bits.
@@ -291,13 +284,13 @@ func (a *AppendOnly) Append(s string) { a.a.AppendBits(bitstr.EncodeString(s)) }
 // SizeBits returns the measured in-memory footprint in bits.
 func (a *AppendOnly) SizeBits() int { return a.a.SizeBits() }
 
-// Frozen returns the succinct encoding of the sequence appended so far,
-// byte-identical to NewStatic(sequence).Frozen(). It copies the trie's
-// shape, labels and node bitvectors as they stand — no element is decoded
-// and nothing is re-inserted — so it costs time in the size of the
-// structure, not of the sequence. It reports an error only for a trie
-// that disagrees with itself (loaded from a corrupt snapshot). The trie
-// must not be appended to meanwhile.
+// Frozen returns the succinct encoding of the sequence appended so far —
+// how NewStatic builds one. It copies the trie's shape, labels and node
+// bitvectors as they stand — no element is decoded and nothing is
+// re-inserted — so it costs time in the size of the structure, not of
+// the sequence. It reports an error only for a trie that disagrees with
+// itself (loaded from a corrupt snapshot). The trie must not be appended
+// to meanwhile.
 func (a *AppendOnly) Frozen() (*Frozen, error) {
 	t, err := succinct.FreezeAppendOnly(a.a)
 	if err != nil {

@@ -1,7 +1,11 @@
 package wavelettrie
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/seqstore/flat"
@@ -95,42 +99,129 @@ func TestDynamicLifecycle(t *testing.T) {
 	}
 }
 
+// TestRangeAnalytics is the differential test of the §5 surface: on
+// AppendOnly and Dynamic (the pointer tries) and Static (the succinct
+// one), all served by the one kernel, Enumerate, Slice, DistinctInRange,
+// RangeMajority, RangeThreshold, TopK and DistinctPrefixes answer as the
+// flat oracle does — on empty, full and random windows, and on windows
+// inside a run long enough to hold a majority.
 func TestRangeAnalytics(t *testing.T) {
-	seq := []string{"x", "y", "x", "x", "z", "x", "y"}
-	for name, w := range map[string]*queries{
-		"static":  &NewStatic(seq).queries,
-		"dynamic": &NewDynamicFrom(seq).queries,
+	r := rand.New(rand.NewSource(141))
+	seq := workload.URLLog(400, 5, workload.DefaultURLConfig())
+	for i := 0; i < 40; i++ {
+		seq = append(seq, []string{"a", "ab", "h", "host", ""}[r.Intn(5)])
+	}
+	for i := 0; i < 60; i++ {
+		seq = append(seq, "heavy")
+		if i%3 == 0 {
+			seq = append(seq, workload.Distinct(seq)[r.Intn(20)])
+		}
+	}
+	n := len(seq)
+	o := flat.FromSlice(seq)
+	windows := [][2]int{{0, 0}, {n, n}, {n / 2, n / 2}, {0, n}, {n - 80, n}, {n - 50, n - 10}}
+	for len(windows) < 40 {
+		l := r.Intn(n + 1)
+		windows = append(windows, [2]int{l, l + r.Intn(n-l+1)})
+	}
+	for name, w := range map[string]RangeIndex{
+		"appendonly": NewAppendOnlyFrom(seq),
+		"dynamic":    NewDynamicFrom(seq),
+		"static":     NewStatic(seq),
 	} {
-		d := w.DistinctInRange(0, 7)
-		if len(d) != 3 {
-			t.Fatalf("%s: distinct %v", name, d)
+		for _, lr := range windows {
+			l, rr := lr[0], lr[1]
+			at := fmt.Sprintf("%s [%d,%d)", name, l, rr)
+			var got []string
+			w.Enumerate(l, rr, func(pos int, s string) bool {
+				if pos != l+len(got) {
+					t.Fatalf("%s: Enumerate yields position %d after %d values", at, pos, len(got))
+				}
+				got = append(got, s)
+				return true
+			})
+			if want := seq[l:rr]; !slices.Equal(got, want) || !slices.Equal(w.Slice(l, rr), want) {
+				t.Fatalf("%s: Enumerate/Slice differ from the sequence", at)
+			}
+			counts := o.DistinctInRange(l, rr)
+			distinct := make([]Distinct, 0, len(counts))
+			for v, c := range counts {
+				distinct = append(distinct, Distinct{Value: v, Count: c})
+			}
+			sort.Slice(distinct, func(i, j int) bool { return distinct[i].Value < distinct[j].Value })
+			if g := w.DistinctInRange(l, rr); !slices.Equal(g, distinct) {
+				t.Fatalf("%s: DistinctInRange = %v, want %v", at, g, distinct)
+			}
+			gm, gok := w.RangeMajority(l, rr)
+			if wm, wok := o.Majority(l, rr); gm != wm || gok != wok {
+				t.Fatalf("%s: RangeMajority = %q,%v, want %q,%v", at, gm, gok, wm, wok)
+			}
+			for _, th := range []int{1, 2, 7, n + 1} {
+				var want []Distinct
+				for _, d := range distinct {
+					if d.Count >= th {
+						want = append(want, d)
+					}
+				}
+				if g := w.RangeThreshold(l, rr, th); !slices.Equal(g, want) {
+					t.Fatalf("%s: RangeThreshold(%d) = %v, want %v", at, th, g, want)
+				}
+			}
+			byCount := append([]Distinct(nil), distinct...)
+			sort.SliceStable(byCount, func(i, j int) bool { return byCount[i].Count > byCount[j].Count })
+			for _, k := range []int{0, 1, 3, n + 1} {
+				if g, want := w.TopK(l, rr, k), byCount[:min(k, len(byCount))]; !slices.Equal(g, want) {
+					t.Fatalf("%s: TopK(%d) = %v, want %v", at, k, g, want)
+				}
+			}
+			for _, k := range []int{0, 1, 4, 14, 100} {
+				if g, want := w.DistinctPrefixes(l, rr, k), refPrefixGroups(seq, l, rr, k); !slices.Equal(g, want) {
+					t.Fatalf("%s: DistinctPrefixes(%d) = %v, want %v", at, k, g, want)
+				}
+			}
 		}
-		// Lexicographic: x, y, z.
-		if d[0].Value != "x" || d[0].Count != 4 || d[2].Value != "z" {
-			t.Fatalf("%s: distinct %v", name, d)
-		}
-		if m, ok := w.RangeMajority(0, 7); !ok || m != "x" {
-			t.Fatalf("%s: majority %q %v", name, m, ok)
-		}
-		if _, ok := w.RangeMajority(0, 2); ok {
-			t.Fatalf("%s: no majority expected", name)
-		}
-		th := w.RangeThreshold(0, 7, 2)
-		if len(th) != 2 { // x(4), y(2)
-			t.Fatalf("%s: threshold %v", name, th)
-		}
-		top := w.TopK(0, 7, 2)
-		if len(top) != 2 || top[0].Value != "x" || top[1].Value != "y" {
-			t.Fatalf("%s: topk %v", name, top)
-		}
-		var seen []string
-		w.Enumerate(1, 4, func(pos int, s string) bool {
-			seen = append(seen, s)
-			return true
-		})
-		if len(seen) != 3 || seen[0] != "y" || seen[1] != "x" || seen[2] != "x" {
-			t.Fatalf("%s: enumerate %v", name, seen)
-		}
+	}
+}
+
+// TestConcurrentReaders: a Static serves concurrent readers — the point
+// queries and the §5 kernel alike — with no synchronization.
+func TestConcurrentReaders(t *testing.T) {
+	r := rand.New(rand.NewSource(182))
+	words := []string{"alpha", "beta", "gamma/1", "gamma/2"}
+	seq := make([]string, 2000)
+	for i := range seq {
+		seq[i] = words[r.Intn(len(words))]
+	}
+	st := NewStatic(seq)
+	o := flat.FromSlice(seq)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rr := rand.New(rand.NewSource(seed))
+			for i := 0; i < 500; i++ {
+				pos := rr.Intn(len(seq))
+				s := words[rr.Intn(len(words))]
+				switch {
+				case st.Access(pos) != seq[pos]:
+					errs <- fmt.Sprintf("Access(%d)", pos)
+				case st.Rank(s, pos) != o.Rank(s, pos):
+					errs <- fmt.Sprintf("Rank(%q, %d)", s, pos)
+				case len(st.DistinctInRange(pos/2, pos+1)) != len(o.DistinctInRange(pos/2, pos+1)):
+					errs <- fmt.Sprintf("DistinctInRange(%d, %d)", pos/2, pos+1)
+				default:
+					continue
+				}
+				return
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
@@ -152,12 +243,12 @@ func TestBinaryContent(t *testing.T) {
 func TestSpaceAccessors(t *testing.T) {
 	seq := workload.ZipfStrings(5000, 64, 1.4, 2)
 	st := NewStatic(seq)
-	if st.SizeBits() <= 0 || st.SuccinctSizeBits() <= 0 {
-		t.Fatal("size accessors must be positive")
+	if st.SizeBits() <= 0 || st.SuccinctSizeBits() != st.SizeBits() {
+		t.Fatalf("SizeBits %d and SuccinctSizeBits %d must be the one positive size",
+			st.SizeBits(), st.SuccinctSizeBits())
 	}
-	if st.SuccinctSizeBits() >= st.SizeBits() {
-		t.Fatalf("succinct %d should be below pointer-based %d",
-			st.SuccinctSizeBits(), st.SizeBits())
+	if st.SizeBits() != st.Frozen().SizeBits() {
+		t.Fatalf("Static %d bits, its Frozen %d: they share one encoding", st.SizeBits(), st.Frozen().SizeBits())
 	}
 	if st.AvgHeight() <= 0 || st.Height() < int(st.AvgHeight()) {
 		t.Fatal("height accessors inconsistent")
