@@ -104,10 +104,16 @@ func rowLine(schema []store.ColumnSpec, row store.Row) string {
 	return strings.Join(parts, "  ")
 }
 
-// routerLine renders a RouterInfo for the shards/stats commands.
+// routerLine renders a RouterInfo for the shards/stats commands: the
+// in-memory footprint and, when known, the ROUTER log's beside it.
 func routerLine(ri store.RouterInfo) string {
-	return fmt.Sprintf("router     %.2f bits/elem (%d bits; %d frozen + %d tail chunks)",
+	line := fmt.Sprintf("router     %.2f bits/elem (%d bits; %d frozen + %d tail chunks)",
 		ri.BitsPerElem(), ri.Bits, ri.FrozenChunks, ri.TailChunks)
+	if ri.LogBytes > 0 && ri.Elems > 0 {
+		line += fmt.Sprintf("; ROUTER file %d bytes, %.2f bits/elem on disk",
+			ri.LogBytes, float64(8*ri.LogBytes)/float64(ri.Elems))
+	}
+	return line
 }
 
 func main() {

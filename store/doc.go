@@ -83,8 +83,9 @@
 // disjoint. A shared router records which shard owns each global
 // position — the interleaved append order, carried by a per-record
 // sequence header in the shard WALs and persisted in the ROUTER log
-// ahead of every flush; in memory its sealed chunks are wavelet
-// matrices over the shard ids — and the store's Snapshot stitches
+// ahead of every flush, its shard ids packed at ⌈log₂ shards⌉ bits
+// each; in memory its sealed chunks are wavelet matrices over the shard
+// ids at the same width — and the store's Snapshot stitches
 // per-shard answers back into the single logical sequence by offset
 // arithmetic over it; with one shard there is no router arithmetic, and
 // the view reads like a flat store's. A prefix's values hash apart, so a prefix enumeration is a

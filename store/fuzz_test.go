@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // FuzzParseWAL: arbitrary bytes must decode to a valid prefix or an
@@ -14,8 +17,8 @@ import (
 // re-parse to the same records (truncation is idempotent).
 func FuzzParseWAL(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(logHeader(walMagic))
-	valid := logHeader(walMagic)
+	f.Add(logHeader(walMagic, walVersion))
+	valid := logHeader(walMagic, walVersion)
 	for _, p := range []string{"", "a", "host00.example/a1", "longer payload with spaces"} {
 		valid, _ = appendWALRecord(valid, p, uint64(len(p)), len(p)%2 == 0, nil)
 	}
@@ -82,6 +85,90 @@ func FuzzParseShards(f *testing.F) {
 			t.Fatalf("accepted SHARDS manifest does not round-trip: %+v", m)
 		}
 	})
+}
+
+// FuzzParseRouter: arbitrary bytes, read as the ROUTER log of a store of
+// 1..MaxShards shards, must decode to a valid prefix or an error — never
+// a panic — and every accepted record must hold ids of that store's
+// shards only and re-encode byte for byte through the writer.
+func FuzzParseRouter(f *testing.F) {
+	f.Add([]byte{}, uint16(1))
+	f.Add(logHeader(routerMagic, routerVersion), uint16(1))
+	for _, n := range []int{2, 5} {
+		img := routerLogImage(f, f.TempDir(), n)
+		last := walHeaderLen
+		for pos := last; pos < len(img); pos += walRecHeaderLen + int(binary.LittleEndian.Uint32(img[pos:])) {
+			last = pos
+		}
+		payload := img[last+walRecHeaderLen:]
+		dirty := append([]byte(nil), payload...)
+		dirty[len(dirty)-1] |= 0x80 // the last record's count leaves the top bit as padding
+		count, k := binary.Uvarint(payload)
+		mismatched := append(binary.AppendUvarint(nil, count+8), payload[k:]...)
+		f.Add(img, uint16(n))
+		f.Add(img, uint16(n+1))            // the same log under another shard count
+		f.Add(img[:len(img)-3], uint16(n)) // torn tail
+		f.Add(appendLogRecord(img[:last:last], dirty), uint16(n))
+		f.Add(appendLogRecord(img[:last:last], mismatched), uint16(n))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		shards := int(n)
+		if shards < 1 || shards > MaxShards {
+			return
+		}
+		recs, good, err := parseLog(data, routerMagic, routerVersion, validRouterRecord(shards))
+		if err != nil {
+			return
+		}
+		if good < 0 || good > len(data) {
+			t.Fatalf("good offset %d outside [0,%d]", good, len(data))
+		}
+		for i, p := range recs {
+			ids, ok := decodeRouterRecord(nil, p, shards)
+			if !ok {
+				t.Fatalf("record %d accepted but does not decode", i)
+			}
+			for _, id := range ids {
+				if int(id) >= shards {
+					t.Fatalf("record %d names shard %d of %d", i, id, shards)
+				}
+			}
+			if enc := routerPayload(ids, shards); !bytes.Equal(enc, p) {
+				t.Fatalf("record %d re-encodes to %x, file holds %x", i, enc, p)
+			}
+		}
+	})
+}
+
+// routerLogImage creates a store of n shards in dir and returns its
+// ROUTER log once closed: two records, 300 flushed values and 301 more
+// that Close persists from the WAL tail.
+func routerLogImage(tb testing.TB, dir string, n int) []byte {
+	tb.Helper()
+	s, err := OpenSharded(dir, &ShardedOptions{Shards: n, Store: Options{DisableAutoFlush: true}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	vals := workload.URLLog(601, int64(n), workload.DefaultURLConfig())
+	for i, v := range vals {
+		if i == 300 {
+			if err := s.Flush(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := s.Append(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	img, err := os.ReadFile(routerPath(dir))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img
 }
 
 // fuzzColFeeder streams a flat []Row for the column fuzz seeds — the
@@ -299,7 +386,16 @@ func FuzzParseGenFooter(f *testing.F) {
 	})
 }
 
+// appendLogRecord frames payload as one record onto an in-memory log
+// image, for tests that forge logs.
+func appendLogRecord(buf, payload []byte) []byte {
+	start := len(buf)
+	buf = append(append(buf, make([]byte, walRecHeaderLen)...), payload...)
+	frameRecord(buf[start:])
+	return buf
+}
+
 // parseWAL decodes a write-ahead-log image; see parseLog.
 func parseWAL(data []byte) (records [][]byte, good int, err error) {
-	return parseLog(data, walMagic, validWALPayload)
+	return parseLog(data, walMagic, walVersion, validWALPayload)
 }

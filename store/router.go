@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,12 +36,15 @@ import (
 // freeze step.
 //
 // On disk it is the ROUTER log — the same checksummed record framing as
-// the WAL under its own magic, carrying batches of shard-id bytes —
-// persisted ahead of every shard flush (the seal barrier) and rewritten
-// fresh on every open.
+// the WAL under its own magic and version, each record a batch of shard
+// ids packed at the frozen chunks' width (see appendRecord) — persisted
+// ahead of every shard flush (the seal barrier) and rewritten fresh on
+// every open. Version 3 is the only version read or written: version 2
+// spent a byte per id, and an older log is refused whole, untouched.
 const (
-	routerMagic = 0x52545257 // "WRTR" little-endian
-	routerName  = "ROUTER"
+	routerMagic   = 0x52545257 // "WRTR" little-endian
+	routerVersion = 3
+	routerName    = "ROUTER"
 
 	routerChunkShift = 12
 	routerChunkLen   = 1 << routerChunkShift
@@ -246,15 +251,101 @@ func (r *router) bulkLoad(order []byte) {
 
 func routerPath(dir string) string { return filepath.Join(dir, routerName) }
 
-// validRouterPayload vets a ROUTER record: a non-empty batch of shard
-// ids. Range-checking the ids against the shard count happens in the
-// caller — it is a config/corruption error, not a torn tail.
-func validRouterPayload(p []byte) bool { return len(p) > 0 }
+// routerWidth is the bits a shard id takes in a store of shards
+// partitions, on disk and in a frozen chunk alike: ⌈log₂ shards⌉, none
+// for one shard.
+func routerWidth(shards int) int { return bits.Len(uint(shards - 1)) }
 
-// readRouterLog returns the global shard-id order dir/ROUTER claims,
-// truncation-tolerant like WAL replay: a torn tail record is dropped,
-// anything before it is trusted (each record is checksummed).
-func readRouterLog(dir string) ([]byte, error) {
+// appendRecord appends the ROUTER record payload for global positions
+// [from, to), below a watermark the caller has loaded: the uvarint
+// count, then each position's shard id in routerWidth bits, LSB-first,
+// the last byte zero-padded.
+func (r *router) appendRecord(dst []byte, from, to uint64) []byte {
+	dst = binary.AppendUvarint(dst, to-from)
+	width := uint(routerWidth(r.shards))
+	var acc uint64 // pending bits, low first; fewer than 8 between ids
+	var n uint
+	for g := from; g < to; g++ {
+		acc |= uint64(r.at(g)) << n
+		for n += width; n >= 8; n -= 8 {
+			dst = append(dst, byte(acc))
+			acc >>= 8
+		}
+	}
+	if n > 0 {
+		dst = append(dst, byte(acc))
+	}
+	return dst
+}
+
+// appendLog frames positions [from, to) onto buf as ROUTER records of
+// at most routerBatchLen ids each, returning the buffer and the number
+// of records framed.
+func (r *router) appendLog(buf []byte, from, to uint64) ([]byte, int) {
+	nrec := 0
+	for ; from < to; nrec++ {
+		end := min(to, from+routerBatchLen)
+		start := len(buf)
+		buf = r.appendRecord(append(buf, make([]byte, walRecHeaderLen)...), from, end)
+		frameRecord(buf[start:])
+		from = end
+	}
+	return buf, nrec
+}
+
+// decodeRouterRecord appends the shard ids of a ROUTER record payload to
+// ids. It reports false, leaving ids as they were, for a payload the
+// writer cannot have produced for a store of shards partitions: an empty
+// batch or one over routerBatchLen, a count not in its shortest uvarint
+// form, a length other than the count's packed bytes, nonzero padding,
+// or an id of no shard.
+func decodeRouterRecord(ids, p []byte, shards int) ([]byte, bool) {
+	count, k := binary.Uvarint(p)
+	if k <= 0 || (k > 1 && p[k-1] == 0) || count == 0 || count > routerBatchLen {
+		return ids, false
+	}
+	width := uint(routerWidth(shards))
+	body := p[k:]
+	if uint64(len(body)) != (count*uint64(width)+7)/8 {
+		return ids, false
+	}
+	start := len(ids)
+	var acc uint64
+	var n uint
+	for i := uint64(0); i < count; i++ {
+		for ; n < width; n += 8 {
+			acc |= uint64(body[0]) << n
+			body = body[1:]
+		}
+		id := acc & (1<<width - 1)
+		acc >>= width
+		n -= width
+		if id >= uint64(shards) {
+			return ids[:start], false
+		}
+		ids = append(ids, byte(id))
+	}
+	if acc != 0 {
+		return ids[:start], false
+	}
+	return ids, true
+}
+
+// validRouterRecord returns parseLog's payload check for the ROUTER log
+// of a store of shards partitions. A record that fails it is corrupt,
+// like a torn one: the log's trusted prefix ends before it.
+func validRouterRecord(shards int) func([]byte) bool {
+	return func(p []byte) bool {
+		_, ok := decodeRouterRecord(nil, p, shards)
+		return ok
+	}
+}
+
+// readRouterLog returns the global shard-id order dir/ROUTER claims for a
+// store of shards partitions, truncation-tolerant like WAL replay: a torn
+// or corrupt tail record is dropped, anything before it is trusted (each
+// record is checksummed and its ids vetted against shards).
+func readRouterLog(dir string, shards int) ([]byte, error) {
 	data, err := os.ReadFile(routerPath(dir))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -262,30 +353,25 @@ func readRouterLog(dir string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	records, _, err := parseLog(data, routerMagic, validRouterPayload)
+	records, _, err := parseLog(data, routerMagic, routerVersion, validRouterRecord(shards))
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", routerPath(dir), err)
 	}
 	var ids []byte
 	for _, rec := range records {
-		ids = append(ids, rec...)
+		ids, _ = decodeRouterRecord(ids, rec, shards)
 	}
 	return ids, nil
 }
 
-// writeRouterLog rewrites dir/ROUTER with the given order, returning
-// the open log positioned for further appends. The replacement is
-// atomic (temp file + fsync + rename, like the manifest): for flushed
-// records the old ROUTER is the only durable copy of the interleave,
-// so a crash mid-rewrite must leave either the old log or the complete
-// new one, never a truncated file.
-func writeRouterLog(dir string, ids []byte) (*wal, error) {
-	img := logHeader(routerMagic)
-	for len(ids) > 0 {
-		n := min(len(ids), routerBatchLen)
-		img = appendLogRecord(img, ids[:n])
-		ids = ids[n:]
-	}
+// writeRouterLog rewrites dir/ROUTER with r's order through its
+// watermark, returning the open log positioned for further appends. The
+// replacement is atomic (temp file + fsync + rename, like the manifest):
+// for flushed records the old ROUTER is the only durable copy of the
+// interleave, so a crash mid-rewrite must leave either the old log or
+// the complete new one, never a truncated file.
+func writeRouterLog(dir string, r *router) (*wal, error) {
+	img, _ := r.appendLog(logHeader(routerMagic, routerVersion), 0, r.watermark.Load())
 	if err := writeFileAtomic(dir, routerName, img); err != nil {
 		return nil, err
 	}
@@ -294,16 +380,4 @@ func writeRouterLog(dir string, ids []byte) (*wal, error) {
 		return nil, err
 	}
 	return &wal{f: f, path: routerPath(dir)}, nil
-}
-
-// appendRouterIDs appends ids to the log in bounded records.
-func appendRouterIDs(w *wal, ids []byte) error {
-	for len(ids) > 0 {
-		n := min(len(ids), routerBatchLen)
-		if err := w.append(ids[:n]); err != nil {
-			return err
-		}
-		ids = ids[n:]
-	}
-	return nil
 }

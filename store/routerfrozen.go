@@ -1,10 +1,6 @@
 package store
 
-import (
-	"math/bits"
-
-	"repro/internal/wavelettree"
-)
+import "repro/internal/wavelettree"
 
 // The freeze step: when the watermark passes a chunk boundary, the
 // newly sealed chunk's shard ids are re-encoded from the 32-bit slab
@@ -41,7 +37,7 @@ func (r *router) seal() {
 		frozen: append(make([]*wavelettree.Matrix, 0, full), v.frozen...),
 		cum:    append(make([][]int32, 0, full+1), v.cum...),
 	}
-	width := bits.Len(uint(r.shards - 1))
+	width := routerWidth(r.shards)
 	ids := make([]uint64, routerChunkLen)
 	for i := len(nv.frozen); i < full; i++ {
 		c := nv.chunks[i]
@@ -61,7 +57,8 @@ func (r *router) seal() {
 
 // RouterInfo reports the interleave router's in-memory representation:
 // how much of it has been frozen into wavelet matrices, how much
-// still rides in live uint32 slabs, and the footprint of each part.
+// still rides in live uint32 slabs, and the footprint of each part —
+// and, beside it, the size of the ROUTER log on disk.
 type RouterInfo struct {
 	Elems        int // positions below the watermark
 	Bits         int // total footprint: frozen + tail slabs + prefix sums
@@ -69,6 +66,7 @@ type RouterInfo struct {
 	TailBits     int // live uint32 slabs (32 bits/slot)
 	FrozenChunks int
 	TailChunks   int
+	LogBytes     int // the ROUTER file's size; 0 when unknown
 }
 
 // BitsPerElem returns the average router footprint per routed element.

@@ -223,17 +223,21 @@ func TestShardedCrashTornShardWAL(t *testing.T) {
 // source of the interleave for flushed records, and merely a cache for
 // WAL-resident ones. Deleting it with everything still in the WALs
 // recovers perfectly from the sequence headers; deleting it after a
-// flush must fail loudly; tearing its tail is survivable either way.
+// flush must fail loudly; a torn or corrupt record past the fsynced
+// prefix is dropped, one inside it fails loudly.
 func TestShardedCrashRouterStates(t *testing.T) {
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
 	seq := crashSeq(120)
+	// The fsynced record covers seq[:cut] and the unsynced tail the rest:
+	// 81 and 39 one-bit ids, so both records end in padding bits.
+	const cut = 81
 
 	ss, err := OpenSharded(live, shardedCrashOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range seq[:80] {
+	for _, v := range seq[:cut] {
 		if err := ss.Append(v); err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +248,7 @@ func TestShardedCrashRouterStates(t *testing.T) {
 	if err := ss.shards[0].flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range seq[80:] {
+	for _, v := range seq[cut:] {
 		if err := ss.Append(v); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +265,7 @@ func TestShardedCrashRouterStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShardedSeq(t, re, seq[:80])
+	checkShardedSeq(t, re, seq[:cut])
 	re.Close()
 
 	// A torn ROUTER tail: a crash can tear only a record the barrier has
@@ -269,46 +273,67 @@ func TestShardedCrashRouterStates(t *testing.T) {
 	// that state (an extra record for the unflushed suffix, torn) and
 	// recover: the claimed prefix survives, the torn suffix is
 	// re-derived from the WAL sequence headers, nothing is lost.
-	tornDir := filepath.Join(base, "torn")
-	copyTree(t, flushed, tornDir)
-	rp := filepath.Join(tornDir, routerName)
-	var extra []byte
-	for _, v := range seq[80:] {
+	var extra, swapped []byte
+	for _, v := range seq[cut:] {
 		extra = append(extra, byte(pickShard(v, 2)))
+		swapped = append(swapped, 1-byte(pickShard(v, 2)))
 	}
-	rec := appendLogRecord(nil, extra)
-	f, err := os.OpenFile(rp, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	rec := appendLogRecord(nil, routerPayload(extra, 2))
+	// A record with nonzero padding is one the writer never produced, so
+	// it is dropped like a torn one. Its ids claim the wrong shards, so
+	// trusting it would scramble the recovered order.
+	dirty := routerPayload(swapped, 2)
+	dirty[len(dirty)-1] |= 0x80
+	for name, tail := range map[string][]byte{
+		"torn":          rec[:len(rec)-3],
+		"dirty padding": appendLogRecord(nil, dirty),
+	} {
+		tailDir := filepath.Join(base, name)
+		copyTree(t, flushed, tailDir)
+		f, err := os.OpenFile(filepath.Join(tailDir, routerName), os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		re, err = OpenSharded(tailDir, shardedCrashOpts())
+		if err != nil {
+			t.Fatalf("%s record past the fsynced prefix: %v", name, err)
+		}
+		checkShardedSeq(t, re, seq)
+		re.Close()
 	}
-	if _, err := f.Write(rec[:len(rec)-3]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	re, err = OpenSharded(tornDir, shardedCrashOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShardedSeq(t, re, seq)
-	re.Close()
 
-	// A tear INSIDE the fsynced region cannot come from a crash (the
-	// barrier fsyncs before any flush proceeds); it means the file was
-	// damaged, and recovery must refuse loudly rather than guess.
-	impossible := filepath.Join(base, "impossible")
-	copyTree(t, flushed, impossible)
-	ip := filepath.Join(impossible, routerName)
-	data, err := os.ReadFile(ip)
+	// A tear or a corrupt record INSIDE the fsynced region cannot come
+	// from a crash (the barrier fsyncs before any flush proceeds); it
+	// means the file was damaged, and recovery must refuse loudly rather
+	// than guess.
+	data, err := os.ReadFile(filepath.Join(flushed, routerName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(ip, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
+	synced := data[walHeaderLen+walRecHeaderLen:] // the one fsynced record's payload
+	if ids, ok := decodeRouterRecord(nil, synced, 2); !ok || len(ids) != cut {
+		t.Fatalf("fsynced ROUTER record holds %d ids (ok=%v), want %d", len(ids), ok, cut)
 	}
-	if _, err := OpenSharded(impossible, shardedCrashOpts()); err == nil {
-		t.Fatal("damaged fsynced ROUTER region not rejected")
-	} else if !strings.Contains(err.Error(), "ROUTER") {
-		t.Fatalf("unexpected error: %v", err)
+	dirtySynced := append([]byte(nil), synced...)
+	dirtySynced[len(dirtySynced)-1] |= 0x80
+	for name, img := range map[string][]byte{
+		"torn":          data[:len(data)-3],
+		"dirty padding": appendLogRecord(logHeader(routerMagic, routerVersion), dirtySynced),
+	} {
+		impossible := filepath.Join(base, "impossible "+name)
+		copyTree(t, flushed, impossible)
+		if err := os.WriteFile(filepath.Join(impossible, routerName), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSharded(impossible, shardedCrashOpts()); err == nil {
+			t.Fatalf("%s record inside the fsynced ROUTER region not rejected", name)
+		} else if !strings.Contains(err.Error(), "ROUTER") {
+			t.Fatalf("%s: unexpected error: %v", name, err)
+		}
 	}
 
 	// Flushed records with no ROUTER at all: the interleave is gone;

@@ -27,8 +27,8 @@ const (
 	// routing a store is created with or opens.
 	partitionerName = "fnv1a"
 
-	// MaxShards caps the partition count of a Store (shard ids are
-	// stored as single bytes in the ROUTER log).
+	// MaxShards caps the partition count of a Store (recovery carries
+	// shard ids as single bytes).
 	MaxShards = 256
 )
 
@@ -243,14 +243,9 @@ func OpenSharded(dir string, opts *ShardedOptions) (*Store, error) {
 		return s, nil
 	}
 
-	claimed, err := readRouterLog(dir)
+	claimed, err := readRouterLog(dir, count)
 	if err != nil {
 		return nil, err
-	}
-	for _, id := range claimed {
-		if int(id) >= count {
-			return nil, fmt.Errorf("store: ROUTER references shard %d of %d — SHARDS/ROUTER mismatch", id, count)
-		}
 	}
 	s.router = newRouter(count)
 	s.shards = make([]*shard, count)
@@ -310,7 +305,7 @@ func OpenSharded(dir string, opts *ShardedOptions) (*Store, error) {
 	// Rewrite the ROUTER log fresh: the recovered order is renumbered
 	// compactly, so live sequence numbers equal global positions again
 	// and every current record is durably covered before any new flush.
-	log, err := writeRouterLog(dir, order)
+	log, err := writeRouterLog(dir, s.router)
 	if err != nil {
 		closeOpened()
 		return nil, err
@@ -648,11 +643,7 @@ func (s *Store) persistRouterLocked() error {
 	if w <= s.persisted {
 		return nil
 	}
-	buf := make([]byte, 0, w-s.persisted)
-	for g := s.persisted; g < w; g++ {
-		buf = append(buf, byte(s.router.at(g)))
-	}
-	if err := appendRouterIDs(s.log, buf); err != nil {
+	if err := s.log.appendFramed(s.router.appendLog(nil, s.persisted, w)); err != nil {
 		s.logErr = err
 		return err
 	}
@@ -923,13 +914,18 @@ func (s *Store) IterateWhere(prefix string, from int, preds []Pred, fn func(idx,
 func (s *Store) MarshalBinary() ([]byte, error) { return s.Snapshot().MarshalBinary() }
 
 // RouterInfo reports how the interleave router is represented right
-// now: the frozen-vs-tail chunk split and the footprint of each part.
-// It is zero for a flat store, which has no router.
+// now: the frozen-vs-tail chunk split and the footprint of each part in
+// memory, and the size of its ROUTER log on disk. It is zero for a flat
+// store, which has no router.
 func (s *Store) RouterInfo() RouterInfo {
 	if s.router == nil {
 		return RouterInfo{}
 	}
-	return s.router.info()
+	ri := s.router.info()
+	if fi, err := os.Stat(routerPath(s.dir)); err == nil {
+		ri.LogBytes = int(fi.Size())
+	}
+	return ri
 }
 
 // RouterProbe round-trips position pos through the router's primitive

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -370,7 +371,7 @@ func TestCrashCorruptFlagByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.f = f
-	if err := w.append([]byte{9, 'z', 'z'}); err != nil { // flag byte 9: not ours
+	if err := w.appendFramed(appendLogRecord(nil, []byte{9, 'z', 'z'}), 1); err != nil { // flag byte 9: not ours
 		t.Fatal(err)
 	}
 	w.close()
@@ -463,7 +464,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	// A checksummed record that is not writer-shaped (a flag bit the writer
 	// never sets) must read as corruption, not as a value.
-	if err := w.append([]byte{walFlagLimit + 1, 'x'}); err != nil {
+	if err := w.appendFramed(appendLogRecord(nil, []byte{walFlagLimit + 1, 'x'}), 1); err != nil {
 		t.Fatal(err)
 	}
 	w.close()
@@ -653,6 +654,35 @@ func TestOlderFormatsRefused(t *testing.T) {
 			}
 			return map[string][]byte{filepath.Join(shardDirName(0), manifestName): oldManifest}
 		}, func(dir string) error { _, err := OpenSharded(dir, nil); return err }, "unsupported version 3"},
+		{"ROUTER version 2 (a byte per value)", func(t *testing.T, dir string) map[string][]byte {
+			// Today's two-shard store, flushed and with a WAL tail, its
+			// ROUTER rewritten the way version 2 laid the same order out:
+			// one shard-id byte per value. Every file is held unchanged.
+			img := routerLogImage(t, dir, 2)
+			ids, err := readRouterLog(dir, 2)
+			if err != nil || len(ids) != 601 {
+				t.Fatalf("today's ROUTER: %d ids, %v", len(ids), err)
+			}
+			files := map[string][]byte{}
+			err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+				if err != nil || d.IsDir() {
+					return err
+				}
+				rel, err := filepath.Rel(dir, path)
+				if err == nil {
+					files[rel], err = os.ReadFile(path)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(files[routerName], img) {
+				t.Fatal("walk missed the ROUTER log")
+			}
+			files[routerName] = appendLogRecord(logHeader(routerMagic, 2), ids)
+			return files
+		}, func(dir string) error { _, err := OpenSharded(dir, nil); return err }, "unsupported log version 2, want 3"},
 		{"version 1 column file", func(t *testing.T, dir string) map[string][]byte {
 			// Today's store with a flushed columnar generation, its column
 			// section rewritten the way version 1 laid it out (every presence

@@ -18,9 +18,9 @@ import (
 // first invalid record and never guesses past it.
 //
 // The same framing (header + checksummed records) backs the sharded
-// store's ROUTER log under a different magic — see router.go.
+// store's ROUTER log under its own magic and version — see router.go.
 //
-// Version 2 is the only version read or written: version-1 payloads
+// Version 2 is the only WAL version read or written: version-1 payloads
 // carried a flag bit (0x01, "new to the alphabet") that no longer exists,
 // and a reader that took such a record for a corrupt tail would truncate
 // acknowledged data — so an older log is refused whole, untouched.
@@ -101,9 +101,17 @@ func appendWALRecord(buf []byte, v string, seq uint64, hasSeq bool, row Row) ([]
 	if len(payload) > walMaxRecord {
 		return nil, fmt.Errorf("store: WAL record of %d bytes exceeds limit", len(payload))
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	frameRecord(buf[start:])
 	return buf, nil
+}
+
+// frameRecord fills in the header of rec, one record whose payload is
+// already in place behind walRecHeaderLen reserved bytes: the payload's
+// length and checksum.
+func frameRecord(rec []byte) {
+	payload := rec[walRecHeaderLen:]
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
 }
 
 // appendRowWire encodes a row: uvarint cell count, then per cell a tag
@@ -230,10 +238,12 @@ func validWALPayload(payload []byte) bool {
 	return len(body) == 0
 }
 
-func logHeader(magic uint32) []byte {
+// logHeader returns the 6-byte header of a log of the given magic and
+// version.
+func logHeader(magic uint32, version uint16) []byte {
 	hdr := make([]byte, 0, walHeaderLen)
 	hdr = binary.LittleEndian.AppendUint32(hdr, magic)
-	hdr = binary.LittleEndian.AppendUint16(hdr, walVersion)
+	hdr = binary.LittleEndian.AppendUint16(hdr, version)
 	return hdr
 }
 
@@ -246,7 +256,7 @@ func createLog(path string, magic uint32, syncEach bool) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(logHeader(magic)); err != nil {
+	if _, err := f.Write(logHeader(magic, walVersion)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -263,32 +273,6 @@ func createWAL(path string, syncEach bool) (*wal, error) {
 	return createLog(path, walMagic, syncEach)
 }
 
-// appendLogRecord appends one framed record (length, checksum,
-// payload) to an in-memory log image — the encoding wal.append writes.
-func appendLogRecord(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-// append writes one record. With sync enabled the record is fsynced
-// before returning — the write is durable once acknowledged.
-func (w *wal) append(payload []byte) error {
-	if len(payload) > walMaxRecord {
-		return fmt.Errorf("store: WAL record of %d bytes exceeds limit", len(payload))
-	}
-	rec := appendLogRecord(make([]byte, 0, walRecHeaderLen+len(payload)), payload)
-	if _, err := w.f.Write(rec); err != nil {
-		return err
-	}
-	met.walRecords.Inc()
-	met.walBytes.Add(int64(len(rec)))
-	if w.sync {
-		return w.timedSync()
-	}
-	return nil
-}
-
 // timedSync fsyncs the log, recording the call's latency — the
 // durability cost every synchronous append and group commit pays.
 func (w *wal) timedSync() error {
@@ -299,11 +283,12 @@ func (w *wal) timedSync() error {
 }
 
 // appendFramed writes a buffer of pre-framed records (built with
-// appendWALRecord or appendLogRecord) as one contiguous write and at most one fsync — the
-// group-commit write: a batch of appends costs the log exactly what a
-// single append costs, regardless of batch size. nrec is the record
-// count inside buf (the frames are already built, so the log cannot
-// count them itself); per-payload size caps are also the framer's job.
+// appendWALRecord or router.appendLog) as one contiguous write and at
+// most one fsync — the group-commit write: a batch of appends costs the
+// log exactly what a single append costs, regardless of batch size.
+// nrec is the record count inside buf (the frames are already built, so
+// the log cannot count them itself); per-payload size caps are also the
+// framer's job.
 func (w *wal) appendFramed(buf []byte, nrec int) error {
 	if len(buf) == 0 {
 		return nil
@@ -345,8 +330,8 @@ func (w *wal) close() error {
 // record the writer cannot have produced is treated as corruption. A
 // non-nil error means the file is not such a log at all (bad magic or
 // version) and nothing can be trusted. Arbitrary input must never panic
-// — this function is fuzzed (through parseWAL).
-func parseLog(data []byte, magic uint32, valid func([]byte) bool) (records [][]byte, good int, err error) {
+// — this function is fuzzed (through parseWAL and FuzzParseRouter).
+func parseLog(data []byte, magic uint32, version uint16, valid func([]byte) bool) (records [][]byte, good int, err error) {
 	if len(data) < walHeaderLen {
 		// A crash between file creation and the header write; the caller
 		// truncates to zero and rewrites the header.
@@ -355,8 +340,8 @@ func parseLog(data []byte, magic uint32, valid func([]byte) bool) (records [][]b
 	if m := binary.LittleEndian.Uint32(data); m != magic {
 		return nil, 0, fmt.Errorf("store: bad log magic %#x, want %#x", m, magic)
 	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != walVersion {
-		return nil, 0, fmt.Errorf("store: unsupported log version %d, want %d", v, walVersion)
+	if v := binary.LittleEndian.Uint16(data[4:]); v != version {
+		return nil, 0, fmt.Errorf("store: unsupported log version %d, want %d", v, version)
 	}
 	pos := walHeaderLen
 	for {
@@ -396,7 +381,7 @@ func recoverLog(path string, magic uint32, syncEach bool, valid func([]byte) boo
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	records, good, err := parseLog(data, magic, valid)
+	records, good, err := parseLog(data, magic, walVersion, valid)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %s: %w", path, err)
 	}
