@@ -244,7 +244,7 @@ func TestAppendOnlyFrozenBitIdentical(t *testing.T) {
 }
 
 // TestLoadFrozenMappedMatches checks the zero-copy decode path answers
-// exactly like the copying one, whatever the buffer's alignment.
+// exactly like the validating, copying one.
 func TestLoadFrozenMappedMatches(t *testing.T) {
 	seq := workload.URLLog(2000, 7, workload.DefaultURLConfig())
 	data, err := NewStatic(seq).Frozen().MarshalBinary()
@@ -255,7 +255,7 @@ func TestLoadFrozenMappedMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := LoadFrozenTrusted(data)
+	heap, err := LoadFrozen(data)
 	if err != nil {
 		t.Fatal(err)
 	}

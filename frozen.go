@@ -29,8 +29,8 @@ func init() {
 	succinct.Unwrap = func(frozen any) *succinct.Trie { return frozen.(*Frozen).t }
 }
 
-// Mapped reports whether this Frozen aliases an external memory region
-// (an mmap'd file) instead of owning heap copies of its components.
+// Mapped reports whether this Frozen holds a backing region (an mmap'd
+// file) that its components alias.
 func (f *Frozen) Mapped() bool { return f.backing != nil }
 
 // Frozen returns this static trie as a Frozen; the two share one

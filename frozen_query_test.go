@@ -168,7 +168,7 @@ func goldenSeq() []string {
 
 // TestFrozenGoldenV5 pins the on-disk format (container version 4, trie
 // format v5): a file written when the format was introduced must
-// load (validating, trusted and zero-copy), answer every query like the
+// load (validating and zero-copy), answer every query like the
 // flat model, re-marshal to the same bytes, and equal what today's
 // encoders produce for the same sequence.
 func TestFrozenGoldenV5(t *testing.T) {
@@ -183,15 +183,11 @@ func TestFrozenGoldenV5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trusted, err := LoadFrozenTrusted(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
 	validated, err := LoadFrozen(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, f := range map[string]*Frozen{"validated": validated, "trusted": trusted, "mapped": mapped} {
+	for name, f := range map[string]*Frozen{"validated": validated, "mapped": mapped} {
 		checkFrozenAgainstFlat(t, f, seq, keys)
 		again, err := f.MarshalBinary()
 		if err != nil {

@@ -235,44 +235,19 @@ func loadAs[T Index](data []byte, kind byte) (T, error) {
 	return t, nil
 }
 
-// LoadFrozenTrusted reconstructs a Frozen from MarshalBinary output,
-// skipping the deep structural re-validation that dominates LoadFrozen
-// (≈1.4 µs/elem). It is only for input whose integrity the caller has
-// already established — e.g. a file whose checksum matches a manifest
-// entry the caller itself wrote after a validated marshal. On corrupt
-// input the returned index may panic at query time; use LoadFrozen for
-// unchecksummed or foreign bytes.
-func LoadFrozenTrusted(data []byte) (*Frozen, error) {
-	r, err := wire.NewReader(data, persistMagic, persistVersion)
-	if err != nil {
-		return nil, err
-	}
-	kind := r.Byte()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if kind != kindFrozen {
-		return nil, fmt.Errorf("wavelettrie: serialized index is a %s, want Frozen", kindName(kind))
-	}
-	t, err := succinct.DecodeFromTrusted(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return &Frozen{t: t}, nil
-}
-
-// LoadFrozenMapped is LoadFrozenTrusted in zero-copy mode: word-aligned
-// payloads (labels, bitvectors, Elias-Fano lows) alias data directly
-// instead of being copied to the heap, so decoding a generation is
-// O(metadata) work and the page cache backs the bits. data is typically
-// an mmap'd, checksum-verified generation file; backing is an arbitrary
-// handle (e.g. the mapping region) the returned Frozen keeps reachable
-// for as long as it lives, preventing premature unmap. The same trust
-// contract as LoadFrozenTrusted applies, plus: data must never be
-// modified while the Frozen is in use.
+// LoadFrozenMapped reconstructs a Frozen from MarshalBinary output
+// zero-copy and unvalidated. Word-aligned payloads (labels, bitvectors,
+// Elias-Fano lows) alias data directly instead of being copied to the
+// heap, and the deep structural re-validation that dominates LoadFrozen
+// (≈1.4 µs/elem) is skipped, so decoding a generation is O(metadata)
+// work. It is only for input whose integrity the caller has already
+// established — e.g. a file whose checksum matches a manifest entry the
+// caller itself wrote after a validated marshal; on corrupt input the
+// returned index may panic at query time, so use LoadFrozen for
+// unchecksummed or foreign bytes. data must never be modified while the
+// Frozen is in use. backing, when non-nil, is a handle (e.g. the mapping
+// region data lies in) the returned Frozen keeps reachable for as long
+// as it lives, preventing premature unmap, and makes Mapped report true.
 func LoadFrozenMapped(data []byte, backing any) (*Frozen, error) {
 	r, err := wire.NewReader(data, persistMagic, persistVersion)
 	if err != nil {

@@ -58,7 +58,8 @@ func goldenColRows() []Row {
 
 // TestColumnGolden: today's freeze encodes the golden rows to the golden
 // bytes, and both images, as the sections of a generation file, decode —
-// onto the heap and zero-copy from a mapping — to columns that answer
+// from a mapping and from the file's bytes read onto the heap — to
+// columns that answer
 // colValue, colRange and colPresent like the flat rows.
 func TestColumnGolden(t *testing.T) {
 	schema, rows := goldenColSchema(), goldenColRows()
@@ -75,8 +76,8 @@ func TestColumnGolden(t *testing.T) {
 		t.Fatalf("encoded images (%d, %d bytes) differ from the golden files (%d, %d bytes)", len(col), len(cd), len(colData), len(cdData))
 	}
 
-	// The golden images as the column sections of a generation file, decoded
-	// through the loader onto the heap and zero-copy from a mapping.
+	// The golden images as the column sections of a generation file, loaded
+	// as Open loads it and decoded from its bytes read onto the heap.
 	ix, err := freezeSeq(make([]string, len(rows)))
 	if err != nil {
 		t.Fatal(err)
@@ -86,21 +87,23 @@ func TestColumnGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	parts, _ := genFileParts([numSections][]byte{trie, colData, cdData})
+	parts := genFileParts([numSections][]byte{trie, colData, cdData})
 	meta := genMeta{id: 2, n: len(rows), crc: genCRC(parts...)}
 	if err := writeFileAtomic(dir, genFileName(meta.id), parts...); err != nil {
 		t.Fatal(err)
 	}
-	for _, mapped := range []bool{false, true} {
-		g, err := loadGeneration(dir, meta, schema, mapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mapped && mmapSupported && g.cols.region == nil {
-			t.Fatal("golden sections were not mapped")
-		}
-		checkColsAgainstRows(t, g.cols, schema, rows)
+	g, err := loadGeneration(dir, meta, schema)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if mmapSupported && g.cols.region == nil {
+		t.Fatal("golden sections were not mapped")
+	}
+	checkColsAgainstRows(t, g.cols, schema, rows)
+	if g, err = decodeGeneration(meta, schema, bytes.Join(parts, nil), nil); err != nil {
+		t.Fatal(err)
+	}
+	checkColsAgainstRows(t, g.cols, schema, rows)
 }
 
 // checkColsAgainstRows diffs a decoded column set against flat rows: every

@@ -451,10 +451,10 @@ type frozenCol struct {
 
 // frozenCols is a generation's decoded column set. region is the
 // mapping of the generation file its vectors, dictionaries and payloads
-// alias when it was mmap-loaded (nil on the heap path): whoever reaches
-// the set — a pinned view outliving the generation's compaction
-// included — reaches it, and every read holds the set until it returns
-// (see probe.go).
+// alias when the file was mapped (nil where it was read onto the heap):
+// whoever reaches the set — a pinned view outliving the generation's
+// compaction included — reaches it, and every read holds the set until
+// it returns (see probe.go).
 type frozenCols struct {
 	n      int
 	cols   []frozenCol
@@ -601,16 +601,14 @@ func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 // numeric dictionaries and wavelet matrices. Blob columns come back with
 // their offset directory unbound (bindColDir attaches it).
 // Arbitrary input must error, never panic, and nothing it accepts may
-// make a later read panic — this function is fuzzed. refs enables
-// zero-copy word decoding (mmap'd, checksum-verified input only).
-func parseColumn(data []byte, refs bool) (*frozenCols, error) {
+// make a later read panic — this function is fuzzed. Words decode
+// zero-copy: the result aliases data, which must never change after.
+func parseColumn(data []byte) (*frozenCols, error) {
 	r, err := wire.NewReader(data, colMagic, colVersion)
 	if err != nil {
 		return nil, err
 	}
-	if refs {
-		r.EnableRefs()
-	}
+	r.EnableRefs()
 	ncols := r.Int()
 	n := r.Int()
 	if err := r.Err(); err != nil {
@@ -693,15 +691,13 @@ type colDirEntry struct {
 // parseColDir decodes a blob offset-directory image: per blob column,
 // the monotone offsets and the packed payload bytes they index.
 // Arbitrary input must error, never panic — this function is fuzzed.
-// refs enables zero-copy word decoding.
-func parseColDir(data []byte, refs bool) ([]colDirEntry, error) {
+// Like parseColumn it decodes zero-copy.
+func parseColDir(data []byte) ([]colDirEntry, error) {
 	r, err := wire.NewReader(data, colDirMagic, colDirVersion)
 	if err != nil {
 		return nil, err
 	}
-	if refs {
-		r.EnableRefs()
-	}
+	r.EnableRefs()
 	count := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err

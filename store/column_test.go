@@ -167,8 +167,8 @@ func colTestData(n int) ([]string, []Row) {
 
 // TestColumnEndToEnd drives (vals, rows) through every segment shape —
 // memtable, frozen generation, compacted generation, reopened store
-// under both load paths — checking the full column read surface at
-// each stage against the flat oracle.
+// mapped and then served from generations read onto the heap — checking
+// the full column read surface at each stage against the flat oracle.
 func TestColumnEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, colTestOpts())
@@ -205,20 +205,17 @@ func TestColumnEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stage 4: reopen under both load paths; schema is adopted from the
-	// manifest (Options.Columns omitted).
-	for _, noMmap := range []bool{false, true} {
-		opts := testOpts()
-		opts.NoMmap = noMmap
-		s2 := mustOpen(t, dir, opts)
-		if !schemaEqual(s2.Schema(), colTestSchema()) {
-			t.Fatalf("NoMmap=%v: reopened schema %+v", noMmap, s2.Schema())
-		}
-		checkColumns(t, s2.Snapshot(), vals, rows)
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
+	// Stage 4: reopen; schema is adopted from the manifest
+	// (Options.Columns omitted). Then the same generations decoded from
+	// their bytes read onto the heap.
+	s2 := mustOpen(t, dir, testOpts())
+	defer s2.Close()
+	if !schemaEqual(s2.Schema(), colTestSchema()) {
+		t.Fatalf("reopened schema %+v", s2.Schema())
 	}
+	checkColumns(t, s2.Snapshot(), vals, rows)
+	serveFromHeap(t, s2)
+	checkColumns(t, s2.Snapshot(), vals, rows)
 }
 
 // TestColumnWALReplay: payload rows ride the WAL — a directory copied
@@ -327,9 +324,9 @@ func TestColumnPreSchemaCompat(t *testing.T) {
 // TestTornColumnFileFailsOpen tears each column-side section of a
 // generation file in turn — ".col" the column section, ".cd" the blob
 // directory section — cutting the file inside it or flipping a bit in
-// it: the manifest CRC must catch both under both load paths — column
-// bits answer predicates directly, so a silently torn section would be
-// a wrong answer, not a degraded one.
+// it: the manifest CRC must catch both, whether the file is mapped or
+// read onto the heap — column bits answer predicates directly, so a
+// silently torn section would be a wrong answer, not a degraded one.
 func TestTornColumnFileFailsOpen(t *testing.T) {
 	for ext, sec := range map[string]int{".col": secCols, ".cd": secBlobs} {
 		for _, mode := range []string{"truncate", "bitflip"} {
@@ -358,17 +355,16 @@ func TestTornColumnFileFailsOpen(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				for _, noMmap := range []bool{false, true} {
-					opts := colTestOpts()
-					opts.NoMmap = noMmap
-					s2, err := Open(dir, opts)
-					if err == nil {
-						s2.Close()
-						t.Fatalf("Open(NoMmap=%v) of torn %s section succeeded", noMmap, ext)
-					}
-					if !strings.Contains(err.Error(), "checksum") {
-						t.Fatalf("Open(NoMmap=%v) error %q does not name the checksum", noMmap, err)
-					}
+				s2, err := Open(dir, colTestOpts())
+				if err == nil {
+					s2.Close()
+					t.Fatalf("Open of torn %s section succeeded", ext)
+				}
+				if !strings.Contains(err.Error(), "checksum") {
+					t.Fatalf("Open error %q does not name the checksum", err)
+				}
+				if _, _, err := heapGenerations(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
+					t.Fatalf("heap decode of torn %s section: error %v does not name the checksum", ext, err)
 				}
 			})
 		}
@@ -760,9 +756,9 @@ func checkPreds(t *testing.T, sn *Snapshot, vals []string, rows []Row, col int, 
 // presence forms, against the one flat oracle: per case a plain and a
 // two-shard store take three flushes (the middle one always raw-coded,
 // so compaction merges victims of different layouts and different
-// dictionaries), a compaction and a reopen under each load path, every
-// stage answering every operator against bounds below, inside, between
-// and above the stored values.
+// dictionaries), a compaction and a reopen, mapped and read onto the
+// heap, every stage answering every operator against bounds below,
+// inside, between and above the stored values.
 func testColumnEncodings(t *testing.T) {
 	const seg = 128 // rows per flush
 	const maxU64 = ^uint64(0)
@@ -883,17 +879,19 @@ func testColumnEncodings(t *testing.T) {
 			if err := ss.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for _, noMmap := range []bool{false, true} {
-				ropts := testOpts()
-				ropts.NoMmap = noMmap
-				s2 := mustOpen(t, dir, ropts)
-				check(fmt.Sprintf("reopened NoMmap=%v", noMmap), s2.Snapshot())
-				s2.Close()
-				ss2, err := OpenSharded(sdir, &ShardedOptions{Store: *ropts})
+			for _, heap := range []bool{false, true} {
+				s2 := mustOpen(t, dir, testOpts())
+				ss2, err := OpenSharded(sdir, &ShardedOptions{Store: *testOpts()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(fmt.Sprintf("sharded reopened NoMmap=%v", noMmap), ss2.Snapshot())
+				if heap {
+					serveFromHeap(t, s2)
+					serveFromHeap(t, ss2)
+				}
+				check(fmt.Sprintf("reopened heap=%v", heap), s2.Snapshot())
+				check(fmt.Sprintf("sharded reopened heap=%v", heap), ss2.Snapshot())
+				s2.Close()
 				ss2.Close()
 			}
 		})

@@ -25,7 +25,8 @@ import (
 //
 //   - Prepare (outside adminMu, serialized by compactMu): merge the
 //     victim run's frozen tries structurally into the trie of their
-//     concatenation, write the new generation's files. Flushes
+//     concatenation, write the new generation's file and open it as
+//     Open would (loadGeneration). Flushes
 //     run concurrently — they only append generations, so the victim
 //     run stays adjacent and present.
 //   - Commit (under adminMu): splice the merged generation into the
@@ -168,13 +169,16 @@ func (s *shard) mergeRun(st *storeState) error {
 		}
 		return err
 	}
-	merged, err := writeGenerationFrom(s.dir, gid, s.schema, genColFeeder{gens: victims}, ix)
+	meta, err := writeGenerationFrom(s.dir, gid, s.schema, genColFeeder{gens: victims}, ix)
 	if err != nil {
 		met.compactAborts.Inc()
 		return err
 	}
-	mergedBytes := merged.fileBytes
-	merged = s.maybeRemap(merged)
+	merged, err := loadGeneration(s.dir, meta, s.schema)
+	if err != nil {
+		met.compactAborts.Inc()
+		return err
+	}
 
 	// Phase 2 — commit under adminMu, against the *current* state: a
 	// flush may have appended generations since the run was chosen, but
@@ -210,16 +214,7 @@ func (s *shard) mergeRun(st *storeState) error {
 	gens = append(gens, cur.gens[:lo]...)
 	gens = append(gens, merged)
 	gens = append(gens, cur.gens[hi+1:]...)
-
-	// After a deferred recovery checkpoint (sharded open), WALs older
-	// than s.walID still hold live records until the next flush folds
-	// them in; the committed walID must keep them alive or the next
-	// Open would delete acknowledged appends.
-	walID := s.walID
-	if len(s.recoveredWALs) > 0 {
-		walID = s.recoveredWALs[0]
-	}
-	m := manifest{nextID: s.nextID, walID: walID, gens: genMetas(gens), schema: s.schema}
+	m := manifest{nextID: s.nextID, walID: s.walID, gens: genMetas(gens), schema: s.schema}
 	if err := writeManifest(s.dir, m); err != nil {
 		s.adminMu.Unlock()
 		met.compactAborts.Inc()
@@ -238,9 +233,9 @@ func (s *shard) mergeRun(st *storeState) error {
 	}
 	met.compactions.Inc()
 	met.compactBytesRead.Add(int64(readBytes))
-	met.compactBytesWritten.Add(int64(mergedBytes))
+	met.compactBytesWritten.Add(int64(merged.fileBytes))
 	met.compactSeconds.ObserveSince(t0)
-	sp.End(fmt.Sprintf("victims=%d read_bytes=%d written_bytes=%d", len(victims), readBytes, mergedBytes))
+	sp.End(fmt.Sprintf("victims=%d read_bytes=%d written_bytes=%d", len(victims), readBytes, merged.fileBytes))
 	return nil
 }
 

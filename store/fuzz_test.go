@@ -218,11 +218,11 @@ var badColImages = []struct {
 // same frame with ranks inside the table reads back its values.
 func TestParseColumnRefuses(t *testing.T) {
 	for _, bad := range badColImages {
-		if _, err := parseColumn(bad.img, false); err == nil || !strings.Contains(err.Error(), bad.want) {
+		if _, err := parseColumn(bad.img); err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("parseColumn = %v, want a refusal naming %q", err, bad.want)
 		}
 	}
-	fc, err := parseColumn(colImage(4, []uint64{5, 9, 12}, 2, 0b1000, 0b0010), false)
+	fc, err := parseColumn(colImage(4, []uint64{5, 9, 12}, 2, 0b1000, 0b0010))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +267,12 @@ func FuzzParseColumn(f *testing.F) {
 	f.Add(dictSeed) // dictionary-coded, presence kept
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fc, err := parseColumn(data, false)
+		fc, err := parseColumn(data)
 		if err != nil {
 			return
 		}
 		enc, _ := encodeColumns(fc)
-		fc2, err := parseColumn(enc, false)
+		fc2, err := parseColumn(enc)
 		if err != nil {
 			t.Fatalf("re-encoded column image rejected: %v", err)
 		}
@@ -335,11 +335,11 @@ func FuzzParseColDir(f *testing.F) {
 		return w.Bytes()
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dirs, err := parseColDir(data, false)
+		dirs, err := parseColDir(data)
 		if err != nil {
 			return
 		}
-		dirs2, err := parseColDir(encodeDirs(dirs), false)
+		dirs2, err := parseColDir(encodeDirs(dirs))
 		if err != nil {
 			t.Fatalf("re-encoded offset directory rejected: %v", err)
 		}

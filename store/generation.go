@@ -14,8 +14,10 @@ import (
 // generation is one immutable slab of the sequence: a Frozen Wavelet
 // Trie (the §3 fully-succinct encoding) and its frozen column set,
 // persisted together as the sections of one file, and the CRC-32 of that
-// file as recorded in the manifest. Generations are read lock-free by
-// any number of goroutines; they are replaced, never mutated.
+// file as recorded in the manifest. Every generation a shard serves was
+// made by loadGeneration from its file, whether Open found it or a flush
+// or compaction just wrote it. Generations are read lock-free by any
+// number of goroutines; they are replaced, never mutated.
 type generation struct {
 	id  uint64
 	crc uint32
@@ -23,8 +25,8 @@ type generation struct {
 	seg frozenSeg // ix as merged reads probe it
 	// fileBytes is the on-disk size of the generation file, sections its
 	// footer (where each section lies); region is the read-only
-	// mapping backing ix and cols when the file was mmap-loaded (nil for
-	// heap-decoded generations). The region is also pinned by ix and by
+	// mapping backing ix and cols when the file was mapped (nil where it
+	// was read onto the heap). The region is also pinned by ix and by
 	// cols, so snapshots holding a compacted-away generation keep its
 	// mapping alive after the file is unlinked (POSIX keeps mapped pages
 	// valid); the finalizer unmaps once the last reference drops.
@@ -125,8 +127,8 @@ var zeroPad [7]byte
 
 // genFileParts lays out a generation file from its sections (a nil
 // section is absent): the parts of one write, padding and footer
-// included, and the footer they end with.
-func genFileParts(sections [numSections][]byte) ([][]byte, genFooter) {
+// included.
+func genFileParts(sections [numSections][]byte) [][]byte {
 	var f genFooter
 	parts := make([][]byte, 0, 2*numSections+1)
 	size := 0
@@ -145,7 +147,7 @@ func genFileParts(sections [numSections][]byte) ([][]byte, genFooter) {
 	if pad := -size & 7; pad != 0 {
 		parts = append(parts, zeroPad[:pad])
 	}
-	return append(parts, encodeGenFooter(f)), f
+	return append(parts, encodeGenFooter(f))
 }
 
 // genCRC returns the manifest checksum of a file image given as its
@@ -162,23 +164,19 @@ func genCRC(parts ...[]byte) uint32 {
 	return 1
 }
 
-// loadGeneration reopens a generation file and cross-checks it against
-// its manifest entry and the store's schema. The file's checksum must
-// match the manifest's; the deep structural re-validation of the trie
-// is then skipped (the bytes are exactly what a validated marshal
-// produced).
-//
-// With useMmap, the file is mapped read-only once and decoded
-// zero-copy: the trie's succinct components and the column planes alias
-// the mapping, so open cost is the CRC pass plus O(metadata) directory
-// rebuilds, the bits page-fault in on demand, and the page cache is
-// shared across processes serving the same directory. A checksum
-// mismatch is a hard error either way; an mmap syscall failure just
-// falls back to the heap path (the mapping is an optimization, never a
-// requirement).
-func loadGeneration(dir string, meta genMeta, schema []ColumnSpec, useMmap bool) (*generation, error) {
+// loadGeneration is the one way a generation comes online — at Open,
+// and after a flush or a compaction wrote it. It maps the file read-only
+// where the platform can and otherwise reads its bytes; either way
+// decodeGeneration checks them against the manifest entry and decodes
+// them zero-copy, so the trie's succinct components and the column
+// planes alias the file image and the open costs the CRC pass plus
+// O(metadata) directory rebuilds. Mapped, the bits page in on demand and
+// the page cache is shared across processes serving the same
+// directory. A checksum mismatch is a hard error; a failed map only
+// falls back to reading the file.
+func loadGeneration(dir string, meta genMeta, schema []ColumnSpec) (*generation, error) {
 	path := filepath.Join(dir, genFileName(meta.id))
-	if useMmap && mmapSupported {
+	if mmapSupported {
 		if region, err := mapFile(path); err == nil {
 			return decodeGeneration(meta, schema, region.data, region)
 		}
@@ -191,11 +189,13 @@ func loadGeneration(dir string, meta genMeta, schema []ColumnSpec, useMmap bool)
 }
 
 // decodeGeneration checks a generation file image against its manifest
-// entry and decodes its sections: zero-copy when region (whose data is
-// the image) is set, onto the heap otherwise. Column data feeds
-// predicate answers straight off its bits, where a silent bit flip would
-// be a wrong result rather than a degraded one, so every mismatch is a
-// hard error, never a silent rebuild-or-ignore.
+// entry and decodes its sections zero-copy over data: the deep
+// structural re-validation of the trie is skipped, since the bytes are
+// exactly what a validated marshal produced. region, when set, is the
+// mapping whose data is the image. Column data feeds predicate answers
+// straight off its bits, where a silent bit flip would be a wrong result
+// rather than a degraded one, so every mismatch is a hard error, never a
+// silent rebuild-or-ignore.
 func decodeGeneration(meta genMeta, schema []ColumnSpec, data []byte, region *mmapRegion) (*generation, error) {
 	name := genFileName(meta.id)
 	if crc := genCRC(data); crc != meta.crc {
@@ -206,12 +206,11 @@ func decodeGeneration(meta genMeta, schema []ColumnSpec, data []byte, region *mm
 		return nil, fmt.Errorf("store: %s: %w", name, err)
 	}
 	section := func(i int) []byte { return data[foot[i].off : foot[i].off+foot[i].n : foot[i].off+foot[i].n] }
-	var ix *wavelettrie.Frozen
+	var backing any // a nil *mmapRegion in it would make the Frozen report Mapped
 	if region != nil {
-		ix, err = wavelettrie.LoadFrozenMapped(section(secTrie), region)
-	} else {
-		ix, err = wavelettrie.LoadFrozenTrusted(section(secTrie))
+		backing = region
 	}
+	ix, err := wavelettrie.LoadFrozenMapped(section(secTrie), backing)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s trie section: %w", name, err)
 	}
@@ -239,7 +238,7 @@ func decodeGenColumns(cols, blobs []byte, n int, schema []ColumnSpec, region *mm
 	if len(schema) == 0 {
 		return nil, errors.New("has column sections but the store has no schema")
 	}
-	fc, err := parseColumn(cols, region != nil)
+	fc, err := parseColumn(cols)
 	if err != nil {
 		return nil, fmt.Errorf("column section: %w", err)
 	}
@@ -261,7 +260,7 @@ func decodeGenColumns(cols, blobs []byte, n int, schema []ColumnSpec, region *mm
 	if len(blobs) == 0 {
 		return fc, nil
 	}
-	dirs, err := parseColDir(blobs, region != nil)
+	dirs, err := parseColDir(blobs)
 	if err == nil {
 		err = bindColDir(fc, dirs)
 	}
@@ -305,30 +304,24 @@ func writeFileAtomic(dir, name string, parts ...[]byte) error {
 // column images (see colwrite.go), written with one temp file + fsync +
 // rename. The rename is atomic, so a crash leaves no partial file — and
 // the file is not reachable before a manifest references the
-// generation; until then it is an orphan the next Open reclaims.
+// generation; until then it is an orphan the next Open reclaims. It
+// returns the manifest entry; the caller brings the generation online
+// with loadGeneration, as Open would.
 //
 // ix comes from a structural freeze (flush: the sealed memtable's trie)
 // or merge (compaction: the victims' tries) — §9; either way no element
 // was decoded to make it and the input was never held as a []string.
 // feed may be nil (a generation of all-NULL rows).
-func writeGenerationFrom(dir string, id uint64, schema []ColumnSpec, feed colFeeder, ix *wavelettrie.Frozen) (*generation, error) {
+func writeGenerationFrom(dir string, id uint64, schema []ColumnSpec, feed colFeeder, ix *wavelettrie.Frozen) (genMeta, error) {
 	var sections [numSections][]byte
 	var err error
 	if sections[secTrie], err = ix.MarshalBinary(); err != nil {
-		return nil, err
+		return genMeta{}, err
 	}
-	g := &generation{id: id, ix: ix, seg: newFrozenSeg(ix)}
 	if len(schema) > 0 {
-		g.cols = buildFrozenCols(schema, ix.Len(), feed)
-		sections[secCols], sections[secBlobs] = encodeColumns(g.cols)
+		sections[secCols], sections[secBlobs] = encodeColumns(buildFrozenCols(schema, ix.Len(), feed))
 	}
-	parts, foot := genFileParts(sections)
-	g.crc, g.sections = genCRC(parts...), foot
-	for _, p := range parts {
-		g.fileBytes += len(p)
-	}
-	if err := writeFileAtomic(dir, genFileName(id), parts...); err != nil {
-		return nil, err
-	}
-	return g, nil
+	parts := genFileParts(sections)
+	meta := genMeta{id: id, n: ix.Len(), crc: genCRC(parts...)}
+	return meta, writeFileAtomic(dir, genFileName(id), parts...)
 }

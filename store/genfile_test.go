@@ -6,13 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // genImage is the generation file genFileParts lays out for sections.
 func genImage(sections [numSections][]byte) []byte {
-	parts, _ := genFileParts(sections)
-	return bytes.Join(parts, nil)
+	return bytes.Join(genFileParts(sections), nil)
 }
 
 // genFileSections reads the generation file at path and cuts it into
@@ -77,21 +75,28 @@ func dirImage(t *testing.T, dir string) map[string]string {
 // TestGenerationSectionsAreTodaysBytes: a columnar generation with a blob
 // column is one file whose sections are the trie container and the two
 // column images byte for byte, as the encoders produce them, and whose
-// GenInfo sizes are the file's and the sections'.
+// GenInfo sizes are the file's and the sections' — for the generation a
+// flush brought online and for the one decoded from the file's bytes
+// read onto the heap.
 func TestGenerationSectionsAreTodaysBytes(t *testing.T) {
-	for _, noMmap := range []bool{false, true} {
-		dir := t.TempDir()
-		opts := colTestOpts()
-		opts.NoMmap = noMmap
-		s := mustOpen(t, dir, opts)
-		vals, rows := colTestData(120)
-		if err := s.AppendBatchRows(vals, rows); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		g := s.shards[0].state.Load().gens[0]
+	dir := t.TempDir()
+	s := mustOpen(t, dir, colTestOpts())
+	defer s.Close()
+	vals, rows := colTestData(120)
+	if err := s.AppendBatchRows(vals, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "gen-*")); len(names) != 1 {
+		t.Fatalf("a flush left %d generation files %v, want 1", len(names), names)
+	}
+	heap, _, err := heapGenerations(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for arm, g := range map[string]*generation{"flushed": s.shards[0].state.Load().gens[0], "heap": heap[0]} {
 		trie, err := g.ix.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -103,29 +108,28 @@ func TestGenerationSectionsAreTodaysBytes(t *testing.T) {
 		data, _, secs := genFileSections(t, filepath.Join(dir, genFileName(g.id)))
 		for i, want := range [numSections][]byte{trie, col, cd} {
 			if !bytes.Equal(secs[i], want) {
-				t.Fatalf("NoMmap=%v: section %d holds %d bytes, the encoder %d", noMmap, i, len(secs[i]), len(want))
+				t.Fatalf("%s: section %d holds %d bytes, the encoder %d", arm, i, len(secs[i]), len(want))
 			}
 		}
-		info := s.Generations()[0]
-		if info.FileBytes != len(data) || info.ColFileBytes != len(col) || info.ColDirFileBytes != len(cd) {
-			t.Fatalf("NoMmap=%v: GenInfo sizes (%d, %d, %d), file (%d, %d, %d)", noMmap,
-				info.FileBytes, info.ColFileBytes, info.ColDirFileBytes, len(data), len(col), len(cd))
+		if g.fileBytes != len(data) || g.sections[secCols].n != len(col) || g.sections[secBlobs].n != len(cd) {
+			t.Fatalf("%s: generation sizes (%d, %d, %d), file (%d, %d, %d)", arm,
+				g.fileBytes, g.sections[secCols].n, g.sections[secBlobs].n, len(data), len(col), len(cd))
 		}
-		if names, _ := filepath.Glob(filepath.Join(dir, "gen-*")); len(names) != 1 {
-			t.Fatalf("NoMmap=%v: a flush left %d generation files %v, want 1", noMmap, len(names), names)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	info, g := s.Generations()[0], s.shards[0].state.Load().gens[0]
+	if info.FileBytes != g.fileBytes || info.ColFileBytes != g.sections[secCols].n || info.ColDirFileBytes != g.sections[secBlobs].n {
+		t.Fatalf("GenInfo sizes (%d, %d, %d), generation (%d, %d, %d)", info.FileBytes, info.ColFileBytes, info.ColDirFileBytes,
+			g.fileBytes, g.sections[secCols].n, g.sections[secBlobs].n)
 	}
 }
 
 // TestGenFooterRefused: a generation file whose footer is torn, places a
 // section out of bounds, over another or off alignment, or lacks the
 // trie — with the manifest checksum moved to match, so only the footer
-// check stands in the way — fails Open in both load paths; a flipped
-// byte in any section or in the footer fails it on the checksum. Either
-// way the directory is left byte for byte as it was.
+// check stands in the way — fails Open, and the decode of the file's
+// bytes read onto the heap; a flipped byte in any section or in the
+// footer fails both on the checksum. Either way the directory is left
+// byte for byte as it was.
 func TestGenFooterRefused(t *testing.T) {
 	type mutation func(data []byte, foot genFooter) []byte
 	refoot := func(edit func(f *genFooter)) mutation {
@@ -192,34 +196,34 @@ func TestGenFooterRefused(t *testing.T) {
 				}
 			}
 			before := dirImage(t, dir)
-			for _, noMmap := range []bool{false, true} {
-				opts := colTestOpts()
-				opts.NoMmap = noMmap
-				s, err := Open(dir, opts)
-				if err == nil {
-					s.Close()
-					t.Fatalf("Open(NoMmap=%v) accepted the file", noMmap)
-				}
-				if !strings.Contains(err.Error(), tc.wantText) {
-					t.Fatalf("Open(NoMmap=%v) error %q does not name %q", noMmap, err, tc.wantText)
-				}
-				after := dirImage(t, dir)
-				if len(after) != len(before) {
-					t.Fatalf("Open(NoMmap=%v) changed the directory listing", noMmap)
-				}
-				for name, img := range before {
-					if after[name] != img {
-						t.Fatalf("Open(NoMmap=%v) changed %s", noMmap, name)
-					}
+			s, err := Open(dir, colTestOpts())
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted the file")
+			}
+			if !strings.Contains(err.Error(), tc.wantText) {
+				t.Fatalf("Open error %q does not name %q", err, tc.wantText)
+			}
+			if _, _, err := heapGenerations(dir); err == nil || !strings.Contains(err.Error(), tc.wantText) {
+				t.Fatalf("heap decode: error %v does not name %q", err, tc.wantText)
+			}
+			after := dirImage(t, dir)
+			if len(after) != len(before) {
+				t.Fatal("Open changed the directory listing")
+			}
+			for name, img := range before {
+				if after[name] != img {
+					t.Fatalf("Open changed %s", name)
 				}
 			}
 		})
 	}
 }
 
-// TestFlushMapsColumns: with mmap on, a flushed generation is served
-// from a mapping of its file at once — its trie and its column planes
-// and blob payloads alias that one mapping, as after a reopen.
+// TestFlushMapsColumns: a flushed generation is served from a mapping of
+// its file at once — its trie and its column planes and blob payloads
+// alias that one mapping, as after a reopen — and so is the generation
+// a compaction of two flushed ones writes.
 func TestFlushMapsColumns(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("mmap unsupported on this platform")
@@ -227,37 +231,36 @@ func TestFlushMapsColumns(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), colTestOpts())
 	defer s.Close()
 	vals, rows := colTestData(300)
-	if err := s.AppendBatchRows(vals, rows); err != nil {
+	mapped := func(stage string) {
+		t.Helper()
+		if !s.Generations()[0].Mmapped {
+			t.Fatalf("%s generation not mapped", stage)
+		}
+		g := s.shards[0].state.Load().gens[0]
+		if g.region == nil || g.cols == nil || g.cols.region != g.region {
+			t.Fatalf("the %s generation's column set does not hold its mapping", stage)
+		}
+		checkAliases(t, g, g.region.data)
+	}
+	if err := s.AppendBatchRows(vals[:150], rows[:150]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Generations()[0].Mmapped {
-		t.Fatal("flushed generation not mapped")
+	mapped("flushed")
+	if err := s.AppendBatchRows(vals[150:], rows[150:]); err != nil {
+		t.Fatal(err)
 	}
-	g := s.shards[0].state.Load().gens[0]
-	if g.region == nil || g.cols == nil || g.cols.region != g.region {
-		t.Fatal("the column set does not hold the generation's mapping")
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	lo := uintptr(unsafe.Pointer(&g.region.data[0]))
-	inside := func(p unsafe.Pointer) bool {
-		return lo <= uintptr(p) && uintptr(p) < lo+uintptr(len(g.region.data))
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range g.cols.cols {
-		c := &g.cols.cols[i]
-		switch {
-		case c.kind == ColUint64 && len(c.num.Words()) > 0:
-			if !inside(unsafe.Pointer(&c.num.Words()[0])) {
-				t.Fatalf("column %d planes are on the heap", i)
-			}
-		case c.kind == ColBytes && len(c.payload) > 0:
-			if !inside(unsafe.Pointer(&c.payload[0])) {
-				t.Fatalf("column %d payload is on the heap", i)
-			}
-		default:
-			t.Fatalf("column %d holds no planes or payload to check", i)
-		}
+	if n := len(s.Generations()); n != 1 {
+		t.Fatalf("compaction left %d generations, want 1", n)
 	}
+	mapped("compacted")
 	checkColumns(t, s.Snapshot(), vals, rows)
 }

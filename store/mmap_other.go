@@ -4,8 +4,8 @@ package store
 
 import "errors"
 
-// mmapSupported gates the zero-copy generation load path; without it
-// every generation decodes onto the heap.
+// mmapSupported says whether loadGeneration maps generation files;
+// without it every file is read onto the heap and decoded there.
 const mmapSupported = false
 
 // mmapRegion is never constructed on this platform; the type exists so

@@ -3,10 +3,12 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/workload"
 )
@@ -29,43 +31,179 @@ func prepGenerations(t *testing.T, dir string, seq []string) {
 	}
 }
 
-// TestMmapHeapDifferential opens the same directory mmap'd and then
-// heap-decoded (sequentially — the directory lock admits one store at a
-// time) and checks both agree with the appended sequence — and that the
-// mmap path actually engaged.
+// heapGenerations decodes every generation the manifest in dir lists
+// from its file's bytes read onto the heap — decodeGeneration with no
+// region, the arm loadGeneration takes where it cannot map the file —
+// and returns them beside the buffers they were decoded from.
+func heapGenerations(dir string) ([]*generation, [][]byte, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := parseManifest(raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	gens, bufs := make([]*generation, len(m.gens)), make([][]byte, len(m.gens))
+	for i, meta := range m.gens {
+		if bufs[i], err = os.ReadFile(filepath.Join(dir, genFileName(meta.id))); err != nil {
+			return nil, nil, err
+		}
+		if gens[i], err = decodeGeneration(meta, m.schema, bufs[i], nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	return gens, bufs, nil
+}
+
+// serveFromHeap swaps every shard's generations in the quiescent store s
+// for their heapGenerations, so that s's reads run over the heap arm.
+func serveFromHeap(t *testing.T, s *Store) {
+	t.Helper()
+	for _, sh := range s.shards {
+		gens, _, err := heapGenerations(sh.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.adminMu.Lock()
+		st := sh.state.Load()
+		if len(gens) != len(st.gens) {
+			t.Fatalf("%s: manifest lists %d generations, the state %d", sh.dir, len(gens), len(st.gens))
+		}
+		sh.publish(&storeState{gens: gens, sealed: st.sealed, mem: st.mem})
+		sh.adminMu.Unlock()
+	}
+}
+
+// wordsInside counts the words of every []uint64 reachable from v, and
+// of those the words of the slices that start inside [lo, hi).
+func wordsInside(v reflect.Value, lo, hi uintptr, seen map[uintptr]bool) (in, all int) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0, 0
+		}
+		seen[v.Pointer()] = true
+		return wordsInside(v.Elem(), lo, hi, seen)
+	case reflect.Interface:
+		if !v.IsNil() {
+			return wordsInside(v.Elem(), lo, hi, seen)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			a, b := wordsInside(v.Field(i), lo, hi, seen)
+			in, all = in+a, all+b
+		}
+	case reflect.Slice, reflect.Array:
+		if v.Type().Elem().Kind() == reflect.Uint64 {
+			if v.Len() > 0 && v.Kind() == reflect.Slice {
+				if p := v.Pointer(); lo <= p && p < hi {
+					in = v.Len()
+				}
+				all = v.Len()
+			}
+			return in, all
+		}
+		for i := 0; i < v.Len(); i++ {
+			a, b := wordsInside(v.Index(i), lo, hi, seen)
+			in, all = in+a, all+b
+		}
+	}
+	return in, all
+}
+
+// checkAliases fails t unless g decoded zero-copy over buf: every word
+// slice of its trie — the encoded payloads; the rank and select
+// directories rebuilt at decode hold other types — lies inside buf, and
+// so do every numeric column's planes and every blob column's payload.
+func checkAliases(t *testing.T, g *generation, buf []byte) {
+	t.Helper()
+	lo := uintptr(unsafe.Pointer(&buf[0]))
+	hi := lo + uintptr(len(buf))
+	if in, all := wordsInside(reflect.ValueOf(g.seg.t), lo, hi, map[uintptr]bool{}); in != all || all == 0 {
+		t.Fatalf("generation %d: %d of its trie's %d words lie in the file image", g.id, in, all)
+	}
+	inside := func(p unsafe.Pointer) bool { return lo <= uintptr(p) && uintptr(p) < hi }
+	if g.cols == nil {
+		t.Fatalf("generation %d has no column set", g.id)
+	}
+	for i := range g.cols.cols {
+		c := &g.cols.cols[i]
+		switch {
+		case c.kind == ColUint64 && len(c.num.Words()) > 0:
+			if !inside(unsafe.Pointer(&c.num.Words()[0])) {
+				t.Fatalf("generation %d: column %d planes are not in the file image", g.id, i)
+			}
+		case c.kind == ColBytes && len(c.payload) > 0:
+			if !inside(unsafe.Pointer(&c.payload[0])) {
+				t.Fatalf("generation %d: column %d payload is not in the file image", g.id, i)
+			}
+		default:
+			t.Fatalf("generation %d: column %d holds no planes or payload to check", g.id, i)
+		}
+	}
+}
+
+// TestMmapHeapDifferential opens a columnar directory of two generations
+// as Open does — mapped — and checks it against the appended sequence
+// and rows; then it decodes the same files from their bytes read onto
+// the heap, as where the platform cannot map, checks that those
+// generations alias the read buffers (one zero-copy decoder either way),
+// and serves the same checks and probes from them.
 func TestMmapHeapDifferential(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("mmap unsupported on this platform")
 	}
 	dir := t.TempDir()
 	seq := workload.URLLog(600, 21, workload.DefaultURLConfig())
-	prepGenerations(t, dir, seq)
-	probes := []string{seq[0], seq[3], "no-such-value"}
-
-	counts := map[bool][]int{}
-	for _, noMmap := range []bool{false, true} {
-		opts := testOpts()
-		opts.NoMmap = noMmap
-		s := mustOpen(t, dir, opts)
-		for _, g := range s.Generations() {
-			if g.Mmapped == noMmap {
-				t.Fatalf("generation %d Mmapped=%v with NoMmap=%v", g.ID, g.Mmapped, noMmap)
-			}
-			if g.FileBytes <= 0 {
-				t.Fatalf("generation %d FileBytes = %d", g.ID, g.FileBytes)
-			}
+	_, rows := colTestData(len(seq))
+	s := mustOpen(t, dir, colTestOpts())
+	for _, half := range [][2]int{{0, 300}, {300, 600}} {
+		if err := s.AppendBatchRows(seq[half[0]:half[1]], rows[half[0]:half[1]]); err != nil {
+			t.Fatal(err)
 		}
-		checkSeq(t, s, seq)
-		for _, v := range probes {
-			counts[noMmap] = append(counts[noMmap], s.Count(v))
-		}
-		if err := s.Close(); err != nil {
+		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	probes := []string{seq[0], seq[3], "no-such-value"}
+
+	s = mustOpen(t, dir, testOpts())
+	defer s.Close()
+	for _, g := range s.Generations() {
+		if !g.Mmapped || g.FileBytes <= 0 {
+			t.Fatalf("generation %d: Mmapped=%v, FileBytes=%d", g.ID, g.Mmapped, g.FileBytes)
+		}
+	}
+	checkColumns(t, s.Snapshot(), seq, rows)
+	var mapped []int
+	for _, v := range probes {
+		mapped = append(mapped, s.Count(v))
+	}
+
+	gens, bufs, err := heapGenerations(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range gens {
+		if g.region != nil || g.ix.Mapped() || g.cols.region != nil {
+			t.Fatalf("heap-decoded generation %d claims a mapping", g.id)
+		}
+		checkAliases(t, g, bufs[i])
+	}
+	serveFromHeap(t, s)
+	for _, g := range s.Generations() {
+		if g.Mmapped || g.ResidentBytes != -1 {
+			t.Fatalf("heap generation %d: Mmapped=%v, ResidentBytes=%d", g.ID, g.Mmapped, g.ResidentBytes)
+		}
+	}
+	checkColumns(t, s.Snapshot(), seq, rows)
 	for i, v := range probes {
-		if counts[false][i] != counts[true][i] {
-			t.Fatalf("Count(%q): mmap %d vs heap %d", v, counts[false][i], counts[true][i])
+		if got := s.Count(v); got != mapped[i] {
+			t.Fatalf("Count(%q): mmap %d vs heap %d", v, mapped[i], got)
 		}
 	}
 }
@@ -73,8 +211,8 @@ func TestMmapHeapDifferential(t *testing.T) {
 // TestTornGenerationFailsOpen simulates a torn write / partial page
 // loss in a generation file: a truncated or bit-flipped file — or an
 // intact one whose manifest entry carries checksum 0 — must fail Open
-// with a checksum error, loudly, under both load paths — the decode
-// skips deep validation, so the CRC gate is the only thing standing
+// with a checksum error, loudly, whether the file is mapped or read onto
+// the heap — the decode skips deep validation, so the CRC gate is the only thing standing
 // between a torn file and silent corruption.
 func TestTornGenerationFailsOpen(t *testing.T) {
 	for _, mode := range []string{"truncate", "bitflip", "zerocrc"} {
@@ -118,17 +256,16 @@ func TestTornGenerationFailsOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, noMmap := range []bool{false, true} {
-				opts := testOpts()
-				opts.NoMmap = noMmap
-				s, err := Open(dir, opts)
-				if err == nil {
-					s.Close()
-					t.Fatalf("Open(NoMmap=%v) of torn generation succeeded", noMmap)
-				}
-				if !strings.Contains(err.Error(), "checksum") {
-					t.Fatalf("Open(NoMmap=%v) error %q does not name the checksum", noMmap, err)
-				}
+			s, err := Open(dir, testOpts())
+			if err == nil {
+				s.Close()
+				t.Fatal("Open of torn generation succeeded")
+			}
+			if !strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("Open error %q does not name the checksum", err)
+			}
+			if _, _, err := heapGenerations(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("heap decode of torn generation: error %v does not name the checksum", err)
 			}
 		})
 	}

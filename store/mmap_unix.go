@@ -9,8 +9,9 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates the zero-copy generation load path; on platforms
-// without it every generation decodes onto the heap.
+// mmapSupported says whether loadGeneration maps generation files; on
+// platforms without it every file is read onto the heap and decoded
+// there.
 const mmapSupported = true
 
 // mmapRegion is a read-only mapping of one generation file, backing its

@@ -31,13 +31,6 @@ type Options struct {
 	// memtable then grows until Flush or Compact is called explicitly.
 	// Mostly for tests and benchmarks.
 	DisableAutoFlush bool
-	// NoMmap disables memory-mapping generation files. By default (on
-	// platforms that support it) checksummed generations are mapped
-	// read-only and decoded zero-copy, so Open does O(metadata) work per
-	// generation beyond the CRC pass and the page cache backs — and
-	// shares across processes — the index bits. With NoMmap set every
-	// generation is read and decoded onto the heap.
-	NoMmap bool
 	// Columns declares the store's payload column schema. The schema is
 	// pinned in the manifest on first use and fixed for the store's
 	// lifetime (like the shard layout): reopening with a different
@@ -61,25 +54,6 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// useMmap reports whether this shard maps generation files.
-func (s *shard) useMmap() bool { return mmapSupported && !s.opts.NoMmap }
-
-// maybeRemap reloads a freshly written heap-backed generation from its
-// own file as Open would when mmap is enabled — mapped, releasing the
-// heap copies of its trie and columns — so flush and compaction output
-// immediately gains the page-cache backing that reopened generations
-// have. Best effort; on any failure the heap-backed generation is kept.
-func (s *shard) maybeRemap(g *generation) *generation {
-	if !s.useMmap() {
-		return g
-	}
-	ng, err := loadGeneration(s.dir, genMeta{id: g.id, n: g.ix.Len(), crc: g.crc}, s.schema, true)
-	if err != nil {
-		return g // foreign bytes? never trust them zero-copy
-	}
-	return ng
-}
-
 // storeState is the immutable root the readers load atomically: the
 // persisted generations, at most one sealed-but-not-yet-persisted
 // memtable (mid-flush), and the live memtable. State values are replaced
@@ -101,10 +75,11 @@ type storeState struct {
 // order always agrees with sequence order), and hands them to
 // appendBatchLocked; a flush then waits on the parent's seal barrier
 // before it persists sealed records (the ROUTER log must durably cover
-// their interleave before their WAL becomes deletable), and the
-// interrupted-flush recovery checkpoint is deferred (the reconciliation
-// must read the WAL tails' sequence numbers first; the superseded logs
-// are cleaned up by the next flush instead).
+// their interleave before their WAL becomes deletable).
+//
+// Every generation in a shard's state came online through
+// loadGeneration: Open loads the manifest's, and a flush or compaction
+// loads the file it just wrote.
 type shard struct {
 	dir    string
 	opts   Options
@@ -121,9 +96,8 @@ type shard struct {
 	schema []ColumnSpec
 
 	// Guarded by adminMu.
-	nextID        uint64   // next unallocated file id
-	walID         uint64   // id of the live memtable's WAL
-	recoveredWALs []uint64 // superseded logs kept past a deferred recovery checkpoint
+	nextID uint64 // next unallocated file id
+	walID  uint64 // id of the live memtable's WAL
 
 	failure atomic.Pointer[error] // sticky write-path failure
 
@@ -142,11 +116,11 @@ func (s *shard) routed() bool { return s.parent.router != nil }
 // openShard opens the shard in dir, creating it if empty, and replays
 // the WAL tail: torn or corrupt trailing records are truncated, every
 // complete acknowledged record is reapplied. If a crash interrupted a
-// flush, recovery folds the affected WALs into a fresh generation before
-// returning (unless routed: see shard), so the on-disk layout is always
-// the steady-state one. A shard in a subdirectory locks it; a flat
-// store's shard is the directory the parent has locked.
-func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
+// flush, more than one log replays; openShard returns the superseded
+// ones, which the parent's open folds into a generation (checkpoint)
+// before it returns. A shard in a subdirectory locks it; a flat store's
+// shard is the directory the parent has locked.
+func openShard(dir string, opts *Options, parent *Store) (*shard, []uint64, error) {
 	s := &shard{
 		dir:       dir,
 		opts:      opts.withDefaults(),
@@ -157,11 +131,11 @@ func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
 	}
 	if dir != parent.dir {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		unlock, err := lockDir(dir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.unlock = unlock
 	}
@@ -181,7 +155,7 @@ func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
 
 	m, fresh, err := s.loadManifest()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.schema = m.schema
 	// Generations are independent files; load them in parallel (recovery
@@ -193,13 +167,13 @@ func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
 		wg.Add(1)
 		go func(i int, meta genMeta) {
 			defer wg.Done()
-			gens[i], errs[i] = loadGeneration(dir, meta, s.schema, s.useMmap())
+			gens[i], errs[i] = loadGeneration(dir, meta, s.schema)
 		}(i, meta)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	s.nextID, s.walID = m.nextID, m.walID
@@ -207,7 +181,7 @@ func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
 
 	walIDs, err := s.findWALs(m.walID)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if fresh || len(walIDs) == 0 {
 		walIDs = []uint64{m.walID}
@@ -222,7 +196,7 @@ func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
 	for i, id := range walIDs {
 		records, w, err := recoverWAL(filepath.Join(dir, walFileName(id)), s.opts.Sync)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// One batch per log, through the body every append takes. seqs
 		// collects the sequence headers found; the check below refuses a
@@ -263,26 +237,11 @@ func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
 	// checkpoint), and a routed shard must carry a header on every
 	// unflushed record or recovery cannot interleave them.
 	if !s.routed() && len(mem.seqs) > 0 {
-		return nil, fmt.Errorf("store: %s is a shard of a sharded store; open its parent directory", dir)
+		return nil, nil, fmt.Errorf("store: %s is a shard of a sharded store; open its parent directory", dir)
 	}
 	if s.routed() && len(mem.seqs) != int(mem.n.Load()) {
-		return nil, fmt.Errorf("store: shard %s: %d of %d unflushed records lack sequence headers",
+		return nil, nil, fmt.Errorf("store: shard %s: %d of %d unflushed records lack sequence headers",
 			dir, int(mem.n.Load())-len(mem.seqs), mem.n.Load())
-	}
-
-	if len(walIDs) > 1 {
-		if s.routed() {
-			// Sharded recovery needs the replayed tail's sequence numbers;
-			// defer the checkpoint and let the next flush delete the
-			// superseded logs instead.
-			s.recoveredWALs = append([]uint64(nil), walIDs[:len(walIDs)-1]...)
-		} else {
-			// Interrupted flush: checkpoint the combined replay into a
-			// generation so the stale WALs can go away.
-			if err := s.flushLocked(walIDs); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	if !s.opts.DisableAutoFlush {
@@ -296,7 +255,22 @@ func openShard(dir string, opts *Options, parent *Store) (*shard, error) {
 	}
 	liveShards.add(s)
 	ok = true
-	return s, nil
+	return s, walIDs[:len(walIDs)-1], nil
+}
+
+// checkpoint folds the logs an interrupted flush left behind (stale, all
+// older than the live one), whose records the open replayed into the
+// memtable, into a generation, so the on-disk layout is the steady-state
+// one before the store's open returns. A routed shard's parent calls it
+// only after reconciliation has read the replayed records' sequence
+// numbers and the rewritten ROUTER log covers them all.
+func (s *shard) checkpoint(stale []uint64) error {
+	if len(stale) == 0 {
+		return nil
+	}
+	s.adminMu.Lock()
+	defer s.adminMu.Unlock()
+	return s.flushLocked(append(stale, s.walID))
 }
 
 // loadManifest reads dir/MANIFEST, writing a fresh one for a new shard,
@@ -569,12 +543,6 @@ func (s *shard) flush() error {
 func (s *shard) flushLocked(oldWALs []uint64) error {
 	t0 := time.Now()
 	sp := obs.DefaultTracer.Start("flush")
-	if len(s.recoveredWALs) > 0 {
-		// Logs superseded by a deferred recovery checkpoint (routed
-		// open): their records are in the memtable being sealed, so this
-		// flush's manifest covers them too.
-		oldWALs = append(append([]uint64(nil), s.recoveredWALs...), oldWALs...)
-	}
 	newWALID := s.nextID
 	s.nextID++
 	w, err := createWAL(filepath.Join(s.dir, walFileName(newWALID)), s.opts.Sync)
@@ -618,12 +586,15 @@ func (s *shard) flushLocked(oldWALs []uint64) error {
 		if err != nil {
 			return err
 		}
-		g, err := writeGenerationFrom(s.dir, gid, s.schema, sealed, ix)
+		meta, err := writeGenerationFrom(s.dir, gid, s.schema, sealed, ix)
+		if err != nil {
+			return err
+		}
+		g, err := loadGeneration(s.dir, meta, s.schema)
 		if err != nil {
 			return err
 		}
 		frozenBytes = g.fileBytes
-		g = s.maybeRemap(g)
 		gens = append(append([]*generation(nil), st.gens...), g)
 	}
 
@@ -633,7 +604,6 @@ func (s *shard) flushLocked(oldWALs []uint64) error {
 	if err := writeManifest(s.dir, m); err != nil {
 		return err
 	}
-	s.recoveredWALs = nil
 
 	cur := s.state.Load()
 	s.publish(&storeState{gens: gens, mem: cur.mem})

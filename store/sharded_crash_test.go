@@ -348,12 +348,12 @@ func TestShardedCrashRouterStates(t *testing.T) {
 	}
 }
 
-// TestShardedCompactPreservesDeferredWALs: a sharded open defers the
-// interrupted-flush checkpoint, leaving a superseded WAL alive until
-// the next flush. A compaction commit in that window must not advance
-// the manifest's walID past it — the next open would delete the WAL
-// and silently lose its acknowledged records.
-func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
+// TestShardedRecoveryCheckpoint: a sharded open that finds a shard's
+// flush interrupted checkpoints it before returning, as a flat open does
+// (TestCrashInterruptedFlush): the shard is left with one WAL, an empty
+// memtable and the replayed records in a new generation. A compaction
+// and a reopen after it keep every acknowledged record.
+func TestShardedRecoveryCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	opts := shardedCrashOpts()
 	seq := crashSeq(120)
@@ -423,13 +423,22 @@ func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
 	w.close()
 	want := append(append([]string(nil), seq...), post...)
 
-	// Reopen (shard 0 now replays two WALs, checkpoint deferred) and
-	// compact before any flush — the window the commit must respect.
+	// Reopen: shard 0 replays two WALs and checkpoints them into a third
+	// generation before the open returns.
 	ss, err = OpenSharded(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkShardedSeq(t, ss, want)
+	if wals, _ := filepath.Glob(filepath.Join(shard0, "wal-*.log")); len(wals) != 1 {
+		t.Fatalf("recovery checkpoint: shard 0 holds WALs %v, want 1", wals)
+	}
+	if got := ss.ShardMemLen(0); got != 0 {
+		t.Fatalf("recovery checkpoint: shard 0 MemLen = %d, want 0", got)
+	}
+	if gens := ss.ShardGenerations(0); len(gens) != 3 || gens[2].Len != tail0+len(post) {
+		t.Fatalf("recovery checkpoint: shard 0 generations %+v, want a third of %d records", gens, tail0+len(post))
+	}
 	if err := ss.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +448,6 @@ func TestShardedCompactPreservesDeferredWALs(t *testing.T) {
 	checkShardedSeq(t, ss, want)
 	ss.Close()
 
-	// The deferred WAL must have survived the compaction commit.
 	ss, err = OpenSharded(dir, opts)
 	if err != nil {
 		t.Fatal(err)

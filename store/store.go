@@ -187,7 +187,8 @@ func Open(dir string, opts *Options) (*Store, error) {
 // OpenSharded opens the store in dir, creating it if empty (see
 // ShardedOptions.Shards for the layout created). Every shard replays its
 // WAL tail: torn or corrupt trailing records are truncated, every
-// complete acknowledged record is reapplied. With a SHARDS manifest the
+// complete acknowledged record is reapplied, and the records of a flush
+// a crash interrupted are folded into a generation before it returns. With a SHARDS manifest the
 // shards recover in parallel and the global interleave is rebuilt from
 // the ROUTER log plus the sequence headers in each shard's WAL tail,
 // then rewritten fresh; a manifest naming a partitioner other than the
@@ -234,8 +235,12 @@ func OpenSharded(dir string, opts *ShardedOptions) (*Store, error) {
 	}
 	s := &Store{dir: dir, unlock: unlock}
 	if !routed {
-		sh, err := openShard(dir, &o.Store, s)
+		sh, stale, err := openShard(dir, &o.Store, s)
 		if err != nil {
+			return nil, err
+		}
+		if err := sh.checkpoint(stale); err != nil {
+			sh.close()
 			return nil, err
 		}
 		s.shards, s.schema = []*shard{sh}, sh.schema
@@ -249,13 +254,14 @@ func OpenSharded(dir string, opts *ShardedOptions) (*Store, error) {
 	}
 	s.router = newRouter(count)
 	s.shards = make([]*shard, count)
+	stale := make([][]uint64, count)
 	errs := make([]error, count)
 	var wg sync.WaitGroup
 	for i := 0; i < count; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s.shards[i], errs[i] = openShard(filepath.Join(dir, shardDirName(i)), &o.Store, s)
+			s.shards[i], stale[i], errs[i] = openShard(filepath.Join(dir, shardDirName(i)), &o.Store, s)
 		}(i)
 	}
 	wg.Wait()
@@ -312,6 +318,17 @@ func OpenSharded(dir string, opts *ShardedOptions) (*Store, error) {
 	}
 	s.log = log
 	s.persisted = uint64(len(order))
+	// Recovery checkpoints come last: reconciliation has read the
+	// replayed records' sequence numbers, and the ROUTER log covers every
+	// record (watermark = persisted = len(order)), so each flush's seal
+	// barrier passes at once.
+	for i, sh := range s.shards {
+		if err := sh.checkpoint(stale[i]); err != nil {
+			closeOpened()
+			log.close()
+			return nil, err
+		}
+	}
 	ok = true
 	return s, nil
 }

@@ -903,10 +903,10 @@ func TestFlushLeavesOneWAL(t *testing.T) {
 
 // writeGeneration is writeGenerationFrom for an in-memory slice —
 // convenience for tests and callers that already hold the sequence.
-func writeGeneration(dir string, id uint64, seq []string) (*generation, error) {
+func writeGeneration(dir string, id uint64, seq []string) (genMeta, error) {
 	ix, err := freezeSeq(seq)
 	if err != nil {
-		return nil, err
+		return genMeta{}, err
 	}
 	return writeGenerationFrom(dir, id, nil, nil, ix)
 }
