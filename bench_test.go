@@ -102,7 +102,7 @@ const frozenBenchN = 1 << 14
 
 func benchFrozen(b *testing.B) (*Frozen, []string, []int) {
 	seq := workload.URLLog(frozenBenchN, 1, workload.DefaultURLConfig())
-	f := NewStatic(seq).Frozen()
+	f := NewStatic(seq)
 	r := rand.New(rand.NewSource(2))
 	pos := make([]int, 1024)
 	for i := range pos {
@@ -173,7 +173,7 @@ func BenchmarkFrozenIteratePage(b *testing.B) {
 	f, _, pos := benchFrozen(b)
 	for i := 0; i < b.N; i++ {
 		l := pos[i&1023] % (frozenBenchN - 256)
-		f.Iterate(l, l+256, func(_ int, s string) bool {
+		f.Enumerate(l, l+256, func(_ int, s string) bool {
 			benchSink += len(s)
 			return true
 		})
@@ -218,7 +218,7 @@ func BenchmarkFrozenMerge(b *testing.B) {
 		seq := workload.URLLog(k*frozenBenchN, 1, workload.DefaultURLConfig())
 		parts := make([]*Frozen, k)
 		for i := range parts {
-			parts[i] = NewStatic(seq[i*frozenBenchN : (i+1)*frozenBenchN]).Frozen()
+			parts[i] = NewStatic(seq[i*frozenBenchN : (i+1)*frozenBenchN])
 		}
 		arms := []struct {
 			name string
@@ -278,13 +278,12 @@ func BenchmarkAppendOnlyFrozen(b *testing.B) {
 
 func BenchmarkT1bStaticSpace(b *testing.B) {
 	seq := benchSeq()
-	var w *Static
+	var w *Frozen
 	for i := 0; i < b.N; i++ {
 		w = NewStatic(seq)
 	}
 	lb := entropy.LB(seq)
-	b.ReportMetric(float64(w.SuccinctSizeBits())/float64(w.Len()), "succinct-bits/elem")
-	b.ReportMetric(float64(w.SizeBits())/float64(w.Len()), "pointer-bits/elem")
+	b.ReportMetric(float64(w.SizeBits())/float64(w.Len()), "succinct-bits/elem")
 	b.ReportMetric(lb/float64(w.Len()), "lb-bits/elem")
 }
 
@@ -519,7 +518,7 @@ func BenchmarkQ5RangeMajority(b *testing.B) {
 
 func BenchmarkCMPSpace(b *testing.B) {
 	seq := benchSeq()
-	var w *Static
+	var w *Frozen
 	for i := 0; i < b.N; i++ {
 		w = NewStatic(seq)
 	}
@@ -527,8 +526,8 @@ func BenchmarkCMPSpace(b *testing.B) {
 	for _, s := range seq {
 		raw += len(s) * 8
 	}
-	b.ReportMetric(float64(w.SuccinctSizeBits())/float64(raw), "x-raw")
-	b.ReportMetric(float64(w.SuccinctSizeBits())/entropy.LB(seq), "x-lb")
+	b.ReportMetric(float64(w.SizeBits())/float64(raw), "x-raw")
+	b.ReportMetric(float64(w.SizeBits())/entropy.LB(seq), "x-lb")
 }
 
 func sizeName(n int) string {

@@ -20,7 +20,7 @@ import (
 //  3. Build — emits the Frozen.
 //
 // The result is bit-identical (marshalled bytes and all) to
-// NewStatic(seq).Frozen() for the same sequence: Patricia tries are
+// NewStatic(seq) for the same sequence: Patricia tries are
 // canonical, and the builder replays the exact preorder assembly of the
 // §3 encoder. FreezeIterate packages the two passes for callback-style
 // sources — the snapshot exports. A sequence that already is a trie does
@@ -58,7 +58,7 @@ func (fb *FrozenBuilder) Build() (*Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Frozen{t: t}, nil
+	return newFrozen(t, nil), nil
 }
 
 // FreezeIterate builds a Frozen from a replayable iteration: iterate is

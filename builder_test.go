@@ -34,7 +34,7 @@ func buildViaBuilder(t *testing.T, seq []string) *Frozen {
 // preorder walk, so any divergence is a builder bug.
 func checkBitIdentical(t *testing.T, seq []string) {
 	t.Helper()
-	want, err := NewStatic(seq).Frozen().MarshalBinary()
+	want, err := NewStatic(seq).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFreezeIterateMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewStatic(seq).Frozen().MarshalBinary()
+	want, err := NewStatic(seq).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBuilderEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewStatic(nil).Frozen().MarshalBinary()
+	want, err := NewStatic(nil).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +170,9 @@ func TestBuilderErrors(t *testing.T) {
 // whole sequence frozen in place (the flush).
 func TestBuilderFedFromFrozen(t *testing.T) {
 	seq := workload.URLLog(3000, 11, workload.DefaultURLConfig())
-	left := NewStatic(seq[:1200]).Frozen()
-	right := NewStatic(seq[1200:]).Frozen()
-	want, err := NewStatic(seq).Frozen().MarshalBinary()
+	left := NewStatic(seq[:1200])
+	right := NewStatic(seq[1200:])
+	want, err := NewStatic(seq).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestBuilderFedFromFrozen(t *testing.T) {
 }
 
 // TestAppendOnlyFrozenBitIdentical holds AppendOnly.Frozen — the flush —
-// to the bytes of NewStatic(seq).Frozen() on every shape an append-only
+// to the bytes of NewStatic(seq) on every shape an append-only
 // node bitvector takes: empty and one-element tries, raw tails only, and a
 // sequence long enough that the top vectors carry sealed RRR segments and
 // a partial tail while a value first seen late gives its node an Init run
@@ -228,7 +228,7 @@ func TestAppendOnlyFrozenBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewStatic(seq).Frozen().MarshalBinary()
+		want, err := NewStatic(seq).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestAppendOnlyFrozenBitIdentical(t *testing.T) {
 // exactly like the validating, copying one.
 func TestLoadFrozenMappedMatches(t *testing.T) {
 	seq := workload.URLLog(2000, 7, workload.DefaultURLConfig())
-	data, err := NewStatic(seq).Frozen().MarshalBinary()
+	data, err := NewStatic(seq).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

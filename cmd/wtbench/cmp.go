@@ -39,7 +39,7 @@ func runCMP(quick bool) {
 		name string
 		bits int
 	}{
-		{"wavelet trie (succinct)", wtrie.SuccinctSizeBits()},
+		{"wavelet trie (succinct)", wtrie.SizeBits()},
 		{"wavelet tree + dict", wtree.SizeBits()},
 		{"b-tree index + seq", bt.SizeBits()},
 		{"text index (SA) + seq", ti.SizeBits()},

@@ -88,7 +88,7 @@ func runT1b(quick bool) {
 		w := wavelettrie.NewStatic(seq)
 		lb := entropy.LB(seq)
 		nh0 := entropy.NH0Strings(seq)
-		succ := w.SuccinctSizeBits()
+		succ := w.SizeBits()
 		red := (float64(succ) - lb) / (w.AvgHeight() * float64(n))
 		t.row(n, perElem(succ, n), lb/float64(n), nh0/float64(n), fmt.Sprintf("%.3f", red))
 	}

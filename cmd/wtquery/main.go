@@ -298,13 +298,14 @@ func execute(st wavelettrie.StringIndex, args []string) (cur wavelettrie.StringI
 			panic(fmt.Sprintf("%s needs %d argument(s)", args[0], k))
 		}
 	}
-	// The analytics and mutation commands are capability-gated: a Frozen
-	// snapshot serves only the primitives, a Static adds analytics, the
-	// mutable variants everything.
+	// The analytics and mutation commands are capability-gated: every
+	// in-process trie — a loaded snapshot too — serves the §5 analytics,
+	// the mutable variants mutation as well; a store (local or remote)
+	// serves the primitives and its own scans, not §5.
 	ranger := func() wavelettrie.RangeIndex {
 		r, ok := st.(wavelettrie.RangeIndex)
 		if !ok {
-			panic(fmt.Sprintf("%s: not supported by %T (frozen snapshots serve primitives only)", args[0], st))
+			panic(fmt.Sprintf("%s: not supported by %T (range analytics run on an in-process trie or a -load snapshot)", args[0], st))
 		}
 		return r
 	}

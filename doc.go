@@ -21,8 +21,9 @@
 //
 // # The three variants
 //
-//   - Static: immutable, queries in O(|s|+h_s), space LB + o(h̃n) — the
-//     §3 fully-succinct encoding, built by freezing an AppendOnly.
+//   - Frozen: immutable, queries in O(|s|+h_s), space LB + o(h̃n) — the
+//     §3 fully-succinct encoding; NewStatic builds one by freezing an
+//     AppendOnly.
 //   - AppendOnly: additionally Append in O(|s|+h_s) — index a log on the
 //     fly; space LB + PT + o(h̃n).
 //   - Dynamic: arbitrary Insert and Delete in O(|s|+h_s·log n), with a
@@ -35,28 +36,27 @@
 //
 // Numeric sequences over a bounded universe are served by Numeric, the §6
 // randomized Wavelet Tree, whose height depends only on the working
-// alphabet (w.h.p.), not the universe. The Frozen type is the same §3
-// encoding as a Static — the smallest representation, serving the five
-// primitive operations with no pointers at all; a Static adds the §5
-// range analytics, which one kernel runs on the succinct trie and on the
-// pointer tries of AppendOnly and Dynamic alike.
+// alphabet (w.h.p.), not the universe. Frozen is the smallest
+// representation, with no pointers at all; the §5 range analytics run on
+// it through the same kernel that serves the pointer tries of AppendOnly
+// and Dynamic.
 //
 // # The Index interface and persistence
 //
-// Every variant — Static, AppendOnly, Dynamic, Numeric, Frozen —
-// satisfies the Index interface: the structural accessors plus
-// MarshalBinary. The string-serving variants additionally satisfy
-// StringIndex (the primitive operations), and Static, AppendOnly and
-// Dynamic satisfy RangeIndex (the full §5 analytics surface). Tools
+// Every variant — Frozen, AppendOnly, Dynamic, Numeric — satisfies the
+// Index interface: the structural accessors plus MarshalBinary. The
+// string-serving variants, Frozen, AppendOnly and Dynamic, additionally
+// satisfy StringIndex (the primitive operations) and RangeIndex (the full
+// §5 analytics surface). Tools
 // program against these interfaces, so an index can be swapped for
 // another variant — or for one reopened from a snapshot — without code
 // changes.
 //
 // MarshalBinary produces a self-contained, versioned binary snapshot
 // (see DESIGN.md §4 for the wire formats); Load reopens any snapshot,
-// and LoadStatic/LoadAppendOnly/LoadDynamic/LoadNumeric/LoadFrozen
-// enforce a concrete variant. A Static and a Frozen write the same
-// bytes: LoadStatic reopens them as a Static, Load as a Frozen. Loading
+// and LoadFrozen/LoadAppendOnly/LoadDynamic/LoadNumeric enforce a
+// concrete variant; a reloaded Frozen keeps the whole RangeIndex surface.
+// Loading
 // performs no O(n·|s|) rebuild — only rank-directory reconstruction — so
 // a process restart costs milliseconds instead of a full re-index, and
 // mutations resume on the loaded index:

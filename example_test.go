@@ -68,7 +68,7 @@ func ExampleDynamic_rangeAnalytics() {
 
 // DistinctPrefixes groups a window by a fixed-width byte prefix without
 // materializing the strings — "distinct hostnames in a time range".
-func ExampleStatic_distinctPrefixes() {
+func ExampleFrozen_distinctPrefixes() {
 	wt := wavelettrie.NewStatic([]string{
 		"aa/1", "ab/2", "aa/3", "bb/4", "aa/5",
 	})
@@ -81,11 +81,11 @@ func ExampleStatic_distinctPrefixes() {
 	// bb 1
 }
 
-// A static trie freezes into the paper's §3 succinct encoding, which can
-// be serialized and reloaded without rebuilding.
-func ExampleStatic_frozen() {
+// A static trie is the paper's §3 succinct encoding, which can be
+// serialized and reloaded without rebuilding.
+func ExampleFrozen_marshalBinary() {
 	wt := wavelettrie.NewStatic([]string{"red", "green", "red", "blue"})
-	data, _ := wt.Frozen().MarshalBinary()
+	data, _ := wt.MarshalBinary()
 	loaded, _ := wavelettrie.LoadFrozen(data)
 	fmt.Println(loaded.Len(), loaded.Count("red"))
 	pos, _ := loaded.Select("blue", 0)

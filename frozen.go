@@ -14,15 +14,23 @@ import (
 // node's own segment — no pointers at all. It supports the five
 // primitive operations in O(|s|+h_s), can be serialized byte-for-byte
 // (MarshalBinary) and reloaded (LoadFrozen), and is the smallest
-// representation in the repository. A Static is the same encoding with
-// the §5 range analytics on top.
+// representation in the repository. It is the paper's static Wavelet Trie
+// (NewStatic builds one) and carries the §5 range analytics, run by the
+// one kernel the pointer tries share, over its node cursor.
 type Frozen struct {
+	// queries serves the range surface; the primitives below override it
+	// with allocation-free forms.
+	queries
 	t *succinct.Trie
 	// backing, when non-nil, pins the memory region the trie's bit
 	// components alias — e.g. an mmap'd file loaded by LoadFrozenMapped.
 	// Holding the Frozen keeps the mapping alive; the region is reclaimed
 	// by its finalizer once the Frozen is unreachable.
 	backing any
+}
+
+func newFrozen(t *succinct.Trie, backing any) *Frozen {
+	return &Frozen{queries: queries{w: t}, t: t, backing: backing}
 }
 
 func init() {
@@ -33,10 +41,6 @@ func init() {
 // file) that its components alias.
 func (f *Frozen) Mapped() bool { return f.backing != nil }
 
-// Frozen returns this static trie as a Frozen; the two share one
-// encoding, so nothing is built or copied.
-func (s *Static) Frozen() *Frozen { return &Frozen{t: s.t} }
-
 // LoadFrozen reconstructs a Frozen from MarshalBinary output.
 func LoadFrozen(data []byte) (*Frozen, error) { return loadAs[*Frozen](data, kindFrozen) }
 
@@ -46,16 +50,9 @@ func LoadFrozen(data []byte) (*Frozen, error) { return loadAs[*Frozen](data, kin
 // is slightly below SizeBits.
 func (f *Frozen) MarshalBinary() ([]byte, error) { return marshal(kindFrozen, f.t.EncodeTo) }
 
-// Len returns the number of elements.
-func (f *Frozen) Len() int { return f.t.Len() }
-
-// AlphabetSize returns the number of distinct strings.
-func (f *Frozen) AlphabetSize() int { return f.t.AlphabetSize() }
-
-// Height returns the maximum trie depth h.
-func (f *Frozen) Height() int { return f.t.Height() }
-
-// SizeBits returns the size of the succinct encoding in bits.
+// SizeBits returns the measured in-memory footprint in bits of the §3
+// encoding — the trie's shape, concatenated delimited labels and one
+// concatenated RRR bitvector, with their directories.
 func (f *Frozen) SizeBits() int { return f.t.SizeBits() }
 
 // Access returns the string at position pos.
@@ -99,11 +96,11 @@ func (f *Frozen) SelectPrefix(p string, idx int) (int, bool) {
 
 // Count returns the total occurrences of s. It reads labels and
 // directories only — no bitvector block is decoded.
-func (f *Frozen) Count(s string) int { return f.Rank(s, f.Len()) }
+func (f *Frozen) Count(s string) int { return f.Rank(s, f.t.Len()) }
 
 // CountPrefix returns the total elements with byte prefix p, at the
 // same cost as Count.
-func (f *Frozen) CountPrefix(p string) int { return f.RankPrefix(p, f.Len()) }
+func (f *Frozen) CountPrefix(p string) int { return f.RankPrefix(p, f.t.Len()) }
 
 // Contains reports whether s occurs at all — cheaper than Count(s) > 0:
 // a walk over the trie labels that touches no bitvector or directory
@@ -111,40 +108,6 @@ func (f *Frozen) CountPrefix(p string) int { return f.RankPrefix(p, f.Len()) }
 func (f *Frozen) Contains(s string) bool {
 	var buf [bitstr.KeyWords]uint64
 	return f.t.ContainsBits(bitstr.EncodeStringInto(buf[:], s))
-}
-
-// decode turns a stored element's bits back into its string.
-func decode(bs bitstr.BitString) string {
-	s, err := bitstr.DecodeString(bs)
-	if err != nil {
-		panic("wavelettrie: internal corruption: " + err.Error())
-	}
-	return s
-}
-
-// Iterate streams the elements of positions [l, r) in order, stopping
-// early if fn returns false. It walks the trie once with streaming
-// bitvector iterators (one block visit per traversed node for the whole
-// range instead of one Rank per node per element), so a full sweep is far
-// cheaper than repeated Access — this is the enumeration layer that
-// compaction and snapshot exports are built on. The only allocation per
-// element is the string handed to fn.
-func (f *Frozen) Iterate(l, r int, fn func(pos int, s string) bool) {
-	if l < 0 || r < l || r > f.Len() {
-		panic(fmt.Sprintf("wavelettrie: Iterate(%d,%d) out of range [0,%d]", l, r, f.Len()))
-	}
-	var buf [bitstr.KeyWords]uint64
-	scratch := bitstr.BuilderOver(buf[:])
-	it := f.t.Iter(l, r)
-	defer it.Close()
-	for it.Valid() {
-		pos := it.Pos()
-		scratch.Reset()
-		it.NextInto(&scratch)
-		if !fn(pos, decode(scratch.View())) {
-			return
-		}
-	}
 }
 
 // EnumeratePrefix streams the elements with byte prefix p in position
@@ -178,27 +141,13 @@ func (f *Frozen) EnumeratePrefix(p string, from int, fn func(idx, pos int, val f
 	}
 }
 
-// Slice returns the elements of positions [l, r) as a fresh slice,
-// materialized through Iterate.
-func (f *Frozen) Slice(l, r int) []string {
-	if l < 0 || r < l || r > f.Len() {
-		panic(fmt.Sprintf("wavelettrie: Slice(%d,%d) out of range [0,%d]", l, r, f.Len()))
-	}
-	out := make([]string, 0, r-l)
-	f.Iterate(l, r, func(_ int, s string) bool {
-		out = append(out, s)
-		return true
-	})
-	return out
-}
-
 // ConcatFrozen returns the Frozen of the concatenation of the parts'
 // sequences, in argument order — the merge a compaction runs. It works on
 // the structure, not the elements: the parts' tries are walked together in
 // preorder, a node of the result takes its bitvector as the parts' node
 // bitvectors one after the other (a constant run for a part that does not
 // branch there), and no element is ever decoded. The result is
-// byte-identical to NewStatic(concatenation).Frozen(). cont, when non-nil,
+// byte-identical to NewStatic(concatenation). cont, when non-nil,
 // is polled along the way; once it reports false ConcatFrozen gives up
 // with an error. Parts that disagree with themselves (a corrupt mapped
 // file) or whose values together are not prefix-free are an error too.
@@ -211,14 +160,14 @@ func ConcatFrozen(cont func() bool, parts ...*Frozen) (*Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Frozen{t: t}, nil
+	return newFrozen(t, nil), nil
 }
 
 // Bounds returns the smallest and the largest stored string in
 // lexicographic order (both "" for an empty index): two root-to-leaf walks
 // over the labels, O(height) each.
 func (f *Frozen) Bounds() (lo, hi string) {
-	if f.Len() == 0 {
+	if f.t.Len() == 0 {
 		return "", ""
 	}
 	return f.edge(0), f.edge(1)

@@ -198,12 +198,12 @@ func TestFrozenGoldenV5(t *testing.T) {
 		}
 	}
 
-	fresh, err := NewStatic(seq).Frozen().MarshalBinary()
+	fresh, err := NewStatic(seq).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fresh, golden) {
-		t.Fatal("Static.Frozen no longer marshals to the golden bytes: the wire format changed")
+		t.Fatal("NewStatic no longer marshals to the golden bytes: the wire format changed")
 	}
 	built, err := FreezeIterate(func(yield func(string) bool) {
 		for _, v := range seq {
@@ -225,7 +225,7 @@ func TestFrozenGoldenV5(t *testing.T) {
 // and descends without touching the heap.
 func TestFrozenQueryAllocations(t *testing.T) {
 	seq := goldenSeq()
-	f := NewStatic(seq).Frozen()
+	f := NewStatic(seq)
 	n := f.Len()
 	stored300 := seq[len(seq)-3] // the 300-byte value; its 256-byte prefix still fits
 	keys := []string{seq[0], seq[1234], seq[1234][:9], "", "absent", strings.Repeat("k", 256), stored300[:256]}
@@ -245,19 +245,19 @@ func TestFrozenQueryAllocations(t *testing.T) {
 	}
 }
 
-// TestFrozenIterateAllocations guards the streaming read path: Iterate
+// TestFrozenIterateAllocations guards the streaming read path: Enumerate
 // decodes every element through one scratch buffer, so what it allocates
 // per element is the string it hands out — the walk's own state (slab
 // chunks, label list) is a few dozen allocations for the whole sweep.
 func TestFrozenIterateAllocations(t *testing.T) {
 	seq := goldenSeq()
-	f := NewStatic(seq).Frozen()
+	f := NewStatic(seq)
 	n := f.Len()
 	a := testing.AllocsPerRun(10, func() {
-		f.Iterate(0, n, func(int, string) bool { return true })
+		f.Enumerate(0, n, func(int, string) bool { return true })
 	})
 	if a > float64(n)+48 {
-		t.Errorf("Iterate over %d elements allocates %.0f times, want at most one per element and 48 for the walk", n, a)
+		t.Errorf("Enumerate over %d elements allocates %.0f times, want at most one per element and 48 for the walk", n, a)
 	}
 	// A page of a prefix scan: positions alone allocate nothing per match.
 	p := seq[0][:6]
@@ -286,7 +286,7 @@ func FuzzFrozenQueries(f *testing.F) {
 		if len(seq) > 64 {
 			seq = seq[:64]
 		}
-		fz := NewStatic(seq).Frozen()
+		fz := NewStatic(seq)
 		keys := probeKeys(seq)
 		if len(keys) > 160 {
 			keys = keys[:160]
@@ -311,7 +311,7 @@ func FuzzFrozenQueries(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mid, tail := NewStatic(seq[a:b]).Frozen(), NewStatic(seq[b:]).Frozen()
+		mid, tail := NewStatic(seq[a:b]), NewStatic(seq[b:])
 		merged, err := ConcatFrozen(nil, head, mid, tail)
 		if err != nil {
 			t.Fatal(err)

@@ -10,8 +10,7 @@ import (
 func TestFrozenRoundTrip(t *testing.T) {
 	seq := workload.URLLog(3000, 15, workload.DefaultURLConfig())
 	st := NewStatic(seq)
-	fz := st.Frozen()
-	data, err := fz.MarshalBinary()
+	data, err := st.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +53,14 @@ func TestFrozenRoundTrip(t *testing.T) {
 	}
 	// Serialized size tracks the succinct size (8x for bytes->bits, plus
 	// headers and word padding).
-	if len(data)*8 > st.SuccinctSizeBits()*5/4+1024 {
-		t.Fatalf("serialized %d bits vs succinct %d bits", len(data)*8, st.SuccinctSizeBits())
+	if len(data)*8 > st.SizeBits()*5/4+1024 {
+		t.Fatalf("serialized %d bits vs succinct %d bits", len(data)*8, st.SizeBits())
 	}
 }
 
 func TestFrozenEmptyAndSingleton(t *testing.T) {
 	for _, seq := range [][]string{nil, {"one"}, {"a", "a", "a"}} {
-		fz := NewStatic(seq).Frozen()
+		fz := NewStatic(seq)
 		data, err := fz.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +89,7 @@ func TestFrozenEmptyAndSingleton(t *testing.T) {
 }
 
 func TestLoadFrozenRejectsGarbage(t *testing.T) {
-	good, _ := NewStatic([]string{"a", "b", "a"}).Frozen().MarshalBinary()
+	good, _ := NewStatic([]string{"a", "b", "a"}).MarshalBinary()
 	cases := map[string][]byte{
 		"empty":       {},
 		"short":       good[:4],
@@ -109,7 +108,7 @@ func TestLoadFrozenRejectsGarbage(t *testing.T) {
 func TestFrozenStructuralValidation(t *testing.T) {
 	// Flip header fields to violate cross-component invariants; the loader
 	// must reject rather than return a structure that panics later.
-	good, _ := NewStatic([]string{"aa", "ab", "aa", "ba"}).Frozen().MarshalBinary()
+	good, _ := NewStatic([]string{"aa", "ab", "aa", "ba"}).MarshalBinary()
 	// Corrupt the element count (bytes 6..14 hold n).
 	bad := append([]byte{}, good...)
 	bad[6] = 0xFF

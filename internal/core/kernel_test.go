@@ -20,7 +20,7 @@ type rangeOps interface {
 }
 
 // TestRangePanics pins the panic surface of the §5 operations, on a
-// pointer trie and on the succinct trie a Static is: a window outside the
+// pointer trie and on the succinct trie a Frozen is: a window outside the
 // sequence panics whatever else the call asks for — TopK's k ≤ 0 too.
 func TestRangePanics(t *testing.T) {
 	a := bitstr.EncodeString("a")

@@ -38,7 +38,6 @@ var (
 	_ Appendable = (*btindex.Index)(nil)
 	_ Sequence   = (*textindex.Index)(nil)
 
-	_ Sequence   = (*wavelettrie.Static)(nil)
 	_ Appendable = (*wavelettrie.AppendOnly)(nil)
 	_ Appendable = (*wavelettrie.Dynamic)(nil)
 	_ Sequence   = (*wavelettrie.Frozen)(nil)

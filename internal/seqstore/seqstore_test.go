@@ -18,7 +18,7 @@ func TestDifferentialEquivalence(t *testing.T) {
 	seq := workload.URLLog(400, 13, workload.DefaultURLConfig())
 	oracle := flat.FromSlice(seq)
 
-	static := wavelettrie.NewStatic(seq)
+	frozen := wavelettrie.NewStatic(seq)
 	reload := func(ix wavelettrie.Index) wavelettrie.Index {
 		data, err := ix.MarshalBinary()
 		if err != nil {
@@ -34,14 +34,12 @@ func TestDifferentialEquivalence(t *testing.T) {
 	stores := map[string]seqstore.Sequence{
 		"btindex":           btindex.FromSlice(seq),
 		"textindex":         textindex.New(seq),
-		"static":            static,
 		"appendonly":        wavelettrie.NewAppendOnlyFrom(seq),
 		"dynamic":           wavelettrie.NewDynamicFrom(seq),
-		"frozen":            static.Frozen(),
-		"static.reloaded":   reload(static).(seqstore.Sequence),
+		"frozen":            frozen,
 		"appendonly.reload": reload(wavelettrie.NewAppendOnlyFrom(seq)).(seqstore.Sequence),
 		"dynamic.reloaded":  reload(wavelettrie.NewDynamicFrom(seq)).(seqstore.Sequence),
-		"frozen.reloaded":   reload(static.Frozen()).(seqstore.Sequence),
+		"frozen.reloaded":   reload(frozen).(seqstore.Sequence),
 	}
 
 	probes := append([]string(nil), seq[:8]...)
@@ -80,50 +78,27 @@ func TestDifferentialEquivalence(t *testing.T) {
 	}
 }
 
-// enumerator / iterator are the two spellings of the streaming
-// sequential-access surface: the mutable trie variants expose Enumerate
-// (with the §5 analytics), Frozen and the store snapshots expose
-// Iterate (the enumeration layer compaction is built on).
-type enumerator interface {
-	Enumerate(l, r int, fn func(pos int, s string) bool)
-}
-
-type iterator interface {
-	Iterate(l, r int, fn func(pos int, s string) bool)
-}
-
-// TestEnumerateMatchesAccess streams every variant that supports
-// sequential enumeration — including reloaded snapshots — and diffs the
+// TestEnumerateMatchesAccess streams every Wavelet Trie variant —
+// including a reloaded snapshot — through Enumerate and diffs the
 // stream against per-position Access, over the full range and a
 // boundary-crossing subrange.
 func TestEnumerateMatchesAccess(t *testing.T) {
 	seq := workload.URLLog(300, 37, workload.DefaultURLConfig())
-	static := wavelettrie.NewStatic(seq)
-	frozen := static.Frozen()
+	frozen := wavelettrie.NewStatic(seq)
 	reloadedFrozen, err := wavelettrie.LoadFrozen(mustMarshal(t, frozen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := map[string]seqstore.Sequence{
-		"static":          static,
+	stores := map[string]wavelettrie.RangeIndex{
 		"appendonly":      wavelettrie.NewAppendOnlyFrom(seq),
 		"dynamic":         wavelettrie.NewDynamicFrom(seq),
 		"frozen":          frozen,
 		"frozen.reloaded": reloadedFrozen,
 	}
 	for name, st := range stores {
-		var stream func(l, r int, fn func(pos int, s string) bool)
-		switch e := st.(type) {
-		case enumerator:
-			stream = e.Enumerate
-		case iterator:
-			stream = e.Iterate
-		default:
-			t.Fatalf("%s: no streaming enumerator", name)
-		}
 		for _, lr := range [][2]int{{0, st.Len()}, {37, 203}} {
 			next := lr[0]
-			stream(lr[0], lr[1], func(pos int, s string) bool {
+			st.Enumerate(lr[0], lr[1], func(pos int, s string) bool {
 				if pos != next {
 					t.Fatalf("%s: stream position %d, want %d", name, pos, next)
 				}

@@ -101,8 +101,11 @@ func TestIterReuseAfterClose(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		l := round * 300
 		it := fz.Iter(l, l+700)
+		b := bitstr.NewBuilder(0)
 		for pos := l; it.Valid(); pos++ {
-			if bitstr.Compare(it.Next(), fz.AccessBits(pos)) != 0 {
+			b.Reset()
+			it.NextInto(b)
+			if bitstr.Compare(b.View(), fz.AccessBits(pos)) != 0 {
 				t.Fatalf("round %d: element %d differs from Access", round, pos)
 			}
 		}

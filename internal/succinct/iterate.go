@@ -157,27 +157,19 @@ func (it *Iter) Close() {
 	it.pos = it.end
 }
 
-// Valid reports whether Next has elements left to return.
+// Valid reports whether NextInto has elements left to return.
 func (it *Iter) Valid() bool { return it.pos < it.end }
 
-// Pos returns the position the next call to Next will yield.
+// Pos returns the position the next call to NextInto will yield.
 func (it *Iter) Pos() int { return it.pos }
 
-// Next returns the element at the current position and advances. It
-// panics when the range is exhausted (guard with Valid).
-func (it *Iter) Next() bitstr.BitString {
-	b := bitstr.NewBuilder(0)
-	it.NextInto(b)
-	return b.BitString()
-}
-
-// NextInto appends the element at the current position to b and advances —
-// the allocation-free form of Next for streaming consumers that reuse one
-// scratch builder (Reset + NextInto + View per element). It panics when
-// the range is exhausted (guard with Valid).
+// NextInto appends the element at the current position to b and advances;
+// a streaming consumer reuses one scratch builder (Reset + NextInto + View
+// per element), so an element costs no allocation. It panics when the
+// range is exhausted (guard with Valid).
 func (it *Iter) NextInto(b *bitstr.Builder) {
 	if it.pos >= it.end {
-		panic("succinct: Next past the end of the iterated range")
+		panic("succinct: NextInto past the end of the iterated range")
 	}
 	it.w.next(it.pos, b)
 	it.pos++
@@ -185,12 +177,18 @@ func (it *Iter) NextInto(b *bitstr.Builder) {
 
 // EnumerateBits calls fn with each element of positions [l, r) in
 // order, stopping early if fn returns false — the ForEach form of Iter.
+// Every element is decoded into one scratch builder: the BitString fn
+// receives aliases it and is valid only for the duration of the call.
 func (t *Trie) EnumerateBits(l, r int, fn func(pos int, s bitstr.BitString) bool) {
+	var buf [bitstr.KeyWords]uint64
+	b := bitstr.BuilderOver(buf[:])
 	it := t.Iter(l, r)
 	defer it.Close()
 	for it.Valid() {
 		pos := it.Pos()
-		if !fn(pos, it.Next()) {
+		b.Reset()
+		it.NextInto(&b)
+		if !fn(pos, b.View()) {
 			return
 		}
 	}

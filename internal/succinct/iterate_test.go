@@ -37,6 +37,7 @@ func TestEnumerateMatchesAccess(t *testing.T) {
 			l := r.Intn(n + 1)
 			rr := l + r.Intn(n-l+1)
 			it := fz.Iter(l, rr)
+			b := bitstr.NewBuilder(0)
 			for pos := l; pos < rr; pos++ {
 				if !it.Valid() {
 					t.Fatalf("n=%d: iterator exhausted at %d of [%d,%d)", n, pos, l, rr)
@@ -44,7 +45,9 @@ func TestEnumerateMatchesAccess(t *testing.T) {
 				if got := it.Pos(); got != pos {
 					t.Fatalf("n=%d: Pos = %d, want %d", n, got, pos)
 				}
-				if bitstr.Compare(it.Next(), fz.AccessBits(pos)) != 0 {
+				b.Reset()
+				it.NextInto(b)
+				if bitstr.Compare(b.View(), fz.AccessBits(pos)) != 0 {
 					t.Fatalf("n=%d: Iter(%d,%d) differs from Access at %d", n, l, rr, pos)
 				}
 			}

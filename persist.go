@@ -11,7 +11,7 @@ import (
 )
 
 // Index is the surface every Wavelet Trie variant in this package
-// satisfies — Static, AppendOnly, Dynamic, Numeric and Frozen: the
+// satisfies — Frozen, AppendOnly, Dynamic and Numeric: the
 // structural accessors plus binary serialization. A marshaled index is a
 // self-contained, versioned little-endian buffer that Load (or the typed
 // Load* functions) reopens without any rebuild work beyond rank-directory
@@ -30,8 +30,8 @@ type Index interface {
 }
 
 // StringIndex is Index plus the five primitive string operations of the
-// problem statement (§1) — satisfied by Static, AppendOnly, Dynamic and
-// Frozen (Numeric serves integers instead; see Index).
+// problem statement (§1) — satisfied by Frozen, AppendOnly and Dynamic
+// (Numeric serves integers instead; see Index).
 type StringIndex interface {
 	Index
 	Access(pos int) string
@@ -44,10 +44,9 @@ type StringIndex interface {
 }
 
 // RangeIndex is the full query surface of the shared queries struct —
-// StringIndex plus the §5 range analytics — satisfied by Static (the
+// StringIndex plus the §5 range analytics — satisfied by Frozen (the
 // succinct trie) and by AppendOnly and Dynamic (the pointer tries): one
-// §5 kernel serves all three. Frozen, the same encoding as Static, keeps
-// to the primitives.
+// §5 kernel serves all three.
 type RangeIndex interface {
 	StringIndex
 	AvgHeight() float64
@@ -65,19 +64,14 @@ type Appender interface {
 	Append(s string)
 }
 
-// Compile-time conformance: every public variant is an Index, the string
-// variants are StringIndexes, and the mutable ones keep their analytics.
+// Compile-time conformance: every public variant is an Index and every
+// string variant, static or mutable, carries the analytics.
 var (
-	_ RangeIndex  = (*Static)(nil)
-	_ RangeIndex  = (*AppendOnly)(nil)
-	_ RangeIndex  = (*Dynamic)(nil)
-	_ StringIndex = (*Frozen)(nil)
+	_ RangeIndex = (*Frozen)(nil)
+	_ RangeIndex = (*AppendOnly)(nil)
+	_ RangeIndex = (*Dynamic)(nil)
 
-	_ Index = (*Static)(nil)
-	_ Index = (*AppendOnly)(nil)
-	_ Index = (*Dynamic)(nil)
 	_ Index = (*Numeric)(nil)
-	_ Index = (*Frozen)(nil)
 
 	_ Appender = (*AppendOnly)(nil)
 	_ Appender = (*Dynamic)(nil)
@@ -97,8 +91,8 @@ const (
 )
 
 const (
-	// kindStatic was the pointer Static's own format. It is retired: a
-	// Static marshals as a Frozen, and Load refuses kind 1 by name.
+	// kindStatic was the pointer Static's own format. It is retired: the
+	// static trie is a Frozen, and Load refuses kind 1 by name.
 	kindStatic byte = iota + 1
 	kindAppendOnly
 	kindDynamic
@@ -128,11 +122,6 @@ func marshal(kind byte, body func(w *wire.Writer)) ([]byte, error) {
 	body(w)
 	return w.Bytes(), nil
 }
-
-// MarshalBinary serializes the static Wavelet Trie: the bytes of
-// Frozen().MarshalBinary, which LoadStatic reopens as a Static and Load
-// as a Frozen.
-func (s *Static) MarshalBinary() ([]byte, error) { return s.Frozen().MarshalBinary() }
 
 // MarshalBinary serializes the append-only Wavelet Trie.
 func (a *AppendOnly) MarshalBinary() ([]byte, error) {
@@ -198,7 +187,7 @@ func Load(data []byte) (Index, error) {
 		if err := validateStored(t.StoredBits()); err != nil {
 			return nil, err
 		}
-		ix = &Frozen{t: t}
+		ix = newFrozen(t, nil)
 	default:
 		return nil, fmt.Errorf("wavelettrie: unknown index kind %d", kind)
 	}
@@ -268,17 +257,7 @@ func LoadFrozenMapped(data []byte, backing any) (*Frozen, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return &Frozen{t: t, backing: backing}, nil
-}
-
-// LoadStatic reconstructs a Static from Static.MarshalBinary output — a
-// Frozen container, the only one a Static has.
-func LoadStatic(data []byte) (*Static, error) {
-	f, err := LoadFrozen(data)
-	if err != nil {
-		return nil, err
-	}
-	return newStatic(f.t), nil
+	return newFrozen(t, backing), nil
 }
 
 // LoadAppendOnly reconstructs an AppendOnly from AppendOnly.MarshalBinary

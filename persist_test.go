@@ -116,24 +116,16 @@ func TestRoundTripStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := wavelettrie.LoadStatic(data)
+	loaded, err := wavelettrie.LoadFrozen(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkStringEquiv(t, orig, loaded, probesFor(seq))
 	checkRangeEquiv(t, orig, loaded)
-	// A Static is its Frozen: the same bytes, which Load reopens as one.
-	frozen, err := orig.Frozen().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, frozen) {
-		t.Fatal("Static.MarshalBinary differs from Static.Frozen().MarshalBinary")
-	}
 	if ix, err := wavelettrie.Load(data); err != nil {
 		t.Fatal(err)
 	} else if _, ok := ix.(*wavelettrie.Frozen); !ok {
-		t.Fatalf("Load of a Static's bytes returned %T, want *Frozen", ix)
+		t.Fatalf("Load of NewStatic's bytes returned %T, want *Frozen", ix)
 	}
 }
 
@@ -144,7 +136,7 @@ func TestRoundTripStatic(t *testing.T) {
 const retiredStatic = "544c56570400010300000000000000020000000000000004000000000000000001000000000000000d0000000000000001030000000000000000000000000000010000000000000001000000000000000100000000000000300000000000000017000000000000000100000000000000deb40b0000000000001700000000000000000000000000000100000000000000d0b50b000000000000"
 
 // TestRetiredStaticRefused: the pointer Static format is a named break
-// with no reader. Load and LoadStatic refuse a kind-1 container with an
+// with no reader. Load and LoadFrozen refuse a kind-1 container with an
 // error that names it, and leave its bytes as they were.
 func TestRetiredStaticRefused(t *testing.T) {
 	data, err := hex.DecodeString(retiredStatic)
@@ -154,7 +146,7 @@ func TestRetiredStaticRefused(t *testing.T) {
 	orig := bytes.Clone(data)
 	for name, load := range map[string]func([]byte) (wavelettrie.Index, error){
 		"Load":       wavelettrie.Load,
-		"LoadStatic": func(b []byte) (wavelettrie.Index, error) { return wavelettrie.LoadStatic(b) },
+		"LoadFrozen": func(b []byte) (wavelettrie.Index, error) { return wavelettrie.LoadFrozen(b) },
 	} {
 		ix, err := load(data)
 		if err == nil {
@@ -285,7 +277,7 @@ func TestRoundTripNumeric(t *testing.T) {
 
 func TestRoundTripFrozen(t *testing.T) {
 	seq := testSeq()
-	orig := wavelettrie.NewStatic(seq).Frozen()
+	orig := wavelettrie.NewStatic(seq)
 	data, err := orig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +293,8 @@ func TestRoundTripEmpty(t *testing.T) {
 	for name, ix := range map[string]wavelettrie.Index{
 		"appendonly": wavelettrie.NewAppendOnly(),
 		"dynamic":    wavelettrie.NewDynamic(),
-		"static":     wavelettrie.NewStatic(nil),
 		"numeric":    wavelettrie.NewNumeric(16, 1),
-		"frozen":     wavelettrie.NewStatic(nil).Frozen(),
+		"frozen":     wavelettrie.NewStatic(nil),
 	} {
 		data, err := ix.MarshalBinary()
 		if err != nil {
@@ -337,8 +328,8 @@ func TestLoadDispatch(t *testing.T) {
 	if _, err := wavelettrie.LoadDynamic(data); err == nil {
 		t.Fatal("LoadDynamic accepted an AppendOnly snapshot")
 	}
-	if _, err := wavelettrie.LoadStatic(data); err == nil {
-		t.Fatal("LoadStatic accepted an AppendOnly snapshot")
+	if _, err := wavelettrie.LoadFrozen(data); err == nil {
+		t.Fatal("LoadFrozen accepted an AppendOnly snapshot")
 	}
 }
 
@@ -348,10 +339,9 @@ func TestLoadDispatch(t *testing.T) {
 func TestLoadRejectsCorrupt(t *testing.T) {
 	seq := testSeq()
 	for name, ix := range map[string]wavelettrie.Index{
-		"static":     wavelettrie.NewStatic(seq),
 		"appendonly": wavelettrie.NewAppendOnlyFrom(seq),
 		"dynamic":    wavelettrie.NewDynamicFrom(seq),
-		"frozen":     wavelettrie.NewStatic(seq).Frozen(),
+		"frozen":     wavelettrie.NewStatic(seq),
 	} {
 		data, err := ix.MarshalBinary()
 		if err != nil {
@@ -393,10 +383,9 @@ func TestLoadSurvivesEveryBitFlip(t *testing.T) {
 		seq = append(seq, []string{"a", "b", "r"}[(i*i+i/3)%3])
 	}
 	for name, ix := range map[string]wavelettrie.Index{
-		"static":     wavelettrie.NewStatic(seq),
 		"appendonly": wavelettrie.NewAppendOnlyFrom(seq),
 		"dynamic":    wavelettrie.NewDynamicFrom(seq),
-		"frozen":     wavelettrie.NewStatic(seq).Frozen(),
+		"frozen":     wavelettrie.NewStatic(seq),
 	} {
 		data, err := ix.MarshalBinary()
 		if err != nil {
@@ -509,7 +498,7 @@ func FuzzLoad(f *testing.F) {
 	addSeed(wavelettrie.NewStatic(seq))
 	addSeed(wavelettrie.NewAppendOnlyFrom(seq))
 	addSeed(wavelettrie.NewDynamicFrom(seq))
-	addSeed(wavelettrie.NewStatic(seq).Frozen())
+	addSeed(wavelettrie.NewStatic([]string{"", "\x00", "\xff", "", "\x00\xff"}))
 	num := wavelettrie.NewNumeric(16, 3)
 	for i := 0; i < 50; i++ {
 		num.Append(uint64(i % 7))
@@ -524,11 +513,6 @@ func FuzzLoad(f *testing.F) {
 	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A Static is reopened from a Frozen container, and every
-		// RangeIndex method runs the §5 kernel on the succinct trie.
-		if st, err := wavelettrie.LoadStatic(data); err == nil && st.Len() <= 1<<30 {
-			exerciseLoaded(st)
-		}
 		ix, err := wavelettrie.Load(data)
 		if err != nil {
 			return
@@ -541,6 +525,8 @@ func FuzzLoad(f *testing.F) {
 			// skip the full exercise to bound fuzz iteration cost.
 			return
 		}
+		// Every index Load accepts runs its whole surface: a Frozen's
+		// RangeIndex methods run the §5 kernel on the succinct trie.
 		exerciseLoaded(ix)
 	})
 }

@@ -32,9 +32,6 @@ type Options struct {
 	// MaxBatch caps the values in one group commit (and the pending
 	// append queue length). Default 1024.
 	MaxBatch int
-	// MaxIterBatch caps the values returned by one Iterate call (also
-	// the default when the client asks for 0). Default 4096.
-	MaxIterBatch int
 	// SlowOp is the latency threshold above which a request — a frame or
 	// a gateway call — is logged, naming the op, its key shape and the
 	// visible length of the view that served it. 0 disables the slow-op
@@ -58,9 +55,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 1024
-	}
-	if out.MaxIterBatch <= 0 {
-		out.MaxIterBatch = 4096
 	}
 	if out.ReplHeartbeat <= 0 {
 		out.ReplHeartbeat = 2 * time.Second
@@ -452,7 +446,7 @@ func writeOptPos(w *wire.Writer, pos int, ok bool) {
 // positions this server has never held — a client that switched
 // servers, or a hostile one — and is an error, never a clamp.
 //
-// The page holds at most Max values (MaxIterBatch when Max is 0 or above
+// The page holds at most Max values (maxIterBatch when Max is 0 or above
 // it; none when it is negative, which only the gateway asks for) and
 // stops once it holds iterByteBudget bytes, but holds at least one value
 // when any is left. The walked range is bounded by the page, not by the
@@ -469,8 +463,8 @@ func (s *Server) iterate(c *connState, req *Request) error {
 	}
 	start := min(req.Pos, end)
 	max := req.Max
-	if max == 0 || max > s.opts.MaxIterBatch {
-		max = s.opts.MaxIterBatch
+	if max == 0 || max > maxIterBatch {
+		max = maxIterBatch
 	}
 	body := &c.page
 	body.Reset()
@@ -505,7 +499,11 @@ func (s *Server) iterate(c *connState, req *Request) error {
 // worst-case position and length prefix.
 const iterByteBudget = 4 << 20
 
-// writePage answers one scan request: up to max matches (MaxIterBatch when
+// maxIterBatch caps the values in one Iterate or scan page, and is the
+// page size a client that asks for 0 gets.
+const maxIterBatch = 4096
+
+// writePage answers one scan request: up to max matches (maxIterBatch when
 // max is not positive or above it) within the byte budget, and at least
 // one when any exists, so a resuming client always makes progress. The
 // page's matches are encoded into c.page as the cursor yields them —
@@ -514,8 +512,8 @@ const iterByteBudget = 4 << 20
 // (done flag, the echoed match offset, the count, known only at the end)
 // and the matches then go into the response.
 func (s *Server) writePage(c *connState, sn *store.Snapshot, from, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool)) {
-	if max <= 0 || max > s.opts.MaxIterBatch {
-		max = s.opts.MaxIterBatch
+	if max <= 0 || max > maxIterBatch {
+		max = maxIterBatch
 	}
 	body := &c.page
 	body.Reset()

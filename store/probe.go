@@ -57,7 +57,7 @@ func (f frozenSeg) Access(pos int) string {
 }
 
 func (f frozenSeg) Iterate(l, r int, fn func(pos int, s string) bool) {
-	f.Frozen.Iterate(l, r, fn)
+	f.Frozen.Enumerate(l, r, fn)
 	runtime.KeepAlive(f.Frozen)
 }
 

@@ -15,7 +15,7 @@ import (
 
 // The router is the sharded store's interleave map: the sequence of
 // shard ids in global append order. Position arithmetic over it is what
-// stitches per-shard answers into global ones (see shardsnap.go):
+// stitches per-shard answers into global ones (see snapshot.go):
 //
 //	shard owning global position g   = at(g)
 //	local position of g in its shard = rank(at(g), g)

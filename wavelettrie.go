@@ -16,7 +16,9 @@ type Distinct struct {
 // queries is the shared byte-string query surface; it adapts the
 // bit-level API of the pointer tries (internal/core) and of the succinct
 // one (internal/succinct) through the prefix-free binarization of
-// internal/bitstr, so user strings may contain arbitrary bytes.
+// internal/bitstr, so user strings may contain arbitrary bytes. An
+// EnumerateBits may hand fn a view valid only for that call; Enumerate
+// decodes it at once.
 type queries struct {
 	w interface {
 		Len() int
@@ -54,13 +56,7 @@ func (q *queries) AvgHeight() float64 { return q.w.AvgHeight() }
 
 // Access returns the string at position pos. It panics if pos is out of
 // range, like a slice access.
-func (q *queries) Access(pos int) string {
-	s, err := bitstr.DecodeString(q.w.AccessBits(pos))
-	if err != nil {
-		panic("wavelettrie: internal corruption: " + err.Error())
-	}
-	return s
-}
+func (q *queries) Access(pos int) string { return decode(q.w.AccessBits(pos)) }
 
 // Rank counts occurrences of s in positions [0, pos); pos may equal
 // Len(). Strings never inserted have rank 0.
@@ -97,13 +93,7 @@ func (q *queries) SelectPrefix(p string, idx int) (pos int, ok bool) {
 // cheaper than repeated Access (one Rank per trie node for the whole
 // range instead of per element). Return false from fn to stop early.
 func (q *queries) Enumerate(l, r int, fn func(pos int, s string) bool) {
-	q.w.EnumerateBits(l, r, func(pos int, bs bitstr.BitString) bool {
-		s, err := bitstr.DecodeString(bs)
-		if err != nil {
-			panic("wavelettrie: internal corruption: " + err.Error())
-		}
-		return fn(pos, s)
-	})
+	q.w.EnumerateBits(l, r, func(pos int, bs bitstr.BitString) bool { return fn(pos, decode(bs)) })
 }
 
 // Slice returns the elements of positions [l, r) as a fresh slice.
@@ -130,11 +120,7 @@ func (q *queries) RangeMajority(l, r int) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	s, err := bitstr.DecodeString(bs)
-	if err != nil {
-		panic("wavelettrie: internal corruption: " + err.Error())
-	}
-	return s, true
+	return decode(bs), true
 }
 
 // RangeThreshold returns every string occurring at least t times in
@@ -213,47 +199,33 @@ func decodePartial(p bitstr.BitString) ([]byte, bool) {
 	return out, false
 }
 
+// decode turns a stored element's bits back into its string.
+func decode(bs bitstr.BitString) string {
+	s, err := bitstr.DecodeString(bs)
+	if err != nil {
+		panic("wavelettrie: internal corruption: " + err.Error())
+	}
+	return s
+}
+
 func decodeDistinct(in []core.DistinctResult) []Distinct {
 	out := make([]Distinct, len(in))
 	for i, d := range in {
-		s, err := bitstr.DecodeString(d.Value)
-		if err != nil {
-			panic("wavelettrie: internal corruption: " + err.Error())
-		}
-		out[i] = Distinct{Value: s, Count: d.Count}
+		out[i] = Distinct{Value: decode(d.Value), Count: d.Count}
 	}
 	return out
 }
 
-// Static is the immutable Wavelet Trie (paper §3, Theorem 3.7) in its
-// fully-succinct encoding: queries in O(|s|+h_s) time, space
-// LT(Sset) + nH₀(S) + o(h̃n) bits. It is the Frozen trie with the §5
-// range analytics on top (RangeIndex); Frozen shares its encoding.
-type Static struct {
-	queries
-	t *succinct.Trie
-}
-
-// NewStatic builds a Static Wavelet Trie over seq: an AppendOnly over seq
+// NewStatic builds the immutable Wavelet Trie (paper §3, Theorem 3.7) over
+// seq in its fully-succinct encoding, a Frozen: an AppendOnly over seq
 // frozen structurally, as a store's flush freezes its memtable.
-func NewStatic(seq []string) *Static {
+func NewStatic(seq []string) *Frozen {
 	f, err := NewAppendOnlyFrom(seq).Frozen()
 	if err != nil {
 		panic("wavelettrie: NewStatic: " + err.Error())
 	}
-	return newStatic(f.t)
+	return f
 }
-
-func newStatic(t *succinct.Trie) *Static { return &Static{queries: queries{w: t}, t: t} }
-
-// SizeBits returns the measured in-memory footprint in bits of the §3
-// encoding — DFUDS-style shape, concatenated delimited labels and one
-// concatenated RRR bitvector, with their directories.
-func (s *Static) SizeBits() int { return s.t.SizeBits() }
-
-// SuccinctSizeBits returns the size of the §3 encoding: SizeBits, since
-// that encoding is the only one a Static has.
-func (s *Static) SuccinctSizeBits() int { return s.t.SizeBits() }
 
 // AppendOnly is the append-only Wavelet Trie (Theorem 4.3): Append and
 // all queries in O(|s|+h_s), space LB + PT + o(h̃n) bits.
@@ -296,7 +268,7 @@ func (a *AppendOnly) Frozen() (*Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Frozen{t: t}, nil
+	return newFrozen(t, nil), nil
 }
 
 // FeedValues registers this trie's distinct values into fb — one pass-1
@@ -361,11 +333,7 @@ func (d *Dynamic) Append(s string) { d.d.AppendBits(bitstr.EncodeString(s)) }
 // Delete removes and returns the string at position pos. Deleting the
 // last occurrence of a string shrinks the alphabet.
 func (d *Dynamic) Delete(pos int) string {
-	s, err := bitstr.DecodeString(d.d.DeleteAt(pos))
-	if err != nil {
-		panic("wavelettrie: internal corruption: " + err.Error())
-	}
-	return s
+	return decode(d.d.DeleteAt(pos))
 }
 
 // SizeBits returns the measured in-memory footprint in bits.

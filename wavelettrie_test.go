@@ -100,8 +100,9 @@ func TestDynamicLifecycle(t *testing.T) {
 }
 
 // TestRangeAnalytics is the differential test of the §5 surface: on
-// AppendOnly and Dynamic (the pointer tries) and Static (the succinct
-// one), all served by the one kernel, Enumerate, Slice, DistinctInRange,
+// AppendOnly and Dynamic (the pointer tries) and Frozen (the succinct one,
+// built, reloaded by LoadFrozen and by LoadFrozenMapped), all served by
+// the one kernel, Enumerate, Slice, DistinctInRange,
 // RangeMajority, RangeThreshold, TopK and DistinctPrefixes answer as the
 // flat oracle does — on empty, full and random windows, and on windows
 // inside a run long enough to hold a majority.
@@ -124,10 +125,25 @@ func TestRangeAnalytics(t *testing.T) {
 		l := r.Intn(n + 1)
 		windows = append(windows, [2]int{l, l + r.Intn(n-l+1)})
 	}
+	frozen := NewStatic(seq)
+	data, err := frozen.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFrozen(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadFrozenMapped(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, w := range map[string]RangeIndex{
-		"appendonly": NewAppendOnlyFrom(seq),
-		"dynamic":    NewDynamicFrom(seq),
-		"static":     NewStatic(seq),
+		"appendonly":    NewAppendOnlyFrom(seq),
+		"dynamic":       NewDynamicFrom(seq),
+		"frozen":        frozen,
+		"frozen.loaded": loaded,
+		"frozen.mapped": mapped,
 	} {
 		for _, lr := range windows {
 			l, rr := lr[0], lr[1]
@@ -183,7 +199,7 @@ func TestRangeAnalytics(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders: a Static serves concurrent readers — the point
+// TestConcurrentReaders: a Frozen serves concurrent readers — the point
 // queries and the §5 kernel alike — with no synchronization.
 func TestConcurrentReaders(t *testing.T) {
 	r := rand.New(rand.NewSource(182))
@@ -243,12 +259,8 @@ func TestBinaryContent(t *testing.T) {
 func TestSpaceAccessors(t *testing.T) {
 	seq := workload.ZipfStrings(5000, 64, 1.4, 2)
 	st := NewStatic(seq)
-	if st.SizeBits() <= 0 || st.SuccinctSizeBits() != st.SizeBits() {
-		t.Fatalf("SizeBits %d and SuccinctSizeBits %d must be the one positive size",
-			st.SizeBits(), st.SuccinctSizeBits())
-	}
-	if st.SizeBits() != st.Frozen().SizeBits() {
-		t.Fatalf("Static %d bits, its Frozen %d: they share one encoding", st.SizeBits(), st.Frozen().SizeBits())
+	if st.SizeBits() <= 0 {
+		t.Fatalf("SizeBits %d, want a positive size", st.SizeBits())
 	}
 	if st.AvgHeight() <= 0 || st.Height() < int(st.AvgHeight()) {
 		t.Fatal("height accessors inconsistent")
