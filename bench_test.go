@@ -181,6 +181,27 @@ func BenchmarkFrozenIteratePage(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*256), "ns/elem")
 }
 
+// BenchmarkLoadFrozenMapped brings a generation online the way a store
+// does: LoadFrozenMapped over the marshalled bytes of the 132 096 URL-log
+// values a point_read store compacts to, the directories (RRR samples,
+// excess index, Elias–Fano hints) rebuilt and the payload aliased.
+func BenchmarkLoadFrozenMapped(b *testing.B) {
+	data, err := NewStatic(workload.URLLog(132096, 1, workload.DefaultURLConfig())).MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := LoadFrozenMapped(data, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += f.Len()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+}
+
 // --- Write path: the freeze a flush runs and the merge a compaction runs ---
 //
 // The "structural" arms are the store's path (AppendOnly.Frozen,

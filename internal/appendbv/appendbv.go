@@ -303,12 +303,13 @@ func (v *Vector) AppendTo(dst *bitstr.Builder) (ones int) {
 }
 
 // Iter returns a sequential bit cursor starting at pos, with O(1)
-// amortized Next (used by the §5 sequential-access algorithm).
-func (v *Vector) Iter(pos int) *Iter {
+// amortized Next (used by the §5 sequential-access algorithm). It is a
+// value, so a walk that keeps one cursor per node holds them in place.
+func (v *Vector) Iter(pos int) Iter {
 	if pos < 0 || pos > v.Len() {
 		panic(fmt.Sprintf("appendbv: Iter(%d) out of range [0,%d]", pos, v.Len()))
 	}
-	it := &Iter{v: v, pos: pos}
+	it := Iter{v: v, pos: pos}
 	it.sync()
 	return it
 }
@@ -316,16 +317,16 @@ func (v *Vector) Iter(pos int) *Iter {
 // Iter is a sequential cursor over a Vector. The vector must not be
 // appended to while an iterator is in use.
 type Iter struct {
-	v   *Vector
-	pos int
-	seg *rrr.Iter // non-nil while inside a sealed segment
+	v     *Vector
+	pos   int
+	inSeg bool     // inside a sealed segment, which seg walks
+	seg   rrr.Iter // valid while inSeg
 }
 
 func (it *Iter) sync() {
-	it.seg = nil
 	p := it.pos - it.v.initLen
-	if p >= 0 && p < len(it.v.segs)*SegmentBits {
-		it.seg = it.v.segs[p/SegmentBits].Iter(p % SegmentBits)
+	if it.inSeg = p >= 0 && p < len(it.v.segs)*SegmentBits; it.inSeg {
+		it.seg.Reset(it.v.segs[p/SegmentBits], 0, p%SegmentBits)
 	}
 }
 
@@ -341,14 +342,14 @@ func (it *Iter) Next() byte {
 	switch {
 	case it.pos < it.v.initLen:
 		b = it.v.initBit
-	case it.seg != nil:
+	case it.inSeg:
 		b = it.seg.Next()
 	default:
 		p := it.pos - it.v.initLen - len(it.v.segs)*SegmentBits
 		b = byte(it.v.tail[p>>6]>>(uint(p)&63)) & 1
 	}
 	it.pos++
-	if it.seg != nil && !it.seg.Valid() {
+	if it.inSeg && !it.seg.Valid() {
 		it.sync()
 	} else if it.pos == it.v.initLen {
 		it.sync()

@@ -54,7 +54,8 @@ type bitIter interface {
 func iterAt(v vector, pos int) bitIter {
 	switch x := v.(type) {
 	case *appendbv.Vector:
-		return x.Iter(pos)
+		it := x.Iter(pos)
+		return &it
 	case *dynbv.Vector:
 		return x.Iter(pos)
 	default:

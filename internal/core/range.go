@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/appendbv"
 	"repro/internal/bitstr"
 )
 
@@ -50,38 +51,20 @@ func checkRange(op string, l, r, n int) {
 // algorithm of §5: every traversed node is entered with a single Rank and
 // then advanced with O(1) iterators, so extracting element i costs
 // O(|sᵢ|) plus amortized shared-path work instead of O(|sᵢ| + h·C_op)
-// per element for repeated Access.
+// per element for repeated Access. Every element is decoded into one
+// scratch builder: fn receives a view of it, valid only for that call.
 func (w *wtrie) EnumerateBits(l, r int, fn func(pos int, s bitstr.BitString) bool) {
 	checkRange("Enumerate", l, r, w.n)
 	if l == r {
 		return
 	}
-	root := newEnumState(w.t.Root(), l)
-	for pos := l; pos < r; pos++ {
-		b := bitstr.NewBuilder(0)
-		root.next(b)
-		if !fn(pos, b.BitString()) {
-			return
-		}
-	}
-}
-
-// FeedBits is EnumerateBits with a reused scratch builder: fn receives a
-// BitString view that aliases the scratch storage and is valid only for
-// the duration of the call. Streaming consumers that copy each element
-// into their own accumulator (e.g. the succinct freeze builder) use it to
-// enumerate without a per-element allocation.
-func (w *wtrie) FeedBits(l, r int, fn func(s bitstr.BitString) bool) {
-	checkRange("FeedBits", l, r, w.n)
-	if l == r {
-		return
-	}
-	root := newEnumState(w.t.Root(), l)
+	var slab enumSlab
+	root := slab.open(w.t.Root(), l)
 	b := bitstr.NewBuilder(0)
 	for pos := l; pos < r; pos++ {
 		b.Reset()
-		root.next(b)
-		if !fn(b.View()) {
+		root.next(b, &slab)
+		if !fn(pos, b.View()) {
 			return
 		}
 	}
@@ -90,22 +73,42 @@ func (w *wtrie) FeedBits(l, r int, fn func(s bitstr.BitString) bool) {
 // enumState holds a lazily-opened iterator per traversed node.
 type enumState struct {
 	nd   *node
-	it   bitIter
-	pos  int // position in nd's subsequence of the next unread bit
+	it   bitIter       // nil on a leaf; &ait on an AppendOnly node
+	ait  appendbv.Iter // the cursor over an AppendOnly node's β, in place
+	pos  int           // position in nd's subsequence of the next unread bit
 	kids [2]*enumState
 }
 
-func newEnumState(nd *node, pos int) *enumState {
-	es := &enumState{nd: nd, pos: pos}
+// enumSlab hands out the enumStates of one walk a chunk at a time, so
+// opening a node allocates at most once per enumChunk nodes, and a chunk,
+// never grown, keeps the states' addresses fixed.
+type enumSlab []enumState
+
+const enumChunk = 32
+
+// open returns the state of nd, its cursor at position pos of nd's
+// subsequence.
+func (s *enumSlab) open(nd *node, pos int) *enumState {
+	if len(*s) == cap(*s) {
+		*s = make([]enumState, 0, enumChunk)
+	}
+	*s = append(*s, enumState{nd: nd, pos: pos})
+	es := &(*s)[len(*s)-1]
 	if !nd.IsLeaf() {
-		es.it = iterAt(nd.Payload, pos)
+		if bv, ok := nd.Payload.(*appendbv.Vector); ok {
+			es.ait = bv.Iter(pos)
+			es.it = &es.ait
+		} else {
+			es.it = iterAt(nd.Payload, pos)
+		}
 	}
 	return es
 }
 
 // next appends the current element's remaining suffix (from this node
-// down) to b and advances the iterators.
-func (es *enumState) next(b *bitstr.Builder) {
+// down) to b and advances the iterators, opening a child from slab the
+// first time the walk takes it.
+func (es *enumState) next(b *bitstr.Builder, slab *enumSlab) {
 	b.Append(es.nd.Label())
 	if es.nd.IsLeaf() {
 		return
@@ -117,10 +120,10 @@ func (es *enumState) next(b *bitstr.Builder) {
 	child := es.kids[bit]
 	if child == nil {
 		// First traversal through this child: one Rank to find the start.
-		child = newEnumState(es.nd.Child(bit), es.nd.Payload.Rank(bit, cur))
+		child = slab.open(es.nd.Child(bit), es.nd.Payload.Rank(bit, cur))
 		es.kids[bit] = child
 	}
-	child.next(b)
+	child.next(b, slab)
 }
 
 // DistinctResult is one distinct value found in a range, with its number

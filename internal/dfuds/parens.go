@@ -9,7 +9,8 @@
 //
 // The parentheses sequence is stored as a plain bitvector (1 = open); the
 // excess search behind FindClose uses a two-level block index
-// (per-64-bit-word relative min excess, then per-64-word superblock),
+// (per-64-bit-word relative min excess, the word's total read off its
+// popcount, then per-64-word superblock min and total),
 // giving skips at two scales — the practical stand-in for the
 // range-min-max tree. Inside a word the search goes a byte at a time
 // through 256-entry excess tables, never a bit at a time.
@@ -31,12 +32,12 @@ const (
 // FindClose.
 type Parens struct {
 	bv *bitvec.Vector
-	// Per-block (64-bit word) summaries, relative to the block start:
-	// total excess delta, and min of the running excess within the block
-	// (over prefix lengths 0..64, hence including the endpoints) — all a
-	// forward search for a close needs.
-	blockExc []int16
-	blockMin []int16
+	// Per-block (64-bit word) min of the running excess within the block,
+	// relative to the block start, over prefix lengths 0..64 (hence
+	// including the endpoints, and in [-64, 0]). The block's total excess,
+	// which a forward search for a close needs beside it, is read off the
+	// word: twice its popcount less 64 (findClose).
+	blockMin []int8
 	// Superblock (64 blocks) summaries, relative to superblock start.
 	superExc []int32
 	superMin []int32
@@ -49,8 +50,7 @@ func NewParens(bv *bitvec.Vector) *Parens {
 	n := bv.Len()
 	nb := (n + blockBits - 1) / blockBits
 	ns := (nb + blocksPerSuper - 1) / blocksPerSuper
-	p.blockExc = make([]int16, nb)
-	p.blockMin = make([]int16, nb)
+	p.blockMin = make([]int8, nb)
 	p.superExc = make([]int32, ns)
 	p.superMin = make([]int32, ns)
 	words := bv.Words()
@@ -70,17 +70,10 @@ func NewParens(bv *bitvec.Vector) *Parens {
 			exc += int(w>>uint(i)&1)*2 - 1
 			mn = min(mn, exc)
 		}
-		p.blockExc[b] = int16(exc)
-		p.blockMin[b] = int16(mn)
-	}
-	for s := 0; s < ns; s++ {
-		exc, mn := int32(0), int32(0)
-		for b := s * blocksPerSuper; b < (s+1)*blocksPerSuper && b < nb; b++ {
-			mn = min(mn, exc+int32(p.blockMin[b]))
-			exc += int32(p.blockExc[b])
-		}
-		p.superExc[s] = exc
-		p.superMin[s] = mn
+		p.blockMin[b] = int8(mn)
+		s := b / blocksPerSuper
+		p.superMin[s] = min(p.superMin[s], p.superExc[s]+int32(mn))
+		p.superExc[s] += int32(exc)
 	}
 	return p
 }
@@ -165,7 +158,7 @@ func (p *Parens) findClose(i int) (q int, ok bool) {
 		}
 		depth += 2*bits.OnesCount64(words[b]>>off) - int(blockBits-off)
 		// Skip blocks and superblocks that cannot bring the depth to 0.
-		for b++; b < len(p.blockExc); {
+		for b++; b < len(p.blockMin); {
 			if b%blocksPerSuper == 0 {
 				if s := b / blocksPerSuper; depth+int(p.superMin[s]) > 0 {
 					depth += int(p.superExc[s])
@@ -174,7 +167,9 @@ func (p *Parens) findClose(i int) (q int, ok bool) {
 				}
 			}
 			if depth+int(p.blockMin[b]) > 0 {
-				depth += int(p.blockExc[b])
+				// The word's excess. The last word's padding reads as
+				// closes here, but past that word nothing is searched.
+				depth += 2*bits.OnesCount64(words[b]) - blockBits
 				b++
 				continue
 			}
@@ -188,5 +183,5 @@ func (p *Parens) findClose(i int) (q int, ok bool) {
 // SizeBits returns the footprint: parens plus the excess index.
 func (p *Parens) SizeBits() int {
 	return p.bv.SizeBits() +
-		len(p.blockExc)*2*16 + len(p.superExc)*2*32
+		len(p.blockMin)*8 + len(p.superExc)*2*32
 }

@@ -10,9 +10,11 @@
 // ⌈log₂ C(63,c)⌉ bits). Low-entropy blocks therefore take few bits: a run
 // of zeros costs 6 bits per 63. Every 16 blocks a superblock sample
 // records the rank and the bit position of the block's offset in the
-// offset stream — two samples packed into one 16-byte entry, the second as
-// what it adds to the first — so queries add up at most one superblock of
-// class fields (several per word read) and visit one block body.
+// offset stream, in a two-level directory (the sampled counters of
+// Vigna's rank9): one 16-byte absolute entry per 32 superblocks, and per
+// superblock one 32-bit entry holding what it adds to its group's — 36
+// bits a superblock — so queries add up at most one superblock of class
+// fields (several per word read) and visit one block body.
 //
 // Blocks are indexed in split order (encodeBlock): by the ones in the low
 // half, then the low half's rank, then the high half's, each half split
@@ -270,40 +272,38 @@ type Vector struct {
 	classes []uint64 // packed 6-bit classes, one per block
 	offsets []uint64 // packed variable-width offsets
 
-	// Superblock directory: for superblock s (covering blocks
+	// Superblock directory, two levels: for superblock s (covering blocks
 	// [s*16,(s+1)*16)) a rank, the number of ones between the start of the
 	// segment that owns the superblock's first bit and that bit, and a
 	// pos, the bit position of its first offset in the stream (sampleAt).
-	// One entry holds superblocks 2e and 2e+1 and is one cache line touch;
-	// a closing entry holds the stream's length.
-	super []sample
+	// groups holds both absolutely for the first superblock of every run of
+	// groupSupers, super each superblock's 32-bit entry relative to its
+	// group's.
+	groups []sample
+	super  []uint32
 }
 
-// sample packs two superblocks' samples into two words. The low rankBits
-// of rank and posBits of pos are the even superblock's; above them sits
-// what the odd one adds: to pos, the offset bits of the even superblock's
-// sixteen blocks; to rank, its ones — or, with ownFlag, the odd
-// superblock's rank itself, when the segment owning its first bit starts
-// inside the even one (either is at most superBits).
+// sample is a group's absolute rank and offset position.
 type sample struct{ rank, pos uint64 }
 
+// A superblock entry holds, in its low 16 bits, the rank: what the
+// superblock adds to its group's — or, with ownFlag, its rank itself, when
+// a segment starts after the group's first bit and owns the superblock's
+// — and in its high 16 bits what it adds to its group's pos. Either count
+// spans at most groupSupers-1 superblocks: ≤ 31·1008 ones and ≤ 31·16·61
+// offset bits.
 const (
-	rankBits = 52
-	posBits  = 48
-	ownFlag  = 1 << (64 - rankBits - 1)
+	groupSupers = 32
+	ownFlag     = 1 << 15
 )
 
 // sampleAt returns superblock s's rank and offset position.
 func (v *Vector) sampleAt(s int) (rank, pos int) {
-	e := &v.super[s>>1]
-	rank, pos = int(e.rank&(1<<rankBits-1)), int(e.pos&(1<<posBits-1))
-	if s&1 == 1 {
-		pos += int(e.pos >> posBits)
-		if d := int(e.rank >> rankBits); d&ownFlag != 0 {
-			rank = d &^ ownFlag
-		} else {
-			rank += d
-		}
+	g := &v.groups[uint(s)/groupSupers]
+	e := v.super[s]
+	rank, pos = int(e&(ownFlag-1)), int(g.pos)+int(e>>16)
+	if e&ownFlag == 0 {
+		rank += int(g.rank)
 	}
 	return rank, pos
 }
@@ -319,37 +319,42 @@ func (v *Vector) sampleAt(s int) (rank, pos int) {
 func (v *Vector) buildSuper(starts *eliasfano.Monotone) {
 	nb := v.numBlocks()
 	ns := (nb + blocksPerSuper - 1) / blocksPerSuper
-	v.super = make([]sample, (ns+1)/2+1)
+	v.super = make([]uint32, ns)
+	v.groups = make([]sample, (ns+groupSupers-1)/groupSupers)
 	var it eliasfano.Iter
 	next, more := uint64(0), false
 	if starts != nil {
 		it = starts.Iter()
 		next, more = it.Next()
 	}
-	// rel counts the ones since the start that owns the bit being passed.
-	ones, rel, offPos := 0, 0, 0
+	// rel counts the ones since the start that owns the bit being passed;
+	// own says whether that start lies past the group's first bit.
+	ones, rel, offPos, own := 0, 0, 0, false
 	var cr classReader
 	if nb > 0 {
 		cr = v.classesFrom(0)
 	}
-	owner := ^uint64(0) // none
+	var g *sample // the group of superblock s
 	for s := 0; s < ns; s++ {
-		if e := &v.super[s>>1]; s&1 == 0 {
-			*e = sample{uint64(rel), uint64(offPos)}
-		} else {
-			d := uint64(rel) - e.rank // the even superblock's ones
-			if owner != ^uint64(0) {
-				d = uint64(rel) | ownFlag
-			}
-			e.rank |= d << rankBits
-			e.pos |= (uint64(offPos) - e.pos) << posBits
+		if s%groupSupers == 0 {
+			g = &v.groups[s/groupSupers]
+			*g = sample{uint64(rel), uint64(offPos)}
+			own = false
 		}
+		r := uint32(rel) - uint32(g.rank)
+		if own {
+			r = uint32(rel) | ownFlag
+		}
+		v.super[s] = r&(1<<16-1) | uint32(offPos-int(g.pos))<<16
 		// The last start up to the next superblock's first bit owns it.
 		end := uint64(s+1) * superBits
-		owner = ^uint64(0)
+		owner := ^uint64(0) // none
 		for more && next <= end {
 			owner = next
 			next, more = it.Next()
+		}
+		if owner != ^uint64(0) {
+			own = true
 		}
 		for b := s * blocksPerSuper; b < min((s+1)*blocksPerSuper, nb); b++ {
 			c := cr.next()
@@ -371,7 +376,6 @@ func (v *Vector) buildSuper(starts *eliasfano.Monotone) {
 			rel = 0
 		}
 	}
-	v.super[len(v.super)-1] = sample{pos: uint64(offPos)}
 	v.ones = ones
 }
 
@@ -710,21 +714,23 @@ func (v *Vector) scan(b byte, idx, to, blk, offPos, before int) (int, int, int, 
 // SizeBits returns the total size of the encoding in bits: packed classes,
 // packed offsets and the superblock directory.
 func (v *Vector) SizeBits() int {
-	return len(v.classes)*64 + len(v.offsets)*64 + len(v.super)*128
+	return len(v.classes)*64 + len(v.offsets)*64 + len(v.groups)*128 + len(v.super)*32
 }
 
 // OffsetStreamBits returns the size of the offset stream alone — the part
-// that approaches the information-theoretic minimum B(m,n).
+// that approaches the information-theoretic minimum B(m,n): the last
+// superblock's offset position and its blocks' offsets.
 func (v *Vector) OffsetStreamBits() int {
-	return int(v.super[len(v.super)-1].pos)
-}
-
-// Iter returns an iterator positioned at bit pos. Iterators provide O(1)
-// amortized Next, which §5's sequential-access algorithm relies on.
-func (v *Vector) Iter(pos int) *Iter {
-	it := new(Iter)
-	it.Reset(v, 0, pos)
-	return it
+	if len(v.super) == 0 {
+		return 0
+	}
+	s := len(v.super) - 1
+	_, pos := v.sampleAt(s)
+	cr := v.classesFrom(s * blocksPerSuper)
+	for b := s * blocksPerSuper; b < v.numBlocks(); b++ {
+		pos += offsetWidth[cr.next()]
+	}
+	return pos
 }
 
 // Reset points the cursor at bit pos of the segment of v that starts at
@@ -750,8 +756,9 @@ func (it *Iter) Reset(v *Vector, start, pos int) {
 	it.rest, it.left = w>>uint(in), blockBits-in
 }
 
-// Iter is a sequential bit cursor over a segment of a Vector; positions
-// and ranks count from the segment's start. Beside the bit it carries
+// Iter is a sequential bit cursor over a segment of a Vector, with the
+// O(1) amortized Next §5's sequential-access algorithm relies on;
+// positions and ranks count from the segment's start. Beside the bit it carries
 // Rank1 of its position, so a wavelet-trie walk reads a node's branch bit
 // and the position in the child from the one block visit.
 type Iter struct {

@@ -394,11 +394,18 @@ func TestAgainstPlainBitvec(t *testing.T) {
 	}
 }
 
+// iterAt returns a cursor at bit pos of v, a vector of one segment.
+func iterAt(v *Vector, pos int) *Iter {
+	it := new(Iter)
+	it.Reset(v, 0, pos)
+	return it
+}
+
 func TestIterMatchesAccess(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	v, plain := buildBoth(r, 5000, 0.3)
 	for _, start := range []int{0, 1, 62, 63, 100, 4999, 5000} {
-		it := v.Iter(start)
+		it := iterAt(v, start)
 		for pos := start; pos < 5000; pos++ {
 			if !it.Valid() {
 				t.Fatalf("iter invalid at %d", pos)
@@ -465,7 +472,7 @@ func TestPanics(t *testing.T) {
 		func() { v.Rank1(3) },
 		func() { v.Select1(1) },
 		func() { v.Select0(1) },
-		func() { v.Iter(3) },
+		func() { iterAt(v, 3) },
 		func() { rd := v.Reader(); rd.AppendTo(bitstr.NewBuilder(0), 3) },
 	} {
 		func() {
@@ -515,7 +522,7 @@ func BenchmarkIterSequential(b *testing.B) {
 	v, _ := buildBoth(r, 1<<20, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := v.Iter(0)
+		it := iterAt(v, 0)
 		var acc byte
 		for it.Valid() {
 			acc ^= it.Next()
@@ -532,7 +539,7 @@ func TestIterRankAndSeek(t *testing.T) {
 	for _, p := range []float64{0, 0.001, 0.5, 1} {
 		const n = 3*superBits + 100
 		v, plain := buildBoth(r, n, p)
-		it := v.Iter(0)
+		it := iterAt(v, 0)
 		for pos := 0; pos < n; pos++ {
 			if it.Pos() != pos || it.Rank1() != plain.Rank1(pos) {
 				t.Fatalf("p=%v: at %d cursor says pos %d rank %d, want rank %d", p, pos, it.Pos(), it.Rank1(), plain.Rank1(pos))

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/eliasfano"
 	"repro/internal/wire"
 )
@@ -14,7 +15,7 @@ import (
 // checkSegments builds the first n bits of words as the concatenation of
 // the segments that begin at cuts (sorted, within [0, n]; a final segment
 // runs to n) and checks every In query of every segment against popcount
-// arithmetic on the raw words: RankIn at every position up to and
+// the plain bitvector's Rank1: RankIn at every position up to and
 // including the segment's length, AccessRankIn at every bit, SelectIn of
 // every occurrence of either value, an Iter stepped through the segment
 // and sought around it, and Selectors fed increasing and then decreasing
@@ -22,9 +23,10 @@ import (
 // rebuilt samples must be the ones FromSegments made.
 func checkSegments(t testing.TB, r *rand.Rand, words []uint64, n int, cuts []int) {
 	t.Helper()
+	plain := bitvec.FromWords(words, n)
 	pre := make([]int, n+1) // pre[i] = ones in [0, i)
-	for i := 0; i < n; i++ {
-		pre[i+1] = pre[i] + int(words[i>>6]>>(uint(i)&63)&1)
+	for i := 0; i <= n; i++ {
+		pre[i] = plain.Rank1(i)
 	}
 	bit := func(i int) byte { return byte(pre[i+1] - pre[i]) }
 	starts := make([]uint64, len(cuts))
@@ -44,7 +46,7 @@ func checkSegments(t testing.TB, r *rand.Rand, words []uint64, n int, cuts []int
 	if err := rd.Done(); err != nil {
 		t.Fatalf("n=%d cuts=%v: decode: %v", n, cuts, err)
 	}
-	if !reflect.DeepEqual(again.super, v.super) {
+	if !reflect.DeepEqual(again.super, v.super) || !reflect.DeepEqual(again.groups, v.groups) {
 		t.Fatalf("n=%d cuts=%v: decoded samples differ from built ones", n, cuts)
 	}
 
@@ -205,6 +207,53 @@ func TestSegmentedDifferential(t *testing.T) {
 		}
 		p := []float64{0.001, 0.1, 0.5, 0.9}[trial%4]
 		checkSegments(t, r, randomWords(r, n, p), n, boundaryCuts(r, n, 1+r.Intn(40)))
+	}
+}
+
+// TestDirectoryGroupBoundaries checks every In query where the two-level
+// superblock directory changes level: segments that start on a group's
+// first bit, on a superblock's first bit inside a group, or one bit before
+// either; one segment spanning three groups and more; and an all-ones
+// vector, whose last superblock in a group carries the largest rank an
+// entry holds — as what it adds to its group's, or, for a segment that
+// starts past the group's first bit, as its own.
+func TestDirectoryGroupBoundaries(t *testing.T) {
+	const groupBits = groupSupers * superBits
+	r := rand.New(rand.NewSource(4101))
+	for _, tc := range []struct {
+		n    int
+		cuts []int
+	}{
+		{2*groupBits + 100, []int{0, groupBits}},
+		{2*groupBits + 100, []int{0, groupBits - 1}},
+		{2*groupBits + 100, []int{0, groupBits + 5*superBits}},
+		{2*groupBits + 100, []int{0, groupBits + 5*superBits - 1}},
+		{2*groupBits + 100, []int{0, superBits, groupBits - 1, groupBits, groupBits + superBits - 1, groupBits + superBits, 2 * groupBits}},
+		// One segment spanning three groups and more, from inside one.
+		{4*groupBits + 7, []int{0, groupBits/2 + 3}},
+		{4 * groupBits, []int{0, 3*superBits + 17, 4*groupBits - 1}},
+	} {
+		for _, p := range []float64{0.5, 0.02} {
+			checkSegments(t, r, randomWords(r, tc.n, p), tc.n, tc.cuts)
+		}
+	}
+	n := 3*groupBits + 50
+	ones := make([]uint64, (n+63)/64)
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	for _, cuts := range [][]int{{0}, {0, 1}, {0, groupBits + 1}} {
+		checkSegments(t, r, ones, n, cuts)
+	}
+	v := FromWords(ones, n)
+	for g := 0; g < 3; g++ {
+		s := g*groupSupers + groupSupers - 1
+		if d := int(v.super[s] & (ownFlag - 1)); d != (groupSupers-1)*superBits {
+			t.Fatalf("all ones: superblock %d adds %d to its group's rank, want %d", s, d, (groupSupers-1)*superBits)
+		}
+		if rank, _ := v.sampleAt(s); rank != s*superBits {
+			t.Fatalf("all ones: superblock %d samples rank %d, want %d", s, rank, s*superBits)
+		}
 	}
 }
 

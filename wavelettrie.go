@@ -288,7 +288,7 @@ func (a *AppendOnly) FeedValues(fb *FrozenBuilder) {
 func (a *AppendOnly) FeedRange(fb *FrozenBuilder, l, r int, cont func() bool) error {
 	var feedErr error
 	i := 0
-	a.a.FeedBits(l, r, func(s bitstr.BitString) bool {
+	a.a.EnumerateBits(l, r, func(_ int, s bitstr.BitString) bool {
 		if feedErr = fb.b.AppendBits(s); feedErr != nil {
 			return false
 		}

@@ -306,3 +306,21 @@ func TestNumericPublic(t *testing.T) {
 		t.Fatal("Delete")
 	}
 }
+
+// TestAppendOnlyEnumerateAllocations guards the pointer trie's streaming
+// read path — the memtable's scans go through it: Enumerate decodes every
+// element through one scratch builder into the string it hands out, and
+// keeps its node cursors in slab chunks of 32 — never a builder and a copy
+// of the bits per element, nor an allocation per node it opens.
+func TestAppendOnlyEnumerateAllocations(t *testing.T) {
+	seq := workload.URLLog(1000, 1, workload.DefaultURLConfig())
+	a := NewAppendOnlyFrom(seq)
+	n := a.Len()
+	allocs := testing.AllocsPerRun(10, func() {
+		a.Enumerate(0, n, func(int, string) bool { return true })
+	})
+	t.Logf("Enumerate over %d elements (%d distinct) allocates %.0f times", n, a.AlphabetSize(), allocs)
+	if allocs > float64(n)+64 {
+		t.Errorf("Enumerate over %d elements allocates %.0f times, want at most one per element and 64 for the walk", n, allocs)
+	}
+}
