@@ -222,7 +222,8 @@ func TestFrozenGoldenV5(t *testing.T) {
 
 // TestFrozenQueryAllocations guards the allocation-free read path: a
 // keyed query on a key of up to 256 bytes binarizes into a stack buffer
-// and descends without touching the heap.
+// and descends without touching the heap, and Access assembles its value
+// in one too, allocating only the string it returns.
 func TestFrozenQueryAllocations(t *testing.T) {
 	seq := goldenSeq()
 	f := NewStatic(seq)
@@ -241,6 +242,11 @@ func TestFrozenQueryAllocations(t *testing.T) {
 			if a := testing.AllocsPerRun(50, op); a != 0 {
 				t.Errorf("%s(%d-byte key) allocates %.1f times per call, want 0", name, len(k), a)
 			}
+		}
+	}
+	for _, pos := range []int{0, 1234, n / 2, len(seq) - 4} { // values of up to 128 bytes
+		if a := testing.AllocsPerRun(50, func() { f.Access(pos) }); a > 1 {
+			t.Errorf("Access(%d) of a %d-byte value allocates %.1f times per call, want 1 (its string)", pos, len(seq[pos]), a)
 		}
 	}
 }

@@ -236,10 +236,26 @@ func BuilderOver(buf []uint64) Builder { return Builder{words: buf[:0]} }
 // Len returns the number of bits appended so far.
 func (b *Builder) Len() int { return b.n }
 
+// extend lengthens the word array by k words, its new words zero, in
+// place while the capacity lasts. It reslices rather than appends: a
+// reslice of a field into itself is no store as far as escape analysis
+// goes, so a Builder over a caller's stack buffer (BuilderOver) keeps the
+// buffer on the stack, however it is passed down.
+func (b *Builder) extend(k int) {
+	n := len(b.words) + k
+	if n > cap(b.words) {
+		w := make([]uint64, len(b.words), max(n, 2*cap(b.words)))
+		copy(w, b.words)
+		b.words = w
+	}
+	b.words = b.words[:n]
+	clear(b.words[n-k:])
+}
+
 // AppendBit appends a single bit (0 or 1).
 func (b *Builder) AppendBit(bit byte) {
 	if b.n&63 == 0 {
-		b.words = append(b.words, 0)
+		b.extend(1)
 	}
 	if bit != 0 {
 		b.words[b.n>>6] |= 1 << (uint(b.n) & 63)
@@ -261,11 +277,13 @@ func (b *Builder) AppendUint(v uint64, nbits int) {
 	}
 	off := uint(b.n) & 63
 	if off == 0 {
-		b.words = append(b.words, v)
+		b.extend(1)
+		b.words[len(b.words)-1] = v
 	} else {
 		b.words[len(b.words)-1] |= v << off
 		if int(off)+nbits > 64 {
-			b.words = append(b.words, v>>(64-off))
+			b.extend(1)
+			b.words[len(b.words)-1] = v >> (64 - off)
 		}
 	}
 	b.n += nbits
@@ -296,7 +314,8 @@ func (b *Builder) AppendRange(words []uint64, from, n int) {
 	if b.n&63 == 0 && from&63 == 0 {
 		// Both aligned: bulk-copy the whole words.
 		whole := n >> 6
-		b.words = append(b.words, words[from>>6:from>>6+whole]...)
+		b.extend(whole)
+		copy(b.words[len(b.words)-whole:], words[from>>6:from>>6+whole])
 		b.n += whole << 6
 		i = whole << 6
 	}

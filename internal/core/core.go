@@ -57,7 +57,8 @@ func iterAt(v vector, pos int) bitIter {
 		it := x.Iter(pos)
 		return &it
 	case *dynbv.Vector:
-		return x.Iter(pos)
+		it := x.Iter(pos)
+		return &it
 	default:
 		panic(fmt.Sprintf("core: no iterator for vector type %T", v))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/appendbv"
 	"repro/internal/bitstr"
+	"repro/internal/dynbv"
 )
 
 // This file implements the §5 range-query algorithms once, for every
@@ -73,34 +74,46 @@ func (w *wtrie) EnumerateBits(l, r int, fn func(pos int, s bitstr.BitString) boo
 // enumState holds a lazily-opened iterator per traversed node.
 type enumState struct {
 	nd   *node
-	it   bitIter       // nil on a leaf; &ait on an AppendOnly node
+	it   bitIter       // nil on a leaf; &ait on an AppendOnly node, a slab cursor on a Dynamic one
 	ait  appendbv.Iter // the cursor over an AppendOnly node's β, in place
 	pos  int           // position in nd's subsequence of the next unread bit
 	kids [2]*enumState
 }
 
-// enumSlab hands out the enumStates of one walk a chunk at a time, so
-// opening a node allocates at most once per enumChunk nodes, and a chunk,
-// never grown, keeps the states' addresses fixed.
-type enumSlab []enumState
+// enumSlab hands out the enumStates of one walk — and the cursors over
+// a Dynamic node's β, which are too large to sit in every state — a chunk
+// at a time, so opening a node allocates at most once per enumChunk
+// nodes, and a chunk, never grown, keeps the addresses fixed.
+type enumSlab struct {
+	states []enumState
+	dyn    []dynbv.Iter
+}
 
 const enumChunk = 32
 
 // open returns the state of nd, its cursor at position pos of nd's
 // subsequence.
 func (s *enumSlab) open(nd *node, pos int) *enumState {
-	if len(*s) == cap(*s) {
-		*s = make([]enumState, 0, enumChunk)
+	if len(s.states) == cap(s.states) {
+		s.states = make([]enumState, 0, enumChunk)
 	}
-	*s = append(*s, enumState{nd: nd, pos: pos})
-	es := &(*s)[len(*s)-1]
-	if !nd.IsLeaf() {
-		if bv, ok := nd.Payload.(*appendbv.Vector); ok {
-			es.ait = bv.Iter(pos)
-			es.it = &es.ait
-		} else {
-			es.it = iterAt(nd.Payload, pos)
+	s.states = append(s.states, enumState{nd: nd, pos: pos})
+	es := &s.states[len(s.states)-1]
+	if nd.IsLeaf() {
+		return es
+	}
+	switch bv := nd.Payload.(type) {
+	case *appendbv.Vector:
+		es.ait = bv.Iter(pos)
+		es.it = &es.ait
+	case *dynbv.Vector:
+		if len(s.dyn) == cap(s.dyn) {
+			s.dyn = make([]dynbv.Iter, 0, enumChunk)
 		}
+		s.dyn = append(s.dyn, bv.Iter(pos))
+		es.it = &s.dyn[len(s.dyn)-1]
+	default:
+		es.it = iterAt(bv, pos)
 	}
 	return es
 }

@@ -171,23 +171,33 @@ func DecodeFrom(r *wire.Reader) *Vector {
 }
 
 // Iter returns a sequential bit cursor positioned at pos with O(1)
-// amortized Next. The vector must not be mutated while iterating.
-func (v *Vector) Iter(pos int) *Iter {
+// amortized Next. The vector must not be mutated while iterating. The
+// cursor is a value: a caller that keeps one per open node (a wavelet
+// trie walk) holds it in place, with no allocation.
+func (v *Vector) Iter(pos int) Iter {
 	if pos < 0 || pos > v.Len() {
 		panic(fmt.Sprintf("dynbv: Iter(%d) out of range [0,%d]", pos, v.Len()))
 	}
-	it := &Iter{v: v, pos: pos}
+	it := Iter{v: v, pos: pos}
 	if pos < v.Len() {
 		it.descend(v.root, pos)
 	}
 	return it
 }
 
-// Iter walks the leaves of the run tree keeping an explicit stack.
+// maxDepth bounds the run tree's internal levels: the root has at least
+// two children and every other internal node at least minKids, so h
+// levels hold at least 2·4^(h−1) leaves and a tree of fewer than 2^63
+// leaves is at most 31 levels deep.
+const maxDepth = 32
+
+// Iter walks the leaves of the run tree keeping an explicit stack, in a
+// fixed array: the frames of the internal nodes above the current leaf.
 type Iter struct {
 	v     *Vector
 	pos   int
-	stack []iterFrame
+	stack [maxDepth]iterFrame
+	depth int // frames in use
 	leaf  *node
 	ri    int // index of current run in leaf
 	off   int // offset within current run
@@ -198,11 +208,20 @@ type iterFrame struct {
 	ki int
 }
 
+// push records that the walk entered kid ki of nd.
+func (it *Iter) push(nd *node, ki int) {
+	if it.depth == maxDepth {
+		panic("dynbv: Iter: run tree deeper than its bound")
+	}
+	it.stack[it.depth] = iterFrame{nd, ki}
+	it.depth++
+}
+
 func (it *Iter) descend(nd *node, rel int) {
 	for !nd.isLeaf() {
 		for i, k := range nd.kids {
 			if rel < k.bits {
-				it.stack = append(it.stack, iterFrame{nd, i})
+				it.push(nd, i)
 				nd = k
 				goto next
 			}
@@ -240,8 +259,8 @@ func (it *Iter) Next() byte {
 		return b
 	}
 	// Advance to the leftmost run of the next non-empty leaf.
-	for len(it.stack) > 0 {
-		top := &it.stack[len(it.stack)-1]
+	for it.depth > 0 {
+		top := &it.stack[it.depth-1]
 		top.ki++
 		if top.ki < len(top.nd.kids) {
 			it.descendLeft(top.nd.kids[top.ki])
@@ -250,7 +269,7 @@ func (it *Iter) Next() byte {
 			}
 			continue // empty leaf; keep scanning siblings
 		}
-		it.stack = it.stack[:len(it.stack)-1]
+		it.depth--
 	}
 	it.leaf = nil // exhausted
 	return b
@@ -258,7 +277,7 @@ func (it *Iter) Next() byte {
 
 func (it *Iter) descendLeft(nd *node) {
 	for !nd.isLeaf() {
-		it.stack = append(it.stack, iterFrame{nd, 0})
+		it.push(nd, 0)
 		nd = nd.kids[0]
 	}
 	it.leaf = nd

@@ -63,7 +63,7 @@ func DecodeSegments(r *wire.Reader, starts *eliasfano.Monotone) *Vector {
 		}
 	}
 	if !r.Refs() {
-		if err := v.checkBlocks(); err != nil {
+		if err := v.CheckBlocks(); err != nil {
 			r.Fail("%v", err)
 			return FromWords(nil, 0)
 		}
@@ -71,9 +71,12 @@ func DecodeSegments(r *wire.Reader, starts *eliasfano.Monotone) *Vector {
 	return v
 }
 
-// checkBlocks verifies that every block's offset names a block of its
-// class and that the last block keeps its set bits among the valid ones.
-func (v *Vector) checkBlocks() error {
+// CheckBlocks verifies that every block's offset names a block of its
+// class and that the last block keeps its set bits among the valid ones —
+// the pass a copying DecodeFrom runs, for a caller of a zero-copy one
+// whose bits place positions elsewhere (a wavelet matrix plane's ranks
+// are positions on the next plane).
+func (v *Vector) CheckBlocks() error {
 	nb := v.numBlocks()
 	if nb == 0 {
 		return nil

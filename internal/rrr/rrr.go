@@ -803,10 +803,7 @@ func (it *Iter) Next() byte {
 		panic("rrr: Iter.Next past end")
 	}
 	if it.left == 0 {
-		it.offPos += offsetWidth[it.class]
-		it.block++
-		it.class = it.v.class(it.block)
-		it.rest, it.left = decodeBlock(it.class, it.v.offset(it.class, it.offPos)), blockBits
+		it.nextBlock()
 	}
 	bit := byte(it.rest & 1)
 	it.rest >>= 1
@@ -814,6 +811,39 @@ func (it *Iter) Next() byte {
 	it.pos++
 	it.rank += int(bit)
 	return bit
+}
+
+// NextBits returns the next k bits (k ≤ 64), the first at bit 0, and
+// advances past them: a block's worth of Next calls as a few shifts, for a
+// caller that consumes bits a word at a time. The k bits must lie inside
+// the vector.
+func (it *Iter) NextBits(k int) uint64 {
+	if k < 0 || k > 64 || it.pos+k > it.v.n {
+		panic(fmt.Sprintf("rrr: Iter.NextBits(%d) at %d of %d", k, it.pos, it.v.n))
+	}
+	var w uint64
+	for got := 0; got < k; {
+		if it.left == 0 {
+			it.nextBlock()
+		}
+		m := min(it.left, k-got) // < 64: a block holds 63 bits
+		chunk := it.rest & (1<<uint(m) - 1)
+		w |= chunk << uint(got)
+		it.rank += bits.OnesCount64(chunk)
+		it.rest >>= uint(m)
+		it.left -= m
+		it.pos += m
+		got += m
+	}
+	return w
+}
+
+// nextBlock decodes the block after the one the cursor has used up.
+func (it *Iter) nextBlock() {
+	it.offPos += offsetWidth[it.class]
+	it.block++
+	it.class = it.v.class(it.block)
+	it.rest, it.left = decodeBlock(it.class, it.v.offset(it.class, it.offPos)), blockBits
 }
 
 // Reader copies a Vector's bits out front to back, a whole block at a

@@ -163,7 +163,7 @@ func TestBlockCodecRandomOffsets(t *testing.T) {
 
 // FuzzBlockCodec decodes any class and any offset its field can hold: the
 // word must have exactly class ones below bit 63 — a zero-copy reader
-// skips checkBlocks, so a foreign offset must still decode, in range, to
+// skips CheckBlocks, so a foreign offset must still decode, in range, to
 // some block of its class — and an offset below C(63,c) must round-trip
 // and be the reference rank of its block.
 func FuzzBlockCodec(f *testing.F) {

@@ -1,11 +1,16 @@
 package wavelettree
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/bitvec"
+	"repro/internal/wire"
 )
 
 // naiveMatrix is the obvious reference model: the values, plus each
@@ -111,8 +116,8 @@ func nodeIntervals(width int, rng *rand.Rand) [][2]uint64 {
 // with the even and odd symbol counts the router's shard counts take) at
 // lengths straddling the word, rank-superblock and router-chunk sizes,
 // then range counts at widths up to 64 with values at the extremes; each
-// matrix is checked as built and as decoded from its own words. It also
-// pins the refusals of the decoder.
+// matrix is checked as built and as decoded from its own encoding. It
+// also pins the refusals of the decoder.
 func TestMatrixDifferential(t *testing.T) {
 	sizes := []int{0, 1, 2, 63, 64, 65, 511, 512, 513, 2047, 2048, 2049, 4095, 4096, 4097, 5000}
 	for _, sigma := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 21, 64, 100, 256} {
@@ -133,13 +138,13 @@ func TestMatrixDifferential(t *testing.T) {
 			syms := []uint64{0, uint64(sigma / 2), uint64(sigma - 1), uint64(sigma), 1 << uint(width), math.MaxUint64}
 			ivs := nodeIntervals(width, rng)
 			checkMatrix(t, "built", q, model, syms, ivs, rng)
-			dq, err := DecodeMatrix(q.Words(), n, width)
+			dq, err := decodeMatrix(encodeMatrix(q), n, true)
 			if err != nil {
-				t.Fatalf("sigma=%d n=%d: decoding its own words: %v", sigma, n, err)
+				t.Fatalf("sigma=%d n=%d: decoding its own encoding: %v", sigma, n, err)
 			}
 			checkMatrix(t, "decoded", dq, model, syms, ivs, rng)
-			if want := width * ((n + 63) / 64) * 64; q.SizeBits() < want || (width == 0 && q.SizeBits() != 0) {
-				t.Fatalf("sigma=%d n=%d: SizeBits = %d, below the %d plane bits or nonzero without planes", sigma, n, q.SizeBits(), want)
+			if plain := plainBits(n, width); q.SizeBits() > plain || (width == 0 && q.SizeBits() != 0) {
+				t.Fatalf("sigma=%d n=%d: SizeBits = %d, above the %d of plain planes, or nonzero without planes", sigma, n, q.SizeBits(), plain)
 			}
 		}
 	}
@@ -166,21 +171,208 @@ func TestMatrixDifferential(t *testing.T) {
 		}
 	}
 
-	// The decoder refuses what no builder writes.
-	words := NewMatrix([]uint64{1, 0, 3, 2, 1}, 2).Words()
+	// The decoder refuses what no builder writes: a plain plane's tail bit
+	// set past n, a word short or over, more than 64 planes and a plane kind
+	// it does not know. (TestMatrixPlaneDensities covers the RRR planes.)
+	img := encodeMatrix(NewMatrix([]uint64{1, 0, 3, 2, 1}, 2)) // two plain planes, a word each
+	plainImage := func(width int, kinds []byte, words []uint64) []byte {
+		w := wire.NewWriter(matrixTestMagic, 1)
+		w.Byte(byte(width))
+		for _, k := range kinds {
+			w.Byte(k)
+		}
+		w.Words(words)
+		return w.Bytes()
+	}
+	if _, err := decodeMatrix(img, 5, true); err != nil {
+		t.Fatalf("a well-formed image was refused: %v", err)
+	}
+	r, _ := wire.NewReader(img, matrixTestMagic, 1)
+	r.Byte()
+	r.Byte()
+	r.Byte()
+	words := r.Words()
 	for _, bad := range []struct {
-		name     string
-		words    []uint64
-		n, width int
+		name string
+		img  []byte
+		n    int
 	}{
-		{"a tail bit set past n", []uint64{words[0], words[1] | 1<<5}, 5, 2},
-		{"a word short", words[:1], 5, 2},
-		{"a word over", append(append([]uint64(nil), words...), 0), 5, 2},
-		{"65 planes", make([]uint64, 65), 5, 65},
-		{"negative length", nil, -1, 0},
+		{"a tail bit set past n", plainImage(2, []byte{planePlain, planePlain}, []uint64{words[0], words[1] | 1<<5}), 5},
+		{"a word short", plainImage(2, []byte{planePlain, planePlain}, words[:1]), 5},
+		{"a word over", plainImage(2, []byte{planePlain, planePlain}, append(slices.Clone(words), 0)), 5},
+		{"65 planes", plainImage(65, make([]byte, 65), make([]uint64, 65)), 5},
+		{"an unknown plane kind", plainImage(2, []byte{planePlain, 2}, words), 5},
+		{"a negative length", plainImage(0, nil, nil), -1},
 	} {
-		if _, err := DecodeMatrix(bad.words, bad.n, bad.width); err == nil {
-			t.Errorf("DecodeMatrix accepted %s", bad.name)
+		for _, refs := range []bool{false, true} {
+			if _, err := decodeMatrix(bad.img, bad.n, refs); err == nil {
+				t.Errorf("DecodeMatrix (zero-copy %v) accepted %s", refs, bad.name)
+			}
+		}
+	}
+}
+
+// The test framing: magic "TEST", version 1, a 6-byte header.
+const (
+	matrixTestMagic = 0x54534554
+	wireHeader      = 6
+)
+
+// plainBits is the SizeBits of width plain planes over n values.
+func plainBits(n, width int) int {
+	return width * bitvec.FromWords(make([]uint64, (n+63)/64), n).SizeBits()
+}
+
+// encodeMatrix frames q's encoding as a wire message.
+func encodeMatrix(q *Matrix) []byte {
+	w := wire.NewWriter(matrixTestMagic, 1)
+	q.EncodeTo(w)
+	return w.Bytes()
+}
+
+// decodeMatrix decodes a matrix over n values from img, zero-copy when
+// refs is set, and requires the message to be used up.
+func decodeMatrix(img []byte, n int, refs bool) (*Matrix, error) {
+	r, err := wire.NewReader(img, matrixTestMagic, 1)
+	if err != nil {
+		return nil, err
+	}
+	if refs {
+		r.EnableRefs()
+	}
+	q := DecodeMatrix(r, n)
+	return q, r.Done()
+}
+
+// skewedValues returns n values of width bits, each bit set with
+// probability p on its own — so every plane has density about p.
+func skewedValues(rng *rand.Rand, n, width int, p float64) []uint64 {
+	vals := make([]uint64, n)
+	for i := range vals {
+		for b := 0; b < width; b++ {
+			if rng.Float64() < p {
+				vals[i] |= 1 << uint(b)
+			}
+		}
+	}
+	return vals
+}
+
+// checkAppendValues diffs AppendValues against the model (n ≥ 1 values)
+// over the whole range and sub-ranges — empty, one value, halves, the
+// middle, a word's worth, random — appending behind a non-empty prefix,
+// which must stay put.
+func checkAppendValues(t *testing.T, name string, q *Matrix, model naiveMatrix, rng *rand.Rand) {
+	t.Helper()
+	n := len(model.vals)
+	spans := [][2]int{{0, n}, {0, 0}, {n, n}, {0, 1}, {n / 2, n}, {0, n / 2}, {n / 4, n - n/4}, {min(63, n), min(127, n)}}
+	for i := 0; i < 6; i++ {
+		a := rng.Intn(n + 1)
+		spans = append(spans, [2]int{a, a + rng.Intn(n+1-a)})
+	}
+	prefix := []uint64{7, 9}
+	for _, sp := range spans {
+		got := q.AppendValues(slices.Clone(prefix), sp[0], sp[1])
+		if want := append(slices.Clone(prefix), model.vals[sp[0]:sp[1]]...); !slices.Equal(got, want) {
+			t.Fatalf("%s: AppendValues(%d, %d) differs from the values (%d of them)", name, sp[0], sp[1], sp[1]-sp[0])
+		}
+	}
+}
+
+// TestMatrixPlaneDensities checks a matrix whose planes take either form
+// against the flat model: planes of density 0, 1 %, 5 %, 50 %, 95 % and
+// 100 % at widths 0, 1, 7, 16 and 64, as built, as decoded zero-copy and
+// copying, and through AppendValues. A skewed or constant plane must be
+// RRR-coded and a balanced one plain, the matrix must be smaller than its
+// plain planes wherever one is RRR, and the decoder must refuse an RRR
+// plane that disagrees with its matrix or whose blocks lie.
+func TestMatrixPlaneDensities(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, width := range []int{0, 1, 7, 16, 64} {
+		for _, p := range []float64{0, 0.01, 0.05, 0.5, 0.95, 1} {
+			for _, n := range []int{0, 1, 63, 1009, 2100} { // 2100 crosses two RRR superblocks
+				vals := skewedValues(rng, n, width, p)
+				model := newNaiveMatrix(slices.Clone(vals))
+				q := NewMatrix(vals, width)
+				if n >= 1009 {
+					rrrPlanes := 0
+					for d := range q.planes {
+						if q.planes[d].rrr != nil {
+							rrrPlanes++
+						}
+					}
+					want := width // skewed or constant
+					if p == 0.5 {
+						want = 0
+					}
+					if rrrPlanes != want {
+						t.Fatalf("width %d density %.2f n=%d: %d RRR planes, want %d", width, p, n, rrrPlanes, want)
+					}
+					if plain := plainBits(n, width); rrrPlanes > 0 && q.SizeBits() >= plain {
+						t.Fatalf("width %d density %.2f: %d bits, not below the %d of plain planes", width, p, q.SizeBits(), plain)
+					}
+				}
+				if n == 0 {
+					if got := q.AppendValues(nil, 0, 0); len(got) != 0 {
+						t.Fatalf("width %d: AppendValues of an empty matrix returned %d values", width, len(got))
+					}
+					continue
+				}
+				top := ^uint64(0) >> (64 - uint(width))
+				syms := []uint64{0, top, model.vals[n/2], model.vals[n-1]}
+				ivs := nodeIntervals(width, rng)
+				name := fmt.Sprintf("width %d density %.2f n=%d", width, p, n)
+				checkMatrix(t, name+" built", q, model, syms, ivs, rng)
+				checkAppendValues(t, name+" built", q, model, rng)
+				img := encodeMatrix(q)
+				for _, refs := range []bool{false, true} {
+					dq, err := decodeMatrix(img, n, refs)
+					if err != nil {
+						t.Fatalf("width %d density %.2f n=%d: decoding its own encoding: %v", width, p, n, err)
+					}
+					if refs { // the copying decode builds the same planes
+						checkMatrix(t, name+" decoded", dq, model, syms, ivs, rng)
+						checkAppendValues(t, name+" decoded", dq, model, rng)
+					}
+					if !slices.Equal(encodeMatrix(dq), img) {
+						t.Fatalf("width %d density %.2f n=%d: re-encoding changed the bytes", width, p, n)
+					}
+				}
+			}
+		}
+	}
+
+	// Refusals on RRR planes: one plane of a sparse width-1 matrix whose
+	// last block has a one, so the offset stream's last word holds that
+	// block's offset.
+	vals := make([]uint64, 1000)
+	for _, i := range []int{3, 200, 999} {
+		vals[i] = 1
+	}
+	img := encodeMatrix(NewMatrix(vals, 1))
+	if _, err := decodeMatrix(img, 1000, true); err != nil {
+		t.Fatalf("the sparse image was refused: %v", err)
+	}
+	lying := slices.Clone(img)
+	for i := len(lying) - 8; i < len(lying); i++ {
+		lying[i] = 0xFF // every offset field all ones: past C(63, 1)
+	}
+	wrongKind := slices.Clone(img)
+	wrongKind[wireHeader+1] = planePlain // the RRR stream read as plain words
+	for _, bad := range []struct {
+		name string
+		img  []byte
+		n    int
+	}{
+		{"an offset past its class", lying, 1000},
+		{"an RRR plane of another length", img, 999},
+		{"an RRR stream under a plain kind", wrongKind, 1000},
+		{"a torn RRR stream", img[:len(img)-8], 1000},
+	} {
+		for _, refs := range []bool{false, true} {
+			if _, err := decodeMatrix(bad.img, bad.n, refs); err == nil {
+				t.Errorf("DecodeMatrix (zero-copy %v) accepted %s", refs, bad.name)
+			}
 		}
 	}
 }
@@ -233,4 +425,31 @@ func TestMatrixPanics(t *testing.T) {
 	if _, ok := q.Select(2, 0); ok || q.Rank(2, 4) != 0 {
 		t.Errorf("a symbol wider than the matrix was found")
 	}
+}
+
+// BenchmarkMatrixAppendValues decodes every value of a matrix over 131 072
+// uniform 16-bit values — a compacted column of the benchmark's schema —
+// plane by plane (AppendValues) and, as the reference arm, with one Access
+// a position.
+func BenchmarkMatrixAppendValues(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]uint64, 1<<17)
+	for i := range vals {
+		vals[i] = uint64(rng.Intn(1 << 16))
+	}
+	q := NewMatrix(vals, 16)
+	dst := make([]uint64, 0, len(vals))
+	b.Run("levelwise", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dst = q.AppendValues(dst[:0], 0, len(vals))
+		}
+	})
+	b.Run("access", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dst = dst[:0]
+			for pos := range vals {
+				dst = append(dst, q.Access(pos))
+			}
+		}
+	})
 }

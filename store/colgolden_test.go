@@ -9,15 +9,20 @@ import (
 	"testing"
 )
 
-// The column files in testdata/cols_v2.col and testdata/cols_v2.cd were
-// written by the commit before the plane layout moved into
-// internal/wavelettree, from goldenColSchema and goldenColRows, as two
-// files of their own. They pin the column image (WCLM version 2) and the
-// blob directory (WCDR version 1) byte for byte — today the column and
-// blob directory sections of a generation file.
+// The column image in testdata/cols_v3.col was written when column image
+// version 3 (a kind byte per plane, skewed planes RRR-coded) was
+// introduced, from goldenColSchema and goldenColRows; testdata/cols_v2.cd
+// is the blob directory, which has not changed since the commit before
+// the plane layout moved into internal/wavelettree. They pin the column
+// image (WCLM version 3) and the blob directory (WCDR version 1) byte for
+// byte — the column and blob directory sections of a generation file.
+// testdata/cols_v2.col is the version 2 image that commit wrote for the
+// same rows without the skew column, every plane plain:
+// TestOlderFormatsRefused holds it as a refused generation.
 const (
-	goldenColFile = "cols_v2.col"
-	goldenCdFile  = "cols_v2.cd"
+	goldenColFile   = "cols_v3.col"
+	goldenCdFile    = "cols_v2.cd"
+	goldenColV2File = "cols_v2.col"
 )
 
 // goldenColSchema covers every shape a frozen column takes.
@@ -29,11 +34,13 @@ func goldenColSchema() []ColumnSpec {
 		{Name: "const", Kind: ColUint64}, // one distinct value: a dictionary of one and no planes
 		{Name: "null", Kind: ColUint64},  // every cell NULL
 		{Name: "blob", Kind: ColBytes},   // offsets and payload in the .cd file, presence vector kept
+		{Name: "skew", Kind: ColUint64},  // one raw plane, one row in twenty set: RRR-coded
 	}
 }
 
 // goldenColRows is the fixed-seed payload the golden files hold: 3 001
-// rows, so the planes straddle word and rank-superblock boundaries.
+// rows, so the planes straddle word, rank-superblock and RRR superblock
+// boundaries.
 func goldenColRows() []Row {
 	rng := rand.New(rand.NewSource(25))
 	wide := []uint64{3, 77, 1 << 40, math.MaxUint64}
@@ -50,6 +57,11 @@ func goldenColRows() []Row {
 			b := make([]byte, rng.Intn(9))
 			rng.Read(b)
 			row[5] = Blob(b)
+		}
+		if i%20 == 7 { // drawn from no generator, so the older columns keep their rows
+			row = append(row, U64(1))
+		} else {
+			row = append(row, U64(0))
 		}
 		rows[i] = row
 	}

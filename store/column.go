@@ -30,8 +30,11 @@ import (
 //
 // The numeric encoding is a wavelet matrix over the values' bit planes
 // (wavelettree.Matrix: a pointerless, level-wise wavelet tree, MSB
-// first), so a range predicate col∈[lo,hi] is answered by rank
-// arithmetic alone — CountWhere never touches the values themselves.
+// first; each plane a plain bitvector or, where that is smaller — a
+// skewed plane such as a rare status code's — an RRR one), so a range
+// predicate col∈[lo,hi] is answered by rank arithmetic alone —
+// CountWhere never touches the values themselves — and a compaction
+// decodes a victim's column plane by plane (Matrix.AppendValues).
 // §6's hashed Numeric trie is NOT usable here: hashing the keys destroys
 // their order, and order is exactly what a range filter needs (see
 // DESIGN.md §13 for the substitution rationale).
@@ -402,12 +405,13 @@ func (c clampCols) colPresent(col, l, r int) int {
 // Column section containers. Both sections sit in the generation file
 // under its manifest CRC; a mismatch fails Open loudly — column data
 // feeds predicate answers, where a silent bit flip would be a wrong
-// result, not a degraded one. Version 2 is the only WCLM version read or
+// result, not a degraded one. Version 3 is the only WCLM version read or
 // written: version 1 stored every presence vector and raw planes only,
-// and a directory holding one is refused as it stands.
+// version 2 every plane plain, and a directory holding either is refused
+// as it stands.
 const (
 	colMagic   = 0x4D4C4357 // "WCLM" little-endian
-	colVersion = 2
+	colVersion = 3
 
 	colDirMagic   = 0x52444357 // "WCDR" little-endian
 	colDirVersion = 1
@@ -552,8 +556,9 @@ func (c *frozenCol) rankRange(lo, hi uint64) (uint64, uint64) {
 // and (when any blob columns exist) the blob offset-directory image.
 // cols must be fully built (see colwrite.go). Per column: kind, presence
 // mode (and the vector, unless elided); numeric columns add the
-// dictionary (empty = raw planes), the plane count, and the planes as
-// one word array, ⌈m/64⌉ words each (the matrix's own words).
+// dictionary (empty = raw planes) and the matrix (Matrix.EncodeTo): the
+// plane count, a kind byte per plane, the plain planes as one word array,
+// ⌈m/64⌉ words each, and each RRR-coded plane's stream.
 func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 	w := wire.NewWriter(colMagic, colVersion)
 	w.Int(len(fc.cols))
@@ -573,8 +578,7 @@ func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 		}
 		if c.kind == ColUint64 {
 			w.Words(c.dict)
-			w.Byte(byte(c.num.Width()))
-			w.Words(c.num.Words())
+			c.num.EncodeTo(w)
 		} else {
 			blobCols++
 		}
@@ -601,8 +605,10 @@ func encodeColumns(fc *frozenCols) (colData, cdData []byte) {
 // numeric dictionaries and wavelet matrices. Blob columns come back with
 // their offset directory unbound (bindColDir attaches it).
 // Arbitrary input must error, never panic, and nothing it accepts may
-// make a later read panic — this function is fuzzed. Words decode
-// zero-copy: the result aliases data, which must never change after.
+// make a later read panic — this function is fuzzed: an RRR plane's
+// blocks are checked against their classes (DecodeMatrix), since its
+// ranks are positions on the next plane. Words decode zero-copy: the
+// result aliases data, which must never change after.
 func parseColumn(data []byte) (*frozenCols, error) {
 	r, err := wire.NewReader(data, colMagic, colVersion)
 	if err != nil {
@@ -651,11 +657,11 @@ func parseColumn(data []byte) (*frozenCols, error) {
 			continue
 		}
 		dict := r.Words()
-		width := int(r.Byte())
-		planes := r.Words()
+		c.num = wavelettree.DecodeMatrix(r, c.m)
 		if err := r.Err(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("store: column %d: %w", i, err)
 		}
+		width := c.num.Width()
 		if len(dict) > 0 {
 			for j := 1; j < len(dict); j++ {
 				if dict[j] <= dict[j-1] {
@@ -666,9 +672,6 @@ func parseColumn(data []byte) (*frozenCols, error) {
 				return nil, fmt.Errorf("store: column %d has %d bit planes over a dictionary of %d, want %d", i, width, len(dict), want)
 			}
 			c.dict = dict
-		}
-		if c.num, err = wavelettree.DecodeMatrix(planes, c.m, width); err != nil {
-			return nil, fmt.Errorf("store: column %d: %w", i, err)
 		}
 		// Any bit content is the planes of some m values below 2^width;
 		// under a dictionary they must also be ranks it has.

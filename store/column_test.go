@@ -590,6 +590,84 @@ func TestColumnBitsPerRow(t *testing.T) {
 	}
 }
 
+// benchColSchema is the benchmark's column schema, and benchColRows n
+// values with rows of its distribution: status 500 for one row in twenty
+// and 200 otherwise, bytes uniform below 2¹⁶.
+var benchColSchema = []ColumnSpec{{Name: "status", Kind: ColUint64}, {Name: "bytes", Kind: ColUint64}}
+
+func benchColRows(n int) ([]string, []Row) {
+	rng := rand.New(rand.NewSource(1))
+	vals, rows := make([]string, n), make([]Row, n)
+	for i := range vals {
+		status := uint64(200)
+		if rng.Intn(20) == 0 {
+			status = 500
+		}
+		vals[i] = fmt.Sprintf("api/v%03d", rng.Intn(512))
+		rows[i] = Row{U64(status), U64(uint64(rng.Intn(1 << 16)))}
+	}
+	return vals, rows
+}
+
+// TestColumnSkewedPlaneBits is the space guard for a skewed plane: the
+// benchmark's status column alone — one plane of ranks, about 5 % ones —
+// over 16 384 rows keeps that plane RRR-coded, near its zero-order entropy
+// (0.29 bits a row) rather than at one bit a row, and the whole column
+// section, framing and dictionary included, costs at most 0.40 bits a row.
+func TestColumnSkewedPlaneBits(t *testing.T) {
+	const n = 1 << 14
+	opts := testOpts()
+	opts.Columns = benchColSchema[:1]
+	s := mustOpen(t, t.TempDir(), opts)
+	defer s.Close()
+	vals, rows := benchColRows(n)
+	for i := range rows {
+		rows[i] = rows[i][:1]
+	}
+	if err := s.AppendBatchRows(vals, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := float64(8*s.Generations()[0].ColFileBytes) / n
+	t.Logf("%.3f bits/row", got)
+	if got > 0.40 {
+		t.Errorf("a 5 %% status column costs %.3f bits/row, want ≤ 0.40", got)
+	}
+}
+
+// BenchmarkCompactColumnFeed prices the column side of compacting eight
+// generations of 16 384 rows of the benchmark's schema into one: the
+// victims' columns fed through genColFeeder into buildFrozenCols, as a
+// compaction does beside its trie merge.
+func BenchmarkCompactColumnFeed(b *testing.B) {
+	const gens, per = 8, 1 << 14
+	opts := testOpts()
+	opts.Columns = benchColSchema
+	s, err := Open(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	vals, rows := benchColRows(gens * per)
+	for g := 0; g < gens; g++ {
+		if err := s.AppendBatchRows(vals[g*per:(g+1)*per], rows[g*per:(g+1)*per]); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	victims := s.shards[0].state.Load().gens
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fc := buildFrozenCols(benchColSchema, gens*per, genColFeeder{victims}); fc.cols[0].m != gens*per {
+			b.Fatalf("%d status cells, want %d", fc.cols[0].m, gens*per)
+		}
+	}
+}
+
 // TestColumnDifferential: randomized appends with payloads against the
 // flat (vals, rows) oracle, plain and sharded, across flush, compact,
 // a mid-life crash image, close and reopen. Mirrors the value-only

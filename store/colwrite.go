@@ -103,7 +103,9 @@ func buildDict(vals []uint64, width int) []uint64 {
 
 // genColFeeder streams the concatenated columns of a run of victim
 // generations into a compaction merge, translating each victim's local
-// present positions by the run offset. Victims frozen before the schema
+// present positions by the run offset. A numeric column is decoded whole,
+// plane by plane (Matrix.AppendValues), before its cells stream out; a
+// blob column's cells alias its payload. Victims frozen before the schema
 // (nil cols) contribute all-NULL stretches.
 type genColFeeder struct {
 	gens []*generation
@@ -111,16 +113,31 @@ type genColFeeder struct {
 
 func (f genColFeeder) feedColumn(col int, fn func(pos int, v Value) bool) {
 	base := 0
+	var nums []uint64 // a numeric column's present values, decoded
 	for _, g := range f.gens {
 		if g.cols != nil {
 			c := &g.cols.cols[col]
+			if c.kind == ColUint64 {
+				nums = c.num.AppendValues(nums[:0], 0, c.m)
+				if c.dict != nil {
+					for i, r := range nums {
+						nums[i] = c.dict[r] // parseColumn checked every rank against the table
+					}
+				}
+			}
 			pos := -1
 			for i := 0; i < c.m; i++ {
 				pos++ // the next position, present itself when the vector is elided
 				if c.presence != nil {
 					pos = c.presence.NextOne(pos)
 				}
-				if !fn(base+pos, g.cols.presentValue(col, i)) {
+				var v Value
+				if c.kind == ColUint64 {
+					v = Value{kind: ColUint64, num: nums[i]}
+				} else {
+					v = g.cols.presentValue(col, i)
+				}
+				if !fn(base+pos, v) {
 					return
 				}
 			}

@@ -185,8 +185,9 @@ func (f fuzzColFeeder) feedColumn(col int, fn func(pos int, v Value) bool) {
 	}
 }
 
-// colImage hand-encodes a .col image of one numeric, all-present column
-// of m rows — the shapes the freeze never writes.
+// colImage hand-encodes a column image of one numeric, all-present column
+// of m rows whose planes are all plain — the shapes the freeze never
+// writes.
 func colImage(m int, dict []uint64, width int, planes ...uint64) []byte {
 	w := wire.NewWriter(colMagic, colVersion)
 	w.Int(1)
@@ -195,14 +196,44 @@ func colImage(m int, dict []uint64, width int, planes ...uint64) []byte {
 	w.Byte(presAll)
 	w.Words(dict)
 	w.Byte(byte(width))
+	for d := 0; d < width && d < 64; d++ {
+		w.Byte(0) // a plain plane
+	}
 	w.Words(planes)
 	return w.Bytes()
 }
 
-// badColImages are well-framed version 2 images parseColumn must refuse
-// (each would read outside a table or misread every value if loaded),
-// by the text its error must carry. Four rows over the dictionary
-// {5, 9, 12}: plane 0 sends row 3 right, plane 1 then reads rows 0 1 2 3.
+// rrrColImage is the column image of one numeric column of 1 000 rows,
+// all present, holding 1 at rows 3, 403 and 803 and 0 elsewhere: one plane,
+// RRR-coded, whose offset stream — three 6-bit fields in one word — ends
+// the image.
+func rrrColImage() []byte {
+	rows := make([]Row, 1000)
+	for i := range rows {
+		rows[i] = Row{U64(0)}
+		if i%400 == 3 {
+			rows[i] = Row{U64(1)}
+		}
+	}
+	img, _ := encodeColumns(buildFrozenCols([]ColumnSpec{{Name: "s", Kind: ColUint64}}, len(rows), fuzzColFeeder{rows}))
+	return img
+}
+
+// lyingColImage is rrrColImage with its last word all ones: every offset
+// past the C(63, 1) blocks of its class.
+func lyingColImage() []byte {
+	img := rrrColImage()
+	for i := len(img) - 8; i < len(img); i++ {
+		img[i] = 0xFF
+	}
+	return img
+}
+
+// badColImages are well-framed images parseColumn must refuse (each
+// would read outside a table, misread every value or place a position
+// out of range if loaded), by the text its error must carry. Four rows
+// over the dictionary {5, 9, 12}: plane 0 sends row 3 right, plane 1 then
+// reads rows 0 1 2 3.
 var badColImages = []struct {
 	want string
 	img  []byte
@@ -210,8 +241,9 @@ var badColImages = []struct {
 	{"dictionary not strictly increasing", colImage(4, []uint64{5, 12, 12}, 2, 0b1000, 0b0010)},
 	{"1 bit planes over a dictionary of 3", colImage(4, []uint64{5, 9, 12}, 1, 0b1000)},
 	{"rank outside its dictionary of 3", colImage(4, []uint64{5, 9, 12}, 2, 0b1000, 0b1000)},
-	{"3 plane words, want 2", colImage(4, []uint64{5, 9, 12}, 2, 0b1000, 0b0010, 0)},
+	{"3 plain plane words, want 2", colImage(4, []uint64{5, 9, 12}, 2, 0b1000, 0b0010, 0)},
 	{"65 bit planes", colImage(4, nil, 65)},
+	{"out of range for class 1", lyingColImage()},
 }
 
 // TestParseColumnRefuses: the images above are refused by name, and the
@@ -233,6 +265,12 @@ func TestParseColumnRefuses(t *testing.T) {
 	}
 	if got := fc.colRange(0, 0, 4, 6, 12); got != 2 {
 		t.Fatalf("colRange [6,12] = %d, want 2", got)
+	}
+	if fc, err = parseColumn(rrrColImage()); err != nil {
+		t.Fatal(err)
+	}
+	if got := fc.colRange(0, 0, 1000, 1, 1); got != 3 || fc.colValue(0, 403).U64() != 1 {
+		t.Fatalf("the RRR plane reads %d ones and row 403 as %v, want 3 and 1", got, fc.colValue(0, 403))
 	}
 }
 
@@ -264,7 +302,9 @@ func FuzzParseColumn(f *testing.F) {
 	}
 	wideRows := []Row{{U64(1 << 60)}, {U64(3)}, nil, {U64(1 << 60)}, {U64(3)}, {U64(77)}}
 	dictSeed, _ := encodeColumns(buildFrozenCols(schema[:1], len(wideRows), fuzzColFeeder{wideRows}))
-	f.Add(dictSeed) // dictionary-coded, presence kept
+	f.Add(dictSeed)      // dictionary-coded, presence kept
+	f.Add(rrrColImage()) // an RRR-coded plane
+	// (lyingColImage, its offsets corrupted, is among badColImages.)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc, err := parseColumn(data)

@@ -115,7 +115,8 @@ func wordsInside(v reflect.Value, lo, hi uintptr, seen map[uintptr]bool) (in, al
 // checkAliases fails t unless g decoded zero-copy over buf: every word
 // slice of its trie — the encoded payloads; the rank and select
 // directories rebuilt at decode hold other types — lies inside buf, and
-// so do every numeric column's planes and every blob column's payload.
+// so do every numeric column's planes — the plain planes' words and the
+// RRR planes' class and offset streams — and every blob column's payload.
 func checkAliases(t *testing.T, g *generation, buf []byte) {
 	t.Helper()
 	lo := uintptr(unsafe.Pointer(&buf[0]))
@@ -130,9 +131,9 @@ func checkAliases(t *testing.T, g *generation, buf []byte) {
 	for i := range g.cols.cols {
 		c := &g.cols.cols[i]
 		switch {
-		case c.kind == ColUint64 && len(c.num.Words()) > 0:
-			if !inside(unsafe.Pointer(&c.num.Words()[0])) {
-				t.Fatalf("generation %d: column %d planes are not in the file image", g.id, i)
+		case c.kind == ColUint64 && c.num.Width() > 0:
+			if in, all := wordsInside(reflect.ValueOf(c.num), lo, hi, map[uintptr]bool{}); in != all || all == 0 {
+				t.Fatalf("generation %d: %d of column %d's %d plane words lie in the file image", g.id, in, i, all)
 			}
 		case c.kind == ColBytes && len(c.payload) > 0:
 			if !inside(unsafe.Pointer(&c.payload[0])) {
@@ -144,7 +145,8 @@ func checkAliases(t *testing.T, g *generation, buf []byte) {
 	}
 }
 
-// TestMmapHeapDifferential opens a columnar directory of two generations
+// TestMmapHeapDifferential opens a columnar directory of three
+// generations — the third's numeric column one skewed plane, RRR-coded —
 // as Open does — mapped — and checks it against the appended sequence
 // and rows; then it decodes the same files from their bytes read onto
 // the heap, as where the platform cannot map, checks that those
@@ -155,10 +157,17 @@ func TestMmapHeapDifferential(t *testing.T) {
 		t.Skip("mmap unsupported on this platform")
 	}
 	dir := t.TempDir()
-	seq := workload.URLLog(600, 21, workload.DefaultURLConfig())
-	_, rows := colTestData(len(seq))
+	seq := workload.URLLog(1800, 21, workload.DefaultURLConfig())
+	_, rows := colTestData(600)
+	for i := 600; i < len(seq); i++ {
+		score := uint64(0)
+		if i%20 == 0 {
+			score = 99
+		}
+		rows = append(rows, Row{U64(score), Blob([]byte{byte(i)})})
+	}
 	s := mustOpen(t, dir, colTestOpts())
-	for _, half := range [][2]int{{0, 300}, {300, 600}} {
+	for _, half := range [][2]int{{0, 300}, {300, 600}, {600, 1800}} {
 		if err := s.AppendBatchRows(seq[half[0]:half[1]], rows[half[0]:half[1]]); err != nil {
 			t.Fatal(err)
 		}
@@ -193,6 +202,9 @@ func TestMmapHeapDifferential(t *testing.T) {
 			t.Fatalf("heap-decoded generation %d claims a mapping", g.id)
 		}
 		checkAliases(t, g, bufs[i])
+	}
+	if skew := gens[2].cols.cols[0]; skew.num.SizeBits() >= skew.m {
+		t.Fatalf("the skewed generation's plane takes %d bits for %d rows: not RRR-coded", skew.num.SizeBits(), skew.m)
 	}
 	serveFromHeap(t, s)
 	for _, g := range s.Generations() {

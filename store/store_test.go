@@ -12,7 +12,6 @@ import (
 
 	wavelettrie "repro"
 	"repro/internal/bitvec"
-	"repro/internal/wavelettree"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -709,10 +708,24 @@ func TestOlderFormatsRefused(t *testing.T) {
 					for i := range nums {
 						nums[i] = fc.presentValue(j, i).U64()
 					}
-					planes, wpp := wavelettree.NewMatrix(nums, 7).Words(), (c.m+63)/64 // values below 100
+					// The wavelet matrix's seven planes (values below 100),
+					// each a plain vector: every plane's bits in the order
+					// the previous one's stable partition left the values.
 					w.Byte(7)
 					for d := 0; d < 7; d++ {
-						bitvec.FromWords(planes[d*wpp:(d+1)*wpp], c.m).EncodeTo(w)
+						b := bitvec.NewBuilder(len(nums))
+						var zeros, ones []uint64
+						for _, v := range nums {
+							bit := byte(v >> uint(6-d) & 1)
+							b.AppendBit(bit)
+							if bit == 0 {
+								zeros = append(zeros, v)
+							} else {
+								ones = append(ones, v)
+							}
+						}
+						b.Build().EncodeTo(w)
+						nums = append(zeros, ones...)
 					}
 				}
 			}
@@ -724,6 +737,33 @@ func TestOlderFormatsRefused(t *testing.T) {
 			secs[secCols] = w.Bytes()
 			return currentGen(t, dir, genImage(secs))
 		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "column section: wire: unsupported version 1"},
+		{"column image v2", func(t *testing.T, dir string) map[string][]byte {
+			// Today's store over the golden schema (without the skew column
+			// version 2 predates) with one flushed generation of the golden
+			// rows' length, its column section replaced by the version 2
+			// image testdata/cols_v2.col holds for those rows — every plane
+			// plain, no kind bytes — and the manifest's checksum moved with it.
+			old, err := os.ReadFile(filepath.Join("testdata", goldenColV2File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := testOpts()
+			opts.Columns = goldenColSchema()[:6]
+			s := mustOpen(t, dir, opts)
+			if err := s.AppendBatch(make([]string, len(goldenColRows()))); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			id := s.Generations()[0].ID
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, secs := genFileSections(t, filepath.Join(dir, genFileName(id)))
+			secs[secCols] = old
+			return currentGen(t, dir, genImage(secs))
+		}, func(dir string) error { _, err := Open(dir, testOpts()); return err }, "column section: wire: unsupported version 2, want 3"},
 		{"manifest version 4 (three files a generation)", func(t *testing.T, dir string) map[string][]byte {
 			// Today's columnar generation split the way version 4 kept it: the
 			// trie container in gen-<id>.wt, the column image in .col and the

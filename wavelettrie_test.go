@@ -324,3 +324,20 @@ func TestAppendOnlyEnumerateAllocations(t *testing.T) {
 		t.Errorf("Enumerate over %d elements allocates %.0f times, want at most one per element and 64 for the walk", n, allocs)
 	}
 }
+
+// TestDynamicEnumerateAllocations is the same guard on the fully-dynamic
+// trie: its cursors over the run trees are values, handed out from the
+// walk's slab with their node stacks in place, so opening a node costs no
+// allocation of its own.
+func TestDynamicEnumerateAllocations(t *testing.T) {
+	seq := workload.URLLog(1000, 1, workload.DefaultURLConfig())
+	d := NewDynamicFrom(seq)
+	n := d.Len()
+	allocs := testing.AllocsPerRun(10, func() {
+		d.Enumerate(0, n, func(int, string) bool { return true })
+	})
+	t.Logf("Enumerate over %d elements (%d distinct) allocates %.0f times", n, d.AlphabetSize(), allocs)
+	if allocs > float64(n)+64 {
+		t.Errorf("Enumerate over %d elements allocates %.0f times, want at most one per element and 64 for the walk", n, allocs)
+	}
+}
