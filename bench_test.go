@@ -218,18 +218,15 @@ func twoPassConcat(parts []*Frozen) (*Frozen, error) {
 			fb.b.AddValueBits(bs)
 		}
 	}
-	var buf [bitstr.KeyWords]uint64
-	scratch := bitstr.BuilderOver(buf[:])
+	var err error
 	for _, f := range parts {
-		it := f.t.Iter(0, f.Len())
-		for it.Valid() {
-			scratch.Reset()
-			it.NextInto(&scratch)
-			if err := fb.b.AppendBits(scratch.View()); err != nil {
-				return nil, err
-			}
+		f.t.EnumerateBits(0, f.Len(), func(_ int, bs bitstr.BitString) bool {
+			err = fb.b.AppendBits(bs)
+			return err == nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		it.Close()
 	}
 	return fb.Build()
 }

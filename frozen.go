@@ -2,6 +2,7 @@ package wavelettrie
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
@@ -110,6 +111,12 @@ func (f *Frozen) Contains(s string) bool {
 	return f.t.ContainsBits(bitstr.EncodeStringInto(buf[:], s))
 }
 
+// Enumerate streams the elements of positions [l, r) in order, stopping
+// early if fn returns false: the trie extracts them a page at a time,
+// top-down (succinct.Trie.Enumerate), and each distinct value of a page
+// is made a string once, shared by the elements that hold it.
+func (f *Frozen) Enumerate(l, r int, fn func(pos int, s string) bool) { f.t.Enumerate(l, r, fn) }
+
 // EnumeratePrefix streams the elements with byte prefix p in position
 // order, starting from the from-th (0-based) match; fn receives the match
 // index, the position and val, which returns the match's value when
@@ -117,10 +124,12 @@ func (f *Frozen) Contains(s string) bool {
 // during that call of fn. fn returns false to stop. The trie is descended
 // once, to the prefix's node; each match is then one monotone select per
 // level of the node's root path (a run of matches shares the decoded RRR
-// blocks) and each value a streaming walk below the node, so a page of
-// matches costs far less than SelectPrefix and Access per match. It
-// returns CountPrefix(p), which the descent found on the way, and panics
-// if from is negative.
+// blocks). A val decodes ahead: the values of a page of matches from its
+// own on — 64, then twice as many a page up to 256 — in one top-down pass
+// below the node, so a page of values costs far less than SelectPrefix
+// and Access per match, and a consumer that stops inside a page has paid
+// for the rest of it. It returns CountPrefix(p), which the descent found
+// on the way, and panics if from is negative.
 func (f *Frozen) EnumeratePrefix(p string, from int, fn func(idx, pos int, val func() string) bool) (count int) {
 	if from < 0 {
 		panic(fmt.Sprintf("wavelettrie: EnumeratePrefix from %d negative", from))
@@ -130,9 +139,9 @@ func (f *Frozen) EnumeratePrefix(p string, from int, fn func(idx, pos int, val f
 	count = c.Count()
 	defer c.Close()
 	c.Seek(from)
+	var w valuePage
 	idx := from
-	var buf [128]byte // most values decode here: one copy into the string
-	val := func() string { return string(c.AppendValue(buf[:0], idx)) }
+	val := func() string { return w.value(c, idx, count) }
 	for ; ; idx++ {
 		pos, ok := c.Next()
 		if !ok || !fn(idx, pos, val) {
@@ -140,6 +149,36 @@ func (f *Frozen) EnumeratePrefix(p string, from int, fn func(idx, pos int, val f
 		}
 	}
 }
+
+// valuePage is the values EnumeratePrefix has decoded ahead: those of
+// matches [lo, lo+len(vals)).
+type valuePage struct {
+	lo   int
+	vals []string
+	js   []int
+}
+
+// value returns match j's value, decoding the page from j on when j lies
+// outside the last one.
+func (w *valuePage) value(c *succinct.PrefixCursor, j, count int) string {
+	if j < w.lo || j >= w.lo+len(w.vals) {
+		size := enumPageMin
+		if len(w.js) > 0 {
+			size = min(2*len(w.js), enumPageMax)
+		}
+		w.lo, w.js = j, w.js[:0]
+		for k := j; k < min(j+size, count); k++ {
+			w.js = append(w.js, k)
+		}
+		w.vals = slices.Grow(w.vals[:0], len(w.js))[:len(w.js)]
+		c.Strings(w.js, w.vals)
+	}
+	return w.vals[j-w.lo]
+}
+
+// A prefix scan's value pages, in matches: the first is what a served
+// page asks for, and a longer scan's grow.
+const enumPageMin, enumPageMax = 64, 256
 
 // ConcatFrozen returns the Frozen of the concatenation of the parts'
 // sequences, in argument order — the merge a compaction runs. It works on

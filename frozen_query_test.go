@@ -2,6 +2,7 @@ package wavelettrie
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -273,6 +274,83 @@ func TestFrozenIterateAllocations(t *testing.T) {
 	if a > 8 {
 		t.Errorf("EnumeratePrefix(%q), positions only, allocates %.0f times over %d matches, want a constant", p, a, f.CountPrefix(p))
 	}
+}
+
+// FuzzFrozenEnumerate builds a Frozen from fuzz-supplied strings, repeated
+// in a seeded order to up to 700 elements so that ranges cross the page
+// extractor's page edges, and checks Enumerate over random ranges and
+// EnumeratePrefix — from random match offsets, asking for every value or
+// only some, stopping early — against the flat model.
+func FuzzFrozenEnumerate(f *testing.F) {
+	f.Add([]byte("a\nab\nabc\n\nab\nb"), int64(1), uint16(300))
+	f.Add([]byte("host0/x/1\nhost0/x/2\nhost1/y"), int64(2), uint16(700))
+	f.Add([]byte("\n\n"), int64(3), uint16(257))
+	f.Add([]byte(strings.Repeat("long-value-", 30)+"\nlong-value-\nshort"), int64(4), uint16(513))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, n16 uint16) {
+		if len(data) > 1<<12 {
+			return
+		}
+		vals := strings.Split(string(data), "\n")
+		if len(vals) > 64 {
+			vals = vals[:64]
+		}
+		r := rand.New(rand.NewSource(seed))
+		seq := make([]string, 1+int(n16)%700)
+		for i := range seq {
+			seq[i] = vals[r.Intn(len(vals))]
+		}
+		fz := NewStatic(seq)
+		for trial := 0; trial < 6; trial++ {
+			l := r.Intn(len(seq) + 1)
+			hi := l + r.Intn(len(seq)-l+1)
+			stop := hi
+			if trial%3 == 2 {
+				stop = l + r.Intn(hi-l+1) // stop early, inside a page
+			}
+			next := l
+			fz.Enumerate(l, hi, func(pos int, v string) bool {
+				if pos != next || v != seq[pos] {
+					t.Fatalf("Enumerate(%d,%d) yields (%d,%q), want (%d,%q)", l, hi, pos, v, next, seq[next])
+				}
+				next++
+				return next < stop
+			})
+			if want := min(hi, max(stop, l+1)); hi > l && next != want {
+				t.Fatalf("Enumerate(%d,%d) stopping at %d ended at %d", l, hi, stop, next)
+			}
+		}
+		for _, v := range vals[:min(len(vals), 8)] {
+			p := v[:r.Intn(len(v)+1)]
+			var want []int
+			for pos, s := range seq {
+				if strings.HasPrefix(s, p) {
+					want = append(want, pos)
+				}
+			}
+			from := r.Intn(len(want) + 2)
+			every := 1 + r.Intn(3)
+			stop := from + r.Intn(len(want)+1)
+			next := from
+			count := fz.EnumeratePrefix(p, from, func(idx, pos int, val func() string) bool {
+				if idx != next || idx >= len(want) || pos != want[idx] {
+					t.Fatalf("EnumeratePrefix(%q,%d) yields (%d,%d) as match %d", p, from, idx, pos, next)
+				}
+				if idx%every == 0 {
+					if got := val(); got != seq[pos] {
+						t.Fatalf("EnumeratePrefix(%q,%d) match %d at %d is %q, want %q", p, from, idx, pos, got, seq[pos])
+					}
+				}
+				next++
+				return next <= stop
+			})
+			if count != len(want) {
+				t.Fatalf("EnumeratePrefix(%q) counts %d, want %d", p, count, len(want))
+			}
+			if end := min(len(want), stop+1); next != max(from, end) {
+				t.Fatalf("EnumeratePrefix(%q,%d) stopping after %d ended at %d", p, from, stop, next)
+			}
+		}
+	})
 }
 
 // FuzzFrozenQueries builds a Frozen from fuzz-supplied strings and checks

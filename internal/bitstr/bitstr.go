@@ -349,6 +349,18 @@ func (b *Builder) Reset() {
 	b.n = 0
 }
 
+// Truncate shortens the builder to its first n bits, n at most Len(),
+// keeping its storage — a walk down a tree appends a node's bits and
+// truncates back to the parent's before it turns to the next branch.
+func (b *Builder) Truncate(n int) {
+	if n < 0 || n > b.n {
+		panic(fmt.Sprintf("bitstr: Truncate(%d) of %d bits", n, b.n))
+	}
+	b.words = b.words[:wordsFor(n)]
+	maskTail(b.words, n)
+	b.n = n
+}
+
 // View returns the accumulated bits as a BitString that aliases the
 // builder's storage. It is valid only until the next append or Reset; use
 // BitString for a durable copy. Builders keep bits past Len() zeroed, so

@@ -205,6 +205,33 @@ func TestBuilderAppendRun(t *testing.T) {
 	}
 }
 
+// TestBuilderTruncate appends and truncates back in every alignment, as a
+// tree walk does with its path: the bits kept are the prefix, and those cut
+// off never show again — neither in the view nor after the next append.
+func TestBuilderTruncate(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var b Builder
+	want := ""
+	for trial := 0; trial < 500; trial++ {
+		if r.Intn(3) == 0 && len(want) > 0 {
+			n := r.Intn(len(want) + 1)
+			b.Truncate(n)
+			want = want[:n]
+		} else {
+			p := randBits(r, 100)
+			b.Append(MustParse(p))
+			want += p
+		}
+		got := b.View()
+		if got.String() != want {
+			t.Fatalf("trial %d: builder holds %q, want %q", trial, got.String(), want)
+		}
+		if w := got.Words(); len(w) > 0 && got.Len()&63 != 0 && w[len(w)-1]>>uint(got.Len()&63) != 0 {
+			t.Fatalf("trial %d: bits past the end after Truncate", trial)
+		}
+	}
+}
+
 func TestFromWords(t *testing.T) {
 	w := []uint64{0b1011, 0}
 	bs := FromWords(w, 70)

@@ -126,6 +126,28 @@ func (it *Iter) Next() (v uint64, ok bool) {
 	return v, true
 }
 
+// skipNear is how many indices SkipTo steps over one set bit at a time
+// before a hinted Select1 is the cheaper way there.
+const skipNear = 8
+
+// SkipTo moves the iterator forward so that Next returns value i (Len()
+// for the end): a short hop scans to each skipped set bit, a long one is
+// one hinted Select1. A reader of a directory in preorder — the trie's
+// page extractor, which passes over the subtrees its batch has nothing
+// in — hops mostly by one or two. i must not lie behind the next index.
+func (it *Iter) SkipTo(i int) {
+	if i < it.i || i > it.m.k {
+		panic(fmt.Sprintf("eliasfano: SkipTo(%d) from %d out of range [%d,%d]", i, it.i, it.i, it.m.k))
+	}
+	if i-it.i <= skipNear || i == it.m.k {
+		for ; it.i < i; it.i++ {
+			it.p = it.m.highs.NextOne(it.p) + 1
+		}
+		return
+	}
+	it.i, it.p = i, it.m.highs.Select1(i)
+}
+
 // Predecessor returns the largest index i with Get(i) <= x, or -1 if every
 // value exceeds x.
 func (m *Monotone) Predecessor(x uint64) int {

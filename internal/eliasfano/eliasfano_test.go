@@ -223,3 +223,38 @@ func BenchmarkGet(b *testing.B) {
 		m.Get(i & (k - 1))
 	}
 }
+
+// TestIterSkipTo checks the forward skip against Get: hops of every length
+// from nothing to past the select hints' spacing, onto duplicate runs, and
+// to the end.
+func TestIterSkipTo(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	for _, k := range []int{0, 1, 9, 100, 5000} {
+		for _, u := range []uint64{1, 50, 1 << 30} {
+			vals := make([]uint64, k)
+			for i := range vals {
+				vals[i] = uint64(r.Int63n(int64(u)))
+			}
+			sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+			m := FromSorted(vals, u)
+			for _, maxHop := range []int{1, skipNear + 2, 3000} {
+				it := m.Iter()
+				for i := 0; ; i += r.Intn(maxHop + 1) {
+					i = min(i, k)
+					it.SkipTo(i)
+					got, ok := it.Next()
+					if i == k {
+						if ok {
+							t.Fatalf("k=%d u=%d: Next after SkipTo(end) = %d", k, u, got)
+						}
+						break
+					}
+					if !ok || got != vals[i] {
+						t.Fatalf("k=%d u=%d hop ≤ %d: SkipTo(%d) then Next = %d, %v, want %d", k, u, maxHop, i, got, ok, vals[i])
+					}
+					i++
+				}
+			}
+		}
+	}
+}

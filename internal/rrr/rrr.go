@@ -24,9 +24,9 @@
 // lookups in one 16-bit unrank table — the paper's universal table at a
 // quarter block, two 128 KiB tables built at init. Every in-block query
 // is that decode and a popcount or Select64 on the word: Rank and Access
-// (rankInBlock), Select (selectInBlock), the sequential forms (Iter and
-// Selector, which keep the decoded block between calls) and the bulk copy
-// (Reader). Classes 0 and 63 are answered without reading an offset.
+// (rankInBlock), Select (selectInBlock), and the sequential forms (Iter,
+// Selector and the forward Reader, which keep the decoded block between
+// calls). Classes 0 and 63 are answered without reading an offset.
 //
 // The Wavelet Trie uses RRR for every bitvector β of the static variant
 // (Theorem 3.7) and for the immutable segments of the append-only
@@ -37,12 +37,13 @@
 // many ones lie between the segment's start and a position inside it.
 // FromSegments therefore counts every sample's rank from the start of the
 // segment that owns the superblock's first bit, and the In forms (RankIn,
-// AccessRankIn, SelectIn, Iter.Reset, Selector) take the segment with the
-// query: a position in a later superblock than the segment's start reads
-// its answer off the sample, and one in the same superblock sums class
-// fields from the start itself — nobody has to store, or look up, the ones
-// before each segment. A plain vector is one segment starting at 0, for
-// which the In forms at start 0 are Rank1, AccessRank1 and Select.
+// AccessRankIn, SelectIn, Iter.Reset, Selector, Reader.ReadIn) take
+// the segment with the query: a position in a later superblock than the
+// segment's start reads its answer off the sample, and one in the same
+// superblock sums class fields from the start itself — nobody has to
+// store, or look up, the ones before each segment. A plain vector is one
+// segment starting at 0, for which the In forms at start 0 are Rank1,
+// AccessRank1 and Select.
 package rrr
 
 import (
@@ -735,8 +736,8 @@ func (v *Vector) OffsetStreamBits() int {
 
 // Reset points the cursor at bit pos of the segment of v that starts at
 // start — Iter in place, for a caller that embeds the cursor in its own
-// state (a wavelet-trie walk holds one per open node). It costs what
-// AccessRankIn does: the class-sum seek and one block decode.
+// state (Matrix.AppendValues re-points one per run of positions). It
+// costs what AccessRankIn does: the class-sum seek and one block decode.
 func (it *Iter) Reset(v *Vector, start, pos int) {
 	p := start + pos
 	if start < 0 || pos < 0 || p > v.n {
@@ -756,11 +757,10 @@ func (it *Iter) Reset(v *Vector, start, pos int) {
 	it.rest, it.left = w>>uint(in), blockBits-in
 }
 
-// Iter is a sequential bit cursor over a segment of a Vector, with the
-// O(1) amortized Next §5's sequential-access algorithm relies on;
-// positions and ranks count from the segment's start. Beside the bit it carries
-// Rank1 of its position, so a wavelet-trie walk reads a node's branch bit
-// and the position in the child from the one block visit.
+// Iter is a sequential bit cursor over a segment of a Vector, with an
+// O(1) amortized Next; positions and ranks count from the segment's start.
+// Beside the bit it carries Rank1 of its position, so a run of bits and
+// the ones before it come from one seek.
 type Iter struct {
 	v      *Vector
 	start  int // of the segment
@@ -773,29 +773,11 @@ type Iter struct {
 	left   int    // how many of them: the block's end is pos+left
 }
 
-// Pos returns the position of the bit that Next will return.
-func (it *Iter) Pos() int { return it.pos - it.start }
-
 // Rank1 returns the number of 1 bits before Pos.
 func (it *Iter) Rank1() int { return it.rank }
 
 // Valid reports whether Next may be called.
 func (it *Iter) Valid() bool { return it.pos < it.v.n }
-
-// Seek moves the cursor to bit pos: further on in the block it has
-// decoded, by a popcount; anywhere else, at the cost of a new cursor.
-func (it *Iter) Seek(pos int) {
-	p := it.start + pos
-	if p < it.pos || p-it.pos >= it.left || p >= it.v.n {
-		it.Reset(it.v, it.start, pos)
-		return
-	}
-	d := uint(p - it.pos)
-	it.rank += bits.OnesCount64(it.rest & (1<<d - 1))
-	it.rest >>= d
-	it.left -= int(d)
-	it.pos = p
-}
 
 // Next returns the bit at the current position and advances.
 func (it *Iter) Next() byte {
@@ -846,18 +828,27 @@ func (it *Iter) nextBlock() {
 	it.rest, it.left = decodeBlock(it.class, it.v.offset(it.class, it.offPos)), blockBits
 }
 
-// Reader copies a Vector's bits out front to back, a whole block at a
-// time: every block is decoded once into a word (decodeBlock), the class
-// fields stream and no superblock sample is consulted — what a structural
-// freeze or merge asks of a source's bitvector, where Iter would hand out
-// each bit on its own.
+// Reader reads a Vector front to back, never decoding a block twice: the
+// class fields stream, a block is decoded (decodeBlock) only when a bit in
+// it is asked for, and a superblock sample is read only to jump past whole
+// superblocks. It serves the two passes that go through a vector in order:
+// a structural freeze or merge copies a source's bits out (AppendTo), and
+// the trie's page extractor reads runs of bits and their segment-relative
+// ranks at non-decreasing positions, one segment after the other (ReadIn)
+// — where Iter, re-seeking for every node it opens, would pay a sample and
+// a decode per node.
 type Reader struct {
 	v      *Vector
-	pos    int         // the next bit to deliver
-	cr     classReader // at the class of the next block to decode
-	offPos int         // bit position of that block's offset
-	buf    uint64      // decoded bits not yet delivered, LSB first
-	have   int         // how many
+	pos    int         // the reader's position
+	blk    int         // the block the class reader is at
+	cr     classReader // at blk's class
+	offPos int         // bit position of blk's offset
+	// Bits [pos, pos+have) of block blk-1, decoded; when have is 0, pos lies
+	// in block blk, which is not.
+	buf   uint64
+	have  int
+	start int // the segment ReadIn last named (0 before it does)
+	rank  int // ones in [start, pos)
 }
 
 // Reader returns a Reader at bit 0.
@@ -869,7 +860,8 @@ func (v *Vector) Reader() Reader {
 	return r
 }
 
-// Pos returns the position of the next bit AppendTo delivers.
+// Pos returns the reader's position: the next bit AppendTo delivers, and
+// where ReadIn may read from.
 func (r *Reader) Pos() int { return r.pos }
 
 // AppendTo appends the next n bits to dst and returns how many of them
@@ -880,10 +872,7 @@ func (r *Reader) AppendTo(dst *bitstr.Builder, n int) (ones int) {
 	}
 	for n > 0 {
 		if r.have == 0 {
-			c := r.cr.next()
-			r.buf = decodeBlock(c, r.v.offset(c, r.offPos))
-			r.offPos += offsetWidth[c]
-			r.have = min(blockBits, r.v.n-r.pos)
+			r.decode()
 		}
 		m := min(r.have, n)
 		w := r.buf & (1<<uint(m) - 1)
@@ -894,7 +883,133 @@ func (r *Reader) AppendTo(dst *bitstr.Builder, n int) (ones int) {
 		r.pos += m
 		n -= m
 	}
+	r.rank += ones
 	return ones
+}
+
+// ReadIn is a forward read of a segment: the k bits (1 ≤ k ≤ 64) of the
+// segment that starts at start from its bit pos on, the first at bit 0,
+// and the ones in the segment before pos; the reader moves past them.
+// Reads must not move back — a segment starts at or past where the last
+// read ended, and inside one a read starts there too. Reaching pos is a
+// forward skip: inside the decoded block a shift, past it a walk over
+// class fields that sums them as the ones between, and into a later
+// superblock that begins inside the segment a jump, the sample being the
+// rank. Entering a segment walks — or jumps — to its start counting
+// nothing. The bits may run past the segment's end.
+func (r *Reader) ReadIn(start, pos, k int) (w uint64, rank int) {
+	p := start + pos
+	if pos < 0 || k < 1 || k > 64 || p+k > r.v.n || p < r.pos || start < r.start {
+		panic(fmt.Sprintf("rrr: Reader.ReadIn(%d+%d, %d) behind %d or out of range [0,%d)", start, pos, k, r.pos, r.v.n))
+	}
+	if start != r.start {
+		r.skip(start)
+		r.start, r.rank = start, 0
+	}
+	r.count(p)
+	rank = r.rank
+	for got := 0; got < k; {
+		if r.have == 0 {
+			r.decode()
+		}
+		m := min(r.have, k-got) // < 64: a block holds 63 bits
+		chunk := r.buf & (1<<uint(m) - 1)
+		w |= chunk << uint(got)
+		r.rank += bits.OnesCount64(chunk)
+		r.buf >>= uint(m)
+		r.have -= m
+		r.pos += m
+		got += m
+	}
+	return w, rank
+}
+
+// decode decodes block blk, the one pos lies in, keeping its bits from pos
+// on.
+func (r *Reader) decode() {
+	var w uint64
+	switch c := r.cr.next(); c {
+	case 0:
+	case blockBits:
+		w = 1<<blockBits - 1
+	default:
+		w = decodeBlock(c, r.v.offset(c, r.offPos))
+		r.offPos += offsetWidth[c]
+	}
+	in := r.pos - r.blk*blockBits
+	r.blk++
+	r.buf, r.have = w>>uint(in), min(r.blk*blockBits, r.v.n)-r.pos
+}
+
+// jump moves the reader to the first bit of superblock s, undecoded, and
+// returns the sample's rank.
+func (r *Reader) jump(s int) (rank int) {
+	rank, r.offPos = r.v.sampleAt(s)
+	r.blk = s * blocksPerSuper
+	r.cr = r.v.classesFrom(r.blk)
+	r.pos, r.have = r.blk*blockBits, 0
+	return rank
+}
+
+// skip moves the reader forward to p, counting nothing.
+func (r *Reader) skip(p int) {
+	if d := p - r.pos; d < r.have {
+		r.buf >>= uint(d)
+		r.have -= d
+		r.pos = p
+		return
+	}
+	r.pos += r.have
+	r.have = 0
+	b := p / blockBits
+	if s := b / blocksPerSuper; s > r.blk/blocksPerSuper {
+		r.jump(s)
+	}
+	for ; r.blk < b; r.blk++ {
+		r.offPos += offsetWidth[r.cr.next()]
+	}
+	r.pos = p
+}
+
+// count moves the reader forward to p, a bit of the segment at r.start,
+// keeping r.rank the ones in [r.start, p).
+func (r *Reader) count(p int) {
+	if d := p - r.pos; d < r.have {
+		r.rank += bits.OnesCount64(r.buf & (1<<uint(d) - 1))
+		r.buf >>= uint(d)
+		r.have -= d
+		r.pos = p
+		return
+	}
+	b := p / blockBits
+	// A superblock that begins inside the segment is owned by it: its
+	// sample counts from r.start, whatever lies before.
+	if s := b / blocksPerSuper; s > r.blk/blocksPerSuper && s*superBits >= r.start {
+		r.rank = r.jump(s)
+	} else {
+		if r.have == 0 && r.pos > r.blk*blockBits && b > r.blk {
+			r.decode() // the rest of the block a skip stopped in counts
+		}
+		if r.have > 0 {
+			r.rank += bits.OnesCount64(r.buf)
+			r.pos += r.have
+			r.have = 0
+		}
+	}
+	for ; r.blk < b; r.blk++ {
+		c := r.cr.next()
+		r.rank += c
+		r.offPos += offsetWidth[c]
+		r.pos = (r.blk + 1) * blockBits
+	}
+	if p > r.pos {
+		r.decode()
+		d := p - r.pos
+		r.rank += bits.OnesCount64(r.buf & (1<<uint(d) - 1))
+		r.buf >>= uint(d)
+		r.have -= d
+		r.pos = p
+	}
 }
 
 // selectorNear is how many blocks a Selector steps forward by summing

@@ -50,6 +50,7 @@ func checkSegments(t testing.TB, r *rand.Rand, words []uint64, n int, cuts []int
 		t.Fatalf("n=%d cuts=%v: decoded samples differ from built ones", n, cuts)
 	}
 
+	checkForwardReader(t, r, v, n, cuts, pre)
 	for i, from := range cuts {
 		to := n
 		if i+1 < len(cuts) {
@@ -295,4 +296,48 @@ func FuzzRankIn(f *testing.F) {
 		sort.Ints(cuts)
 		checkSegments(t, r, randomWords(r, n, float64(density)/255), n, cuts)
 	})
+}
+
+// checkForwardReader reads the segments front to back through one Reader
+// per pass, at positions that step by one, by a few blocks, or past whole
+// superblocks — one pass of each gap scale and one mixing them — skipping
+// some segments entirely, and checks every run of bits read and its
+// segment-relative rank against the plain vector.
+func checkForwardReader(t testing.TB, r *rand.Rand, v *Vector, n int, cuts []int, pre []int) {
+	t.Helper()
+	for _, gap := range []int{1, blockBits, 3 * superBits, 0} {
+		rd := v.Reader()
+		for i, from := range cuts {
+			to := n
+			if i+1 < len(cuts) {
+				to = cuts[i+1]
+			}
+			if from == to || r.Intn(4) == 0 {
+				continue // an empty segment, or one the pass does not visit
+			}
+			g := gap
+			for pos := r.Intn(min(to-from, max(gap, 1))); pos < to-from; pos += r.Intn(g) {
+				if gap == 0 {
+					g = []int{1, 8, blockBits, superBits, 4 * superBits}[r.Intn(5)]
+				}
+				k := 1
+				if r.Intn(2) == 0 {
+					k = 1 + r.Intn(min(64, to-from-pos))
+				}
+				w, rank := rd.ReadIn(from, pos, k)
+				want := uint64(0)
+				for j := 0; j < k; j++ {
+					want |= uint64(pre[from+pos+j+1]-pre[from+pos+j]) << uint(j)
+				}
+				if w != want || rank != pre[from+pos]-pre[from] {
+					t.Fatalf("n=%d cuts=%v gap %d: Reader.ReadIn(%d, %d, %d) = (%#x, %d), want (%#x, %d)",
+						n, cuts, gap, from, pos, k, w, rank, want, pre[from+pos]-pre[from])
+				}
+				if rd.Pos() != from+pos+k {
+					t.Fatalf("n=%d cuts=%v: Reader at %d after ReadIn(%d, %d, %d)", n, cuts, rd.Pos(), from, pos, k)
+				}
+				pos += k
+			}
+		}
+	}
 }

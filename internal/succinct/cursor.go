@@ -16,9 +16,10 @@ import (
 // level. Successive matches ask every level for non-decreasing targets,
 // so each level keeps an rrr.Selector that remembers its block, and a run
 // of matches costs a few word operations per level instead of a sampled
-// SelectIn. Values, when wanted, come from a walk rooted at the node (see
-// iterate.go), behind the node's root path — which is the key's own first
-// bits.
+// SelectIn. Values come from the page extractor (iterate.go) run at the
+// node on the match indices themselves — a page of them in one top-down
+// pass (Values) — behind the node's root path, which is the key's own
+// first bits.
 //
 // A cursor is not safe for concurrent use, and is valid only while the
 // key it was made from is.
@@ -30,12 +31,8 @@ type PrefixCursor struct {
 	next   int           // index of the match Next returns
 	levels []cursorLevel // nd's root path, root first
 
-	head int  // length of nd's root path in bits, a prefix of key; valid iff w.t != nil
-	w    walk // the value walk, rooted at nd; opened by the first ValueInto
-	// Where AppendValue assembles a match's bits (the walk keeps a builder's
-	// words reachable, so a buffer local to AppendValue would be allocated
-	// per match).
-	buf [bitstr.KeyWords]uint64
+	head int        // length of nd's root path in bits, a prefix of key
+	x    *extractor // the values' extractor, taken for the first value asked for
 }
 
 // cursorLevel is one branch of the prefix node's root path: the bit
@@ -57,6 +54,9 @@ func (t *Trie) PrefixCursor(p bitstr.BitString) *PrefixCursor {
 		return c
 	}
 	c.nd, c.count = nd, t.count(nd, up)
+	if len(path) > 0 {
+		c.head = path[len(path)-1].off + 1 // nd's label starts past the last branch bit
+	}
 	c.levels = make([]cursorLevel, len(path))
 	for i, st := range path {
 		start, end := t.seg(st.ii)
@@ -65,11 +65,14 @@ func (t *Trie) PrefixCursor(p bitstr.BitString) *PrefixCursor {
 	return c
 }
 
-// Close ends the enumeration and hands the value walk's memory back for
-// the next one to reuse. It is optional, and the cursor must not be used
+// Close ends the enumeration and hands the values' extractor back for the
+// next pass to reuse. It is optional, and the cursor must not be used
 // after it.
 func (c *PrefixCursor) Close() {
-	c.w.release()
+	if c.x != nil {
+		c.x.release()
+	}
+	c.x = nil
 	c.count = 0
 }
 
@@ -117,36 +120,62 @@ func (c *PrefixCursor) RankAt(pos int) int {
 	return pos
 }
 
-// ValueInto appends to b the element that is match j. Consecutive j's
-// stream through the walk's open cursors; any j is answered.
-func (c *PrefixCursor) ValueInto(b *bitstr.Builder, j int) {
-	if j < 0 || j >= c.count {
-		panic(fmt.Sprintf("succinct: prefix match %d out of range [0,%d)", j, c.count))
-	}
-	if c.w.t == nil {
-		// The root path's length: every branch above nd contributed its
-		// node's label and one bit, all of them matched against the key.
-		t := c.t
-		nd := t.tree.BinaryRoot()
-		for i := range c.levels {
-			lo, hi := t.labelRange(nd)
-			c.head += hi - lo + 1
-			nd = t.tree.BinaryChild(nd, c.levels[i].bit)
+// extract runs the extractor at the prefix's node on the match indices
+// js, strictly ascending.
+func (c *PrefixCursor) extract(js []int) *extractor {
+	for k, j := range js {
+		if j < 0 || j >= c.count || k > 0 && j <= js[k-1] {
+			panic(fmt.Sprintf("succinct: prefix match %d out of range [0,%d) or not after the last", j, c.count))
 		}
-		c.w = t.newWalk(c.nd, j)
 	}
-	b.AppendRange(c.key.Words(), 0, c.head)
-	c.w.next(j, b)
+	if c.x == nil {
+		c.x = extractors.Get().(*extractor)
+	}
+	c.x.run(c.t, c.nd, c.key.Words(), c.head, js)
+	return c.x
 }
 
-// AppendValue appends to dst the bytes of the element that is match j:
-// ValueInto, decoded.
-func (c *PrefixCursor) AppendValue(dst []byte, j int) []byte {
-	b := bitstr.BuilderOver(c.buf[:])
-	c.ValueInto(&b, j)
-	out, err := bitstr.AppendDecoded(dst, b.View())
-	if err != nil {
-		panic("succinct: internal corruption: " + err.Error())
+// Values decodes the values of the matches js — strictly ascending match
+// indices, a page of them — in one top-down pass below the prefix's node, and calls
+// fn with each in js's order: k indexes js, and v, the value's bytes, is
+// valid only during the call. Each distinct value is decoded once.
+func (c *PrefixCursor) Values(js []int, fn func(k int, v []byte)) {
+	if len(js) == 0 {
+		return
 	}
-	return out
+	x := c.extract(js)
+	x.decodeLeaves()
+	for k, lf := range x.leaf {
+		fn(k, x.text[x.ends[lf]:x.ends[lf+1]])
+	}
+}
+
+// Strings is Values into strings: dst[k] is match js[k]'s value, and the
+// matches that hold the same value share one string.
+func (c *PrefixCursor) Strings(js []int, dst []string) {
+	if len(js) == 0 {
+		return
+	}
+	x := c.extract(js)
+	x.decodeLeaves()
+	x.strs = x.strs[:0]
+	for i := range x.spans {
+		x.strs = append(x.strs, string(x.text[x.ends[i]:x.ends[i+1]]))
+	}
+	for k, lf := range x.leaf {
+		dst[k] = x.strs[lf]
+	}
+	clear(x.strs) // the pooled extractor keeps no value alive
+}
+
+// decodeLeaves decodes the last batch's leaves into text.
+func (x *extractor) decodeLeaves() {
+	x.text, x.ends = x.text[:0], append(x.ends[:0], 0)
+	for i := range x.spans {
+		var err error
+		if x.text, err = bitstr.AppendDecoded(x.text, x.leafBits(i)); err != nil {
+			panic("succinct: internal corruption: " + err.Error())
+		}
+		x.ends = append(x.ends, len(x.text))
+	}
 }

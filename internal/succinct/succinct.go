@@ -257,11 +257,12 @@ func (t *Trie) EdgeInto(b *bitstr.Builder, bit byte) {
 }
 
 // step is one branch of a root-to-node walk: the internal node it left,
-// by internal index, and the bit it followed. ii < 0 marks "no branch"
-// (the walk ended at the root).
+// by internal index, the bit it followed and where that bit lies in the
+// key. ii < 0 marks "no branch" (the walk ended at the root).
 type step struct {
 	ii  int
 	bit byte
+	off int
 }
 
 // descend is the one root-to-node walk behind every keyed query. It
@@ -309,7 +310,7 @@ func (t *Trie) descend(key bitstr.BitString, exact bool, pos int, path []step) (
 		if off >= kn {
 			return nd, up, 0, path, false // the key ends at an internal node
 		}
-		up = step{ii: nd.Internal, bit: key.Bit(off)}
+		up = step{ii: nd.Internal, bit: key.Bit(off), off: off}
 		if path != nil {
 			path = append(path, up)
 		}

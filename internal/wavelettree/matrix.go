@@ -270,6 +270,70 @@ func (m *Matrix) Access(pos int) uint64 {
 	return v
 }
 
+// Cursor reads a matrix's values at non-decreasing positions — a scan's
+// candidates, one after the other — with one forward rrr.Reader per RRR
+// plane, so a run of nearby positions decodes each block of a compressed
+// plane once instead of once per value (a plain plane's bit and rank are
+// a word and a directory entry either way). A position below plane 0's
+// maps into one child or the other, so on a deeper plane it may lie
+// behind that plane's reader: the reader then starts over, at a seek's
+// cost. The same position twice is answered from the last read. A Cursor
+// is not safe for concurrent use.
+type Cursor struct {
+	m       *Matrix
+	readers []rrr.Reader // plane d's, when it is RRR-coded
+	last    int          // the last position read, and its value
+	val     uint64
+}
+
+// Cursor returns a Cursor before position 0.
+func (m *Matrix) Cursor() *Cursor {
+	c := &Cursor{m: m, last: -1, readers: make([]rrr.Reader, len(m.planes))}
+	for d := range m.planes {
+		if k := m.planes[d].rrr; k != nil {
+			c.readers[d] = k.Reader()
+		}
+	}
+	return c
+}
+
+// Access returns the value at position pos, which must be in [0, n): the
+// same as Matrix.Access.
+func (c *Cursor) Access(pos int) uint64 {
+	m := c.m
+	if pos < 0 || pos >= m.n {
+		panic(fmt.Sprintf("wavelettree: Cursor.Access(%d) out of range [0,%d)", pos, m.n))
+	}
+	if pos == c.last {
+		return c.val
+	}
+	c.last = pos
+	var v uint64
+	for d := range m.planes {
+		p := &m.planes[d]
+		var bit byte
+		var ones int
+		if p.rrr != nil {
+			rd := &c.readers[d]
+			if pos < rd.Pos() {
+				*rd = p.rrr.Reader()
+			}
+			w, r := rd.ReadIn(0, pos, 1)
+			bit, ones = byte(w), r
+		} else {
+			bit, ones = p.bits.Access(pos), p.bits.Rank1(pos)
+		}
+		v = v<<1 | uint64(bit)
+		if bit == 0 {
+			pos -= ones
+		} else {
+			pos = p.zeros + ones
+		}
+	}
+	c.val = v
+	return v
+}
+
 // child maps position pos on plane d to plane d+1, into bit's child.
 func (m *Matrix) child(d int, bit uint64, pos int) int {
 	p := &m.planes[d]

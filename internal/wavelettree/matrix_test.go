@@ -453,3 +453,36 @@ func BenchmarkMatrixAppendValues(b *testing.B) {
 		}
 	})
 }
+
+// TestMatrixCursor reads increasing runs of positions through a Cursor —
+// every position, scattered ones at small and superblock-sized gaps, and
+// each position twice — and checks every value against Matrix.Access, on
+// plain planes, skewed (RRR) ones and mixed widths, past several RRR
+// superblocks.
+func TestMatrixCursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, width := range []int{1, 2, 7, 16} {
+		for _, p := range []float64{0.02, 0.5, 0.97} {
+			for _, n := range []int{1, 63, 5000} {
+				q := NewMatrix(skewedValues(rng, n, width, p), width)
+				rrrPlanes := 0
+				for d := range q.planes {
+					if q.planes[d].rrr != nil {
+						rrrPlanes++
+					}
+				}
+				for _, gap := range []int{1, 3, 40, 2000} {
+					c := q.Cursor()
+					for pos := rng.Intn(min(gap, n)); pos < n; pos += 1 + rng.Intn(gap) {
+						for rep := 0; rep < 1+rng.Intn(2); rep++ {
+							if got, want := c.Access(pos), q.Access(pos); got != want {
+								t.Fatalf("width %d density %.2f n=%d (%d RRR planes) gap %d: Cursor.Access(%d) = %d, want %d",
+									width, p, n, rrrPlanes, gap, pos, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

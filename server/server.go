@@ -505,43 +505,41 @@ const maxIterBatch = 4096
 
 // writePage answers one scan request: up to max matches (maxIterBatch when
 // max is not positive or above it) within the byte budget, and at least
-// one when any exists, so a resuming client always makes progress. The
-// page's matches are encoded into c.page as the cursor yields them —
-// position, value and, with rows, the payload row, counted against the
-// budget too — so no match is held as a string or in a list; the header
-// (done flag, the echoed match offset, the count, known only at the end)
-// and the matches then go into the response.
-func (s *Server) writePage(c *connState, sn *store.Snapshot, from, max int, rows bool, scan func(fn func(idx, pos int, v []byte) bool)) {
+// one when any exists, so a resuming client always makes progress. scan
+// runs the store's page form (ScanPrefix, ScanWhere with a max), which finds
+// the page's positions, decodes their values together and reports
+// whether more matches lie past the page, the one that tells it a
+// position only. The page's matches are encoded into c.page as they are
+// handed over — position, value and, with rows, the payload row, counted
+// against the budget too — so no match is held as a string or in a list;
+// the header (done flag, the echoed match offset, the count, known only
+// at the end) and the matches then go into the response.
+func (s *Server) writePage(c *connState, from, max int, rows bool, scan func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) (more bool)) {
 	if max <= 0 || max > maxIterBatch {
 		max = maxIterBatch
 	}
 	body := &c.page
 	body.Reset()
-	n, bytes, done := 0, 0, true
-	scan(func(_, pos int, v []byte) bool {
-		if n >= max || bytes >= iterByteBudget {
-			done = false // more matches exist past the page
-			return false
-		}
+	n, bytes := 0, 0
+	more := scan(max, func(_, pos int, v []byte, row store.Row) bool {
 		n++
 		bytes += len(v) + 18
 		body.Uvarint(uint64(pos))
 		body.Uvarint(uint64(len(v)))
 		body.Raw(v)
 		if rows {
-			row := sn.Row(pos)
 			for _, cell := range row {
 				bytes += len(cell.Blob()) + 10
 			}
 			encodeRow(body, row)
 		}
-		return true
+		return bytes < iterByteBudget
 	})
 	w := &c.resp
-	if done {
-		w.Byte(1)
-	} else {
+	if more {
 		w.Byte(0)
+	} else {
+		w.Byte(1)
 	}
 	w.Uvarint(uint64(from))
 	w.Uvarint(uint64(n))
@@ -556,8 +554,8 @@ func (s *Server) writePage(c *connState, sn *store.Snapshot, from, max int, rows
 // replaying the stream.
 func (s *Server) iteratePrefix(c *connState, req *Request) {
 	sn := s.pin(c)
-	s.writePage(c, sn, req.Pos, req.Max, false, func(fn func(idx, pos int, v []byte) bool) {
-		sn.ScanPrefix(req.Value, req.Pos, fn)
+	s.writePage(c, req.Pos, req.Max, false, func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) bool {
+		return sn.ScanPrefix(req.Value, req.Pos, max, func(idx, pos int, v []byte) bool { return fn(idx, pos, v, nil) })
 	})
 }
 
@@ -568,8 +566,9 @@ func (s *Server) iteratePrefix(c *connState, req *Request) {
 func (s *Server) scanWhere(c *connState, req *Request) error {
 	sn := s.pin(c)
 	var err error
-	s.writePage(c, sn, req.Pos, req.Max, true, func(fn func(idx, pos int, v []byte) bool) {
-		err = sn.ScanWhere(req.Value, req.Pos, req.Preds, fn)
+	s.writePage(c, req.Pos, req.Max, true, func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) (more bool) {
+		more, err = sn.ScanWhere(req.Value, req.Pos, max, req.Preds, fn)
+		return more
 	})
 	return err
 }

@@ -366,6 +366,17 @@ type colReader interface {
 	// colPresent counts positions in [l, r) whose column col cell is
 	// non-NULL.
 	colPresent(col, l, r int) int
+	// cells returns a cursor over the segment's cells, for one scan.
+	cells() colCursor
+}
+
+// colCursor reads a segment's cells at non-decreasing positions — a
+// scan's candidates and then its matches' rows — so that a compressed
+// plane's blocks are decoded once for a run of them instead of once a
+// cell. The same position may be read again. Not safe for concurrent
+// use.
+type colCursor interface {
+	colValue(col, pos int) Value
 }
 
 // allNullCols is the colReader of generations frozen before the schema
@@ -376,6 +387,7 @@ type allNullCols struct{}
 func (allNullCols) colValue(col, pos int) Value               { return Value{} }
 func (allNullCols) colRange(col, l, r int, lo, hi uint64) int { return 0 }
 func (allNullCols) colPresent(col, l, r int) int              { return 0 }
+func (c allNullCols) cells() colCursor                        { return c }
 
 // clampCols bounds a colReader to its segment's first n positions —
 // the column analogue of clampSeg, used by prefixed snapshots.
@@ -397,6 +409,21 @@ func (c clampCols) colRange(col, l, r int, lo, hi uint64) int {
 
 func (c clampCols) colPresent(col, l, r int) int {
 	return c.cols.colPresent(col, l, min(r, c.n))
+}
+
+func (c clampCols) cells() colCursor { return clampColCursor{c.cols.cells(), c.n} }
+
+// clampColCursor bounds a colCursor as clampCols bounds its reader.
+type clampColCursor struct {
+	cur colCursor
+	n   int
+}
+
+func (c clampColCursor) colValue(col, pos int) Value {
+	if pos >= c.n {
+		return Value{}
+	}
+	return c.cur.colValue(col, pos)
 }
 
 // ---------------------------------------------------------------------------
@@ -496,6 +523,46 @@ func (fc *frozenCols) colValue(col, pos int) (v Value) {
 	return v
 }
 
+// cells returns a cursor whose numeric columns are read through a
+// wavelettree.Cursor each, made when the column is first read.
+func (fc *frozenCols) cells() colCursor {
+	return &frozenColCursor{fc: fc, mats: make([]*wavelettree.Cursor, len(fc.cols))}
+}
+
+// frozenColCursor is a generation's colCursor: colValue, with the matrix
+// read forward.
+type frozenColCursor struct {
+	fc   *frozenCols
+	mats []*wavelettree.Cursor
+}
+
+func (cc *frozenColCursor) colValue(col, pos int) (v Value) {
+	fc := cc.fc
+	c := &fc.cols[col]
+	if c.m > 0 && (c.presence == nil || c.presence.Access(pos) == 1) {
+		if c.kind != ColUint64 {
+			v = fc.presentValue(col, c.rank(pos))
+			v.b = bytes.Clone(v.b)
+		} else {
+			if cc.mats[col] == nil {
+				cc.mats[col] = c.num.Cursor()
+			}
+			v = c.numValue(cc.mats[col].Access(c.rank(pos)))
+		}
+	}
+	runtime.KeepAlive(fc)
+	return v
+}
+
+// numValue is a numeric cell whose matrix entry is x: x itself, or the
+// dictionary's value at rank x.
+func (c *frozenCol) numValue(x uint64) Value {
+	if c.dict != nil {
+		x = c.dict[x] // parseColumn checked every rank against the table
+	}
+	return Value{kind: ColUint64, num: x}
+}
+
 // presentValue returns the pi-th present value of a column (pi in
 // [0, m)) without re-ranking the position — the freeze path already
 // knows the present index. A blob aliases the payload; the caller holds
@@ -505,11 +572,7 @@ func (fc *frozenCols) presentValue(col, pi int) Value {
 	if c.kind == ColBytes {
 		return Value{kind: ColBytes, b: c.payload[c.offs[pi]:c.offs[pi+1]]}
 	}
-	v := c.num.Access(pi)
-	if c.dict != nil {
-		v = c.dict[v] // parseColumn checked every rank against the table
-	}
-	return Value{kind: ColUint64, num: v}
+	return c.numValue(c.num.Access(pi))
 }
 
 // colPresent counts present cells in [l, r).

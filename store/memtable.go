@@ -217,7 +217,7 @@ func (v memView) cursor(k *probe) matchCursor { return &memCursor{v: v, k: k} }
 // the consumer runs between the cursor's batches, with no lock held.
 // Positions are extracted in batches, each under one read-lock acquisition
 // with the view's match count taken once; between batches no lock is held,
-// and value is a point read under its own. The batch doubles from a few
+// and a value is a point read under its own. The batch doubles from a few
 // matches, so a consumer that stops early has not paid for a long one.
 type memCursor struct {
 	v     memView
@@ -227,7 +227,8 @@ type memCursor struct {
 	buf   []int // the extracted positions, buf[i] being match j's
 	i     int
 	batch int
-	cur   int // position of the match next last returned
+	cur   int    // position of the match next last returned
+	val   []byte // the value values hands out
 }
 
 func (c *memCursor) rankAt(pos int) int { return c.v.rank(c.k, pos) }
@@ -256,7 +257,15 @@ func (c *memCursor) next() (int, bool) {
 	return c.cur, true
 }
 
-func (c *memCursor) value(dst []byte) []byte { return append(dst, c.v.Access(c.cur)...) }
+// mark is the match's position: a memtable's values are point reads.
+func (c *memCursor) mark() int { return c.cur }
+
+func (c *memCursor) values(ms []int, fn func(k int, v []byte)) {
+	for k, pos := range ms {
+		c.val = append(c.val[:0], c.v.Access(pos)...)
+		fn(k, c.val)
+	}
+}
 
 func (c *memCursor) close() {}
 
@@ -307,6 +316,9 @@ func (v memView) colValue(col, pos int) Value {
 	}
 	return v.m.cols.cellAt(col, i)
 }
+
+// cells reads the memtable's cells one by one, each under the lock.
+func (v memView) cells() colCursor { return v }
 
 // colRange counts present cells of column col in positions [l, r) with
 // value in [lo, hi], by linear scan over the sparse present list — the

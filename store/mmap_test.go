@@ -402,7 +402,7 @@ func testQueryHoldsMappedCols(t *testing.T) {
 		t.Fatalf("CountWhere on the retired view = %d, %v, want %d", got, err, want)
 	}
 	seen := 0
-	if err := sn.ScanWhere("api/", 0, preds, func(idx, pos int, v []byte) bool {
+	if _, err := sn.ScanWhere("api/", 0, 0, preds, func(idx, pos int, v []byte, _ Row) bool {
 		if idx == 0 {
 			collect()
 		}

@@ -51,7 +51,7 @@ func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 				continue
 			}
 			next := from
-			sn.ScanPrefix(p, from, func(idx, pos int, b []byte) bool {
+			sn.ScanPrefix(p, from, 0, func(idx, pos int, b []byte) bool {
 				v := string(b)
 				if idx != next || v != seq[pos] || !strings.HasPrefix(v, p) {
 					t.Fatalf("ScanPrefix(%q,%d) yields (%d,%d,%q) as match %d; the sequence has %q there", p, from, idx, pos, v, next, seq[pos])
@@ -89,7 +89,7 @@ func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 			}
 			for from := 0; from <= count; {
 				got := 0
-				sn.ScanPrefix(p, from, func(idx, pos int, b []byte) bool {
+				sn.ScanPrefix(p, from, 0, func(idx, pos int, b []byte) bool {
 					v := string(b)
 					if idx != from+got || v != seq[pos] || !strings.HasPrefix(v, p) {
 						t.Fatalf("ScanPrefix(%q,%d) page of %d: match %d at %d is %q", p, from, page, idx, pos, v)
@@ -99,6 +99,19 @@ func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 				})
 				if want := min(page, count-from); got != want {
 					t.Fatalf("ScanPrefix(%q,%d) page of %d holds %d matches, want %d", p, from, page, got, want)
+				}
+				// The same page in the page form: its own bound, and whether
+				// more follow.
+				got = 0
+				more := sn.ScanPrefix(p, from, page, func(idx, pos int, b []byte) bool {
+					if idx != from+got || string(b) != seq[pos] {
+						t.Fatalf("ScanPrefix(%q,%d,%d): match %d at %d is %q", p, from, page, idx, pos, b)
+					}
+					got++
+					return true
+				})
+				if want := min(page, count-from); got != want || more != (from+page < count) {
+					t.Fatalf("ScanPrefix(%q,%d,%d) holds %d matches, more %v; want %d, %v", p, from, page, got, more, want, from+page < count)
 				}
 				from += page
 			}
@@ -118,10 +131,10 @@ func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 		}
 		for _, from := range []int{0, len(want) / 2, len(want), len(want) + 1} {
 			next := from
-			err := sn.ScanWhere(p, from, preds, func(idx, pos int, b []byte) bool {
+			_, err := sn.ScanWhere(p, from, 0, preds, func(idx, pos int, b []byte, row Row) bool {
 				v := string(b)
-				if idx != next || pos != want[idx] || v != seq[pos] {
-					t.Fatalf("ScanWhere(%q,%d) yields (%d,%d,%q), want (%d,%d,%q)", p, from, idx, pos, v, next, want[next], seq[want[next]])
+				if idx != next || pos != want[idx] || v != seq[pos] || !reflect.DeepEqual(row, rows[pos]) {
+					t.Fatalf("ScanWhere(%q,%d) yields (%d,%d,%q,%v), want (%d,%d,%q,%v)", p, from, idx, pos, v, row, next, want[next], seq[want[next]], rows[want[next]])
 				}
 				next++
 				return true
@@ -410,7 +423,17 @@ func TestShardedPrefixScanDifferential(t *testing.T) {
 						}
 					}
 					scanPrefix := func(from int) func(fn func(idx, pos int, v []byte) bool) {
-						return func(fn func(idx, pos int, v []byte) bool) { sn.ScanPrefix(p, from, fn) }
+						return func(fn func(idx, pos int, v []byte) bool) { sn.ScanPrefix(p, from, 0, fn) }
+					}
+					// The page form, bounded by the page itself: more says
+					// whether the bound cut the stream.
+					scanPage := func(what string, want []int, from, stop int, scan func(max int, fn func(idx, pos int, v []byte) bool) bool) {
+						t.Helper()
+						more := false
+						page(what, want, from, stop, func(fn func(idx, pos int, v []byte) bool) { more = scan(stop, fn) })
+						if end := max(0, len(want)-from); stop > 0 && more != (end > stop) {
+							t.Fatalf("%d shards, view of %d: %s(%q, %d, %d) reports more %v with %d matches left", shards, n, what, p, from, stop, more, end)
+						}
 					}
 					for from := 0; from <= len(want)+1; from++ {
 						if from%stride != 0 && from < len(want)-1 && !nearBoundary(from) {
@@ -425,15 +448,27 @@ func TestShardedPrefixScanDifferential(t *testing.T) {
 						}
 						stop := pages[from%len(pages)]
 						page("ScanPrefix", want, from, stop, scanPrefix(from))
+						scanPage("ScanPrefix", want, from, stop, func(max int, fn func(idx, pos int, v []byte) bool) bool {
+							return sn.ScanPrefix(p, from, max, fn)
+						})
 						page("IteratePrefix", want, from, stop, func(fn func(idx, pos int, v []byte) bool) {
 							sn.IteratePrefix(p, from, func(idx, pos int) bool { return fn(idx, pos, nil) })
 						})
 						if from <= len(wantErr)+1 {
-							page("ScanWhere", wantErr, from, stop, func(fn func(idx, pos int, v []byte) bool) {
-								if err := sn.ScanWhere(p, from, preds, fn); err != nil {
+							where := func(max int, fn func(idx, pos int, v []byte) bool) bool {
+								more, err := sn.ScanWhere(p, from, max, preds, func(idx, pos int, v []byte, row Row) bool {
+									if !reflect.DeepEqual(row, rows[pos]) {
+										t.Fatalf("%d shards, view of %d: ScanWhere(%q, %d, %d) match at %d has row %v, want %v", shards, n, p, from, max, pos, row, rows[pos])
+									}
+									return fn(idx, pos, v)
+								})
+								if err != nil {
 									t.Fatal(err)
 								}
-							})
+								return more
+							}
+							page("ScanWhere", wantErr, from, stop, func(fn func(idx, pos int, v []byte) bool) { where(0, fn) })
+							scanPage("ScanWhere", wantErr, from, stop, where)
 						}
 					}
 					if v < len(views)-1 {
@@ -482,7 +517,7 @@ func TestPrefixScanCallbackMayRead(t *testing.T) {
 		}
 	}()
 	count := 0
-	sn.ScanPrefix("v/", 0, func(idx, pos int, b []byte) bool {
+	sn.ScanPrefix("v/", 0, 0, func(idx, pos int, b []byte) bool {
 		v := string(b)
 		if got := sn.Access(pos); got != v || idx != pos {
 			t.Errorf("match %d at %d is %q, Access says %q", idx, pos, v, got)

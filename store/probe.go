@@ -96,8 +96,12 @@ type matchCursor interface {
 	seek(j int)
 	// next returns the position of the next match, ok=false past the last.
 	next() (pos int, ok bool)
-	// value appends to dst the value of the match next last returned.
-	value(dst []byte) []byte
+	// mark names the match next last returned, for values.
+	mark() int
+	// values calls fn with the value of each of the marked matches ms,
+	// strictly ascending, in ms's order — a generation decodes a page of
+	// them in one pass; k indexes ms, and v is valid only during the call.
+	values(ms []int, fn func(k int, v []byte))
 	// close ends the enumeration; the cursor must not be used after it.
 	close()
 }
@@ -136,11 +140,13 @@ func (fc *frozenCursor) next() (int, bool) {
 	return pos, ok
 }
 
-// value decodes the match straight into the caller's bytes.
-func (fc *frozenCursor) value(dst []byte) []byte {
-	out := fc.c.AppendValue(dst, fc.j-1)
+// mark is the match's index among the prefix's matches.
+func (fc *frozenCursor) mark() int { return fc.j - 1 }
+
+// values runs the trie's page extractor below the prefix's node.
+func (fc *frozenCursor) values(ms []int, fn func(k int, v []byte)) {
+	fc.c.Values(ms, fn)
 	runtime.KeepAlive(fc.f)
-	return out
 }
 
 func (fc *frozenCursor) close() {

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -58,9 +59,9 @@ func (c *countingCursor) next() (int, bool) {
 	return pos, ok
 }
 
-func (c *countingCursor) value(dst []byte) []byte {
-	c.seg.tot.decoded++
-	return c.matchCursor.value(dst)
+func (c *countingCursor) values(ms []int, fn func(k int, v []byte)) {
+	c.seg.tot.decoded += len(ms)
+	c.matchCursor.values(ms, fn)
 }
 
 // countSegs returns a copy of sn whose every segment, on every shard,
@@ -98,8 +99,8 @@ type scanView interface {
 	CountWhere(prefix string, preds ...Pred) (int, error)
 	SelectPrefix(p string, idx int) (int, bool)
 	IteratePrefix(p string, from int, fn func(idx, pos int) bool)
-	ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool)
-	ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error
+	ScanPrefix(p string, from, max int, fn func(idx, pos int, v []byte) bool) bool
+	ScanWhere(prefix string, from, max int, preds []Pred, fn func(idx, pos int, v []byte, row Row) bool) (bool, error)
 }
 
 // TestShardedScanPullsOnlyWhatItEmits holds the prefix scans to what a page
@@ -190,7 +191,7 @@ func TestShardedScanPullsOnlyWhatItEmits(t *testing.T) {
 					got := 0
 					each := func() bool { got++; return got < page }
 					if vals {
-						sn.ScanPrefix(prefix, from, func(_, _ int, _ []byte) bool { return each() })
+						sn.ScanPrefix(prefix, from, 0, func(_, _ int, _ []byte) bool { return each() })
 					} else {
 						sn.IteratePrefix(prefix, from, func(_, _ int) bool { return each() })
 					}
@@ -211,13 +212,81 @@ func TestShardedScanPullsOnlyWhatItEmits(t *testing.T) {
 				want = min(page, errs-from)
 				sn, segs, tot = counted(true)
 				got := 0
-				if err := sn.ScanWhere(prefix, from, preds, func(_, _ int, _ []byte) bool { got++; return got < page }); err != nil || got != want {
+				if _, err := sn.ScanWhere(prefix, from, 0, preds, func(_, _ int, _ []byte, _ Row) bool { got++; return got < page }); err != nil || got != want {
 					t.Fatalf("%s, where %s: %d matches emitted, %v; want %d", arm, name, got, err, want)
 				}
 				if tot.pulled < 5*tot.admitted {
 					t.Fatalf("%s, where %s: %d pulled, %d admitted: the filter is not filtering", arm, name, tot.pulled, tot.admitted)
 				}
 				check("where "+name, from+got, got, true, segs, tot)
+			}
+		}
+		st.Close()
+	}
+}
+
+// TestPageDecodesOnlyItsMatches holds a served page to its own values: a
+// page of 64 prefix matches, or 16 of a prefix's errors, with more matches
+// past it — plain and over 1, 2 and 3 shards, from the first match and
+// from a middle one — decodes exactly its 64 (16) values, finds out that
+// more follow from positions alone, and pulls at most one match past the
+// page and one head per shard.
+func TestPageDecodesOnlyItsMatches(t *testing.T) {
+	seq, rows := scanTestData(3*routerChunkLen + 700)
+	preds := []Pred{{Col: 0, Op: PredGE, Val: 500}}
+	prefix := "host01"
+	opts := Options{FlushThreshold: 1 << 20, DisableAutoFlush: true, Columns: []ColumnSpec{{Name: "status", Kind: ColUint64}}}
+	for _, shards := range []int{0, 1, 2, 3} {
+		var st *Store
+		var err error
+		if shards == 0 {
+			st, err = Open(t.TempDir(), &opts)
+		} else {
+			st, err = OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards, Store: opts})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(seq); lo += 4000 {
+			hi := min(lo+4000, len(seq))
+			if err := st.AppendBatchRows(seq[lo:hi], rows[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			if hi < len(seq) {
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		count := st.Snapshot().CountPrefix(prefix)
+		errs, _ := st.Snapshot().CountWhere(prefix, preds...)
+		for _, from := range []int{0, count / 3} {
+			sn, _, tot := countSeam(st.Snapshot(), false)
+			got := 0
+			more := sn.ScanPrefix(prefix, from, 64, func(_, pos int, v []byte) bool {
+				if string(v) != seq[pos] {
+					t.Fatalf("%d shards: match at %d is %q, want %q", shards, pos, v, seq[pos])
+				}
+				got++
+				return true
+			})
+			if got != 64 || !more || tot.decoded != 64 || tot.pulled > 65+shards {
+				t.Errorf("%d shards, ScanPrefix from %d: a page of %d (more %v) decoded %d values and pulled %d matches; want 64, true, 64 and at most %d",
+					shards, from, got, more, tot.decoded, tot.pulled, 65+shards)
+			}
+			from := from * errs / count
+			sn, _, tot = countSeam(st.Snapshot(), true)
+			got = 0
+			more, err := sn.ScanWhere(prefix, from, 16, preds, func(_, pos int, v []byte, row Row) bool {
+				if string(v) != seq[pos] || !reflect.DeepEqual(row, rows[pos]) {
+					t.Fatalf("%d shards: where match at %d is %q %v, want %q %v", shards, pos, v, row, seq[pos], rows[pos])
+				}
+				got++
+				return true
+			})
+			if err != nil || got != 16 || !more || tot.decoded != 16 || tot.admitted > from+17+shards {
+				t.Errorf("%d shards, ScanWhere from %d: a page of %d (more %v, %v) decoded %d values and admitted %d candidates; want 16, true, 16 and at most %d",
+					shards, from, got, more, err, tot.decoded, tot.admitted, from+17+shards)
 			}
 		}
 		st.Close()
@@ -348,16 +417,15 @@ func BenchmarkShardedScanPrefixPage(b *testing.B) {
 	plain, sharded, sharded1, reqs := shardScanStores(b)
 	for _, arm := range []struct {
 		name string
-		scan func(p string, from int, fn func(idx, pos int, v []byte) bool)
+		scan func(p string, from, max int, fn func(idx, pos int, v []byte) bool) bool
 	}{{"sharded", sharded.ScanPrefix}, {"sharded1", sharded1.ScanPrefix}, {"plain", plain.ScanPrefix}} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, got := reqs[i%len(reqs)], 0
-				arm.scan(r.p, r.from, func(_, pos int, v []byte) bool {
+				r := reqs[i%len(reqs)]
+				arm.scan(r.p, r.from, shardScanPage, func(_, pos int, v []byte) bool {
 					shardScanSink += pos + len(v)
-					got++
-					return got < shardScanPage
+					return true
 				})
 			}
 		})

@@ -32,12 +32,6 @@ type segment interface {
 	SizeBits() int
 }
 
-// valFn appends a scan match's value to dst and returns the extended
-// slice, so a consumer that only copies the bytes on never makes a string
-// of them. It reads the value when called — a positions-only consumer never
-// pays for it — and is valid only during the call of fn it was handed to.
-type valFn = func(dst []byte) []byte
-
 // snapSeg pairs a segment with, when the store has a column schema, the
 // segment's column reader.
 type snapSeg struct {
@@ -330,6 +324,11 @@ type snapCursor struct {
 	k    *probe
 	segs []segCursor // one per segment
 	i    int         // the segment the stream is in
+	at   int         // the position of the match next last returned
+	// cols[i] reads segment i's cells, for the row test and a page's rows:
+	// one colCursor a scan and segment, made when first needed.
+	cols []colCursor
+	one  [1]int // value's batch
 }
 
 type segCursor struct {
@@ -387,14 +386,64 @@ func (c *snapCursor) seek(j int) {
 func (c *snapCursor) next() (pos int, ok bool) {
 	for ; c.i < len(c.segs); c.i++ {
 		if pos, ok := c.seg(c.i).next(); ok {
-			return c.v.offs[c.i] + pos, true
+			c.at = c.v.offs[c.i] + pos
+			return c.at, true
 		}
 	}
 	return 0, false
 }
 
-// value appends to dst the value of the match next last returned.
-func (c *snapCursor) value(dst []byte) []byte { return c.segs[c.i].value(dst) }
+// value appends to dst the value of the match next last returned: a batch
+// of one.
+func (c *snapCursor) value(dst []byte) []byte {
+	sc := c.segs[c.i]
+	c.one[0] = sc.mark()
+	sc.values(c.one[:], func(_ int, v []byte) { dst = append(dst, v...) })
+	return dst
+}
+
+// cells returns the cell cursor of the segment of the match next last
+// returned, and the match's position in the segment; nil when the segment
+// has no columns.
+func (c *snapCursor) cells() (colCursor, int) {
+	cols := c.v.segs[c.i].cols
+	if cols == nil {
+		return nil, 0
+	}
+	if c.cols == nil {
+		c.cols = make([]colCursor, len(c.segs))
+	}
+	if c.cols[c.i] == nil {
+		c.cols[c.i] = cols.cells()
+	}
+	return c.cols[c.i], c.at - c.v.offs[c.i]
+}
+
+// match tests the row of the match next last returned against
+// pre-validated preds, through the segment's cell cursor.
+func (c *snapCursor) match(preds []Pred) bool {
+	cc, rel := c.cells()
+	for _, p := range preds {
+		if cc == nil || !matchValue(cc.colValue(p.Col, rel), p) {
+			return false
+		}
+	}
+	return true
+}
+
+// row appends to dst the n cells of the row of the match next last
+// returned (NULL where the segment has no columns).
+func (c *snapCursor) row(dst []Value, n int) []Value {
+	cc, rel := c.cells()
+	for j := 0; j < n; j++ {
+		var v Value
+		if cc != nil {
+			v = cc.colValue(j, rel)
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
 
 func (c *snapCursor) close() {
 	for _, sc := range c.segs {

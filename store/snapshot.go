@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sync"
 
 	wavelettrie "repro"
 )
@@ -247,7 +248,7 @@ func (sn *Snapshot) SelectPrefix(p string, idx int) (at int, ok bool) {
 	if len(sn.shards) == 1 {
 		return sn.shards[0].sel(newProbe(p, true), idx)
 	}
-	sn.scan(newProbe(p, true), idx, nil, func(_, pos int, _ valFn) bool {
+	sn.scan(newProbe(p, true), idx, nil, func(_, pos int, _ *snapCursor) bool {
 		at, ok = pos, true
 		return false
 	})
@@ -262,15 +263,30 @@ func (sn *Snapshot) SelectPrefix(p string, idx int) (at int, ok bool) {
 // descent per match. fn runs with no lock held. It panics if from is
 // negative.
 func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	sn.scan(prefixProbe(p, from), from, nil, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
+	sn.scan(prefixProbe(p, from), from, nil, func(idx, pos int, _ *snapCursor) bool { return fn(idx, pos) })
 }
 
 // ScanPrefix is IteratePrefix that also hands fn each match's value,
-// streamed from the same cursor — no Access per match, and no string: v
-// is the value's bytes in a buffer the next match overwrites, valid only
-// during that call of fn.
-func (sn *Snapshot) ScanPrefix(p string, from int, fn func(idx, pos int, v []byte) bool) {
-	sn.scan(prefixProbe(p, from), from, nil, withValue(fn))
+// from the same cursors — no Access per match, and no string: v is the
+// value's bytes in a buffer the next match overwrites, valid only during
+// that call of fn. max > 0 makes the scan a page of at most max matches,
+// the form a served page takes: the page's positions are found first and
+// its values decoded together, in one top-down pass per generation,
+// before fn is called, and more reports whether a match lies past the
+// last one fn was handed — finding that out decodes nothing. With max ≤ 0
+// fn sees every match until it returns false, each value decoded as it
+// is handed over, and more is false.
+func (sn *Snapshot) ScanPrefix(p string, from, max int, fn func(idx, pos int, v []byte) bool) (more bool) {
+	k := prefixProbe(p, from)
+	if max > 0 {
+		return sn.scanPage(k, from, max, nil, false, func(idx, pos int, v []byte, _ Row) bool { return fn(idx, pos, v) })
+	}
+	var buf []byte
+	sn.scan(k, from, nil, func(idx, pos int, at *snapCursor) bool {
+		buf = at.value(buf[:0])
+		return fn(idx, pos, buf)
+	})
+	return false
 }
 
 // prefixProbe is the probe of an IteratePrefix or ScanPrefix from the
@@ -280,16 +296,6 @@ func prefixProbe(p string, from int) *probe {
 		panic(fmt.Sprintf("store: prefix scan from %d negative", from))
 	}
 	return newProbe(p, true)
-}
-
-// withValue adapts a value-taking scan callback to the scan seam: every
-// match's value is read into one buffer, reused from match to match.
-func withValue(fn func(idx, pos int, v []byte) bool) func(idx, pos int, val valFn) bool {
-	var buf []byte
-	return func(idx, pos int, val valFn) bool {
-		buf = val(buf[:0])
-		return fn(idx, pos, buf)
-	}
 }
 
 // seekCut returns a position with exactly from matches before it, given
@@ -319,93 +325,223 @@ func seekCut(n, total, from int, countAt func(pos int) int) int {
 	return lo
 }
 
-// scan is the view's match stream: the matches of the prefix probe k
-// whose rows pass preds, from the from-th (0-based) on, as (match index,
-// global position, value on demand); fn returns false to stop. Without
-// preds the from offset is sought (seek), so nothing before it is
-// replayed; with them nothing is — the intersection has no counts — and
-// the survivors before from are walked past, their values never read.
+// matchStream is the view's match stream: the matches of a prefix probe
+// whose rows pass preds, in position order, as (shard, global position),
+// the shard's snapCursor holding the match until the next call.
 //
 // Each shard's matches come from one snapCursor. With one shard that
 // stream is the view's. Over several, a k-way merge holds one head per
 // shard — local position from the shard's cursor, global from the
 // router's selectShard — emits the smallest and advances only the shard
-// it came from. Either way the row test runs on the shard, before a
-// candidate is emitted or becomes a head, and a value is decoded, through
-// the emitting cursor, only when fn asks: a page of m matches pulls at
-// most m + shards and decodes m.
-func (sn *Snapshot) scan(k *probe, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) {
-	filter := len(preds) > 0
-	cur := make([]snapCursor, len(sn.shards))
+// it came from, when the next match is asked for. Either way the row test
+// runs on the shard, through the cursor's cell cursors, before a
+// candidate is emitted or becomes a head: a page of m matches pulls at
+// most m + shards.
+type matchStream struct {
+	sn    *Snapshot
+	cur   []snapCursor
+	preds []Pred
+	heads []int // the shards' head positions, global; negative when none is left
+	last  int   // the shard next last emitted from, its pull pending; -1 before the first
+	idx   int   // the index of the match next returns
+}
+
+// stream opens the match stream of the prefix probe k, its next match
+// being number from (0-based) — sought, so nothing before it is replayed,
+// when there are no preds; with them nothing is (the intersection has no
+// counts), and the caller walks past the survivors before from. ok is
+// false when the stream is known to hold no match from there on.
+func (sn *Snapshot) stream(k *probe, from int, preds []Pred) (m *matchStream, ok bool) {
+	m = &matchStream{sn: sn, cur: make([]snapCursor, len(sn.shards)), preds: preds, last: -1}
 	nsegs := 0
 	for _, sh := range sn.shards {
 		nsegs += len(sh.segs)
 	}
 	segs := make([]segCursor, nsegs)
 	for s, sh := range sn.shards {
-		cur[s] = snapCursor{v: sh, k: k, segs: segs[:len(sh.segs):len(sh.segs)]}
+		m.cur[s] = snapCursor{v: sh, k: k, segs: segs[:len(sh.segs):len(sh.segs)]}
 		segs = segs[len(sh.segs):]
 	}
-	defer func() {
-		for s := range cur {
-			cur[s].close()
+	if len(preds) == 0 && from > 0 {
+		if !sn.seek(m.cur, from) {
+			return m, false
 		}
-	}()
-	idx := 0
-	if !filter && from > 0 {
-		if !sn.seek(cur, from) {
+		m.idx = from
+	}
+	return m, true
+}
+
+func (m *matchStream) close() {
+	for s := range m.cur {
+		m.cur[s].close()
+	}
+}
+
+// pull advances shard s's cursor to its next match that passes the row
+// test, making it the shard's head.
+func (m *matchStream) pull(s int) {
+	c := &m.cur[s]
+	for m.heads[s] = -1; m.heads[s] < 0; {
+		local, ok := c.next()
+		if !ok {
 			return
 		}
-		idx = from
+		if len(m.preds) == 0 || c.match(m.preds) {
+			m.heads[s] = m.sn.global(s, local)
+		}
 	}
-	if len(cur) == 1 {
-		c, sh := &cur[0], sn.shards[0]
-		val := c.value
+}
+
+// next returns the next match: its index, the shard whose cursor holds it
+// and its global position; ok is false past the last.
+func (m *matchStream) next() (idx, s, pos int, ok bool) {
+	if len(m.cur) == 1 {
+		c := &m.cur[0]
 		for {
-			pos, ok := c.next()
-			if !ok {
-				return
+			if pos, ok = c.next(); !ok {
+				return 0, 0, 0, false
 			}
-			if filter && !sh.matchAt(pos, preds) {
-				continue
-			}
-			if idx >= from && !fn(idx, pos, val) {
-				return
-			}
-			idx++
-		}
-	}
-	// heads[s] is the global position of shard s's current match, negative
-	// when it has none left.
-	heads := make([]int, len(cur))
-	pull := func(s int) {
-		for heads[s] = -1; heads[s] < 0; {
-			local, ok := cur[s].next()
-			if !ok {
-				return
-			}
-			if !filter || sn.shards[s].matchAt(local, preds) {
-				heads[s] = sn.global(s, local)
+			if len(m.preds) == 0 || c.match(m.preds) {
+				m.idx++
+				return m.idx - 1, 0, pos, true
 			}
 		}
 	}
-	for s := range cur {
-		pull(s)
+	if m.last < 0 {
+		m.heads = make([]int, len(m.cur))
+		for s := range m.cur {
+			m.pull(s)
+		}
+	} else {
+		m.pull(m.last)
 	}
-	best := 0
-	val := func(dst []byte) []byte { return cur[best].value(dst) }
+	best := -1
+	for s, h := range m.heads {
+		if h >= 0 && (best < 0 || h < m.heads[best]) {
+			best = s
+		}
+	}
+	if best < 0 {
+		return 0, 0, 0, false
+	}
+	m.last = best
+	m.idx++
+	return m.idx - 1, best, m.heads[best], true
+}
+
+// scan runs the match stream of the prefix probe k from the from-th
+// (0-based) match on into fn, as (match index, global position, the
+// shard's cursor holding the match), until fn returns false. Nothing but
+// the position is read unless fn asks the cursor: a value is then decoded
+// through the emitting segment's cursor as a batch of one, and a row read
+// through its cell cursor.
+func (sn *Snapshot) scan(k *probe, from int, preds []Pred, fn func(idx, pos int, at *snapCursor) bool) {
+	m, ok := sn.stream(k, from, preds)
+	defer m.close()
+	if !ok {
+		return
+	}
 	for {
-		best = -1
-		for s, h := range heads {
-			if h >= 0 && (best < 0 || h < heads[best]) {
-				best = s
-			}
-		}
-		if idx++; best < 0 || idx > from && !fn(idx-1, heads[best], val) {
+		idx, s, pos, ok := m.next()
+		if !ok || idx >= from && !fn(idx, pos, &m.cur[s]) {
 			return
 		}
-		pull(best)
 	}
+}
+
+// pageMatch is a match of a page being gathered: its index and position,
+// the segment cursor and mark that name it, and — once the page's values
+// are decoded — where its value lies in the page's bytes.
+type pageMatch struct {
+	idx, pos     int
+	shard, seg   int
+	mark, lo, hi int
+}
+
+// scanPage is scan for a page of at most max matches (max > 0), each
+// handed to fn with its value and, with rows, its row (nil without a
+// schema). The page's positions are gathered first, its rows read as they
+// pass (the cell cursors move forward), then each segment's values are
+// decoded in one batch (matchCursor.values), and only then is fn called,
+// in order, until it returns false. The match that tells there is more is
+// a position only: more reports whether a match lies past the last one fn
+// was handed.
+func (sn *Snapshot) scanPage(k *probe, from, max int, preds []Pred, rows bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool) {
+	m, ok := sn.stream(k, from, preds)
+	defer m.close()
+	if !ok {
+		return false
+	}
+	ncols := 0
+	if rows {
+		ncols = len(sn.schema)
+	}
+	pg := pages.Get().(*pageScratch)
+	defer pg.release()
+	ms, cells := pg.ms[:0], pg.cells[:0]
+	for len(ms) < max {
+		idx, s, pos, ok := m.next()
+		if !ok {
+			break
+		}
+		if idx < from {
+			continue
+		}
+		c := &m.cur[s]
+		ms = append(ms, pageMatch{idx: idx, pos: pos, shard: s, seg: c.i, mark: c.segs[c.i].mark(), lo: -1})
+		cells = c.row(cells, ncols)
+	}
+	if len(ms) == max {
+		_, _, _, more = m.next()
+	}
+	// The values, a batch per segment: its matches' marks ascend in page
+	// order.
+	vals, marks, ks := pg.vals[:0], pg.marks, pg.ks
+	for i := range ms {
+		if ms[i].lo >= 0 {
+			continue
+		}
+		marks, ks = marks[:0], ks[:0]
+		for j := i; j < len(ms); j++ {
+			if ms[j].shard == ms[i].shard && ms[j].seg == ms[i].seg {
+				marks, ks = append(marks, ms[j].mark), append(ks, j)
+			}
+		}
+		m.cur[ms[i].shard].segs[ms[i].seg].values(marks, func(k int, v []byte) {
+			pm := &ms[ks[k]]
+			pm.lo = len(vals)
+			vals = append(vals, v...)
+			pm.hi = len(vals)
+		})
+	}
+	pg.ms, pg.cells, pg.vals, pg.marks, pg.ks = ms, cells, vals, marks, ks
+	for i, pm := range ms {
+		var row Row
+		if ncols > 0 {
+			row = cells[i*ncols : (i+1)*ncols]
+		}
+		if !fn(pm.idx, pm.pos, vals[pm.lo:pm.hi], row) {
+			return i < len(ms)-1 || more
+		}
+	}
+	return more
+}
+
+// pageScratch is scanPage's buffers, recycled from page to page: a served
+// page would otherwise grow each of them afresh.
+type pageScratch struct {
+	ms        []pageMatch
+	cells     []Value
+	vals      []byte
+	marks, ks []int
+}
+
+var pages = sync.Pool{New: func() any { return new(pageScratch) }}
+
+// release returns the buffers to the pool, holding no cell's bytes.
+func (pg *pageScratch) release() {
+	clear(pg.cells)
+	pages.Put(pg)
 }
 
 // seek points the cursors at match from of the merged stream, reporting
@@ -572,7 +708,7 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 		k := newProbe(prefix, true)
 		for s, sh := range sn.shards {
 			one := Snapshot{n: sh.len(), shards: sn.shards[s : s+1]}
-			one.scan(k, 0, preds, func(int, int, valFn) bool {
+			one.scan(k, 0, preds, func(int, int, *snapCursor) bool {
 				count++
 				return true
 			})
@@ -600,44 +736,78 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 // arithmetic (the predicate intersection has no precomputed counts), so
 // resuming at from costs a walk over the earlier matches' candidates.
 func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	return sn.where(prefix, from, preds, func(idx, pos int, _ valFn) bool { return fn(idx, pos) })
+	_, err := sn.where(prefix, from, 0, preds, false, func(idx, pos int, _ []byte, _ Row) bool { return fn(idx, pos) })
+	return err
 }
 
-// ScanWhere is IterateWhere that also hands fn each match's value, as
-// ScanPrefix does: v is valid only during that call of fn. With a prefix,
-// candidates come from the positions-only prefix cursors and a value is
-// read only for a candidate that passed every predicate and lies at or
-// past from.
-func (sn *Snapshot) ScanWhere(prefix string, from int, preds []Pred, fn func(idx, pos int, v []byte) bool) error {
-	return sn.where(prefix, from, preds, withValue(fn))
+// ScanWhere is IterateWhere that also hands fn each match's value and
+// row, as ScanPrefix hands values, with its max: v and row (one cell per
+// schema column, nil without a schema) are valid only during that call of
+// fn, and a page (max > 0) decodes its values together, reports in more
+// whether a match lies past it, and reads nothing of that match but its
+// position and the cells the predicates test. With a prefix, candidates
+// come from the positions-only prefix cursors, their cells — the tested
+// ones and then a match's row — through one cell cursor a segment, read
+// forward.
+func (sn *Snapshot) ScanWhere(prefix string, from, max int, preds []Pred, fn func(idx, pos int, v []byte, row Row) bool) (more bool, err error) {
+	return sn.where(prefix, from, max, preds, true, fn)
 }
 
 // where is IterateWhere and ScanWhere: the prefix's match stream filtered
 // by the row test, or — with no prefix to stream from — every position put
-// to the test.
-func (sn *Snapshot) where(prefix string, from int, preds []Pred, fn func(idx, pos int, val valFn) bool) error {
+// to the test; with vals, fn is handed each match's value and row.
+func (sn *Snapshot) where(prefix string, from, max int, preds []Pred, vals bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool, err error) {
 	if from < 0 {
-		return fmt.Errorf("store: IterateWhere from %d negative", from)
+		return false, fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
 	if err := validatePreds(sn.schema, preds); err != nil {
-		return err
+		return false, err
 	}
+	var row Row
+	if vals && len(sn.schema) > 0 {
+		row = make(Row, len(sn.schema))
+	}
+	var buf []byte
 	if prefix != "" {
-		sn.scan(newProbe(prefix, true), from, preds, fn)
-		return nil
+		k := newProbe(prefix, true)
+		if vals && max > 0 {
+			return sn.scanPage(k, from, max, preds, true, fn), nil
+		}
+		sn.scan(k, from, preds, func(idx, pos int, at *snapCursor) bool {
+			if vals {
+				buf = at.value(buf[:0])
+				row = at.row(row[:0], len(row))
+			}
+			return fn(idx, pos, buf, row)
+		})
+		return false, nil
 	}
-	// No prefix node to stream from: a surviving position's value is a
-	// point read.
-	pos := 0
-	val := func(dst []byte) []byte { return append(dst, sn.Access(pos)...) }
-	for idx := 0; pos < sn.n; pos++ {
+	// No prefix node to stream from: every position is put to the test,
+	// and a match's value and cells are point reads.
+	n, stopped := 0, false
+	for idx, pos := 0, 0; pos < sn.n; pos++ {
 		if !sn.matchAt(pos, preds) {
 			continue
 		}
-		if idx >= from && !fn(idx, pos, val) {
-			break
+		if idx++; idx <= from {
+			continue
 		}
-		idx++
+		if stopped || max > 0 && n == max {
+			return true, nil // only a page asks, and stops, for this one
+		}
+		n++
+		if vals {
+			buf = append(buf[:0], sn.Access(pos)...)
+			for c := range row {
+				row[c] = sn.cellAt(pos, c)
+			}
+		}
+		if !fn(idx-1, pos, buf, row) {
+			if max <= 0 {
+				return false, nil
+			}
+			stopped = true
+		}
 	}
-	return nil
+	return false, nil
 }
