@@ -513,14 +513,9 @@ func (c *frozenCol) rank(pos int) int {
 // dictionary-coded, one table entry) or copied out of the
 // payload (blob) — a cell handed out must not alias a mapping that only
 // the column set keeps alive.
-func (fc *frozenCols) colValue(col, pos int) (v Value) {
-	c := &fc.cols[col]
-	if c.m > 0 && (c.presence == nil || c.presence.Access(pos) == 1) {
-		v = fc.presentValue(col, c.rank(pos))
-		v.b = bytes.Clone(v.b)
-	}
-	runtime.KeepAlive(fc)
-	return v
+func (fc *frozenCols) colValue(col, pos int) Value {
+	cc := frozenColCursor{fc: fc}
+	return cc.colValue(col, pos)
 }
 
 // cells returns a cursor whose numeric columns are read through a
@@ -529,8 +524,8 @@ func (fc *frozenCols) cells() colCursor {
 	return &frozenColCursor{fc: fc, mats: make([]*wavelettree.Cursor, len(fc.cols))}
 }
 
-// frozenColCursor is a generation's colCursor: colValue, with the matrix
-// read forward.
+// frozenColCursor is a generation's colCursor: colValue, with the
+// matrices read forward — or, with no mats, each cell on its own.
 type frozenColCursor struct {
 	fc   *frozenCols
 	mats []*wavelettree.Cursor
@@ -540,14 +535,14 @@ func (cc *frozenColCursor) colValue(col, pos int) (v Value) {
 	fc := cc.fc
 	c := &fc.cols[col]
 	if c.m > 0 && (c.presence == nil || c.presence.Access(pos) == 1) {
-		if c.kind != ColUint64 {
-			v = fc.presentValue(col, c.rank(pos))
-			v.b = bytes.Clone(v.b)
-		} else {
+		if pi := c.rank(pos); c.kind == ColUint64 && cc.mats != nil {
 			if cc.mats[col] == nil {
 				cc.mats[col] = c.num.Cursor()
 			}
-			v = c.numValue(cc.mats[col].Access(c.rank(pos)))
+			v = c.numValue(cc.mats[col].Access(pi))
+		} else {
+			v = fc.presentValue(col, pi)
+			v.b = bytes.Clone(v.b)
 		}
 	}
 	runtime.KeepAlive(fc)
