@@ -145,22 +145,31 @@ func BenchmarkFrozenRankPrefix(b *testing.B) {
 	}
 }
 
-// BenchmarkFrozenScanPrefix is one page of a served prefix scan: 64
-// matches, positions and values, from a scattered offset under a hot, a
-// mid and an 8-match prefix.
+// BenchmarkFrozenScanPrefix is one generation's part of a page of a
+// served prefix scan: 64 matches from a scattered offset under a hot, a
+// mid and an 8-match prefix, their positions from the prefix cursor and
+// their values from one PrefixCursor.Values pass, as the store's page form
+// reads a generation.
 func BenchmarkFrozenScanPrefix(b *testing.B) {
 	for _, p := range []string{"host00.example", "host05.example", "host02.example/a14"} {
 		b.Run(p, func(b *testing.B) {
 			f, _, pos := benchFrozen(b)
+			key := bitstr.EncodePrefixString(p)
 			total, matches := f.CountPrefix(p), 0
+			js := make([]int, 0, 64)
 			for i := 0; i < b.N; i++ {
-				n := 0
-				f.EnumeratePrefix(p, pos[i&1023]%total, func(_, at int, val func() string) bool {
-					benchSink += at + len(val())
-					n++
-					return n < 64
-				})
-				matches += n
+				c := f.t.PrefixCursor(key)
+				from := pos[i&1023] % total
+				c.Seek(from)
+				js = js[:0]
+				for j := from; j < min(from+64, total); j++ {
+					at, _ := c.Next()
+					benchSink += at
+					js = append(js, j)
+				}
+				c.Values(js, func(_ int, v []byte) { benchSink += len(v) })
+				c.Close()
+				matches += len(js)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
 		})

@@ -124,13 +124,14 @@ func (f *Frozen) Enumerate(l, r int, fn func(pos int, s string) bool) { f.t.Enum
 // during that call of fn. fn returns false to stop. The trie is descended
 // once, to the prefix's node; each match is then one monotone select per
 // level of the node's root path (a run of matches shares the decoded RRR
-// blocks). A val decodes ahead: the values of a page of matches from its
-// own on — 64, then twice as many a page up to 256 — in one top-down pass
-// below the node, so a page of values costs far less than SelectPrefix
-// and Access per match, and a consumer that stops inside a page has paid
-// for the rest of it. It returns CountPrefix(p), which the descent found
+// blocks). max > 0 makes the scan a page of at most max matches: the
+// first val called decodes the values of the page's matches from its own
+// to the page's last in one top-down pass below the node, so a page of
+// values costs far less than SelectPrefix and Access per match. With
+// max ≤ 0 the scan runs until fn stops it, and each val decodes its own
+// match, a pass of one. It returns CountPrefix(p), which the descent found
 // on the way, and panics if from is negative.
-func (f *Frozen) EnumeratePrefix(p string, from int, fn func(idx, pos int, val func() string) bool) (count int) {
+func (f *Frozen) EnumeratePrefix(p string, from, max int, fn func(idx, pos int, val func() string) bool) (count int) {
 	if from < 0 {
 		panic(fmt.Sprintf("wavelettrie: EnumeratePrefix from %d negative", from))
 	}
@@ -139,46 +140,37 @@ func (f *Frozen) EnumeratePrefix(p string, from int, fn func(idx, pos int, val f
 	count = c.Count()
 	defer c.Close()
 	c.Seek(from)
-	var w valuePage
-	idx := from
-	val := func() string { return w.value(c, idx, count) }
-	for ; ; idx++ {
+	end := count
+	if max > 0 && max < count-from {
+		end = from + max
+	}
+	// vals holds the values of matches [lo, lo+len(vals)) once decoded.
+	var js []int
+	var vals []string
+	idx, lo := from, from
+	val := func() string {
+		if idx >= lo+len(vals) {
+			hi := idx + 1
+			if max > 0 {
+				hi = end
+			}
+			js = js[:0]
+			for j := idx; j < hi; j++ {
+				js = append(js, j)
+			}
+			lo, vals = idx, slices.Grow(vals[:0], len(js))[:len(js)]
+			c.Strings(js, vals)
+		}
+		return vals[idx-lo]
+	}
+	for ; idx < end; idx++ {
 		pos, ok := c.Next()
 		if !ok || !fn(idx, pos, val) {
-			return count
+			break
 		}
 	}
+	return count
 }
-
-// valuePage is the values EnumeratePrefix has decoded ahead: those of
-// matches [lo, lo+len(vals)).
-type valuePage struct {
-	lo   int
-	vals []string
-	js   []int
-}
-
-// value returns match j's value, decoding the page from j on when j lies
-// outside the last one.
-func (w *valuePage) value(c *succinct.PrefixCursor, j, count int) string {
-	if j < w.lo || j >= w.lo+len(w.vals) {
-		size := enumPageMin
-		if len(w.js) > 0 {
-			size = min(2*len(w.js), enumPageMax)
-		}
-		w.lo, w.js = j, w.js[:0]
-		for k := j; k < min(j+size, count); k++ {
-			w.js = append(w.js, k)
-		}
-		w.vals = slices.Grow(w.vals[:0], len(w.js))[:len(w.js)]
-		c.Strings(w.js, w.vals)
-	}
-	return w.vals[j-w.lo]
-}
-
-// A prefix scan's value pages, in matches: the first is what a served
-// page asks for, and a longer scan's grow.
-const enumPageMin, enumPageMax = 64, 256
 
 // ConcatFrozen returns the Frozen of the concatenation of the parts'
 // sequences, in argument order — the merge a compaction runs. It works on

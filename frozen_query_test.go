@@ -106,31 +106,38 @@ func checkFrozenAgainstFlat(t *testing.T, f *Frozen, seq []string, keys []string
 			}
 		}
 		// Prefix enumeration, positions and values, from every kind of
-		// starting index; values are asked for on every other match, so the
-		// value walk both streams and re-seeks.
+		// starting index, unbounded and in pages; values are asked for on
+		// every other match, so a page's values are decoded from a match
+		// past its first.
 		for _, from := range []int{0, countP / 2, countP - 1, countP, countP + 1} {
 			if from < 0 {
 				continue
 			}
-			next := from
-			f.EnumeratePrefix(k, from, func(idx, pos int, val func() string) bool {
-				if wp, _ := m.sel(prefixed, next); idx != next || pos != wp {
-					t.Fatalf("EnumeratePrefix(%q,%d) yields (%d,%d), want (%d,%d)", k, from, idx, pos, next, wp)
-				}
-				if idx%2 == 0 {
-					if got := val(); got != seq[pos] {
-						t.Fatalf("EnumeratePrefix(%q,%d) match %d has value %q, want %q", k, from, idx, got, seq[pos])
+			for _, page := range []int{0, 1, 5} {
+				next := from
+				f.EnumeratePrefix(k, from, page, func(idx, pos int, val func() string) bool {
+					if wp, _ := m.sel(prefixed, next); idx != next || pos != wp {
+						t.Fatalf("EnumeratePrefix(%q,%d,%d) yields (%d,%d), want (%d,%d)", k, from, page, idx, pos, next, wp)
 					}
+					if idx%2 == 1 {
+						if got := val(); got != seq[pos] {
+							t.Fatalf("EnumeratePrefix(%q,%d,%d) match %d has value %q, want %q", k, from, page, idx, got, seq[pos])
+						}
+					}
+					next++
+					return true
+				})
+				want := max(from, countP)
+				if page > 0 {
+					want = max(from, min(from+page, countP))
 				}
-				next++
-				return true
-			})
-			if want := max(from, countP); next != want {
-				t.Fatalf("EnumeratePrefix(%q,%d) ended at match %d, want %d", k, from, next, want)
+				if next != want {
+					t.Fatalf("EnumeratePrefix(%q,%d,%d) ended at match %d, want %d", k, from, page, next, want)
+				}
 			}
 		}
 		stops := 0
-		total := f.EnumeratePrefix(k, 0, func(int, int, func() string) bool { stops++; return stops < 2 })
+		total := f.EnumeratePrefix(k, 0, 0, func(int, int, func() string) bool { stops++; return stops < 2 })
 		if want := min(2, countP); stops != want || total != countP {
 			t.Fatalf("EnumeratePrefix(%q) ran %d callbacks after being told to stop at 2 and returned %d, with %d matches", k, stops, total, countP)
 		}
@@ -269,7 +276,7 @@ func TestFrozenIterateAllocations(t *testing.T) {
 	// A page of a prefix scan: positions alone allocate nothing per match.
 	p := seq[0][:6]
 	a = testing.AllocsPerRun(10, func() {
-		f.EnumeratePrefix(p, 0, func(int, int, func() string) bool { return true })
+		f.EnumeratePrefix(p, 0, 0, func(int, int, func() string) bool { return true })
 	})
 	if a > 8 {
 		t.Errorf("EnumeratePrefix(%q), positions only, allocates %.0f times over %d matches, want a constant", p, a, f.CountPrefix(p))
@@ -279,8 +286,9 @@ func TestFrozenIterateAllocations(t *testing.T) {
 // FuzzFrozenEnumerate builds a Frozen from fuzz-supplied strings, repeated
 // in a seeded order to up to 700 elements so that ranges cross the page
 // extractor's page edges, and checks Enumerate over random ranges and
-// EnumeratePrefix — from random match offsets, asking for every value or
-// only some, stopping early — against the flat model.
+// EnumeratePrefix — from random match offsets, unbounded or in a page of
+// random size, asking for every value or only some, stopping early —
+// against the flat model.
 func FuzzFrozenEnumerate(f *testing.F) {
 	f.Add([]byte("a\nab\nabc\n\nab\nb"), int64(1), uint16(300))
 	f.Add([]byte("host0/x/1\nhost0/x/2\nhost1/y"), int64(2), uint16(700))
@@ -330,14 +338,18 @@ func FuzzFrozenEnumerate(f *testing.F) {
 			from := r.Intn(len(want) + 2)
 			every := 1 + r.Intn(3)
 			stop := from + r.Intn(len(want)+1)
+			page := 0 // unbounded, or a page that may end before stop
+			if r.Intn(2) == 0 {
+				page = 1 + r.Intn(len(want)+1)
+			}
 			next := from
-			count := fz.EnumeratePrefix(p, from, func(idx, pos int, val func() string) bool {
+			count := fz.EnumeratePrefix(p, from, page, func(idx, pos int, val func() string) bool {
 				if idx != next || idx >= len(want) || pos != want[idx] {
-					t.Fatalf("EnumeratePrefix(%q,%d) yields (%d,%d) as match %d", p, from, idx, pos, next)
+					t.Fatalf("EnumeratePrefix(%q,%d,%d) yields (%d,%d) as match %d", p, from, page, idx, pos, next)
 				}
 				if idx%every == 0 {
 					if got := val(); got != seq[pos] {
-						t.Fatalf("EnumeratePrefix(%q,%d) match %d at %d is %q, want %q", p, from, idx, pos, got, seq[pos])
+						t.Fatalf("EnumeratePrefix(%q,%d,%d) match %d at %d is %q, want %q", p, from, page, idx, pos, got, seq[pos])
 					}
 				}
 				next++
@@ -346,8 +358,12 @@ func FuzzFrozenEnumerate(f *testing.F) {
 			if count != len(want) {
 				t.Fatalf("EnumeratePrefix(%q) counts %d, want %d", p, count, len(want))
 			}
-			if end := min(len(want), stop+1); next != max(from, end) {
-				t.Fatalf("EnumeratePrefix(%q,%d) stopping after %d ended at %d", p, from, stop, next)
+			end := min(len(want), stop+1)
+			if page > 0 {
+				end = min(end, from+page)
+			}
+			if next != max(from, end) {
+				t.Fatalf("EnumeratePrefix(%q,%d,%d) stopping after %d ended at %d", p, from, page, stop, next)
 			}
 		}
 	})

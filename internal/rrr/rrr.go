@@ -773,7 +773,8 @@ type Iter struct {
 	left   int    // how many of them: the block's end is pos+left
 }
 
-// Rank1 returns the number of 1 bits before Pos.
+// Rank1 returns the number of 1 bits in the segment before the cursor's
+// position.
 func (it *Iter) Rank1() int { return it.rank }
 
 // Valid reports whether Next may be called.

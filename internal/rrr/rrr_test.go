@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -531,9 +532,11 @@ func BenchmarkIterSequential(b *testing.B) {
 	}
 }
 
-// TestIterRankAndSeek checks the cursor's running Rank1 and its Seek —
-// on in the walked block, across blocks and superblocks, backwards, and
-// to the end — against the plain vector.
+// TestIterRankAndSeek checks the cursor's running Rank1, bit by bit
+// across blocks and superblocks, and moving to a position — a Reset
+// anywhere, backwards included, and a Reader's forward ReadIn over the
+// same targets sorted: on in the walked block, across blocks and
+// superblocks, and to the end — against the plain vector.
 func TestIterRankAndSeek(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	for _, p := range []float64{0, 0.001, 0.5, 1} {
@@ -541,8 +544,8 @@ func TestIterRankAndSeek(t *testing.T) {
 		v, plain := buildBoth(r, n, p)
 		it := iterAt(v, 0)
 		for pos := 0; pos < n; pos++ {
-			if it.Pos() != pos || it.Rank1() != plain.Rank1(pos) {
-				t.Fatalf("p=%v: at %d cursor says pos %d rank %d, want rank %d", p, pos, it.Pos(), it.Rank1(), plain.Rank1(pos))
+			if it.Rank1() != plain.Rank1(pos) {
+				t.Fatalf("p=%v: at %d cursor says rank %d, want %d", p, pos, it.Rank1(), plain.Rank1(pos))
 			}
 			it.Next()
 		}
@@ -554,16 +557,26 @@ func TestIterRankAndSeek(t *testing.T) {
 			targets = append(targets, r.Intn(n+1))
 		}
 		for _, pos := range targets {
-			it.Seek(pos)
-			if it.Pos() != pos || it.Rank1() != plain.Rank1(pos) {
-				t.Fatalf("p=%v: Seek(%d) gives pos %d rank %d, want rank %d", p, pos, it.Pos(), it.Rank1(), plain.Rank1(pos))
+			it.Reset(v, 0, pos)
+			if it.Rank1() != plain.Rank1(pos) {
+				t.Fatalf("p=%v: Reset to %d gives rank %d, want %d", p, pos, it.Rank1(), plain.Rank1(pos))
 			}
 			if pos < n {
 				if got := it.Next(); got != plain.Access(pos) {
-					t.Fatalf("p=%v: bit %d after Seek = %d", p, pos, got)
+					t.Fatalf("p=%v: bit %d after Reset = %d", p, pos, got)
 				}
 			} else if it.Valid() {
 				t.Fatalf("p=%v: cursor at the end is Valid", p)
+			}
+		}
+		slices.Sort(targets)
+		rd := v.Reader()
+		for _, pos := range slices.Compact(targets) {
+			if pos == n {
+				continue
+			}
+			if w, rank := rd.ReadIn(0, pos, 1); rank != plain.Rank1(pos) || byte(w) != plain.Access(pos) {
+				t.Fatalf("p=%v: ReadIn(0, %d, 1) = bit %d rank %d, want %d %d", p, pos, w, rank, plain.Access(pos), plain.Rank1(pos))
 			}
 		}
 	}

@@ -112,8 +112,8 @@ func checkSegments(t testing.TB, r *rand.Rand, words []uint64, n int, cuts []int
 		var it Iter
 		it.Reset(v, from, 0)
 		for pos := 0; pos < length; pos++ {
-			if it.Pos() != pos || it.Rank1() != pre[from+pos]-pre[from] {
-				t.Fatalf("n=%d cuts=%v: Iter of %d at %d says pos %d rank %d", n, cuts, from, pos, it.Pos(), it.Rank1())
+			if it.Rank1() != pre[from+pos]-pre[from] {
+				t.Fatalf("n=%d cuts=%v: Iter of %d at %d says rank %d", n, cuts, from, pos, it.Rank1())
 			}
 			if got := it.Next(); got != bit(from+pos) {
 				t.Fatalf("n=%d cuts=%v: Iter of %d: bit %d = %d", n, cuts, from, pos, got)
@@ -124,12 +124,8 @@ func checkSegments(t testing.TB, r *rand.Rand, words []uint64, n int, cuts []int
 		}
 		for trial := 0; trial < 8; trial++ {
 			pos := r.Intn(length)
-			if trial&1 == 0 {
-				it.Seek(pos)
-			} else {
-				it.Reset(v, from, pos)
-			}
-			if it.Pos() != pos || it.Rank1() != pre[from+pos]-pre[from] || it.Next() != bit(from+pos) {
+			it.Reset(v, from, pos)
+			if it.Rank1() != pre[from+pos]-pre[from] || it.Next() != bit(from+pos) {
 				t.Fatalf("n=%d cuts=%v: Iter of %d moved to %d is off", n, cuts, from, pos)
 			}
 		}

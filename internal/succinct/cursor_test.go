@@ -89,26 +89,35 @@ func TestPrefixCursorEmptyTrie(t *testing.T) {
 	c.Close()
 }
 
-// TestIterReuseAfterClose: iterators over overlapping ranges, one after
-// the other and each closed, serve every element of their own range.
+// TestIterReuseAfterClose: enumerations over overlapping ranges, one after
+// the other — each closing its iterator, which hands the extractor back
+// for the next to take, some of them stopped inside a page — serve every
+// element of their own range, and a closed iterator is done.
 func TestIterReuseAfterClose(t *testing.T) {
 	seq := workload.URLLog(2000, 9, workload.DefaultURLConfig())
 	fz := freezeOf(seq)
-	for round := 0; round < 4; round++ {
-		l := round * 300
-		it := fz.Iter(l, l+700)
-		b := bitstr.NewBuilder(0)
-		for pos := l; it.Valid(); pos++ {
-			b.Reset()
-			it.NextInto(b)
-			if bitstr.Compare(b.View(), fz.AccessBits(pos)) != 0 {
-				t.Fatalf("round %d: element %d differs from Access", round, pos)
+	for round := 0; round < 8; round++ {
+		l, r := round*150, round*150+700
+		stop := r
+		if round%2 == 1 {
+			stop = l + 300 // past a page's end, short of the next one's
+		}
+		next := l
+		fz.EnumerateBits(l, r, func(pos int, s bitstr.BitString) bool {
+			if pos != next || bitstr.Compare(s, fz.AccessBits(pos)) != 0 {
+				t.Fatalf("round %d: element %d (after %d) differs from Access", round, pos, next)
 			}
+			next++
+			return next < stop
+		})
+		if next != stop {
+			t.Fatalf("round %d: enumeration of [%d,%d) ended at %d, want %d", round, l, r, next, stop)
 		}
-		it.Close()
-		if it.Valid() {
-			t.Fatal("a closed iterator is Valid")
-		}
+	}
+	it := fz.Iter(0, 10)
+	it.Close()
+	if it.Valid() {
+		t.Fatal("a closed iterator is Valid")
 	}
 }
 

@@ -32,27 +32,23 @@ func TestEnumerateMatchesAccess(t *testing.T) {
 			t.Fatalf("n=%d: enumerated %d elements", n, count)
 		}
 
-		// Random subranges through the pull iterator.
+		// Random subranges, each a page-at-a-time extraction of its own.
 		for trial := 0; trial < 8; trial++ {
 			l := r.Intn(n + 1)
 			rr := l + r.Intn(n-l+1)
-			it := fz.Iter(l, rr)
-			b := bitstr.NewBuilder(0)
-			for pos := l; pos < rr; pos++ {
-				if !it.Valid() {
-					t.Fatalf("n=%d: iterator exhausted at %d of [%d,%d)", n, pos, l, rr)
+			next := l
+			fz.EnumerateBits(l, rr, func(pos int, s bitstr.BitString) bool {
+				if pos != next {
+					t.Fatalf("n=%d: EnumerateBits(%d,%d) yields %d, want %d", n, l, rr, pos, next)
 				}
-				if got := it.Pos(); got != pos {
-					t.Fatalf("n=%d: Pos = %d, want %d", n, got, pos)
+				if bitstr.Compare(s, fz.AccessBits(pos)) != 0 {
+					t.Fatalf("n=%d: EnumerateBits(%d,%d) differs from Access at %d", n, l, rr, pos)
 				}
-				b.Reset()
-				it.NextInto(b)
-				if bitstr.Compare(b.View(), fz.AccessBits(pos)) != 0 {
-					t.Fatalf("n=%d: Iter(%d,%d) differs from Access at %d", n, l, rr, pos)
-				}
-			}
-			if it.Valid() {
-				t.Fatalf("n=%d: iterator overruns [%d,%d)", n, l, rr)
+				next++
+				return true
+			})
+			if next != rr {
+				t.Fatalf("n=%d: EnumerateBits(%d,%d) ended at %d", n, l, rr, next)
 			}
 		}
 
@@ -85,22 +81,6 @@ func TestEnumerateEmpty(t *testing.T) {
 		t.Fatal("enumerated an element of an empty range")
 		return false
 	})
-}
-
-// Pos returns the position the next call to NextInto will yield.
-func (it *Iter) Pos() int { return it.pos }
-
-// NextInto appends the element at the current position to b and advances;
-// a streaming consumer reuses one scratch builder (Reset + NextInto + View
-// per element), so an element costs no allocation. It panics when the
-// range is exhausted (guard with Valid).
-func (it *Iter) NextInto(b *bitstr.Builder) {
-	if it.pos >= it.end {
-		panic("succinct: NextInto past the end of the iterated range")
-	}
-	x, k, _ := it.page()
-	b.Append(x.value(k))
-	it.pos++
 }
 
 // edgeSeq is a URL log interleaved with the golden file's edge shapes: the

@@ -507,13 +507,16 @@ const maxIterBatch = 4096
 // max is not positive or above it) within the byte budget, and at least
 // one when any exists, so a resuming client always makes progress. scan
 // runs the store's page form (ScanPrefix, ScanWhere with a max), which finds
-// the page's positions, decodes their values together and reports
-// whether more matches lie past the page, the one that tells it a
-// position only. The page's matches are encoded into c.page as they are
-// handed over — position, value and, with rows, the payload row, counted
-// against the budget too — so no match is held as a string or in a list;
-// the header (done flag, the echoed match offset, the count, known only
-// at the end) and the matches then go into the response.
+// the page's positions, decodes their values together a run at a time,
+// handing each run over before decoding the next, and reports whether
+// more matches lie past the page, the one that tells it a position only.
+// So the budget stops the decoding too, within a run of where it stops the
+// page: the store holds a run's values and rows at a time (64 matches,
+// then about a MiB's worth), never the page's. The matches are encoded
+// into c.page as they are handed over — position, value and, with rows,
+// the payload row, counted against the budget too; the header (done flag,
+// the echoed match offset, the count, known only at the end) and the
+// matches then go into the response.
 func (s *Server) writePage(c *connState, from, max int, rows bool, scan func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) (more bool)) {
 	if max <= 0 || max > maxIterBatch {
 		max = maxIterBatch

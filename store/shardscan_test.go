@@ -293,6 +293,62 @@ func TestPageDecodesOnlyItsMatches(t *testing.T) {
 	}
 }
 
+// TestPageStopsDecodingAtItsBudget holds a page of large values to the
+// consumer's byte budget: a page of up to 4096 matches whose consumer
+// stops at 4 MiB, as the server's page writer does, is handed over in
+// runs, so its decoding stops near that point — within a quarter of the
+// budget past it — instead of at the page's end — plain and over 2 shards, over a generation and a
+// memtable, from the first match and from a middle one.
+func TestPageStopsDecodingAtItsBudget(t *testing.T) {
+	const budget, valLen, n = 4 << 20, 32 << 10, 300
+	filler := strings.Repeat("x", valLen)
+	val := func(i int) string { return (fmt.Sprintf("big/%04d/", i) + filler)[:valLen] }
+	opts := Options{FlushThreshold: 1 << 30, DisableAutoFlush: true}
+	for _, shards := range []int{0, 2} {
+		var st *Store
+		var err error
+		if shards == 0 {
+			st, err = Open(t.TempDir(), &opts)
+		} else {
+			st, err = OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards, Store: opts})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < n; lo += 10 {
+			var vs []string
+			for i := lo; i < lo+10; i++ {
+				vs = append(vs, val(i))
+			}
+			if err := st.AppendBatch(vs); err != nil {
+				t.Fatal(err)
+			}
+			if lo+10 == n/2 {
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, from := range []int{0, 70} {
+			sn, _, tot := countSeam(st.Snapshot(), false)
+			got, bytes := 0, 0
+			more := sn.ScanPrefix("big/", from, 4096, func(_, pos int, v []byte) bool {
+				if string(v) != val(pos) {
+					t.Fatalf("%d shards: match at %d is %.12q…, want %.12q…", shards, pos, v, val(pos))
+				}
+				got++
+				bytes += len(v)
+				return bytes < budget
+			})
+			if want := budget / valLen; got != want || !more || tot.decoded*valLen > budget+budget/4 {
+				t.Errorf("%d shards, from %d: %d values handed over (more %v) and %d decoded; want %d, true and at most %d",
+					shards, from, got, more, tot.decoded, want, (budget+budget/4)/valLen)
+			}
+		}
+		st.Close()
+	}
+}
+
 // TestSeekCutProbes runs the seek's search over match layouts an even
 // spread does not describe — a cluster at either end, spacing that doubles
 // or grows quadratically, a few bursts, every position, one match — for

@@ -272,8 +272,10 @@ func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool
 // that call of fn. max > 0 makes the scan a page of at most max matches,
 // the form a served page takes: the page's positions are found first and
 // its values decoded together, in one top-down pass per generation,
-// before fn is called, and more reports whether a match lies past the
-// last one fn was handed — finding that out decodes nothing. With max ≤ 0
+// before fn is called — a run of them at a time, 64 and then about a MiB's
+// worth, so that fn's stopping also stops the decoding — and more reports
+// whether a match lies past the last one fn was handed: finding that out
+// decodes nothing. With max ≤ 0
 // fn sees every match until it returns false, each value decoded as it
 // is handed over, and more is false.
 func (sn *Snapshot) ScanPrefix(p string, from, max int, fn func(idx, pos int, v []byte) bool) (more bool) {
@@ -458,15 +460,20 @@ type pageMatch struct {
 	mark, lo, hi int
 }
 
-// scanPage is scan for a page of at most max matches (max > 0), each
+// scanPage is scan for a page of at most size matches (size > 0), each
 // handed to fn with its value and, with rows, its row (nil without a
-// schema). The page's positions are gathered first, its rows read as they
-// pass (the cell cursors move forward), then each segment's values are
-// decoded in one batch (matchCursor.values), and only then is fn called,
-// in order, until it returns false. The match that tells there is more is
-// a position only: more reports whether a match lies past the last one fn
-// was handed.
-func (sn *Snapshot) scanPage(k *probe, from, max int, preds []Pred, rows bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool) {
+// schema). The page is read in runs of matches: a run's positions are
+// gathered first, its rows read as they pass (the cell cursors move
+// forward), then each segment's values in the run are decoded in one
+// batch (matchCursor.values), and only then is fn called, in order, until
+// it returns false. The first run is pageRun matches, a served page's
+// worth decoded in one pass; each later one is as many as runBytes holds
+// at the longest value and row seen so far. So a consumer that stops
+// early, as a byte budget does, stops the decoding within a run, and a
+// page of large values is never held whole. The match that tells there is
+// more is a position only: more reports whether a match lies past the last
+// one fn was handed.
+func (sn *Snapshot) scanPage(k *probe, from, size int, preds []Pred, rows bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool) {
 	m, ok := sn.stream(k, from, preds)
 	defer m.close()
 	if !ok {
@@ -478,52 +485,71 @@ func (sn *Snapshot) scanPage(k *probe, from, max int, preds []Pred, rows bool, f
 	}
 	pg := pages.Get().(*pageScratch)
 	defer pg.release()
-	ms, cells := pg.ms[:0], pg.cells[:0]
-	for len(ms) < max {
-		idx, s, pos, ok := m.next()
-		if !ok {
-			break
-		}
-		if idx < from {
-			continue
-		}
-		c := &m.cur[s]
-		ms = append(ms, pageMatch{idx: idx, pos: pos, shard: s, seg: c.i, mark: c.segs[c.i].mark(), lo: -1})
-		cells = c.row(cells, ncols)
-	}
-	if len(ms) == max {
-		_, _, _, more = m.next()
-	}
-	// The values, a batch per segment: its matches' marks ascend in page
-	// order.
-	vals, marks, ks := pg.vals[:0], pg.marks, pg.ks
-	for i := range ms {
-		if ms[i].lo >= 0 {
-			continue
-		}
-		marks, ks = marks[:0], ks[:0]
-		for j := i; j < len(ms); j++ {
-			if ms[j].shard == ms[i].shard && ms[j].seg == ms[i].seg {
-				marks, ks = append(marks, ms[j].mark), append(ks, j)
+	run, longest := pageRun, 1
+	for left := size; left > 0; {
+		want := min(run, left)
+		ms, cells := pg.ms[:0], pg.cells[:0]
+		for len(ms) < want {
+			idx, s, pos, ok := m.next()
+			if !ok {
+				break
+			}
+			if idx < from {
+				continue
+			}
+			c := &m.cur[s]
+			ms = append(ms, pageMatch{idx: idx, pos: pos, shard: s, seg: c.i, mark: c.segs[c.i].mark(), lo: -1})
+			if ncols > 0 {
+				cells = c.row(cells, ncols)
 			}
 		}
-		m.cur[ms[i].shard].segs[ms[i].seg].values(marks, func(k int, v []byte) {
-			pm := &ms[ks[k]]
-			pm.lo = len(vals)
-			vals = append(vals, v...)
-			pm.hi = len(vals)
-		})
-	}
-	pg.ms, pg.cells, pg.vals, pg.marks, pg.ks = ms, cells, vals, marks, ks
-	for i, pm := range ms {
-		var row Row
-		if ncols > 0 {
-			row = cells[i*ncols : (i+1)*ncols]
+		ended := len(ms) < want
+		left -= len(ms)
+		// The values, a batch per segment: its matches' marks ascend in run
+		// order.
+		vals, marks, ks := pg.vals[:0], pg.marks, pg.ks
+		for i := range ms {
+			if ms[i].lo >= 0 {
+				continue
+			}
+			marks, ks = marks[:0], ks[:0]
+			for j := i; j < len(ms); j++ {
+				if ms[j].shard == ms[i].shard && ms[j].seg == ms[i].seg {
+					marks, ks = append(marks, ms[j].mark), append(ks, j)
+				}
+			}
+			m.cur[ms[i].shard].segs[ms[i].seg].values(marks, func(k int, v []byte) {
+				pm := &ms[ks[k]]
+				pm.lo = len(vals)
+				vals = append(vals, v...)
+				pm.hi = len(vals)
+			})
 		}
-		if !fn(pm.idx, pm.pos, vals[pm.lo:pm.hi], row) {
-			return i < len(ms)-1 || more
+		pg.ms, pg.cells, pg.vals, pg.marks, pg.ks = ms, cells, vals, marks, ks
+		for i, pm := range ms {
+			var row Row
+			n := pm.hi - pm.lo
+			if ncols > 0 {
+				row = cells[i*ncols : (i+1)*ncols]
+				for _, cell := range row {
+					n += len(cell.Blob())
+				}
+			}
+			longest = max(longest, n)
+			if !fn(pm.idx, pm.pos, vals[pm.lo:pm.hi], row) {
+				if i < len(ms)-1 {
+					return true
+				}
+				left = 0 // the page ends here; whether more follow is a position away
+				break
+			}
 		}
+		if ended {
+			return false
+		}
+		run = max(1, runBytes/longest)
 	}
+	_, _, _, more = m.next()
 	return more
 }
 
@@ -538,9 +564,20 @@ type pageScratch struct {
 
 var pages = sync.Pool{New: func() any { return new(pageScratch) }}
 
-// release returns the buffers to the pool, holding no cell's bytes.
+// A page's runs (see scanPage): the first in matches, the later ones in
+// the bytes of their values and rows.
+const (
+	pageRun  = 64
+	runBytes = 1 << 20
+)
+
+// release returns the buffers to the pool, holding no cell's bytes and no
+// value buffer a run of large values grew past what runs are sized to.
 func (pg *pageScratch) release() {
-	clear(pg.cells)
+	clear(pg.cells[:cap(pg.cells)]) // an earlier, longer run's cells too
+	if cap(pg.vals) > 2*runBytes {
+		pg.vals = nil
+	}
 	pages.Put(pg)
 }
 
