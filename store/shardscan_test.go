@@ -488,6 +488,28 @@ func BenchmarkShardedScanPrefixPage(b *testing.B) {
 	}
 }
 
+// BenchmarkScanPrefixUnbounded is the unbounded form (max 0) over every
+// match of the hottest host on the plain store, values included: each
+// value a one-index extraction (ROADMAP item 17).
+func BenchmarkScanPrefixUnbounded(b *testing.B) {
+	plain, _, _, reqs := shardScanStores(b)
+	p, matches := reqs[0].p, 0
+	for _, r := range reqs {
+		if plain.CountPrefix(r.p) > plain.CountPrefix(p) {
+			p = r.p
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plain.ScanPrefix(p, 0, 0, func(_, pos int, v []byte) bool {
+			shardScanSink += pos + len(v)
+			matches++
+			return true
+		})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(matches), "ns/match")
+}
+
 func BenchmarkShardedSelectPrefix(b *testing.B) {
 	plain, sharded, sharded1, reqs := shardScanStores(b)
 	for _, arm := range []struct {

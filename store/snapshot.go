@@ -470,9 +470,9 @@ type pageMatch struct {
 // worth decoded in one pass; each later one is as many as runBytes holds
 // at the longest value and row seen so far. So a consumer that stops
 // early, as a byte budget does, stops the decoding within a run, and a
-// page of large values is never held whole. The match that tells there is
-// more is a position only: more reports whether a match lies past the last
-// one fn was handed.
+// long page of large values is held a run at a time. The match that tells
+// there is more is a position only: more reports whether a match lies past
+// the last one fn was handed.
 func (sn *Snapshot) scanPage(k *probe, from, size int, preds []Pred, rows bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool) {
 	m, ok := sn.stream(k, from, preds)
 	defer m.close()
