@@ -212,33 +212,6 @@ func BenchmarkLoadFrozenMapped(b *testing.B) {
 }
 
 // --- Write path: the freeze a flush runs and the merge a compaction runs ---
-//
-// The "structural" arms are the store's path (AppendOnly.Frozen,
-// ConcatFrozen). The "twopass" arms are the route it replaced, kept here
-// only as the reference: every element decoded (or enumerated) back to
-// its bits and routed through the two-pass Builder's Patricia trie.
-
-// twoPassConcat is the per-element merge: the parts' alphabets registered,
-// then every element decoded and appended.
-func twoPassConcat(parts []*Frozen) (*Frozen, error) {
-	fb := NewFrozenBuilder()
-	for _, f := range parts {
-		for _, bs := range f.t.StoredBits() {
-			fb.b.AddValueBits(bs)
-		}
-	}
-	var err error
-	for _, f := range parts {
-		f.t.EnumerateBits(0, f.Len(), func(_ int, bs bitstr.BitString) bool {
-			err = fb.b.AppendBits(bs)
-			return err == nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return fb.Build()
-}
 
 func BenchmarkFrozenMerge(b *testing.B) {
 	for _, k := range []int{2, 8} {
@@ -247,58 +220,31 @@ func BenchmarkFrozenMerge(b *testing.B) {
 		for i := range parts {
 			parts[i] = NewStatic(seq[i*frozenBenchN : (i+1)*frozenBenchN])
 		}
-		arms := []struct {
-			name string
-			run  func() (*Frozen, error)
-		}{
-			{"structural", func() (*Frozen, error) { return ConcatFrozen(nil, parts...) }},
-			{"twopass", func() (*Frozen, error) { return twoPassConcat(parts) }},
-		}
-		for _, arm := range arms {
-			b.Run(fmt.Sprintf("%dx%d/%s", k, frozenBenchN, arm.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					f, err := arm.run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					benchSink += f.Len()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seq)), "ns/elem")
-			})
-		}
-	}
-}
-
-func BenchmarkAppendOnlyFrozen(b *testing.B) {
-	a := NewAppendOnlyFrom(workload.URLLog(frozenBenchN, 1, workload.DefaultURLConfig()))
-	arms := []struct {
-		name string
-		run  func() (*Frozen, error)
-	}{
-		{"structural", a.Frozen},
-		{"twopass", func() (*Frozen, error) {
-			fb := NewFrozenBuilder()
-			a.FeedValues(fb)
-			if err := a.FeedRange(fb, 0, a.Len(), nil); err != nil {
-				return nil, err
-			}
-			return fb.Build()
-		}},
-	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("%dx%d", k, frozenBenchN), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f, err := arm.run()
+				f, err := ConcatFrozen(nil, parts...)
 				if err != nil {
 					b.Fatal(err)
 				}
 				benchSink += f.Len()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frozenBenchN), "ns/elem")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seq)), "ns/elem")
 		})
 	}
+}
+
+func BenchmarkAppendOnlyFrozen(b *testing.B) {
+	a := NewAppendOnlyFrom(workload.URLLog(frozenBenchN, 1, workload.DefaultURLConfig()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := a.Frozen()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += f.Len()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frozenBenchN), "ns/elem")
 }
 
 // --- T1b: static space ---------------------------------------------------

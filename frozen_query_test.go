@@ -213,19 +213,6 @@ func TestFrozenGoldenV5(t *testing.T) {
 	if !bytes.Equal(fresh, golden) {
 		t.Fatal("NewStatic no longer marshals to the golden bytes: the wire format changed")
 	}
-	built, err := FreezeIterate(func(yield func(string) bool) {
-		for _, v := range seq {
-			if !yield(v) {
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed, _ := built.MarshalBinary(); !bytes.Equal(streamed, golden) {
-		t.Fatal("FrozenBuilder no longer marshals to the golden bytes: the wire format changed")
-	}
 }
 
 // TestFrozenQueryAllocations guards the allocation-free read path: a

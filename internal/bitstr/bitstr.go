@@ -324,9 +324,8 @@ func (b *Builder) AppendRange(words []uint64, from, n int) {
 	}
 }
 
-// AppendWords appends the first nbits bits of the packed words. This is
-// the bulk path the streaming freeze builder uses to concatenate per-node
-// bitvectors.
+// AppendWords appends the first nbits bits of the packed words, as an
+// append-only bitvector copies its raw tail into a frozen node's bits.
 func (b *Builder) AppendWords(words []uint64, nbits int) { b.AppendRange(words, 0, nbits) }
 
 // Append appends all bits of s.

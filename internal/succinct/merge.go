@@ -180,11 +180,11 @@ type mergeRef struct {
 }
 
 // Merge returns the trie of the concatenation of the tries' sequences, in
-// argument order — byte for byte the trie the two-pass Builder makes of
-// that sequence. cont, when non-nil, is polled along the way; once it
-// reports false Merge gives up with an error. A source whose directories
-// and bits disagree, or sources whose union is not prefix-free, are an
-// error too.
+// argument order — byte for byte what FreezeAppendOnly makes of that
+// sequence, §3's one encoding of it. cont, when non-nil, is polled along
+// the way; once it reports false Merge gives up with an error. A source
+// whose directories and bits disagree, or sources whose union is not
+// prefix-free, are an error too.
 func Merge(cont func() bool, tries ...*Trie) (*Trie, error) {
 	return merge(cont, trieInputs(tries))
 }
@@ -199,6 +199,27 @@ func FreezeAppendOnly(a *core.AppendOnly) (*Trie, error) {
 	}
 	return merge(nil, ins)
 }
+
+// Builder keeps the calls the benchmark ladder (bench/) builds a trie by:
+// NewBuilder, AddValueBits, AppendBits and Build. Underneath, the elements
+// go into an append-only trie, which Build freezes (FreezeAppendOnly).
+// Only bench/ reaches it; ROADMAP item 1A deletes it.
+type Builder struct{ a *core.AppendOnly }
+
+// NewBuilder returns a builder of the empty sequence.
+func NewBuilder() *Builder { return &Builder{a: core.NewAppendOnly()} }
+
+// AddValueBits does nothing: the shape comes from the appended elements.
+func (b *Builder) AddValueBits(bitstr.BitString) {}
+
+// AppendBits appends s to the sequence.
+func (b *Builder) AppendBits(s bitstr.BitString) error {
+	b.a.AppendBits(s)
+	return nil
+}
+
+// Build freezes the sequence appended so far.
+func (b *Builder) Build() (*Trie, error) { return FreezeAppendOnly(b.a) }
 
 // UnionAlphabetSize returns how many distinct strings the tries hold
 // between them — the leaves of the Patricia merge of their shapes, which

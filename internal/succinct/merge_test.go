@@ -10,37 +10,61 @@ import (
 	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/eliasfano"
+	"repro/internal/workload"
 )
 
-// buildTwoPass is the reference every merge is held to: the two-pass
-// Builder over the whole sequence.
-func buildTwoPass(t testing.TB, seq []bitstr.BitString) *Trie {
-	t.Helper()
-	b := NewBuilder()
-	for _, s := range seq {
-		b.AddValueBits(s)
+// oracle is the §3 encoding of seq written from its definition, sharing
+// neither the merge walk nor internal/patricia: a node's label is the
+// longest common prefix of its distinct strings (past the bit its parent
+// branched on), its β holds each element's next bit, and the node is
+// followed by the subtrie of its 0-subsequence, then by that of its
+// 1-subsequence — assembled through the assembler every construction
+// shares. The strings of seq must form a prefix-free set.
+func oracle(seq []bitstr.BitString) *Trie {
+	a := newAssembler(0, 0, 0)
+	if len(seq) > 0 {
+		oracleNode(a, seq, 0)
 	}
-	for _, s := range seq {
-		if err := b.AppendBits(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return a.finish(len(seq))
 }
 
-// checkMerge cuts seq at cuts (ascending positions), freezes every part —
-// the two-pass way, and again through an append-only trie — merges them
-// and requires the marshalled bytes of the two-pass Builder over all of
-// seq. The union count over the same parts — frozen, append-only, and the
+// oracleNode emits the subtrie of seq, whose strings agree on their first
+// off bits.
+func oracleNode(a *assembler, seq []bitstr.BitString, off int) {
+	first := seq[0]
+	lcp, one := first.Len()-off, true
+	for _, s := range seq[1:] {
+		n := 0
+		for n < lcp && off+n < s.Len() && s.Bit(off+n) == first.Bit(off+n) {
+			n++
+		}
+		one = one && n == first.Len()-off && s.Len() == first.Len()
+		lcp = n
+	}
+	if one {
+		a.leaf(first.Words(), off, lcp)
+		return
+	}
+	a.internal(first.Words(), off, lcp)
+	var sub [2][]bitstr.BitString
+	for _, s := range seq {
+		bit := s.Bit(off + lcp)
+		a.bits.AppendBit(bit)
+		sub[bit] = append(sub[bit], s)
+	}
+	oracleNode(a, sub[0], off+lcp+1)
+	oracleNode(a, sub[1], off+lcp+1)
+}
+
+// checkMerge cuts seq at cuts (ascending positions), encodes every part —
+// by the oracle, and again by freezing an append-only trie over it, which
+// must give the oracle's bytes — merges them and requires the bytes of the
+// oracle over all of seq. The union count over the same parts — frozen, append-only, and the
 // two kinds mixed — must be the merged trie's leaf count and the size of
 // seq as a set.
 func checkMerge(t testing.TB, seq []bitstr.BitString, cuts []int, why string) {
 	t.Helper()
-	want := marshalOf(t, buildTwoPass(t, seq))
+	want := marshalOf(t, oracle(seq))
 	set := map[string]bool{}
 	for _, s := range seq {
 		set[s.String()] = true
@@ -50,14 +74,14 @@ func checkMerge(t testing.TB, seq []bitstr.BitString, cuts []int, why string) {
 	bounds := append(append([]int{0}, cuts...), len(seq))
 	for i := 0; i+1 < len(bounds); i++ {
 		part := seq[bounds[i]:bounds[i+1]]
-		parts = append(parts, buildTwoPass(t, part))
+		parts = append(parts, oracle(part))
 		live = append(live, appendOnlyOf(part))
 		fz, err := FreezeAppendOnly(live[i])
 		if err != nil {
 			t.Fatalf("%s: freezing part %d in place: %v", why, i, err)
 		}
 		if !bytes.Equal(marshalOf(t, fz), marshalOf(t, parts[i])) {
-			t.Fatalf("%s: part %d frozen in place differs from the two-pass build", why, i)
+			t.Fatalf("%s: part %d frozen in place differs from the oracle", why, i)
 		}
 		frozenInPlace = append(frozenInPlace, fz)
 	}
@@ -67,7 +91,7 @@ func checkMerge(t testing.TB, seq []bitstr.BitString, cuts []int, why string) {
 			t.Fatalf("%s: merge of %d parts (cuts %v): %v", why, len(ps), cuts, err)
 		}
 		if !bytes.Equal(marshalOf(t, got), want) {
-			t.Fatalf("%s: merge of %d parts (cuts %v) differs from the two-pass build", why, len(ps), cuts)
+			t.Fatalf("%s: merge of %d parts (cuts %v) differs from the oracle", why, len(ps), cuts)
 		}
 		if got.AlphabetSize() != len(set) {
 			t.Fatalf("%s: merged trie has %d leaves, the sequence %d distinct strings", why, got.AlphabetSize(), len(set))
@@ -120,8 +144,7 @@ func bitsOf(patterns ...string) []bitstr.BitString {
 }
 
 // TestMergeBitIdentical is the merge's contract: whatever the parts, the
-// merged trie marshals to the bytes of the two-pass Builder over the
-// concatenation.
+// merged trie marshals to the bytes of the oracle over the concatenation.
 func TestMergeBitIdentical(t *testing.T) {
 	long := strings.Repeat("shared-head-well-past-one-word/", 3) // 93 bytes: labels of several words
 	fixed := []struct {
@@ -161,6 +184,57 @@ func TestMergeBitIdentical(t *testing.T) {
 		}
 		sortInts(cuts)
 		checkMerge(t, seq, cuts, fmt.Sprintf("random trial %d", trial))
+	}
+}
+
+// TestFreezeBitIdentical holds the structural freeze of an append-only
+// trie, and the merge of a sequence's parts, to the oracle: on every shape
+// an append-only node bitvector takes — empty and one-element tries, raw
+// tails only, and a log long enough that the top vectors carry sealed RRR
+// segments and a partial tail while a value first seen at position 40 000
+// gives its node an Init run that long — on adversarial alphabets, and on
+// random draws from small and large ones.
+func TestFreezeBitIdentical(t *testing.T) {
+	url := workload.DefaultURLConfig()
+	long := workload.URLLog(40000, 5, url)
+	long = append(long, "a-value-first-seen-after-40000")
+	long = append(long, workload.URLLog(3000, 6, url)...)
+	checkMerge(t, encodeSeq(long), []int{40001}, "a value first seen at 40 000")
+
+	for why, seq := range map[string][]string{
+		"no elements":     nil,
+		"one element":     {"only"},
+		"empty strings":   {"", "", ""},
+		"empty mixed":     {"", "a", "", "ab", "", "a"},
+		"byte prefixes":   {"a", "ab", "", "abc", "ab", "a"},
+		"single symbol":   {"a", "a", "a", "a", "a", "a", "a"},
+		"single alphabet": {"a", "aa", "aaa", "aa", "a", "aaaa", "aaa", "aa"},
+		"shared prefixes": {"/api/v1/users", "/api/v1/items", "/api/v2/users", "/api", "/api/v1/users"},
+		"binary-ish":      {"\x00", "\x00\x00", "\x01", "\xff", "\x00\x01", "\x00"},
+		"two values":      {"left", "right", "left", "left", "right"},
+		"url log":         workload.URLLog(4000, 9, url),
+	} {
+		checkMerge(t, encodeSeq(seq), []int{len(seq) / 3, 2 * len(seq) / 3}, why)
+	}
+
+	r := rand.New(rand.NewSource(42))
+	alphabets := [][]string{
+		{"a"},               // single symbol
+		{"", "a", "b"},      // empty string in the alphabet
+		{"x", "xy", "xyz"},  // chain of prefixes
+		make([]string, 200), // large random alphabet
+	}
+	for i := range alphabets[3] {
+		alphabets[3][i] = fmt.Sprintf("key-%04d-%d", r.Intn(500), i%7)
+	}
+	for ai, alpha := range alphabets {
+		for _, n := range []int{1, 2, 17, 256, 1500} {
+			seq := make([]string, n)
+			for i := range seq {
+				seq[i] = alpha[r.Intn(len(alpha))]
+			}
+			checkMerge(t, encodeSeq(seq), []int{n / 2}, fmt.Sprintf("alphabet %d, n %d", ai, n))
+		}
 	}
 }
 
@@ -207,7 +281,7 @@ func TestMergeLargeSegments(t *testing.T) {
 	}
 	checkMerge(t, seq, []int{pollBits + 17, 2 * pollBits}, "large")
 
-	part := buildTwoPass(t, seq)
+	part := oracle(seq)
 	polls := 0
 	_, err := Merge(func() bool { polls++; return polls < 3 }, part, part)
 	if err != errCanceled {
@@ -228,7 +302,7 @@ func TestMergeRejectsBadSources(t *testing.T) {
 			t.Fatalf("%s: merged into a trie of %d elements, want an error", why, got.Len())
 		}
 	}
-	one := func(patterns ...string) *Trie { return buildTwoPass(t, bitsOf(patterns...)) }
+	one := func(patterns ...string) *Trie { return oracle(bitsOf(patterns...)) }
 
 	// Each part is prefix-free on its own; the union is not — which the
 	// label-only count meets exactly where the merge does, whichever kind
@@ -267,7 +341,7 @@ func TestMergeRejectsBadSources(t *testing.T) {
 	tr.bvOffsets = eliasfano.FromSorted([]uint64{1, 7, 11}, 12)
 	mustFail("segments do not start where the stream does", tr)
 
-	// Hand-assembled: shapes the Builder refuses to make.
+	// Hand-assembled: shapes no construction makes.
 	a := newAssembler(0, 0, 0)
 	a.internal(nil, 0, 0)
 	a.bits.AppendRun(0, 3) // every element goes left: the 1-child is empty
@@ -302,7 +376,7 @@ func TestMergeRejectsBadSources(t *testing.T) {
 }
 
 // FuzzMerge derives a sequence and its cut points from the input and holds
-// the merge to the two-pass Builder's bytes.
+// the merge to the oracle's bytes.
 func FuzzMerge(f *testing.F) {
 	f.Add([]byte("a\nab\nabc\n\nab\nb"), uint64(0x21))
 	f.Add([]byte("host0/x/1\nhost0/x/2\nhost1/y\nhost0/x/1"), uint64(0x1234))

@@ -240,7 +240,7 @@ func TestNoPointerOverhead(t *testing.T) {
 // beyond the five the format has.
 func TestTrieBitsPerElem(t *testing.T) {
 	const n = 1 << 16
-	fz := buildTwoPass(t, encodeSeq(workload.URLLog(n, 1, workload.DefaultURLConfig())))
+	fz := freezeBits(encodeSeq(workload.URLLog(n, 1, workload.DefaultURLConfig())))
 	disk := float64(len(marshalOf(t, fz))*8) / n
 	mem := float64(fz.SizeBits()) / n
 	t.Logf("marshalled %.3f bits/elem, SizeBits %.3f bits/elem", disk, mem)
@@ -271,7 +271,7 @@ func TestTrieBitsPerElem(t *testing.T) {
 // SizeBits stays within 1.25 × LB.
 func TestTrieHeapOverhead(t *testing.T) {
 	const n = 132096
-	fz := buildTwoPass(t, encodeSeq(workload.URLLog(n, 1, workload.DefaultURLConfig())))
+	fz := freezeBits(encodeSeq(workload.URLLog(n, 1, workload.DefaultURLConfig())))
 	disk := float64(len(marshalOf(t, fz))*8) / n
 	mem := float64(fz.SizeBits()) / n
 	t.Logf("n=%d: marshalled %.3f bits/elem, SizeBits %.3f bits/elem", n, disk, mem)
@@ -282,7 +282,7 @@ func TestTrieHeapOverhead(t *testing.T) {
 		t.Errorf("SizeBits is %.3f bits/elem above the marshalled size, want at most 0.80", mem-disk)
 	}
 	seq := workload.URLLog(1<<17, 1, workload.DefaultURLConfig())
-	fz = buildTwoPass(t, encodeSeq(seq))
+	fz = freezeBits(encodeSeq(seq))
 	ratio := float64(fz.SizeBits()) / entropy.LB(seq)
 	t.Logf("n=2^17: SizeBits %.3f bits/elem, %.4f × LB", float64(fz.SizeBits())/(1<<17), ratio)
 	if ratio > 1.25 {

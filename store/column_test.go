@@ -668,6 +668,39 @@ func BenchmarkCompactColumnFeed(b *testing.B) {
 	}
 }
 
+// BenchmarkCountWhere counts a two-predicate filter with no prefix over
+// 4 × 16 384 flushed rows of the benchmark's columns, reporting ns a row.
+func BenchmarkCountWhere(b *testing.B) {
+	const gens, per = 4, 1 << 14
+	opts := testOpts()
+	opts.Columns = benchColSchema
+	s, err := Open(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	vals, rows := benchColRows(gens * per)
+	for g := 0; g < gens; g++ {
+		if err := s.AppendBatchRows(vals[g*per:(g+1)*per], rows[g*per:(g+1)*per]); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sn := s.Snapshot()
+	preds := []Pred{{Col: 0, Op: PredGE, Val: 500}, {Col: 1, Op: PredLT, Val: 1000}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := sn.CountWhere("", preds...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		countWhereSink += c
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(gens*per), "ns/row")
+}
+
 // TestColumnDifferential: randomized appends with payloads against the
 // flat (vals, rows) oracle, plain and sharded, across flush, compact,
 // a mid-life crash image, close and reopen. Mirrors the value-only

@@ -129,6 +129,11 @@ func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 		if got, err := sn.CountWhere(p, preds...); err != nil || got != len(want) {
 			t.Fatalf("CountWhere(%q) = %d, %v; want %d", p, got, err, len(want))
 		}
+		// Two predicates: the match stream's row test, with or without a
+		// prefix (one predicate and no prefix is rank arithmetic).
+		if got, err := sn.CountWhere(p, append(preds, Pred{Col: 0, Op: PredLE, Val: 500})...); err != nil || got != len(want) {
+			t.Fatalf("CountWhere(%q) with two predicates = %d, %v; want %d", p, got, err, len(want))
+		}
 		for _, from := range []int{0, len(want) / 2, len(want), len(want) + 1} {
 			next := from
 			_, err := sn.ScanWhere(p, from, 0, preds, func(idx, pos int, b []byte, row Row) bool {

@@ -779,11 +779,16 @@ func (s *shard) memLen() int { return int(s.state.Load().mem.n.Load()) }
 
 // MarshalBinary exports the snapshot's sequence as a single Frozen
 // index — the pinned-view variant of Store.MarshalBinary, so callers
-// already holding a snapshot marshal exactly the state they pinned.
+// already holding a snapshot marshal exactly the state they pinned. The
+// sequence is streamed once into an append-only trie, which is frozen
+// structurally, as a flush freezes its memtable.
 func (sn *Snapshot) MarshalBinary() ([]byte, error) {
-	f, err := wavelettrie.FreezeIterate(func(yield func(s string) bool) {
-		sn.Iterate(0, sn.Len(), func(_ int, v string) bool { return yield(v) })
+	a := wavelettrie.NewAppendOnly()
+	sn.Iterate(0, sn.Len(), func(_ int, v string) bool {
+		a.Append(v)
+		return true
 	})
+	f, err := a.Frozen()
 	if err != nil {
 		return nil, err
 	}

@@ -207,19 +207,6 @@ func (v *shardView) cols(pos int) (colReader, int) {
 	return v.segs[i].cols, rel
 }
 
-// matchAt evaluates pre-validated predicates against the row at position
-// pos, reading each tested cell through the wavelet planes — no row is
-// materialized.
-func (v *shardView) matchAt(pos int, preds []Pred) bool {
-	c, rel := v.cols(pos)
-	for _, p := range preds {
-		if c == nil || !matchValue(c.colValue(p.Col, rel), p) {
-			return false
-		}
-	}
-	return true
-}
-
 // countPred sums one predicate's rank-arithmetic count over the segments.
 // Allocation-free — the CountWhere fast path.
 func (v *shardView) countPred(p Pred) int {

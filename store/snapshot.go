@@ -687,13 +687,6 @@ func (sn *Snapshot) cellAt(pos, col int) Value {
 	return Value{}
 }
 
-// matchAt tests the row at global position pos against pre-validated
-// preds, on the shard that holds it.
-func (sn *Snapshot) matchAt(pos int, preds []Pred) bool {
-	s, local := sn.locate(pos)
-	return sn.shards[s].matchAt(local, preds)
-}
-
 // Row returns the payload row at position pos (one cell per schema
 // column; nil when the store has no schema). Payloads ride to the same
 // shard as their value, so one locate resolves the whole row. Cells
@@ -724,9 +717,9 @@ func (sn *Snapshot) Row(pos int) Row {
 // segment, the presence bitvector maps the span onto present indices
 // and the column's wavelet planes count values in the predicate's
 // range — no value is ever materialized or even decoded. Other shapes
-// walk the narrower side (each shard's prefix match stream, or every
-// position of every shard) and test cells individually. NULL cells match
-// no predicate.
+// walk each shard's prefix match stream (the empty prefix's streams every
+// position) and test its cells through one cell cursor a segment, read
+// forward. NULL cells match no predicate.
 func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 	if err := validatePreds(sn.schema, preds); err != nil {
 		return 0, err
@@ -738,30 +731,21 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 		return sn.CountPrefix(prefix), nil
 	}
 	count := 0
-	switch {
-	case prefix != "":
-		// Counts add up across shards, so each shard is counted as a
-		// one-shard view: its own stream, with no router work.
-		k := newProbe(prefix, true)
-		for s, sh := range sn.shards {
-			one := Snapshot{n: sh.len(), shards: sn.shards[s : s+1]}
-			one.scan(k, 0, preds, func(int, int, *snapCursor) bool {
-				count++
-				return true
-			})
-		}
-	case len(preds) == 1:
+	if prefix == "" && len(preds) == 1 {
 		for _, sh := range sn.shards {
 			count += sh.countPred(preds[0])
 		}
-	default:
-		for _, sh := range sn.shards {
-			for pos := 0; pos < sh.len(); pos++ {
-				if sh.matchAt(pos, preds) {
-					count++
-				}
-			}
-		}
+		return count, nil
+	}
+	// Counts add up across shards, so each shard is counted as a one-shard
+	// view: its own stream, with no router work.
+	k := newProbe(prefix, true)
+	for s, sh := range sn.shards {
+		one := Snapshot{n: sh.len(), shards: sn.shards[s : s+1]}
+		one.scan(k, 0, preds, func(int, int, *snapCursor) bool {
+			count++
+			return true
+		})
 	}
 	return count, nil
 }
@@ -782,17 +766,17 @@ func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(
 // schema column, nil without a schema) are valid only during that call of
 // fn, and a page (max > 0) decodes its values together, reports in more
 // whether a match lies past it, and reads nothing of that match but its
-// position and the cells the predicates test. With a prefix, candidates
-// come from the positions-only prefix cursors, their cells — the tested
-// ones and then a match's row — through one cell cursor a segment, read
-// forward.
+// position and the cells the predicates test. Candidates come from the
+// positions-only prefix cursors (the empty prefix's yield every
+// position), their cells — the tested ones and then a match's row —
+// through one cell cursor a segment, read forward.
 func (sn *Snapshot) ScanWhere(prefix string, from, max int, preds []Pred, fn func(idx, pos int, v []byte, row Row) bool) (more bool, err error) {
 	return sn.where(prefix, from, max, preds, true, fn)
 }
 
-// where is IterateWhere and ScanWhere: the prefix's match stream filtered
-// by the row test, or — with no prefix to stream from — every position put
-// to the test; with vals, fn is handed each match's value and row.
+// where is IterateWhere and ScanWhere: the prefix's match stream (the
+// empty prefix's holds every position) filtered by the row test; with
+// vals, fn is handed each match's value and row.
 func (sn *Snapshot) where(prefix string, from, max int, preds []Pred, vals bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool, err error) {
 	if from < 0 {
 		return false, fmt.Errorf("store: IterateWhere from %d negative", from)
@@ -800,51 +784,21 @@ func (sn *Snapshot) where(prefix string, from, max int, preds []Pred, vals bool,
 	if err := validatePreds(sn.schema, preds); err != nil {
 		return false, err
 	}
+	k := newProbe(prefix, true)
+	if vals && max > 0 {
+		return sn.scanPage(k, from, max, preds, true, fn), nil
+	}
 	var row Row
 	if vals && len(sn.schema) > 0 {
 		row = make(Row, len(sn.schema))
 	}
 	var buf []byte
-	if prefix != "" {
-		k := newProbe(prefix, true)
-		if vals && max > 0 {
-			return sn.scanPage(k, from, max, preds, true, fn), nil
-		}
-		sn.scan(k, from, preds, func(idx, pos int, at *snapCursor) bool {
-			if vals {
-				buf = at.value(buf[:0])
-				row = at.row(row[:0], len(row))
-			}
-			return fn(idx, pos, buf, row)
-		})
-		return false, nil
-	}
-	// No prefix node to stream from: every position is put to the test,
-	// and a match's value and cells are point reads.
-	n, stopped := 0, false
-	for idx, pos := 0, 0; pos < sn.n; pos++ {
-		if !sn.matchAt(pos, preds) {
-			continue
-		}
-		if idx++; idx <= from {
-			continue
-		}
-		if stopped || max > 0 && n == max {
-			return true, nil // only a page asks, and stops, for this one
-		}
-		n++
+	sn.scan(k, from, preds, func(idx, pos int, at *snapCursor) bool {
 		if vals {
-			buf = append(buf[:0], sn.Access(pos)...)
-			for c := range row {
-				row[c] = sn.cellAt(pos, c)
-			}
+			buf = at.value(buf[:0])
+			row = at.row(row[:0], len(row))
 		}
-		if !fn(idx-1, pos, buf, row) {
-			if max <= 0 {
-				return false, nil
-			}
-			stopped = true
-		}
-	}
+		return fn(idx, pos, buf, row)
+	})
 	return false, nil
 }

@@ -953,11 +953,5 @@ func writeGeneration(dir string, id uint64, seq []string) (genMeta, error) {
 
 // freezeSeq freezes an in-memory slice.
 func freezeSeq(seq []string) (*wavelettrie.Frozen, error) {
-	return wavelettrie.FreezeIterate(func(yield func(s string) bool) {
-		for _, v := range seq {
-			if !yield(v) {
-				return
-			}
-		}
-	})
+	return wavelettrie.NewAppendOnlyFrom(seq).Frozen()
 }

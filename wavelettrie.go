@@ -271,36 +271,6 @@ func (a *AppendOnly) Frozen() (*Frozen, error) {
 	return newFrozen(t, nil), nil
 }
 
-// FeedValues registers this trie's distinct values into fb — one pass-1
-// contribution to a streaming freeze. Cost is O(alphabet).
-func (a *AppendOnly) FeedValues(fb *FrozenBuilder) {
-	for _, bs := range a.a.StoredBits() {
-		fb.b.AddValueBits(bs)
-	}
-}
-
-// FeedRange appends the elements of positions [l, r) into fb in order —
-// a pass-2 contribution to a streaming freeze, staying at the bit level
-// with a reused scratch buffer (no per-element allocation). Every 4096
-// elements it polls cont (when non-nil) and returns nil early if cont
-// reports false; the builder is then incomplete and must be discarded,
-// which the caller detects by re-checking its cancel signal.
-func (a *AppendOnly) FeedRange(fb *FrozenBuilder, l, r int, cont func() bool) error {
-	var feedErr error
-	i := 0
-	a.a.EnumerateBits(l, r, func(_ int, s bitstr.BitString) bool {
-		if feedErr = fb.b.AppendBits(s); feedErr != nil {
-			return false
-		}
-		i++
-		if i&4095 == 0 && cont != nil && !cont() {
-			return false
-		}
-		return true
-	})
-	return feedErr
-}
-
 // Dynamic is the fully-dynamic Wavelet Trie (Theorem 4.4): Insert and
 // Delete at arbitrary positions in O(|s|+h_s·log n), fully dynamic
 // alphabet, space LB + PT + O(nH₀) bits.
