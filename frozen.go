@@ -124,16 +124,18 @@ func (f *Frozen) Enumerate(l, r int, fn func(pos int, s string) bool) { f.t.Enum
 // during that call of fn. fn returns false to stop. The trie is descended
 // once, to the prefix's node; each match is then one monotone select per
 // level of the node's root path (a run of matches shares the decoded RRR
-// blocks). max > 0 makes the scan a page of at most max matches: the
+// blocks). The scan is a page of at most max matches (max ≥ 1): the
 // first val called decodes the values of the page's matches from its own
 // to the page's last in one top-down pass below the node, so a page of
-// values costs far less than SelectPrefix and Access per match. With
-// max ≤ 0 the scan runs until fn stops it, and each val decodes its own
-// match, a pass of one. It returns CountPrefix(p), which the descent found
-// on the way, and panics if from is negative.
+// values costs far less than SelectPrefix and Access per match. It
+// returns CountPrefix(p), which the descent found on the way, and panics
+// if from is negative or max is below 1.
 func (f *Frozen) EnumeratePrefix(p string, from, max int, fn func(idx, pos int, val func() string) bool) (count int) {
 	if from < 0 {
 		panic(fmt.Sprintf("wavelettrie: EnumeratePrefix from %d negative", from))
+	}
+	if max < 1 {
+		panic(fmt.Sprintf("wavelettrie: EnumeratePrefix page of %d matches", max))
 	}
 	var key [bitstr.KeyWords]uint64
 	c := f.t.PrefixCursor(bitstr.EncodePrefixStringInto(key[:], p))
@@ -141,7 +143,7 @@ func (f *Frozen) EnumeratePrefix(p string, from, max int, fn func(idx, pos int, 
 	defer c.Close()
 	c.Seek(from)
 	end := count
-	if max > 0 && max < count-from {
+	if max < count-from {
 		end = from + max
 	}
 	// vals holds the values of matches [lo, lo+len(vals)) once decoded.
@@ -150,12 +152,8 @@ func (f *Frozen) EnumeratePrefix(p string, from, max int, fn func(idx, pos int, 
 	idx, lo := from, from
 	val := func() string {
 		if idx >= lo+len(vals) {
-			hi := idx + 1
-			if max > 0 {
-				hi = end
-			}
 			js = js[:0]
-			for j := idx; j < hi; j++ {
+			for j := idx; j < end; j++ {
 				js = append(js, j)
 			}
 			lo, vals = idx, slices.Grow(vals[:0], len(js))[:len(js)]

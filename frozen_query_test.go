@@ -106,14 +106,14 @@ func checkFrozenAgainstFlat(t *testing.T, f *Frozen, seq []string, keys []string
 			}
 		}
 		// Prefix enumeration, positions and values, from every kind of
-		// starting index, unbounded and in pages; values are asked for on
-		// every other match, so a page's values are decoded from a match
-		// past its first.
+		// starting index, in pages of one, five and every match; values are
+		// asked for on every other match, so a page's values are decoded
+		// from a match past its first.
 		for _, from := range []int{0, countP / 2, countP - 1, countP, countP + 1} {
 			if from < 0 {
 				continue
 			}
-			for _, page := range []int{0, 1, 5} {
+			for _, page := range []int{1, 5, countP + 1} {
 				next := from
 				f.EnumeratePrefix(k, from, page, func(idx, pos int, val func() string) bool {
 					if wp, _ := m.sel(prefixed, next); idx != next || pos != wp {
@@ -127,17 +127,13 @@ func checkFrozenAgainstFlat(t *testing.T, f *Frozen, seq []string, keys []string
 					next++
 					return true
 				})
-				want := max(from, countP)
-				if page > 0 {
-					want = max(from, min(from+page, countP))
-				}
-				if next != want {
+				if want := max(from, min(from+page, countP)); next != want {
 					t.Fatalf("EnumeratePrefix(%q,%d,%d) ended at match %d, want %d", k, from, page, next, want)
 				}
 			}
 		}
 		stops := 0
-		total := f.EnumeratePrefix(k, 0, 0, func(int, int, func() string) bool { stops++; return stops < 2 })
+		total := f.EnumeratePrefix(k, 0, max(countP, 1), func(int, int, func() string) bool { stops++; return stops < 2 })
 		if want := min(2, countP); stops != want || total != countP {
 			t.Fatalf("EnumeratePrefix(%q) ran %d callbacks after being told to stop at 2 and returned %d, with %d matches", k, stops, total, countP)
 		}
@@ -263,7 +259,7 @@ func TestFrozenIterateAllocations(t *testing.T) {
 	// A page of a prefix scan: positions alone allocate nothing per match.
 	p := seq[0][:6]
 	a = testing.AllocsPerRun(10, func() {
-		f.EnumeratePrefix(p, 0, 0, func(int, int, func() string) bool { return true })
+		f.EnumeratePrefix(p, 0, f.CountPrefix(p), func(int, int, func() string) bool { return true })
 	})
 	if a > 8 {
 		t.Errorf("EnumeratePrefix(%q), positions only, allocates %.0f times over %d matches, want a constant", p, a, f.CountPrefix(p))
@@ -273,8 +269,8 @@ func TestFrozenIterateAllocations(t *testing.T) {
 // FuzzFrozenEnumerate builds a Frozen from fuzz-supplied strings, repeated
 // in a seeded order to up to 700 elements so that ranges cross the page
 // extractor's page edges, and checks Enumerate over random ranges and
-// EnumeratePrefix — from random match offsets, unbounded or in a page of
-// random size, asking for every value or only some, stopping early —
+// EnumeratePrefix — from random match offsets, in a page of every match or
+// of random size, asking for every value or only some, stopping early —
 // against the flat model.
 func FuzzFrozenEnumerate(f *testing.F) {
 	f.Add([]byte("a\nab\nabc\n\nab\nb"), int64(1), uint16(300))
@@ -325,7 +321,7 @@ func FuzzFrozenEnumerate(f *testing.F) {
 			from := r.Intn(len(want) + 2)
 			every := 1 + r.Intn(3)
 			stop := from + r.Intn(len(want)+1)
-			page := 0 // unbounded, or a page that may end before stop
+			page := len(want) + 1 // every match, or a page that may end before stop
 			if r.Intn(2) == 0 {
 				page = 1 + r.Intn(len(want)+1)
 			}
@@ -345,10 +341,7 @@ func FuzzFrozenEnumerate(f *testing.F) {
 			if count != len(want) {
 				t.Fatalf("EnumeratePrefix(%q) counts %d, want %d", p, count, len(want))
 			}
-			end := min(len(want), stop+1)
-			if page > 0 {
-				end = min(end, from+page)
-			}
+			end := min(len(want), stop+1, from+page)
 			if next != max(from, end) {
 				t.Fatalf("EnumeratePrefix(%q,%d,%d) stopping after %d ended at %d", p, from, page, stop, next)
 			}

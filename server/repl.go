@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -339,9 +340,11 @@ func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 }
 
 // streamCatchup ships [from, to) of a snapshot as record frames,
-// batched by count and bytes to stay under the frame cap. On a store
-// with a pinned schema every frame also carries the payload rows, so a
-// follower rebuilds the columns byte-identically.
+// batched by count and bytes to stay under the frame cap. The positions
+// are read as one page of the empty prefix with rows (ScanWhere without
+// predicates), the rows through the cell cursors. On a store with a
+// pinned schema every frame also carries the payload rows, so a follower
+// rebuilds the columns byte-identically.
 func (s *Server) streamCatchup(sn *store.Snapshot, from, to uint64, send func(WALFrame) bool) bool {
 	withRows := len(sn.Schema()) > 0
 	runStart := from
@@ -363,14 +366,16 @@ func (s *Server) streamCatchup(sn *store.Snapshot, from, to uint64, send func(WA
 		bytes = 0
 		return true
 	}
+	if from >= to {
+		return true
+	}
 	ok := true
-	sn.Iterate(int(from), int(to), func(pos int, v string) bool {
+	sn.ScanWhere("", int(from), int(to-from), nil, func(_, _ int, v []byte, row store.Row) bool {
 		// size bounds the element's encoded bytes from above, so a frame
 		// exceeds the cap only when one element alone does.
 		size := len(v) + 10
-		var row store.Row
 		if withRows {
-			row = sn.Row(pos)
+			row = slices.Clone(row) // the page's row buffer is reused
 			size += 10
 			for _, c := range row {
 				size += len(c.Blob()) + 11
@@ -381,7 +386,7 @@ func (s *Server) streamCatchup(sn *store.Snapshot, from, to uint64, send func(WA
 				return false
 			}
 		}
-		batch = append(batch, v)
+		batch = append(batch, string(v))
 		if withRows {
 			rows = append(rows, row)
 		}

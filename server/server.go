@@ -447,11 +447,11 @@ func writeOptPos(w *wire.Writer, pos int, ok bool) {
 // servers, or a hostile one — and is an error, never a clamp.
 //
 // The page holds at most Max values (maxIterBatch when Max is 0 or above
-// it; none when it is negative, which only the gateway asks for) and
-// stops once it holds iterByteBudget bytes, but holds at least one value
-// when any is left. The walked range is bounded by the page, not by the
-// sequence's end: a sharded snapshot buffers a window of every shard's
-// subrange per Iterate.
+// it; none when it is negative, which only the gateway asks for). It is
+// the empty prefix's page from match Pos — every position matches it — cut
+// at end, so fillPage's byte budget and the store's run-wise decoding serve
+// it as they serve a scan, its values handed over as bytes. The entries
+// are values alone: their positions follow from the start.
 func (s *Server) iterate(c *connState, req *Request) error {
 	sn := s.pin(c)
 	end := sn.Len()
@@ -466,20 +466,15 @@ func (s *Server) iterate(c *connState, req *Request) error {
 	if max == 0 || max > maxIterBatch {
 		max = maxIterBatch
 	}
-	body := &c.page
-	body.Reset()
-	n, bytes := 0, 0
-	if hi := min(end, start+max); start < hi {
-		sn.Iterate(start, hi, func(_ int, v string) bool {
-			if bytes >= iterByteBudget {
-				return false
-			}
-			n++
-			bytes += len(v) + 18
-			body.Str(v)
-			return true
-		})
+	hi := min(end, start+max)
+	if start < 0 && start < hi {
+		// Only the gateway can send a negative start (a wire position is
+		// unsigned): the store's positional range check refuses it.
+		sn.Iterate(start, hi, nil)
 	}
+	n, _ := s.fillPage(c, hi-start, false, false, func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) bool {
+		return sn.ScanPrefix("", start, max, func(idx, pos int, v []byte) bool { return fn(idx, pos, v, nil) })
+	})
 	w := &c.resp
 	w.Uvarint(uint64(end))
 	if start+n >= end {
@@ -489,7 +484,7 @@ func (s *Server) iterate(c *connState, req *Request) error {
 	}
 	w.Uvarint(uint64(start))
 	w.Uvarint(uint64(n))
-	w.Raw(body.Bytes())
+	w.Raw(c.page.Bytes())
 	return nil
 }
 
@@ -504,30 +499,50 @@ const iterByteBudget = 4 << 20
 const maxIterBatch = 4096
 
 // writePage answers one scan request: up to max matches (maxIterBatch when
-// max is not positive or above it) within the byte budget, and at least
-// one when any exists, so a resuming client always makes progress. scan
-// runs the store's page form (ScanPrefix, ScanWhere with a max), which finds
-// the page's positions, decodes their values together a run at a time,
-// handing each run over before decoding the next, and reports whether
-// more matches lie past the page, the one that tells it a position only.
-// So the budget stops the decoding too, within a run of where it stops the
-// page: the store holds a run's values and rows at a time (64 matches,
-// then about a MiB's worth), never the page's. The matches are encoded
-// into c.page as they are handed over — position, value and, with rows,
-// the payload row, counted against the budget too; the header (done flag,
-// the echoed match offset, the count, known only at the end) and the
-// matches then go into the response.
+// max is not positive or above it), filled by fillPage, behind a header of
+// the done flag, the echoed match offset and the count.
 func (s *Server) writePage(c *connState, from, max int, rows bool, scan func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) (more bool)) {
 	if max <= 0 || max > maxIterBatch {
 		max = maxIterBatch
 	}
+	n, more := s.fillPage(c, max, true, rows, scan)
+	w := &c.resp
+	if more {
+		w.Byte(0)
+	} else {
+		w.Byte(1)
+	}
+	w.Uvarint(uint64(from))
+	w.Uvarint(uint64(n))
+	w.Raw(c.page.Bytes())
+}
+
+// fillPage encodes one page into c.page: up to max matches (none when max
+// is not positive) within the byte budget, and at least one when any
+// exists, so a resuming client always makes progress. It returns how many
+// it encoded and whether more matches lie past them. scan runs the store's
+// page form (ScanPrefix, ScanWhere), which finds the page's positions,
+// decodes their values together a run at a time, handing each run over
+// before decoding the next, and reports whether more matches lie past the
+// page, the one that tells it a position only. So the budget stops the
+// decoding too, within a run of where it stops the page: the store holds a
+// run's values and rows at a time (a page of up to 256 matches at once, a
+// longer one 64 matches, then about a MiB's worth), never a long page's. Each match is encoded as it is handed over — with
+// positions, its position; its value; with rows, the payload row — and
+// counted against the budget.
+func (s *Server) fillPage(c *connState, max int, positions, rows bool, scan func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) (more bool)) (n int, more bool) {
 	body := &c.page
 	body.Reset()
-	n, bytes := 0, 0
-	more := scan(max, func(_, pos int, v []byte, row store.Row) bool {
+	if max <= 0 {
+		return 0, false
+	}
+	bytes := 0
+	more = scan(max, func(_, pos int, v []byte, row store.Row) bool {
 		n++
 		bytes += len(v) + 18
-		body.Uvarint(uint64(pos))
+		if positions {
+			body.Uvarint(uint64(pos))
+		}
 		body.Uvarint(uint64(len(v)))
 		body.Raw(v)
 		if rows {
@@ -538,15 +553,7 @@ func (s *Server) writePage(c *connState, from, max int, rows bool, scan func(max
 		}
 		return bytes < iterByteBudget
 	})
-	w := &c.resp
-	if more {
-		w.Byte(0)
-	} else {
-		w.Byte(1)
-	}
-	w.Uvarint(uint64(from))
-	w.Uvarint(uint64(n))
-	w.Raw(body.Bytes())
+	return n, more
 }
 
 // iteratePrefix serves one OpIteratePrefix batch: positions and values

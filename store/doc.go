@@ -45,11 +45,15 @@
 // primitive operations (Access, Rank, Select, RankPrefix, SelectPrefix
 // and the Count forms) are answered by stitching per-generation answers
 // together with offset and rank arithmetic, one label-only descent per
-// generation for a key it does not hold. Snapshot.Iterate/Slice stream
-// ranges through the per-segment sequential enumerators. A prefix's
-// matches leave a segment one way only, behind a pull cursor (the trie's
-// PrefixCursor for a generation, batched selects for the memtable), and a
-// shard's stream reads its segments' cursors one after the other. Every
+// generation for a key it does not hold. A prefix's matches leave a
+// segment one way only, behind a pull cursor (the trie's PrefixCursor for
+// a generation, batched selects for the memtable), and a shard's stream
+// reads its segments' cursors one after the other. Values leave a view
+// one way only too, as a page of that stream, decoded a batch a segment
+// (the trie's top-down extractor for a generation, point reads under one
+// read lock a chunk for the memtable): the empty prefix matches every
+// position, so Snapshot.Iterate/Slice, an export and a replication
+// catch-up read its pages. Every
 // layout is served by one view type, Snapshot: a flat store's is its
 // shard's own view, whose stream is its shard's, and a sharded store's
 // merges one stream per shard; the prefix and predicate scans are one function over

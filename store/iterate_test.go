@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -9,65 +10,116 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSnapshotIterateMatchesAccess diffs the streaming Iterate/Slice
-// against per-position Access on a snapshot spread over several frozen
-// generations plus a live memtable tail — including subranges crossing
-// segment boundaries and early stops.
+// TestSnapshotIterateMatchesAccess diffs Iterate/Slice — the empty
+// prefix's page — against the sequence and per-position Access, flat and
+// over 2 and 3 shards, each store three flushed generations a shard and a
+// live memtable tail that crosses a router chunk boundary, so pages read
+// frozen router chunks and the unfrozen router tail alike: the whole view,
+// subranges that start at 63, 64 and 65 (either side of a page's first
+// run) and cross a 4 096-position window, subranges across segment and
+// chunk boundaries, and early stops inside the memtable and, sharded, just
+// past a shard switch on the frozen chunks and on the tail.
 func TestSnapshotIterateMatchesAccess(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testOpts())
-	seq := workload.URLLog(400, 17, workload.DefaultURLConfig())
-	for i, v := range seq {
-		mustAppend(t, s, v)
-		if i == 99 || i == 199 || i == 299 {
-			if err := s.Flush(); err != nil {
+	const n = 3*routerChunkLen + 500
+	seq := workload.URLLog(n, 17, workload.DefaultURLConfig())
+	flushAt := []int{4000, 8000, 12000} // the memtable holds [12000, n), across 3·4096
+	for _, shards := range []int{0, 2, 3} {
+		name := fmt.Sprintf("%d shards", shards)
+		var s *Store
+		if shards == 0 {
+			name, s = "flat", mustOpen(t, t.TempDir(), testOpts())
+		} else {
+			var err error
+			if s, err = OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards, Store: *testOpts()}); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	defer s.Close()
-	sn := s.Snapshot()
-	if segs := len(sn.shards[0].segs); segs != 4 { // 3 gens + live memtable view
-		t.Fatalf("segments = %d, want 4", segs)
-	}
-
-	count := 0
-	sn.Iterate(0, sn.Len(), func(pos int, v string) bool {
-		if pos != count {
-			t.Fatalf("Iterate positions out of order: %d, want %d", pos, count)
+		lo := 0
+		for _, hi := range append(flushAt, n) {
+			if err := s.AppendBatch(seq[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			if hi < n {
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lo = hi
 		}
-		if want := sn.Access(pos); v != want {
-			t.Fatalf("Iterate(%d) = %q, Access says %q", pos, v, want)
-		}
-		count++
-		return true
-	})
-	if count != len(seq) {
-		t.Fatalf("iterated %d of %d", count, len(seq))
-	}
-
-	// Subranges crossing segment boundaries.
-	for _, lr := range [][2]int{{0, 0}, {50, 150}, {95, 105}, {199, 301}, {350, 400}, {0, 400}} {
-		got := sn.Slice(lr[0], lr[1])
-		if len(got) != lr[1]-lr[0] {
-			t.Fatalf("Slice(%d,%d) returned %d elements", lr[0], lr[1], len(got))
-		}
-		for i, v := range got {
-			if want := seq[lr[0]+i]; v != want {
-				t.Fatalf("Slice(%d,%d)[%d] = %q, want %q", lr[0], lr[1], i, v, want)
+		sn := s.Snapshot()
+		for i, sh := range sn.shards {
+			if segs := len(sh.segs); segs != 4 { // 3 gens + live memtable view
+				t.Fatalf("%s: shard %d has %d segments, want 4", name, i, segs)
 			}
 		}
-	}
+		if sn.r != nil {
+			if ri := sn.r.info(); ri.FrozenChunks != 3 || ri.TailChunks != 1 {
+				t.Fatalf("%s: router has %d frozen and %d tail chunks, want 3 and 1", name, ri.FrozenChunks, ri.TailChunks)
+			}
+		}
 
-	// Early stop mid-segment and across a boundary.
-	for _, stop := range []int{1, 120} {
-		seen := 0
-		sn.Iterate(0, sn.Len(), func(int, string) bool {
-			seen++
-			return seen < stop
+		count := 0
+		sn.Iterate(0, sn.Len(), func(pos int, v string) bool {
+			if pos != count {
+				t.Fatalf("%s: Iterate positions out of order: %d, want %d", name, pos, count)
+			}
+			if v != seq[pos] {
+				t.Fatalf("%s: Iterate(%d) = %q, want %q", name, pos, v, seq[pos])
+			}
+			if pos%97 == 0 || pos >= flushAt[2] && pos%7 == 0 {
+				if want := sn.Access(pos); v != want {
+					t.Fatalf("%s: Iterate(%d) = %q, Access says %q", name, pos, v, want)
+				}
+			}
+			count++
+			return true
 		})
-		if seen != stop {
-			t.Fatalf("early stop at %d saw %d", stop, seen)
+		if count != n {
+			t.Fatalf("%s: iterated %d of %d", name, count, n)
+		}
+
+		for _, lr := range [][2]int{{0, 0}, {63, 4200}, {64, 8300}, {65, 12500}, {3990, 4010},
+			{7999, 8001}, {12000, 12001}, {12200, 12400}, {12287, 12289}, {n - 1, n}, {0, n}} {
+			got := sn.Slice(lr[0], lr[1])
+			if len(got) != lr[1]-lr[0] {
+				t.Fatalf("%s: Slice(%d,%d) returned %d elements", name, lr[0], lr[1], len(got))
+			}
+			for i, v := range got {
+				if want := seq[lr[0]+i]; v != want {
+					t.Fatalf("%s: Slice(%d,%d)[%d] = %q, want %q", name, lr[0], lr[1], i, v, want)
+				}
+			}
+		}
+
+		// Early stops: mid-generation, across a generation boundary, inside
+		// the memtable either side of the chunk boundary, and — sharded —
+		// at the first position past a shard switch.
+		stops := [][2]int{{0, 1}, {3900, 4100}, {12010, 12100}, {12100, 12350}}
+		if sn.r != nil {
+			for _, from := range []int{5000, 12300} {
+				g := from + 1
+				for sn.r.at(uint64(g)) == sn.r.at(uint64(g-1)) {
+					g++
+				}
+				stops = append(stops, [2]int{from, g})
+			}
+		}
+		for _, st := range stops {
+			from, last := st[0], st[1]
+			next := from
+			sn.Iterate(from, n, func(pos int, v string) bool {
+				if pos != next || v != seq[pos] {
+					t.Fatalf("%s: Iterate(%d,%d) yields (%d,%q), want (%d,%q)", name, from, n, pos, v, next, seq[next])
+				}
+				next++
+				return pos < last
+			})
+			if next != last+1 {
+				t.Fatalf("%s: Iterate(%d,%d) told to stop at %d ended at %d", name, from, n, last, next-1)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -249,5 +301,67 @@ func TestAppendFlushDuringForcedCompaction(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var iteratePageSink int
+
+// BenchmarkSnapshotIteratePage times a served positional page — 256
+// values from a seeded random offset, through Iterate — flat and over 2
+// shards, each 4 × 16 384 flushed values and a 3 000-value memtable that
+// lies wholly in the unfrozen router tail: the "frozen" arm's pages are
+// in the generations and frozen router chunks, the "tail" arm's in the
+// memtable and the router tail.
+func BenchmarkSnapshotIteratePage(b *testing.B) {
+	const gen, gens, tail, page = 1 << 14, 4, 3000, 256
+	seq := workload.URLLog(gens*gen+tail, 1, workload.DefaultURLConfig())
+	for _, shards := range []int{0, 2} {
+		opts := Options{FlushThreshold: 1 << 30, DisableAutoFlush: true}
+		var s *Store
+		var err error
+		layout := "plain"
+		if shards == 0 {
+			s, err = Open(b.TempDir(), &opts)
+		} else {
+			layout = fmt.Sprintf("sharded%d", shards)
+			s, err = OpenSharded(b.TempDir(), &ShardedOptions{Shards: shards, Store: opts})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < len(seq); lo += gen {
+			hi := min(lo+gen, len(seq))
+			if err := s.AppendBatch(seq[lo:hi]); err != nil {
+				b.Fatal(err)
+			}
+			if hi-lo == gen {
+				if err := s.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		sn := s.Snapshot()
+		for _, arm := range []struct {
+			name   string
+			lo, hi int // the pages' first positions
+		}{{"frozen", 0, gens*gen - page}, {"tail", gens * gen, len(seq) - page}} {
+			r := rand.New(rand.NewSource(5))
+			offs := make([]int, 1024)
+			for i := range offs {
+				offs[i] = arm.lo + r.Intn(arm.hi-arm.lo+1)
+			}
+			b.Run(layout+"/"+arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					l := offs[i%len(offs)]
+					sn.Iterate(l, l+page, func(pos int, v string) bool {
+						iteratePageSink += pos + len(v)
+						return true
+					})
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*page), "ns/elem")
+			})
+		}
+		s.Close()
 	}
 }

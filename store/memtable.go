@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -216,9 +215,10 @@ func (v memView) cursor(k *probe) matchCursor { return &memCursor{v: v, k: k} }
 // memCursor is the view's matches of a prefix probe behind a pull cursor:
 // the consumer runs between the cursor's batches, with no lock held.
 // Positions are extracted in batches, each under one read-lock acquisition
-// with the view's match count taken once; between batches no lock is held,
-// and a value is a point read under its own. The batch doubles from a few
-// matches, so a consumer that stops early has not paid for a long one.
+// with the view's match count taken once; between batches no lock is held.
+// The batch doubles from a few matches, so a consumer that stops early has
+// not paid for a long one. Values are decoded by values, a chunk at a
+// time.
 type memCursor struct {
 	v     memView
 	k     *probe
@@ -228,7 +228,8 @@ type memCursor struct {
 	i     int
 	batch int
 	cur   int    // position of the match next last returned
-	val   []byte // the value values hands out
+	vals  []byte // the values of values' current chunk, end to end
+	ends  []int  // where each of them ends in vals
 }
 
 func (c *memCursor) rankAt(pos int) int { return c.v.rank(c.k, pos) }
@@ -257,49 +258,39 @@ func (c *memCursor) next() (int, bool) {
 	return c.cur, true
 }
 
-// mark is the match's position: a memtable's values are point reads.
+// mark is the match's position.
 func (c *memCursor) mark() int { return c.cur }
 
+// values decodes the values at the positions ms in chunks of at most
+// memChunk, each under one read-lock acquisition, and hands a chunk's
+// values to fn with the lock released. Each value is a point read: on the
+// pointer trie a sequential enumeration of a run of positions costs more
+// a value than Access does, at any run length. A position below the
+// view's clamp is immutable, so chunks may re-enter the trie while
+// appends go on.
 func (c *memCursor) values(ms []int, fn func(k int, v []byte)) {
-	for k, pos := range ms {
-		c.val = append(c.val[:0], c.v.Access(pos)...)
-		fn(k, c.val)
+	m := c.v.m
+	for k := 0; k < len(ms); k += memChunk {
+		chunk := ms[k:min(k+memChunk, len(ms))]
+		c.vals, c.ends = c.vals[:0], c.ends[:0]
+		m.mu.RLock()
+		for _, pos := range chunk {
+			c.vals = append(c.vals, m.trie.Access(pos)...)
+			c.ends = append(c.ends, len(c.vals))
+		}
+		m.mu.RUnlock()
+		lo := 0
+		for i, hi := range c.ends {
+			fn(k+i, c.vals[lo:hi])
+			lo = hi
+		}
 	}
 }
+
+// memChunk bounds the values memCursor.values decodes under one read lock.
+const memChunk = 256
 
 func (c *memCursor) close() {}
-
-// Iterate streams the elements of positions [l, r) of the view in
-// order, through the trie's slice-free enumerator. The walk is chunked:
-// the read lock is held only while a bounded batch is extracted, never
-// across fn — so callbacks may freely query the store or snapshot (a
-// nested read under a held RLock would deadlock against a waiting
-// appender). Chunks re-enter the trie, but positions below the view's
-// clamp are immutable, so the stream is exact regardless of concurrent
-// appends; on a sealed memtable the lock is uncontended.
-func (v memView) Iterate(l, r int, fn func(pos int, s string) bool) {
-	if l < 0 || r < l || r > v.n {
-		panic(fmt.Sprintf("store: memtable Iterate(%d,%d) out of range [0,%d]", l, r, v.n))
-	}
-	const chunk = 256
-	buf := make([]string, 0, min(chunk, r-l))
-	for l < r {
-		hi := min(l+chunk, r)
-		buf = buf[:0]
-		v.m.mu.RLock()
-		v.m.trie.Enumerate(l, hi, func(_ int, s string) bool {
-			buf = append(buf, s)
-			return true
-		})
-		v.m.mu.RUnlock()
-		for i, s := range buf {
-			if !fn(l+i, s) {
-				return
-			}
-		}
-		l = hi
-	}
-}
 
 // colValue reads the cell of column col at position pos; positions at
 // or past the clamp (and stores with no schema) read as NULL.

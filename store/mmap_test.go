@@ -334,17 +334,27 @@ func TestQueryInFlightHoldsMappedGen(t *testing.T) {
 	if err := s.Compact(); err != nil { // the store lets go of the generation
 		t.Fatal(err)
 	}
-	seg.Iterate(0, n, func(pos int, v string) bool {
-		if pos == 0 {
+	// A page of every position, read as a view reads one: the empty
+	// prefix's matches, then their values in one batch, the cursor's last
+	// use.
+	c := seg.cursor(newProbe("", true))
+	marks := make([]int, 0, n)
+	for {
+		if _, ok := c.next(); !ok {
+			break
+		}
+		marks = append(marks, c.mark())
+	}
+	c.values(marks, func(k int, v []byte) {
+		if k == 0 {
 			for i := 0; i < 2; i++ {
 				runtime.GC()
 				time.Sleep(10 * time.Millisecond) // the finalizer goroutine's turn
 			}
 		}
-		if v != seq[pos] {
-			t.Fatalf("element %d = %q, want %q", pos, v, seq[pos])
+		if string(v) != seq[marks[k]] {
+			t.Fatalf("element %d = %q, want %q", marks[k], v, seq[marks[k]])
 		}
-		return true
 	})
 	t.Run("columns", testQueryHoldsMappedCols)
 }
@@ -402,7 +412,7 @@ func testQueryHoldsMappedCols(t *testing.T) {
 		t.Fatalf("CountWhere on the retired view = %d, %v, want %d", got, err, want)
 	}
 	seen := 0
-	if _, err := sn.ScanWhere("api/", 0, 0, preds, func(idx, pos int, v []byte, _ Row) bool {
+	if _, err := sn.ScanWhere("api/", 0, len(vals)+1, preds, func(idx, pos int, v []byte, _ Row) bool {
 		if idx == 0 {
 			collect()
 		}

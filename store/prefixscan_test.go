@@ -51,7 +51,7 @@ func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 				continue
 			}
 			next := from
-			sn.ScanPrefix(p, from, 0, func(idx, pos int, b []byte) bool {
+			sn.ScanPrefix(p, from, count+1, func(idx, pos int, b []byte) bool {
 				v := string(b)
 				if idx != next || v != seq[pos] || !strings.HasPrefix(v, p) {
 					t.Fatalf("ScanPrefix(%q,%d) yields (%d,%d,%q) as match %d; the sequence has %q there", p, from, idx, pos, v, next, seq[pos])
@@ -89,7 +89,7 @@ func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 			}
 			for from := 0; from <= count; {
 				got := 0
-				sn.ScanPrefix(p, from, 0, func(idx, pos int, b []byte) bool {
+				sn.ScanPrefix(p, from, count+1, func(idx, pos int, b []byte) bool {
 					v := string(b)
 					if idx != from+got || v != seq[pos] || !strings.HasPrefix(v, p) {
 						t.Fatalf("ScanPrefix(%q,%d) page of %d: match %d at %d is %q", p, from, page, idx, pos, v)
@@ -136,7 +136,7 @@ func checkPrefixScan(t *testing.T, sn *Snapshot, seq []string, rows []Row) {
 		}
 		for _, from := range []int{0, len(want) / 2, len(want), len(want) + 1} {
 			next := from
-			_, err := sn.ScanWhere(p, from, 0, preds, func(idx, pos int, b []byte, row Row) bool {
+			_, err := sn.ScanWhere(p, from, len(want)+1, preds, func(idx, pos int, b []byte, row Row) bool {
 				v := string(b)
 				if idx != next || pos != want[idx] || v != seq[pos] || !reflect.DeepEqual(row, rows[pos]) {
 					t.Fatalf("ScanWhere(%q,%d) yields (%d,%d,%q,%v), want (%d,%d,%q,%v)", p, from, idx, pos, v, row, next, want[next], seq[want[next]], rows[want[next]])
@@ -428,7 +428,7 @@ func TestShardedPrefixScanDifferential(t *testing.T) {
 						}
 					}
 					scanPrefix := func(from int) func(fn func(idx, pos int, v []byte) bool) {
-						return func(fn func(idx, pos int, v []byte) bool) { sn.ScanPrefix(p, from, 0, fn) }
+						return func(fn func(idx, pos int, v []byte) bool) { sn.ScanPrefix(p, from, len(want)+1, fn) }
 					}
 					// The page form, bounded by the page itself: more says
 					// whether the bound cut the stream.
@@ -472,7 +472,7 @@ func TestShardedPrefixScanDifferential(t *testing.T) {
 								}
 								return more
 							}
-							page("ScanWhere", wantErr, from, stop, func(fn func(idx, pos int, v []byte) bool) { where(0, fn) })
+							page("ScanWhere", wantErr, from, stop, func(fn func(idx, pos int, v []byte) bool) { where(len(wantErr)+1, fn) })
 							scanPage("ScanWhere", wantErr, from, stop, where)
 						}
 					}
@@ -522,7 +522,7 @@ func TestPrefixScanCallbackMayRead(t *testing.T) {
 		}
 	}()
 	count := 0
-	sn.ScanPrefix("v/", 0, 0, func(idx, pos int, b []byte) bool {
+	sn.ScanPrefix("v/", 0, n+1, func(idx, pos int, b []byte) bool {
 		v := string(b)
 		if got := sn.Access(pos); got != v || idx != pos {
 			t.Errorf("match %d at %d is %q, Access says %q", idx, pos, v, got)

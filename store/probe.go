@@ -56,11 +56,6 @@ func (f frozenSeg) Access(pos int) string {
 	return s
 }
 
-func (f frozenSeg) Iterate(l, r int, fn func(pos int, s string) bool) {
-	f.Frozen.Enumerate(l, r, fn)
-	runtime.KeepAlive(f.Frozen)
-}
-
 func (f frozenSeg) rank(k *probe, pos int) (n int) {
 	if k.prefix {
 		n = f.t.RankPrefixBits(k.bits, pos)

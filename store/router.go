@@ -211,8 +211,9 @@ func (r *router) rank(shard int, pos uint64) int {
 // selectShard returns the global position of shard's idx-th (0-based)
 // local element. The caller guarantees it exists below the watermark —
 // i.e. idx < rank(shard, watermark).
-func (r *router) selectShard(shard, idx int) int {
-	v := r.view.Load()
+func (r *router) selectShard(shard, idx int) int { return r.view.Load().selectShard(shard, idx) }
+
+func (v *routerView) selectShard(shard, idx int) int {
 	// The last chunk boundary with at most idx occurrences before it:
 	// the answer lies at or after it, and — because the next boundary
 	// has more than idx — within one chunk when that chunk is frozen.
@@ -221,18 +222,46 @@ func (r *router) selectShard(shard, idx int) int {
 		off, _ := v.frozen[i].Select(uint64(shard), idx-int(v.cum[i][shard]))
 		return i<<routerChunkShift + off
 	}
-	seen := int(v.cum[i][shard])
+	return v.scanTail(shard, idx, i<<routerChunkShift, int(v.cum[i][shard]))
+}
+
+// scanTail returns the global position of shard's idx-th element, which
+// lies on the unfrozen tail at or after g, seen of shard's elements lying
+// before g: a scan of the live slabs from g on.
+func (v *routerView) scanTail(shard, idx, g, seen int) int {
 	want := uint32(shard) + 1
-	end := uint64(len(v.chunks)) << routerChunkShift
-	for g := uint64(i) << routerChunkShift; g < end; g++ {
+	for end := len(v.chunks) << routerChunkShift; g < end; g++ {
 		if v.chunks[g>>routerChunkShift].ids[g&routerChunkMask].Load() == want {
 			if seen == idx {
-				return int(g)
+				return g
 			}
 			seen++
 		}
 	}
 	panic(fmt.Sprintf("store: router selectShard(%d,%d) beyond watermark (internal error)", shard, idx))
+}
+
+// routerCursor is selectShard for one shard's local positions asked in
+// ascending order, as a merge of the shards' match streams asks them. An
+// answer on the unfrozen tail resumes the slot scan just past the last
+// answer instead of at the chunk boundary, so a stream through the tail
+// reads each slot once, not once a match.
+type routerCursor struct {
+	r     *router
+	shard int
+	idx   int // the local position last asked for; -1 before the first
+	g     int // its global position
+}
+
+func (c *routerCursor) selectShard(idx int) int {
+	v := c.r.view.Load()
+	if c.idx >= 0 && idx > c.idx && c.g>>routerChunkShift >= len(v.frozen) {
+		c.g = v.scanTail(c.shard, idx, c.g+1, c.idx+1)
+	} else {
+		c.g = v.selectShard(c.shard, idx)
+	}
+	c.idx = idx
+	return c.g
 }
 
 // bulkLoad installs a recovered global order wholesale — open-time only,

@@ -24,7 +24,6 @@ type segment interface {
 	// segment; see matchCursor. The consumer runs between the cursor's
 	// calls, with no lock held.
 	cursor(k *probe) matchCursor
-	Iterate(l, r int, fn func(pos int, s string) bool)
 	// alphabet adds the trie behind the segment to the union
 	// Snapshot.AlphabetSize walks — the whole trie, whatever a view's clamp.
 	alphabet(u *alphabetUnion)
@@ -171,35 +170,6 @@ func (v *shardView) sel(k *probe, idx int) (int, bool) {
 	return 0, false
 }
 
-// iterate streams positions [l, r) in order, stopping early if fn returns
-// false. Frozen generations are walked with their streaming enumerator
-// (one trie walk per generation instead of one root descent per element);
-// memtable views are extracted in bounded batches under their read lock,
-// with fn always called lock-free.
-func (v *shardView) iterate(l, r int, fn func(pos int, s string) bool) {
-	for i, seg := range v.segs {
-		off := v.offs[i]
-		if off >= r {
-			return
-		}
-		lo, hi := max(l-off, 0), min(r-off, seg.Len())
-		if lo >= hi {
-			continue
-		}
-		stopped := false
-		seg.Iterate(lo, hi, func(p int, s string) bool {
-			if !fn(off+p, s) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-	}
-}
-
 // cols returns the column reader of the segment holding position pos
 // (nil when it has none) and pos relative to the segment.
 func (v *shardView) cols(pos int) (colReader, int) {
@@ -294,11 +264,6 @@ func (c clampCursor) next() (int, bool) {
 	return pos, ok && pos < c.n
 }
 
-// Iterate streams [l, r) within the clamped prefix.
-func (c clampSeg) Iterate(l, r int, fn func(pos int, s string) bool) {
-	c.segment.Iterate(l, min(r, c.n), fn)
-}
-
 // snapCursor is a shard view's matches of a prefix probe in position
 // order, one at a time, from a matchCursor per segment — the stream
 // Snapshot.scan emits from, or merges one of per shard. A segment is
@@ -315,7 +280,6 @@ type snapCursor struct {
 	// cols[i] reads segment i's cells, for the row test and a page's rows:
 	// one colCursor a scan and segment, made when first needed.
 	cols []colCursor
-	one  [1]int // value's batch
 }
 
 type segCursor struct {
@@ -378,15 +342,6 @@ func (c *snapCursor) next() (pos int, ok bool) {
 		}
 	}
 	return 0, false
-}
-
-// value appends to dst the value of the match next last returned: a batch
-// of one.
-func (c *snapCursor) value(dst []byte) []byte {
-	sc := c.segs[c.i]
-	c.one[0] = sc.mark()
-	sc.values(c.one[:], func(_ int, v []byte) { dst = append(dst, v...) })
-	return dst
 }
 
 // cells returns the cell cursor of the segment of the match next last

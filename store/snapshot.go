@@ -136,18 +136,21 @@ func (sn *Snapshot) SizeBits() int {
 // sharded store, agree on it exactly when they hold the same sequence and
 // payloads, whatever their flush and compaction histories. Each value is
 // mixed as its length then its bytes, so concatenation boundaries are
-// unambiguous ("ab","c" never collides with "a","bc"). Cost is O(n) — a
-// full iteration — so it is a verification tool, not a serving-path key.
+// unambiguous ("ab","c" never collides with "a","bc"). Cost is O(n) — one
+// page of every position, rows read through the cell cursors — so it is a
+// verification tool, not a serving-path key.
 func (sn *Snapshot) ContentFingerprint() uint64 {
 	h := uint64(fnvOffset64)
-	sn.Iterate(0, sn.n, func(pos int, v string) bool {
+	if sn.n == 0 {
+		return h
+	}
+	sn.ScanWhere("", 0, sn.n, nil, func(_, _ int, v []byte, row Row) bool {
 		h = fpMix(h, uint64(len(v)))
-		for i := 0; i < len(v); i++ {
-			h ^= uint64(v[i])
+		for _, b := range v {
+			h ^= uint64(b)
 			h *= fnvPrime64
 		}
-		for c := range sn.schema {
-			cell := sn.cellAt(pos, c)
+		for _, cell := range row {
 			h = fpMix(h, uint64(cell.kind))
 			switch cell.kind {
 			case ColUint64:
@@ -248,7 +251,7 @@ func (sn *Snapshot) SelectPrefix(p string, idx int) (at int, ok bool) {
 	if len(sn.shards) == 1 {
 		return sn.shards[0].sel(newProbe(p, true), idx)
 	}
-	sn.scan(newProbe(p, true), idx, nil, func(_, pos int, _ *snapCursor) bool {
+	sn.scan(newProbe(p, true), idx, nil, func(_, pos int) bool {
 		at, ok = pos, true
 		return false
 	})
@@ -263,32 +266,27 @@ func (sn *Snapshot) SelectPrefix(p string, idx int) (at int, ok bool) {
 // descent per match. fn runs with no lock held. It panics if from is
 // negative.
 func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool) {
-	sn.scan(prefixProbe(p, from), from, nil, func(idx, pos int, _ *snapCursor) bool { return fn(idx, pos) })
+	sn.scan(prefixProbe(p, from), from, nil, fn)
 }
 
-// ScanPrefix is IteratePrefix that also hands fn each match's value,
-// from the same cursors — no Access per match, and no string: v is the
-// value's bytes in a buffer the next match overwrites, valid only during
-// that call of fn. max > 0 makes the scan a page of at most max matches,
-// the form a served page takes: the page's positions are found first and
-// its values decoded together, in one top-down pass per generation,
-// before fn is called — a run of them at a time, 64 and then about a MiB's
-// worth, so that fn's stopping also stops the decoding — and more reports
-// whether a match lies past the last one fn was handed: finding that out
-// decodes nothing. With max ≤ 0
-// fn sees every match until it returns false, each value decoded as it
-// is handed over, and more is false.
+// ScanPrefix is IteratePrefix for a page of at most max matches (max ≥
+// 1) that also hands fn each match's value, from the same cursors — no
+// Access per match, and no string: v is the value's bytes in a buffer the
+// next match overwrites, valid only during that call of fn. The page's
+// positions are found first and its values decoded together, in one
+// top-down pass per generation, before fn is called — a page of up to 256
+// at once, a longer one a run at a time, 64 and then about a MiB's worth,
+// so that fn's stopping also stops the decoding. more reports whether a match lies past the last one fn was
+// handed: finding that out decodes nothing. The empty prefix matches every
+// position, so its page from match l is positions l, l+1, …: Iterate, an
+// export and a served positional page are such pages. It panics if from
+// is negative or max is below 1.
 func (sn *Snapshot) ScanPrefix(p string, from, max int, fn func(idx, pos int, v []byte) bool) (more bool) {
 	k := prefixProbe(p, from)
-	if max > 0 {
-		return sn.scanPage(k, from, max, nil, false, func(idx, pos int, v []byte, _ Row) bool { return fn(idx, pos, v) })
+	if max < 1 {
+		panic(fmt.Sprintf("store: ScanPrefix page of %d matches", max))
 	}
-	var buf []byte
-	sn.scan(k, from, nil, func(idx, pos int, at *snapCursor) bool {
-		buf = at.value(buf[:0])
-		return fn(idx, pos, buf)
-	})
-	return false
+	return sn.scanPage(k, from, max, nil, false, func(idx, pos int, v []byte, _ Row) bool { return fn(idx, pos, v) })
 }
 
 // prefixProbe is the probe of an IteratePrefix or ScanPrefix from the
@@ -333,15 +331,15 @@ func seekCut(n, total, from int, countAt func(pos int) int) int {
 //
 // Each shard's matches come from one snapCursor. With one shard that
 // stream is the view's. Over several, a k-way merge holds one head per
-// shard — local position from the shard's cursor, global from the
-// router's selectShard — emits the smallest and advances only the shard
-// it came from, when the next match is asked for. Either way the row test
-// runs on the shard, through the cursor's cell cursors, before a
-// candidate is emitted or becomes a head: a page of m matches pulls at
-// most m + shards.
+// shard — local position from the shard's cursor, global from the shard's
+// routerCursor — emits the smallest and advances only the shard it came
+// from, when the next match is asked for. Either way the row test runs on
+// the shard, through the cursor's cell cursors, before a candidate is
+// emitted or becomes a head: a page of m matches pulls at most m + shards.
 type matchStream struct {
 	sn    *Snapshot
 	cur   []snapCursor
+	route []routerCursor // over several shards, one per shard
 	preds []Pred
 	heads []int // the shards' head positions, global; negative when none is left
 	last  int   // the shard next last emitted from, its pull pending; -1 before the first
@@ -363,6 +361,12 @@ func (sn *Snapshot) stream(k *probe, from int, preds []Pred) (m *matchStream, ok
 	for s, sh := range sn.shards {
 		m.cur[s] = snapCursor{v: sh, k: k, segs: segs[:len(sh.segs):len(sh.segs)]}
 		segs = segs[len(sh.segs):]
+	}
+	if sn.r != nil {
+		m.route = make([]routerCursor, len(sn.shards))
+		for s := range m.route {
+			m.route[s] = routerCursor{r: sn.r, shard: s, idx: -1}
+		}
 	}
 	if len(preds) == 0 && from > 0 {
 		if !sn.seek(m.cur, from) {
@@ -389,7 +393,7 @@ func (m *matchStream) pull(s int) {
 			return
 		}
 		if len(m.preds) == 0 || c.match(m.preds) {
-			m.heads[s] = m.sn.global(s, local)
+			m.heads[s] = m.route[s].selectShard(local)
 		}
 	}
 }
@@ -432,20 +436,18 @@ func (m *matchStream) next() (idx, s, pos int, ok bool) {
 }
 
 // scan runs the match stream of the prefix probe k from the from-th
-// (0-based) match on into fn, as (match index, global position, the
-// shard's cursor holding the match), until fn returns false. Nothing but
-// the position is read unless fn asks the cursor: a value is then decoded
-// through the emitting segment's cursor as a batch of one, and a row read
-// through its cell cursor.
-func (sn *Snapshot) scan(k *probe, from int, preds []Pred, fn func(idx, pos int, at *snapCursor) bool) {
+// (0-based) match on into fn, as (match index, global position), until fn
+// returns false: positions only, no value is decoded. A value leaves the
+// view only in a page (scanPage).
+func (sn *Snapshot) scan(k *probe, from int, preds []Pred, fn func(idx, pos int) bool) {
 	m, ok := sn.stream(k, from, preds)
 	defer m.close()
 	if !ok {
 		return
 	}
 	for {
-		idx, s, pos, ok := m.next()
-		if !ok || idx >= from && !fn(idx, pos, &m.cur[s]) {
+		idx, _, pos, ok := m.next()
+		if !ok || idx >= from && !fn(idx, pos) {
 			return
 		}
 	}
@@ -462,17 +464,21 @@ type pageMatch struct {
 
 // scanPage is scan for a page of at most size matches (size > 0), each
 // handed to fn with its value and, with rows, its row (nil without a
-// schema). The page is read in runs of matches: a run's positions are
-// gathered first, its rows read as they pass (the cell cursors move
-// forward), then each segment's values in the run are decoded in one
-// batch (matchCursor.values), and only then is fn called, in order, until
-// it returns false. The first run is pageRun matches, a served page's
-// worth decoded in one pass; each later one is as many as runBytes holds
-// at the longest value and row seen so far. So a consumer that stops
-// early, as a byte budget does, stops the decoding within a run, and a
-// long page of large values is held a run at a time. The match that tells
+// schema) — the one path a value leaves the view by. The page is read in
+// runs of matches: a run's positions are gathered first, its rows read as
+// they pass (the cell cursors move forward), then each segment's values in
+// the run are decoded in one batch (matchCursor.values), and only then is
+// fn called, in order, until it returns false. A page of at most onePass
+// matches is one run: a served scan page, or a positional page of 256,
+// decoded in one pass — two passes over a generation re-read the blocks
+// of the trie's upper nodes their values share. A longer page's first run
+// is pageRun matches, and each later one is as many as runBytes holds at
+// the longest value and row seen so far. So a consumer that stops early,
+// as a byte budget does, stops the decoding within a run, and a long page
+// of large values is held a run at a time. The match that tells
 // there is more is a position only: more reports whether a match lies past
-// the last one fn was handed.
+// the last one fn was handed, a match past a full page or past where fn
+// stopped it being pulled to find out.
 func (sn *Snapshot) scanPage(k *probe, from, size int, preds []Pred, rows bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool) {
 	m, ok := sn.stream(k, from, preds)
 	defer m.close()
@@ -486,6 +492,9 @@ func (sn *Snapshot) scanPage(k *probe, from, size int, preds []Pred, rows bool, 
 	pg := pages.Get().(*pageScratch)
 	defer pg.release()
 	run, longest := pageRun, 1
+	if size <= onePass {
+		run = size
+	}
 	for left := size; left > 0; {
 		want := min(run, left)
 		ms, cells := pg.ms[:0], pg.cells[:0]
@@ -564,9 +573,10 @@ type pageScratch struct {
 
 var pages = sync.Pool{New: func() any { return new(pageScratch) }}
 
-// A page's runs (see scanPage): the first in matches, the later ones in
-// the bytes of their values and rows.
+// A page's runs (see scanPage): a short page whole, a longer one's first
+// run in matches, the later ones in the bytes of their values and rows.
 const (
+	onePass  = 256
 	pageRun  = 64
 	runBytes = 1 << 20
 )
@@ -620,42 +630,14 @@ func (sn *Snapshot) seek(cur []snapCursor, from int) bool {
 }
 
 // Iterate streams the elements of positions [l, r) in order, stopping
-// early if fn returns false. One shard's walk is the view's: its frozen
-// generations through their streaming enumerator, its memtables in
-// bounded batches under their read lock, fn always called lock-free.
-// Over several shards the walk is batched: for each bounded global
-// window, every shard's local subrange is streamed once, then the router
-// interleaves the buffers — so per-element cost stays near the per-shard
-// streaming cost instead of one root descent per element.
+// early if fn returns false: the empty prefix's page from match l, of at
+// most r−l matches (see ScanPrefix), with fn called lock-free.
 func (sn *Snapshot) Iterate(l, r int, fn func(pos int, s string) bool) {
 	if l < 0 || r < l || r > sn.n {
 		panic(fmt.Sprintf("store: Iterate(%d,%d) out of range [0,%d]", l, r, sn.n))
 	}
-	if len(sn.shards) == 1 {
-		sn.shards[0].iterate(l, r, fn)
-		return
-	}
-	const batch = 1 << 12
-	bufs := make([][]string, len(sn.shards))
-	cur := make([]int, len(sn.shards))
-	for a := l; a < r; a += batch {
-		b := min(a+batch, r)
-		for s, sh := range sn.shards {
-			lo, hi := sn.cut(s, a), sn.cut(s, b)
-			bufs[s] = bufs[s][:0]
-			sh.iterate(lo, hi, func(_ int, v string) bool {
-				bufs[s] = append(bufs[s], v)
-				return true
-			})
-			cur[s] = 0
-		}
-		for g := a; g < b; g++ {
-			s := sn.r.at(uint64(g))
-			if !fn(g, bufs[s][cur[s]]) {
-				return
-			}
-			cur[s]++
-		}
+	if l < r {
+		sn.ScanPrefix("", l, r-l, func(_, pos int, v []byte) bool { return fn(pos, string(v)) })
 	}
 }
 
@@ -676,16 +658,6 @@ func (sn *Snapshot) Slice(l, r int) []string {
 // Schema returns the snapshot's column schema (nil when the store has
 // no columns). The returned slice must not be modified.
 func (sn *Snapshot) Schema() []ColumnSpec { return sn.schema }
-
-// cellAt reads the cell of column col at global position pos through the
-// column reader of the segment holding it.
-func (sn *Snapshot) cellAt(pos, col int) Value {
-	s, local := sn.locate(pos)
-	if c, rel := sn.shards[s].cols(local); c != nil {
-		return c.colValue(col, rel)
-	}
-	return Value{}
-}
 
 // Row returns the payload row at position pos (one cell per schema
 // column; nil when the store has no schema). Payloads ride to the same
@@ -742,7 +714,7 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 	k := newProbe(prefix, true)
 	for s, sh := range sn.shards {
 		one := Snapshot{n: sh.len(), shards: sn.shards[s : s+1]}
-		one.scan(k, 0, preds, func(int, int, *snapCursor) bool {
+		one.scan(k, 0, preds, func(int, int) bool {
 			count++
 			return true
 		})
@@ -757,48 +729,38 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 // arithmetic (the predicate intersection has no precomputed counts), so
 // resuming at from costs a walk over the earlier matches' candidates.
 func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	_, err := sn.where(prefix, from, 0, preds, false, func(idx, pos int, _ []byte, _ Row) bool { return fn(idx, pos) })
-	return err
-}
-
-// ScanWhere is IterateWhere that also hands fn each match's value and
-// row, as ScanPrefix hands values, with its max: v and row (one cell per
-// schema column, nil without a schema) are valid only during that call of
-// fn, and a page (max > 0) decodes its values together, reports in more
-// whether a match lies past it, and reads nothing of that match but its
-// position and the cells the predicates test. Candidates come from the
-// positions-only prefix cursors (the empty prefix's yield every
-// position), their cells — the tested ones and then a match's row —
-// through one cell cursor a segment, read forward.
-func (sn *Snapshot) ScanWhere(prefix string, from, max int, preds []Pred, fn func(idx, pos int, v []byte, row Row) bool) (more bool, err error) {
-	return sn.where(prefix, from, max, preds, true, fn)
-}
-
-// where is IterateWhere and ScanWhere: the prefix's match stream (the
-// empty prefix's holds every position) filtered by the row test; with
-// vals, fn is handed each match's value and row.
-func (sn *Snapshot) where(prefix string, from, max int, preds []Pred, vals bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool, err error) {
-	if from < 0 {
-		return false, fmt.Errorf("store: IterateWhere from %d negative", from)
+	if err := checkWhere(sn.schema, from, preds); err != nil {
+		return err
 	}
-	if err := validatePreds(sn.schema, preds); err != nil {
+	sn.scan(newProbe(prefix, true), from, preds, fn)
+	return nil
+}
+
+// ScanWhere is IterateWhere for a page of at most max matches (max ≥ 1)
+// that also hands fn each match's value and row, as ScanPrefix hands
+// values: v and row (one cell per schema column, nil without a schema)
+// are valid only during that call of fn, the page's values are decoded
+// together, and more reports whether a match lies past it, of which
+// nothing is read but its position and the cells the predicates test.
+// Candidates come from the positions-only prefix cursors (the empty
+// prefix's yield every position), their cells — the tested ones and then
+// a match's row — through one cell cursor a segment, read forward. With
+// no predicates it is the prefix's page with rows: the empty prefix's is
+// positions from, from+1, …, as a replication catch-up reads them.
+func (sn *Snapshot) ScanWhere(prefix string, from, max int, preds []Pred, fn func(idx, pos int, v []byte, row Row) bool) (more bool, err error) {
+	if err := checkWhere(sn.schema, from, preds); err != nil {
 		return false, err
 	}
-	k := newProbe(prefix, true)
-	if vals && max > 0 {
-		return sn.scanPage(k, from, max, preds, true, fn), nil
+	if max < 1 {
+		return false, fmt.Errorf("store: ScanWhere page of %d matches", max)
 	}
-	var row Row
-	if vals && len(sn.schema) > 0 {
-		row = make(Row, len(sn.schema))
+	return sn.scanPage(newProbe(prefix, true), from, max, preds, true, fn), nil
+}
+
+// checkWhere vets a filtered scan's starting match and predicates.
+func checkWhere(schema []ColumnSpec, from int, preds []Pred) error {
+	if from < 0 {
+		return fmt.Errorf("store: IterateWhere from %d negative", from)
 	}
-	var buf []byte
-	sn.scan(k, from, preds, func(idx, pos int, at *snapCursor) bool {
-		if vals {
-			buf = at.value(buf[:0])
-			row = at.row(row[:0], len(row))
-		}
-		return fn(idx, pos, buf, row)
-	})
-	return false, nil
+	return validatePreds(schema, preds)
 }
