@@ -469,8 +469,10 @@ func (s *Server) iterate(c *connState, req *Request) error {
 	hi := min(end, start+max)
 	if start < 0 && start < hi {
 		// Only the gateway can send a negative start (a wire position is
-		// unsigned): the store's positional range check refuses it.
-		sn.Iterate(start, hi, nil)
+		// unsigned). It is refused in the words of the store's positional
+		// range check (Snapshot.Iterate), which the gateway has always
+		// answered it with.
+		return fmt.Errorf("store: Iterate(%d,%d) out of range [0,%d]", start, hi, end)
 	}
 	n, _ := s.fillPage(c, hi-start, false, false, func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) bool {
 		return sn.ScanPrefix("", start, max, func(idx, pos int, v []byte) bool { return fn(idx, pos, v, nil) })
@@ -526,8 +528,9 @@ func (s *Server) writePage(c *connState, from, max int, rows bool, scan func(max
 // before decoding the next, and reports whether more matches lie past the
 // page, the one that tells it a position only. So the budget stops the
 // decoding too, within a run of where it stops the page: the store holds a
-// run's values and rows at a time (a page of up to 256 matches at once, a
-// longer one 64 matches, then about a MiB's worth), never a long page's. Each match is encoded as it is handed over — with
+// run's values and rows at a time (a page of up to 64 matches at once, a
+// longer one its first match, then about a MiB's worth), never a long
+// page's. Each match is encoded as it is handed over — with
 // positions, its position; its value; with rows, the payload row — and
 // counted against the budget.
 func (s *Server) fillPage(c *connState, max int, positions, rows bool, scan func(max int, fn func(idx, pos int, v []byte, row store.Row) bool) (more bool)) (n int, more bool) {

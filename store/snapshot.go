@@ -274,10 +274,11 @@ func (sn *Snapshot) IteratePrefix(p string, from int, fn func(idx, pos int) bool
 // Access per match, and no string: v is the value's bytes in a buffer the
 // next match overwrites, valid only during that call of fn. The page's
 // positions are found first and its values decoded together, in one
-// top-down pass per generation, before fn is called — a page of up to 256
-// at once, a longer one a run at a time, 64 and then about a MiB's worth,
-// so that fn's stopping also stops the decoding. more reports whether a match lies past the last one fn was
-// handed: finding that out decodes nothing. The empty prefix matches every
+// top-down pass per generation, before fn is called — a page of up to 64
+// at once, a longer one a run at a time, its first match and then about a
+// MiB's worth, so that fn's stopping also stops the decoding. more reports
+// whether a match lies past the last one fn was handed: finding that out
+// decodes nothing. The empty prefix matches every
 // position, so its page from match l is positions l, l+1, …: Iterate, an
 // export and a served positional page are such pages. It panics if from
 // is negative or max is below 1.
@@ -435,6 +436,20 @@ func (m *matchStream) next() (idx, s, pos int, ok bool) {
 	return m.idx - 1, best, m.heads[best], true
 }
 
+// past reports whether a match lies past the one next last returned. On
+// one shard with no predicates the shard's match count tells, so a page
+// fn stops pulls nothing past what it emitted. Otherwise the next match
+// is pulled, a position only: over several shards it becomes one of the
+// merge's heads, and a filtered stream's survivors have no counts.
+func (m *matchStream) past() bool {
+	if len(m.cur) == 1 && len(m.preds) == 0 {
+		c := &m.cur[0]
+		return m.idx < c.rankAt(c.v.len())
+	}
+	_, _, _, ok := m.next()
+	return ok
+}
+
 // scan runs the match stream of the prefix probe k from the from-th
 // (0-based) match on into fn, as (match index, global position), until fn
 // returns false: positions only, no value is decoded. A value leaves the
@@ -468,17 +483,17 @@ type pageMatch struct {
 // runs of matches: a run's positions are gathered first, its rows read as
 // they pass (the cell cursors move forward), then each segment's values in
 // the run are decoded in one batch (matchCursor.values), and only then is
-// fn called, in order, until it returns false. A page of at most onePass
-// matches is one run: a served scan page, or a positional page of 256,
-// decoded in one pass — two passes over a generation re-read the blocks
-// of the trie's upper nodes their values share. A longer page's first run
-// is pageRun matches, and each later one is as many as runBytes holds at
-// the longest value and row seen so far. So a consumer that stops early,
-// as a byte budget does, stops the decoding within a run, and a long page
-// of large values is held a run at a time. The match that tells
-// there is more is a position only: more reports whether a match lies past
-// the last one fn was handed, a match past a full page or past where fn
-// stopped it being pulled to find out.
+// fn called, in order, until it returns false. A page of at most pageRun
+// matches is one run. A longer page's first run is its first match alone,
+// which prices a value at the cost of about one Access, and each later run
+// is as many matches as runBytes holds at the longest value and row seen
+// so far: the rest of a page of small values in one pass — two passes
+// over a generation re-read the blocks of the trie's upper nodes their
+// values share — and a page of large values a run of about runBytes at a
+// time. So a consumer that stops early, as a byte budget does, stops the
+// decoding within a run. more reports whether a match lies past the last
+// one fn was handed: past a full page the match is pulled to find out, a
+// position only, and past one fn stopped, matchStream.past tells.
 func (sn *Snapshot) scanPage(k *probe, from, size int, preds []Pred, rows bool, fn func(idx, pos int, v []byte, row Row) bool) (more bool) {
 	m, ok := sn.stream(k, from, preds)
 	defer m.close()
@@ -491,9 +506,9 @@ func (sn *Snapshot) scanPage(k *probe, from, size int, preds []Pred, rows bool, 
 	}
 	pg := pages.Get().(*pageScratch)
 	defer pg.release()
-	run, longest := pageRun, 1
-	if size <= onePass {
-		run = size
+	run, longest := size, 1
+	if size > pageRun {
+		run = 1
 	}
 	for left := size; left > 0; {
 		want := min(run, left)
@@ -546,11 +561,7 @@ func (sn *Snapshot) scanPage(k *probe, from, size int, preds []Pred, rows bool, 
 			}
 			longest = max(longest, n)
 			if !fn(pm.idx, pm.pos, vals[pm.lo:pm.hi], row) {
-				if i < len(ms)-1 {
-					return true
-				}
-				left = 0 // the page ends here; whether more follow is a position away
-				break
+				return i < len(ms)-1 || !ended && m.past()
 			}
 		}
 		if ended {
@@ -573,10 +584,9 @@ type pageScratch struct {
 
 var pages = sync.Pool{New: func() any { return new(pageScratch) }}
 
-// A page's runs (see scanPage): a short page whole, a longer one's first
-// run in matches, the later ones in the bytes of their values and rows.
+// A page's runs (see scanPage): a short page whole, a longer one's later
+// runs in the bytes of their values and rows.
 const (
-	onePass  = 256
 	pageRun  = 64
 	runBytes = 1 << 20
 )
