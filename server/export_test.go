@@ -1,10 +1,15 @@
 package server
 
 import (
+	"flag"
 	"fmt"
 
 	"repro/internal/wire"
 )
+
+// UpdateGolden is the -update flag: the golden tests of both test
+// packages rewrite their testdata/*.golden file from the current code.
+var UpdateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current code")
 
 // ReplCatchupFrameBytes exposes the catch-up frame byte cap to the
 // external test package.

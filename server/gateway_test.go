@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,8 +15,6 @@ import (
 	"repro/server"
 	"repro/store"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/gateway.golden from the current gateway")
 
 // gatewayCase is one request of the gateway golden.
 type gatewayCase struct {
@@ -176,7 +173,7 @@ func TestGatewayGolden(t *testing.T) {
 	record(h, gwGet("/v1/access?pos=0"))
 
 	path := filepath.Join("testdata", "gateway.golden")
-	if *updateGolden {
+	if *server.UpdateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

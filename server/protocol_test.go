@@ -2,8 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -66,6 +70,35 @@ func TestRequestRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("op %d: round trip %+v -> %+v", want.Op, want, got)
+		}
+	}
+}
+
+// TestRequestGolden pins the request bytes: the hex of EncodeRequest
+// for every requestCases() entry, one line each, against
+// testdata/requests.golden. Run with -update to rewrite the file.
+func TestRequestGolden(t *testing.T) {
+	var out strings.Builder
+	for _, req := range requestCases() {
+		out.WriteString(hex.EncodeToString(EncodeRequest(req)) + "\n")
+	}
+	path := filepath.Join("testdata", "requests.golden")
+	if *UpdateGolden {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wl := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wl) {
+		t.Fatalf("%d encodings, %s holds %d", len(got)-1, path, len(wl)-1)
+	}
+	for i, c := range requestCases() {
+		if got[i] != wl[i] {
+			t.Errorf("case %d %+v encodes as %s, %s holds %s", i, c, got[i], path, wl[i])
 		}
 	}
 }
