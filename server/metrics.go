@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -80,10 +81,10 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			"Records applied from a replication stream (catch-up and live)."),
 	}
 
-	ops := r.NewHistogramVec("wt_server_op_seconds",
+	opSeconds := r.NewHistogramVec("wt_server_op_seconds",
 		"Request latency by op, binary-protocol and gateway (parse to response encode).", "op", 1e-9)
-	for op := 0; op < int(opLimit); op++ {
-		m.opSeconds[op] = ops.With(opName(byte(op)))
+	for op, spec := range ops {
+		m.opSeconds[op] = opSeconds.With(spec.name)
 	}
 
 	// Each gauge sums one reading over the live servers.
@@ -127,39 +128,11 @@ func (m *serverMetrics) observeOp(op byte, ns int64) {
 	m.opSeconds[op].Observe(ns)
 }
 
-// opNames maps opcodes to their Prometheus label values (and slow-op
-// log names). Slot 0 is the unparseable-request series.
-var opNames = [opLimit]string{
-	0:               "invalid",
-	OpPing:          "ping",
-	OpAppend:        "append",
-	OpAppendBatch:   "append_batch",
-	OpAccess:        "access",
-	OpRank:          "rank",
-	OpCount:         "count",
-	OpSelect:        "select",
-	OpRankPrefix:    "rank_prefix",
-	OpCountPrefix:   "count_prefix",
-	OpSelectPrefix:  "select_prefix",
-	OpIterate:       "iterate",
-	OpFlush:         "flush",
-	OpCompact:       "compact",
-	OpStats:         "stats",
-	OpMetrics:       "metrics",
-	OpIteratePrefix: "iterate_prefix",
-	OpSubscribe:     "subscribe",
-	OpReplWait:      "repl_wait",
-	OpPromote:       "promote",
-	OpRow:           "row",
-	OpScanWhere:     "scan_where",
-	OpCountWhere:    "count_where",
-}
-
 // opName returns the label value for an opcode ("invalid" for anything
 // outside the table).
 func opName(op byte) string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
+	if op < opLimit {
+		return ops[op].name
 	}
 	return "invalid"
 }
@@ -187,30 +160,40 @@ func (ss *serverSet) all() []*Server {
 	return out
 }
 
-// keyShape renders a request's argument shape for the slow-op log:
+// keyShape renders a request's arguments for the slow-op log, in wire
+// order: the value quoted (its first 32 bytes and its length when
+// longer), lists as their length, numbers as name=N, "-" for none —
 // enough to find the offending key class without dumping whole values
 // into logs.
 func keyShape(req *Request) string {
-	v := strconv.Quote(req.Value)
-	if len(req.Value) > 32 {
-		v = fmt.Sprintf("%q…(len=%d)", req.Value[:32], len(req.Value))
-	}
-	switch req.Op {
-	case OpAppend, OpRank, OpCount, OpSelect, OpRankPrefix, OpCountPrefix, OpSelectPrefix:
-		return v
-	case OpAppendBatch:
-		return fmt.Sprintf("batch(n=%d)", len(req.Values))
-	case OpAccess, OpRow:
-		return fmt.Sprintf("pos=%d", req.Pos)
-	case OpCountWhere:
-		return fmt.Sprintf("prefix=%s preds=%d", v, len(req.Preds))
-	case OpScanWhere:
-		return fmt.Sprintf("prefix=%s preds=%d from=%d max=%d", v, len(req.Preds), req.Pos, req.Max)
-	case OpIterate:
-		return fmt.Sprintf("start=%d max=%d end=%d", req.Pos, req.Max, req.Seq)
-	case OpIteratePrefix:
-		return fmt.Sprintf("prefix=%s from=%d max=%d", v, req.Pos, req.Max)
-	default:
+	if req.Op >= opLimit || len(ops[req.Op].args) == 0 {
 		return "-"
 	}
+	var b strings.Builder
+	for i, a := range ops[req.Op].args {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		switch a {
+		case argPos:
+			fmt.Fprintf(&b, "pos=%d", req.Pos)
+		case argValue:
+			if len(req.Value) > 32 {
+				fmt.Fprintf(&b, "%q…(len=%d)", req.Value[:32], len(req.Value))
+			} else {
+				b.WriteString(strconv.Quote(req.Value))
+			}
+		case argValues:
+			fmt.Fprintf(&b, "values=%d", len(req.Values))
+		case argRows:
+			fmt.Fprintf(&b, "rows=%d", len(req.Rows))
+		case argSeq:
+			fmt.Fprintf(&b, "seq=%d", req.Seq)
+		case argMax:
+			fmt.Fprintf(&b, "max=%d", req.Max)
+		case argPreds:
+			fmt.Fprintf(&b, "preds=%d", len(req.Preds))
+		}
+	}
+	return b.String()
 }

@@ -89,25 +89,57 @@ const (
 	statusErr byte = 1
 )
 
+// arg is one request argument: a Request field with one fixed encoding.
+type arg byte
+
+const (
+	argPos    arg = iota // Pos: uvarint, at most MaxInt64/2
+	argValue             // Value: string
+	argValues            // Values: uvarint count, then the strings
+	argRows              // Rows: encodeRows, none or one row per value (one when the op has no Values)
+	argSeq               // Seq: uvarint
+	argMax               // Max: uvarint, at most MaxInt64/2
+	argPreds             // Preds: encodePreds
+)
+
+// opSpec declares one opcode: its name (the wt_server_op_seconds label
+// and the slow-op log's) and its request arguments in wire order.
+type opSpec struct {
+	name string
+	args []arg
+}
+
+// ops is the one declaration of every opcode's name and request layout:
+// encodeRequest, ParseRequest, opName and keyShape read it. Slot 0 names
+// the unparseable-request series. The handlers live in respond.
+var ops = [opLimit]opSpec{
+	0:               {"invalid", nil},
+	OpPing:          {"ping", []arg{argPos}}, // Pos = protocol version
+	OpAppend:        {"append", []arg{argValue, argRows}},
+	OpAppendBatch:   {"append_batch", []arg{argValues, argRows}},
+	OpAccess:        {"access", []arg{argPos}},
+	OpRank:          {"rank", []arg{argValue, argPos}},
+	OpCount:         {"count", []arg{argValue}},
+	OpSelect:        {"select", []arg{argValue, argPos}}, // Pos = occurrence index
+	OpRankPrefix:    {"rank_prefix", []arg{argValue, argPos}},
+	OpCountPrefix:   {"count_prefix", []arg{argValue}},
+	OpSelectPrefix:  {"select_prefix", []arg{argValue, argPos}},
+	OpIterate:       {"iterate", []arg{argSeq, argPos, argMax}}, // Seq = end (0 = pin Len now), Pos = start
+	OpFlush:         {"flush", nil},
+	OpCompact:       {"compact", nil},
+	OpStats:         {"stats", nil},
+	OpMetrics:       {"metrics", nil},
+	OpIteratePrefix: {"iterate_prefix", []arg{argValue, argPos, argMax}}, // Pos = match offset
+	OpSubscribe:     {"subscribe", []arg{argValue, argSeq}},              // Value = follower id, Seq = from seq
+	OpReplWait:      {"repl_wait", []arg{argSeq, argMax}},                // Seq = seq to cover, Max = timeout ms
+	OpPromote:       {"promote", nil},
+	OpRow:           {"row", []arg{argPos}},
+	OpScanWhere:     {"scan_where", []arg{argValue, argPos, argMax, argPreds}},
+	OpCountWhere:    {"count_where", []arg{argValue, argPreds}},
+}
+
 // Request is one decoded client request. Which fields are meaningful
-// depends on Op:
-//
-//	OpPing                       Pos = protocol version
-//	OpAppend                     Value, Rows (nil or one payload row)
-//	OpAppendBatch                Values, Rows (nil or one row per value)
-//	OpAccess, OpRow              Pos
-//	OpRank, OpRankPrefix         Value, Pos
-//	OpCount, OpCountPrefix       Value
-//	OpSelect, OpSelectPrefix     Value, Pos (the occurrence index)
-//	OpIterate                    Seq (end; 0 = pin Len now), Pos (start), Max
-//	OpIteratePrefix              Value (prefix), Pos (match offset), Max
-//	OpFlush, OpCompact           —
-//	OpStats, OpMetrics           —
-//	OpSubscribe                  Value (follower id), Seq (from seq)
-//	OpReplWait                   Seq (seq to cover), Max (timeout ms)
-//	OpPromote                    —
-//	OpScanWhere                  Value (prefix), Pos (match offset), Max, Preds
-//	OpCountWhere                 Value (prefix), Preds
+// depends on Op: ops declares each op's arguments in wire order.
 type Request struct {
 	Op     byte
 	Value  string
@@ -246,51 +278,30 @@ func parsePreds(r *wire.Reader) []store.Pred {
 // round-trip test pins it, and the fuzzer guarantees ParseRequest never
 // panics on anything else.
 func encodeRequest(w *wire.Writer, req *Request) {
-	w.Byte(req.Op)
-	switch req.Op {
-	case OpPing:
-		w.Uvarint(uint64(req.Pos))
-	case OpAppend:
-		w.Str(req.Value)
-		encodeRows(w, req.Rows)
-	case OpAppendBatch:
-		w.Uvarint(uint64(len(req.Values)))
-		for _, v := range req.Values {
-			w.Str(v)
-		}
-		encodeRows(w, req.Rows)
-	case OpAccess, OpRow:
-		w.Uvarint(uint64(req.Pos))
-	case OpScanWhere:
-		w.Str(req.Value)
-		w.Uvarint(uint64(req.Pos))
-		w.Uvarint(uint64(req.Max))
-		encodePreds(w, req.Preds)
-	case OpCountWhere:
-		w.Str(req.Value)
-		encodePreds(w, req.Preds)
-	case OpRank, OpRankPrefix, OpSelect, OpSelectPrefix:
-		w.Str(req.Value)
-		w.Uvarint(uint64(req.Pos))
-	case OpCount, OpCountPrefix:
-		w.Str(req.Value)
-	case OpIterate:
-		w.Uvarint(req.Seq)
-		w.Uvarint(uint64(req.Pos))
-		w.Uvarint(uint64(req.Max))
-	case OpIteratePrefix:
-		w.Str(req.Value)
-		w.Uvarint(uint64(req.Pos))
-		w.Uvarint(uint64(req.Max))
-	case OpSubscribe:
-		w.Str(req.Value)
-		w.Uvarint(req.Seq)
-	case OpReplWait:
-		w.Uvarint(req.Seq)
-		w.Uvarint(uint64(req.Max))
-	case OpFlush, OpCompact, OpStats, OpMetrics, OpPromote:
-	default:
+	if req.Op == 0 || req.Op >= opLimit {
 		panic(fmt.Sprintf("server: encoding unknown opcode %d", req.Op))
+	}
+	w.Byte(req.Op)
+	for _, a := range ops[req.Op].args {
+		switch a {
+		case argPos:
+			w.Uvarint(uint64(req.Pos))
+		case argValue:
+			w.Str(req.Value)
+		case argValues:
+			w.Uvarint(uint64(len(req.Values)))
+			for _, v := range req.Values {
+				w.Str(v)
+			}
+		case argRows:
+			encodeRows(w, req.Rows)
+		case argSeq:
+			w.Uvarint(req.Seq)
+		case argMax:
+			w.Uvarint(uint64(req.Max))
+		case argPreds:
+			encodePreds(w, req.Preds)
+		}
 	}
 }
 
@@ -311,49 +322,28 @@ func ParseRequest(payload []byte) (Request, error) {
 		}
 		return int(v)
 	}
-	switch req.Op {
-	case OpPing:
-		req.Pos = readPos()
-	case OpAppend:
-		req.Value = r.Str()
-		req.Rows = parseRows(r, 1)
-	case OpAppendBatch:
-		n := r.Len() // validated against the remaining payload
-		req.Values = make([]string, 0, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			req.Values = append(req.Values, r.Str())
+	rows := 1 // the rows an append may carry: one, or one per value
+	for _, a := range ops[req.Op].args {
+		switch a {
+		case argPos:
+			req.Pos = readPos()
+		case argValue:
+			req.Value = r.Str()
+		case argValues:
+			rows = r.Len() // validated against the remaining payload
+			req.Values = make([]string, 0, rows)
+			for i := 0; i < rows && r.Err() == nil; i++ {
+				req.Values = append(req.Values, r.Str())
+			}
+		case argRows:
+			req.Rows = parseRows(r, rows)
+		case argSeq:
+			req.Seq = r.Uvarint()
+		case argMax:
+			req.Max = readPos()
+		case argPreds:
+			req.Preds = parsePreds(r)
 		}
-		req.Rows = parseRows(r, n)
-	case OpAccess, OpRow:
-		req.Pos = readPos()
-	case OpScanWhere:
-		req.Value = r.Str()
-		req.Pos = readPos()
-		req.Max = readPos()
-		req.Preds = parsePreds(r)
-	case OpCountWhere:
-		req.Value = r.Str()
-		req.Preds = parsePreds(r)
-	case OpRank, OpRankPrefix, OpSelect, OpSelectPrefix:
-		req.Value = r.Str()
-		req.Pos = readPos()
-	case OpCount, OpCountPrefix:
-		req.Value = r.Str()
-	case OpIterate:
-		req.Seq = r.Uvarint()
-		req.Pos = readPos()
-		req.Max = readPos()
-	case OpIteratePrefix:
-		req.Value = r.Str()
-		req.Pos = readPos()
-		req.Max = readPos()
-	case OpSubscribe:
-		req.Value = r.Str()
-		req.Seq = r.Uvarint()
-	case OpReplWait:
-		req.Seq = r.Uvarint()
-		req.Max = readPos()
-	case OpFlush, OpCompact, OpStats, OpMetrics, OpPromote:
 	}
 	if err := r.Err(); err != nil {
 		return req, err

@@ -74,6 +74,27 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpTable: every opcode has a name of its own and at least one
+// requestCases entry, so the round trip, the golden and the fuzz seeds
+// drawn from requestCases reach every op.
+func TestOpTable(t *testing.T) {
+	cased := map[byte]bool{}
+	for _, c := range requestCases() {
+		cased[c.Op] = true
+	}
+	named := map[string]byte{}
+	for op := byte(0); op < opLimit; op++ {
+		name := ops[op].name
+		if prev, dup := named[name]; name == "" || dup {
+			t.Errorf("opcode %d is named %q, like opcode %d or not at all", op, name, prev)
+		}
+		named[name] = op
+		if op > 0 && !cased[op] {
+			t.Errorf("opcode %d (%s) has no requestCases entry", op, name)
+		}
+	}
+}
+
 // TestRequestGolden pins the request bytes: the hex of EncodeRequest
 // for every requestCases() entry, one line each, against
 // testdata/requests.golden. Run with -update to rewrite the file.

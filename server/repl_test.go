@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -76,6 +77,31 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestReplWaitHugeTimeout sends OpReplWait as a raw frame with the
+// largest timeout the wire admits, then appends 100 ms later: the wait
+// must be capped, not overflow into none, and so see the append.
+func TestReplWaitHugeTimeout(t *testing.T) {
+	_, addr := startServer(t, 0, nil, nil)
+	rc := dialRaw(t, addr)
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		c, err := server.Dial(addr)
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		c.Append("late")
+	}()
+	t0 := time.Now()
+	r, msg := rc.call(server.Request{Op: server.OpReplWait, Seq: 1, Max: math.MaxInt64 / 2})
+	if msg != "" {
+		t.Fatalf("repl wait: %s", msg)
+	}
+	if covered, wm := r.Byte(), r.Uvarint(); covered != 1 || wm != 1 {
+		t.Fatalf("repl wait returned covered=%d watermark=%d after %s, want 1 and 1", covered, wm, time.Since(t0))
+	}
 }
 
 // TestReplicationLiveStream subscribes an empty follower to an empty

@@ -401,7 +401,10 @@ func (s *Server) respond(c *connState, req *Request) (out []byte) {
 			return c.fail(err)
 		}
 	case OpReplWait:
-		if s.waitWatermark(req.Seq, time.Duration(req.Max)*time.Millisecond) {
+		// Clamped in milliseconds: a wire Max up to 2^62 would overflow
+		// the Duration and wait not at all.
+		ms := min(req.Max, int(replWaitCap/time.Millisecond))
+		if s.waitWatermark(req.Seq, time.Duration(ms)*time.Millisecond) {
 			w.Byte(1)
 		} else {
 			w.Byte(0)
