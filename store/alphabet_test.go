@@ -413,3 +413,54 @@ func BenchmarkAlphabetSize(b *testing.B) {
 	}
 	b.Run("compacted", run)
 }
+
+// TestAlphabetSizeOfHeldView: a view counts the distinct strings it
+// holds, however much was appended, flushed and compacted after it was
+// taken and before it is first asked — on a flat store, where the view
+// holds a prefix of its memtable, and on three shards, where a view cut
+// short of the watermark also holds a prefix of a generation.
+func TestAlphabetSizeOfHeldView(t *testing.T) {
+	vals := workload.URLLog(900, 41, workload.DefaultURLConfig())
+	distinct := func(n int) int { return len(workload.Distinct(vals[:n])) }
+	for _, shards := range []int{0, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards, Store: *testOpts()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, step := range []func() error{
+				func() error { return s.AppendBatch(vals[:150]) },
+				s.Flush,
+				func() error { return s.AppendBatch(vals[150:300]) },
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			held := s.Snapshot()
+			cut := &Snapshot{n: 100, schema: held.schema, r: held.r, shards: make([]*shardView, len(held.shards))}
+			for i, v := range held.shards {
+				cut.shards[i] = v.prefixed(cut.cut(i, cut.n))
+			}
+			for _, step := range []func() error{
+				func() error { return s.AppendBatch(vals[300:]) },
+				s.Flush,
+				s.Compact,
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := held.AlphabetSize(), distinct(300); got != want {
+				t.Errorf("held view: AlphabetSize = %d, want %d", got, want)
+			}
+			if got, want := cut.AlphabetSize(), distinct(100); got != want {
+				t.Errorf("view cut at 100: AlphabetSize = %d, want %d", got, want)
+			}
+			if got, want := s.AlphabetSize(), distinct(len(vals)); got != want {
+				t.Errorf("store: AlphabetSize = %d, want %d", got, want)
+			}
+		})
+	}
+}

@@ -174,7 +174,7 @@ type memView struct {
 
 func (v memView) Len() int { return v.n }
 
-func (v memView) alphabet(u *alphabetUnion) { u.mems = append(u.mems, v.m) }
+func (v memView) alphabet(u *alphabetUnion, n int) { u.mems = append(u.mems, memView{v.m, n}) }
 
 func (v memView) Access(pos int) string {
 	v.m.mu.RLock()

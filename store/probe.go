@@ -41,7 +41,14 @@ func newFrozenSeg(ix *wavelettrie.Frozen) frozenSeg {
 	return frozenSeg{Frozen: ix, t: succinct.Unwrap(ix)}
 }
 
-func (f frozenSeg) alphabet(u *alphabetUnion) { u.frozen = append(u.frozen, f.Frozen) }
+func (f frozenSeg) alphabet(u *alphabetUnion, n int) {
+	if n == f.Len() {
+		u.frozen = append(u.frozen, f.Frozen)
+		return
+	}
+	u.part(f.DistinctInRange(0, n))
+	runtime.KeepAlive(f.Frozen)
+}
 
 // Every method that reads the trie holds the Frozen until it returns. A
 // mapped generation is unmapped by finalizer once nothing reaches its

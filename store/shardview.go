@@ -24,9 +24,10 @@ type segment interface {
 	// segment; see matchCursor. The consumer runs between the cursor's
 	// calls, with no lock held.
 	cursor(k *probe) matchCursor
-	// alphabet adds the trie behind the segment to the union
-	// Snapshot.AlphabetSize walks — the whole trie, whatever a view's clamp.
-	alphabet(u *alphabetUnion)
+	// alphabet adds the segment's first n values to the union
+	// Snapshot.AlphabetSize walks: the trie behind it when they are all of
+	// it, their distinct strings when the view holds only part of it.
+	alphabet(u *alphabetUnion, n int)
 	Height() int
 	SizeBits() int
 }
@@ -77,7 +78,7 @@ func (v *shardView) alphabetSize() int {
 	v.distinctOnce.Do(func() {
 		var u alphabetUnion
 		for _, seg := range v.segs {
-			seg.alphabet(&u)
+			seg.alphabet(&u, seg.Len())
 		}
 		v.distinct, v.distinctErr = u.size()
 	})
@@ -87,23 +88,61 @@ func (v *shardView) alphabetSize() int {
 	return v.distinct
 }
 
-// alphabetUnion collects the tries behind a view's segments.
+// alphabetUnion collects the tries behind a view's segments, and the
+// distinct strings of the parts of tries a view holds only a prefix of.
 type alphabetUnion struct {
 	frozen []*wavelettrie.Frozen
-	mems   []*memtable
+	mems   []memView // each bounded by the length its view holds
+	parts  map[string]struct{}
+}
+
+// part adds the distinct strings of a part of a trie.
+func (u *alphabetUnion) part(ds []wavelettrie.Distinct) {
+	if u.parts == nil {
+		u.parts = make(map[string]struct{}, len(ds))
+	}
+	for _, d := range ds {
+		u.parts[d.Value] = struct{}{}
+	}
 }
 
 // size counts the union's distinct strings, holding every memtable's read
 // lock for the walk (sealed before live, the one order they are ever
-// taken together in).
+// taken together in). A memtable appended to past its view's bound counts
+// as a part: its distinct strings in the bound.
 func (u *alphabetUnion) size() (int, error) {
-	live := make([]*wavelettrie.AppendOnly, len(u.mems))
-	for i, m := range u.mems {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		live[i] = m.trie
+	live := make([]*wavelettrie.AppendOnly, 0, len(u.mems))
+	for _, v := range u.mems {
+		v.m.mu.RLock()
+		defer v.m.mu.RUnlock()
+		if v.n == v.m.trie.Len() {
+			live = append(live, v.m.trie)
+		} else {
+			u.part(v.m.trie.DistinctInRange(0, v.n))
+		}
 	}
-	return wavelettrie.UnionAlphabetSize(u.frozen, live)
+	total, err := wavelettrie.UnionAlphabetSize(u.frozen, live)
+	for s := range u.parts {
+		if !holds(u.frozen, live, s) {
+			total++
+		}
+	}
+	return total, err
+}
+
+// holds reports whether any of the tries stores s.
+func holds(frozen []*wavelettrie.Frozen, live []*wavelettrie.AppendOnly, s string) bool {
+	for _, f := range frozen {
+		if f.Count(s) > 0 {
+			return true
+		}
+	}
+	for _, a := range live {
+		if a.Count(s) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (v *shardView) height() int {

@@ -90,12 +90,14 @@ func (sn *Snapshot) Len() int { return sn.n }
 // that compares labels and reads no bitvector and no element, so it costs
 // the tries' node counts (5.5 ms for eight 16 Ki-value generations and a
 // memtable; O(1) when one segment holds everything) — and the view
-// remembers it. A memtable is walked under its read lock, whole: under
-// concurrent appends the count takes the live memtable as it stands at
-// that first call, not clamped to the snapshot's prefix, so it may lead
-// the visible sequence by later appends; it is exact when quiescent. Like
-// any keyed read, it panics on a generation damaged since its checksum
-// was verified.
+// remembers it. A memtable is walked under its read lock. The count is
+// exact, whatever was appended since the snapshot: a segment the view
+// holds only a prefix of — a memtable appended to past the view, or a
+// shard's generation cut at the watermark — counts the distinct strings
+// of that prefix (DistinctInRange, a cost of its distinct values), each
+// looked up in the whole tries so none is counted twice. Like any keyed
+// read, it panics on a generation damaged since its checksum was
+// verified.
 func (sn *Snapshot) AlphabetSize() int {
 	total := 0
 	for _, sh := range sn.shards {
