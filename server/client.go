@@ -249,7 +249,12 @@ func (c *Client) num(req Request) (int, error) {
 	return out, err
 }
 
+// optPos asks for a (pos, ok) answer. A negative index, which a request
+// cannot carry, has no match, as Snapshot.Select answers it.
 func (c *Client) optPos(op byte, v string, idx int) (int, bool, error) {
+	if idx < 0 {
+		return 0, false, nil
+	}
 	var pos int
 	var ok bool
 	err := c.roundTrip(Request{Op: op, Value: v, Pos: idx}, func(r *wire.Reader) error {
@@ -275,7 +280,8 @@ func (c *Client) Rank(v string, pos int) (int, error) {
 // Count returns the total number of occurrences of v.
 func (c *Client) Count(v string) (int, error) { return c.num(Request{Op: OpCount, Value: v}) }
 
-// Select returns the position of the idx-th (0-based) occurrence of v.
+// Select returns the position of the idx-th (0-based) occurrence of v,
+// with ok=false when there is none (a negative idx has none).
 func (c *Client) Select(v string, idx int) (int, bool, error) { return c.optPos(OpSelect, v, idx) }
 
 // RankPrefix counts elements in [0, pos) having byte prefix p.

@@ -763,3 +763,20 @@ func TestScanPrefix(t *testing.T) {
 		})
 	}
 }
+
+// TestClientSelectNegativeIndex: a negative index has no match, as the
+// store answers it, not an error about the position it would go over
+// the wire as.
+func TestClientSelectNegativeIndex(t *testing.T) {
+	_, addr := startServer(t, 0, nil, nil)
+	c := dial(t, addr)
+	if err := c.AppendBatch([]string{"get/a", "get/b"}); err != nil {
+		t.Fatal(err)
+	}
+	if pos, ok, err := c.Select("get/a", -1); err != nil || ok || pos != 0 {
+		t.Errorf("Select(get/a, -1) = %d, %v, %v; want 0, false, nil", pos, ok, err)
+	}
+	if pos, ok, err := c.SelectPrefix("get/", -1); err != nil || ok || pos != 0 {
+		t.Errorf("SelectPrefix(get/, -1) = %d, %v, %v; want 0, false, nil", pos, ok, err)
+	}
+}
