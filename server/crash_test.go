@@ -8,10 +8,9 @@ package server_test
 // acknowledged append survives a kill -9, each client's surviving
 // values are a prefix of what it sent (in order, possibly extended by
 // an in-flight unacknowledged batch), and the recovered store answers
-// the full op surface like a flat oracle over what it actually holds.
+// as the model of what it holds.
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -21,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/server"
 	"repro/store"
 )
@@ -50,37 +50,40 @@ func crashRowFor(g, j int) store.Row {
 	return row
 }
 
-// sameRow reports cell-for-cell equality of two payload rows (store.Row
-// is not comparable: blob cells carry slices).
-func sameRow(a, b store.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for c := range a {
-		if a[c].Kind() != b[c].Kind() || a[c].U64() != b[c].U64() || !bytes.Equal(a[c].Blob(), b[c].Blob()) {
-			return false
-		}
-	}
-	return true
-}
-
-// checkCrashRow compares a recovered row against crashRowFor(g, j).
-// A nil sent row recovers as all-NULL cells.
-func checkCrashRow(t *testing.T, where string, got store.Row, g, j int) {
+// recoveredModel reads the sequence c serves after a crash and returns
+// its model: each client's values, which must be an in-order prefix of
+// what it sent and hold at least least[g] of them (least may be nil),
+// with the rows crashRowFor gives them — a nil sent row recovers as
+// all-NULL cells.
+func recoveredModel(t *testing.T, c *server.Client, least []int) *model.Model {
 	t.Helper()
-	want := crashRowFor(g, j)
-	if len(got) != len(crashSchema()) {
-		t.Fatalf("%s: client %d row %d has %d cells", where, g, j, len(got))
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for c, cell := range got {
-		w := store.Null()
-		if c < len(want) {
-			w = want[c]
+	seq, err := c.Slice(0, st.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := make([]int, max(3, len(least)))
+	rows := make([]model.Row, len(seq))
+	for pos, v := range seq {
+		var g, j int
+		if _, err := fmt.Sscanf(v, "c%d/%06d", &g, &j); err != nil || g < 0 || g >= len(next) {
+			t.Fatalf("position %d holds unknown value %q", pos, v)
 		}
-		if cell.Kind() != w.Kind() || cell.U64() != w.U64() || !bytes.Equal(cell.Blob(), w.Blob()) {
-			t.Fatalf("%s: client %d row %d cell %d = %v, want %v", where, g, j, c, cell, w)
+		if j != next[g] {
+			t.Fatalf("position %d: client %d value %q out of order (expected index %06d)", pos, g, v, next[g])
+		}
+		rows[pos] = modelRow(crashRowFor(g, j))
+		next[g]++
+	}
+	for g, n := range least {
+		if next[g] < n {
+			t.Fatalf("client %d: %d acknowledged appends, only %d survived", g, n, next[g])
 		}
 	}
+	return model.FromSlice(seq, rows, model.KindU64, model.KindBytes)
 }
 
 // TestWTServeCrashChild is the child half: it only runs re-executed by
@@ -197,62 +200,19 @@ func TestServerKill9Recovery(t *testing.T) {
 	wg.Wait()
 
 	// Reopen the directory the kill left behind (the child's directory
-	// lock died with it) and verify the durable-prefix contract.
-	st, err := store.Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
+	// lock died with it), serve it, and hold it to the model of the
+	// durable prefix: every acknowledged append, each with its row, which
+	// rode the same WAL record.
+	least := make([]int, clients)
+	for g := range acked {
+		least[g] = len(acked[g])
 	}
-	defer st.Close()
-	sn := st.Snapshot()
-	seq := sn.Slice(0, sn.Len())
-
-	next := make([]int, clients)
-	for pos, v := range seq {
-		var g, j int
-		if _, err := fmt.Sscanf(v, "c%d/%06d", &g, &j); err != nil || g < 0 || g >= clients {
-			t.Fatalf("position %d holds unknown value %q", pos, v)
-		}
-		if j != next[g] {
-			t.Fatalf("position %d: client %d value %q out of order (expected index %06d)", pos, g, v, next[g])
-		}
-		// The payload row rode the same WAL record: if the value
-		// survived the kill, its row did too, cell for cell.
-		checkCrashRow(t, "recovered store", sn.Row(pos), g, j)
-		next[g]++
-	}
-	for g := 0; g < clients; g++ {
-		if next[g] < len(acked[g]) {
-			t.Fatalf("client %d: %d acknowledged appends, only %d survived the kill",
-				g, len(acked[g]), next[g])
-		}
-	}
-
-	// Differential reads on the recovered store vs a flat oracle over
-	// what it actually holds.
-	counts := map[string]int{}
-	for _, v := range seq {
-		counts[v]++
-	}
-	if got := sn.AlphabetSize(); got != len(counts) {
-		t.Fatalf("AlphabetSize = %d, the recovered sequence holds %d distinct values", got, len(counts))
-	}
-	for g := 0; g < clients; g++ {
-		probe := fmt.Sprintf("c%d/%06d", g, 0)
-		if got := sn.Count(probe); got != counts[probe] {
-			t.Fatalf("Count(%q) = %d, want %d", probe, got, counts[probe])
-		}
-		prefix := fmt.Sprintf("c%d/", g)
-		if got := sn.CountPrefix(prefix); got != next[g] {
-			t.Fatalf("CountPrefix(%q) = %d, want %d", prefix, got, next[g])
-		}
-	}
-	for pos := 0; pos < len(seq); pos += 17 {
-		if got := sn.Access(pos); got != seq[pos] {
-			t.Fatalf("Access(%d) = %q, want %q", pos, got, seq[pos])
-		}
-	}
+	rec := (&modelServer{t: t, cols: true}).start(dir)
+	defer rec.stop()
+	m := recoveredModel(t, rec.c, least)
+	m.Check(t, rec.reader())
 	t.Logf("killed mid-stream with %d+%d+%d acked; %d records survived",
-		len(acked[0]), len(acked[1]), len(acked[2]), len(seq))
+		len(acked[0]), len(acked[1]), len(acked[2]), m.Len())
 }
 
 // waitAddrFile polls for a child's atomically-published address file.
@@ -308,8 +268,8 @@ func TestWTServeFollowerChild(t *testing.T) {
 // the primary mid-stream, promotes the follower over the wire, and
 // verifies: every RYW-confirmed append survived on the promoted
 // follower, the follower's content is an exact prefix of the dead
-// primary's durable sequence, the full op surface agrees with a flat
-// oracle, and the promoted server accepts writes.
+// primary's durable sequence, both answer as the model of it, and the
+// promoted server accepts writes.
 func TestFailoverPromoteFollower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -471,58 +431,20 @@ func TestFailoverPromoteFollower(t *testing.T) {
 		t.Fatalf("promoted follower holds %d records, lost RYW-confirmed history up to %d",
 			fst.Len, confirmedWM)
 	}
-	folSeq, err := fc.Slice(0, fst.Len)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The follower's content must be an exact prefix of the dead
-	// primary's durable sequence: replication ships only committed
-	// (WAL-synced) records.
-	st, err := store.Open(primDir, nil)
-	if err != nil {
-		t.Fatal(err)
+	// primary's durable sequence — replication ships only committed
+	// (WAL-synced) records — rows included: both are held to the model of
+	// that sequence, each client's values an in-order prefix of what it
+	// sent, with the rows it attached.
+	prim := (&modelServer{t: t, cols: true}).start(primDir)
+	defer prim.stop()
+	m := recoveredModel(t, prim.c, nil)
+	m.Check(t, prim.reader())
+	if m.Len() < fst.Len {
+		t.Fatalf("primary recovered %d records, follower holds %d", m.Len(), fst.Len)
 	}
-	defer st.Close()
-	psn := st.Snapshot()
-	if psn.Len() < len(folSeq) {
-		t.Fatalf("primary recovered %d records, follower holds %d", psn.Len(), len(folSeq))
-	}
-	for pos, v := range folSeq {
-		if pv := psn.Access(pos); pv != v {
-			t.Fatalf("position %d: follower %q, primary %q", pos, v, pv)
-		}
-	}
-
-	// Per-client ordering: each client's surviving values are an
-	// in-order prefix of what it sent. The payload rows replicated with
-	// them: every follower row matches what the client attached, and is
-	// byte-identical to the dead primary's durable row at that position.
-	next := make([]int, clients)
-	for pos, v := range folSeq {
-		var g, j int
-		if _, err := fmt.Sscanf(v, "c%d/%06d", &g, &j); err != nil || g < 0 || g >= clients {
-			t.Fatalf("position %d holds unknown value %q", pos, v)
-		}
-		if j != next[g] {
-			t.Fatalf("position %d: client %d value %q out of order (expected index %06d)", pos, g, v, next[g])
-		}
-		if pos%7 == 0 { // sampled: each probe is a round trip
-			folRow, err := fc.Row(pos)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkCrashRow(t, "promoted follower", folRow, g, j)
-			if primRow := psn.Row(pos); !sameRow(folRow, primRow) {
-				t.Fatalf("position %d: follower row %v, primary row %v", pos, folRow, primRow)
-			}
-		}
-		next[g]++
-	}
-
-	// Differential op surface on the promoted follower vs the flat
-	// oracle of what it holds.
-	probeOpSurface(t, fc, folSeq, 200)
+	m.Prefix(fst.Len).Check(t, clientReader{c: fc})
 
 	// The promoted follower is a real primary now: writes are accepted
 	// and land right after the surviving history.
@@ -530,12 +452,12 @@ func TestFailoverPromoteFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq2 != uint64(len(folSeq))+1 {
-		t.Fatalf("post-promotion seq = %d, want %d", seq2, len(folSeq)+1)
+	if seq2 != uint64(fst.Len)+1 {
+		t.Fatalf("post-promotion seq = %d, want %d", seq2, fst.Len+1)
 	}
-	if got, err := fc.Access(len(folSeq)); err != nil || got != "promoted/write" {
+	if got, err := fc.Access(fst.Len); err != nil || got != "promoted/write" {
 		t.Fatalf("Access(tail) = %q, %v", got, err)
 	}
 	t.Logf("killed primary with %d+%d+%d acked, %d RYW-confirmed; follower survived with %d records",
-		len(acked[0]), len(acked[1]), len(acked[2]), confirmedWM, len(folSeq))
+		len(acked[0]), len(acked[1]), len(acked[2]), confirmedWM, fst.Len)
 }

@@ -9,13 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/server"
 	"repro/store"
 )
@@ -137,21 +137,13 @@ func TestReplicationLiveStream(t *testing.T) {
 			}
 
 			// Read-your-writes on the follower: wait for the session token,
-			// then every read must see the writes.
+			// then it answers as the model of the primary's sequence.
 			fc := dial(t, fol.addr)
 			wm, ok, err := fc.WaitFor(seq, 10*time.Second)
 			if err != nil || !ok {
 				t.Fatalf("WaitFor(%d) = %d, %v, %v", seq, wm, ok, err)
 			}
-			if got, err := fc.Access(0); err != nil || got != "solo/value" {
-				t.Fatalf("follower Access(0) = %q, %v", got, err)
-			}
-			if n, err := fc.Count("live/003"); err != nil || n == 0 {
-				t.Fatalf("follower Count = %d, %v", n, err)
-			}
-			if got, want := fol.fp(), prim.fp(); got != want {
-				t.Fatalf("content fingerprints diverge: follower %x, primary %x", got, want)
-			}
+			readModel(t, pc).Check(t, clientReader{fc, fol.fp})
 
 			// The stats surface reflects both roles.
 			fst, err := fc.Stats()
@@ -163,9 +155,6 @@ func TestReplicationLiveStream(t *testing.T) {
 			}
 			if fst.Watermark != seq {
 				t.Fatalf("follower Stats.Watermark = %d, want %d", fst.Watermark, seq)
-			}
-			if pst, err := pc.Stats(); err != nil || pst.Distinct != 18 || fst.Distinct != 18 {
-				t.Fatalf("Stats.Distinct = %d on the primary (%v), %d on the follower; want 18 on both", pst.Distinct, err, fst.Distinct)
 			}
 			waitUntil(t, 5*time.Second, "primary to see one follower", func() bool {
 				pst, err := pc.Stats()
@@ -290,9 +279,6 @@ func TestReplicationBootstrapSnapshot(t *testing.T) {
 			if _, ok, err := fc.WaitFor(seq, 10*time.Second); err != nil || !ok {
 				t.Fatalf("post-catch-up WaitFor: ok=%v err=%v", ok, err)
 			}
-			if got, err := fc.Access(n - 1); err != nil || got != "boot/after" {
-				t.Fatalf("follower Access(tail) = %q, %v", got, err)
-			}
 			if got, want := fol.fp(), prim.fp(); got != want {
 				t.Fatalf("fingerprints diverge on the live stream: %x vs %x", got, want)
 			}
@@ -321,8 +307,8 @@ func TestReplicationBootstrapSnapshot(t *testing.T) {
 // TestReplicationDifferential hammers the primary with concurrent
 // batched appends, flushes and compactions while a follower tails the
 // stream, then quiesces and checks the follower is indistinguishable
-// from the primary: equal content fingerprints plus a few hundred
-// random probes across the whole op surface against a flat oracle.
+// from the primary: equal content fingerprints, and the model of the
+// primary's sequence and rows answered on every op.
 func TestReplicationDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replication test is not short")
@@ -423,151 +409,10 @@ func TestReplicationDifferential(t *testing.T) {
 				t.Fatalf("fingerprints diverge: follower %x, primary %x", got, want)
 			}
 
-			// Oracle probes: the flat sequence from the primary answers
-			// every op; the follower must agree on ~200 random probes.
-			pc := dial(t, prim.addr)
-			oracle, err := pc.Slice(0, total)
-			if err != nil {
-				t.Fatal(err)
-			}
-			probeOpSurface(t, fc, oracle, 200)
-
-			// Payload rows replicated with the values: the follower
-			// serves the primary's row at every sampled position (the
-			// fingerprint equality above already covers all of them).
-			for pos := 0; pos < total; pos += 97 {
-				fr, err := fc.Row(pos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pr, err := pc.Row(pos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameRow(fr, pr) {
-					t.Fatalf("Row(%d): follower %v, primary %v", pos, fr, pr)
-				}
-			}
+			// The follower answers as the model of the primary's sequence
+			// and rows.
+			readModel(t, dial(t, prim.addr), model.KindU64, model.KindBytes).Check(t, clientReader{fc, fol.fp})
 		})
-	}
-}
-
-// probeOpSurface fires n random probes across the full query surface
-// of c and checks every answer against the flat oracle.
-func probeOpSurface(t *testing.T, c *server.Client, oracle []string, n int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(42))
-	distinct := map[string]bool{}
-	for _, v := range oracle {
-		distinct[v] = true
-	}
-	values := make([]string, 0, len(distinct))
-	for v := range distinct {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	pick := func() string { return values[rng.Intn(len(values))] }
-	prefixOf := func(v string) string {
-		if len(v) == 0 {
-			return ""
-		}
-		return v[:1+rng.Intn(len(v))]
-	}
-	for i := 0; i < n; i++ {
-		switch rng.Intn(6) {
-		case 0: // Access
-			pos := rng.Intn(len(oracle))
-			got, err := c.Access(pos)
-			if err != nil || got != oracle[pos] {
-				t.Fatalf("probe %d: Access(%d) = %q, %v; want %q", i, pos, got, err, oracle[pos])
-			}
-		case 1: // Rank
-			v, pos := pick(), rng.Intn(len(oracle)+1)
-			want := 0
-			for _, o := range oracle[:pos] {
-				if o == v {
-					want++
-				}
-			}
-			got, err := c.Rank(v, pos)
-			if err != nil || got != want {
-				t.Fatalf("probe %d: Rank(%q,%d) = %d, %v; want %d", i, v, pos, got, err, want)
-			}
-		case 2: // Count
-			v := pick()
-			want := 0
-			for _, o := range oracle {
-				if o == v {
-					want++
-				}
-			}
-			got, err := c.Count(v)
-			if err != nil || got != want {
-				t.Fatalf("probe %d: Count(%q) = %d, %v; want %d", i, v, got, err, want)
-			}
-		case 3: // Select
-			v := pick()
-			total := 0
-			for _, o := range oracle {
-				if o == v {
-					total++
-				}
-			}
-			if total == 0 {
-				continue
-			}
-			idx := rng.Intn(total)
-			wantPos, seen := -1, 0
-			for p, o := range oracle {
-				if o == v {
-					if seen == idx {
-						wantPos = p
-						break
-					}
-					seen++
-				}
-			}
-			pos, ok, err := c.Select(v, idx)
-			if err != nil || !ok || pos != wantPos {
-				t.Fatalf("probe %d: Select(%q,%d) = %d,%v,%v; want %d", i, v, idx, pos, ok, err, wantPos)
-			}
-		case 4: // CountPrefix + RankPrefix
-			p := prefixOf(pick())
-			pos := rng.Intn(len(oracle) + 1)
-			wantRank, wantCount := 0, 0
-			for j, o := range oracle {
-				if strings.HasPrefix(o, p) {
-					wantCount++
-					if j < pos {
-						wantRank++
-					}
-				}
-			}
-			gotCount, err := c.CountPrefix(p)
-			if err != nil || gotCount != wantCount {
-				t.Fatalf("probe %d: CountPrefix(%q) = %d, %v; want %d", i, p, gotCount, err, wantCount)
-			}
-			gotRank, err := c.RankPrefix(p, pos)
-			if err != nil || gotRank != wantRank {
-				t.Fatalf("probe %d: RankPrefix(%q,%d) = %d, %v; want %d", i, p, pos, gotRank, err, wantRank)
-			}
-		case 5: // SelectPrefix
-			p := prefixOf(pick())
-			var positions []int
-			for j, o := range oracle {
-				if strings.HasPrefix(o, p) {
-					positions = append(positions, j)
-				}
-			}
-			if len(positions) == 0 {
-				continue
-			}
-			idx := rng.Intn(len(positions))
-			pos, ok, err := c.SelectPrefix(p, idx)
-			if err != nil || !ok || pos != positions[idx] {
-				t.Fatalf("probe %d: SelectPrefix(%q,%d) = %d,%v,%v; want %d", i, p, idx, pos, ok, err, positions[idx])
-			}
-		}
 	}
 }
 
@@ -619,12 +464,7 @@ func TestFollowerRefusesWritesThenPromote(t *testing.T) {
 	if seq2 != seq+1 {
 		t.Fatalf("post-promotion seq = %d, want %d", seq2, seq+1)
 	}
-	if got, err := fc.Access(0); err != nil || got != "before/promotion" {
-		t.Fatalf("Access(0) = %q, %v", got, err)
-	}
-	if got, err := fc.Access(1); err != nil || got != "after/promotion" {
-		t.Fatalf("Access(1) = %q, %v", got, err)
-	}
+	model.FromSlice([]string{"before/promotion", "after/promotion"}, nil).Check(t, clientReader{c: fc})
 }
 
 func asServerError(err error, target **server.ServerError) bool {

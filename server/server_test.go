@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/server"
@@ -168,44 +169,8 @@ func TestEndToEnd(t *testing.T) {
 				t.Fatalf("Stats.Shards = %d, want %d", st.Shards, want)
 			}
 
-			for i, want := range vals {
-				got, err := c.Access(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("Access(%d) = %q, want %q", i, got, want)
-				}
-			}
-			if n, err := c.Count("get/a"); err != nil || n != 2 {
-				t.Fatalf("Count = %d, %v, want 2", n, err)
-			}
-			if n, err := c.Rank("get/a", 2); err != nil || n != 1 {
-				t.Fatalf("Rank = %d, %v, want 1", n, err)
-			}
-			if pos, ok, err := c.Select("get/a", 1); err != nil || !ok || pos != 3 {
-				t.Fatalf("Select = %d, %v, %v, want 3", pos, ok, err)
-			}
-			if _, ok, err := c.Select("absent", 0); err != nil || ok {
-				t.Fatalf("Select(absent) ok = %v, err %v", ok, err)
-			}
-			if n, err := c.CountPrefix("get/"); err != nil || n != 4 {
-				t.Fatalf("CountPrefix = %d, %v, want 4", n, err)
-			}
-			if n, err := c.RankPrefix("get/", 3); err != nil || n != 2 {
-				t.Fatalf("RankPrefix = %d, %v, want 2", n, err)
-			}
-			if pos, ok, err := c.SelectPrefix("get/", 3); err != nil || !ok || pos != 5 {
-				t.Fatalf("SelectPrefix = %d, %v, %v, want 5", pos, ok, err)
-			}
-
-			got, err := c.Slice(0, len(vals))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strings.Join(got, ",") != strings.Join(vals, ",") {
-				t.Fatalf("Slice = %v, want %v", got, vals)
-			}
+			m := model.FromSlice(vals, nil)
+			m.Check(t, clientReader{c: c})
 
 			if err := c.Flush(); err != nil {
 				t.Fatal(err)
@@ -223,6 +188,7 @@ func TestEndToEnd(t *testing.T) {
 			if len(st.Gens) == 0 {
 				t.Fatal("no generations after flush")
 			}
+			m.Check(t, clientReader{c: c})
 
 			// Out-of-range positions are error responses, not dead
 			// connections.
@@ -698,56 +664,7 @@ func TestScanPrefix(t *testing.T) {
 			if err := c.AppendBatch(vals); err != nil {
 				t.Fatal(err)
 			}
-			var want []int
-			for pos, v := range vals {
-				if strings.HasPrefix(v, "p1/") {
-					want = append(want, pos)
-				}
-			}
-			// Small batch forces several round trips of stateless resume.
-			var got []int
-			err := c.ScanPrefix("p1/", 0, -1, 7, func(idx, pos int, v string) bool {
-				if idx != len(got) || v != vals[pos] {
-					t.Fatalf("ScanPrefix yield idx=%d pos=%d v=%q, have %d matches", idx, pos, v, len(got))
-				}
-				got = append(got, pos)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("ScanPrefix positions = %v, want %v", got, want)
-			}
-			// Offset + bounded n: matches [5, 5+9).
-			var window []int
-			err = c.ScanPrefix("p1/", 5, 9, 4, func(idx, pos int, _ string) bool {
-				if idx != 5+len(window) {
-					t.Fatalf("window yield idx=%d, want %d", idx, 5+len(window))
-				}
-				window = append(window, pos)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(window) != fmt.Sprint(want[5:14]) {
-				t.Fatalf("window = %v, want %v", window, want[5:14])
-			}
-			// Early stop and absent prefix.
-			calls := 0
-			if err := c.ScanPrefix("p", 0, -1, 16, func(int, int, string) bool { calls++; return calls < 3 }); err != nil {
-				t.Fatal(err)
-			}
-			if calls != 3 {
-				t.Fatalf("early stop after %d calls", calls)
-			}
-			if err := c.ScanPrefix("zzz", 0, -1, 0, func(int, int, string) bool {
-				t.Fatal("absent prefix yielded a match")
-				return false
-			}); err != nil {
-				t.Fatal(err)
-			}
+			model.FromSlice(vals, nil).Check(t, clientReader{c: c})
 
 			st, err := c.Stats()
 			if err != nil {

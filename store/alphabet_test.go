@@ -5,91 +5,46 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
-// alphabetStore is what the derived-count tests drive, plain or sharded.
-type alphabetStore interface {
-	AppendBatch(vs []string) error
-	Flush() error
-	Compact() error
-	AlphabetSize() int
-	Close() error
-}
-
-// TestAlphabetSizeDerived holds the derived distinct count to a map at
-// every step of a store's life — overlapping generations, a live memtable,
-// partial and full compaction, reopen — on a plain store and on a sharded
-// one (where it is the sum over shards).
+// TestAlphabetSizeDerived holds the derived distinct count, with the rest
+// of the model's surface, to the model at every step of a store's life —
+// overlapping generations, a live memtable, partial and full compaction,
+// reopen — on a plain store and on a sharded one (where it is the sum over
+// shards).
 func TestAlphabetSizeDerived(t *testing.T) {
 	pool := workload.URLLog(1200, 61, workload.DefaultURLConfig())
-	for name, open := range map[string]func(dir string) (alphabetStore, func(int) error){
-		"plain": func(dir string) (alphabetStore, func(int) error) {
-			s := mustOpen(t, dir, testOpts())
-			return s, func(target int) error { return compactEach(s, target) }
-		},
-		"sharded": func(dir string) (alphabetStore, func(int) error) {
-			ss, err := OpenSharded(dir, &ShardedOptions{Shards: 3, Store: *testOpts()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ss, func(target int) error { return compactEach(ss, target) }
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, compactTo := open(dir)
-			seen := map[string]bool{}
-			check := func(step string) {
+	batch := func(vs []string) model.Cmd { return model.Cmd{Op: model.OpBatch, Vals: vs} }
+	flush := model.Cmd{Op: model.OpFlush}
+	for _, l := range []ModelLayout{{Name: "plain"}, {Name: "sharded", Shards: 3}} {
+		t.Run(l.Name, func(t *testing.T) {
+			sys, m := l.Open(t), model.New()
+			defer sys.Close()
+			step := func(cmds ...model.Cmd) {
 				t.Helper()
-				if got := s.AlphabetSize(); got != len(seen) {
-					t.Fatalf("%s: AlphabetSize = %d, want %d", step, got, len(seen))
+				model.Apply(t, sys, m, cmds...)
+				if err := sys.Check(m); err != nil {
+					t.Fatalf("after %v: %v", cmds, err)
 				}
 			}
-			add := func(vs []string) {
-				t.Helper()
-				if err := s.AppendBatch(vs); err != nil {
-					t.Fatal(err)
-				}
-				for _, v := range vs {
-					seen[v] = true
-				}
-			}
-			check("empty")
+			step()
 			// Five generations whose alphabets overlap their neighbours'
 			// (and, the URL log being skewed, everyone's).
 			for g := 0; g < 5; g++ {
-				add(pool[g*150 : g*150+300])
-				check(fmt.Sprintf("generation %d in the memtable", g))
-				if err := s.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("generation %d flushed", g))
+				step(batch(pool[g*150 : g*150+300]))
+				step(flush)
 			}
-			add(pool[100:400]) // nothing new
-			add(pool[1000:])   // mostly new
-			check("five generations and a memtable")
-			if err := compactTo(3); err != nil {
+			step(batch(pool[100:400]), batch(pool[1000:])) // nothing new, then mostly new
+			if err := compactEach(sys.(*modelStore).s, 3); err != nil {
 				t.Fatal(err)
 			}
-			check("compacted to three")
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			check("compacted to one")
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			s, _ = open(dir)
-			defer s.Close()
-			check("reopened")
-			add([]string{pool[0], "never/seen/before", pool[1100]})
-			check("appended after reopen")
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			check("flushed after reopen")
+			step()
+			step(model.Cmd{Op: model.OpCompact})
+			step(model.Cmd{Op: model.OpReopen})
+			step(batch([]string{pool[0], "never/seen/before", pool[1100]}))
+			step(flush)
 		})
 	}
 }
@@ -129,24 +84,12 @@ func TestAlphabetSizeSealedMemtable(t *testing.T) {
 // lead its snapshot, and a sharded view that ends before a shard's live
 // memtable leaves that memtable out — two answers need not be ordered.)
 func TestAlphabetSizeConcurrent(t *testing.T) {
-	for name, open := range map[string]func(dir string) alphabetStore{
-		"plain": func(dir string) alphabetStore {
-			s, err := Open(dir, &Options{FlushThreshold: 128, MaxGenerations: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"sharded": func(dir string) alphabetStore {
-			ss, err := OpenSharded(dir, &ShardedOptions{Shards: 2, Store: Options{FlushThreshold: 128, MaxGenerations: 3}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ss
-		},
-	} {
+	for name, shards := range map[string]int{"plain": 0, "sharded": 2} {
 		t.Run(name, func(t *testing.T) {
-			s := open(t.TempDir())
+			s, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards, Store: Options{FlushThreshold: 128, MaxGenerations: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer s.Close()
 			const writers, perWriter, hot = 3, 600, 40
 			base := make([]string, hot)
@@ -206,17 +149,11 @@ func TestAlphabetSizeConcurrent(t *testing.T) {
 // shapes do not depend on reps, their lengths do.
 func alphabetLayout(t *testing.T, sharded bool, reps int) (touch func(), snapshot func() interface{ AlphabetSize() int }, distinct int) {
 	t.Helper()
-	var s alphabetStore
-	if sharded {
-		ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: 2, Store: *testOpts()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, snapshot = ss, func() interface{ AlphabetSize() int } { return ss.Snapshot() }
-	} else {
-		ps := mustOpen(t, t.TempDir(), testOpts())
-		s, snapshot = ps, func() interface{ AlphabetSize() int } { return ps.Snapshot() }
+	s, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: map[bool]int{true: 2}[sharded], Store: *testOpts()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	snapshot = func() interface{ AlphabetSize() int } { return s.Snapshot() }
 	t.Cleanup(func() { s.Close() })
 	vals := workload.URLLog(700, 96, workload.DefaultURLConfig())
 	for g := 0; g < 4; g++ {

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // White-box tests of the columnar attachment subsystem: schema pinning,
@@ -52,91 +54,6 @@ func rowCell(rows []Row, pos, col int) Value {
 	return rows[pos][col]
 }
 
-// checkColumns verifies the snapshot's whole column read surface
-// against the flat (vals, rows) oracle: every row cell, and
-// CountWhere/IterateWhere over a battery of prefix × predicate shapes.
-func checkColumns(t *testing.T, sn *Snapshot, vals []string, rows []Row) {
-	t.Helper()
-	if sn.Len() != len(vals) {
-		t.Fatalf("Len = %d, want %d", sn.Len(), len(vals))
-	}
-	schema := colTestSchema()
-	for pos := range vals {
-		if g := sn.Access(pos); g != vals[pos] {
-			t.Fatalf("Access(%d) = %q, want %q", pos, g, vals[pos])
-		}
-		row := sn.Row(pos)
-		if len(row) != len(schema) {
-			t.Fatalf("Row(%d) has %d cells, want %d", pos, len(row), len(schema))
-		}
-		for c := range row {
-			if want := rowCell(rows, pos, c); !cellEq(row[c], want) {
-				t.Fatalf("Row(%d)[%d] = %v, want %v", pos, c, row[c], want)
-			}
-		}
-	}
-
-	prefixes := []string{"", "api/", "api/a", "web/", "nosuch/"}
-	predSets := [][]Pred{
-		nil,
-		{{Col: 0, Op: PredGE, Val: 50}},
-		{{Col: 0, Op: PredEQ, Val: 7}},
-		{{Col: 0, Op: PredLT, Val: 20}},
-		{{Col: 0, Op: PredNE, Val: 0}},
-		{{Col: 0, Op: PredGT, Val: 10}, {Col: 0, Op: PredLE, Val: 90}},
-	}
-	for _, p := range prefixes {
-		for _, preds := range predSets {
-			var wantPos []int
-			for pos := range vals {
-				if !strings.HasPrefix(vals[pos], p) {
-					continue
-				}
-				ok := true
-				for _, pr := range preds {
-					if !matchValue(rowCell(rows, pos, pr.Col), pr) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					wantPos = append(wantPos, pos)
-				}
-			}
-			got, err := sn.CountWhere(p, preds...)
-			if err != nil {
-				t.Fatalf("CountWhere(%q, %v): %v", p, preds, err)
-			}
-			if got != len(wantPos) {
-				t.Fatalf("CountWhere(%q, %v) = %d, want %d", p, preds, got, len(wantPos))
-			}
-			from := len(wantPos) / 3
-			var gotPos []int
-			err = sn.IterateWhere(p, from, preds, func(idx, pos int) bool {
-				if idx != from+len(gotPos) {
-					t.Fatalf("IterateWhere(%q, %d, %v): idx %d out of order", p, from, preds, idx)
-				}
-				gotPos = append(gotPos, pos)
-				return true
-			})
-			if err != nil {
-				t.Fatalf("IterateWhere(%q, %d, %v): %v", p, from, preds, err)
-			}
-			want := wantPos[min(from, len(wantPos)):]
-			if len(gotPos) != len(want) {
-				t.Fatalf("IterateWhere(%q, %d, %v) yielded %d matches, want %d",
-					p, from, preds, len(gotPos), len(want))
-			}
-			for i := range want {
-				if gotPos[i] != want[i] {
-					t.Fatalf("IterateWhere(%q, %d, %v) match %d at pos %d, want %d",
-						p, from, preds, i, gotPos[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // colTestData builds n values over a few prefixes with a deterministic
 // mixed-row pattern: nil rows, NULL cells, and both cell kinds.
 func colTestData(n int) ([]string, []Row) {
@@ -165,89 +82,35 @@ func colTestData(n int) ([]string, []Row) {
 	return vals, rows
 }
 
-// TestColumnEndToEnd drives (vals, rows) through every segment shape —
-// memtable, frozen generation, compacted generation, reopened store
-// mapped and then served from generations read onto the heap — checking
-// the full column read surface at each stage against the flat oracle.
-func TestColumnEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, colTestOpts())
-	vals, rows := colTestData(120)
-
-	// Stage 1: first 60 through AppendRow, still memtable-resident.
-	for i := 0; i < 60; i++ {
-		if err := s.AppendRow(vals[i], rows[i]); err != nil {
-			t.Fatal(err)
+// colTestCmds returns the commands appending colTestData(n) one value a
+// command, with extra after the at-th.
+func colTestCmds(n, at int, extra ...model.Cmd) []model.Cmd {
+	vals, rows := colTestData(n)
+	var cmds []model.Cmd
+	for i := range vals {
+		if i == at {
+			cmds = append(cmds, extra...)
 		}
+		cmds = append(cmds, model.Cmd{Op: model.OpAppend, Vals: vals[i : i+1], Rows: modelRows(rows[i : i+1])})
 	}
-	checkColumns(t, s.Snapshot(), vals[:60], rows[:60])
+	return cmds
+}
 
-	// Stage 2: freeze them, then batch-append the rest on top.
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkColumns(t, s.Snapshot(), vals[:60], rows[:60])
-	if err := s.AppendBatchRows(vals[60:], rows[60:]); err != nil {
-		t.Fatal(err)
-	}
-	checkColumns(t, s.Snapshot(), vals, rows) // frozen + memtable mix
-
-	// Stage 3: two generations merged into one.
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	checkColumns(t, s.Snapshot(), vals, rows)
-
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stage 4: reopen; schema is adopted from the manifest
-	// (Options.Columns omitted). Then the same generations decoded from
-	// their bytes read onto the heap.
-	s2 := mustOpen(t, dir, testOpts())
-	defer s2.Close()
-	if !schemaEqual(s2.Schema(), colTestSchema()) {
-		t.Fatalf("reopened schema %+v", s2.Schema())
-	}
-	checkColumns(t, s2.Snapshot(), vals, rows)
-	serveFromHeap(t, s2)
-	checkColumns(t, s2.Snapshot(), vals, rows)
+// TestColumnEndToEnd drives values and rows through every segment shape
+// — memtable, frozen generation, compacted generation, reopened store —
+// through the model's runner.
+func TestColumnEndToEnd(t *testing.T) {
+	cmds := colTestCmds(120, 60, model.Cmd{Op: model.OpFlush})
+	model.Run(t, ModelSchema, ModelLayout{Name: "columnar", Cols: true}.Open,
+		append(cmds, model.Cmd{Op: model.OpFlush}, model.Cmd{Op: model.OpCompact}, model.Cmd{Op: model.OpReopen}))
 }
 
 // TestColumnWALReplay: payload rows ride the WAL — a directory copied
 // mid-life (the crash image: nothing flushed since the appends) must
 // replay every acked row, not just the values.
 func TestColumnWALReplay(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, colTestOpts())
-	vals, rows := colTestData(50)
-
-	// A flushed floor plus a WAL-only tail.
-	for i := 0; i < 20; i++ {
-		if err := s.AppendRow(vals[i], rows[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 20; i < 50; i++ {
-		if err := s.AppendRow(vals[i], rows[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	crashDir := filepath.Join(t.TempDir(), "crash")
-	copyTree(t, dir, crashDir)
-	s.Close()
-
-	crashed := mustOpen(t, crashDir, testOpts())
-	defer crashed.Close()
-	checkColumns(t, crashed.Snapshot(), vals, rows)
+	cmds := colTestCmds(50, 20, model.Cmd{Op: model.OpFlush})
+	model.Run(t, ModelSchema, ModelLayout{Name: "columnar", Cols: true}.Open, append(cmds, model.Cmd{Op: model.OpCrash}))
 }
 
 // TestColumnSchemaMismatchFailsOpen: the schema is fixed at creation —
@@ -297,7 +160,7 @@ func TestColumnPreSchemaCompat(t *testing.T) {
 	}
 	vals := append([]string(nil), old...)
 	rows := make([]Row, len(old)) // history reads all-NULL
-	checkColumns(t, s2.Snapshot(), vals, rows)
+	CheckModel(t, s2.Snapshot(), vals, rows)
 
 	// New appends carry payloads next to the NULL history; flushing
 	// merges pre-schema and columned generations.
@@ -306,19 +169,19 @@ func TestColumnPreSchemaCompat(t *testing.T) {
 	}
 	vals = append(vals, "api/a01")
 	rows = append(rows, Row{U64(77), Blob([]byte("new"))})
-	checkColumns(t, s2.Snapshot(), vals, rows)
+	CheckModel(t, s2.Snapshot(), vals, rows)
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	checkColumns(t, s2.Snapshot(), vals, rows)
+	CheckModel(t, s2.Snapshot(), vals, rows)
 	s2.Close()
 
 	s3 := mustOpen(t, dir, testOpts())
 	defer s3.Close()
-	checkColumns(t, s3.Snapshot(), vals, rows)
+	CheckModel(t, s3.Snapshot(), vals, rows)
 }
 
 // TestTornColumnFileFailsOpen tears each column-side section of a
@@ -407,7 +270,7 @@ func TestOrphanColumnFileCleanup(t *testing.T) {
 
 	s2 := mustOpen(t, dir, testOpts())
 	defer s2.Close()
-	checkColumns(t, s2.Snapshot(), vals, rows)
+	CheckModel(t, s2.Snapshot(), vals, rows)
 	for _, path := range []string{orphan, tmp} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("orphan %s survived Open", path)
@@ -497,7 +360,20 @@ func TestColumnValidation(t *testing.T) {
 	if _, err := sn.CountWhere("", Pred{Col: 0, Op: 99, Val: 1}); err == nil {
 		t.Fatal("CountWhere accepted an unknown operator")
 	}
+	// A filtered scan's refusals name the operation called.
+	nop := func(int, int, []byte, Row) bool { return true }
+	for want, err := range map[string]error{
+		"store: IterateWhere from -1 negative": sn.IterateWhere("", -1, nil, func(int, int) bool { return true }),
+		"store: ScanWhere from -1 negative":    second(sn.ScanWhere("", -1, 1, nil, nop)),
+		"store: ScanWhere page of 0 matches":   second(sn.ScanWhere("", 0, 0, nil, nop)),
+	} {
+		if err == nil || err.Error() != want {
+			t.Fatalf("refusal %v, want %q", err, want)
+		}
+	}
 }
+
+func second[T any](_ T, err error) error { return err }
 
 // countWhereSink keeps the measured calls from being optimized away.
 var countWhereSink int
@@ -701,170 +577,59 @@ func BenchmarkCountWhere(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(gens*per), "ns/row")
 }
 
-// TestColumnDifferential: randomized appends with payloads against the
-// flat (vals, rows) oracle, plain and sharded, across flush, compact,
-// a mid-life crash image, close and reopen. Mirrors the value-only
-// differential suite with the column surface added; its "encodings"
-// subtests hold both frozen layouts to the same oracle.
+// TestColumnDifferential: randomized appends with payloads held to the
+// model, plain and on three shards, across flushes, a compaction, a
+// mid-life crash and a reopen; its "encodings" subtests hold both frozen
+// layouts of a numeric column to the model too.
 func TestColumnDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	plainDir, shardDir := t.TempDir(), t.TempDir()
-	s := mustOpen(t, plainDir, colTestOpts())
-	ss := mustOpenShardedCols(t, shardDir)
-
-	randRow := func(i int) Row {
-		switch rng.Intn(10) {
-		case 0, 1, 2: // 30% no payload
+	randRow := func() model.Row {
+		if rng.Intn(10) < 3 { // 30% no payload
 			return nil
-		default:
-			row := Row{Null(), Null()}
-			if rng.Intn(5) != 0 {
-				row[0] = U64(uint64(rng.Intn(100)))
-			}
-			if rng.Intn(5) != 0 {
-				b := make([]byte, rng.Intn(12))
-				rng.Read(b)
-				row[1] = Blob(b)
-			}
-			return row
 		}
+		row := model.Row{{}, {}}
+		if rng.Intn(5) != 0 {
+			row[0] = model.Cell{Kind: model.KindU64, Num: uint64(rng.Intn(100))}
+		}
+		if rng.Intn(5) != 0 {
+			b := make([]byte, rng.Intn(12))
+			rng.Read(b)
+			row[1] = model.Cell{Kind: model.KindBytes, Blob: string(b)}
+		}
+		return row
 	}
-	var vals []string
-	var rows []Row
-	appendBoth := func(v string, row Row) {
-		if err := s.AppendRow(v, row); err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.AppendRow(v, row); err != nil {
-			t.Fatal(err)
-		}
-		vals = append(vals, v)
-		rows = append(rows, row)
-	}
-
-	var crashPlain, crashShard string
-	var crashLen int
+	var cmds []model.Cmd
 	for i := 0; i < 600; i++ {
-		switch i % 3 {
-		case 0:
-			appendBoth(fmt.Sprintf("api/a%02d", rng.Intn(40)), randRow(i))
-		case 1:
-			appendBoth(fmt.Sprintf("api/b%02d", rng.Intn(20)), randRow(i))
-		default:
-			appendBoth(fmt.Sprintf("web/c%02d", rng.Intn(30)), randRow(i))
-		}
+		v := [...]string{fmt.Sprintf("api/a%02d", rng.Intn(40)), fmt.Sprintf("api/b%02d", rng.Intn(20)), fmt.Sprintf("web/c%02d", rng.Intn(30))}[i%3]
+		cmds = append(cmds, model.Cmd{Op: model.OpAppend, Vals: []string{v}, Rows: []model.Row{randRow()}})
 		switch i {
 		case 150, 300, 450:
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := ss.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			cmds = append(cmds, model.Cmd{Op: model.OpFlush})
 		case 320:
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			if err := ss.Compact(); err != nil {
-				t.Fatal(err)
-			}
+			cmds = append(cmds, model.Cmd{Op: model.OpCompact})
 		case 380: // crash image: flushed floor + WAL tail, mid-life
-			crashPlain = filepath.Join(t.TempDir(), "crash-plain")
-			crashShard = filepath.Join(t.TempDir(), "crash-shard")
-			copyTree(t, plainDir, crashPlain)
-			copyTree(t, shardDir, crashShard)
-			crashLen = len(vals)
+			cmds = append(cmds, model.Cmd{Op: model.OpCrash})
 		}
 	}
-
-	checkColumns(t, s.Snapshot(), vals, rows)
-	checkColumns(t, ss.Snapshot(), vals, rows)
-	if p, q := s.Snapshot().ContentFingerprint(), ss.Snapshot().ContentFingerprint(); p != q {
-		t.Fatalf("ContentFingerprint diverged: plain %#x, sharded %#x", p, q)
-	}
-	s.Close()
-	ss.Close()
-
-	// The crash images must replay every acked row up to the copy.
-	cs := mustOpen(t, crashPlain, testOpts())
-	checkColumns(t, cs.Snapshot(), vals[:crashLen], rows[:crashLen])
-	cs.Close()
-	css, err := OpenSharded(crashShard, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkColumns(t, css.Snapshot(), vals[:crashLen], rows[:crashLen])
-	css.Close()
-
-	// Clean reopens agree with the oracle and with each other.
-	s2 := mustOpen(t, plainDir, testOpts())
-	defer s2.Close()
-	ss2, err := OpenSharded(shardDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss2.Close()
-	checkColumns(t, s2.Snapshot(), vals, rows)
-	checkColumns(t, ss2.Snapshot(), vals, rows)
-	if p, q := s2.Snapshot().ContentFingerprint(), ss2.Snapshot().ContentFingerprint(); p != q {
-		t.Fatalf("reopened ContentFingerprint diverged: plain %#x, sharded %#x", p, q)
+	cmds = append(cmds, model.Cmd{Op: model.OpReopen})
+	for _, l := range []ModelLayout{{Name: "plain", Cols: true}, {Name: "sharded", Shards: 3, Cols: true}} {
+		sys, m := l.Open(t), model.New(l.Schema()...)
+		for _, c := range cmds {
+			model.Apply(t, sys, m, c)
+			if c.Op > model.OpAppend && c.Op != model.OpFlush {
+				if err := sys.Check(m); err != nil {
+					t.Fatalf("after %v: %v", c, err)
+				}
+			}
+		}
+		sys.Close()
 	}
 	t.Run("encodings", testColumnEncodings)
 }
 
-// allPredOps is every comparison a predicate can make.
-var allPredOps = []PredOp{PredEQ, PredNE, PredLT, PredLE, PredGT, PredGE}
-
-// checkPreds holds sn's numeric column col to the flat oracle: every cell,
-// and for every operator against every bound the rank-arithmetic count
-// (no prefix) and the per-candidate count (under a prefix), and for the
-// middle bound the matching positions.
-func checkPreds(t *testing.T, sn *Snapshot, vals []string, rows []Row, col int, prefix string, bounds []uint64) {
-	t.Helper()
-	if sn.Len() != len(vals) {
-		t.Fatalf("Len = %d, want %d", sn.Len(), len(vals))
-	}
-	for pos := range vals {
-		if got, want := sn.Row(pos)[col], rowCell(rows, pos, col); !cellEq(got, want) {
-			t.Fatalf("Row(%d)[%d] = %v, want %v", pos, col, got, want)
-		}
-	}
-	for _, op := range allPredOps {
-		for _, b := range bounds {
-			p := Pred{Col: col, Op: op, Val: b}
-			var want []int
-			under := 0
-			for pos := range vals {
-				if matchValue(rowCell(rows, pos, col), p) {
-					want = append(want, pos)
-					if strings.HasPrefix(vals[pos], prefix) {
-						under++
-					}
-				}
-			}
-			if got, err := sn.CountWhere("", p); err != nil || got != len(want) {
-				t.Fatalf("CountWhere(%s %d) = %d, %v, want %d", op, b, got, err, len(want))
-			}
-			if got, err := sn.CountWhere(prefix, p); err != nil || got != under {
-				t.Fatalf("CountWhere(%q, %s %d) = %d, %v, want %d", prefix, op, b, got, err, under)
-			}
-			if b != bounds[len(bounds)/2] {
-				continue // positions: one bound an operator is enough
-			}
-			var got []int
-			if err := sn.IterateWhere("", 0, []Pred{p}, func(_, pos int) bool {
-				got = append(got, pos)
-				return true
-			}); err != nil || !slices.Equal(got, want) {
-				t.Fatalf("IterateWhere(%s %d) = %d positions, %v, want %d", op, b, len(got), err, len(want))
-			}
-		}
-	}
-}
-
 // testColumnEncodings drives one numeric column through both frozen
 // layouts — raw planes and planes over dictionary ranks — and both
-// presence forms, against the one flat oracle: per case a plain and a
+// presence forms, against the model: per case a plain and a
 // two-shard store take three flushes (the middle one always raw-coded,
 // so compaction merges victims of different layouts and different
 // dictionaries), a compaction and a reopen, mapped and read onto the
@@ -911,15 +676,10 @@ func testColumnEncodings(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(len(tc.set))))
 			opts := testOpts()
 			opts.Columns = schema
-			dir, sdir := t.TempDir(), t.TempDir()
-			s := mustOpen(t, dir, opts)
-			ss, err := OpenSharded(sdir, &ShardedOptions{Shards: 2, Store: *opts})
-			if err != nil {
-				t.Fatal(err)
-			}
 			var vals []string
 			var rows []Row
 			for i := 0; i < 3*seg; i++ {
@@ -933,88 +693,70 @@ func testColumnEncodings(t *testing.T) {
 				}
 				vals = append(vals, fmt.Sprintf("k/%02d", rng.Intn(40)))
 				rows = append(rows, row)
-				if err := s.AppendRow(vals[i], row); err != nil {
-					t.Fatal(err)
-				}
-				if err := ss.AppendRow(vals[i], row); err != nil {
-					t.Fatal(err)
-				}
-				if i%seg == seg-1 {
-					if err := s.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					if err := ss.Flush(); err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
-			gens := s.shards[0].state.Load().gens
-			if len(gens) != 3 {
-				t.Fatalf("%d generations, want 3", len(gens))
-			}
-			if got := gens[0].cols.cols[0].dict != nil; got != tc.dict {
-				t.Fatalf("first flush dictionary-coded = %v, want %v", got, tc.dict)
-			}
-			if tc.nullEach != 1 && gens[1].cols.cols[0].dict != nil {
-				t.Fatal("the 10-bit flush came out dictionary-coded")
-			}
-			if c := &gens[0].cols.cols[0]; (c.presence == nil) != (tc.nullEach < 2) {
-				t.Fatalf("presence vector kept = %v with every %d-th row NULL", c.presence != nil, tc.nullEach)
-			}
-
 			lo, hi := slices.Min(tc.set), slices.Max(tc.set)
 			mid := tc.set[len(tc.set)/2]
-			bounds := []uint64{0, lo - 1, lo, lo + 1, mid - 1, mid, mid + 1, 512, hi - 1, hi, hi + 1, maxU64}
-			check := func(stage string, sn *Snapshot) {
-				t.Helper()
-				defer func() {
-					if t.Failed() {
-						t.Logf("at stage %s", stage)
-					}
-				}()
-				checkPreds(t, sn, vals, rows, 0, "k/1", bounds)
+			var filters [][]model.Pred
+			for _, b := range []uint64{0, lo - 1, lo, lo + 1, mid - 1, mid, mid + 1, 512, hi - 1, hi, hi + 1, maxU64} {
+				for op := PredEQ; op <= PredGE; op++ {
+					filters = append(filters, []model.Pred{{Col: 0, Op: uint8(op), Val: b}})
+				}
 			}
-			check("flushed", s.Snapshot())
-			check("sharded flushed", ss.Snapshot())
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			if err := ss.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			check("compacted", s.Snapshot())
-			check("sharded compacted", ss.Snapshot())
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := ss.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for _, heap := range []bool{false, true} {
-				s2 := mustOpen(t, dir, testOpts())
-				ss2, err := OpenSharded(sdir, &ShardedOptions{Store: *testOpts()})
+			for _, shards := range []int{0, 2} {
+				dir := t.TempDir()
+				s, err := OpenSharded(dir, &ShardedOptions{Shards: shards, Store: *opts})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if heap {
-					serveFromHeap(t, s2)
-					serveFromHeap(t, ss2)
+				check := func(stage string) {
+					t.Helper()
+					if err := modelOf(s.Snapshot(), vals, rows).Filter(filters...).Diff(snapReader{s.Snapshot()}); err != nil {
+						t.Fatalf("%d shards, %s: %v", shards, stage, err)
+					}
 				}
-				check(fmt.Sprintf("reopened heap=%v", heap), s2.Snapshot())
-				check(fmt.Sprintf("sharded reopened heap=%v", heap), ss2.Snapshot())
-				s2.Close()
-				ss2.Close()
+				for i := range vals {
+					if err := s.AppendRow(vals[i], rows[i]); err != nil {
+						t.Fatal(err)
+					}
+					if i%seg == seg-1 {
+						if err := s.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if gens := s.shards[0].state.Load().gens; shards == 0 {
+					if len(gens) != 3 {
+						t.Fatalf("%d generations, want 3", len(gens))
+					}
+					if got := gens[0].cols.cols[0].dict != nil; got != tc.dict {
+						t.Fatalf("first flush dictionary-coded = %v, want %v", got, tc.dict)
+					}
+					if tc.nullEach != 1 && gens[1].cols.cols[0].dict != nil {
+						t.Fatal("the 10-bit flush came out dictionary-coded")
+					}
+					if c := &gens[0].cols.cols[0]; (c.presence == nil) != (tc.nullEach < 2) {
+						t.Fatalf("presence vector kept = %v with every %d-th row NULL", c.presence != nil, tc.nullEach)
+					}
+				}
+				check("flushed")
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				check("compacted")
+				for _, heap := range []bool{false, true} {
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if s, err = OpenSharded(dir, &ShardedOptions{Store: *testOpts()}); err != nil {
+						t.Fatal(err)
+					}
+					if heap {
+						serveFromHeap(t, s)
+					}
+					check(fmt.Sprintf("reopened heap=%v", heap))
+				}
+				s.Close()
 			}
 		})
 	}
-}
-
-func mustOpenShardedCols(t *testing.T, dir string) *Store {
-	t.Helper()
-	opts := &ShardedOptions{Shards: 3, Store: *colTestOpts()}
-	ss, err := OpenSharded(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ss
 }

@@ -82,15 +82,7 @@ func TestCloseDuringCompaction(t *testing.T) {
 
 	s2 := mustOpen(t, dir, testOpts())
 	defer s2.Close()
-	if got := s2.Snapshot().Slice(0, s2.Len()); len(got) != len(want) {
-		t.Fatalf("reopened with %d values, want %d", len(got), len(want))
-	} else {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("reopened store differs at %d: %q, want %q", i, got[i], want[i])
-			}
-		}
-	}
+	CheckModel(t, s2.Snapshot(), want, nil)
 	if n := len(s2.Generations()); n != gens {
 		t.Fatalf("reopened with %d generations, want the %d victims", n, gens)
 	}

@@ -4,21 +4,15 @@ import (
 	"testing"
 
 	wavelettrie "repro"
-	"repro/internal/seqstore"
-	"repro/internal/seqstore/flat"
+	"repro/internal/model"
 	"repro/internal/workload"
 	"repro/store"
 )
 
 // The ISSUE acceptance contract: a store — through flushes, compactions
 // and a reopen — serves the same answers as a freshly built AppendOnly
-// index over the same sequence. Both are compared through the shared
-// seqstore surface against the flat-scan oracle.
-var (
-	_ seqstore.Sequence = (*store.Store)(nil)
-	_ seqstore.Sequence = (*store.Snapshot)(nil)
-)
-
+// index over the same sequence, and its export as a loadable Frozen;
+// all of them held to the model.
 func TestDifferentialVsAppendOnly(t *testing.T) {
 	dir := t.TempDir()
 	seq := workload.URLLog(500, 11, workload.DefaultURLConfig())
@@ -54,28 +48,10 @@ func TestDifferentialVsAppendOnly(t *testing.T) {
 	}
 	defer s.Close()
 
-	oracle := flat.FromSlice(seq)
-	ao := wavelettrie.NewAppendOnlyFrom(seq)
-	diffSequences(t, seq, map[string]seqstore.Sequence{
-		"store":      s,
-		"snapshot":   s.Snapshot(),
-		"appendonly": ao,
-	}, oracle)
-
-	// The richer count surface agrees too.
-	for _, v := range append(seq[:10:10], "absent", "host") {
-		if g, w := s.Count(v), ao.Count(v); g != w {
-			t.Fatalf("Count(%q) = %d, want %d", v, g, w)
-		}
-		if g, w := s.CountPrefix(v), ao.CountPrefix(v); g != w {
-			t.Fatalf("CountPrefix(%q) = %d, want %d", v, g, w)
-		}
-	}
-	if g, w := s.AlphabetSize(), ao.AlphabetSize(); g != w {
-		t.Fatalf("AlphabetSize = %d, want %d", g, w)
-	}
-
-	// The export snapshot is a loadable Frozen with the same answers.
+	m := model.FromSlice(seq, nil)
+	m.Check(t, store.ModelReader(s.Snapshot()))
+	m.Check(t, model.Seq(s))
+	m.Check(t, model.Seq(wavelettrie.NewAppendOnlyFrom(seq)))
 	data, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -84,45 +60,7 @@ func TestDifferentialVsAppendOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffSequences(t, seq, map[string]seqstore.Sequence{"export": frozen}, oracle)
-}
-
-func diffSequences(t *testing.T, seq []string, stores map[string]seqstore.Sequence, oracle *flat.Store) {
-	t.Helper()
-	probes := append([]string(nil), seq[:8]...)
-	probes = append(probes, "absent", "host")
-	for name, st := range stores {
-		if st.Len() != oracle.Len() {
-			t.Fatalf("%s: Len = %d, want %d", name, st.Len(), oracle.Len())
-		}
-		for pos := 0; pos < oracle.Len(); pos += 3 {
-			if g, w := st.Access(pos), oracle.Access(pos); g != w {
-				t.Fatalf("%s: Access(%d) = %q, want %q", name, pos, g, w)
-			}
-		}
-		for _, s := range probes {
-			for _, pos := range []int{0, 1, 99, 100, 250, oracle.Len()} {
-				if g, w := st.Rank(s, pos), oracle.Rank(s, pos); g != w {
-					t.Fatalf("%s: Rank(%q,%d) = %d, want %d", name, s, pos, g, w)
-				}
-				if g, w := st.RankPrefix(s, pos), oracle.RankPrefix(s, pos); g != w {
-					t.Fatalf("%s: RankPrefix(%q,%d) = %d, want %d", name, s, pos, g, w)
-				}
-			}
-			for _, idx := range []int{0, 1, 5, 50} {
-				gp, gok := st.Select(s, idx)
-				wp, wok := oracle.Select(s, idx)
-				if gok != wok || (gok && gp != wp) {
-					t.Fatalf("%s: Select(%q,%d) = %d,%v want %d,%v", name, s, idx, gp, gok, wp, wok)
-				}
-				gp, gok = st.SelectPrefix(s, idx)
-				wp, wok = oracle.SelectPrefix(s, idx)
-				if gok != wok || (gok && gp != wp) {
-					t.Fatalf("%s: SelectPrefix(%q,%d) = %d,%v want %d,%v", name, s, idx, gp, gok, wp, wok)
-				}
-			}
-		}
-	}
+	m.Check(t, model.Seq(frozen))
 }
 
 // TestAutoFlushAndCompaction drives the background flusher/compactor
@@ -135,6 +73,7 @@ func TestAutoFlushAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	for _, v := range seq {
 		if err := s.Append(v); err != nil {
 			t.Fatal(err)
@@ -150,69 +89,42 @@ func TestAutoFlushAndCompaction(t *testing.T) {
 	if got := len(s.Generations()); got != 1 {
 		t.Fatalf("generations = %d, want 1", got)
 	}
-	oracle := flat.FromSlice(seq)
-	diffSequences(t, seq, map[string]seqstore.Sequence{"store": s}, oracle)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	store.CheckModel(t, s.Snapshot(), seq, nil)
 }
 
 // TestSnapshotIsolation: a snapshot taken mid-stream keeps answering for
 // its prefix while appends, a flush and a compaction rewrite the store
-// underneath it.
+// underneath it — on a flat store and on three shards.
 func TestSnapshotIsolation(t *testing.T) {
-	dir := t.TempDir()
-	seq := workload.URLLog(600, 23, workload.DefaultURLConfig())
-	s, err := store.Open(dir, &store.Options{FlushThreshold: 1 << 20, DisableAutoFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	for _, v := range seq[:150] {
-		if err := s.Append(v); err != nil {
+	seq := workload.URLLog(900, 23, workload.DefaultURLConfig())
+	for _, shards := range []int{0, 3} {
+		s, err := store.OpenSharded(t.TempDir(), &store.ShardedOptions{Shards: shards,
+			Store: store.Options{FlushThreshold: 1 << 20, DisableAutoFlush: true}})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range seq[150:250] {
-		if err := s.Append(v); err != nil {
+		defer s.Close()
+		if err := s.AppendBatch(seq[:150]); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	snap := s.Snapshot()
-	if snap.Len() != 250 {
-		t.Fatalf("snapshot Len = %d, want 250", snap.Len())
-	}
-	probe := seq[0]
-	wantRank := snap.Rank(probe, 250)
-
-	// Mutate heavily after the snapshot.
-	for _, v := range seq[250:] {
-		if err := s.Append(v); err != nil {
+		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-
-	if snap.Len() != 250 {
-		t.Fatalf("snapshot Len drifted to %d", snap.Len())
-	}
-	oracle := flat.FromSlice(seq[:250])
-	diffSequences(t, seq[:250], map[string]seqstore.Sequence{"snapshot": snap}, oracle)
-	if got := snap.Rank(probe, 250); got != wantRank {
-		t.Fatalf("snapshot Rank drifted: %d -> %d", wantRank, got)
-	}
-	// The store itself sees everything.
-	if s.Len() != len(seq) {
-		t.Fatalf("store Len = %d, want %d", s.Len(), len(seq))
+		if err := s.AppendBatch(seq[150:300]); err != nil {
+			t.Fatal(err)
+		}
+		snap := s.Snapshot()
+		snap.AlphabetSize() // derived at its first call, exact while nothing is appended
+		if err := s.AppendBatch(seq[300:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		store.CheckModel(t, snap, seq[:300], nil)
+		store.CheckModel(t, s.Snapshot(), seq, nil)
 	}
 }

@@ -7,118 +7,37 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
-// TestSnapshotIterateMatchesAccess diffs Iterate/Slice — the empty
-// prefix's page — against the sequence and per-position Access, flat and
-// over 2 and 3 shards, each store three flushed generations a shard and a
-// live memtable tail that crosses a router chunk boundary, so pages read
-// frozen router chunks and the unfrozen router tail alike: the whole view,
-// subranges that start at 63, 64 and 65 (either side of a page's first
-// run) and cross a 4 096-position window, subranges across segment and
-// chunk boundaries, and early stops inside the memtable and, sharded, just
-// past a shard switch on the frozen chunks and on the tail.
+// TestSnapshotIterateMatchesAccess holds Iterate/Slice — the empty
+// prefix's page — and the rest of the model's surface to the model, flat
+// and over 2 and 3 shards, each store three flushed generations a shard
+// and a live memtable tail that crosses a router chunk boundary, so pages
+// read frozen router chunks and the unfrozen router tail alike.
 func TestSnapshotIterateMatchesAccess(t *testing.T) {
 	const n = 3*routerChunkLen + 500
 	seq := workload.URLLog(n, 17, workload.DefaultURLConfig())
-	flushAt := []int{4000, 8000, 12000} // the memtable holds [12000, n), across 3·4096
-	for _, shards := range []int{0, 2, 3} {
-		name := fmt.Sprintf("%d shards", shards)
-		var s *Store
-		if shards == 0 {
-			name, s = "flat", mustOpen(t, t.TempDir(), testOpts())
-		} else {
-			var err error
-			if s, err = OpenSharded(t.TempDir(), &ShardedOptions{Shards: shards, Store: *testOpts()}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		lo := 0
-		for _, hi := range append(flushAt, n) {
-			if err := s.AppendBatch(seq[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-			if hi < n {
-				if err := s.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			lo = hi
-		}
-		sn := s.Snapshot()
+	for _, l := range []ModelLayout{{Name: "flat"}, {Name: "2 shards", Shards: 2}, {Name: "3 shards", Shards: 3}} {
+		sys, m := l.Open(t), model.New()
+		// The memtable holds [12000, n), across 3·4096.
+		model.Apply(t, sys, m, model.Flushed(seq, nil, 4000, 8000, 12000)...)
+		sn := sys.(*modelStore).s.Snapshot()
 		for i, sh := range sn.shards {
 			if segs := len(sh.segs); segs != 4 { // 3 gens + live memtable view
-				t.Fatalf("%s: shard %d has %d segments, want 4", name, i, segs)
+				t.Fatalf("%s: shard %d has %d segments, want 4", l.Name, i, segs)
 			}
 		}
 		if sn.r != nil {
 			if ri := sn.r.info(); ri.FrozenChunks != 3 || ri.TailChunks != 1 {
-				t.Fatalf("%s: router has %d frozen and %d tail chunks, want 3 and 1", name, ri.FrozenChunks, ri.TailChunks)
+				t.Fatalf("%s: router has %d frozen and %d tail chunks, want 3 and 1", l.Name, ri.FrozenChunks, ri.TailChunks)
 			}
 		}
-
-		count := 0
-		sn.Iterate(0, sn.Len(), func(pos int, v string) bool {
-			if pos != count {
-				t.Fatalf("%s: Iterate positions out of order: %d, want %d", name, pos, count)
-			}
-			if v != seq[pos] {
-				t.Fatalf("%s: Iterate(%d) = %q, want %q", name, pos, v, seq[pos])
-			}
-			if pos%97 == 0 || pos >= flushAt[2] && pos%7 == 0 {
-				if want := sn.Access(pos); v != want {
-					t.Fatalf("%s: Iterate(%d) = %q, Access says %q", name, pos, v, want)
-				}
-			}
-			count++
-			return true
-		})
-		if count != n {
-			t.Fatalf("%s: iterated %d of %d", name, count, n)
+		if err := sys.Check(m); err != nil {
+			t.Fatal(err)
 		}
-
-		for _, lr := range [][2]int{{0, 0}, {63, 4200}, {64, 8300}, {65, 12500}, {3990, 4010},
-			{7999, 8001}, {12000, 12001}, {12200, 12400}, {12287, 12289}, {n - 1, n}, {0, n}} {
-			got := sn.Slice(lr[0], lr[1])
-			if len(got) != lr[1]-lr[0] {
-				t.Fatalf("%s: Slice(%d,%d) returned %d elements", name, lr[0], lr[1], len(got))
-			}
-			for i, v := range got {
-				if want := seq[lr[0]+i]; v != want {
-					t.Fatalf("%s: Slice(%d,%d)[%d] = %q, want %q", name, lr[0], lr[1], i, v, want)
-				}
-			}
-		}
-
-		// Early stops: mid-generation, across a generation boundary, inside
-		// the memtable either side of the chunk boundary, and — sharded —
-		// at the first position past a shard switch.
-		stops := [][2]int{{0, 1}, {3900, 4100}, {12010, 12100}, {12100, 12350}}
-		if sn.r != nil {
-			for _, from := range []int{5000, 12300} {
-				g := from + 1
-				for sn.r.at(uint64(g)) == sn.r.at(uint64(g-1)) {
-					g++
-				}
-				stops = append(stops, [2]int{from, g})
-			}
-		}
-		for _, st := range stops {
-			from, last := st[0], st[1]
-			next := from
-			sn.Iterate(from, n, func(pos int, v string) bool {
-				if pos != next || v != seq[pos] {
-					t.Fatalf("%s: Iterate(%d,%d) yields (%d,%q), want (%d,%q)", name, from, n, pos, v, next, seq[next])
-				}
-				next++
-				return pos < last
-			})
-			if next != last+1 {
-				t.Fatalf("%s: Iterate(%d,%d) told to stop at %d ended at %d", name, from, n, last, next-1)
-			}
-		}
-		if err := s.Close(); err != nil {
+		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,21 +154,7 @@ loop:
 
 	// Everything is intact and ordered: big prefix, then the tail.
 	want := append(append([]string(nil), big...), extra...)
-	if s.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
-	}
-	sn := s.Snapshot()
-	for i := 0; i < len(want); i += 997 {
-		if g := sn.Access(i); g != want[i] {
-			t.Fatalf("Access(%d) = %q, want %q", i, g, want[i])
-		}
-	}
-	for i, v := range extra {
-		pos, ok := sn.Select(v, 0)
-		if !ok || pos != len(big)+i {
-			t.Fatalf("Select(%q) = %d,%v want %d", v, pos, ok, len(big)+i)
-		}
-	}
+	CheckModel(t, s.Snapshot(), want, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

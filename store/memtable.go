@@ -263,9 +263,11 @@ func (c *memCursor) mark() int { return c.cur }
 
 // values decodes the values at the positions ms in chunks of at most
 // memChunk, each under one read-lock acquisition, and hands a chunk's
-// values to fn with the lock released. Each value is a point read: on the
-// pointer trie a sequential enumeration of a run of positions costs more
-// a value than Access does, at any run length. A position below the
+// values to fn with the lock released. Each value is a point read: for
+// the runs a memtable page asks for — at most 256 positions, in a trie no
+// larger than the flush threshold — Access costs less a value than a
+// sequential enumeration of the run on the pointer trie does (which wins
+// only on long runs, wtbench q5). A position below the
 // view's clamp is immutable, so chunks may re-enter the trie while
 // appends go on.
 func (c *memCursor) values(ms []int, fn func(k int, v []byte)) {

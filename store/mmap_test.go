@@ -178,7 +178,6 @@ func TestMmapHeapDifferential(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	probes := []string{seq[0], seq[3], "no-such-value"}
 
 	s = mustOpen(t, dir, testOpts())
 	defer s.Close()
@@ -187,11 +186,7 @@ func TestMmapHeapDifferential(t *testing.T) {
 			t.Fatalf("generation %d: Mmapped=%v, FileBytes=%d", g.ID, g.Mmapped, g.FileBytes)
 		}
 	}
-	checkColumns(t, s.Snapshot(), seq, rows)
-	var mapped []int
-	for _, v := range probes {
-		mapped = append(mapped, s.Count(v))
-	}
+	CheckModel(t, s.Snapshot(), seq, rows)
 
 	gens, bufs, err := heapGenerations(dir)
 	if err != nil {
@@ -212,12 +207,7 @@ func TestMmapHeapDifferential(t *testing.T) {
 			t.Fatalf("heap generation %d: Mmapped=%v, ResidentBytes=%d", g.ID, g.Mmapped, g.ResidentBytes)
 		}
 	}
-	checkColumns(t, s.Snapshot(), seq, rows)
-	for i, v := range probes {
-		if got := s.Count(v); got != mapped[i] {
-			t.Fatalf("Count(%q): mmap %d vs heap %d", v, mapped[i], got)
-		}
-	}
+	CheckModel(t, s.Snapshot(), seq, rows)
 }
 
 // TestTornGenerationFailsOpen simulates a torn write / partial page
@@ -307,7 +297,7 @@ func TestSnapshotSurvivesCompactionOfMappedGens(t *testing.T) {
 			t.Fatalf("post-compaction snapshot Access(%d) = %q, want %q", i, g, seq[i])
 		}
 	}
-	checkSeq(t, s, seq)
+	CheckModel(t, s.Snapshot(), seq, nil)
 }
 
 // TestQueryInFlightHoldsMappedGen: a query that is still running when the

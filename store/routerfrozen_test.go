@@ -6,10 +6,11 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // routerModel is the plain-slice oracle for the router: shard id per
@@ -243,13 +244,11 @@ func roundRobinModel(n, shards int) routerModel {
 	return m
 }
 
-// TestShardedIteratePrefixDifferential proves the k-way SelectPrefix /
-// IteratePrefix merge answers exactly like the old global binary search
-// and the flat scan, across random flush points (mixed frozen
-// generations + memtables per shard), dense and absent prefixes, and
-// resume offsets straddling router chunk boundaries.
+// TestShardedIteratePrefixDifferential holds the k-way SelectPrefix /
+// IteratePrefix merge to the model across random flush points (mixed
+// frozen generations + memtables per shard), dense and absent prefixes,
+// and resume offsets either side of router chunk boundaries.
 func TestShardedIteratePrefixDifferential(t *testing.T) {
-	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(99))
 	const n = 11000
 	hosts := []string{"api/v1/", "api/v2/", "web/", "img/", "a"}
@@ -257,10 +256,7 @@ func TestShardedIteratePrefixDifferential(t *testing.T) {
 	for i := range vals {
 		vals[i] = fmt.Sprintf("%s%d", hosts[rng.Intn(len(hosts))], rng.Intn(400))
 	}
-	ss, err := OpenSharded(dir, &ShardedOptions{
-		Shards: 4,
-		Store:  Options{FlushThreshold: 1 << 20, DisableAutoFlush: true},
-	})
+	ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: 4, Store: *testOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,132 +271,19 @@ func TestShardedIteratePrefixDifferential(t *testing.T) {
 			}
 		}
 	}
-	sn := ss.Snapshot()
-
-	// The pre-merge SelectPrefix, reimplemented on the public surface:
-	// binary search over the monotone RankPrefix.
-	binsearch := func(p string, idx int) (int, bool) {
-		if idx < 0 || idx >= sn.CountPrefix(p) {
-			return 0, false
-		}
-		lo, hi := 0, sn.Len()+1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if sn.RankPrefix(p, mid) > idx {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo - 1, true
-	}
-
-	for _, p := range []string{"api/", "api/v2/", "web/", "a", "", "img/7", "zzz", "api/v9/"} {
-		var want []int
-		for pos, v := range vals {
-			if strings.HasPrefix(v, p) {
-				want = append(want, pos)
-			}
-		}
-		var got []int
-		sn.IteratePrefix(p, 0, func(idx, pos int) bool {
-			if idx != len(got) {
-				t.Fatalf("p=%q: yielded idx %d at element %d", p, idx, len(got))
-			}
-			got = append(got, pos)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("p=%q: IteratePrefix yielded %d matches, want %d", p, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%q: match %d at %d, want %d", p, i, got[i], want[i])
-			}
-		}
-		// Resume offsets, including past-the-end and boundary straddles.
-		froms := []int{1, len(want) / 2, len(want) - 1, len(want), len(want) + 7}
-		for i := 0; i < 4; i++ {
-			froms = append(froms, rng.Intn(len(want)+2))
-		}
-		for _, from := range froms {
-			if from < 0 {
-				continue
-			}
-			k := from
-			sn.IteratePrefix(p, from, func(idx, pos int) bool {
-				if idx != k || pos != want[k] {
-					t.Fatalf("p=%q from=%d: yield (%d,%d), want (%d,%d)", p, from, idx, pos, k, want[k])
-				}
-				k++
-				return true
-			})
-			if wantEnd := max(from, len(want)); k != wantEnd && from <= len(want) {
-				t.Fatalf("p=%q from=%d: stream ended at %d, want %d", p, from, k, len(want))
-			}
-		}
-		// Early stop is honored.
-		calls := 0
-		sn.IteratePrefix(p, 0, func(int, int) bool { calls++; return calls < 3 })
-		if want := min(3, len(want)); calls != want {
-			t.Fatalf("p=%q: early-stopped after %d calls, want %d", p, calls, want)
-		}
-		// SelectPrefix == binary-search baseline at sampled indexes.
-		for _, idx := range []int{-1, 0, 1, len(want) / 2, len(want) - 1, len(want), len(want) + 3} {
-			gp, gok := sn.SelectPrefix(p, idx)
-			wp, wok := binsearch(p, idx)
-			if gok != wok || (gok && gp != wp) {
-				t.Fatalf("p=%q: SelectPrefix(%d) = %d,%v, binsearch says %d,%v", p, idx, gp, gok, wp, wok)
-			}
-		}
-	}
+	CheckModel(t, ss.Snapshot(), vals, nil)
 }
 
-// TestStoreIteratePrefix covers the plain (unsharded) segment-walk
-// implementation against a flat scan, across flush-split segments and
-// a resume offset inside each segment.
+// TestStoreIteratePrefix holds the plain (unsharded) segment walk to the
+// model across flush-split segments, through the store's own methods.
 func TestStoreIteratePrefix(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, &Options{FlushThreshold: 1 << 20, DisableAutoFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, t.TempDir(), testOpts())
 	defer s.Close()
 	rng := rand.New(rand.NewSource(5))
-	const n = 4000
-	vals := make([]string, n)
+	vals := make([]string, 4000)
 	for i := range vals {
 		vals[i] = fmt.Sprintf("p%d/%d", rng.Intn(3), i)
 	}
-	for i, v := range vals {
-		if err := s.Append(v); err != nil {
-			t.Fatal(err)
-		}
-		if i == n/3 || i == 2*n/3 {
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, p := range []string{"p0/", "p1/", "", "p9", "p2/1"} {
-		var want []int
-		for pos, v := range vals {
-			if strings.HasPrefix(v, p) {
-				want = append(want, pos)
-			}
-		}
-		for _, from := range []int{0, 1, len(want) / 2, len(want)} {
-			k := from
-			s.IteratePrefix(p, from, func(idx, pos int) bool {
-				if k >= len(want) || idx != k || pos != want[k] {
-					t.Fatalf("p=%q from=%d: yield (%d,%d), want (%d,%v)", p, from, idx, pos, k, want)
-				}
-				k++
-				return true
-			})
-			if k != max(from, len(want)) {
-				t.Fatalf("p=%q from=%d: ended at %d, want %d", p, from, k, len(want))
-			}
-		}
-	}
+	model.Apply(t, &modelStore{t: t, s: s}, model.New(), model.Flushed(vals, nil, len(vals)/3, 2*len(vals)/3)...)
+	modelOf(s.Snapshot(), vals, nil).Check(t, storeReader{snapReader{s.Snapshot()}, s})
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // These crash simulations are white-box: they drive a single shard's
@@ -22,52 +24,8 @@ func shardedCrashOpts() *ShardedOptions {
 // point-in-time copy of whatever has reached the filesystem.
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
-	if err := os.MkdirAll(dst, 0o755); err != nil {
+	if err := model.CopyDir(src, dst); err != nil {
 		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			copyTree(t, filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// checkShardedSeq verifies the whole visible sequence, per-value counts
-// and the distinct count against want.
-func checkShardedSeq(t *testing.T, ss *Store, want []string) {
-	t.Helper()
-	if ss.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", ss.Len(), len(want))
-	}
-	snap := ss.Snapshot()
-	for i, w := range want {
-		if g := snap.Access(i); g != w {
-			t.Fatalf("Access(%d) = %q, want %q", i, g, w)
-		}
-	}
-	counts := map[string]int{}
-	for _, w := range want {
-		counts[w]++
-	}
-	for v, c := range counts {
-		if g := snap.Count(v); g != c {
-			t.Fatalf("Count(%q) = %d, want %d", v, g, c)
-		}
-	}
-	if g := snap.AlphabetSize(); g != len(counts) {
-		t.Fatalf("AlphabetSize = %d, want %d", g, len(counts))
 	}
 }
 
@@ -124,7 +82,7 @@ func TestShardedCrashPartialFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	checkShardedSeq(t, re, seq)
+	CheckModel(t, re.Snapshot(), seq, nil)
 	// Appending resumes across both shards.
 	if err := re.Append("post/crash"); err != nil {
 		t.Fatal(err)
@@ -195,7 +153,7 @@ func TestShardedCrashTornShardWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShardedSeq(t, re, want)
+	CheckModel(t, re.Snapshot(), want, nil)
 
 	// Life goes on after a lossy recovery: the retained sequence
 	// numbers were renumbered to the compacted positions, so Flush (the
@@ -216,7 +174,7 @@ func TestShardedCrashTornShardWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	checkShardedSeq(t, re, append(append([]string(nil), want...), "post/loss"))
+	CheckModel(t, re.Snapshot(), append(append([]string(nil), want...), "post/loss"), nil)
 }
 
 // TestShardedCrashRouterStates: the ROUTER log is the only durable
@@ -265,7 +223,7 @@ func TestShardedCrashRouterStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShardedSeq(t, re, seq[:cut])
+	CheckModel(t, re.Snapshot(), seq[:cut], nil)
 	re.Close()
 
 	// A torn ROUTER tail: a crash can tear only a record the barrier has
@@ -302,7 +260,7 @@ func TestShardedCrashRouterStates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s record past the fsynced prefix: %v", name, err)
 		}
-		checkShardedSeq(t, re, seq)
+		CheckModel(t, re.Snapshot(), seq, nil)
 		re.Close()
 	}
 
@@ -429,7 +387,7 @@ func TestShardedRecoveryCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShardedSeq(t, ss, want)
+	CheckModel(t, ss.Snapshot(), want, nil)
 	if wals, _ := filepath.Glob(filepath.Join(shard0, "wal-*.log")); len(wals) != 1 {
 		t.Fatalf("recovery checkpoint: shard 0 holds WALs %v, want 1", wals)
 	}
@@ -445,7 +403,7 @@ func TestShardedRecoveryCheckpoint(t *testing.T) {
 	if got := len(ss.shards[0].generations()); got != 1 {
 		t.Fatalf("shard 0 generations after Compact = %d, want 1", got)
 	}
-	checkShardedSeq(t, ss, want)
+	CheckModel(t, ss.Snapshot(), want, nil)
 	ss.Close()
 
 	ss, err = OpenSharded(dir, opts)
@@ -453,7 +411,7 @@ func TestShardedRecoveryCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	checkShardedSeq(t, ss, want)
+	CheckModel(t, ss.Snapshot(), want, nil)
 }
 
 // TestShardedCloseAfterFailureReleasesLocks: Close must close every
@@ -484,7 +442,7 @@ func TestShardedCloseAfterFailureReleasesLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	checkShardedSeq(t, re, seq)
+	CheckModel(t, re.Snapshot(), seq, nil)
 }
 
 // TestShardedRouterLogFailurePoisons: once a ROUTER append/commit
@@ -516,7 +474,7 @@ func TestShardedRouterLogFailurePoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	checkShardedSeq(t, re, seq)
+	CheckModel(t, re.Snapshot(), seq, nil)
 }
 
 // newestWAL returns the path of the highest-numbered WAL in dir.

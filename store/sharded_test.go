@@ -12,16 +12,11 @@ import (
 	"testing"
 
 	wavelettrie "repro"
-	"repro/internal/seqstore"
-	"repro/internal/seqstore/flat"
+	"repro/internal/model"
 	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/store"
 )
-
-// The sharded store serves the same shared query surface as everything
-// else in the repo (its view is the one store.Snapshot).
-var _ seqstore.Sequence = (*store.Store)(nil)
 
 func mustOpenSharded(t *testing.T, dir string, opts *store.ShardedOptions) *store.Store {
 	t.Helper()
@@ -32,54 +27,11 @@ func mustOpenSharded(t *testing.T, dir string, opts *store.ShardedOptions) *stor
 	return ss
 }
 
-// diffSharded compares a sharded store (or snapshot) against the
-// flat-scan oracle across the full primitive surface, on sampled
-// positions and probes plus the streamed sequence.
-func diffSharded(t *testing.T, name string, st seqstore.Sequence, oracle *flat.Store, probes []string) {
-	t.Helper()
-	n := oracle.Len()
-	if st.Len() != n {
-		t.Fatalf("%s: Len = %d, want %d", name, st.Len(), n)
-	}
-	step := 1 + n/256
-	for pos := 0; pos < n; pos += step {
-		if g, w := st.Access(pos), oracle.Access(pos); g != w {
-			t.Fatalf("%s: Access(%d) = %q, want %q", name, pos, g, w)
-		}
-	}
-	cuts := []int{0, 1, n / 3, n / 2, n - 1, n}
-	for _, s := range probes {
-		for _, pos := range cuts {
-			if pos < 0 {
-				continue
-			}
-			if g, w := st.Rank(s, pos), oracle.Rank(s, pos); g != w {
-				t.Fatalf("%s: Rank(%q,%d) = %d, want %d", name, s, pos, g, w)
-			}
-			if g, w := st.RankPrefix(s, pos), oracle.RankPrefix(s, pos); g != w {
-				t.Fatalf("%s: RankPrefix(%q,%d) = %d, want %d", name, s, pos, g, w)
-			}
-		}
-		for _, idx := range []int{0, 1, 7, 100, 5000} {
-			gp, gok := st.Select(s, idx)
-			wp, wok := oracle.Select(s, idx)
-			if gok != wok || (gok && gp != wp) {
-				t.Fatalf("%s: Select(%q,%d) = %d,%v want %d,%v", name, s, idx, gp, gok, wp, wok)
-			}
-			gp, gok = st.SelectPrefix(s, idx)
-			wp, wok = oracle.SelectPrefix(s, idx)
-			if gok != wok || (gok && gp != wp) {
-				t.Fatalf("%s: SelectPrefix(%q,%d) = %d,%v want %d,%v", name, s, idx, gp, gok, wp, wok)
-			}
-		}
-	}
-}
-
 // TestShardedDifferentialVsFlatOracle is the ISSUE acceptance contract:
 // a sharded store — through randomized interleaved appends, per-shard
 // flushes, compactions, a clean reopen and a crash-style reopen — serves
-// answers identical to the flat single-sequence oracle over the same
-// interleaved sequence.
+// the model's answers over the same interleaved sequence, and so does
+// its export.
 func TestShardedDifferentialVsFlatOracle(t *testing.T) {
 	dir := t.TempDir()
 	const n = 12000
@@ -114,32 +66,9 @@ func TestShardedDifferentialVsFlatOracle(t *testing.T) {
 		}
 	}
 
-	oracle := flat.FromSlice(urls)
-	probes := append([]string(nil), urls[:6]...)
-	probes = append(probes, "absent", "host", "k1", "")
-	diffSharded(t, "live", ss, oracle, probes)
-	snap := ss.Snapshot()
-	diffSharded(t, "snapshot", snap, oracle, probes)
-
-	// Iterate agrees with the oracle order.
-	i := n / 5
-	snap.Iterate(n/5, n/5+777, func(pos int, s string) bool {
-		if pos != i {
-			t.Fatalf("Iterate pos = %d, want %d", pos, i)
-		}
-		if w := urls[pos]; s != w {
-			t.Fatalf("Iterate(%d) = %q, want %q", pos, s, w)
-		}
-		i++
-		return true
-	})
-	if i != n/5+777 {
-		t.Fatalf("Iterate stopped at %d", i)
-	}
-
-	if g, w := ss.AlphabetSize(), wavelettrie.NewAppendOnlyFrom(urls).AlphabetSize(); g != w {
-		t.Fatalf("AlphabetSize = %d, want %d", g, w)
-	}
+	m := model.FromSlice(urls, nil)
+	m.Check(t, store.ModelReader(ss.Snapshot()))
+	m.Check(t, model.Seq(ss))
 
 	// Crash-and-reopen at full scale: a point-in-time copy of the live
 	// directory tree is exactly what a kill leaves behind (no fsyncs are
@@ -147,12 +76,11 @@ func TestShardedDifferentialVsFlatOracle(t *testing.T) {
 	// flush barrier, so the tail's interleave must come back from the
 	// WAL sequence headers.
 	crashDir := t.TempDir()
-	copyDir(t, dir, crashDir)
-	crashed, err := store.OpenSharded(crashDir, nil)
-	if err != nil {
+	if err := model.CopyDir(dir, crashDir); err != nil {
 		t.Fatal(err)
 	}
-	diffSharded(t, "crash-reopened", crashed, oracle, probes)
+	crashed := mustOpenSharded(t, crashDir, nil)
+	m.Check(t, store.ModelReader(crashed.Snapshot()))
 	if err := crashed.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +91,8 @@ func TestShardedDifferentialVsFlatOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss = mustOpenSharded(t, dir, nil) // Shards: 0 adopts the manifest count
-	diffSharded(t, "reopened", ss, oracle, probes)
+	defer ss.Close()
+	m.Check(t, store.ModelReader(ss.Snapshot()))
 
 	// The export snapshot is a loadable Frozen with the same answers.
 	data, err := ss.MarshalBinary()
@@ -174,10 +103,7 @@ func TestShardedDifferentialVsFlatOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffSharded(t, "export", frozen, oracle, probes)
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
+	m.Check(t, model.Seq(frozen))
 }
 
 // TestShardedConcurrentAppends: appends fan out from several writers;
@@ -239,95 +165,29 @@ func TestShardedConcurrentAppends(t *testing.T) {
 		return
 	}
 
-	if got := ss.Len(); got != writers*per {
-		t.Fatalf("Len = %d, want %d", got, writers*per)
-	}
-	snap := ss.Snapshot()
-	for w := 0; w < writers; w++ {
-		prefix := fmt.Sprintf("writer%02d/", w)
-		if got := snap.CountPrefix(prefix); got != per {
-			t.Fatalf("CountPrefix(%q) = %d, want %d", prefix, got, per)
-		}
-	}
 	// Program order per writer: the k-th item of writer w precedes its
-	// (k+1)-th in the global sequence.
+	// (k+1)-th in the global sequence, and the store — live and reopened —
+	// answers as the model of that sequence.
+	snap := ss.Snapshot()
+	seq := snap.Slice(0, snap.Len())
 	last := make([]int, writers)
-	snap.Iterate(0, snap.Len(), func(pos int, s string) bool {
+	for pos, s := range seq {
 		var w, i int
-		if _, err := fmt.Sscanf(s, "writer%02d/item%04d", &w, &i); err != nil {
-			t.Fatalf("unexpected value %q", s)
-		}
-		if i != last[w] {
-			t.Fatalf("writer %d item %d surfaced at position %d, want item %d next", w, i, pos, last[w])
+		if _, err := fmt.Sscanf(s, "writer%02d/item%04d", &w, &i); err != nil || i != last[w] {
+			t.Fatalf("%q surfaced at position %d out of its writer's order", s, pos)
 		}
 		last[w]++
-		return true
-	})
+	}
+	if len(seq) != writers*per {
+		t.Fatalf("Len = %d, want %d", len(seq), writers*per)
+	}
+	store.CheckModel(t, snap, seq, nil)
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Reopen after the concurrent run and re-verify the counts.
 	ss = mustOpenSharded(t, dir, nil)
 	defer ss.Close()
-	if got := ss.Len(); got != writers*per {
-		t.Fatalf("reopened Len = %d, want %d", got, writers*per)
-	}
-	for w := 0; w < writers; w++ {
-		prefix := fmt.Sprintf("writer%02d/", w)
-		if got := ss.CountPrefix(prefix); got != per {
-			t.Fatalf("reopened CountPrefix(%q) = %d, want %d", prefix, got, per)
-		}
-	}
-}
-
-// TestShardedViewIsolation: a cross-shard snapshot keeps answering
-// for its pinned watermark while appends, flushes and compactions
-// rewrite every shard underneath it.
-func TestShardedViewIsolation(t *testing.T) {
-	dir := t.TempDir()
-	seq := workload.URLLog(900, 31, workload.DefaultURLConfig())
-	ss := mustOpenSharded(t, dir, &store.ShardedOptions{
-		Shards: 3,
-		Store:  store.Options{FlushThreshold: 1 << 20, DisableAutoFlush: true},
-	})
-	defer ss.Close()
-
-	for _, v := range seq[:300] {
-		if err := ss.Append(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := ss.Snapshot()
-	if snap.Len() != 300 {
-		t.Fatalf("snapshot Len = %d, want 300", snap.Len())
-	}
-	probe := seq[0]
-	wantRank := snap.Rank(probe, 300)
-
-	for _, v := range seq[300:] {
-		if err := ss.Append(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ss.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Compact(); err != nil {
-		t.Fatal(err)
-	}
-
-	if snap.Len() != 300 {
-		t.Fatalf("snapshot Len drifted to %d", snap.Len())
-	}
-	oracle := flat.FromSlice(seq[:300])
-	diffSharded(t, "pinned", snap, oracle, append([]string(nil), seq[:4]...))
-	if got := snap.Rank(probe, 300); got != wantRank {
-		t.Fatalf("snapshot Rank drifted: %d -> %d", wantRank, got)
-	}
-	if ss.Len() != len(seq) {
-		t.Fatalf("store Len = %d, want %d", ss.Len(), len(seq))
-	}
+	store.CheckModel(t, ss.Snapshot(), seq, nil)
 }
 
 // TestShardedOpenValidation: the SHARDS manifest pins shard count and
@@ -477,32 +337,6 @@ func TestFreshOpenIsFlat(t *testing.T) {
 	for _, name := range viaOpen {
 		if name == "SHARDS" || name == "ROUTER" || strings.HasPrefix(name, "shard-") {
 			t.Fatalf("a fresh flat store wrote %s (files %v)", name, viaOpen)
-		}
-	}
-}
-
-// copyDir snapshots a live store tree — the crash image.
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		s, d := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
-		if e.IsDir() {
-			copyDir(t, s, d)
-			continue
-		}
-		data, err := os.ReadFile(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(d, data, 0o644); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

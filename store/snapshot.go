@@ -741,7 +741,7 @@ func (sn *Snapshot) CountWhere(prefix string, preds ...Pred) (int, error) {
 // arithmetic (the predicate intersection has no precomputed counts), so
 // resuming at from costs a walk over the earlier matches' candidates.
 func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(idx, pos int) bool) error {
-	if err := checkWhere(sn.schema, from, preds); err != nil {
+	if err := checkWhere("IterateWhere", sn.schema, from, preds); err != nil {
 		return err
 	}
 	sn.scan(newProbe(prefix, true), from, preds, fn)
@@ -760,7 +760,7 @@ func (sn *Snapshot) IterateWhere(prefix string, from int, preds []Pred, fn func(
 // no predicates it is the prefix's page with rows: the empty prefix's is
 // positions from, from+1, …, as a replication catch-up reads them.
 func (sn *Snapshot) ScanWhere(prefix string, from, max int, preds []Pred, fn func(idx, pos int, v []byte, row Row) bool) (more bool, err error) {
-	if err := checkWhere(sn.schema, from, preds); err != nil {
+	if err := checkWhere("ScanWhere", sn.schema, from, preds); err != nil {
 		return false, err
 	}
 	if max < 1 {
@@ -769,10 +769,11 @@ func (sn *Snapshot) ScanWhere(prefix string, from, max int, preds []Pred, fn fun
 	return sn.scanPage(newProbe(prefix, true), from, max, preds, true, fn), nil
 }
 
-// checkWhere vets a filtered scan's starting match and predicates.
-func checkWhere(schema []ColumnSpec, from int, preds []Pred) error {
+// checkWhere vets the starting match and predicates of op, a filtered
+// scan.
+func checkWhere(op string, schema []ColumnSpec, from int, preds []Pred) error {
 	if from < 0 {
-		return fmt.Errorf("store: IterateWhere from %d negative", from)
+		return fmt.Errorf("store: %s from %d negative", op, from)
 	}
 	return validatePreds(schema, preds)
 }

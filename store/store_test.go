@@ -12,6 +12,7 @@ import (
 
 	wavelettrie "repro"
 	"repro/internal/bitvec"
+	"repro/internal/model"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -38,121 +39,32 @@ func mustAppend(t *testing.T, s *Store, vs ...string) {
 	}
 }
 
-func checkSeq(t *testing.T, s *Store, want []string) {
-	t.Helper()
-	if s.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
-	}
-	distinct := map[string]bool{}
-	for i, w := range want {
-		if g := s.Access(i); g != w {
-			t.Fatalf("Access(%d) = %q, want %q", i, g, w)
-		}
-		distinct[w] = true
-	}
-	if g := s.AlphabetSize(); g != len(distinct) {
-		t.Fatalf("AlphabetSize = %d, want %d", g, len(distinct))
-	}
-}
-
 // compactEach merges every shard of s down to at most target
 // generations.
 func compactEach(s *Store, target int) error {
 	return s.each(func(sh *shard) error { return sh.compact(target) })
 }
 
+// TestLifecycleFlushCompactReopen runs two flushes, a compaction and a
+// reopen — the generation loads from disk, the memtable replays from the
+// WAL — and an append through the model's runner.
 func TestLifecycleFlushCompactReopen(t *testing.T) {
-	dir := t.TempDir()
 	seq := workload.URLLog(300, 3, workload.DefaultURLConfig())
-
-	s := mustOpen(t, dir, testOpts())
-	mustAppend(t, s, seq[:100]...)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, s, seq[100:200]...)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, s, seq[200:]...)
-	if got := len(s.Generations()); got != 2 {
-		t.Fatalf("generations = %d, want 2", got)
-	}
-	if got := s.MemLen(); got != 100 {
-		t.Fatalf("MemLen = %d, want 100", got)
-	}
-	checkSeq(t, s, seq)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Generations()); got != 1 {
-		t.Fatalf("generations after Compact = %d, want 1", got)
-	}
-	checkSeq(t, s, seq)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the generation loads from disk, the memtable replays from
-	// the WAL.
-	s2 := mustOpen(t, dir, testOpts())
-	defer s2.Close()
-	checkSeq(t, s2, seq)
-	if got := s2.MemLen(); got != 100 {
-		t.Fatalf("reopened MemLen = %d, want 100", got)
-	}
-	// And appending resumes.
-	mustAppend(t, s2, "tail/0")
-	if g := s2.Access(s2.Len() - 1); g != "tail/0" {
-		t.Fatalf("resumed append: got %q", g)
-	}
+	model.Run(t, nil, ModelLayout{Name: "flat"}.Open, append(model.Flushed(seq, nil, 100, 200),
+		model.Cmd{Op: model.OpCompact}, model.Cmd{Op: model.OpReopen}, model.Cmd{Op: model.OpAppend, Vals: []string{"tail/0"}}))
 }
 
+// TestEmptyStore holds an empty store to the model, flushed and
+// reopened.
 func TestEmptyStore(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testOpts())
-	if s.Len() != 0 || s.AlphabetSize() != 0 {
-		t.Fatalf("empty store: Len=%d alphabet=%d", s.Len(), s.AlphabetSize())
-	}
-	if s.Count("x") != 0 || s.CountPrefix("x") != 0 || s.Rank("x", 0) != 0 {
-		t.Fatal("empty store: nonzero counts")
-	}
-	if _, ok := s.Select("x", 0); ok {
-		t.Fatal("empty store: Select found something")
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir, testOpts())
-	defer s2.Close()
-	if s2.Len() != 0 {
-		t.Fatalf("reopened empty store: Len=%d", s2.Len())
-	}
+	model.Run(t, nil, ModelLayout{Name: "flat"}.Open, []model.Cmd{{Op: model.OpFlush}, {Op: model.OpReopen}})
 }
 
+// TestAlphabetSizeSurvivesFlushAndReopen holds the distinct count, with
+// the rest, to the model over a flush and a reopen.
 func TestAlphabetSizeSurvivesFlushAndReopen(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testOpts())
-	mustAppend(t, s, "a", "b", "a", "c", "b", "a")
-	if got := s.AlphabetSize(); got != 3 {
-		t.Fatalf("alphabet = %d, want 3", got)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, s, "c", "d")
-	if got := s.AlphabetSize(); got != 4 {
-		t.Fatalf("alphabet after flush = %d, want 4", got)
-	}
-	s.Close()
-	s2 := mustOpen(t, dir, testOpts())
-	defer s2.Close()
-	if got := s2.AlphabetSize(); got != 4 {
-		t.Fatalf("alphabet after reopen = %d, want 4", got)
-	}
+	model.Run(t, nil, ModelLayout{Name: "flat"}.Open, append(
+		model.Flushed([]string{"a", "b", "a", "c", "b", "a", "c", "d"}, nil, 6), model.Cmd{Op: model.OpReopen}))
 }
 
 // walRecords parses the store's current WAL from disk.
@@ -210,13 +122,13 @@ func TestCrashTruncatedWAL(t *testing.T) {
 		for i, r := range wantRecs {
 			want[i], _, _, _ = walRecord(r)
 		}
-		checkSeq(t, s2, want)
+		CheckModel(t, s2.Snapshot(), want, nil)
 		// The torn tail must be gone: appends after recovery land on a
 		// clean offset and survive another reopen.
 		mustAppend(t, s2, "post/crash")
 		s2.Close()
 		s3 := mustOpen(t, dir, testOpts())
-		checkSeq(t, s3, append(want, "post/crash"))
+		CheckModel(t, s3.Snapshot(), append(want, "post/crash"), nil)
 		s3.Close()
 	}
 }
@@ -245,7 +157,7 @@ func TestCrashCorruptWALRecord(t *testing.T) {
 
 	s2 := mustOpen(t, dir, testOpts())
 	defer s2.Close()
-	checkSeq(t, s2, seq[:2])
+	CheckModel(t, s2.Snapshot(), seq[:2], nil)
 }
 
 // TestCrashManifestTmp: a crash mid-manifest-rewrite leaves MANIFEST.tmp
@@ -264,7 +176,7 @@ func TestCrashManifestTmp(t *testing.T) {
 	os.WriteFile(tmp, []byte("garbage from a crashed rewrite"), 0o644)
 	s2 := mustOpen(t, dir, testOpts())
 	defer s2.Close()
-	checkSeq(t, s2, seq)
+	CheckModel(t, s2.Snapshot(), seq, nil)
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("MANIFEST.tmp not cleaned up")
 	}
@@ -294,7 +206,7 @@ func TestCrashInterruptedFlush(t *testing.T) {
 
 	s2 := mustOpen(t, dir, testOpts())
 	want := append(append([]string(nil), old...), post...)
-	checkSeq(t, s2, want)
+	CheckModel(t, s2.Snapshot(), want, nil)
 	if got := len(s2.Generations()); got != 1 {
 		t.Fatalf("recovery checkpoint: generations = %d, want 1", got)
 	}
@@ -308,7 +220,7 @@ func TestCrashInterruptedFlush(t *testing.T) {
 	s2.Close()
 	s3 := mustOpen(t, dir, testOpts())
 	defer s3.Close()
-	checkSeq(t, s3, want)
+	CheckModel(t, s3.Snapshot(), want, nil)
 }
 
 // TestOpenErrors: unrecoverable corruption must error, never panic and
@@ -376,12 +288,12 @@ func TestCrashCorruptFlagByte(t *testing.T) {
 	w.close()
 
 	s2 := mustOpen(t, dir, testOpts())
-	checkSeq(t, s2, []string{"aaaa", "bbbb"})
+	CheckModel(t, s2.Snapshot(), []string{"aaaa", "bbbb"}, nil)
 	mustAppend(t, s2, "cccc")
 	s2.Close()
 	s3 := mustOpen(t, dir, testOpts())
 	defer s3.Close()
-	checkSeq(t, s3, []string{"aaaa", "bbbb", "cccc"})
+	CheckModel(t, s3.Snapshot(), []string{"aaaa", "bbbb", "cccc"}, nil)
 }
 
 // TestOrphanGenCleanup: generation files no manifest references (a crash
@@ -404,7 +316,7 @@ func TestOrphanGenCleanup(t *testing.T) {
 
 	s2 := mustOpen(t, dir, testOpts())
 	defer s2.Close()
-	checkSeq(t, s2, []string{"a", "b"})
+	CheckModel(t, s2.Snapshot(), []string{"a", "b"}, nil)
 	for _, path := range []string{orphan, tmp} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("orphan %s survived Open", path)
@@ -429,7 +341,7 @@ func TestDirectoryLock(t *testing.T) {
 	}
 	s2 := mustOpen(t, dir, testOpts())
 	defer s2.Close()
-	checkSeq(t, s2, []string{"a"})
+	CheckModel(t, s2.Snapshot(), []string{"a"}, nil)
 }
 
 func TestAppendAfterClose(t *testing.T) {
@@ -546,7 +458,7 @@ func TestCrashGenerationBeforeManifest(t *testing.T) {
 	}
 
 	s = mustOpen(t, dir, testOpts())
-	checkSeq(t, s, seq)
+	CheckModel(t, s.Snapshot(), seq, nil)
 	if c := s.Count("orphaned"); c != 0 {
 		t.Fatalf("orphan content leaked into answers: Count = %d", c)
 	}

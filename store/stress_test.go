@@ -126,42 +126,29 @@ func TestConcurrentAppendReadCompact(t *testing.T) {
 		t.FailNow()
 	}
 
-	verify := func(st interface {
-		Len() int
-		Count(string) int
-		Select(string, int) (int, bool)
-	}, label string) {
-		if st.Len() != writers*perWriter {
-			t.Fatalf("%s: Len = %d, want %d", label, st.Len(), writers*perWriter)
+	// The sequence is an interleaving of the writers' appends, each in
+	// its program order, and the store — live and reopened after the
+	// churn — answers as the model of it.
+	seq := s.Snapshot().Slice(0, s.Len())
+	next := make([]int, writers)
+	for pos, v := range seq {
+		var w, i int
+		if _, err := fmt.Sscanf(v, "w%d/%05d", &w, &i); err != nil || w >= writers || i != next[w] {
+			t.Fatalf("position %d holds %q out of its writer's order", pos, v)
 		}
-		for w := 0; w < writers; w++ {
-			prev := -1
-			for i := 0; i < perWriter; i += 7 {
-				v := fmt.Sprintf("w%d/%05d", w, i)
-				if c := st.Count(v); c != 1 {
-					t.Fatalf("%s: Count(%q) = %d, want 1", label, v, c)
-				}
-				pos, ok := st.Select(v, 0)
-				if !ok {
-					t.Fatalf("%s: Select(%q,0) not found", label, v)
-				}
-				if pos <= prev {
-					t.Fatalf("%s: writer %d order violated: %q at %d after %d", label, w, v, pos, prev)
-				}
-				prev = pos
-			}
-		}
+		next[w]++
 	}
-	verify(s, "live")
+	store.CheckModel(t, s.Snapshot(), seq, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Recovery after the churn agrees.
 	s2, err := store.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	verify(s2, "reopened")
+	store.CheckModel(t, s2.Snapshot(), seq, nil)
+	if len(seq) != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", len(seq), writers*perWriter)
+	}
 }

@@ -103,15 +103,6 @@ func TestSnapshotPinned(t *testing.T) {
 func TestSnapshotSeesAcknowledgedAppends(t *testing.T) {
 	const total = 10000
 	value := func(i int) string { return fmt.Sprintf("v/%05d", i) }
-	type view interface {
-		Len() int
-		Access(pos int) string
-	}
-	type raced interface {
-		Append(v string) error
-		Flush() error
-		Compact() error
-	}
 	s := mustOpen(t, t.TempDir(), testOpts())
 	ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: 2, Store: *testOpts()})
 	if err != nil {
@@ -119,13 +110,7 @@ func TestSnapshotSeesAcknowledgedAppends(t *testing.T) {
 	}
 	defer s.Close()
 	defer ss.Close()
-	for name, tc := range map[string]struct {
-		st       raced
-		snapshot func() view
-	}{
-		"plain":   {s, func() view { return s.Snapshot() }},
-		"sharded": {ss, func() view { return ss.Snapshot() }},
-	} {
+	for name, st := range map[string]*Store{"plain": s, "sharded": ss} {
 		t.Run(name, func(t *testing.T) {
 			var acked atomic.Int64
 			done := make(chan struct{})
@@ -141,7 +126,7 @@ func TestSnapshotSeesAcknowledgedAppends(t *testing.T) {
 						default:
 						}
 						seen := int(acked.Load())
-						sn := tc.snapshot()
+						sn := st.Snapshot()
 						n := sn.Len()
 						if n < seen {
 							t.Errorf("a view of %d elements after %d appends were acknowledged", n, seen)
@@ -165,12 +150,12 @@ func TestSnapshotSeesAcknowledgedAppends(t *testing.T) {
 						return
 					default:
 					}
-					if err := tc.st.Flush(); err != nil {
+					if err := st.Flush(); err != nil {
 						t.Error(err)
 						return
 					}
 					if i%4 == 3 {
-						if err := tc.st.Compact(); err != nil {
+						if err := st.Compact(); err != nil {
 							t.Error(err)
 							return
 						}
@@ -178,14 +163,14 @@ func TestSnapshotSeesAcknowledgedAppends(t *testing.T) {
 				}
 			}()
 			for i := 0; i < total && !t.Failed(); i++ {
-				if err := tc.st.Append(value(i)); err != nil {
+				if err := st.Append(value(i)); err != nil {
 					t.Fatal(err)
 				}
 				acked.Store(int64(i + 1))
 			}
 			close(done)
 			wg.Wait()
-			if sn := tc.snapshot(); sn.Len() != total {
+			if sn := st.Snapshot(); sn.Len() != total {
 				t.Fatalf("final view holds %d, want %d", sn.Len(), total)
 			}
 		})

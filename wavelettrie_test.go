@@ -308,7 +308,8 @@ func TestNumericPublic(t *testing.T) {
 }
 
 // TestAppendOnlyEnumerateAllocations guards the pointer trie's streaming
-// read path — the memtable's scans go through it: Enumerate decodes every
+// read path — §5's sequential access, which wtbench q5 reproduces:
+// Enumerate decodes every
 // element through one scratch builder into the string it hands out, and
 // keeps its node cursors in slab chunks of 32 — never a builder and a copy
 // of the bits per element, nor an allocation per node it opens.
