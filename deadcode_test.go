@@ -163,6 +163,11 @@ func newSourceProgram() (*sourceProgram, error) {
 		p.pkgs = append(p.pkgs, pkg)
 		p.collect(pkg.types, pkg.files, info, gated(lp.ImportPath))
 		p.addInterfaces(info)
+	}
+	// Test files come after every package: they may import one that `go
+	// list` prints later (a test-only helper package), which would
+	// otherwise be type-checked again from source, apart from the pass.
+	for _, pkg := range p.pkgs {
 		if err := p.addTests(pkg, imp); err != nil {
 			return nil, err
 		}

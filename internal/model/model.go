@@ -21,6 +21,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/seqstore"
 	"repro/internal/seqstore/flat"
 )
 
@@ -178,8 +179,8 @@ func (m *Model) Prefix(n int) *Model {
 }
 
 // Filter adds predicate sets Check counts the matches of under the empty
-// prefix and two others, and lists the first positions of, beside its
-// own.
+// prefix and the last probed one in byte order, and lists the first
+// positions of, beside its own.
 func (m *Model) Filter(sets ...[]Pred) *Model {
 	m.extra = append(m.extra, sets...)
 	return m
@@ -241,9 +242,9 @@ func (m *Model) Diff(r Reader) error {
 			}
 		}
 	}
+	prefixes := m.prefixes()
 	for _, preds := range m.extra {
-		prefixes := m.prefixes()
-		for _, p := range prefixes[:min(3, len(prefixes))] {
+		for _, p := range []string{"", prefixes[len(prefixes)-1]} {
 			w := len(m.matches(p, preds))
 			if g, err := r.CountWhere(p, preds); err != nil || g != w {
 				return fmt.Errorf("CountWhere(%q, %v) = %d, %v; want %d", p, preds, g, err, w)
@@ -278,7 +279,8 @@ func (m *Model) bounds() []int {
 }
 
 // diffPositions reads Access and Row on a sample of positions and those
-// either side of every seam, and Slice over a window across each seam.
+// either side of every seam, and Slice over the whole view, long windows
+// and a window across each seam.
 func (m *Model) diffPositions(r Reader, bounds []int) error {
 	n := m.Len()
 	var at []int
@@ -304,10 +306,17 @@ func (m *Model) diffPositions(r Reader, bounds []int) error {
 			return fmt.Errorf("Row(%d) = %v, %v; want %v", pos, g, err, m.rows[pos])
 		}
 	}
+	// The whole view, one from just before a 64-position word boundary
+	// across the first router seam, windows from the boundary and just
+	// after it, and a window across each seam.
+	windows := [][2]int{{0, n}, {63, 4200}, {64, 128}, {65, 130}}
 	for _, b := range bounds {
-		l, h := max(0, b-3), min(n, b+3)
-		if b == 0 && n <= 5000 {
-			h = n // one window over everything, while that is cheap
+		windows = append(windows, [2]int{b - 3, b + 3})
+	}
+	for _, w := range windows {
+		l, h := max(0, min(n, w[0])), min(n, w[1])
+		if h < l {
+			continue
 		}
 		g, err := r.Slice(l, h)
 		if unsupported(err) {
@@ -430,33 +439,63 @@ func (m *Model) diffKey(r Reader, v string, prefix bool) error {
 	return nil
 }
 
-// diffPages reads pages of p's matches under preds from the first match,
-// the middle, the seventh from last, the last, the count and one past
-// it, and from either side
-// of the first match past each of seams: pages of 7, and of 64 whose
-// consumer stops after one match, and the positions-only scan; from the
-// first match also pages of 1 and of 64.
+// diffPages reads pages of p's matches under preds: of 7 from the first
+// match, the middle, the seventh from last, the last, the count and one
+// past it; of 64 whose consumer stops after one from the first and the
+// middle; of 1 and 64 from the first; of 64 from 64 before the first
+// match past each of seams, and of 1 and 16 from 2 before it to 2
+// after. On prefix pages it also reads one of 16 from every match of a
+// stream of at most 70, and the whole stream in one page — except for
+// the empty prefix, whose whole stream is diffPositions' Slice of the
+// view: from its middle, a page of 70 whose consumer stops after each
+// of 1 … 16 matches and either side of 32 and 64. The positions-only
+// scan reads 5 from the first six of those froms and either side of
+// each seam's first match.
 func (m *Model) diffPages(r Reader, p string, preds []Pred, seams []int) error {
 	want := m.matches(p, preds)
 	total := len(want)
-	froms := []int{0, total / 2, total - 7, total - 1, total, total + 1}
+	scans := []int{0, total / 2, total - 7, total - 1, total, total + 1}
+	at := map[int][][2]int{0: {{1, 1}, {64, 64}, {64, 1}}}
+	at[total/2] = append(at[total/2], [2]int{64, 1})
+	for _, from := range scans {
+		at[from] = append(at[from], [2]int{7, 7})
+	}
 	for _, b := range seams {
 		i, _ := slices.BinarySearch(want, b)
-		froms = append(froms, i-1, i)
+		scans = append(scans, i-1, i)
+		at[i-64] = append(at[i-64], [2]int{64, 64})
+		for _, from := range []int{i - 2, i - 1, i, i + 1, i + 2} {
+			at[from] = append(at[from], [2]int{1, 1}, [2]int{16, 16})
+		}
+	}
+	if preds == nil && p != "" {
+		at[0] = append(at[0], [2]int{total + 1, total + 1})
+	}
+	if preds == nil && total <= 70 {
+		for from := 0; from < total; from++ {
+			at[from] = append(at[from], [2]int{16, 16})
+		}
+	}
+	if preds == nil && p == "" {
+		for _, stop := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 31, 32, 33, 63, 64, 65, 70} {
+			at[total/2] = append(at[total/2], [2]int{70, stop})
+		}
+	}
+	var froms []int
+	for from := range at {
+		froms = append(froms, from)
 	}
 	slices.Sort(froms)
-	for _, from := range slices.Compact(froms) {
+	for _, from := range froms {
 		if from < 0 {
 			continue
 		}
-		sizes := [][2]int{{7, 7}, {64, 1}, {1, 1}, {64, 64}}
-		if from > 0 {
-			sizes = sizes[:2]
-		}
-		for _, size := range sizes {
+		sizes := at[from]
+		slices.SortFunc(sizes, func(a, b [2]int) int { return (a[0]-b[0])<<32 + a[1] - b[1] })
+		for _, size := range slices.Compact(sizes) {
 			got, more, err := r.Page(p, preds, from, size[0], size[1])
 			if unsupported(err) {
-				return nil
+				break
 			}
 			end := min(total, from+min(size[0], size[1]))
 			wantMore := max(from, end) < total
@@ -474,6 +513,9 @@ func (m *Model) diffPages(r Reader, p string, preds []Pred, seams []int) error {
 			}
 			return fmt.Errorf("page of %d (stopped after %d) of %q, %v from match %d: %d matches, more %v, %v; want %d, more %v",
 				size[0], size[1], p, preds, from, len(got), more, err, max(0, end-from), wantMore)
+		}
+		if !slices.Contains(scans, from) {
+			continue
 		}
 		got, err := r.Positions(p, preds, from, 5)
 		if w := want[min(from, total):min(from+5, total)]; !unsupported(err) && (err != nil || !slices.Equal(got, w)) {
@@ -529,33 +571,21 @@ func (m *Model) fingerprint() uint64 {
 	return h
 }
 
-// Sequence is the primitive surface of an in-process index: a trie, an
-// export of a store, or a store itself.
-type Sequence interface {
-	Len() int
-	Access(pos int) string
-	Rank(s string, pos int) int
-	Count(s string) int
-	Select(s string, idx int) (int, bool)
-	RankPrefix(p string, pos int) int
-	CountPrefix(p string) int
-	SelectPrefix(p string, idx int) (int, bool)
-}
+// Seq reads an in-process index — a trie, an export of a store, or a
+// store itself — as a Reader: its primitives and their count forms; the
+// rest is unsupported.
+func Seq(s seqstore.Sequence) Reader { return seqReader{s} }
 
-// Seq reads an in-process index as a Reader: its primitives and their
-// count forms; the rest is unsupported.
-func Seq(s Sequence) Reader { return seqReader{s} }
-
-type seqReader struct{ s Sequence }
+type seqReader struct{ s seqstore.Sequence }
 
 var errNo = fmt.Errorf("model: %w", errors.ErrUnsupported)
 
 func (q seqReader) Len() (int, error)                         { return q.s.Len(), nil }
 func (q seqReader) Access(pos int) (string, error)            { return q.s.Access(pos), nil }
 func (q seqReader) Rank(v string, pos int) (int, error)       { return q.s.Rank(v, pos), nil }
-func (q seqReader) Count(v string) (int, error)               { return q.s.Count(v), nil }
+func (q seqReader) Count(v string) (int, error)               { return q.s.Rank(v, q.s.Len()), nil }
 func (q seqReader) RankPrefix(p string, pos int) (int, error) { return q.s.RankPrefix(p, pos), nil }
-func (q seqReader) CountPrefix(p string) (int, error)         { return q.s.CountPrefix(p), nil }
+func (q seqReader) CountPrefix(p string) (int, error)         { return q.s.RankPrefix(p, q.s.Len()), nil }
 func (q seqReader) Select(v string, idx int) (int, bool, error) {
 	pos, ok := q.s.Select(v, idx)
 	return pos, ok, nil

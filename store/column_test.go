@@ -82,16 +82,21 @@ func colTestData(n int) ([]string, []Row) {
 	return vals, rows
 }
 
-// colTestCmds returns the commands appending colTestData(n) one value a
-// command, with extra after the at-th.
+// colTestCmds returns the commands appending colTestData(n) in batches
+// of up to 20 values, with extra after the at-th value.
 func colTestCmds(n, at int, extra ...model.Cmd) []model.Cmd {
 	vals, rows := colTestData(n)
 	var cmds []model.Cmd
-	for i := range vals {
-		if i == at {
+	for lo := 0; lo < n; {
+		hi := min(lo+20, n)
+		if lo < at && at < hi {
+			hi = at
+		}
+		if lo == at {
 			cmds = append(cmds, extra...)
 		}
-		cmds = append(cmds, model.Cmd{Op: model.OpAppend, Vals: vals[i : i+1], Rows: modelRows(rows[i : i+1])})
+		cmds = append(cmds, model.Cmd{Op: model.OpBatch, Vals: vals[lo:hi], Rows: modelRows(rows[lo:hi])})
+		lo = hi
 	}
 	return cmds
 }
@@ -160,7 +165,7 @@ func TestColumnPreSchemaCompat(t *testing.T) {
 	}
 	vals := append([]string(nil), old...)
 	rows := make([]Row, len(old)) // history reads all-NULL
-	CheckModel(t, s2.Snapshot(), vals, rows)
+	CheckModel(t, s2.Snapshot(), vals, rows, ModelSchema...)
 
 	// New appends carry payloads next to the NULL history; flushing
 	// merges pre-schema and columned generations.
@@ -169,19 +174,19 @@ func TestColumnPreSchemaCompat(t *testing.T) {
 	}
 	vals = append(vals, "api/a01")
 	rows = append(rows, Row{U64(77), Blob([]byte("new"))})
-	CheckModel(t, s2.Snapshot(), vals, rows)
+	CheckModel(t, s2.Snapshot(), vals, rows, ModelSchema...)
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	CheckModel(t, s2.Snapshot(), vals, rows)
+	CheckModel(t, s2.Snapshot(), vals, rows, ModelSchema...)
 	s2.Close()
 
 	s3 := mustOpen(t, dir, testOpts())
 	defer s3.Close()
-	CheckModel(t, s3.Snapshot(), vals, rows)
+	CheckModel(t, s3.Snapshot(), vals, rows, ModelSchema...)
 }
 
 // TestTornColumnFileFailsOpen tears each column-side section of a
@@ -270,7 +275,7 @@ func TestOrphanColumnFileCleanup(t *testing.T) {
 
 	s2 := mustOpen(t, dir, testOpts())
 	defer s2.Close()
-	CheckModel(t, s2.Snapshot(), vals, rows)
+	CheckModel(t, s2.Snapshot(), vals, rows, ModelSchema...)
 	for _, path := range []string{orphan, tmp} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("orphan %s survived Open", path)
@@ -598,16 +603,23 @@ func TestColumnDifferential(t *testing.T) {
 		}
 		return row
 	}
+	// Batches of 25, a command after each of the 150th, 300th and 450th
+	// value (a flush), the 325th (a compaction) and the 375th (a crash
+	// image: flushed floor + WAL tail, mid-life).
 	var cmds []model.Cmd
-	for i := 0; i < 600; i++ {
+	batch := model.Cmd{Op: model.OpBatch}
+	for i := 1; i <= 600; i++ {
 		v := [...]string{fmt.Sprintf("api/a%02d", rng.Intn(40)), fmt.Sprintf("api/b%02d", rng.Intn(20)), fmt.Sprintf("web/c%02d", rng.Intn(30))}[i%3]
-		cmds = append(cmds, model.Cmd{Op: model.OpAppend, Vals: []string{v}, Rows: []model.Row{randRow()}})
+		batch.Vals, batch.Rows = append(batch.Vals, v), append(batch.Rows, randRow())
+		if i%25 == 0 {
+			cmds, batch = append(cmds, batch), model.Cmd{Op: model.OpBatch}
+		}
 		switch i {
 		case 150, 300, 450:
 			cmds = append(cmds, model.Cmd{Op: model.OpFlush})
-		case 320:
+		case 325:
 			cmds = append(cmds, model.Cmd{Op: model.OpCompact})
-		case 380: // crash image: flushed floor + WAL tail, mid-life
+		case 375:
 			cmds = append(cmds, model.Cmd{Op: model.OpCrash})
 		}
 	}
@@ -710,7 +722,7 @@ func testColumnEncodings(t *testing.T) {
 				}
 				check := func(stage string) {
 					t.Helper()
-					if err := modelOf(s.Snapshot(), vals, rows).Filter(filters...).Diff(snapReader{s.Snapshot()}); err != nil {
+					if err := model.FromSlice(vals, modelRows(rows), model.KindU64).Filter(filters...).Diff(storeReader{model.Seq(s), s}); err != nil {
 						t.Fatalf("%d shards, %s: %v", shards, stage, err)
 					}
 				}

@@ -114,7 +114,6 @@ func TestSnapshotIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := s.Snapshot()
-		snap.AlphabetSize() // derived at its first call, exact while nothing is appended
 		if err := s.AppendBatch(seq[300:]); err != nil {
 			t.Fatal(err)
 		}

@@ -262,5 +262,5 @@ func TestFlushMapsColumns(t *testing.T) {
 		t.Fatalf("compaction left %d generations, want 1", n)
 	}
 	mapped("compacted")
-	CheckModel(t, s.Snapshot(), vals, rows)
+	CheckModel(t, s.Snapshot(), vals, rows, ModelSchema...)
 }

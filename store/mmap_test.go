@@ -186,7 +186,7 @@ func TestMmapHeapDifferential(t *testing.T) {
 			t.Fatalf("generation %d: Mmapped=%v, FileBytes=%d", g.ID, g.Mmapped, g.FileBytes)
 		}
 	}
-	CheckModel(t, s.Snapshot(), seq, rows)
+	CheckModel(t, s.Snapshot(), seq, rows, ModelSchema...)
 
 	gens, bufs, err := heapGenerations(dir)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestMmapHeapDifferential(t *testing.T) {
 			t.Fatalf("heap generation %d: Mmapped=%v, ResidentBytes=%d", g.ID, g.Mmapped, g.ResidentBytes)
 		}
 	}
-	CheckModel(t, s.Snapshot(), seq, rows)
+	CheckModel(t, s.Snapshot(), seq, rows, ModelSchema...)
 }
 
 // TestTornGenerationFailsOpen simulates a torn write / partial page

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -78,18 +77,10 @@ func positions(prefix func(string, int, func(int, int) bool), where func(string,
 }
 
 // CheckModel holds sn to the model of vals with rows (either may be
-// nil, and so may any row), under sn's schema.
-func CheckModel(t testing.TB, sn *Snapshot, vals []string, rows []Row) {
+// nil, and so may any row) under a schema of the given column kinds.
+func CheckModel(t testing.TB, sn *Snapshot, vals []string, rows []Row, schema ...model.Kind) {
 	t.Helper()
-	modelOf(sn, vals, rows).Check(t, snapReader{sn})
-}
-
-func modelOf(sn *Snapshot, vals []string, rows []Row) *model.Model {
-	kinds := make([]model.Kind, len(sn.Schema()))
-	for i, c := range sn.Schema() {
-		kinds[i] = model.Kind(c.Kind)
-	}
-	return model.FromSlice(vals, modelRows(rows), kinds...)
+	model.FromSlice(vals, modelRows(rows), schema...).Check(t, snapReader{sn})
 }
 
 func modelRows(rows []Row) []model.Row {
@@ -163,8 +154,10 @@ var ModelLayouts = []ModelLayout{
 	{Name: "columnar", Cols: true},
 }
 
-// ModelSchema is the schema of a layout with columns.
+// ModelSchema is the schema of a layout with columns, modelColumns' kinds.
 var ModelSchema = []model.Kind{model.KindU64, model.KindBytes}
+
+var modelColumns = []ColumnSpec{{Name: "n", Kind: ColUint64}, {Name: "b", Kind: ColBytes}}
 
 // Schema returns the layout's model schema.
 func (l ModelLayout) Schema() []model.Kind {
@@ -190,10 +183,12 @@ type modelStore struct {
 	checks int
 }
 
+// open opens the store, creating it with the layout's columns; a reopen
+// names none, so the store must adopt the schema its manifest pins.
 func (ms *modelStore) open() {
 	opts := Options{Sync: true, FlushThreshold: 1 << 30, DisableAutoFlush: true}
-	if ms.l.Cols {
-		opts.Columns = []ColumnSpec{{Name: "n", Kind: ColUint64}, {Name: "b", Kind: ColBytes}}
+	if ms.l.Cols && ms.s == nil {
+		opts.Columns = modelColumns
 	}
 	s, err := OpenSharded(ms.dir, &ShardedOptions{Shards: ms.l.Shards, Store: opts})
 	if err != nil {
@@ -234,10 +229,13 @@ func (ms *modelStore) Do(c model.Cmd) (uint64, error) {
 // it costs what its shard's own view does.
 func (ms *modelStore) Check(m *model.Model) error {
 	sn := ms.s.Snapshot()
+	if want := map[bool][]ColumnSpec{true: modelColumns}[ms.l.Cols]; !schemaEqual(sn.Schema(), want) {
+		return fmt.Errorf("%s: schema %+v, want %+v", ms.l.Name, sn.Schema(), want)
+	}
 	if err := m.Diff(snapReader{sn}); err != nil {
 		return fmt.Errorf("%s snapshot: %w", ms.l.Name, err)
 	}
-	if err := m.Diff(model.Seq(ms.s)); err != nil {
+	if err := m.Diff(storeReader{model.Seq(ms.s), ms.s}); err != nil {
 		return fmt.Errorf("%s store: %w", ms.l.Name, err)
 	}
 	if one := ms.s.shards[0].snapshot(); ms.s.ShardCount() == 1 && (sn.SizeBits() != one.SizeBits() || sn.Height() != one.Height()) {
@@ -255,7 +253,7 @@ func (ms *modelStore) Check(m *model.Model) error {
 	for i, v := range sn.shards {
 		cut.shards[i] = v.prefixed(cut.cut(i, n))
 	}
-	if err := m.Prefix(n).Diff(cutReader{snapReader{cut}}); err != nil {
+	if err := m.Prefix(n).Diff(snapReader{cut}); err != nil {
 		return fmt.Errorf("%s view cut at %d: %w", ms.l.Name, n, err)
 	}
 	return nil
@@ -263,16 +261,16 @@ func (ms *modelStore) Check(m *model.Model) error {
 
 func (ms *modelStore) Close() error { return ms.s.Close() }
 
-// storeReader reads a store through its own methods, and its view's
-// where it has none.
+// storeReader reads a store through its own methods: the primitives of
+// model.Seq and the store's alphabet, rows, predicate counts and
+// positions-only scans.
 type storeReader struct {
-	snapReader
+	model.Reader
 	s *Store
 }
 
-func (r storeReader) Count(v string) (int, error)       { return r.s.Count(v), nil }
-func (r storeReader) CountPrefix(p string) (int, error) { return r.s.CountPrefix(p), nil }
-func (r storeReader) Row(pos int) (model.Row, error)    { return modelRow(r.s.Row(pos)), nil }
+func (r storeReader) Distinct() (int, error)         { return r.s.AlphabetSize(), nil }
+func (r storeReader) Row(pos int) (model.Row, error) { return modelRow(r.s.Row(pos)), nil }
 
 func (r storeReader) CountWhere(p string, preds []model.Pred) (int, error) {
 	return r.s.CountWhere(p, storePreds(preds)...)
@@ -281,12 +279,6 @@ func (r storeReader) CountWhere(p string, preds []model.Pred) (int, error) {
 func (r storeReader) Positions(p string, preds []model.Pred, from, stop int) ([]int, error) {
 	return positions(r.s.IteratePrefix, r.s.IterateWhere, p, preds, from, stop)
 }
-
-// cutReader reads a cut view, whose AlphabetSize counts its segments
-// whole, not clamped: the model cannot hold it to its prefix.
-type cutReader struct{ snapReader }
-
-func (cutReader) Distinct() (int, error) { return 0, errors.ErrUnsupported }
 
 // TestModel runs seeded command lists — appends, batches with rows,
 // flushes, compactions, reopens and crashes — on every layout, holding

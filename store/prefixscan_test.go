@@ -106,7 +106,6 @@ func TestShardedPrefixScanDifferential(t *testing.T) {
 			}
 			model.Apply(t, sys, m, cmds...)
 			views = append(views, s.Snapshot())
-			views[len(views)-1].AlphabetSize() // derived now, while nothing is appended
 		}
 		// The appender writes a batch and now and then a flush, concurrent
 		// with the checks.

@@ -285,5 +285,5 @@ func TestStoreIteratePrefix(t *testing.T) {
 		vals[i] = fmt.Sprintf("p%d/%d", rng.Intn(3), i)
 	}
 	model.Apply(t, &modelStore{t: t, s: s}, model.New(), model.Flushed(vals, nil, len(vals)/3, 2*len(vals)/3)...)
-	modelOf(s.Snapshot(), vals, nil).Check(t, storeReader{snapReader{s.Snapshot()}, s})
+	model.FromSlice(vals, nil).Check(t, storeReader{model.Seq(s), s})
 }
